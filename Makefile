@@ -107,7 +107,7 @@ chaos-smoke:
 BENCHTIME ?= 1s
 BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/fault ./internal/obs/parprof ./internal/serve .
 BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals
-BENCH_REQUIRE = KernelHotPath,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 

@@ -113,6 +113,10 @@ type rank struct {
 
 	// quantum is the pending quantum-end event, if any (zero when none).
 	quantum sim.Event
+	// stealTimer is the armed steal timeout, if any: sendSteal cancels
+	// the superseded request's timer before arming the next, so the one
+	// that fires always belongs to the current request.
+	stealTimer sim.Event
 	// extraDelay accumulates steal-response packaging costs that push
 	// the next quantum start.
 	extraDelay sim.Duration
@@ -147,11 +151,14 @@ type engine struct {
 	ranks  []rank
 
 	// rankArg[r] is rank r's index boxed once at startup, and
-	// quantumEndFn the shared quantum-end callback: together they let
-	// startQuantum schedule through the kernel's closure-free AfterArg
-	// path instead of allocating a closure per quantum.
-	rankArg      []any
-	quantumEndFn func(any)
+	// quantumEndFn, backoffEndFn and stealTimeoutFn the shared timer
+	// callbacks: together they let the per-rank timers schedule through
+	// the kernel's closure-free AfterArg path instead of allocating a
+	// closure per quantum, backoff pause or steal timeout.
+	rankArg        []any
+	quantumEndFn   func(any)
+	backoffEndFn   func(any)
+	stealTimeoutFn func(any)
 
 	backoffCfg Backoff
 
@@ -344,6 +351,7 @@ func Run(cfg Config) (*Result, error) {
 		ranks:      make([]rank, cfg.Ranks),
 		backoffCfg: cfg.backoff(),
 	}
+	defer e.kernel.Release()
 	e.kernel.SetTimeLimit(cfg.MaxVirtualTime)
 	e.net = comm.New(e.kernel, job, cfg.Latency)
 	e.sel = cfg.Selector(job, cfg.Seed)
@@ -370,7 +378,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	e.met = newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants())
 	e.rankArg = make([]any, cfg.Ranks)
-	e.quantumEndFn = func(a any) { e.quantumEnd(a.(int)) }
+	e.bindTimers()
 	for i := range e.rankArg {
 		e.rankArg[i] = i
 	}
@@ -451,6 +459,21 @@ func Run(cfg Config) (*Result, error) {
 		res.Par = parprof.New(1, 0)
 	}
 	return res, nil
+}
+
+// bindTimers builds the engine's shared per-rank timer callbacks.
+func (e *engine) bindTimers() {
+	e.quantumEndFn = func(a any) { e.quantumEnd(a.(int)) }
+	e.backoffEndFn = func(a any) {
+		if r := a.(int); e.ranks[r].state == rsBackoff {
+			e.sendSteal(r)
+		}
+	}
+	e.stealTimeoutFn = func(a any) {
+		r := a.(int)
+		e.ranks[r].stealTimer = sim.Event{}
+		e.abortSteal(r)
+	}
 }
 
 // kernelFor returns the kernel owning rank r's events: e.kernel in a
@@ -613,7 +636,8 @@ func (e *engine) sendSteal(r int) {
 	e.met.link(r, v)
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
-		e.kernel.After(e.cfg.StealTimeout, func() { e.abortSteal(r, v, id) })
+		e.kernel.Cancel(rk.stealTimer)
+		rk.stealTimer = e.kernel.AfterArg(e.cfg.StealTimeout, e.stealTimeoutFn, e.rankArg[r])
 	}
 }
 
@@ -640,14 +664,15 @@ func (e *engine) skipBlacklisted(r, v int) int {
 	return v
 }
 
-// abortSteal gives up on an outstanding request whose reply is late
-// (aborting steals, Dinan et al.). A late work reply is still accepted
-// if it ever arrives.
-func (e *engine) abortSteal(r, v int, id uint64) {
+// abortSteal gives up on rank r's outstanding request when its timeout
+// fires before the reply (aborting steals, Dinan et al.). A late work
+// reply is still accepted if it ever arrives.
+func (e *engine) abortSteal(r int) {
 	rk := &e.ranks[r]
-	if rk.state != rsSearching || rk.reqID != id {
+	if rk.state != rsSearching {
 		return // the reply arrived, or this rank moved on
 	}
+	v, id := rk.pendingVictim, rk.reqID
 	now := e.kernel.Now()
 	rk.searchWait += now.Sub(rk.waitStart)
 	rk.aborted++
@@ -1092,11 +1117,7 @@ func (e *engine) retryOrBackoff(r int) {
 		}
 	}
 	rk.state = rsBackoff
-	e.kernel.After(rk.backoff, func() {
-		if e.ranks[r].state == rsBackoff {
-			e.sendSteal(r)
-		}
-	})
+	e.kernel.AfterArg(rk.backoff, e.backoffEndFn, e.rankArg[r])
 }
 
 // forwardTokens transmits detector-emitted tokens on the ring.

@@ -222,6 +222,7 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 	}
 
 	sk := par.New(shards, lookahead)
+	defer sk.Release()
 	det := cfg.Detector(cfg.Ranks)
 	sv, err := compileServe(cfg)
 	if err != nil {
@@ -285,7 +286,7 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 		}
 		e.kernel.SetTimeLimit(cfg.MaxVirtualTime)
 		e.net = comm.New(e.kernel, job, cfg.Latency)
-		e.quantumEndFn = func(a any) { e.quantumEnd(a.(int)) }
+		e.bindTimers()
 		engines[s] = e
 	}
 	ps.engines = engines

@@ -158,6 +158,7 @@ func Run(cfg Config) (*Result, error) {
 		remaining: make([]int32, g.Len()),
 		executor:  make([]int32, g.Len()),
 	}
+	defer s.kernel.Release()
 	s.kernel.SetTimeLimit(cfg.MaxVirtualTime)
 	s.net = comm.New(s.kernel, job, cfg.Latency)
 	s.sel = cfg.Selector(job, cfg.Seed)

@@ -3,27 +3,88 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
-// checkInvariants verifies the structural invariants of the arena
-// kernel: heap order, index tracking, free-list consistency and the
-// live-event count. It must hold between any two kernel operations.
+// checkInvariants verifies the structural invariants of the two-tier
+// queue: every wheel chain is one timestamp inside the window in seq
+// order, the occupancy bitmap and its summary agree with the slot
+// heads, the overflow heap is ordered and holds only events at or past
+// the horizon, and wheel + overflow + free list account for every arena
+// slot exactly once. It must hold between any two kernel operations.
 func (k *Kernel) checkInvariants() error {
-	seen := make(map[int32]bool, len(k.heap))
+	seen := make(map[int32]bool, len(k.arena))
 	liveCount := 0
+	visit := func(idx int32, where string) error {
+		if idx <= 0 || int(idx) >= len(k.arena) {
+			return fmt.Errorf("%s: index %d outside the arena", where, idx)
+		}
+		if seen[idx] {
+			return fmt.Errorf("%s: slot %d is linked twice", where, idx)
+		}
+		seen[idx] = true
+		return nil
+	}
+	queued := func(idx int32, where string) error {
+		if err := visit(idx, where); err != nil {
+			return err
+		}
+		if !k.arena[idx].cancelled {
+			liveCount++
+		}
+		return nil
+	}
+
+	inWheel := 0
+	for s := range k.slots {
+		sl := k.slots[s]
+		occupied := k.occ[s>>6]&(1<<(uint(s)&63)) != 0
+		if occupied != (sl.head != 0) {
+			return fmt.Errorf("wheel slot %d: occupancy bit %v, head %d", s, occupied, sl.head)
+		}
+		var prev *eventNode
+		last := int32(0)
+		for idx := sl.head; idx != 0; idx = k.arena[idx].next {
+			if err := queued(idx, fmt.Sprintf("wheel slot %d", s)); err != nil {
+				return err
+			}
+			n := &k.arena[idx]
+			if int(uint(n.when)&wheelMask) != s {
+				return fmt.Errorf("wheel slot %d holds an event due at %d", s, n.when)
+			}
+			if n.when < k.now || n.when-k.now >= wheelSize {
+				return fmt.Errorf("wheel event at %d outside the window [%d, %d)", n.when, k.now, k.now+wheelSize)
+			}
+			if prev != nil && (n.when != prev.when || n.seq <= prev.seq) {
+				return fmt.Errorf("wheel slot %d chain not FIFO: (%d,%d) after (%d,%d)",
+					s, n.when, n.seq, prev.when, prev.seq)
+			}
+			prev, last = n, idx
+			inWheel++
+		}
+		if sl.head != 0 && sl.tail != last {
+			return fmt.Errorf("wheel slot %d: tail %d, chain ends at %d", s, sl.tail, last)
+		}
+	}
+	for w := range k.occ {
+		summarized := k.sum[w>>6]&(1<<(uint(w)&63)) != 0
+		if summarized != (k.occ[w] != 0) {
+			return fmt.Errorf("summary bit %d is %v, occupancy word %#x", w, summarized, k.occ[w])
+		}
+	}
+
 	for i, e := range k.heap {
+		if err := queued(e.idx, fmt.Sprintf("heap[%d]", i)); err != nil {
+			return err
+		}
 		n := &k.arena[e.idx]
 		if n.when != e.when || n.seq != e.seq {
 			return fmt.Errorf("heap[%d] key (%d,%d) disagrees with slot %d key (%d,%d)",
 				i, e.when, e.seq, e.idx, n.when, n.seq)
 		}
-		if seen[e.idx] {
-			return fmt.Errorf("slot %d appears twice in the heap", e.idx)
-		}
-		seen[e.idx] = true
-		if !n.cancelled {
-			liveCount++
+		if e.when-k.now < wheelSize {
+			return fmt.Errorf("heap[%d] due at %d is inside the window starting at %d", i, e.when, k.now)
 		}
 		if i > 0 {
 			parent := k.heap[(i-1)/4]
@@ -34,17 +95,19 @@ func (k *Kernel) checkInvariants() error {
 		}
 	}
 	if liveCount != k.live {
-		return fmt.Errorf("live = %d, heap holds %d non-cancelled events", k.live, liveCount)
+		return fmt.Errorf("live = %d, queue holds %d non-cancelled events", k.live, liveCount)
 	}
 	for _, idx := range k.free {
-		if seen[idx] {
-			return fmt.Errorf("slot %d is both queued and free", idx)
+		if err := visit(idx, "free list"); err != nil {
+			return err
 		}
-		seen[idx] = true
+		if n := &k.arena[idx]; n.fn != nil || n.afn != nil || n.arg != nil {
+			return fmt.Errorf("free slot %d still holds a callback", idx)
+		}
 	}
-	if len(k.heap)+len(k.free) != len(k.arena) {
-		return fmt.Errorf("arena accounting: %d heap + %d free != %d slots",
-			len(k.heap), len(k.free), len(k.arena))
+	if inWheel+len(k.heap)+len(k.free) != len(k.arena)-1 {
+		return fmt.Errorf("arena accounting: %d wheel + %d overflow + %d free != %d slots",
+			inWheel, len(k.heap), len(k.free), len(k.arena)-1)
 	}
 	return nil
 }
@@ -206,16 +269,177 @@ func TestStepSkipsCancelled(t *testing.T) {
 	}
 }
 
+// TestOverflowEntersWheelBeforeHandler pins the invariant that keeps the
+// two tiers in (when, seq) order: an overflow event crosses into the
+// wheel the moment the clock brings it inside the window — before the
+// handler dispatched at that instant runs — so an event the handler
+// schedules for the same timestamp queues behind it, not in front.
+func TestOverflowEntersWheelBeforeHandler(t *testing.T) {
+	k := NewKernel()
+	defer k.Release()
+	const due = wheelSize + 10
+	var order []string
+	note := func(s string) func() { return func() { order = append(order, s) } }
+	k.At(due, note("far-1")) // past the horizon: overflow
+	k.At(due, note("far-2"))
+	// now = 11 is the first instant whose window [11, 11+wheelSize)
+	// holds due; its handler schedules into that very slot.
+	k.At(11, func() {
+		k.After(wheelSize-1, note("near"))
+		if err := k.checkInvariants(); err != nil {
+			t.Error(err)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(order), "[far-1 far-2 near]"; got != want {
+		t.Fatalf("dispatch order %v, want %v", got, want)
+	}
+}
+
+// TestResetLeavesNothingBehind releases storage the way every core.Run
+// does — mid-simulation, with near, far and cancelled events still
+// queued — and checks the next kernel built on it starts clean: no
+// callback of the old life reachable or runnable, no old handle live,
+// no occupancy bit set, every slot on the free list.
+func TestResetLeavesNothingBehind(t *testing.T) {
+	k := NewKernel()
+	stale := func() { t.Error("a callback of the released kernel ran") }
+	var old []Event
+	for i := 0; i < 300; i++ {
+		old = append(old, k.After(Duration(i*61), func() {}))
+	}
+	for i := 0; i < 100; i++ { // dispatch some, so the clock is mid-run
+		k.Step()
+	}
+	for i := 0; i < 200; i++ {
+		old = append(old, k.After(Duration(i*61), stale))
+		old = append(old, k.AfterArg(wheelSize+Duration(i*997), func(any) { stale() }, &old))
+	}
+	for i := 0; i < len(old); i += 3 {
+		k.Cancel(old[i])
+	}
+	if k.Pending() == 0 || len(k.heap) == 0 {
+		t.Fatal("test set-up left nothing queued")
+	}
+
+	// What Release does, minus the pool, so the recycled store is the
+	// one under test.
+	s := k.store
+	k.store = nil
+	s.reset()
+	k2 := &Kernel{store: s, maxTime: MaxTime}
+
+	if err := k2.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if len(s.free) != len(s.arena)-1 || len(s.heap) != 0 {
+		t.Fatalf("recycled store: %d of %d slots free, %d overflow entries", len(s.free), len(s.arena)-1, len(s.heap))
+	}
+	for i := range s.arena {
+		if n := &s.arena[i]; n.fn != nil || n.afn != nil || n.arg != nil || n.cancelled {
+			t.Fatalf("arena slot %d kept state across the reset: %+v", i, *n)
+		}
+	}
+	if _, ok := k2.PeekTime(); ok || k2.Pending() != 0 || k2.Now() != 0 {
+		t.Fatal("recycled kernel does not start empty at time zero")
+	}
+	// Old handles must stay dead even once their slots host new events.
+	ran := 0
+	for i := 0; i < 600; i++ {
+		k2.After(Duration(i%40)*1000, func() { ran++ })
+	}
+	for _, e := range old {
+		if k2.Live(e) {
+			t.Fatalf("handle %+v of the released kernel is live on the recycled one", e)
+		}
+		if _, ok := k2.When(e); ok {
+			t.Fatalf("handle %+v of the released kernel resolves on the recycled one", e)
+		}
+		k2.Cancel(e)
+	}
+	if err := k2.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if ran != 600 {
+		t.Fatalf("recycled kernel ran %d of 600 events (a stale Cancel hit?)", ran)
+	}
+}
+
+// TestReleaseDetachesAndRecycles: a released kernel lets go of its
+// storage (a second Release is a no-op), and NewKernel / Release cycles
+// reuse it instead of building a wheel per kernel.
+func TestReleaseDetachesAndRecycles(t *testing.T) {
+	k := NewKernel()
+	k.After(5, func() {})
+	k.Release()
+	if k.store != nil {
+		t.Fatal("released kernel still holds its storage")
+	}
+	k.Release()
+
+	n := 0
+	count := func() { n++ }
+	cycle := func() {
+		k := NewKernel()
+		for i := 0; i < 50; i++ {
+			k.After(Duration(i), count)
+		}
+		k.After(3*wheelSize, count)
+		if err := k.RunUntil(40); err != nil {
+			t.Fatal(err)
+		}
+		k.Release()
+	}
+	cycle()
+	// The one allocation is the Kernel itself; a fresh store growing its
+	// arena, free list and heap to this cycle's size is over fifteen more.
+	// The pool is a plain free list, not a sync.Pool, so a collection
+	// between cycles must not cost the store either.
+	if allocs := testing.AllocsPerRun(200, func() { runtime.GC(); cycle() }); allocs > 1 {
+		t.Fatalf("NewKernel/Release cycle allocates %.1f times: storage is not recycled", allocs)
+	}
+	if n == 0 {
+		t.Fatal("cycles dispatched nothing")
+	}
+}
+
+// randomDelay draws a delay that exercises both tiers and the seam
+// between them: mostly near the clock (the wheel), often exactly on
+// either side of the horizon, sometimes far past it (the overflow heap,
+// and a jump longer than the wheel once the near events drain).
+func randomDelay(rng *rand.Rand) Duration {
+	switch p := rng.Intn(100); {
+	case p < 50:
+		return Duration(rng.Intn(1000))
+	case p < 60:
+		return 0
+	case p < 70:
+		return wheelSize - 1
+	case p < 80:
+		return wheelSize
+	case p < 90:
+		return wheelSize + Duration(rng.Intn(1000))
+	default:
+		return Duration(10*wheelSize + rng.Intn(100*wheelSize))
+	}
+}
+
 // TestArenaMixedOpsFuzz drives the kernel through 10^5 randomized
 // schedule / cancel / dispatch operations against a reference model,
-// asserting after every phase that the heap invariants hold, that
-// dispatch order is globally sorted by (time, scheduling order), that
+// alternating schedule-heavy phases with dispatch-heavy ones so the
+// queue repeatedly shrinks to its far events and the clock jumps more
+// than a wheel turn. It asserts after every phase that the queue
+// invariants hold, that dispatch order is globally sorted by (time,
+// scheduling order), that every event runs at its own timestamp, that
 // cancelled events never run, and that every surviving event runs
 // exactly once.
 func TestArenaMixedOpsFuzz(t *testing.T) {
 	const ops = 100_000
 	rng := rand.New(rand.NewSource(20260805))
 	k := NewKernel()
+	defer k.Release()
 
 	type ref struct {
 		id        int
@@ -227,21 +451,34 @@ func TestArenaMixedOpsFuzz(t *testing.T) {
 	var dispatched []int
 	nextID := 0
 	liveIDs := make([]int, 0, ops)
+	overflowed, jumps := 0, 0
 
 	scheduleOne := func() {
 		id := nextID
 		nextID++
-		when := k.Now().Add(Duration(rng.Intn(1000)))
+		when := k.Now().Add(randomDelay(rng))
 		model[id] = &ref{id: id, when: when}
-		handles[id] = k.At(when, func() { dispatched = append(dispatched, id) })
+		handles[id] = k.At(when, func() {
+			if k.Now() != when {
+				t.Fatalf("event %d due at %d ran at %d", id, when, k.Now())
+			}
+			dispatched = append(dispatched, id)
+		})
+		if when-k.Now() >= wheelSize {
+			overflowed++
+		}
 		liveIDs = append(liveIDs, id)
 	}
 
 	for i := 0; i < ops; i++ {
+		schedule, cancel := 55, 75 // cumulative percentages; the rest steps
+		if i/2000%2 == 1 {
+			schedule, cancel = 10, 20 // drain phase
+		}
 		switch p := rng.Intn(100); {
-		case p < 55:
+		case p < schedule:
 			scheduleOne()
-		case p < 75:
+		case p < cancel:
 			if len(liveIDs) == 0 {
 				scheduleOne()
 				continue
@@ -257,9 +494,12 @@ func TestArenaMixedOpsFuzz(t *testing.T) {
 			}
 			k.Cancel(handles[id])
 		default:
-			k.Step()
+			before := k.Now()
+			if k.Step() && k.Now()-before > wheelSize {
+				jumps++
+			}
 		}
-		if i%5000 == 0 {
+		if i%500 == 0 {
 			if err := k.checkInvariants(); err != nil {
 				t.Fatalf("op %d: %v", i, err)
 			}
@@ -272,6 +512,9 @@ func TestArenaMixedOpsFuzz(t *testing.T) {
 	}
 	if k.Pending() != 0 {
 		t.Fatalf("Pending = %d after drain", k.Pending())
+	}
+	if overflowed < ops/20 || jumps < 10 {
+		t.Fatalf("fuzz barely left the wheel: %d overflow schedules, %d jumps past a wheel turn", overflowed, jumps)
 	}
 
 	// Every dispatched id must be unique, non-cancelled, and in global

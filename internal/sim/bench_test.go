@@ -4,40 +4,69 @@ import "testing"
 
 // BenchmarkKernelHotPath exercises the kernel's steady-state scheduling
 // loop the way the engine drives it: a population of concurrent timers
-// (one per simulated rank) that each reschedule themselves on dispatch,
-// with a fraction of schedules cancelled and immediately replaced —
-// the quantum-cancel pattern finishRank and aborting steals produce.
-// The alloc gate (TestKernelHotPathAllocFree) requires this loop to be
-// allocation-free after warm-up.
+// (one per simulated rank) that each reschedule themselves on dispatch
+// about a quantum ahead, with a fifth of them cancelled and immediately
+// replaced — the quantum-cancel pattern finishRank and aborting steals
+// produce. The sub-benchmarks vary the number of pending events from
+// the sweep scale to the paper's top rung (the per-event cost must not
+// grow with it), and the last makes every tenth timer a far one — a
+// 100 µs backoff pause — that takes the overflow heap on its way to
+// the wheel. The alloc gate (TestKernelHotPathAllocFree) requires this loop
+// to be allocation-free after warm-up.
 func BenchmarkKernelHotPath(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		pending int
+		far     bool
+	}{
+		{"pending=64", 64, false},
+		{"pending=1024", 1024, false},
+		{"pending=8192", 8192, false},
+		{"pending=1024+far", 1024, true},
+	} {
+		b.Run(c.name, func(b *testing.B) { benchHotPath(b, c.pending, c.far) })
+	}
+}
+
+func benchHotPath(b *testing.B, pending int, far bool) {
 	k := NewKernel()
-	const lanes = 64
-	var fns [lanes]func()
-	done := 0
-	for i := 0; i < lanes; i++ {
+	defer k.Release()
+	left := 0
+	fns := make([]func(), pending)
+	fired := make([]int, pending)
+	for i := range fns {
 		i := i
 		fns[i] = func() {
-			done++
-			if done >= b.N {
-				return
+			if left--; left == 0 {
+				k.Stop()
 			}
-			e := k.After(Duration(1+i%7), fns[i])
+			delay := Microsecond + Duration(i%7)*100
+			if fired[i]++; far && fired[i]%10 == 0 {
+				delay = 100 * Microsecond
+			}
+			e := k.After(delay, fns[i])
 			if i%5 == 0 {
 				// Cancel-and-reschedule at a nearby timestamp: exercises
 				// the cancellation path under load.
 				k.Cancel(e)
-				k.After(Duration(1+i%3), fns[i])
+				k.After(delay-Duration(i%3), fns[i])
 			}
 		}
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < lanes; i++ {
+	for i := range fns {
 		k.After(Duration(i), fns[i])
 	}
-	if err := k.Run(); err != nil {
-		b.Fatal(err)
+	run := func(events int) {
+		left = events
+		if err := k.Run(); err != nil {
+			b.Fatal(err)
+		}
 	}
+	run(40 * pending) // arena, free list and heap at steady-state capacity
+	b.ReportAllocs()
+	b.ResetTimer()
+	run(b.N)
+	b.StopTimer() // Release grows the free list to the whole arena
 }
 
 // TestKernelHotPathAllocFree is the alloc gate for the scheduling hot

@@ -14,24 +14,42 @@
 //
 // # Implementation
 //
-// The queue is an indexed 4-ary min-heap over an event arena with a
-// free list: the heap orders lightweight (time, seq, slot) entries
-// rather than boxed pointers, and slots are recycled in place. Scheduling never touches the garbage
-// collector after warm-up: event nodes are recycled through the free
-// list and callers hold generation-stamped Event handles instead of
-// node pointers. Cancel is O(1) lazy deletion — it marks the node and
-// lets the dispatch loop free it when it surfaces; the slot's
-// generation counter makes any stale handle to a recycled slot
-// harmless, so no heap back-pointers need maintaining in the sift
-// loops. A 4-ary layout halves the tree depth of the binary heap and
-// keeps the hot sift loops free of interface calls, which is where the
-// container/heap predecessor of this kernel spent most of its time.
+// The queue has two tiers over one event arena with a free list.
+//
+// The near tier is a timing wheel: wheelSize slots of one nanosecond
+// each, slot index when&wheelMask, every slot a FIFO chain linked
+// through the arena nodes themselves. The wheel only ever holds events
+// in [Now, Now+wheelSize), so a slot holds one timestamp at a time and
+// needs no comparisons: appending is scheduling order, which is seq
+// order. A two-level occupancy bitmap finds the next non-empty slot in
+// a handful of word operations however sparse the wheel is.
+//
+// The far tier is a 4-ary min-heap of (when, seq, slot) entries for
+// events at or beyond the horizon (backoff timers, crash instants,
+// pre-compiled arrivals). Every time the clock advances, and before
+// the dispatched handler runs, the heap's entries that entered the
+// window are moved to their slots in (when, seq) order. Anything a
+// handler schedules for the same timestamp carries a larger seq and
+// lands behind them, so dispatch order is exactly the (when, seq)
+// total order a single heap would give.
+//
+// Scheduling never touches the garbage collector after warm-up: event
+// nodes are recycled through the free list and callers hold
+// generation-stamped Event handles instead of node pointers. Cancel is
+// O(1) lazy deletion — it marks the node and lets the dispatch loop
+// free it when it surfaces; the slot's generation counter makes any
+// stale handle to a recycled slot harmless. The wheel is a fixed
+// footprint per kernel, so a kernel's storage (wheel, arena, free list,
+// heap) is recycled through a pool: Release returns it, NewKernel
+// reuses it.
 package sim
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"sync"
 )
 
 // Time is a virtual timestamp in nanoseconds since simulation start.
@@ -101,14 +119,31 @@ type eventNode struct {
 	arg any
 	// gen is incremented every time the slot is freed, invalidating
 	// outstanding handles.
-	gen       uint32
+	gen uint32
+	// next links the node into its wheel slot's FIFO chain (0 ends it).
+	next      int32
 	cancelled bool
 }
 
-// heapEntry is one queue position. The sort key (when, seq) is stored
-// inline so the sift loops compare contiguous heap memory instead of
-// chasing arena slots — the single biggest cache effect on the hot
-// path.
+// The wheel covers wheelSize nanoseconds ahead of the clock. 2^14 ns
+// holds every delay the model produces per event — 1 µs quanta, 2–15 µs
+// network latencies, sub-µs handling costs — and leaves backoff pauses,
+// steal timeouts, crash instants and arrival plans to the overflow heap.
+const (
+	wheelBits  = 14 // at least 12, so the summary has a whole word
+	wheelSize  = 1 << wheelBits
+	wheelMask  = wheelSize - 1
+	wheelWords = wheelSize / 64
+	sumWords   = wheelWords / 64
+)
+
+// wheelSlot is the FIFO chain of the events due at one timestamp:
+// arena indices of its first and last node, 0 when empty.
+type wheelSlot struct{ head, tail int32 }
+
+// heapEntry is one overflow-heap position. The sort key (when, seq) is
+// stored inline so the sift loops compare contiguous heap memory
+// instead of chasing arena slots.
 type heapEntry struct {
 	when Time
 	seq  uint64
@@ -122,16 +157,69 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
+// store is everything a kernel allocates, kept apart from the Kernel so
+// it can outlive one: Release hands it to the pool and NewKernel adopts
+// it. arena[0] is reserved so that index 0 can mean "none" in handles,
+// chains and slots; the zero store is therefore an empty queue.
+type store struct {
+	arena []eventNode
+	free  []int32     // recycled arena slots
+	heap  []heapEntry // overflow: 4-ary min-heap ordered by (when, seq)
+
+	slots [wheelSize]wheelSlot
+	// occ has bit s set iff slots[s] is non-empty; sum has bit w set iff
+	// occ[w] is non-zero.
+	occ [wheelWords]uint64
+	sum [sumWords]uint64
+}
+
+// stores is the pool of released storage: a bounded LIFO free list, not
+// a sync.Pool. The garbage collector empties a sync.Pool, so whether
+// NewKernel found a grown arena or built a new one would depend on GC
+// timing, and a run's allocation volume must depend on the sequence of
+// runs alone. The price is that up to maxStores stores, each as large
+// as the biggest simulation it served, stay reachable for the life of
+// the process.
+var stores struct {
+	mu   sync.Mutex
+	free []*store
+}
+
+// maxStores bounds the pool; a Release beyond it drops the store. It
+// covers the shard kernels of one sharded run and a harness's worth of
+// concurrent simulations.
+const maxStores = 8
+
+func getStore() *store {
+	stores.mu.Lock()
+	n := len(stores.free)
+	if n == 0 {
+		stores.mu.Unlock()
+		return &store{arena: make([]eventNode, 1)}
+	}
+	s := stores.free[n-1]
+	stores.free[n-1] = nil
+	stores.free = stores.free[:n-1]
+	stores.mu.Unlock()
+	return s
+}
+
+func putStore(s *store) {
+	stores.mu.Lock()
+	defer stores.mu.Unlock()
+	if len(stores.free) < maxStores {
+		stores.free = append(stores.free, s)
+	}
+}
+
 // Kernel is a discrete-event simulation engine.
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	now   Time
-	arena []eventNode
-	free  []int32     // recycled arena slots
-	heap  []heapEntry // 4-ary min-heap ordered by (when, seq)
+	*store
+	now Time
 	// live counts queued, non-cancelled events. Cancelled nodes stay in
-	// the heap until they surface, so len(heap) may exceed live.
+	// their tier until they surface, so the tiers may hold more than live.
 	live       int
 	seq        uint64
 	dispatched uint64
@@ -142,9 +230,38 @@ type Kernel struct {
 	maxTime   Time
 }
 
-// NewKernel returns a kernel with the clock at zero and an empty queue.
+// NewKernel returns a kernel with the clock at zero and an empty queue,
+// reusing the storage of a released kernel when one is available.
 func NewKernel() *Kernel {
-	return &Kernel{maxTime: MaxTime}
+	return &Kernel{store: getStore(), maxTime: MaxTime}
+}
+
+// Release returns the kernel's storage for reuse by a later NewKernel.
+// Events still queued are discarded without running and every
+// outstanding handle goes stale. The kernel must not be used afterwards;
+// releasing is optional (an unreleased kernel is simply collected) and
+// releasing twice is a no-op.
+func (k *Kernel) Release() {
+	if s := k.store; s != nil {
+		k.store = nil
+		s.reset()
+		putStore(s)
+	}
+}
+
+// reset empties the store for its next kernel: no callback or argument
+// of the finished simulation stays reachable from the pool, every
+// handle issued so far is stale, and every slot is back on the free
+// list.
+func (s *store) reset() {
+	s.free = s.free[:0]
+	for i := len(s.arena) - 1; i >= 1; i-- {
+		s.freeNode(int32(i))
+	}
+	s.heap = s.heap[:0]
+	s.slots = [wheelSize]wheelSlot{}
+	s.occ = [wheelWords]uint64{}
+	s.sum = [sumWords]uint64{}
 }
 
 // Now returns the current virtual time.
@@ -184,19 +301,83 @@ func (k *Kernel) alloc() int32 {
 	return int32(len(k.arena) - 1)
 }
 
-// freeNode recycles a slot that left the heap, invalidating handles.
-func (k *Kernel) freeNode(idx int32) {
-	n := &k.arena[idx]
+// freeNode recycles a slot that left the queue, invalidating handles.
+func (s *store) freeNode(idx int32) {
+	n := &s.arena[idx]
 	n.gen++
 	if n.gen == 0 { // generation wrap: keep 0 reserved for the zero Event
 		n.gen = 1
 	}
 	n.fn, n.afn, n.arg = nil, nil, nil
 	n.cancelled = false
-	k.free = append(k.free, idx)
+	s.free = append(s.free, idx)
 }
 
-// push inserts an entry into the heap.
+// slotAppend links node idx, due at t, to the tail of t's wheel slot.
+// The caller guarantees t is inside the window [now, now+wheelSize).
+func (k *Kernel) slotAppend(idx int32, t Time) {
+	s := uint(t) & wheelMask
+	k.arena[idx].next = 0
+	sl := &k.slots[s]
+	if sl.head == 0 {
+		sl.head = idx
+		k.occ[s>>6] |= 1 << (s & 63)
+		k.sum[s>>12] |= 1 << (s >> 6 & 63)
+	} else {
+		k.arena[sl.tail].next = idx
+	}
+	sl.tail = idx
+}
+
+// slotPop unlinks the head of the non-empty slot s.
+func (k *Kernel) slotPop(s uint) {
+	sl := &k.slots[s]
+	sl.head = k.arena[sl.head].next
+	if sl.head == 0 {
+		w := s >> 6
+		k.occ[w] &^= 1 << (s & 63)
+		if k.occ[w] == 0 {
+			k.sum[w>>6] &^= 1 << (w & 63)
+		}
+	}
+}
+
+// nextSlot returns the first occupied slot at or after the clock's own
+// in cyclic order — the slot of the earliest wheel event, since the
+// wheel spans exactly one turn ahead of the clock — or -1 when the
+// wheel is empty.
+func (k *Kernel) nextSlot() int {
+	p := uint(k.now) & wheelMask
+	// Same word: the events due this nanosecond or within the next 63.
+	if b := k.occ[p>>6] >> (p & 63); b != 0 {
+		return int(p) + bits.TrailingZeros64(b)
+	}
+	return k.nextSlotFar(p >> 6)
+}
+
+// nextSlotFar continues nextSlot's search past occupancy word w: the
+// rest of w's summary word, then the other summary words in cyclic
+// order, ending on w's own (where only earlier words, and last of all
+// the low bits of w itself, can still be set).
+func (k *Kernel) nextSlotFar(w uint) int {
+	q := (w + 1) & (wheelWords - 1)
+	j := q >> 6
+	b := k.sum[j] >> (q & 63)
+	if b != 0 {
+		w = q + uint(bits.TrailingZeros64(b))
+		return int(w<<6) + bits.TrailingZeros64(k.occ[w])
+	}
+	for i := 0; i < sumWords; i++ {
+		j = (j + 1) & (sumWords - 1)
+		if b = k.sum[j]; b != 0 {
+			w = j<<6 + uint(bits.TrailingZeros64(b))
+			return int(w<<6) + bits.TrailingZeros64(k.occ[w])
+		}
+	}
+	return -1
+}
+
+// push inserts an entry into the overflow heap.
 func (k *Kernel) push(e heapEntry) {
 	k.heap = append(k.heap, e)
 	k.siftUp(len(k.heap) - 1)
@@ -252,6 +433,23 @@ func (k *Kernel) siftDown(i int) {
 	k.heap[i] = e
 }
 
+// refill moves every overflow event that the advancing clock brought
+// inside the window to its wheel slot. The heap yields them in
+// (when, seq) order and dispatch calls this before running the handler,
+// so each slot's chain stays in seq order: nothing scheduled later can
+// get in front of them.
+func (k *Kernel) refill() {
+	for len(k.heap) > 0 && k.heap[0].when-k.now < wheelSize {
+		e := k.heap[0]
+		k.popMin()
+		if k.arena[e.idx].cancelled {
+			k.freeNode(e.idx)
+		} else {
+			k.slotAppend(e.idx, e.when)
+		}
+	}
+}
+
 // schedule allocates, initializes and enqueues one event node.
 func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) Event {
 	if t < k.now {
@@ -264,7 +462,11 @@ func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) Event {
 	n.fn, n.afn, n.arg = fn, afn, arg
 	k.seq++
 	k.live++
-	k.push(heapEntry{when: t, seq: n.seq, idx: idx})
+	if t-k.now < wheelSize {
+		k.slotAppend(idx, t)
+	} else {
+		k.push(heapEntry{when: t, seq: n.seq, idx: idx})
+	}
 	return Event{idx: idx, gen: n.gen}
 }
 
@@ -315,7 +517,7 @@ func (k *Kernel) node(e Event) *eventNode {
 }
 
 // Cancel marks an event so it will be skipped when its time comes; the
-// queue node is reclaimed lazily when it surfaces at the heap root.
+// queue node is reclaimed lazily when it surfaces at the front of its tier.
 // Cancelling an already-dispatched, already-cancelled or zero Event is
 // a no-op.
 func (k *Kernel) Cancel(e Event) {
@@ -348,10 +550,74 @@ func (k *Kernel) When(e Event) (Time, bool) {
 // Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// Run dispatches events in virtual-time order until the queue is empty,
-// Stop is called, or a limit is exceeded. It returns nil on normal
-// completion (queue drained or stopped).
-func (k *Kernel) Run() error {
+// peek returns the arena index of the earliest live event and the wheel
+// slot holding it (-1 when the wheel is empty and it is the overflow
+// root), reclaiming the cancelled nodes that surface on the way. It
+// returns index 0 when no live event is queued.
+func (k *Kernel) peek() (idx int32, slot int) {
+	for k.live > 0 {
+		slot = k.nextSlot()
+		if slot >= 0 {
+			idx = k.slots[slot].head
+		} else {
+			idx = k.heap[0].idx
+		}
+		if !k.arena[idx].cancelled {
+			return idx, slot
+		}
+		k.unqueue(slot)
+		k.freeNode(idx)
+	}
+	return 0, -1
+}
+
+// unqueue removes the node peek just reported from its tier.
+func (k *Kernel) unqueue(slot int) {
+	if slot >= 0 {
+		k.slotPop(uint(slot))
+	} else {
+		k.popMin()
+	}
+}
+
+// dispatch runs the earliest live event if it is due no later than last
+// and within the limits. It reports whether an event ran; a false
+// return carries the limit that refused the event, or nil when the
+// queue is empty or the event lies beyond last. A refused event stays
+// queued so state remains inspectable.
+func (k *Kernel) dispatch(last Time) (bool, error) {
+	idx, slot := k.peek()
+	if idx == 0 {
+		return false, nil
+	}
+	n := &k.arena[idx]
+	if n.when > last {
+		return false, nil
+	}
+	if n.when > k.maxTime {
+		return false, ErrTimeLimit
+	}
+	if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
+		return false, ErrEventLimit
+	}
+	k.unqueue(slot)
+	k.now = n.when
+	k.refill()
+	k.dispatched++
+	k.live--
+	fn, afn, arg := n.fn, n.afn, n.arg
+	k.freeNode(idx)
+	if fn != nil {
+		fn()
+	} else {
+		afn(arg)
+	}
+	return true, nil
+}
+
+// run dispatches events due no later than last until none is left, Stop
+// is called, or a limit refuses one.
+func (k *Kernel) run(last Time) error {
 	if k.running {
 		return ErrReentrant
 	}
@@ -359,52 +625,29 @@ func (k *Kernel) Run() error {
 	k.stopped = false
 	defer func() { k.running = false }()
 
-	for k.live > 0 && !k.stopped {
-		idx := k.heap[0].idx
-		n := &k.arena[idx]
-		if n.cancelled {
-			k.popMin()
-			k.freeNode(idx)
-			continue
-		}
-		if n.when > k.maxTime {
-			// Leave the event queued so state remains inspectable.
-			return ErrTimeLimit
-		}
-		if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
-			return ErrEventLimit
-		}
-		k.popMin()
-		k.now = n.when
-		k.dispatched++
-		k.live--
-		fn, afn, arg := n.fn, n.afn, n.arg
-		k.freeNode(idx)
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
+	for !k.stopped {
+		if ok, err := k.dispatch(last); !ok {
+			return err
 		}
 	}
 	return nil
 }
 
+// Run dispatches events in virtual-time order until the queue is empty,
+// Stop is called, or a limit is exceeded. It returns nil on normal
+// completion (queue drained or stopped).
+func (k *Kernel) Run() error { return k.run(MaxTime) }
+
 // PeekTime returns the virtual time of the next non-cancelled event and
-// true, or (0, false) when the queue is empty. Cancelled nodes that have
-// surfaced at the heap root are reclaimed on the way, so the call is
-// amortized O(1) and semantically read-only.
+// true, or (0, false) when the queue is empty. Cancelled nodes that
+// surface on the way are reclaimed, so the call is amortized O(1) and
+// semantically read-only.
 func (k *Kernel) PeekTime() (Time, bool) {
-	for k.live > 0 {
-		idx := k.heap[0].idx
-		n := &k.arena[idx]
-		if n.cancelled {
-			k.popMin()
-			k.freeNode(idx)
-			continue
-		}
-		return n.when, true
+	idx, _ := k.peek()
+	if idx == 0 {
+		return 0, false
 	}
-	return 0, false
+	return k.arena[idx].when, true
 }
 
 // RunUntil dispatches events in virtual-time order while the next event's
@@ -420,40 +663,10 @@ func (k *Kernel) RunUntil(end Time) error {
 	if k.running {
 		return ErrReentrant
 	}
-	k.running = true
-	k.stopped = false
-	defer func() { k.running = false }()
-
-	for k.live > 0 && !k.stopped {
-		idx := k.heap[0].idx
-		n := &k.arena[idx]
-		if n.cancelled {
-			k.popMin()
-			k.freeNode(idx)
-			continue
-		}
-		if n.when >= end {
-			return nil
-		}
-		if n.when > k.maxTime {
-			return ErrTimeLimit
-		}
-		if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
-			return ErrEventLimit
-		}
-		k.popMin()
-		k.now = n.when
-		k.dispatched++
-		k.live--
-		fn, afn, arg := n.fn, n.afn, n.arg
-		k.freeNode(idx)
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
+	if end <= k.now {
+		return nil // every queued event is due at or after now
 	}
-	return nil
+	return k.run(end - 1)
 }
 
 // Step dispatches the next non-cancelled event, if any, and reports
@@ -461,32 +674,6 @@ func (k *Kernel) RunUntil(end Time) error {
 // Step honors the same event and time limits as Run: an event that Run
 // would refuse to dispatch makes Step return false without dispatching.
 func (k *Kernel) Step() bool {
-	for k.live > 0 {
-		idx := k.heap[0].idx
-		n := &k.arena[idx]
-		if n.cancelled {
-			k.popMin()
-			k.freeNode(idx)
-			continue
-		}
-		if n.when > k.maxTime {
-			return false
-		}
-		if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
-			return false
-		}
-		k.popMin()
-		k.now = n.when
-		k.dispatched++
-		k.live--
-		fn, afn, arg := n.fn, n.afn, n.arg
-		k.freeNode(idx)
-		if fn != nil {
-			fn()
-		} else {
-			afn(arg)
-		}
-		return true
-	}
-	return false
+	ok, _ := k.dispatch(MaxTime)
+	return ok
 }

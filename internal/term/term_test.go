@@ -248,3 +248,40 @@ func TestRingWorkTaintsRound(t *testing.T) {
 		t.Fatalf("rounds = %d, want >= 2", d.Rounds())
 	}
 }
+
+// TestTokenHopsAllocFree pins the aliasing rule on Detector: the sends
+// a hop returns are the detector's own scratch, so circulating the
+// token allocates nothing — and the slice a call returned is overwritten
+// by the next call, which is why callers must consume it first.
+func TestTokenHopsAllocFree(t *testing.T) {
+	for name, factory := range Detectors {
+		const n = 8
+		d := factory(n)
+		d.WorkSent(1) // an unmatched send taints every round: never terminates
+		sends := d.OnIdle(0)
+		if len(sends) != 1 {
+			t.Fatalf("%s: initiator emitted %d sends, want 1", name, len(sends))
+		}
+		first := &sends[0]
+		hop := *first
+		allocs := testing.AllocsPerRun(50, func() {
+			for i := 0; i < n; i++ { // one full round, back through the initiator
+				d.WorkSent(1)
+				out := d.OnToken(hop.To, hop.Token, true)
+				if len(out) != 1 {
+					t.Fatalf("%s: hop at rank %d returned %d sends, want 1", name, hop.To, len(out))
+				}
+				if &out[0] != first {
+					t.Fatalf("%s: hop returned fresh storage instead of the detector's scratch", name)
+				}
+				hop = out[0]
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: a token round allocates %.1f times, want 0", name, allocs)
+		}
+		if d.Terminated() {
+			t.Fatalf("%s: terminated with unmatched work messages", name)
+		}
+	}
+}

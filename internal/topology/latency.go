@@ -130,53 +130,92 @@ func (u *UniformLatency) Latency(_ *Job, _, _ int, bytes int) sim.Duration {
 	return d
 }
 
-// LatencyTableRankLimit bounds the dense rank-pair distance table the
-// latency cache builds: jobs with more ranks than this skip the table
-// (8 bytes per rank pair — 8 MiB at the default 1024 — would cost half
-// a gigabyte at the paper's 8192-rank runs) and memoize only the
-// bandwidth term. It mirrors core.MatrixRankLimit, which gates the
-// rank-pair steal matrix for the same reason.
-var LatencyTableRankLimit = 1024
-
 // byteTableMax bounds the memo for the bandwidth term: protocol
 // messages (requests, replies, tokens) and typical loot batches are
 // well under this; larger transfers fall back to direct computation.
 const byteTableMax = 4096
 
-// cachedLatency wraps a HierarchicalLatency with memoization for the
-// network's per-send lookups. The distance term is a pure function of
-// the rank pair, served from a lazily filled dense table when the job
-// is small enough; the bandwidth term is a pure function of the byte
-// count, served from a small table indexed by size. Both memos store
-// the exact value the wrapped model computes — the cache changes
-// per-send cost, never a single latency.
+// A packedCoord is a node's 6-D coordinate in one word, laid out so
+// that the hierarchy tests of the latency model are shifts of an XOR:
+// two nodes share a cube iff their words agree above cubeShift, and a
+// blade iff they agree above bladeShift.
+//
+//	bits  0..3  C    bits 12..27  Z
+//	bits  4..7  A    bits 28..43  Y
+//	bits  8..11 B    bits 44..59  X
+type packedCoord uint64
+
+const (
+	bladeShift = 8  // B and the cube position
+	cubeShift  = 12 // the cube position X, Y, Z
+	intraMax   = 1<<4 - 1
+	cubeMax    = 1<<16 - 1
+)
+
+// pack packs p, reporting false when a component does not fit its field.
+func pack(p Coord) (packedCoord, bool) {
+	for _, v := range [...]int{p.A, p.B, p.C} {
+		if v < 0 || v > intraMax {
+			return 0, false
+		}
+	}
+	for _, v := range [...]int{p.X, p.Y, p.Z} {
+		if v < 0 || v > cubeMax {
+			return 0, false
+		}
+	}
+	return packedCoord(p.C) | packedCoord(p.A)<<4 | packedCoord(p.B)<<8 |
+		packedCoord(p.Z)<<12 | packedCoord(p.Y)<<28 | packedCoord(p.X)<<44, true
+}
+
+func (p packedCoord) c() int { return int(p & intraMax) }
+func (p packedCoord) a() int { return int(p >> 4 & intraMax) }
+func (p packedCoord) b() int { return int(p >> 8 & intraMax) }
+func (p packedCoord) z() int { return int(p >> 12 & cubeMax) }
+func (p packedCoord) y() int { return int(p >> 28 & cubeMax) }
+func (p packedCoord) x() int { return int(p >> 44 & cubeMax) }
+
+// cachedLatency wraps a HierarchicalLatency for the network's per-send
+// lookups. The distance term is computed from one packed word per rank
+// instead of two 48-byte Coords — the same integer arithmetic as
+// Machine.Hops, SameBlade and SameCube, so the same value — and the
+// bandwidth term, a pure function of the byte count, is served from a
+// small table indexed by size. The wrapper changes per-send cost, never
+// a single latency.
 type cachedLatency struct {
-	h   *HierarchicalLatency
-	job *Job
-	n   int
-	// dist[i*n+k] is the distance-dependent part of Latency(i, k); 0
-	// means "not computed yet" (a genuinely zero distance term is then
-	// recomputed each time, which stays correct).
-	dist []sim.Duration
-	// bytesTab[b] is the bandwidth term for a b-byte payload, same
-	// zero-means-unfilled convention.
+	h       *HierarchicalLatency
+	job     *Job
+	machine Machine
+	coord   []packedCoord // per rank
+	// bytesTab[b] is the bandwidth term for a b-byte payload; 0 means
+	// "not computed yet" (a genuinely zero term is then recomputed each
+	// time, which stays correct).
 	bytesTab []sim.Duration
 }
 
 // SendModel returns the latency model the network should use for its
-// per-send lookups: a memoizing wrapper when the model is the
+// per-send lookups: the packed-coordinate wrapper when the model is the
 // hierarchical Tofu model, the model itself otherwise. Only pure
-// models are cacheable — JitterLatency advances an RNG on every call,
-// so caching it would change the jitter stream — and UniformLatency is
-// already cheaper than a table lookup.
+// models qualify — JitterLatency advances an RNG on every call, so
+// wrapping it would change the jitter stream — and UniformLatency has
+// no distance term to speed up. A job whose coordinates do not fit the
+// packed word also keeps the plain model.
 func SendModel(m LatencyModel, j *Job) LatencyModel {
 	h, ok := m.(*HierarchicalLatency)
 	if !ok {
 		return m
 	}
-	c := &cachedLatency{h: h, job: j, n: j.Ranks(), bytesTab: make([]sim.Duration, byteTableMax)}
-	if c.n <= LatencyTableRankLimit {
-		c.dist = make([]sim.Duration, c.n*c.n)
+	c := &cachedLatency{
+		h:        h,
+		job:      j,
+		machine:  j.Alloc.Machine,
+		coord:    make([]packedCoord, j.Ranks()),
+		bytesTab: make([]sim.Duration, byteTableMax),
+	}
+	for r := range c.coord {
+		if c.coord[r], ok = pack(j.Coord(r)); !ok {
+			return m
+		}
 	}
 	return c
 }
@@ -185,19 +224,27 @@ func SendModel(m LatencyModel, j *Job) LatencyModel {
 // Latency — the same arithmetic with the bandwidth term left out.
 func (c *cachedLatency) distTerm(i, k int) sim.Duration {
 	h := c.h
-	d := h.Software
-	p, q := c.job.Coord(i), c.job.Coord(k)
+	p, q := c.coord[i], c.coord[k]
+	diff := p ^ q
 	switch {
-	case p == q:
-		d += h.SameNode
-	case SameBlade(p, q):
-		d += h.SameBlade
-	case SameCube(p, q):
-		d += h.SameCube
-	default:
-		d += h.SameCube + sim.Duration(c.job.Alloc.Machine.Hops(p, q))*h.PerHop
+	case diff == 0:
+		return h.Software + h.SameNode
+	case diff>>bladeShift == 0:
+		return h.Software + h.SameBlade
+	case diff>>cubeShift == 0:
+		return h.Software + h.SameCube
 	}
-	return d
+	m := c.machine
+	hops := torusDist(p.x(), q.x(), m.CubesX) +
+		torusDist(p.y(), q.y(), m.CubesY) +
+		torusDist(p.z(), q.z(), m.CubesZ) +
+		abs(p.a()-q.a()) +
+		torusDist(p.b(), q.b(), SizeB) +
+		abs(p.c()-q.c())
+	if hops == 0 {
+		hops = 1 // as Machine.Hops: distinct nodes are at least one hop apart
+	}
+	return h.Software + h.SameCube + sim.Duration(hops)*h.PerHop
 }
 
 // Latency implements LatencyModel.
@@ -207,17 +254,7 @@ func (c *cachedLatency) Latency(j *Job, i, k int, bytes int) sim.Duration {
 		// the wrapped model rather than from another job's distances.
 		return c.h.Latency(j, i, k, bytes)
 	}
-	var d sim.Duration
-	if c.dist != nil {
-		idx := i*c.n + k
-		d = c.dist[idx]
-		if d == 0 {
-			d = c.distTerm(i, k)
-			c.dist[idx] = d
-		}
-	} else {
-		d = c.distTerm(i, k)
-	}
+	d := c.distTerm(i, k)
 	if c.h.BytesPerSecond > 0 && bytes > 0 {
 		if bytes < len(c.bytesTab) {
 			b := c.bytesTab[bytes]

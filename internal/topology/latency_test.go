@@ -177,45 +177,71 @@ func TestJitterLatencyPanicsOnBadFrac(t *testing.T) {
 	}
 }
 
-// TestSendModelMatchesUncached is the exactness contract of the latency
-// cache: for every rank pair and a spread of payload sizes (including
-// ones past the byte-table bound), the cached model must return the
-// bit-identical duration the plain model computes, on both the dense-
-// table and the beyond-limit paths.
+// TestSendModelMatchesUncached is the exactness contract of the send
+// model: for every rank pair of every placement, and a spread of payload
+// sizes (including ones past the byte-table bound), the packed-coordinate
+// model must return the bit-identical duration the plain model computes.
+// The small machines make the torus wrap and size-1 dimensions occur.
 func TestSendModelMatchesUncached(t *testing.T) {
-	job, err := NewJob(KComputer(), 96, OnePerNode)
-	if err != nil {
-		t.Fatal(err)
-	}
 	plain := DefaultLatency()
 	sizes := []int{0, 1, 8, 16, 200, byteTableMax - 1, byteTableMax, 1 << 20}
-	check := func(cached LatencyModel) {
-		t.Helper()
-		for i := 0; i < job.Ranks(); i += 7 {
-			for k := 0; k < job.Ranks(); k++ {
-				for _, sz := range sizes {
-					want := plain.Latency(job, i, k, sz)
-					// Twice: the first call fills the memo, the second reads it.
-					if got := cached.Latency(job, i, k, sz); got != want {
-						t.Fatalf("cold cache: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
+	for _, m := range []Machine{KComputer(), {CubesX: 5, CubesY: 1, CubesZ: 3}, {CubesX: 1, CubesY: 7, CubesZ: 1}} {
+		for _, pl := range []Placement{OnePerNode, EightRoundRobin, EightGrouped} {
+			ranks := 84 // seven whole cubes
+			if pl != OnePerNode {
+				ranks *= CoresPerNode
+			}
+			job, err := NewJob(m, ranks, pl)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cached, ok := SendModel(plain, job).(*cachedLatency)
+			if !ok {
+				t.Fatalf("%v %v: hierarchical model was not wrapped", m, pl)
+			}
+			for i := 0; i < job.Ranks(); i++ {
+				for k := 0; k < job.Ranks(); k++ {
+					if got, want := cached.Latency(job, i, k, 0), plain.Latency(job, i, k, 0); got != want {
+						t.Fatalf("%v %v: Latency(%d, %d, 0) = %v, want %v", m, pl, i, k, got, want)
 					}
-					if got := cached.Latency(job, i, k, sz); got != want {
-						t.Fatalf("warm cache: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
+				}
+			}
+			for i := 0; i < job.Ranks(); i += 7 {
+				for k := 0; k < job.Ranks(); k += 3 {
+					for _, sz := range sizes {
+						want := plain.Latency(job, i, k, sz)
+						// Twice: the first call fills the byte memo, the second reads it.
+						if got := cached.Latency(job, i, k, sz); got != want {
+							t.Fatalf("cold memo: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
+						}
+						if got := cached.Latency(job, i, k, sz); got != want {
+							t.Fatalf("warm memo: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
+						}
 					}
 				}
 			}
 		}
 	}
-	check(SendModel(plain, job))
+}
 
-	// Beyond the table gate the cache must degrade, not misbehave.
-	defer func(old int) { LatencyTableRankLimit = old }(LatencyTableRankLimit)
-	LatencyTableRankLimit = 8
-	gated := SendModel(plain, job)
-	if gated.(*cachedLatency).dist != nil {
-		t.Fatal("dense table built past LatencyTableRankLimit")
+// TestSendModelUnpackableJob: a coordinate too large for the packed
+// word must leave the plain model in charge, not a truncated copy.
+func TestSendModelUnpackableJob(t *testing.T) {
+	job, err := NewJob(KComputer(), 16, OnePerNode)
+	if err != nil {
+		t.Fatal(err)
 	}
-	check(gated)
+	job.coord[5].Y = cubeMax + 1
+	plain := DefaultLatency()
+	if SendModel(plain, job) != LatencyModel(plain) {
+		t.Fatal("a job with an unpackable coordinate was wrapped")
+	}
+	for _, c := range []Coord{{X: cubeMax, Y: cubeMax, Z: cubeMax, A: intraMax, B: intraMax, C: intraMax}, {}, {X: 3, B: 2, C: 1}} {
+		p, ok := pack(c)
+		if !ok || (Coord{p.x(), p.y(), p.z(), p.a(), p.b(), p.c()}) != c {
+			t.Fatalf("pack(%v) round-trips to (%d,%d,%d,%d,%d,%d), ok=%v", c, p.x(), p.y(), p.z(), p.a(), p.b(), p.c(), ok)
+		}
+	}
 }
 
 // TestSendModelPassThrough: stateful or already-cheap models must come
