@@ -105,9 +105,9 @@ chaos-smoke:
 # for archiving and cross-commit comparison. BENCHTIME=1x gives the
 # CI smoke variant below; default is a real measurement.
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/fault ./internal/obs/parprof ./internal/serve .
-BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals
-BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
+BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve .
+BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 
@@ -126,7 +126,7 @@ bench-json:
 # steady-state baseline once one-time warmup allocations amortize.
 bench-smoke: BENCHTIME = 100x
 bench-smoke:
-	$(GO) test -run 'AllocFree' -count=1 $(BENCH_PKGS)
+	$(GO) test -run 'AllocFree|AllocBudget' -count=1 $(BENCH_PKGS)
 	@mkdir -p $(ARTIFACTS)/bench
 	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -require $(BENCH_REQUIRE) \
 		-out $(ARTIFACTS)/bench/BENCH_sim.json -baseline BENCH_sim.json

@@ -114,17 +114,30 @@ var (
 		"distws/internal/topology",
 		"distws/internal/uts",
 		"distws/internal/fault",
+		"distws/internal/victim",
+		"distws/internal/sample",
 	}
 
 	// hotRoots are the steady-state entry points of the per-event hot
-	// path, named explicitly because two of the boundaries — the
-	// latency model and the fault interposer — are interface dispatch,
-	// where call-graph traversal stops. Setup code (constructors,
-	// preset tables) is deliberately absent: it may allocate.
+	// path, named explicitly, package by package: the call-graph walk
+	// stops at interface dispatch (the latency model, the fault
+	// interposer, the victim selector), at function values (the delivery
+	// hook) and at package boundaries (imports are type-checked from
+	// export data, so a callee in another package has no body). Setup
+	// code (constructors, preset tables) is deliberately absent: it may
+	// allocate. The one exception is sample.Builder.Build, the lazy
+	// alias-table build behind a thief's first distance-skewed draw: it
+	// is listed so the draw path is checked end to end, and its one
+	// finding is carried by the allowlist.
 	hotRoots = []string{
 		"(*distws/internal/core.engine).startQuantum",
 		"(*distws/internal/core.engine).quantumEnd",
 		"(*distws/internal/core.engine).onDelivery",
+		"(*distws/internal/core.engine).deliverIdle",
+		"(*distws/internal/victim.distanceSkewed).Next",
+		"(*distws/internal/sample.Discrete).Sample",
+		"(*distws/internal/sample.Builder).Build",
+		"(*distws/internal/topology.Job).DistanceSq",
 		"(*distws/internal/dagws.scheduler).startNext",
 		"(*distws/internal/dagws.scheduler).complete",
 		"(*distws/internal/dagws.scheduler).onDelivery",

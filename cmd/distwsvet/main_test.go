@@ -314,7 +314,7 @@ func TestRandExemptIsEmpty(t *testing.T) {
 
 // TestHotPathPackagesCleanWithoutAllowlists machine-checks the
 // performance-engineered hot path (event arena, message pool, latency
-// cache, batched hashing) against the determinism analyzers with every
+// cache, batched hashing, victim tables) against the determinism analyzers with every
 // exception stripped. Pooling and caching layers are where hidden
 // nondeterminism likes to creep in (map-ordered free lists, wall-clock
 // cache stamps), so these packages must hold the invariants on their
@@ -327,6 +327,8 @@ func TestHotPathPackagesCleanWithoutAllowlists(t *testing.T) {
 		"distws/internal/topology",
 		"distws/internal/uts",
 		"distws/internal/workstack",
+		"distws/internal/victim",
+		"distws/internal/sample",
 	}
 	exempt := append(append([]string{}, randExempt...), wallClockOK...)
 	for _, p := range hot {

@@ -85,6 +85,7 @@ func main() {
 		for _, n := range victim.StrategyNames() {
 			fmt.Println(n)
 		}
+		fmt.Println("Tofu^K (Tofu with weight 1/e^K for a number K >= 0)")
 		return
 	}
 
@@ -103,9 +104,9 @@ func main() {
 	default:
 		fatalf("unknown placement %q (1/N, 8RR, 8G)", *placeFlag)
 	}
-	selector, ok := victim.Strategies[*selFlag]
-	if !ok {
-		fatalf("unknown selector %q (-listselectors)", *selFlag)
+	selector, err := victim.Lookup(*selFlag)
+	if err != nil {
+		fatalf("%v (-listselectors)", err)
 	}
 	var steal core.StealPolicy
 	switch strings.ToLower(*stealFlag) {

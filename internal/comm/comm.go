@@ -8,8 +8,10 @@
 //     one-way latency given by the topology's latency model;
 //   - delivery is passive: a busy receiver observes messages only when
 //     it polls its mailbox (matching MPI progress made between node
-//     expansions), while an idle receiver can register a notification
-//     callback (matching a rank spinning on MPI_Test);
+//     expansions), while an idle receiver — a rank spinning on
+//     MPI_Test — takes each message at its delivery instant, either
+//     from a notification callback that polls the mailbox or, without
+//     touching the mailbox at all, from the network's delivery hook;
 //   - per-pair message ordering is preserved (MPI non-overtaking): the
 //     latency model is distance-based, so messages between a fixed pair
 //     take equal delay and FIFO event dispatch preserves send order.
@@ -23,7 +25,7 @@
 // list (returned via Free), the fixed protocol kinds travel in typed
 // union fields instead of boxed `any` payloads, delivery is scheduled
 // through the kernel's closure-free AfterArg path, and per-rank
-// mailboxes are reusable ring buffers whose backing arrays are released
+// mailboxes are reusable buffers whose backing arrays are released
 // once they sit far above the recent high-water occupancy.
 package comm
 
@@ -152,15 +154,15 @@ type Interposer interface {
 	Outcome(m *Message, delay sim.Duration) (copies int, newDelay sim.Duration)
 }
 
-// mailbox is one rank's delivered-but-unpolled queue: a ring buffer
-// that Poll drains in delivery order. Only deliveries add to it and a
-// poll removes everything, so the occupancy seen by Poll is exactly the
-// high-water mark since the previous poll.
+// mailbox is one rank's delivered-but-unpolled queue: a buffer that
+// deliveries fill from the front and Poll drains whole, in delivery
+// order. Only deliveries add to it and a poll removes everything, so
+// the occupancy seen by Poll is exactly the high-water mark since the
+// previous poll.
 type mailbox struct {
-	buf  []*Message
-	head int // index of the oldest message
-	n    int // occupancy
-	hw   int // decaying high-water occupancy across recent polls
+	buf []*Message // buf[:n] is queued, oldest first
+	n   int        // occupancy
+	hw  int        // decaying high-water occupancy across recent polls
 }
 
 // mailboxShrinkMin is the smallest backing-array capacity worth
@@ -172,42 +174,31 @@ func (m *mailbox) push(msg *Message) {
 	if m.n == len(m.buf) {
 		m.grow()
 	}
-	m.buf[(m.head+m.n)%len(m.buf)] = msg
+	m.buf[m.n] = msg
 	m.n++
 }
 
 func (m *mailbox) grow() {
-	newCap := 2 * len(m.buf)
-	if newCap == 0 {
-		newCap = 8
-	}
-	buf := make([]*Message, newCap)
-	for i := 0; i < m.n; i++ {
-		buf[i] = m.buf[(m.head+i)%len(m.buf)]
-	}
+	buf := make([]*Message, max(2*len(m.buf), 8))
+	copy(buf, m.buf[:m.n])
 	m.buf = buf
-	m.head = 0
 }
 
 // drainInto appends the queued messages, oldest first, to out and
-// empties the ring. A drain is also where the peak-capacity fix lives:
+// empties the buffer. A drain is also where the peak-capacity fix lives:
 // a burst of failed steals can balloon a mailbox to thousands of slots
 // that the steady state never fills again, so once the decaying
 // high-water occupancy sits far below the backing array's capacity the
 // array is released instead of pinning peak memory for the whole run.
 func (m *mailbox) drainInto(out []*Message) []*Message {
-	for i := 0; i < m.n; i++ {
-		msg := m.buf[(m.head+i)%len(m.buf)]
-		m.buf[(m.head+i)%len(m.buf)] = nil
-		out = append(out, msg)
-	}
+	out = append(out, m.buf[:m.n]...)
+	clear(m.buf[:m.n])
 	// Halving decay: hw tracks the largest drain of the recent past and
 	// forgets a one-off burst within a few polls.
 	m.hw /= 2
 	if m.n > m.hw {
 		m.hw = m.n
 	}
-	m.head = 0
 	m.n = 0
 	if len(m.buf) >= mailboxShrinkMin && len(m.buf) > 8*m.hw {
 		m.buf = nil // re-grown on demand, sized to current traffic
@@ -238,6 +229,10 @@ type Network struct {
 	// Nil in sequential runs — the hot path costs one predicted branch.
 	router func(m *Message, delay sim.Duration) bool
 
+	// hook, when non-nil, is offered every message at its delivery
+	// instant, before the mailbox; see SetDeliveryHook.
+	hook func(m *Message) bool
+
 	// pool is the Message free list; Free returns messages to it.
 	pool []*Message
 	// pollBuf is per-rank scratch reused across Poll calls.
@@ -265,6 +260,12 @@ func New(k *sim.Kernel, job *topology.Job, model topology.LatencyModel) *Network
 	n.deliver = func(a any) {
 		m := a.(*Message)
 		m.DeliveredAt = n.kernel.Now()
+		if n.hook != nil {
+			if tag := m.Tag; n.hook(m) {
+				n.stats.Received[tag]++
+				return
+			}
+		}
 		n.mailbox[m.To].push(m)
 		if fn := n.notify[m.To]; fn != nil {
 			fn()
@@ -432,11 +433,25 @@ func (n *Network) SetRouter(fn func(m *Message, delay sim.Duration) bool) {
 	n.router = fn
 }
 
+// SetDeliveryHook installs (or, with nil, removes) the delivery hook:
+// fn is called with every message at its delivery instant, after
+// DeliveredAt is stamped and before the mailbox sees it. Returning
+// true consumes the message — it is counted as received, fn owns it
+// (and should Free it), and neither the destination's mailbox nor its
+// notify callback is touched. Returning false declines it, and
+// delivery proceeds through mailbox, notify and Poll as if no hook
+// were installed. A receiver that would poll its mailbox at every
+// delivery anyway takes its messages here instead, provided its
+// mailbox is empty whenever it consumes (or it would handle messages
+// out of delivery order). Like the interposer, the hook must be set
+// before traffic starts.
+func (n *Network) SetDeliveryHook(fn func(m *Message) bool) { n.hook = fn }
+
 // DeliverFn exposes the network's shared delivery callback so the
 // sharded engine can schedule a claimed message on this network's
 // kernel (via AtArg at send time + latency): the delivery then stamps
-// DeliveredAt, lands in the destination mailbox and fires its notify
-// exactly as a local send would.
+// DeliveredAt and goes to the delivery hook or the destination mailbox
+// and its notify exactly as a local send would.
 func (n *Network) DeliverFn() func(any) { return n.deliver }
 
 // SetNotify installs fn to be invoked (at delivery virtual time)

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 
+	"distws/internal/comm"
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/serve"
@@ -243,6 +244,10 @@ type Config struct {
 	// is invoked with the engine every testProbeEvery of virtual time.
 	testProbe      func(e interface{})
 	testProbeEvery sim.Duration
+	// testDeliveryProbe, when set (package-internal, for tests), sees
+	// every message offered to the engine's delivery hook, before the
+	// hook decides.
+	testDeliveryProbe func(e *engine, m *comm.Message)
 }
 
 // serveTenants is the tenant count for serving-metric registration

@@ -388,6 +388,7 @@ func Run(cfg Config) (*Result, error) {
 		r := i
 		e.net.SetNotify(r, func() { e.onDelivery(r) })
 	}
+	e.net.SetDeliveryHook(e.deliveryHook())
 	if inj != nil {
 		e.blAfter, e.blFor = e.backoffCfg.BlacklistAfter, e.backoffCfg.BlacklistFor
 		if e.blAfter <= 0 {
@@ -858,12 +859,46 @@ func (e *engine) reprobeSurvivor() {
 	e.checkTermination()
 }
 
-// onDelivery is the network notify hook: it runs at message delivery
-// time. Idle ranks handle traffic immediately, like an MPI process
-// spinning on probe. Working ranks normally wait for their next poll;
-// under the one-sided protocol, steal requests are served right away
-// (the "NIC" answers without interrupting the computation) and other
-// traffic is deferred to the poll.
+// deliverIdle is the network's delivery hook: it runs at message
+// delivery time, before the mailbox. A searching or backing-off rank
+// handles the message on the spot, like an MPI process spinning on
+// probe, and the mailbox is never touched. That is the order the
+// mailbox would give: such a rank's mailbox and deferred list are
+// always empty, because the only way into the two idle states is
+// goIdle — at the start, or from quantumEnd right after pollMailbox
+// drained both — and every delivery since was consumed here. Working
+// and crashed ranks decline and take the mailbox path (onDelivery), as
+// do done ranks: serveFinish can retire a rank in mid-quantum, backlog
+// and all.
+func (e *engine) deliverIdle(m *comm.Message) bool {
+	r := m.To
+	if s := e.ranks[r].state; s != rsSearching && s != rsBackoff {
+		return false
+	}
+	e.handle(r, m)
+	e.net.Free(m)
+	return true
+}
+
+// deliveryHook returns the hook Run installs on the network:
+// deliverIdle, behind the tests' probe when there is one.
+func (e *engine) deliveryHook() func(*comm.Message) bool {
+	probe := e.cfg.testDeliveryProbe
+	if probe == nil {
+		return e.deliverIdle
+	}
+	return func(m *comm.Message) bool {
+		probe(e, m)
+		return e.deliverIdle(m)
+	}
+}
+
+// onDelivery is the network notify callback: it runs at delivery time
+// for the messages deliverIdle declined. Working ranks normally wait
+// for their next poll; under the one-sided protocol, steal requests
+// are served right away (the "NIC" answers without interrupting the
+// computation) and other traffic is deferred to the poll. A done rank
+// handles its traffic immediately.
 func (e *engine) onDelivery(r int) {
 	rk := &e.ranks[r]
 	if rk.state == rsCrashed {

@@ -292,6 +292,7 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 	ps.engines = engines
 	for s, e := range engines {
 		e.net.SetRouter(ps.router(s))
+		e.net.SetDeliveryHook(e.deliveryHook())
 	}
 	for r := 0; r < cfg.Ranks; r++ {
 		ranks[r].stack = workstack.New(cfg.ChunkSize)

@@ -263,9 +263,9 @@ func runAblationSkew(scale Scale, seed uint64) (*Report, error) {
 	exps := []float64{0, 0.5, 1, 2, 4}
 	var runs []Run
 	for _, k := range exps {
-		k := k
-		f := func(job *topology.Job, s uint64) victim.Selector {
-			return victim.NewDistanceSkewedExp(job, s, k)
+		f, err := victim.DistanceSkewedExp(k)
+		if err != nil {
+			return nil, err
 		}
 		runs = append(runs, Run{
 			Label: fmt.Sprintf("k=%g", k), Variant: Variant{fmt.Sprintf("Tofu^%g Half", k), f, core.StealHalf},

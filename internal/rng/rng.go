@@ -49,8 +49,15 @@ type Xoshiro256 struct {
 // New returns a xoshiro256** generator whose state is expanded from seed
 // with SplitMix64, as the authors recommend.
 func New(seed uint64) *Xoshiro256 {
-	sm := NewSplitMix64(seed)
-	var x Xoshiro256
+	x := new(Xoshiro256)
+	x.Seed(seed)
+	return x
+}
+
+// Seed resets x to the state New(seed) returns, in place: a slice of
+// generator values is seeded without one allocation per stream.
+func (x *Xoshiro256) Seed(seed uint64) {
+	sm := SplitMix64{state: seed}
 	for i := range x.s {
 		x.s[i] = sm.Uint64()
 	}
@@ -59,7 +66,6 @@ func New(seed uint64) *Xoshiro256 {
 	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
 		x.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &x
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

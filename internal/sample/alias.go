@@ -3,65 +3,132 @@
 //
 // It replaces the GNU Scientific Library's gsl_ran_discrete, which the
 // paper's modified UTS uses to sample the distance-skewed victim
-// distribution. Construction is O(n); each draw costs one uniform draw
-// and at most two table lookups.
+// distribution. Construction is O(n); each draw costs two generator
+// outputs and one 8-byte table load.
+//
+// A table is one []uint64. Cell i packs the acceptance threshold of
+// bucket i (high 53 bits) and its alias outcome (low 11 bits), so a
+// table holds at most MaxOutcomes = 2^11 outcomes. The threshold is
+// the acceptance probability p as an integer: a uniform draw u in
+// [0, 2^53) accepts iff u < ceil(p * 2^53), which is exactly the
+// comparison float64(u)/2^53 < p that rng.Xoshiro256.Float64 would
+// make (see Threshold), so integer tables reproduce float tables draw
+// for draw.
 package sample
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"distws/internal/rng"
 )
 
-// Discrete is a preprocessed discrete distribution over {0, ..., n-1}.
-type Discrete struct {
-	prob  []float64 // acceptance probability of the primary bucket
-	alias []int32   // fallback outcome per bucket
-	pdf   []float64 // normalized input weights, kept for inspection
-}
+const (
+	aliasBits = 11
+	aliasMask = 1<<aliasBits - 1
+	// thresholdBits is the width of a uniform draw: the 53 bits
+	// rng.Xoshiro256.Float64 keeps of a generator output.
+	thresholdBits = 53
 
-// Errors returned by NewDiscrete.
-var (
-	ErrNoOutcomes     = errors.New("sample: empty weight vector")
-	ErrNegativeWeight = errors.New("sample: negative weight")
-	ErrZeroMass       = errors.New("sample: all weights are zero")
+	// MaxOutcomes is the largest support a Discrete can hold: the alias
+	// must fit the 11 bits a cell has left beside its threshold.
+	MaxOutcomes = 1 << aliasBits
 )
 
+// Discrete is a preprocessed discrete distribution over {0, ..., n-1}.
+// The zero value is an empty table (N() == 0) that must not be sampled.
+type Discrete struct {
+	cells []uint64 // threshold<<aliasBits | alias, per bucket
+}
+
+// Errors returned by NewDiscrete and Builder.Build.
+var (
+	ErrNoOutcomes      = errors.New("sample: empty weight vector")
+	ErrTooManyOutcomes = errors.New("sample: more than MaxOutcomes weights")
+	ErrNegativeWeight  = errors.New("sample: negative weight")
+	ErrZeroMass        = errors.New("sample: all weights are zero")
+)
+
+// Threshold returns the integer acceptance threshold of probability p:
+// for every k in [0, 2^53), float64(k)/2^53 < p iff k < Threshold(p).
+// Both k -> float64(k)/2^53 and p -> p * 2^53 are exact (a scaling by
+// a power of two of a value with at most 53 significant bits), so the
+// real-number inequality k < p * 2^53 is the float one, and for an
+// integer k it is k < ceil(p * 2^53). Any p >= 1 maps to 2^53 (always
+// accept), any p <= 0 or NaN to 0 (never accept).
+func Threshold(p float64) uint64 {
+	switch {
+	case p >= 1:
+		return 1 << thresholdBits
+	case p > 0:
+		return uint64(math.Ceil(p * (1 << thresholdBits)))
+	}
+	return 0
+}
+
+// Accept draws once from r and reports whether the draw falls below
+// threshold: it is r.Float64() < p for threshold = Threshold(p), on the
+// same generator output.
+func Accept(r *rng.Xoshiro256, threshold uint64) bool {
+	return r.Uint64()>>(64-thresholdBits) < threshold
+}
+
+// Builder constructs alias tables, reusing its construction scratch
+// from one Build to the next. A caller that builds many tables of the
+// same size (one per thief, say) pays for the scratch once. The zero
+// value is ready to use; a Builder is not safe for concurrent use.
+type Builder struct {
+	scaled       []float64
+	small, large []int32
+}
+
 // NewDiscrete builds an alias table from non-negative weights. Weights
-// need not be normalized. At least one weight must be positive.
+// need not be normalized. At least one weight must be positive, and
+// there can be at most MaxOutcomes of them.
 func NewDiscrete(weights []float64) (*Discrete, error) {
+	var b Builder
+	d, err := b.Build(weights)
+	if err != nil {
+		return nil, err
+	}
+	return &d, nil
+}
+
+// Build is NewDiscrete on the builder's scratch. The returned table
+// does not alias the scratch or weights.
+func (b *Builder) Build(weights []float64) (Discrete, error) {
 	n := len(weights)
 	if n == 0 {
-		return nil, ErrNoOutcomes
+		return Discrete{}, ErrNoOutcomes
+	}
+	if n > MaxOutcomes {
+		return Discrete{}, ErrTooManyOutcomes
 	}
 	var total float64
 	for i, w := range weights {
-		if w < 0 {
-			return nil, fmt.Errorf("%w: weight[%d] = %v", ErrNegativeWeight, i, w)
+		if !(w >= 0) {
+			return Discrete{}, fmt.Errorf("%w: weight[%d] = %v", ErrNegativeWeight, i, w)
 		}
 		total += w
 	}
 	if total == 0 {
-		return nil, ErrZeroMass
+		return Discrete{}, ErrZeroMass
 	}
 
-	d := &Discrete{
-		prob:  make([]float64, n),
-		alias: make([]int32, n),
-		pdf:   make([]float64, n),
+	if cap(b.scaled) < n {
+		b.scaled = make([]float64, n)
+		b.small = make([]int32, 0, n)
+		b.large = make([]int32, 0, n)
 	}
 	// Scale so the average bucket mass is exactly 1.
-	scaled := make([]float64, n)
+	scaled := b.scaled[:n]
 	for i, w := range weights {
-		p := w / total
-		d.pdf[i] = p
-		scaled[i] = p * float64(n)
+		scaled[i] = w / total * float64(n)
 	}
 
 	// Vose's stable two-worklist construction.
-	small := make([]int32, 0, n)
-	large := make([]int32, 0, n)
+	small, large := b.small[:0], b.large[:0]
 	for i := n - 1; i >= 0; i-- {
 		if scaled[i] < 1 {
 			small = append(small, int32(i))
@@ -69,13 +136,14 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 			large = append(large, int32(i))
 		}
 	}
+	cells := make([]uint64, n)
 	for len(small) > 0 && len(large) > 0 {
 		s := small[len(small)-1]
 		small = small[:len(small)-1]
 		l := large[len(large)-1]
 		large = large[:len(large)-1]
-		d.prob[s] = scaled[s]
-		d.alias[s] = l
+		// scaled[s] < 1, so its threshold fits the 53 bits.
+		cells[s] = Threshold(scaled[s])<<aliasBits | uint64(l)
 		scaled[l] = (scaled[l] + scaled[s]) - 1
 		if scaled[l] < 1 {
 			small = append(small, l)
@@ -83,16 +151,16 @@ func NewDiscrete(weights []float64) (*Discrete, error) {
 			large = append(large, l)
 		}
 	}
-	// Whatever remains should have mass 1 up to floating-point error.
+	// Whatever remains has mass 1 up to floating-point error. Such a
+	// bucket is its own alias, so the draw returns it on either side of
+	// the comparison and the threshold field is never consulted.
 	for _, l := range large {
-		d.prob[l] = 1
-		d.alias[l] = l
+		cells[l] = uint64(l)
 	}
 	for _, s := range small {
-		d.prob[s] = 1
-		d.alias[s] = s
+		cells[s] = uint64(s)
 	}
-	return d, nil
+	return Discrete{cells: cells}, nil
 }
 
 // MustNewDiscrete is like NewDiscrete but panics on error. For use with
@@ -106,16 +174,15 @@ func MustNewDiscrete(weights []float64) *Discrete {
 }
 
 // N returns the number of outcomes.
-func (d *Discrete) N() int { return len(d.prob) }
+func (d *Discrete) N() int { return len(d.cells) }
 
-// PDF returns the normalized probability of outcome i.
-func (d *Discrete) PDF(i int) float64 { return d.pdf[i] }
-
-// Sample draws one outcome using the given generator.
+// Sample draws one outcome using the given generator. It consumes the
+// stream exactly as r.Intn(n) followed by r.Float64() would.
 func (d *Discrete) Sample(r *rng.Xoshiro256) int {
-	i := r.Intn(len(d.prob))
-	if r.Float64() < d.prob[i] {
+	i := r.Intn(len(d.cells))
+	c := d.cells[i]
+	if Accept(r, c>>aliasBits) {
 		return i
 	}
-	return int(d.alias[i])
+	return int(c & aliasMask)
 }

@@ -9,6 +9,19 @@ import (
 	"distws/internal/rng"
 )
 
+// pdf normalizes w: the distribution a table built from w must sample.
+func pdf(w []float64) []float64 {
+	var total float64
+	for _, v := range w {
+		total += v
+	}
+	p := make([]float64, len(w))
+	for i, v := range w {
+		p[i] = v / total
+	}
+	return p
+}
+
 func TestErrors(t *testing.T) {
 	if _, err := NewDiscrete(nil); !errors.Is(err, ErrNoOutcomes) {
 		t.Fatalf("nil weights: %v", err)
@@ -16,8 +29,14 @@ func TestErrors(t *testing.T) {
 	if _, err := NewDiscrete([]float64{1, -2, 3}); !errors.Is(err, ErrNegativeWeight) {
 		t.Fatalf("negative weight: %v", err)
 	}
+	if _, err := NewDiscrete([]float64{1, math.NaN()}); !errors.Is(err, ErrNegativeWeight) {
+		t.Fatalf("NaN weight: %v", err)
+	}
 	if _, err := NewDiscrete([]float64{0, 0}); !errors.Is(err, ErrZeroMass) {
 		t.Fatalf("zero mass: %v", err)
+	}
+	if _, err := NewDiscrete(make([]float64, MaxOutcomes+1)); !errors.Is(err, ErrTooManyOutcomes) {
+		t.Fatalf("%d outcomes: %v", MaxOutcomes+1, err)
 	}
 }
 
@@ -38,8 +57,8 @@ func TestSingleOutcome(t *testing.T) {
 			t.Fatal("single-outcome distribution sampled non-zero")
 		}
 	}
-	if d.PDF(0) != 1 {
-		t.Fatalf("PDF(0) = %v", d.PDF(0))
+	if d.N() != 1 {
+		t.Fatalf("N() = %d", d.N())
 	}
 }
 
@@ -61,11 +80,6 @@ func TestUniformCase(t *testing.T) {
 		w[i] = 2.5
 	}
 	d := MustNewDiscrete(w)
-	for i := 0; i < n; i++ {
-		if math.Abs(d.PDF(i)-1.0/n) > 1e-12 {
-			t.Fatalf("PDF(%d) = %v", i, d.PDF(i))
-		}
-	}
 	counts := sampleCounts(d, 80000, 3)
 	for i, c := range counts {
 		if math.Abs(float64(c)/80000-1.0/n) > 0.01 {
@@ -98,7 +112,7 @@ func sampleCounts(d *Discrete, n int, seed uint64) []int {
 }
 
 // Property: construction succeeds for any positive weight vector and
-// samples stay in range; PDF sums to 1.
+// samples stay in range and off the zero-weight outcomes.
 func TestPropertyValidConstruction(t *testing.T) {
 	f := func(raw []uint16) bool {
 		if len(raw) == 0 {
@@ -119,11 +133,7 @@ func TestPropertyValidConstruction(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sum := 0.0
-		for i := 0; i < d.N(); i++ {
-			sum += d.PDF(i)
-		}
-		if math.Abs(sum-1) > 1e-9 {
+		if d.N() != len(w) {
 			return false
 		}
 		r := rng.New(99)
@@ -156,6 +166,7 @@ func TestPropertyFrequenciesTrackPDF(t *testing.T) {
 			return true
 		}
 		d := MustNewDiscrete(w)
+		want := pdf(w)
 		const n = 50000
 		r := rng.New(seed)
 		counts := make([]int, 5)
@@ -163,7 +174,7 @@ func TestPropertyFrequenciesTrackPDF(t *testing.T) {
 			counts[d.Sample(r)]++
 		}
 		for i := range w {
-			if math.Abs(float64(counts[i])/n-d.PDF(i)) > 0.02 {
+			if math.Abs(float64(counts[i])/n-want[i]) > 0.02 {
 				return false
 			}
 		}
@@ -175,13 +186,15 @@ func TestPropertyFrequenciesTrackPDF(t *testing.T) {
 }
 
 func TestLargeSupport(t *testing.T) {
-	// Mimic the paper's use: 8192 ranks with 1/distance weights.
-	const n = 8192
+	// Mimic the paper's use at the largest support a table holds: 2048
+	// ranks with 1/distance weights.
+	const n = MaxOutcomes
 	w := make([]float64, n)
 	for i := range w {
 		w[i] = 1 / float64(1+i%37)
 	}
 	d := MustNewDiscrete(w)
+	want := pdf(w)
 	r := rng.New(5)
 	counts := make([]int, n)
 	for i := 0; i < 1_000_000; i++ {
@@ -191,7 +204,7 @@ func TestLargeSupport(t *testing.T) {
 	classTotal := map[int]float64{}
 	classCount := map[int]int{}
 	for i := range w {
-		classTotal[i%37] += d.PDF(i)
+		classTotal[i%37] += want[i]
 		classCount[i%37] += counts[i]
 	}
 	for class, p := range classTotal {
@@ -202,8 +215,8 @@ func TestLargeSupport(t *testing.T) {
 	}
 }
 
-func BenchmarkSample8192(b *testing.B) {
-	w := make([]float64, 8192)
+func BenchmarkSample2048(b *testing.B) {
+	w := make([]float64, MaxOutcomes)
 	for i := range w {
 		w[i] = 1 / float64(1+i)
 	}
@@ -218,13 +231,16 @@ func BenchmarkSample8192(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkBuild8192(b *testing.B) {
-	w := make([]float64, 8192)
+func BenchmarkBuild2048(b *testing.B) {
+	w := make([]float64, MaxOutcomes)
 	for i := range w {
 		w[i] = 1 / float64(1+i)
 	}
+	var bld Builder
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = MustNewDiscrete(w)
+		if _, err := bld.Build(w); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -175,10 +175,17 @@ func (p packedCoord) z() int { return int(p >> 12 & cubeMax) }
 func (p packedCoord) y() int { return int(p >> 28 & cubeMax) }
 func (p packedCoord) x() int { return int(p >> 44 & cubeMax) }
 
+// distSq is distSq on packed words.
+func (p packedCoord) distSq(q packedCoord) int {
+	dx, dy, dz := p.x()-q.x(), p.y()-q.y(), p.z()-q.z()
+	da, db, dc := p.a()-q.a(), p.b()-q.b(), p.c()-q.c()
+	return dx*dx + dy*dy + dz*dz + da*da + db*db + dc*dc
+}
+
 // cachedLatency wraps a HierarchicalLatency for the network's per-send
-// lookups. The distance term is computed from one packed word per rank
-// instead of two 48-byte Coords — the same integer arithmetic as
-// Machine.Hops, SameBlade and SameCube, so the same value — and the
+// lookups. The distance term is computed from the job's packed word
+// per rank instead of two 48-byte Coords — the same integer arithmetic
+// as Machine.Hops, SameBlade and SameCube, so the same value — and the
 // bandwidth term, a pure function of the byte count, is served from a
 // small table indexed by size. The wrapper changes per-send cost, never
 // a single latency.
@@ -186,7 +193,7 @@ type cachedLatency struct {
 	h       *HierarchicalLatency
 	job     *Job
 	machine Machine
-	coord   []packedCoord // per rank
+	coord   []packedCoord // the job's, per rank
 	// bytesTab[b] is the bandwidth term for a b-byte payload; 0 means
 	// "not computed yet" (a genuinely zero term is then recomputed each
 	// time, which stays correct).
@@ -202,22 +209,16 @@ type cachedLatency struct {
 // packed word also keeps the plain model.
 func SendModel(m LatencyModel, j *Job) LatencyModel {
 	h, ok := m.(*HierarchicalLatency)
-	if !ok {
+	if !ok || j.packed == nil {
 		return m
 	}
-	c := &cachedLatency{
+	return &cachedLatency{
 		h:        h,
 		job:      j,
 		machine:  j.Alloc.Machine,
-		coord:    make([]packedCoord, j.Ranks()),
+		coord:    j.packed,
 		bytesTab: make([]sim.Duration, byteTableMax),
 	}
-	for r := range c.coord {
-		if c.coord[r], ok = pack(j.Coord(r)); !ok {
-			return m
-		}
-	}
-	return c
 }
 
 // distTerm computes the distance-dependent part of the wrapped model's

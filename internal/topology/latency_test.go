@@ -227,14 +227,22 @@ func TestSendModelMatchesUncached(t *testing.T) {
 // TestSendModelUnpackableJob: a coordinate too large for the packed
 // word must leave the plain model in charge, not a truncated copy.
 func TestSendModelUnpackableJob(t *testing.T) {
-	job, err := NewJob(KComputer(), 16, OnePerNode)
+	alloc, err := Allocate(KComputer(), 16)
 	if err != nil {
 		t.Fatal(err)
 	}
-	job.coord[5].Y = cubeMax + 1
+	alloc.NodeList[5].Y = cubeMax + 1
+	job, err := PlaceJob(alloc, 16, OnePerNode)
+	if err != nil {
+		t.Fatal(err)
+	}
 	plain := DefaultLatency()
 	if SendModel(plain, job) != LatencyModel(plain) {
 		t.Fatal("a job with an unpackable coordinate was wrapped")
+	}
+	// Distances fall back to the Coords and stay exact.
+	if got, want := job.DistanceSq(4, 5), distSq(job.Coord(4), job.Coord(5)); got != want || got < cubeMax*cubeMax {
+		t.Fatalf("DistanceSq(4, 5) = %d on the unpackable job, want %d", got, want)
 	}
 	for _, c := range []Coord{{X: cubeMax, Y: cubeMax, Z: cubeMax, A: intraMax, B: intraMax, C: intraMax}, {}, {X: 3, B: 2, C: 1}} {
 		p, ok := pack(c)

@@ -49,6 +49,12 @@ type Job struct {
 	// coord[i] is the node coordinate of rank i; core[i] its core index.
 	coord []Coord
 	core  []int
+	// packed[i] is coord[i] in one word, which the per-send latency
+	// lookup and the per-draw distance of the skewed selector read
+	// instead of two 48-byte Coords; nil when some coordinate does not
+	// fit the word. maxDistSq bounds DistanceSq over the job's ranks.
+	packed    []packedCoord
+	maxDistSq int
 }
 
 // NewJob allocates nodes on machine m for nranks ranks under the given
@@ -102,7 +108,29 @@ func PlaceJob(alloc *Allocation, nranks int, p Placement) (*Job, error) {
 		j.coord[rank] = alloc.NodeList[node]
 		j.core[rank] = core
 	}
+	j.packCoords()
 	return j, nil
+}
+
+// packCoords fills maxDistSq and packed from coord.
+func (j *Job) packCoords() {
+	if len(j.coord) == 0 {
+		return
+	}
+	lo, hi := j.coord[0], j.coord[0]
+	for _, c := range j.coord {
+		lo = Coord{min(lo.X, c.X), min(lo.Y, c.Y), min(lo.Z, c.Z), min(lo.A, c.A), min(lo.B, c.B), min(lo.C, c.C)}
+		hi = Coord{max(hi.X, c.X), max(hi.Y, c.Y), max(hi.Z, c.Z), max(hi.A, c.A), max(hi.B, c.B), max(hi.C, c.C)}
+	}
+	j.maxDistSq = distSq(lo, hi)
+	packed := make([]packedCoord, len(j.coord))
+	for r, c := range j.coord {
+		var ok bool
+		if packed[r], ok = pack(c); !ok {
+			return
+		}
+	}
+	j.packed = packed
 }
 
 // Ranks returns the number of ranks in the job.
@@ -123,6 +151,20 @@ func (j *Job) SameNode(i, k int) bool { return j.coord[i] == j.coord[k] }
 func (j *Job) Distance(i, k int) float64 {
 	return Euclid(j.coord[i], j.coord[k])
 }
+
+// DistanceSq returns the square of Distance(i, k) as the integer it
+// is: coordinates are integers, so the sum of squared differences is
+// exact, and Distance(i, k) == math.Sqrt(float64(DistanceSq(i, k))).
+func (j *Job) DistanceSq(i, k int) int {
+	if j.packed == nil {
+		return distSq(j.coord[i], j.coord[k])
+	}
+	return j.packed[i].distSq(j.packed[k])
+}
+
+// MaxDistanceSq returns an upper bound on DistanceSq over all rank
+// pairs: the squared diagonal of the ranks' bounding box.
+func (j *Job) MaxDistanceSq() int { return j.maxDistSq }
 
 // Hops returns the link count between the nodes hosting ranks i and k.
 func (j *Job) Hops(i, k int) int {

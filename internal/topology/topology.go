@@ -54,13 +54,15 @@ func (c Coord) String() string {
 // Euclid returns the Euclidean distance between two node coordinates in
 // the 6-D space, exactly as the paper's p(i,j) weighting uses it.
 func Euclid(p, q Coord) float64 {
-	dx := float64(p.X - q.X)
-	dy := float64(p.Y - q.Y)
-	dz := float64(p.Z - q.Z)
-	da := float64(p.A - q.A)
-	db := float64(p.B - q.B)
-	dc := float64(p.C - q.C)
-	return math.Sqrt(dx*dx + dy*dy + dz*dz + da*da + db*db + dc*dc)
+	return math.Sqrt(float64(distSq(p, q)))
+}
+
+// distSq returns the squared Euclidean distance between two node
+// coordinates, exactly (integer arithmetic).
+func distSq(p, q Coord) int {
+	dx, dy, dz := p.X-q.X, p.Y-q.Y, p.Z-q.Z
+	da, db, dc := p.A-q.A, p.B-q.B, p.C-q.C
+	return dx*dx + dy*dy + dz*dz + da*da + db*db + dc*dc
 }
 
 // Machine describes a full system as a 3-D arrangement of cubes:

@@ -314,6 +314,41 @@ func TestJobDistanceSymmetryAndIdentity(t *testing.T) {
 	}
 }
 
+// TestJobDistanceSq: the integer squared distance the skewed selector
+// indexes its weights by is Distance squared exactly — Sqrt of it is
+// bit-for-bit the float Euclid computes — and stays inside
+// MaxDistanceSq, for every pair under each placement.
+func TestJobDistanceSq(t *testing.T) {
+	for _, p := range []Placement{OnePerNode, EightRoundRobin, EightGrouped} {
+		job, err := NewJob(KComputer(), 256, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reached := 0
+		for i := 0; i < job.Ranks(); i++ {
+			for k := 0; k < job.Ranks(); k++ {
+				d2 := job.DistanceSq(i, k)
+				if d2 != distSq(job.Coord(i), job.Coord(k)) {
+					t.Fatalf("%v: DistanceSq(%d, %d) = %d from the packed words, %d from the Coords",
+						p, i, k, d2, distSq(job.Coord(i), job.Coord(k)))
+				}
+				if math.Sqrt(float64(d2)) != job.Distance(i, k) {
+					t.Fatalf("%v: sqrt(DistanceSq(%d, %d)) = %v, Distance = %v", p, i, k, math.Sqrt(float64(d2)), job.Distance(i, k))
+				}
+				if d2 > job.MaxDistanceSq() {
+					t.Fatalf("%v: DistanceSq(%d, %d) = %d exceeds MaxDistanceSq %d", p, i, k, d2, job.MaxDistanceSq())
+				}
+				reached = max(reached, d2)
+			}
+		}
+		// The bound is the bounding box's diagonal; a partly filled last
+		// cube can leave the far corner empty, but not by much.
+		if reached < job.MaxDistanceSq()/2 {
+			t.Fatalf("%v: largest DistanceSq %d is far below the bound %d", p, reached, job.MaxDistanceSq())
+		}
+	}
+}
+
 // Property: triangle inequality holds for Euclid over arbitrary coords.
 func TestPropertyEuclidTriangle(t *testing.T) {
 	f := func(ax, ay, az, bx, by, bz, cx, cy, cz int8) bool {

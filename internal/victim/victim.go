@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"distws/internal/rng"
 	"distws/internal/sample"
@@ -87,7 +89,7 @@ func (r *roundRobin) Observe(int, int, bool) {}
 
 type uniformRandom struct {
 	n    int
-	rand []*rng.Xoshiro256
+	rand []rng.Xoshiro256
 }
 
 // NewUniformRandom returns the classical selector: each attempt draws a
@@ -98,10 +100,12 @@ func NewUniformRandom(job *topology.Job, seed uint64) Selector {
 	return u
 }
 
-func perRankStreams(n int, seed uint64) []*rng.Xoshiro256 {
-	streams := make([]*rng.Xoshiro256, n)
+// perRankStreams returns one independent generator per rank, by value:
+// a thief's draw touches its 32 bytes of state and nothing else.
+func perRankStreams(n int, seed uint64) []rng.Xoshiro256 {
+	streams := make([]rng.Xoshiro256, n)
 	for i := range streams {
-		streams[i] = rng.New(rng.Mix64(seed) ^ rng.Mix64(uint64(i)+0x51ed270693c5e191))
+		streams[i].Seed(rng.Mix64(seed) ^ rng.Mix64(uint64(i)+0x51ed270693c5e191))
 	}
 	return streams
 }
@@ -125,19 +129,33 @@ func (u *uniformRandom) Observe(int, int, bool) {}
 // DistanceSkewed ("Tofu")
 
 // aliasThreshold is the rank count up to which per-thief alias tables
-// are built (lazily). Above it the selector uses exact rejection
-// sampling instead: with N ranks each table costs O(N) memory per
-// thief, which at 8192 simulated ranks in one address space would need
-// gigabytes, whereas the real distributed implementation pays O(N) per
-// process. Both methods sample the same distribution.
-const aliasThreshold = 2048
+// are built (lazily): the capacity of a sample.Discrete, whose 8-byte
+// cells leave 11 bits for the alias. A table costs 8 bytes per rank
+// per thief, 32 MB for all thieves at the threshold. Above it the
+// selector uses exact rejection sampling instead — at 8192 simulated
+// ranks in one address space the tables would need half a gigabyte,
+// whereas the real distributed implementation pays O(N) per process.
+// Both methods sample the same distribution.
+const aliasThreshold = sample.MaxOutcomes
 
+// distanceSkewed weighs victims by integer squared distance: a rank
+// pair's e(i,j)^2 is a small integer (topology.Job.DistanceSq), so the
+// weight 1/e^k is a table lookup, and so is the 53-bit acceptance
+// threshold the rejection path compares a raw generator output with.
 type distanceSkewed struct {
 	job      *topology.Job
 	n        int
 	exponent float64
-	rand     []*rng.Xoshiro256
-	tables   []*sample.Discrete // lazily built, nil above aliasThreshold
+	rand     []rng.Xoshiro256
+	// weight[d2] is w at squared distance d2; accept[d2] is
+	// sample.Threshold(weight[d2]), built only for rejection sampling.
+	weight []float64
+	accept []uint64
+	// tables[thief] is built on the thief's first draw (alias mode);
+	// builder and wbuf are the construction scratch all of them share.
+	tables   []sample.Discrete
+	builder  sample.Builder
+	wbuf     []float64
 	useAlias bool
 }
 
@@ -147,46 +165,89 @@ func NewDistanceSkewed(job *topology.Job, seed uint64) Selector {
 	return NewDistanceSkewedExp(job, seed, 1)
 }
 
+// checkExponent rejects exponents outside the selector's domain. A
+// negative k would make weights exceed 1, which the alias tables would
+// honour and the rejection path would clip, so the two regimes would
+// sample different distributions.
+func checkExponent(k float64) error {
+	if !(k >= 0) {
+		return fmt.Errorf("victim: distance-skew exponent %v is not >= 0", k)
+	}
+	return nil
+}
+
+// DistanceSkewedExp returns the factory of NewDistanceSkewedExp
+// selectors with exponent k, or an error when k is negative or NaN.
+func DistanceSkewedExp(k float64) (Factory, error) {
+	if err := checkExponent(k); err != nil {
+		return nil, err
+	}
+	return func(job *topology.Job, seed uint64) Selector {
+		return NewDistanceSkewedExp(job, seed, k)
+	}, nil
+}
+
 // NewDistanceSkewedExp generalizes the weight to 1/e(i,j)^k. k = 0
 // degenerates to uniform random selection (used by ablation A5);
-// larger k concentrates steals more locally.
+// larger k concentrates steals more locally. It panics when k is
+// negative or NaN; DistanceSkewedExp validates a k that comes from
+// outside the program.
 func NewDistanceSkewedExp(job *topology.Job, seed uint64, k float64) Selector {
+	if err := checkExponent(k); err != nil {
+		panic(err)
+	}
 	n := job.Ranks()
-	return &distanceSkewed{
+	d := &distanceSkewed{
 		job:      job,
 		n:        n,
 		exponent: k,
 		rand:     perRankStreams(n, seed),
-		tables:   make([]*sample.Discrete, n),
+		weight:   make([]float64, job.MaxDistanceSq()+1),
 		useAlias: n <= aliasThreshold,
 	}
+	// Per the paper: 1/e^k, or 1 at distance 0. Distinct nodes are at
+	// distance >= 1, so with k >= 0 every weight is in [0, 1].
+	d.weight[0] = 1
+	for d2 := 1; d2 < len(d.weight); d2++ {
+		d.weight[d2] = 1 / math.Pow(math.Sqrt(float64(d2)), k)
+	}
+	if d.useAlias {
+		d.tables = make([]sample.Discrete, n)
+		d.wbuf = make([]float64, n)
+	} else {
+		d.accept = make([]uint64, len(d.weight))
+		for d2, w := range d.weight {
+			d.accept[d2] = sample.Threshold(w)
+		}
+	}
+	return d
 }
+
+// skewPrefix starts the name of a distance-skewed selector with an
+// exponent other than the paper's, as in "Tofu^2".
+const skewPrefix = "Tofu^"
 
 func (d *distanceSkewed) Name() string {
 	if d.exponent == 1 {
 		return "Tofu"
 	}
-	return fmt.Sprintf("Tofu^%g", d.exponent)
+	return fmt.Sprintf(skewPrefix+"%g", d.exponent)
 }
 
-// weight returns w(thief, j) per the paper: 1/e^k, or 1 at distance 0.
-func (d *distanceSkewed) weight(thief, j int) float64 {
-	e := d.job.Distance(thief, j)
-	if e == 0 {
-		return 1
+// weightsInto fills w (one slot per rank) with the unnormalized weight
+// vector of a thief: weight 0 at the thief's own index.
+func (d *distanceSkewed) weightsInto(w []float64, thief int) {
+	for j := range w {
+		w[j] = d.weight[d.job.DistanceSq(thief, j)]
 	}
-	return 1 / math.Pow(e, d.exponent)
+	w[thief] = 0
 }
 
 // Weights returns the unnormalized weight vector for a thief, with
 // weight 0 at the thief's own index. Used for Figure 8 and by tests.
 func (d *distanceSkewed) Weights(thief int) []float64 {
 	w := make([]float64, d.n)
-	for j := range w {
-		if j != thief {
-			w[j] = d.weight(thief, j)
-		}
-	}
+	d.weightsInto(w, thief)
 	return w
 }
 
@@ -204,28 +265,38 @@ func (d *distanceSkewed) PDF(thief int) []float64 {
 	return w
 }
 
+// buildTable builds thief's alias table on its first draw.
+func (d *distanceSkewed) buildTable(thief int) {
+	d.weightsInto(d.wbuf, thief)
+	t, err := d.builder.Build(d.wbuf)
+	if err != nil {
+		// n is in [2, aliasThreshold] and every other rank has a finite
+		// non-negative weight, at least one of them positive.
+		panic(err)
+	}
+	d.tables[thief] = t
+}
+
 func (d *distanceSkewed) Next(thief int) int {
 	if d.n < 2 {
 		return thief
 	}
+	r := &d.rand[thief]
 	if d.useAlias {
-		t := d.tables[thief]
-		if t == nil {
-			t = sample.MustNewDiscrete(d.Weights(thief))
-			d.tables[thief] = t
+		t := &d.tables[thief]
+		if t.N() == 0 {
+			d.buildTable(thief)
 		}
-		return t.Sample(d.rand[thief])
+		return t.Sample(r)
 	}
-	// Rejection sampling. All weights are in (0, 1]: distinct nodes are
-	// at distance >= 1 so 1/e^k <= 1 for k >= 0, and same-node pairs
-	// have weight exactly 1. Expected iterations = 1/mean(weight).
-	r := d.rand[thief]
+	// Rejection sampling: draw a candidate uniformly, accept it with
+	// probability w. Expected iterations = 1/mean(weight).
 	for {
 		v := r.Intn(d.n - 1)
 		if v >= thief {
 			v++
 		}
-		if r.Float64() < d.weight(thief, v) {
+		if sample.Accept(r, d.accept[d.job.DistanceSq(thief, v)]) {
 			return v
 		}
 	}
@@ -281,7 +352,7 @@ func (l *lastVictim) Observe(thief, victim int, success bool) {
 type hierarchical struct {
 	job  *topology.Job
 	n    int
-	rand []*rng.Xoshiro256
+	rand []rng.Xoshiro256
 	// tiers[thief] lists the other ranks sorted by hierarchy level:
 	// same node, same blade, same cube, same rack, rest. Built lazily.
 	tiers    [][]int
@@ -386,7 +457,7 @@ func (h *hierarchical) Observe(thief, _ int, success bool) {
 type lifeline struct {
 	job   *topology.Job
 	n     int
-	rand  []*rng.Xoshiro256
+	rand  []rng.Xoshiro256
 	links [][]int
 	// pos cycles through lifeline links after random attempts fail.
 	attempts []int
@@ -462,6 +533,24 @@ var Strategies = map[string]Factory{
 	"LastVictim":   NewLastVictim,
 	"Hierarchical": NewHierarchical,
 	"Lifeline":     NewLifeline,
+}
+
+// Lookup resolves a selector name as reports print it: a registered
+// strategy, or "Tofu^K" for the distance-skewed selector with weight
+// exponent K (a number >= 0).
+func Lookup(name string) (Factory, error) {
+	if f, ok := Strategies[name]; ok {
+		return f, nil
+	}
+	if exp, ok := strings.CutPrefix(name, skewPrefix); ok {
+		k, err := strconv.ParseFloat(exp, 64)
+		if err != nil {
+			return nil, fmt.Errorf("victim: selector %q: exponent %q is not a number", name, exp)
+		}
+		return DistanceSkewedExp(k)
+	}
+	return nil, fmt.Errorf("victim: unknown selector %q (have %s, %sK)",
+		name, strings.Join(StrategyNames(), ", "), skewPrefix)
 }
 
 // StrategyNames returns the registered names, sorted.

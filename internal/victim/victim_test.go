@@ -356,22 +356,24 @@ func BenchmarkRoundRobinNext(b *testing.B) {
 	}
 }
 
-func BenchmarkTofuAliasNext(b *testing.B) {
-	job := testJob(b, 1024, topology.OnePerNode)
-	s := NewDistanceSkewed(job, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Next(i % 1024)
-	}
-}
-
-func BenchmarkTofuRejectionNext(b *testing.B) {
-	job := testJob(b, 8192, topology.OnePerNode)
-	s := NewDistanceSkewed(job, 1)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Next(i % 8192)
+// BenchmarkVictimDraw prices one draw of the paper's selector in both
+// regimes, tables built: an alias draw at 1024 ranks (every thief's
+// table is cold in cache, as in a run) and a rejection draw at 8192.
+func BenchmarkVictimDraw(b *testing.B) {
+	for _, c := range []struct {
+		name  string
+		ranks int
+	}{{"alias-1024", 1024}, {"reject-8192", 8192}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewDistanceSkewed(testJob(b, c.ranks, topology.OnePerNode), 1)
+			for thief := 0; thief < c.ranks; thief++ {
+				s.Next(thief)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Next(i % c.ranks)
+			}
+		})
 	}
 }
