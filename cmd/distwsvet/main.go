@@ -132,8 +132,7 @@ var (
 	hotRoots = []string{
 		"(*distws/internal/core.engine).startQuantum",
 		"(*distws/internal/core.engine).quantumEnd",
-		"(*distws/internal/core.engine).onDelivery",
-		"(*distws/internal/core.engine).deliverIdle",
+		"(*distws/internal/core.engine).deliver",
 		"(*distws/internal/victim.distanceSkewed).Next",
 		"(*distws/internal/sample.Discrete).Sample",
 		"(*distws/internal/sample.Builder).Build",

@@ -11,17 +11,19 @@
 // rule is machine-checked before the kernel refactor multiplies the
 // handler paths.
 //
-// Ownership starts at the two draining shapes the runtime uses:
+// Ownership starts at two draining shapes:
 //
-//	for _, m := range net.Poll(r) { ... }      // mailbox drain
-//	msgs := rk.deferred; for _, m := range msgs // deferred-batch drain
+//	for _, m := range net.Poll(r) { ... }     // mailbox drain
+//	msgs := h.deferred; for _, m := range msgs // deferred-batch drain
 //
-// (a range over a local []*comm.Message variable). The consumer set is
-// seeded with Network.Free and grown interprocedurally through the call
-// graph: a function that passes its *Message parameter to a consumer is
-// itself a consumer. The walker is path-sensitive over if/switch and
-// flags three defects: leak (an iteration can end with the message
-// still owned), double free, and use after free.
+// (a range over a local []*comm.Message variable: the runtime's own
+// handlers drain only mailboxes today, the fixtures keep a batch too).
+// The consumer set is seeded with Network.Free and grown
+// interprocedurally through the call graph: a function that passes its
+// *Message parameter to a consumer is itself a consumer. The walker is
+// path-sensitive over if/switch and flags three defects: leak (an
+// iteration can end with the message still owned), double free, and use
+// after free.
 package poolcheck
 
 import (

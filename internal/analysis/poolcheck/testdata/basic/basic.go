@@ -22,7 +22,7 @@ func (h *handler) drainClean(r int) {
 	}
 }
 
-// oneSided mirrors the engine's onDelivery: steal requests are served
+// oneSided is a handler with a batch of its own: steal requests served
 // and freed inline, everything else transfers to the deferred batch.
 // Both paths resolve ownership: clean.
 func (h *handler) oneSided(r int) {

@@ -1,10 +1,10 @@
-// Package seeded is a deliberately broken copy of the runtime's three
-// real drain shapes: the engine's onDelivery (crashed-corpse drain and
-// one-sided inline serve, internal/core), its pollMailbox (deferred
-// batch swap plus Poll walk), and the DAG scheduler's drain
-// (internal/dagws). Each copy drops a Network.Free the production code
-// performs (or, for dagws, reproduces the leak the analyzer was built
-// to catch), and the analyzer must fire on every broken drain.
+// Package seeded is a deliberately broken copy of three drain shapes
+// the runtime has had: the engine's former onDelivery (crashed-corpse
+// drain and one-sided inline serve, internal/core), its pollMailbox
+// (then a deferred batch swap plus Poll walk), and the DAG scheduler's
+// drain (internal/dagws). Each copy drops a Network.Free the production
+// code performed (or, for dagws, reproduces the leak the analyzer was
+// built to catch), and the analyzer must fire on every broken drain.
 package seeded
 
 import "distws/internal/comm"
@@ -27,7 +27,7 @@ type engine struct {
 	ranks []rank
 }
 
-// onDelivery mirrors core's onDelivery, with deadLetter's Free replaced
+// onDelivery mirrors core's old onDelivery, deadLetter's Free replaced
 // by a non-consuming note in the crashed branch and the inline Free
 // dropped from the one-sided steal-request arm.
 func (e *engine) onDelivery(r int) {

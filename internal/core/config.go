@@ -240,14 +240,10 @@ type Config struct {
 	// 0 means DefaultMaxVirtualTime.
 	MaxVirtualTime sim.Time
 
-	// testProbe, when set (package-internal, for tests and debugging),
-	// is invoked with the engine every testProbeEvery of virtual time.
-	testProbe      func(e interface{})
-	testProbeEvery sim.Duration
-	// testDeliveryProbe, when set (package-internal, for tests), sees
-	// every message offered to the engine's delivery hook, before the
-	// hook decides.
-	testDeliveryProbe func(e *engine, m *comm.Message)
+	// testDeliveryProbe, when set (package-internal, for tests), is
+	// installed as the delivery hook in place of engine.deliver, which
+	// it is expected to wrap.
+	testDeliveryProbe func(e *engine, m *comm.Message) bool
 }
 
 // serveTenants is the tenant count for serving-metric registration
@@ -307,6 +303,31 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// exclusions lists the feature pairs that do not compose. Validate
+// reports the first one a configuration asks for, so no run allocates
+// anything before learning it cannot proceed.
+var exclusions = []struct {
+	holds func(c *Config) bool
+	msg   string
+}{
+	{func(c *Config) bool { return c.Shards > c.Ranks },
+		"more shards than ranks (shards must not exceed ranks)"},
+	{func(c *Config) bool {
+		_, jitter := c.Latency.(*topology.JitterLatency)
+		return c.Shards > 1 && jitter
+	}, "JitterLatency is stateful and admits no sound lookahead bound; it cannot be sharded"},
+	{func(c *Config) bool {
+		if c.Shards <= 1 {
+			return false
+		}
+		// Plan.Validate has passed, so Compile cannot fail.
+		inj, _ := fault.Compile(c.Faults, c.Ranks, nil)
+		return inj.NeedsInterposer()
+	}, "fault plans with link faults or straggler send multipliers need the send-path interposer and cannot be sharded"},
+	{func(c *Config) bool { return c.Serve != nil && c.Faults != nil && !c.Faults.Empty() },
+		"serving mode is incompatible with fault plans (job accounting assumes no lost work)"},
+}
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if err := c.Tree.Validate(); err != nil {
@@ -318,8 +339,11 @@ func (c Config) Validate() error {
 	if c.ChunkSize < 0 || c.PollInterval < 0 {
 		return errors.New("core: negative chunk size or poll interval")
 	}
-	if c.NodeCost < 0 || c.StealResponseCost < 0 {
+	if c.NodeCost < 0 || c.StealResponseCost < 0 || c.HandleRequestCost < 0 {
 		return errors.New("core: negative cost")
+	}
+	if c.BackoffPolicy.Base < 0 || c.BackoffPolicy.Max < 0 {
+		return errors.New("core: negative backoff pause")
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Ranks); err != nil {
@@ -329,20 +353,9 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("core: %d shards", c.Shards)
 	}
-	if c.Shards > c.Ranks {
-		return fmt.Errorf("core: %d shards for %d ranks (shards must not exceed ranks)", c.Shards, c.Ranks)
-	}
-	if c.Shards > 1 {
-		if _, ok := c.Latency.(*topology.JitterLatency); ok {
-			return errors.New("core: JitterLatency is stateful and admits no sound lookahead bound; it cannot be sharded")
-		}
-	}
 	if c.Serve != nil {
 		if err := c.Serve.Validate(); err != nil {
 			return err
-		}
-		if c.Faults != nil && !c.Faults.Empty() {
-			return errors.New("core: serving mode is incompatible with fault plans (job accounting assumes no lost work)")
 		}
 		mvt := c.MaxVirtualTime
 		if mvt == 0 {
@@ -350,6 +363,11 @@ func (c Config) Validate() error {
 		}
 		if sim.Time(0).Add(c.Serve.Horizon) >= mvt {
 			return fmt.Errorf("core: serving horizon %v reaches MaxVirtualTime %v", c.Serve.Horizon, mvt)
+		}
+	}
+	for _, x := range exclusions {
+		if x.holds(&c) {
+			return errors.New("core: " + x.msg)
 		}
 	}
 	return nil

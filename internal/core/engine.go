@@ -106,11 +106,6 @@ type rank struct {
 	searchWait    sim.Duration // total time waiting for replies
 	sessions      uint64
 
-	// deferred holds messages delivered mid-quantum that the one-sided
-	// protocol does not serve at delivery time (tokens, replies); they
-	// are processed at the next poll.
-	deferred []*comm.Message
-
 	// quantum is the pending quantum-end event, if any (zero when none).
 	quantum sim.Event
 	// stealTimer is the armed steal timeout, if any: sendSteal cancels
@@ -138,16 +133,33 @@ type rank struct {
 	recoverStart sim.Time // when the first timeout of the outage hit
 }
 
+// counters are the run-global tallies a Result needs. A sequential
+// run has one engine and one set; the shard engines of a sharded run
+// each keep their own, and every field is a plain sum, so sumCounters
+// merges them exactly, not approximately.
+type counters struct {
+	workSent, workReceived uint64
+	lostMsgs               uint64
+	// migDepths[d] counts accepted transfers whose loot had migration
+	// depth d; grown on demand (depths start at 1, so index 0 stays 0).
+	migDepths []uint64
+
+	crashes      int
+	lostNodes    uint64
+	tokenRegens  uint64
+	recoveries   uint64
+	recoverTotal sim.Duration
+}
+
 type engine struct {
 	cfg    Config
 	kernel *sim.Kernel
-	job    *topology.Job
 	net    *comm.Network
 	det    term.Detector
 	sel    victim.Selector
-	rec    *trace.Recorder
-	ev     *obs.Recorder  // protocol event rings; nil when disabled
-	met    *engineMetrics // registry handles; nil when disabled
+	rec    *trace.Recorder // activity trace; nil when disabled
+	ev     *obs.Recorder   // protocol event rings; nil when disabled
+	met    engineMetrics   // registry handles; all nil when disabled
 	ranks  []rank
 
 	// rankArg[r] is rank r's index boxed once at startup, and
@@ -163,29 +175,14 @@ type engine struct {
 	backoffCfg Backoff
 
 	// Fault injection. inj is nil for fault-free runs, keeping every
-	// hot path on its existing branch-free course; blAfter/blFor are
-	// the resolved blacklist policy and reprobeFn the shared deferred
-	// lone-survivor check (see scheduleReprobe).
+	// hot path on its existing branch-free course; reprobeFn is the
+	// shared deferred lone-survivor check (see scheduleReprobe).
 	inj       *fault.Injector
-	blAfter   int
-	blFor     sim.Duration
 	reprobeFn func()
 
-	crashes      int
-	lostNodes    uint64
-	lostMsgs     uint64
-	tokenRegens  uint64
-	recoveries   uint64
-	recoverTotal sim.Duration
-
-	workSent, workReceived uint64
-	nodesSent              uint64
-	// migDepths[d] counts accepted transfers whose loot had migration
-	// depth d; grown on demand (depths start at 1, so index 0 stays 0).
-	migDepths  []uint64
+	counters
 	detectedAt sim.Time
 	detected   bool
-	doneCount  int
 
 	// sv is the open-system serving state (engine_serve.go): nil for
 	// closed-system runs, shared across the shard engines of a sharded
@@ -199,7 +196,7 @@ type engine struct {
 	// sequential runs, where every field above is engine-global. In a
 	// sharded run each shard owns one engine; ranks, det, sel, rec, ev
 	// and met are shared across the shard engines while the counters
-	// above are per-shard partial sums merged by mergeTotals.
+	// above are per-shard partial sums.
 	par *parShared
 }
 
@@ -342,124 +339,151 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Shards > 1 {
 		return runSharded(cfg, job)
 	}
-
-	e := &engine{
-		cfg:        cfg,
-		kernel:     sim.NewKernel(),
-		job:        job,
-		det:        cfg.Detector(cfg.Ranks),
-		ranks:      make([]rank, cfg.Ranks),
-		backoffCfg: cfg.backoff(),
-	}
-	defer e.kernel.Release()
-	e.kernel.SetTimeLimit(cfg.MaxVirtualTime)
-	e.net = comm.New(e.kernel, job, cfg.Latency)
-	e.sel = cfg.Selector(job, cfg.Seed)
-	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, e.kernel)
+	k := sim.NewKernel()
+	defer k.Release()
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil)
 	if err != nil {
 		return nil, err
 	}
-	e.inj = inj
-	sv, err := compileServe(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if sv != nil {
-		e.sv = sv
-		e.det = openDetector{}
-		sv.resolveFn = e.svResolve
-	}
-	if cfg.CollectTrace || cfg.CollectEvents {
-		// The event log rides on the trace, so CollectEvents implies it.
-		e.rec = trace.NewRecorder(cfg.Ranks)
-	}
-	if cfg.CollectEvents {
-		e.ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
-	}
-	e.met = newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants())
-	e.rankArg = make([]any, cfg.Ranks)
-	e.bindTimers()
-	for i := range e.rankArg {
-		e.rankArg[i] = i
-	}
-	for i := range e.ranks {
-		e.ranks[i].stack = workstack.New(cfg.ChunkSize)
-		e.ranks[i].pendingVictim = -1
-		r := i
-		e.net.SetNotify(r, func() { e.onDelivery(r) })
-	}
-	e.net.SetDeliveryHook(e.deliveryHook())
-	if inj != nil {
-		e.blAfter, e.blFor = e.backoffCfg.BlacklistAfter, e.backoffCfg.BlacklistFor
-		if e.blAfter <= 0 {
-			e.blAfter = DefaultBackoff.BlacklistAfter
-		}
-		if e.blFor <= 0 {
-			e.blFor = DefaultBackoff.BlacklistFor
-		}
-		e.reprobeFn = e.reprobeSurvivor
-		for i := range e.ranks {
-			e.ranks[i].crashedAt = -1
-			e.ranks[i].timeouts = make(map[int]int)
-			e.ranks[i].blackUntil = make(map[int]sim.Time)
-		}
-		// Crash-only plans skip the interposer entirely; link faults
-		// and straggler send multipliers need it on the send path.
-		if inj.NeedsInterposer() {
-			inj.OnDrop = e.onMessageDrop
-			inj.OnDup = e.onMessageDup
-			e.net.SetInterposer(inj)
-		}
-		for _, c := range cfg.Faults.SortedCrashes() {
-			c := c
-			e.kernel.At(c.At, func() { e.crashRank(c.Rank) })
-		}
-	}
-
-	if e.sv == nil {
-		// Rank 0 owns the root; everyone else starts searching at t = 0.
-		root := cfg.Tree.Root()
-		e.ranks[0].stack.Push(root)
-		e.ranks[0].generated++
-		e.recordState(0, 0, trace.Active)
-		e.startQuantum(0)
-		for r := 1; r < cfg.Ranks; r++ {
-			e.goIdle(r)
-		}
-	} else {
-		// Serving: no pre-seeded root — every rank starts idle and the
-		// compiled arrivals (plus the horizon tick) drive the run.
-		for r := 0; r < cfg.Ranks; r++ {
-			e.goIdle(r)
-		}
-		e.svSchedule()
-	}
-
-	if cfg.testProbe != nil && cfg.testProbeEvery > 0 {
-		var tick func()
-		tick = func() {
-			cfg.testProbe(e)
-			if !e.detected {
-				e.kernel.After(cfg.testProbeEvery, tick)
-			}
-		}
-		e.kernel.After(cfg.testProbeEvery, tick)
-	}
-
-	if err := e.kernel.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		return nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
-			e.kernel.Now(), e.kernel.Dispatched(), err)
+			k.Now(), k.Dispatched(), err)
 	}
-	if !e.detected {
-		return nil, fmt.Errorf("core: event queue drained without termination detection")
-	}
-	res := e.resultFrom(e.totals())
-	if cfg.ParProfile {
+	res, err := result(engines)
+	if err == nil && cfg.ParProfile {
 		// Sequential degenerate: one shard, no windows. Documents the
 		// run's shape so profiling tooling needs no special casing.
 		res.Par = parprof.New(1, 0)
 	}
-	return res, nil
+	return res, err
+}
+
+// newEngines is the one constructor: it builds the engine of a
+// sequential run (one kernel, ps nil) or the shard engines of a sharded
+// one (a kernel per shard, ps their coordinator state), seeds the work
+// and pre-schedules every planned event, so the caller only has to run
+// the kernel(s). The engines share the detector, selector, recorders,
+// metrics, injector, serve state and rank slab; each owns its kernel,
+// its network, its timer callbacks and its counters. Everything that
+// acts on a rank — its crash, its first idle transition, a job arrival
+// rooted at it — goes through the engine owning that rank.
+func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared) ([]*engine, error) {
+	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
+	if err != nil {
+		return nil, err
+	}
+	sv, err := compileServe(cfg)
+	if err != nil {
+		return nil, err
+	}
+	det := cfg.Detector(cfg.Ranks)
+	if sv != nil {
+		det = openDetector{}
+	}
+	var rec *trace.Recorder
+	var ev *obs.Recorder
+	if cfg.CollectTrace || cfg.CollectEvents {
+		// The event log rides on the trace, so CollectEvents implies it.
+		rec = trace.NewRecorder(cfg.Ranks)
+	}
+	if cfg.CollectEvents {
+		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
+	}
+	ranks := make([]rank, cfg.Ranks)
+	rankArg := make([]any, cfg.Ranks)
+	for i := range ranks {
+		rankArg[i] = i
+		ranks[i].stack = workstack.New(cfg.ChunkSize)
+		ranks[i].pendingVictim = -1
+		if inj != nil {
+			ranks[i].crashedAt = -1
+			ranks[i].timeouts = make(map[int]int)
+			ranks[i].blackUntil = make(map[int]sim.Time)
+		}
+	}
+
+	sel := cfg.Selector(job, cfg.Seed)
+	met := newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants())
+	engines := make([]*engine, len(kernels))
+	for s, k := range kernels {
+		k.SetTimeLimit(cfg.MaxVirtualTime)
+		e := &engine{
+			cfg:        cfg,
+			kernel:     k,
+			net:        comm.New(k, job, cfg.Latency),
+			det:        det,
+			sel:        sel,
+			rec:        rec,
+			ev:         ev,
+			met:        met,
+			ranks:      ranks,
+			rankArg:    rankArg,
+			backoffCfg: cfg.backoff(),
+			inj:        inj,
+			sv:         sv,
+			par:        ps,
+		}
+		e.bindTimers()
+		e.net.SetDeliveryHook(e.deliveryHook())
+		if ps != nil {
+			e.net.SetRouter(ps.router(s))
+			if sv != nil {
+				// Job accounting travels from the parallel windows to the
+				// barrier fold in per-engine delta arrays.
+				e.svDelta = make([]int64, len(sv.sched.Jobs))
+				e.svLastDec = make([]sim.Time, len(sv.sched.Jobs))
+				for i := range e.svLastDec {
+					e.svLastDec[i] = -1
+				}
+			}
+		}
+		engines[s] = e
+	}
+	e0 := engines[0]
+	if ps != nil {
+		ps.engines = engines
+		ps.da, _ = det.(term.DecisionAware)
+	}
+	// Crash-only plans skip the interposer entirely; link faults and
+	// straggler send multipliers need it on the send path (and Validate
+	// keeps them out of sharded runs).
+	if inj.NeedsInterposer() {
+		inj.OnDrop = e0.onMessageDrop
+		inj.OnDup = e0.onMessageDup
+		e0.net.SetInterposer(inj)
+	}
+	if inj != nil {
+		for _, c := range cfg.Faults.SortedCrashes() {
+			oe, r := e0.owner(c.Rank), c.Rank
+			oe.kernel.At(c.At, func() { oe.crashRank(r) })
+		}
+	}
+
+	// Closed system: rank 0 owns the root and everyone else starts
+	// searching at t = 0. Serving: no pre-seeded root — every rank starts
+	// idle, and the compiled arrivals drive the run until the horizon
+	// tick, which also keeps the first kernel (and hence a sharded run's
+	// windows) alive through a quiet arrival plan.
+	idleFrom := 0
+	if sv == nil {
+		ranks[0].stack.Push(cfg.Tree.Root())
+		ranks[0].generated++
+		e0.rec.Record(0, 0, trace.Active)
+		e0.startQuantum(0)
+		idleFrom = 1
+	}
+	for r := idleFrom; r < cfg.Ranks; r++ {
+		e0.owner(r).goIdle(r)
+	}
+	if sv != nil {
+		sv.resolveFn = e0.svResolve
+		for i := range sv.sched.Jobs {
+			idx, oe := i, e0.owner(int(sv.sched.Jobs[i].Root))
+			oe.kernel.At(sv.sched.Jobs[i].At, func() { oe.svArrive(idx) })
+		}
+		e0.kernel.At(sv.horizonAt, e0.svHorizon)
+	}
+	return engines, nil
 }
 
 // bindTimers builds the engine's shared per-rank timer callbacks.
@@ -475,33 +499,34 @@ func (e *engine) bindTimers() {
 		e.ranks[r].stealTimer = sim.Event{}
 		e.abortSteal(r)
 	}
+	e.reprobeFn = e.reprobeSurvivor
 }
 
-// kernelFor returns the kernel owning rank r's events: e.kernel in a
-// sequential run, and the owning shard's kernel in a sharded one.
-// Event handles are arena slots of the kernel that issued them, so a
-// cancel must go through that kernel — cancelling rank r's quantum via
-// another shard's kernel would poison an unrelated arena slot.
-func (e *engine) kernelFor(r int) *sim.Kernel {
+// owner returns the engine owning rank r — its kernel holds the rank's
+// events and its network the rank's mailbox: e itself in a sequential
+// run, the rank's shard engine in a sharded one.
+func (e *engine) owner(r int) *engine {
 	if e.par == nil {
-		return e.kernel
+		return e
 	}
-	return e.par.sk.Kernel(e.par.shardOf[r])
+	return e.par.engines[e.par.shardOf[r]]
 }
 
-// backoff resolves the backoff policy from the config.
+// backoff resolves the backoff policy from the config, blacklist
+// defaults included.
 func (c Config) backoff() Backoff {
 	// The zero value selects the default; Threshold < 0 disables.
-	if (c.BackoffPolicy == Backoff{}) {
+	b := c.BackoffPolicy
+	if (b == Backoff{}) {
 		return DefaultBackoff
 	}
-	return c.BackoffPolicy
-}
-
-func (e *engine) recordState(r int, t sim.Time, s trace.State) {
-	if e.rec != nil {
-		e.rec.Record(r, t, s)
+	if b.BlacklistAfter <= 0 {
+		b.BlacklistAfter = DefaultBackoff.BlacklistAfter
 	}
+	if b.BlacklistFor <= 0 {
+		b.BlacklistFor = DefaultBackoff.BlacklistFor
+	}
+	return b
 }
 
 // startQuantum expands up to PollInterval nodes from rank r's stack and
@@ -594,10 +619,8 @@ func (e *engine) goIdle(r int) {
 	rk.state = rsBackoff // idle until sendSteal marks it searching
 	rk.extraDelay = 0    // request-handling debt is moot once idle
 	rk.idleSince = now
-	e.recordState(r, now, trace.Idle)
-	if e.rec != nil {
-		e.rec.BeginSession(r, now)
-	}
+	e.rec.Record(r, now, trace.Idle)
+	e.rec.BeginSession(r, now)
 	rk.sessions++
 	e.forwardTokens(e.det.OnIdle(r))
 	if e.checkTermination() {
@@ -631,10 +654,8 @@ func (e *engine) sendSteal(r int) {
 		e.ev.Record(r, rk.waitStart, trace.EvStealRetry, v, int64(rk.consecTimeouts))
 	}
 	e.ev.Record(r, rk.waitStart, trace.EvStealSend, v, int64(id))
-	if e.met != nil {
-		e.met.stealRequests.Inc()
-	}
-	e.met.link(r, v)
+	e.met.stealRequests.Inc()
+	e.met.links.Inc(r, v)
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
 		e.kernel.Cancel(rk.stealTimer)
@@ -687,21 +708,17 @@ func (e *engine) abortSteal(r int) {
 			rk.recoverStart = rk.waitStart
 		}
 		rk.timeouts[v]++
-		if rk.timeouts[v] >= e.blAfter {
+		if rk.timeouts[v] >= e.backoffCfg.BlacklistAfter {
 			delete(rk.timeouts, v)
-			rk.blackUntil[v] = now.Add(e.blFor)
+			rk.blackUntil[v] = now.Add(e.backoffCfg.BlacklistFor)
 			rk.blacklists++
 		}
 	}
 	e.ev.Record(r, now, trace.EvStealAbort, v, int64(id))
-	if e.met != nil {
-		e.met.stealAborted.Inc()
-		e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
-	}
+	e.met.stealAborted.Inc()
+	e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 	e.sel.Observe(r, v, false)
-	if e.rec != nil {
-		e.rec.SessionAttempt(r, true)
-	}
+	e.rec.SessionAttempt(r, true)
 	e.retryOrBackoff(r)
 }
 
@@ -726,24 +743,14 @@ func (e *engine) crashRank(r int) {
 	rk.quantum = sim.Event{}
 	rk.state = rsCrashed
 	e.ev.Record(r, now, trace.EvCrash, -1, int64(stackLost))
-	if e.met != nil {
-		e.met.crashes.Inc()
-		e.met.lostNodes.Add(stackLost)
-	}
+	e.met.crashes.Inc()
+	e.met.lostNodes.Add(stackLost)
 	if wasWorking {
-		e.recordState(r, now, trace.Idle)
-	} else if e.rec != nil {
+		e.rec.Record(r, now, trace.Idle)
+	} else {
 		e.rec.EndSession(r, now, false)
 	}
-	// Messages already delivered (or deferred to the next poll) die
-	// unread.
-	if len(rk.deferred) > 0 {
-		msgs := rk.deferred
-		rk.deferred = rk.deferred[:0]
-		for _, m := range msgs {
-			e.deadLetter(m)
-		}
-	}
+	// Messages delivered but not yet polled die unread.
 	for _, m := range e.net.Poll(r) {
 		e.deadLetter(m)
 	}
@@ -787,10 +794,8 @@ func (e *engine) noteWorkLost(m *comm.Message) {
 	e.lostMsgs++
 	e.ranks[m.From].lostNodes += n
 	e.det.WorkLost(m.From)
-	if e.met != nil {
-		e.met.lostNodes.Add(n)
-		e.met.lostMessages.Inc()
-	}
+	e.met.lostNodes.Add(n)
+	e.met.lostMessages.Inc()
 	e.scheduleReprobe()
 }
 
@@ -805,9 +810,7 @@ func (e *engine) onMessageDrop(m *comm.Message) {
 
 // onMessageDup is the injector's duplication observer.
 func (e *engine) onMessageDup(m *comm.Message) {
-	if e.met != nil {
-		e.met.dupMessages.Inc()
-	}
+	e.met.dupMessages.Inc()
 }
 
 // initiator returns the termination ring's current initiator: the
@@ -859,86 +862,56 @@ func (e *engine) reprobeSurvivor() {
 	e.checkTermination()
 }
 
-// deliverIdle is the network's delivery hook: it runs at message
-// delivery time, before the mailbox. A searching or backing-off rank
-// handles the message on the spot, like an MPI process spinning on
-// probe, and the mailbox is never touched. That is the order the
-// mailbox would give: such a rank's mailbox and deferred list are
-// always empty, because the only way into the two idle states is
-// goIdle — at the start, or from quantumEnd right after pollMailbox
-// drained both — and every delivery since was consumed here. Working
-// and crashed ranks decline and take the mailbox path (onDelivery), as
-// do done ranks: serveFinish can retire a rank in mid-quantum, backlog
-// and all.
-func (e *engine) deliverIdle(m *comm.Message) bool {
+// deliver is the network's delivery hook, and the only route by which
+// a message reaches a rank: it runs at the delivery instant, before the
+// mailbox, and decides by the destination's state.
+//
+// A searching or backing-off rank handles the message on the spot, like
+// an MPI process spinning on probe. That is the order the mailbox would
+// give, because such a rank's mailbox is always empty: the only way
+// into the two idle states is goIdle — at the start, or from quantumEnd
+// right after pollMailbox drained it — and every delivery since was
+// consumed here. A crashed rank answers nothing: the message is dead-
+// lettered, with lost loot resolved against the sender. A done rank
+// also handles its traffic at once, behind whatever backlog it was
+// retired with (serveFinish can retire a rank in mid-quantum). A
+// working rank makes communication progress only between node
+// expansions, so the hook declines and the message waits in the
+// mailbox — the rank's one backlog — for the poll at quantum end;
+// except that under the one-sided protocol a steal request is served
+// right away (the "NIC" answers without interrupting the computation).
+func (e *engine) deliver(m *comm.Message) bool {
 	r := m.To
-	if s := e.ranks[r].state; s != rsSearching && s != rsBackoff {
-		return false
+	switch e.ranks[r].state {
+	case rsWorking:
+		if e.cfg.Protocol != OneSided || m.Tag != comm.TagStealRequest {
+			return false
+		}
+	case rsCrashed:
+		e.deadLetter(m)
+		return true
+	case rsDone:
+		e.pollMailbox(r)
 	}
 	e.handle(r, m)
 	e.net.Free(m)
 	return true
 }
 
-// deliveryHook returns the hook Run installs on the network:
-// deliverIdle, behind the tests' probe when there is one.
+// deliveryHook returns the hook newEngines installs on the network:
+// deliver, or the tests' probe wrapping it when there is one.
 func (e *engine) deliveryHook() func(*comm.Message) bool {
-	probe := e.cfg.testDeliveryProbe
-	if probe == nil {
-		return e.deliverIdle
+	if probe := e.cfg.testDeliveryProbe; probe != nil {
+		return func(m *comm.Message) bool { return probe(e, m) }
 	}
-	return func(m *comm.Message) bool {
-		probe(e, m)
-		return e.deliverIdle(m)
-	}
+	return e.deliver
 }
 
-// onDelivery is the network notify callback: it runs at delivery time
-// for the messages deliverIdle declined. Working ranks normally wait
-// for their next poll; under the one-sided protocol, steal requests
-// are served right away (the "NIC" answers without interrupting the
-// computation) and other traffic is deferred to the poll. A done rank
-// handles its traffic immediately.
-func (e *engine) onDelivery(r int) {
-	rk := &e.ranks[r]
-	if rk.state == rsCrashed {
-		// The corpse answers nothing; everything addressed to it dies
-		// in the mailbox, with lost loot resolved against the sender.
-		for _, m := range e.net.Poll(r) {
-			e.deadLetter(m)
-		}
-		return
-	}
-	if rk.state == rsWorking {
-		if e.cfg.Protocol == OneSided {
-			for _, m := range e.net.Poll(r) {
-				if m.Tag == comm.TagStealRequest {
-					e.handle(r, m)
-					e.net.Free(m)
-				} else {
-					rk.deferred = append(rk.deferred, m)
-				}
-			}
-		}
-		return
-	}
-	e.pollMailbox(r)
-}
-
-// pollMailbox drains and handles all delivered (and deferred) messages
-// for rank r. Handling never re-enters a poll of the same rank (sends
-// deliver at least 1ns later), so the network's Poll scratch can be
-// walked in place and each message freed as soon as it is handled.
+// pollMailbox drains and handles the messages rank r's mailbox holds.
+// Handling never re-enters a poll of the same rank (sends deliver at
+// least 1ns later), so the network's Poll scratch can be walked in
+// place and each message freed as soon as it is handled.
 func (e *engine) pollMailbox(r int) {
-	rk := &e.ranks[r]
-	if len(rk.deferred) > 0 {
-		msgs := rk.deferred
-		rk.deferred = rk.deferred[:0]
-		for _, m := range msgs {
-			e.handle(r, m)
-			e.net.Free(m)
-		}
-	}
 	for _, m := range e.net.Poll(r) {
 		e.handle(r, m)
 		e.net.Free(m)
@@ -985,9 +958,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 				e.recoveries++
 				d := now.Sub(rk.recoverStart)
 				e.recoverTotal += d
-				if e.met != nil {
-					e.met.recoveryLatency.Observe(int64(d))
-				}
+				e.met.recoveryLatency.Observe(int64(d))
 			}
 		}
 		// Work lineage: the loot's migration depth becomes the rank's
@@ -996,26 +967,18 @@ func (e *engine) handle(r int, m *comm.Message) {
 		rk.lineage = m.Lineage
 		e.noteMigration(m.Lineage)
 		e.ev.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
-		if e.met != nil {
-			e.met.stealSuccess.Inc()
-		}
+		e.met.stealSuccess.Inc()
 		switch rk.state {
 		case rsSearching, rsBackoff:
 			if rk.state == rsSearching && m.ID == rk.reqID {
 				rk.searchWait += now.Sub(rk.waitStart)
-				if e.met != nil {
-					e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
-				}
+				e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 			}
 			rk.pendingVictim = -1
-			if e.rec != nil {
-				e.rec.SessionAttempt(r, false)
-				e.rec.EndSession(r, now, true)
-			}
-			if e.met != nil {
-				e.met.session.Observe(int64(now.Sub(rk.idleSince)))
-			}
-			e.recordState(r, now, trace.Active)
+			e.rec.SessionAttempt(r, false)
+			e.rec.EndSession(r, now, true)
+			e.met.session.Observe(int64(now.Sub(rk.idleSince)))
+			e.rec.Record(r, now, trace.Active)
 			rk.stack.Acquire(m.Nodes)
 			e.startQuantum(r)
 		case rsWorking:
@@ -1044,27 +1007,21 @@ func (e *engine) handle(r int, m *comm.Message) {
 			delete(rk.timeouts, m.From)
 		}
 		e.ev.Record(r, now, trace.EvNoWorkRecv, m.From, int64(m.ID))
-		if e.met != nil {
-			e.met.stealFail.Inc()
-			e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
-		}
+		e.met.stealFail.Inc()
+		e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 		e.sel.Observe(r, m.From, false)
-		if e.rec != nil {
-			e.rec.SessionAttempt(r, true)
-		}
+		e.rec.SessionAttempt(r, true)
 		e.retryOrBackoff(r)
 
 	case comm.TagToken:
 		e.ev.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
-		if e.met != nil {
-			e.met.tokenHops.Inc()
-		}
+		e.met.tokenHops.Inc()
 		idle := rk.state != rsWorking
 		e.forwardTokens(e.det.OnToken(r, m.Token, idle))
 		e.checkTermination()
 
 	case comm.TagTerminate:
-		e.finishRank(r)
+		e.finishRank(r, e.kernel.Now())
 
 	default:
 		panic(fmt.Sprintf("core: unexpected tag %v", m.Tag))
@@ -1080,7 +1037,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 		// Termination already detected; the thief will receive its own
 		// terminate message. Answer no-work to be safe.
 		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
-		e.met.link(v, thief)
+		e.met.links.Inc(v, thief)
 		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
 		return
 	}
@@ -1104,21 +1061,18 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	}
 	if chunks == 0 {
 		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
-		e.met.link(v, thief)
+		e.met.links.Inc(v, thief)
 		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
 		return
 	}
 	e.det.WorkSent(v)
 	e.workSent++
-	e.nodesSent += uint64(len(loot))
 	if twoSided {
 		rk.extraDelay += e.cfg.StealResponseCost
 	}
 	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
-	e.met.link(v, thief)
-	if e.met != nil {
-		e.met.chunkNodes.Observe(int64(len(loot)))
-	}
+	e.met.links.Inc(v, thief)
+	e.met.chunkNodes.Observe(int64(len(loot)))
 	e.net.SendNodes(v, thief, id, loot, rk.lineage+1, len(loot)*uts.NodeBytes)
 }
 
@@ -1164,12 +1118,10 @@ func (e *engine) forwardTokens(sends []term.Send) {
 			// was the initiator itself); the healed ring starts over.
 			e.tokenRegens++
 			e.ev.Record(s.From, now, trace.EvTokenRegen, s.To, int64(s.Token.Round))
-			if e.met != nil {
-				e.met.tokenRegens.Inc()
-			}
+			e.met.tokenRegens.Inc()
 		}
 		e.ev.Record(s.From, now, trace.EvTokenSend, s.To, 0)
-		e.met.link(s.From, s.To)
+		e.met.links.Inc(s.From, s.To)
 		e.net.SendToken(s.From, s.To, s.Token, term.TokenBytes)
 	}
 }
@@ -1183,19 +1135,11 @@ func (e *engine) checkTermination() bool {
 	if e.detected {
 		return true
 	}
-	e.detected = true
-	e.detectedAt = e.kernel.Now()
-	if e.par != nil {
-		// Only serialized windows can decide (the serialization policy
-		// guarantees it), so this single-threaded broadcast of the flag
-		// to the sibling shard engines is race-free; they observe it in
-		// later windows through the barrier's happens-before edge.
-		e.par.markDetected(e.detectedAt)
-	}
+	e.markDetected(e.kernel.Now())
 	// Detection happens at the ring initiator — rank 0 for both
 	// detectors unless crashes moved the role to a higher survivor.
 	initr := e.initiator()
-	e.finishRank(initr)
+	e.finishRank(initr, e.detectedAt)
 	for r := 0; r < e.cfg.Ranks; r++ {
 		if r == initr || e.ranks[r].state == rsCrashed {
 			continue
@@ -1205,89 +1149,79 @@ func (e *engine) checkTermination() bool {
 	return true
 }
 
-// finishRank marks r done and closes its trace state.
-func (e *engine) finishRank(r int) {
+// markDetected records the verdict that ends the run, on every engine
+// of it. In a sharded run only a serialized window or a barrier decides
+// (the serialization policy guarantees it), so this single-threaded
+// broadcast to the sibling shard engines is race-free; they observe it
+// in later windows through the barrier's happens-before edge.
+func (e *engine) markDetected(at sim.Time) {
+	e.detected, e.detectedAt = true, at
+	if e.par != nil {
+		for _, o := range e.par.engines {
+			o.detected, o.detectedAt = true, at
+		}
+	}
+}
+
+// finishRank retires rank r at instant at — termination reached it, or
+// the serving run finished: it is marked done, its trace state closed
+// and its pending quantum cancelled. Event handles are arena slots of
+// the kernel that issued them, so the cancel goes through the owning
+// engine's kernel — another shard's would poison an unrelated slot.
+func (e *engine) finishRank(r int, at sim.Time) {
 	rk := &e.ranks[r]
 	if rk.state == rsDone || rk.state == rsCrashed {
 		return
 	}
-	now := e.kernel.Now()
-	e.ev.Record(r, now, trace.EvTerminate, -1, 0)
-	if e.rec != nil && rk.state != rsWorking {
-		e.rec.EndSession(r, now, false)
+	e.ev.Record(r, at, trace.EvTerminate, -1, 0)
+	if rk.state != rsWorking {
+		e.rec.EndSession(r, at, false)
 	}
-	e.kernelFor(r).Cancel(rk.quantum) // no-op when no quantum is pending
+	e.owner(r).kernel.Cancel(rk.quantum) // no-op when no quantum is pending
 	rk.quantum = sim.Event{}
 	rk.state = rsDone
-	e.doneCount++
 }
 
-// engineTotals are the engine-global counters a Result needs. A
-// sequential run has exactly one engine, so totals() is the whole
-// story; a sharded run sums one per shard engine with mergeTotals —
-// every field is a plain sum, so the merge is exact, not approximate.
-type engineTotals struct {
-	workSent, workReceived uint64
-	lostMsgs               uint64
-	migDepths              []uint64
-	comm                   comm.Stats
-
-	crashes      int
-	lostNodes    uint64
-	tokenRegens  uint64
-	recoveries   uint64
-	recoverTotal sim.Duration
-}
-
-// totals snapshots this engine's global counters.
-func (e *engine) totals() engineTotals {
-	return engineTotals{
-		workSent:     e.workSent,
-		workReceived: e.workReceived,
-		lostMsgs:     e.lostMsgs,
-		migDepths:    e.migDepths,
-		comm:         e.net.Stats(),
-		crashes:      e.crashes,
-		lostNodes:    e.lostNodes,
-		tokenRegens:  e.tokenRegens,
-		recoveries:   e.recoveries,
-		recoverTotal: e.recoverTotal,
+// sumCounters totals the tallies and the traffic of a run's engines.
+func sumCounters(engines []*engine) (counters, comm.Stats) {
+	var t counters
+	var cs comm.Stats
+	for _, e := range engines {
+		t.workSent += e.workSent
+		t.workReceived += e.workReceived
+		t.lostMsgs += e.lostMsgs
+		for len(t.migDepths) < len(e.migDepths) {
+			t.migDepths = append(t.migDepths, 0)
+		}
+		for d, c := range e.migDepths {
+			t.migDepths[d] += c
+		}
+		t.crashes += e.crashes
+		t.lostNodes += e.lostNodes
+		t.tokenRegens += e.tokenRegens
+		t.recoveries += e.recoveries
+		t.recoverTotal += e.recoverTotal
+		st := e.net.Stats()
+		for tag := range st.Sent {
+			cs.Sent[tag] += st.Sent[tag]
+			cs.Bytes[tag] += st.Bytes[tag]
+			cs.Received[tag] += st.Received[tag]
+			cs.Dropped[tag] += st.Dropped[tag]
+			cs.Duplicated[tag] += st.Duplicated[tag]
+		}
 	}
+	return t, cs
 }
 
-// mergeTotals sums per-shard engine totals into one.
-func mergeTotals(ts []engineTotals) engineTotals {
-	var m engineTotals
-	for _, t := range ts {
-		m.workSent += t.workSent
-		m.workReceived += t.workReceived
-		m.lostMsgs += t.lostMsgs
-		for len(m.migDepths) < len(t.migDepths) {
-			m.migDepths = append(m.migDepths, 0)
-		}
-		for d, c := range t.migDepths {
-			m.migDepths[d] += c
-		}
-		for tag := range t.comm.Sent {
-			m.comm.Sent[tag] += t.comm.Sent[tag]
-			m.comm.Bytes[tag] += t.comm.Bytes[tag]
-			m.comm.Received[tag] += t.comm.Received[tag]
-			m.comm.Dropped[tag] += t.comm.Dropped[tag]
-			m.comm.Duplicated[tag] += t.comm.Duplicated[tag]
-		}
-		m.crashes += t.crashes
-		m.lostNodes += t.lostNodes
-		m.tokenRegens += t.tokenRegens
-		m.recoveries += t.recoveries
-		m.recoverTotal += t.recoverTotal
+// result assembles the Result after the kernel(s) drained. The per-rank
+// state it walks is shared across shard engines; only the counters and
+// the traffic are per engine.
+func result(engines []*engine) (*Result, error) {
+	e := engines[0]
+	if !e.detected {
+		return nil, fmt.Errorf("core: event queue drained without termination detection")
 	}
-	return m
-}
-
-// resultFrom assembles the Result after the kernel(s) drain. The
-// per-rank state it walks is shared across shard engines, so any
-// engine of a sharded run can build the result from the merged totals.
-func (e *engine) resultFrom(t engineTotals) *Result {
+	t, cs := sumCounters(engines)
 	res := &Result{
 		Ranks:     e.cfg.Ranks,
 		Placement: e.cfg.Placement,
@@ -1295,7 +1229,7 @@ func (e *engine) resultFrom(t engineTotals) *Result {
 		Steal:     e.cfg.Steal,
 		Detector:  e.det.Name(),
 		Makespan:  sim.Duration(e.detectedAt),
-		Comm:      t.comm,
+		Comm:      cs,
 	}
 	var totalSearch sim.Duration
 	var remaining int
@@ -1374,5 +1308,5 @@ func (e *engine) resultFrom(t engineTotals) *Result {
 		}
 		e.ev.Attach(res.Trace)
 	}
-	return res
+	return res, nil
 }

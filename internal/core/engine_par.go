@@ -40,19 +40,14 @@ package core
 // run parallel; the -race stress tests pin this.
 
 import (
-	"errors"
 	"fmt"
 
 	"distws/internal/comm"
-	"distws/internal/fault"
-	"distws/internal/obs"
 	"distws/internal/obs/parprof"
 	"distws/internal/sim"
 	"distws/internal/sim/par"
 	"distws/internal/term"
 	"distws/internal/topology"
-	"distws/internal/trace"
-	"distws/internal/workstack"
 )
 
 // parShared is the state shared by the shard engines of one sharded
@@ -99,15 +94,6 @@ type parShared struct {
 	// a profiled run is byte-identical to an unprofiled one.
 	prof  *parprof.Ledger
 	cause parprof.Cause
-}
-
-// markDetected broadcasts the termination verdict to every shard
-// engine. Only called from serialized windows (single-threaded).
-func (ps *parShared) markDetected(at sim.Time) {
-	for _, e := range ps.engines {
-		e.detected = true
-		e.detectedAt = at
-	}
 }
 
 // router builds shard s's comm router: it claims every message bound
@@ -195,9 +181,6 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 // engines. Reached from Run once the config validated and the job
 // placed; cfg.Shards >= 2 here.
 func runSharded(cfg Config, job *topology.Job) (*Result, error) {
-	if cfg.testProbe != nil {
-		return nil, errors.New("core: testProbe is incompatible with Shards > 1")
-	}
 	shards := cfg.Shards
 	shardOf := make([]int, cfg.Ranks)
 	for r := range shardOf {
@@ -213,163 +196,40 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 		return nil, fmt.Errorf("core: shards=%d: partition has no cross-shard rank pair", shards)
 	}
 
-	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, nil)
-	if err != nil {
-		return nil, err
-	}
-	if inj.NeedsInterposer() {
-		return nil, errors.New("core: fault plans with link faults or straggler send multipliers need the send-path interposer and cannot be sharded")
-	}
-
 	sk := par.New(shards, lookahead)
 	defer sk.Release()
-	det := cfg.Detector(cfg.Ranks)
-	sv, err := compileServe(cfg)
-	if err != nil {
-		return nil, err
-	}
-	if sv != nil {
-		// Serving replaces the detector; the open detector's constant
-		// IdleDecisionPossible=false keeps every window parallel.
-		det = openDetector{}
-	}
-	da, _ := det.(term.DecisionAware)
 	ps := &parShared{
 		sk:      sk,
 		shardOf: shardOf,
-		da:      da,
 		notes:   make([][]sim.Time, shards),
 	}
-	if inj != nil {
-		for _, c := range cfg.Faults.SortedCrashes() {
+	if cfg.Faults != nil {
+		for _, c := range cfg.Faults.Crashes {
 			if !ps.haveCrash || c.At < ps.firstCrash {
 				ps.haveCrash, ps.firstCrash = true, c.At
 			}
 		}
 	}
-
-	// Shared run state: exactly what the sequential engine would build,
-	// wired into every shard engine.
-	sel := cfg.Selector(job, cfg.Seed)
-	var rec *trace.Recorder
-	var ev *obs.Recorder
-	if cfg.CollectTrace || cfg.CollectEvents {
-		rec = trace.NewRecorder(cfg.Ranks)
-	}
-	if cfg.CollectEvents {
-		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
-	}
-	met := newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants())
-	ranks := make([]rank, cfg.Ranks)
-	rankArg := make([]any, cfg.Ranks)
-	for i := range rankArg {
-		rankArg[i] = i
-	}
-
-	engines := make([]*engine, shards)
-	for s := range engines {
-		e := &engine{
-			cfg:        cfg,
-			kernel:     sk.Kernel(s),
-			job:        job,
-			det:        det,
-			sel:        sel,
-			rec:        rec,
-			ev:         ev,
-			met:        met,
-			ranks:      ranks,
-			rankArg:    rankArg,
-			backoffCfg: cfg.backoff(),
-			inj:        inj,
-			sv:         sv,
-			par:        ps,
-		}
-		e.kernel.SetTimeLimit(cfg.MaxVirtualTime)
-		e.net = comm.New(e.kernel, job, cfg.Latency)
-		e.bindTimers()
-		engines[s] = e
-	}
-	ps.engines = engines
-	for s, e := range engines {
-		e.net.SetRouter(ps.router(s))
-		e.net.SetDeliveryHook(e.deliveryHook())
-	}
-	for r := 0; r < cfg.Ranks; r++ {
-		ranks[r].stack = workstack.New(cfg.ChunkSize)
-		ranks[r].pendingVictim = -1
-		r := r
-		e := engines[shardOf[r]]
-		e.net.SetNotify(r, func() { e.onDelivery(r) })
-	}
-	if inj != nil {
-		for _, e := range engines {
-			e.blAfter, e.blFor = e.backoffCfg.BlacklistAfter, e.backoffCfg.BlacklistFor
-			if e.blAfter <= 0 {
-				e.blAfter = DefaultBackoff.BlacklistAfter
-			}
-			if e.blFor <= 0 {
-				e.blFor = DefaultBackoff.BlacklistFor
-			}
-			e := e
-			e.reprobeFn = e.reprobeSurvivor
-		}
-		for i := range ranks {
-			ranks[i].crashedAt = -1
-			ranks[i].timeouts = make(map[int]int)
-			ranks[i].blackUntil = make(map[int]sim.Time)
-		}
-		for _, c := range cfg.Faults.SortedCrashes() {
-			c := c
-			oe := engines[shardOf[c.Rank]]
-			oe.kernel.At(c.At, func() { oe.crashRank(c.Rank) })
-		}
-	}
-
-	e0 := engines[0]
-	if sv == nil {
-		// Seed the work exactly as the sequential engine does, in rank
-		// order (single-threaded: the windows have not started).
-		root := cfg.Tree.Root()
-		ranks[0].stack.Push(root)
-		ranks[0].generated++
-		e0.recordState(0, 0, trace.Active)
-		e0.startQuantum(0)
-		for r := 1; r < cfg.Ranks; r++ {
-			engines[shardOf[r]].goIdle(r)
-		}
-	} else {
-		// Serving: every rank starts idle; each compiled arrival is
-		// pre-scheduled on the kernel owning its placement rank (the
-		// crash pre-scheduling pattern). The per-engine delta arrays
-		// carry job accounting from parallel windows to the barrier
-		// fold, and a no-op horizon tick keeps shard 0's kernel (and
-		// hence the windows) alive through a quiet arrival plan.
-		for _, e := range engines {
-			e.svDelta = make([]int64, len(sv.sched.Jobs))
-			e.svLastDec = make([]sim.Time, len(sv.sched.Jobs))
-			for i := range e.svLastDec {
-				e.svLastDec[i] = -1
-			}
-		}
-		for r := 0; r < cfg.Ranks; r++ {
-			engines[shardOf[r]].goIdle(r)
-		}
-		for i := range sv.sched.Jobs {
-			idx := i
-			oe := engines[shardOf[sv.sched.Jobs[i].Root]]
-			oe.kernel.At(sv.sched.Jobs[i].At, func() { oe.svArrive(idx) })
-		}
-		e0.kernel.At(sv.horizonAt, func() {})
-	}
-
 	if cfg.ParProfile {
 		ps.prof = parprof.New(shards, lookahead)
 	}
+	kernels := make([]*sim.Kernel, shards)
+	for s := range kernels {
+		kernels[s] = sk.Kernel(s)
+	}
+	// The engines are built — and the work seeded — exactly as the
+	// sequential run's one engine is, single-threaded: the windows have
+	// not started.
+	engines, err := newEngines(cfg, job, kernels, ps)
+	if err != nil {
+		return nil, err
+	}
+
 	hooks := par.Hooks{
 		Serialize: ps.serializeWindow,
 		OnWindow: func(info par.WindowInfo) {
 			ps.serialized = info.Serialized
-			if sv != nil {
+			if engines[0].sv != nil {
 				// Workers are quiescent and the upcoming window has not
 				// started: fold the job-accounting deltas, inject due
 				// waves at info.Start, and decide the finish.
@@ -394,14 +254,9 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 	if err := sk.Run(hooks); err != nil {
 		return nil, fmt.Errorf("core: sharded simulation (%d shards) aborted: %w", shards, err)
 	}
-	if !e0.detected {
-		return nil, fmt.Errorf("core: event queue drained without termination detection")
+	res, err := result(engines)
+	if err == nil {
+		res.Par = ps.prof
 	}
-	totals := make([]engineTotals, shards)
-	for s, e := range engines {
-		totals[s] = e.totals()
-	}
-	res := e0.resultFrom(mergeTotals(totals))
-	res.Par = ps.prof
-	return res, nil
+	return res, err
 }

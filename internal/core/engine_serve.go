@@ -77,7 +77,6 @@ type serveState struct {
 	lastDec  []sim.Time
 
 	doneJobs  int
-	maxDone   sim.Time
 	horizonAt sim.Time
 
 	// Sequential-engine resolve machinery: completions detected inside
@@ -99,7 +98,6 @@ func newServeState(sched *serve.Schedule) *serveState {
 		waveNext:  make([]int32, n),
 		doneAt:    make([]sim.Time, n),
 		lastDec:   make([]sim.Time, n),
-		maxDone:   -1,
 		horizonAt: sim.Time(0).Add(sched.Spec.Horizon),
 	}
 	for i := range sv.doneAt {
@@ -122,19 +120,6 @@ func compileServe(cfg Config) (*serveState, error) {
 	return newServeState(sched), nil
 }
 
-// svSchedule pre-schedules every arrival on this engine's kernel plus
-// the horizon tick. Sequential runs call it once; sharded runs route
-// each job through the engine owning its placement rank instead (see
-// runSharded), exactly like crash pre-scheduling.
-func (e *engine) svSchedule() {
-	sv := e.sv
-	for i := range sv.sched.Jobs {
-		idx := i
-		e.kernel.At(sv.sched.Jobs[i].At, func() { e.svArrive(idx) })
-	}
-	e.kernel.At(sv.horizonAt, func() { e.svHorizon() })
-}
-
 // svArrive replays one compiled arrival: record the arrival and its
 // admission verdict, and inject wave 0 at the placement rank. Runs on
 // the engine owning the rank (in sharded mode, inside a parallel
@@ -146,20 +131,14 @@ func (e *engine) svArrive(idx int) {
 	now := e.kernel.Now()
 	root, tenant := int(j.Root), int(j.Tenant)
 	e.ev.Record(root, now, trace.EvJobArrive, tenant, int64(j.ID))
-	if e.met != nil {
-		e.met.jobsArrived.Inc()
-	}
+	e.met.jobsArrived.Inc()
 	if !j.Admitted {
 		e.ev.Record(root, now, trace.EvJobReject, tenant, int64(j.ID))
-		if e.met != nil {
-			e.met.jobsRejected.Inc()
-		}
+		e.met.jobsRejected.Inc()
 		return
 	}
 	e.ev.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
-	if e.met != nil {
-		e.met.jobsAdmitted.Inc()
-	}
+	e.met.jobsAdmitted.Inc()
 	sv.live[idx] += int64(len(j.Waves[0]))
 	sv.waveNext[idx] = 1
 	e.injectNodes(root, j.Waves[0])
@@ -184,13 +163,9 @@ func (e *engine) injectNodes(r int, nodes []uts.Node) {
 		// victim here loses nothing.
 		rk.pendingVictim = -1
 		rk.lineage = 0
-		if e.rec != nil {
-			e.rec.EndSession(r, now, true)
-		}
-		if e.met != nil {
-			e.met.session.Observe(int64(now.Sub(rk.idleSince)))
-		}
-		e.recordState(r, now, trace.Active)
+		e.rec.EndSession(r, now, true)
+		e.met.session.Observe(int64(now.Sub(rk.idleSince)))
+		e.rec.Record(r, now, trace.Active)
 		for i := range nodes {
 			rk.stack.Push(nodes[i])
 		}
@@ -226,45 +201,48 @@ func (e *engine) svConsume(job uint32, d int64) {
 }
 
 // svResolve drains the sequential completion queue: each parked job
-// either receives its next wave or completes.
+// whose wave has really drained advances.
 func (e *engine) svResolve() {
 	sv := e.sv
 	sv.armed = false
+	now := e.kernel.Now()
 	for i := 0; i < len(sv.pending); i++ {
-		job := sv.pending[i]
-		if sv.live[job] != 0 || sv.doneAt[job] >= 0 {
-			continue
+		if job := sv.pending[i]; sv.live[job] == 0 && sv.doneAt[job] < 0 {
+			e.svAdvance(job, now)
 		}
-		j := &sv.sched.Jobs[job]
-		if int(sv.waveNext[job]) < len(j.Waves) {
-			w := j.Waves[sv.waveNext[job]]
-			sv.waveNext[job]++
-			sv.live[job] += int64(len(w))
-			e.injectNodes(int(j.Root), w)
-			continue
-		}
-		e.svComplete(job, sv.lastDec[job])
 	}
 	sv.pending = sv.pending[:0]
-	e.svCheckFinish()
+	e.serveFinish(now)
 }
 
-// svComplete books job completion at instant at.
-func (e *engine) svComplete(job uint32, at sim.Time) {
+// svAdvance moves a job whose live count hit zero on: its next wave is
+// rooted at the placement rank at instant now — directly in sequential
+// event context, as an event of the owning shard's next window from a
+// barrier — or, past the last wave, the job completes at the instant
+// of its last leaf (lastDec).
+func (e *engine) svAdvance(job uint32, now sim.Time) {
 	sv := e.sv
 	j := &sv.sched.Jobs[job]
-	sv.doneAt[job] = at
-	if at > sv.maxDone {
-		sv.maxDone = at
+	if next := int(sv.waveNext[job]); next < len(j.Waves) {
+		w, root := j.Waves[next], int(j.Root)
+		sv.waveNext[job]++
+		sv.live[job] += int64(len(w))
+		if e.par == nil {
+			e.injectNodes(root, w)
+		} else {
+			oe := e.owner(root)
+			oe.kernel.At(now, func() { oe.injectNodes(root, w) })
+		}
+		return
 	}
+	at := sv.lastDec[job]
+	sv.doneAt[job] = at
 	sv.doneJobs++
 	e.ev.Record(int(j.Root), at, trace.EvJobDone, int(j.Tenant), int64(j.ID))
-	if e.met != nil {
-		e.met.jobsDone.Inc()
-		sojourn := int64(at.Sub(j.At))
-		e.met.jobSojourn.Observe(sojourn)
-		e.met.tenantSojourn[j.Tenant].Observe(sojourn)
-	}
+	sojourn := int64(at.Sub(j.At))
+	e.met.jobsDone.Inc()
+	e.met.jobSojourn.Observe(sojourn)
+	e.met.tenantSojourn[j.Tenant].Observe(sojourn)
 }
 
 // svHorizon is the horizon tick: it keeps the kernel alive through
@@ -274,47 +252,26 @@ func (e *engine) svHorizon() {
 		return // the barrier decides from window bounds instead
 	}
 	e.sv.horizonTicked = true
-	e.svCheckFinish()
+	e.serveFinish(e.kernel.Now())
 }
 
-// svCheckFinish ends a sequential serving run once the horizon has
-// ticked and every admitted job completed. The finish instant is the
-// current virtual time: the horizon itself when the jobs drained
-// early, or the final completion when the drain outlived it.
-func (e *engine) svCheckFinish() {
+// serveFinish ends a serving run at instant at, provided the horizon
+// has passed and every admitted job completed: every rank is retired.
+// Events still queued (steal retries, in-flight replies) no-op against
+// rsDone ranks, so the kernels drain. Called from sequential event
+// context — at is then the horizon itself when the jobs drained early,
+// or the final completion when the drain outlived it — or from a window
+// barrier (workers quiescent); at never precedes a recorded transition
+// in either case.
+func (e *engine) serveFinish(at sim.Time) {
 	sv := e.sv
 	if sv.finished || !sv.horizonTicked || sv.doneJobs != sv.sched.Admitted {
 		return
 	}
 	sv.finished = true
-	e.serveFinish(e.kernel.Now())
-}
-
-// serveFinish ends the run at instant at: every rank is marked done
-// and its pending quantum cancelled. Events still queued (steal
-// retries, in-flight replies) no-op against rsDone ranks, so the
-// kernels drain. Called from sequential event context or from a
-// window barrier (workers quiescent); at never precedes a recorded
-// transition in either case.
-func (e *engine) serveFinish(at sim.Time) {
-	e.detected = true
-	e.detectedAt = at
-	if e.par != nil {
-		e.par.markDetected(at)
-	}
+	e.markDetected(at)
 	for r := range e.ranks {
-		rk := &e.ranks[r]
-		if rk.state == rsDone {
-			continue
-		}
-		e.ev.Record(r, at, trace.EvTerminate, -1, 0)
-		if e.rec != nil && rk.state != rsWorking {
-			e.rec.EndSession(r, at, false)
-		}
-		e.kernelFor(r).Cancel(rk.quantum)
-		rk.quantum = sim.Event{}
-		rk.state = rsDone
-		e.doneCount++
+		e.finishRank(r, at)
 	}
 }
 
@@ -349,20 +306,9 @@ func (ps *parShared) serveBarrier(info par.WindowInfo) {
 		if last < 0 {
 			last = info.Start
 		}
-		job := &sv.sched.Jobs[j]
-		if int(sv.waveNext[j]) < len(job.Waves) {
-			w := job.Waves[sv.waveNext[j]]
-			sv.waveNext[j]++
-			sv.live[j] += int64(len(w))
-			root := int(job.Root)
-			oe := ps.engines[ps.shardOf[root]]
-			oe.kernel.At(info.Start, func() { oe.injectNodes(root, w) })
-			continue
-		}
-		e0.svComplete(uint32(j), last)
+		sv.lastDec[j] = last
+		e0.svAdvance(uint32(j), info.Start)
 	}
-	if sv.doneJobs == sv.sched.Admitted && info.Start > sv.horizonAt {
-		sv.finished = true
-		e0.serveFinish(info.Start)
-	}
+	sv.horizonTicked = info.Start > sv.horizonAt
+	e0.serveFinish(info.Start)
 }

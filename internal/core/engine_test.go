@@ -1,8 +1,10 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
+	"distws/internal/fault"
 	"distws/internal/metrics"
 	"distws/internal/sim"
 	"distws/internal/term"
@@ -36,6 +38,74 @@ func TestValidateConfig(t *testing.T) {
 	if _, err := Run(badTree); err == nil {
 		t.Fatal("supercritical tree accepted")
 	}
+}
+
+// TestValidateExclusions walks every feature pair the engine cannot
+// compose and every signed knob: Validate itself must name the problem,
+// before anything is allocated, and Run must return that error — a
+// negative cost used to reach the kernel and panic it.
+func TestValidateExclusions(t *testing.T) {
+	valid := func() Config {
+		return Config{Tree: uts.MustPreset("H-TINY").Params, Ranks: 16, Seed: 1}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
+	}
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want string
+	}{
+		{"shards > ranks", func(c *Config) { c.Shards = 17 }, "must not exceed ranks"},
+		{"shards x jitter", func(c *Config) {
+			c.Shards = 2
+			c.Latency = topology.NewJitterLatency(topology.DefaultLatency(), 0.1, 5)
+		}, "JitterLatency"},
+		{"shards x link faults", func(c *Config) {
+			c.Shards = 2
+			c.Faults = &fault.Plan{Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Dup: 0.1}}}
+		}, "interposer"},
+		{"shards x send straggler", func(c *Config) {
+			c.Shards = 2
+			c.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: 1, Send: 2}}}
+		}, "interposer"},
+		{"serve x faults", func(c *Config) {
+			c.Serve = serveTestSpec()
+			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
+		}, "incompatible with fault plans"},
+		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
+		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},
+		{"negative handle-request cost", func(c *Config) { c.HandleRequestCost = -10 * sim.Microsecond }, "negative cost"},
+		{"negative backoff base", func(c *Config) { c.BackoffPolicy = Backoff{Threshold: 1, Base: -1, Max: 1} }, "negative backoff"},
+		{"negative backoff max", func(c *Config) { c.BackoffPolicy = Backoff{Threshold: 1, Base: 1, Max: -1} }, "negative backoff"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := valid()
+			tc.mut(&cfg)
+			for what, err := range map[string]error{"Validate": cfg.Validate(), "Run": runErr(cfg)} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s returned %v, want an error mentioning %q", what, err, tc.want)
+				}
+			}
+		})
+	}
+	// The compatible neighbours of the excluded pairs stay accepted.
+	ok := valid()
+	ok.Shards = 2
+	ok.Faults = &fault.Plan{
+		Crashes:    []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}},
+		Stragglers: []fault.Straggler{{Rank: 2, Compute: 2}},
+	}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("sharded crash + compute-straggler plan rejected: %v", err)
+	}
+}
+
+// runErr is Run's error alone.
+func runErr(cfg Config) error {
+	_, err := Run(cfg)
+	return err
 }
 
 func TestSingleRankMatchesSequential(t *testing.T) {

@@ -56,9 +56,10 @@ const (
 
 // engineMetrics pre-resolves the registry handles the hot paths touch,
 // so instrumentation costs one nil check plus an atomic add instead of
-// a map lookup. A nil *engineMetrics disables metrics collection; the
-// obs handles are themselves nil-safe, so a partially populated struct
-// (e.g. links absent past MatrixRankLimit) needs no extra branching.
+// a map lookup. The obs handles are nil-safe, so call sites use them
+// unconditionally: without a registry every handle is nil, and a
+// partially populated struct (links absent past MatrixRankLimit, no
+// fault or serving handles) is the same case.
 type engineMetrics struct {
 	stealRequests *obs.Counter
 	stealSuccess  *obs.Counter
@@ -91,12 +92,14 @@ type engineMetrics struct {
 // newEngineMetrics resolves the handle set for a run: the core handles
 // always, the fault handles when a fault plan is active, and the
 // serving handles (including tenants per-tenant sojourn histograms)
-// when tenants > 0.
-func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) *engineMetrics {
+// when tenants > 0. tenantSojourn is indexed at every job completion,
+// so it has its tenants entries (nil handles) even without a registry.
+func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) engineMetrics {
+	sojourn := make([]*obs.Histogram, tenants)
 	if reg == nil {
-		return nil
+		return engineMetrics{tenantSojourn: sojourn}
 	}
-	m := &engineMetrics{
+	m := engineMetrics{
 		stealRequests: reg.Counter(MetricStealRequests),
 		stealSuccess:  reg.Counter(MetricStealSuccess),
 		stealFail:     reg.Counter(MetricStealFail),
@@ -105,6 +108,7 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) *
 		stealLatency:  reg.Histogram(MetricStealLatency),
 		session:       reg.Histogram(MetricSession),
 		chunkNodes:    reg.Histogram(MetricChunkNodes),
+		tenantSojourn: sojourn,
 	}
 	if ranks <= MatrixRankLimit {
 		m.links = reg.Matrix(MetricLinkMessages, ranks)
@@ -123,18 +127,9 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) *
 		m.jobsRejected = reg.Counter(MetricJobsRejected)
 		m.jobsDone = reg.Counter(MetricJobsDone)
 		m.jobSojourn = reg.Histogram(MetricJobSojourn)
-		m.tenantSojourn = make([]*obs.Histogram, tenants)
 		for i := range m.tenantSojourn {
 			m.tenantSojourn[i] = reg.Histogram(MetricJobSojourn + "_tenant" + strconv.Itoa(i))
 		}
 	}
 	return m
-}
-
-// link counts one protocol message on the from→to link. Nil-safe on
-// both the metrics struct and the (possibly rank-capped) matrix.
-func (m *engineMetrics) link(from, to int) {
-	if m != nil {
-		m.links.Inc(from, to)
-	}
 }

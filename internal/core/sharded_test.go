@@ -239,11 +239,6 @@ func TestShardedRejects(t *testing.T) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: 1, Send: 2}}}
 		}, "interposer"},
-		{"test probe", func(c *Config) {
-			c.Shards = 2
-			c.testProbe = func(interface{}) {}
-			c.testProbeEvery = sim.Microsecond
-		}, "testProbe"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -89,7 +89,8 @@ func (t *Trace) Ranks() int { return len(t.Transitions) }
 
 // Recorder accumulates a Trace during a run. All methods must be called
 // with non-decreasing timestamps per rank (the simulator guarantees
-// this); consecutive same-state records are deduplicated.
+// this); consecutive same-state records are deduplicated. The four
+// record methods are no-ops on a nil receiver, the disabled fast path.
 type Recorder struct {
 	transitions [][]Transition
 	sessions    [][]Session
@@ -112,6 +113,9 @@ func NewRecorder(n int) *Recorder {
 // Record notes that rank entered state s at time t. Recording the
 // state the rank is already in is a no-op.
 func (r *Recorder) Record(rank int, t sim.Time, s State) {
+	if r == nil {
+		return
+	}
 	tr := r.transitions[rank]
 	if len(tr) == 0 {
 		if s == Idle {
@@ -126,6 +130,9 @@ func (r *Recorder) Record(rank int, t sim.Time, s State) {
 // BeginSession opens a work-discovery session for rank at time t.
 // A session already open for the rank is a programming error.
 func (r *Recorder) BeginSession(rank int, t sim.Time) {
+	if r == nil {
+		return
+	}
 	if r.hasOpen[rank] {
 		panic(fmt.Sprintf("trace: rank %d already has an open session", rank))
 	}
@@ -135,7 +142,7 @@ func (r *Recorder) BeginSession(rank int, t sim.Time) {
 
 // SessionAttempt counts one steal request in rank's open session.
 func (r *Recorder) SessionAttempt(rank int, failed bool) {
-	if !r.hasOpen[rank] {
+	if r == nil || !r.hasOpen[rank] {
 		return
 	}
 	r.open[rank].Attempts++
@@ -147,7 +154,7 @@ func (r *Recorder) SessionAttempt(rank int, failed bool) {
 // EndSession closes rank's open session at time t. success records
 // whether the session ended with work (true) or with termination.
 func (r *Recorder) EndSession(rank int, t sim.Time, success bool) {
-	if !r.hasOpen[rank] {
+	if r == nil || !r.hasOpen[rank] {
 		return
 	}
 	s := r.open[rank]
