@@ -11,7 +11,7 @@ ARTIFACTS ?= artifacts
 # corner: the golden ledger the matrix gate compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race lint obs-smoke causal-smoke chaos-smoke serve-smoke par-smoke parprof-smoke bench-json bench-smoke matrix-smoke matrix-baseline check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke par-smoke parprof-smoke bench-json bench-smoke matrix-smoke matrix-baseline check clean
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,22 @@ bench-check:
 race:
 	$(GO) test -race -short ./internal/deque ./internal/rt ./internal/sim/par
 	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
+
+# fuzz-smoke gives every native fuzz target in the tree (found with
+# `go test -list`, so a new one is picked up unasked) a short real
+# fuzzing run; plain `go test` only replays each target's seed corpus.
+# -fuzzminimizetime 1x: the engine's default per-input minimisation
+# stalls on FuzzKernelOrder. A failing input lands in the package's
+# testdata/fuzz/ — commit it as the regression case.
+FUZZTIME ?= 5s
+fuzz-smoke:
+	@targets=$$($(GO) test -list '^Fuzz' ./... | awk '/^Fuzz/ { names[n++] = $$1 } \
+		/^ok/ { for (i = 0; i < n; i++) print $$2 ":" names[i]; n = 0 }') || exit 1; \
+	[ -n "$$targets" ] || { echo "fuzz-smoke: no fuzz targets found"; exit 1; }; \
+	for t in $$targets; do \
+		echo "fuzz-smoke: $${t##*:} ($${t%%:*}, $(FUZZTIME))"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}\$$" -fuzzminimizetime 1x -fuzztime $(FUZZTIME) $${t%%:*} || exit 1; \
+	done
 
 lint:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then \
@@ -108,13 +124,15 @@ chaos-smoke:
 	@echo "chaos-smoke: wrote $(SMOKE)/chaos.txt and chaos.table.txt"
 
 # Hot-path benchmarks of the simulation substrate (event kernel,
-# messaging, latency lookup, UTS hashing), exported as a JSON artifact
-# for archiving and cross-commit comparison. BENCHTIME=1x gives the
-# CI smoke variant below; default is a real measurement.
+# messaging, latency lookup, UTS hashing) and of the observability
+# pipeline's two bulk stages (JSONL export, steal pairing), exported
+# as a JSON artifact for archiving and cross-commit comparison.
+# BENCHTIME=1x gives the CI smoke variant below; default is a real
+# measurement.
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve .
-BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals
-BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals
+BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
+BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 
@@ -235,7 +253,7 @@ parprof-smoke:
 	$(GO) run ./cmd/obscheck $(SMOKE)/parprof.manifest.json
 	@echo "parprof-smoke: observer-free; profile in $(SMOKE)/parprof.txt, scaling in $(SMOKE)/parprof.scaling.json"
 
-check: build lint vet distwsvet test bench-check race par-smoke parprof-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke
+check: build lint vet distwsvet test bench-check race fuzz-smoke par-smoke parprof-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke
 	@echo "check: all gates passed"
 
 clean:

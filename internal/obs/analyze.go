@@ -52,55 +52,126 @@ func (p StealPair) Latency() sim.Duration { return p.End.Sub(p.Send) }
 // transaction, the next work/no-work delivery or abort closes it.
 // Unmatched events — ring evictions, a send still open at trace end, a
 // late reply to an aborted request — are skipped. Results are ordered
-// by send time (ties by thief rank) for deterministic reports.
+// by send time (ties by thief rank, then log order) for deterministic
+// reports; nil when there are none.
+//
+// Each thief's transactions come out of the scan in send order (a
+// rank's log is time-ordered, trace.Validate) and the thieves in rank
+// order, so merging those runs by (Send, Thief) is the stable sort of
+// the whole, in O(n log ranks).
 func PairSteals(tr *trace.Trace) []StealPair {
-	var pairs []StealPair
+	sends := 0
+	for _, es := range tr.Events {
+		for i := range es {
+			if es[i].Kind == trace.EvStealSend {
+				sends++
+			}
+		}
+	}
+	if sends == 0 {
+		return nil
+	}
+	// runs holds every thief's transactions back to back; heads marks
+	// where each non-empty run begins and ends.
+	runs := make([]StealPair, 0, sends)
+	var heads mergeHeap
 	for rank, es := range tr.Events {
-		open := -1 // index into pairs of this rank's pending transaction
-		for _, e := range es {
+		start := len(runs)
+		open := false // the run's last pair is this rank's pending transaction
+		for i := range es {
+			e := &es[i]
 			switch e.Kind {
 			case trace.EvStealSend:
 				// A second send with one still open means the close event
 				// was evicted from the ring; drop the orphan.
-				if open >= 0 {
-					pairs = pairs[:open]
+				if open {
+					runs = runs[:len(runs)-1]
 				}
-				open = len(pairs)
-				pairs = append(pairs, StealPair{
-					Thief: rank, Victim: e.Peer, Send: e.Time,
-				})
-			case trace.EvWorkRecv:
-				if open >= 0 {
-					pairs[open].End = e.Time
-					pairs[open].Outcome = StealSuccess
-					pairs[open].Nodes = e.Arg
-					open = -1
+				open = true
+				runs = append(runs, StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time})
+			case trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort:
+				if !open {
+					continue
 				}
-			case trace.EvNoWorkRecv:
-				if open >= 0 {
-					pairs[open].End = e.Time
-					pairs[open].Outcome = StealRefused
-					open = -1
-				}
-			case trace.EvStealAbort:
-				if open >= 0 {
-					pairs[open].End = e.Time
-					pairs[open].Outcome = StealAborted
-					open = -1
+				open = false
+				p := &runs[len(runs)-1]
+				p.End = e.Time
+				switch e.Kind {
+				case trace.EvWorkRecv:
+					p.Outcome, p.Nodes = StealSuccess, e.Arg
+				case trace.EvNoWorkRecv:
+					p.Outcome = StealRefused
+				default:
+					p.Outcome = StealAborted
 				}
 			}
 		}
-		if open >= 0 {
-			pairs = pairs[:open] // still in flight at trace end
+		if open {
+			runs = runs[:len(runs)-1] // still in flight at trace end
+		}
+		if len(runs) > start {
+			heads = append(heads, runCursor{send: runs[start].Send, thief: rank, pos: start, end: len(runs)})
 		}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if pairs[i].Send != pairs[j].Send {
-			return pairs[i].Send < pairs[j].Send
+	switch len(heads) {
+	case 0:
+		return nil
+	case 1:
+		return runs
+	}
+
+	out := make([]StealPair, 0, len(runs))
+	for i := len(heads)/2 - 1; i >= 0; i-- {
+		heads.down(i)
+	}
+	for len(heads) > 0 {
+		c := &heads[0]
+		out = append(out, runs[c.pos])
+		if c.pos++; c.pos < c.end {
+			c.send = runs[c.pos].Send
+		} else {
+			heads[0] = heads[len(heads)-1]
+			heads = heads[:len(heads)-1]
 		}
-		return pairs[i].Thief < pairs[j].Thief
-	})
-	return pairs
+		heads.down(0)
+	}
+	return out
+}
+
+// runCursor is the unmerged rest of one thief's run: runs[pos:end],
+// keyed by its first pair.
+type runCursor struct {
+	send     sim.Time
+	thief    int
+	pos, end int
+}
+
+// mergeHeap is a binary min-heap of run cursors on (send, thief).
+type mergeHeap []runCursor
+
+func (h mergeHeap) less(i, j int) bool {
+	if h[i].send != h[j].send {
+		return h[i].send < h[j].send
+	}
+	return h[i].thief < h[j].thief
+}
+
+// down restores the heap below i after h[i] grew.
+func (h mergeHeap) down(i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h.less(r, m) {
+			m = r
+		}
+		if !h.less(m, i) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // StealLatencyStats summarizes steal round-trip latencies, the
@@ -184,7 +255,7 @@ func Traffic(tr *trace.Trace) [][]uint64 {
 		for _, e := range es {
 			switch e.Kind {
 			case trace.EvStealSend, trace.EvWorkSend, trace.EvNoWorkSend, trace.EvTokenSend:
-				if e.Peer >= 0 && e.Peer < n {
+				if e.Peer >= 0 && int(e.Peer) < n {
 					m[rank][e.Peer]++
 				}
 			}

@@ -1,9 +1,12 @@
 package obs
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
+	"distws/internal/rng"
+	"distws/internal/sim"
 	"distws/internal/trace"
 )
 
@@ -251,5 +254,146 @@ func TestTerminationTailTransferAtEnd(t *testing.T) {
 	st := TerminationTail(tr, PairSteals(tr))
 	if st.LastTransfer != 80 || st.Duration != 0 || st.Fraction != 0 {
 		t.Fatalf("tail = %+v", st)
+	}
+}
+
+// pairStealsStableSort is PairSteals as it was before the k-way merge:
+// one append-grown slice and a global sort.SliceStable. It is the
+// oracle the merge must match element for element.
+func pairStealsStableSort(tr *trace.Trace) []StealPair {
+	var pairs []StealPair
+	for rank, es := range tr.Events {
+		open := -1 // index into pairs of this rank's pending transaction
+		for _, e := range es {
+			switch e.Kind {
+			case trace.EvStealSend:
+				if open >= 0 {
+					pairs = pairs[:open]
+				}
+				open = len(pairs)
+				pairs = append(pairs, StealPair{
+					Thief: rank, Victim: int(e.Peer), Send: e.Time,
+				})
+			case trace.EvWorkRecv:
+				if open >= 0 {
+					pairs[open].End = e.Time
+					pairs[open].Outcome = StealSuccess
+					pairs[open].Nodes = e.Arg
+					open = -1
+				}
+			case trace.EvNoWorkRecv:
+				if open >= 0 {
+					pairs[open].End = e.Time
+					pairs[open].Outcome = StealRefused
+					open = -1
+				}
+			case trace.EvStealAbort:
+				if open >= 0 {
+					pairs[open].End = e.Time
+					pairs[open].Outcome = StealAborted
+					open = -1
+				}
+			}
+		}
+		if open >= 0 {
+			pairs = pairs[:open]
+		}
+	}
+	sort.SliceStable(pairs, func(i, j int) bool {
+		if pairs[i].Send != pairs[j].Send {
+			return pairs[i].Send < pairs[j].Send
+		}
+		return pairs[i].Thief < pairs[j].Thief
+	})
+	return pairs
+}
+
+// randomStealLog is one rank's time-ordered log of n events drawn from
+// the kinds PairSteals reads plus two it must ignore. Time advances by
+// 0..2 ns a step, so sends collide across thieves, an abort is often
+// followed by a retry in the same nanosecond, sends follow sends
+// (orphans, as after a ring eviction) and closes arrive unopened.
+func randomStealLog(r *rng.Xoshiro256, ranks, n int) []trace.Event {
+	kinds := []trace.EventKind{
+		trace.EvStealSend, trace.EvStealSend, trace.EvWorkRecv, trace.EvNoWorkRecv,
+		trace.EvStealAbort, trace.EvStealRecv, trace.EvQuantumEnd,
+	}
+	var es []trace.Event
+	now := sim.Time(r.Intn(4))
+	for i := 0; i < n; i++ {
+		now += sim.Time(r.Intn(3))
+		es = append(es, trace.Event{
+			Time: now, Kind: kinds[r.Intn(len(kinds))],
+			Peer: int32(r.Intn(ranks)), Arg: int64(r.Intn(50)),
+		})
+	}
+	return es
+}
+
+func TestPairStealsMatchesStableSort(t *testing.T) {
+	check := func(name string, events [][]trace.Event) {
+		t.Helper()
+		tr := &trace.Trace{Events: events}
+		got, want := PairSteals(tr), pairStealsStableSort(tr)
+		if len(want) == 0 {
+			if got != nil {
+				t.Errorf("%s: no pairs, but got %#v instead of nil", name, got)
+			}
+			return
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, the stable sort has %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: pair %d = %+v, the stable sort has %+v", name, i, got[i], want[i])
+			}
+		}
+	}
+
+	r := rng.New(16)
+	for trial := 0; trial < 200; trial++ {
+		ranks := 1 + r.Intn(12)
+		events := make([][]trace.Event, ranks)
+		for rank := range events {
+			if r.Intn(5) > 0 { // one rank in five logs nothing at all
+				events[rank] = randomStealLog(r, ranks, r.Intn(60))
+			}
+		}
+		check("random", events)
+	}
+	check("single rank", [][]trace.Event{randomStealLog(r, 1, 200)})
+	check("one thief among idle ranks", [][]trace.Event{nil, randomStealLog(r, 3, 200), nil})
+	check("a rank with sends but no pair", [][]trace.Event{
+		randomStealLog(r, 2, 80),
+		{{Time: 1, Kind: trace.EvStealSend}, {Time: 1, Kind: trace.EvStealSend}},
+	})
+	check("no sends", [][]trace.Event{{{Time: 3, Kind: trace.EvWorkRecv}, {Time: 4, Kind: trace.EvStealAbort}}})
+	check("only an orphan and an open tail", [][]trace.Event{{{Time: 3, Kind: trace.EvStealSend}, {Time: 4, Kind: trace.EvStealSend}}})
+	check("no event log", nil)
+}
+
+// BenchmarkPairSteals pairs a steal storm: 1024 thieves, 200 completed
+// transactions each, sends colliding across thieves.
+func BenchmarkPairSteals(b *testing.B) {
+	const thieves, pairs = 1024, 200
+	events := make([][]trace.Event, thieves)
+	for rank := range events {
+		es := make([]trace.Event, 0, 2*pairs)
+		for i := 0; i < pairs; i++ {
+			at := sim.Time(i*100 + rank%7)
+			es = append(es,
+				trace.Event{Time: at, Kind: trace.EvStealSend, Peer: int32((rank + i) % thieves), Arg: int64(i)},
+				trace.Event{Time: at + 40, Kind: trace.EvNoWorkRecv, Peer: int32((rank + i) % thieves), Arg: int64(i)})
+		}
+		events[rank] = es
+	}
+	tr := &trace.Trace{Events: events}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := PairSteals(tr); len(got) != thieves*pairs {
+			b.Fatalf("%d pairs, want %d", len(got), thieves*pairs)
+		}
 	}
 }

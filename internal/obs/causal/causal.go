@@ -159,13 +159,13 @@ func Build(tr *trace.Trace) *Graph {
 		for i, e := range es {
 			switch e.Kind {
 			case trace.EvWorkSend:
-				workSend[r] = addPeerIdx(workSend[r], e.Peer, i)
+				workSend[r] = addPeerIdx(workSend[r], int(e.Peer), i)
 			case trace.EvWorkRecv:
-				workRecv[r] = addPeerIdx(workRecv[r], e.Peer, i)
+				workRecv[r] = addPeerIdx(workRecv[r], int(e.Peer), i)
 			case trace.EvTokenSend:
-				tokSend[r] = addPeerIdx(tokSend[r], e.Peer, i)
+				tokSend[r] = addPeerIdx(tokSend[r], int(e.Peer), i)
 			case trace.EvTokenRecv:
-				tokRecv[r] = addPeerIdx(tokRecv[r], e.Peer, i)
+				tokRecv[r] = addPeerIdx(tokRecv[r], int(e.Peer), i)
 			case trace.EvStealSend:
 				if stealSendAt[r] == nil {
 					stealSendAt[r] = make(map[uint64]int)
@@ -298,7 +298,7 @@ func (g *Graph) resolveRequest(t *Transfer, stealSendAt []map[uint64]int) {
 		return
 	}
 	pe := ev[t.SendIdx-1]
-	if pe.Kind != trace.EvStealRecv || pe.Peer != t.Thief {
+	if pe.Kind != trace.EvStealRecv || int(pe.Peer) != t.Thief {
 		return // request observation evicted from the victim's ring
 	}
 	t.ReqID = uint64(pe.Arg)
@@ -316,7 +316,7 @@ func (g *Graph) resolveRequest(t *Transfer, stealSendAt []map[uint64]int) {
 	}
 	if si, ok := stealSendAt[t.Thief][t.ReqID]; ok {
 		se := g.tr.Events[t.Thief][si]
-		if se.Kind == trace.EvStealSend && se.Peer == t.Victim && se.Time < t.Send {
+		if se.Kind == trace.EvStealSend && int(se.Peer) == t.Victim && se.Time < t.Send {
 			t.ReqSend = se.Time
 			t.ReqSendIdx = si
 		}

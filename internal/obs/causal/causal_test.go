@@ -21,7 +21,7 @@ import (
 // request flight binds), then the token circulates 0 -> 1 -> 2 -> 0.
 func fixtureTrace() *trace.Trace {
 	ev := func(t sim.Time, k trace.EventKind, peer int, arg int64) trace.Event {
-		return trace.Event{Time: t, Kind: k, Peer: peer, Arg: arg}
+		return trace.Event{Time: t, Kind: k, Peer: int32(peer), Arg: arg}
 	}
 	return &trace.Trace{
 		End: 430,

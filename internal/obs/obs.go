@@ -30,19 +30,25 @@
 package obs
 
 import (
+	"slices"
+
 	"distws/internal/sim"
 	"distws/internal/trace"
 )
 
 // DefaultRingCap is the default per-rank event ring capacity (events,
-// not bytes). At 24 bytes per event this bounds recording memory to
-// ~200 KiB per rank; runs that outgrow it keep the newest events and
-// count the evicted ones.
+// not bytes). At 24 bytes per event a full ring holds 192 KiB of
+// events — 216 KiB of storage with the slack append's growth leaves —
+// so recording memory is bounded to ~200 KiB per rank; runs that
+// outgrow it keep the newest events and count the evicted ones.
 const DefaultRingCap = 1 << 13
 
 // Recorder accumulates protocol-level events into bounded per-rank
-// rings. It is not safe for concurrent use — the simulator is
-// single-threaded; the concurrent runtime uses the Registry instead.
+// rings. Each rank's ring has a single writer — the sharded engine
+// records from parallel windows, every rank from the shard that owns
+// it — so rings share no storage; beyond that the recorder is not safe
+// for concurrent use (the concurrent runtime uses the Registry
+// instead).
 type Recorder struct {
 	rings []ring
 	cap   int
@@ -71,17 +77,18 @@ func NewRecorder(n, capPerRank int) *Recorder {
 func (r *Recorder) Enabled() bool { return r != nil }
 
 // Record appends one event to rank's ring, evicting the oldest event
-// once the ring is full. A nil receiver is the disabled fast path.
+// once the ring is full. peer is a rank or tenant index (or -1) and is
+// stored as int32. A nil receiver is the disabled fast path.
 func (r *Recorder) Record(rank int, t sim.Time, kind trace.EventKind, peer int, arg int64) {
 	if r == nil {
 		return
 	}
 	g := &r.rings[rank]
 	if len(g.buf) < r.cap {
-		g.buf = append(g.buf, trace.Event{Time: t, Kind: kind, Peer: peer, Arg: arg})
+		g.buf = append(g.buf, trace.Event{Time: t, Arg: arg, Peer: int32(peer), Kind: kind})
 		return
 	}
-	g.buf[g.head] = trace.Event{Time: t, Kind: kind, Peer: peer, Arg: arg}
+	g.buf[g.head] = trace.Event{Time: t, Arg: arg, Peer: int32(peer), Kind: kind}
 	g.head++
 	if g.head == len(g.buf) {
 		g.head = 0
@@ -101,8 +108,11 @@ func (r *Recorder) Dropped() uint64 {
 	return n
 }
 
-// Snapshot copies the recorded events out, per rank in time order,
-// together with the per-rank eviction counts. Nil on a nil receiver.
+// Snapshot hands the recorded events over, per rank in time order,
+// together with the per-rank eviction counts. The slices returned are
+// the rings' own storage (a wrapped ring is rotated in place), not
+// copies: the recorder is spent afterwards — its rings are empty, only
+// the eviction counts remain. Nil on a nil receiver.
 func (r *Recorder) Snapshot() ([][]trace.Event, []uint64) {
 	if r == nil {
 		return nil, nil
@@ -112,19 +122,22 @@ func (r *Recorder) Snapshot() ([][]trace.Event, []uint64) {
 	for i := range r.rings {
 		g := &r.rings[i]
 		dropped[i] = g.dropped
-		if len(g.buf) == 0 {
-			continue
+		if g.head != 0 {
+			// Three reversals move buf[head:], the oldest events, to
+			// the front.
+			slices.Reverse(g.buf[:g.head])
+			slices.Reverse(g.buf[g.head:])
+			slices.Reverse(g.buf)
 		}
-		out := make([]trace.Event, 0, len(g.buf))
-		out = append(out, g.buf[g.head:]...)
-		out = append(out, g.buf[:g.head]...)
-		events[i] = out
+		events[i] = g.buf
+		g.buf, g.head = nil, 0
 	}
 	return events, dropped
 }
 
-// Attach copies the recorded events into tr. A nil receiver leaves tr
-// untouched, so callers can attach unconditionally.
+// Attach hands the recorded events to tr (see Snapshot: the recorder
+// is spent afterwards). A nil receiver leaves tr untouched, so callers
+// can attach unconditionally.
 func (r *Recorder) Attach(tr *trace.Trace) {
 	if r == nil || tr == nil {
 		return

@@ -119,14 +119,17 @@ func ParseEventKind(s string) (EventKind, bool) {
 	return NumEventKinds, false
 }
 
-// Event is one protocol-level occurrence on one rank.
+// Event is one protocol-level occurrence on one rank, packed to 24
+// bytes (TestSnapshotHandsOverWithoutCopy in internal/obs pins the
+// size): rank indices and tenant indices fit int32, and the field
+// order leaves the only padding at the tail.
 type Event struct {
 	Time sim.Time
-	Kind EventKind
-	// Peer is the other rank involved, or -1 when the event is local.
-	Peer int
 	// Arg is the kind-specific payload (see the kind constants).
 	Arg int64
+	// Peer is the other rank involved, or -1 when the event is local.
+	Peer int32
+	Kind EventKind
 }
 
 // TotalEvents returns the number of recorded protocol events across

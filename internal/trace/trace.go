@@ -21,7 +21,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 
 	"distws/internal/rng"
 	"distws/internal/sim"
@@ -221,7 +223,7 @@ func (t *Trace) Validate() error {
 			if e.Kind >= NumEventKinds {
 				return fmt.Errorf("trace: rank %d event %d has unknown kind %d", rank, i, e.Kind)
 			}
-			if e.Peer < -1 || e.Peer >= t.Ranks() {
+			if e.Peer < -1 || int(e.Peer) >= t.Ranks() {
 				return fmt.Errorf("trace: rank %d event %d names invalid peer %d", rank, i, e.Peer)
 			}
 			if i > 0 && es[i-1].Time > e.Time {
@@ -350,7 +352,8 @@ func (t *Trace) shift(offsets []sim.Duration, clamp bool) *Trace {
 // ---------------------------------------------------------------------
 // JSONL serialization
 
-// jsonRecord is the wire form of one trace line.
+// jsonRecord is the wire form of one trace line: ReadJSONL's decode
+// target, and the layout WriteJSONL reproduces by hand.
 type jsonRecord struct {
 	Kind  string   `json:"kind"` // "meta", "transition", "session", "event" or "drops"
 	Rank  int      `json:"rank,omitempty"`
@@ -371,51 +374,118 @@ type jsonRecord struct {
 	Arg  int64  `json:"arg,omitempty"`
 }
 
-// WriteJSONL serializes the trace as JSON Lines: a meta record followed
-// by transition and session records.
+// jsonlBufSize is WriteJSONL's output buffer; jsonlMaxLine is the room
+// one record needs at most (the longest, a session with six 20-digit
+// fields, is under 200 bytes), so the buffer is flushed before a record
+// that might not fit and never grows.
+const (
+	jsonlBufSize = 64 << 10
+	jsonlMaxLine = 512
+)
+
+// WriteJSONL serializes the trace as JSON Lines: a meta record, then
+// the transition, session and event records rank by rank, then one
+// drops record per rank that evicted events. The bytes are exactly what
+// encoding/json produces for jsonRecord — fields in declaration order,
+// zero values omitted, so rank 0, time 0 and peer 0 leave no key while
+// peer -1 is written out — which is the format ReadJSONL and obscheck
+// parse. Records are appended into one reused buffer; nothing is
+// allocated per record.
 func (t *Trace) WriteJSONL(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	if err := enc.Encode(jsonRecord{Kind: "meta", Ranks: t.Ranks(), End: t.End}); err != nil {
-		return err
-	}
+	buf := make([]byte, 0, jsonlBufSize)
+	var headArr [48]byte
+	var err error
+
+	buf = recordHead(buf, "meta", 0)
+	buf = appendField(buf, `,"end":`, int64(t.End))
+	buf = appendField(buf, `,"ranks":`, int64(t.Ranks()))
+	buf = append(buf, "}\n"...)
+
 	for rank, trs := range t.Transitions {
+		head := recordHead(headArr[:0], "transition", rank)
 		for _, tr := range trs {
-			if err := enc.Encode(jsonRecord{Kind: "transition", Rank: rank, Time: tr.Time, State: tr.State.String()}); err != nil {
+			if buf, err = startRecord(w, buf, head); err != nil {
 				return err
 			}
+			buf = appendField(buf, `,"t":`, int64(tr.Time))
+			buf = append(buf, `,"state":"`...)
+			buf = append(buf, tr.State.String()...)
+			buf = append(buf, "\"}\n"...)
 		}
 	}
 	for rank, ss := range t.Sessions {
+		head := recordHead(headArr[:0], "session", rank)
 		for _, s := range ss {
-			if err := enc.Encode(jsonRecord{
-				Kind: "session", Rank: rank,
-				Start: s.Start, End: s.End,
-				Attempts: s.Attempts, Failed: s.Failed, Success: s.Success,
-			}); err != nil {
+			if buf, err = startRecord(w, buf, head); err != nil {
 				return err
 			}
+			buf = appendField(buf, `,"end":`, int64(s.End))
+			buf = appendField(buf, `,"start":`, int64(s.Start))
+			buf = appendField(buf, `,"attempts":`, int64(s.Attempts))
+			buf = appendField(buf, `,"failed":`, int64(s.Failed))
+			if s.Success {
+				buf = append(buf, `,"success":true`...)
+			}
+			buf = append(buf, "}\n"...)
 		}
 	}
 	for rank, es := range t.Events {
-		for _, e := range es {
-			if err := enc.Encode(jsonRecord{
-				Kind: "event", Rank: rank, Time: e.Time,
-				Ev: e.Kind.String(), Peer: e.Peer, Arg: e.Arg,
-			}); err != nil {
+		head := recordHead(headArr[:0], "event", rank)
+		for i := range es {
+			e := &es[i]
+			if buf, err = startRecord(w, buf, head); err != nil {
 				return err
 			}
+			buf = appendField(buf, `,"t":`, int64(e.Time))
+			buf = append(buf, `,"ev":"`...)
+			buf = append(buf, e.Kind.String()...)
+			buf = append(buf, '"')
+			buf = appendField(buf, `,"peer":`, int64(e.Peer))
+			buf = appendField(buf, `,"arg":`, e.Arg)
+			buf = append(buf, "}\n"...)
 		}
 	}
 	for rank, d := range t.EventsDropped {
 		if d == 0 {
 			continue
 		}
-		if err := enc.Encode(jsonRecord{Kind: "drops", Rank: rank, Arg: int64(d)}); err != nil {
+		if buf, err = startRecord(w, buf, recordHead(headArr[:0], "drops", rank)); err != nil {
 			return err
 		}
+		buf = appendField(buf, `,"arg":`, int64(d))
+		buf = append(buf, "}\n"...)
 	}
-	return bw.Flush()
+	_, err = w.Write(buf)
+	return err
+}
+
+// startRecord begins one more record with head, first writing buf out
+// when the record might not fit.
+func startRecord(w io.Writer, buf, head []byte) ([]byte, error) {
+	if len(buf) > jsonlBufSize-jsonlMaxLine {
+		if _, err := w.Write(buf); err != nil {
+			return buf, err
+		}
+		buf = buf[:0]
+	}
+	return append(buf, head...), nil
+}
+
+// recordHead appends the part of a record every line of one rank
+// shares: the opening brace, the kind and the rank (omitted when 0).
+func recordHead(dst []byte, kind string, rank int) []byte {
+	dst = append(dst, `{"kind":"`...)
+	dst = append(dst, kind...)
+	dst = append(dst, '"')
+	return appendField(dst, `,"rank":`, int64(rank))
+}
+
+// appendField appends key and v unless v is zero (omitempty).
+func appendField(dst []byte, key string, v int64) []byte {
+	if v == 0 {
+		return dst
+	}
+	return strconv.AppendInt(append(dst, key...), v, 10)
 }
 
 // MaxLineBytes bounds one JSONL record line on read. Records written
@@ -424,6 +494,11 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 // pathological generator) and is rejected with a clear error instead
 // of being silently split or ballooning memory.
 const MaxLineBytes = 1 << 20
+
+// MaxRanks bounds the rank count ReadJSONL accepts: the per-rank tables
+// are allocated from the meta record before any other line is seen, so
+// an absurd count must be an error, not an allocation.
+const MaxRanks = 1 << 20
 
 // lineReader yields one JSONL record per call with line-accurate
 // errors for oversized, truncated, and corrupt input.
@@ -483,6 +558,9 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	if meta.Kind != "meta" || meta.Ranks <= 0 {
 		return nil, fmt.Errorf("trace: malformed meta record %+v", meta)
 	}
+	if meta.Ranks > MaxRanks {
+		return nil, fmt.Errorf("trace: meta record claims %d ranks, limit %d", meta.Ranks, MaxRanks)
+	}
 	t := &Trace{
 		End:         meta.End,
 		Transitions: make([][]Transition, meta.Ranks),
@@ -501,9 +579,14 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 		}
 		switch rec.Kind {
 		case "transition":
-			st := Idle
-			if rec.State == "active" {
+			var st State
+			switch rec.State {
+			case "idle":
+				st = Idle
+			case "active":
 				st = Active
+			default:
+				return nil, fmt.Errorf("trace: line %d: unknown state %q", lr.line, rec.State)
 			}
 			t.Transitions[rec.Rank] = append(t.Transitions[rec.Rank], Transition{Time: rec.Time, State: st})
 		case "session":
@@ -516,11 +599,14 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 			if !ok {
 				return nil, fmt.Errorf("trace: line %d: unknown event kind %q", lr.line, rec.Ev)
 			}
+			if rec.Peer < math.MinInt32 || rec.Peer > math.MaxInt32 {
+				return nil, fmt.Errorf("trace: line %d: peer %d does not fit a rank index", lr.line, rec.Peer)
+			}
 			if t.Events == nil {
 				t.Events = make([][]Event, meta.Ranks)
 			}
 			t.Events[rec.Rank] = append(t.Events[rec.Rank], Event{
-				Time: rec.Time, Kind: kind, Peer: rec.Peer, Arg: rec.Arg,
+				Time: rec.Time, Kind: kind, Peer: int32(rec.Peer), Arg: rec.Arg,
 			})
 		case "drops":
 			if t.EventsDropped == nil {
