@@ -11,7 +11,7 @@ ARTIFACTS ?= artifacts
 # corner: the golden ledger the matrix gate compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke par-smoke parprof-smoke bench-json bench-smoke matrix-smoke matrix-baseline check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke par-smoke parprof-smoke bench-json bench-smoke profile matrix-smoke matrix-baseline check clean
 
 build:
 	$(GO) build ./...
@@ -124,15 +124,16 @@ chaos-smoke:
 	@echo "chaos-smoke: wrote $(SMOKE)/chaos.txt and chaos.table.txt"
 
 # Hot-path benchmarks of the simulation substrate (event kernel,
-# messaging, latency lookup, UTS hashing) and of the observability
-# pipeline's two bulk stages (JSONL export, steal pairing), exported
-# as a JSON artifact for archiving and cross-commit comparison.
+# messaging, latency lookup, UTS hashing, the engine's failed-steal
+# round trip) and of the observability pipeline's two bulk stages
+# (JSONL export, steal pairing), exported as a JSON artifact for
+# archiving and cross-commit comparison.
 # BENCHTIME=1x gives the CI smoke variant below; default is a real
 # measurement.
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
-BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
-BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
+BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/core ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
+BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkFailedSteal|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,KernelHotPath/pending=8192+backoff,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,FailedSteal,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 
@@ -155,6 +156,21 @@ bench-smoke:
 	@mkdir -p $(ARTIFACTS)/bench
 	$(BENCH_RUN) | $(GO) run ./cmd/benchjson -require $(BENCH_REQUIRE) \
 		-out $(ARTIFACTS)/bench/BENCH_sim.json -baseline BENCH_sim.json
+
+# profile runs one benchmark of the root package under the CPU profiler
+# and prints the flat top of it. The default is the repository
+# benchmark's steal-8k configuration, so a change in that workload can
+# be profiled without editing bench/. The test binary and cpu.prof stay
+# in $(SMOKE) for `go tool pprof -list <regexp>`.
+BENCH ?= SimulatorThroughput/ranks=8192
+PROFILE_TIME ?= 10x
+profile:
+	@mkdir -p $(SMOKE)
+	$(GO) test -c -o $(SMOKE)/distws.test .
+	$(SMOKE)/distws.test -test.run '^$$' -test.bench '$(BENCH)' -test.benchtime $(PROFILE_TIME) \
+		-test.cpuprofile $(SMOKE)/cpu.prof
+	$(GO) tool pprof -top -nodecount 25 $(SMOKE)/distws.test $(SMOKE)/cpu.prof
+	@echo "profile: $(SMOKE)/distws.test and $(SMOKE)/cpu.prof kept for go tool pprof -list"
 
 # serve-smoke drives the open-system serving layer end to end: a
 # fixed-seed two-tenant serving run through cmd/uts must drain every

@@ -7,6 +7,7 @@ package distws
 // EXPERIMENTS.md comes from cmd/experiments.
 
 import (
+	"fmt"
 	"testing"
 
 	"distws/internal/core"
@@ -15,6 +16,7 @@ import (
 	"distws/internal/obs"
 	"distws/internal/rt"
 	"distws/internal/sim"
+	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
 )
@@ -69,28 +71,36 @@ func BenchmarkAblationJitter(b *testing.B)       { benchExperiment(b, "ablation-
 func BenchmarkExtensionDAG(b *testing.B)         { benchExperiment(b, "ext-dag") }
 func BenchmarkChaos(b *testing.B)                { benchExperiment(b, "chaos") }
 
-// BenchmarkSimulatorThroughput measures raw simulation speed: virtual
-// events and tree nodes processed per wall second for one mid-size
-// configuration.
+// BenchmarkSimulatorThroughput measures raw simulation speed — tree
+// nodes processed per wall second by whole core.Run calls — at three
+// machine sizes: an experiment-sweep cell, the closed 1024-rank runs,
+// and the paper's top rung, which is the repository benchmark's
+// steal-8k configuration (bench/workloads.go) and so the one to profile
+// when that workload moves: `make profile`.
 func BenchmarkSimulatorThroughput(b *testing.B) {
-	cfg := core.Config{
-		Tree:      uts.MustPreset("H-TINY").Params,
-		Ranks:     64,
-		Selector:  victim.NewDistanceSkewed,
-		Steal:     core.StealHalf,
-		ChunkSize: 4,
-		Seed:      1,
+	for _, ranks := range []int{64, 1024, 8192} {
+		b.Run(fmt.Sprintf("ranks=%d", ranks), func(b *testing.B) {
+			cfg := core.Config{
+				Tree:      uts.MustPreset("H-TINY").Params,
+				Ranks:     ranks,
+				Placement: topology.OnePerNode,
+				Selector:  victim.NewDistanceSkewed,
+				Steal:     core.StealHalf,
+				ChunkSize: 4,
+				Seed:      1,
+			}
+			b.ReportAllocs()
+			var nodes uint64
+			for i := 0; i < b.N; i++ {
+				res, err := core.Run(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				nodes += res.Nodes
+			}
+			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
+		})
 	}
-	b.ReportAllocs()
-	var nodes uint64
-	for i := 0; i < b.N; i++ {
-		res, err := core.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes += res.Nodes
-	}
-	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 }
 
 // BenchmarkObservability measures what instrumentation costs the

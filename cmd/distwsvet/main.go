@@ -141,6 +141,8 @@ var (
 		"(*distws/internal/dagws.scheduler).complete",
 		"(*distws/internal/dagws.scheduler).onDelivery",
 		"(*distws/internal/sim.Kernel).Step",
+		"(*distws/internal/sim.Kernel).advance",
+		"(*distws/internal/sim.Kernel).farMin",
 		"(*distws/internal/comm.Network).send",
 		"(*distws/internal/fault.Injector).Outcome",
 		"(*distws/internal/fault.Injector).ScaleCompute",

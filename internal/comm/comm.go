@@ -81,30 +81,40 @@ func (t Tag) String() string {
 // boxes payloads into an interface. Extension protocols built on the
 // network (package dagws, tests) may instead ship arbitrary data in
 // Payload via the generic Send.
+//
+// The struct is laid out as a 64-byte header — everything a steal
+// request, a no-work reply or a terminate broadcast carries, and
+// everything send and delivery stamp — followed by the bodies only work
+// replies, tokens and extension traffic fill. A message sent with
+// SendID lives and is recycled in its first cache line
+// (TestMessageHeaderOneLine pins the split).
 type Message struct {
 	From, To int
 	Tag      Tag
+	// body marks a message whose sender filled a field past the header
+	// (Nodes, Token or Payload), which Free then has to clear.
+	body bool
 
 	// ID correlates a steal request with its reply; it is valid for
 	// TagStealRequest, TagWork and TagNoWork.
 	ID uint64
-	// Nodes is the stolen loot of a TagWork reply.
-	Nodes []uts.Node
-	// Lineage is the migration depth of a TagWork reply's loot: how many
-	// successful steals the work has survived since rank 0's root
-	// (depth 0). Thieves record it so steal chains i→j→k are recoverable.
-	Lineage int
-	// Token is the termination-detection token of a TagToken message.
-	Token term.Token
-	// Payload carries extension data for messages sent with the generic
-	// Send; nil for the typed protocol kinds.
-	Payload any
-
 	// Size is the modeled wire size in bytes, used for the bandwidth
 	// term of the latency model.
 	Size        int
 	SentAt      sim.Time
 	DeliveredAt sim.Time
+	// Lineage is the migration depth of a TagWork reply's loot: how many
+	// successful steals the work has survived since rank 0's root
+	// (depth 0). Thieves record it so steal chains i→j→k are recoverable.
+	Lineage int
+
+	// Nodes is the stolen loot of a TagWork reply.
+	Nodes []uts.Node
+	// Token is the termination-detection token of a TagToken message.
+	Token term.Token
+	// Payload carries extension data for messages sent with the generic
+	// Send; nil for the typed protocol kinds.
+	Payload any
 }
 
 // Stats aggregates traffic counters. Dropped and Duplicated stay zero
@@ -283,16 +293,27 @@ func (n *Network) Job() *topology.Job { return n.job }
 // Stats returns a snapshot of the traffic counters.
 func (n *Network) Stats() Stats { return n.stats }
 
-// alloc takes a zeroed Message from the free list, or the heap when the
-// list is empty.
+// poolSlab is how many messages the pool grows by: one contiguous
+// allocation instead of one per message in flight (a steal storm has
+// about one request or reply in flight per rank). The last slab is
+// mostly slack, so it is kept small next to the 65–100 messages a
+// 64-rank sweep run peaks at.
+const poolSlab = 16
+
+// alloc takes a zeroed Message from the free list, growing the list by
+// a slab when it is empty.
 func (n *Network) alloc() *Message {
-	if last := len(n.pool) - 1; last >= 0 {
-		m := n.pool[last]
-		n.pool[last] = nil
-		n.pool = n.pool[:last]
-		return m
+	if len(n.pool) == 0 {
+		slab := make([]Message, poolSlab)
+		for i := len(slab) - 1; i >= 0; i-- { // handed out in address order
+			n.pool = append(n.pool, &slab[i])
+		}
 	}
-	return &Message{}
+	last := len(n.pool) - 1
+	m := n.pool[last]
+	n.pool[last] = nil
+	n.pool = n.pool[:last]
+	return m
 }
 
 // Free returns a polled message to the network's free list. Callers
@@ -301,8 +322,19 @@ func (n *Network) alloc() *Message {
 // recycles a small working set instead of allocating per send. Freeing
 // is optional — unfreed messages are simply collected — and a message
 // must not be used after it is freed.
+//
+// The message goes back zeroed, but Free writes only what the sender
+// filled: always the header, and the bodies behind it only when
+// SendNodes, SendToken or Send marked the message (a duplicate made by
+// the interposer inherits its original's mark). Request-id traffic is
+// never touched past its first cache line.
 func (n *Network) Free(m *Message) {
-	*m = Message{}
+	if m.body {
+		*m = Message{}
+	} else {
+		m.From, m.To, m.Tag, m.ID = 0, 0, 0, 0
+		m.Size, m.SentAt, m.DeliveredAt, m.Lineage = 0, 0, 0, 0
+	}
 	n.pool = append(n.pool, m)
 }
 
@@ -364,6 +396,7 @@ func (n *Network) send(m *Message) {
 func (n *Network) Send(from, to int, tag Tag, payload any, size int) {
 	m := n.alloc()
 	m.From, m.To, m.Tag, m.Payload, m.Size = from, to, tag, payload, size
+	m.body = true
 	n.send(m)
 }
 
@@ -380,7 +413,7 @@ func (n *Network) SendID(from, to int, tag Tag, id uint64, size int) {
 func (n *Network) SendNodes(from, to int, id uint64, nodes []uts.Node, lineage, size int) {
 	m := n.alloc()
 	m.From, m.To, m.Tag, m.ID, m.Nodes, m.Size = from, to, TagWork, id, nodes, size
-	m.Lineage = lineage
+	m.Lineage, m.body = lineage, true
 	n.send(m)
 }
 
@@ -388,6 +421,7 @@ func (n *Network) SendNodes(from, to int, id uint64, nodes []uts.Node, lineage, 
 func (n *Network) SendToken(from, to int, tok term.Token, size int) {
 	m := n.alloc()
 	m.From, m.To, m.Tag, m.Token, m.Size = from, to, TagToken, tok, size
+	m.body = true
 	n.send(m)
 }
 

@@ -399,12 +399,12 @@ func TestInterposerDroppedMessageIsPooled(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// The dropped message went straight back to the free list: the next
-	// alloc must reuse it rather than touch the heap.
-	if len(n.pool) != 1 {
-		t.Fatalf("pool holds %d messages after a drop, want 1", len(n.pool))
+	// The dropped message went straight back to the free list — the
+	// pool's one slab is whole again — and the next alloc must reuse it.
+	if len(n.pool) != poolSlab {
+		t.Fatalf("pool holds %d messages after a drop, want the slab's %d", len(n.pool), poolSlab)
 	}
-	recycled := n.pool[0]
+	recycled := n.pool[len(n.pool)-1]
 	n.SendID(0, 1, TagWork, 2, 8)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -67,20 +67,34 @@ var DefaultBackoff = Backoff{
 	BlacklistFor:   1 * sim.Millisecond,
 }
 
-// rank is the per-rank engine state.
+// rank is the per-rank engine state, one element of the engine's rank
+// slab. The layout is a cache-line budget (DESIGN.md §10,
+// TestRankHotLayout): the first 64 bytes are everything a thief reads
+// and writes between a reply and its next request, the work stack
+// follows by value so that a request finds the victim's state and its
+// chunk count on one aligned 128-byte pair, and what only a working
+// rank touches comes after. The struct is a multiple of 64 bytes, so
+// every element of the slab starts on a line.
 type rank struct {
 	state rankState
-	stack *workstack.Stack
+	// lastAborted flags that the next request is a post-timeout retry
+	// (traced as EvStealRetry).
+	lastAborted bool
+	recovering  bool // a steal timed out; work not yet refound (fault plans only)
+	consecFails int32
+	// pendingVictim is the victim of the outstanding request, -1 when
+	// there is none.
+	pendingVictim int32
+	// consecTimeouts counts steal timeouts since the last reply.
+	consecTimeouts int32
+	reqID          uint64 // id of the outstanding request
+	waitStart      sim.Time
+	searchWait     sim.Duration // total time waiting for replies
+	fails          uint64
+	requests       uint64
+	backoff        sim.Duration
 
-	// Tree statistics. units is the accumulated expansion cost in
-	// NodeCost units (one per child generated, one per leaf).
-	nodes, leaves, units uint64
-	maxDepth             int32
-	// generated counts nodes this rank materialized: rank 0's root plus
-	// every child it pushed. Summed over ranks it bounds the whole
-	// tree; under fault injection the accounting invariant is
-	// completed + lost == generated.
-	generated uint64
+	stack workstack.Stack
 
 	// In-progress node expansion, resumable across quanta so that a
 	// high-fanout node (e.g. a root with thousands of children) does
@@ -89,22 +103,20 @@ type rank struct {
 	gen               uts.ChildGen
 	expNext, expTotal int
 
-	// Steal statistics.
-	requests, fails, successes uint64
-	aborted                    uint64
+	// Tree statistics. units is the accumulated expansion cost in
+	// NodeCost units (one per child generated, one per leaf).
+	nodes, leaves, units uint64
+	// generated counts nodes this rank materialized: rank 0's root plus
+	// every child it pushed. Summed over ranks it bounds the whole
+	// tree; under fault injection the accounting invariant is
+	// completed + lost == generated.
+	generated uint64
+	maxDepth  int32
 	// lineage is the migration depth of the work the rank currently
 	// holds: 0 for rank 0's root work, and d+1 after accepting a
 	// transfer whose loot had depth d. Victims stamp outgoing loot with
 	// lineage+1, so steal chains i→j→k are recoverable from transfers.
-	lineage       int
-	consecFails   int
-	backoff       sim.Duration
-	pendingVictim int    // victim of the outstanding request
-	reqID         uint64 // id of the outstanding request
-	waitStart     sim.Time
-	idleSince     sim.Time     // start of the current work-discovery session
-	searchWait    sim.Duration // total time waiting for replies
-	sessions      uint64
+	lineage int32
 
 	// quantum is the pending quantum-end event, if any (zero when none).
 	quantum sim.Event
@@ -116,20 +128,18 @@ type rank struct {
 	// the next quantum start.
 	extraDelay sim.Duration
 
-	// consecTimeouts counts steal timeouts since the last reply, and
-	// lastAborted flags that the next request is a post-timeout retry
-	// (traced as EvStealRetry).
-	consecTimeouts int
-	lastAborted    bool
+	// The rest of the steal statistics.
+	successes, aborted uint64
+	idleSince          sim.Time // start of the current work-discovery session
+	sessions           uint64
 
-	// Fault-injection state; the maps are allocated (and the fields
-	// touched) only when a fault plan is active.
+	// Fault-injection state, touched only when a fault plan is active;
+	// the maps are allocated by the first timeout that writes them.
 	crashedAt    sim.Time
 	lostNodes    uint64
 	timeouts     map[int]int      // per-victim consecutive timeouts
 	blackUntil   map[int]sim.Time // victim → blacklisted until
 	blacklists   uint64
-	recovering   bool     // a steal timed out; work not yet refound
 	recoverStart sim.Time // when the first timeout of the outage hit
 }
 
@@ -162,12 +172,13 @@ type engine struct {
 	met    engineMetrics   // registry handles; all nil when disabled
 	ranks  []rank
 
-	// rankArg[r] is rank r's index boxed once at startup, and
-	// quantumEndFn, backoffEndFn and stealTimeoutFn the shared timer
-	// callbacks: together they let the per-rank timers schedule through
-	// the kernel's closure-free AfterArg path instead of allocating a
-	// closure per quantum, backoff pause or steal timeout.
-	rankArg        []any
+	// rankID[r] == r, and quantumEndFn, backoffEndFn and stealTimeoutFn
+	// are the shared timer callbacks: a timer's argument is &rankID[r],
+	// a pointer and so free to box, which lets the per-rank timers
+	// schedule through the kernel's closure-free AfterArg path instead
+	// of allocating a closure per quantum, backoff pause or steal
+	// timeout.
+	rankID         []int32
 	quantumEndFn   func(any)
 	backoffEndFn   func(any)
 	stealTimeoutFn func(any)
@@ -390,15 +401,13 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
 	}
 	ranks := make([]rank, cfg.Ranks)
-	rankArg := make([]any, cfg.Ranks)
+	rankID := make([]int32, cfg.Ranks)
 	for i := range ranks {
-		rankArg[i] = i
-		ranks[i].stack = workstack.New(cfg.ChunkSize)
+		rankID[i] = int32(i)
+		ranks[i].stack.Init(cfg.ChunkSize)
 		ranks[i].pendingVictim = -1
 		if inj != nil {
 			ranks[i].crashedAt = -1
-			ranks[i].timeouts = make(map[int]int)
-			ranks[i].blackUntil = make(map[int]sim.Time)
 		}
 	}
 
@@ -417,7 +426,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			ev:         ev,
 			met:        met,
 			ranks:      ranks,
-			rankArg:    rankArg,
+			rankID:     rankID,
 			backoffCfg: cfg.backoff(),
 			inj:        inj,
 			sv:         sv,
@@ -486,16 +495,19 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	return engines, nil
 }
 
+// rankOf recovers r from a timer argument, which is &e.rankID[r].
+func rankOf(a any) int { return int(*a.(*int32)) }
+
 // bindTimers builds the engine's shared per-rank timer callbacks.
 func (e *engine) bindTimers() {
-	e.quantumEndFn = func(a any) { e.quantumEnd(a.(int)) }
+	e.quantumEndFn = func(a any) { e.quantumEnd(rankOf(a)) }
 	e.backoffEndFn = func(a any) {
-		if r := a.(int); e.ranks[r].state == rsBackoff {
+		if r := rankOf(a); e.ranks[r].state == rsBackoff {
 			e.sendSteal(r)
 		}
 	}
 	e.stealTimeoutFn = func(a any) {
-		r := a.(int)
+		r := rankOf(a)
 		e.ranks[r].stealTimer = sim.Event{}
 		e.abortSteal(r)
 	}
@@ -589,7 +601,7 @@ func (e *engine) startQuantum(r int) {
 	}
 	dur := compute + rk.extraDelay
 	rk.extraDelay = 0
-	rk.quantum = e.kernel.AfterArg(dur, e.quantumEndFn, e.rankArg[r])
+	rk.quantum = e.kernel.AfterArg(dur, e.quantumEndFn, &e.rankID[r])
 }
 
 func (e *engine) quantumEnd(r int) {
@@ -643,7 +655,7 @@ func (e *engine) sendSteal(r int) {
 	if e.inj != nil {
 		v = e.skipBlacklisted(r, v)
 	}
-	rk.pendingVictim = v
+	rk.pendingVictim = int32(v)
 	rk.reqID++
 	id := rk.reqID
 	rk.requests++
@@ -659,7 +671,7 @@ func (e *engine) sendSteal(r int) {
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
 		e.kernel.Cancel(rk.stealTimer)
-		rk.stealTimer = e.kernel.AfterArg(e.cfg.StealTimeout, e.stealTimeoutFn, e.rankArg[r])
+		rk.stealTimer = e.kernel.AfterArg(e.cfg.StealTimeout, e.stealTimeoutFn, &e.rankID[r])
 	}
 }
 
@@ -694,7 +706,7 @@ func (e *engine) abortSteal(r int) {
 	if rk.state != rsSearching {
 		return // the reply arrived, or this rank moved on
 	}
-	v, id := rk.pendingVictim, rk.reqID
+	v, id := int(rk.pendingVictim), rk.reqID
 	now := e.kernel.Now()
 	rk.searchWait += now.Sub(rk.waitStart)
 	rk.aborted++
@@ -707,9 +719,15 @@ func (e *engine) abortSteal(r int) {
 			rk.recovering = true
 			rk.recoverStart = rk.waitStart
 		}
+		if rk.timeouts == nil {
+			rk.timeouts = make(map[int]int)
+		}
 		rk.timeouts[v]++
 		if rk.timeouts[v] >= e.backoffCfg.BlacklistAfter {
 			delete(rk.timeouts, v)
+			if rk.blackUntil == nil {
+				rk.blackUntil = make(map[int]sim.Time)
+			}
 			rk.blackUntil[v] = now.Add(e.backoffCfg.BlacklistFor)
 			rk.blacklists++
 		}
@@ -964,7 +982,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		// Work lineage: the loot's migration depth becomes the rank's
 		// (also when banking a late reply below — the banked nodes mix
 		// into the stack, and the freshest transfer wins).
-		rk.lineage = m.Lineage
+		rk.lineage = int32(m.Lineage)
 		e.noteMigration(m.Lineage)
 		e.ev.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
 		e.met.stealSuccess.Inc()
@@ -1073,7 +1091,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
 	e.met.links.Inc(v, thief)
 	e.met.chunkNodes.Observe(int64(len(loot)))
-	e.net.SendNodes(v, thief, id, loot, rk.lineage+1, len(loot)*uts.NodeBytes)
+	e.net.SendNodes(v, thief, id, loot, int(rk.lineage)+1, len(loot)*uts.NodeBytes)
 }
 
 // noteMigration tallies one accepted transfer at the given migration
@@ -1093,7 +1111,7 @@ func (e *engine) noteMigration(depth int) {
 func (e *engine) retryOrBackoff(r int) {
 	rk := &e.ranks[r]
 	b := e.backoffCfg
-	if b.Threshold < 0 || rk.consecFails < b.Threshold {
+	if b.Threshold < 0 || int(rk.consecFails) < b.Threshold {
 		e.sendSteal(r)
 		return
 	}
@@ -1106,7 +1124,7 @@ func (e *engine) retryOrBackoff(r int) {
 		}
 	}
 	rk.state = rsBackoff
-	e.kernel.AfterArg(rk.backoff, e.backoffEndFn, e.rankArg[r])
+	e.kernel.AfterArg(rk.backoff, e.backoffEndFn, &e.rankID[r])
 }
 
 // forwardTokens transmits detector-emitted tokens on the ring.

@@ -9,26 +9,39 @@ import "testing"
 // replaced — the quantum-cancel pattern finishRank and aborting steals
 // produce. The sub-benchmarks vary the number of pending events from
 // the sweep scale to the paper's top rung (the per-event cost must not
-// grow with it), and the last makes every tenth timer a far one — a
-// 100 µs backoff pause — that takes the overflow heap on its way to
-// the wheel. The alloc gate (TestKernelHotPathAllocFree) requires this loop
-// to be allocation-free after warm-up.
+// grow with it). "+far" makes every tenth timer a 100 µs steal timeout,
+// which waits in the far wheel on its way to the near one. "+backoff"
+// is the steal-8k endgame: every rank's timer alternates a 1 µs
+// quantum with a backoff pause of 100 µs doubling to 2 ms, so half of
+// all events cross the far wheel and the near wheel is often empty. The
+// alloc gate (TestKernelHotPathAllocFree) requires this loop to be
+// allocation-free after warm-up.
 func BenchmarkKernelHotPath(b *testing.B) {
 	for _, c := range []struct {
 		name    string
 		pending int
-		far     bool
+		far     farMix
 	}{
-		{"pending=64", 64, false},
-		{"pending=1024", 1024, false},
-		{"pending=8192", 8192, false},
-		{"pending=1024+far", 1024, true},
+		{"pending=64", 64, nearOnly},
+		{"pending=1024", 1024, nearOnly},
+		{"pending=8192", 8192, nearOnly},
+		{"pending=1024+far", 1024, tenthFar},
+		{"pending=8192+backoff", 8192, backoffPauses},
 	} {
 		b.Run(c.name, func(b *testing.B) { benchHotPath(b, c.pending, c.far) })
 	}
 }
 
-func benchHotPath(b *testing.B, pending int, far bool) {
+// farMix selects which of a timer's firings schedule past the near wheel.
+type farMix uint8
+
+const (
+	nearOnly farMix = iota
+	tenthFar
+	backoffPauses
+)
+
+func benchHotPath(b *testing.B, pending int, far farMix) {
 	k := NewKernel()
 	defer k.Release()
 	left := 0
@@ -41,8 +54,13 @@ func benchHotPath(b *testing.B, pending int, far bool) {
 				k.Stop()
 			}
 			delay := Microsecond + Duration(i%7)*100
-			if fired[i]++; far && fired[i]%10 == 0 {
+			fired[i]++
+			switch {
+			case far == tenthFar && fired[i]%10 == 0:
 				delay = 100 * Microsecond
+			case far == backoffPauses && fired[i]%2 == 0:
+				// DefaultBackoff's ladder: 100 µs doubling to the 2 ms cap.
+				delay = min(100*Microsecond<<(fired[i]/2%6), 2*Millisecond) + Duration(i%7)*100
 			}
 			e := k.After(delay, fns[i])
 			if i%5 == 0 {

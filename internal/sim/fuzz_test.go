@@ -14,7 +14,7 @@ type refEvent struct {
 	cancelled bool
 }
 
-// refKernel is the specification the two-tier queue is fuzzed against:
+// refKernel is the specification the three-tier queue is fuzzed against:
 // a flat list kept in scheduling order, with the next event found by a
 // stable sort on time — (when, seq) order with nothing clever in it.
 type refKernel struct {
@@ -67,13 +67,17 @@ func (r *refKernel) step(last Time, order *[]int) bool {
 	return true
 }
 
-// fuzzDelays are the delays an op byte selects: same-instant, inside
-// one occupancy word, across words and summary words, either side of
-// the horizon, and far beyond it.
+// fuzzDelays are the delays an op nibble selects: same-instant, inside
+// one occupancy word and across words and summary words of the near
+// wheel, either side of the range the frontier moves in (it trails
+// now+wheelSize by less than farGrain), timer-sized pauses inside the
+// far wheel, either side of the far horizon (which trails
+// now+wheelSize+farSpan likewise), and beyond it.
 var fuzzDelays = [16]Duration{
-	0, 0, 1, 63, 64, 65, 1000, 4095, 4096,
-	wheelSize - 1, wheelSize, wheelSize + 1, 2*wheelSize - 1,
-	3 * wheelSize, 100 * Microsecond, 7 * Millisecond,
+	0, 0, 1, 63, 64, 4096,
+	wheelSize - farGrain, wheelSize - 1, wheelSize, wheelSize + 1,
+	100 * Microsecond, 3 * Millisecond,
+	farSpan - 1, farSpan, farSpan + wheelSize, 7 * Millisecond,
 }
 
 // FuzzKernelOrder replays a byte string as a sequence of schedule /
@@ -82,13 +86,28 @@ var fuzzDelays = [16]Duration{
 // events, and requires the same dispatch order, clock, queue depth and
 // next-event time after every operation.
 func FuzzKernelOrder(f *testing.F) {
-	// A far event and, from a handler one nanosecond in, a follow-up due
-	// the same instant: the far one was scheduled first and must run first.
-	f.Add([]byte{0, 0x0a, 0, 0x92, 3, 0, 3, 0, 3, 0})
-	f.Add([]byte{0x00, 0x1a, 0x00, 0x0a, 0x00, 0xa9, 3, 0, 3, 0, 3, 0, 3, 0})
-	f.Add([]byte{0, 0x0d, 0, 0x0e, 0, 0x0f, 1, 0x9b, 5, 0, 4, 0x0a, 2, 1, 4, 0x0f, 3, 0, 4, 0x0f})
-	f.Add([]byte{0, 0x9a, 0, 0x9a, 0, 0xa0, 2, 0, 3, 0, 0, 0xaa, 5, 0, 4, 0x0c, 4, 0x0c, 4, 0x0f})
-	f.Add([]byte{1, 0xfe, 1, 0xef, 4, 0x0e, 0, 0x00, 0, 0x10, 2, 3, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0})
+	// An event past the frontier and, from a handler one nanosecond in, a
+	// follow-up due the same instant: the first was scheduled first and
+	// must run first.
+	f.Add([]byte{0, 0x08, 0, 0x72, 3, 0, 3, 0, 3, 0})
+	f.Add([]byte{0x00, 0x18, 0x00, 0x08, 0x00, 0x87, 3, 0, 3, 0, 3, 0, 3, 0})
+	// The far→near seam: two events wait in a far slot; the handler that
+	// runs one nanosecond before them, when the frontier has passed all
+	// three, schedules a third for their timestamp into the near wheel.
+	f.Add([]byte{0, 0x09, 0, 0x09, 0, 0x28, 3, 0, 3, 0, 3, 0, 3, 0})
+	// The heap→far seam: two events exactly on the far horizon; a handler
+	// a wheel turn in, when the horizon has passed them, schedules a
+	// third for their timestamp into the far wheel.
+	f.Add([]byte{0, 0x0e, 0, 0x0e, 0, 0xd8, 3, 0, 3, 0, 3, 0, 3, 0})
+	// A jump longer than farSpan onto two same-instant overflow events:
+	// the second enters the near wheel ahead of the first's follow-up.
+	f.Add([]byte{0, 0x1e, 0, 0x0e, 0, 0x0f, 3, 0, 3, 0, 3, 0, 3, 0})
+	// Steal-timeout pattern: arm, cancel, re-arm in one far slot, peek
+	// (the scan reclaims), run a window short of it, schedule earlier.
+	f.Add([]byte{0, 0x0a, 2, 0, 0, 0x0a, 0, 0x0a, 2, 1, 5, 0, 4, 0x06, 0, 0x03, 4, 0x0b, 3, 0})
+	f.Add([]byte{0, 0x0a, 0, 0x0b, 0, 0x0f, 1, 0x79, 5, 0, 4, 0x08, 2, 1, 4, 0x0f, 3, 0, 4, 0x0f})
+	f.Add([]byte{0, 0x78, 0, 0x78, 0, 0x80, 2, 0, 3, 0, 0, 0x88, 5, 0, 4, 0x0a, 4, 0x0a, 4, 0x0f})
+	f.Add([]byte{1, 0xfa, 1, 0xaf, 4, 0x0a, 0, 0x00, 0, 0x10, 2, 3, 3, 0, 3, 0, 3, 0, 3, 0, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) > 1024 {
 			ops = ops[:1024] // the model re-sorts per op: keep an input cheap

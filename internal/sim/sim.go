@@ -14,33 +14,58 @@
 //
 // # Implementation
 //
-// The queue has two tiers over one event arena with a free list.
+// The queue has three tiers over one event arena with a free list,
+// split by a frontier: front, a multiple of farGrain with
+// now < front <= now+wheelSize that only ever grows.
 //
 // The near tier is a timing wheel: wheelSize slots of one nanosecond
 // each, slot index when&wheelMask, every slot a FIFO chain linked
-// through the arena nodes themselves. The wheel only ever holds events
-// in [Now, Now+wheelSize), so a slot holds one timestamp at a time and
-// needs no comparisons: appending is scheduling order, which is seq
-// order. A two-level occupancy bitmap finds the next non-empty slot in
-// a handful of word operations however sparse the wheel is.
+// through the arena nodes themselves. It holds the events due before
+// front, which is less than a wheel turn past the clock, so a slot
+// holds one timestamp at a time and needs no comparisons: appending is
+// scheduling order, which is seq order. A two-level occupancy bitmap
+// finds the next non-empty slot in a handful of word operations however
+// sparse the wheel is.
 //
-// The far tier is a 4-ary min-heap of (when, seq, slot) entries for
-// events at or beyond the horizon (backoff timers, crash instants,
-// pre-compiled arrivals). Every time the clock advances, and before
-// the dispatched handler runs, the heap's entries that entered the
-// window are moved to their slots in (when, seq) order. Anything a
-// handler schedules for the same timestamp carries a larger seq and
-// lands behind them, so dispatch order is exactly the (when, seq)
-// total order a single heap would give.
+// The far tier is a second wheel of the same construction but coarser:
+// farSlots slots of farGrain nanoseconds, holding the events in
+// [front, front+farSpan) — backoff pauses, steal timeouts. A far slot
+// mixes the timestamps of its farGrain-wide range; its chain keeps the
+// events of any one timestamp in seq order.
+//
+// The overflow tier is a 4-ary min-heap of (when, seq, slot) entries
+// for everything at or beyond front+farSpan (crash instants,
+// pre-compiled arrivals).
+//
+// Every time the clock advances, and before the dispatched handler
+// runs, front is moved up to the last multiple of farGrain within a
+// wheel turn of the new clock, the far slots it passed are emptied into
+// their one-nanosecond slots in chain order, and then the heap entries
+// below the new front+farSpan are moved to the far wheel — or, after a
+// jump longer than farSpan, to the near one — in heap order. When the
+// near wheel is empty the earliest event is the first minimum, in chain
+// order, of the first occupied far slot, and is unlinked from the
+// middle of its chain.
+//
+// Dispatch order is exactly the (when, seq) total order a single heap
+// would give. For one timestamp T, the heap only ever received T while
+// T >= front+farSpan, the far wheel while front <= T < front+farSpan,
+// and the near wheel while T < front. front only grows, so those are
+// three consecutive stretches of scheduling order, and every migration
+// happens at the advance, before the handler can schedule: whatever a
+// tier holds for T entered the queue before anything a nearer tier
+// later receives for T directly. Tier order is therefore seq order,
+// heap order and chain order within a tier are seq order, and the
+// migrations append in exactly that order.
 //
 // Scheduling never touches the garbage collector after warm-up: event
 // nodes are recycled through the free list and callers hold
 // generation-stamped Event handles instead of node pointers. Cancel is
 // O(1) lazy deletion — it marks the node and lets the dispatch loop
 // free it when it surfaces; the slot's generation counter makes any
-// stale handle to a recycled slot harmless. The wheel is a fixed
-// footprint per kernel, so a kernel's storage (wheel, arena, free list,
-// heap) is recycled through a pool: Release returns it, NewKernel
+// stale handle to a recycled slot harmless. The wheels are a fixed
+// footprint per kernel, so a kernel's storage (wheels, arena, free
+// list, heap) is recycled through a pool: Release returns it, NewKernel
 // reuses it.
 package sim
 
@@ -125,10 +150,9 @@ type eventNode struct {
 	cancelled bool
 }
 
-// The wheel covers wheelSize nanoseconds ahead of the clock. 2^14 ns
-// holds every delay the model produces per event — 1 µs quanta, 2–15 µs
-// network latencies, sub-µs handling costs — and leaves backoff pauses,
-// steal timeouts, crash instants and arrival plans to the overflow heap.
+// The near wheel covers up to wheelSize nanoseconds ahead of the clock.
+// 2^14 ns holds every delay the model produces per event — 1 µs quanta,
+// 2–15 µs network latencies, sub-µs handling costs.
 const (
 	wheelBits  = 14 // at least 12, so the summary has a whole word
 	wheelSize  = 1 << wheelBits
@@ -137,7 +161,26 @@ const (
 	sumWords   = wheelWords / 64
 )
 
-// wheelSlot is the FIFO chain of the events due at one timestamp:
+// The far wheel covers the farSpan nanoseconds past the frontier in
+// slots of farGrain. 2^12 slots of 2^10 ns are 4.19 ms: every backoff
+// pause up to DefaultBackoff.Max (2 ms) and every steal timeout
+// (100 µs) of the engine, the timers a steal storm re-arms once per
+// failed round, for 32 KB of slots and a single summary word. A 1 µs
+// grain keeps a chain to the few timers that expire within one
+// quantum, so the scan for a slot's minimum stays short, and a slot
+// empties into the near wheel once per quantum of virtual time.
+const (
+	farShift = 10
+	farGrain = 1 << farShift
+	farBits  = 12 // at most 12, so the summary is a single word
+	farSlots = 1 << farBits
+	farMask  = farSlots - 1
+	farWords = farSlots / 64
+	farSpan  = farSlots * farGrain
+)
+
+// wheelSlot is the FIFO chain of the events one wheel slot holds — one
+// timestamp's in the near wheel, one farGrain range's in the far one:
 // arena indices of its first and last node, 0 when empty.
 type wheelSlot struct{ head, tail int32 }
 
@@ -171,6 +214,11 @@ type store struct {
 	// occ[w] is non-zero.
 	occ [wheelWords]uint64
 	sum [sumWords]uint64
+
+	// The far wheel, with the same two-level occupancy.
+	far    [farSlots]wheelSlot
+	farOcc [farWords]uint64
+	farSum uint64
 }
 
 // stores is the pool of released storage: a bounded LIFO free list, not
@@ -218,6 +266,10 @@ func putStore(s *store) {
 type Kernel struct {
 	*store
 	now Time
+	// front is the tier boundary: the near wheel holds the events due
+	// before it, the far wheel those in [front, front+farSpan), the heap
+	// the rest. See advance.
+	front Time
 	// live counts queued, non-cancelled events. Cancelled nodes stay in
 	// their tier until they surface, so the tiers may hold more than live.
 	live       int
@@ -233,7 +285,12 @@ type Kernel struct {
 // NewKernel returns a kernel with the clock at zero and an empty queue,
 // reusing the storage of a released kernel when one is available.
 func NewKernel() *Kernel {
-	return &Kernel{store: getStore(), maxTime: MaxTime}
+	return newKernel(getStore())
+}
+
+// newKernel returns a kernel at time zero over an empty store.
+func newKernel(s *store) *Kernel {
+	return &Kernel{store: s, front: wheelSize, maxTime: MaxTime}
 }
 
 // Release returns the kernel's storage for reuse by a later NewKernel.
@@ -262,6 +319,9 @@ func (s *store) reset() {
 	s.slots = [wheelSize]wheelSlot{}
 	s.occ = [wheelWords]uint64{}
 	s.sum = [sumWords]uint64{}
+	s.far = [farSlots]wheelSlot{}
+	s.farOcc = [farWords]uint64{}
+	s.farSum = 0
 }
 
 // Now returns the current virtual time.
@@ -313,8 +373,8 @@ func (s *store) freeNode(idx int32) {
 	s.free = append(s.free, idx)
 }
 
-// slotAppend links node idx, due at t, to the tail of t's wheel slot.
-// The caller guarantees t is inside the window [now, now+wheelSize).
+// slotAppend links node idx, due at t, to the tail of t's near-wheel
+// slot. The caller guarantees now <= t < front.
 func (k *Kernel) slotAppend(idx int32, t Time) {
 	s := uint(t) & wheelMask
 	k.arena[idx].next = 0
@@ -342,10 +402,10 @@ func (k *Kernel) slotPop(s uint) {
 	}
 }
 
-// nextSlot returns the first occupied slot at or after the clock's own
-// in cyclic order — the slot of the earliest wheel event, since the
-// wheel spans exactly one turn ahead of the clock — or -1 when the
-// wheel is empty.
+// nextSlot returns the first occupied near-wheel slot at or after the
+// clock's own in cyclic order — the slot of the earliest near event,
+// since the near wheel spans at most one turn ahead of the clock — or
+// -1 when the near wheel is empty.
 func (k *Kernel) nextSlot() int {
 	p := uint(k.now) & wheelMask
 	// Same word: the events due this nanosecond or within the next 63.
@@ -375,6 +435,104 @@ func (k *Kernel) nextSlotFar(w uint) int {
 		}
 	}
 	return -1
+}
+
+// farAppend links node idx, due at t, to the tail of t's far-wheel slot.
+// The caller guarantees front <= t < front+farSpan.
+func (k *Kernel) farAppend(idx int32, t Time) {
+	s := uint(t>>farShift) & farMask
+	k.arena[idx].next = 0
+	sl := &k.far[s]
+	if sl.head == 0 {
+		sl.head = idx
+		k.farOcc[s>>6] |= 1 << (s & 63)
+		k.farSum |= 1 << (s >> 6)
+	} else {
+		k.arena[sl.tail].next = idx
+	}
+	sl.tail = idx
+}
+
+// farUnlink removes node idx, whose predecessor in the chain is prev
+// (0 when idx is the head), from the far slot s.
+func (k *Kernel) farUnlink(s uint, idx, prev int32) {
+	sl := &k.far[s]
+	next := k.arena[idx].next
+	if prev == 0 {
+		sl.head = next
+	} else {
+		k.arena[prev].next = next
+	}
+	if next == 0 {
+		sl.tail = prev
+	}
+	if sl.head == 0 {
+		k.farClear(s)
+	}
+}
+
+// farClear marks the (emptied) far slot s unoccupied.
+func (k *Kernel) farClear(s uint) {
+	w := s >> 6
+	k.farOcc[w] &^= 1 << (s & 63)
+	if k.farOcc[w] == 0 {
+		k.farSum &^= 1 << w
+	}
+}
+
+// nextFarSlot returns the first occupied far slot at or after slot p in
+// cyclic order, or -1 when the far wheel is empty. With p the slot of
+// the frontier (the far wheel spans exactly one turn past it) that is
+// the slot holding the earliest far event.
+func (k *Kernel) nextFarSlot(p uint) int {
+	w := p >> 6
+	if b := k.farOcc[w] >> (p & 63); b != 0 {
+		return int(p) + bits.TrailingZeros64(b)
+	}
+	// The words after w, then — wrapping — those up to and including w
+	// itself, where only the bits below p can still be set.
+	b := k.farSum >> (w + 1) << (w + 1)
+	if b == 0 {
+		b = k.farSum
+	}
+	if b == 0 {
+		return -1
+	}
+	w = uint(bits.TrailingZeros64(b))
+	return int(w<<6) + bits.TrailingZeros64(k.farOcc[w])
+}
+
+// farMin returns the earliest event of the far wheel — the first
+// minimum, in chain order, of the first occupied slot past the
+// frontier — with the slot and the chain predecessor farUnlink needs,
+// reclaiming every cancelled node of the chains it walks. It returns
+// index 0 when the far wheel holds no live event.
+func (k *Kernel) farMin() (idx int32, slot uint, prev int32) {
+	for {
+		s := k.nextFarSlot(uint(k.front>>farShift) & farMask)
+		if s < 0 {
+			return 0, 0, 0
+		}
+		slot = uint(s)
+		var p int32 // last node kept: the predecessor of the one under the cursor
+		for i := k.far[slot].head; i != 0; {
+			n := &k.arena[i]
+			next := n.next
+			if n.cancelled {
+				k.farUnlink(slot, i, p)
+				k.freeNode(i)
+			} else {
+				if idx == 0 || n.when < k.arena[idx].when {
+					idx, prev = i, p
+				}
+				p = i
+			}
+			i = next
+		}
+		if idx != 0 {
+			return idx, slot, prev
+		}
+	}
 }
 
 // push inserts an entry into the overflow heap.
@@ -433,19 +591,54 @@ func (k *Kernel) siftDown(i int) {
 	k.heap[i] = e
 }
 
-// refill moves every overflow event that the advancing clock brought
-// inside the window to its wheel slot. The heap yields them in
-// (when, seq) order and dispatch calls this before running the handler,
-// so each slot's chain stays in seq order: nothing scheduled later can
-// get in front of them.
-func (k *Kernel) refill() {
-	for len(k.heap) > 0 && k.heap[0].when-k.now < wheelSize {
+// advance moves the frontier up to the clock that dispatch just set,
+// and with it every event that changes tier: the far slots front passed
+// empty into their near slots in chain order, then the overflow events
+// the far wheel now covers leave the heap in (when, seq) order. dispatch
+// calls it before running the handler, so nothing scheduled later can
+// get in front of a migrated event (see the package comment).
+func (k *Kernel) advance() {
+	front := (k.now + wheelSize) &^ (farGrain - 1)
+	if front <= k.front {
+		// Unchanged. (Or the clock is within a wheel turn of MaxTime and
+		// the sum wrapped: a frontier that stops moving costs speed, not
+		// order — the far wheel and the heap then feed dispatch directly.)
+		return
+	}
+	old := uint(k.front>>farShift) & farMask
+	k.front = front
+	// Every far event lies within one turn of the old frontier, so cyclic
+	// slot order from there is time order; a slot's events share one
+	// farGrain range, which front — a multiple of farGrain — has passed
+	// whole or not at all.
+	for {
+		s := k.nextFarSlot(old)
+		if s < 0 || k.arena[k.far[s].head].when >= front {
+			break
+		}
+		for i := k.far[s].head; i != 0; {
+			n := &k.arena[i]
+			next := n.next
+			if n.cancelled {
+				k.freeNode(i)
+			} else {
+				k.slotAppend(i, n.when)
+			}
+			i = next
+		}
+		k.far[s] = wheelSlot{}
+		k.farClear(uint(s))
+	}
+	for len(k.heap) > 0 && k.heap[0].when-front < farSpan {
 		e := k.heap[0]
 		k.popMin()
-		if k.arena[e.idx].cancelled {
+		switch {
+		case k.arena[e.idx].cancelled:
 			k.freeNode(e.idx)
-		} else {
+		case e.when < front: // the clock jumped more than farSpan
 			k.slotAppend(e.idx, e.when)
+		default:
+			k.farAppend(e.idx, e.when)
 		}
 	}
 }
@@ -462,9 +655,12 @@ func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) Event {
 	n.fn, n.afn, n.arg = fn, afn, arg
 	k.seq++
 	k.live++
-	if t-k.now < wheelSize {
+	switch {
+	case t < k.front:
 		k.slotAppend(idx, t)
-	} else {
+	case t-k.front < farSpan:
+		k.farAppend(idx, t)
+	default:
 		k.push(heapEntry{when: t, seq: n.seq, idx: idx})
 	}
 	return Event{idx: idx, gen: n.gen}
@@ -550,33 +746,46 @@ func (k *Kernel) When(e Event) (Time, bool) {
 // Pending events remain queued.
 func (k *Kernel) Stop() { k.stopped = true }
 
-// peek returns the arena index of the earliest live event and the wheel
-// slot holding it (-1 when the wheel is empty and it is the overflow
-// root), reclaiming the cancelled nodes that surface on the way. It
-// returns index 0 when no live event is queued.
-func (k *Kernel) peek() (idx int32, slot int) {
+// A queued node's place, as peek reports it and unqueue consumes it: a
+// near-wheel slot index (>= 0), or one of these.
+const (
+	inFar  = -1 // at (farSlot, farPrev) in the far wheel
+	inHeap = -2 // the overflow root
+)
+
+// peek returns the arena index of the earliest live event and its place
+// in the queue — the near-wheel slot it heads, or inFar or inHeap; for
+// inFar the far slot and chain predecessor follow — reclaiming the
+// cancelled nodes that surface on the way. It returns index 0 when no
+// live event is queued. The tiers partition time, so the earliest event
+// is in the first non-empty one.
+func (k *Kernel) peek() (idx int32, at int, farSlot uint, farPrev int32) {
 	for k.live > 0 {
-		slot = k.nextSlot()
-		if slot >= 0 {
-			idx = k.slots[slot].head
+		if at = k.nextSlot(); at >= 0 {
+			idx = k.slots[at].head
+		} else if idx, farSlot, farPrev = k.farMin(); idx != 0 {
+			return idx, inFar, farSlot, farPrev
 		} else {
-			idx = k.heap[0].idx
+			idx, at = k.heap[0].idx, inHeap
 		}
 		if !k.arena[idx].cancelled {
-			return idx, slot
+			return idx, at, 0, 0
 		}
-		k.unqueue(slot)
+		k.unqueue(idx, at, 0, 0)
 		k.freeNode(idx)
 	}
-	return 0, -1
+	return 0, inHeap, 0, 0
 }
 
 // unqueue removes the node peek just reported from its tier.
-func (k *Kernel) unqueue(slot int) {
-	if slot >= 0 {
-		k.slotPop(uint(slot))
-	} else {
+func (k *Kernel) unqueue(idx int32, at int, farSlot uint, farPrev int32) {
+	switch at {
+	case inFar:
+		k.farUnlink(farSlot, idx, farPrev)
+	case inHeap:
 		k.popMin()
+	default:
+		k.slotPop(uint(at))
 	}
 }
 
@@ -586,7 +795,7 @@ func (k *Kernel) unqueue(slot int) {
 // queue is empty or the event lies beyond last. A refused event stays
 // queued so state remains inspectable.
 func (k *Kernel) dispatch(last Time) (bool, error) {
-	idx, slot := k.peek()
+	idx, at, farSlot, farPrev := k.peek()
 	if idx == 0 {
 		return false, nil
 	}
@@ -600,9 +809,9 @@ func (k *Kernel) dispatch(last Time) (bool, error) {
 	if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
 		return false, ErrEventLimit
 	}
-	k.unqueue(slot)
+	k.unqueue(idx, at, farSlot, farPrev)
 	k.now = n.when
-	k.refill()
+	k.advance()
 	k.dispatched++
 	k.live--
 	fn, afn, arg := n.fn, n.afn, n.arg
@@ -643,7 +852,7 @@ func (k *Kernel) Run() error { return k.run(MaxTime) }
 // surface on the way are reclaimed, so the call is amortized O(1) and
 // semantically read-only.
 func (k *Kernel) PeekTime() (Time, bool) {
-	idx, _ := k.peek()
+	idx, _, _, _ := k.peek()
 	if idx == 0 {
 		return 0, false
 	}

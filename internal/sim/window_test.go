@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 )
 
@@ -138,5 +139,55 @@ func TestRunUntilMatchesRun(t *testing.T) {
 		if seq[i] != win[i] {
 			t.Fatalf("dispatch %d: Run at %d, windowed at %d", i, seq[i], win[i])
 		}
+	}
+}
+
+// TestScheduleEarlierAfterPeek: PeekTime and a RunUntil window that ends
+// short of the next event look into the far wheel and the heap without
+// moving the clock or the frontier, so events scheduled afterwards for
+// earlier instants — the sharded kernel stages cross-shard messages
+// after a window returns — still find their tier and run first.
+func TestScheduleEarlierAfterPeek(t *testing.T) {
+	k := NewKernel()
+	defer k.Release()
+	var fired []Time
+	note := func() { fired = append(fired, k.Now()) }
+	const far, overflow = Time(3 * Millisecond), Time(7 * Millisecond)
+	k.At(overflow, note)
+	if tm, ok := k.PeekTime(); !ok || tm != overflow {
+		t.Fatalf("PeekTime = (%d, %v), want the overflow event at %d", tm, ok, overflow)
+	}
+	k.At(far, note)
+	if tm, ok := k.PeekTime(); !ok || tm != far {
+		t.Fatalf("PeekTime = (%d, %v), want the far event at %d", tm, ok, far)
+	}
+	if err := k.RunUntil(Time(Millisecond)); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 0 || k.Now() != 0 {
+		t.Fatalf("a window short of every event dispatched %v and left the clock at %d", fired, k.Now())
+	}
+	// Earlier than anything peeked: in the far wheel ahead of the peeked
+	// slot, in the peeked slot itself, and in the near wheel.
+	k.At(Time(500*Microsecond), note)
+	k.At(far-1, note)
+	k.At(10, note)
+	if err := k.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if tm, ok := k.PeekTime(); !ok || tm != 10 {
+		t.Fatalf("PeekTime = (%d, %v) after scheduling earlier, want 10", tm, ok)
+	}
+	if err := k.RunUntil(far); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(fired), fmt.Sprint([]Time{10, Time(500 * Microsecond), far - 1}); got != want {
+		t.Fatalf("window [0, 3ms) fired %v, want %v", got, want)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(fired[3:]), fmt.Sprint([]Time{far, overflow}); got != want {
+		t.Fatalf("the peeked events fired at %v, want %v", got, want)
 	}
 }

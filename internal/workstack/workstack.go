@@ -28,12 +28,16 @@ import (
 // stated that this size provides good performance").
 const DefaultChunkSize = 20
 
-// Stack is a chunked LIFO work stack.
+// Stack is a chunked LIFO work stack. The zero Stack is not usable:
+// construct with New, or Init one embedded by value in a larger struct.
 type Stack struct {
-	chunkSize int
 	// chunks[0] is the bottom (steal end); chunks[len-1] is the top
-	// (work end). Every chunk except the top one is full.
-	chunks [][]uts.Node
+	// (work end). Every chunk except the top one is full. The header
+	// comes first so that the questions a thief's request asks of an
+	// idle victim — Empty, StealableChunks — read the Stack's first
+	// word-triple and nothing else.
+	chunks    [][]uts.Node
+	chunkSize int
 	// free is a small recycling pool of chunk buffers.
 	free [][]uts.Node
 
@@ -47,10 +51,19 @@ type Stack struct {
 // New returns an empty stack with the given chunk size (nodes per
 // chunk). It panics if chunkSize < 1.
 func New(chunkSize int) *Stack {
+	s := new(Stack)
+	s.Init(chunkSize)
+	return s
+}
+
+// Init makes s an empty stack with the given chunk size, as New returns
+// it, for a Stack held by value (a slab of per-rank state) rather than
+// allocated on its own. It panics if chunkSize < 1.
+func (s *Stack) Init(chunkSize int) {
 	if chunkSize < 1 {
 		panic(fmt.Sprintf("workstack: chunk size %d < 1", chunkSize))
 	}
-	return &Stack{chunkSize: chunkSize}
+	*s = Stack{chunkSize: chunkSize}
 }
 
 // ChunkSize returns the configured nodes-per-chunk.

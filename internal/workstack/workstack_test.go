@@ -2,8 +2,10 @@ package workstack
 
 import (
 	"encoding/binary"
+	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"distws/internal/uts"
 )
@@ -382,4 +384,53 @@ func TestDrop(t *testing.T) {
 	if got, ok := s.Pop(); !ok || binary.BigEndian.Uint32(got.State[:4]) != 9 {
 		t.Fatalf("Pop after Drop = %v, %v", got, ok)
 	}
+}
+
+// TestStackInitMatchesNew: a Stack held by value and initialised in
+// place is the stack New returns — field for field when fresh, and
+// through a push / steal / acquire / pop sequence — Init on a used
+// stack empties it, and the chunk-slice header stays the struct's first
+// field (core's rank slab places it on the line a thief's request
+// reads).
+func TestStackInitMatchesNew(t *testing.T) {
+	var slab [2]struct {
+		pad uint64
+		s   Stack
+	}
+	byValue := &slab[1].s
+	byValue.Init(3)
+	if !reflect.DeepEqual(byValue, New(3)) {
+		t.Fatalf("Init(3) = %+v, New(3) = %+v", *byValue, *New(3))
+	}
+	drive := func(s *Stack) (trace []int) {
+		for i := uint32(0); i < 20; i++ {
+			s.Push(node(i))
+		}
+		loot, chunks := s.StealHalf()
+		trace = append(trace, chunks, len(loot), s.StealableChunks(), s.Len())
+		s.Acquire(loot[:5])
+		for i := 0; i < 9; i++ {
+			n, _ := s.Pop()
+			trace = append(trace, int(binary.BigEndian.Uint32(n.State[:4])))
+		}
+		st := s.Stats()
+		return append(trace, s.Chunks(), s.ChunkSize(), int(st.Pushes), int(st.Pops),
+			int(st.ChunksReleased), int(st.ChunksAcquired), st.MaxNodesResident)
+	}
+	if got, want := drive(byValue), drive(New(3)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("by-value stack diverged from New's:\n got %v\nwant %v", got, want)
+	}
+	byValue.Init(5)
+	if !reflect.DeepEqual(byValue, New(5)) {
+		t.Fatalf("Init on a used stack left %+v, want %+v", *byValue, *New(5))
+	}
+	if off := unsafe.Offsetof(byValue.chunks); off != 0 {
+		t.Fatalf("Stack.chunks at offset %d, want 0", off)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("no panic for Init(0)")
+		}
+	}()
+	byValue.Init(0)
 }
