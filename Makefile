@@ -19,8 +19,14 @@ build:
 test:
 	$(GO) test ./...
 
+# The second line type-checks the packages on the child-generation path
+# for a GOARCH without the SHA-NI kernel (internal/uts/sha1block_other.go),
+# so the stub cannot rot on amd64-only hosts; on amd64 the first line's
+# asmdecl check covers sha1block_amd64.s. Cross-vetting needs no cgo, no
+# dependencies and no network.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/uts ./internal/core
 
 # distwsvet enforces the determinism, ownership and allocation
 # invariants: detrand, walltime, lockcheck, atomicmix, handlesafe,
@@ -133,7 +139,7 @@ chaos-smoke:
 BENCHTIME ?= 1s
 BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/core ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
 BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkFailedSteal|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
-BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,KernelHotPath/pending=8192+backoff,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,FailedSteal,LatencyLookup,UTSChildGen,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,KernelHotPath/pending=8192+backoff,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,FailedSteal,LatencyLookup,UTSChildGen/sha-ni,UTSChildGen/fallback,UTSChildGen/binary,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -18,33 +19,44 @@ import (
 	"distws/internal/uts"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: exit status 0 on success, 1 when the
+// parameters do not describe a generable tree, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("utsseq", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		treeFlag  = flag.String("tree", "", "tree preset name (overrides the parameter flags)")
-		typeFlag  = flag.String("type", "binomial", "tree type: binomial|geometric|hybrid")
-		rFlag     = flag.Int("r", 316, "root seed")
-		bFlag     = flag.Float64("b", 2000, "root branching factor b0")
-		mFlag     = flag.Int("m", 2, "binomial non-leaf children")
-		qFlag     = flag.Float64("q", 0.49, "binomial non-leaf probability")
-		dFlag     = flag.Int("d", 10, "geometric depth limit")
-		cutFlag   = flag.Int("cutoff", 0, "hybrid cutoff depth")
-		shapeFlag = flag.String("shape", "linear", "geometric shape: linear|expdec|cyclic|fixed")
-		granFlag  = flag.Int("g", 1, "hash evaluations per child (granularity)")
-		limitFlag = flag.Uint64("limit", 500_000_000, "abort after this many nodes")
-		allFlag   = flag.Bool("all", false, "enumerate every preset (subject to -limit)")
+		treeFlag  = fs.String("tree", "", "tree preset name (overrides the parameter flags)")
+		typeFlag  = fs.String("type", "binomial", "tree type: binomial|geometric|hybrid")
+		rFlag     = fs.Int("r", 316, "root seed")
+		bFlag     = fs.Float64("b", 2000, "root branching factor b0")
+		mFlag     = fs.Int("m", 2, "binomial non-leaf children")
+		qFlag     = fs.Float64("q", 0.49, "binomial non-leaf probability")
+		dFlag     = fs.Int("d", 10, "geometric depth limit")
+		cutFlag   = fs.Int("cutoff", 0, "hybrid cutoff depth")
+		shapeFlag = fs.String("shape", "linear", "geometric shape: linear|expdec|cyclic|fixed")
+		granFlag  = fs.Int("g", 1, "hash evaluations per child (granularity)")
+		limitFlag = fs.Uint64("limit", 500_000_000, "abort after this many nodes")
+		allFlag   = fs.Bool("all", false, "enumerate every preset (subject to -limit)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	if *allFlag {
 		for _, name := range uts.PresetNames() {
 			info := uts.MustPreset(name)
 			if info.PaperSize > 0 {
-				fmt.Printf("%-10s paper-scale tree (%d nodes per Table I), skipping\n", name, info.PaperSize)
+				fmt.Fprintf(stdout, "%-10s paper-scale tree (%d nodes per Table I), skipping\n", name, info.PaperSize)
 				continue
 			}
-			enumerate(name, info.Params, *limitFlag)
+			if err := enumerate(stdout, name, info.Params, *limitFlag); err != nil {
+				fmt.Fprintln(stderr, err)
+				return 1
+			}
 		}
-		return
+		return 0
 	}
 
 	var params uts.Params
@@ -52,8 +64,8 @@ func main() {
 	if *treeFlag != "" {
 		info, ok := uts.Preset(*treeFlag)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "unknown preset %q; known: %v\n", *treeFlag, uts.PresetNames())
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown preset %q; known: %v\n", *treeFlag, uts.PresetNames())
+			return 2
 		}
 		params = info.Params
 		name = info.Name
@@ -66,8 +78,8 @@ func main() {
 		case "hybrid":
 			params.Type = uts.Hybrid
 		default:
-			fmt.Fprintf(os.Stderr, "unknown tree type %q\n", *typeFlag)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown tree type %q\n", *typeFlag)
+			return 2
 		}
 		switch strings.ToLower(*shapeFlag) {
 		case "linear":
@@ -79,8 +91,8 @@ func main() {
 		case "fixed":
 			params.Shape = uts.ShapeFixed
 		default:
-			fmt.Fprintf(os.Stderr, "unknown shape %q\n", *shapeFlag)
-			os.Exit(2)
+			fmt.Fprintf(stderr, "unknown shape %q\n", *shapeFlag)
+			return 2
 		}
 		params.RootSeed = int32(*rFlag)
 		params.B0 = *bFlag
@@ -90,22 +102,26 @@ func main() {
 		params.CutoffDepth = int32(*cutFlag)
 		params.Granularity = *granFlag
 	}
-	enumerate(name, params, *limitFlag)
+	if err := enumerate(stdout, name, params, *limitFlag); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	return 0
 }
 
-func enumerate(name string, params uts.Params, limit uint64) {
+func enumerate(stdout io.Writer, name string, params uts.Params, limit uint64) error {
 	start := time.Now()
 	res, ok, err := uts.CountLimited(params, limit)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	elapsed := time.Since(start)
 	if !ok {
-		fmt.Printf("%-10s aborted after %d nodes (limit) in %v\n", name, res.Nodes, elapsed.Round(time.Millisecond))
-		return
+		fmt.Fprintf(stdout, "%-10s aborted after %d nodes (limit) in %v\n", name, res.Nodes, elapsed.Round(time.Millisecond))
+		return nil
 	}
 	rate := float64(res.Nodes) / elapsed.Seconds()
-	fmt.Printf("%-10s nodes=%d leaves=%d depth=%d (%v, %.2fM nodes/s)\n",
+	fmt.Fprintf(stdout, "%-10s nodes=%d leaves=%d depth=%d (%v, %.2fM nodes/s)\n",
 		name, res.Nodes, res.Leaves, res.MaxDepth, elapsed.Round(time.Millisecond), rate/1e6)
+	return nil
 }

@@ -102,6 +102,9 @@ type rank struct {
 	// in gen; expNext < expTotal while children remain to generate.
 	gen               uts.ChildGen
 	expNext, expTotal int
+	// job is the serving job whose params gen last staged a parent
+	// under (nil in a closed run).
+	job *serve.Job
 
 	// Tree statistics. units is the accumulated expansion cost in
 	// NodeCost units (one per child generated, one per leaf).
@@ -574,13 +577,17 @@ func (e *engine) startQuantum(r int) {
 		if node.Height > rk.maxDepth {
 			rk.maxDepth = node.Height
 		}
-		var nchild int
-		if e.sv == nil {
-			nchild = rk.gen.Reset(e.cfg.Tree, &node)
-		} else {
-			// Serving: each job's nodes expand under the job's own params.
-			nchild = rk.gen.Reset(e.sv.sched.Jobs[node.Job].Tree, &node)
+		tree := &e.cfg.Tree
+		if e.sv != nil {
+			// Serving: each job's nodes expand under the job's own
+			// params. A rank pops long runs of one job's nodes, so the
+			// schedule is consulted only when the job changes.
+			if rk.job == nil || rk.job.ID != node.Job {
+				rk.job = &e.sv.sched.Jobs[node.Job]
+			}
+			tree = &rk.job.Tree
 		}
+		nchild := rk.gen.Reset(tree, &node)
 		if nchild == 0 {
 			rk.leaves++
 			rk.units++

@@ -32,6 +32,47 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: a NaN fails every ordinary range check
+// (NaN < 0 and NaN > 1 are both false), and an infinite or huge B0
+// makes NumChildren's float-to-int conversion undefined — the root then
+// reads as neither leaf nor parent. Validate must reject them for every
+// tree family, and keep accepting the finite values next to them.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	bases := map[string]Params{
+		"binomial":  {Type: Binomial, B0: 2000, NonLeafBF: 2, NonLeafProb: 0.49},
+		"geometric": {Type: Geometric, B0: 4, GenMax: 10},
+		"hybrid":    MustPreset("H-TINY").Params,
+	}
+	for name, base := range bases {
+		if err := base.Validate(); err != nil {
+			t.Fatalf("%s: base params rejected: %v", name, err)
+		}
+		for _, b0 := range []float64{nan, inf, -inf, 1e30, 1<<31 + 1, -1} {
+			p := base
+			p.B0 = b0
+			if p.Validate() == nil {
+				t.Errorf("%s: B0 = %v accepted", name, b0)
+			}
+		}
+		p := base
+		p.B0 = 1 << 31
+		if err := p.Validate(); err != nil {
+			t.Errorf("%s: B0 = 2^31 rejected: %v", name, err)
+		}
+		if base.Type == Geometric {
+			continue // NonLeafProb is not a parameter of the geometric law
+		}
+		for _, q := range []float64{nan, inf, -inf, -0.1, 1.1} {
+			p := base
+			p.NonLeafProb = q
+			if p.Validate() == nil {
+				t.Errorf("%s: NonLeafProb = %v accepted", name, q)
+			}
+		}
+	}
+}
+
 func TestRootDeterministic(t *testing.T) {
 	p := Params{Type: Binomial, RootSeed: 316, B0: 2000, NonLeafBF: 2, NonLeafProb: 0.49}
 	a, b := p.Root(), p.Root()
@@ -487,10 +528,12 @@ func TestGeometricShapeValues(t *testing.T) {
 }
 
 // TestChildGenMatchesChild is the exactness contract of batched child
-// generation: for every tree family, hash and granularity, ChildGen
-// must produce bit-identical children to per-call Params.Child,
-// including when the same generator is re-staged across parents the
-// way the engine reuses its per-rank generator.
+// generation: for every tree family, hash and granularity, a ChildGen
+// re-staged across parents, the way the engine reuses its per-rank
+// generator, must produce bit-identical children to Params.Child, which
+// stages a fresh one per call — nothing of the previous parent may
+// leak. (The hash itself is held to crypto/sha1 and to recorded tree
+// sizes in sha1block_test.go.)
 func TestChildGenMatchesChild(t *testing.T) {
 	params := []Params{
 		{Type: Binomial, RootSeed: 19, B0: 12, NonLeafBF: 4, NonLeafProb: 0.23},
@@ -510,7 +553,7 @@ func TestChildGenMatchesChild(t *testing.T) {
 			var next []Node
 			for _, parent := range frontier {
 				parent := parent
-				n := g.Reset(p, &parent)
+				n := g.Reset(&p, &parent)
 				if want := p.NumChildren(&parent); n != want || g.N() != want {
 					t.Fatalf("%v: Reset returned %d children, NumChildren says %d", p.Type, n, want)
 				}
@@ -536,7 +579,7 @@ func TestChildGenOutOfOrder(t *testing.T) {
 	p := MustPreset("H-TINY").Params
 	root := p.Root()
 	var g ChildGen
-	n := g.Reset(p, &root)
+	n := g.Reset(&p, &root)
 	if n < 2 {
 		t.Fatalf("root has %d children, need at least 2", n)
 	}
