@@ -19,14 +19,17 @@ build:
 test:
 	$(GO) test ./...
 
-# The second line type-checks the packages on the child-generation path
-# for a GOARCH without the SHA-NI kernel (internal/uts/sha1block_other.go),
-# so the stub cannot rot on amd64-only hosts; on amd64 the first line's
-# asmdecl check covers sha1block_amd64.s. Cross-vetting needs no cgo, no
+# The other lines type-check, for a GOARCH without them, the packages
+# around the two assembly stubs — the SHA-NI child-generation kernel
+# (internal/uts/sha1block_other.go) and the alias-cell prefetch
+# (internal/sample/prefetch_other.go) — so the generic files cannot rot
+# on amd64-only hosts; on amd64 the first line's asmdecl check covers
+# sha1block_amd64.s and prefetch_amd64.s. Cross-vetting needs no cgo, no
 # dependencies and no network.
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./internal/uts ./internal/core
+	GOARCH=arm64 $(GO) vet ./internal/sample ./internal/victim ./internal/workstack
 
 # distwsvet enforces the determinism, ownership and allocation
 # invariants: detrand, walltime, lockcheck, atomicmix, handlesafe,
@@ -130,16 +133,16 @@ chaos-smoke:
 	@echo "chaos-smoke: wrote $(SMOKE)/chaos.txt and chaos.table.txt"
 
 # Hot-path benchmarks of the simulation substrate (event kernel,
-# messaging, latency lookup, UTS hashing, the engine's failed-steal
-# round trip) and of the observability pipeline's two bulk stages
-# (JSONL export, steal pairing), exported as a JSON artifact for
-# archiving and cross-commit comparison.
+# messaging, latency lookup, UTS hashing, the work stack, victim draws,
+# the engine's failed-steal round trip) and of the observability
+# pipeline's two bulk stages (JSONL export, steal pairing), exported as
+# a JSON artifact for archiving and cross-commit comparison.
 # BENCHTIME=1x gives the CI smoke variant below; default is a real
 # measurement.
 BENCHTIME ?= 1s
-BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/core ./internal/topology ./internal/uts ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
-BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkFailedSteal|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
-BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,KernelHotPath/pending=8192+backoff,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,FailedSteal,LatencyLookup,UTSChildGen/sha-ni,UTSChildGen/fallback,UTSChildGen/binary,VictimDraw/alias-1024,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
+BENCH_PKGS = ./internal/sim ./internal/sim/par ./internal/comm ./internal/core ./internal/topology ./internal/uts ./internal/workstack ./internal/victim ./internal/fault ./internal/obs/parprof ./internal/serve ./internal/trace ./internal/obs .
+BENCH_NAMES = BenchmarkKernelHotPath|BenchmarkShardedKernel|BenchmarkCommSend|BenchmarkFailedSteal|BenchmarkLatencyLookup|BenchmarkUTSChildGen|BenchmarkWorkStack|BenchmarkVictimDraw|BenchmarkFaultInjection|BenchmarkWindowLedger|BenchmarkServeArrivals|BenchmarkTraceExport|BenchmarkPairSteals
+BENCH_REQUIRE = KernelHotPath/pending=64,KernelHotPath/pending=1024,KernelHotPath/pending=8192,KernelHotPath/pending=1024+far,KernelHotPath/pending=8192+backoff,ShardedKernel/shards=1,ShardedKernel/shards=2,ShardedKernel/shards=4,ShardedKernel/shards=8,CommSend,FailedSteal,LatencyLookup,UTSChildGen/sha-ni,UTSChildGen/fallback,UTSChildGen/binary,WorkStack/push-pop,WorkStack/steal-half-acquire,VictimDraw/alias-1024,VictimDraw/alias-1024-evicted,VictimDraw/reject-8192,FaultInjection/nil-plan,FaultInjection/crashes,FaultInjection/lossy,WindowLedger,ServeArrivals,TraceExport,PairSteals
 BENCH_RUN = $(GO) test -run '^$$' -bench '$(BENCH_NAMES)' -benchmem \
 	-benchtime $(BENCHTIME) $(BENCH_PKGS)
 

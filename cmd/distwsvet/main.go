@@ -113,6 +113,7 @@ var (
 		"distws/internal/comm",
 		"distws/internal/topology",
 		"distws/internal/uts",
+		"distws/internal/workstack",
 		"distws/internal/fault",
 		"distws/internal/victim",
 		"distws/internal/sample",
@@ -133,8 +134,15 @@ var (
 		"(*distws/internal/core.engine).startQuantum",
 		"(*distws/internal/core.engine).quantumEnd",
 		"(*distws/internal/core.engine).deliver",
+		"(*distws/internal/core.engine).getLoot",
+		"(*distws/internal/core.engine).putLoot",
+		"(*distws/internal/workstack.Stack).Push",
+		"(*distws/internal/workstack.Stack).Pop",
+		"(*distws/internal/workstack.Stack).StealInto",
+		"(*distws/internal/workstack.Stack).Acquire",
 		"(*distws/internal/victim.distanceSkewed).Next",
 		"(*distws/internal/sample.Discrete).Sample",
+		"(*distws/internal/sample.Discrete).At",
 		"(*distws/internal/sample.Builder).Build",
 		"(*distws/internal/topology.Job).DistanceSq",
 		"(*distws/internal/dagws.scheduler).startNext",

@@ -24,6 +24,18 @@
 // path-sensitive over if/switch and flags three defects: leak (an
 // iteration can end with the message still owned), double free, and use
 // after free.
+//
+// A work reply's loot has an owner of its own. The array behind m.Nodes
+// is the sender's until SendNodes, the message's in flight and the
+// draining handler's from then on; Free never reuses it (a sender may
+// put one array in many messages) and an interposer's duplicate carries
+// a copy. A handler that recycles loot buffers — core's putLoot — copies
+// the nodes out, hands the buffer back and clears m.Nodes before it
+// frees the message, and m.Nodes, or any slice of it, is not retained
+// past that hand-back: the next reply is packed into the same array.
+// The walker tracks the message, not the slice, so this half of the
+// discipline is stated here and in the lootHandBack fixture rather than
+// checked.
 package poolcheck
 
 import (

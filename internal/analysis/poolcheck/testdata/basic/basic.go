@@ -2,11 +2,16 @@
 // message must be freed or transferred exactly once on every path.
 package fixture
 
-import "distws/internal/comm"
+import (
+	"distws/internal/comm"
+	"distws/internal/uts"
+)
 
 type handler struct {
 	net      *comm.Network
 	deferred []*comm.Message
+	stack    []uts.Node
+	loot     [][]uts.Node
 }
 
 // drainClean frees on every switch arm: clean.
@@ -43,6 +48,23 @@ func (h *handler) deferredDrain() {
 	h.deferred = h.deferred[:0]
 	for _, m := range msgs {
 		h.inspect(m)
+		h.net.Free(m)
+	}
+}
+
+// lootHandBack is the engine's work-reply arm: the nodes are copied
+// out, the buffer that carried them goes back on the handler's free
+// list, and then the message is freed. The message gives m.Nodes up at
+// the hand-back — the next reply is packed into that array — so nothing
+// reads m.Nodes, or keeps a slice of it, afterwards. The message's own
+// ownership resolves once, after the field write: clean.
+func (h *handler) lootHandBack(r int) {
+	for _, m := range h.net.Poll(r) {
+		if m.Tag == comm.TagWork {
+			h.stack = append(h.stack, m.Nodes...)
+			h.loot = append(h.loot, m.Nodes[:0])
+			m.Nodes = nil
+		}
 		h.net.Free(m)
 	}
 }

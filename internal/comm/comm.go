@@ -31,6 +31,7 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 
 	"distws/internal/sim"
 	"distws/internal/term"
@@ -327,7 +328,10 @@ func (n *Network) alloc() *Message {
 // filled: always the header, and the bodies behind it only when
 // SendNodes, SendToken or Send marked the message (a duplicate made by
 // the interposer inherits its original's mark). Request-id traffic is
-// never touched past its first cache line.
+// never touched past its first cache line. Free lets go of m.Nodes and
+// never reuses the array: it belongs to whoever passed it to SendNodes
+// or took it out of the message (an interposer duplicate carries its
+// own copy).
 func (n *Network) Free(m *Message) {
 	if m.body {
 		*m = Message{}
@@ -382,6 +386,9 @@ func (n *Network) send(m *Message) {
 			// right after the original (FIFO event order).
 			dup := n.alloc()
 			*dup = *m
+			// The copy owns its loot: a receiver that recycles a work
+			// reply's buffer must not recycle one array twice.
+			dup.Nodes = slices.Clone(m.Nodes)
 			n.stats.Duplicated[dup.Tag]++
 			n.kernel.AfterArg(delay, n.deliver, dup)
 		}

@@ -88,3 +88,32 @@ func TestFreeClearsWhatSendFilled(t *testing.T) {
 		})
 	}
 }
+
+// TestDuplicateOwnsItsNodes: the interposer's duplicate of a work reply
+// carries the same nodes in an array of its own, so a receiver that
+// recycles the buffer of every reply it handles never recycles one
+// array twice; the original still travels in the array the sender
+// passed, uncopied.
+func TestDuplicateOwnsItsNodes(t *testing.T) {
+	k, n := testNetwork(t, 2)
+	n.SetInterposer(&scriptedInterposer{dropTag: numTags, dupTag: TagWork})
+	loot := []uts.Node{{Height: 3}, {Height: 4}}
+	n.SendNodes(0, 1, 9, loot, 2, 48)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	msgs := n.Poll(1)
+	if len(msgs) != 2 {
+		t.Fatalf("polled %d messages, want the reply and its duplicate", len(msgs))
+	}
+	orig, dup := msgs[0].Nodes, msgs[1].Nodes
+	if &orig[0] != &loot[0] {
+		t.Error("the original reply does not carry the sender's array")
+	}
+	if !reflect.DeepEqual(dup, loot) {
+		t.Errorf("duplicate carries %v, want %v", dup, loot)
+	}
+	if &dup[0] == &orig[0] {
+		t.Error("duplicate shares its loot array with the original")
+	}
+}

@@ -12,9 +12,10 @@ import (
 // 256-rank run over a tree far too small for its ranks spends its life
 // in failed steals, backoff pauses and steal timeouts, so a closure per
 // backoff or per armed timeout would cost one allocation per failed
-// request. The budget is the run's set-up (per-rank state, selector
-// tables, mailboxes growing to their high-water marks) with headroom;
-// the per-request timers must add nothing to it.
+// request. The budget is three times the run's set-up (per-rank state,
+// selector tables, stack segments, mailboxes growing to their
+// high-water marks: 1 263 allocations, 3 778 before loot travelled in
+// recycled buffers); the per-request timers must add nothing to it.
 func TestStealTimerAllocBudget(t *testing.T) {
 	cfg := Config{
 		Tree:         uts.MustPreset("H-TINY").Params,
@@ -35,7 +36,7 @@ func TestStealTimerAllocBudget(t *testing.T) {
 	if res.FailedSteals+res.AbortedSteals < 20_000 || res.AbortedSteals == 0 {
 		t.Fatalf("run is not timer-heavy: %d failed, %d aborted steals", res.FailedSteals, res.AbortedSteals)
 	}
-	const budget = 12_000
+	const budget = 4_000
 	t.Logf("%.0f allocs/run, %d failed and %d aborted steals", allocs, res.FailedSteals, res.AbortedSteals)
 	if allocs > budget {
 		t.Fatalf("%.0f allocs/run over the %d budget (%d failed, %d aborted steals): a per-request timer allocates again",

@@ -339,6 +339,9 @@ func (c Config) Validate() error {
 	if c.ChunkSize < 0 || c.PollInterval < 0 {
 		return errors.New("core: negative chunk size or poll interval")
 	}
+	if c.ChunkSize > workstack.MaxChunkSize {
+		return fmt.Errorf("core: chunk size %d over the work stack's limit of %d", c.ChunkSize, workstack.MaxChunkSize)
+	}
 	if c.NodeCost < 0 || c.StealResponseCost < 0 || c.HandleRequestCost < 0 {
 		return errors.New("core: negative cost")
 	}

@@ -72,8 +72,9 @@ var DefaultBackoff = Backoff{
 // TestRankHotLayout): the first 64 bytes are everything a thief reads
 // and writes between a reply and its next request, the work stack
 // follows by value so that a request finds the victim's state and its
-// chunk count on one aligned 128-byte pair, and what only a working
-// rank touches comes after. The struct is a multiple of 64 bytes, so
+// node count on one aligned 128-byte pair — and a quantum the header of
+// the stack's top segment, one load from the node it pops — and what
+// only a working rank touches comes after. The struct is a multiple of 64 bytes, so
 // every element of the slab starts on a line.
 type rank struct {
 	state rankState
@@ -187,6 +188,14 @@ type engine struct {
 	stealTimeoutFn func(any)
 
 	backoffCfg Backoff
+
+	// loot is the free list of loot buffers (getLoot, putLoot): a victim
+	// packs a steal reply into one and the thief hands it back once the
+	// nodes are on its own stack, so a steady-state steal allocates
+	// nothing. Per engine — in a sharded run a buffer taken from the
+	// victim's shard list ends up on the thief's, and each list is
+	// touched by its own shard's goroutine only.
+	loot [][]uts.Node
 
 	// Fault injection. inj is nil for fault-free runs, keeping every
 	// hot path on its existing branch-free course; reprobeFn is the
@@ -1005,10 +1014,12 @@ func (e *engine) handle(r int, m *comm.Message) {
 			e.met.session.Observe(int64(now.Sub(rk.idleSince)))
 			e.rec.Record(r, now, trace.Active)
 			rk.stack.Acquire(m.Nodes)
+			e.putLoot(m)
 			e.startQuantum(r)
 		case rsWorking:
 			// Late reply to an aborted request: just bank the nodes.
 			rk.stack.Acquire(m.Nodes)
+			e.putLoot(m)
 		}
 
 	case comm.TagNoWork:
@@ -1076,20 +1087,18 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	if twoSided && rk.state == rsWorking {
 		rk.extraDelay += e.cfg.HandleRequestCost
 	}
-	var loot []uts.Node
-	var chunks int
-	switch e.cfg.Steal {
-	case StealHalf:
-		loot, chunks = rk.stack.StealHalf()
-	default:
-		loot, chunks = rk.stack.StealOne()
-	}
-	if chunks == 0 {
+	avail := rk.stack.StealableChunks()
+	if avail == 0 {
 		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
 		e.met.links.Inc(v, thief)
 		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
 		return
 	}
+	want := 1
+	if e.cfg.Steal == StealHalf {
+		want = (avail + 1) / 2
+	}
+	loot, _ := rk.stack.StealInto(e.getLoot(), want)
 	e.det.WorkSent(v)
 	e.workSent++
 	if twoSided {
@@ -1099,6 +1108,29 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	e.met.links.Inc(v, thief)
 	e.met.chunkNodes.Observe(int64(len(loot)))
 	e.net.SendNodes(v, thief, id, loot, int(rk.lineage)+1, len(loot)*uts.NodeBytes)
+}
+
+// getLoot returns an empty buffer for a steal reply's nodes: the one
+// most recently handed back, or nil — StealInto then allocates it —
+// while the list is empty.
+func (e *engine) getLoot() []uts.Node {
+	last := len(e.loot) - 1
+	if last < 0 {
+		return nil
+	}
+	buf := e.loot[last]
+	e.loot[last] = nil
+	e.loot = e.loot[:last]
+	return buf
+}
+
+// putLoot takes back the buffer of a work reply whose nodes the thief
+// has copied onto its stack. The message gives it up here, before
+// net.Free: nothing may read m.Nodes afterwards, because the next steal
+// this engine answers writes into the same array.
+func (e *engine) putLoot(m *comm.Message) {
+	e.loot = append(e.loot, m.Nodes[:0])
+	m.Nodes = nil
 }
 
 // noteMigration tallies one accepted transfer at the given migration

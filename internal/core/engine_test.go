@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,6 +74,7 @@ func TestValidateExclusions(t *testing.T) {
 			c.Serve = serveTestSpec()
 			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
 		}, "incompatible with fault plans"},
+		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
 		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},
 		{"negative handle-request cost", func(c *Config) { c.HandleRequestCost = -10 * sim.Microsecond }, "negative cost"},

@@ -7,9 +7,9 @@ import (
 
 // TestRankHotLayout holds the rank slab to its cache-line budget: the
 // fields a thief touches between a NoWork reply and its next request
-// all sit in the first 64 bytes, the work stack's chunk header — what a
-// request reads at the victim — sits in the second line of the same
-// 128-byte pair, and the struct is a whole number of lines no larger
+// all sit in the first 64 bytes, the work stack's header and counts —
+// what a request reads at the victim, and all a push or a pop needs to
+// reach its node — are the second line of the same 128-byte pair, and the struct is a whole number of lines no larger
 // than 384 bytes, so the slab stays line-aligned and does not outgrow
 // the separately allocated stacks it replaced.
 func TestRankHotLayout(t *testing.T) {
@@ -34,10 +34,10 @@ func TestRankHotLayout(t *testing.T) {
 			t.Errorf("rank.%s occupies [%d, %d): outside the thief's line", f.name, f.off, f.off+f.size)
 		}
 	}
-	// workstack's own test pins the chunk slice header (three words) to
-	// the Stack's offset 0.
-	if off := unsafe.Offsetof(rk.stack); off < 64 || off+3*unsafe.Sizeof(uintptr(0)) > 128 {
-		t.Errorf("rank.stack at offset %d: its chunk header is not inside [64, 128)", off)
+	// workstack's own test pins the top segment's slice header, the node
+	// count and the chunk size to the Stack's first 64 bytes.
+	if off := unsafe.Offsetof(rk.stack); off != 64 {
+		t.Errorf("rank.stack at offset %d: its header and counts are not the line [64, 128)", off)
 	}
 	if off := unsafe.Offsetof(rk.gen); off < 128 {
 		t.Errorf("rank.gen at offset %d: a working rank's state shares the steal lines", off)

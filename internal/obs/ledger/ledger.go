@@ -34,6 +34,7 @@ import (
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/trace"
+	"distws/internal/workstack"
 )
 
 // Schema identifies the manifest document format; bump on breaking
@@ -496,7 +497,7 @@ func blameEntry(b causal.RankBlame) BlameEntry {
 func SpecFromConfig(tree, scale string, cfg core.Config) Spec {
 	chunk := cfg.ChunkSize
 	if chunk == 0 {
-		chunk = 20 // workstack.DefaultChunkSize, without the import cycle risk
+		chunk = workstack.DefaultChunkSize
 	}
 	nodeCost := cfg.NodeCost
 	if nodeCost == 0 {

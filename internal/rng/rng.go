@@ -8,7 +8,10 @@
 // xoshiro256** is the general-purpose generator.
 package rng
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // SplitMix64 is the 64-bit SplitMix generator of Steele, Lea and Flood.
 // It is primarily used to expand a single seed into independent seeds for
@@ -103,34 +106,14 @@ func (x *Xoshiro256) Uint64n(n uint64) uint64 {
 		panic("rng: Uint64n with zero n")
 	}
 	// Lemire (2019): multiply-shift with rejection in the low word.
-	v := x.Uint64()
-	hi, lo := mul128(v, n)
+	hi, lo := bits.Mul64(x.Uint64(), n)
 	if lo < n {
 		threshold := -n % n
 		for lo < threshold {
-			v = x.Uint64()
-			hi, lo = mul128(v, n)
+			hi, lo = bits.Mul64(x.Uint64(), n)
 		}
 	}
-	_ = lo
 	return hi
-}
-
-// mul128 returns the 128-bit product of a and b as (hi, lo).
-func mul128(a, b uint64) (hi, lo uint64) {
-	const mask32 = 1<<32 - 1
-	a0, a1 := a&mask32, a>>32
-	b0, b1 := b&mask32, b>>32
-	t := a0 * b0
-	lo = t & mask32
-	c := t >> 32
-	t = a1*b0 + c
-	m := t & mask32
-	c = t >> 32
-	t = a0*b1 + m
-	lo |= (t & mask32) << 32
-	hi = a1*b1 + c + t>>32
-	return hi, lo
 }
 
 // Perm returns a random permutation of [0, n) using the Fisher–Yates

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"testing"
-	"testing/quick"
 )
 
 func TestSplitMix64KnownValues(t *testing.T) {
@@ -100,14 +99,48 @@ func TestUint64nUniformity(t *testing.T) {
 	}
 }
 
-func TestMul128AgainstBits(t *testing.T) {
-	f := func(a, b uint64) bool {
+// mul128 is the 128-bit product Uint64n computed by hand — four 32-bit
+// partial products — before it called math/bits.Mul64; kept as the
+// reference the one-instruction multiply must match.
+func mul128(a, b uint64) (hi, lo uint64) {
+	const mask32 = 1<<32 - 1
+	a0, a1 := a&mask32, a>>32
+	b0, b1 := b&mask32, b>>32
+	t := a0 * b0
+	lo = t & mask32
+	c := t >> 32
+	t = a1*b0 + c
+	m := t & mask32
+	c = t >> 32
+	t = a0*b1 + m
+	lo |= (t & mask32) << 32
+	hi = a1*b1 + c + t>>32
+	return hi, lo
+}
+
+// TestMul128MatchesBits: bits.Mul64 returns what the hand-rolled
+// multiply returned, on the carry edges and on 10^6 random pairs, so
+// every Uint64n and Intn value is the one it was.
+func TestMul128MatchesBits(t *testing.T) {
+	check := func(a, b uint64) {
 		hi, lo := mul128(a, b)
-		whi, wlo := bits.Mul64(a, b)
-		return hi == whi && lo == wlo
+		if whi, wlo := bits.Mul64(a, b); hi != whi || lo != wlo {
+			t.Fatalf("%#x * %#x: hand-rolled (%#x, %#x), bits.Mul64 (%#x, %#x)", a, b, hi, lo, whi, wlo)
+		}
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
-		t.Fatal(err)
+	edges := []uint64{0, 1, 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<63 - 1, 1 << 63, 1<<64 - 2, 1<<64 - 1}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	x := New(128)
+	for i := 0; i < 1_000_000; i++ {
+		a, b := x.Uint64(), x.Uint64()
+		if i%2 == 1 {
+			b >>= 64 - uint(i/2%64) - 1 // ranges as narrow as Intn's arguments
+		}
+		check(a, b)
 	}
 }
 

@@ -217,8 +217,8 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.ChunkSize == 0 {
 		cfg.ChunkSize = workstack.DefaultChunkSize
 	}
-	if cfg.ChunkSize < 1 {
-		return nil, errors.New("rt: non-positive chunk size")
+	if cfg.ChunkSize < 1 || cfg.ChunkSize > workstack.MaxChunkSize {
+		return nil, fmt.Errorf("rt: chunk size %d not in [1, %d]", cfg.ChunkSize, workstack.MaxChunkSize)
 	}
 	if cfg.ReleaseThreshold == 0 {
 		cfg.ReleaseThreshold = 2 * cfg.ChunkSize

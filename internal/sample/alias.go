@@ -4,7 +4,11 @@
 // It replaces the GNU Scientific Library's gsl_ran_discrete, which the
 // paper's modified UTS uses to sample the distance-skewed victim
 // distribution. Construction is O(n); each draw costs two generator
-// outputs and one 8-byte table load.
+// outputs and one 8-byte table load. A table set larger than the cache
+// makes that load the whole cost of a draw, so a draw can be split: the
+// caller draws the bucket index ahead of time, Prefetches its cell, and
+// finishes with At once the value is needed; Sample is the two
+// back to back.
 //
 // A table is one []uint64. Cell i packs the acceptance threshold of
 // bucket i (high 53 bits) and its alias outcome (low 11 bits), so a
@@ -179,10 +183,22 @@ func (d *Discrete) N() int { return len(d.cells) }
 // Sample draws one outcome using the given generator. It consumes the
 // stream exactly as r.Intn(n) followed by r.Float64() would.
 func (d *Discrete) Sample(r *rng.Xoshiro256) int {
-	i := r.Intn(len(d.cells))
+	return d.At(r.Intn(len(d.cells)), r)
+}
+
+// At finishes a draw whose bucket i, uniform in [0, N()), the caller
+// already drew: it consumes one generator output for the acceptance
+// test and returns the bucket or its alias. Splitting Sample here lets
+// a caller draw the bucket early and Prefetch its cell.
+func (d *Discrete) At(i int, r *rng.Xoshiro256) int {
 	c := d.cells[i]
 	if Accept(r, c>>aliasBits) {
 		return i
 	}
 	return int(c & aliasMask)
 }
+
+// Prefetch starts bringing bucket i's cell into the cache, for an At(i)
+// that comes later. It changes no result; on a GOARCH without a
+// prefetch stub it does nothing.
+func (d *Discrete) Prefetch(i int) { prefetch(&d.cells[i]) }

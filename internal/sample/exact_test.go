@@ -138,6 +138,52 @@ func matchReference(t *testing.T, w []float64, seed uint64, draws int) {
 	}
 }
 
+// TestPrefetchIsANoOpForResults: a split draw — the bucket drawn a draw
+// early and its cell prefetched, At afterwards — returns what Sample
+// returns from the same stream, with the Prefetch call and without it
+// (all the generic build's empty function amounts to), at the smallest
+// and the largest table; Prefetch takes the first and the last bucket
+// and leaves the cells as they were.
+func TestPrefetchIsANoOpForResults(t *testing.T) {
+	for _, n := range []int{2, MaxOutcomes} {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1 / float64(1+i%7)
+		}
+		d := MustNewDiscrete(w)
+		cells := append([]uint64(nil), d.cells...)
+		for _, bucket := range []int{0, n - 1} {
+			a, b := rng.New(5), rng.New(5)
+			d.Prefetch(bucket)
+			if got, want := d.At(bucket, a), d.At(bucket, b); got != want || *a != *b {
+				t.Fatalf("n = %d, bucket %d: At gave %d after a prefetch, %d without", n, bucket, got, want)
+			}
+		}
+		whole, split, bare := rng.New(9), rng.New(9), rng.New(9)
+		next, nextBare := split.Intn(n), bare.Intn(n)
+		for i := 0; i < 100_000; i++ {
+			want := d.Sample(whole)
+			got := d.At(next, split)
+			next = split.Intn(n)
+			d.Prefetch(next)
+			gotBare := d.At(nextBare, bare)
+			nextBare = bare.Intn(n)
+			if got != want || gotBare != want {
+				t.Fatalf("n = %d, draw %d: Sample %d, split draw %d with the prefetch and %d without", n, i, want, got, gotBare)
+			}
+		}
+		// The split streams are one bucket ahead of Sample's.
+		if ahead := whole.Intn(n); ahead != next || ahead != nextBare || *whole != *split || *whole != *bare {
+			t.Fatalf("n = %d: the split draws left their generators somewhere Sample's is not", n)
+		}
+		for i, c := range d.cells {
+			if c != cells[i] {
+				t.Fatalf("n = %d: cell %d changed", n, i)
+			}
+		}
+	}
+}
+
 // fuzzWeights expands fuzz bytes into n weights: each byte picks a zero,
 // a small integer or a value spread over many binades.
 func fuzzWeights(data []byte, n int) []float64 {

@@ -110,8 +110,10 @@ func (s *refSkewed) next(thief int) int {
 // reference on the first draws of several thieves, across the three
 // placements, both sampling regimes (64 and 1024 ranks build alias
 // tables, 4096 rejects) and four exponents. Equal victims and equal
-// generator states at the end mean the integer distances, the weight
-// and threshold tables and the packed alias cells changed no draw.
+// generator states at the end — in alias mode once the reference has
+// drawn the bucket the selector holds pre-drawn — mean the integer
+// distances, the weight and threshold tables, the packed alias cells
+// and the early bucket draw changed no draw.
 func TestDistanceSkewedMatchesReference(t *testing.T) {
 	draws := 100000
 	if testing.Short() {
@@ -134,6 +136,14 @@ func TestDistanceSkewedMatchesReference(t *testing.T) {
 								p, ranks, k, thief, i, got, want)
 						}
 					}
+					if sel.useAlias {
+						// The selector is one Intn ahead of the reference:
+						// the bucket of the thief's next draw.
+						if got, want := int(sel.bucket[thief]), ref.rand[thief].Intn(ranks); got != want {
+							t.Fatalf("%v, %d ranks, k=%g, thief %d: pre-drawn bucket %d, the reference's next Intn is %d",
+								p, ranks, k, thief, got, want)
+						}
+					}
 					if sel.rand[thief] != *ref.rand[thief] {
 						t.Fatalf("%v, %d ranks, k=%g, thief %d: generator state differs from the reference after %d equal draws",
 							p, ranks, k, thief, draws)
@@ -145,6 +155,32 @@ func TestDistanceSkewedMatchesReference(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPredrawKeepsEveryThiefsStream: drawing a thief's next bucket at
+// the end of its previous draw leaves every thief's stream as the
+// reference consumes it, whatever the interleaving. 1024 thieves draw
+// in random order, one draw or two back to back (as skipBlacklisted
+// re-rolls), a million draws in all, each equal to the reference's.
+func TestPredrawKeepsEveryThiefsStream(t *testing.T) {
+	const ranks = 1024
+	draws := 1_000_000
+	if testing.Short() {
+		draws = 50_000
+	}
+	job := testJob(t, ranks, topology.OnePerNode)
+	sel := NewDistanceSkewed(job, 77)
+	ref := newRefSkewed(job, 77, 1)
+	order := rng.New(3)
+	for i := 0; i < draws; {
+		thief := order.Intn(ranks)
+		for n := 1 + order.Intn(2); n > 0; n-- {
+			if got, want := sel.Next(thief), ref.next(thief); got != want {
+				t.Fatalf("draw %d, thief %d: victim %d, reference %d", i, thief, got, want)
+			}
+			i++
 		}
 	}
 }

@@ -19,6 +19,13 @@
 // Selectors are stateful per job: they hold per-rank walk positions,
 // PRNG streams and sampling tables. They are not safe for concurrent
 // use; the discrete-event simulator is single-threaded per run.
+//
+// A thief's draws come from its own stream and nothing else reads it,
+// which DistanceSkewed uses up to 2048 ranks, where the thieves' alias
+// tables outgrow the cache: it draws the bucket of a thief's next draw
+// at the end of the current one and prefetches the table cell, so the
+// draw itself finds the cell cached. The stream is consumed in the same
+// order and the victims are the same (distanceSkewed.nextAlias).
 package victim
 
 import (
@@ -153,9 +160,13 @@ type distanceSkewed struct {
 	accept []uint64
 	// tables[thief] is built on the thief's first draw (alias mode);
 	// builder and wbuf are the construction scratch all of them share.
-	tables   []sample.Discrete
-	builder  sample.Builder
-	wbuf     []float64
+	tables  []sample.Discrete
+	builder sample.Builder
+	wbuf    []float64
+	// bucket[thief] is the bucket of the thief's next draw, drawn from
+	// its stream at the end of the previous one and prefetched (alias
+	// mode, valid once the thief's table exists; see nextAlias).
+	bucket   []int32
 	useAlias bool
 }
 
@@ -214,6 +225,7 @@ func NewDistanceSkewedExp(job *topology.Job, seed uint64, k float64) Selector {
 	if d.useAlias {
 		d.tables = make([]sample.Discrete, n)
 		d.wbuf = make([]float64, n)
+		d.bucket = make([]int32, n)
 	} else {
 		d.accept = make([]uint64, len(d.weight))
 		for d2, w := range d.weight {
@@ -281,14 +293,10 @@ func (d *distanceSkewed) Next(thief int) int {
 	if d.n < 2 {
 		return thief
 	}
-	r := &d.rand[thief]
 	if d.useAlias {
-		t := &d.tables[thief]
-		if t.N() == 0 {
-			d.buildTable(thief)
-		}
-		return t.Sample(r)
+		return d.nextAlias(thief)
 	}
+	r := &d.rand[thief]
 	// Rejection sampling: draw a candidate uniformly, accept it with
 	// probability w. Expected iterations = 1/mean(weight).
 	for {
@@ -300,6 +308,31 @@ func (d *distanceSkewed) Next(thief int) int {
 			return v
 		}
 	}
+}
+
+// nextAlias is Next in alias mode. The thieves' tables together (8 KB
+// each) are larger than the cache, so the cell of a uniformly drawn
+// bucket is a miss, and a draw that loads it on the spot waits for
+// memory. Instead a draw ends by drawing the bucket of the thief's next
+// one and prefetching its cell, which arrives while the thief's request
+// is in flight. Only Next reads d.rand[thief], so the stream is still
+// consumed as Intn, Uint64, Intn, Uint64, … and every victim is the one
+// Sample would have returned; the bucket drawn after a thief's last
+// draw is never used.
+func (d *distanceSkewed) nextAlias(thief int) int {
+	r, t := &d.rand[thief], &d.tables[thief]
+	var i int
+	if t.N() == 0 {
+		d.buildTable(thief)
+		i = r.Intn(d.n)
+	} else {
+		i = int(d.bucket[thief])
+	}
+	v := t.At(i, r)
+	next := r.Intn(d.n)
+	d.bucket[thief] = int32(next)
+	t.Prefetch(next)
+	return v
 }
 
 func (d *distanceSkewed) Observe(int, int, bool) {}

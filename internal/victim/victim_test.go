@@ -357,13 +357,22 @@ func BenchmarkRoundRobinNext(b *testing.B) {
 }
 
 // BenchmarkVictimDraw prices one draw of the paper's selector in both
-// regimes, tables built: an alias draw at 1024 ranks (every thief's
-// table is cold in cache, as in a run) and a rejection draw at 8192.
+// regimes, tables built: an alias draw at 1024 ranks and a rejection
+// draw at 8192. The thieves take turns, so back-to-back iterations are
+// independent and the CPU overlaps one draw's table miss with the next
+// draws — which a run, with a round trip between a thief's draws, cannot
+// do. alias-1024-evicted is the draw as a run sees it: between draws
+// the loop reads 2 KB of a 16 MB scratch, enough that a cell is never
+// still cached from its last use and that a miss cannot hide behind the
+// next iteration; what is left is the miss itself, or, with the bucket
+// drawn a draw early and prefetched, the walk (about 25 ns).
 func BenchmarkVictimDraw(b *testing.B) {
+	scratch := make([]uint64, 16<<20/8) // a power of two of words
 	for _, c := range []struct {
 		name  string
 		ranks int
-	}{{"alias-1024", 1024}, {"reject-8192", 8192}} {
+		walk  int // scratch cache lines read after each draw
+	}{{"alias-1024", 1024, 0}, {"alias-1024-evicted", 1024, 32}, {"reject-8192", 8192, 0}} {
 		b.Run(c.name, func(b *testing.B) {
 			s := NewDistanceSkewed(testJob(b, c.ranks, topology.OnePerNode), 1)
 			for thief := 0; thief < c.ranks; thief++ {
@@ -371,9 +380,18 @@ func BenchmarkVictimDraw(b *testing.B) {
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			var sum uint64
+			for i, pos := 0, 0; i < b.N; i++ {
 				s.Next(i % c.ranks)
+				for j := 0; j < c.walk; j++ {
+					sum += scratch[pos]
+					pos = (pos + 8) & (len(scratch) - 1)
+				}
 			}
+			walkSink = sum
 		})
 	}
 }
+
+// walkSink keeps the scratch walk of BenchmarkVictimDraw alive.
+var walkSink uint64

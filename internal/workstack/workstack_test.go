@@ -201,23 +201,65 @@ func TestStats(t *testing.T) {
 	}
 }
 
+// TestChunkRecycling: a stack keeps the segments that pops and steals
+// empty and reuses them — going down and up again, whether across one
+// segment boundary or between its deepest and empty, allocates nothing —
+// lets them go when it is dropped, and has no segment list while it
+// fits one segment.
 func TestChunkRecycling(t *testing.T) {
-	// Push/pop churn should reuse chunk buffers, not grow the free list
-	// unboundedly.
+	const depth = 4*segNodes + 3
 	s := New(8)
-	for round := 0; round < 100; round++ {
-		for i := uint32(0); i < 64; i++ {
+	fill := func() {
+		for i := uint32(0); i < depth; i++ {
 			s.Push(node(i))
 		}
-		for i := 0; i < 64; i++ {
+	}
+	listed := func() (segs int) {
+		for _, seg := range s.below[:cap(s.below)] {
+			if seg != nil {
+				segs++
+			}
+		}
+		return segs
+	}
+	fill()
+	if allocs := testing.AllocsPerRun(100, func() {
+		for i := 0; i < depth; i++ {
 			s.Pop()
 		}
+		fill()
+	}); allocs != 0 {
+		t.Errorf("%v allocations per %d-node churn, want 0", allocs, depth)
 	}
-	if len(s.free) > 32 {
-		t.Fatalf("free list grew to %d", len(s.free))
+	if got := listed(); got != depth/segNodes {
+		t.Fatalf("%d segments listed under a %d-node stack, want %d", got, depth, depth/segNodes)
 	}
-	if !s.Empty() {
-		t.Fatal("stack not empty after churn")
+	// Eight chunks of eight leave from the bottom: four segments, kept.
+	if _, chunks := s.Steal(100); chunks != (depth-1)/8 {
+		t.Fatalf("stole %d chunks, want %d", chunks, (depth-1)/8)
+	}
+	if got := listed(); got != depth/segNodes || len(s.below) != 0 || s.Len() != 3 {
+		t.Fatalf("%d segments listed, %d of them full, and %d nodes after the steal, want %d, 0 and 3",
+			got, len(s.below), s.Len(), depth/segNodes)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		fill()
+		for i := 0; i < depth; i++ {
+			s.Pop()
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations refilling a robbed stack, want 0", allocs)
+	}
+	fill()
+	if lost := s.Drop(); lost != 3+depth || listed() != 0 || cap(s.top) != segNodes {
+		t.Fatalf("Drop lost %d nodes and left %d segments listed, top capacity %d", lost, listed(), cap(s.top))
+	}
+	small := New(8)
+	for i := uint32(0); i < segNodes; i++ {
+		small.Push(node(i))
+	}
+	if small.below != nil {
+		t.Fatal("a stack of one segment allocated its segment list")
 	}
 }
 
@@ -289,37 +331,39 @@ func TestPropertyStealableCount(t *testing.T) {
 	}
 }
 
-func BenchmarkPushPop(b *testing.B) {
-	s := New(DefaultChunkSize)
+// BenchmarkWorkStack prices the two shapes a run gives the stack: the
+// owner's push-pop at the top, at a depth where every few operations
+// cross a segment, and a thief's round trip — steal half into a
+// recycled buffer at the victim, acquire at the thief — of the engine's
+// steal path. Neither allocates once the stacks have their segments.
+func BenchmarkWorkStack(b *testing.B) {
 	n := node(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		s.Push(n)
-		s.Push(n)
-		s.Pop()
-		s.Pop()
-	}
-}
-
-func BenchmarkStealHalf(b *testing.B) {
-	s := New(DefaultChunkSize)
-	n := node(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		for j := 0; j < 200; j++ {
+	b.Run("push-pop", func(b *testing.B) {
+		s := New(DefaultChunkSize)
+		for i := 0; i < segNodes-1; i++ {
 			s.Push(n)
 		}
-		for {
-			loot, k := s.StealHalf()
-			if k == 0 {
-				break
-			}
-			_ = loot
-		}
-		for !s.Empty() {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s.Push(n)
+			s.Push(n)
+			s.Pop()
 			s.Pop()
 		}
-	}
+	})
+	b.Run("steal-half-acquire", func(b *testing.B) {
+		victim, thief := New(DefaultChunkSize), New(DefaultChunkSize)
+		for i := 0; i < 10*DefaultChunkSize+1; i++ {
+			victim.Push(n)
+		}
+		var loot []uts.Node
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			loot, _ = victim.StealInto(loot[:0], (victim.StealableChunks()+1)/2)
+			thief.Acquire(loot)
+			victim, thief = thief, victim
+		}
+	})
 }
 
 func TestTakeTopBypassesPrivateRule(t *testing.T) {
@@ -389,9 +433,10 @@ func TestDrop(t *testing.T) {
 // TestStackInitMatchesNew: a Stack held by value and initialised in
 // place is the stack New returns — field for field when fresh, and
 // through a push / steal / acquire / pop sequence — Init on a used
-// stack empties it, and the chunk-slice header stays the struct's first
-// field (core's rank slab places it on the line a thief's request
-// reads).
+// stack empties it, and the top segment's slice header stays the
+// struct's first field with the node count and chunk size in the same
+// 64 bytes (core's rank slab places them on the line a thief's request
+// reads) of a struct no larger than 96.
 func TestStackInitMatchesNew(t *testing.T) {
 	var slab [2]struct {
 		pad uint64
@@ -424,8 +469,14 @@ func TestStackInitMatchesNew(t *testing.T) {
 	if !reflect.DeepEqual(byValue, New(5)) {
 		t.Fatalf("Init on a used stack left %+v, want %+v", *byValue, *New(5))
 	}
-	if off := unsafe.Offsetof(byValue.chunks); off != 0 {
-		t.Fatalf("Stack.chunks at offset %d, want 0", off)
+	if off := unsafe.Offsetof(byValue.top); off != 0 {
+		t.Fatalf("Stack.top at offset %d, want 0", off)
+	}
+	if end := unsafe.Offsetof(byValue.chunkSize) + unsafe.Sizeof(byValue.chunkSize); unsafe.Offsetof(byValue.n) > end || end > 64 {
+		t.Fatalf("Stack.n and Stack.chunkSize end at offset %d, want them inside the first 64 bytes", end)
+	}
+	if size := unsafe.Sizeof(*byValue); size > 96 {
+		t.Fatalf("Stack is %d bytes, want at most 96", size)
 	}
 	defer func() {
 		if recover() == nil {
