@@ -82,7 +82,7 @@ lint:
 
 # obs-smoke exercises the observability pipeline end to end: a small
 # traced simulation, the tracetool text and JSON analyses, a Chrome
-# trace conversion, and obscheck validation of every artifact. CI
+# trace conversion, and tracetool -check over every artifact. CI
 # uploads $(ARTIFACTS)/ so the Perfetto trace of each run is a click
 # away (load smoke.chrome.json at ui.perfetto.dev).
 obs-smoke:
@@ -92,7 +92,7 @@ obs-smoke:
 		-manifest $(SMOKE)/smoke.manifest.json
 	$(GO) run ./cmd/tracetool -in $(SMOKE)/smoke.jsonl
 	$(GO) run ./cmd/tracetool -in $(SMOKE)/smoke.jsonl -format json > $(SMOKE)/smoke.report.json
-	$(GO) run ./cmd/obscheck $(SMOKE)/smoke.jsonl $(SMOKE)/smoke.chrome.json \
+	$(GO) run ./cmd/tracetool -check $(SMOKE)/smoke.jsonl $(SMOKE)/smoke.chrome.json \
 		$(SMOKE)/smoke.report.json $(SMOKE)/smoke.manifest.json
 
 # causal-smoke runs the causal analyses (idle-time blame, critical
@@ -119,7 +119,6 @@ CHAOS_RUN = $(GO) run ./cmd/uts -tree T3 -ranks 16 -seed 7 \
 
 chaos-smoke:
 	@mkdir -p $(SMOKE)
-	@rm -f $(ARTIFACTS)/smoke.* $(ARTIFACTS)/chaos.*  # pre-PR-7 top-level strays
 	$(CHAOS_RUN) > $(SMOKE)/chaos.txt
 	@$(CHAOS_RUN) | cmp -s - $(SMOKE)/chaos.txt || \
 		{ echo "chaos-smoke: faulted run is not replay-identical"; exit 1; }
@@ -257,9 +256,9 @@ par-smoke:
 # parprof-smoke is the window-profiling observer-freedom gate: the same
 # sharded run with and without -parprof must emit byte-identical event
 # traces (profiling reads barrier state, it never perturbs it), the
-# profiled manifest's `par` section must validate under obscheck and
-# print under tracetool -par, and the shards {1,2,4,8} scaling report
-# must land as a JSON artifact for CI upload.
+# profiled manifest's `par` section must pass tracetool -check and print
+# under tracetool -par, and the shards {1,2,4,8} scaling report must land
+# as a JSON artifact for CI upload.
 PARPROF_RUN = $(GO) run ./cmd/uts -tree T3 -ranks 16 -chunk 4 -selector Tofu -seed 5 -shards 4
 parprof-smoke:
 	@mkdir -p $(SMOKE)
@@ -275,7 +274,7 @@ parprof-smoke:
 	@grep -q "shard scaling report" $(SMOKE)/parprof.txt || \
 		{ echo "parprof-smoke: scaling report missing from output"; cat $(SMOKE)/parprof.txt; exit 1; }
 	$(GO) run ./cmd/tracetool -in $(SMOKE)/parprof.manifest.json -par
-	$(GO) run ./cmd/obscheck $(SMOKE)/parprof.manifest.json
+	$(GO) run ./cmd/tracetool -check $(SMOKE)/parprof.manifest.json
 	@echo "parprof-smoke: observer-free; profile in $(SMOKE)/parprof.txt, scaling in $(SMOKE)/parprof.scaling.json"
 
 check: build lint vet distwsvet test bench-check race fuzz-smoke par-smoke parprof-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke

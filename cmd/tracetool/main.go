@@ -17,14 +17,23 @@
 //	tracetool -in t.jsonl -chrome t.json     # convert for ui.perfetto.dev
 //	tracetool -diff -in a.manifest.json -in b.manifest.json
 //	tracetool -diff -in a.jsonl -in b.jsonl -format json
+//	tracetool -check t.jsonl t.chrome.json report.json run.manifest.json
 //
 // -diff compares two runs — ledger manifests written by `uts -manifest`
 // or the matrix harness, or raw traces summarized on the fly — into a
 // causal attribution report: which critical-path segments, blame causes
 // and links the makespan delta decomposes into (DESIGN.md §12).
+//
+// -check validates artifacts so CI can gate on them: one OK/FAIL line
+// per file, non-zero exit if any fails. A .jsonl file must parse as a
+// trace and pass trace.Validate; a .json file must be a run manifest
+// (ledger.Validate, including the causal partition identities), a
+// Chrome trace with a non-empty traceEvents list, or a non-empty
+// -format json report array. Any other JSON is a failure, not a pass.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -33,7 +42,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"distws/internal/metrics"
 	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/diff"
@@ -48,92 +56,36 @@ type inList []string
 func (l *inList) String() string     { return fmt.Sprint([]string(*l)) }
 func (l *inList) Set(v string) error { *l = append(*l, v); return nil }
 
-// jsonTrafficLimit caps the rank count for which -format json inlines
-// the full traffic matrix; past it the report would be dominated by an
-// O(ranks²) block of mostly zeros.
-const jsonTrafficLimit = 128
-
 // report is the machine-readable per-file analysis (-format json). All
 // _ns fields are virtual nanoseconds. Every analysis the text mode can
 // print appears here too, so scripted consumers never fall back to
 // scraping the text.
 type report struct {
-	File          string            `json:"file"`
-	Ranks         int               `json:"ranks"`
-	MakespanNS    int64             `json:"makespan_ns"`
-	Sessions      int               `json:"sessions"`
-	MaxOccupancy  float64           `json:"max_occupancy"`
-	MeanOccupancy float64           `json:"mean_occupancy"`
-	SessionStats  *sessionReport    `json:"session_stats,omitempty"`
-	LatencyCurve  []latencyPoint    `json:"latency_curve,omitempty"`
-	Events        map[string]uint64 `json:"events,omitempty"`
-	EventsDropped uint64            `json:"events_dropped,omitempty"`
-	Steals        *stealReport      `json:"steals,omitempty"`
-	Tail          *tailReport       `json:"termination_tail,omitempty"`
-	Traffic       [][]uint64        `json:"traffic,omitempty"`
-	Blame         *blameReport      `json:"blame,omitempty"`
-	Critical      *criticalReport   `json:"critical_path,omitempty"`
-	Lineage       *lineageReport    `json:"lineage,omitempty"`
+	File          string             `json:"file"`
+	Ranks         int                `json:"ranks"`
+	MakespanNS    int64              `json:"makespan_ns"`
+	Sessions      int                `json:"sessions"`
+	MaxOccupancy  float64            `json:"max_occupancy"`
+	MeanOccupancy float64            `json:"mean_occupancy"`
+	SessionStats  *obs.SessionStats  `json:"session_stats,omitempty"`
+	LatencyCurve  []obs.LatencyPoint `json:"latency_curve,omitempty"`
+	Events        map[string]uint64  `json:"events,omitempty"`
+	EventsDropped uint64             `json:"events_dropped,omitempty"`
+	Steals        *stealReport       `json:"steals,omitempty"`
+	Tail          *obs.TailStats     `json:"termination_tail,omitempty"`
+	// Traffic, Blame, Critical and the embedded half of Steals are the
+	// run manifest's own sections, filled by the ledger's conversion.
+	Traffic  [][]uint64              `json:"traffic,omitempty"`
+	Blame    *ledger.BlameSummary    `json:"blame,omitempty"`
+	Critical *ledger.CriticalSummary `json:"critical_path,omitempty"`
+	Lineage  *lineageReport          `json:"lineage,omitempty"`
 }
 
-type sessionReport struct {
-	Count  int     `json:"count"`
-	MeanS  float64 `json:"mean_s"`
-	P50S   float64 `json:"p50_s"`
-	P99S   float64 `json:"p99_s"`
-	Failed int     `json:"failed_attempts"`
-}
-
-type latencyPoint struct {
-	Occupancy float64 `json:"occupancy"`
-	Reached   bool    `json:"reached"`
-	SL        float64 `json:"sl"`
-	EL        float64 `json:"el"`
-}
-
+// stealReport is the manifest's steal section plus the one statistic
+// only the per-trace report carries.
 type stealReport struct {
-	Count        int   `json:"count"`
-	Success      int   `json:"success"`
-	Refused      int   `json:"refused"`
-	Aborted      int   `json:"aborted"`
-	MeanNS       int64 `json:"mean_ns"`
-	P50NS        int64 `json:"p50_ns"`
-	P95NS        int64 `json:"p95_ns"`
-	P99NS        int64 `json:"p99_ns"`
-	MaxNS        int64 `json:"max_ns"`
+	ledger.StealSummary
 	SuccessP50NS int64 `json:"success_p50_ns"`
-	NodesMoved   int64 `json:"nodes_moved"`
-}
-
-type tailReport struct {
-	LastTransferNS  int64   `json:"last_transfer_ns"`
-	DurationNS      int64   `json:"duration_ns"`
-	Fraction        float64 `json:"fraction"`
-	FailedInTail    int     `json:"failed_in_tail"`
-	TokenHopsInTail int     `json:"token_hops_in_tail"`
-	TokenHopsTotal  int     `json:"token_hops_total"`
-}
-
-type rankBlame struct {
-	BusyNS     int64 `json:"busy_ns"`
-	StartupNS  int64 `json:"startup_ns"`
-	SearchNS   int64 `json:"search_ns"`
-	InFlightNS int64 `json:"in_flight_ns"`
-	TermTailNS int64 `json:"term_tail_ns"`
-}
-
-type blameReport struct {
-	PerRank []rankBlame `json:"per_rank"`
-	Total   rankBlame   `json:"total"`
-}
-
-type criticalReport struct {
-	Segments   int   `json:"segments"`
-	ComputeNS  int64 `json:"compute_ns"`
-	StealRTTNS int64 `json:"steal_rtt_ns"`
-	TransferNS int64 `json:"transfer_ns"`
-	TokenNS    int64 `json:"token_ns"`
-	WaitNS     int64 `json:"wait_ns"`
 }
 
 type lineageReport struct {
@@ -166,10 +118,15 @@ func main() {
 		widthFlag    = flag.Int("width", 72, "lifestory / curve width")
 		stepsFlag    = flag.Int("steps", 10, "number of occupancy points for the SL/EL table")
 		heatFlag     = flag.Int("heatmap", 16, "traffic heatmap size in tiles (0 disables)")
+		checkFlag    = flag.Bool("check", false, "validate the files given as arguments (traces, run manifests, Chrome traces, -format json reports); one OK/FAIL line each")
 	)
 	flag.Var(&ins, "in", "trace file (JSONL) to analyze; repeatable")
 	flag.Parse()
 
+	if *checkFlag {
+		runCheck(append(ins, flag.Args()...))
+		return
+	}
 	if len(ins) == 0 {
 		fmt.Fprintln(os.Stderr, "tracetool: at least one -in is required")
 		flag.Usage()
@@ -204,23 +161,22 @@ func main() {
 	}
 	var reports []report
 	for _, path := range ins {
-		tr := load(path)
+		a := causal.Analyze(load(path))
 		if *chromeFlag != "" {
-			writeChrome(*chromeFlag, tr)
+			writeChrome(*chromeFlag, a)
 		}
-		switch *formatFlag {
-		case "json":
-			reports = append(reports, analyze(path, tr))
-		default:
-			if len(ins) > 1 {
-				fmt.Printf("==> %s <==\n", path)
-			}
-			if err := render(os.Stdout, tr, opts); err != nil {
-				fatalf("%v", err)
-			}
-			if len(ins) > 1 {
-				fmt.Println()
-			}
+		if *formatFlag == "json" {
+			reports = append(reports, analyze(path, a))
+			continue
+		}
+		if len(ins) > 1 {
+			fmt.Printf("==> %s <==\n", path)
+		}
+		if err := render(os.Stdout, a, opts); err != nil {
+			fatalf("%v", err)
+		}
+		if len(ins) > 1 {
+			fmt.Println()
 		}
 	}
 	if *formatFlag == "json" {
@@ -241,13 +197,11 @@ func runDiff(pathA, pathB, format string) {
 	if err := d.CheckIdentities(); err != nil {
 		fatalf("%v", err)
 	}
-	var err error
+	write := d.WriteText
 	if format == "json" {
-		err = d.WriteJSON(os.Stdout)
-	} else {
-		err = d.WriteText(os.Stdout)
+		write = d.WriteJSON
 	}
-	if err != nil {
+	if err := write(os.Stdout); err != nil {
 		fatalf("%v", err)
 	}
 }
@@ -294,7 +248,8 @@ func runPar(path string) {
 // trace into a partial one (causal sections and makespan only).
 func loadManifest(path string) *ledger.Manifest {
 	if strings.HasSuffix(path, ".jsonl") {
-		m := ledger.FromTrace(diffLabel(path), ledger.Spec{}, load(path))
+		id := strings.TrimSuffix(filepath.Base(path), ".jsonl")
+		m := ledger.FromTrace(id, ledger.Spec{}, load(path))
 		if err := m.Validate(); err != nil {
 			fatalf("%s: %v", path, err)
 		}
@@ -307,34 +262,118 @@ func loadManifest(path string) *ledger.Manifest {
 	return m
 }
 
-// diffLabel names a trace-derived manifest after its file.
-func diffLabel(path string) string {
-	base := filepath.Base(path)
-	return strings.TrimSuffix(base, ".jsonl")
-}
-
 func load(path string) *trace.Trace {
-	f, err := os.Open(path)
+	tr, err := readTrace(path)
 	if err != nil {
 		fatalf("%v", err)
-	}
-	tr, err := trace.ReadJSONL(f)
-	f.Close()
-	if err != nil {
-		fatalf("%s: %v", path, err)
-	}
-	if err := tr.Validate(); err != nil {
-		fatalf("%s: trace fails validation: %v", path, err)
 	}
 	return tr
 }
 
-func writeChrome(path string, tr *trace.Trace) {
+// readTrace parses one JSONL trace and holds it to trace.Validate.
+func readTrace(path string) (*trace.Trace, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := trace.ReadJSONL(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	if err := tr.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: trace fails validation: %w", path, err)
+	}
+	return tr, nil
+}
+
+// runCheck validates each file and exits non-zero if any fails.
+func runCheck(paths []string) {
+	if len(paths) == 0 {
+		fmt.Fprintln(os.Stderr, "usage: tracetool -check file.jsonl|file.json ...")
+		os.Exit(2)
+	}
+	failed := false
+	for _, path := range paths {
+		desc, err := check(path)
+		if err != nil {
+			fmt.Printf("FAIL %v\n", err)
+			failed = true
+			continue
+		}
+		fmt.Printf("OK   %s: %s\n", path, desc)
+	}
+	if failed {
+		os.Exit(1)
+	}
+}
+
+// check validates one artifact and describes it; every error names the
+// file. A JSON document is accepted only as one of the three shapes
+// this repository writes.
+func check(path string) (string, error) {
+	if strings.HasSuffix(path, ".jsonl") {
+		tr, err := readTrace(path)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("trace, %d ranks, %d sessions, %d events (%d dropped)",
+			tr.Ranks(), tr.TotalSessions(), tr.TotalEvents(), tr.TotalEventsDropped()), nil
+	}
+	if !strings.HasSuffix(path, ".json") {
+		return "", fmt.Errorf("%s: unknown extension (want .jsonl or .json)", path)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return "", err
+	}
+	if bytes.HasPrefix(bytes.TrimSpace(data), []byte("[")) {
+		var reports []report
+		dec := json.NewDecoder(bytes.NewReader(data))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&reports); err != nil {
+			return "", fmt.Errorf("%s: not a tracetool report array: %w", path, err)
+		}
+		if len(reports) == 0 {
+			return "", fmt.Errorf("%s: empty JSON report array", path)
+		}
+		for i, r := range reports {
+			if r.Ranks <= 0 {
+				return "", fmt.Errorf("%s: report entry %d has %d ranks", path, i, r.Ranks)
+			}
+		}
+		return fmt.Sprintf("report array, %d entries", len(reports)), nil
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(data, &doc); err != nil {
+		return "", fmt.Errorf("%s: invalid JSON: %w", path, err)
+	}
+	if _, ok := doc["schema"]; ok {
+		m, err := ledger.Decode(data)
+		if err == nil {
+			err = m.Validate()
+		}
+		if err != nil {
+			return "", fmt.Errorf("%s: %w", path, err)
+		}
+		return fmt.Sprintf("run manifest %q, %d ranks, makespan %v", m.ID, m.Spec.Ranks, m.Makespan()), nil
+	}
+	if raw, ok := doc["traceEvents"]; ok {
+		var events []json.RawMessage
+		if err := json.Unmarshal(raw, &events); err != nil || len(events) == 0 {
+			return "", fmt.Errorf("%s: chrome trace has no traceEvents", path)
+		}
+		return fmt.Sprintf("chrome trace, %d events", len(events)), nil
+	}
+	return "", fmt.Errorf("%s: JSON object is neither a run manifest (schema) nor a Chrome trace (traceEvents)", path)
+}
+
+func writeChrome(path string, a *causal.Analysis) {
 	f, err := os.Create(path)
 	if err != nil {
 		fatalf("%v", err)
 	}
-	if err := obs.WriteChromeTraceOpts(f, tr, chromeOptions(tr)); err != nil {
+	if err := obs.WriteChromeTraceOpts(f, a.Trace(), chromeOptions(a)); err != nil {
 		fatalf("writing %s: %v", path, err)
 	}
 	if err := f.Close(); err != nil {
@@ -343,25 +382,16 @@ func writeChrome(path string, tr *trace.Trace) {
 	fmt.Fprintf(os.Stderr, "tracetool: chrome trace written to %s (load at ui.perfetto.dev)\n", path)
 }
 
-// chromeOptions computes the optional exporter tracks: traces with an
-// event log get their critical path as a highlight track.
-func chromeOptions(tr *trace.Trace) obs.ChromeOptions {
-	var o obs.ChromeOptions
-	if tr.Events == nil {
-		return o
-	}
-	p := causal.CriticalPath(causal.Build(tr))
-	for _, s := range p.Segments {
-		o.Highlight = append(o.Highlight, obs.HighlightSpan{
-			Name: s.Kind.String(), Rank: s.Rank, Start: s.Start, End: s.End,
-		})
-	}
-	return o
+// chromeOptions hands the exporter what the analysis already holds: the
+// steal pairs for the flow arrows and, for traces with an event log, the
+// critical path as a highlight track.
+func chromeOptions(a *causal.Analysis) obs.ChromeOptions {
+	return obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs()}
 }
 
 // analyze builds the machine-readable report for one trace.
-func analyze(path string, tr *trace.Trace) report {
-	curve := metrics.Occupancy(tr)
+func analyze(path string, a *causal.Analysis) report {
+	tr, curve := a.Trace(), a.Occupancy()
 	r := report{
 		File:          path,
 		Ranks:         tr.Ranks(),
@@ -369,26 +399,15 @@ func analyze(path string, tr *trace.Trace) report {
 		Sessions:      tr.TotalSessions(),
 		MaxOccupancy:  curve.MaxOccupancy(),
 		MeanOccupancy: curve.MeanOccupancy(),
+		LatencyCurve:  curve.LatencyCurve(obs.OccupancySamples(10, curve.MaxOccupancy())),
 	}
-	if ss := metrics.Sessions(tr); ss.Count > 0 {
-		r.SessionStats = &sessionReport{
-			Count: ss.Count, MeanS: ss.Mean, P50S: ss.P50, P99S: ss.P99, Failed: ss.Failed,
-		}
+	if ss := a.Sessions(); ss.Count > 0 {
+		r.SessionStats = &ss
 	}
-	for _, p := range curve.LatencyCurve(metrics.OccupancySamples(10, curve.MaxOccupancy())) {
-		r.LatencyCurve = append(r.LatencyCurve, latencyPoint{
-			Occupancy: p.Occupancy, Reached: p.Reached, SL: p.SL, EL: p.EL,
-		})
-	}
-	if tr.Ranks() > 0 {
-		b := causal.AttributeIdle(tr)
-		br := &blameReport{Total: jsonRankBlame(b.Total)}
-		for _, rb := range b.PerRank {
-			br.PerRank = append(br.PerRank, jsonRankBlame(rb))
-		}
-		r.Blame = br
-	}
-	if tr.Events == nil {
+	var m ledger.Manifest
+	m.Attach(a)
+	r.Blame, r.Critical, r.Traffic = m.Blame, m.Critical, m.Traffic
+	if !a.HasEvents() {
 		return r
 	}
 	r.Events = map[string]uint64{}
@@ -398,81 +417,40 @@ func analyze(path string, tr *trace.Trace) report {
 		}
 	}
 	r.EventsDropped = tr.TotalEventsDropped()
-	pairs := obs.PairSteals(tr)
-	if len(pairs) > 0 {
-		st := obs.StealLatency(pairs)
-		r.Steals = &stealReport{
-			Count: st.Count, Success: st.Success, Refused: st.Refused, Aborted: st.Aborted,
-			MeanNS: int64(st.Mean), P50NS: int64(st.P50), P95NS: int64(st.P95),
-			P99NS: int64(st.P99), MaxNS: int64(st.Max),
-			SuccessP50NS: int64(st.SuccessP50), NodesMoved: st.NodesMoved,
-		}
+	if m.Steals != nil {
+		r.Steals = &stealReport{*m.Steals, int64(a.Steals().SuccessP50)}
 	}
-	tail := obs.TerminationTail(tr, pairs)
-	r.Tail = &tailReport{
-		LastTransferNS: int64(tail.LastTransfer), DurationNS: int64(tail.Duration),
-		Fraction: tail.Fraction, FailedInTail: tail.FailedInTail,
-		TokenHopsInTail: tail.TokenHopsInTail, TokenHopsTotal: tail.TokenHopsTotal,
+	tail := a.Tail()
+	r.Tail = &tail
+	g := a.Graph()
+	r.Lineage = &lineageReport{
+		Transfers:    len(g.Transfers),
+		TokenHops:    len(g.TokenHops),
+		Quanta:       g.QuantaCount(),
+		MaxDepth:     g.MaxDepth(),
+		Depths:       g.MigrationDepths(),
+		DeepestRoute: g.DeepestRoute(),
 	}
-	if tr.Ranks() <= jsonTrafficLimit {
-		r.Traffic = obs.Traffic(tr)
-	}
-
-	g := causal.Build(tr)
-	p := causal.CriticalPath(g)
-	r.Critical = &criticalReport{
-		Segments:   len(p.Segments),
-		ComputeNS:  int64(p.ByKind[causal.SegCompute]),
-		StealRTTNS: int64(p.ByKind[causal.SegStealRTT]),
-		TransferNS: int64(p.ByKind[causal.SegTransfer]),
-		TokenNS:    int64(p.ByKind[causal.SegToken]),
-		WaitNS:     int64(p.ByKind[causal.SegWait]),
-	}
-	lr := &lineageReport{
-		Transfers: len(g.Transfers),
-		TokenHops: len(g.TokenHops),
-		Quanta:    g.QuantaCount(),
-		MaxDepth:  g.MaxDepth(),
-		Depths:    g.MigrationDepths(),
-	}
-	if len(g.Transfers) > 0 {
-		deepest := 0
-		for i, t := range g.Transfers {
-			if t.Depth > g.Transfers[deepest].Depth {
-				deepest = i
-			}
-		}
-		lr.DeepestRoute = g.ChainRanks(deepest)
-	}
-	r.Lineage = lr
 	return r
-}
-
-func jsonRankBlame(b causal.RankBlame) rankBlame {
-	return rankBlame{
-		BusyNS: int64(b.Busy), StartupNS: int64(b.Startup), SearchNS: int64(b.Search),
-		InFlightNS: int64(b.InFlight), TermTailNS: int64(b.TermTail),
-	}
 }
 
 // render writes the human-readable analysis for one trace. Its output
 // is a pure function of the trace and options — a golden test pins it
 // byte for byte.
-func render(w io.Writer, tr *trace.Trace, o renderOpts) error {
-	curve := metrics.Occupancy(tr)
+func render(w io.Writer, a *causal.Analysis, o renderOpts) error {
+	tr, curve := a.Trace(), a.Occupancy()
 	fmt.Fprintf(w, "trace: %d ranks, makespan %v, %d sessions\n",
 		tr.Ranks(), sim.Duration(tr.End), tr.TotalSessions())
 	fmt.Fprintf(w, "occupancy: max %.1f%% (Wmax %d), mean %.1f%%\n",
 		curve.MaxOccupancy()*100, curve.Wmax(), curve.MeanOccupancy()*100)
 
-	st := metrics.Sessions(tr)
-	if st.Count > 0 {
+	if st := a.Sessions(); st.Count > 0 {
 		fmt.Fprintf(w, "work-discovery sessions: %d, mean %.3gs, p50 %.3gs, p99 %.3gs, %d failed attempts\n",
 			st.Count, st.Mean, st.P50, st.P99, st.Failed)
 	}
 
 	fmt.Fprintf(w, "\noccupancy   SL (%% runtime)   EL (%% runtime)\n")
-	for _, p := range curve.LatencyCurve(metrics.OccupancySamples(o.steps, curve.MaxOccupancy())) {
+	for _, p := range curve.LatencyCurve(obs.OccupancySamples(o.steps, curve.MaxOccupancy())) {
 		if !p.Reached {
 			fmt.Fprintf(w, "   %3.0f%%        (never reached)\n", p.Occupancy*100)
 			continue
@@ -480,19 +458,16 @@ func render(w io.Writer, tr *trace.Trace, o renderOpts) error {
 		fmt.Fprintf(w, "   %3.0f%%        %6.2f           %6.2f\n", p.Occupancy*100, p.SL*100, p.EL*100)
 	}
 
-	if tr.Events != nil {
+	if a.HasEvents() {
 		fmt.Fprintf(w, "\nprotocol events: %d recorded, %d dropped from bounded rings\n",
 			tr.TotalEvents(), tr.TotalEventsDropped())
-		counts := tr.EventCounts()
-		for k, n := range counts {
+		for k, n := range tr.EventCounts() {
 			if n > 0 {
 				fmt.Fprintf(w, "  %-14s %d\n", trace.EventKind(k).String(), n)
 			}
 		}
 
-		pairs := obs.PairSteals(tr)
-		if len(pairs) > 0 {
-			sl := obs.StealLatency(pairs)
+		if sl := a.Steals(); sl.Count > 0 {
 			fmt.Fprintf(w, "\nsteal round trips: %d (%d ok, %d refused, %d aborted), %d nodes moved\n",
 				sl.Count, sl.Success, sl.Refused, sl.Aborted, sl.NodesMoved)
 			fmt.Fprintf(w, "steal latency: mean %v, p50 %v, p95 %v, p99 %v, max %v (successful p50 %v)\n",
@@ -501,41 +476,38 @@ func render(w io.Writer, tr *trace.Trace, o renderOpts) error {
 
 		if o.heat > 0 {
 			fmt.Fprintln(w)
-			fmt.Fprint(w, obs.RenderHeatmap(obs.Traffic(tr), o.heat))
+			fmt.Fprint(w, a.Heatmap(o.heat))
 		}
 
-		tail := obs.TerminationTail(tr, pairs)
+		tail := a.Tail()
 		fmt.Fprintf(w, "\ntermination tail: last work transfer at %v, tail %v (%.1f%% of makespan)\n",
 			sim.Duration(tail.LastTransfer), tail.Duration, tail.Fraction*100)
 		fmt.Fprintf(w, "  failed steals in tail: %d; token hops: %d in tail / %d total\n",
 			tail.FailedInTail, tail.TokenHopsInTail, tail.TokenHopsTotal)
 	}
 
-	if o.blame || o.critical || o.lineage {
-		g := causal.Build(tr)
-		if o.blame {
-			fmt.Fprintln(w)
-			if err := causal.WriteBlameText(w, causal.AttributeIdle(tr)); err != nil {
-				return err
-			}
+	if o.blame {
+		fmt.Fprintln(w)
+		if err := causal.WriteBlameText(w, a.Blame()); err != nil {
+			return err
 		}
-		if o.critical {
-			fmt.Fprintln(w)
-			if err := causal.WriteCriticalText(w, causal.CriticalPath(g)); err != nil {
-				return err
-			}
+	}
+	if o.critical {
+		fmt.Fprintln(w)
+		if err := causal.WriteCriticalText(w, a.Path()); err != nil {
+			return err
 		}
-		if o.lineage {
-			fmt.Fprintln(w)
-			if err := causal.WriteLineageText(w, g); err != nil {
-				return err
-			}
+	}
+	if o.lineage {
+		fmt.Fprintln(w)
+		if err := causal.WriteLineageText(w, a.Graph()); err != nil {
+			return err
 		}
 	}
 
 	if o.life {
 		fmt.Fprintln(w)
-		fmt.Fprint(w, metrics.Lifestory(tr, o.width, o.rows))
+		fmt.Fprint(w, obs.Lifestory(tr, o.width, o.rows))
 	}
 	return nil
 }

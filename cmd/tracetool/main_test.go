@@ -9,6 +9,9 @@ import (
 	"testing"
 
 	"distws/internal/core"
+	"distws/internal/obs"
+	"distws/internal/obs/causal"
+	"distws/internal/obs/ledger"
 	"distws/internal/uts"
 	"distws/internal/victim"
 )
@@ -42,7 +45,7 @@ func goldenTrace(t *testing.T) *core.Result {
 func TestGoldenTextReport(t *testing.T) {
 	res := goldenTrace(t)
 	var buf bytes.Buffer
-	err := render(&buf, res.Trace, renderOpts{
+	err := render(&buf, causal.Analyze(res.Trace), renderOpts{
 		steps: 5, heat: 8, width: 48, rows: 8,
 		life: true, blame: true, critical: true, lineage: true,
 	})
@@ -75,7 +78,7 @@ func TestGoldenTextReport(t *testing.T) {
 // that the embedded identities hold.
 func TestJSONReportCoversAllAnalyses(t *testing.T) {
 	res := goldenTrace(t)
-	r := analyze("test.jsonl", res.Trace)
+	r := analyze("test.jsonl", causal.Analyze(res.Trace))
 
 	if r.Ranks != 8 || r.MakespanNS != int64(res.Makespan) {
 		t.Fatalf("header: %+v", r)
@@ -111,11 +114,11 @@ func TestJSONReportCoversAllAnalyses(t *testing.T) {
 	}
 
 	// The encoded report must be deterministic.
-	a, err := json.Marshal(analyze("test.jsonl", res.Trace))
+	a, err := json.Marshal(analyze("test.jsonl", causal.Analyze(res.Trace)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(analyze("test.jsonl", res.Trace))
+	b, err := json.Marshal(analyze("test.jsonl", causal.Analyze(res.Trace)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +131,7 @@ func TestJSONReportCoversAllAnalyses(t *testing.T) {
 // the critical path, which covers the makespan contiguously.
 func TestChromeOptionsHighlightContiguous(t *testing.T) {
 	res := goldenTrace(t)
-	o := chromeOptions(res.Trace)
+	o := chromeOptions(causal.Analyze(res.Trace))
 	if len(o.Highlight) == 0 {
 		t.Fatal("no highlight spans for a traced run")
 	}
@@ -146,7 +149,104 @@ func TestChromeOptionsHighlightContiguous(t *testing.T) {
 	// Traces without an event log get no highlight track.
 	bare := *res.Trace
 	bare.Events = nil
-	if o := chromeOptions(&bare); len(o.Highlight) != 0 {
+	if o := chromeOptions(causal.Analyze(&bare)); len(o.Highlight) != 0 {
 		t.Fatal("highlight emitted without an event log")
+	}
+}
+
+// TestReportSharesManifestSections is "one vocabulary" as an assertion:
+// the sections a -format json report and a run manifest both carry
+// marshal to the same JSON values.
+func TestReportSharesManifestSections(t *testing.T) {
+	res := goldenTrace(t)
+	r := analyze("test.jsonl", causal.Analyze(res.Trace))
+	m := ledger.FromTrace("test", ledger.Spec{}, res.Trace)
+	if r.Steals == nil || m.Steals == nil {
+		t.Fatal("steal section missing")
+	}
+	for _, s := range []struct {
+		name             string
+		report, manifest any
+	}{
+		{"blame", r.Blame, m.Blame},
+		{"critical_path", r.Critical, m.Critical},
+		{"traffic", r.Traffic, m.Traffic},
+		{"steals", r.Steals.StealSummary, m.Steals},
+	} {
+		got, err := json.Marshal(s.report)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(s.manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(want) == "null" || !bytes.Equal(got, want) {
+			t.Errorf("%s: report section %s, manifest section %s", s.name, got, want)
+		}
+	}
+}
+
+// TestCheckRejectsUnknownShapes: -check passes one good file of each of
+// the four kinds and fails everything it cannot hold to a schema — the
+// empty object and the arbitrary array cmd/obscheck used to wave
+// through included.
+func TestCheckRejectsUnknownShapes(t *testing.T) {
+	res := goldenTrace(t)
+	a := causal.Analyze(res.Trace)
+	dir := t.TempDir()
+	write := func(name string, fill func(w *bytes.Buffer)) string {
+		t.Helper()
+		var buf bytes.Buffer
+		fill(&buf)
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	manifest := func(corrupt func(*ledger.Manifest)) func(*bytes.Buffer) {
+		return func(w *bytes.Buffer) {
+			m := ledger.FromTrace("m", ledger.Spec{}, res.Trace)
+			corrupt(m)
+			data, err := m.Encode()
+			must(err)
+			w.Write(data)
+		}
+	}
+	good := []string{
+		write("t.jsonl", func(w *bytes.Buffer) { must(res.Trace.WriteJSONL(w)) }),
+		write("t.chrome.json", func(w *bytes.Buffer) { must(obs.WriteChromeTraceOpts(w, res.Trace, chromeOptions(a))) }),
+		write("t.report.json", func(w *bytes.Buffer) { must(json.NewEncoder(w).Encode([]report{analyze("t.jsonl", a)})) }),
+		write("t.manifest.json", manifest(func(*ledger.Manifest) {})),
+	}
+	for _, path := range good {
+		if desc, err := check(path); err != nil || desc == "" {
+			t.Errorf("check(%s) = %q, %v; want a description", filepath.Base(path), desc, err)
+		}
+	}
+	broken := *res.Trace
+	broken.End = -1
+	bad := []string{
+		write("empty-object.json", func(w *bytes.Buffer) { w.WriteString("{}") }),
+		write("empty-array.json", func(w *bytes.Buffer) { w.WriteString("[]") }),
+		write("bogus-array.json", func(w *bytes.Buffer) { w.WriteString(`[{"bogus":1}]`) }),
+		write("no-ranks.json", func(w *bytes.Buffer) { w.WriteString(`[{"file":"x","ranks":0}]`) }),
+		write("no-events.chrome.json", func(w *bytes.Buffer) { w.WriteString(`{"traceEvents":[]}`) }),
+		write("blame.manifest.json", manifest(func(m *ledger.Manifest) { m.Blame.PerRank[0].BusyNS++ })),
+		write("invalid.jsonl", func(w *bytes.Buffer) { must(broken.WriteJSONL(w)) }),
+		write("t.txt", func(w *bytes.Buffer) {}),
+		filepath.Join(dir, "absent.json"),
+	}
+	for _, path := range bad {
+		if desc, err := check(path); err == nil {
+			t.Errorf("check(%s) passed as %q", filepath.Base(path), desc)
+		}
 	}
 }

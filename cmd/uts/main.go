@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"distws/internal/core"
-	"distws/internal/metrics"
 	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/ledger"
@@ -263,39 +262,33 @@ func main() {
 		}
 	}
 
+	// Everything below that reads the trace reads it through one
+	// analysis, so -trace -chrome -manifest build one causal graph. The
+	// causal aggregates land in the metrics registry here, outside
+	// core.Run, so the engine's own exposition is untouched.
+	a := causal.Analyze(res.Trace)
 	if res.Trace != nil {
-		c := metrics.Occupancy(res.Trace)
+		c := a.Occupancy()
 		fmt.Printf("  max occupancy:   %.1f%% (Wmax %d)\n", c.MaxOccupancy()*100, c.Wmax())
 		fmt.Printf("  mean occupancy:  %.1f%%\n", c.MeanOccupancy()*100)
-		if res.Trace.Events != nil {
+		if a.HasEvents() {
 			fmt.Printf("  events recorded: %d (%d dropped from bounded rings)\n",
 				res.Trace.TotalEvents(), res.Trace.TotalEventsDropped())
-		}
-		// Causal analyses ride on the event log: the critical path
-		// highlights the Chrome export, and the blame/critical/lineage
-		// aggregates land in the metrics registry (outside core.Run, so
-		// the engine's own exposition is untouched).
-		var chromeOpts obs.ChromeOptions
-		chromeOpts.ParWindows = parprof.ChromeWindows(res.Par)
-		if res.Trace.Events != nil {
-			g := causal.Build(res.Trace)
-			p := causal.CriticalPath(g)
-			causal.Publish(reg, g, p, causal.AttributeIdle(res.Trace))
-			for _, s := range p.Segments {
-				chromeOpts.Highlight = append(chromeOpts.Highlight, obs.HighlightSpan{
-					Name: s.Kind.String(), Rank: s.Rank, Start: s.Start, End: s.End,
-				})
+			p := a.Path()
+			if reg != nil {
+				causal.Publish(reg, a.Graph(), p, a.Blame())
 			}
 			fmt.Printf("  critical path:   %.1f%% compute, %.1f%% steal-rtt, %.1f%% transfer, %.1f%% token, %.1f%% wait\n",
-				segShare(p, causal.SegCompute), segShare(p, causal.SegStealRTT),
-				segShare(p, causal.SegTransfer), segShare(p, causal.SegToken), segShare(p, causal.SegWait))
+				p.Share(causal.SegCompute), p.Share(causal.SegStealRTT),
+				p.Share(causal.SegTransfer), p.Share(causal.SegToken), p.Share(causal.SegWait))
 		}
 		if *traceFlag != "" {
 			writeFile(*traceFlag, res.Trace.WriteJSONL)
 			fmt.Printf("  trace written:   %s (analyze with tracetool -in %s)\n", *traceFlag, *traceFlag)
 		}
 		if *chromeFlag != "" {
-			writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, chromeOpts) })
+			opts := obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs(), ParWindows: parprof.ChromeWindows(res.Par)}
+			writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, opts) })
 			fmt.Printf("  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
 		}
 	}
@@ -335,7 +328,7 @@ func main() {
 		if *detFlag != "Safra" {
 			spec.Detector = *detFlag
 		}
-		m := ledger.FromRun(manifestID(*manifestFlag), spec, res)
+		m := ledger.New(manifestID(*manifestFlag), spec, res, a)
 		m.Generator = generator()
 		if err := m.WriteFile(*manifestFlag); err != nil {
 			fatalf("%v", err)
@@ -465,14 +458,6 @@ func generator() string {
 		rev = rev[:12]
 	}
 	return rev + dirty
-}
-
-// segShare returns segment kind k's percentage of the critical path.
-func segShare(p causal.Path, k causal.SegmentKind) float64 {
-	if p.Total <= 0 {
-		return 0
-	}
-	return 100 * float64(p.ByKind[k]) / float64(p.Total)
 }
 
 func writeFile(path string, write func(io.Writer) error) {

@@ -16,11 +16,13 @@
 //   - internal/victim     — victim-selection strategies
 //   - internal/term       — distributed termination detection
 //   - internal/trace      — activity traces (paper §III)
-//   - internal/metrics    — occupancy, SL(x)/EL(x)
+//   - internal/obs        — event recorder, live metrics registry and
+//     the post-run analyses: occupancy, SL(x)/EL(x), steal pairing;
+//     obs/causal holds the one Analysis every tool reads
 //   - internal/core       — the distributed work-stealing engine
 //   - internal/harness    — experiments for every table and figure
 //   - internal/rt         — real shared-memory work-stealing runtime
-//   - cmd/uts, cmd/utsseq, cmd/experiments — tools
+//   - cmd/uts, cmd/utsseq, cmd/experiments, cmd/tracetool — tools
 //   - examples/...        — runnable walkthroughs
 //
 // The benchmarks in bench_test.go regenerate each figure's data at

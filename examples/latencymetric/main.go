@@ -14,7 +14,7 @@ import (
 	"os"
 
 	"distws/internal/core"
-	"distws/internal/metrics"
+	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -36,13 +36,13 @@ func main() {
 		log.Fatal(err)
 	}
 
-	curve := metrics.Occupancy(res.Trace)
+	curve := obs.Occupancy(res.Trace)
 	fmt.Printf("traced execution: %d ranks, makespan %v\n", res.Ranks, res.Makespan)
 	fmt.Printf("max occupancy: %.1f%% (Wmax = %d workers)\n", curve.MaxOccupancy()*100, curve.Wmax())
 	fmt.Printf("mean occupancy: %.1f%%\n\n", curve.MeanOccupancy()*100)
 
 	fmt.Println("occupancy   SL (% runtime)   EL (% runtime)")
-	for _, p := range curve.LatencyCurve(metrics.OccupancySamples(9, 0.9)) {
+	for _, p := range curve.LatencyCurve(obs.OccupancySamples(9, 0.9)) {
 		if !p.Reached {
 			fmt.Printf("   %3.0f%%        (never reached)\n", p.Occupancy*100)
 			continue
@@ -55,8 +55,8 @@ func main() {
 	// machinery by injecting a known skew and undoing it.
 	skewed, offsets := res.Trace.InjectSkew(99, 50*sim.Microsecond)
 	fixed := skewed.CorrectSkew(offsets)
-	slBefore, _ := metrics.Occupancy(skewed).StartingLatency(0.5)
-	slAfter, _ := metrics.Occupancy(fixed).StartingLatency(0.5)
+	slBefore, _ := obs.Occupancy(skewed).StartingLatency(0.5)
+	slAfter, _ := obs.Occupancy(fixed).StartingLatency(0.5)
 	slTrue, _ := curve.StartingLatency(0.5)
 	fmt.Printf("\nclock-skew demo: SL(50%%) skewed=%.3f%% corrected=%.3f%% true=%.3f%%\n",
 		slBefore*100, slAfter*100, slTrue*100)

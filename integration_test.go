@@ -15,7 +15,6 @@ import (
 	"distws/internal/core"
 	"distws/internal/dag"
 	"distws/internal/dagws"
-	"distws/internal/metrics"
 	"distws/internal/obs"
 	"distws/internal/rt"
 	"distws/internal/sim"
@@ -52,8 +51,8 @@ func TestPipelineTraceRoundTrip(t *testing.T) {
 	if err := back.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	a := metrics.Occupancy(res.Trace)
-	b := metrics.Occupancy(back)
+	a := obs.Occupancy(res.Trace)
+	b := obs.Occupancy(back)
 	if a.Wmax() != b.Wmax() || a.MeanOccupancy() != b.MeanOccupancy() {
 		t.Fatal("metrics differ after serialization round trip")
 	}
@@ -62,7 +61,7 @@ func TestPipelineTraceRoundTrip(t *testing.T) {
 	if okA != okB || slA != slB {
 		t.Fatal("SL differs after round trip")
 	}
-	sa, sb := metrics.Sessions(res.Trace), metrics.Sessions(back)
+	sa, sb := obs.Sessions(res.Trace), obs.Sessions(back)
 	if !reflect.DeepEqual(sa, sb) {
 		t.Fatalf("session stats differ: %+v vs %+v", sa, sb)
 	}
@@ -186,7 +185,7 @@ func TestEfficiencyEqualsMeanOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mo := metrics.Occupancy(res.Trace).MeanOccupancy()
+	mo := obs.Occupancy(res.Trace).MeanOccupancy()
 	if math.Abs(mo-res.Efficiency) > 0.02 {
 		t.Fatalf("mean occupancy %.4f vs efficiency %.4f", mo, res.Efficiency)
 	}
@@ -207,10 +206,10 @@ func TestSkewCorrectionPreservesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	orig := metrics.Occupancy(res.Trace)
+	orig := obs.Occupancy(res.Trace)
 	skewed, offsets := res.Trace.InjectSkew(3, 2*sim.Microsecond)
 	fixed := skewed.CorrectSkew(offsets)
-	corr := metrics.Occupancy(fixed)
+	corr := obs.Occupancy(fixed)
 	for _, x := range []float64{0.25, 0.5, 0.75} {
 		a, okA := orig.StartingLatency(x)
 		b, okB := corr.StartingLatency(x)

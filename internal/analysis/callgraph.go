@@ -192,3 +192,18 @@ func (g *CallGraph) Reachers(pred func(*types.Func) bool) map[*types.Func]bool {
 	}
 	return marked
 }
+
+// Callee resolves a call's static callee, or nil.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := info.Uses[id].(*types.Func)
+	return fn
+}

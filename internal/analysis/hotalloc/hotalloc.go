@@ -145,7 +145,7 @@ func (c *checker) checkBody(body *ast.BlockStmt) {
 // checkCall flags fmt calls and interface-boxing arguments; the return
 // value tells the walk whether to descend into the call's children.
 func (c *checker) checkCall(call *ast.CallExpr) bool {
-	if fn := calleeFunc(c.pass.Info, call); fn != nil {
+	if fn := analysis.Callee(c.pass.Info, call); fn != nil {
 		if fn.Pkg() != nil && fn.Pkg().Path() == "fmt" {
 			c.pass.Reportf(call.Pos(),
 				"hot path calls fmt.%s: formatting allocates on every call; preformat in setup or use the trace ring", fn.Name())
@@ -241,19 +241,4 @@ func isPanic(info *types.Info, call *ast.CallExpr) bool {
 	}
 	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == "panic"
-}
-
-// calleeFunc resolves a call's static callee, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }

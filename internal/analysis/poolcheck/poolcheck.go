@@ -160,7 +160,7 @@ func (c *checker) passesParamToConsumer(d *analysis.FuncDecl, isConsumer func(*t
 		if !ok || found {
 			return !found
 		}
-		callee := calleeFunc(d.Pkg.Info, call)
+		callee := analysis.Callee(d.Pkg.Info, call)
 		if callee == nil || !isConsumer(callee) {
 			return true
 		}
@@ -172,21 +172,6 @@ func (c *checker) passesParamToConsumer(d *analysis.FuncDecl, isConsumer func(*t
 		return true
 	})
 	return found
-}
-
-// calleeFunc resolves a call's static callee, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }
 
 // --- ownership walk ----------------------------------------------------
@@ -245,7 +230,7 @@ func (c *checker) owningRangeVar(rs *ast.RangeStmt, body *ast.BlockStmt) *types.
 	}
 	switch x := ast.Unparen(rs.X).(type) {
 	case *ast.CallExpr:
-		if fn := calleeFunc(c.pass.Info, x); fn != nil && c.isNetworkMethod(fn, "Poll") {
+		if fn := analysis.Callee(c.pass.Info, x); fn != nil && c.isNetworkMethod(fn, "Poll") {
 			return v
 		}
 	case *ast.Ident:
@@ -617,7 +602,7 @@ func (w *walker) call(call *ast.CallExpr, in ownState) ownState {
 			return transfer(st)
 		}
 	}
-	callee := calleeFunc(w.c.pass.Info, call)
+	callee := analysis.Callee(w.c.pass.Info, call)
 	if callee != nil && (w.c.isNetworkMethod(callee, "Free") || w.c.isNetworkMethod(callee, "send") || w.c.consumers[callee]) {
 		if st&(freed|escaped) != 0 {
 			// Already freed or transferred — on every path if the owned

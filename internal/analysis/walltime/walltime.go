@@ -77,7 +77,7 @@ func New(virtual, allow []string) *analysis.Analyzer {
 				if !ok {
 					return true
 				}
-				fn := calleeFunc(pass.Info, call)
+				fn := analysis.Callee(pass.Info, call)
 				if fn == nil || !reachers[fn] {
 					return true
 				}
@@ -96,19 +96,4 @@ func New(virtual, allow []string) *analysis.Analyzer {
 		return nil
 	}
 	return a
-}
-
-// calleeFunc resolves a call's static callee, or nil.
-func calleeFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var id *ast.Ident
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		id = fun
-	case *ast.SelectorExpr:
-		id = fun.Sel
-	default:
-		return nil
-	}
-	fn, _ := info.Uses[id].(*types.Func)
-	return fn
 }

@@ -6,7 +6,7 @@ import (
 	"testing"
 
 	"distws/internal/fault"
-	"distws/internal/metrics"
+	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/term"
 	"distws/internal/topology"
@@ -262,7 +262,7 @@ func TestTraceIsValidAndConsistent(t *testing.T) {
 	if res.Trace.End != sim.Time(res.Makespan) {
 		t.Fatalf("trace end %v != makespan %v", res.Trace.End, res.Makespan)
 	}
-	c := metrics.Occupancy(res.Trace)
+	c := obs.Occupancy(res.Trace)
 	if c.Wmax() < 1 || c.Wmax() > 8 {
 		t.Fatalf("Wmax = %d", c.Wmax())
 	}

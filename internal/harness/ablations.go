@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"distws/internal/core"
-	"distws/internal/metrics"
 	"distws/internal/sim"
 	"distws/internal/term"
 	"distws/internal/topology"
@@ -71,7 +70,7 @@ func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
 		Paper: "Olivier et al. (cited in §II-A) studied chunk size; the paper fixes 20.",
 	}
 	t := &Table{Title: "Chunk size vs performance", Columns: []string{"chunk", "speedup", "efficiency", "failed steals", "chunks moved"}}
-	var s metrics.Series
+	var s Series
 	s.Name = "speedup"
 	best, bestChunk := 0.0, 0
 	var sp20, sp4 float64
@@ -94,7 +93,7 @@ func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
 		}
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Plots = append(rep.Plots, metrics.ASCIIPlot("speedup vs chunk size", []metrics.Series{s}, 48, 10))
+	rep.Plots = append(rep.Plots, ASCIIPlot("speedup vs chunk size", []Series{s}, 48, 10))
 	rep.Checks = append(rep.Checks, ShapeCheck{
 		Desc:   "at scaled-down tree sizes, the experiment chunk (4) outperforms the paper's chunk of 20",
 		Pass:   sp4 > sp20,

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"distws/internal/core"
-	"distws/internal/metrics"
+	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/sim"
 	"distws/internal/topology"
@@ -168,9 +168,9 @@ func runFig02(scale Scale, seed uint64) (*Report, error) {
 		}
 		eff[o.Run.Placement][o.Run.Ranks] = o.Result.Efficiency
 	}
-	var series []metrics.Series
+	var series []Series
 	for _, pl := range placements {
-		s := metrics.Series{Name: pl.String()}
+		s := Series{Name: pl.String()}
 		for _, n := range ranks {
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, eff[pl][n])
@@ -185,7 +185,7 @@ func runFig02(scale Scale, seed uint64) (*Report, error) {
 		t.Rows = append(t.Rows, row)
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Plots = append(rep.Plots, metrics.ASCIIPlot("Efficiency vs ranks", series, 48, 10))
+	rep.Plots = append(rep.Plots, ASCIIPlot("Efficiency vs ranks", series, 48, 10))
 
 	smallestOK, worstSmall := true, 1.0
 	for _, pl := range placements {
@@ -283,16 +283,16 @@ func runSweep(spec sweepSpec, scale Scale, seed uint64, withTrace bool) (*Report
 
 	rep := &Report{ID: spec.id, Title: spec.title, Paper: spec.paper}
 	rep.Tables = append(rep.Tables, sweepTable("Speedup", spec, sp, sp.speedup, 0))
-	var series []metrics.Series
+	var series []Series
 	for _, e := range spec.entries {
-		s := metrics.Series{Name: e.label()}
+		s := Series{Name: e.label()}
 		for _, n := range ranks {
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, sp.at(e.label(), n, sp.speedup))
 		}
 		series = append(series, s)
 	}
-	rep.Plots = append(rep.Plots, metrics.ASCIIPlot("Speedup vs ranks", series, 48, 12))
+	rep.Plots = append(rep.Plots, ASCIIPlot("Speedup vs ranks", series, 48, 12))
 	if spec.checks != nil {
 		spec.checks(rep, sp, scale)
 	}
@@ -518,7 +518,7 @@ func latencyRun(variant Variant, ranks int, tree uts.Params, seed uint64) (*core
 	return outs[0].Result, nil
 }
 
-func latencyTable(title string, curve *metrics.OccupancyCurve, xs []float64) *Table {
+func latencyTable(title string, curve *obs.OccupancyCurve, xs []float64) *Table {
 	t := &Table{Title: title, Columns: []string{"occupancy", "SL (% of runtime)", "EL (% of runtime)"}}
 	for _, p := range curve.LatencyCurve(xs) {
 		sl, el := "unreached", "unreached"
@@ -531,11 +531,11 @@ func latencyTable(title string, curve *metrics.OccupancyCurve, xs []float64) *Ta
 	return t
 }
 
-func latencyPlot(title string, curves map[string]*metrics.OccupancyCurve, xs []float64) string {
-	var series []metrics.Series
+func latencyPlot(title string, curves map[string]*obs.OccupancyCurve, xs []float64) string {
+	var series []Series
 	for name, c := range curves {
-		sl := metrics.Series{Name: name + " SL"}
-		el := metrics.Series{Name: name + " EL"}
+		sl := Series{Name: name + " SL"}
+		el := Series{Name: name + " EL"}
 		for _, p := range c.LatencyCurve(xs) {
 			if !p.Reached {
 				continue
@@ -547,7 +547,7 @@ func latencyPlot(title string, curves map[string]*metrics.OccupancyCurve, xs []f
 		}
 		series = append(series, sl, el)
 	}
-	return metrics.ASCIIPlot(title, series, 48, 12)
+	return ASCIIPlot(title, series, 48, 12)
 }
 
 func runFig04(scale Scale, seed uint64) (*Report, error) {
@@ -559,8 +559,8 @@ func runFig04(scale Scale, seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := metrics.Occupancy(res.Trace)
-	xs := metrics.OccupancySamples(18, 0.9)
+	curve := obs.Occupancy(res.Trace)
+	xs := obs.OccupancySamples(18, 0.9)
 	rep := &Report{
 		ID:    "fig04",
 		Title: fmt.Sprintf("SL/EL of the reference at %d ranks (1/N)", ranks),
@@ -568,7 +568,7 @@ func runFig04(scale Scale, seed uint64) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, latencyTable("Reference latencies", curve, xs))
 	rep.Plots = append(rep.Plots, latencyPlot("SL/EL vs occupancy (%)",
-		map[string]*metrics.OccupancyCurve{"Reference": curve}, xs))
+		map[string]*obs.OccupancyCurve{"Reference": curve}, xs))
 	sl90, ok1 := curve.StartingLatency(0.9)
 	el90, ok2 := curve.EndingLatency(0.9)
 	// Thresholds loosen with the workload scale-down: the distribution
@@ -600,9 +600,9 @@ func runFig05(scale Scale, seed uint64) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	curve := metrics.Occupancy(res.Trace)
+	curve := obs.Occupancy(res.Trace)
 	maxOcc := curve.MaxOccupancy()
-	xs := metrics.OccupancySamples(40, maxOcc)
+	xs := obs.OccupancySamples(40, maxOcc)
 	rep := &Report{
 		ID:    "fig05",
 		Title: fmt.Sprintf("SL/EL of the reference at %d ranks (1/N)", ranks),
@@ -610,7 +610,7 @@ func runFig05(scale Scale, seed uint64) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, latencyTable("Reference latencies", curve, xs))
 	rep.Plots = append(rep.Plots, latencyPlot("SL/EL vs occupancy (%)",
-		map[string]*metrics.OccupancyCurve{"Reference": curve}, xs))
+		map[string]*obs.OccupancyCurve{"Reference": curve}, xs))
 	rep.Checks = append(rep.Checks,
 		ShapeCheck{
 			Desc:   "the large-scale reference run never reaches full occupancy",
@@ -652,10 +652,10 @@ func latencyComparison(scale Scale, seed uint64, id, title, paper string, starti
 	if err != nil {
 		return nil, err
 	}
-	refCurve := metrics.Occupancy(outs[0].Result.Trace)
-	optCurve := metrics.Occupancy(outs[1].Result.Trace)
+	refCurve := obs.Occupancy(outs[0].Result.Trace)
+	optCurve := obs.Occupancy(outs[1].Result.Trace)
 	maxShared := math.Min(refCurve.MaxOccupancy(), optCurve.MaxOccupancy())
-	xs := metrics.OccupancySamples(20, maxShared)
+	xs := obs.OccupancySamples(20, maxShared)
 
 	rep := &Report{ID: id, Title: fmt.Sprintf("%s at %d ranks", title, ranks), Paper: paper}
 	t := &Table{Columns: []string{"occupancy", "Reference (%)", "Tofu Half (%)"}}
@@ -688,7 +688,7 @@ func latencyComparison(scale Scale, seed uint64, id, title, paper string, starti
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Plots = append(rep.Plots, latencyPlot(t.Title+" vs occupancy (%)",
-		map[string]*metrics.OccupancyCurve{"Reference": refCurve, "Tofu Half": optCurve}, xs))
+		map[string]*obs.OccupancyCurve{"Reference": refCurve, "Tofu Half": optCurve}, xs))
 
 	// Compare the latency at the highest shared occupancy point.
 	pass := len(refVals) > 0 && len(optVals) > 0 &&
@@ -739,7 +739,7 @@ func runFig08(scale Scale, seed uint64) (*Report, error) {
 		Title: fmt.Sprintf("p(0, x) of the skewed selection over a %d-rank 1/N allocation", ranks),
 		Paper: "Figure 8: selection probability decays with rank distance from the thief, spanning roughly a 4x range over 1024 ranks.",
 	}
-	var series metrics.Series
+	var series Series
 	series.Name = "p(0,x)"
 	var minP, maxP = math.Inf(1), 0.0
 	for x := 1; x < ranks; x++ {
@@ -752,7 +752,7 @@ func runFig08(scale Scale, seed uint64) (*Report, error) {
 			maxP = pdf[x]
 		}
 	}
-	rep.Plots = append(rep.Plots, metrics.ASCIIPlot("selection probability vs victim rank", []metrics.Series{series}, 64, 12))
+	rep.Plots = append(rep.Plots, ASCIIPlot("selection probability vs victim rank", []Series{series}, 64, 12))
 
 	t := &Table{Title: "PDF summary", Columns: []string{"statistic", "value"}}
 	uniform := 1.0 / float64(ranks-1)
@@ -893,7 +893,7 @@ func runFig16(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Runtime improvement (%) over Reference Half", Columns: []string{"SHA rounds", "Rand Half", "Tofu Half"}}
 	var randImp, tofuImp []float64
-	var sRand, sTofu metrics.Series
+	var sRand, sTofu Series
 	sRand.Name, sTofu.Name = "Rand Half", "Tofu Half"
 	for _, r := range rounds {
 		ref := makespan[fmt.Sprintf("Reference Half@%d", r)]
@@ -908,8 +908,8 @@ func runFig16(scale Scale, seed uint64) (*Report, error) {
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", r), fmtFloat(ri, 1), fmtFloat(ti, 1)})
 	}
 	rep.Tables = append(rep.Tables, t)
-	rep.Plots = append(rep.Plots, metrics.ASCIIPlot("improvement (%) vs SHA rounds",
-		[]metrics.Series{sRand, sTofu}, 48, 10))
+	rep.Plots = append(rep.Plots, ASCIIPlot("improvement (%) vs SHA rounds",
+		[]Series{sRand, sTofu}, 48, 10))
 
 	firstMean := (randImp[0] + tofuImp[0]) / 2
 	lastMean := (randImp[len(randImp)-1] + tofuImp[len(tofuImp)-1]) / 2
@@ -972,9 +972,8 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 	tail := map[string]float64{}
 	for _, o := range outs {
 		tr := o.Result.Trace
-		b := causal.AttributeIdle(tr)
-		g := causal.Build(tr)
-		p := causal.CriticalPath(g)
+		a := causal.Analyze(tr)
+		b, p := a.Blame(), a.Path()
 		for _, rb := range b.PerRank {
 			if rb.Total() != sim.Duration(tr.End) {
 				partitionExact = false
@@ -996,13 +995,11 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 			fmtFloat(pc(b.Total.Search), 1), fmtFloat(pc(b.Total.InFlight), 1),
 			fmtFloat(pc(b.Total.TermTail), 1),
 		})
-		mk := float64(p.Total)
-		kc := func(k causal.SegmentKind) float64 { return 100 * float64(p.ByKind[k]) / mk }
 		critTab.Rows = append(critTab.Rows, []string{
-			o.Run.Label, fmtFloat(kc(causal.SegCompute), 1), fmtFloat(kc(causal.SegStealRTT), 1),
-			fmtFloat(kc(causal.SegTransfer), 1), fmtFloat(kc(causal.SegToken), 1),
-			fmtFloat(kc(causal.SegWait), 1), fmt.Sprintf("%d", len(p.Segments)),
-			fmt.Sprintf("%d", g.MaxDepth()),
+			o.Run.Label, fmtFloat(p.Share(causal.SegCompute), 1), fmtFloat(p.Share(causal.SegStealRTT), 1),
+			fmtFloat(p.Share(causal.SegTransfer), 1), fmtFloat(p.Share(causal.SegToken), 1),
+			fmtFloat(p.Share(causal.SegWait), 1), fmt.Sprintf("%d", len(p.Segments)),
+			fmt.Sprintf("%d", a.Graph().MaxDepth()),
 		})
 	}
 	rep.Tables = append(rep.Tables, blameTab, critTab)

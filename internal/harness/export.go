@@ -8,6 +8,8 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+
+	"distws/internal/obs/ledger"
 )
 
 // jsonReport is the machine-readable form of a Report.
@@ -93,18 +95,7 @@ func DumpTraces(outcomes []Outcome, dir string) ([]string, error) {
 }
 
 // slug builds a filesystem-safe name fragment from run labels.
-func slug(parts ...string) string {
-	var b strings.Builder
-	for _, r := range strings.ToLower(strings.Join(parts, " ")) {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= '0' && r <= '9':
-			b.WriteRune(r)
-		case b.Len() > 0 && b.String()[b.Len()-1] != '-':
-			b.WriteByte('-')
-		}
-	}
-	return strings.Trim(b.String(), "-")
-}
+func slug(parts ...string) string { return ledger.Slug(strings.Join(parts, " ")) }
 
 func writeCSVRow(w io.Writer, cells []string) {
 	quoted := make([]string, len(cells))

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -299,7 +300,7 @@ func RenderHeatmap(m [][]uint64, size int) string {
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "traffic matrix: %d ranks as %dx%d tiles, rows=sender, max tile %d msgs\n", n, tiles, tiles, max)
-	logMax := log2u(max)
+	logMax := bits.Len64(max)
 	for i := 0; i < tiles; i++ {
 		b.WriteString("  |")
 		for j := 0; j < tiles; j++ {
@@ -308,7 +309,7 @@ func RenderHeatmap(m [][]uint64, size int) string {
 			if v > 0 {
 				idx := 1
 				if logMax > 0 {
-					idx = 1 + int(float64(log2u(v))/float64(logMax)*float64(len(heatGlyphs)-2)+0.5)
+					idx = 1 + int(float64(bits.Len64(v))/float64(logMax)*float64(len(heatGlyphs)-2)+0.5)
 				}
 				if idx >= len(heatGlyphs) {
 					idx = len(heatGlyphs) - 1
@@ -322,33 +323,23 @@ func RenderHeatmap(m [][]uint64, size int) string {
 	return b.String()
 }
 
-// log2u is floor(log2(v))+1 for v>0, 0 for v==0 (i.e. bits.Len64
-// without the import noise at this call shape).
-func log2u(v uint64) int {
-	n := 0
-	for v > 0 {
-		v >>= 1
-		n++
-	}
-	return n
-}
-
 // TailStats breaks down the termination tail: everything after the
 // last successful work transfer, when remaining steal traffic is pure
 // overhead and the token ring winds the run down. At scale this tail
 // is where the paper's 8192-rank makespans go.
 type TailStats struct {
 	// LastTransfer is when the final successful steal completed.
-	LastTransfer sim.Time
+	LastTransfer sim.Time `json:"last_transfer_ns"`
 	// Duration is End - LastTransfer; Fraction is Duration/End.
-	Duration sim.Duration
-	Fraction float64
+	Duration sim.Duration `json:"duration_ns"`
+	Fraction float64      `json:"fraction"`
 	// FailedInTail counts steals that ended (refused or aborted)
 	// during the tail.
-	FailedInTail int
+	FailedInTail int `json:"failed_in_tail"`
 	// TokenHopsInTail and TokenHopsTotal count termination-token
 	// deliveries in the tail and over the whole run.
-	TokenHopsInTail, TokenHopsTotal int
+	TokenHopsInTail int `json:"token_hops_in_tail"`
+	TokenHopsTotal  int `json:"token_hops_total"`
 }
 
 // TerminationTail computes the tail breakdown from a trace and its

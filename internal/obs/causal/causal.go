@@ -15,7 +15,9 @@
 // Everything in this package is a pure function of a *trace.Trace —
 // no clocks, no randomness, no instrumentation of its own — so the
 // same analysis runs offline in cmd/tracetool, inside cmd/experiments
-// tables, and behind a /metrics endpoint via Publish.
+// tables, and behind a /metrics endpoint via Publish. Build,
+// CriticalPath and AttributeIdle are the algorithms; programs reach
+// them through Analyze, which computes each view of a trace once.
 //
 // # Event matching
 //
@@ -33,6 +35,7 @@
 package causal
 
 import (
+	"slices"
 	"sort"
 
 	"distws/internal/sim"
@@ -128,9 +131,6 @@ type Graph struct {
 	tokenAt [][]idxRef
 }
 
-// Trace returns the trace the graph was built from.
-func (g *Graph) Trace() *trace.Trace { return g.tr }
-
 // Build reconstructs the causal graph from a trace. A trace without an
 // event log yields an empty graph (Blame still works from transitions
 // alone; CriticalPath degenerates to one unattributed segment).
@@ -182,58 +182,24 @@ func Build(tr *trace.Trace) *Graph {
 		}
 	}
 
-	// Match transfers per ordered (victim, thief) pair, iterating
-	// receivers then sorted senders so the build is deterministic.
-	for thief := 0; thief < n; thief++ {
-		for _, victim := range sortedPeers(workRecv[thief]) {
-			sends := workSend[victim][thief]
-			recvs := workRecv[thief][victim]
-			k := len(sends)
-			if len(recvs) < k {
-				k = len(recvs)
-			}
-			// Tail-align: evictions drop oldest events first, so the
-			// surviving lists share a common suffix.
-			so, ro := len(sends)-k, len(recvs)-k
-			for i := 0; i < k; i++ {
-				si, ri := sends[so+i], recvs[ro+i]
-				se, re := tr.Events[victim][si], tr.Events[thief][ri]
-				if se.Time >= re.Time {
-					continue // misalignment; flight is >= 1ns
-				}
-				g.Transfers = append(g.Transfers, Transfer{
-					Victim: victim, Thief: thief,
-					Send: se.Time, Recv: re.Time,
-					SendIdx: si, RecvIdx: ri,
-					Nodes:      re.Arg,
-					ReqSendIdx: -1, Parent: -1,
-				})
-			}
-		}
-	}
-	for to := 0; to < n; to++ {
-		for _, from := range sortedPeers(tokRecv[to]) {
-			sends := tokSend[from][to]
-			recvs := tokRecv[to][from]
-			k := len(sends)
-			if len(recvs) < k {
-				k = len(recvs)
-			}
-			so, ro := len(sends)-k, len(recvs)-k
-			for i := 0; i < k; i++ {
-				si, ri := sends[so+i], recvs[ro+i]
-				se, re := tr.Events[from][si], tr.Events[to][ri]
-				if se.Time >= re.Time {
-					continue
-				}
-				g.TokenHops = append(g.TokenHops, TokenHop{
-					From: from, To: to,
-					Send: se.Time, Recv: re.Time,
-					SendIdx: si, RecvIdx: ri,
-				})
-			}
-		}
-	}
+	// Match transfers per ordered (victim, thief) pair and token hops
+	// per ring edge.
+	matchFIFO(tr, workSend, workRecv, func(victim, thief, si, ri int, se, re trace.Event) {
+		g.Transfers = append(g.Transfers, Transfer{
+			Victim: victim, Thief: thief,
+			Send: se.Time, Recv: re.Time,
+			SendIdx: si, RecvIdx: ri,
+			Nodes:      re.Arg,
+			ReqSendIdx: -1, Parent: -1,
+		})
+	})
+	matchFIFO(tr, tokSend, tokRecv, func(from, to, si, ri int, se, re trace.Event) {
+		g.TokenHops = append(g.TokenHops, TokenHop{
+			From: from, To: to,
+			Send: se.Time, Recv: re.Time,
+			SendIdx: si, RecvIdx: ri,
+		})
+	})
 
 	// Recover each transfer's steal request and its binding, then
 	// order transfers so every lineage parent precedes its children:
@@ -287,6 +253,30 @@ func Build(tr *trace.Trace) *Graph {
 		}
 	}
 	return g
+}
+
+// matchFIFO pairs the send and receive events of every ordered
+// (from, to) pair in FIFO order and calls emit for each matched pair,
+// iterating receivers then sorted senders so the build is
+// deterministic.
+func matchFIFO(tr *trace.Trace, send, recv []map[int][]int, emit func(from, to, si, ri int, se, re trace.Event)) {
+	for to := range recv {
+		for _, from := range sortedPeers(recv[to]) {
+			sends, recvs := send[from][to], recv[to][from]
+			k := min(len(sends), len(recvs))
+			// Tail-align: evictions drop oldest events first, so the
+			// surviving lists share a common suffix.
+			so, ro := len(sends)-k, len(recvs)-k
+			for i := 0; i < k; i++ {
+				si, ri := sends[so+i], recvs[ro+i]
+				se, re := tr.Events[from][si], tr.Events[to][ri]
+				if se.Time >= re.Time {
+					continue // misalignment; flight is >= 1ns
+				}
+				emit(from, to, si, ri, se, re)
+			}
+		}
+	}
 }
 
 // resolveRequest recovers the steal request a transfer answered: the
@@ -371,13 +361,11 @@ func (g *Graph) MigrationDepths() []uint64 {
 
 // MaxDepth returns the deepest migration observed, 0 with no transfers.
 func (g *Graph) MaxDepth() int {
-	max := 0
+	depth := 0
 	for _, t := range g.Transfers {
-		if t.Depth > max {
-			max = t.Depth
-		}
+		depth = max(depth, t.Depth)
 	}
-	return max
+	return depth
 }
 
 // Chain returns the steal chain feeding transfer i, oldest first, as
@@ -388,9 +376,7 @@ func (g *Graph) Chain(i int) []int {
 	for j := i; j >= 0; j = g.Transfers[j].Parent {
 		rev = append(rev, j)
 	}
-	for a, b := 0, len(rev)-1; a < b; a, b = a+1, b-1 {
-		rev[a], rev[b] = rev[b], rev[a]
-	}
+	slices.Reverse(rev)
 	return rev
 }
 

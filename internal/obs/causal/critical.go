@@ -1,6 +1,8 @@
 package causal
 
 import (
+	"slices"
+
 	"distws/internal/sim"
 	"distws/internal/trace"
 )
@@ -196,9 +198,7 @@ func CriticalPath(g *Graph) Path {
 	}
 
 	// The walk emitted latest-first; present the path forward in time.
-	for a, b := 0, len(p.Segments)-1; a < b; a, b = a+1, b-1 {
-		p.Segments[a], p.Segments[b] = p.Segments[b], p.Segments[a]
-	}
+	slices.Reverse(p.Segments)
 	for _, s := range p.Segments {
 		p.ByKind[s.Kind] += s.Duration()
 	}

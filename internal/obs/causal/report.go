@@ -1,7 +1,6 @@
 package causal
 
 import (
-	"fmt"
 	"io"
 
 	"distws/internal/obs"
@@ -16,31 +15,32 @@ func pct(part, whole sim.Duration) float64 {
 	return 100 * float64(part) / float64(whole)
 }
 
+// Share returns segment kind k's percentage of the critical path.
+func (p Path) Share(k SegmentKind) float64 { return pct(p.ByKind[k], p.Total) }
+
 // WriteBlameText renders the blame attribution as a deterministic
 // fixed-width table: one row per rank, then the aggregate with each
-// category's share of total rank-time (ranks × makespan).
+// category's share of total rank-time (ranks × makespan). A nil Blame
+// (a trace without ranks) renders as the table of no ranks.
 func WriteBlameText(w io.Writer, b *Blame) error {
-	makespan := sim.Duration(b.End)
-	if _, err := fmt.Fprintf(w, "idle-time blame: %d ranks, makespan %s\n", b.Ranks(), makespan); err != nil {
-		return err
+	if b == nil {
+		b = &Blame{}
 	}
-	if _, err := fmt.Fprintf(w, "%6s %14s %14s %14s %14s %14s\n",
-		"rank", "busy", "startup", "search", "in-flight", "term-tail"); err != nil {
-		return err
-	}
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("idle-time blame: %d ranks, makespan %s\n", b.Ranks(), sim.Duration(b.End))
+	bw.Printf("%6s %14s %14s %14s %14s %14s\n",
+		"rank", "busy", "startup", "search", "in-flight", "term-tail")
 	for r, rb := range b.PerRank {
-		if _, err := fmt.Fprintf(w, "%6d %14s %14s %14s %14s %14s\n",
-			r, rb.Busy, rb.Startup, rb.Search, rb.InFlight, rb.TermTail); err != nil {
-			return err
-		}
+		bw.Printf("%6d %14s %14s %14s %14s %14s\n",
+			r, rb.Busy, rb.Startup, rb.Search, rb.InFlight, rb.TermTail)
 	}
 	tot := b.Total
 	whole := tot.Total()
-	_, err := fmt.Fprintf(w, "%6s %13.1f%% %13.1f%% %13.1f%% %13.1f%% %13.1f%%\n",
+	bw.Printf("%6s %13.1f%% %13.1f%% %13.1f%% %13.1f%% %13.1f%%\n",
 		"all",
 		pct(tot.Busy, whole), pct(tot.Startup, whole), pct(tot.Search, whole),
 		pct(tot.InFlight, whole), pct(tot.TermTail, whole))
-	return err
+	return bw.Err
 }
 
 // criticalSegmentLimit caps the per-segment listing in the text report;
@@ -51,78 +51,60 @@ const criticalSegmentLimit = 64
 // decomposition by segment kind, then the segment chain (capped, the
 // cap is reported).
 func WriteCriticalText(w io.Writer, p Path) error {
-	if _, err := fmt.Fprintf(w, "critical path: %d segments, makespan %s\n", len(p.Segments), p.Total); err != nil {
-		return err
-	}
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("critical path: %d segments, makespan %s\n", len(p.Segments), p.Total)
 	for k := SegmentKind(0); k < NumSegmentKinds; k++ {
-		if _, err := fmt.Fprintf(w, "%12s %14s %6.1f%%\n", k, p.ByKind[k], pct(p.ByKind[k], p.Total)); err != nil {
-			return err
-		}
+		bw.Printf("%12s %14s %6.1f%%\n", k, p.ByKind[k], p.Share(k))
 	}
 	n := len(p.Segments)
-	shown := n
-	if shown > criticalSegmentLimit {
-		shown = criticalSegmentLimit
-	}
+	shown := min(n, criticalSegmentLimit)
 	for _, s := range p.Segments[:shown] {
-		if _, err := fmt.Fprintf(w, "  %-10s rank %4d  [%s, %s)  %s\n",
-			s.Kind, s.Rank, sim.Duration(s.Start), sim.Duration(s.End), s.Duration()); err != nil {
-			return err
-		}
+		bw.Printf("  %-10s rank %4d  [%s, %s)  %s\n",
+			s.Kind, s.Rank, sim.Duration(s.Start), sim.Duration(s.End), s.Duration())
 	}
 	if n > shown {
-		if _, err := fmt.Fprintf(w, "  ... %d more segments\n", n-shown); err != nil {
-			return err
-		}
+		bw.Printf("  ... %d more segments\n", n-shown)
 	}
-	return nil
+	return bw.Err
 }
 
 // WriteLineageText renders the work-lineage summary: the
 // migration-depth histogram and the route of the deepest steal chain.
 func WriteLineageText(w io.Writer, g *Graph) error {
+	bw := &obs.ErrWriter{W: w}
 	depths := g.MigrationDepths()
-	if _, err := fmt.Fprintf(w, "work lineage: %d transfers, max migration depth %d\n",
-		len(g.Transfers), g.MaxDepth()); err != nil {
-		return err
-	}
+	bw.Printf("work lineage: %d transfers, max migration depth %d\n", len(g.Transfers), g.MaxDepth())
 	for d := 1; d < len(depths); d++ {
-		if _, err := fmt.Fprintf(w, "%9s %2d %8d\n", "depth", d, depths[d]); err != nil {
-			return err
-		}
+		bw.Printf("%9s %2d %8d\n", "depth", d, depths[d])
 	}
-	if deep := g.deepestTransfer(); deep >= 0 {
-		route := g.ChainRanks(deep)
-		if _, err := fmt.Fprintf(w, "deepest chain:"); err != nil {
-			return err
-		}
+	if route := g.DeepestRoute(); route != nil {
+		bw.Printf("deepest chain:")
 		for i, r := range route {
 			sep := " -> "
 			if i == 0 {
 				sep = " "
 			}
-			if _, err := fmt.Fprintf(w, "%s%d", sep, r); err != nil {
-				return err
-			}
+			bw.Printf("%s%d", sep, r)
 		}
-		if _, err := fmt.Fprintln(w); err != nil {
-			return err
-		}
+		bw.Printf("\n")
 	}
-	return nil
+	return bw.Err
 }
 
-// deepestTransfer returns the index of the first transfer at MaxDepth,
-// -1 with no transfers. First-in-sorted-order makes the choice
-// deterministic.
-func (g *Graph) deepestTransfer() int {
+// DeepestRoute returns the rank route (ChainRanks) of the first
+// transfer at MaxDepth, nil with no transfers. First-in-sorted-order
+// makes the choice deterministic.
+func (g *Graph) DeepestRoute() []int {
 	best, depth := -1, 0
 	for i, t := range g.Transfers {
 		if t.Depth > depth {
 			best, depth = i, t.Depth
 		}
 	}
-	return best
+	if best < 0 {
+		return nil
+	}
+	return g.ChainRanks(best)
 }
 
 // Publish exports the causal analyses into a metrics registry as

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
 
 	"distws/internal/sim"
 	"distws/internal/trace"
@@ -71,6 +70,10 @@ type ChromeOptions struct {
 	// named by cause), plus one lane per shard carrying the shard's
 	// barrier-merged message counts.
 	ParWindows []ParWindowSpan
+	// Pairs, when non-nil, are the trace's steal transactions for the
+	// flow arrows — a caller that has paired them already (an
+	// Analysis) hands them over; nil means PairSteals(tr).
+	Pairs []StealPair
 }
 
 // WriteChromeTrace renders tr as Chrome trace-event JSON: one thread
@@ -89,30 +92,29 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		return err
 	}
 	enc := json.NewEncoder(bw)
+	// emit latches the first write error, so the tracks below read as
+	// straight-line code; it is checked once, before the closing bracket.
+	var err error
 	first := true
-	emit := func(e chromeEvent) error {
-		if !first {
-			if err := bw.WriteByte(','); err != nil {
-				return err
-			}
+	emit := func(e chromeEvent) {
+		if err == nil && !first {
+			err = bw.WriteByte(',')
+		}
+		if err == nil {
+			err = enc.Encode(e) // Encode's trailing newline is valid JSON whitespace
 		}
 		first = false
-		return enc.Encode(e) // Encode's trailing newline is valid JSON whitespace
 	}
 
-	if err := emit(chromeEvent{
+	emit(chromeEvent{
 		Name: "process_name", Phase: "M", PID: 0,
 		Args: map[string]any{"name": "distws simulation"},
-	}); err != nil {
-		return err
-	}
+	})
 	for rank := 0; rank < tr.Ranks(); rank++ {
-		if err := emit(chromeEvent{
+		emit(chromeEvent{
 			Name: "thread_name", Phase: "M", PID: 0, TID: rank,
 			Args: map[string]any{"name": rankLabel(rank)},
-		}); err != nil {
-			return err
-		}
+		})
 	}
 
 	// Active phases: each active transition opens a slice that closes
@@ -126,40 +128,34 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 			if i+1 < len(trs) {
 				end = trs[i+1].Time
 			}
-			if err := emit(chromeEvent{
+			emit(chromeEvent{
 				Name: "active", Cat: "activity", Phase: "X",
 				TS: usec(x.Time), Dur: usec(end) - usec(x.Time), PID: 0, TID: rank,
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
 
 	// Work-discovery sessions as slices with their steal statistics.
 	for rank, ss := range tr.Sessions {
 		for _, s := range ss {
-			if err := emit(chromeEvent{
+			emit(chromeEvent{
 				Name: "steal-search", Cat: "session", Phase: "X",
 				TS: usec(s.Start), Dur: usec(s.End) - usec(s.Start), PID: 0, TID: rank,
 				Args: map[string]any{
 					"attempts": s.Attempts, "failed": s.Failed, "success": s.Success,
 				},
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
 
 	// Protocol events as thread-scoped instants.
 	for rank, es := range tr.Events {
 		for _, e := range es {
-			if err := emit(chromeEvent{
+			emit(chromeEvent{
 				Name: e.Kind.String(), Cat: "protocol", Phase: "i", Scope: "t",
 				TS: usec(e.Time), PID: 0, TID: rank,
 				Args: map[string]any{"peer": e.Peer, "arg": e.Arg},
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
 
@@ -168,7 +164,10 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 	// refused steals get separately named arrows so the failed-steal
 	// floods of the paper's Figure 7 are visible as a distinct pattern;
 	// aborted steals never resolve, so they stay arrow-less instants.
-	for id, p := range PairSteals(tr) {
+	if opts.Pairs == nil {
+		opts.Pairs = PairSteals(tr)
+	}
+	for id, p := range opts.Pairs {
 		var name string
 		switch p.Outcome {
 		case StealSuccess:
@@ -178,45 +177,35 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		default:
 			continue
 		}
-		if err := emit(chromeEvent{
+		emit(chromeEvent{
 			Name: name, Cat: "flow", Phase: "s",
 			TS: usec(p.Send), PID: 0, TID: p.Thief, ID: id + 1,
-		}); err != nil {
-			return err
-		}
-		if err := emit(chromeEvent{
+		})
+		emit(chromeEvent{
 			Name: name, Cat: "flow", Phase: "f", BP: "e",
 			TS: usec(p.End), PID: 0, TID: p.Thief, ID: id + 1,
 			Args: map[string]any{"victim": p.Victim, "nodes": p.Nodes},
-		}); err != nil {
-			return err
-		}
+		})
 	}
 
 	// Occupancy counter track: the number of active ranks at each
 	// transition timestamp — the paper's occupancy curve as a Perfetto
 	// "C" track, O(transitions) events.
-	if err := emitOccupancy(tr, emit); err != nil {
-		return err
-	}
+	emitOccupancy(tr, emit)
 
 	// Highlight track: derived spans (the critical path) on their own
 	// process so they sit visually apart from the rank timelines.
 	if len(opts.Highlight) > 0 {
-		if err := emit(chromeEvent{
+		emit(chromeEvent{
 			Name: "process_name", Phase: "M", PID: 1,
 			Args: map[string]any{"name": "critical path"},
-		}); err != nil {
-			return err
-		}
+		})
 		for _, h := range opts.Highlight {
-			if err := emit(chromeEvent{
+			emit(chromeEvent{
 				Name: h.Name, Cat: "critical", Phase: "X",
 				TS: usec(h.Start), Dur: usec(h.End) - usec(h.Start), PID: 1, TID: 0,
 				Args: map[string]any{"rank": h.Rank},
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
 
@@ -224,11 +213,12 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 	// serialized windows highlighted by cause and per-shard lanes for
 	// the barrier-merged traffic.
 	if len(opts.ParWindows) > 0 {
-		if err := emitParWindows(opts.ParWindows, emit); err != nil {
-			return err
-		}
+		emitParWindows(opts.ParWindows, emit)
 	}
 
+	if err != nil {
+		return err
+	}
 	if _, err := bw.WriteString("]}\n"); err != nil {
 		return err
 	}
@@ -239,19 +229,15 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 // the windows lane — one slice per window, serialized ones named by
 // their cause — and TID 1+s is shard s's lane, carrying a slice per
 // window in which the opening barrier merged messages into that shard.
-func emitParWindows(spans []ParWindowSpan, emit func(chromeEvent) error) error {
-	if err := emit(chromeEvent{
+func emitParWindows(spans []ParWindowSpan, emit func(chromeEvent)) {
+	emit(chromeEvent{
 		Name: "process_name", Phase: "M", PID: 2,
 		Args: map[string]any{"name": "parallel kernel"},
-	}); err != nil {
-		return err
-	}
-	if err := emit(chromeEvent{
+	})
+	emit(chromeEvent{
 		Name: "thread_name", Phase: "M", PID: 2, TID: 0,
 		Args: map[string]any{"name": "windows"},
-	}); err != nil {
-		return err
-	}
+	})
 	shards := 0
 	for _, s := range spans {
 		if len(s.MergedByShard) > shards {
@@ -259,85 +245,56 @@ func emitParWindows(spans []ParWindowSpan, emit func(chromeEvent) error) error {
 		}
 	}
 	for s := 0; s < shards; s++ {
-		if err := emit(chromeEvent{
+		emit(chromeEvent{
 			Name: "thread_name", Phase: "M", PID: 2, TID: 1 + s,
 			Args: map[string]any{"name": fmt.Sprintf("shard %03d", s)},
-		}); err != nil {
-			return err
-		}
+		})
 	}
 	for _, w := range spans {
 		name, cat := "parallel", "window"
 		if w.Serialized {
 			name, cat = w.Cause, "window-serialized"
 		}
-		if err := emit(chromeEvent{
+		emit(chromeEvent{
 			Name: name, Cat: cat, Phase: "X",
 			TS: usec(w.Start), Dur: usec(w.End) - usec(w.Start), PID: 2, TID: 0,
-		}); err != nil {
-			return err
-		}
+		})
 		for s, n := range w.MergedByShard {
 			if n == 0 {
 				continue
 			}
-			if err := emit(chromeEvent{
+			emit(chromeEvent{
 				Name: "merged", Cat: "window", Phase: "X",
 				TS: usec(w.Start), Dur: usec(w.End) - usec(w.Start), PID: 2, TID: 1 + s,
 				Args: map[string]any{"messages": n},
-			}); err != nil {
-				return err
-			}
+			})
 		}
 	}
-	return nil
 }
 
-// emitOccupancy merges the per-rank transitions into one step curve of
-// active-rank count and emits it as counter events.
-func emitOccupancy(tr *trace.Trace, emit func(chromeEvent) error) error {
-	type step struct {
-		t     sim.Time
-		delta int
+// emitOccupancy emits the workers(t) curve as counter events: one
+// sample per instant at which some rank changed phase.
+func emitOccupancy(tr *trace.Trace, emit func(chromeEvent)) {
+	times, active := Occupancy(tr).Steps()
+	if active[0] == 0 {
+		// The curve's origin, not a transition: a rank can only become
+		// active at time zero, so a real step there counts someone.
+		times, active = times[1:], active[1:]
 	}
-	var steps []step
-	for _, trs := range tr.Transitions {
-		for _, x := range trs {
-			d := -1
-			if x.State == trace.Active {
-				d = +1
-			}
-			steps = append(steps, step{t: x.Time, delta: d})
-		}
-	}
-	if len(steps) == 0 {
-		return nil
-	}
-	sort.Slice(steps, func(i, j int) bool { return steps[i].t < steps[j].t })
-	active := 0
-	for i, s := range steps {
-		active += s.delta
-		// Coalesce simultaneous transitions into one counter sample.
-		if i+1 < len(steps) && steps[i+1].t == s.t {
-			continue
-		}
-		if err := emit(chromeEvent{
-			Name: "occupancy", Cat: "activity", Phase: "C",
-			TS: usec(s.t), PID: 0, TID: 0,
-			Args: map[string]any{"active": active},
-		}); err != nil {
-			return err
-		}
+	if len(times) == 0 {
+		return
 	}
 	// Close the curve at trace end so the last step has width.
-	if last := steps[len(steps)-1].t; last < tr.End {
-		return emit(chromeEvent{
+	if last := len(times) - 1; times[last] < tr.End {
+		times, active = append(times, tr.End), append(active, active[last])
+	}
+	for i, t := range times {
+		emit(chromeEvent{
 			Name: "occupancy", Cat: "activity", Phase: "C",
-			TS: usec(tr.End), PID: 0, TID: 0,
-			Args: map[string]any{"active": active},
+			TS: usec(t), PID: 0, TID: 0,
+			Args: map[string]any{"active": active[i]},
 		})
 	}
-	return nil
 }
 
 // rankLabel zero-pads so Perfetto's lexicographic thread sort matches

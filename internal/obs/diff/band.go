@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"distws/internal/obs"
 	"distws/internal/obs/ledger"
 )
 
@@ -67,20 +68,16 @@ func (g *Gate) OK() bool { return len(g.Violations) == 0 }
 
 // Report writes one line per violation (or a pass summary).
 func (g *Gate) Report(w io.Writer) error {
+	bw := &obs.ErrWriter{W: w}
 	if g.OK() {
-		_, err := fmt.Fprintf(w, "tolerance gate: %d metric(s) checked, all in band\n", g.Checked)
-		return err
+		bw.Printf("tolerance gate: %d metric(s) checked, all in band\n", g.Checked)
+		return bw.Err
 	}
-	if _, err := fmt.Fprintf(w, "tolerance gate: %d of %d metric(s) OUT OF BAND\n",
-		len(g.Violations), g.Checked); err != nil {
-		return err
-	}
+	bw.Printf("tolerance gate: %d of %d metric(s) OUT OF BAND\n", len(g.Violations), g.Checked)
 	for _, v := range g.Violations {
-		if _, err := fmt.Fprintf(w, "  FAIL %s\n", v); err != nil {
-			return err
-		}
+		bw.Printf("  FAIL %s\n", v)
 	}
-	return nil
+	return bw.Err
 }
 
 // Tolerances is the per-metric band policy for manifest comparisons.

@@ -47,12 +47,13 @@ type CriticalDelta struct {
 }
 
 // Sum returns the total of the per-segment deltas.
-func (c *CriticalDelta) Sum() int64 {
-	var s int64
-	for _, x := range c.Segments {
-		s += x.Delta
+func (c *CriticalDelta) Sum() int64 { return sumDeltas(c.Segments) }
+
+func sumDeltas(xs [5]Scalar) (sum int64) {
+	for _, x := range xs {
+		sum += x.Delta
 	}
-	return s
+	return sum
 }
 
 // BlameDelta holds the per-cause idle-blame deltas, aggregated over
@@ -67,13 +68,7 @@ type BlameDelta struct {
 }
 
 // Sum returns the total of the per-cause deltas.
-func (b *BlameDelta) Sum() int64 {
-	var s int64
-	for _, x := range b.Causes {
-		s += x.Delta
-	}
-	return s
-}
+func (b *BlameDelta) Sum() int64 { return sumDeltas(b.Causes) }
 
 // StealDelta summarizes protocol shifts between the runs.
 type StealDelta struct {
@@ -122,27 +117,13 @@ type ParDelta struct {
 // TopCause returns the cause with the largest absolute window-count
 // delta ("" when no cause moved) — the diff's serialization-blame
 // attribution ("serialized share rose, cause: token-due").
-func (p *ParDelta) TopCause() (string, int64) {
-	var name string
-	var best int64
+func (p *ParDelta) TopCause() (name string, delta int64) {
 	for _, c := range p.Causes {
-		d := c.Windows.Delta
-		if d < 0 {
-			d = -d
-		}
-		if d > best {
-			best, name = d, c.Cause
+		if d := c.Windows.Delta; max(d, -d) > max(delta, -delta) {
+			name, delta = c.Cause, d
 		}
 	}
-	if name == "" {
-		return "", 0
-	}
-	for _, c := range p.Causes {
-		if c.Cause == name {
-			return name, c.Windows.Delta
-		}
-	}
-	return "", 0
+	return name, delta
 }
 
 // RankTraffic is one rank's sent/received message delta.
@@ -351,10 +332,7 @@ func trafficDeltas(a, b [][]uint64) ([]RankTraffic, []LinkDelta) {
 	}
 	// Selection sort of the top movers keeps the common all-zero case
 	// allocation-light and the order fully deterministic.
-	limit := TopLinkLimit
-	if limit > len(links) {
-		limit = len(links)
-	}
+	limit := min(TopLinkLimit, len(links))
 	for i := 0; i < limit; i++ {
 		best := i
 		for j := i + 1; j < len(links); j++ {
@@ -368,13 +346,7 @@ func trafficDeltas(a, b [][]uint64) ([]RankTraffic, []LinkDelta) {
 }
 
 func linkLess(x, y LinkDelta) bool {
-	ax, ay := x.Delta, y.Delta
-	if ax < 0 {
-		ax = -ax
-	}
-	if ay < 0 {
-		ay = -ay
-	}
+	ax, ay := max(x.Delta, -x.Delta), max(y.Delta, -y.Delta)
 	if ax != ay {
 		return ax > ay
 	}

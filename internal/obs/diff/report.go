@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"distws/internal/obs"
 	"distws/internal/sim"
 )
 
@@ -89,46 +90,46 @@ func (d *Delta) topContributors() string {
 // WriteText renders the full attribution report. The output is a pure
 // function of the delta — byte-stable across runs, golden-testable.
 func (d *Delta) WriteText(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.printf("run diff: A=%s vs B=%s\n", label(d.IDA), label(d.IDB))
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("run diff: A=%s vs B=%s\n", label(d.IDA), label(d.IDB))
 	if d.SameSpec {
-		bw.printf("spec: identical configurations (code/version comparison)\n")
+		bw.Printf("spec: identical configurations (code/version comparison)\n")
 	} else if len(d.SpecChanges) > 0 {
-		bw.printf("spec: configs differ in %d field(s)\n", len(d.SpecChanges))
+		bw.Printf("spec: configs differ in %d field(s)\n", len(d.SpecChanges))
 		for _, c := range d.SpecChanges {
-			bw.printf("  %s\n", c)
+			bw.Printf("  %s\n", c)
 		}
 	}
-	bw.printf("\n%s\n", d.Headline())
+	bw.Printf("\n%s\n", d.Headline())
 
 	if d.Critical != nil {
-		bw.printf("\ncritical path (per-segment deltas sum exactly to the makespan delta):\n")
-		bw.printf("  %-10s %14s %14s %14s %13s\n", "segment", "A", "B", "delta", "of Δmakespan")
+		bw.Printf("\ncritical path (per-segment deltas sum exactly to the makespan delta):\n")
+		bw.Printf("  %-10s %14s %14s %14s %13s\n", "segment", "A", "B", "delta", "of Δmakespan")
 		for k, s := range d.Critical.Segments {
-			bw.printf("  %-10s %14s %14s %14s %13s\n",
+			bw.Printf("  %-10s %14s %14s %14s %13s\n",
 				SegmentNames[k], dur(s.A), dur(s.B), sdur(s.Delta), share(s.Delta, d.Makespan.Delta))
 		}
-		bw.printf("  %-10s %14s %14s %14s %13s\n",
+		bw.Printf("  %-10s %14s %14s %14s %13s\n",
 			"total", dur(d.Makespan.A), dur(d.Makespan.B), sdur(d.Makespan.Delta),
 			share(d.Critical.Sum(), d.Makespan.Delta))
 	}
 
 	if d.Blame != nil {
-		bw.printf("\nidle-time blame (aggregate rank-time; deltas sum to ranks x makespan delta):\n")
-		bw.printf("  %-10s %14s %14s %14s\n", "cause", "A", "B", "delta")
+		bw.Printf("\nidle-time blame (aggregate rank-time; deltas sum to ranks x makespan delta):\n")
+		bw.Printf("  %-10s %14s %14s %14s\n", "cause", "A", "B", "delta")
 		for k, c := range d.Blame.Causes {
-			bw.printf("  %-10s %14s %14s %14s\n", CauseNames[k], dur(c.A), dur(c.B), sdur(c.Delta))
+			bw.Printf("  %-10s %14s %14s %14s\n", CauseNames[k], dur(c.A), dur(c.B), sdur(c.Delta))
 		}
 	}
 
 	if s := d.Steals; s != nil {
-		bw.printf("\nsteals: requests %d -> %d (%+d), success rate %.1f%% -> %.1f%% (%+.1fpp)\n",
+		bw.Printf("\nsteals: requests %d -> %d (%+d), success rate %.1f%% -> %.1f%% (%+.1fpp)\n",
 			s.Requests.A, s.Requests.B, s.Requests.Delta,
 			100*s.SuccessRateA, 100*s.SuccessRateB, 100*(s.SuccessRateB-s.SuccessRateA))
-		bw.printf("  failed %d -> %d (%+d), aborted %d -> %d (%+d)\n",
+		bw.Printf("  failed %d -> %d (%+d), aborted %d -> %d (%+d)\n",
 			s.Failed.A, s.Failed.B, s.Failed.Delta, s.Aborted.A, s.Aborted.B, s.Aborted.Delta)
 		if s.P50NS != nil && s.P95NS != nil && s.P99NS != nil {
-			bw.printf("  latency p50 %s -> %s (%s), p95 %s -> %s (%s), p99 %s -> %s (%s)\n",
+			bw.Printf("  latency p50 %s -> %s (%s), p95 %s -> %s (%s), p99 %s -> %s (%s)\n",
 				dur(s.P50NS.A), dur(s.P50NS.B), sdur(s.P50NS.Delta),
 				dur(s.P95NS.A), dur(s.P95NS.B), sdur(s.P95NS.Delta),
 				dur(s.P99NS.A), dur(s.P99NS.B), sdur(s.P99NS.Delta))
@@ -136,31 +137,31 @@ func (d *Delta) WriteText(w io.Writer) error {
 	}
 
 	if p := d.Par; p != nil {
-		bw.printf("\nparallel kernel (%d -> %d shard(s)):\n", p.ShardsA, p.ShardsB)
-		bw.printf("  windows %d -> %d (%+d), staged %d -> %d (%+d)\n",
+		bw.Printf("\nparallel kernel (%d -> %d shard(s)):\n", p.ShardsA, p.ShardsB)
+		bw.Printf("  windows %d -> %d (%+d), staged %d -> %d (%+d)\n",
 			p.Windows.A, p.Windows.B, p.Windows.Delta,
 			p.Staged.A, p.Staged.B, p.Staged.Delta)
-		bw.printf("  serialized-window share %.1f%% -> %.1f%% (%+.1fpp)\n",
+		bw.Printf("  serialized-window share %.1f%% -> %.1f%% (%+.1fpp)\n",
 			100*p.SerializedShareA, 100*p.SerializedShareB,
 			100*(p.SerializedShareB-p.SerializedShareA))
 		if cause, delta := p.TopCause(); cause != "" {
-			bw.printf("  leading cause of the shift: %s (%+d window(s))\n", cause, delta)
+			bw.Printf("  leading cause of the shift: %s (%+d window(s))\n", cause, delta)
 		}
 		for _, c := range p.Causes {
-			bw.printf("    %-18s %6d -> %-6d (%+d window(s), %s serialized time)\n",
+			bw.Printf("    %-18s %6d -> %-6d (%+d window(s), %s serialized time)\n",
 				c.Cause, c.Windows.A, c.Windows.B, c.Windows.Delta, sdur(c.VirtualNS.Delta))
 		}
 	}
 
 	if len(d.TopLinks) > 0 {
-		bw.printf("\ntop link movers (messages):\n")
+		bw.Printf("\ntop link movers (messages):\n")
 		for _, l := range d.TopLinks {
-			bw.printf("  %4d -> %-4d %8d -> %-8d (%+d)\n", l.From, l.To, l.A, l.B, l.Delta)
+			bw.Printf("  %4d -> %-4d %8d -> %-8d (%+d)\n", l.From, l.To, l.A, l.B, l.Delta)
 		}
 	} else if d.PerRank != nil {
-		bw.printf("\ntraffic: identical on every link\n")
+		bw.Printf("\ntraffic: identical on every link\n")
 	}
-	return bw.err
+	return bw.Err
 }
 
 // WriteJSON renders the delta as an indented JSON document.
@@ -175,17 +176,4 @@ func label(id string) string {
 		return "(unnamed)"
 	}
 	return id
-}
-
-// errWriter latches the first write error so report code stays linear.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

@@ -11,7 +11,7 @@ import (
 // FileName returns the canonical on-disk name for a manifest: its ID
 // slugified, or the spec fingerprint when the ID is empty.
 func (m *Manifest) FileName() string {
-	base := slug(m.ID)
+	base := Slug(m.ID)
 	if base == "" {
 		base = m.Fingerprint
 	}
@@ -82,8 +82,8 @@ func ReadDir(dir string) (map[string]*Manifest, error) {
 	return out, nil
 }
 
-// slug builds a filesystem-safe fragment from a run label.
-func slug(s string) string {
+// Slug builds a filesystem-safe fragment from a run label.
+func Slug(s string) string {
 	var b strings.Builder
 	for _, r := range strings.ToLower(s) {
 		switch {

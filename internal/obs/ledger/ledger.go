@@ -28,7 +28,6 @@ import (
 
 	"distws/internal/core"
 	"distws/internal/fault"
-	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/parprof"
 	"distws/internal/serve"
@@ -38,13 +37,8 @@ import (
 )
 
 // Schema identifies the manifest document format; bump on breaking
-// changes so obscheck and diff fail loudly on a version skew.
+// changes so tracetool -check and diff fail loudly on a version skew.
 const Schema = "distws/run-manifest/v1"
-
-// TrafficRankLimit caps the rank count for which manifests inline the
-// full rank×rank traffic matrix, mirroring tracetool's JSON limit: past
-// it the document would be dominated by an O(ranks²) block.
-const TrafficRankLimit = 128
 
 // Spec is the configuration fingerprint: every knob that determines
 // the run's behaviour, in a form stable enough to hash. Two runs with
@@ -81,15 +75,7 @@ type Spec struct {
 // Fingerprint returns a short stable digest of the spec, used as the
 // identity check when diffing: runs with equal fingerprints differ only
 // in code version, never in configuration.
-func (s Spec) Fingerprint() string {
-	data, err := json.Marshal(s)
-	if err != nil {
-		// Spec is a flat struct of scalars; Marshal cannot fail.
-		panic(fmt.Sprintf("ledger: marshal spec: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
-}
+func (s Spec) Fingerprint() string { return digest("spec", s) }
 
 // PlanHash returns the stable digest of a fault plan ("" for nil or
 // empty plans, which behave identically to no plan at all).
@@ -97,12 +83,7 @@ func PlanHash(p *fault.Plan) string {
 	if p == nil || p.Empty() {
 		return ""
 	}
-	data, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal fault plan: %v", err))
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:8])
+	return digest("fault plan", p)
 }
 
 // ServeHash returns the stable digest of a serving spec ("" for nil,
@@ -111,9 +92,15 @@ func ServeHash(s *serve.Spec) string {
 	if s == nil {
 		return ""
 	}
-	data, err := json.Marshal(s)
+	return digest("serve spec", s)
+}
+
+// digest hashes v's JSON encoding to 16 hex digits. The three inputs
+// are structs of scalars and slices of them; Marshal cannot fail.
+func digest(what string, v any) string {
+	data, err := json.Marshal(v)
 	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal serve spec: %v", err))
+		panic(fmt.Sprintf("ledger: marshal %s: %v", what, err))
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:8])
@@ -301,7 +288,7 @@ type Manifest struct {
 	Blame     *BlameSummary    `json:"blame,omitempty"`
 	Steals    *StealSummary    `json:"steals,omitempty"`
 	// Traffic is the rank×rank message matrix (sender-major), present
-	// when the run recorded events and Ranks <= TrafficRankLimit.
+	// when the run recorded events and Ranks <= causal.TrafficRankLimit.
 	Traffic [][]uint64 `json:"traffic,omitempty"`
 	// Par is the parallel-kernel window profile, present when the run
 	// was profiled (core.Config.ParProfile).
@@ -317,6 +304,26 @@ type Manifest struct {
 // against the golden Fig 9 run). The causal analyses are included when
 // the run collected the protocol event log.
 func FromRun(id string, spec Spec, res *core.Result) *Manifest {
+	return New(id, spec, res, causal.Analyze(res.Trace))
+}
+
+// FromTrace builds a partial manifest from a saved trace alone: the
+// causal analyses and the makespan are available, the engine-side
+// Result scalars are not. tracetool -diff uses this so two raw .jsonl
+// traces can be compared without their original Results.
+func FromTrace(id string, spec Spec, tr *trace.Trace) *Manifest {
+	if spec.Ranks == 0 {
+		spec.Ranks = tr.Ranks()
+	}
+	return FromRun(id, spec, &core.Result{Makespan: sim.Duration(tr.End), Trace: tr})
+}
+
+// New is the one manifest constructor: the Result's scalars plus the
+// trace sections read from a, the analysis of res.Trace. A caller that
+// also prints or exports from the same analysis (cmd/uts) passes it in,
+// so the graph is built once per process; FromRun is New over a fresh
+// analysis.
+func New(id string, spec Spec, res *core.Result, a *causal.Analysis) *Manifest {
 	m := &Manifest{
 		Schema:      Schema,
 		ID:          id,
@@ -361,9 +368,7 @@ func FromRun(id string, spec Spec, res *core.Result) *Manifest {
 			MeanRecoveryNS: int64(res.MeanRecoveryLatency),
 		},
 	}
-	if res.Trace != nil {
-		attachTrace(m, res.Trace)
-	}
+	m.Attach(a)
 	if res.Par != nil {
 		m.Par = parSummary(res.Par)
 	}
@@ -429,40 +434,23 @@ func parSummary(l *parprof.Ledger) *ParSummary {
 	return p
 }
 
-// FromTrace builds a partial manifest from a saved trace alone: the
-// causal analyses and the makespan are available, the engine-side
-// Result scalars are not. tracetool -diff uses this so two raw .jsonl
-// traces can be compared without their original Results.
-func FromTrace(id string, spec Spec, tr *trace.Trace) *Manifest {
-	if spec.Ranks == 0 {
-		spec.Ranks = tr.Ranks()
-	}
-	m := &Manifest{
-		Schema:      Schema,
-		ID:          id,
-		Spec:        spec,
-		Fingerprint: spec.Fingerprint(),
-		Result:      ResultSummary{MakespanNS: int64(tr.End)},
-	}
-	attachTrace(m, tr)
-	return m
-}
-
-// attachTrace fills the causal sections from an activity trace.
-func attachTrace(m *Manifest, tr *trace.Trace) {
-	if tr.Ranks() == 0 {
+// Attach fills the trace-derived sections — blame, critical path, steal
+// statistics, traffic — from an analysis; a view the trace does not
+// support leaves its section absent. This is the only causal→manifest
+// conversion: tracetool -format json embeds the same section types.
+func (m *Manifest) Attach(a *causal.Analysis) {
+	b := a.Blame()
+	if b == nil {
 		return
 	}
-	b := causal.AttributeIdle(tr)
-	bs := &BlameSummary{Total: blameEntry(b.Total)}
+	m.Blame = &BlameSummary{Total: blameEntry(b.Total)}
 	for _, rb := range b.PerRank {
-		bs.PerRank = append(bs.PerRank, blameEntry(rb))
+		m.Blame.PerRank = append(m.Blame.PerRank, blameEntry(rb))
 	}
-	m.Blame = bs
-	if tr.Events == nil {
+	if !a.HasEvents() {
 		return
 	}
-	p := causal.CriticalPath(causal.Build(tr))
+	p := a.Path()
 	m.Critical = &CriticalSummary{
 		Segments:   len(p.Segments),
 		ComputeNS:  int64(p.ByKind[causal.SegCompute]),
@@ -471,17 +459,14 @@ func attachTrace(m *Manifest, tr *trace.Trace) {
 		TokenNS:    int64(p.ByKind[causal.SegToken]),
 		WaitNS:     int64(p.ByKind[causal.SegWait]),
 	}
-	if pairs := obs.PairSteals(tr); len(pairs) > 0 {
-		st := obs.StealLatency(pairs)
+	if st := a.Steals(); st.Count > 0 {
 		m.Steals = &StealSummary{
 			Count: st.Count, Success: st.Success, Refused: st.Refused, Aborted: st.Aborted,
 			MeanNS: int64(st.Mean), P50NS: int64(st.P50), P95NS: int64(st.P95),
 			P99NS: int64(st.P99), MaxNS: int64(st.Max), NodesMoved: st.NodesMoved,
 		}
 	}
-	if tr.Ranks() <= TrafficRankLimit {
-		m.Traffic = obs.Traffic(tr)
-	}
+	m.Traffic = a.Traffic()
 }
 
 func blameEntry(b causal.RankBlame) BlameEntry {
@@ -547,7 +532,7 @@ func Decode(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// Validate is the schema checker cmd/obscheck runs on every manifest:
+// Validate is the schema checker tracetool -check runs on every manifest:
 // structural requirements plus the causal identities that make diffs
 // trustworthy — blame partitions each rank's exact timeline, and the
 // critical-path segments partition the makespan.
@@ -592,15 +577,8 @@ func (m *Manifest) Validate() error {
 		}
 	}
 	if m.Traffic != nil {
-		if len(m.Traffic) != m.Spec.Ranks {
-			return fmt.Errorf("ledger: traffic matrix has %d rows for %d ranks",
-				len(m.Traffic), m.Spec.Ranks)
-		}
-		for i, row := range m.Traffic {
-			if len(row) != m.Spec.Ranks {
-				return fmt.Errorf("ledger: traffic row %d has %d columns for %d ranks",
-					i, len(row), m.Spec.Ranks)
-			}
+		if _, err := squareSum("traffic", m.Traffic, m.Spec.Ranks, "ranks"); err != nil {
+			return err
 		}
 	}
 	if m.Par != nil {
@@ -687,19 +665,9 @@ func (p *ParSummary) validate() error {
 			causeNS, p.SerializedNS)
 	}
 	if p.Traffic != nil {
-		if len(p.Traffic) != p.Shards {
-			return fmt.Errorf("ledger: par traffic matrix has %d rows for %d shards",
-				len(p.Traffic), p.Shards)
-		}
-		var sum uint64
-		for i, row := range p.Traffic {
-			if len(row) != p.Shards {
-				return fmt.Errorf("ledger: par traffic row %d has %d columns for %d shards",
-					i, len(row), p.Shards)
-			}
-			for _, n := range row {
-				sum += n
-			}
+		sum, err := squareSum("par traffic", p.Traffic, p.Shards, "shards")
+		if err != nil {
+			return err
 		}
 		if sum != p.Staged {
 			return fmt.Errorf("ledger: par traffic matrix sums to %d, want staged total %d",
@@ -707,6 +675,22 @@ func (p *ParSummary) validate() error {
 		}
 	}
 	return nil
+}
+
+// squareSum checks that m is n×n and returns the sum of its cells.
+func squareSum(name string, m [][]uint64, n int, unit string) (sum uint64, err error) {
+	if len(m) != n {
+		return 0, fmt.Errorf("ledger: %s matrix has %d rows for %d %s", name, len(m), n, unit)
+	}
+	for i, row := range m {
+		if len(row) != n {
+			return 0, fmt.Errorf("ledger: %s row %d has %d columns for %d %s", name, i, len(row), n, unit)
+		}
+		for _, v := range row {
+			sum += v
+		}
+	}
+	return sum, nil
 }
 
 // Makespan returns the manifest's makespan as a virtual duration.

@@ -300,3 +300,21 @@ func TestFromTrace(t *testing.T) {
 		t.Errorf("Makespan() = %v, want %v", m.Makespan(), res.Makespan)
 	}
 }
+
+// TestFromTraceIsFromRun: a trace-only manifest is the manifest of a
+// Result that has nothing but a makespan and that trace, byte for byte.
+func TestFromTraceIsFromRun(t *testing.T) {
+	res := mustRun(t, testConfig())
+	spec := Spec{Ranks: res.Trace.Ranks()}
+	a, err := FromTrace("t", Spec{}, res.Trace).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FromRun("t", spec, &core.Result{Makespan: sim.Duration(res.Trace.End), Trace: res.Trace}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Errorf("FromTrace and FromRun over a trace-only Result encode differently:\n%s\n---\n%s", a, b)
+	}
+}

@@ -1,4 +1,4 @@
-package metrics
+package obs
 
 import (
 	"fmt"
@@ -94,11 +94,14 @@ func activeWithin(transitions []trace.Transition, lo, hi, end sim.Time) sim.Dura
 
 // SessionStats summarizes the work-discovery sessions of a trace:
 // count, mean, and selected quantiles of session duration in seconds.
+// The JSON form is tracetool -format json's session_stats section.
 type SessionStats struct {
-	Count          int
-	Mean, P50, P99 float64
+	Count int     `json:"count"`
+	Mean  float64 `json:"mean_s"`
+	P50   float64 `json:"p50_s"`
+	P99   float64 `json:"p99_s"`
 	// Failed is the total failed steal attempts across sessions.
-	Failed int
+	Failed int `json:"failed_attempts"`
 }
 
 // Sessions computes SessionStats over all ranks of a trace.

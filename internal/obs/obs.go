@@ -25,8 +25,9 @@
 //   - exporters: Chrome trace-event JSON (opens in Perfetto or
 //     chrome://tracing), Prometheus text exposition, and an
 //     http.Handler bundling /metrics with expvar and pprof, plus
-//     trace analyses (steal-latency percentiles, rank×rank traffic
-//     matrix, termination-tail breakdown) that cmd/tracetool reports.
+//     trace analyses (occupancy and SL/EL, steal-latency percentiles,
+//     rank×rank traffic matrix, termination-tail breakdown) that
+//     causal.Analysis memoizes and cmd/tracetool reports.
 package obs
 
 import (

@@ -1,5 +1,7 @@
-// Package metrics computes the paper's load-balancing efficiency
-// measures from activity traces (§III):
+package obs
+
+// This file computes the paper's load-balancing efficiency measures
+// from activity traces (§III):
 //
 //   - workers(t): the number of ranks in an active phase at time t;
 //   - the occupancy ratio O(t) = workers(t)/N and its maximum Wmax;
@@ -10,7 +12,6 @@
 // got a fraction x of the ranks busy; EL(x) is how close to the end it
 // last kept them busy. An ideal scheduler has both near zero for x
 // close to 1.
-package metrics
 
 import (
 	"fmt"
@@ -177,11 +178,12 @@ func (c *OccupancyCurve) EndingLatency(x float64) (el float64, ok bool) {
 
 // LatencyPoint is one (occupancy, SL, EL) sample of Figures 4/5/12/13.
 type LatencyPoint struct {
-	Occupancy float64
-	SL, EL    float64
+	Occupancy float64 `json:"occupancy"`
 	// Reached is false when the run never attained this occupancy; SL
 	// and EL are then meaningless.
-	Reached bool
+	Reached bool    `json:"reached"`
+	SL      float64 `json:"sl"`
+	EL      float64 `json:"el"`
 }
 
 // LatencyCurve samples SL and EL at the given occupancy fractions.

@@ -21,29 +21,29 @@ func pct(part, whole uint64) string {
 // The output is a pure function of the ledger — byte-stable,
 // golden-testable.
 func (l *Ledger) WriteText(w io.Writer) error {
-	bw := &errWriter{w: w}
+	bw := &obs.ErrWriter{W: w}
 	t := l.Totals()
-	bw.printf("parallel-kernel profile: %d shard(s), lookahead %v\n", l.shards, l.lookahead)
+	bw.Printf("parallel-kernel profile: %d shard(s), lookahead %v\n", l.shards, l.lookahead)
 	if t.Windows == 0 {
-		bw.printf("  no windows recorded (sequential kernel)\n")
-		return bw.err
+		bw.Printf("  no windows recorded (sequential kernel)\n")
+		return bw.Err
 	}
-	bw.printf("  windows:    %d (%d parallel, %d serialized = %s)\n",
+	bw.Printf("  windows:    %d (%d parallel, %d serialized = %s)\n",
 		t.Windows, t.Windows-t.Serialized, t.Serialized, pct(t.Serialized, t.Windows))
-	bw.printf("  staged:     %d message(s) merged at barriers (cross-shard + deferred same-shard)\n", t.Staged)
+	bw.Printf("  staged:     %d message(s) merged at barriers (cross-shard + deferred same-shard)\n", t.Staged)
 	if t.Serialized > 0 {
-		bw.printf("  serialized windows by cause (share of serialized virtual time):\n")
+		bw.Printf("  serialized windows by cause (share of serialized virtual time):\n")
 		for c := CauseNone + 1; c < NumCauses; c++ {
 			ct := t.ByCause[c]
 			if ct.Windows == 0 {
 				continue
 			}
-			bw.printf("    %-18s %6d window(s)  %12v  %s\n",
+			bw.Printf("    %-18s %6d window(s)  %12v  %s\n",
 				c.String(), ct.Windows, ct.Virtual,
 				pct(uint64(ct.Virtual), uint64(t.SerializedTime)))
 		}
 	}
-	return bw.err
+	return bw.Err
 }
 
 // ScalingRow is one shard count's entry in a scaling report.
@@ -96,9 +96,9 @@ type Scaling struct {
 // when unmeasured, so the deterministic rendering is a pure function
 // of the virtual data.
 func (s *Scaling) WriteText(w io.Writer) error {
-	bw := &errWriter{w: w}
-	bw.printf("shard scaling report (virtual columns deterministic; wall columns host-dependent)\n")
-	bw.printf("  %6s %10s %10s %6s %10s %9s %8s %6s\n",
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("shard scaling report (virtual columns deterministic; wall columns host-dependent)\n")
+	bw.Printf("  %6s %10s %10s %6s %10s %9s %8s %6s\n",
 		"shards", "windows", "serial", "ser%", "staged", "wall(s)", "speedup", "eff")
 	var base float64
 	for _, r := range s.Rows {
@@ -116,24 +116,24 @@ func (s *Scaling) WriteText(w io.Writer) error {
 				eff = fmt.Sprintf("%6.2f", sp/float64(r.Shards))
 			}
 		}
-		bw.printf("  %6d %10d %10d %5s %10d %s %s %s\n",
+		bw.Printf("  %6d %10d %10d %5s %10d %s %s %s\n",
 			r.Shards, r.Windows, r.Serialized, pct(r.Serialized, r.Windows),
 			r.Staged, wall, speedup, eff)
 	}
-	bw.printf("  serialized windows by cause:\n")
-	bw.printf("  %6s", "shards")
+	bw.Printf("  serialized windows by cause:\n")
+	bw.Printf("  %6s", "shards")
 	for c := CauseNone + 1; c < NumCauses; c++ {
-		bw.printf(" %18s", c.String())
+		bw.Printf(" %18s", c.String())
 	}
-	bw.printf("\n")
+	bw.Printf("\n")
 	for _, r := range s.Rows {
-		bw.printf("  %6d", r.Shards)
+		bw.Printf("  %6d", r.Shards)
 		for c := CauseNone + 1; c < NumCauses; c++ {
-			bw.printf(" %18d", r.CauseWindows[c])
+			bw.Printf(" %18d", r.CauseWindows[c])
 		}
-		bw.printf("\n")
+		bw.Printf("\n")
 	}
-	return bw.err
+	return bw.Err
 }
 
 // WriteJSON renders the scaling report as an indented JSON document
@@ -208,17 +208,4 @@ func ChromeWindows(l *Ledger) []obs.ParWindowSpan {
 		spans[i] = sp
 	}
 	return spans
-}
-
-// errWriter latches the first write error so report code stays linear.
-type errWriter struct {
-	w   io.Writer
-	err error
-}
-
-func (e *errWriter) printf(format string, args ...any) {
-	if e.err != nil {
-		return
-	}
-	_, e.err = fmt.Fprintf(e.w, format, args...)
 }

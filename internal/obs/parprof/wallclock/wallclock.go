@@ -16,10 +16,10 @@
 package wallclock
 
 import (
-	"fmt"
 	"io"
 	"time"
 
+	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/sim/par"
 )
@@ -106,17 +106,14 @@ func (p *Profile) ShardWait(s int) time.Duration {
 // WriteText renders the wall profile. Every number is host-dependent:
 // the report is a diagnostic, never a determinism artifact.
 func (p *Profile) WriteText(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "wall-clock window profile (host-dependent): %d window(s), parallel %v, serialized %v\n",
-		p.windows, p.parallelWall.Round(time.Microsecond), p.serializedWall.Round(time.Microsecond)); err != nil {
-		return err
-	}
+	bw := &obs.ErrWriter{W: w}
+	bw.Printf("wall-clock window profile (host-dependent): %d window(s), parallel %v, serialized %v\n",
+		p.windows, p.parallelWall.Round(time.Microsecond), p.serializedWall.Round(time.Microsecond))
 	for s := range p.shards {
-		if _, err := fmt.Fprintf(w, "  shard %3d: busy %v, barrier wait %v\n",
-			s, p.ShardBusy(s).Round(time.Microsecond), p.ShardWait(s).Round(time.Microsecond)); err != nil {
-			return err
-		}
+		bw.Printf("  shard %3d: busy %v, barrier wait %v\n",
+			s, p.ShardBusy(s).Round(time.Microsecond), p.ShardWait(s).Round(time.Microsecond))
 	}
-	return nil
+	return bw.Err
 }
 
 // Interface conformance.

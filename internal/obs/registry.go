@@ -13,7 +13,9 @@ import (
 // paths of both substrates share one implementation. In the simulator
 // all updates happen on one goroutine in deterministic event order, so
 // the final registry contents — and the exported text — are a pure
-// function of the run.
+// function of the run. In this package "metrics" means this live
+// registry; what is computed from a finished trace (occupancy, SL/EL,
+// steal pairing — the former internal/metrics) is an "analysis".
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

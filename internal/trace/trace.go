@@ -388,8 +388,8 @@ const (
 // drops record per rank that evicted events. The bytes are exactly what
 // encoding/json produces for jsonRecord — fields in declaration order,
 // zero values omitted, so rank 0, time 0 and peer 0 leave no key while
-// peer -1 is written out — which is the format ReadJSONL and obscheck
-// parse. Records are appended into one reused buffer; nothing is
+// peer -1 is written out — which is the format ReadJSONL (and through it
+// tracetool -check) parses. Records are appended into one reused buffer; nothing is
 // allocated per record.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	buf := make([]byte, 0, jsonlBufSize)
