@@ -99,11 +99,8 @@ var (
 	commPath = "distws/internal/comm"
 
 	// poolPackages are the mailbox-handler packages whose drains own
-	// the messages they poll.
-	poolPackages = []string{
-		"distws/internal/core",
-		"distws/internal/dagws",
-	}
+	// the messages they poll: the engine is the only one.
+	poolPackages = []string{"distws/internal/core"}
 
 	// hotPackages are the 0-alloc bench-gated packages (BENCH_PKGS in
 	// the Makefile): hotalloc checks their functions when reachable
@@ -145,9 +142,6 @@ var (
 		"(*distws/internal/sample.Discrete).At",
 		"(*distws/internal/sample.Builder).Build",
 		"(*distws/internal/topology.Job).DistanceSq",
-		"(*distws/internal/dagws.scheduler).startNext",
-		"(*distws/internal/dagws.scheduler).complete",
-		"(*distws/internal/dagws.scheduler).onDelivery",
 		"(*distws/internal/sim.Kernel).Step",
 		"(*distws/internal/sim.Kernel).advance",
 		"(*distws/internal/sim.Kernel).farMin",

@@ -512,12 +512,15 @@ func runScaling(cfg core.Config) parprof.Scaling {
 	return sc
 }
 
-// checkShards validates the -shards flag before the run starts. The
-// engine re-validates (and also rejects mode combinations the flag
-// cannot see, like incompatible fault plans), but catching the plain
-// numeric mistakes here gives a flag-shaped message instead of a
-// config error.
+// checkShards validates the -shards flag, and the -ranks flag it is
+// measured against, before the run starts. The engine re-validates (and
+// also rejects mode combinations the flag cannot see, like incompatible
+// fault plans), but catching the plain numeric mistakes here gives a
+// flag-shaped message instead of a config error.
 func checkShards(shards, ranks int) error {
+	if ranks < 1 {
+		return fmt.Errorf("-ranks must be >= 1, got %d", ranks)
+	}
 	if shards < 1 {
 		return fmt.Errorf("-shards must be >= 1, got %d", shards)
 	}

@@ -118,6 +118,12 @@ func TestCheckShards(t *testing.T) {
 			t.Errorf("checkShards(%d, %d) accepted", tc.shards, tc.ranks)
 		}
 	}
+	// A bad -ranks is reported as such, not as a -shards excess.
+	for _, ranks := range []int{0, -3} {
+		if err := checkShards(1, ranks); err == nil || !strings.Contains(err.Error(), "-ranks must be >= 1") {
+			t.Errorf("checkShards(1, %d) = %v, want the -ranks message", ranks, err)
+		}
+	}
 	cfg := core.Config{
 		Tree:   uts.MustPreset("T3S").Params,
 		Ranks:  8,

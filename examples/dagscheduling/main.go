@@ -14,8 +14,8 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"distws/internal/core"
 	"distws/internal/dag"
-	"distws/internal/dagws"
 	"distws/internal/sim"
 	"distws/internal/victim"
 )
@@ -46,16 +46,16 @@ func main() {
 		{"Rand", victim.NewUniformRandom},
 		{"Tofu (distance-skewed)", victim.NewDistanceSkewed},
 	} {
-		res, err := dagws.Run(dagws.Config{
-			Graph: g, Ranks: *ranks,
-			Selector: s.f, StealHalf: true, Seed: 1,
-		})
+		res, gs, err := core.RunGraph(core.Config{
+			Ranks: *ranks, Selector: s.f,
+			ChunkSize: 1, Steal: core.StealHalf, Seed: 1,
+		}, g)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(w, "%s\t%v\t%.1f\t%.2f GiB\t%v\t%d\n",
 			s.name, res.Makespan, res.Speedup,
-			float64(res.BytesFetched)/(1<<30), res.FetchTime, res.TasksStolen)
+			float64(gs.BytesFetched)/(1<<30), gs.FetchTime, gs.TasksStolen)
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)

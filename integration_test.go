@@ -14,7 +14,6 @@ import (
 
 	"distws/internal/core"
 	"distws/internal/dag"
-	"distws/internal/dagws"
 	"distws/internal/obs"
 	"distws/internal/rt"
 	"distws/internal/sim"
@@ -220,7 +219,8 @@ func TestSkewCorrectionPreservesMetrics(t *testing.T) {
 }
 
 // TestVictimSelectorsAcrossSubstrates drives the same selector
-// implementations through both the UTS engine and the DAG scheduler.
+// implementations through both of the engine's closed workloads, the
+// UTS tree and a task graph.
 func TestVictimSelectorsAcrossSubstrates(t *testing.T) {
 	g, err := dag.Generate(dag.Params{
 		Seed: 2, Layers: 12, WidthMean: 8, EdgesPerTask: 1.5,
@@ -237,11 +237,13 @@ func TestVictimSelectorsAcrossSubstrates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("uts/%s: %v", name, err)
 		}
-		dagRes, err := dagws.Run(dagws.Config{Graph: g, Ranks: 8, Selector: factory, Seed: 3})
+		dagRes, _, err := core.RunGraph(core.Config{
+			Ranks: 8, ChunkSize: 1, Steal: core.StealHalf, Selector: factory, Seed: 3,
+		}, g)
 		if err != nil {
 			t.Fatalf("dag/%s: %v", name, err)
 		}
-		if utsRes.Premature || dagRes.Tasks != g.Len() {
+		if utsRes.Premature || dagRes.Premature || dagRes.Nodes != uint64(g.Len()) {
 			t.Fatalf("%s: incomplete execution on a substrate", name)
 		}
 	}

@@ -15,8 +15,8 @@ func TestPoolcheckFixture(t *testing.T) {
 }
 
 // TestPoolcheckSeededViolation proves the analyzer fires on broken
-// copies of the three real drain shapes from internal/core and
-// internal/dagws.
+// copies of three drain shapes the runtime has had: internal/core's
+// two, and that of the deleted internal/dagws scheduler.
 func TestPoolcheckSeededViolation(t *testing.T) {
 	analysistest.Run(t, poolcheck.New(commPath, []string{"fix/poolcheckseeded"}),
 		"testdata/seeded", "fix/poolcheckseeded")

@@ -2,7 +2,7 @@
 // the runtime has had: the engine's former onDelivery (crashed-corpse
 // drain and one-sided inline serve, internal/core), its pollMailbox
 // (then a deferred batch swap plus Poll walk), and the DAG scheduler's
-// drain (internal/dagws). Each copy drops a Network.Free the production
+// drain (internal/dagws, since deleted). Each copy drops a Network.Free the production
 // code performed (or, for dagws, reproduces the leak the analyzer was
 // built to catch), and the analyzer must fire on every broken drain.
 package seeded

@@ -22,8 +22,8 @@
 // The send/deliver/poll cycle is the second-hottest loop of the
 // simulator (after the event kernel), so the package is written to be
 // allocation-free at steady state: Message objects come from a free
-// list (returned via Free), the fixed protocol kinds travel in typed
-// union fields instead of boxed `any` payloads, delivery is scheduled
+// list (returned via Free), the protocol kinds travel in typed union
+// fields instead of boxed `any` payloads, delivery is scheduled
 // through the kernel's closure-free AfterArg path, and per-rank
 // mailboxes are reusable buffers whose backing arrays are released
 // once they sit far above the recent high-water occupancy.
@@ -77,23 +77,21 @@ func (t Tag) String() string {
 
 // Message is one in-flight or delivered message.
 //
-// The fixed protocol kinds carry their data in the typed union fields
-// (ID, Nodes, Token) selected by Tag, so the hot protocol path never
-// boxes payloads into an interface. Extension protocols built on the
-// network (package dagws, tests) may instead ship arbitrary data in
-// Payload via the generic Send.
+// The protocol kinds carry their data in the typed union fields (ID,
+// Nodes, Token) selected by Tag, so no send boxes a payload into an
+// interface.
 //
 // The struct is laid out as a 64-byte header — everything a steal
 // request, a no-work reply or a terminate broadcast carries, and
 // everything send and delivery stamp — followed by the bodies only work
-// replies, tokens and extension traffic fill. A message sent with
-// SendID lives and is recycled in its first cache line
-// (TestMessageHeaderOneLine pins the split).
+// replies and tokens fill. A message sent with SendID lives and is
+// recycled in its first cache line (TestMessageHeaderOneLine pins the
+// split).
 type Message struct {
 	From, To int
 	Tag      Tag
 	// body marks a message whose sender filled a field past the header
-	// (Nodes, Token or Payload), which Free then has to clear.
+	// (Nodes or Token), which Free then has to clear.
 	body bool
 
 	// ID correlates a steal request with its reply; it is valid for
@@ -113,9 +111,6 @@ type Message struct {
 	Nodes []uts.Node
 	// Token is the termination-detection token of a TagToken message.
 	Token term.Token
-	// Payload carries extension data for messages sent with the generic
-	// Send; nil for the typed protocol kinds.
-	Payload any
 }
 
 // Stats aggregates traffic counters. Dropped and Duplicated stay zero
@@ -326,7 +321,7 @@ func (n *Network) alloc() *Message {
 //
 // The message goes back zeroed, but Free writes only what the sender
 // filled: always the header, and the bodies behind it only when
-// SendNodes, SendToken or Send marked the message (a duplicate made by
+// SendNodes or SendToken marked the message (a duplicate made by
 // the interposer inherits its original's mark). Request-id traffic is
 // never touched past its first cache line. Free lets go of m.Nodes and
 // never reuses the array: it belongs to whoever passed it to SendNodes
@@ -395,16 +390,6 @@ func (n *Network) send(m *Message) {
 		return
 	}
 	n.kernel.AfterArg(delay, n.deliver, m)
-}
-
-// Send queues a message whose payload is not one of the fixed protocol
-// kinds; extension protocols layered on the network use it. The typed
-// senders below cover the hot protocol traffic without boxing.
-func (n *Network) Send(from, to int, tag Tag, payload any, size int) {
-	m := n.alloc()
-	m.From, m.To, m.Tag, m.Payload, m.Size = from, to, tag, payload, size
-	m.body = true
-	n.send(m)
 }
 
 // SendID queues a protocol message that carries only a request id:

@@ -22,7 +22,7 @@ func testNetwork(t *testing.T, nranks int) (*sim.Kernel, *Network) {
 func TestSendDeliversAfterLatency(t *testing.T) {
 	k, n := testNetwork(t, 4)
 	var deliveredAt sim.Time
-	n.Send(0, 1, TagStealRequest, "hello", 16)
+	n.SendID(0, 1, TagStealRequest, 42, 16)
 	if n.Pending(1) {
 		t.Fatal("message visible before latency elapsed")
 	}
@@ -35,7 +35,7 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 	}
 	m := msgs[0]
 	deliveredAt = m.DeliveredAt
-	if m.From != 0 || m.To != 1 || m.Tag != TagStealRequest || m.Payload != "hello" {
+	if m.From != 0 || m.To != 1 || m.Tag != TagStealRequest || m.ID != 42 {
 		t.Fatalf("message corrupted: %+v", m)
 	}
 	if deliveredAt <= m.SentAt {
@@ -49,8 +49,8 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 
 func TestPollDrains(t *testing.T) {
 	k, n := testNetwork(t, 2)
-	n.Send(0, 1, TagWork, 1, 0)
-	n.Send(0, 1, TagWork, 2, 0)
+	n.SendID(0, 1, TagWork, 1, 0)
+	n.SendID(0, 1, TagWork, 2, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestPairwiseFIFO(t *testing.T) {
 	k, n := testNetwork(t, 2)
 	const count = 50
 	for i := 0; i < count; i++ {
-		n.Send(0, 1, TagWork, i, 8)
+		n.SendID(0, 1, TagWork, uint64(i), 8)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -79,8 +79,8 @@ func TestPairwiseFIFO(t *testing.T) {
 		t.Fatalf("got %d messages", len(msgs))
 	}
 	for i, m := range msgs {
-		if m.Payload.(int) != i {
-			t.Fatalf("message %d carries %v: FIFO violated", i, m.Payload)
+		if m.ID != uint64(i) {
+			t.Fatalf("message %d carries %v: FIFO violated", i, m.ID)
 		}
 	}
 }
@@ -89,8 +89,8 @@ func TestNotifyFiresAtDelivery(t *testing.T) {
 	k, n := testNetwork(t, 2)
 	var wokenAt []sim.Time
 	n.SetNotify(1, func() { wokenAt = append(wokenAt, k.Now()) })
-	n.Send(0, 1, TagStealRequest, nil, 0)
-	n.Send(0, 1, TagStealRequest, nil, 0)
+	n.SendID(0, 1, TagStealRequest, 0, 0)
+	n.SendID(0, 1, TagStealRequest, 0, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestNotifyFiresAtDelivery(t *testing.T) {
 	}
 	// Uninstall and verify silence.
 	n.SetNotify(1, nil)
-	n.Send(0, 1, TagStealRequest, nil, 0)
+	n.SendID(0, 1, TagStealRequest, 0, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestNotifyFiresAtDelivery(t *testing.T) {
 
 func TestSelfSend(t *testing.T) {
 	k, n := testNetwork(t, 1)
-	n.Send(0, 0, TagToken, nil, 4)
+	n.SendID(0, 0, TagToken, 0, 4)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -130,15 +130,15 @@ func TestSendToInvalidRankPanics(t *testing.T) {
 			t.Fatal("no panic on invalid destination")
 		}
 	}()
-	n.Send(0, 5, TagWork, nil, 0)
+	n.SendID(0, 5, TagWork, 0, 0)
 }
 
 func TestStatsCounters(t *testing.T) {
 	k, n := testNetwork(t, 3)
-	n.Send(0, 1, TagStealRequest, nil, 10)
-	n.Send(1, 0, TagNoWork, nil, 4)
-	n.Send(0, 2, TagStealRequest, nil, 10)
-	n.Send(2, 0, TagWork, nil, 200)
+	n.SendID(0, 1, TagStealRequest, 0, 10)
+	n.SendID(1, 0, TagNoWork, 0, 4)
+	n.SendID(0, 2, TagStealRequest, 0, 10)
+	n.SendID(2, 0, TagWork, 0, 200)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -172,8 +172,8 @@ func TestLatencyHeterogeneity(t *testing.T) {
 	var nearAt, farAt sim.Time
 	n.SetNotify(1, func() { nearAt = k.Now() })
 	n.SetNotify(1023, func() { farAt = k.Now() })
-	n.Send(0, 1, TagStealRequest, nil, 0)
-	n.Send(0, 1023, TagStealRequest, nil, 0)
+	n.SendID(0, 1, TagStealRequest, 0, 0)
+	n.SendID(0, 1023, TagStealRequest, 0, 0)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestZeroLatencyClampedToOneNanosecond(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(k, job, &topology.UniformLatency{Fixed: 0})
-	n.Send(0, 1, TagWork, nil, 0)
+	n.SendID(0, 1, TagWork, 0, 0)
 	var at sim.Time
 	n.SetNotify(1, func() { at = k.Now() })
 	if err := k.Run(); err != nil {
@@ -239,7 +239,7 @@ func TestMailboxReleasesPeakCapacity(t *testing.T) {
 	// balloons the mailbox ring far past its steady-state occupancy.
 	const burst = 1000
 	for i := 0; i < burst; i++ {
-		n.Send(0, 1, TagWork, i, 8)
+		n.SendID(0, 1, TagWork, uint64(i), 8)
 	}
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -255,7 +255,7 @@ func TestMailboxReleasesPeakCapacity(t *testing.T) {
 	// the decaying high-water mark must let the ring release the
 	// burst-sized backing array instead of pinning it for the run.
 	for i := 0; i < 10; i++ {
-		n.Send(0, 1, TagWork, i, 8)
+		n.SendID(0, 1, TagWork, uint64(i), 8)
 		if err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -284,7 +284,7 @@ func TestMessagePoolRecyclesFreedMessages(t *testing.T) {
 	}
 	n.Free(first)
 	// The next send must reuse the freed message, fully re-zeroed: no
-	// stale loot or payload may leak between protocol messages.
+	// stale loot or token may leak between protocol messages.
 	n.SendID(1, 0, TagStealRequest, 9, 16)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -297,7 +297,7 @@ func TestMessagePoolRecyclesFreedMessages(t *testing.T) {
 	if m != first {
 		t.Fatal("freed message not recycled by the pool")
 	}
-	if m.Tag != TagStealRequest || m.ID != 9 || m.Nodes != nil || m.Payload != nil || m.Token != (term.Token{}) {
+	if m.Tag != TagStealRequest || m.ID != 9 || m.Nodes != nil || m.Token != (term.Token{}) {
 		t.Fatalf("recycled message carries stale state: %+v", m)
 	}
 }

@@ -51,10 +51,8 @@ func TestFreeClearsWhatSendFilled(t *testing.T) {
 	}{
 		{"SendNodes", false, func(n *Network) { n.SendNodes(0, 1, 9, loot, 2, 48) }},
 		{"SendToken", false, func(n *Network) { n.SendToken(0, 1, tok, 16) }},
-		{"Send", false, func(n *Network) { n.Send(0, 1, TagWork, "payload", 8) }},
 		{"SendID", false, func(n *Network) { n.SendID(0, 1, TagNoWork, 5, 16) }},
 		{"duplicated SendNodes", true, func(n *Network) { n.SendNodes(0, 1, 9, loot, 2, 48) }},
-		{"duplicated Send", true, func(n *Network) { n.Send(0, 1, TagWork, "payload", 8) }},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			k, n := testNetwork(t, 2)

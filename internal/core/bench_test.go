@@ -42,7 +42,7 @@ func BenchmarkFailedSteal(b *testing.B) {
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil)
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -215,6 +215,10 @@ type engine struct {
 	svDelta   []int64
 	svLastDec []sim.Time
 
+	// dag is the task-graph workload's state (engine_dag.go): nil for
+	// tree runs.
+	dag *dagState
+
 	// par links the engine into a sharded run (engine_par.go): nil for
 	// sequential runs, where every field above is engine-global. In a
 	// sharded run each shard owns one engine; ranks, det, sel, rec, ev
@@ -350,7 +354,11 @@ type RankFault struct {
 // Run executes the configured simulation to termination and returns its
 // results. The run is deterministic: identical configurations produce
 // identical results.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+
+// run is Run and RunGraph: the workload is cfg.Tree (or cfg.Serve's
+// jobs) when d is nil, d's task graph otherwise.
+func run(cfg Config, d *dagState) (*Result, error) {
 	cfg = cfg.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -364,7 +372,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil)
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, d)
 	if err != nil {
 		return nil, err
 	}
@@ -384,13 +392,15 @@ func Run(cfg Config) (*Result, error) {
 // newEngines is the one constructor: it builds the engine of a
 // sequential run (one kernel, ps nil) or the shard engines of a sharded
 // one (a kernel per shard, ps their coordinator state), seeds the work
-// and pre-schedules every planned event, so the caller only has to run
-// the kernel(s). The engines share the detector, selector, recorders,
-// metrics, injector, serve state and rank slab; each owns its kernel,
-// its network, its timer callbacks and its counters. Everything that
-// acts on a rank — its crash, its first idle transition, a job arrival
-// rooted at it — goes through the engine owning that rank.
-func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared) ([]*engine, error) {
+// — the tree's root, the roots of d's graph when d is not nil, nothing
+// when serving — and pre-schedules every planned event, so the caller
+// only has to run the kernel(s). The engines share the detector,
+// selector, recorders, metrics, injector, serve state and rank slab;
+// each owns its kernel, its network, its timer callbacks and its
+// counters. Everything that acts on a rank — its crash, its first idle
+// transition, a job arrival rooted at it — goes through the engine
+// owning that rank.
+func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, d *dagState) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
 		return nil, err
@@ -481,12 +491,17 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	}
 
 	// Closed system: rank 0 owns the root and everyone else starts
-	// searching at t = 0. Serving: no pre-seeded root — every rank starts
-	// idle, and the compiled arrivals drive the run until the horizon
-	// tick, which also keeps the first kernel (and hence a sharded run's
-	// windows) alive through a quiet arrival plan.
+	// searching at t = 0; a graph's roots are dealt out instead (RunGraph
+	// keeps graphs sequential and closed). Serving: no pre-seeded root —
+	// every rank starts idle, and the compiled arrivals drive the run
+	// until the horizon tick, which also keeps the first kernel (and hence
+	// a sharded run's windows) alive through a quiet arrival plan.
 	idleFrom := 0
-	if sv == nil {
+	switch {
+	case d != nil:
+		e0.dag = d
+		idleFrom = e0.seedGraph()
+	case sv == nil:
 		ranks[0].stack.Push(cfg.Tree.Root())
 		ranks[0].generated++
 		e0.rec.Record(0, 0, trace.Active)
@@ -564,6 +579,10 @@ func (e *engine) startQuantum(r int) {
 	rk := &e.ranks[r]
 	rk.state = rsWorking
 	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(rk.stack.Len()))
+	if e.dag != nil {
+		e.startTask(r)
+		return
+	}
 	// Expansion cost is dominated by child generation (one hash chain
 	// per child), so a leaf costs one unit and an internal node one
 	// unit per child. Child generation is resumable: a quantum ends
@@ -625,6 +644,9 @@ func (e *engine) quantumEnd(r int) {
 	rk.quantum = sim.Event{}
 	if rk.state == rsDone || rk.state == rsCrashed {
 		return
+	}
+	if e.dag != nil {
+		e.completeTask(r)
 	}
 	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(rk.units))
 	e.pollMailbox(r)
@@ -1318,6 +1340,9 @@ func result(engines []*engine) (*Result, error) {
 	}
 	res.MeanSearchTime = totalSearch / sim.Duration(e.cfg.Ranks)
 	res.SequentialTime = sim.Duration(totalUnits) * e.cfg.NodeCost
+	if e.dag != nil {
+		res.SequentialTime = e.dag.g.TotalCost
+	}
 	if res.Makespan > 0 {
 		res.Speedup = float64(res.SequentialTime) / float64(res.Makespan)
 		res.Efficiency = res.Speedup / float64(e.cfg.Ranks)

@@ -220,7 +220,7 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 	// The engines are built — and the work seeded — exactly as the
 	// sequential run's one engine is, single-threaded: the windows have
 	// not started.
-	engines, err := newEngines(cfg, job, kernels, ps)
+	engines, err := newEngines(cfg, job, kernels, ps, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -231,8 +231,8 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 			ps.serialized = info.Serialized
 			if engines[0].sv != nil {
 				// Workers are quiescent and the upcoming window has not
-				// started: fold the job-accounting deltas, inject due
-				// waves at info.Start, and decide the finish.
+				// started: fold the job-accounting deltas, complete the
+				// drained jobs, and decide the finish.
 				ps.serveBarrier(info)
 			}
 			if ps.prof == nil {

@@ -9,8 +9,8 @@ package core
 // rank (the same pattern as crash pre-scheduling), and the run ends
 // when the horizon has passed and every admitted job has drained.
 //
-// Job-completion accounting rides a per-job live-node counter: an
-// injected wave adds its node count, expanding an internal node adds
+// Job-completion accounting rides a per-job live-node counter: the
+// injected root counts one, expanding an internal node adds
 // (children - 1), and consuming a leaf subtracts one. A job's nodes
 // are tagged (uts.Node.Job) and follow the work wherever steals carry
 // it, so live[j] reaching zero means no node of job j exists anywhere
@@ -21,12 +21,11 @@ package core
 // accumulates deltas (svDelta) and latches its last dec instant
 // (svLastDec); the coordinator folds them into the shared counters at
 // each window barrier — workers quiescent, single-threaded — where it
-// also injects follow-up DAG waves and decides the finish. The
-// serving detector never serializes a window (it implements
-// term.DecisionAware with a constant false), so serving runs keep the
-// parallel kernel parallel. Sequential runs resolve completions on a
-// zero-delay event instead, which keeps resolution out of the middle
-// of startQuantum's expansion loop.
+// also decides the finish. The serving detector never serializes a
+// window (it implements term.DecisionAware with a constant false), so
+// serving runs keep the parallel kernel parallel. Sequential runs
+// resolve completions on a zero-delay event instead, which keeps
+// resolution out of the middle of startQuantum's expansion loop.
 //
 // Closed-system runs never touch any of this: every hook is behind a
 // nil check on engine.sv, and TestGoldenFig9 pins byte-identity.
@@ -61,27 +60,24 @@ func (openDetector) IdleDecisionPossible(int) bool             { return false }
 // serveState is the run-wide serving bookkeeping. In a sharded run it
 // is shared by the shard engines like ranks/det/sel: the slices are
 // written only by a job's owning engine during windows (arrival
-// injection) or by the coordinator at barriers (delta folding, wave
-// scheduling, completion), never concurrently.
+// injection) or by the coordinator at barriers (delta folding,
+// completion), never concurrently.
 type serveState struct {
-	spec  *serve.Spec
 	sched *serve.Schedule
 
 	// live[j] is job j's node population; zero after injection means
-	// the job's current wave fully drained. waveNext[j] is the next
-	// wave to inject; doneAt[j] the completion instant (-1 while
-	// running); lastDec[j] the sequential dec-to-zero latch.
-	live     []int64
-	waveNext []int32
-	doneAt   []sim.Time
-	lastDec  []sim.Time
+	// the job fully drained. doneAt[j] is the completion instant (-1
+	// while running); lastDec[j] the sequential dec-to-zero latch.
+	live    []int64
+	doneAt  []sim.Time
+	lastDec []sim.Time
 
 	doneJobs  int
 	horizonAt sim.Time
 
 	// Sequential-engine resolve machinery: completions detected inside
 	// startQuantum are parked in pending and resolved by a zero-delay
-	// event, so wave injection never mutates the stack being expanded.
+	// event, so the finish never retires a rank in mid-expansion.
 	horizonTicked bool
 	pending       []uint32
 	armed         bool
@@ -92,10 +88,8 @@ type serveState struct {
 func newServeState(sched *serve.Schedule) *serveState {
 	n := len(sched.Jobs)
 	sv := &serveState{
-		spec:      sched.Spec,
 		sched:     sched,
 		live:      make([]int64, n),
-		waveNext:  make([]int32, n),
 		doneAt:    make([]sim.Time, n),
 		lastDec:   make([]sim.Time, n),
 		horizonAt: sim.Time(0).Add(sched.Spec.Horizon),
@@ -121,10 +115,10 @@ func compileServe(cfg Config) (*serveState, error) {
 }
 
 // svArrive replays one compiled arrival: record the arrival and its
-// admission verdict, and inject wave 0 at the placement rank. Runs on
-// the engine owning the rank (in sharded mode, inside a parallel
-// window — it touches only this shard's ranks, this job's slots, and
-// atomic counters).
+// admission verdict, and inject the job's root at the placement rank.
+// Runs on the engine owning the rank (in sharded mode, inside a
+// parallel window — it touches only this shard's ranks, this job's
+// slots, and atomic counters).
 func (e *engine) svArrive(idx int) {
 	sv := e.sv
 	j := &sv.sched.Jobs[idx]
@@ -139,24 +133,21 @@ func (e *engine) svArrive(idx int) {
 	}
 	e.ev.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
 	e.met.jobsAdmitted.Inc()
-	sv.live[idx] += int64(len(j.Waves[0]))
-	sv.waveNext[idx] = 1
-	e.injectNodes(root, j.Waves[0])
+	sv.live[idx]++
+	e.injectNode(root, j.Node)
 }
 
-// injectNodes roots a wave of fresh work at rank r, mirroring the
+// injectNode roots a fresh job at rank r, mirroring the
 // work-acceptance half of the TagWork handler: an idle rank ends its
 // discovery session and starts computing; a working rank banks the
-// nodes into its stack.
-func (e *engine) injectNodes(r int, nodes []uts.Node) {
+// node into its stack.
+func (e *engine) injectNode(r int, node uts.Node) {
 	rk := &e.ranks[r]
 	now := e.kernel.Now()
-	rk.generated += uint64(len(nodes))
+	rk.generated++
 	switch rk.state {
 	case rsWorking:
-		for i := range nodes {
-			rk.stack.Push(nodes[i])
-		}
+		rk.stack.Push(node)
 	case rsSearching, rsBackoff:
 		// A pending steal reply becomes stale: TagNoWork is dropped by
 		// the reqID check and TagWork loot is banked, so clearing the
@@ -166,9 +157,7 @@ func (e *engine) injectNodes(r int, nodes []uts.Node) {
 		e.rec.EndSession(r, now, true)
 		e.met.session.Observe(int64(now.Sub(rk.idleSince)))
 		e.rec.Record(r, now, trace.Active)
-		for i := range nodes {
-			rk.stack.Push(nodes[i])
-		}
+		rk.stack.Push(node)
 		e.startQuantum(r)
 	case rsDone, rsCrashed:
 		// Unreachable: the run only finishes after every admitted job
@@ -201,40 +190,24 @@ func (e *engine) svConsume(job uint32, d int64) {
 }
 
 // svResolve drains the sequential completion queue: each parked job
-// whose wave has really drained advances.
+// that has really drained completes.
 func (e *engine) svResolve() {
 	sv := e.sv
 	sv.armed = false
-	now := e.kernel.Now()
 	for i := 0; i < len(sv.pending); i++ {
 		if job := sv.pending[i]; sv.live[job] == 0 && sv.doneAt[job] < 0 {
-			e.svAdvance(job, now)
+			e.svComplete(job)
 		}
 	}
 	sv.pending = sv.pending[:0]
-	e.serveFinish(now)
+	e.serveFinish(e.kernel.Now())
 }
 
-// svAdvance moves a job whose live count hit zero on: its next wave is
-// rooted at the placement rank at instant now — directly in sequential
-// event context, as an event of the owning shard's next window from a
-// barrier — or, past the last wave, the job completes at the instant
-// of its last leaf (lastDec).
-func (e *engine) svAdvance(job uint32, now sim.Time) {
+// svComplete books a job whose live count hit zero as done, at the
+// instant of its last leaf (lastDec).
+func (e *engine) svComplete(job uint32) {
 	sv := e.sv
 	j := &sv.sched.Jobs[job]
-	if next := int(sv.waveNext[job]); next < len(j.Waves) {
-		w, root := j.Waves[next], int(j.Root)
-		sv.waveNext[job]++
-		sv.live[job] += int64(len(w))
-		if e.par == nil {
-			e.injectNodes(root, w)
-		} else {
-			oe := e.owner(root)
-			oe.kernel.At(now, func() { oe.injectNodes(root, w) })
-		}
-		return
-	}
 	at := sv.lastDec[job]
 	sv.doneAt[job] = at
 	sv.doneJobs++
@@ -276,10 +249,10 @@ func (e *engine) serveFinish(at sim.Time) {
 }
 
 // serveBarrier folds the shard engines' per-window deltas into the
-// shared job counters, injects follow-up waves, and decides the
-// finish. Runs in the coordinator at each window barrier: workers are
-// quiescent, so cross-shard reads and writes are single-threaded and
-// the fold order (jobs ascending, shards ascending) is fixed.
+// shared job counters, completes the jobs that drained, and decides
+// the finish. Runs in the coordinator at each window barrier: workers
+// are quiescent, so cross-shard reads and writes are single-threaded
+// and the fold order (jobs ascending, shards ascending) is fixed.
 func (ps *parShared) serveBarrier(info par.WindowInfo) {
 	e0 := ps.engines[0]
 	sv := e0.sv
@@ -300,14 +273,14 @@ func (ps *parShared) serveBarrier(info par.WindowInfo) {
 				en.svLastDec[j] = -1
 			}
 		}
-		if sv.live[j] != 0 || sv.waveNext[j] == 0 || sv.doneAt[j] >= 0 {
+		// A count reaches zero only by a leaf consumed in this window:
+		// without one the job has not arrived, was rejected, or is
+		// already booked.
+		if last < 0 || sv.live[j] != 0 {
 			continue
 		}
-		if last < 0 {
-			last = info.Start
-		}
 		sv.lastDec[j] = last
-		e0.svAdvance(uint32(j), info.Start)
+		e0.svComplete(uint32(j))
 	}
 	sv.horizonTicked = info.Start > sv.horizonAt
 	e0.serveFinish(info.Start)

@@ -6,7 +6,6 @@ import (
 	"reflect"
 	"testing"
 
-	"distws/internal/dag"
 	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
@@ -175,39 +174,6 @@ func TestServeSingleRank(t *testing.T) {
 	}
 	if res.Serve.Done != res.Serve.Admitted {
 		t.Errorf("%d done of %d admitted", res.Serve.Done, res.Serve.Admitted)
-	}
-}
-
-// TestServeDAGWorkload runs a DAG tenant through the engine: waves
-// inject layer by layer, and the job accounting still drains.
-func TestServeDAGWorkload(t *testing.T) {
-	spec := &serve.Spec{
-		Horizon:   20 * sim.Millisecond,
-		Placement: serve.PlaceRandom,
-		Tenants: []serve.Tenant{{
-			Name:    "batch",
-			Arrival: serve.ArrivalSpec{Process: serve.ProcPoisson, Mean: 5 * sim.Millisecond},
-			Work: serve.Workload{Kind: serve.WorkDAG, DAG: dag.Params{
-				Seed:           9,
-				Layers:         3,
-				WidthMean:      4,
-				EdgesPerTask:   1.5,
-				LocalityWindow: 1,
-				CostMean:       20 * sim.Microsecond,
-				DataMean:       256,
-			}},
-		}},
-	}
-	for _, shards := range []int{0, 2} {
-		cfg := Config{Ranks: 4, Shards: shards, Serve: spec, Seed: 11}
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: Run: %v", shards, err)
-		}
-		if res.Serve.Arrived == 0 || res.Serve.Done != res.Serve.Admitted {
-			t.Errorf("shards=%d: arrived %d, done %d of %d admitted",
-				shards, res.Serve.Arrived, res.Serve.Done, res.Serve.Admitted)
-		}
 	}
 }
 

@@ -42,25 +42,39 @@ type Params struct {
 	DataMean int
 }
 
+// Bounds on what Validate accepts, chosen so that Generate's loops end
+// and its sums stay in range whatever the draws: a layer holds fewer
+// than 2·WidthMean tasks, a task draws fewer than 2·EdgesPerTask
+// predecessors, a cost is at most 32·CostMean and an edge carries fewer
+// than 2·DataMean bytes.
+const (
+	// MaxTasks caps Layers × 2·WidthMean; it also keeps IDs in int32.
+	MaxTasks        = 1 << 24
+	maxEdgesPerTask = 1 << 10
+	maxCostMean     = math.MaxInt64 / 32 / MaxTasks                        // TotalCost fits sim.Duration
+	maxDataMean     = math.MaxInt64 / 2 / (2 * maxEdgesPerTask * MaxTasks) // TotalBytes fits int64
+)
+
 // Validate reports parameter errors.
 func (p Params) Validate() error {
 	if p.Layers < 1 {
 		return fmt.Errorf("dag: %d layers", p.Layers)
 	}
-	if p.WidthMean < 1 {
-		return fmt.Errorf("dag: width mean %d", p.WidthMean)
+	if p.WidthMean < 1 || p.WidthMean > MaxTasks/2/p.Layers { // the product could wrap
+		return fmt.Errorf("dag: width mean %d (%d layers, at most %d tasks)", p.WidthMean, p.Layers, MaxTasks)
 	}
-	if p.EdgesPerTask < 0 {
-		return fmt.Errorf("dag: negative edges per task")
+	// Written so that NaN fails it.
+	if !(p.EdgesPerTask >= 0 && p.EdgesPerTask <= maxEdgesPerTask) {
+		return fmt.Errorf("dag: edges per task %v outside [0, %d]", p.EdgesPerTask, maxEdgesPerTask)
 	}
 	if p.LocalityWindow < 1 {
 		return fmt.Errorf("dag: locality window %d", p.LocalityWindow)
 	}
-	if p.CostMean <= 0 {
-		return fmt.Errorf("dag: non-positive cost mean")
+	if p.CostMean <= 0 || p.CostMean > maxCostMean {
+		return fmt.Errorf("dag: cost mean %v outside (0, %v]", p.CostMean, sim.Duration(maxCostMean))
 	}
-	if p.DataMean < 0 {
-		return fmt.Errorf("dag: negative data mean")
+	if p.DataMean < 0 || p.DataMean > maxDataMean {
+		return fmt.Errorf("dag: data mean %d outside [0, %d]", p.DataMean, maxDataMean)
 	}
 	return nil
 }

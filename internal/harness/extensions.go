@@ -3,8 +3,8 @@ package harness
 import (
 	"fmt"
 
+	"distws/internal/core"
 	"distws/internal/dag"
-	"distws/internal/dagws"
 	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/victim"
@@ -28,6 +28,15 @@ func dagWorkload(scale Scale, seed uint64, dataMean int) (*dag.Graph, error) {
 		p.Layers, p.WidthMean = 64, 48
 	}
 	return dag.Generate(p)
+}
+
+// runGraph schedules g the way both parts of E1 do: one rank per node,
+// task-granular steals of half the victim's ready tasks.
+func runGraph(g *dag.Graph, ranks int, sel victim.Factory, seed uint64) (*core.Result, *core.GraphStats, error) {
+	return core.RunGraph(core.Config{
+		Ranks: ranks, Placement: topology.OnePerNode, Selector: sel,
+		ChunkSize: 1, Steal: core.StealHalf, Seed: seed,
+	}, g)
 }
 
 func runExtDAG(scale Scale, seed uint64) (*Report, error) {
@@ -62,22 +71,17 @@ func runExtDAG(scale Scale, seed uint64) (*Report, error) {
 		Title:   "Victim selection on a data-heavy DAG (steal half)",
 		Columns: []string{"selector", "makespan", "speedup", "GiB fetched", "fetch stall", "tasks stolen"},
 	}
-	speed := map[string]float64{}
 	bytes := map[string]float64{}
 	for _, s := range sels {
-		res, err := dagws.Run(dagws.Config{
-			Graph: g, Ranks: ranks, Placement: topology.OnePerNode,
-			Selector: s.f, StealHalf: true, Seed: seed,
-		})
+		res, gs, err := runGraph(g, ranks, s.f, seed)
 		if err != nil {
 			return nil, err
 		}
-		speed[s.name] = res.Speedup
-		bytes[s.name] = float64(res.BytesFetched)
+		bytes[s.name] = float64(gs.BytesFetched)
 		t1.Rows = append(t1.Rows, []string{
 			s.name, fmtDur(res.Makespan), fmtFloat(res.Speedup, 1),
-			fmtFloat(float64(res.BytesFetched)/(1<<30), 2),
-			fmtDur(res.FetchTime), fmt.Sprintf("%d", res.TasksStolen),
+			fmtFloat(float64(gs.BytesFetched)/(1<<30), 2),
+			fmtDur(gs.FetchTime), fmt.Sprintf("%d", gs.TasksStolen),
 		})
 	}
 	rep.Tables = append(rep.Tables, t1)
@@ -98,10 +102,7 @@ func runExtDAG(scale Scale, seed uint64) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := dagws.Run(dagws.Config{
-			Graph: gs, Ranks: ranks, Placement: topology.OnePerNode,
-			Selector: victim.NewUniformRandom, StealHalf: true, Seed: seed,
-		})
+		res, stats, err := runGraph(gs, ranks, victim.NewUniformRandom, seed)
 		if err != nil {
 			return nil, err
 		}
@@ -111,7 +112,7 @@ func runExtDAG(scale Scale, seed uint64) (*Report, error) {
 		lastSpeed = res.Speedup
 		t2.Rows = append(t2.Rows, []string{
 			fmt.Sprintf("%d", size>>10), fmtDur(res.Makespan),
-			fmtFloat(res.Speedup, 1), fmtDur(res.FetchTime),
+			fmtFloat(res.Speedup, 1), fmtDur(stats.FetchTime),
 		})
 	}
 	rep.Tables = append(rep.Tables, t2)

@@ -1,11 +1,9 @@
 package serve
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 
-	"distws/internal/dag"
 	"distws/internal/rng"
 	"distws/internal/sim"
 	"distws/internal/uts"
@@ -31,19 +29,16 @@ type Job struct {
 	// jobs inject nothing; they exist for the EvJobReject record and
 	// the admitted+rejected == arrived identity.
 	Admitted bool
-	// Root is the placement-chosen rank the job's waves are injected
-	// at (assigned to rejected jobs too — routing precedes admission).
+	// Root is the placement-chosen rank the job is injected at
+	// (assigned to rejected jobs too — routing precedes admission).
 	Root int32
 	// Tree is the parameter set governing expansion of this job's
-	// nodes (admitted jobs only). UTS jobs carry the tenant's tree
-	// with a per-job RootSeed; DAG jobs carry the synthetic
-	// guaranteed-leaf parameters.
+	// nodes (admitted jobs only): the tenant's tree with a per-job
+	// RootSeed.
 	Tree uts.Params
-	// Waves are the injection waves (admitted jobs only): wave 0 goes
-	// in at the arrival instant, wave w+1 once wave w has fully
-	// drained. UTS jobs have exactly one wave holding the root; DAG
-	// jobs have one wave per layer.
-	Waves [][]uts.Node
+	// Node is the tree's root node, tagged with the job's ID (admitted
+	// jobs only): what the engine injects at the arrival instant.
+	Node uts.Node
 }
 
 // Schedule is the compiled open-loop arrival plan: a pure function of
@@ -60,17 +55,12 @@ type Schedule struct {
 	Admitted int
 	// LastArrival is the latest arrival instant (-1 when no jobs).
 	LastArrival sim.Time
-	// InjectedNodes is the total node count across all admitted jobs'
-	// waves — the schedule's offered load in NodeCost units for DAG
-	// jobs, and the injected roots for UTS jobs (whose load unfolds
-	// during the run).
-	InjectedNodes int64
 }
 
 // Compile resolves every random choice of the serving run: arrival
 // instants, admission verdicts, placements, and each admitted job's
-// workload. nodeCost calibrates DAG task costs into guaranteed-leaf
-// node counts; it must match the engine's Config.NodeCost.
+// workload. nodeCost is the engine's Config.NodeCost, recorded on the
+// schedule.
 func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedule, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -137,7 +127,8 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 		seqs[j.Tenant]++
 	}
 
-	// Phase 3: placement and admission in arrival order.
+	// Phase 3: placement and admission in arrival order; an admitted job
+	// gets its workload.
 	placeRng := rng.New(rng.Mix64(seed ^ 0x9a1f64c58bd02e73))
 	admitters := make([]Admitter, len(spec.Tenants))
 	for ti := range spec.Tenants {
@@ -160,92 +151,14 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 		}
 		if j.Admitted {
 			sched.Admitted++
+			j.Tree = spec.Tenants[j.Tenant].Work.Tree
+			j.Tree.RootSeed += j.Seq
+			j.Node = j.Tree.Root()
+			j.Node.Job = j.ID
 		}
 		if j.At > sched.LastArrival {
 			sched.LastArrival = j.At
 		}
 	}
-
-	// Phase 4: materialize the admitted jobs' workloads.
-	for i := range sched.Jobs {
-		j := &sched.Jobs[i]
-		if !j.Admitted {
-			continue
-		}
-		t := &spec.Tenants[j.Tenant]
-		switch t.Work.Kind {
-		case WorkUTS:
-			tree := t.Work.Tree
-			tree.RootSeed += j.Seq
-			root := tree.Root()
-			root.Job = j.ID
-			j.Tree = tree
-			j.Waves = [][]uts.Node{{root}}
-			sched.InjectedNodes++
-		case WorkDAG:
-			p := t.Work.DAG
-			p.Seed = rng.Mix64(p.Seed ^ rng.Mix64(uint64(j.ID)+0x7c3a))
-			waves, n, err := dagWaves(p, j.ID, nodeCost)
-			if err != nil {
-				return nil, fmt.Errorf("serve: tenant %d job %d: %w", j.Tenant, j.ID, err)
-			}
-			j.Tree = dagLeafParams
-			j.Waves = waves
-			sched.InjectedNodes += n
-		}
-	}
 	return sched, nil
-}
-
-// dagLeafParams guarantees every synthetic DAG node is a leaf: the
-// geometric law yields zero children at Height >= GenMax, and every
-// synthetic node is built at height 1 with GenMax 1. Expanding one
-// costs exactly one NodeCost unit, so a task of cost C modeled as
-// round(C/NodeCost) nodes consumes ~C of virtual compute.
-var dagLeafParams = uts.Params{
-	Type:   uts.Geometric,
-	B0:     1,
-	GenMax: 1,
-	Shape:  uts.ShapeFixed,
-}
-
-// dagWaves compiles one DAG job into per-layer injection waves.
-func dagWaves(p dag.Params, jobID uint32, nodeCost sim.Duration) ([][]uts.Node, int64, error) {
-	g, err := dag.Generate(p)
-	if err != nil {
-		return nil, 0, err
-	}
-	layers := 0
-	for i := range g.Tasks {
-		if int(g.Tasks[i].Layer)+1 > layers {
-			layers = int(g.Tasks[i].Layer) + 1
-		}
-	}
-	waves := make([][]uts.Node, layers)
-	var total int64
-	for i := range g.Tasks {
-		t := &g.Tasks[i]
-		k := int((t.Cost + nodeCost/2) / nodeCost)
-		if k < 1 {
-			k = 1
-		}
-		w := int(t.Layer)
-		for u := 0; u < k; u++ {
-			waves[w] = append(waves[w], dagNode(jobID, t.ID, u))
-			total++
-		}
-	}
-	return waves, total, nil
-}
-
-// dagNode builds one synthetic guaranteed-leaf node. The state bytes
-// only need to be deterministic — the node never generates children,
-// so they never feed a hash chain.
-func dagNode(jobID uint32, task int32, unit int) uts.Node {
-	n := uts.Node{Height: 1, Job: jobID}
-	v := rng.Mix64(uint64(jobID)<<32 | uint64(uint32(task)))
-	binary.BigEndian.PutUint64(n.State[0:8], v)
-	binary.BigEndian.PutUint64(n.State[8:16], rng.Mix64(v^uint64(unit)))
-	binary.BigEndian.PutUint32(n.State[16:20], uint32(unit))
-	return n
 }

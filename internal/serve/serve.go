@@ -1,6 +1,6 @@
 // Package serve turns the closed-system engine into an open-system,
-// multi-tenant job service: jobs (UTS trees or layered DAGs) arrive
-// continuously from seeded stochastic processes, pass per-tenant
+// multi-tenant job service: jobs (UTS trees) arrive continuously from
+// seeded stochastic processes, pass per-tenant
 // admission control, get rooted at a placement-chosen rank, and the
 // run ends when the virtual-time horizon has passed and every admitted
 // job has drained.
@@ -25,7 +25,6 @@ import (
 	"fmt"
 	"math"
 
-	"distws/internal/dag"
 	"distws/internal/sim"
 	"distws/internal/uts"
 )
@@ -40,11 +39,9 @@ const (
 	ProcReplay = "replay"
 )
 
-// Workload kinds accepted by Workload.Kind.
-const (
-	WorkUTS = "uts"
-	WorkDAG = "dag"
-)
+// WorkUTS is the workload kind Workload.Kind accepts: a UTS tree per
+// job.
+const WorkUTS = "uts"
 
 // Placement policies accepted by Spec.Placement.
 const (
@@ -95,19 +92,12 @@ type SLO struct {
 
 // Workload describes the work one tenant's jobs carry.
 type Workload struct {
-	// Kind is WorkUTS or WorkDAG.
+	// Kind is WorkUTS.
 	Kind string `json:"kind"`
 	// Tree is the UTS parameter set for WorkUTS jobs. Compile varies
 	// RootSeed per job (base + per-tenant job sequence number), so
 	// consecutive jobs explore distinct trees of the same family.
 	Tree uts.Params `json:"tree,omitempty"`
-	// DAG is the task-graph parameter set for WorkDAG jobs. Compile
-	// varies Seed per job. Each DAG layer becomes one injection wave:
-	// a task of cost C is modeled as max(1, round(C/nodeCost))
-	// guaranteed-leaf nodes, and wave w+1 is injected only once wave w
-	// has fully drained — the layer barrier stands in for the task
-	// dependencies.
-	DAG dag.Params `json:"dag,omitempty"`
 }
 
 // Tenant is one traffic source.
@@ -189,10 +179,6 @@ func (t *Tenant) validate() error {
 	case WorkUTS:
 		if err := t.Work.Tree.Validate(); err != nil {
 			return fmt.Errorf("uts workload: %w", err)
-		}
-	case WorkDAG:
-		if err := t.Work.DAG.Validate(); err != nil {
-			return fmt.Errorf("dag workload: %w", err)
 		}
 	default:
 		return fmt.Errorf("unknown workload kind %q", t.Work.Kind)

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"distws/internal/dag"
 	"distws/internal/sim"
 	"distws/internal/uts"
 )
@@ -110,18 +109,11 @@ func TestCompileDeterministic(t *testing.T) {
 			t.Fatalf("job %d rooted at rank %d of %d", i, j.Root, a.Ranks)
 		}
 		if j.Admitted {
-			if len(j.Waves) == 0 || len(j.Waves[0]) == 0 {
-				t.Fatalf("admitted job %d has no wave-0 work", i)
+			if want := j.Tree.Root(); j.Node.State != want.State || j.Node.Job != j.ID {
+				t.Fatalf("admitted job %d carries node %+v, want its tree's root tagged %d", i, j.Node, j.ID)
 			}
-			for _, w := range j.Waves {
-				for _, n := range w {
-					if n.Job != j.ID {
-						t.Fatalf("job %d wave node tagged %d", i, n.Job)
-					}
-				}
-			}
-		} else if j.Waves != nil {
-			t.Fatalf("rejected job %d carries waves", i)
+		} else if j.Node != (uts.Node{}) {
+			t.Fatalf("rejected job %d carries a node", i)
 		}
 	}
 }
@@ -245,43 +237,6 @@ func TestReplayRoundtrip(t *testing.T) {
 	}
 	if _, err := ReadArrivals(strings.NewReader(`{"tenant":0,"at":1,"x":2}`), 2); err == nil {
 		t.Fatal("unknown field accepted")
-	}
-}
-
-func TestDAGWavesAreGuaranteedLeaves(t *testing.T) {
-	s := testSpec()
-	s.Tenants[0].Work = Workload{Kind: WorkDAG, DAG: dag.Params{
-		Seed: 5, Layers: 3, WidthMean: 2, EdgesPerTask: 1.5,
-		LocalityWindow: 1, CostMean: 4 * sim.Microsecond, DataMean: 64,
-	}}
-	sched, err := Compile(s, 8, 11, sim.Microsecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sawDAG := false
-	for i := range sched.Jobs {
-		j := &sched.Jobs[i]
-		if !j.Admitted || j.Tenant != 0 {
-			continue
-		}
-		sawDAG = true
-		if len(j.Waves) != 3 {
-			t.Fatalf("dag job %d has %d waves, want one per layer (3)", i, len(j.Waves))
-		}
-		for w := range j.Waves {
-			if len(j.Waves[w]) == 0 {
-				t.Fatalf("dag job %d wave %d empty", i, w)
-			}
-			for k := range j.Waves[w] {
-				n := j.Waves[w][k]
-				if got := j.Tree.NumChildren(&n); got != 0 {
-					t.Fatalf("dag node generates %d children; waves must be pure leaves", got)
-				}
-			}
-		}
-	}
-	if !sawDAG {
-		t.Fatal("no admitted DAG jobs compiled")
 	}
 }
 
