@@ -8,12 +8,15 @@ package distws
 
 import (
 	"fmt"
+	"io"
 	"testing"
 
 	"distws/internal/core"
 	"distws/internal/fault"
 	"distws/internal/harness"
 	"distws/internal/obs"
+	"distws/internal/obs/causal"
+	"distws/internal/obs/ledger"
 	"distws/internal/rt"
 	"distws/internal/sim"
 	"distws/internal/topology"
@@ -144,6 +147,67 @@ func BenchmarkObservability(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 		})
+	}
+	// pipeline-1024 repeats the timed region of the repository
+	// benchmark's observed-1k workload (bench/measure.go), so that
+	// `make profile BENCH=Observability/pipeline-1024` profiles it
+	// without editing bench/.
+	b.Run("pipeline-1024", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := observedPipeline(1024); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// observedPipeline is one rep of the observed-1k workload at the given
+// rank count: the run with the event log and a fresh registry on, then
+// the causal graph, critical path, idle blame, a validated run manifest
+// and the JSONL export.
+func observedPipeline(ranks int) (*core.Result, error) {
+	cfg := core.Config{
+		Tree:          uts.MustPreset("H-TINY").Params,
+		Ranks:         ranks,
+		Placement:     topology.OnePerNode,
+		Selector:      victim.NewDistanceSkewed,
+		Steal:         core.StealHalf,
+		ChunkSize:     4,
+		Seed:          1,
+		CollectEvents: true,
+		Metrics:       obs.NewRegistry(),
+	}
+	res, err := core.Run(cfg)
+	if err != nil {
+		return nil, err
+	}
+	_ = causal.CriticalPath(causal.Build(res.Trace))
+	_ = causal.AttributeIdle(res.Trace)
+	if err := ledger.FromRun("H-TINY", ledger.SpecFromConfig("H-TINY", "bench", cfg), res).Validate(); err != nil {
+		return nil, err
+	}
+	return res, res.Trace.WriteJSONL(io.Discard)
+}
+
+// TestObservedPipelineAllocBudget pins what analysing an observed run
+// allocates: 256 ranks leave ~32 000 steal sends in the log, and an
+// analysis that files each of them in a map, or groups events by peer
+// in per-rank maps, pays by the send (as causal.Build did: 34 066
+// allocations here). The budget is the 13 296 measured plus a quarter.
+func TestObservedPipelineAllocBudget(t *testing.T) {
+	var res *core.Result
+	allocs := testing.AllocsPerRun(3, func() {
+		var err error
+		if res, err = observedPipeline(256); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs/run, %d steal requests", allocs, res.StealRequests)
+	const budget = 16_600
+	if allocs > budget {
+		t.Fatalf("%.0f allocs/run over the %d budget (%d steal requests): the analysis allocates by the event again",
+			allocs, budget, res.StealRequests)
 	}
 }
 

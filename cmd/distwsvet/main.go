@@ -133,6 +133,7 @@ var (
 		"(*distws/internal/core.engine).deliver",
 		"(*distws/internal/core.engine).getLoot",
 		"(*distws/internal/core.engine).putLoot",
+		"(*distws/internal/core.linkTally).Inc",
 		"(*distws/internal/workstack.Stack).Push",
 		"(*distws/internal/workstack.Stack).Pop",
 		"(*distws/internal/workstack.Stack).StealInto",
@@ -159,7 +160,8 @@ var (
 	}
 
 	// detPackages are the deterministic core: everything a golden
-	// figure's bytes depend on.
+	// figure's bytes depend on, and the causal analyses behind the
+	// golden reports, manifests and matrix baselines.
 	detPackages = []string{
 		"distws/internal/sim",
 		"distws/internal/core",
@@ -167,6 +169,7 @@ var (
 		"distws/internal/uts",
 		"distws/internal/term",
 		"distws/internal/fault",
+		"distws/internal/obs/causal",
 	}
 
 	// barrierSyncPackages may spawn goroutines despite being part of

@@ -365,13 +365,28 @@ func TestHotPathPackagesCleanWithoutAllowlists(t *testing.T) {
 // The package reconstructs cause-and-effect purely from a saved trace,
 // so nothing in it may touch randomness or the host clock — if it did,
 // blame reports and critical paths would stop being reproducible
-// functions of the run. Assert it holds the invariants on its own
-// merits: not allowlisted, and clean under the bare analyzers.
+// functions of the run. It is also one of detPackages, so detorder
+// holds it to no map ranges, goroutines or selects. Assert it holds the
+// invariants on its own merits: not allowlisted — in the analyzer
+// configuration or by a per-diagnostic entry — and clean under the bare
+// analyzers.
 func TestCausalPackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/obs/causal"
 	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
 		if pkg == e {
 			t.Fatalf("%s is allowlisted (%v); the causal analyses must pass unexcepted", pkg, e)
+		}
+	}
+	if !analysis.PathMatches(pkg, detPackages) {
+		t.Fatalf("%s is not in detPackages; detorder would not check it", pkg)
+	}
+	entries, err := loadAllowlist("allowlist.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if analysis.PathMatches(pkg, []string{e.Path}) {
+			t.Fatalf("%s has an allowlist entry (%s %q); the causal analyses must pass unexcepted", pkg, e.Analyzer, e.Match)
 		}
 	}
 	pkgs, err := analysis.Load("../..", pkg)

@@ -222,8 +222,8 @@ type engine struct {
 	// par links the engine into a sharded run (engine_par.go): nil for
 	// sequential runs, where every field above is engine-global. In a
 	// sharded run each shard owns one engine; ranks, det, sel, rec, ev
-	// and met are shared across the shard engines while the counters
-	// above are per-shard partial sums.
+	// and the registry behind met are shared across the shard engines
+	// while the counters above and met's link tally are per shard.
 	par *parShared
 }
 
@@ -395,11 +395,11 @@ func run(cfg Config, d *dagState) (*Result, error) {
 // — the tree's root, the roots of d's graph when d is not nil, nothing
 // when serving — and pre-schedules every planned event, so the caller
 // only has to run the kernel(s). The engines share the detector,
-// selector, recorders, metrics, injector, serve state and rank slab;
-// each owns its kernel, its network, its timer callbacks and its
-// counters. Everything that acts on a rank — its crash, its first idle
-// transition, a job arrival rooted at it — goes through the engine
-// owning that rank.
+// selector, recorders, metrics registry, injector, serve state and rank
+// slab; each owns its kernel, its network, its timer callbacks, its
+// counters and its link tally. Everything that acts on a rank — its
+// crash, its first idle transition, a job arrival rooted at it — goes
+// through the engine owning that rank.
 func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, d *dagState) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
@@ -434,7 +434,6 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	}
 
 	sel := cfg.Selector(job, cfg.Seed)
-	met := newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants())
 	engines := make([]*engine, len(kernels))
 	for s, k := range kernels {
 		k.SetTimeLimit(cfg.MaxVirtualTime)
@@ -446,7 +445,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			sel:        sel,
 			rec:        rec,
 			ev:         ev,
-			met:        met,
+			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants()),
 			ranks:      ranks,
 			rankID:     rankID,
 			backoffCfg: cfg.backoff(),
@@ -1293,9 +1292,12 @@ func sumCounters(engines []*engine) (counters, comm.Stats) {
 }
 
 // result assembles the Result after the kernel(s) drained. The per-rank
-// state it walks is shared across shard engines; only the counters and
-// the traffic are per engine.
+// state it walks is shared across shard engines; only the counters, the
+// traffic and the link counts still to be folded are per engine.
 func result(engines []*engine) (*Result, error) {
+	for _, e := range engines {
+		e.met.links.fold()
+	}
 	e := engines[0]
 	if !e.detected {
 		return nil, fmt.Errorf("core: event queue drained without termination detection")

@@ -55,11 +55,14 @@ const (
 )
 
 // engineMetrics pre-resolves the registry handles the hot paths touch,
-// so instrumentation costs one nil check plus an atomic add instead of
-// a map lookup. The obs handles are nil-safe, so call sites use them
-// unconditionally: without a registry every handle is nil, and a
-// partially populated struct (links absent past MatrixRankLimit, no
-// fault or serving handles) is the same case.
+// so a counter or histogram update costs one nil check plus an atomic
+// add instead of a map lookup, and a link count one nil check plus a
+// buffered store (linkTally). The handles are nil-safe, so call sites
+// use them unconditionally: without a registry every handle is nil, and
+// a partially populated struct (links absent past MatrixRankLimit, no
+// fault or serving handles) is the same case. Every engine resolves its
+// own set: the obs handles of a sharded run's engines point into the
+// one registry, the link tally is each engine's own.
 type engineMetrics struct {
 	stealRequests *obs.Counter
 	stealSuccess  *obs.Counter
@@ -69,7 +72,7 @@ type engineMetrics struct {
 	stealLatency  *obs.Histogram
 	session       *obs.Histogram
 	chunkNodes    *obs.Histogram
-	links         *obs.Matrix
+	links         *linkTally
 
 	// Fault handles; nil (and hence no-ops) for fault-free runs, which
 	// keeps them out of the registry's exposition.
@@ -111,7 +114,7 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) e
 		tenantSojourn: sojourn,
 	}
 	if ranks <= MatrixRankLimit {
-		m.links = reg.Matrix(MetricLinkMessages, ranks)
+		m.links = newLinkTally(reg.Matrix(MetricLinkMessages, ranks), ranks)
 	}
 	if faulted {
 		m.crashes = reg.Counter(MetricCrashes)
@@ -132,4 +135,76 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) e
 		}
 	}
 	return m
+}
+
+// linkBatch is how many link counts a tally holds back before it folds
+// them into the matrix: what a mid-run scrape of MetricLinkMessages can
+// lag by, per engine.
+const linkBatch = 1 << 15
+
+// link is one message on the (from, to) link. The constant conversion
+// stops compiling if MatrixRankLimit ever outgrows uint16.
+type link struct{ from, to uint16 }
+
+const _ = uint16(MatrixRankLimit - 1)
+
+// linkTally batches one engine's per-link message counts on their way
+// to the registry's traffic matrix. Counted directly, every message is
+// an add to a uniformly random cell of ranks² words — 8 MB at
+// MatrixRankLimit, a cache miss each. The tally buffers the links and
+// folds a full batch grouped by sender, so one 8 KB row is hot while
+// its adds land. Adds commute, so after the last fold (result) the
+// matrix is cell for cell what direct counting leaves, sequential or
+// sharded; the engine's other metrics stay live.
+type linkTally struct {
+	m   *obs.Matrix
+	buf []link // pending counts; cap linkBatch
+	// Fold scratch, allocated once: row[f] is where sender f's next link
+	// goes in sorted.
+	row    []uint32
+	sorted []link
+}
+
+func newLinkTally(m *obs.Matrix, ranks int) *linkTally {
+	return &linkTally{
+		m:      m,
+		buf:    make([]link, 0, linkBatch),
+		row:    make([]uint32, ranks),
+		sorted: make([]link, linkBatch),
+	}
+}
+
+// Inc counts one message on the (from, to) link. Nil-safe.
+func (t *linkTally) Inc(from, to int) {
+	if t == nil {
+		return
+	}
+	t.buf = append(t.buf, link{uint16(from), uint16(to)})
+	if len(t.buf) == cap(t.buf) {
+		t.fold()
+	}
+}
+
+// fold adds the pending counts to the matrix, a counting sort on the
+// sender first. Nil-safe.
+func (t *linkTally) fold() {
+	if t == nil {
+		return
+	}
+	clear(t.row)
+	for _, l := range t.buf {
+		t.row[l.from]++
+	}
+	at := uint32(0)
+	for f, n := range t.row {
+		t.row[f], at = at, at+n
+	}
+	for _, l := range t.buf {
+		t.sorted[t.row[l.from]] = l
+		t.row[l.from]++
+	}
+	for _, l := range t.sorted[:len(t.buf)] {
+		t.m.Add(int(l.from), int(l.to), 1)
+	}
+	t.buf = t.buf[:0]
 }

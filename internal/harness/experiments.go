@@ -531,12 +531,19 @@ func latencyTable(title string, curve *obs.OccupancyCurve, xs []float64) *Table 
 	return t
 }
 
-func latencyPlot(title string, curves map[string]*obs.OccupancyCurve, xs []float64) string {
+// namedCurve is one run's occupancy curve under its legend name;
+// latencyPlot hands out glyphs and legend places in slice order.
+type namedCurve struct {
+	name  string
+	curve *obs.OccupancyCurve
+}
+
+func latencyPlot(title string, curves []namedCurve, xs []float64) string {
 	var series []Series
-	for name, c := range curves {
-		sl := Series{Name: name + " SL"}
-		el := Series{Name: name + " EL"}
-		for _, p := range c.LatencyCurve(xs) {
+	for _, c := range curves {
+		sl := Series{Name: c.name + " SL"}
+		el := Series{Name: c.name + " EL"}
+		for _, p := range c.curve.LatencyCurve(xs) {
 			if !p.Reached {
 				continue
 			}
@@ -568,7 +575,7 @@ func runFig04(scale Scale, seed uint64) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, latencyTable("Reference latencies", curve, xs))
 	rep.Plots = append(rep.Plots, latencyPlot("SL/EL vs occupancy (%)",
-		map[string]*obs.OccupancyCurve{"Reference": curve}, xs))
+		[]namedCurve{{"Reference", curve}}, xs))
 	sl90, ok1 := curve.StartingLatency(0.9)
 	el90, ok2 := curve.EndingLatency(0.9)
 	// Thresholds loosen with the workload scale-down: the distribution
@@ -610,7 +617,7 @@ func runFig05(scale Scale, seed uint64) (*Report, error) {
 	}
 	rep.Tables = append(rep.Tables, latencyTable("Reference latencies", curve, xs))
 	rep.Plots = append(rep.Plots, latencyPlot("SL/EL vs occupancy (%)",
-		map[string]*obs.OccupancyCurve{"Reference": curve}, xs))
+		[]namedCurve{{"Reference", curve}}, xs))
 	rep.Checks = append(rep.Checks,
 		ShapeCheck{
 			Desc:   "the large-scale reference run never reaches full occupancy",
@@ -688,7 +695,7 @@ func latencyComparison(scale Scale, seed uint64, id, title, paper string, starti
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Plots = append(rep.Plots, latencyPlot(t.Title+" vs occupancy (%)",
-		map[string]*obs.OccupancyCurve{"Reference": refCurve, "Tofu Half": optCurve}, xs))
+		[]namedCurve{{"Reference", refCurve}, {"Tofu Half", optCurve}}, xs))
 
 	// Compare the latency at the highest shared occupancy point.
 	pass := len(refVals) > 0 && len(optVals) > 0 &&

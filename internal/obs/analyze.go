@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"math/bits"
-	"sort"
+	"slices"
 	"strings"
 
 	"distws/internal/sim"
@@ -56,10 +56,8 @@ func (p StealPair) Latency() sim.Duration { return p.End.Sub(p.Send) }
 // by send time (ties by thief rank, then log order) for deterministic
 // reports; nil when there are none.
 //
-// Each thief's transactions come out of the scan in send order (a
-// rank's log is time-ordered, trace.Validate) and the thieves in rank
-// order, so merging those runs by (Send, Thief) is the stable sort of
-// the whole, in O(n log ranks).
+// The scan leaves the transactions in (thief, log) order, which is the
+// tie-break, so a stable sort on the send time alone finishes the job.
 func PairSteals(tr *trace.Trace) []StealPair {
 	sends := 0
 	for _, es := range tr.Events {
@@ -72,13 +70,9 @@ func PairSteals(tr *trace.Trace) []StealPair {
 	if sends == 0 {
 		return nil
 	}
-	// runs holds every thief's transactions back to back; heads marks
-	// where each non-empty run begins and ends.
-	runs := make([]StealPair, 0, sends)
-	var heads mergeHeap
+	pairs := make([]StealPair, 0, sends)
 	for rank, es := range tr.Events {
-		start := len(runs)
-		open := false // the run's last pair is this rank's pending transaction
+		open := false // the last pair is this rank's pending transaction
 		for i := range es {
 			e := &es[i]
 			switch e.Kind {
@@ -86,16 +80,16 @@ func PairSteals(tr *trace.Trace) []StealPair {
 				// A second send with one still open means the close event
 				// was evicted from the ring; drop the orphan.
 				if open {
-					runs = runs[:len(runs)-1]
+					pairs = pairs[:len(pairs)-1]
 				}
 				open = true
-				runs = append(runs, StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time})
+				pairs = append(pairs, StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time})
 			case trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort:
 				if !open {
 					continue
 				}
 				open = false
-				p := &runs[len(runs)-1]
+				p := &pairs[len(pairs)-1]
 				p.End = e.Time
 				switch e.Kind {
 				case trace.EvWorkRecv:
@@ -108,71 +102,50 @@ func PairSteals(tr *trace.Trace) []StealPair {
 			}
 		}
 		if open {
-			runs = runs[:len(runs)-1] // still in flight at trace end
-		}
-		if len(runs) > start {
-			heads = append(heads, runCursor{send: runs[start].Send, thief: rank, pos: start, end: len(runs)})
+			pairs = pairs[:len(pairs)-1] // still in flight at trace end
 		}
 	}
-	switch len(heads) {
-	case 0:
+	if len(pairs) == 0 {
 		return nil
-	case 1:
-		return runs
 	}
-
-	out := make([]StealPair, 0, len(runs))
-	for i := len(heads)/2 - 1; i >= 0; i-- {
-		heads.down(i)
-	}
-	for len(heads) > 0 {
-		c := &heads[0]
-		out = append(out, runs[c.pos])
-		if c.pos++; c.pos < c.end {
-			c.send = runs[c.pos].Send
-		} else {
-			heads[0] = heads[len(heads)-1]
-			heads = heads[:len(heads)-1]
-		}
-		heads.down(0)
-	}
-	return out
+	return sortBySend(pairs)
 }
 
-// runCursor is the unmerged rest of one thief's run: runs[pos:end],
-// keyed by its first pair.
-type runCursor struct {
-	send     sim.Time
-	thief    int
-	pos, end int
-}
-
-// mergeHeap is a binary min-heap of run cursors on (send, thief).
-type mergeHeap []runCursor
-
-func (h mergeHeap) less(i, j int) bool {
-	if h[i].send != h[j].send {
-		return h[i].send < h[j].send
+// sortBySend stably sorts pairs by send time: an LSD radix sort on
+// Send's offset from the earliest send, 11 bits a pass and as many
+// passes as the largest offset has bits — three for a run of a few
+// virtual milliseconds. It returns the sorted slice, which is pairs or
+// the scratch copy the passes alternate with.
+func sortBySend(pairs []StealPair) []StealPair {
+	lo, hi, sorted := pairs[0].Send, pairs[0].Send, true
+	for i := 1; i < len(pairs); i++ {
+		s := pairs[i].Send
+		sorted = sorted && s >= pairs[i-1].Send
+		lo, hi = min(lo, s), max(hi, s)
 	}
-	return h[i].thief < h[j].thief
-}
-
-// down restores the heap below i after h[i] grew.
-func (h mergeHeap) down(i int) {
-	for {
-		m := 2*i + 1
-		if m >= len(h) {
-			return
-		}
-		if r := m + 1; r < len(h) && h.less(r, m) {
-			m = r
-		}
-		if !h.less(m, i) {
-			return
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
+	if sorted {
+		return pairs // one thief, or nothing out of place
 	}
+	const digitBits, digitMask = 11, 1<<11 - 1
+	var next [digitMask + 1]int
+	scratch := make([]StealPair, len(pairs))
+	for shift := 0; uint64(hi-lo)>>shift != 0; shift += digitBits {
+		clear(next[:])
+		for i := range pairs {
+			next[uint64(pairs[i].Send-lo)>>shift&digitMask]++
+		}
+		at := 0
+		for d, n := range next {
+			next[d], at = at, at+n
+		}
+		for i := range pairs {
+			d := uint64(pairs[i].Send-lo) >> shift & digitMask
+			scratch[next[d]] = pairs[i]
+			next[d]++
+		}
+		pairs, scratch = scratch, pairs
+	}
+	return pairs
 }
 
 // StealLatencyStats summarizes steal round-trip latencies, the
@@ -218,13 +191,13 @@ func StealLatency(pairs []StealPair) StealLatencyStats {
 			st.Aborted++
 		}
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.Sort(lat)
 	st.Mean = sum / sim.Duration(len(lat))
 	st.P50 = quantileDur(lat, 0.50)
 	st.P95 = quantileDur(lat, 0.95)
 	st.P99 = quantileDur(lat, 0.99)
 	if len(okLat) > 0 {
-		sort.Slice(okLat, func(i, j int) bool { return okLat[i] < okLat[j] })
+		slices.Sort(okLat)
 		st.SuccessP50 = quantileDur(okLat, 0.50)
 	}
 	return st

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -257,9 +258,9 @@ func TestTerminationTailTransferAtEnd(t *testing.T) {
 	}
 }
 
-// pairStealsStableSort is PairSteals as it was before the k-way merge:
-// one append-grown slice and a global sort.SliceStable. It is the
-// oracle the merge must match element for element.
+// pairStealsStableSort is PairSteals at its plainest: one append-grown
+// slice and a global sort.SliceStable on (Send, Thief). It is the
+// specification PairSteals must match element for element.
 func pairStealsStableSort(tr *trace.Trace) []StealPair {
 	var pairs []StealPair
 	for rank, es := range tr.Events {
@@ -349,6 +350,14 @@ func TestPairStealsMatchesStableSort(t *testing.T) {
 				t.Fatalf("%s: pair %d = %+v, the stable sort has %+v", name, i, got[i], want[i])
 			}
 		}
+		if merged := pairStealsHeapMerge(tr); !slices.Equal(got, merged) {
+			t.Fatalf("%s: differs from the heap merge", name)
+		}
+	}
+	// refused is one completed transaction: a send at the given time,
+	// its refusal a nanosecond later.
+	refused := func(at sim.Time, victim int32) []trace.Event {
+		return []trace.Event{{Time: at, Kind: trace.EvStealSend, Peer: victim}, {Time: at + 1, Kind: trace.EvNoWorkRecv, Peer: victim}}
 	}
 
 	r := rng.New(16)
@@ -371,6 +380,22 @@ func TestPairStealsMatchesStableSort(t *testing.T) {
 	check("no sends", [][]trace.Event{{{Time: 3, Kind: trace.EvWorkRecv}, {Time: 4, Kind: trace.EvStealAbort}}})
 	check("only an orphan and an open tail", [][]trace.Event{{{Time: 3, Kind: trace.EvStealSend}, {Time: 4, Kind: trace.EvStealSend}}})
 	check("no event log", nil)
+	check("a single pair", [][]trace.Event{nil, refused(7, 0)})
+	check("ties across thieves", [][]trace.Event{refused(5, 1), refused(5, 2), refused(4, 0), refused(5, 0)})
+	check("ties within a thief", [][]trace.Event{
+		slices.Concat(refused(9, 1), refused(9, 2), refused(9, 3)),
+		slices.Concat(refused(2, 0), refused(9, 0), refused(9, 2)),
+	})
+	check("a send at time 0", [][]trace.Event{refused(3, 1), refused(0, 0), refused(0, 1)})
+	// Above 2^40 the sort needs its fourth and fifth digits; a narrow
+	// span that high needs only the first, because digits count from the
+	// earliest send.
+	check("times above 2^40", [][]trace.Event{
+		slices.Concat(refused(1<<40+5, 1), refused(1<<45, 2), refused(1<<62, 3)),
+		slices.Concat(refused(9, 0), refused(1<<40+5, 2), refused(1<<45+1, 0)),
+		refused(1<<62-1, 0),
+	})
+	check("a narrow span above 2^40", [][]trace.Event{refused(1<<41+3, 1), refused(1<<41, 0), refused(1<<41+3, 0)})
 }
 
 // BenchmarkPairSteals pairs a steal storm: 1024 thieves, 200 completed

@@ -31,10 +31,14 @@
 // immediately before its EvWorkSend/EvNoWorkSend answer (same
 // timestamp, adjacent in the per-rank log), which recovers the request
 // id of every transfer and, through the thief's EvStealSend, the full
-// request round trip.
+// request round trip. That send is found by scanning the thief's log
+// backward from its EvWorkRecv: the protocol is stop-and-wait, so it
+// sits a few events back, and no index of the (far more numerous)
+// refused requests is ever built.
 package causal
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 
@@ -146,31 +150,21 @@ func Build(tr *trace.Trace) *Graph {
 		return g
 	}
 
-	// Index each rank's log once: send/recv event positions grouped by
-	// peer, the steal-send position of every request id, and the
-	// quantum spans.
-	workSend := make([]map[int][]int, n)
-	workRecv := make([]map[int][]int, n)
-	tokSend := make([]map[int][]int, n)
-	tokRecv := make([]map[int][]int, n)
-	stealSendAt := make([]map[uint64]int, n)
+	// Index each rank's log once: the send/recv events filed under their
+	// (rank, peer) pair, and the quantum spans.
+	var workSend, workRecv, tokSend, tokRecv []peerRef
 	for r, es := range tr.Events {
 		qstart := -1
 		for i, e := range es {
 			switch e.Kind {
 			case trace.EvWorkSend:
-				workSend[r] = addPeerIdx(workSend[r], int(e.Peer), i)
+				workSend = addPeerRef(workSend, r, int(e.Peer), i)
 			case trace.EvWorkRecv:
-				workRecv[r] = addPeerIdx(workRecv[r], int(e.Peer), i)
+				workRecv = addPeerRef(workRecv, r, int(e.Peer), i)
 			case trace.EvTokenSend:
-				tokSend[r] = addPeerIdx(tokSend[r], int(e.Peer), i)
+				tokSend = addPeerRef(tokSend, r, int(e.Peer), i)
 			case trace.EvTokenRecv:
-				tokRecv[r] = addPeerIdx(tokRecv[r], int(e.Peer), i)
-			case trace.EvStealSend:
-				if stealSendAt[r] == nil {
-					stealSendAt[r] = make(map[uint64]int)
-				}
-				stealSendAt[r][uint64(e.Arg)] = i
+				tokRecv = addPeerRef(tokRecv, r, int(e.Peer), i)
 			case trace.EvQuantumStart:
 				qstart = i
 			case trace.EvQuantumEnd:
@@ -207,27 +201,13 @@ func Build(tr *trace.Trace) *Graph {
 	// rank, and flights are strictly positive, so sorting by Send time
 	// gives parents strictly smaller keys.
 	for i := range g.Transfers {
-		g.resolveRequest(&g.Transfers[i], stealSendAt)
+		g.resolveRequest(&g.Transfers[i])
 	}
-	sort.SliceStable(g.Transfers, func(a, b int) bool {
-		ta, tb := &g.Transfers[a], &g.Transfers[b]
-		if ta.Send != tb.Send {
-			return ta.Send < tb.Send
-		}
-		if ta.Victim != tb.Victim {
-			return ta.Victim < tb.Victim
-		}
-		return ta.SendIdx < tb.SendIdx
+	slices.SortStableFunc(g.Transfers, func(a, b Transfer) int {
+		return cmp.Or(cmp.Compare(a.Send, b.Send), cmp.Compare(a.Victim, b.Victim), cmp.Compare(a.SendIdx, b.SendIdx))
 	})
-	sort.SliceStable(g.TokenHops, func(a, b int) bool {
-		ha, hb := &g.TokenHops[a], &g.TokenHops[b]
-		if ha.Send != hb.Send {
-			return ha.Send < hb.Send
-		}
-		if ha.From != hb.From {
-			return ha.From < hb.From
-		}
-		return ha.SendIdx < hb.SendIdx
+	slices.SortStableFunc(g.TokenHops, func(a, b TokenHop) int {
+		return cmp.Or(cmp.Compare(a.Send, b.Send), cmp.Compare(a.From, b.From), cmp.Compare(a.SendIdx, b.SendIdx))
 	})
 
 	// Lookup tables, then lineage. recvAt must be sorted by event
@@ -239,9 +219,10 @@ func Build(tr *trace.Trace) *Graph {
 	for i, h := range g.TokenHops {
 		g.tokenAt[h.To] = append(g.tokenAt[h.To], idxRef{idx: h.RecvIdx, ref: i})
 	}
+	byIdx := func(a, b idxRef) int { return cmp.Compare(a.idx, b.idx) }
 	for r := range g.recvAt {
-		sortRefs(g.recvAt[r])
-		sortRefs(g.tokenAt[r])
+		slices.SortFunc(g.recvAt[r], byIdx)
+		slices.SortFunc(g.tokenAt[r], byIdx)
 	}
 	for i := range g.Transfers {
 		t := &g.Transfers[i]
@@ -255,26 +236,62 @@ func Build(tr *trace.Trace) *Graph {
 	return g
 }
 
+// peerRef files one send or receive event under its ordered pair: rank
+// recorded it, peer is the other end, idx its position in rank's log.
+type peerRef struct{ rank, peer, idx int }
+
+// addPeerRef appends the event at position idx of rank's log to the
+// list. A log is scanned in order, so each pair's refs ascend in idx.
+func addPeerRef(list []peerRef, rank, peer, idx int) []peerRef {
+	if peer < 0 {
+		return list
+	}
+	return append(list, peerRef{rank, peer, idx})
+}
+
+// byPair orders refs by (rank, peer).
+func byPair(a, b peerRef) int {
+	return cmp.Or(cmp.Compare(a.rank, b.rank), cmp.Compare(a.peer, b.peer))
+}
+
+// pairGroup returns the leading refs of list that share its first
+// element's (rank, peer) pair.
+func pairGroup(list []peerRef) []peerRef {
+	k := 0
+	for k < len(list) && byPair(list[k], list[0]) == 0 {
+		k++
+	}
+	return list[:k]
+}
+
 // matchFIFO pairs the send and receive events of every ordered
-// (from, to) pair in FIFO order and calls emit for each matched pair,
-// iterating receivers then sorted senders so the build is
-// deterministic.
-func matchFIFO(tr *trace.Trace, send, recv []map[int][]int, emit func(from, to, si, ri int, se, re trace.Event)) {
-	for to := range recv {
-		for _, from := range sortedPeers(recv[to]) {
-			sends, recvs := send[from][to], recv[to][from]
-			k := min(len(sends), len(recvs))
-			// Tail-align: evictions drop oldest events first, so the
-			// surviving lists share a common suffix.
-			so, ro := len(sends)-k, len(recvs)-k
-			for i := 0; i < k; i++ {
-				si, ri := sends[so+i], recvs[ro+i]
-				se, re := tr.Events[from][si], tr.Events[to][ri]
-				if se.Time >= re.Time {
-					continue // misalignment; flight is >= 1ns
-				}
-				emit(from, to, si, ri, se, re)
+// (from, to) pair in FIFO order and calls emit for each matched pair.
+// Both lists are stably sorted by pair, which keeps each pair's events
+// in log order; the walk is receivers ascending, then senders
+// ascending, and a receive group's sends are found by binary search.
+func matchFIFO(tr *trace.Trace, send, recv []peerRef, emit func(from, to, si, ri int, se, re trace.Event)) {
+	slices.SortStableFunc(send, byPair)
+	slices.SortStableFunc(recv, byPair)
+	for len(recv) > 0 {
+		recvs := pairGroup(recv)
+		recv = recv[len(recvs):]
+		to, from := recvs[0].rank, recvs[0].peer
+		s0, ok := slices.BinarySearchFunc(send, peerRef{rank: from, peer: to}, byPair)
+		if !ok {
+			continue
+		}
+		sends := pairGroup(send[s0:])
+		k := min(len(sends), len(recvs))
+		// Tail-align: evictions drop oldest events first, so the
+		// surviving lists share a common suffix.
+		sends, recvs = sends[len(sends)-k:], recvs[len(recvs)-k:]
+		for i := range sends {
+			si, ri := sends[i].idx, recvs[i].idx
+			se, re := tr.Events[from][si], tr.Events[to][ri]
+			if se.Time >= re.Time {
+				continue // misalignment; flight is >= 1ns
 			}
+			emit(from, to, si, ri, se, re)
 		}
 	}
 }
@@ -282,7 +299,7 @@ func matchFIFO(tr *trace.Trace, send, recv []map[int][]int, emit func(from, to, 
 // resolveRequest recovers the steal request a transfer answered: the
 // victim records EvStealRecv immediately before its EvWorkSend, and
 // the thief's EvStealSend carries the same request id.
-func (g *Graph) resolveRequest(t *Transfer, stealSendAt []map[uint64]int) {
+func (g *Graph) resolveRequest(t *Transfer) {
 	ev := g.tr.Events[t.Victim]
 	if t.SendIdx == 0 {
 		return
@@ -304,45 +321,23 @@ func (g *Graph) resolveRequest(t *Transfer, stealSendAt []map[uint64]int) {
 			break
 		}
 	}
-	if si, ok := stealSendAt[t.Thief][t.ReqID]; ok {
-		se := g.tr.Events[t.Thief][si]
-		if se.Kind == trace.EvStealSend && int(se.Peer) == t.Victim && se.Time < t.Send {
-			t.ReqSend = se.Time
-			t.ReqSendIdx = si
+	// The thief's send of that id sits before the receive in its log:
+	// a thief numbers its requests, so there is at most one, and a log
+	// is time-ordered, so a send after the receive could not pass the
+	// se.Time < t.Send test anyway. Not found: evicted from the ring.
+	tev := g.tr.Events[t.Thief]
+	for j := t.RecvIdx - 1; j >= 0; j-- {
+		se := tev[j]
+		if se.Kind != trace.EvStealSend || uint64(se.Arg) != t.ReqID {
+			continue
 		}
+		if int(se.Peer) == t.Victim && se.Time < t.Send {
+			t.ReqSend = se.Time
+			t.ReqSendIdx = j
+		}
+		break
 	}
 	t.ReqBound = reqBound && t.ReqSendIdx >= 0
-}
-
-// addPeerIdx appends an event index to the peer-grouped map, creating
-// the map on first use.
-func addPeerIdx(m map[int][]int, peer, idx int) map[int][]int {
-	if peer < 0 {
-		return m
-	}
-	if m == nil {
-		m = make(map[int][]int)
-	}
-	m[peer] = append(m[peer], idx)
-	return m
-}
-
-// sortedPeers returns the map's keys in ascending order, so matching
-// never depends on map iteration order.
-func sortedPeers(m map[int][]int) []int {
-	if len(m) == 0 {
-		return nil
-	}
-	peers := make([]int, 0, len(m))
-	for p := range m {
-		peers = append(peers, p)
-	}
-	sort.Ints(peers)
-	return peers
-}
-
-func sortRefs(list []idxRef) {
-	sort.Slice(list, func(a, b int) bool { return list[a].idx < list[b].idx })
 }
 
 // MigrationDepths histograms the transfers by lineage depth:

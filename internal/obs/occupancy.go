@@ -14,7 +14,9 @@ package obs
 // close to 1.
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"distws/internal/sim"
@@ -52,7 +54,7 @@ func Occupancy(tr *trace.Trace) *OccupancyCurve {
 			}
 		}
 	}
-	sort.Slice(deltas, func(i, j int) bool { return deltas[i].t < deltas[j].t })
+	slices.SortFunc(deltas, func(a, b delta) int { return cmp.Compare(a.t, b.t) })
 
 	c := &OccupancyCurve{N: tr.Ranks(), T: tr.End}
 	cur := 0
