@@ -155,9 +155,9 @@ bench-json:
 
 # bench-smoke is the CI gate: a short run of every hot-path benchmark,
 # the alloc-gate tests, and a tolerance-band comparison of the fresh
-# results against the committed BENCH_sim.json — the same comparator
-# the matrix gate uses (allocs near-exact, bytes banded, wall time
-# ignored). 100 iterations, not 1: allocs/op only matches the
+# results against the committed BENCH_sim.json (allocs near-exact,
+# bytes banded, wall time ignored — the host measures these, so they
+# get bands where simulator outputs get equality). 100 iterations, not 1: allocs/op only matches the
 # steady-state baseline once one-time warmup allocations amortize.
 bench-smoke: BENCHTIME = 100x
 bench-smoke:
@@ -209,15 +209,14 @@ serve-smoke:
 
 # matrix-smoke is the cross-run regression gate: the scenario matrix
 # (tree × selector × ranks × fault plan) runs at quick scale, writes one
-# run manifest per cell to $(ARTIFACTS)/runs/latest, and compares every
-# cell against the committed baseline ledger in artifacts/runs/baseline
-# with per-metric tolerance bands. Regressed cells fail the build and
-# get a causal attribution report next to their manifests (CI uploads
-# them). `make matrix-smoke PERTURB=3` proves the gate trips.
+# run manifest per cell to $(ARTIFACTS)/runs/latest, and requires every
+# cell to equal its committed manifest in artifacts/runs/baseline byte
+# for byte — each run is a pure function of (scale, seed). A drifted
+# cell fails the build and gets a causal attribution report,
+# diff-<id>.txt, next to its manifest (CI uploads them).
 MATRIX_SCALE ?= quick
-PERTURB ?= 0
 matrix-smoke:
-	$(GO) run ./cmd/experiments -matrix -scale $(MATRIX_SCALE) -perturb $(PERTURB) \
+	$(GO) run ./cmd/experiments -matrix -scale $(MATRIX_SCALE) \
 		-matrix-out $(ARTIFACTS)/runs/latest -baseline artifacts/runs/baseline
 
 # matrix-baseline regenerates the committed golden ledger. Rebaseline

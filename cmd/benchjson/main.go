@@ -12,11 +12,11 @@
 // benchmark as an error instead of an empty artifact.
 //
 // -baseline compares the fresh results against a committed report
-// (BENCH_sim.json at the repo root) with the same tolerance-band
-// comparator the scenario-matrix gate uses (internal/obs/diff): alloc
-// counts are near-exact, bytes get a small band, and ns/op is ignored
-// unless -nsband opts in (shared-runner wall time is noise). A new or
-// vanished benchmark is a rebaseline condition, not a silent pass.
+// (BENCH_sim.json at the repo root) with tolerance bands (band.go):
+// alloc counts are near-exact, bytes get a small band, and ns/op is
+// ignored unless -nsband opts in (shared-runner wall time is noise). A
+// new or vanished benchmark is a rebaseline condition, not a silent
+// pass.
 package main
 
 import (
@@ -29,8 +29,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"distws/internal/obs/diff"
 )
 
 // Benchmark is one `go test -bench` result line.
@@ -95,12 +93,12 @@ func main() {
 // simulator are reproducible, so they get a near-exact band; bytes/op
 // can wobble with map growth, so they get slack.
 var (
-	allocsBand = diff.Band{Rel: 0.01, Abs: 2}
-	bytesBand  = diff.Band{Rel: 0.10, Abs: 256}
+	allocsBand = Band{Rel: 0.01, Abs: 2}
+	bytesBand  = Band{Rel: 0.10, Abs: 256}
 )
 
-// compareBaseline gates rep against the committed report at path using
-// the shared tolerance-band comparator. Benchmarks appearing in only
+// compareBaseline gates rep against the committed report at path with
+// the tolerance bands above. Benchmarks appearing in only
 // one of the two reports force a rebaseline (`make bench-json` + commit).
 func compareBaseline(rep *Report, path string, nsRel float64) error {
 	data, err := os.ReadFile(path)
@@ -117,7 +115,7 @@ func compareBaseline(rep *Report, path string, nsRel float64) error {
 		baseIdx[key(b)] = b
 	}
 
-	g := &diff.Gate{}
+	g := &Gate{}
 	seen := map[string]bool{}
 	var missing []string
 	for _, b := range rep.Benchmarks {
@@ -138,7 +136,7 @@ func compareBaseline(rep *Report, path string, nsRel float64) error {
 			g.Check(k+"/bytes_per_op", bytesBand, float64(bb.BytesPerOp), float64(b.BytesPerOp))
 		}
 		if nsRel > 0 {
-			g.Check(k+"/ns_per_op", diff.Band{Rel: nsRel}, bb.NsPerOp, b.NsPerOp)
+			g.Check(k+"/ns_per_op", Band{Rel: nsRel}, bb.NsPerOp, b.NsPerOp)
 		}
 	}
 	if len(missing) > 0 {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -68,5 +69,56 @@ func TestCheckRequired(t *testing.T) {
 	}
 	if err := checkRequired(rep, "LatencyLookup"); err == nil {
 		t.Fatal("missing required benchmark not reported")
+	}
+}
+
+// TestBandCheck covers the benchmark gate's comparator: exact,
+// relative, absolute, and combined bands.
+func TestBandCheck(t *testing.T) {
+	cases := []struct {
+		band      Band
+		base, got float64
+		ok        bool
+	}{
+		{Band{}, 5, 5, true},
+		{Band{}, 5, 5.0001, false},
+		{Band{Rel: 0.1}, 100, 109, true},
+		{Band{Rel: 0.1}, 100, 111, false},
+		{Band{Rel: 0.1}, -100, -109, true}, // relative scale uses |base|
+		{Band{Abs: 3}, 10, 13, true},
+		{Band{Abs: 3}, 10, 13.5, false},
+		{Band{Rel: 0.05, Abs: 2}, 100, 106.9, true},
+		{Band{Rel: 0.05, Abs: 2}, 100, 107.1, false},
+		{Band{Abs: 1}, 0, 0.5, true}, // abs band still works at base 0
+		{Band{Rel: 0.5}, 0, 0.5, false},
+	}
+	for i, c := range cases {
+		if got := c.band.Check(c.base, c.got); got != c.ok {
+			t.Errorf("case %d: Band%+v.Check(%v, %v) = %v, want %v", i, c.band, c.base, c.got, got, c.ok)
+		}
+	}
+}
+
+// TestGateReportsViolationsInOrder: the gate's report lists violations
+// in check order with the offending values.
+func TestGateReportsViolationsInOrder(t *testing.T) {
+	var g Gate
+	g.Check("a/ok", Band{Rel: 1}, 10, 11)
+	g.Check("b/bad", Band{}, 10, 11)
+	g.Check("c/bad", Band{Abs: 0.5}, 2, 3)
+	if g.OK() {
+		t.Fatal("gate passed with violations")
+	}
+	if g.Checked != 3 || len(g.Violations) != 2 {
+		t.Fatalf("checked %d, violations %d", g.Checked, len(g.Violations))
+	}
+	var buf bytes.Buffer
+	if err := g.Report(&buf); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	bi, ci := strings.Index(out, "b/bad"), strings.Index(out, "c/bad")
+	if bi < 0 || ci < 0 || bi > ci {
+		t.Errorf("violations missing or out of order:\n%s", out)
 	}
 }

@@ -6,7 +6,6 @@
 //	experiments -run fig09 -scale default
 //	experiments -run all -scale quick -o results.txt
 //	experiments -matrix -scale quick -matrix-out artifacts/runs/latest -baseline artifacts/runs/baseline
-//	experiments -diff a.manifest.json,b.manifest.json
 //
 // Each experiment prints the rows/series the paper reports, an ASCII
 // rendering of the figure, and machine-checked "shape checks" asserting
@@ -16,11 +15,10 @@
 // -matrix runs the scenario-matrix regression harness instead: the
 // (tree × selector × ranks × fault plan) grid is executed, one run
 // manifest per cell lands in -matrix-out, and when -baseline names a
-// committed ledger the fresh cells are gated against it with per-metric
-// tolerance bands (exit 1 on any violation; per-cell diff reports land
-// next to the manifests for CI upload). -perturb N multiplies network
-// latency to prove the gate trips. -diff renders the causal attribution
-// report between two manifests (see also tracetool -diff).
+// committed ledger every fresh cell must equal its committed manifest
+// byte for byte (exit 1 otherwise; each drifted cell's causal diff
+// against its baseline lands next to the manifests for CI upload).
+// tracetool -diff compares any two manifests or traces.
 package main
 
 import (
@@ -33,8 +31,6 @@ import (
 	"time"
 
 	"distws/internal/harness"
-	"distws/internal/obs/diff"
-	"distws/internal/obs/ledger"
 )
 
 func main() {
@@ -50,15 +46,8 @@ func main() {
 		matrixFlag   = flag.Bool("matrix", false, "run the scenario-matrix regression harness")
 		matrixOut    = flag.String("matrix-out", "artifacts/runs/latest", "directory for the matrix's run manifests")
 		baselineFlag = flag.String("baseline", "", "baseline ledger directory to gate the matrix against")
-		perturbFlag  = flag.Int("perturb", 0, "multiply network latency by N (>1) to prove the matrix gate fails")
-		diffFlag     = flag.String("diff", "", "compare two run manifests: A,B")
 	)
 	flag.Parse()
-
-	if *diffFlag != "" {
-		runDiff(*diffFlag)
-		return
-	}
 
 	if *listFlag {
 		for _, id := range harness.IDs() {
@@ -75,7 +64,7 @@ func main() {
 	}
 
 	if *matrixFlag {
-		runMatrix(scale, *seedFlag, *perturbFlag, *matrixOut, *baselineFlag)
+		runMatrix(scale, *seedFlag, *matrixOut, *baselineFlag)
 		return
 	}
 
@@ -161,13 +150,9 @@ func main() {
 
 // runMatrix executes the scenario matrix, writes one manifest per cell,
 // and optionally gates the result against a committed baseline ledger.
-func runMatrix(scale harness.Scale, seed uint64, perturb int, outDir, baselineDir string) {
+func runMatrix(scale harness.Scale, seed uint64, outDir, baselineDir string) {
 	start := time.Now()
-	opt := harness.MatrixOptions{Scale: scale, Seed: seed, LatencyScale: perturb}
-	if perturb > 1 {
-		fmt.Printf("matrix: PERTURBED run — network latency x%d (the gate below should fail)\n", perturb)
-	}
-	manifests, err := harness.RunMatrix(opt)
+	manifests, err := harness.RunMatrix(scale, seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -186,45 +171,28 @@ func runMatrix(scale harness.Scale, seed uint64, perturb int, outDir, baselineDi
 		return
 	}
 
-	gate, err := harness.CompareBaseline(baselineDir, manifests, diff.DefaultTolerances())
+	drifts, err := harness.CompareBaseline(baselineDir, manifests)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	fmt.Println()
-	if err := gate.Report(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if gate.OK() {
+	if len(drifts) == 0 {
+		fmt.Printf("baseline gate: %d cell(s) identical to %s\n", len(manifests), baselineDir)
 		return
 	}
 	// Write the per-cell attribution reports next to the manifests so
-	// CI can upload them: each regressed cell gets the full causal diff
-	// against its baseline, not just the violated numbers.
-	base, err := ledger.ReadDir(baselineDir)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	reported := map[string]bool{}
-	for _, v := range gate.Violations {
-		id := v.Name[:strings.IndexByte(v.Name, '/')]
-		if reported[id] {
-			continue
-		}
-		reported[id] = true
-		m := manifestByID(manifests, id)
-		if m == nil || base[id] == nil {
-			continue
-		}
-		path := filepath.Join(outDir, "diff-"+id+".txt")
+	// CI can upload them: each drifted cell gets the full causal diff
+	// against its baseline, not just the fact that it moved.
+	fmt.Printf("baseline gate: %d of %d cell(s) DRIFTED from %s\n", len(drifts), len(manifests), baselineDir)
+	for _, d := range drifts {
+		path := filepath.Join(outDir, "diff-"+d.IDB+".txt")
 		f, err := os.Create(path)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		werr := diff.Compute(base[id], m).WriteText(f)
+		werr := d.WriteText(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -232,42 +200,7 @@ func runMatrix(scale harness.Scale, seed uint64, perturb int, outDir, baselineDi
 			fmt.Fprintln(os.Stderr, werr)
 			os.Exit(1)
 		}
-		fmt.Printf("attribution report for %s: %s\n", id, path)
+		fmt.Printf("  DRIFT %s: %s\n  attribution report: %s\n", d.IDB, d.Headline(), path)
 	}
 	os.Exit(1)
-}
-
-func manifestByID(ms []*ledger.Manifest, id string) *ledger.Manifest {
-	for _, m := range ms {
-		if m.ID == id {
-			return m
-		}
-	}
-	return nil
-}
-
-// runDiff renders the causal attribution report between two manifests.
-func runDiff(pair string) {
-	parts := strings.Split(pair, ",")
-	if len(parts) != 2 {
-		fmt.Fprintf(os.Stderr, "-diff wants exactly two comma-separated manifest paths, got %q\n", pair)
-		os.Exit(2)
-	}
-	load := func(path string) *ledger.Manifest {
-		m, err := ledger.ReadFile(strings.TrimSpace(path))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return m
-	}
-	d := diff.Compute(load(parts[0]), load(parts[1]))
-	if err := d.CheckIdentities(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := d.WriteText(os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
 }

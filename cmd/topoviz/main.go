@@ -12,55 +12,63 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strings"
 
-	"distws/internal/sim"
 	"distws/internal/stats"
 	"distws/internal/topology"
 	"distws/internal/victim"
 )
 
-func main() {
-	var (
-		ranksFlag = flag.Int("ranks", 256, "number of ranks")
-		placeFlag = flag.String("placement", "1/N", "placement: 1/N, 8RR or 8G")
-		thiefFlag = flag.Int("thief", 0, "rank whose victim-selection profile to print")
-		seedFlag  = flag.Uint64("seed", 1, "selector seed")
-	)
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	var placement topology.Placement
-	switch strings.ToUpper(*placeFlag) {
-	case "1/N":
-		placement = topology.OnePerNode
-	case "8RR":
-		placement = topology.EightRoundRobin
-	case "8G":
-		placement = topology.EightGrouped
-	default:
-		fmt.Fprintf(os.Stderr, "unknown placement %q\n", *placeFlag)
-		os.Exit(2)
+// run is the command behind main: exit status 0 on success, 1 when the
+// machine cannot host the job, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("topoviz", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		ranksFlag = fs.Int("ranks", 256, "number of ranks (at least 2: a thief needs a victim)")
+		placeFlag = fs.String("placement", "1/N", "placement: 1/N, 8RR or 8G")
+		thiefFlag = fs.Int("thief", 0, "rank whose victim-selection profile to print, in [0, ranks)")
+		seedFlag  = fs.Uint64("seed", 1, "selector seed")
+	)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	placement, err := topology.ParsePlacement(*placeFlag)
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *ranksFlag < 2 {
+		fmt.Fprintf(stderr, "-ranks %d: need at least 2 ranks\n", *ranksFlag)
+		return 2
+	}
+	if *thiefFlag < 0 || *thiefFlag >= *ranksFlag {
+		fmt.Fprintf(stderr, "-thief %d: outside [0, %d)\n", *thiefFlag, *ranksFlag)
+		return 2
 	}
 
 	m := topology.KComputer()
 	job, err := topology.NewJob(m, *ranksFlag, placement)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	alloc := job.Alloc
 
-	fmt.Printf("machine: %dx%dx%d cubes (%d nodes, %d racks)\n",
+	fmt.Fprintf(stdout, "machine: %dx%dx%d cubes (%d nodes, %d racks)\n",
 		m.CubesX, m.CubesY, m.CubesZ, m.Nodes(), m.CubesX*m.CubesY)
-	fmt.Printf("allocation: %d nodes in a %dx%dx%d cube box\n",
+	fmt.Fprintf(stdout, "allocation: %d nodes in a %dx%dx%d cube box\n",
 		alloc.Nodes(), alloc.DX, alloc.DY, alloc.DZ)
 	racks := map[[2]int]bool{}
 	for _, c := range alloc.NodeList {
 		racks[[2]int{c.X, c.Y}] = true
 	}
-	fmt.Printf("job: %d ranks, %v placement, spanning %d rack(s), max %d hops\n\n",
+	fmt.Fprintf(stdout, "job: %d ranks, %v placement, spanning %d rack(s), max %d hops\n\n",
 		job.Ranks(), placement, len(racks), job.MaxHops())
 
 	// Distance and latency distribution from the thief's viewpoint.
@@ -73,22 +81,22 @@ func main() {
 		dists = append(dists, job.Distance(*thiefFlag, k))
 		lats = append(lats, model.Latency(job, *thiefFlag, k, 0).Seconds()*1e6)
 	}
-	fmt.Printf("from rank %d (node %v, core %d):\n", *thiefFlag, job.Coord(*thiefFlag), job.Core(*thiefFlag))
-	fmt.Printf("  euclidean distance: min %.2f  p50 %.2f  max %.2f\n",
+	fmt.Fprintf(stdout, "from rank %d (node %v, core %d):\n", *thiefFlag, job.Coord(*thiefFlag), job.Core(*thiefFlag))
+	fmt.Fprintf(stdout, "  euclidean distance: min %.2f  p50 %.2f  max %.2f\n",
 		stats.Min(dists), stats.Quantile(dists, 0.5), stats.Max(dists))
-	fmt.Printf("  one-way latency:    min %.1fµs p50 %.1fµs max %.1fµs\n\n",
+	fmt.Fprintf(stdout, "  one-way latency:    min %.1fµs p50 %.1fµs max %.1fµs\n\n",
 		stats.Min(lats), stats.Quantile(lats, 0.5), stats.Max(lats))
 
-	printHistogram("distance histogram", dists, 12)
-	fmt.Println()
+	printHistogram(stdout, "distance histogram", dists, 12)
+	fmt.Fprintln(stdout)
 
 	// Victim-selection probability mass by distance band, for the
 	// uniform and the distance-skewed strategies.
 	sel := victim.NewDistanceSkewed(job, *seedFlag)
 	pdfer, ok := sel.(interface{ PDF(int) []float64 })
 	if !ok {
-		fmt.Fprintln(os.Stderr, "selector does not expose PDF")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "selector does not expose PDF")
+		return 1
 	}
 	pdf := pdfer.PDF(*thiefFlag)
 	const bands = 6
@@ -107,8 +115,8 @@ func main() {
 		bandP[b] += pdf[k]
 		bandU[b] += uni
 	}
-	fmt.Printf("victim-selection mass by distance band (thief %d):\n", *thiefFlag)
-	fmt.Printf("  %-16s %-10s %-10s %s\n", "band", "uniform", "skewed", "skew gain")
+	fmt.Fprintf(stdout, "victim-selection mass by distance band (thief %d):\n", *thiefFlag)
+	fmt.Fprintf(stdout, "  %-16s %-10s %-10s %s\n", "band", "uniform", "skewed", "skew gain")
 	for b := 0; b < bands; b++ {
 		lo := maxD * float64(b) / bands
 		hi := maxD * float64(b+1) / bands
@@ -116,21 +124,21 @@ func main() {
 		if bandU[b] > 0 {
 			gain = bandP[b] / bandU[b]
 		}
-		fmt.Printf("  [%5.1f, %5.1f)   %-10.4f %-10.4f %.2fx\n", lo, hi, bandU[b], bandP[b], gain)
+		fmt.Fprintf(stdout, "  [%5.1f, %5.1f)   %-10.4f %-10.4f %.2fx\n", lo, hi, bandU[b], bandP[b], gain)
 	}
 
 	// Latency model summary for orientation.
-	fmt.Printf("\nlatency model levels (0-byte message):\n")
-	fmt.Printf("  software overhead  %v\n", model.Software)
-	fmt.Printf("  same node          +%v\n", model.SameNode)
-	fmt.Printf("  same blade         +%v\n", model.SameBlade)
-	fmt.Printf("  same cube          +%v\n", model.SameCube)
-	fmt.Printf("  per torus hop      +%v\n", model.PerHop)
-	_ = sim.Microsecond
+	fmt.Fprintf(stdout, "\nlatency model levels (0-byte message):\n")
+	fmt.Fprintf(stdout, "  software overhead  %v\n", model.Software)
+	fmt.Fprintf(stdout, "  same node          +%v\n", model.SameNode)
+	fmt.Fprintf(stdout, "  same blade         +%v\n", model.SameBlade)
+	fmt.Fprintf(stdout, "  same cube          +%v\n", model.SameCube)
+	fmt.Fprintf(stdout, "  per torus hop      +%v\n", model.PerHop)
+	return 0
 }
 
 // printHistogram renders a simple horizontal-bar histogram.
-func printHistogram(title string, xs []float64, bins int) {
+func printHistogram(w io.Writer, title string, xs []float64, bins int) {
 	lo, hi := stats.Min(xs), stats.Max(xs)
 	if hi <= lo {
 		hi = lo + 1
@@ -142,7 +150,7 @@ func printHistogram(title string, xs []float64, bins int) {
 			maxC = c
 		}
 	}
-	fmt.Println(title + ":")
+	fmt.Fprintln(w, title+":")
 	for i, c := range counts {
 		bLo := lo + (hi-lo)*float64(i)/float64(bins)
 		bHi := lo + (hi-lo)*float64(i+1)/float64(bins)
@@ -150,6 +158,6 @@ func printHistogram(title string, xs []float64, bins int) {
 		if maxC > 0 {
 			bar = strings.Repeat("█", c*40/maxC)
 		}
-		fmt.Printf("  [%6.2f, %6.2f) %5d %s\n", bLo, bHi, c, bar)
+		fmt.Fprintf(w, "  [%6.2f, %6.2f) %5d %s\n", bLo, bHi, c, bar)
 	}
 }

@@ -92,16 +92,9 @@ func main() {
 	if !ok {
 		fatalf("unknown tree preset %q (-listtrees)", *treeFlag)
 	}
-	var placement topology.Placement
-	switch strings.ToUpper(*placeFlag) {
-	case "1/N":
-		placement = topology.OnePerNode
-	case "8RR":
-		placement = topology.EightRoundRobin
-	case "8G":
-		placement = topology.EightGrouped
-	default:
-		fatalf("unknown placement %q (1/N, 8RR, 8G)", *placeFlag)
+	placement, err := topology.ParsePlacement(*placeFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
 	selector, err := victim.Lookup(*selFlag)
 	if err != nil {

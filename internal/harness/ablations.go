@@ -52,15 +52,13 @@ func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
 	ranks := ablationRanks(scale)
 	tree := ablationTree(scale)
 	chunks := []int{1, 2, 4, 8, 20, 64}
-	var runs []Run
+	var cfgs []core.Config
 	for _, cs := range chunks {
-		runs = append(runs, Run{
-			Label: fmt.Sprintf("chunk=%d", cs), Variant: RandHalf,
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, ChunkSize: cs,
-		})
+		cfg := RandHalf.Config(ranks, tree, seed)
+		cfg.ChunkSize = cs
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -74,8 +72,7 @@ func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
 	s.Name = "speedup"
 	best, bestChunk := 0.0, 0
 	var sp20, sp4 float64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", chunks[i]), fmtFloat(r.Speedup, 1), fmtFloat(r.Efficiency, 3),
 			fmt.Sprintf("%d", r.FailedSteals), fmt.Sprintf("%d", r.ChunksTransferred),
@@ -109,15 +106,13 @@ func runAblationPoll(scale Scale, seed uint64) (*Report, error) {
 	ranks := ablationRanks(scale)
 	tree := ablationTree(scale)
 	polls := []int{1, 5, 20, 100}
-	var runs []Run
+	var cfgs []core.Config
 	for _, p := range polls {
-		runs = append(runs, Run{
-			Label: fmt.Sprintf("poll=%d", p), Variant: TofuHalf,
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, PollInterval: p,
-		})
+		cfg := TofuHalf.Config(ranks, tree, seed)
+		cfg.PollInterval = p
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -128,8 +123,7 @@ func runAblationPoll(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Poll interval vs performance", Columns: []string{"poll (cost units)", "speedup", "mean search time (ms)"}}
 	var first, last float64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", polls[i]), fmtFloat(r.Speedup, 1),
 			fmtFloat(r.MeanSearchTime.Seconds()*1e3, 3),
@@ -164,15 +158,11 @@ func runAblationSelectors(scale Scale, seed uint64) (*Report, error) {
 		{"Hierarchical", victim.NewHierarchical},
 		{"Lifeline", victim.NewLifeline},
 	}
-	var runs []Run
+	var cfgs []core.Config
 	for _, s := range sels {
-		runs = append(runs, Run{
-			Label: s.name, Variant: Variant{s.name, s.f, core.StealHalf},
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed,
-		})
+		cfgs = append(cfgs, Variant{s.name, s.f, core.StealHalf}.Config(ranks, tree, seed))
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -183,8 +173,7 @@ func runAblationSelectors(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Selector vs performance", Columns: []string{"selector", "speedup", "failed steals", "mean search (ms)"}}
 	speed := map[string]float64{}
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		speed[sels[i].name] = r.Speedup
 		t.Rows = append(t.Rows, []string{
 			sels[i].name, fmtFloat(r.Speedup, 1), fmt.Sprintf("%d", r.FailedSteals),
@@ -218,15 +207,13 @@ func runAblationTerm(scale Scale, seed uint64) (*Report, error) {
 		name string
 		f    term.Factory
 	}{{"Safra", term.NewSafra}, {"Ring", term.NewRing}}
-	var runs []Run
+	var cfgs []core.Config
 	for _, d := range dets {
-		runs = append(runs, Run{
-			Label: d.name, Variant: RandHalf, Ranks: ranks,
-			Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, Detector: d.f,
-		})
+		cfg := RandHalf.Config(ranks, tree, seed)
+		cfg.Detector = d.f
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -237,8 +224,7 @@ func runAblationTerm(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Detector comparison", Columns: []string{"detector", "makespan", "token rounds", "nodes counted", "premature"}}
 	var nodes []uint64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		nodes = append(nodes, r.Nodes)
 		t.Rows = append(t.Rows, []string{
 			dets[i].name, fmtDur(r.Makespan), fmt.Sprintf("%d", r.TerminationRounds),
@@ -248,7 +234,7 @@ func runAblationTerm(scale Scale, seed uint64) (*Report, error) {
 	rep.Tables = append(rep.Tables, t)
 	rep.Checks = append(rep.Checks, ShapeCheck{
 		Desc:   "both detectors complete the traversal with identical node counts",
-		Pass:   len(nodes) == 2 && nodes[0] == nodes[1] && !outs[0].Result.Premature,
+		Pass:   len(nodes) == 2 && nodes[0] == nodes[1] && !res[0].Premature,
 		Detail: fmt.Sprintf("Safra %d vs Ring %d nodes", nodes[0], nodes[1]),
 	})
 	return rep, nil
@@ -260,19 +246,15 @@ func runAblationSkew(scale Scale, seed uint64) (*Report, error) {
 	ranks := ablationRanks(scale)
 	tree := ablationTree(scale)
 	exps := []float64{0, 0.5, 1, 2, 4}
-	var runs []Run
+	var cfgs []core.Config
 	for _, k := range exps {
 		f, err := victim.DistanceSkewedExp(k)
 		if err != nil {
 			return nil, err
 		}
-		runs = append(runs, Run{
-			Label: fmt.Sprintf("k=%g", k), Variant: Variant{fmt.Sprintf("Tofu^%g Half", k), f, core.StealHalf},
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed,
-		})
+		cfgs = append(cfgs, Variant{fmt.Sprintf("Tofu^%g Half", k), f, core.StealHalf}.Config(ranks, tree, seed))
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -283,8 +265,7 @@ func runAblationSkew(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Skew exponent vs performance", Columns: []string{"k", "speedup", "mean search (ms)"}}
 	var speeds []float64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		speeds = append(speeds, r.Speedup)
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%g", exps[i]), fmtFloat(r.Speedup, 1),
@@ -321,15 +302,13 @@ func runAblationBackoff(scale Scale, seed uint64) (*Report, error) {
 		{"disabled (reference)", core.Backoff{Threshold: -1}},
 		{"default", core.DefaultBackoff},
 	}
-	var runs []Run
+	var cfgs []core.Config
 	for _, p := range policies {
-		runs = append(runs, Run{
-			Label: p.name, Variant: RandHalf, Ranks: ranks,
-			Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, Backoff: p.b,
-		})
+		cfg := RandHalf.Config(ranks, tree, seed)
+		cfg.BackoffPolicy = p.b
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -341,8 +320,7 @@ func runAblationBackoff(scale Scale, seed uint64) (*Report, error) {
 	t := &Table{Title: "Backoff policy comparison", Columns: []string{"policy", "speedup", "failed steals", "nodes"}}
 	var speeds []float64
 	var nodes []uint64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		speeds = append(speeds, r.Speedup)
 		nodes = append(nodes, r.Nodes)
 		t.Rows = append(t.Rows, []string{
@@ -382,15 +360,13 @@ func runAblationProtocol(scale Scale, seed uint64) (*Report, error) {
 		{"Tofu Half / two-sided", TofuHalf, core.TwoSided},
 		{"Tofu Half / one-sided", TofuHalf, core.OneSided},
 	}
-	var runs []Run
+	var cfgs []core.Config
 	for _, e := range entries {
-		runs = append(runs, Run{
-			Label: e.name, Variant: e.variant, Ranks: ranks,
-			Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, Protocol: e.protocol,
-		})
+		cfg := e.variant.Config(ranks, tree, seed)
+		cfg.Protocol = e.protocol
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -402,8 +378,7 @@ func runAblationProtocol(scale Scale, seed uint64) (*Report, error) {
 	t := &Table{Title: "Transport comparison", Columns: []string{"configuration", "speedup", "mean search (ms)", "failed steals"}}
 	speed := map[string]float64{}
 	var nodes []uint64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		speed[entries[i].name] = r.Speedup
 		nodes = append(nodes, r.Nodes)
 		t.Rows = append(t.Rows, []string{
@@ -443,15 +418,13 @@ func runAblationAborts(scale Scale, seed uint64) (*Report, error) {
 	ranks := ablationRanks(scale)
 	tree := ablationTree(scale)
 	timeouts := []sim.Duration{0, 200 * sim.Microsecond, 50 * sim.Microsecond, 10 * sim.Microsecond}
-	var runs []Run
+	var cfgs []core.Config
 	for _, to := range timeouts {
-		runs = append(runs, Run{
-			Label: fmt.Sprintf("timeout=%v", to), Variant: RandHalf,
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed, StealTimeout: to,
-		})
+		cfg := RandHalf.Config(ranks, tree, seed)
+		cfg.StealTimeout = to
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -462,8 +435,7 @@ func runAblationAborts(scale Scale, seed uint64) (*Report, error) {
 	}
 	t := &Table{Title: "Abort timeout vs behaviour", Columns: []string{"timeout", "speedup", "aborted", "nodes"}}
 	var nodes []uint64
-	for i, o := range outs {
-		r := o.Result
+	for i, r := range res {
 		nodes = append(nodes, r.Nodes)
 		label := "disabled"
 		if timeouts[i] > 0 {
@@ -489,8 +461,8 @@ func runAblationAborts(scale Scale, seed uint64) (*Report, error) {
 		},
 		ShapeCheck{
 			Desc:   "aggressive timeouts actually abort",
-			Pass:   outs[len(outs)-1].Result.AbortedSteals > 0,
-			Detail: fmt.Sprintf("%d aborts at the tightest timeout", outs[len(outs)-1].Result.AbortedSteals),
+			Pass:   res[len(res)-1].AbortedSteals > 0,
+			Detail: fmt.Sprintf("%d aborts at the tightest timeout", res[len(res)-1].AbortedSteals),
 		},
 	)
 	return rep, nil
@@ -503,21 +475,17 @@ func runAblationJitter(scale Scale, seed uint64) (*Report, error) {
 	ranks := ablationRanks(scale)
 	tree := ablationTree(scale)
 	fracs := []float64{0, 0.1, 0.3}
-	var runs []Run
+	var cfgs []core.Config
 	for _, frac := range fracs {
 		for _, v := range []Variant{Reference, RandHalf} {
-			var lat topology.LatencyModel
+			cfg := v.Config(ranks, tree, seed)
 			if frac > 0 {
-				lat = topology.NewJitterLatency(topology.DefaultLatency(), frac, seed)
+				cfg.Latency = topology.NewJitterLatency(topology.DefaultLatency(), frac, seed)
 			}
-			runs = append(runs, Run{
-				Label: fmt.Sprintf("%s@%.0f%%", v.Name, frac*100), Variant: v,
-				Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-				NodeCost: experimentNodeCost, Seed: seed, Latency: lat,
-			})
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -529,8 +497,7 @@ func runAblationJitter(scale Scale, seed uint64) (*Report, error) {
 	t := &Table{Title: "Makespan under latency jitter", Columns: []string{"jitter", "Reference", "Rand Half", "Rand Half wins"}}
 	ok := true
 	for i, frac := range fracs {
-		ref := outs[2*i].Result
-		rnd := outs[2*i+1].Result
+		ref, rnd := res[2*i], res[2*i+1]
 		wins := rnd.Makespan < ref.Makespan
 		if scale != Quick && !wins {
 			ok = false

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"reflect"
 
+	"distws/internal/core"
 	"distws/internal/fault"
 	"distws/internal/sim"
-	"distws/internal/topology"
 )
 
 // The chaos experiment subjects every victim-selection policy to one
@@ -66,30 +66,20 @@ func runChaos(scale Scale, seed uint64) (*Report, error) {
 
 	// Calibrate: one fault-free Reference run fixes the crash schedule
 	// for every policy, so all policies face the same absolute times.
-	calRun := Run{
-		Label: "calibrate", Variant: Reference,
-		Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-		NodeCost: experimentNodeCost, Seed: seed,
-	}
-	cal, err := Execute([]Run{calRun})
+	cal, err := Execute([]core.Config{Reference.Config(ranks, tree, seed)})
 	if err != nil {
 		return nil, err
 	}
-	plan := chaosPlan(ranks, cal[0].Result.Makespan, seed)
+	plan := chaosPlan(ranks, cal[0].Makespan, seed)
 
-	var runs []Run
+	var cfgs []core.Config
 	for _, v := range chaosVariants {
-		base := Run{
-			Label: v.Name + " base", Variant: v,
-			Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-			NodeCost: experimentNodeCost, Seed: seed,
-		}
+		base := v.Config(ranks, tree, seed)
 		faulted := base
-		faulted.Label = v.Name + " chaos"
 		faulted.Faults = plan
-		runs = append(runs, base, faulted)
+		cfgs = append(cfgs, base, faulted)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -97,7 +87,7 @@ func runChaos(scale Scale, seed uint64) (*Report, error) {
 	rep := &Report{
 		ID: "chaos",
 		Title: fmt.Sprintf("C1: degradation under crashes+straggler+loss (%d ranks, crashes at 8/15/25%% of %v)",
-			ranks, cal[0].Result.Makespan),
+			ranks, cal[0].Makespan),
 		Paper: "Extends Fig. 9: does the victim-policy ranking survive fail-stop crashes and loss?",
 	}
 	t := &Table{
@@ -109,10 +99,10 @@ func runChaos(scale Scale, seed uint64) (*Report, error) {
 	allAccounted, allTerminated := true, true
 	crashesLanded, dropsSeen := true, false
 	var baseSum, chaosSum float64
-	for i := 0; i < len(outs); i += 2 {
-		b, f := outs[i].Result, outs[i+1].Result
-		bg := goodput(b.Nodes, experimentNodeCost, ranks, b.Makespan)
-		fg := goodput(f.Nodes, experimentNodeCost, ranks, f.Makespan)
+	for i := 0; i < len(res); i += 2 {
+		b, f := res[i], res[i+1]
+		bg := goodput(b.Nodes, core.DefaultNodeCost, ranks, b.Makespan)
+		fg := goodput(f.Nodes, core.DefaultNodeCost, ranks, f.Makespan)
 		baseSum += bg
 		chaosSum += fg
 		retained := 0.0
@@ -120,7 +110,7 @@ func runChaos(scale Scale, seed uint64) (*Report, error) {
 			retained = fg / bg
 		}
 		t.Rows = append(t.Rows, []string{
-			outs[i].Run.Variant.Name, fmtDur(b.Makespan), fmtDur(f.Makespan),
+			chaosVariants[i/2].Name, fmtDur(b.Makespan), fmtDur(f.Makespan),
 			fmtFloat(bg, 3), fmtFloat(fg, 3), fmtFloat(retained, 3),
 			fmt.Sprintf("%d/%d", f.CrashedRanks, len(plan.Crashes)),
 			fmt.Sprintf("%d", f.LostNodes), fmt.Sprintf("%d", f.Recoveries),
@@ -170,19 +160,19 @@ func runChaos(scale Scale, seed uint64) (*Report, error) {
 
 	// Determinism: replaying one faulted configuration must reproduce
 	// the result bit-for-bit — adversity is part of the seeded state.
-	replay := runs[len(runs)-1]
-	r1, err := Execute([]Run{replay})
+	replay := cfgs[len(cfgs)-1]
+	r1, err := Execute([]core.Config{replay})
 	if err != nil {
 		return nil, err
 	}
-	r2, err := Execute([]Run{replay})
+	r2, err := Execute([]core.Config{replay})
 	if err != nil {
 		return nil, err
 	}
 	rep.Checks = append(rep.Checks, ShapeCheck{
 		Desc:   "the faulted run is seed-deterministic: an identical replay matches exactly",
-		Pass:   reflect.DeepEqual(r1[0].Result, r2[0].Result),
-		Detail: fmt.Sprintf("replayed %q twice", replay.Label),
+		Pass:   reflect.DeepEqual(r1[0], r2[0]),
+		Detail: fmt.Sprintf("replayed %q twice", chaosVariants[len(chaosVariants)-1].Name+" chaos"),
 	})
 	return rep, nil
 }

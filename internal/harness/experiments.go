@@ -13,10 +13,6 @@ import (
 	"distws/internal/victim"
 )
 
-// experimentNodeCost calibrates one child generation to 1 µs, close to
-// the paper's measured 970k nodes/second per rank.
-const experimentNodeCost = 1 * sim.Microsecond
-
 func init() {
 	register(Experiment{ID: "table1", Title: "UTS input tree parameters", Run: runTable1})
 	register(Experiment{ID: "fig02", Title: "Efficiency of the reference implementation, 8-128 ranks", Run: runFig02})
@@ -143,16 +139,15 @@ func runFig02(scale Scale, seed uint64) (*Report, error) {
 	}
 	ranks := fig2Ranks(scale)
 	tree := fig2Tree(scale)
-	var runs []Run
+	var cfgs []core.Config
 	for _, pl := range placements {
 		for _, n := range ranks {
-			runs = append(runs, Run{
-				Variant: Reference, Ranks: n, Placement: pl,
-				Tree: tree, NodeCost: experimentNodeCost, Seed: seed,
-			})
+			cfg := Reference.Config(n, tree, seed)
+			cfg.Placement = pl
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -162,11 +157,11 @@ func runFig02(scale Scale, seed uint64) (*Report, error) {
 		t.Columns = append(t.Columns, pl.String())
 	}
 	eff := map[topology.Placement]map[int]float64{}
-	for _, o := range outs {
-		if eff[o.Run.Placement] == nil {
-			eff[o.Run.Placement] = map[int]float64{}
+	for i, pl := range placements {
+		eff[pl] = map[int]float64{}
+		for j, n := range ranks {
+			eff[pl][n] = res[i*len(ranks)+j].Efficiency
 		}
-		eff[o.Run.Placement][o.Run.Ranks] = o.Result.Efficiency
 	}
 	var series []Series
 	for _, pl := range placements {
@@ -247,16 +242,16 @@ func (s *sweepData) at(label string, n int, m map[string]map[int]float64) float6
 func runSweep(spec sweepSpec, scale Scale, seed uint64, withTrace bool) (*Report, *sweepData, error) {
 	ranks := sweepRanks(scale)
 	tree := sweepTree(scale)
-	var runs []Run
+	var cfgs []core.Config
 	for _, e := range spec.entries {
 		for _, n := range ranks {
-			runs = append(runs, Run{
-				Label: e.label(), Variant: e.Variant, Ranks: n, Placement: e.Placement,
-				Tree: tree, NodeCost: experimentNodeCost, Seed: seed, Trace: withTrace,
-			})
+			cfg := e.Variant.Config(n, tree, seed)
+			cfg.Placement = e.Placement
+			cfg.CollectTrace = withTrace
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -273,12 +268,12 @@ func runSweep(spec sweepSpec, scale Scale, seed uint64, withTrace bool) (*Report
 		}
 		return m[k]
 	}
-	for _, o := range outs {
-		l := o.Run.Label
-		ensure(sp.speedup, l)[o.Run.Ranks] = o.Result.Speedup
-		ensure(sp.fails, l)[o.Run.Ranks] = float64(o.Result.FailedSteals)
-		ensure(sp.search, l)[o.Run.Ranks] = o.Result.MeanSearchTime.Seconds() * 1e3
-		ensure(sp.session, l)[o.Run.Ranks] = o.Result.MeanSessionDuration.Seconds() * 1e3
+	for i, r := range res {
+		l, n := spec.entries[i/len(ranks)].label(), ranks[i%len(ranks)]
+		ensure(sp.speedup, l)[n] = r.Speedup
+		ensure(sp.fails, l)[n] = float64(r.FailedSteals)
+		ensure(sp.search, l)[n] = r.MeanSearchTime.Seconds() * 1e3
+		ensure(sp.session, l)[n] = r.MeanSessionDuration.Seconds() * 1e3
 	}
 
 	rep := &Report{ID: spec.id, Title: spec.title, Paper: spec.paper}
@@ -508,14 +503,13 @@ func runFig11(scale Scale, seed uint64) (*Report, error) {
 // Latency-curve experiments (Figures 4, 5, 12, 13)
 
 func latencyRun(variant Variant, ranks int, tree uts.Params, seed uint64) (*core.Result, error) {
-	outs, err := Execute([]Run{{
-		Variant: variant, Ranks: ranks, Placement: topology.OnePerNode,
-		Tree: tree, NodeCost: experimentNodeCost, Seed: seed, Trace: true,
-	}})
+	cfg := variant.Config(ranks, tree, seed)
+	cfg.CollectTrace = true
+	res, err := Execute([]core.Config{cfg})
 	if err != nil {
 		return nil, err
 	}
-	return outs[0].Result, nil
+	return res[0], nil
 }
 
 func latencyTable(title string, curve *obs.OccupancyCurve, xs []float64) *Table {
@@ -652,15 +646,14 @@ func runFig13(scale Scale, seed uint64) (*Report, error) {
 func latencyComparison(scale Scale, seed uint64, id, title, paper string, starting bool) (*Report, error) {
 	ranks := topRanksForScale(scale)
 	tree := sweepTree(scale)
-	outs, err := Execute([]Run{
-		{Variant: Reference, Ranks: ranks, Placement: topology.OnePerNode, Tree: tree, NodeCost: experimentNodeCost, Seed: seed, Trace: true},
-		{Variant: TofuHalf, Ranks: ranks, Placement: topology.OnePerNode, Tree: tree, NodeCost: experimentNodeCost, Seed: seed, Trace: true},
-	})
+	ref, opt := Reference.Config(ranks, tree, seed), TofuHalf.Config(ranks, tree, seed)
+	ref.CollectTrace, opt.CollectTrace = true, true
+	res, err := Execute([]core.Config{ref, opt})
 	if err != nil {
 		return nil, err
 	}
-	refCurve := obs.Occupancy(outs[0].Result.Trace)
-	optCurve := obs.Occupancy(outs[1].Result.Trace)
+	refCurve := obs.Occupancy(res[0].Trace)
+	optCurve := obs.Occupancy(res[1].Trace)
 	maxShared := math.Min(refCurve.MaxOccupancy(), optCurve.MaxOccupancy())
 	xs := obs.OccupancySamples(20, maxShared)
 
@@ -874,23 +867,23 @@ func runFig16(scale Scale, seed uint64) (*Report, error) {
 		rounds = []int{1, 4, 16}
 	}
 	variants := []Variant{ReferenceHalf, RandHalf, TofuHalf}
-	var runs []Run
+	var cfgs []core.Config
+	var labels []string
 	for _, r := range rounds {
 		for _, v := range variants {
-			runs = append(runs, Run{
-				Label: fmt.Sprintf("%s@%d", v.Name, r), Variant: v,
-				Ranks: ranks, Placement: topology.OnePerNode, Tree: tree,
-				NodeCost: core.GranularityCost(r), Seed: seed,
-			})
+			cfg := v.Config(ranks, tree, seed)
+			cfg.NodeCost = core.GranularityCost(r)
+			cfgs = append(cfgs, cfg)
+			labels = append(labels, fmt.Sprintf("%s@%d", v.Name, r))
 		}
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
 	makespan := map[string]float64{}
-	for _, o := range outs {
-		makespan[o.Run.Label] = o.Result.Makespan.Seconds()
+	for i, r := range res {
+		makespan[labels[i]] = r.Makespan.Seconds()
 	}
 
 	rep := &Report{
@@ -954,14 +947,14 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 	}
 	ranks := blameRanks(scale)
 	tree := sweepTree(scale)
-	var runs []Run
-	for _, v := range []Variant{Reference, Rand, Tofu} {
-		runs = append(runs, Run{
-			Label: v.Name, Variant: v, Ranks: ranks, Placement: topology.OnePerNode,
-			Tree: tree, NodeCost: experimentNodeCost, Events: true, Seed: seed,
-		})
+	variants := []Variant{Reference, Rand, Tofu}
+	var cfgs []core.Config
+	for _, v := range variants {
+		cfg := v.Config(ranks, tree, seed)
+		cfg.CollectEvents = true
+		cfgs = append(cfgs, cfg)
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -977,8 +970,9 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 	partitionExact, pathExact := true, true
 	search := map[string]float64{}
 	tail := map[string]float64{}
-	for _, o := range outs {
-		tr := o.Result.Trace
+	for i, r := range res {
+		label := variants[i].Name
+		tr := r.Trace
 		a := causal.Analyze(tr)
 		b, p := a.Blame(), a.Path()
 		for _, rb := range b.PerRank {
@@ -995,15 +989,15 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 		}
 		whole := float64(b.Total.Total())
 		pc := func(d sim.Duration) float64 { return 100 * float64(d) / whole }
-		search[o.Run.Label] = pc(b.Total.Search)
-		tail[o.Run.Label] = pc(b.Total.TermTail)
+		search[label] = pc(b.Total.Search)
+		tail[label] = pc(b.Total.TermTail)
 		blameTab.Rows = append(blameTab.Rows, []string{
-			o.Run.Label, fmtFloat(pc(b.Total.Busy), 1), fmtFloat(pc(b.Total.Startup), 1),
+			label, fmtFloat(pc(b.Total.Busy), 1), fmtFloat(pc(b.Total.Startup), 1),
 			fmtFloat(pc(b.Total.Search), 1), fmtFloat(pc(b.Total.InFlight), 1),
 			fmtFloat(pc(b.Total.TermTail), 1),
 		})
 		critTab.Rows = append(critTab.Rows, []string{
-			o.Run.Label, fmtFloat(p.Share(causal.SegCompute), 1), fmtFloat(p.Share(causal.SegStealRTT), 1),
+			label, fmtFloat(p.Share(causal.SegCompute), 1), fmtFloat(p.Share(causal.SegStealRTT), 1),
 			fmtFloat(p.Share(causal.SegTransfer), 1), fmtFloat(p.Share(causal.SegToken), 1),
 			fmtFloat(p.Share(causal.SegWait), 1), fmt.Sprintf("%d", len(p.Segments)),
 			fmt.Sprintf("%d", a.Graph().MaxDepth()),
@@ -1014,12 +1008,12 @@ func runBlame(scale Scale, seed uint64) (*Report, error) {
 		ShapeCheck{
 			Desc:   "blame categories partition each rank's time exactly (busy + blamed idle = makespan)",
 			Pass:   partitionExact,
-			Detail: fmt.Sprintf("%d runs x %d ranks verified", len(outs), ranks),
+			Detail: fmt.Sprintf("%d runs x %d ranks verified", len(res), ranks),
 		},
 		ShapeCheck{
 			Desc:   "critical-path segment durations sum to the makespan",
 			Pass:   pathExact,
-			Detail: fmt.Sprintf("%d runs verified", len(outs)),
+			Detail: fmt.Sprintf("%d runs verified", len(res)),
 		},
 		ShapeCheck{
 			Desc:   "the reference round-robin wastes at least as much idle time searching as random selection (Figure 7's failed-steal flood, causally attributed)",

@@ -5,11 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"strings"
-
-	"distws/internal/obs/ledger"
 )
 
 // jsonReport is the machine-readable form of a Report.
@@ -61,41 +57,6 @@ func (r *Report) WriteCSV(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// DumpTraces writes every traced outcome as JSONL under dir (created
-// if absent), one file per run named after its label and rank count.
-// Outcomes without a trace are skipped. Returns the written paths, in
-// outcome order, so callers can hand them to tracetool or attach them
-// as CI artifacts.
-func DumpTraces(outcomes []Outcome, dir string) ([]string, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	var paths []string
-	for i, o := range outcomes {
-		if o.Result == nil || o.Result.Trace == nil {
-			continue
-		}
-		name := fmt.Sprintf("%02d-%s-%d.jsonl", i, slug(o.Run.Label, o.Run.Variant.Name), o.Run.Ranks)
-		path := filepath.Join(dir, name)
-		f, err := os.Create(path)
-		if err != nil {
-			return paths, err
-		}
-		if err := o.Result.Trace.WriteJSONL(f); err != nil {
-			f.Close()
-			return paths, fmt.Errorf("harness: dumping trace %s: %w", path, err)
-		}
-		if err := f.Close(); err != nil {
-			return paths, err
-		}
-		paths = append(paths, path)
-	}
-	return paths, nil
-}
-
-// slug builds a filesystem-safe name fragment from run labels.
-func slug(parts ...string) string { return ledger.Slug(strings.Join(parts, " ")) }
 
 func writeCSVRow(w io.Writer, cells []string) {
 	quoted := make([]string, len(cells))

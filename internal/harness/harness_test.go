@@ -3,12 +3,10 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
-	"os"
 	"strings"
 	"testing"
 
 	"distws/internal/core"
-	"distws/internal/trace"
 )
 
 func TestScaleParsing(t *testing.T) {
@@ -129,7 +127,7 @@ func TestQuickExperiments(t *testing.T) {
 
 func TestExecutePropagatesErrors(t *testing.T) {
 	// An invalid run (zero ranks) must surface as an error.
-	_, err := Execute([]Run{{Variant: Reference, Ranks: 0}})
+	_, err := Execute([]core.Config{Reference.Config(0, fig2Tree(Quick), 1)})
 	if err == nil {
 		t.Fatal("invalid run did not error")
 	}
@@ -137,19 +135,12 @@ func TestExecutePropagatesErrors(t *testing.T) {
 
 func TestExecuteOrdersResults(t *testing.T) {
 	tree := fig2Tree(Quick)
-	runs := []Run{
-		{Variant: Reference, Ranks: 4, Tree: tree, NodeCost: experimentNodeCost, Seed: 1},
-		{Variant: Rand, Ranks: 8, Tree: tree, NodeCost: experimentNodeCost, Seed: 1},
-	}
-	outs, err := Execute(runs)
+	res, err := Execute([]core.Config{Reference.Config(4, tree, 1), Rand.Config(8, tree, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if outs[0].Result.Ranks != 4 || outs[1].Result.Ranks != 8 {
+	if res[0].Ranks != 4 || res[1].Ranks != 8 {
 		t.Fatal("results out of order")
-	}
-	if outs[0].Run.Variant.Name != "Reference" {
-		t.Fatal("run echo wrong")
 	}
 }
 
@@ -250,73 +241,28 @@ func TestVariantDefinitions(t *testing.T) {
 	}
 }
 
+// TestRunConfigDefaults pins experimentDefaults, the one place the
+// experiment-wide defaults are set.
 func TestRunConfigDefaults(t *testing.T) {
-	r := Run{Variant: Reference, Ranks: 8, Tree: fig2Tree(Quick), NodeCost: experimentNodeCost}
-	cfg := r.config()
-	if cfg.ChunkSize != ExperimentChunkSize {
-		t.Fatalf("chunk %d", cfg.ChunkSize)
+	small := experimentDefaults(Reference.Config(8, fig2Tree(Quick), 1))
+	if small.ChunkSize != ExperimentChunkSize {
+		t.Fatalf("chunk %d", small.ChunkSize)
 	}
-	if cfg.BackoffPolicy.Threshold != -1 {
-		t.Fatalf("small runs must disable backoff, got %+v", cfg.BackoffPolicy)
+	if small.BackoffPolicy.Threshold != -1 {
+		t.Fatalf("small runs must disable backoff, got %+v", small.BackoffPolicy)
 	}
-	big := Run{Variant: Reference, Ranks: 2048, Tree: fig2Tree(Quick), NodeCost: experimentNodeCost}
-	if big.config().BackoffPolicy.Threshold == -1 {
-		t.Fatal("large runs must keep backoff")
+	if big := experimentDefaults(Reference.Config(2048, fig2Tree(Quick), 1)); big.BackoffPolicy != (core.Backoff{}) {
+		t.Fatalf("large runs must keep the default backoff, got %+v", big.BackoffPolicy)
 	}
-	override := Run{Variant: Reference, Ranks: 8, Tree: fig2Tree(Quick), NodeCost: experimentNodeCost,
-		Backoff: core.Backoff{Threshold: 5, Base: 1, Max: 2}}
-	if override.config().BackoffPolicy.Threshold != 5 {
-		t.Fatal("explicit backoff ignored")
+	serving := Reference.Config(8, fig2Tree(Quick), 1)
+	serving.Serve = servingSpec(Quick, 1)
+	if got := experimentDefaults(serving).BackoffPolicy; got != (core.Backoff{}) {
+		t.Fatalf("serving runs must keep the default backoff, got %+v", got)
 	}
-}
-
-func TestEventsRunAndDumpTraces(t *testing.T) {
-	tree := fig2Tree(Quick)
-	runs := []Run{
-		{Label: "fig0", Variant: Reference, Ranks: 4, Tree: tree, NodeCost: experimentNodeCost, Events: true, Seed: 1},
-		{Label: "fig0", Variant: Rand, Ranks: 4, Tree: tree, NodeCost: experimentNodeCost, Seed: 1}, // untraced
-	}
-	outs, err := Execute(runs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if outs[0].Result.Trace == nil || outs[0].Result.Trace.Events == nil {
-		t.Fatal("Events run produced no event log")
-	}
-	if outs[1].Result.Trace != nil {
-		t.Fatal("untraced run grew a trace")
-	}
-
-	dir := t.TempDir()
-	paths, err := DumpTraces(outs, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(paths) != 1 {
-		t.Fatalf("dumped %d traces, want 1: %v", len(paths), paths)
-	}
-	f, err := os.Open(paths[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	tr, err := trace.ReadJSONL(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if tr.TotalEvents() != outs[0].Result.Trace.TotalEvents() {
-		t.Fatal("round-tripped event count differs")
-	}
-}
-
-func TestSlug(t *testing.T) {
-	if got := slug("Fig 7", "Tofu Half"); got != "fig-7-tofu-half" {
-		t.Fatalf("slug = %q", got)
-	}
-	if got := slug("", ""); got != "" {
-		t.Fatalf("empty slug = %q", got)
+	explicit := Reference.Config(8, fig2Tree(Quick), 1)
+	explicit.BackoffPolicy = core.Backoff{Threshold: 5, Base: 1, Max: 2}
+	explicit.ChunkSize = 20
+	if got := experimentDefaults(explicit); got.BackoffPolicy != explicit.BackoffPolicy || got.ChunkSize != 20 {
+		t.Fatalf("explicit backoff or chunk ignored: %+v, chunk %d", got.BackoffPolicy, got.ChunkSize)
 	}
 }

@@ -1,27 +1,28 @@
 package harness
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 
+	"distws/internal/core"
 	"distws/internal/obs/diff"
 	"distws/internal/obs/ledger"
 	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/topology"
 	"distws/internal/uts"
 )
 
 // The scenario matrix is the regression harness behind `make
 // matrix-smoke`: a small grid of (tree preset × victim selector × rank
 // count × fault plan) cells, each executed deterministically and
-// summarized into a run manifest (internal/obs/ledger). CI compares the
-// freshly generated ledger against the committed baseline under
-// artifacts/runs/baseline/ with per-metric tolerance bands
-// (internal/obs/diff), so a performance or resilience regression in any
-// cell fails the build with an attribution report instead of a bare
+// summarized into a run manifest (internal/obs/ledger). Every run is a
+// pure function of (scale, seed), so CI requires each freshly generated
+// manifest to equal, byte for byte, its committed baseline under
+// artifacts/runs/baseline/; a cell that differs fails the build with a
+// causal attribution report (internal/obs/diff) instead of a bare
 // number.
 
 // matrixVariants are the policies the matrix tracks: the paper's
@@ -50,33 +51,11 @@ func matrixTree(scale Scale) string {
 	return "H-SMALL"
 }
 
-// MatrixOptions parameterizes one matrix execution.
-type MatrixOptions struct {
-	Scale Scale
-	Seed  uint64
-	// LatencyScale multiplies every network latency when > 1. It models
-	// a code regression (the configuration fingerprint is unchanged —
-	// only behaviour shifts), and exists so the tolerance gate can be
-	// proven to fail: `make matrix-smoke PERTURB=3` must go red.
-	LatencyScale int
-}
-
-// inflatedLatency scales a latency model uniformly; the deliberate
-// regression behind MatrixOptions.LatencyScale.
-type inflatedLatency struct {
-	base topology.LatencyModel
-	mul  int64
-}
-
-func (l inflatedLatency) Latency(j *topology.Job, i, k int, bytes int) sim.Duration {
-	return sim.Duration(int64(l.base.Latency(j, i, k, bytes)) * l.mul)
-}
-
-// matrixCell pairs a run with its manifest identity.
+// matrixCell pairs a run with its manifest identity: the cell ID, the
+// workload label and the selector name the spec records.
 type matrixCell struct {
-	id   string
-	tree string
-	run  Run
+	id, tree, selector string
+	cfg                core.Config
 }
 
 // cellID derives the deterministic manifest ID for one cell.
@@ -134,113 +113,71 @@ func matrixServeSpec(scale Scale) *serve.Spec {
 	}
 }
 
-// matrixCells builds the fault-free grid in presentation order.
-func matrixCells(opt MatrixOptions) []matrixCell {
-	tree := matrixTree(opt.Scale)
-	params := uts.MustPreset(tree).Params
-	var cells []matrixCell
-	for _, ranks := range matrixRanks(opt.Scale) {
-		for _, v := range matrixVariants {
-			id := cellID(tree, ranks, v.Name, false)
-			cells = append(cells, matrixCell{
-				id:   id,
-				tree: tree,
-				run: Run{
-					Label: id, Variant: v,
-					Ranks: ranks, Placement: topology.OnePerNode, Tree: params,
-					NodeCost: experimentNodeCost, Trace: true, Events: true,
-					Seed: opt.Seed,
-				},
-			})
-		}
-	}
-	return cells
+// tracedCell is a matrix cell running v with the event log on.
+func tracedCell(id, tree string, v Variant, ranks int, params uts.Params, seed uint64) matrixCell {
+	cfg := v.Config(ranks, params, seed)
+	cfg.CollectTrace, cfg.CollectEvents = true, true
+	return matrixCell{id: id, tree: tree, selector: v.Name, cfg: cfg}
 }
 
-// RunMatrix executes the scenario grid plus one calibrated chaos cell
-// and returns the manifests in cell order. The chaos plan derives from
-// a dedicated fault-free, unperturbed calibration run, so it is a pure
-// function of (scale, seed): a LatencyScale perturbation shifts cell
-// behaviour without shifting any configuration fingerprint.
-func RunMatrix(opt MatrixOptions) ([]*ledger.Manifest, error) {
-	cells := matrixCells(opt)
-	tree := matrixTree(opt.Scale)
+// RunMatrix executes the scenario grid plus its chaos, sharded and
+// serving cells and returns the manifests in cell order. The chaos plan derives from
+// a dedicated fault-free calibration run, so every cell — the chaos
+// cell's fault plan included — is a pure function of (scale, seed).
+func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
+	tree := matrixTree(scale)
 	params := uts.MustPreset(tree).Params
-	chaosRanks := matrixRanks(opt.Scale)[len(matrixRanks(opt.Scale))-1]
+	var cells []matrixCell
+	for _, ranks := range matrixRanks(scale) {
+		for _, v := range matrixVariants {
+			cells = append(cells, tracedCell(cellID(tree, ranks, v.Name, false), tree, v, ranks, params, seed))
+		}
+	}
+	chaosRanks := matrixRanks(scale)[len(matrixRanks(scale))-1]
 
-	cal, err := Execute([]Run{{
-		Label: "matrix calibrate", Variant: Reference,
-		Ranks: chaosRanks, Placement: topology.OnePerNode, Tree: params,
-		NodeCost: experimentNodeCost, Seed: opt.Seed,
-	}})
+	cal, err := Execute([]core.Config{Reference.Config(chaosRanks, params, seed)})
 	if err != nil {
 		return nil, err
 	}
-	plan := chaosPlan(chaosRanks, cal[0].Result.Makespan, opt.Seed)
-	chaosID := cellID(tree, chaosRanks, Tofu.Name, true)
-	cells = append(cells, matrixCell{
-		id:   chaosID,
-		tree: tree,
-		run: Run{
-			Label: chaosID, Variant: Tofu,
-			Ranks: chaosRanks, Placement: topology.OnePerNode, Tree: params,
-			NodeCost: experimentNodeCost, Trace: true, Events: true,
-			Seed: opt.Seed, Faults: plan,
-		},
-	})
+	chaos := tracedCell(cellID(tree, chaosRanks, Tofu.Name, true), tree, Tofu, chaosRanks, params, seed)
+	chaos.cfg.Faults = chaosPlan(chaosRanks, cal[0].Makespan, seed)
+	cells = append(cells, chaos)
 
 	// One sharded, window-profiled cell: its manifest carries the `par`
-	// section, so the tolerance gate tracks the serialized-window share
-	// (and the par schema itself round-trips through the baseline).
-	parID := cellID(tree, chaosRanks, Tofu.Name, false) + fmt.Sprintf("-par%d", matrixParShards)
-	cells = append(cells, matrixCell{
-		id:   parID,
-		tree: tree,
-		run: Run{
-			Label: parID, Variant: Tofu,
-			Ranks: chaosRanks, Placement: topology.OnePerNode, Tree: params,
-			NodeCost: experimentNodeCost, Trace: true, Events: true,
-			Seed: opt.Seed, Shards: matrixParShards, ParProfile: true,
-		},
-	})
+	// section, so the baseline pins the serialized-window share (and the
+	// par schema itself round-trips through the baseline).
+	par := tracedCell(cellID(tree, chaosRanks, Tofu.Name, false)+fmt.Sprintf("-par%d", matrixParShards),
+		tree, Tofu, chaosRanks, params, seed)
+	par.cfg.Shards, par.cfg.ParProfile = matrixParShards, true
+	cells = append(cells, par)
 
 	// One open-system serving cell: its manifest carries the `serve`
 	// section (per-tenant goodput, sojourn percentiles, admission
-	// counts, Jain), so the tolerance gate tracks serving behaviour and
-	// the serve schema round-trips through the baseline. The workload is
+	// counts, Jain), so the baseline pins serving behaviour and the
+	// serve schema round-trips through the baseline. The workload is
 	// the spec's own small per-tenant tree, not the scale preset — job
 	// size stays bounded while rank counts grow with scale.
-	serveID := fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name))
-	cells = append(cells, matrixCell{
-		id:   serveID,
-		tree: "SERVE",
-		run: Run{
-			Label: serveID, Variant: Tofu,
-			Ranks: chaosRanks, Placement: topology.OnePerNode,
-			NodeCost: experimentNodeCost, Trace: true, Events: true,
-			Seed: opt.Seed, Serve: matrixServeSpec(opt.Scale),
-		},
-	})
+	sv := tracedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
+		"SERVE", Tofu, chaosRanks, uts.Params{}, seed)
+	sv.cfg.Serve = matrixServeSpec(scale)
+	cells = append(cells, sv)
 
-	runs := make([]Run, len(cells))
+	cfgs := make([]core.Config, len(cells))
 	for i, c := range cells {
-		runs[i] = c.run
-		if opt.LatencyScale > 1 {
-			runs[i].Latency = inflatedLatency{topology.DefaultLatency(), int64(opt.LatencyScale)}
-		}
+		cfgs[i] = c.cfg
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
 
-	manifests := make([]*ledger.Manifest, len(outs))
-	for i, o := range outs {
-		spec := ledger.SpecFromConfig(cells[i].tree, opt.Scale.String(), o.Run.config())
-		spec.Selector = o.Run.Variant.Name
-		m := ledger.FromRun(cells[i].id, spec, o.Result)
+	manifests := make([]*ledger.Manifest, len(res))
+	for i, c := range cells {
+		spec := ledger.SpecFromConfig(c.tree, scale.String(), experimentDefaults(c.cfg))
+		spec.Selector = c.selector
+		m := ledger.FromRun(c.id, spec, res[i])
 		if err := m.Validate(); err != nil {
-			return nil, fmt.Errorf("harness: matrix cell %s produced an invalid manifest: %w", cells[i].id, err)
+			return nil, fmt.Errorf("harness: matrix cell %s produced an invalid manifest: %w", c.id, err)
 		}
 		manifests[i] = m
 	}
@@ -261,42 +198,53 @@ func WriteMatrix(manifests []*ledger.Manifest, dir string) ([]string, error) {
 	return paths, nil
 }
 
-// CompareBaseline gates freshly generated manifests against the
-// committed baseline ledger in baselineDir. Structural mismatches —
-// missing or extra cells, or a configuration fingerprint drift (the
-// grid itself changed, so bands are meaningless and a rebaseline is
-// required) — come back as errors; metric drifts within a known grid
-// accumulate as tolerance-band violations in the returned gate.
-func CompareBaseline(baselineDir string, got []*ledger.Manifest, tol diff.Tolerances) (*diff.Gate, error) {
-	base, err := ledger.ReadDir(baselineDir)
+// CompareBaseline judges freshly generated manifests against the
+// committed baseline ledger in baselineDir by equality. Structural
+// mismatches — missing or extra cells, or a configuration fingerprint
+// drift (the grid itself changed, so a rebaseline is required) — come
+// back as errors. Every other cell whose canonical encoding differs
+// from its committed file comes back, in cell order, as the causal diff
+// from its baseline. A committed file is compared as it is, not
+// validated first: a corrupt baseline is drift like any other.
+func CompareBaseline(baselineDir string, got []*ledger.Manifest) ([]*diff.Delta, error) {
+	committed, err := filepath.Glob(filepath.Join(baselineDir, "*.manifest.json"))
 	if err != nil {
 		return nil, err
 	}
 	seen := make(map[string]bool, len(got))
-	g := &diff.Gate{}
+	var drifts []*diff.Delta
 	for _, m := range got {
-		b, ok := base[m.ID]
-		if !ok {
+		path := filepath.Join(baselineDir, m.FileName())
+		want, err := os.ReadFile(path)
+		if err != nil {
 			return nil, fmt.Errorf("harness: cell %q has no baseline manifest in %s (run `make matrix-baseline` and commit it)", m.ID, baselineDir)
 		}
-		seen[m.ID] = true
-		if b.Fingerprint != m.Fingerprint {
-			d := diff.Compute(b, m)
-			return nil, fmt.Errorf("harness: cell %q configuration drifted from its baseline (%s; rebaseline with `make matrix-baseline`)",
-				m.ID, strings.Join(d.SpecChanges, "; "))
+		seen[path] = true
+		b, err := ledger.Decode(want)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
 		}
-		diff.GateManifests(g, m.ID, b, m, tol)
+		if b.Spec.Fingerprint() != m.Fingerprint {
+			return nil, fmt.Errorf("harness: cell %q configuration drifted from its baseline (%s; rebaseline with `make matrix-baseline`)",
+				m.ID, strings.Join(diff.Compute(b, m).SpecChanges, "; "))
+		}
+		have, err := m.Encode()
+		if err != nil {
+			return nil, err
+		}
+		if !bytes.Equal(want, have) {
+			drifts = append(drifts, diff.Compute(b, m))
+		}
 	}
 	var stale []string
-	for id := range base {
-		if !seen[id] {
-			stale = append(stale, id)
+	for _, path := range committed {
+		if !seen[path] {
+			stale = append(stale, filepath.Base(path))
 		}
 	}
 	if len(stale) > 0 {
-		sort.Strings(stale)
 		return nil, fmt.Errorf("harness: baseline %s has cell(s) the matrix no longer produces: %s (rebaseline with `make matrix-baseline`)",
 			baselineDir, strings.Join(stale, ", "))
 	}
-	return g, nil
+	return drifts, nil
 }

@@ -1,63 +1,31 @@
 package harness
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
-	"distws/internal/obs/diff"
 	"distws/internal/obs/ledger"
 )
 
-// matrixOpts is the quick-scale matrix every test runs.
-func matrixOpts() MatrixOptions { return MatrixOptions{Scale: Quick, Seed: 12345} }
-
-// TestMatrixDeterministic: two executions of the same matrix produce
-// byte-identical manifest files — the property that makes the committed
-// baseline ledger meaningful.
-func TestMatrixDeterministic(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix run in -short mode")
+// quickMatrix runs the quick-scale matrix with the committed seed, the
+// configuration every test (and `make matrix-smoke`) uses.
+func quickMatrix(t *testing.T) []*ledger.Manifest {
+	t.Helper()
+	ms, err := RunMatrix(Quick, 12345)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func() [][]byte {
-		ms, err := RunMatrix(matrixOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		encs := make([][]byte, len(ms))
-		for i, m := range ms {
-			data, err := m.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			encs[i] = data
-		}
-		return encs
-	}
-	a, b := run(), run()
-	if len(a) != len(b) {
-		t.Fatalf("cell counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			t.Errorf("cell %d manifest is not deterministic", i)
-		}
-	}
+	return ms
 }
 
-// TestMatrixGatesItself: a matrix written as its own baseline passes
-// the default tolerance policy exactly, and the grid covers every
-// variant, both rank counts, and the chaos cell.
+// TestMatrixGatesItself: the grid covers every variant, both rank
+// counts, and the chaos, sharded-profiled and serving cells, each
+// carrying the manifest section it exists to pin.
 func TestMatrixGatesItself(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
-	ms, err := RunMatrix(matrixOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
+	ms := quickMatrix(t)
 
 	// Fault-free grid + the chaos, sharded-profiled, and serving cells.
 	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 3
@@ -108,124 +76,75 @@ func TestMatrixGatesItself(t *testing.T) {
 	if len(sv.Serve.Tenants) != 2 {
 		t.Errorf("serving cell has %d tenant rows, want 2", len(sv.Serve.Tenants))
 	}
+}
 
+// TestCompareBaselineReportsDrift: a cell whose behaviour moved under an
+// unchanged configuration is reported — that cell and no other — with
+// its causal diff from the baseline.
+func TestCompareBaselineReportsDrift(t *testing.T) {
+	if testing.Short() {
+		t.Skip("matrix run in -short mode")
+	}
+	ms := quickMatrix(t)
 	dir := t.TempDir()
 	if _, err := WriteMatrix(ms, dir); err != nil {
 		t.Fatal(err)
 	}
-	gate, err := CompareBaseline(dir, ms, diff.DefaultTolerances())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !gate.OK() {
-		var buf bytes.Buffer
-		gate.Report(&buf)
-		t.Fatalf("matrix fails its own baseline:\n%s", buf.String())
-	}
-	if gate.Checked == 0 {
-		t.Fatal("gate checked no metrics")
-	}
-}
-
-// TestMatrixGateFailsUnderPerturbation is the acceptance check: a
-// seeded latency inflation — behaviour drift with an unchanged
-// configuration fingerprint — must push cells outside their tolerance
-// bands against a clean baseline.
-func TestMatrixGateFailsUnderPerturbation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("matrix run in -short mode")
-	}
-	clean, err := RunMatrix(matrixOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if _, err := WriteMatrix(clean, dir); err != nil {
-		t.Fatal(err)
+	if drifts, err := CompareBaseline(dir, ms); err != nil || len(drifts) != 0 {
+		t.Fatalf("matrix against its own baseline: %d drift(s), err %v", len(drifts), err)
 	}
 
-	opt := matrixOpts()
-	opt.LatencyScale = 3
-	perturbed, err := RunMatrix(opt)
+	drifted := append([]*ledger.Manifest(nil), ms...)
+	clone := *ms[1]
+	clone.Result.MakespanNS++
+	drifted[1] = &clone
+	drifts, err := CompareBaseline(dir, drifted)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("a behaviour drift must be reported, not a structural error: %v", err)
 	}
-	gate, err := CompareBaseline(dir, perturbed, diff.DefaultTolerances())
-	if err != nil {
-		t.Fatalf("perturbation must trip bands, not structural errors: %v", err)
+	if len(drifts) != 1 || drifts[0].IDB != ms[1].ID {
+		t.Fatalf("want exactly cell %s reported, got %d drift(s)", ms[1].ID, len(drifts))
 	}
-	if gate.OK() {
-		t.Fatal("3x latency inflation stayed inside every tolerance band")
-	}
-	var buf bytes.Buffer
-	if err := gate.Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "OUT OF BAND") {
-		t.Errorf("gate report does not flag the violation:\n%s", buf.String())
+	if d := drifts[0]; !d.SameSpec || d.Makespan.Delta != 1 {
+		t.Errorf("drift of %s: same spec %v, makespan delta %d; want true, 1", d.IDB, d.SameSpec, d.Makespan.Delta)
 	}
 }
 
 // TestMatrixPinsCommittedBaseline regenerates the quick matrix with the
-// committed seed and requires every cell's manifest to be byte-identical
-// to the golden ledger under artifacts/runs/baseline/. This is stricter
-// than the band gate on purpose: it proves that growing the grid (the
-// serving cell rode in this way) leaves every pre-existing baseline
-// file untouched, and that the ledger is reproducible from a clean
-// checkout. A deliberate behaviour change rebaselines with
-// `make matrix-baseline` and commits the diff.
+// committed seed and runs the `make matrix-smoke` gate on it: every
+// cell's manifest must be byte-identical to the golden ledger under
+// artifacts/runs/baseline/, and the ledger must hold no other cell. It
+// proves that growing the grid (the serving cell rode in this way)
+// leaves every pre-existing baseline file untouched, and that the
+// ledger is reproducible from a clean checkout. A deliberate behaviour
+// change rebaselines with `make matrix-baseline` and commits the diff.
 func TestMatrixPinsCommittedBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
-	const dir = "../../artifacts/runs/baseline"
-	ms, err := RunMatrix(matrixOpts())
+	drifts, err := CompareBaseline("../../artifacts/runs/baseline", quickMatrix(t))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, m := range ms {
-		want, err := os.ReadFile(filepath.Join(dir, m.FileName()))
-		if err != nil {
-			t.Errorf("cell %s: no committed baseline (%v); run `make matrix-baseline` and commit it", m.ID, err)
-			continue
-		}
-		got, err := m.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("cell %s: manifest drifted from the committed baseline (rebaseline with `make matrix-baseline` if deliberate)", m.ID)
-		}
-	}
-	// And the other direction: the committed ledger holds nothing the
-	// matrix no longer produces.
-	base, err := ledger.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(base) != len(ms) {
-		t.Errorf("baseline has %d manifests, matrix produces %d", len(base), len(ms))
+	for _, d := range drifts {
+		t.Errorf("cell %s: manifest drifted from the committed baseline (rebaseline with `make matrix-baseline` if deliberate): %s", d.IDB, d.Headline())
 	}
 }
 
 // TestCompareBaselineStructuralErrors: missing cells, stale cells, and
-// fingerprint drift are rebaseline conditions, not band violations.
+// fingerprint drift are rebaseline conditions, not reported drifts.
 func TestCompareBaselineStructuralErrors(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
-	ms, err := RunMatrix(matrixOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tol := diff.DefaultTolerances()
+	ms := quickMatrix(t)
 
 	// Missing baseline cell.
 	dir := t.TempDir()
 	if _, err := WriteMatrix(ms[:len(ms)-1], dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareBaseline(dir, ms, tol); err == nil ||
+	if _, err := CompareBaseline(dir, ms); err == nil ||
 		!strings.Contains(err.Error(), "no baseline manifest") {
 		t.Errorf("missing baseline cell: err = %v", err)
 	}
@@ -235,7 +154,7 @@ func TestCompareBaselineStructuralErrors(t *testing.T) {
 	if _, err := WriteMatrix(ms, dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareBaseline(dir, ms[:len(ms)-1], tol); err == nil ||
+	if _, err := CompareBaseline(dir, ms[:len(ms)-1]); err == nil ||
 		!strings.Contains(err.Error(), "no longer produces") {
 		t.Errorf("stale baseline cell: err = %v", err)
 	}
@@ -247,7 +166,7 @@ func TestCompareBaselineStructuralErrors(t *testing.T) {
 	clone.Spec.Seed++
 	clone.Fingerprint = clone.Spec.Fingerprint()
 	drifted[0] = &clone
-	if _, err := CompareBaseline(dir, drifted, tol); err == nil ||
+	if _, err := CompareBaseline(dir, drifted); err == nil ||
 		!strings.Contains(err.Error(), "configuration drifted") {
 		t.Errorf("fingerprint drift: err = %v", err)
 	}

@@ -6,10 +6,7 @@ import (
 	"sync"
 
 	"distws/internal/core"
-	"distws/internal/fault"
-	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/term"
 	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -42,112 +39,55 @@ const ExperimentChunkSize = 4
 // enable retry backoff to bound simulation cost (DESIGN.md §6).
 const backoffThresholdRanks = 1024
 
-// Run describes one simulation of an experiment grid.
-type Run struct {
-	Label     string
-	Variant   Variant
-	Ranks     int
-	Placement topology.Placement
-	Tree      uts.Params
-	NodeCost  sim.Duration
-	Trace     bool
-	// Events additionally captures the protocol event log (implies a
-	// trace); DumpTraces exports the result for tracetool / Perfetto.
-	Events bool
-	Seed   uint64
-	// ChunkSize overrides ExperimentChunkSize when nonzero.
-	ChunkSize int
-	// PollInterval overrides the default of 1 when nonzero.
-	PollInterval int
-	// Detector overrides the default (Safra) when set.
-	Detector term.Factory
-	// Backoff overrides the scale-based default when non-zero.
-	Backoff core.Backoff
-	// Protocol selects the steal transport (default two-sided).
-	Protocol core.Protocol
-	// StealTimeout enables aborting steals when positive.
-	StealTimeout sim.Duration
-	// Latency overrides the default hierarchical model when set.
-	Latency topology.LatencyModel
-	// Faults injects a deterministic fault plan when set (chaos runs).
-	Faults *fault.Plan
-	// Shards runs the simulation on the sharded parallel kernel when > 1.
-	Shards int
-	// ParProfile records the parallel-kernel window ledger into the
-	// result (core.Config.ParProfile).
-	ParProfile bool
-	// Serve switches the run into open-system serving mode when set
-	// (core.Config.Serve); Tree is then ignored. Serving runs keep the
-	// retry backoff enabled regardless of rank count — idle ranks spin
-	// between arrivals, and unthrottled retries would dominate the
-	// event count without changing any serving metric.
-	Serve *serve.Spec
+// Config is the experiment configuration of one run of v: ranks ranks
+// placed one per node, traversing tree. Callers set any other
+// core.Config field on the result; the node cost stays at
+// core.DefaultNodeCost (1 µs per child, close to the paper's measured
+// 970k nodes/second per rank) unless they set it.
+func (v Variant) Config(ranks int, tree uts.Params, seed uint64) core.Config {
+	return core.Config{
+		Selector: v.Selector, Steal: v.Steal, Ranks: ranks,
+		Placement: topology.OnePerNode, Tree: tree, Seed: seed,
+	}
 }
 
-// config materializes the core.Config for a run.
-func (r Run) config() core.Config {
-	cs := r.ChunkSize
-	if cs == 0 {
-		cs = ExperimentChunkSize
+// experimentDefaults fills the experiment-wide defaults into cfg: the
+// scaled ExperimentChunkSize unless cfg sets a chunk, and retry backoff
+// disabled at or below backoffThresholdRanks unless cfg sets a policy.
+// Serving runs keep the core default backoff regardless of rank count —
+// idle ranks spin between arrivals, and unthrottled retries would
+// dominate the event count without changing any serving metric.
+func experimentDefaults(cfg core.Config) core.Config {
+	if cfg.ChunkSize == 0 {
+		cfg.ChunkSize = ExperimentChunkSize
 	}
-	cfg := core.Config{
-		Tree:          r.Tree,
-		Ranks:         r.Ranks,
-		Placement:     r.Placement,
-		Selector:      r.Variant.Selector,
-		Steal:         r.Variant.Steal,
-		ChunkSize:     cs,
-		PollInterval:  r.PollInterval,
-		NodeCost:      r.NodeCost,
-		Seed:          r.Seed,
-		CollectTrace:  r.Trace,
-		CollectEvents: r.Events,
-		Detector:      r.Detector,
-		Protocol:      r.Protocol,
-		StealTimeout:  r.StealTimeout,
-		Latency:       r.Latency,
-		Faults:        r.Faults,
-		Shards:        r.Shards,
-		ParProfile:    r.ParProfile,
-		Serve:         r.Serve,
-	}
-	switch {
-	case r.Backoff != (core.Backoff{}):
-		cfg.BackoffPolicy = r.Backoff
-	case r.Serve != nil:
-		// Serving: keep the default backoff (see the Serve field).
-	case r.Ranks <= backoffThresholdRanks:
+	if cfg.BackoffPolicy == (core.Backoff{}) && cfg.Serve == nil && cfg.Ranks <= backoffThresholdRanks {
 		cfg.BackoffPolicy = core.Backoff{Threshold: -1}
 	}
 	return cfg
 }
 
-// Outcome pairs a run with its result.
-type Outcome struct {
-	Run    Run
-	Result *core.Result
-}
-
-// Execute runs the grid, parallelizing across host CPUs. Results come
-// back in input order; the first simulation error aborts the batch.
-func Execute(runs []Run) ([]Outcome, error) {
-	out := make([]Outcome, len(runs))
-	errs := make([]error, len(runs))
+// Execute runs the configurations under experimentDefaults,
+// parallelizing across host CPUs. Results come back in input order;
+// the first simulation error aborts the batch.
+func Execute(cfgs []core.Config) ([]*core.Result, error) {
+	out := make([]*core.Result, len(cfgs))
+	errs := make([]error, len(cfgs))
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
 	var wg sync.WaitGroup
-	for i := range runs {
+	for i := range cfgs {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := core.Run(runs[i].config())
+			res, err := core.Run(experimentDefaults(cfgs[i]))
 			if err != nil {
-				errs[i] = fmt.Errorf("harness: run %q (n=%d, %v): %w",
-					runs[i].Variant.Name, runs[i].Ranks, runs[i].Placement, err)
+				errs[i] = fmt.Errorf("harness: run %d (n=%d, %v): %w",
+					i, cfgs[i].Ranks, cfgs[i].Placement, err)
 				return
 			}
-			out[i] = Outcome{Run: runs[i], Result: res}
+			out[i] = res
 		}(i)
 	}
 	wg.Wait()

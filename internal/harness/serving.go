@@ -3,9 +3,9 @@ package harness
 import (
 	"fmt"
 
+	"distws/internal/core"
 	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/topology"
 	"distws/internal/uts"
 )
 
@@ -38,7 +38,7 @@ func servingJobTree() uts.Params {
 }
 
 // servingJobCost is the expected serial cost of one servingJobTree job
-// (E[nodes] × experimentNodeCost), the unit the sweep's load factors
+// (E[nodes] × core.DefaultNodeCost), the unit the sweep's load factors
 // are expressed in.
 const servingJobCost = 1667 * sim.Microsecond
 
@@ -127,21 +127,15 @@ func runServing(scale Scale, seed uint64) (*Report, error) {
 	// One grid, executed in parallel: selectors share the seed, so for a
 	// fixed load every selector faces the byte-identical arrival,
 	// admission and placement schedule.
-	var runs []Run
+	var cfgs []core.Config
 	for _, rho := range loads {
 		for _, v := range selectors {
-			runs = append(runs, Run{
-				Label:     fmt.Sprintf("serving rho=%.2f %s", rho, v.Name),
-				Variant:   v,
-				Ranks:     ranks,
-				Placement: topology.OnePerNode,
-				NodeCost:  experimentNodeCost,
-				Seed:      seed,
-				Serve:     servingSpec(scale, rho),
-			})
+			cfg := v.Config(ranks, uts.Params{}, seed)
+			cfg.Serve = servingSpec(scale, rho)
+			cfgs = append(cfgs, cfg)
 		}
 	}
-	outs, err := Execute(runs)
+	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
@@ -159,13 +153,14 @@ func runServing(scale Scale, seed uint64) (*Report, error) {
 	for li, rho := range loads {
 		row := []string{fmtFloat(rho, 2), fmtFloat(rho*capacityPerSec, 0)}
 		for vi, v := range selectors {
-			st := outs[li*len(selectors)+vi].Result.Serve
+			label := fmt.Sprintf("serving rho=%.2f %s", rho, v.Name)
+			st := res[li*len(selectors)+vi].Serve
 			if st == nil {
-				return nil, fmt.Errorf("harness: serving run %q returned no serving stats", runs[li*len(selectors)+vi].Label)
+				return nil, fmt.Errorf("harness: serving run %q returned no serving stats", label)
 			}
 			if st.Admitted+st.Rejected != st.Arrived || st.Done != st.Admitted {
 				return nil, fmt.Errorf("harness: serving run %q books %d arrived, %d admitted, %d rejected, %d done",
-					runs[li*len(selectors)+vi].Label, st.Arrived, st.Admitted, st.Rejected, st.Done)
+					label, st.Arrived, st.Admitted, st.Rejected, st.Done)
 			}
 			g := st.Tenants[0]
 			gold[v.Name] = append(gold[v.Name], g)
@@ -186,7 +181,7 @@ func runServing(scale Scale, seed uint64) (*Report, error) {
 		Title:   fmt.Sprintf("Per-tenant outcome at ρ=%.2f (Tofu)", loads[kneeIdx]),
 		Columns: []string{"tenant", "class", "arrived", "admitted", "rejected", "done", "SLO met", "goodput/s", "p50", "p95", "p99"},
 	}
-	kneeStats := outs[kneeIdx*len(selectors)+2].Result.Serve
+	kneeStats := res[kneeIdx*len(selectors)+2].Serve
 	for _, ts := range kneeStats.Tenants {
 		tenants.Rows = append(tenants.Rows, []string{
 			ts.Name, ts.Class,

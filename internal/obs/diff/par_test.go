@@ -102,56 +102,3 @@ func TestParDiffAttribution(t *testing.T) {
 		t.Errorf("report does not name top cause %q:\n%s", cause, out)
 	}
 }
-
-// TestParGateSerializedShare: the tolerance gate bounds the
-// serialized-window share when both manifests are profiled, and an
-// out-of-band shift trips it.
-func TestParGateSerializedShare(t *testing.T) {
-	a := parManifest(t, "gate", 5)
-	b := parManifest(t, "gate", 5)
-	tol := DefaultTolerances()
-
-	g := &Gate{}
-	GateManifests(g, a.ID, a, b, tol)
-	if !g.OK() {
-		var buf bytes.Buffer
-		g.Report(&buf)
-		t.Fatalf("identical profiled runs fail the gate:\n%s", buf.String())
-	}
-	// The share check only exists when both sides are profiled: strip
-	// the par sections and the checked-metric count must drop by one.
-	aPlain, bPlain := *a, *b
-	aPlain.Par, bPlain.Par = nil, nil
-	plain := &Gate{}
-	GateManifests(plain, a.ID, &aPlain, &bPlain, tol)
-	if g.Checked != plain.Checked+1 {
-		t.Fatalf("profiled gate checked %d metrics, unprofiled %d; want exactly one more",
-			g.Checked, plain.Checked)
-	}
-
-	// Shift the share beyond the ±5pp band: every parallel window
-	// becomes a serialized one (cause rows adjusted to keep the
-	// manifest internally consistent).
-	extra := b.Par.Windows - b.Par.Serialized
-	b.Par.Causes = append(b.Par.Causes, ledger.ParCause{
-		Cause: "caller-forced", Windows: extra, VirtualNS: b.Par.ParallelNS,
-	})
-	b.Par.Serialized = b.Par.Windows
-	b.Par.SerializedNS += b.Par.ParallelNS
-	b.Par.ParallelNS = 0
-	if err := b.Validate(); err != nil {
-		t.Fatalf("perturbed manifest no longer validates: %v", err)
-	}
-	g = &Gate{}
-	GateManifests(g, a.ID, a, b, tol)
-	if g.OK() {
-		t.Fatal("all-serialized shift stayed inside the ±5pp share band")
-	}
-	var buf bytes.Buffer
-	if err := g.Report(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "par_serialized_share") {
-		t.Errorf("gate report does not name the share check:\n%s", buf.String())
-	}
-}

@@ -1,6 +1,9 @@
 package topology
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Placement names one of the paper's three rank-to-node mappings
 // (paper §II-B, Figure 2).
@@ -30,6 +33,17 @@ func (p Placement) String() string {
 	default:
 		return fmt.Sprintf("Placement(%d)", int(p))
 	}
+}
+
+// ParsePlacement reads a placement by its paper name, the inverse of
+// String: "1/N", "8RR" or "8G", in any letter case.
+func ParsePlacement(s string) (Placement, error) {
+	for _, p := range []Placement{OnePerNode, EightRoundRobin, EightGrouped} {
+		if strings.EqualFold(s, p.String()) {
+			return p, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown placement %q (1/N, 8RR, 8G)", s)
 }
 
 // RanksPerNode returns how many ranks share a compute node under p.

@@ -1,7 +1,9 @@
 package topology
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -287,6 +289,24 @@ func TestPlacementDivisibility(t *testing.T) {
 	}
 	if _, err := NewJob(m, 0, OnePerNode); err == nil {
 		t.Fatal("zero ranks accepted")
+	}
+}
+
+// TestParsePlacement: every placement parses back from its String in
+// any letter case, and anything else names the accepted spellings.
+func TestParsePlacement(t *testing.T) {
+	for _, p := range []Placement{OnePerNode, EightRoundRobin, EightGrouped} {
+		for _, s := range []string{p.String(), strings.ToLower(p.String())} {
+			if got, err := ParsePlacement(s); err != nil || got != p {
+				t.Errorf("ParsePlacement(%q) = %v, %v; want %v", s, got, err, p)
+			}
+		}
+	}
+	for _, s := range []string{"", "N", "8", "1/N "} {
+		_, err := ParsePlacement(s)
+		if want := fmt.Sprintf("unknown placement %q (1/N, 8RR, 8G)", s); err == nil || err.Error() != want {
+			t.Errorf("ParsePlacement(%q) error %v, want %q", s, err, want)
+		}
 	}
 }
 
