@@ -129,6 +129,7 @@ var (
 	// finding is carried by the allowlist.
 	hotRoots = []string{
 		"(*distws/internal/core.engine).startQuantum",
+		"(*distws/internal/core.engine).expand",
 		"(*distws/internal/core.engine).quantumEnd",
 		"(*distws/internal/core.engine).deliver",
 		"(*distws/internal/core.engine).getLoot",
@@ -149,7 +150,6 @@ var (
 		"(*distws/internal/comm.Network).send",
 		"(*distws/internal/fault.Injector).Outcome",
 		"(*distws/internal/fault.Injector).ScaleCompute",
-		"(*distws/internal/fault.Injector).CrashTime",
 		"(*distws/internal/topology.HierarchicalLatency).Latency",
 		"(*distws/internal/topology.JitterLatency).Latency",
 		"(*distws/internal/topology.UniformLatency).Latency",

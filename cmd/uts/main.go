@@ -213,22 +213,8 @@ func main() {
 		fmt.Printf("  work lineage:    max migration depth %d\n", res.MaxMigrationDepth)
 	}
 
-	if st := res.Serve; st != nil {
-		fmt.Printf("\n  open-system serving:\n")
-		fmt.Printf("  horizon:         %v (drained at %v)\n", sim.Duration(*horizonFlag), sim.Duration(st.Finish))
-		fmt.Printf("  jobs:            %d arrived = %d admitted + %d rejected; %d done\n",
-			st.Arrived, st.Admitted, st.Rejected, st.Done)
-		fmt.Printf("  fairness (Jain): %.3f\n", st.Jain)
-		for _, ts := range st.Tenants {
-			class := ts.Class
-			if class == "" {
-				class = "best-effort"
-			}
-			fmt.Printf("    %-8s %-12s arrived %4d  admitted %4d  rejected %4d  slo-met %4d  goodput %8.1f/s\n",
-				ts.Name, class, ts.Arrived, ts.Admitted, ts.Rejected, ts.SLOMet, ts.GoodputPerSec)
-			fmt.Printf("    %-8s %-12s sojourn p50 %v  p95 %v  p99 %v\n",
-				"", "", ts.SojournP50, ts.SojournP95, ts.SojournP99)
-		}
+	if res.Serve != nil {
+		writeServe(os.Stdout, res.Serve, sim.Duration(*horizonFlag))
 	}
 
 	if res.PerRankFaults != nil {
@@ -332,6 +318,28 @@ func main() {
 	if *obsFlag != "" {
 		fmt.Printf("\nrun complete; still serving %s — interrupt to exit\n", *obsFlag)
 		select {}
+	}
+}
+
+// writeServe prints the serving report; lost jobs only when there are.
+func writeServe(w io.Writer, st *serve.Stats, horizon sim.Duration) {
+	fmt.Fprintf(w, "\n  open-system serving:\n")
+	fmt.Fprintf(w, "  horizon:         %v (drained at %v)\n", horizon, sim.Duration(st.Finish))
+	fmt.Fprintf(w, "  jobs:            %d arrived = %d admitted + %d rejected; %d done",
+		st.Arrived, st.Admitted, st.Rejected, st.Done)
+	if lost := st.Lost(); lost > 0 {
+		fmt.Fprintf(w, " + %d lost", lost)
+	}
+	fmt.Fprintf(w, "\n  fairness (Jain): %.3f\n", st.Jain)
+	for _, ts := range st.Tenants {
+		class := ts.Class
+		if class == "" {
+			class = "best-effort"
+		}
+		fmt.Fprintf(w, "    %-8s %-12s arrived %4d  admitted %4d  rejected %4d  slo-met %4d  goodput %8.1f/s\n",
+			ts.Name, class, ts.Arrived, ts.Admitted, ts.Rejected, ts.SLOMet, ts.GoodputPerSec)
+		fmt.Fprintf(w, "    %-8s %-12s sojourn p50 %v  p95 %v  p99 %v\n",
+			"", "", ts.SojournP50, ts.SojournP95, ts.SojournP99)
 	}
 }
 

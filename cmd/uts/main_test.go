@@ -234,3 +234,33 @@ func TestBuildServeSpec(t *testing.T) {
 		t.Fatalf("replay traces wrong: %+v", spec.Tenants)
 	}
 }
+
+// TestServeUnderCrashes: `uts -serve -crash 3@5ms` runs, and its report
+// counts the jobs the crash cost — a count the fault-free report never
+// prints, so serve-smoke's ledger check reads the same line as before.
+func TestServeUnderCrashes(t *testing.T) {
+	tree := uts.MustPreset("T3").Params
+	spec, err := buildServeSpec("poisson:2ms", 2, 40*sim.Millisecond, tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := buildFaultPlan("", "3@5ms", "", 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	report := func(plan *fault.Plan) string {
+		res, err := core.Run(core.Config{Tree: tree, Ranks: 16, Seed: 7, Serve: spec, Faults: plan})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		writeServe(&b, res.Serve, spec.Horizon)
+		return b.String()
+	}
+	if out := report(nil); strings.Contains(out, "lost") {
+		t.Errorf("fault-free report mentions lost jobs:\n%s", out)
+	}
+	if out := report(plan); !strings.Contains(out, " lost\n") {
+		t.Errorf("report of a crashed serving run counts no lost jobs:\n%s", out)
+	}
+}

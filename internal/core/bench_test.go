@@ -42,7 +42,7 @@ func BenchmarkFailedSteal(b *testing.B) {
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, nil)
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func BenchmarkFailedSteal(b *testing.B) {
 	e, rk := engines[0], &engines[0].ranks[0]
 	k.Cancel(rk.quantum)
 	rk.quantum = sim.Event{}
-	rk.stack.Drop()
+	rk.stack.Drop(nil)
 	rk.expNext, rk.expTotal = 0, 0
 	e.goIdle(0)
 

@@ -93,6 +93,39 @@ const (
 	DefaultFaultStealTimeout = 100 * sim.Microsecond
 )
 
+// Backoff controls how idle ranks throttle steal attempts once a long
+// run of consecutive failures indicates global work scarcity. The
+// reference implementation retries immediately forever; simulating
+// 8192 ranks in one address space makes that O(N^2) tail traffic
+// prohibitively expensive, so after Threshold consecutive failures the
+// thief waits Base, doubling up to Max, resetting on success. Set
+// Threshold < 0 to disable (reference-faithful); the ablation bench
+// A6 shows the experiment conclusions are insensitive to this knob.
+type Backoff struct {
+	Threshold int
+	Base, Max sim.Duration
+
+	// BlacklistAfter and BlacklistFor extend the policy under a fault
+	// plan: after BlacklistAfter consecutive timeouts against the same
+	// victim, the thief stops picking it for BlacklistFor of virtual
+	// time (a crashed rank never answers, so retrying it is pure
+	// waste). Zero values select the defaults below. Without a fault
+	// plan the fields are ignored — fault-free timeouts come from the
+	// aborting-steals ablation, where the victim is alive and merely
+	// slow, and skipping it would change the experiment.
+	BlacklistAfter int
+	BlacklistFor   sim.Duration
+}
+
+// DefaultBackoff is used when Config.Backoff is the zero value.
+var DefaultBackoff = Backoff{
+	Threshold:      64,
+	Base:           100 * sim.Microsecond,
+	Max:            2 * sim.Millisecond,
+	BlacklistAfter: 2,
+	BlacklistFor:   1 * sim.Millisecond,
+}
+
 // Config describes one simulated execution.
 type Config struct {
 	// Tree is the UTS workload.
@@ -206,9 +239,10 @@ type Config struct {
 	// own workload); the termination detector is replaced by the open
 	// detector. The serving run is a pure function of (Config, Seed) —
 	// including under Shards >= 2 — and a nil Serve keeps every closed-
-	// system path byte-identical to builds without the feature. Serving
-	// is incompatible with fault plans: job-completion accounting
-	// assumes no work is ever lost.
+	// system path byte-identical to builds without the feature. A fault
+	// plan composes: a job any of whose work a fault destroyed is booked
+	// lost instead of done (serve.Stats.Lost), except under Shards >= 2,
+	// whose window barrier folds no losses.
 	Serve *serve.Spec
 
 	// Seed drives every random choice of the run.
@@ -246,13 +280,21 @@ type Config struct {
 	testDeliveryProbe func(e *engine, m *comm.Message) bool
 }
 
-// serveTenants is the tenant count for serving-metric registration
-// (0 when serving is disabled).
-func (c Config) serveTenants() int {
-	if c.Serve == nil {
-		return 0
+// backoff resolves the backoff policy from the config, blacklist
+// defaults included.
+func (c Config) backoff() Backoff {
+	// The zero value selects the default; Threshold < 0 disables.
+	b := c.BackoffPolicy
+	if (b == Backoff{}) {
+		return DefaultBackoff
 	}
-	return len(c.Serve.Tenants)
+	if b.BlacklistAfter <= 0 {
+		b.BlacklistAfter = DefaultBackoff.BlacklistAfter
+	}
+	if b.BlacklistFor <= 0 {
+		b.BlacklistFor = DefaultBackoff.BlacklistFor
+	}
+	return b
 }
 
 // GranularityCost returns the node cost for a tree whose node creation
@@ -303,33 +345,43 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// exclusions lists the feature pairs that do not compose. Validate
-// reports the first one a configuration asks for, so no run allocates
-// anything before learning it cannot proceed.
+// exclusions lists the feature pairs that do not compose, for a run of
+// a task graph (graph, RunGraph) or of the config's own workload.
+// Config.validate reports the first one a run asks for, so no run
+// allocates anything before learning it cannot proceed.
 var exclusions = []struct {
-	holds func(c *Config) bool
-	msg   string
+	holds func(c *Config, graph bool) bool
+	err   error
 }{
-	{func(c *Config) bool { return c.Shards > c.Ranks },
-		"more shards than ranks (shards must not exceed ranks)"},
-	{func(c *Config) bool {
+	{func(c *Config, _ bool) bool { return c.Shards > c.Ranks },
+		errors.New("core: more shards than ranks (shards must not exceed ranks)")},
+	{func(c *Config, _ bool) bool {
 		_, jitter := c.Latency.(*topology.JitterLatency)
 		return c.Shards > 1 && jitter
-	}, "JitterLatency is stateful and admits no sound lookahead bound; it cannot be sharded"},
-	{func(c *Config) bool {
+	}, errors.New("core: JitterLatency is stateful and admits no sound lookahead bound; it cannot be sharded")},
+	{func(c *Config, _ bool) bool {
 		if c.Shards <= 1 {
 			return false
 		}
 		// Plan.Validate has passed, so Compile cannot fail.
 		inj, _ := fault.Compile(c.Faults, c.Ranks, nil)
 		return inj.NeedsInterposer()
-	}, "fault plans with link faults or straggler send multipliers need the send-path interposer and cannot be sharded"},
-	{func(c *Config) bool { return c.Serve != nil && c.Faults != nil && !c.Faults.Empty() },
-		"serving mode is incompatible with fault plans (job accounting assumes no lost work)"},
+	}, errors.New("core: fault plans with link faults or straggler send multipliers need the send-path interposer and cannot be sharded")},
+	{func(c *Config, _ bool) bool {
+		return c.Shards > 1 && c.Serve != nil && c.Faults != nil && !c.Faults.Empty()
+	},
+		errors.New("core: sharded serving is incompatible with fault plans (the window barrier folds no job losses)")},
+	{func(c *Config, graph bool) bool { return graph && c.Shards > 1 },
+		errors.New("core: a graph run cannot be sharded (dependence counters are shared state)")},
+	{func(c *Config, graph bool) bool { return graph && c.Serve != nil },
+		errors.New("core: a graph run is incompatible with serving mode (job accounting counts tree nodes)")},
 }
 
-// Validate reports configuration errors.
-func (c Config) Validate() error {
+// Validate reports configuration errors of a Run.
+func (c Config) Validate() error { return c.validate(false) }
+
+// validate is Validate for a run of a task graph (graph) or of cfg's.
+func (c Config) validate(graph bool) error {
 	if err := c.Tree.Validate(); err != nil {
 		return err
 	}
@@ -369,8 +421,8 @@ func (c Config) Validate() error {
 		}
 	}
 	for _, x := range exclusions {
-		if x.holds(&c) {
-			return errors.New("core: " + x.msg)
+		if x.holds(&c, graph) {
+			return x.err
 		}
 	}
 	return nil

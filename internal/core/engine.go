@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"distws/internal/comm"
+	"distws/internal/dag"
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/obs/parprof"
@@ -33,39 +34,6 @@ const (
 	// again and everything addressed to it is discarded on arrival.
 	rsCrashed
 )
-
-// Backoff controls how idle ranks throttle steal attempts once a long
-// run of consecutive failures indicates global work scarcity. The
-// reference implementation retries immediately forever; simulating
-// 8192 ranks in one address space makes that O(N^2) tail traffic
-// prohibitively expensive, so after Threshold consecutive failures the
-// thief waits Base, doubling up to Max, resetting on success. Set
-// Threshold < 0 to disable (reference-faithful); the ablation bench
-// A6 shows the experiment conclusions are insensitive to this knob.
-type Backoff struct {
-	Threshold int
-	Base, Max sim.Duration
-
-	// BlacklistAfter and BlacklistFor extend the policy under a fault
-	// plan: after BlacklistAfter consecutive timeouts against the same
-	// victim, the thief stops picking it for BlacklistFor of virtual
-	// time (a crashed rank never answers, so retrying it is pure
-	// waste). Zero values select the defaults below. Without a fault
-	// plan the fields are ignored — fault-free timeouts come from the
-	// aborting-steals ablation, where the victim is alive and merely
-	// slow, and skipping it would change the experiment.
-	BlacklistAfter int
-	BlacklistFor   sim.Duration
-}
-
-// DefaultBackoff is used when Config.Backoff is the zero value.
-var DefaultBackoff = Backoff{
-	Threshold:      64,
-	Base:           100 * sim.Microsecond,
-	Max:            2 * sim.Millisecond,
-	BlacklistAfter: 2,
-	BlacklistFor:   1 * sim.Millisecond,
-}
 
 // rank is the per-rank engine state, one element of the engine's rank
 // slab. The layout is a cache-line budget (DESIGN.md §10,
@@ -207,17 +175,9 @@ type engine struct {
 	detectedAt sim.Time
 	detected   bool
 
-	// sv is the open-system serving state (engine_serve.go): nil for
-	// closed-system runs, shared across the shard engines of a sharded
-	// serving run. svDelta and svLastDec are this engine's per-window
-	// job-accounting deltas, folded at barriers (sharded runs only).
-	sv        *serveState
-	svDelta   []int64
-	svLastDec []sim.Time
-
-	// dag is the task-graph workload's state (engine_dag.go): nil for
-	// tree runs.
-	dag *dagState
+	// w is what the ranks work on (workload.go), shared by the shard
+	// engines of a sharded run.
+	w workload
 
 	// par links the engine into a sharded run (engine_par.go): nil for
 	// sequential runs, where every field above is engine-global. In a
@@ -354,30 +314,46 @@ type RankFault struct {
 // Run executes the configured simulation to termination and returns its
 // results. The run is deterministic: identical configurations produce
 // identical results.
-func Run(cfg Config) (*Result, error) { return run(cfg, nil) }
+func Run(cfg Config) (*Result, error) {
+	res, _, err := run(cfg, nil)
+	return res, err
+}
 
-// run is Run and RunGraph: the workload is cfg.Tree (or cfg.Serve's
-// jobs) when d is nil, d's task graph otherwise.
-func run(cfg Config, d *dagState) (*Result, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+// run is Run and RunGraph. It checks cfg against its workload — g's task
+// graph when g is not nil, cfg.Serve's jobs or cfg.Tree otherwise —
+// before building anything, runs it, and hands the workload back with
+// the result.
+func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
+	if err := cfg.validate(g != nil); err != nil {
+		return nil, nil, err
 	}
+	cfg = cfg.withDefaults()
 	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	var w workload = treeWork{}
+	switch {
+	case g != nil:
+		w, err = newGraphWork(g)
+	case cfg.Serve != nil:
+		w, err = compileServe(&cfg)
+	}
+	if err != nil {
+		return nil, nil, err
 	}
 	if cfg.Shards > 1 {
-		return runSharded(cfg, job)
+		res, err := runSharded(cfg, job, w)
+		return res, w, err
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, d)
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := k.Run(); err != nil {
-		return nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
+		return nil, nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
 			k.Now(), k.Dispatched(), err)
 	}
 	res, err := result(engines)
@@ -386,33 +362,25 @@ func run(cfg Config, d *dagState) (*Result, error) {
 		// run's shape so profiling tooling needs no special casing.
 		res.Par = parprof.New(1, 0)
 	}
-	return res, err
+	return res, w, err
 }
 
 // newEngines is the one constructor: it builds the engine of a
 // sequential run (one kernel, ps nil) or the shard engines of a sharded
-// one (a kernel per shard, ps their coordinator state), seeds the work
-// — the tree's root, the roots of d's graph when d is not nil, nothing
-// when serving — and pre-schedules every planned event, so the caller
-// only has to run the kernel(s). The engines share the detector,
-// selector, recorders, metrics registry, injector, serve state and rank
-// slab; each owns its kernel, its network, its timer callbacks, its
-// counters and its link tally. Everything that acts on a rank — its
-// crash, its first idle transition, a job arrival rooted at it — goes
-// through the engine owning that rank.
-func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, d *dagState) ([]*engine, error) {
+// one (a kernel per shard, ps their coordinator state), pre-schedules
+// every planned crash and lets w seed the run, so the caller only has
+// to run the kernel(s). The engines share the workload, detector,
+// selector, recorders, metrics registry, injector and rank slab; each
+// owns its kernel, its network, its timer callbacks, its counters and
+// its link tally. Everything that acts on a rank — its crash, its first
+// idle transition, a job arrival rooted at it — goes through the engine
+// owning that rank.
+func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
 		return nil, err
 	}
-	sv, err := compileServe(cfg)
-	if err != nil {
-		return nil, err
-	}
-	det := cfg.Detector(cfg.Ranks)
-	if sv != nil {
-		det = openDetector{}
-	}
+	det := w.detector(cfg)
 	var rec *trace.Recorder
 	var ev *obs.Recorder
 	if cfg.CollectTrace || cfg.CollectEvents {
@@ -445,27 +413,18 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			sel:        sel,
 			rec:        rec,
 			ev:         ev,
-			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil, cfg.serveTenants()),
+			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
 			ranks:      ranks,
 			rankID:     rankID,
 			backoffCfg: cfg.backoff(),
 			inj:        inj,
-			sv:         sv,
+			w:          w,
 			par:        ps,
 		}
 		e.bindTimers()
 		e.net.SetDeliveryHook(e.deliveryHook())
 		if ps != nil {
 			e.net.SetRouter(ps.router(s))
-			if sv != nil {
-				// Job accounting travels from the parallel windows to the
-				// barrier fold in per-engine delta arrays.
-				e.svDelta = make([]int64, len(sv.sched.Jobs))
-				e.svLastDec = make([]sim.Time, len(sv.sched.Jobs))
-				for i := range e.svLastDec {
-					e.svLastDec[i] = -1
-				}
-			}
 		}
 		engines[s] = e
 	}
@@ -488,37 +447,16 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			oe.kernel.At(c.At, func() { oe.crashRank(r) })
 		}
 	}
-
-	// Closed system: rank 0 owns the root and everyone else starts
-	// searching at t = 0; a graph's roots are dealt out instead (RunGraph
-	// keeps graphs sequential and closed). Serving: no pre-seeded root —
-	// every rank starts idle, and the compiled arrivals drive the run
-	// until the horizon tick, which also keeps the first kernel (and hence
-	// a sharded run's windows) alive through a quiet arrival plan.
-	idleFrom := 0
-	switch {
-	case d != nil:
-		e0.dag = d
-		idleFrom = e0.seedGraph()
-	case sv == nil:
-		ranks[0].stack.Push(cfg.Tree.Root())
-		ranks[0].generated++
-		e0.rec.Record(0, 0, trace.Active)
-		e0.startQuantum(0)
-		idleFrom = 1
-	}
-	for r := idleFrom; r < cfg.Ranks; r++ {
-		e0.owner(r).goIdle(r)
-	}
-	if sv != nil {
-		sv.resolveFn = e0.svResolve
-		for i := range sv.sched.Jobs {
-			idx, oe := i, e0.owner(int(sv.sched.Jobs[i].Root))
-			oe.kernel.At(sv.sched.Jobs[i].At, func() { oe.svArrive(idx) })
-		}
-		e0.kernel.At(sv.horizonAt, e0.svHorizon)
-	}
+	w.seed(e0)
 	return engines, nil
+}
+
+// idleFrom starts ranks r0 and up idle: each opens a discovery session
+// and sends its first steal request.
+func (e *engine) idleFrom(r0 int) {
+	for r := r0; r < e.cfg.Ranks; r++ {
+		e.owner(r).goIdle(r)
+	}
 }
 
 // rankOf recovers r from a timer argument, which is &e.rankID[r].
@@ -550,92 +488,23 @@ func (e *engine) owner(r int) *engine {
 	return e.par.engines[e.par.shardOf[r]]
 }
 
-// backoff resolves the backoff policy from the config, blacklist
-// defaults included.
-func (c Config) backoff() Backoff {
-	// The zero value selects the default; Threshold < 0 disables.
-	b := c.BackoffPolicy
-	if (b == Backoff{}) {
-		return DefaultBackoff
-	}
-	if b.BlacklistAfter <= 0 {
-		b.BlacklistAfter = DefaultBackoff.BlacklistAfter
-	}
-	if b.BlacklistFor <= 0 {
-		b.BlacklistFor = DefaultBackoff.BlacklistFor
-	}
-	return b
-}
-
-// startQuantum expands up to PollInterval nodes from rank r's stack and
-// schedules the quantum-end event after the corresponding virtual
-// compute time (plus any accumulated steal-response overhead). The
-// stack mutation happens eagerly; it becomes observable to thieves at
-// quantum end, which is when the rank polls its mailbox — matching a
-// two-sided MPI process that only makes communication progress between
-// node expansions.
+// startQuantum runs rank r's next quantum — whatever the workload
+// executes — and schedules the quantum-end event after the virtual time
+// it costs (plus any accumulated steal-response overhead). The stack
+// mutation happens eagerly; it becomes observable to thieves at quantum
+// end, which is when the rank polls its mailbox — matching a two-sided
+// MPI process that only makes communication progress between node
+// expansions.
 func (e *engine) startQuantum(r int) {
 	rk := &e.ranks[r]
 	rk.state = rsWorking
 	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(rk.stack.Len()))
-	if e.dag != nil {
-		e.startTask(r)
-		return
-	}
-	// Expansion cost is dominated by child generation (one hash chain
-	// per child), so a leaf costs one unit and an internal node one
-	// unit per child. Child generation is resumable: a quantum ends
-	// after PollInterval units even in the middle of a high-fanout
-	// node, so the rank keeps polling at a bounded period.
-	start := rk.units
-	for rk.units-start < uint64(e.cfg.PollInterval) {
-		if rk.expNext < rk.expTotal {
-			rk.stack.Push(rk.gen.Child(rk.expNext))
-			rk.expNext++
-			rk.units++
-			rk.generated++
-			continue
-		}
-		node, ok := rk.stack.Pop()
-		if !ok {
-			break
-		}
-		rk.nodes++
-		if node.Height > rk.maxDepth {
-			rk.maxDepth = node.Height
-		}
-		tree := &e.cfg.Tree
-		if e.sv != nil {
-			// Serving: each job's nodes expand under the job's own
-			// params. A rank pops long runs of one job's nodes, so the
-			// schedule is consulted only when the job changes.
-			if rk.job == nil || rk.job.ID != node.Job {
-				rk.job = &e.sv.sched.Jobs[node.Job]
-			}
-			tree = &rk.job.Tree
-		}
-		nchild := rk.gen.Reset(tree, &node)
-		if nchild == 0 {
-			rk.leaves++
-			rk.units++
-			if e.sv != nil {
-				e.svConsume(node.Job, -1)
-			}
-			continue
-		}
-		if e.sv != nil && nchild > 1 {
-			e.svConsume(node.Job, int64(nchild-1))
-		}
-		rk.expNext = 0
-		rk.expTotal = nchild
-	}
-	compute := sim.Duration(rk.units-start) * e.cfg.NodeCost
+	compute, stall := e.w.execute(e, r)
 	if e.inj != nil {
 		compute = e.inj.ScaleCompute(r, compute)
 	}
-	dur := compute + rk.extraDelay
+	rk.quantum = e.kernel.AfterArg(compute+stall+rk.extraDelay, e.quantumEndFn, &e.rankID[r])
 	rk.extraDelay = 0
-	rk.quantum = e.kernel.AfterArg(dur, e.quantumEndFn, &e.rankID[r])
 }
 
 func (e *engine) quantumEnd(r int) {
@@ -644,9 +513,7 @@ func (e *engine) quantumEnd(r int) {
 	if rk.state == rsDone || rk.state == rsCrashed {
 		return
 	}
-	if e.dag != nil {
-		e.completeTask(r)
-	}
+	e.w.settle(e, r)
 	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(rk.units))
 	e.pollMailbox(r)
 	if rk.state == rsDone {
@@ -777,10 +644,10 @@ func (e *engine) abortSteal(r int) {
 	e.retryOrBackoff(r)
 }
 
-// crashRank fail-stops rank r at the current virtual time: its stack
-// and queued mailbox die with it, the termination ring heals around
-// the corpse (regenerating any token it held), and every later
-// delivery to it is discarded on arrival.
+// crashRank fail-stops rank r at the current virtual time: its stack,
+// its quantum's work and its queued mailbox die with it, the
+// termination ring heals around the corpse (regenerating any token it
+// held), and every later delivery to it is discarded on arrival.
 func (e *engine) crashRank(r int) {
 	rk := &e.ranks[r]
 	if rk.state == rsDone || rk.state == rsCrashed {
@@ -788,18 +655,17 @@ func (e *engine) crashRank(r int) {
 	}
 	now := e.kernel.Now()
 	wasWorking := rk.state == rsWorking
-	stackLost := uint64(rk.stack.Drop())
+	stack := rk.stack.Drop(e.getLoot())
+	stackLost := e.destroy(r, r, stack)
+	e.loot = append(e.loot, stack[:0])
 	rk.expNext, rk.expTotal = 0, 0 // staged children were never generated
 	rk.crashedAt = now
-	rk.lostNodes += stackLost
-	e.lostNodes += stackLost
 	e.crashes++
 	e.kernel.Cancel(rk.quantum)
 	rk.quantum = sim.Event{}
 	rk.state = rsCrashed
 	e.ev.Record(r, now, trace.EvCrash, -1, int64(stackLost))
 	e.met.crashes.Inc()
-	e.met.lostNodes.Add(stackLost)
 	if wasWorking {
 		e.rec.Record(r, now, trace.Idle)
 	} else {
@@ -834,28 +700,34 @@ func (e *engine) crashRank(r int) {
 // count is resolved so the termination detector does not wait forever
 // for a receive that cannot happen.
 func (e *engine) deadLetter(m *comm.Message) {
-	e.ev.Record(m.From, e.kernel.Now(), trace.EvMsgDrop, m.To, int64(len(m.Nodes)))
-	if m.Tag == comm.TagWork {
-		e.noteWorkLost(m)
-	}
+	e.onMessageDrop(m)
 	e.net.Free(m)
 }
 
 // noteWorkLost books a work message destroyed by a fault (dropped on a
 // link, or dead-lettered at a crashed rank).
 func (e *engine) noteWorkLost(m *comm.Message) {
-	n := uint64(len(m.Nodes))
-	e.lostNodes += n
+	e.destroy(m.From, -1, m.Nodes)
 	e.lostMsgs++
-	e.ranks[m.From].lostNodes += n
 	e.det.WorkLost(m.From)
-	e.met.lostNodes.Add(n)
 	e.met.lostMessages.Inc()
 	e.scheduleReprobe()
 }
 
+// destroy books nodes a fault destroyed (and, when crashed >= 0, the
+// work that rank's cancelled quantum had in hand) against owner, in the
+// loss ledger and in the workload's terms, and returns how many died.
+func (e *engine) destroy(owner, crashed int, nodes []uts.Node) uint64 {
+	n := uint64(len(nodes)) + e.w.lose(e, crashed, nodes)
+	e.lostNodes += n
+	e.ranks[owner].lostNodes += n
+	e.met.lostNodes.Add(n)
+	return n
+}
+
 // onMessageDrop is the injector's drop observer: it runs inside the
-// send path, before the network reclaims the message.
+// send path, before the network reclaims the message. deadLetter calls
+// it too.
 func (e *engine) onMessageDrop(m *comm.Message) {
 	e.ev.Record(m.From, e.kernel.Now(), trace.EvMsgDrop, m.To, int64(len(m.Nodes)))
 	if m.Tag == comm.TagWork {
@@ -929,7 +801,7 @@ func (e *engine) reprobeSurvivor() {
 // consumed here. A crashed rank answers nothing: the message is dead-
 // lettered, with lost loot resolved against the sender. A done rank
 // also handles its traffic at once, behind whatever backlog it was
-// retired with (serveFinish can retire a rank in mid-quantum). A
+// retired with (a serving run's finish can retire one mid-quantum). A
 // working rank makes communication progress only between node
 // expansions, so the hook declines and the message waits in the
 // mailbox — the rank's one backlog — for the poll at quantum end;
@@ -988,9 +860,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 			// completed + lost == generated holds even then — but not
 			// as a lost message, which would mask the prematurity.
 			if e.inj != nil {
-				n := uint64(len(m.Nodes))
-				e.lostNodes += n
-				e.ranks[m.From].lostNodes += n
+				e.destroy(m.From, -1, m.Nodes)
 			}
 			return
 		}
@@ -1023,25 +893,17 @@ func (e *engine) handle(r int, m *comm.Message) {
 		e.noteMigration(m.Lineage)
 		e.ev.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
 		e.met.stealSuccess.Inc()
-		switch rk.state {
-		case rsSearching, rsBackoff:
-			if rk.state == rsSearching && m.ID == rk.reqID {
-				rk.searchWait += now.Sub(rk.waitStart)
-				e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
-			}
-			rk.pendingVictim = -1
-			e.rec.SessionAttempt(r, false)
-			e.rec.EndSession(r, now, true)
-			e.met.session.Observe(int64(now.Sub(rk.idleSince)))
-			e.rec.Record(r, now, trace.Active)
-			rk.stack.Acquire(m.Nodes)
-			e.putLoot(m)
-			e.startQuantum(r)
-		case rsWorking:
-			// Late reply to an aborted request: just bank the nodes.
-			rk.stack.Acquire(m.Nodes)
-			e.putLoot(m)
+		rk.stack.Acquire(m.Nodes)
+		e.putLoot(m)
+		if rk.state == rsWorking {
+			return // a late reply to an aborted request: the nodes are banked
 		}
+		if rk.state == rsSearching && m.ID == rk.reqID {
+			rk.searchWait += now.Sub(rk.waitStart)
+			e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
+		}
+		e.rec.SessionAttempt(r, false)
+		e.resume(r)
 
 	case comm.TagNoWork:
 		if rk.state == rsDone {
@@ -1082,6 +944,37 @@ func (e *engine) handle(r int, m *comm.Message) {
 
 	default:
 		panic(fmt.Sprintf("core: unexpected tag %v", m.Tag))
+	}
+}
+
+// resume starts idle rank r on what just reached its stack — loot, or a
+// served job's root: its discovery session ends. A pending steal reply
+// becomes stale: NoWork fails the reqID check and loot is banked.
+func (e *engine) resume(r int) {
+	rk := &e.ranks[r]
+	now := e.kernel.Now()
+	rk.pendingVictim = -1
+	e.rec.EndSession(r, now, true)
+	e.met.session.Observe(int64(now.Sub(rk.idleSince)))
+	e.rec.Record(r, now, trace.Active)
+	e.startQuantum(r)
+}
+
+// injectNode roots a served job at rank r: a working rank banks it, an
+// idle one resumes on it, a crashed one destroys it (a done one never
+// gets one: a serving run finishes after its last arrival).
+func (e *engine) injectNode(r int, node uts.Node) {
+	rk := &e.ranks[r]
+	rk.generated++
+	switch rk.state {
+	case rsCrashed:
+		e.destroy(r, -1, []uts.Node{node})
+	case rsWorking:
+		rk.stack.Push(node)
+	default:
+		rk.lineage = 0
+		rk.stack.Push(node)
+		e.resume(r)
 	}
 }
 
@@ -1342,9 +1235,7 @@ func result(engines []*engine) (*Result, error) {
 	}
 	res.MeanSearchTime = totalSearch / sim.Duration(e.cfg.Ranks)
 	res.SequentialTime = sim.Duration(totalUnits) * e.cfg.NodeCost
-	if e.dag != nil {
-		res.SequentialTime = e.dag.g.TotalCost
-	}
+	e.w.report(e, res)
 	if res.Makespan > 0 {
 		res.Speedup = float64(res.SequentialTime) / float64(res.Makespan)
 		res.Efficiency = res.Speedup / float64(e.cfg.Ranks)
@@ -1381,9 +1272,6 @@ func result(engines []*engine) (*Result, error) {
 				Blacklists: rk.blacklists,
 			}
 		}
-	}
-	if e.sv != nil {
-		res.Serve = e.sv.sched.Stats(e.sv.doneAt, e.detectedAt)
 	}
 	if e.rec != nil {
 		res.Trace = e.rec.Finish(e.detectedAt)

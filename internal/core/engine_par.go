@@ -180,7 +180,7 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 // runSharded executes cfg across cfg.Shards window-synchronized shard
 // engines. Reached from Run once the config validated and the job
 // placed; cfg.Shards >= 2 here.
-func runSharded(cfg Config, job *topology.Job) (*Result, error) {
+func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
 	shards := cfg.Shards
 	shardOf := make([]int, cfg.Ranks)
 	for r := range shardOf {
@@ -220,7 +220,7 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 	// The engines are built — and the work seeded — exactly as the
 	// sequential run's one engine is, single-threaded: the windows have
 	// not started.
-	engines, err := newEngines(cfg, job, kernels, ps, nil)
+	engines, err := newEngines(cfg, job, kernels, ps, w)
 	if err != nil {
 		return nil, err
 	}
@@ -229,11 +229,11 @@ func runSharded(cfg Config, job *topology.Job) (*Result, error) {
 		Serialize: ps.serializeWindow,
 		OnWindow: func(info par.WindowInfo) {
 			ps.serialized = info.Serialized
-			if engines[0].sv != nil {
+			if sw, serving := w.(*serveWork); serving {
 				// Workers are quiescent and the upcoming window has not
-				// started: fold the job-accounting deltas, complete the
+				// started: fold the job-accounting deltas, book the
 				// drained jobs, and decide the finish.
-				ps.serveBarrier(info)
+				ps.serveBarrier(sw, info)
 			}
 			if ps.prof == nil {
 				return

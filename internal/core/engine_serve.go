@@ -1,36 +1,21 @@
 package core
 
-// Open-system serving mode (DESIGN.md §15): Config.Serve turns the
-// closed-system batch engine into a continuously loaded job service.
-// The entire arrival schedule — instants, admission verdicts,
-// placements, per-job workloads — is compiled before the simulation
-// starts (internal/serve), so the engine merely replays it: arrival
-// events are pre-scheduled on the kernel owning each job's placement
-// rank (the same pattern as crash pre-scheduling), and the run ends
-// when the horizon has passed and every admitted job has drained.
-//
-// Job-completion accounting rides a per-job live-node counter: the
-// injected root counts one, expanding an internal node adds
-// (children - 1), and consuming a leaf subtracts one. A job's nodes
+// Served UTS jobs (DESIGN.md §15) replay a schedule compiled before the
+// run (internal/serve). Job accounting rides a per-job live-node count:
+// the root counts one, expanding an internal node adds (children - 1),
+// and a consumed leaf or a node a fault destroyed (staged children
+// included) subtracts one, a destroyed one marking the job lost. Nodes
 // are tagged (uts.Node.Job) and follow the work wherever steals carry
-// it, so live[j] reaching zero means no node of job j exists anywhere
-// — stacks, staged expansions, or in-flight loot.
-//
-// Under Shards >= 2 the counter cannot be shared: pops happen inside
-// parallel windows on many engines at once. Each shard engine instead
-// accumulates deltas (svDelta) and latches its last dec instant
-// (svLastDec); the coordinator folds them into the shared counters at
-// each window barrier — workers quiescent, single-threaded — where it
-// also decides the finish. The serving detector never serializes a
-// window (it implements term.DecisionAware with a constant false), so
-// serving runs keep the parallel kernel parallel. Sequential runs
-// resolve completions on a zero-delay event instead, which keeps
-// resolution out of the middle of startQuantum's expansion loop.
-//
-// Closed-system runs never touch any of this: every hook is behind a
-// nil check on engine.sv, and TestGoldenFig9 pins byte-identity.
+// it, so a count reaching zero means no node of the job exists, and it
+// is booked done, or lost. Sequential runs book on a zero-delay event,
+// out of expand's loop; under Shards >= 2 each shard accumulates deltas
+// the window barrier folds (serveBarrier) — a fold that carries no
+// losses, which is why Validate keeps fault plans out of sharded serving.
 
 import (
+	"strconv"
+
+	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/sim/par"
@@ -57,27 +42,42 @@ func (openDetector) Terminated() bool                          { return false }
 func (openDetector) Rounds() int                               { return 0 }
 func (openDetector) IdleDecisionPossible(int) bool             { return false }
 
-// serveState is the run-wide serving bookkeeping. In a sharded run it
-// is shared by the shard engines like ranks/det/sel: the slices are
-// written only by a job's owning engine during windows (arrival
+// serveWork is the served-jobs workload. In a sharded run its slices
+// are written only by a job's owning engine during windows (arrival
 // injection) or by the coordinator at barriers (delta folding,
-// completion), never concurrently.
-type serveState struct {
+// booking), never concurrently.
+type serveWork struct {
 	sched *serve.Schedule
 
 	// live[j] is job j's node population; zero after injection means
-	// the job fully drained. doneAt[j] is the completion instant (-1
-	// while running); lastDec[j] the sequential dec-to-zero latch.
+	// the job is resolved. doneAt[j] is its completion instant (-1 while
+	// running, and for a lost job), lastDec[j] the instant live[j]
+	// reached zero, and lost[j] marks a job a fault took work from.
 	live    []int64
 	doneAt  []sim.Time
 	lastDec []sim.Time
+	lost    []bool
 
-	doneJobs  int
-	horizonAt sim.Time
+	doneJobs, lostJobs int
+	horizonAt          sim.Time
 
-	// Sequential-engine resolve machinery: completions detected inside
-	// startQuantum are parked in pending and resolved by a zero-delay
-	// event, so the finish never retires a rank in mid-expansion.
+	// met holds the serving metric handles (instrument.go), nil without
+	// a registry.
+	met struct {
+		arrived, admitted, rejected, done, lost *obs.Counter
+		sojourn                                 *obs.Histogram
+		tenantSojourn                           []*obs.Histogram
+	}
+
+	// delta and lastDecs hold, at s*len(live)+j, shard s's accounting
+	// delta and latest dec instant (-1 for none) for job j since the last
+	// barrier (sharded runs only).
+	delta    []int64
+	lastDecs []sim.Time
+
+	// Sequential resolve machinery: jobs whose count reached zero are
+	// parked in pending and booked by a zero-delay event, so the finish
+	// never retires a rank in mid-expansion.
 	horizonTicked bool
 	pending       []uint32
 	armed         bool
@@ -85,203 +85,227 @@ type serveState struct {
 	finished      bool
 }
 
-func newServeState(sched *serve.Schedule) *serveState {
-	n := len(sched.Jobs)
-	sv := &serveState{
-		sched:     sched,
-		live:      make([]int64, n),
-		doneAt:    make([]sim.Time, n),
-		lastDec:   make([]sim.Time, n),
-		horizonAt: sim.Time(0).Add(sched.Spec.Horizon),
-	}
-	for i := range sv.doneAt {
-		sv.doneAt[i] = -1
-		sv.lastDec[i] = -1
-	}
-	return sv
-}
-
-// compileServe builds the schedule and serve state for a validated
-// config (nil when serving is disabled).
-func compileServe(cfg Config) (*serveState, error) {
-	if cfg.Serve == nil {
-		return nil, nil
-	}
+// compileServe builds the schedule and serving state for a validated
+// config.
+func compileServe(cfg *Config) (workload, error) {
 	sched, err := serve.Compile(cfg.Serve, cfg.Ranks, cfg.Seed, cfg.NodeCost)
 	if err != nil {
 		return nil, err
 	}
-	return newServeState(sched), nil
+	n := len(sched.Jobs)
+	w := &serveWork{
+		sched:     sched,
+		live:      make([]int64, n),
+		doneAt:    make([]sim.Time, n),
+		lastDec:   make([]sim.Time, n),
+		lost:      make([]bool, n),
+		horizonAt: sim.Time(0).Add(sched.Spec.Horizon),
+	}
+	for i := range w.doneAt {
+		w.doneAt[i], w.lastDec[i] = -1, -1
+	}
+	m := &w.met
+	m.tenantSojourn = make([]*obs.Histogram, len(cfg.Serve.Tenants))
+	if reg := cfg.Metrics; reg != nil {
+		m.arrived, m.admitted = reg.Counter(MetricJobsArrived), reg.Counter(MetricJobsAdmitted)
+		m.rejected, m.done = reg.Counter(MetricJobsRejected), reg.Counter(MetricJobsDone)
+		m.sojourn = reg.Histogram(MetricJobSojourn)
+		for i := range m.tenantSojourn {
+			m.tenantSojourn[i] = reg.Histogram(MetricJobSojourn + "_tenant" + strconv.Itoa(i))
+		}
+		if cfg.Faults != nil && !cfg.Faults.Empty() {
+			m.lost = reg.Counter(MetricJobsLost)
+		}
+	}
+	if cfg.Shards > 1 {
+		w.delta, w.lastDecs = make([]int64, cfg.Shards*n), make([]sim.Time, cfg.Shards*n)
+		for i := range w.lastDecs {
+			w.lastDecs[i] = -1
+		}
+	}
+	return w, nil
 }
 
-// svArrive replays one compiled arrival: record the arrival and its
+func (*serveWork) detector(Config) term.Detector { return openDetector{} }
+
+// seed starts every rank idle and schedules the compiled arrivals and
+// the horizon tick, which also keeps the first kernel (and hence a
+// sharded run's windows) alive through a quiet arrival plan.
+func (w *serveWork) seed(e *engine) {
+	e.idleFrom(0)
+	w.resolveFn = func() { w.resolve(e) }
+	for i := range w.sched.Jobs {
+		idx, oe := i, e.owner(int(w.sched.Jobs[i].Root))
+		oe.kernel.At(w.sched.Jobs[i].At, func() { w.arrive(oe, idx) })
+	}
+	e.kernel.At(w.horizonAt, func() { w.horizon(e) })
+}
+
+func (w *serveWork) execute(e *engine, r int) (sim.Duration, sim.Duration) { return e.expand(r, w), 0 }
+
+func (*serveWork) settle(*engine, int) {}
+
+// lose takes destroyed nodes, and the children a crashed rank had
+// staged, away from their jobs.
+func (w *serveWork) lose(e *engine, crashed int, nodes []uts.Node) uint64 {
+	if crashed >= 0 {
+		if rk := &e.ranks[crashed]; rk.expNext < rk.expTotal {
+			w.drop(e, rk.job.ID, int64(rk.expTotal-rk.expNext))
+		}
+	}
+	for i := range nodes {
+		w.drop(e, nodes[i].Job, 1)
+	}
+	return 0
+}
+
+func (w *serveWork) report(e *engine, res *Result) { res.Serve = w.sched.Stats(w.doneAt, e.detectedAt) }
+
+// arrive replays one compiled arrival: record the arrival and its
 // admission verdict, and inject the job's root at the placement rank.
 // Runs on the engine owning the rank (in sharded mode, inside a
 // parallel window — it touches only this shard's ranks, this job's
 // slots, and atomic counters).
-func (e *engine) svArrive(idx int) {
-	sv := e.sv
-	j := &sv.sched.Jobs[idx]
+func (w *serveWork) arrive(e *engine, idx int) {
+	j := &w.sched.Jobs[idx]
 	now := e.kernel.Now()
 	root, tenant := int(j.Root), int(j.Tenant)
 	e.ev.Record(root, now, trace.EvJobArrive, tenant, int64(j.ID))
-	e.met.jobsArrived.Inc()
+	w.met.arrived.Inc()
 	if !j.Admitted {
 		e.ev.Record(root, now, trace.EvJobReject, tenant, int64(j.ID))
-		e.met.jobsRejected.Inc()
+		w.met.rejected.Inc()
 		return
 	}
 	e.ev.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
-	e.met.jobsAdmitted.Inc()
-	sv.live[idx]++
+	w.met.admitted.Inc()
+	w.live[idx]++
 	e.injectNode(root, j.Node)
 }
 
-// injectNode roots a fresh job at rank r, mirroring the
-// work-acceptance half of the TagWork handler: an idle rank ends its
-// discovery session and starts computing; a working rank banks the
-// node into its stack.
-func (e *engine) injectNode(r int, node uts.Node) {
-	rk := &e.ranks[r]
-	now := e.kernel.Now()
-	rk.generated++
-	switch rk.state {
-	case rsWorking:
-		rk.stack.Push(node)
-	case rsSearching, rsBackoff:
-		// A pending steal reply becomes stale: TagNoWork is dropped by
-		// the reqID check and TagWork loot is banked, so clearing the
-		// victim here loses nothing.
-		rk.pendingVictim = -1
-		rk.lineage = 0
-		e.rec.EndSession(r, now, true)
-		e.met.session.Observe(int64(now.Sub(rk.idleSince)))
-		e.rec.Record(r, now, trace.Active)
-		rk.stack.Push(node)
-		e.startQuantum(r)
-	case rsDone, rsCrashed:
-		// Unreachable: the run only finishes after every admitted job
-		// drained, and serving excludes fault plans.
-	}
-}
-
-// svConsume books a node expansion against its job: d is
+// consume books a node expansion on rank r against its job: d is
 // (children - 1) for an internal node and -1 for a leaf. Called from
-// startQuantum's expansion loop.
-func (e *engine) svConsume(job uint32, d int64) {
-	if e.par != nil {
-		// Parallel window: engine-local delta, folded at the barrier.
-		e.svDelta[job] += d
+// expand's loop.
+func (w *serveWork) consume(e *engine, r int, job uint32, d int64) {
+	if w.delta != nil {
+		// Parallel window: shard-local delta, folded at the barrier.
+		i := e.par.shardOf[r]*len(w.live) + int(job)
+		w.delta[i] += d
 		if d < 0 {
-			e.svLastDec[job] = e.kernel.Now()
+			w.lastDecs[i] = e.kernel.Now()
 		}
 		return
 	}
-	sv := e.sv
-	sv.live[job] += d
-	if d < 0 && sv.live[job] == 0 {
-		sv.lastDec[job] = e.kernel.Now()
-		sv.pending = append(sv.pending, job)
-		if !sv.armed {
-			sv.armed = true
-			e.kernel.After(0, sv.resolveFn)
-		}
+	if w.live[job] += d; d < 0 && w.live[job] == 0 {
+		w.park(e, job)
 	}
 }
 
-// svResolve drains the sequential completion queue: each parked job
-// that has really drained completes.
-func (e *engine) svResolve() {
-	sv := e.sv
-	sv.armed = false
-	for i := 0; i < len(sv.pending); i++ {
-		if job := sv.pending[i]; sv.live[job] == 0 && sv.doneAt[job] < 0 {
-			e.svComplete(job)
-		}
+// drop takes n destroyed nodes away from job, which is then booked lost
+// once the rest of it is gone (sequential runs only).
+func (w *serveWork) drop(e *engine, job uint32, n int64) {
+	w.lost[job] = true
+	if w.live[job] -= n; w.live[job] == 0 {
+		w.park(e, job)
 	}
-	sv.pending = sv.pending[:0]
-	e.serveFinish(e.kernel.Now())
 }
 
-// svComplete books a job whose live count hit zero as done, at the
-// instant of its last leaf (lastDec).
-func (e *engine) svComplete(job uint32) {
-	sv := e.sv
-	j := &sv.sched.Jobs[job]
-	at := sv.lastDec[job]
-	sv.doneAt[job] = at
-	sv.doneJobs++
+// park queues job, whose count just reached zero, for the resolve event.
+func (w *serveWork) park(e *engine, job uint32) {
+	w.lastDec[job] = e.kernel.Now()
+	w.pending = append(w.pending, job)
+	if !w.armed {
+		w.armed = true
+		e.kernel.After(0, w.resolveFn)
+	}
+}
+
+// resolve books the parked jobs and checks for the finish.
+func (w *serveWork) resolve(e *engine) {
+	w.armed = false
+	for _, job := range w.pending {
+		w.book(e, job)
+	}
+	w.pending = w.pending[:0]
+	w.finish(e, e.kernel.Now())
+}
+
+// book resolves a job whose count reached zero, at that instant
+// (lastDec): lost if a fault destroyed any of its work, done otherwise.
+// The sequential resolve event and the sharded barrier both book here.
+func (w *serveWork) book(e *engine, job uint32) {
+	j := &w.sched.Jobs[job]
+	at := w.lastDec[job]
+	if w.lost[job] {
+		w.lostJobs++
+		e.ev.Record(int(j.Root), at, trace.EvJobLost, int(j.Tenant), int64(j.ID))
+		w.met.lost.Inc()
+		return
+	}
+	w.doneAt[job] = at
+	w.doneJobs++
 	e.ev.Record(int(j.Root), at, trace.EvJobDone, int(j.Tenant), int64(j.ID))
 	sojourn := int64(at.Sub(j.At))
-	e.met.jobsDone.Inc()
-	e.met.jobSojourn.Observe(sojourn)
-	e.met.tenantSojourn[j.Tenant].Observe(sojourn)
+	w.met.done.Inc()
+	w.met.sojourn.Observe(sojourn)
+	w.met.tenantSojourn[j.Tenant].Observe(sojourn)
 }
 
-// svHorizon is the horizon tick: it keeps the kernel alive through
-// the arrival window and, sequentially, arms the finish check.
-func (e *engine) svHorizon() {
+// horizon is the horizon tick: it keeps the kernel alive through the
+// arrival window and, sequentially, arms the finish check.
+func (w *serveWork) horizon(e *engine) {
 	if e.par != nil {
 		return // the barrier decides from window bounds instead
 	}
-	e.sv.horizonTicked = true
-	e.serveFinish(e.kernel.Now())
+	w.horizonTicked = true
+	w.finish(e, e.kernel.Now())
 }
 
-// serveFinish ends a serving run at instant at, provided the horizon
-// has passed and every admitted job completed: every rank is retired.
+// finish ends a serving run at instant at, provided the horizon has
+// passed and every admitted job is resolved: every rank is retired.
 // Events still queued (steal retries, in-flight replies) no-op against
 // rsDone ranks, so the kernels drain. Called from sequential event
-// context — at is then the horizon itself when the jobs drained early,
-// or the final completion when the drain outlived it — or from a window
+// context — at is then the horizon itself when the jobs resolved early,
+// or the final resolution when the drain outlived it — or from a window
 // barrier (workers quiescent); at never precedes a recorded transition
 // in either case.
-func (e *engine) serveFinish(at sim.Time) {
-	sv := e.sv
-	if sv.finished || !sv.horizonTicked || sv.doneJobs != sv.sched.Admitted {
+func (w *serveWork) finish(e *engine, at sim.Time) {
+	if w.finished || !w.horizonTicked || w.doneJobs+w.lostJobs != w.sched.Admitted {
 		return
 	}
-	sv.finished = true
+	w.finished = true
 	e.markDetected(at)
 	for r := range e.ranks {
 		e.finishRank(r, at)
 	}
 }
 
-// serveBarrier folds the shard engines' per-window deltas into the
-// shared job counters, completes the jobs that drained, and decides
-// the finish. Runs in the coordinator at each window barrier: workers
-// are quiescent, so cross-shard reads and writes are single-threaded
-// and the fold order (jobs ascending, shards ascending) is fixed.
-func (ps *parShared) serveBarrier(info par.WindowInfo) {
-	e0 := ps.engines[0]
-	sv := e0.sv
-	if sv.finished {
+// serveBarrier folds the shards' per-window deltas into the shared job
+// counters, books the jobs that drained, and decides the finish. Runs
+// in the coordinator at each window barrier: workers are quiescent, so
+// cross-shard reads and writes are single-threaded and the fold order
+// (jobs ascending, shards ascending) is fixed.
+func (ps *parShared) serveBarrier(w *serveWork, info par.WindowInfo) {
+	if w.finished {
 		return
 	}
-	for j := range sv.live {
+	e0 := ps.engines[0]
+	for j := range w.live {
 		var last sim.Time = -1
-		for _, en := range ps.engines {
-			if en.svDelta[j] != 0 {
-				sv.live[j] += en.svDelta[j]
-				en.svDelta[j] = 0
-			}
-			if en.svLastDec[j] >= 0 {
-				if en.svLastDec[j] > last {
-					last = en.svLastDec[j]
-				}
-				en.svLastDec[j] = -1
-			}
+		for i := j; i < len(w.delta); i += len(w.live) {
+			w.live[j] += w.delta[i]
+			last = max(last, w.lastDecs[i])
+			w.delta[i], w.lastDecs[i] = 0, -1
 		}
 		// A count reaches zero only by a leaf consumed in this window:
 		// without one the job has not arrived, was rejected, or is
 		// already booked.
-		if last < 0 || sv.live[j] != 0 {
+		if last < 0 || w.live[j] != 0 {
 			continue
 		}
-		sv.lastDec[j] = last
-		e0.svComplete(uint32(j))
+		w.lastDec[j] = last
+		w.book(e0, uint32(j))
 	}
-	sv.horizonTicked = info.Start > sv.horizonAt
-	e0.serveFinish(info.Start)
+	w.horizonTicked = info.Start > w.horizonAt
+	w.finish(e0, info.Start)
 }

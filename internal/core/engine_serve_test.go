@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
@@ -253,5 +254,110 @@ func TestServeScheduleMatchesEngine(t *testing.T) {
 		[]uint64{got.Arrived, got.Admitted, got.Rejected},
 		[]uint64{want.Arrived, want.Admitted, want.Rejected}) {
 		t.Errorf("admission counts diverge: engine %+v schedule %+v", got, want)
+	}
+}
+
+// serveFaultConfig is serveTestConfig under a fault plan that strikes
+// inside the arrival horizon: two crashes and a lossy link, so jobs lose
+// work on a crashed stack, in a staged expansion, in dropped or
+// dead-lettered loot and as an arrival at a crashed root.
+func serveFaultConfig() Config {
+	cfg := serveTestConfig(0)
+	cfg.Faults = &fault.Plan{
+		Seed: 3,
+		Crashes: []fault.Crash{
+			{Rank: 2, At: sim.Time(10 * sim.Millisecond)},
+			{Rank: 5, At: sim.Time(20 * sim.Millisecond)},
+		},
+		Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Drop: 0.02}},
+	}
+	return cfg
+}
+
+// checkServeBooks holds a serving run to its identities, counting from
+// the workload's own job state rather than from serve.Stats: arrived ==
+// admitted + rejected; every admitted job resolved exactly once, done or
+// lost, so that admitted == done + lost per tenant and in total; and
+// every node either completed or was lost.
+func checkServeBooks(t *testing.T, res *Result, w *serveWork) {
+	t.Helper()
+	st := res.Serve
+	done := make([]uint64, len(st.Tenants))
+	lost := make([]uint64, len(st.Tenants))
+	for i := range w.sched.Jobs {
+		if !w.sched.Jobs[i].Admitted {
+			continue
+		}
+		isDone := w.doneAt[i] >= 0
+		if w.live[i] != 0 || isDone == w.lost[i] {
+			t.Fatalf("job %d: %d nodes live, done %v, lost %v", i, w.live[i], isDone, w.lost[i])
+		}
+		if isDone {
+			done[w.sched.Jobs[i].Tenant]++
+		} else {
+			lost[w.sched.Jobs[i].Tenant]++
+		}
+	}
+	for ti, ts := range st.Tenants {
+		if ts.Admitted+ts.Rejected != ts.Arrived || ts.Done != done[ti] || ts.Admitted-ts.Done != lost[ti] {
+			t.Errorf("tenant %s: %d arrived, %d admitted + %d rejected; %d done + %d lost, the jobs say %d + %d",
+				ts.Name, ts.Arrived, ts.Admitted, ts.Rejected, ts.Done, ts.Admitted-ts.Done, done[ti], lost[ti])
+		}
+	}
+	if st.Admitted+st.Rejected != st.Arrived || st.Done+st.Lost() != st.Admitted || st.Lost() != uint64(w.lostJobs) {
+		t.Errorf("%d arrived = %d admitted + %d rejected; %d done + %d lost (%d booked lost)",
+			st.Arrived, st.Admitted, st.Rejected, st.Done, st.Lost(), w.lostJobs)
+	}
+	if res.Nodes+res.LostNodes != res.NodesGenerated || res.Premature {
+		t.Errorf("completed %d + lost %d nodes of %d generated, premature %v",
+			res.Nodes, res.LostNodes, res.NodesGenerated, res.Premature)
+	}
+}
+
+// TestServeUnderFaults: served jobs compose with a fault plan. A job
+// that lost work is booked lost when its last node is gone, the others
+// done; the books balance; and the run replays byte for byte.
+func TestServeUnderFaults(t *testing.T) {
+	cfg := serveFaultConfig()
+	res, w, err := run(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkServeBooks(t, res, w.(*serveWork))
+	if st := res.Serve; st.Done == 0 || st.Lost() == 0 || res.CrashedRanks != 2 {
+		t.Fatalf("%d done, %d lost, %d crashed ranks: the plan should cost some jobs, not all", st.Done, st.Lost(), res.CrashedRanks)
+	}
+	if res.Makespan < sim.Duration(cfg.Serve.Horizon) {
+		t.Errorf("makespan %v shorter than the %v horizon", res.Makespan, cfg.Serve.Horizon)
+	}
+	if err := res.Trace.Validate(); err != nil {
+		t.Errorf("trace: %v", err)
+	}
+	if a, b := serveFingerprint(t, cfg), serveFingerprint(t, cfg); a != b {
+		t.Errorf("repeat faulted serving runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
+	}
+}
+
+// TestServeLoneSurvivorDrains: crashes that leave one rank alive in
+// mid-horizon lose every job rooted at a corpse, but the survivor keeps
+// serving its own, and the run still drains and finishes.
+func TestServeLoneSurvivorDrains(t *testing.T) {
+	cfg := serveTestConfig(0)
+	cfg.Faults = &fault.Plan{}
+	for r := 1; r < cfg.Ranks; r++ {
+		cfg.Faults.Crashes = append(cfg.Faults.Crashes, fault.Crash{Rank: r, At: sim.Time(20 * sim.Millisecond)})
+	}
+	res, w, err := run(cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := w.(*serveWork)
+	checkServeBooks(t, res, sw)
+	var lateDone bool
+	for i := range sw.sched.Jobs {
+		lateDone = lateDone || sw.doneAt[i] > sim.Time(20*sim.Millisecond)
+	}
+	if !lateDone || res.Serve.Lost() == 0 || res.CrashedRanks != cfg.Ranks-1 {
+		t.Fatalf("survivor finished a job after the crashes: %v; %d lost, %d crashed", lateDone, res.Serve.Lost(), res.CrashedRanks)
 	}
 }

@@ -70,7 +70,8 @@ func TestValidateExclusions(t *testing.T) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: 1, Send: 2}}}
 		}, "interposer"},
-		{"serve x faults", func(c *Config) {
+		{"shards x serve x faults", func(c *Config) {
+			c.Shards = 2
 			c.Serve = serveTestSpec()
 			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
 		}, "incompatible with fault plans"},

@@ -92,9 +92,6 @@ func TestRunGraphRejects(t *testing.T) {
 		{"nil graph", nil, func(*Config) {}, "empty graph"},
 		{"empty graph", &dag.Graph{}, func(*Config) {}, "empty graph"},
 		{"shards", g, func(c *Config) { c.Shards = 2 }, "cannot be sharded"},
-		{"faults", g, func(c *Config) {
-			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
-		}, "incompatible with fault plans"},
 		{"serve", g, func(c *Config) { c.Serve = serveTestSpec() }, "incompatible with serving"},
 	}
 	for _, tc := range cases {
@@ -171,7 +168,12 @@ func TestGraphDependenciesRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := sim.NewKernel()
-		engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, newDagState(g))
+		w, err := newGraphWork(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gw := w.(*graphWork)
+		engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,10 +191,10 @@ func TestGraphDependenciesRespected(t *testing.T) {
 		observe := func() {
 			now := k.Now()
 			for r := range e.ranks {
-				if c := current[r]; c >= 0 && done[c] < 0 && e.dag.executor[c] >= 0 {
+				if c := current[r]; c >= 0 && done[c] < 0 && gw.executor[c] >= 0 {
 					done[c] = now
-					if int(e.dag.executor[c]) != r {
-						t.Fatalf("task %d ran on rank %d, booked to %d", c, r, e.dag.executor[c])
+					if int(gw.executor[c]) != r {
+						t.Fatalf("task %d ran on rank %d, booked to %d", c, r, gw.executor[c])
 					}
 				}
 				q := e.ranks[r].quantum
@@ -200,7 +202,7 @@ func TestGraphDependenciesRespected(t *testing.T) {
 					continue
 				}
 				quantum[r] = q
-				task := e.dag.running[r]
+				task := gw.running[r]
 				if started[task] >= 0 {
 					t.Fatalf("task %d started twice", task)
 				}
@@ -398,5 +400,71 @@ func BenchmarkGraphSchedule(b *testing.B) {
 		if _, _, err := RunGraph(cfg, g); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// graphFaultConfig runs a graph under two crashes and a lossy link, so
+// tasks die on a crashed stack and in its running quantum, in dropped
+// loot, and orphaned by a predecessor whose output died with its rank.
+func graphFaultConfig() Config {
+	cfg := graphConfig(16, 9)
+	cfg.Faults = &fault.Plan{
+		Seed: 5,
+		Crashes: []fault.Crash{
+			{Rank: 0, At: sim.Time(1200 * sim.Microsecond)},
+			{Rank: 7, At: sim.Time(1450 * sim.Microsecond)},
+		},
+		Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Drop: 0.05}},
+	}
+	return cfg
+}
+
+// TestGraphUnderCrashes: a task graph composes with a fault plan. The
+// lost tasks are booked as lost nodes; the tasks that never ran are
+// exactly the lost ones and everything downstream of them; and the run
+// replays identically.
+func TestGraphUnderCrashes(t *testing.T) {
+	g := testGraph(t, 6)
+	res, w, err := run(graphFaultConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := w.(*graphWork)
+	gs := &gw.stats
+	if res.Nodes+res.LostNodes != res.NodesGenerated || gs.LostTasks != res.LostNodes || res.Premature {
+		t.Fatalf("executed %d + lost %d of %d ready tasks, %d booked lost, premature %v",
+			res.Nodes, res.LostNodes, res.NodesGenerated, gs.LostTasks, res.Premature)
+	}
+	// The downstream closure of the lost tasks.
+	closure := make([]bool, g.Len())
+	var visit func(int32)
+	visit = func(t int32) {
+		if !closure[t] {
+			closure[t] = true
+			for _, s := range g.Tasks[t].Succs {
+				visit(s)
+			}
+		}
+	}
+	for task, ex := range gw.executor {
+		if ex == lostTask {
+			visit(int32(task))
+		}
+	}
+	for task, ex := range gw.executor {
+		if ran := ex >= 0; ran == closure[task] {
+			t.Fatalf("task %d: ran %v, downstream of a lost task %v", task, ran, closure[task])
+		}
+	}
+	// Pinned for this seed: a change to what a fault destroys moves them.
+	if res.Nodes != 224 || res.LostNodes != 6 || gs.LostTasks != 6 {
+		t.Errorf("executed %d, lost %d nodes and %d tasks", res.Nodes, res.LostNodes, gs.LostTasks)
+	}
+	again, gs2, err := RunGraph(graphFaultConfig(), g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(res, again) || !reflect.DeepEqual(gs, gs2) {
+		t.Fatalf("same-seed runs differ:\n%+v %+v\n%+v %+v", res, gs, again, gs2)
 	}
 }

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"strconv"
-
-	"distws/internal/obs"
-)
+import "distws/internal/obs"
 
 // MatrixRankLimit caps the rank count for which the engine maintains a
 // dense per-link traffic matrix in the metrics registry: the matrix is
@@ -42,16 +38,18 @@ const (
 	MetricRecoveryLatency = "sim_recovery_latency_ns"
 )
 
-// Serving metric names, registered only when Config.Serve is set — the
-// same gating discipline as the fault metrics, so closed-system
-// expositions stay byte-identical. The per-tenant sojourn histograms
-// are MetricJobSojourn suffixed with "_tenant<i>".
+// Serving metric names, registered by the serving workload
+// (compileServe) only when Config.Serve is set — the same gating
+// discipline as the fault metrics, so closed-system expositions stay
+// byte-identical; MetricJobsLost needs a fault plan too. The per-tenant
+// sojourn histograms are MetricJobSojourn suffixed with "_tenant<i>".
 const (
 	MetricJobsArrived  = "sim_serve_jobs_arrived_total"
 	MetricJobsAdmitted = "sim_serve_jobs_admitted_total"
 	MetricJobsRejected = "sim_serve_jobs_rejected_total"
 	MetricJobsDone     = "sim_serve_jobs_done_total"
 	MetricJobSojourn   = "sim_serve_job_sojourn_ns"
+	MetricJobsLost     = "sim_serve_jobs_lost_total"
 )
 
 // engineMetrics pre-resolves the registry handles the hot paths touch,
@@ -60,7 +58,7 @@ const (
 // buffered store (linkTally). The handles are nil-safe, so call sites
 // use them unconditionally: without a registry every handle is nil, and
 // a partially populated struct (links absent past MatrixRankLimit, no
-// fault or serving handles) is the same case. Every engine resolves its
+// fault handles) is the same case. Every engine resolves its
 // own set: the obs handles of a sharded run's engines point into the
 // one registry, the link tally is each engine's own.
 type engineMetrics struct {
@@ -82,25 +80,13 @@ type engineMetrics struct {
 	dupMessages     *obs.Counter
 	tokenRegens     *obs.Counter
 	recoveryLatency *obs.Histogram
-
-	// Serving handles; nil for closed-system runs.
-	jobsArrived   *obs.Counter
-	jobsAdmitted  *obs.Counter
-	jobsRejected  *obs.Counter
-	jobsDone      *obs.Counter
-	jobSojourn    *obs.Histogram
-	tenantSojourn []*obs.Histogram
 }
 
 // newEngineMetrics resolves the handle set for a run: the core handles
-// always, the fault handles when a fault plan is active, and the
-// serving handles (including tenants per-tenant sojourn histograms)
-// when tenants > 0. tenantSojourn is indexed at every job completion,
-// so it has its tenants entries (nil handles) even without a registry.
-func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) engineMetrics {
-	sojourn := make([]*obs.Histogram, tenants)
+// always, the fault handles when a fault plan is active.
+func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool) engineMetrics {
 	if reg == nil {
-		return engineMetrics{tenantSojourn: sojourn}
+		return engineMetrics{}
 	}
 	m := engineMetrics{
 		stealRequests: reg.Counter(MetricStealRequests),
@@ -111,7 +97,6 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) e
 		stealLatency:  reg.Histogram(MetricStealLatency),
 		session:       reg.Histogram(MetricSession),
 		chunkNodes:    reg.Histogram(MetricChunkNodes),
-		tenantSojourn: sojourn,
 	}
 	if ranks <= MatrixRankLimit {
 		m.links = newLinkTally(reg.Matrix(MetricLinkMessages, ranks), ranks)
@@ -123,16 +108,6 @@ func newEngineMetrics(reg *obs.Registry, ranks int, faulted bool, tenants int) e
 		m.dupMessages = reg.Counter(MetricDupMessages)
 		m.tokenRegens = reg.Counter(MetricTokenRegens)
 		m.recoveryLatency = reg.Histogram(MetricRecoveryLatency)
-	}
-	if tenants > 0 {
-		m.jobsArrived = reg.Counter(MetricJobsArrived)
-		m.jobsAdmitted = reg.Counter(MetricJobsAdmitted)
-		m.jobsRejected = reg.Counter(MetricJobsRejected)
-		m.jobsDone = reg.Counter(MetricJobsDone)
-		m.jobSojourn = reg.Histogram(MetricJobSojourn)
-		for i := range m.tenantSojourn {
-			m.tenantSojourn[i] = reg.Histogram(MetricJobSojourn + "_tenant" + strconv.Itoa(i))
-		}
 	}
 	return m
 }

@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"sort"
 
 	"distws/internal/sim"
@@ -89,14 +90,22 @@ type Plan struct {
 	Links      []LinkFault `json:"links,omitempty"`
 }
 
-// ParsePlan decodes a JSON plan, rejecting unknown fields so a typo'd
-// plan file fails loudly instead of silently injecting nothing.
+// MaxMultiplier caps a straggler multiplier and a spike factor: ten
+// thousand times slower is a dead rank in all but name.
+const MaxMultiplier = 1e4
+
+// ParsePlan decodes a JSON plan, rejecting unknown fields and anything
+// after the plan, so a typo'd plan file fails loudly instead of
+// silently injecting nothing.
 func ParsePlan(data []byte) (*Plan, error) {
 	var p Plan
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("fault: parse plan: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("fault: parse plan: data after the plan")
 	}
 	return &p, nil
 }
@@ -128,8 +137,8 @@ func (p *Plan) Validate(ranks int) error {
 		if s.Rank < 0 || s.Rank >= ranks {
 			return fmt.Errorf("fault: straggler rank %d out of range [0,%d)", s.Rank, ranks)
 		}
-		if s.Compute < 0 || s.Send < 0 {
-			return fmt.Errorf("fault: straggler rank %d has negative multiplier", s.Rank)
+		if !(s.Compute >= 0 && s.Compute <= MaxMultiplier && s.Send >= 0 && s.Send <= MaxMultiplier) {
+			return fmt.Errorf("fault: straggler rank %d has a multiplier outside [0, %g]", s.Rank, float64(MaxMultiplier))
 		}
 	}
 	for i, l := range p.Links {
@@ -141,8 +150,8 @@ func (p *Plan) Validate(ranks int) error {
 			return fmt.Errorf("fault: link rule %d probabilities outside [0,1]", i)
 		}
 		if l.SpikeFactor != 0 {
-			if l.SpikeFactor < 1 {
-				return fmt.Errorf("fault: link rule %d spike factor %v < 1", i, l.SpikeFactor)
+			if !(l.SpikeFactor >= 1 && l.SpikeFactor <= MaxMultiplier) {
+				return fmt.Errorf("fault: link rule %d spike factor %v outside [1, %g]", i, l.SpikeFactor, float64(MaxMultiplier))
 			}
 			if l.SpikeEnd <= l.SpikeStart {
 				return fmt.Errorf("fault: link rule %d spike window [%d,%d) is empty", i, l.SpikeStart, l.SpikeEnd)

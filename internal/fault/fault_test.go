@@ -2,6 +2,7 @@ package fault
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -48,6 +49,72 @@ func TestParsePlanRejectsUnknownFields(t *testing.T) {
 	}
 }
 
+// TestParsePlanRejectsTrailingData: a second plan (or junk) after the
+// first is an error, not an empty plan that silently injects nothing.
+func TestParsePlanRejectsTrailingData(t *testing.T) {
+	for _, data := range []string{
+		`{"seed":1} {"crashes":[{"rank":1,"at":5}]}`,
+		`{"seed":1}}`,
+		`{"seed":1} x`,
+	} {
+		if p, err := ParsePlan([]byte(data)); err == nil {
+			t.Errorf("%s parsed as %+v", data, p)
+		}
+	}
+	if _, err := ParsePlan([]byte(" {\"seed\":1}\n\t ")); err != nil {
+		t.Errorf("whitespace around a plan: %v", err)
+	}
+}
+
+// TestScaleSaturates: a multiplier that overflows int64 yields the
+// largest duration, not a wrapped one clamped to 1 ns.
+func TestScaleSaturates(t *testing.T) {
+	if d := scale(sim.Microsecond, 1e300); d != math.MaxInt64 {
+		t.Fatalf("scale(1µs, 1e300) = %d", d)
+	}
+	if d := scale(0, 3); d != 1 {
+		t.Fatalf("scale(0, 3) = %d, want 1", d)
+	}
+}
+
+// FuzzParsePlan: every plan ParsePlan and Validate accept compiles, and
+// each of its multipliers scales a duration to at least 1 ns, and to no
+// less than the duration itself when the multiplier is at least one.
+func FuzzParsePlan(f *testing.F) {
+	f.Add([]byte(`{"seed":1,"crashes":[{"rank":1,"at":5}],"stragglers":[{"rank":2,"compute":3,"send":2}]}`), int64(1000))
+	f.Add([]byte(`{"stragglers":[{"rank":0,"compute":1e300}]}`), int64(sim.Microsecond))
+	f.Add([]byte(`{"links":[{"from":-1,"to":-1,"drop":0.1,"spike_end":9,"spike_factor":10000}]}`), int64(1<<62))
+	f.Add([]byte(`{"seed":1} {"crashes":[{"rank":1,"at":5}]}`), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, d int64) {
+		p, err := ParsePlan(data)
+		if err != nil || p.Validate(8) != nil {
+			return
+		}
+		if _, err := Compile(p, 8, nil); err != nil {
+			t.Fatalf("accepted plan %s does not compile: %v", data, err)
+		}
+		if d < 0 {
+			d = -(d + 1)
+		}
+		muls := []float64{}
+		for _, s := range p.Stragglers {
+			muls = append(muls, s.Compute, s.Send)
+		}
+		for _, l := range p.Links {
+			muls = append(muls, l.SpikeFactor)
+		}
+		for _, m := range muls {
+			if m == 0 {
+				continue // "leave unchanged"
+			}
+			got := scale(sim.Duration(d), m)
+			if got < 1 || (m >= 1 && got < sim.Duration(d)) {
+				t.Fatalf("scale(%d, %v) = %d", d, m, got)
+			}
+		}
+	})
+}
+
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name string
@@ -63,10 +130,15 @@ func TestValidate(t *testing.T) {
 			{Rank: 4, At: 1}, {Rank: 5, At: 1}, {Rank: 6, At: 1}, {Rank: 7, At: 1},
 		}}, "survive"},
 		{"straggler out of range", Plan{Stragglers: []Straggler{{Rank: -2}}}, "out of range"},
-		{"negative multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Compute: -1}}}, "negative"},
+		{"negative multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Compute: -1}}}, "outside [0, 10000]"},
+		{"huge compute multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Compute: 1e300}}}, "outside [0, 10000]"},
+		{"huge send multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Send: MaxMultiplier + 1}}}, "outside [0, 10000]"},
+		{"NaN multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Compute: math.NaN()}}}, "outside [0, 10000]"},
+		{"largest multiplier", Plan{Stragglers: []Straggler{{Rank: 0, Compute: MaxMultiplier, Send: MaxMultiplier}}}, ""},
 		{"link endpoint out of range", Plan{Links: []LinkFault{{From: 9, To: 0}}}, "out of range"},
 		{"drop above one", Plan{Links: []LinkFault{{From: 0, To: 1, Drop: 1.5}}}, "[0,1]"},
 		{"spike factor below one", Plan{Links: []LinkFault{{From: 0, To: 1, SpikeFactor: 0.5}}}, "spike factor"},
+		{"infinite spike factor", Plan{Links: []LinkFault{{From: 0, To: 1, SpikeFactor: math.Inf(1), SpikeEnd: 1}}}, "outside [1, 10000]"},
 		{"empty spike window", Plan{Links: []LinkFault{{From: 0, To: 1, SpikeFactor: 2}}}, "empty"},
 	}
 	for _, c := range cases {
@@ -95,9 +167,6 @@ func TestCompileNilAndEmpty(t *testing.T) {
 	var inj *Injector
 	if inj.NeedsInterposer() {
 		t.Fatal("nil injector wants an interposer")
-	}
-	if _, ok := inj.CrashTime(0); ok {
-		t.Fatal("nil injector schedules a crash")
 	}
 	if d := inj.ScaleCompute(0, 100); d != 100 {
 		t.Fatalf("nil injector scaled compute to %d", d)

@@ -1,6 +1,8 @@
 package fault
 
 import (
+	"math"
+
 	"distws/internal/comm"
 	"distws/internal/rng"
 	"distws/internal/sim"
@@ -8,15 +10,13 @@ import (
 
 // Injector is a compiled fault plan bound to one run. It implements
 // comm.Interposer for the link faults and straggler send multipliers,
-// and answers the engine's crash-schedule and compute-multiplier
-// queries. One injector serves one run: its random stream advances as
+// and answers the engine's compute-multiplier queries (the engine
+// schedules crashes from the plan itself). One injector serves one run: its random stream advances as
 // messages flow, so reuse across runs would change outcomes.
 type Injector struct {
 	kernel *sim.Kernel
 	rng    *rng.Xoshiro256
 
-	// crashAt[r] is rank r's time of death, or -1.
-	crashAt []sim.Time
 	// computeMul/sendMul are per-rank straggler multipliers; nil when
 	// the plan has no stragglers (so the common case costs one nil
 	// check, not a per-rank table walk).
@@ -44,17 +44,7 @@ func Compile(plan *Plan, ranks int, kernel *sim.Kernel) (*Injector, error) {
 	if err := plan.Validate(ranks); err != nil {
 		return nil, err
 	}
-	inj := &Injector{
-		kernel:  kernel,
-		rng:     rng.New(plan.Seed),
-		crashAt: make([]sim.Time, ranks),
-	}
-	for r := range inj.crashAt {
-		inj.crashAt[r] = -1
-	}
-	for _, c := range plan.Crashes {
-		inj.crashAt[c.Rank] = c.At
-	}
+	inj := &Injector{kernel: kernel, rng: rng.New(plan.Seed)}
 	if len(plan.Stragglers) > 0 {
 		inj.computeMul = make([]float64, ranks)
 		inj.sendMul = make([]float64, ranks)
@@ -90,15 +80,6 @@ func (i *Injector) NeedsInterposer() bool {
 		}
 	}
 	return false
-}
-
-// CrashTime returns rank's scheduled time of death, if any.
-func (i *Injector) CrashTime(rank int) (sim.Time, bool) {
-	if i == nil || i.crashAt == nil {
-		return 0, false
-	}
-	t := i.crashAt[rank]
-	return t, t >= 0
 }
 
 // ScaleCompute applies rank's straggler compute multiplier to a
@@ -161,14 +142,17 @@ func (i *Injector) Outcome(m *comm.Message, delay sim.Duration) (int, sim.Durati
 }
 
 // scale multiplies a duration by a factor, keeping it at least 1ns so
-// degenerate factors cannot create zero-time delivery loops.
+// degenerate factors cannot create zero-time delivery loops, and
+// saturating instead of wrapping past the largest duration.
 func scale(d sim.Duration, f float64) sim.Duration {
 	if f == 1 {
 		return d
 	}
-	s := sim.Duration(float64(d) * f)
-	if s < 1 {
-		s = 1
+	switch s := float64(d) * f; {
+	case s >= math.MaxInt64:
+		return math.MaxInt64
+	case s >= 1:
+		return sim.Duration(s)
 	}
-	return s
+	return 1
 }

@@ -120,8 +120,8 @@ func tracedCell(id, tree string, v Variant, ranks int, params uts.Params, seed u
 	return matrixCell{id: id, tree: tree, selector: v.Name, cfg: cfg}
 }
 
-// RunMatrix executes the scenario grid plus its chaos, sharded and
-// serving cells and returns the manifests in cell order. The chaos plan derives from
+// RunMatrix executes the scenario grid plus its chaos, sharded, serving
+// and faulted-serving cells and returns the manifests in cell order. The chaos plan derives from
 // a dedicated fault-free calibration run, so every cell — the chaos
 // cell's fault plan included — is a pure function of (scale, seed).
 func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
@@ -160,7 +160,12 @@ func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
 	sv := tracedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
 		"SERVE", Tofu, chaosRanks, uts.Params{}, seed)
 	sv.cfg.Serve = matrixServeSpec(scale)
-	cells = append(cells, sv)
+	// The service under the chaos plan, struck while jobs arrive at the
+	// low ranks round-robin placement roots them on: lost and done jobs.
+	svChaos := sv
+	svChaos.id += "-chaos"
+	svChaos.cfg.Faults = chaosPlan(chaosRanks/2, sv.cfg.Serve.Horizon, seed)
+	cells = append(cells, sv, svChaos)
 
 	cfgs := make([]core.Config, len(cells))
 	for i, c := range cells {

@@ -19,16 +19,17 @@ func quickMatrix(t *testing.T) []*ledger.Manifest {
 }
 
 // TestMatrixGatesItself: the grid covers every variant, both rank
-// counts, and the chaos, sharded-profiled and serving cells, each
-// carrying the manifest section it exists to pin.
+// counts, and the chaos, sharded-profiled, serving and faulted-serving
+// cells, each carrying the manifest section it exists to pin.
 func TestMatrixGatesItself(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
 	ms := quickMatrix(t)
 
-	// Fault-free grid + the chaos, sharded-profiled, and serving cells.
-	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 3
+	// Fault-free grid + the chaos, sharded-profiled, serving and
+	// faulted-serving cells.
+	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 4
 	if len(ms) != wantCells {
 		t.Fatalf("matrix produced %d cells, want %d", len(ms), wantCells)
 	}
@@ -36,19 +37,19 @@ func TestMatrixGatesItself(t *testing.T) {
 	for _, m := range ms {
 		ids[m.ID] = true
 	}
-	for _, want := range []string{"h-tiny-16-reference", "h-tiny-32-rand", "h-tiny-32-tofu-chaos", "h-tiny-32-tofu-par4", "serve-32-tofu"} {
+	for _, want := range []string{"h-tiny-16-reference", "h-tiny-32-rand", "h-tiny-32-tofu-chaos", "h-tiny-32-tofu-par4", "serve-32-tofu", "serve-32-tofu-chaos"} {
 		if !ids[want] {
 			t.Errorf("matrix is missing cell %q (have %v)", want, ids)
 		}
 	}
-	chaos := ms[len(ms)-3]
+	chaos := ms[len(ms)-4]
 	if chaos.Spec.FaultPlanHash == "" {
 		t.Error("chaos cell has no fault plan hash")
 	}
 	if chaos.Result.LostNodes == 0 && chaos.Result.CrashedRanks == 0 {
 		t.Error("chaos cell shows no fault effects")
 	}
-	par := ms[len(ms)-2]
+	par := ms[len(ms)-3]
 	if par.Par == nil {
 		t.Fatal("par cell has no parallel-kernel profile")
 	}
@@ -59,7 +60,7 @@ func TestMatrixGatesItself(t *testing.T) {
 	if par.Par.Windows == 0 || par.Par.Staged == 0 {
 		t.Errorf("par cell profile is empty: %+v", par.Par)
 	}
-	sv := ms[len(ms)-1]
+	sv := ms[len(ms)-2]
 	if sv.Serve == nil {
 		t.Fatal("serving cell has no serve section")
 	}
@@ -75,6 +76,10 @@ func TestMatrixGatesItself(t *testing.T) {
 	}
 	if len(sv.Serve.Tenants) != 2 {
 		t.Errorf("serving cell has %d tenant rows, want 2", len(sv.Serve.Tenants))
+	}
+	svc := ms[len(ms)-1].Serve
+	if svc == nil || svc.Lost == 0 || svc.Done == 0 || svc.Done+svc.Lost != svc.Admitted {
+		t.Errorf("faulted serving cell books %+v; want done and lost jobs both, adding up to admitted", svc)
 	}
 }
 

@@ -47,4 +47,6 @@ var kindDisposition = [trace.NumEventKinds]string{
 		"to attribute; rejection counts live in the serve manifest, not the graph",
 	trace.EvJobDone: "inert: job completion is derived bookkeeping over the work ledger; " +
 		"the final leaf's quantum already ends the causal chain",
+	trace.EvJobLost: "inert: like EvJobDone, bookkeeping over the work ledger; the crash " +
+		"or drop that destroyed the work has its own marker",
 }

@@ -42,6 +42,7 @@ var kindDispositions = [trace.NumEventKinds]ExportDisposition{
 	trace.EvJobAdmit:     {Chrome: "protocol instant at the placement rank (serving runs)", Prometheus: "sim_serve_jobs_admitted_total (serving runs only)"},
 	trace.EvJobReject:    {Chrome: "protocol instant at the placement rank (serving runs)", Prometheus: "sim_serve_jobs_rejected_total (serving runs only)"},
 	trace.EvJobDone:      {Chrome: "protocol instant at the placement rank (serving runs)", Prometheus: "sim_serve_jobs_done_total and sim_serve_job_sojourn_ns (serving runs only)"},
+	trace.EvJobLost:      {Chrome: "protocol instant at the placement rank (serving runs)", Prometheus: "sim_serve_jobs_lost_total (faulted serving runs only)"},
 }
 
 // KindDisposition returns the exporter disposition for one event kind

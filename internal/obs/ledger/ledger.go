@@ -243,13 +243,15 @@ type ServeTenantRow struct {
 // ServeSummary is the open-system serving section, present when the
 // run had core.Config.Serve set. Identities checked by Validate: the
 // admission verdicts partition the arrivals (admitted + rejected ==
-// arrived), globally and per tenant, and the tenant rows sum to the
-// global counts.
+// arrived), globally and per tenant, every admitted job was done or
+// lost (done + lost == admitted), and the tenant rows sum to the global
+// counts.
 type ServeSummary struct {
 	Arrived  uint64 `json:"arrived"`
 	Admitted uint64 `json:"admitted"`
 	Rejected uint64 `json:"rejected"`
 	Done     uint64 `json:"done"`
+	Lost     uint64 `json:"lost,omitempty"`
 	// FinishNS is the virtual instant the run ended (== the makespan:
 	// serving runs start at virtual zero).
 	FinishNS int64 `json:"finish_ns"`
@@ -386,6 +388,7 @@ func serveSummary(st *serve.Stats) *ServeSummary {
 		Admitted: st.Admitted,
 		Rejected: st.Rejected,
 		Done:     st.Done,
+		Lost:     st.Lost(),
 		FinishNS: int64(st.Finish),
 		Jain:     st.Jain,
 	}
@@ -600,8 +603,8 @@ func (s *ServeSummary) validate() error {
 		return fmt.Errorf("ledger: serve admitted %d + rejected %d != arrived %d",
 			s.Admitted, s.Rejected, s.Arrived)
 	}
-	if s.Done > s.Admitted {
-		return fmt.Errorf("ledger: serve completed %d of %d admitted jobs", s.Done, s.Admitted)
+	if s.Done+s.Lost != s.Admitted {
+		return fmt.Errorf("ledger: serve completed %d and lost %d of %d admitted jobs", s.Done, s.Lost, s.Admitted)
 	}
 	if s.Jain < 0 || s.Jain > 1 {
 		return fmt.Errorf("ledger: serve Jain index %v out of [0, 1]", s.Jain)

@@ -149,6 +149,9 @@ func TestServeSectionRoundTrip(t *testing.T) {
 			t.Errorf("encoded manifest lacks %s", want)
 		}
 	}
+	if bytes.Contains(data, []byte(`"lost":`)) {
+		t.Error("a fault-free serving manifest spells a lost count")
+	}
 }
 
 // TestServeValidateCatchesCorruption: the schema checker rejects every
@@ -158,6 +161,8 @@ func TestServeValidateCatchesCorruption(t *testing.T) {
 	for name, tamper := range map[string]func(*Manifest){
 		"global partition": func(m *Manifest) { m.Serve.Admitted++ },
 		"overdrain":        func(m *Manifest) { m.Serve.Done = m.Serve.Admitted + 1 },
+		"undrained":        func(m *Manifest) { m.Serve.Done-- },
+		"lost and done":    func(m *Manifest) { m.Serve.Lost++ },
 		"jain range":       func(m *Manifest) { m.Serve.Jain = 1.5 },
 		"no tenants":       func(m *Manifest) { m.Serve.Tenants = nil },
 		"tenant partition": func(m *Manifest) { m.Serve.Tenants[0].Rejected++ },

@@ -53,8 +53,6 @@ type Schedule struct {
 	Jobs []Job
 	// Admitted counts jobs with Admitted set.
 	Admitted int
-	// LastArrival is the latest arrival instant (-1 when no jobs).
-	LastArrival sim.Time
 }
 
 // Compile resolves every random choice of the serving run: arrival
@@ -71,13 +69,7 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 	if nodeCost <= 0 {
 		return nil, fmt.Errorf("serve: non-positive node cost %v", nodeCost)
 	}
-	sched := &Schedule{
-		Spec:        spec,
-		Ranks:       ranks,
-		Seed:        seed,
-		NodeCost:    nodeCost,
-		LastArrival: -1,
-	}
+	sched := &Schedule{Spec: spec, Ranks: ranks, Seed: seed, NodeCost: nodeCost}
 
 	// Phase 1: draw every tenant's arrival instants up to the horizon.
 	horizon := sim.Time(0).Add(spec.Horizon)
@@ -155,9 +147,6 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 			j.Tree.RootSeed += j.Seq
 			j.Node = j.Tree.Root()
 			j.Node.Job = j.ID
-		}
-		if j.At > sched.LastArrival {
-			sched.LastArrival = j.At
 		}
 	}
 	return sched, nil

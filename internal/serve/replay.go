@@ -19,8 +19,9 @@ type Arrival struct {
 
 // ReadArrivals parses a JSONL arrival log (one Arrival object per
 // line, blank lines ignored) into per-tenant replay traces for
-// tenants 0..tenants-1. Lines naming an out-of-range tenant are an
-// error: a replay that silently drops traffic is a regression trap.
+// tenants 0..tenants-1. Lines naming an out-of-range tenant, or holding
+// anything after their arrival, are an error: a replay that silently
+// drops traffic is a regression trap.
 func ReadArrivals(r io.Reader, tenants int) ([][]sim.Time, error) {
 	traces := make([][]sim.Time, tenants)
 	sc := bufio.NewScanner(r)
@@ -44,6 +45,9 @@ func ReadArrivals(r io.Reader, tenants int) ([][]sim.Time, error) {
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&a); err != nil {
 			return nil, fmt.Errorf("serve: arrivals line %d: %w", line, err)
+		}
+		if _, err := dec.Token(); err != io.EOF {
+			return nil, fmt.Errorf("serve: arrivals line %d: data after the arrival", line)
 		}
 		if a.Tenant < 0 || a.Tenant >= tenants {
 			return nil, fmt.Errorf("serve: arrivals line %d: tenant %d out of range [0, %d)", line, a.Tenant, tenants)

@@ -238,6 +238,51 @@ func TestReplayRoundtrip(t *testing.T) {
 	if _, err := ReadArrivals(strings.NewReader(`{"tenant":0,"at":1,"x":2}`), 2); err == nil {
 		t.Fatal("unknown field accepted")
 	}
+	for _, line := range []string{`{"tenant":0,"at":1} {"tenant":1,"at":2}`, `{"tenant":0,"at":1} x`, `{"tenant":0,"at":1}]`} {
+		if traces, err := ReadArrivals(strings.NewReader(line), 2); err == nil {
+			t.Errorf("%s read as %v", line, traces)
+		}
+	}
+}
+
+// FuzzReadArrivals: ReadArrivals never panics, every non-blank line of
+// an accepted log is exactly one arrival, and what it read survives a
+// round trip through WriteArrivals' line format.
+func FuzzReadArrivals(f *testing.F) {
+	f.Add([]byte("{\"tenant\":0,\"at\":1}\n\n {\"tenant\":2,\"at\":5} \r\n"))
+	f.Add([]byte(`{"tenant":0,"at":1} {"tenant":1,"at":2}`))
+	f.Add([]byte(`{"tenant":1,"at":3}` + "\n" + `{"tenant":0,"at":-1}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const tenants = 3
+		traces, err := ReadArrivals(bytes.NewReader(data), tenants)
+		if err != nil {
+			return
+		}
+		lines, read := 0, 0
+		for _, line := range bytes.Split(data, []byte("\n")) {
+			if len(bytes.Trim(line, " \t\r")) > 0 {
+				lines++
+			}
+		}
+		sched := &Schedule{}
+		for ti, tr := range traces {
+			read += len(tr)
+			for _, at := range tr {
+				sched.Jobs = append(sched.Jobs, Job{Tenant: int32(ti), At: at})
+			}
+		}
+		if read != lines {
+			t.Fatalf("%d non-blank lines read as %d arrivals", lines, read)
+		}
+		var buf bytes.Buffer
+		if err := WriteArrivals(&buf, sched); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadArrivals(&buf, tenants)
+		if err != nil || !reflect.DeepEqual(again, traces) {
+			t.Fatalf("round trip: %v, %v; read %v", again, err, traces)
+		}
+	})
 }
 
 func TestStatsPartitionAndJain(t *testing.T) {

@@ -13,8 +13,8 @@ type TenantStats struct {
 	// Partition identity: Admitted + Rejected == Arrived, checked by
 	// the manifest gate.
 	Arrived, Admitted, Rejected uint64
-	// Done counts admitted jobs that completed before the run ended
-	// (all of them, once the drain finished).
+	// Done counts admitted jobs that completed; the rest of them were
+	// lost (Lost).
 	Done uint64
 	// SLOMet counts completions whose sojourn time met the tenant's
 	// SLO target (every completion when the target is zero).
@@ -44,9 +44,12 @@ type Stats struct {
 	Tenants []TenantStats
 }
 
+// Lost counts the admitted jobs a fault destroyed work of.
+func (s *Stats) Lost() uint64 { return s.Admitted - s.Done }
+
 // Stats derives the serving summary. done[id] is job id's completion
-// instant, negative for jobs that never completed (rejected jobs, or
-// an aborted run); finish is the run's end instant.
+// instant, negative for jobs that never completed (rejected or lost
+// jobs); finish is the run's end instant.
 func (s *Schedule) Stats(done []sim.Time, finish sim.Time) *Stats {
 	st := &Stats{
 		Finish:  finish,

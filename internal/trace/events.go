@@ -74,6 +74,9 @@ const (
 	// in the system. Recorded on the job's placement rank at the
 	// completion instant. Peer = tenant index, Arg = job id.
 	EvJobDone
+	// EvJobLost: the last node of an admitted job a fault destroyed part
+	// of is gone. Recorded like EvJobDone, at that instant.
+	EvJobLost
 
 	// NumEventKinds bounds the kind space for validation and tables.
 	NumEventKinds
@@ -100,6 +103,7 @@ var eventKindNames = [NumEventKinds]string{
 	EvJobAdmit:     "job-admit",
 	EvJobReject:    "job-reject",
 	EvJobDone:      "job-done",
+	EvJobLost:      "job-lost",
 }
 
 func (k EventKind) String() string {

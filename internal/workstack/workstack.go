@@ -258,14 +258,14 @@ func (s *Stack) StealHalf() ([]uts.Node, int) {
 	return s.Steal((s.StealableChunks() + 1) / 2)
 }
 
-// Drop discards every node on the stack and returns how many were
-// lost. It exists for fault injection: a fail-stop crash takes the
-// rank's local work with it. Every segment but top's is let go (the
-// rank will not work again), but no lifetime counter moves: dropped
-// nodes were pushed and never popped, which is exactly how a crash
-// looks from the outside.
-func (s *Stack) Drop() int {
-	lost := int(s.n)
+// Drop discards every node on the stack and returns dst with the lost
+// nodes appended, oldest first. It exists for fault injection: a
+// fail-stop crash takes the rank's local work with it. Every segment
+// but top's is let go (the rank will not work again), but no lifetime
+// counter moves: dropped nodes were pushed and never popped, which is
+// exactly how a crash looks from the outside.
+func (s *Stack) Drop(dst []uts.Node) []uts.Node {
+	lost := s.appendNodes(dst, 0, int(s.n))
 	clear(s.below[:cap(s.below)])
 	s.below = s.below[:0]
 	s.n = 0

@@ -251,7 +251,7 @@ func TestChunkRecycling(t *testing.T) {
 		t.Errorf("%v allocations refilling a robbed stack, want 0", allocs)
 	}
 	fill()
-	if lost := s.Drop(); lost != 3+depth || listed() != 0 || cap(s.top) != segNodes {
+	if lost := len(s.Drop(nil)); lost != 3+depth || listed() != 0 || cap(s.top) != segNodes {
 		t.Fatalf("Drop lost %d nodes and left %d segments listed, top capacity %d", lost, listed(), cap(s.top))
 	}
 	small := New(8)
@@ -414,14 +414,17 @@ func TestDrop(t *testing.T) {
 	for i := uint32(0); i < 7; i++ {
 		s.Push(node(i))
 	}
-	if lost := s.Drop(); lost != 7 {
-		t.Fatalf("Drop = %d, want 7", lost)
+	lost := s.Drop(nil)
+	for i := range 7 {
+		if len(lost) != 7 || lost[i] != node(uint32(i)) {
+			t.Fatalf("Drop = %v, want the 7 nodes oldest first", lost)
+		}
 	}
 	if !s.Empty() || s.Len() != 0 {
 		t.Fatal("stack not empty after Drop")
 	}
-	if lost := s.Drop(); lost != 0 {
-		t.Fatalf("Drop on empty stack = %d", lost)
+	if lost := s.Drop(nil); len(lost) != 0 {
+		t.Fatalf("Drop on empty stack = %v", lost)
 	}
 	// The stack stays usable and reuses the recycled buffers.
 	s.Push(node(9))
