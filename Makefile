@@ -11,7 +11,7 @@ ARTIFACTS ?= artifacts
 # corner: the golden ledger the matrix gate compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke par-smoke parprof-smoke bench-json bench-smoke profile matrix-smoke matrix-baseline check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke bench-json bench-smoke profile matrix-smoke matrix-baseline check clean
 
 build:
 	$(GO) build ./...
@@ -52,9 +52,9 @@ bench-check:
 
 # The concurrent packages get a dedicated race-detector pass; -short
 # keeps the stress budgets CI-sized. The sharded kernel and the sharded
-# engine tests (window barrier, staging queues, crash-during-window)
-# run under the detector in full: the parallel windows are the one
-# place simulated concurrency meets host concurrency.
+# engine tests (window barrier, staging queues, routers) run under the
+# detector in full: the parallel windows are the one place simulated
+# concurrency meets host concurrency.
 race:
 	$(GO) test -race -short ./internal/deque ./internal/rt ./internal/sim/par
 	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
@@ -226,58 +226,7 @@ matrix-baseline:
 	$(GO) run ./cmd/experiments -matrix -scale $(MATRIX_SCALE) -matrix-out artifacts/runs/baseline
 	@echo "matrix-baseline: regenerated artifacts/runs/baseline — review the diff and commit"
 
-# par-smoke is the sharded-kernel determinism gate: the same Fig-9-style
-# run (Tofu selection, 1/N placement) executed at 1, 2, 4 and 8 shards
-# must print byte-identical results — every output of the run is virtual,
-# so any byte of divergence means the window protocol leaked host
-# scheduling into the simulation. Wall-clock per shard count lands in the
-# scaling-table artifact; on multi-core runners it shows the speedup,
-# on single-core CI it documents the coordination overhead.
-PAR_TREE ?= H-SMALL
-PAR_RANKS ?= 2048
-PAR_SHARDS ?= 1 2 4 8
-PAR_RUN = $(GO) run ./cmd/uts -tree $(PAR_TREE) -ranks $(PAR_RANKS) -chunk 4 -selector Tofu -seed 5
-par-smoke:
-	@mkdir -p $(SMOKE)
-	$(PAR_RUN) -shards 1 > $(SMOKE)/par.txt
-	@echo "# shards wall_seconds ($(PAR_TREE), $(PAR_RANKS) ranks, Tofu)" > $(SMOKE)/par.scaling.txt
-	@for s in $(PAR_SHARDS); do \
-		start=$$(date +%s.%N); \
-		$(PAR_RUN) -shards $$s > $(SMOKE)/par.$$s.txt || exit 1; \
-		end=$$(date +%s.%N); \
-		echo "$$s $$(echo "$$end $$start" | awk '{printf "%.2f", $$1-$$2}')" >> $(SMOKE)/par.scaling.txt; \
-		cmp -s $(SMOKE)/par.$$s.txt $(SMOKE)/par.txt || \
-			{ echo "par-smoke: shards=$$s diverged from sequential"; exit 1; }; \
-		rm -f $(SMOKE)/par.$$s.txt; \
-	done
-	@cat $(SMOKE)/par.scaling.txt
-	@echo "par-smoke: shards {$(PAR_SHARDS)} byte-identical; scaling table in $(SMOKE)/par.scaling.txt"
-
-# parprof-smoke is the window-profiling observer-freedom gate: the same
-# sharded run with and without -parprof must emit byte-identical event
-# traces (profiling reads barrier state, it never perturbs it), the
-# profiled manifest's `par` section must pass tracetool -check and print
-# under tracetool -par, and the shards {1,2,4,8} scaling report must land
-# as a JSON artifact for CI upload.
-PARPROF_RUN = $(GO) run ./cmd/uts -tree T3 -ranks 16 -chunk 4 -selector Tofu -seed 5 -shards 4
-parprof-smoke:
-	@mkdir -p $(SMOKE)
-	$(PARPROF_RUN) -trace $(SMOKE)/parprof.off.jsonl > /dev/null
-	$(PARPROF_RUN) -parprof -trace $(SMOKE)/parprof.on.jsonl \
-		-manifest $(SMOKE)/parprof.manifest.json \
-		-parprof-json $(SMOKE)/parprof.scaling.json > $(SMOKE)/parprof.txt
-	@cmp -s $(SMOKE)/parprof.on.jsonl $(SMOKE)/parprof.off.jsonl || \
-		{ echo "parprof-smoke: profiling perturbed the event trace"; exit 1; }
-	@rm -f $(SMOKE)/parprof.off.jsonl $(SMOKE)/parprof.on.jsonl
-	@grep -q "parallel-kernel profile" $(SMOKE)/parprof.txt || \
-		{ echo "parprof-smoke: window profile missing from output"; cat $(SMOKE)/parprof.txt; exit 1; }
-	@grep -q "shard scaling report" $(SMOKE)/parprof.txt || \
-		{ echo "parprof-smoke: scaling report missing from output"; cat $(SMOKE)/parprof.txt; exit 1; }
-	$(GO) run ./cmd/tracetool -in $(SMOKE)/parprof.manifest.json -par
-	$(GO) run ./cmd/tracetool -check $(SMOKE)/parprof.manifest.json
-	@echo "parprof-smoke: observer-free; profile in $(SMOKE)/parprof.txt, scaling in $(SMOKE)/parprof.scaling.json"
-
-check: build lint vet distwsvet test bench-check race fuzz-smoke par-smoke parprof-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke
+check: build lint vet distwsvet test bench-check race fuzz-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke
 	@echo "check: all gates passed"
 
 clean:

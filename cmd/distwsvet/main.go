@@ -81,17 +81,10 @@ var (
 	// ...except the real shared-memory runtime internal/rt, whose
 	// entire point is genuine elapsed time (it benchmarks the same
 	// victim-selection machinery the simulator studies); its metrics
-	// use the rt_ name prefix to keep the two time bases apart — and
-	// the parallel-kernel wall-clock probe internal/obs/parprof/
-	// wallclock, whose busy/barrier-wait measurements are host
-	// diagnostics that flow only outward into reports, never into the
-	// simulation (the fixture tests prove the entry is load-bearing).
-	// Command-line tools and examples live outside internal/ and may
-	// also time things.
-	wallClockOK = []string{
-		"distws/internal/rt",
-		"distws/internal/obs/parprof/wallclock",
-	}
+	// use the rt_ name prefix to keep the two time bases apart (a
+	// fixture test proves the entry is load-bearing). Command-line tools
+	// and examples live outside internal/ and may also time things.
+	wallClockOK = []string{"distws/internal/rt"}
 
 	// simPath defines the Event handle type handlesafe guards;
 	// commPath defines the pooled Message poolcheck tracks.

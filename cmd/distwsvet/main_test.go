@@ -257,9 +257,7 @@ func TestWalltimeAllowlistIsLoadBearing(t *testing.T) {
 // exception stripped. The window ledger is a determinism artifact —
 // byte-identical across repeat runs — so the package must hold the
 // virtual-time, randomness and iteration-order invariants on its own
-// merits: not allowlisted, and clean under the bare analyzers. The
-// wall-clock half lives in the parprof/wallclock subpackage precisely
-// so this package never needs the exception.
+// merits: not allowlisted, and clean under the bare analyzers.
 func TestParprofPackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/obs/parprof"
 	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
@@ -280,25 +278,6 @@ func TestParprofPackageCleanWithoutAllowlists(t *testing.T) {
 	}
 	for _, d := range diags {
 		t.Errorf("finding: %v", d)
-	}
-}
-
-// TestWallclockAllowlistIsLoadBearing strips the wall-clock probe's
-// wallClockOK entry and expects walltime findings: parprof/wallclock
-// genuinely reads the host clock (that is its job), so the scoped
-// exception is doing work — and its scope is exactly one package, so
-// the deterministic parprof ledger above never rides on it.
-func TestWallclockAllowlistIsLoadBearing(t *testing.T) {
-	pkgs, err := analysis.Load("../..", "distws/internal/obs/parprof/wallclock")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{walltime.New(virtualTime, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("parprof/wallclock has no walltime findings without its allowlist entry; the wallClockOK entry is stale")
 	}
 }
 

@@ -108,7 +108,6 @@ func main() {
 		ins          inList
 		formatFlag   = flag.String("format", "text", "output format: text|json")
 		diffFlag     = flag.Bool("diff", false, "diff exactly two -in inputs (run manifests or raw traces) into an attribution report")
-		parFlag      = flag.Bool("par", false, "print the parallel-kernel window profile of each -in run manifest")
 		chromeFlag   = flag.String("chrome", "", "convert the (single) input to Chrome trace-event JSON at this path")
 		lifeFlag     = flag.Bool("lifestory", false, "print per-rank activity bars")
 		blameFlag    = flag.Bool("blame", false, "print the idle-time blame attribution table")
@@ -143,15 +142,6 @@ func main() {
 			fatalf("-diff compares exactly two inputs; got %d", len(ins))
 		}
 		runDiff(ins[0], ins[1], *formatFlag)
-		return
-	}
-	if *parFlag {
-		for i, path := range ins {
-			if i > 0 {
-				fmt.Println()
-			}
-			runPar(path)
-		}
 		return
 	}
 
@@ -203,44 +193,6 @@ func runDiff(pathA, pathB, format string) {
 	}
 	if err := write(os.Stdout); err != nil {
 		fatalf("%v", err)
-	}
-}
-
-// runPar prints one run manifest's parallel-kernel window profile
-// (the `par` section written by `uts -parprof -manifest`).
-func runPar(path string) {
-	m, err := ledger.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	p := m.Par
-	if p == nil {
-		fmt.Printf("%s: no parallel-kernel profile (run with uts -parprof -manifest)\n", path)
-		return
-	}
-	fmt.Printf("%s: parallel-kernel profile: %d shard(s), lookahead %v\n",
-		m.ID, p.Shards, sim.Duration(p.LookaheadNS))
-	if p.Windows == 0 {
-		fmt.Printf("  no windows recorded (sequential kernel)\n")
-		return
-	}
-	fmt.Printf("  windows:    %d (%d parallel, %d serialized = %.1f%%)\n",
-		p.Windows, p.Windows-p.Serialized, p.Serialized,
-		100*float64(p.Serialized)/float64(p.Windows))
-	fmt.Printf("  staged:     %d message(s) merged at barriers (cross-shard + deferred same-shard)\n", p.Staged)
-	for _, c := range p.Causes {
-		fmt.Printf("    %-18s %6d window(s)  %12v\n",
-			c.Cause, c.Windows, sim.Duration(c.VirtualNS))
-	}
-	if p.Traffic != nil {
-		fmt.Printf("  shard traffic (staged messages, source-major):\n")
-		for src, row := range p.Traffic {
-			fmt.Printf("    shard %3d:", src)
-			for _, n := range row {
-				fmt.Printf(" %8d", n)
-			}
-			fmt.Println()
-		}
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 )
 
 // parseCrashSpec parses the -crash flag: a comma-separated list of
-// rank@time entries, e.g. "3@40us,11@2ms". Times are virtual times
-// since the start of the run, in time.ParseDuration syntax.
+// rank@time entries, e.g. "3@40us,11@2ms", each rank at most once.
+// Times are virtual times since the start of the run, in
+// time.ParseDuration syntax.
 func parseCrashSpec(spec string) ([]fault.Crash, error) {
 	var crashes []fault.Crash
+	seen := map[int]bool{}
 	for _, entry := range strings.Split(spec, ",") {
 		rank, at, ok := strings.Cut(strings.TrimSpace(entry), "@")
 		if !ok {
@@ -25,6 +27,10 @@ func parseCrashSpec(spec string) ([]fault.Crash, error) {
 		if err != nil || r < 0 {
 			return nil, fmt.Errorf("crash %q: bad rank %q", entry, rank)
 		}
+		if seen[r] {
+			return nil, fmt.Errorf("crash %q: rank %d crashes twice", entry, r)
+		}
+		seen[r] = true
 		d, err := time.ParseDuration(at)
 		if err != nil || d <= 0 {
 			return nil, fmt.Errorf("crash %q: bad time %q (want e.g. 40us, 2ms)", entry, at)
@@ -36,7 +42,8 @@ func parseCrashSpec(spec string) ([]fault.Crash, error) {
 
 // parseStragglerSpec parses the -straggler flag: a comma-separated list
 // of rank@compute[xsend] entries, e.g. "5@3" (compute 3x slower) or
-// "5@3x2" (compute 3x, sends 2x slower).
+// "5@3x2" (compute 3x, sends 2x slower). A factor is a number from 1 to
+// fault.MaxMultiplier.
 func parseStragglerSpec(spec string) ([]fault.Straggler, error) {
 	var stragglers []fault.Straggler
 	for _, entry := range strings.Split(spec, ",") {
@@ -50,17 +57,24 @@ func parseStragglerSpec(spec string) ([]fault.Straggler, error) {
 		}
 		computeStr, sendStr, hasSend := strings.Cut(factors, "x")
 		s := fault.Straggler{Rank: r}
-		if s.Compute, err = strconv.ParseFloat(computeStr, 64); err != nil || s.Compute < 1 {
-			return nil, fmt.Errorf("straggler %q: bad compute factor %q (want >= 1)", entry, computeStr)
+		if s.Compute, ok = parseFactor(computeStr); !ok {
+			return nil, fmt.Errorf("straggler %q: bad compute factor %q (want 1 to %g)", entry, computeStr, float64(fault.MaxMultiplier))
 		}
 		if hasSend {
-			if s.Send, err = strconv.ParseFloat(sendStr, 64); err != nil || s.Send < 1 {
-				return nil, fmt.Errorf("straggler %q: bad send factor %q (want >= 1)", entry, sendStr)
+			if s.Send, ok = parseFactor(sendStr); !ok {
+				return nil, fmt.Errorf("straggler %q: bad send factor %q (want 1 to %g)", entry, sendStr, float64(fault.MaxMultiplier))
 			}
 		}
 		stragglers = append(stragglers, s)
 	}
 	return stragglers, nil
+}
+
+// parseFactor parses one straggler multiplier and reports whether it
+// is a number from 1 to fault.MaxMultiplier (NaN is not).
+func parseFactor(s string) (float64, bool) {
+	f, err := strconv.ParseFloat(s, 64)
+	return f, err == nil && f >= 1 && f <= fault.MaxMultiplier
 }
 
 // buildFaultPlan resolves the fault flags into at most one plan. A plan

@@ -30,8 +30,6 @@ import (
 	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/ledger"
-	"distws/internal/obs/parprof"
-	"distws/internal/obs/parprof/wallclock"
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/term"
@@ -50,10 +48,6 @@ func main() {
 		chunkFlag     = flag.Int("chunk", 4, "nodes per chunk (UTS default is 20; scaled experiments use 4)")
 		nodeCostFlag  = flag.Duration("nodecost", 0, "virtual time per child generation (default 1µs)")
 		seedFlag      = flag.Uint64("seed", 1, "random seed")
-		shardsFlag    = flag.Int("shards", 1, "parallel simulation shards (conservative time windows; 1 = sequential kernel)")
-		parprofFlag   = flag.Bool("parprof", false, "profile the parallel kernel: window ledger, serialization causes, and a shard scaling report")
-		parwallFlag   = flag.Bool("parwall", false, "with -parprof and -shards > 1: add the wall-clock busy/barrier-wait profile (host-dependent)")
-		parJSONFlag   = flag.String("parprof-json", "", "with -parprof: write the shard scaling report as JSON to this file")
 		detFlag       = flag.String("termination", "Safra", "termination detector: Safra|Ring")
 		traceFlag     = flag.String("trace", "", "write the activity trace + event log (JSONL) to this file")
 		chromeFlag    = flag.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto)")
@@ -91,6 +85,9 @@ func main() {
 	info, ok := uts.Preset(*treeFlag)
 	if !ok {
 		fatalf("unknown tree preset %q (-listtrees)", *treeFlag)
+	}
+	if err := checkRanks(*ranksFlag); err != nil {
+		fatalf("%v", err)
 	}
 	placement, err := topology.ParsePlacement(*placeFlag)
 	if err != nil {
@@ -163,23 +160,7 @@ func main() {
 		EventBuffer:   *eventBufFlag,
 		Metrics:       reg,
 		Faults:        plan,
-		Shards:        *shardsFlag,
-		ParProfile:    *parprofFlag,
 		Serve:         serveSpec,
-	}
-	if err := checkShards(*shardsFlag, *ranksFlag); err != nil {
-		fatalf("%v", err)
-	}
-	if *parwallFlag && !*parprofFlag {
-		fatalf("-parwall requires -parprof")
-	}
-	if *parJSONFlag != "" && !*parprofFlag {
-		fatalf("-parprof-json requires -parprof")
-	}
-	var wallProf *wallclock.Profile
-	if *parwallFlag && *shardsFlag > 1 {
-		wallProf = wallclock.New(*shardsFlag)
-		cfg.ParWallProbe = wallProf
 	}
 	res, err := core.Run(cfg)
 	if err != nil {
@@ -266,36 +247,9 @@ func main() {
 			fmt.Printf("  trace written:   %s (analyze with tracetool -in %s)\n", *traceFlag, *traceFlag)
 		}
 		if *chromeFlag != "" {
-			opts := obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs(), ParWindows: parprof.ChromeWindows(res.Par)}
+			opts := obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs()}
 			writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, opts) })
 			fmt.Printf("  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
-		}
-	}
-
-	// Parallel-kernel profiling rides outside core.Run, exactly like the
-	// causal analyses: the ledger is read from the Result, the sim_par_*
-	// metrics publish into the registry only here, and the scaling runs
-	// are fresh stripped executions — the primary run's artifacts stay
-	// byte-identical to an unprofiled run's.
-	if *parprofFlag {
-		parprof.Publish(reg, res.Par)
-		fmt.Printf("\n")
-		if err := res.Par.WriteText(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-		if wallProf != nil {
-			if err := wallProf.WriteText(os.Stdout); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		sc := runScaling(cfg)
-		fmt.Printf("\n")
-		if err := sc.WriteText(os.Stdout); err != nil {
-			fatalf("%v", err)
-		}
-		if *parJSONFlag != "" {
-			writeFile(*parJSONFlag, sc.WriteJSON)
-			fmt.Printf("  scaling json:    %s\n", *parJSONFlag)
 		}
 	}
 
@@ -349,8 +303,8 @@ func writeServe(w io.Writer, st *serve.Stats, horizon sim.Duration) {
 // instead feeds every tenant from one JSONL arrival log (the format
 // serve.WriteArrivals emits).
 func buildServeSpec(arrivals string, tenants int, horizon sim.Duration, tree uts.Params) (*serve.Spec, error) {
-	if tenants < 1 {
-		return nil, fmt.Errorf("-tenants must be >= 1, got %d", tenants)
+	if tenants < 1 || tenants > serve.MaxTenants {
+		return nil, fmt.Errorf("-tenants must be in [1, %d], got %d", serve.MaxTenants, tenants)
 	}
 	spec := &serve.Spec{Horizon: horizon, Placement: serve.PlaceRR}
 	entries := strings.Split(arrivals, ",")
@@ -389,7 +343,8 @@ func buildServeSpec(arrivals string, tenants int, horizon sim.Duration, tree uts
 }
 
 // parseArrival parses one -arrivals entry: poisson:MEAN,
-// gamma:MEAN:SHAPE or weibull:MEAN:SHAPE (shape defaults to 1).
+// gamma:MEAN:SHAPE or weibull:MEAN:SHAPE (shape defaults to 1), and
+// refuses a process the sampler cannot draw from (serve.ArrivalSpec.Validate).
 func parseArrival(entry string) (serve.ArrivalSpec, error) {
 	parts := strings.Split(entry, ":")
 	bad := func() (serve.ArrivalSpec, error) {
@@ -422,6 +377,9 @@ func parseArrival(entry string) (serve.ArrivalSpec, error) {
 		}
 	default:
 		return bad()
+	}
+	if err := a.Validate(); err != nil {
+		return serve.ArrivalSpec{}, fmt.Errorf("-arrivals entry %q: %w", entry, err)
 	}
 	return a, nil
 }
@@ -479,54 +437,12 @@ func fatalf(format string, args ...any) {
 	os.Exit(1)
 }
 
-// scalingShards is the shard ladder the scaling report walks.
-var scalingShards = []int{1, 2, 4, 8}
-
-// runScaling re-runs the configuration across the shard ladder (capped
-// at the rank count), wall-timing each run. Every ladder run is
-// stripped of tracing, metrics, and the wall probe so the wall columns
-// compare like with like; the virtual columns are deterministic. The
-// host-clock reads live here in package main — the engine itself never
-// touches wall time (cmd/distwsvet enforces that).
-func runScaling(cfg core.Config) parprof.Scaling {
-	var sc parprof.Scaling
-	for _, s := range scalingShards {
-		if s > cfg.Ranks {
-			break
-		}
-		c := cfg
-		c.Shards = s
-		c.ParProfile = true
-		c.ParWallProbe = nil
-		c.CollectTrace, c.CollectEvents, c.EventBuffer = false, false, 0
-		c.Metrics = nil
-		start := time.Now()
-		r, err := core.Run(c)
-		if err != nil {
-			// A ladder point can be invalid (e.g. a fault plan that cannot
-			// shard); report it and keep the rest of the table.
-			fmt.Fprintf(os.Stderr, "uts: scaling run at %d shard(s): %v\n", s, err)
-			continue
-		}
-		sc.Rows = append(sc.Rows, parprof.RowFrom(s, r.Makespan, r.Par, time.Since(start).Seconds()))
-	}
-	return sc
-}
-
-// checkShards validates the -shards flag, and the -ranks flag it is
-// measured against, before the run starts. The engine re-validates (and
-// also rejects mode combinations the flag cannot see, like incompatible
-// fault plans), but catching the plain numeric mistakes here gives a
-// flag-shaped message instead of a config error.
-func checkShards(shards, ranks int) error {
+// checkRanks validates the -ranks flag before anything is built, so a
+// plain numeric mistake gets a flag-shaped message instead of a config
+// error.
+func checkRanks(ranks int) error {
 	if ranks < 1 {
 		return fmt.Errorf("-ranks must be >= 1, got %d", ranks)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", shards)
-	}
-	if shards > ranks {
-		return fmt.Errorf("-shards %d exceeds -ranks %d: each shard needs at least one rank", shards, ranks)
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,7 +27,7 @@ func TestParseCrashSpec(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("parseCrashSpec = %+v, want %+v", got, want)
 	}
-	for _, bad := range []string{"", "3", "3@", "@40us", "x@40us", "3@40", "3@-1ms", "-1@40us", "3@40us,,"} {
+	for _, bad := range []string{"", "3", "3@", "@40us", "x@40us", "3@40", "3@-1ms", "-1@40us", "3@40us,,", "3@40us,3@2ms"} {
 		if _, err := parseCrashSpec(bad); err == nil {
 			t.Errorf("parseCrashSpec(%q) accepted", bad)
 		}
@@ -45,7 +46,7 @@ func TestParseStragglerSpec(t *testing.T) {
 	if len(got) != len(want) || got[0] != want[0] || got[1] != want[1] {
 		t.Fatalf("parseStragglerSpec = %+v, want %+v", got, want)
 	}
-	for _, bad := range []string{"", "5", "5@", "5@0.5", "5@3x0.5", "5@x2", "a@3", "5@3xb"} {
+	for _, bad := range []string{"", "5", "5@", "5@0.5", "5@3x0.5", "5@x2", "a@3", "5@3xb", "5@NaN", "5@2e4", "5@3xNaN", "5@3xInf", "5@Inf"} {
 		if _, err := parseStragglerSpec(bad); err == nil {
 			t.Errorf("parseStragglerSpec(%q) accepted", bad)
 		}
@@ -102,62 +103,16 @@ func TestBuildFaultPlanFile(t *testing.T) {
 	}
 }
 
-// TestCheckShards covers the -shards flag validation, and pins that
-// the combinations the flag cannot pre-check (a sharded run with a
-// fault plan needing the send-path interposer) are still rejected by
-// the engine the flag hands off to.
-func TestCheckShards(t *testing.T) {
-	if err := checkShards(1, 8); err != nil {
-		t.Fatalf("shards=1: %v", err)
+// TestCheckRanks: a bad -ranks is reported as a flag, before anything
+// is built.
+func TestCheckRanks(t *testing.T) {
+	if err := checkRanks(8); err != nil {
+		t.Fatalf("ranks=8: %v", err)
 	}
-	if err := checkShards(8, 8); err != nil {
-		t.Fatalf("shards=ranks: %v", err)
-	}
-	for _, tc := range []struct{ shards, ranks int }{{0, 8}, {-2, 8}, {9, 8}} {
-		if err := checkShards(tc.shards, tc.ranks); err == nil {
-			t.Errorf("checkShards(%d, %d) accepted", tc.shards, tc.ranks)
-		}
-	}
-	// A bad -ranks is reported as such, not as a -shards excess.
 	for _, ranks := range []int{0, -3} {
-		if err := checkShards(1, ranks); err == nil || !strings.Contains(err.Error(), "-ranks must be >= 1") {
-			t.Errorf("checkShards(1, %d) = %v, want the -ranks message", ranks, err)
+		if err := checkRanks(ranks); err == nil || !strings.Contains(err.Error(), "-ranks must be >= 1") {
+			t.Errorf("checkRanks(%d) = %v, want the -ranks message", ranks, err)
 		}
-	}
-	cfg := core.Config{
-		Tree:   uts.MustPreset("T3S").Params,
-		Ranks:  8,
-		Shards: 2,
-		Faults: &fault.Plan{Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Drop: 0.1}}},
-	}
-	if _, err := core.Run(cfg); err == nil || !strings.Contains(err.Error(), "interposer") {
-		t.Fatalf("sharded run with link faults accepted: %v", err)
-	}
-}
-
-// TestShardedRunMatchesSequential drives the same small run through
-// the flag path's config at shards 1 and 4: the scalar results the
-// command prints must be identical.
-func TestShardedRunMatchesSequential(t *testing.T) {
-	base := core.Config{
-		Tree:  uts.MustPreset("T3S").Params,
-		Ranks: 16,
-		Seed:  1,
-	}
-	seq, err := core.Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par := base
-	par.Shards = 4
-	res, err := core.Run(par)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Makespan != seq.Makespan || res.Nodes != seq.Nodes ||
-		res.StealRequests != seq.StealRequests || res.ChunksTransferred != seq.ChunksTransferred {
-		t.Fatalf("shards=4 diverged: makespan %v vs %v, steals %d vs %d",
-			res.Makespan, seq.Makespan, res.StealRequests, seq.StealRequests)
 	}
 }
 
@@ -179,7 +134,8 @@ func TestParseArrival(t *testing.T) {
 			t.Errorf("parseArrival(%q) = %+v, want %+v", in, got, want)
 		}
 	}
-	for _, bad := range []string{"", "poisson", "poisson:", "poisson:2ms:3", "gamma:2ms:x", "gamma:2ms:2:9", "uniform:2ms", "poisson:nope"} {
+	for _, bad := range []string{"", "poisson", "poisson:", "poisson:2ms:3", "gamma:2ms:x", "gamma:2ms:2:9", "uniform:2ms", "poisson:nope",
+		"poisson:0s", "poisson:-2ms", "gamma:2ms:NaN", "gamma:2ms:Inf", "weibull:2ms:0.01", "gamma:2ms:-1"} {
 		if _, err := parseArrival(bad); err == nil {
 			t.Errorf("parseArrival(%q) accepted", bad)
 		}
@@ -212,6 +168,15 @@ func TestBuildServeSpec(t *testing.T) {
 
 	if _, err := buildServeSpec("poisson:2ms", 0, 30*sim.Millisecond, tree); err == nil {
 		t.Error("zero tenants accepted")
+	}
+	// A tenant count past the cap is refused before the tenants are
+	// allocated: 10^8 of them used to exhaust memory here.
+	if _, err := buildServeSpec("poisson:2ms", 100_000_000, 30*sim.Millisecond, tree); err == nil ||
+		!strings.Contains(err.Error(), "-tenants") {
+		t.Errorf("10^8 tenants: %v", err)
+	}
+	if spec, err := buildServeSpec("poisson:2ms", serve.MaxTenants, 30*sim.Millisecond, tree); err != nil || spec.Validate() != nil {
+		t.Errorf("serve.MaxTenants tenants refused: %v", err)
 	}
 	if _, err := buildServeSpec("replay:/no/such/file.jsonl", 2, 30*sim.Millisecond, tree); err == nil {
 		t.Error("missing replay file accepted")
@@ -263,4 +228,78 @@ func TestServeUnderCrashes(t *testing.T) {
 	if out := report(plan); !strings.Contains(out, " lost\n") {
 		t.Errorf("report of a crashed serving run counts no lost jobs:\n%s", out)
 	}
+}
+
+// The flag grammars are fuzzed against their downstream validators:
+// whatever a parser accepts must pass the check the run applies later,
+// so a bad flag is refused with a flag-shaped message, never by the
+// engine.
+
+// FuzzParseCrashSpec: an accepted -crash schedule is a valid fault plan
+// on the smallest rank count that holds its ranks and a survivor.
+func FuzzParseCrashSpec(f *testing.F) {
+	for _, s := range []string{"3@40us", "3@40us, 11@2ms", "3@40us,3@2ms", "0@1ns", "3@-1ms", "x@1ms"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		crashes, err := parseCrashSpec(spec)
+		if err != nil {
+			return
+		}
+		maxRank := 0
+		for _, c := range crashes {
+			maxRank = max(maxRank, c.Rank)
+		}
+		if maxRank > math.MaxInt-2 {
+			return // no rank count holds this rank and a survivor
+		}
+		if err := (&fault.Plan{Crashes: crashes}).Validate(maxRank + 2); err != nil {
+			t.Fatalf("parseCrashSpec(%q) accepted a plan Validate refuses: %v", spec, err)
+		}
+	})
+}
+
+// FuzzParseStragglerSpec: an accepted -straggler list is a valid fault
+// plan on the smallest rank count that holds its ranks.
+func FuzzParseStragglerSpec(f *testing.F) {
+	for _, s := range []string{"5@3", "5@3x2,7@1.5", "5@NaN", "5@2e4", "5@1x10000", "5@0x1"} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		stragglers, err := parseStragglerSpec(spec)
+		if err != nil {
+			return
+		}
+		maxRank := 0
+		for _, s := range stragglers {
+			maxRank = max(maxRank, s.Rank)
+		}
+		if maxRank == math.MaxInt {
+			return // no rank count holds this rank
+		}
+		if err := (&fault.Plan{Stragglers: stragglers}).Validate(maxRank + 1); err != nil {
+			t.Fatalf("parseStragglerSpec(%q) accepted a plan Validate refuses: %v", spec, err)
+		}
+	})
+}
+
+// FuzzParseArrival: an accepted -arrivals entry makes a tenant the
+// serving spec's validation accepts.
+func FuzzParseArrival(f *testing.F) {
+	for _, s := range []string{"poisson:2ms", "gamma:2ms:2", "weibull:2ms:1.5", "gamma:2ms:NaN", "poisson:0s", "gamma:1ms:0.01"} {
+		f.Add(s)
+	}
+	tree := uts.MustPreset("T3").Params
+	f.Fuzz(func(t *testing.T, entry string) {
+		a, err := parseArrival(entry)
+		if err != nil {
+			return
+		}
+		spec := &serve.Spec{Horizon: sim.Millisecond, Tenants: []serve.Tenant{
+			{Name: "t0", Arrival: a, Work: serve.Workload{Kind: serve.WorkUTS, Tree: tree}},
+		}}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("parseArrival(%q) = %+v, which Validate refuses: %v", entry, a, err)
+		}
+	})
 }

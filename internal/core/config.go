@@ -23,7 +23,6 @@ import (
 	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/sim/par"
 	"distws/internal/term"
 	"distws/internal/topology"
 	"distws/internal/uts"
@@ -194,55 +193,42 @@ type Config struct {
 
 	// Shards partitions the ranks across that many parallel simulation
 	// kernels (internal/sim/par) synchronized by conservative time
-	// windows; 0 or 1 runs the classic sequential kernel, byte-identical
-	// to builds without the feature. For any fixed (Config, Shards) the
-	// run is bit-identical across repetitions — that is the hard
-	// determinism contract. The Result is additionally independent of
-	// the shard count unless the configuration produces symmetric
-	// same-instant collisions (two messages sent at the same nanosecond
-	// arriving at the same rank at the same nanosecond): there the
-	// sequential kernel breaks the tie by its global insertion counter,
-	// an order no windowed simulator can reconstruct, and the sharded
-	// runs use the canonical (deliver, sent, sender) order instead. The
-	// paper's Figure-9 configurations are collision-free and the
-	// determinism-matrix test pins their shard-count invariance. Shards
-	// must not exceed Ranks; sharding is incompatible with stateful
-	// latency models (topology.JitterLatency) and with fault plans that
-	// need the send-path interposer (link faults, straggler send
-	// multipliers).
+	// windows (DESIGN.md §13); 0 or 1 runs the classic sequential kernel.
+	// Only a closed tree on a fault-free, stateless network can be
+	// sharded: Shards > 1 refuses a task graph, serving, a non-empty
+	// fault plan and topology.JitterLatency, and must not exceed Ranks.
+	// For any fixed (Config, Shards) the run is bit-identical across
+	// repetitions. The Result is additionally independent of the shard
+	// count unless the configuration produces symmetric same-instant
+	// collisions (two messages sent at the same nanosecond arriving at
+	// the same rank at the same nanosecond): there the sequential kernel
+	// breaks the tie by its global insertion counter, an order no
+	// windowed simulator can reconstruct, and the sharded runs use the
+	// canonical (deliver, sent, sender) order instead. The paper's
+	// Figure-9 configurations are collision-free and the
+	// determinism-matrix test pins their shard-count invariance.
 	Shards int
 
-	// ParProfile enables the parallel-kernel window ledger
-	// (internal/obs/parprof): Result.Par records every conservative time
-	// window with its serialization cause and barrier traffic. Recording
-	// happens only at window barriers (coordinator context, workers
-	// quiescent), so a profiled run is byte-identical to an unprofiled
-	// one — traces, metrics, and results never change (observer freedom,
-	// asserted by tests). With Shards <= 1 the ledger is the empty
-	// sequential degenerate (no windows). The engine never publishes the
-	// ledger to Config.Metrics; callers opt in via parprof.Publish.
+	// ParProfile, with Shards > 1, records the parallel-kernel window
+	// ledger (internal/obs/parprof) in Result.Par: every conservative
+	// time window with its serialization cause and barrier traffic.
+	// Recording happens only at window barriers (coordinator context,
+	// workers quiescent), so a profiled run is byte-identical to an
+	// unprofiled one (observer freedom, asserted by tests).
 	ParProfile bool
 
-	// ParWallProbe, when non-nil and Shards > 1, receives wall-clock
-	// window callbacks (par.WallProbe) for the busy/barrier-wait profile
-	// in parprof/wallclock. Wall readings flow only outward into
-	// diagnostics, never into the simulation, so the run stays
-	// bit-deterministic. Ignored by the sequential kernel.
-	ParWallProbe par.WallProbe
-
 	// Serve, when non-nil, switches the engine into open-system serving
-	// mode (internal/serve, DESIGN.md §15): instead of a single tree
+	// mode (internal/serve, DESIGN.md §14): instead of a single tree
 	// rooted at rank 0, jobs arrive continuously from the spec's tenants
 	// under admission control, each rooted at a placement-chosen rank,
 	// and the run ends when the arrival horizon has passed and every
 	// admitted job drained. Config.Tree is ignored (each job carries its
 	// own workload); the termination detector is replaced by the open
-	// detector. The serving run is a pure function of (Config, Seed) —
-	// including under Shards >= 2 — and a nil Serve keeps every closed-
-	// system path byte-identical to builds without the feature. A fault
-	// plan composes: a job any of whose work a fault destroyed is booked
-	// lost instead of done (serve.Stats.Lost), except under Shards >= 2,
-	// whose window barrier folds no losses.
+	// detector. The serving run is a pure function of (Config, Seed),
+	// and a nil Serve keeps every closed-system path byte-identical to
+	// builds without the feature. A fault plan composes: a job any of
+	// whose work a fault destroyed is booked lost instead of done
+	// (serve.Stats.Lost).
 	Serve *serve.Spec
 
 	// Seed drives every random choice of the run.
@@ -355,24 +341,10 @@ var exclusions = []struct {
 }{
 	{func(c *Config, _ bool) bool { return c.Shards > c.Ranks },
 		errors.New("core: more shards than ranks (shards must not exceed ranks)")},
-	{func(c *Config, _ bool) bool {
+	{func(c *Config, graph bool) bool {
 		_, jitter := c.Latency.(*topology.JitterLatency)
-		return c.Shards > 1 && jitter
-	}, errors.New("core: JitterLatency is stateful and admits no sound lookahead bound; it cannot be sharded")},
-	{func(c *Config, _ bool) bool {
-		if c.Shards <= 1 {
-			return false
-		}
-		// Plan.Validate has passed, so Compile cannot fail.
-		inj, _ := fault.Compile(c.Faults, c.Ranks, nil)
-		return inj.NeedsInterposer()
-	}, errors.New("core: fault plans with link faults or straggler send multipliers need the send-path interposer and cannot be sharded")},
-	{func(c *Config, _ bool) bool {
-		return c.Shards > 1 && c.Serve != nil && c.Faults != nil && !c.Faults.Empty()
-	},
-		errors.New("core: sharded serving is incompatible with fault plans (the window barrier folds no job losses)")},
-	{func(c *Config, graph bool) bool { return graph && c.Shards > 1 },
-		errors.New("core: a graph run cannot be sharded (dependence counters are shared state)")},
+		return c.Shards > 1 && (graph || c.Serve != nil || (c.Faults != nil && !c.Faults.Empty()) || jitter)
+	}, errors.New("core: a task graph, serving, a fault plan or JitterLatency cannot be sharded (sharding runs a closed, fault-free tree)")},
 	{func(c *Config, graph bool) bool { return graph && c.Serve != nil },
 		errors.New("core: a graph run is incompatible with serving mode (job accounting counts tree nodes)")},
 }

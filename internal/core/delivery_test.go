@@ -36,7 +36,7 @@ func deliveryCases() map[string]Config {
 			Crashes: []fault.Crash{{Rank: 2, At: sim.Time(60 * sim.Microsecond)}, {Rank: 9, At: sim.Time(90 * sim.Microsecond)}},
 			Links:   []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Dup: 0.1}},
 		}),
-		"serving":  serveTestConfig(0),
+		"serving":  serveTestConfig(),
 		"shards=2": {Tree: t3, Ranks: 16, ChunkSize: 4, Selector: victim.NewDistanceSkewed, Steal: StealHalf, Shards: 2, Seed: 5},
 	}
 }
@@ -147,8 +147,7 @@ func TestVariantDigests(t *testing.T) {
 	oneSidedFaults := cases["crash+dup"]
 	oneSidedFaults.Protocol = OneSided
 	cases["one-sided+crash+dup"] = oneSidedFaults
-	cases["serving/shards=4"] = serveTestConfig(4)
-	oneSidedServing := serveTestConfig(0)
+	oneSidedServing := serveTestConfig()
 	oneSidedServing.Protocol = OneSided
 	cases["one-sided+serving"] = oneSidedServing
 	want := map[string]string{
@@ -161,7 +160,6 @@ func TestVariantDigests(t *testing.T) {
 		"one-sided/steal-half":  "7b8c21ece3ee1adf3078a9783e102116475e5302601933efc8e0b2e032c7fe8e",
 		"one-sided/steal-one":   "cb1139181df3c69e14e9c2a7613457d8b820c732f1262b0ae1c23dac3c4fc6df",
 		"serving":               "665a52e0f11c9b1a4a12172048c9d7ca042b6967268b5ddc1d839a8343e3a7de",
-		"serving/shards=4":      "c4e856f847cf904a08e97c0c73a3880bb70a9b8af9330a2ef56a9604a76aff71",
 		"shards=2":              "b1a1175a7dd8ee25a6c5fd7393787cbd13dbac4fbb74737ce6a2c6319197e7ec",
 		"two-sided":             "fed04eb6ed2f51dd654936d7677465776c7cc08c2eadfb6952e6d14badffd138",
 	}

@@ -287,12 +287,11 @@ type Result struct {
 	// sojourn percentiles, goodput and the Jain fairness index.
 	Serve *serve.Stats
 
-	// Par is the parallel-kernel window ledger, when Config.ParProfile
-	// was set (nil otherwise). For sequential runs (Shards <= 1) it is
-	// the empty degenerate ledger: one shard, no windows. The ledger is
-	// excluded from every determinism artifact the engine emits — the
-	// golden registry dumps and observer-freedom comparisons never see
-	// it — but is itself bit-deterministic for a fixed (Config, Shards).
+	// Par is the parallel-kernel window ledger of a sharded run with
+	// Config.ParProfile set (nil otherwise). The ledger is excluded from
+	// every determinism artifact the engine emits — the golden registry
+	// dumps and observer-freedom comparisons never see it — but is itself
+	// bit-deterministic for a fixed (Config, Shards).
 	Par *parprof.Ledger
 }
 
@@ -357,11 +356,6 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 			k.Now(), k.Dispatched(), err)
 	}
 	res, err := result(engines)
-	if err == nil && cfg.ParProfile {
-		// Sequential degenerate: one shard, no windows. Documents the
-		// run's shape so profiling tooling needs no special casing.
-		res.Par = parprof.New(1, 0)
-	}
 	return res, w, err
 }
 
@@ -372,9 +366,9 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 // to run the kernel(s). The engines share the workload, detector,
 // selector, recorders, metrics registry, injector and rank slab; each
 // owns its kernel, its network, its timer callbacks, its counters and
-// its link tally. Everything that acts on a rank — its crash, its first
-// idle transition, a job arrival rooted at it — goes through the engine
-// owning that rank.
+// its link tally. A rank's first idle transition goes through the
+// engine owning that rank; crashes and job arrivals happen in
+// sequential runs only (Config.Validate), on the one engine.
 func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
@@ -434,8 +428,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 		ps.da, _ = det.(term.DecisionAware)
 	}
 	// Crash-only plans skip the interposer entirely; link faults and
-	// straggler send multipliers need it on the send path (and Validate
-	// keeps them out of sharded runs).
+	// straggler send multipliers need it on the send path.
 	if inj.NeedsInterposer() {
 		inj.OnDrop = e0.onMessageDrop
 		inj.OnDup = e0.onMessageDup
@@ -443,8 +436,8 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	}
 	if inj != nil {
 		for _, c := range cfg.Faults.SortedCrashes() {
-			oe, r := e0.owner(c.Rank), c.Rank
-			oe.kernel.At(c.At, func() { oe.crashRank(r) })
+			r := c.Rank
+			e0.kernel.At(c.At, func() { e0.crashRank(r) })
 		}
 	}
 	w.seed(e0)

@@ -13,25 +13,21 @@ package core
 // barrier in (when, sent, sender, seq) order — a total order that does
 // not depend on how the window's goroutines interleaved.
 //
-// Windows in which a non-local decision could occur are serialized:
-// the coordinator steps the shard kernels one virtual instant at a
-// time in global timestamp order (ties to the lowest shard index),
-// which is exactly a sequential simulation. The triggers are
+// Only a closed, fault-free tree is sharded (Config.Validate refuses the
+// rest), so the ring initiator is rank 0 throughout. Windows in which a
+// non-local decision could occur are serialized: the coordinator steps
+// the shard kernels one virtual instant at a time in global timestamp
+// order (ties to the lowest shard index), which is exactly a sequential
+// simulation. The triggers are
 //
 //  1. the detector does not implement term.DecisionAware (no way to
 //     rule a verdict out, so never run parallel),
-//  2. a fault plan with crashes, from the first crash time onward —
-//     crash handling scans and mutates cross-shard state (ring
-//     healing, dead-lettering, the initiator scan),
-//  3. a fault plan once termination is detected (a premature Ring
-//     verdict can dead-letter in-flight work at done ranks, booking
-//     loss against remote senders),
-//  4. a termination token is due at the initiator inside the window
+//  2. a termination token is due at the initiator inside the window
 //     (OnToken at the initiator can decide), and
-//  5. the detector reports a parked token at the initiator could
+//  3. the detector reports a parked token at the initiator could
 //     decide on its next OnIdle (term.DecisionAware).
 //
-// Triggers 4 and 5 make every verdict land in a serialized window, so
+// Triggers 2 and 3 make every verdict land in a serialized window, so
 // Result.Makespan and the termination broadcast are single-threaded
 // and deterministic. Everything that runs during parallel windows
 // touches only per-rank state owned by the executing shard, lock-free
@@ -60,15 +56,6 @@ type parShared struct {
 	// da is the detector's serialization capability; nil forces every
 	// window serialized.
 	da term.DecisionAware
-	// init is the current ring initiator, recomputed at each barrier
-	// (it only moves when a crash kills it, which happens serialized);
-	// routers read it concurrently during windows, so it must not be
-	// recomputed mid-window.
-	init int
-
-	// haveCrash / firstCrash describe the fault plan's crash schedule.
-	haveCrash  bool
-	firstCrash sim.Time
 
 	// serialized is the current window's mode, written by the
 	// coordinator at the barrier and read by the routers during the
@@ -99,8 +86,8 @@ type parShared struct {
 // router builds shard s's comm router: it claims every message bound
 // for another shard, plus intra-shard messages due at or after the
 // current window's end, and notes termination tokens headed for the
-// initiator. Staging the beyond-window intra-shard deliveries is what
-// keeps same-instant arrivals at one rank in sequential order: a
+// initiator, rank 0. Staging the beyond-window intra-shard deliveries
+// is what keeps same-instant arrivals at one rank in sequential order: a
 // cross-shard request and a local one delivered at the same nanosecond
 // both go through the (when, sent, sender) merge, which ranks the
 // earlier send first exactly as the sequential kernel's insertion
@@ -117,7 +104,7 @@ func (ps *parShared) router(s int) func(*comm.Message, sim.Duration) bool {
 			if d == s {
 				return false // global timestamp order: normal path is exact
 			}
-			if m.Tag == comm.TagToken && m.To == ps.init {
+			if m.Tag == comm.TagToken && m.To == 0 {
 				ps.notes[s] = append(ps.notes[s], when)
 			}
 			ps.sk.Kernel(d).AtArg(when, ps.engines[d].net.DeliverFn(), m)
@@ -126,7 +113,7 @@ func (ps *parShared) router(s int) func(*comm.Message, sim.Duration) bool {
 		if d == s && when < ps.sk.WindowEnd() {
 			return false // fires this window; cannot tie with staged arrivals
 		}
-		if m.Tag == comm.TagToken && m.To == ps.init {
+		if m.Tag == comm.TagToken && m.To == 0 {
 			ps.notes[s] = append(ps.notes[s], when)
 		}
 		ps.sk.Stage(s, d, when, m.SentAt, m.From, ps.engines[d].net.DeliverFn(), m)
@@ -162,16 +149,12 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 		keep = append(keep, t)
 	}
 	ps.pending = keep
-	e0 := ps.engines[0]
-	ps.init = e0.initiator()
 	switch {
 	case ps.da == nil:
 		return parprof.CauseDetector
-	case e0.inj != nil && ((ps.haveCrash && end > ps.firstCrash) || e0.detected):
-		return parprof.CauseCrashPlan
 	case tokenDue:
 		return parprof.CauseTokenDue
-	case ps.da.IdleDecisionPossible(ps.init):
+	case ps.da.IdleDecisionPossible(0):
 		return parprof.CauseIdleDecision
 	}
 	return parprof.CauseNone
@@ -203,13 +186,6 @@ func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
 		shardOf: shardOf,
 		notes:   make([][]sim.Time, shards),
 	}
-	if cfg.Faults != nil {
-		for _, c := range cfg.Faults.Crashes {
-			if !ps.haveCrash || c.At < ps.firstCrash {
-				ps.haveCrash, ps.firstCrash = true, c.At
-			}
-		}
-	}
 	if cfg.ParProfile {
 		ps.prof = parprof.New(shards, lookahead)
 	}
@@ -229,12 +205,6 @@ func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
 		Serialize: ps.serializeWindow,
 		OnWindow: func(info par.WindowInfo) {
 			ps.serialized = info.Serialized
-			if sw, serving := w.(*serveWork); serving {
-				// Workers are quiescent and the upcoming window has not
-				// started: fold the job-accounting deltas, book the
-				// drained jobs, and decide the finish.
-				ps.serveBarrier(sw, info)
-			}
 			if ps.prof == nil {
 				return
 			}
@@ -249,7 +219,6 @@ func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
 			}
 			ps.prof.Record(info.Start, info.End, cause, info.Merged, info.Pairs)
 		},
-		Wall: cfg.ParWallProbe,
 	}
 	if err := sk.Run(hooks); err != nil {
 		return nil, fmt.Errorf("core: sharded simulation (%d shards) aborted: %w", shards, err)

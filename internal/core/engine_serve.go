@@ -1,16 +1,13 @@
 package core
 
-// Served UTS jobs (DESIGN.md §15) replay a schedule compiled before the
+// Served UTS jobs (DESIGN.md §14) replay a schedule compiled before the
 // run (internal/serve). Job accounting rides a per-job live-node count:
 // the root counts one, expanding an internal node adds (children - 1),
 // and a consumed leaf or a node a fault destroyed (staged children
 // included) subtracts one, a destroyed one marking the job lost. Nodes
 // are tagged (uts.Node.Job) and follow the work wherever steals carry
 // it, so a count reaching zero means no node of the job exists, and it
-// is booked done, or lost. Sequential runs book on a zero-delay event,
-// out of expand's loop; under Shards >= 2 each shard accumulates deltas
-// the window barrier folds (serveBarrier) — a fold that carries no
-// losses, which is why Validate keeps fault plans out of sharded serving.
+// is booked done, or lost, on a zero-delay event, out of expand's loop.
 
 import (
 	"strconv"
@@ -18,7 +15,6 @@ import (
 	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/sim/par"
 	"distws/internal/term"
 	"distws/internal/trace"
 	"distws/internal/uts"
@@ -27,8 +23,6 @@ import (
 // openDetector stands in for the termination detector in serving
 // mode: an open system ends by schedule (horizon plus drain), not by
 // distributed detection, so it never fires and circulates no tokens.
-// IdleDecisionPossible is constantly false, which keeps every sharded
-// window parallel (engine_par.go's serialization policy).
 type openDetector struct{}
 
 func (openDetector) Name() string                              { return "Open" }
@@ -40,12 +34,8 @@ func (openDetector) OnToken(int, term.Token, bool) []term.Send { return nil }
 func (openDetector) RemoveRank(int, bool) []term.Send          { return nil }
 func (openDetector) Terminated() bool                          { return false }
 func (openDetector) Rounds() int                               { return 0 }
-func (openDetector) IdleDecisionPossible(int) bool             { return false }
 
-// serveWork is the served-jobs workload. In a sharded run its slices
-// are written only by a job's owning engine during windows (arrival
-// injection) or by the coordinator at barriers (delta folding,
-// booking), never concurrently.
+// serveWork is the served-jobs workload.
 type serveWork struct {
 	sched *serve.Schedule
 
@@ -69,15 +59,9 @@ type serveWork struct {
 		tenantSojourn                           []*obs.Histogram
 	}
 
-	// delta and lastDecs hold, at s*len(live)+j, shard s's accounting
-	// delta and latest dec instant (-1 for none) for job j since the last
-	// barrier (sharded runs only).
-	delta    []int64
-	lastDecs []sim.Time
-
-	// Sequential resolve machinery: jobs whose count reached zero are
-	// parked in pending and booked by a zero-delay event, so the finish
-	// never retires a rank in mid-expansion.
+	// Resolve machinery: jobs whose count reached zero are parked in
+	// pending and booked by a zero-delay event, so the finish never
+	// retires a rank in mid-expansion.
 	horizonTicked bool
 	pending       []uint32
 	armed         bool
@@ -117,26 +101,19 @@ func compileServe(cfg *Config) (workload, error) {
 			m.lost = reg.Counter(MetricJobsLost)
 		}
 	}
-	if cfg.Shards > 1 {
-		w.delta, w.lastDecs = make([]int64, cfg.Shards*n), make([]sim.Time, cfg.Shards*n)
-		for i := range w.lastDecs {
-			w.lastDecs[i] = -1
-		}
-	}
 	return w, nil
 }
 
 func (*serveWork) detector(Config) term.Detector { return openDetector{} }
 
 // seed starts every rank idle and schedules the compiled arrivals and
-// the horizon tick, which also keeps the first kernel (and hence a
-// sharded run's windows) alive through a quiet arrival plan.
+// the horizon tick.
 func (w *serveWork) seed(e *engine) {
 	e.idleFrom(0)
 	w.resolveFn = func() { w.resolve(e) }
 	for i := range w.sched.Jobs {
-		idx, oe := i, e.owner(int(w.sched.Jobs[i].Root))
-		oe.kernel.At(w.sched.Jobs[i].At, func() { w.arrive(oe, idx) })
+		idx := i
+		e.kernel.At(w.sched.Jobs[i].At, func() { w.arrive(e, idx) })
 	}
 	e.kernel.At(w.horizonAt, func() { w.horizon(e) })
 }
@@ -163,9 +140,6 @@ func (w *serveWork) report(e *engine, res *Result) { res.Serve = w.sched.Stats(w
 
 // arrive replays one compiled arrival: record the arrival and its
 // admission verdict, and inject the job's root at the placement rank.
-// Runs on the engine owning the rank (in sharded mode, inside a
-// parallel window — it touches only this shard's ranks, this job's
-// slots, and atomic counters).
 func (w *serveWork) arrive(e *engine, idx int) {
 	j := &w.sched.Jobs[idx]
 	now := e.kernel.Now()
@@ -183,26 +157,16 @@ func (w *serveWork) arrive(e *engine, idx int) {
 	e.injectNode(root, j.Node)
 }
 
-// consume books a node expansion on rank r against its job: d is
-// (children - 1) for an internal node and -1 for a leaf. Called from
-// expand's loop.
-func (w *serveWork) consume(e *engine, r int, job uint32, d int64) {
-	if w.delta != nil {
-		// Parallel window: shard-local delta, folded at the barrier.
-		i := e.par.shardOf[r]*len(w.live) + int(job)
-		w.delta[i] += d
-		if d < 0 {
-			w.lastDecs[i] = e.kernel.Now()
-		}
-		return
-	}
+// consume books a node expansion against its job: d is (children - 1)
+// for an internal node and -1 for a leaf. Called from expand's loop.
+func (w *serveWork) consume(e *engine, job uint32, d int64) {
 	if w.live[job] += d; d < 0 && w.live[job] == 0 {
 		w.park(e, job)
 	}
 }
 
 // drop takes n destroyed nodes away from job, which is then booked lost
-// once the rest of it is gone (sequential runs only).
+// once the rest of it is gone.
 func (w *serveWork) drop(e *engine, job uint32, n int64) {
 	w.lost[job] = true
 	if w.live[job] -= n; w.live[job] == 0 {
@@ -232,7 +196,6 @@ func (w *serveWork) resolve(e *engine) {
 
 // book resolves a job whose count reached zero, at that instant
 // (lastDec): lost if a fault destroyed any of its work, done otherwise.
-// The sequential resolve event and the sharded barrier both book here.
 func (w *serveWork) book(e *engine, job uint32) {
 	j := &w.sched.Jobs[job]
 	at := w.lastDec[job]
@@ -252,11 +215,8 @@ func (w *serveWork) book(e *engine, job uint32) {
 }
 
 // horizon is the horizon tick: it keeps the kernel alive through the
-// arrival window and, sequentially, arms the finish check.
+// arrival window and arms the finish check.
 func (w *serveWork) horizon(e *engine) {
-	if e.par != nil {
-		return // the barrier decides from window bounds instead
-	}
 	w.horizonTicked = true
 	w.finish(e, e.kernel.Now())
 }
@@ -264,11 +224,9 @@ func (w *serveWork) horizon(e *engine) {
 // finish ends a serving run at instant at, provided the horizon has
 // passed and every admitted job is resolved: every rank is retired.
 // Events still queued (steal retries, in-flight replies) no-op against
-// rsDone ranks, so the kernels drain. Called from sequential event
-// context — at is then the horizon itself when the jobs resolved early,
-// or the final resolution when the drain outlived it — or from a window
-// barrier (workers quiescent); at never precedes a recorded transition
-// in either case.
+// rsDone ranks, so the kernel drains. at is the horizon itself when the
+// jobs resolved early, or the final resolution when the drain outlived
+// it; it never precedes a recorded transition.
 func (w *serveWork) finish(e *engine, at sim.Time) {
 	if w.finished || !w.horizonTicked || w.doneJobs+w.lostJobs != w.sched.Admitted {
 		return
@@ -278,34 +236,4 @@ func (w *serveWork) finish(e *engine, at sim.Time) {
 	for r := range e.ranks {
 		e.finishRank(r, at)
 	}
-}
-
-// serveBarrier folds the shards' per-window deltas into the shared job
-// counters, books the jobs that drained, and decides the finish. Runs
-// in the coordinator at each window barrier: workers are quiescent, so
-// cross-shard reads and writes are single-threaded and the fold order
-// (jobs ascending, shards ascending) is fixed.
-func (ps *parShared) serveBarrier(w *serveWork, info par.WindowInfo) {
-	if w.finished {
-		return
-	}
-	e0 := ps.engines[0]
-	for j := range w.live {
-		var last sim.Time = -1
-		for i := j; i < len(w.delta); i += len(w.live) {
-			w.live[j] += w.delta[i]
-			last = max(last, w.lastDecs[i])
-			w.delta[i], w.lastDecs[i] = 0, -1
-		}
-		// A count reaches zero only by a leaf consumed in this window:
-		// without one the job has not arrived, was rejected, or is
-		// already booked.
-		if last < 0 || w.live[j] != 0 {
-			continue
-		}
-		w.lastDec[j] = last
-		w.book(e0, uint32(j))
-	}
-	w.horizonTicked = info.Start > w.horizonAt
-	w.finish(e0, info.Start)
 }

@@ -46,10 +46,9 @@ func serveTestSpec() *serve.Spec {
 	}
 }
 
-func serveTestConfig(shards int) Config {
+func serveTestConfig() Config {
 	return Config{
 		Ranks:        8,
-		Shards:       shards,
 		Serve:        serveTestSpec(),
 		Seed:         7,
 		CollectTrace: true,
@@ -73,7 +72,6 @@ func serveFingerprint(t *testing.T, cfg Config) string {
 	tr := res.Trace
 	st := res.Serve
 	res.Trace = nil
-	res.Par = nil
 	res.Serve = nil // a pointer would print as an address
 	fmt.Fprintf(&b, "%+v\n", *res)
 	fmt.Fprintf(&b, "%+v\n", *st)
@@ -91,14 +89,10 @@ func serveFingerprint(t *testing.T, cfg Config) string {
 }
 
 // TestServeDeterministic pins the headline guarantee: a serving run is
-// a pure function of (Config, seed), sequentially and under Shards=4.
+// a pure function of (Config, seed).
 func TestServeDeterministic(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		a := serveFingerprint(t, serveTestConfig(shards))
-		b := serveFingerprint(t, serveTestConfig(shards))
-		if a != b {
-			t.Errorf("shards=%d: repeat serving runs differ:\n--- first ---\n%s\n--- second ---\n%s", shards, a, b)
-		}
+	if a, b := serveFingerprint(t, serveTestConfig()), serveFingerprint(t, serveTestConfig()); a != b {
+		t.Errorf("repeat serving runs differ:\n--- first ---\n%s\n--- second ---\n%s", a, b)
 	}
 }
 
@@ -106,59 +100,57 @@ func TestServeDeterministic(t *testing.T) {
 // partition identity, full drain of admitted jobs, positive makespan
 // bounded below by the horizon, and a defined Jain index.
 func TestServeStats(t *testing.T) {
-	for _, shards := range []int{0, 4} {
-		cfg := serveTestConfig(shards)
-		res, err := Run(cfg)
-		if err != nil {
-			t.Fatalf("shards=%d: Run: %v", shards, err)
+	cfg := serveTestConfig()
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := res.Serve
+	if st == nil {
+		t.Fatal("nil Serve stats")
+	}
+	if st.Arrived == 0 {
+		t.Fatal("no arrivals over a 50ms horizon")
+	}
+	if st.Admitted+st.Rejected != st.Arrived {
+		t.Errorf("admitted %d + rejected %d != arrived %d", st.Admitted, st.Rejected, st.Arrived)
+	}
+	if st.Done != st.Admitted {
+		t.Errorf("%d done of %d admitted (run must drain)", st.Done, st.Admitted)
+	}
+	if st.Rejected == 0 {
+		t.Error("token bucket rejected nothing; spec too loose to test admission")
+	}
+	if st.Jain <= 0 || st.Jain > 1 {
+		t.Errorf("Jain index %v out of (0, 1]", st.Jain)
+	}
+	var perTenantArrived uint64
+	for _, ts := range st.Tenants {
+		if ts.Admitted+ts.Rejected != ts.Arrived {
+			t.Errorf("tenant %s: admitted %d + rejected %d != arrived %d",
+				ts.Name, ts.Admitted, ts.Rejected, ts.Arrived)
 		}
-		st := res.Serve
-		if st == nil {
-			t.Fatalf("shards=%d: nil Serve stats", shards)
-		}
-		if st.Arrived == 0 {
-			t.Fatalf("shards=%d: no arrivals over a 50ms horizon", shards)
-		}
-		if st.Admitted+st.Rejected != st.Arrived {
-			t.Errorf("shards=%d: admitted %d + rejected %d != arrived %d", shards, st.Admitted, st.Rejected, st.Arrived)
-		}
-		if st.Done != st.Admitted {
-			t.Errorf("shards=%d: %d done of %d admitted (run must drain)", shards, st.Done, st.Admitted)
-		}
-		if st.Rejected == 0 {
-			t.Errorf("shards=%d: token bucket rejected nothing; spec too loose to test admission", shards)
-		}
-		if st.Jain <= 0 || st.Jain > 1 {
-			t.Errorf("shards=%d: Jain index %v out of (0, 1]", shards, st.Jain)
-		}
-		var perTenantArrived uint64
-		for _, ts := range st.Tenants {
-			if ts.Admitted+ts.Rejected != ts.Arrived {
-				t.Errorf("shards=%d: tenant %s: admitted %d + rejected %d != arrived %d",
-					shards, ts.Name, ts.Admitted, ts.Rejected, ts.Arrived)
-			}
-			perTenantArrived += ts.Arrived
-		}
-		if perTenantArrived != st.Arrived {
-			t.Errorf("shards=%d: tenant rows sum to %d arrivals, global says %d", shards, perTenantArrived, st.Arrived)
-		}
-		horizon := sim.Duration(cfg.Serve.Horizon)
-		if res.Makespan < horizon {
-			t.Errorf("shards=%d: makespan %v shorter than the %v horizon", shards, res.Makespan, horizon)
-		}
-		if res.Premature {
-			t.Errorf("shards=%d: serving run flagged premature", shards)
-		}
-		if res.Detector != "Open" {
-			t.Errorf("shards=%d: detector %q, want Open", shards, res.Detector)
-		}
-		if res.Nodes == 0 || res.Nodes != res.NodesGenerated {
-			t.Errorf("shards=%d: nodes %d generated %d (serving loses no work)", shards, res.Nodes, res.NodesGenerated)
-		}
-		if tr := res.Trace; tr != nil {
-			if err := tr.Validate(); err != nil {
-				t.Errorf("shards=%d: trace invalid: %v", shards, err)
-			}
+		perTenantArrived += ts.Arrived
+	}
+	if perTenantArrived != st.Arrived {
+		t.Errorf("tenant rows sum to %d arrivals, global says %d", perTenantArrived, st.Arrived)
+	}
+	horizon := sim.Duration(cfg.Serve.Horizon)
+	if res.Makespan < horizon {
+		t.Errorf("makespan %v shorter than the %v horizon", res.Makespan, horizon)
+	}
+	if res.Premature {
+		t.Error("serving run flagged premature")
+	}
+	if res.Detector != "Open" {
+		t.Errorf("detector %q, want Open", res.Detector)
+	}
+	if res.Nodes == 0 || res.Nodes != res.NodesGenerated {
+		t.Errorf("nodes %d generated %d (serving loses no work)", res.Nodes, res.NodesGenerated)
+	}
+	if tr := res.Trace; tr != nil {
+		if err := tr.Validate(); err != nil {
+			t.Errorf("trace invalid: %v", err)
 		}
 	}
 }
@@ -167,7 +159,7 @@ func TestServeStats(t *testing.T) {
 // no steal traffic, jobs still arrive, drain, and the horizon ends the
 // run.
 func TestServeSingleRank(t *testing.T) {
-	cfg := serveTestConfig(0)
+	cfg := serveTestConfig()
 	cfg.Ranks = 1
 	res, err := Run(cfg)
 	if err != nil {
@@ -181,16 +173,16 @@ func TestServeSingleRank(t *testing.T) {
 // TestServeConfigValidate covers the core-level Serve checks layered on
 // top of serve.Spec.Validate.
 func TestServeConfigValidate(t *testing.T) {
-	base := serveTestConfig(0)
+	base := serveTestConfig()
 	if err := base.Validate(); err != nil {
 		t.Fatalf("valid serving config rejected: %v", err)
 	}
-	huge := serveTestConfig(0)
+	huge := serveTestConfig()
 	huge.Serve.Horizon = sim.Duration(DefaultMaxVirtualTime)
 	if err := huge.Validate(); err == nil {
 		t.Error("horizon at MaxVirtualTime accepted")
 	}
-	bad := serveTestConfig(0)
+	bad := serveTestConfig()
 	bad.Serve.Tenants = nil
 	if err := bad.Validate(); err == nil {
 		t.Error("tenantless serving spec accepted")
@@ -237,7 +229,7 @@ func TestServeClosedRunUntouched(t *testing.T) {
 // against the engine's replay: every admitted job completes at or
 // after its arrival, and rejected jobs never complete.
 func TestServeScheduleMatchesEngine(t *testing.T) {
-	cfg := serveTestConfig(0)
+	cfg := serveTestConfig()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -262,7 +254,7 @@ func TestServeScheduleMatchesEngine(t *testing.T) {
 // work on a crashed stack, in a staged expansion, in dropped or
 // dead-lettered loot and as an arrival at a crashed root.
 func serveFaultConfig() Config {
-	cfg := serveTestConfig(0)
+	cfg := serveTestConfig()
 	cfg.Faults = &fault.Plan{
 		Seed: 3,
 		Crashes: []fault.Crash{
@@ -342,7 +334,7 @@ func TestServeUnderFaults(t *testing.T) {
 // mid-horizon lose every job rooted at a corpse, but the survivor keeps
 // serving its own, and the run still drains and finishes.
 func TestServeLoneSurvivorDrains(t *testing.T) {
-	cfg := serveTestConfig(0)
+	cfg := serveTestConfig()
 	cfg.Faults = &fault.Plan{}
 	for r := 1; r < cfg.Ranks; r++ {
 		cfg.Faults.Crashes = append(cfg.Faults.Crashes, fault.Crash{Rank: r, At: sim.Time(20 * sim.Millisecond)})

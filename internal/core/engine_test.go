@@ -61,20 +61,28 @@ func TestValidateExclusions(t *testing.T) {
 		{"shards x jitter", func(c *Config) {
 			c.Shards = 2
 			c.Latency = topology.NewJitterLatency(topology.DefaultLatency(), 0.1, 5)
-		}, "JitterLatency"},
+		}, "cannot be sharded"},
 		{"shards x link faults", func(c *Config) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Dup: 0.1}}}
-		}, "interposer"},
+		}, "cannot be sharded"},
 		{"shards x send straggler", func(c *Config) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: 1, Send: 2}}}
-		}, "interposer"},
+		}, "cannot be sharded"},
+		{"shards x crash", func(c *Config) {
+			c.Shards = 2
+			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
+		}, "cannot be sharded"},
+		{"shards x serve", func(c *Config) {
+			c.Shards = 2
+			c.Serve = serveTestSpec()
+		}, "cannot be sharded"},
 		{"shards x serve x faults", func(c *Config) {
 			c.Shards = 2
 			c.Serve = serveTestSpec()
 			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
-		}, "incompatible with fault plans"},
+		}, "cannot be sharded"},
 		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
 		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},
@@ -93,15 +101,19 @@ func TestValidateExclusions(t *testing.T) {
 			}
 		})
 	}
-	// The compatible neighbours of the excluded pairs stay accepted.
+	// The compatible neighbours of the excluded pairs stay accepted: an
+	// empty plan is no plan, and faults compose with unsharded serving.
 	ok := valid()
 	ok.Shards = 2
-	ok.Faults = &fault.Plan{
-		Crashes:    []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}},
-		Stragglers: []fault.Straggler{{Rank: 2, Compute: 2}},
-	}
+	ok.Faults = &fault.Plan{}
 	if err := ok.Validate(); err != nil {
-		t.Errorf("sharded crash + compute-straggler plan rejected: %v", err)
+		t.Errorf("sharded run with an empty fault plan rejected: %v", err)
+	}
+	ok = valid()
+	ok.Serve = serveTestSpec()
+	ok.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
+	if err := ok.Validate(); err != nil {
+		t.Errorf("serving under a crash plan rejected: %v", err)
 	}
 }
 

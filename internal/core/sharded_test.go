@@ -154,61 +154,6 @@ func TestShardedEquivalenceDensePlacement(t *testing.T) {
 	}
 }
 
-// TestShardedCrashPlan runs a crash-only fault plan sharded: windows
-// from the first crash onward serialize, so the run must match the
-// sequential engine exactly — crashed-rank count, loss accounting, and
-// the full dump.
-func TestShardedCrashPlan(t *testing.T) {
-	base := Config{
-		Tree:      uts.MustPreset("H-TINY").Params,
-		Ranks:     64,
-		Placement: topology.OnePerNode,
-		Selector:  victim.NewRoundRobin,
-		Steal:     StealOne,
-		Seed:      7,
-		Faults: &fault.Plan{
-			Seed: 3,
-			Crashes: []fault.Crash{
-				{Rank: 5, At: sim.Time(40 * sim.Microsecond)},
-				{Rank: 41, At: sim.Time(90 * sim.Microsecond)},
-			},
-		},
-	}
-	want := runDump(t, base)
-	for _, shards := range []int{2, 4} {
-		cfg := base
-		cfg.Shards = shards
-		if got := runDump(t, cfg); !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d crash run diverged from sequential\n%s",
-				shards, diffHint(want, got))
-		}
-	}
-}
-
-// TestShardedComputeStragglerPlan covers the one fault class that runs
-// through parallel windows without serializing until detection: pure
-// compute stragglers (no crash schedule, no send-path interposer).
-func TestShardedComputeStragglerPlan(t *testing.T) {
-	base := Config{
-		Tree:      uts.MustPreset("H-TINY").Params,
-		Ranks:     64,
-		Placement: topology.OnePerNode,
-		Selector:  victim.NewRoundRobin,
-		Steal:     StealOne,
-		Seed:      7,
-		Faults: &fault.Plan{
-			Seed:       3,
-			Stragglers: []fault.Straggler{{Rank: 9, Compute: 4}},
-		},
-	}
-	want := runDump(t, base)
-	cfg := base
-	cfg.Shards = 4
-	if got := runDump(t, cfg); !bytes.Equal(got, want) {
-		t.Fatalf("sharded straggler run diverged from sequential\n%s", diffHint(want, got))
-	}
-}
-
 // TestShardedRejects pins the validation and capability boundaries of
 // the sharded path.
 func TestShardedRejects(t *testing.T) {
@@ -230,15 +175,23 @@ func TestShardedRejects(t *testing.T) {
 		{"jitter latency", func(c *Config) {
 			c.Shards = 2
 			c.Latency = topology.NewJitterLatency(topology.DefaultLatency(), 0.1, 5)
-		}, "JitterLatency"},
+		}, "cannot be sharded"},
 		{"link faults", func(c *Config) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Links: []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Drop: 0.1}}}
-		}, "interposer"},
+		}, "cannot be sharded"},
 		{"send straggler", func(c *Config) {
 			c.Shards = 2
 			c.Faults = &fault.Plan{Stragglers: []fault.Straggler{{Rank: 1, Send: 2}}}
-		}, "interposer"},
+		}, "cannot be sharded"},
+		{"crash plan", func(c *Config) {
+			c.Shards = 2
+			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
+		}, "cannot be sharded"},
+		{"serving", func(c *Config) {
+			c.Shards = 2
+			c.Serve = serveTestSpec()
+		}, "cannot be sharded"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -257,7 +210,7 @@ func TestShardedRejects(t *testing.T) {
 
 // TestShardedWindowStress drives many barrier crossings with all the
 // concurrent machinery loaded — dense placement, half-stealing,
-// metrics, event rings, a crash plan — across several shard counts.
+// metrics, event rings — across several shard counts.
 // Its real job is under `make race`: any unsynchronized access in the
 // routers, staging queues, shared selector state, or the detector's
 // per-rank arrays trips the race detector here.
@@ -274,18 +227,11 @@ func TestShardedWindowStress(t *testing.T) {
 				Shards:        shards,
 				CollectTrace:  true,
 				CollectEvents: true,
-				Faults: &fault.Plan{
-					Seed:    11,
-					Crashes: []fault.Crash{{Rank: 17, At: sim.Time(2 * sim.Millisecond)}},
-				},
 			}
 			cfg.Metrics = obs.NewRegistry()
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if res.CrashedRanks != 1 {
-				t.Fatalf("crashed ranks %d, want 1", res.CrashedRanks)
 			}
 			checkAccounting(t, res)
 		})

@@ -89,7 +89,7 @@ func (e *engine) expand(r int, jobs *serveWork) sim.Duration {
 		}
 		nchild := rk.gen.Reset(tree, &node)
 		if jobs != nil {
-			jobs.consume(e, r, node.Job, int64(nchild)-1)
+			jobs.consume(e, node.Job, int64(nchild)-1)
 		}
 		if nchild == 0 {
 			rk.leaves++

@@ -68,11 +68,6 @@ func cellID(tree string, ranks int, variant string, chaos bool) string {
 	return id
 }
 
-// matrixParShards is the shard count of the matrix's profiled sharded
-// cell: large enough for real cross-shard traffic, small enough that
-// every scale's rank counts can host it.
-const matrixParShards = 4
-
 // matrixServeSpec is the serving cell's fixed two-tenant plan: a gold
 // tenant under a tight token bucket (so the baseline pins nonzero
 // rejections) and a best-effort silver tenant, both injecting small
@@ -120,10 +115,11 @@ func tracedCell(id, tree string, v Variant, ranks int, params uts.Params, seed u
 	return matrixCell{id: id, tree: tree, selector: v.Name, cfg: cfg}
 }
 
-// RunMatrix executes the scenario grid plus its chaos, sharded, serving
-// and faulted-serving cells and returns the manifests in cell order. The chaos plan derives from
-// a dedicated fault-free calibration run, so every cell — the chaos
-// cell's fault plan included — is a pure function of (scale, seed).
+// RunMatrix executes the scenario grid plus its chaos, serving and
+// faulted-serving cells and returns the manifests in cell order. The
+// chaos plan derives from a dedicated fault-free calibration run, so
+// every cell — the chaos cell's fault plan included — is a pure
+// function of (scale, seed).
 func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
 	tree := matrixTree(scale)
 	params := uts.MustPreset(tree).Params
@@ -142,14 +138,6 @@ func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
 	chaos := tracedCell(cellID(tree, chaosRanks, Tofu.Name, true), tree, Tofu, chaosRanks, params, seed)
 	chaos.cfg.Faults = chaosPlan(chaosRanks, cal[0].Makespan, seed)
 	cells = append(cells, chaos)
-
-	// One sharded, window-profiled cell: its manifest carries the `par`
-	// section, so the baseline pins the serialized-window share (and the
-	// par schema itself round-trips through the baseline).
-	par := tracedCell(cellID(tree, chaosRanks, Tofu.Name, false)+fmt.Sprintf("-par%d", matrixParShards),
-		tree, Tofu, chaosRanks, params, seed)
-	par.cfg.Shards, par.cfg.ParProfile = matrixParShards, true
-	cells = append(cells, par)
 
 	// One open-system serving cell: its manifest carries the `serve`
 	// section (per-tenant goodput, sojourn percentiles, admission

@@ -19,17 +19,16 @@ func quickMatrix(t *testing.T) []*ledger.Manifest {
 }
 
 // TestMatrixGatesItself: the grid covers every variant, both rank
-// counts, and the chaos, sharded-profiled, serving and faulted-serving
-// cells, each carrying the manifest section it exists to pin.
+// counts, and the chaos, serving and faulted-serving cells, each
+// carrying the manifest section it exists to pin.
 func TestMatrixGatesItself(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
 	}
 	ms := quickMatrix(t)
 
-	// Fault-free grid + the chaos, sharded-profiled, serving and
-	// faulted-serving cells.
-	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 4
+	// Fault-free grid + the chaos, serving and faulted-serving cells.
+	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 3
 	if len(ms) != wantCells {
 		t.Fatalf("matrix produced %d cells, want %d", len(ms), wantCells)
 	}
@@ -37,28 +36,17 @@ func TestMatrixGatesItself(t *testing.T) {
 	for _, m := range ms {
 		ids[m.ID] = true
 	}
-	for _, want := range []string{"h-tiny-16-reference", "h-tiny-32-rand", "h-tiny-32-tofu-chaos", "h-tiny-32-tofu-par4", "serve-32-tofu", "serve-32-tofu-chaos"} {
+	for _, want := range []string{"h-tiny-16-reference", "h-tiny-32-rand", "h-tiny-32-tofu-chaos", "serve-32-tofu", "serve-32-tofu-chaos"} {
 		if !ids[want] {
 			t.Errorf("matrix is missing cell %q (have %v)", want, ids)
 		}
 	}
-	chaos := ms[len(ms)-4]
+	chaos := ms[len(ms)-3]
 	if chaos.Spec.FaultPlanHash == "" {
 		t.Error("chaos cell has no fault plan hash")
 	}
 	if chaos.Result.LostNodes == 0 && chaos.Result.CrashedRanks == 0 {
 		t.Error("chaos cell shows no fault effects")
-	}
-	par := ms[len(ms)-3]
-	if par.Par == nil {
-		t.Fatal("par cell has no parallel-kernel profile")
-	}
-	if par.Spec.Shards != matrixParShards || par.Par.Shards != matrixParShards {
-		t.Errorf("par cell shards: spec %d, profile %d, want %d",
-			par.Spec.Shards, par.Par.Shards, matrixParShards)
-	}
-	if par.Par.Windows == 0 || par.Par.Staged == 0 {
-		t.Errorf("par cell profile is empty: %+v", par.Par)
 	}
 	sv := ms[len(ms)-2]
 	if sv.Serve == nil {

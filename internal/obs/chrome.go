@@ -44,32 +44,11 @@ type HighlightSpan struct {
 	Start, End sim.Time
 }
 
-// ParWindowSpan is one conservative time window rendered on the
-// parallel-kernel process (PID 2). As with HighlightSpan, this package
-// only draws the spans; internal/obs/parprof computes them from its
-// window ledger, keeping the exporter free of the dependency.
-type ParWindowSpan struct {
-	Start, End sim.Time
-	// Serialized windows render under their cause name so they stand
-	// out from the "parallel" windows around them.
-	Serialized bool
-	// Cause names the serialization cause ("" for parallel windows).
-	Cause string
-	// MergedByShard[s] counts the staged messages merged into shard s's
-	// kernel at the barrier that opened this window; nil when none.
-	MergedByShard []uint32
-}
-
 // ChromeOptions selects the optional tracks of WriteChromeTraceOpts.
 type ChromeOptions struct {
 	// Highlight, when non-empty, adds a "critical path" process whose
 	// single thread carries the given spans as slices.
 	Highlight []HighlightSpan
-	// ParWindows, when non-empty, adds a "parallel kernel" process:
-	// one windows lane marking every barrier window (serialized ones
-	// named by cause), plus one lane per shard carrying the shard's
-	// barrier-merged message counts.
-	ParWindows []ParWindowSpan
 	// Pairs, when non-nil, are the trace's steal transactions for the
 	// flow arrows — a caller that has paired them already (an
 	// Analysis) hands them over; nil means PairSteals(tr).
@@ -209,13 +188,6 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		}
 	}
 
-	// Parallel-kernel track: the sharded run's window structure, with
-	// serialized windows highlighted by cause and per-shard lanes for
-	// the barrier-merged traffic.
-	if len(opts.ParWindows) > 0 {
-		emitParWindows(opts.ParWindows, emit)
-	}
-
 	if err != nil {
 		return err
 	}
@@ -223,53 +195,6 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		return err
 	}
 	return bw.Flush()
-}
-
-// emitParWindows renders the parallel-kernel process (PID 2): TID 0 is
-// the windows lane — one slice per window, serialized ones named by
-// their cause — and TID 1+s is shard s's lane, carrying a slice per
-// window in which the opening barrier merged messages into that shard.
-func emitParWindows(spans []ParWindowSpan, emit func(chromeEvent)) {
-	emit(chromeEvent{
-		Name: "process_name", Phase: "M", PID: 2,
-		Args: map[string]any{"name": "parallel kernel"},
-	})
-	emit(chromeEvent{
-		Name: "thread_name", Phase: "M", PID: 2, TID: 0,
-		Args: map[string]any{"name": "windows"},
-	})
-	shards := 0
-	for _, s := range spans {
-		if len(s.MergedByShard) > shards {
-			shards = len(s.MergedByShard)
-		}
-	}
-	for s := 0; s < shards; s++ {
-		emit(chromeEvent{
-			Name: "thread_name", Phase: "M", PID: 2, TID: 1 + s,
-			Args: map[string]any{"name": fmt.Sprintf("shard %03d", s)},
-		})
-	}
-	for _, w := range spans {
-		name, cat := "parallel", "window"
-		if w.Serialized {
-			name, cat = w.Cause, "window-serialized"
-		}
-		emit(chromeEvent{
-			Name: name, Cat: cat, Phase: "X",
-			TS: usec(w.Start), Dur: usec(w.End) - usec(w.Start), PID: 2, TID: 0,
-		})
-		for s, n := range w.MergedByShard {
-			if n == 0 {
-				continue
-			}
-			emit(chromeEvent{
-				Name: "merged", Cat: "window", Phase: "X",
-				TS: usec(w.Start), Dur: usec(w.End) - usec(w.Start), PID: 2, TID: 1 + s,
-				Args: map[string]any{"messages": n},
-			})
-		}
-	}
 }
 
 // emitOccupancy emits the workers(t) curve as counter events: one

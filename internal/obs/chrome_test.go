@@ -324,81 +324,3 @@ func TestChromeExporterCoversEveryEventKind(t *testing.T) {
 		t.Errorf("exporter emitted %d distinct protocol names, want %d", len(seen), trace.NumEventKinds)
 	}
 }
-
-// TestChromeParWindows: the parallel-kernel process renders one
-// windows lane (serialized windows named by cause) plus one lane per
-// shard with the barrier-merged message counts — and stays valid JSON
-// alongside the per-rank threads.
-func TestChromeParWindows(t *testing.T) {
-	spans := []ParWindowSpan{
-		{Start: 0, End: 4000, MergedByShard: []uint32{0, 3}},
-		{Start: 4000, End: 8000, Serialized: true, Cause: "token-due"},
-	}
-	var buf bytes.Buffer
-	err := WriteChromeTraceOpts(&buf, chromeFixture(), ChromeOptions{ParWindows: spans})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Name  string         `json:"name"`
-			Cat   string         `json:"cat"`
-			Phase string         `json:"ph"`
-			PID   int            `json:"pid"`
-			TID   int            `json:"tid"`
-			Args  map[string]any `json:"args"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	var process, windowLanes, shardLanes, parallel, serialized, merged int
-	for _, e := range doc.TraceEvents {
-		if e.PID != 2 {
-			continue
-		}
-		switch {
-		case e.Name == "process_name":
-			process++
-			if e.Args["name"] != "parallel kernel" {
-				t.Fatalf("process name = %v", e.Args["name"])
-			}
-		case e.Name == "thread_name" && e.Args["name"] == "windows":
-			windowLanes++
-		case e.Name == "thread_name":
-			shardLanes++
-		case e.Cat == "window" && e.Name == "parallel":
-			parallel++
-		case e.Cat == "window-serialized":
-			serialized++
-			if e.Name != "token-due" {
-				t.Fatalf("serialized window named %q, want its cause", e.Name)
-			}
-		case e.Name == "merged":
-			merged++
-			if e.TID != 2 { // shard 1's lane: the only one with traffic
-				t.Fatalf("merged slice on tid %d, want 2", e.TID)
-			}
-			if e.Args["messages"] != float64(3) {
-				t.Fatalf("merged args = %v", e.Args)
-			}
-		}
-	}
-	if process != 1 || windowLanes != 1 || shardLanes != 2 {
-		t.Fatalf("lanes: %d process, %d window, %d shard; want 1/1/2",
-			process, windowLanes, shardLanes)
-	}
-	if parallel != 1 || serialized != 1 || merged != 1 {
-		t.Fatalf("slices: %d parallel, %d serialized, %d merged; want 1 each",
-			parallel, serialized, merged)
-	}
-	// Without ParWindows no PID-2 events exist (the rank process owns
-	// everything): profiling stays out of unprofiled conversions.
-	buf.Reset()
-	if err := WriteChromeTrace(&buf, chromeFixture()); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(buf.String(), "parallel kernel") {
-		t.Fatal("unprofiled conversion emitted the parallel-kernel process")
-	}
-}

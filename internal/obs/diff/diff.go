@@ -12,9 +12,6 @@
 // delta and the per-cause blame deltas sum exactly to ranks × makespan
 // delta. CheckIdentities verifies both on every computed delta, and the
 // diff of a run against itself is zero everywhere (tests assert both).
-//
-// The same package carries the tolerance-band comparator (band.go) the
-// scenario-matrix gate and the benchmark baseline gate share.
 package diff
 
 import (
@@ -86,46 +83,6 @@ type StealDelta struct {
 	P99NS *Scalar `json:"p99_ns,omitempty"`
 }
 
-// ParCauseDelta is one serialization cause's window-count shift.
-type ParCauseDelta struct {
-	Cause   string `json:"cause"`
-	Windows Scalar `json:"windows"`
-	// VirtualNS is the cause's serialized virtual-time shift.
-	VirtualNS Scalar `json:"virtual_ns"`
-}
-
-// ParDelta compares the parallel-kernel window profiles: how the
-// window-protocol overhead moved between the runs and which
-// serialization cause drove it. Present when both manifests carry a
-// par section.
-type ParDelta struct {
-	ShardsA int `json:"shards_a"`
-	ShardsB int `json:"shards_b"`
-
-	Windows    Scalar `json:"windows"`
-	Serialized Scalar `json:"serialized"`
-	Staged     Scalar `json:"staged"`
-	// SerializedShareA/B are serialized/windows in [0,1].
-	SerializedShareA float64 `json:"serialized_share_a"`
-	SerializedShareB float64 `json:"serialized_share_b"`
-
-	// Causes lists every cause present in either run, in A-then-B first
-	// appearance order.
-	Causes []ParCauseDelta `json:"causes,omitempty"`
-}
-
-// TopCause returns the cause with the largest absolute window-count
-// delta ("" when no cause moved) — the diff's serialization-blame
-// attribution ("serialized share rose, cause: token-due").
-func (p *ParDelta) TopCause() (name string, delta int64) {
-	for _, c := range p.Causes {
-		if d := c.Windows.Delta; max(d, -d) > max(delta, -delta) {
-			name, delta = c.Cause, d
-		}
-	}
-	return name, delta
-}
-
 // RankTraffic is one rank's sent/received message delta.
 type RankTraffic struct {
 	Rank     int    `json:"rank"`
@@ -161,7 +118,6 @@ type Delta struct {
 	Critical *CriticalDelta `json:"critical,omitempty"`
 	Blame    *BlameDelta    `json:"blame,omitempty"`
 	Steals   *StealDelta    `json:"steals,omitempty"`
-	Par      *ParDelta      `json:"par,omitempty"`
 
 	// PerRank traffic deltas and the largest per-link movers, present
 	// when both manifests carry traffic matrices of equal rank count.
@@ -210,9 +166,6 @@ func Compute(a, b *ledger.Manifest) *Delta {
 	}
 
 	d.Steals = stealDelta(a, b)
-	if a.Par != nil && b.Par != nil {
-		d.Par = parDelta(a.Par, b.Par)
-	}
 
 	if a.Traffic != nil && b.Traffic != nil && len(a.Traffic) == len(b.Traffic) {
 		d.PerRank, d.TopLinks = trafficDeltas(a.Traffic, b.Traffic)
@@ -263,47 +216,6 @@ func stealDelta(a, b *ledger.Manifest) *StealDelta {
 		sd.Aborted.Delta = sd.Aborted.B - sd.Aborted.A
 	}
 	return sd
-}
-
-// parDelta compares the parallel-kernel profiles.
-func parDelta(a, b *ledger.ParSummary) *ParDelta {
-	pd := &ParDelta{
-		ShardsA:    a.Shards,
-		ShardsB:    b.Shards,
-		Windows:    scalar(int64(a.Windows), int64(b.Windows)),
-		Serialized: scalar(int64(a.Serialized), int64(b.Serialized)),
-		Staged:     scalar(int64(a.Staged), int64(b.Staged)),
-	}
-	if a.Windows > 0 {
-		pd.SerializedShareA = float64(a.Serialized) / float64(a.Windows)
-	}
-	if b.Windows > 0 {
-		pd.SerializedShareB = float64(b.Serialized) / float64(b.Windows)
-	}
-	find := func(rows []ledger.ParCause, name string) ledger.ParCause {
-		for _, r := range rows {
-			if r.Cause == name {
-				return r
-			}
-		}
-		return ledger.ParCause{Cause: name}
-	}
-	seen := map[string]bool{}
-	for _, rows := range [][]ledger.ParCause{a.Causes, b.Causes} {
-		for _, r := range rows {
-			if seen[r.Cause] {
-				continue
-			}
-			seen[r.Cause] = true
-			ca, cb := find(a.Causes, r.Cause), find(b.Causes, r.Cause)
-			pd.Causes = append(pd.Causes, ParCauseDelta{
-				Cause:     r.Cause,
-				Windows:   scalar(int64(ca.Windows), int64(cb.Windows)),
-				VirtualNS: scalar(ca.VirtualNS, cb.VirtualNS),
-			})
-		}
-	}
-	return pd
 }
 
 // trafficDeltas computes per-rank send/receive deltas and the TopLinkLimit
@@ -375,7 +287,6 @@ func specChanges(a, b ledger.Spec) []string {
 	add("node_cost_ns", fmt.Sprint(a.NodeCostNS), fmt.Sprint(b.NodeCostNS))
 	add("seed", fmt.Sprint(a.Seed), fmt.Sprint(b.Seed))
 	add("scale", a.Scale, b.Scale)
-	add("shards", fmt.Sprint(a.Shards), fmt.Sprint(b.Shards))
 	add("fault_plan", a.FaultPlanHash, b.FaultPlanHash)
 	return out
 }
@@ -394,16 +305,6 @@ func (d *Delta) CheckIdentities() error {
 	if d.Blame != nil && d.Blame.Ranks > 0 {
 		if got, want := d.Blame.Sum(), int64(d.Blame.Ranks)*d.Makespan.Delta; got != want {
 			return fmt.Errorf("diff: blame deltas sum to %d rank-ns, want ranks×makespan delta %d", got, want)
-		}
-	}
-	if d.Par != nil {
-		var sum int64
-		for _, c := range d.Par.Causes {
-			sum += c.Windows.Delta
-		}
-		if sum != d.Par.Serialized.Delta {
-			return fmt.Errorf("diff: par cause deltas sum to %d windows, want serialized delta %d",
-				sum, d.Par.Serialized.Delta)
 		}
 	}
 	return nil
@@ -432,18 +333,6 @@ func (d *Delta) Zero() bool {
 	if d.Steals != nil {
 		for _, s := range []Scalar{d.Steals.Requests, d.Steals.Success, d.Steals.Failed, d.Steals.Aborted} {
 			if s.Delta != 0 {
-				return false
-			}
-		}
-	}
-	if d.Par != nil {
-		for _, s := range []Scalar{d.Par.Windows, d.Par.Serialized, d.Par.Staged} {
-			if s.Delta != 0 {
-				return false
-			}
-		}
-		for _, c := range d.Par.Causes {
-			if c.Windows.Delta != 0 || c.VirtualNS.Delta != 0 {
 				return false
 			}
 		}

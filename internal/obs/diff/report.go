@@ -136,23 +136,6 @@ func (d *Delta) WriteText(w io.Writer) error {
 		}
 	}
 
-	if p := d.Par; p != nil {
-		bw.Printf("\nparallel kernel (%d -> %d shard(s)):\n", p.ShardsA, p.ShardsB)
-		bw.Printf("  windows %d -> %d (%+d), staged %d -> %d (%+d)\n",
-			p.Windows.A, p.Windows.B, p.Windows.Delta,
-			p.Staged.A, p.Staged.B, p.Staged.Delta)
-		bw.Printf("  serialized-window share %.1f%% -> %.1f%% (%+.1fpp)\n",
-			100*p.SerializedShareA, 100*p.SerializedShareB,
-			100*(p.SerializedShareB-p.SerializedShareA))
-		if cause, delta := p.TopCause(); cause != "" {
-			bw.Printf("  leading cause of the shift: %s (%+d window(s))\n", cause, delta)
-		}
-		for _, c := range p.Causes {
-			bw.Printf("    %-18s %6d -> %-6d (%+d window(s), %s serialized time)\n",
-				c.Cause, c.Windows.A, c.Windows.B, c.Windows.Delta, sdur(c.VirtualNS.Delta))
-		}
-	}
-
 	if len(d.TopLinks) > 0 {
 		bw.Printf("\ntop link movers (messages):\n")
 		for _, l := range d.TopLinks {

@@ -25,11 +25,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"distws/internal/core"
 	"distws/internal/fault"
 	"distws/internal/obs/causal"
-	"distws/internal/obs/parprof"
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/trace"
@@ -60,9 +60,6 @@ type Spec struct {
 	// Scale labels the harness fidelity (quick|default|full) when the
 	// run came from an experiment grid; free-standing runs leave it "".
 	Scale string `json:"scale,omitempty"`
-	// Shards records the parallel-kernel shard count when > 1 (omitted
-	// for sequential runs, so their fingerprints are unchanged).
-	Shards int `json:"shards,omitempty"`
 	// FaultPlanHash commits to the exact injected adversity; "" for
 	// fault-free runs.
 	FaultPlanHash string `json:"fault_plan_hash,omitempty"`
@@ -187,44 +184,6 @@ type BlameSummary struct {
 	Total   BlameEntry   `json:"total"`
 }
 
-// ParCause is one serialization cause's row in the parallel-kernel
-// profile: how many windows it serialized and how much virtual time
-// those windows spanned.
-type ParCause struct {
-	Cause     string `json:"cause"`
-	Windows   uint64 `json:"windows"`
-	VirtualNS int64  `json:"virtual_ns"`
-}
-
-// ParSummary is the parallel-kernel window profile (internal/obs/
-// parprof), present when the run was profiled (core.Config.ParProfile).
-// Everything here is virtual-time data: byte-deterministic for a fixed
-// (Config, Shards). Identities checked by Validate: the cause rows
-// partition the serialized totals, ParallelNS + SerializedNS spans all
-// windows, and the traffic matrix sums to Staged.
-type ParSummary struct {
-	Shards      int   `json:"shards"`
-	LookaheadNS int64 `json:"lookahead_ns"`
-
-	Windows    uint64 `json:"windows"`
-	Serialized uint64 `json:"serialized"`
-	Staged     uint64 `json:"staged"`
-	// ParallelNS / SerializedNS split the windowed virtual time
-	// (Windows × LookaheadNS) by execution mode.
-	ParallelNS   int64 `json:"parallel_ns"`
-	SerializedNS int64 `json:"serialized_ns"`
-
-	// Causes lists the serialization causes with nonzero windows, in the
-	// engine's decision order.
-	Causes []ParCause `json:"causes,omitempty"`
-
-	// Traffic is the shard×shard staged-message matrix (source-major),
-	// the shard-level analogue of the manifest's rank traffic matrix.
-	// The diagonal is nonzero by design: same-shard sends due beyond
-	// the window also route through the barrier merge.
-	Traffic [][]uint64 `json:"traffic,omitempty"`
-}
-
 // ServeTenantRow is one tenant's serving outcome in the manifest.
 type ServeTenantRow struct {
 	Name          string  `json:"name"`
@@ -292,9 +251,6 @@ type Manifest struct {
 	// Traffic is the rank×rank message matrix (sender-major), present
 	// when the run recorded events and Ranks <= causal.TrafficRankLimit.
 	Traffic [][]uint64 `json:"traffic,omitempty"`
-	// Par is the parallel-kernel window profile, present when the run
-	// was profiled (core.Config.ParProfile).
-	Par *ParSummary `json:"par,omitempty"`
 	// Serve is the open-system serving section, present when the run
 	// had core.Config.Serve set.
 	Serve *ServeSummary `json:"serve,omitempty"`
@@ -371,9 +327,6 @@ func New(id string, spec Spec, res *core.Result, a *causal.Analysis) *Manifest {
 		},
 	}
 	m.Attach(a)
-	if res.Par != nil {
-		m.Par = parSummary(res.Par)
-	}
 	if res.Serve != nil {
 		m.Serve = serveSummary(res.Serve)
 	}
@@ -408,33 +361,6 @@ func serveSummary(st *serve.Stats) *ServeSummary {
 		})
 	}
 	return s
-}
-
-// parSummary converts a window ledger into the manifest section.
-func parSummary(l *parprof.Ledger) *ParSummary {
-	t := l.Totals()
-	p := &ParSummary{
-		Shards:       l.Shards(),
-		LookaheadNS:  int64(l.Lookahead()),
-		Windows:      t.Windows,
-		Serialized:   t.Serialized,
-		Staged:       t.Staged,
-		ParallelNS:   int64(t.Parallel),
-		SerializedNS: int64(t.SerializedTime),
-	}
-	for c := parprof.CauseNone + 1; c < parprof.NumCauses; c++ {
-		ct := t.ByCause[c]
-		if ct.Windows == 0 {
-			continue
-		}
-		p.Causes = append(p.Causes, ParCause{
-			Cause: c.String(), Windows: ct.Windows, VirtualNS: int64(ct.Virtual),
-		})
-	}
-	if t.Staged > 0 {
-		p.Traffic = l.Traffic()
-	}
-	return p
 }
 
 // Attach fills the trace-derived sections — blame, critical path, steal
@@ -503,9 +429,6 @@ func SpecFromConfig(tree, scale string, cfg core.Config) Spec {
 		FaultPlanHash: PlanHash(cfg.Faults),
 		ServeHash:     ServeHash(cfg.Serve),
 	}
-	if cfg.Shards > 1 {
-		s.Shards = cfg.Shards
-	}
 	if cfg.Protocol != core.TwoSided {
 		s.Protocol = cfg.Protocol.String()
 	}
@@ -523,14 +446,18 @@ func (m *Manifest) Encode() ([]byte, error) {
 	return append(data, '\n'), nil
 }
 
-// Decode parses a manifest document, rejecting unknown fields so a
-// schema skew fails loudly.
+// Decode parses a manifest document, rejecting unknown fields and
+// anything but whitespace after the manifest, so a schema skew or a
+// corrupted file fails loudly.
 func Decode(data []byte) (*Manifest, error) {
 	var m Manifest
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&m); err != nil {
 		return nil, fmt.Errorf("ledger: decode manifest: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, fmt.Errorf("ledger: decode manifest: data after the manifest")
 	}
 	return &m, nil
 }
@@ -580,13 +507,13 @@ func (m *Manifest) Validate() error {
 		}
 	}
 	if m.Traffic != nil {
-		if _, err := squareSum("traffic", m.Traffic, m.Spec.Ranks, "ranks"); err != nil {
-			return err
+		if len(m.Traffic) != m.Spec.Ranks {
+			return fmt.Errorf("ledger: traffic matrix has %d rows for %d ranks", len(m.Traffic), m.Spec.Ranks)
 		}
-	}
-	if m.Par != nil {
-		if err := m.Par.validate(); err != nil {
-			return err
+		for i, row := range m.Traffic {
+			if len(row) != m.Spec.Ranks {
+				return fmt.Errorf("ledger: traffic row %d has %d columns for %d ranks", i, len(row), m.Spec.Ranks)
+			}
 		}
 	}
 	if m.Serve != nil {
@@ -630,70 +557,6 @@ func (s *ServeSummary) validate() error {
 			s.Arrived, s.Admitted, s.Rejected, s.Done)
 	}
 	return nil
-}
-
-// validate checks the parallel-kernel profile's internal identities.
-func (p *ParSummary) validate() error {
-	if p.Shards < 1 {
-		return fmt.Errorf("ledger: par section has %d shards", p.Shards)
-	}
-	if p.LookaheadNS < 0 {
-		return fmt.Errorf("ledger: par section has negative lookahead %d", p.LookaheadNS)
-	}
-	if p.Serialized > p.Windows {
-		return fmt.Errorf("ledger: par section has %d serialized of %d windows",
-			p.Serialized, p.Windows)
-	}
-	if p.LookaheadNS > 0 {
-		if got, want := p.ParallelNS+p.SerializedNS, int64(p.Windows)*p.LookaheadNS; got != want {
-			return fmt.Errorf("ledger: par window time sums to %d ns, want windows x lookahead = %d ns",
-				got, want)
-		}
-	}
-	var causeWindows uint64
-	var causeNS int64
-	for _, c := range p.Causes {
-		if c.Cause == "" || c.Windows == 0 {
-			return fmt.Errorf("ledger: par cause row %+v is empty", c)
-		}
-		causeWindows += c.Windows
-		causeNS += c.VirtualNS
-	}
-	if causeWindows != p.Serialized {
-		return fmt.Errorf("ledger: par cause windows sum to %d, want serialized total %d",
-			causeWindows, p.Serialized)
-	}
-	if causeNS != p.SerializedNS {
-		return fmt.Errorf("ledger: par cause time sums to %d ns, want serialized total %d ns",
-			causeNS, p.SerializedNS)
-	}
-	if p.Traffic != nil {
-		sum, err := squareSum("par traffic", p.Traffic, p.Shards, "shards")
-		if err != nil {
-			return err
-		}
-		if sum != p.Staged {
-			return fmt.Errorf("ledger: par traffic matrix sums to %d, want staged total %d",
-				sum, p.Staged)
-		}
-	}
-	return nil
-}
-
-// squareSum checks that m is n×n and returns the sum of its cells.
-func squareSum(name string, m [][]uint64, n int, unit string) (sum uint64, err error) {
-	if len(m) != n {
-		return 0, fmt.Errorf("ledger: %s matrix has %d rows for %d %s", name, len(m), n, unit)
-	}
-	for i, row := range m {
-		if len(row) != n {
-			return 0, fmt.Errorf("ledger: %s row %d has %d columns for %d %s", name, i, len(row), n, unit)
-		}
-		for _, v := range row {
-			sum += v
-		}
-	}
-	return sum, nil
 }
 
 // Makespan returns the manifest's makespan as a virtual duration.

@@ -318,3 +318,67 @@ func TestFromTraceIsFromRun(t *testing.T) {
 		t.Errorf("FromTrace and FromRun over a trace-only Result encode differently:\n%s\n---\n%s", a, b)
 	}
 }
+
+// TestDecodeRejectsTrailingData: a manifest is one JSON value. Anything
+// but whitespace after it — a second document, garbage from a botched
+// concatenation — fails the decode, so ReadFile, ReadDir and every
+// baseline comparison inherit the check. A section the schema no longer
+// has (the parallel-kernel "par" block older manifests carried) fails
+// the unknown-field check.
+func TestDecodeRejectsTrailingData(t *testing.T) {
+	cfg := testConfig()
+	data, err := FromRun("trailing", testSpec(cfg), mustRun(t, cfg)).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(append(bytes.Clone(data), " \n\t"...)); err != nil {
+		t.Errorf("trailing whitespace rejected: %v", err)
+	}
+	for name, doc := range map[string][]byte{
+		"garbage":   append(bytes.Clone(data), `{"schema":"junk"} trailing garbage`...),
+		"second":    append(bytes.Clone(data), data...),
+		"par block": bytes.Replace(data, []byte(`"schema":`), []byte(`"par": {"shards": 4}, "schema":`), 1),
+	} {
+		if _, err := Decode(doc); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
+	}
+}
+
+// FuzzDecode feeds Decode raw bytes: it must never panic, and a
+// manifest it accepts that also validates must survive Encode→Decode
+// unchanged, so what tracetool -check passes is what a baseline holds.
+func FuzzDecode(f *testing.F) {
+	cfg := testConfig()
+	cfg.Tree = uts.MustPreset("T3S").Params
+	cfg.Ranks = 4
+	res, err := core.Run(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	data, err := FromRun("fuzz", testSpec(cfg), res).Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(data)
+	f.Add(append(bytes.Clone(data), `{"schema":"junk"} trailing garbage`...))
+	f.Add([]byte(`{"schema":"distws/run-manifest/v1","spec":{"ranks":1}}`))
+	f.Add([]byte(`[]`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		m, err := Decode(data)
+		if err != nil || m.Validate() != nil {
+			return
+		}
+		enc, err := m.Encode()
+		if err != nil {
+			t.Fatalf("accepted manifest does not encode: %v", err)
+		}
+		back, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("encoded manifest does not decode: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(m, back) {
+			t.Fatalf("round trip changed the manifest:\n%+v\n%+v", m, back)
+		}
+	})
+}

@@ -8,16 +8,9 @@
 // with simulation state and never perturbs it: a profiled run is
 // byte-identical to an unprofiled one (asserted by the observer-freedom
 // tests in internal/core). Everything in the ledger is virtual-time
-// data and therefore bit-deterministic for a fixed (Config, Shards);
-// wall-clock diagnosis lives separately in parprof/wallclock, behind
-// its own flag and walltime allowlist, so the two time bases never mix.
-//
-// Exports: a text profile (WriteText), a shards {1,2,4,8} scaling
-// report (Scaling), Prometheus counters/histograms (Publish, outside
-// core.Run like causal.Publish so the engine's own exposition is
-// untouched), Chrome-trace shard lanes (ChromeWindows), and the run
-// manifest's `par` section (internal/obs/ledger). DESIGN.md §14
-// documents the schema and the cause taxonomy.
+// data and therefore bit-deterministic for a fixed (Config, Shards).
+// Its one reader is the repository benchmark's sharded pass, which
+// reports Totals and SerializedShare after CheckIdentities.
 package parprof
 
 import (
@@ -38,9 +31,6 @@ const (
 	// CauseDetector: the termination detector does not implement
 	// term.DecisionAware, so no window can be proven decision-free.
 	CauseDetector
-	// CauseCrashPlan: a fault plan with crashes is active — from the
-	// first crash time onward, and after detection (dead-lettering).
-	CauseCrashPlan
 	// CauseTokenDue: a termination token is due at the ring initiator
 	// inside the window.
 	CauseTokenDue
@@ -58,8 +48,7 @@ const (
 )
 
 var causeNames = [NumCauses]string{
-	"parallel", "detector-decision", "crash-plan", "token-due",
-	"idle-decision", "caller-forced",
+	"parallel", "detector-decision", "token-due", "idle-decision", "caller-forced",
 }
 
 func (c Cause) String() string {
@@ -72,8 +61,8 @@ func (c Cause) String() string {
 // Serialized reports whether the cause marks a serialized window.
 func (c Cause) Serialized() bool { return c != CauseNone }
 
-// Window is one recorded time window.
-type Window struct {
+// window is one recorded time window.
+type window struct {
 	// Start and End bound the window [Start, End); the width is always
 	// the run's lookahead.
 	Start, End sim.Time
@@ -83,14 +72,11 @@ type Window struct {
 	// opened this window: every cross-shard send, plus same-shard sends
 	// due at or after the window end, which route through the merge so
 	// barrier order reproduces sequential send-order tie-breaks (the
-	// traffic matrix diagonal is therefore nonzero by design).
+	// pair matrix diagonal is therefore nonzero by design).
 	Merged uint32
 	// pairOff indexes the ledger's pair arena (-1 when Merged == 0).
 	pairOff int32
 }
-
-// Serialized reports whether the window executed single-threaded.
-func (w Window) Serialized() bool { return w.Cause.Serialized() }
 
 // CauseTotals aggregates one cause's windows.
 type CauseTotals struct {
@@ -121,36 +107,18 @@ type Totals struct {
 type Ledger struct {
 	shards    int
 	lookahead sim.Duration
-	windows   []Window
+	windows   []window
 	// pairArena backs the per-window shard-pair matrices: each window
 	// with traffic owns a shards² block at its pairOff.
 	pairArena []uint32
-	// traffic is the src-major shards×shards total staged-message
-	// matrix over the whole run.
-	traffic []uint64
-	totals  Totals
+	totals    Totals
 }
 
-// New returns an empty ledger for a run over the given shard count.
-// lookahead 0 is legal and marks the degenerate sequential ledger
-// (shards <= 1): the sequential kernel has no windows, so the ledger
-// stays empty and only documents the shape of the run.
+// New returns an empty ledger for a run over the given shard count
+// and window width.
 func New(shards int, lookahead sim.Duration) *Ledger {
-	if shards < 1 {
-		shards = 1
-	}
-	return &Ledger{
-		shards:    shards,
-		lookahead: lookahead,
-		traffic:   make([]uint64, shards*shards),
-	}
+	return &Ledger{shards: shards, lookahead: lookahead}
 }
-
-// Shards returns the run's shard count.
-func (l *Ledger) Shards() int { return l.shards }
-
-// Lookahead returns the window width Δ (0 for a sequential ledger).
-func (l *Ledger) Lookahead() sim.Duration { return l.lookahead }
 
 // Record appends one window. cause CauseNone means the window ran
 // parallel; merged is the staged-message count injected at the opening
@@ -162,13 +130,10 @@ func (l *Ledger) Record(start, end sim.Time, cause Cause, merged int, pairs []ui
 	if cause >= NumCauses {
 		cause = CauseCallerForced
 	}
-	w := Window{Start: start, End: end, Cause: cause, Merged: uint32(merged), pairOff: -1}
+	w := window{Start: start, End: end, Cause: cause, Merged: uint32(merged), pairOff: -1}
 	if merged > 0 && len(pairs) == l.shards*l.shards {
 		w.pairOff = int32(len(l.pairArena))
 		l.pairArena = append(l.pairArena, pairs...)
-		for i, n := range pairs {
-			l.traffic[i] += uint64(n)
-		}
 	}
 	l.windows = append(l.windows, w)
 
@@ -186,20 +151,13 @@ func (l *Ledger) Record(start, end sim.Time, cause Cause, merged int, pairs []ui
 }
 
 // Reset empties the ledger while keeping its capacity, so a caller
-// replaying many runs at the same shard count (the scaling ladder, the
-// window-ledger benchmark) can reuse one ledger without reallocating.
+// replaying many runs at the same shard count (the window-ledger
+// benchmark) can reuse one ledger without reallocating.
 func (l *Ledger) Reset() {
 	l.windows = l.windows[:0]
 	l.pairArena = l.pairArena[:0]
-	for i := range l.traffic {
-		l.traffic[i] = 0
-	}
 	l.totals = Totals{}
 }
-
-// Windows returns the recorded windows in execution order. The slice
-// is the ledger's own storage; callers must not mutate it.
-func (l *Ledger) Windows() []Window { return l.windows }
 
 // Pairs returns window i's src-major shards×shards staged-message
 // matrix, or nil when the opening barrier merged nothing. The slice
@@ -225,23 +183,13 @@ func (l *Ledger) SerializedShare() float64 {
 	return float64(l.totals.Serialized) / float64(l.totals.Windows)
 }
 
-// Traffic returns the whole-run shard×shard staged-message matrix
-// (src-major rows), freshly allocated.
-func (l *Ledger) Traffic() [][]uint64 {
-	m := make([][]uint64, l.shards)
-	for s := 0; s < l.shards; s++ {
-		m[s] = append([]uint64(nil), l.traffic[s*l.shards:(s+1)*l.shards]...)
-	}
-	return m
-}
-
 // CheckIdentities verifies the ledger's internal accounting: every
 // window carries exactly one cause and spans exactly one lookahead;
 // the per-cause window counts and virtual-time totals partition the
 // serialized totals (and, with the parallel bucket, the whole run);
-// the staged total equals both the per-window merged sum and the
-// traffic-matrix sum. The sharded engine's profiling tests run this on
-// every recorded ledger.
+// the staged total equals the per-window merged sum, and each window's
+// pair matrix sums to its merged count. The sharded engine's profiling
+// tests and the repository benchmark run this on every recorded ledger.
 func (l *Ledger) CheckIdentities() error {
 	var windows, serialized, staged uint64
 	var parallel, serTime sim.Duration
@@ -250,7 +198,7 @@ func (l *Ledger) CheckIdentities() error {
 		if w.Cause >= NumCauses {
 			return fmt.Errorf("parprof: window %d has invalid cause %d", i, w.Cause)
 		}
-		if l.lookahead > 0 && w.End.Sub(w.Start) != l.lookahead {
+		if w.End.Sub(w.Start) != l.lookahead {
 			return fmt.Errorf("parprof: window %d spans %d ns, want lookahead %d ns",
 				i, w.End.Sub(w.Start), l.lookahead)
 		}
@@ -259,7 +207,7 @@ func (l *Ledger) CheckIdentities() error {
 		staged += uint64(w.Merged)
 		byCause[w.Cause].Windows++
 		byCause[w.Cause].Virtual += width
-		if w.Serialized() {
+		if w.Cause.Serialized() {
 			serialized++
 			serTime += width
 		} else {
@@ -289,13 +237,6 @@ func (l *Ledger) CheckIdentities() error {
 	}
 	if causeTime != t.SerializedTime {
 		return fmt.Errorf("parprof: cause virtual time sums to %d ns, want serialized total %d ns", causeTime, t.SerializedTime)
-	}
-	var trafficSum uint64
-	for _, n := range l.traffic {
-		trafficSum += n
-	}
-	if trafficSum != t.Staged {
-		return fmt.Errorf("parprof: traffic matrix sums to %d, want staged total %d", trafficSum, t.Staged)
 	}
 	return nil
 }

@@ -1,10 +1,8 @@
 package parprof
 
 import (
-	"strings"
 	"testing"
 
-	"distws/internal/obs"
 	"distws/internal/sim"
 )
 
@@ -52,10 +50,6 @@ func TestLedgerAggregates(t *testing.T) {
 	if p := l.Pairs(1); len(p) != 4 || p[1] != 3 || p[2] != 2 {
 		t.Fatalf("window 1 pairs = %v", p)
 	}
-	tr := l.Traffic()
-	if tr[0][1] != 4 || tr[1][0] != 2 || tr[0][0] != 0 || tr[1][1] != 0 {
-		t.Fatalf("traffic = %v", tr)
-	}
 }
 
 func TestLedgerRecordCopiesPairs(t *testing.T) {
@@ -70,23 +64,13 @@ func TestLedgerRecordCopiesPairs(t *testing.T) {
 }
 
 func TestEmptyAndSequentialLedger(t *testing.T) {
-	for _, l := range []*Ledger{New(1, 0), New(4, 2*sim.Microsecond), New(0, 0)} {
+	for _, l := range []*Ledger{New(1, 0), New(4, 2*sim.Microsecond)} {
 		if err := l.CheckIdentities(); err != nil {
 			t.Fatalf("empty ledger fails identities: %v", err)
 		}
 		if l.SerializedShare() != 0 {
 			t.Fatalf("empty ledger SerializedShare = %v", l.SerializedShare())
 		}
-	}
-	if New(0, 0).Shards() != 1 {
-		t.Fatal("shards < 1 must clamp to 1")
-	}
-	var sb strings.Builder
-	if err := New(1, 0).WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "no windows recorded (sequential kernel)") {
-		t.Fatalf("sequential ledger text:\n%s", sb.String())
 	}
 }
 
@@ -102,7 +86,6 @@ func TestCheckIdentitiesCatchesTampering(t *testing.T) {
 		"cause":     func(l *Ledger) { l.windows[1].Cause = CauseIdleDecision },
 		"width":     func(l *Ledger) { l.windows[0].End += sim.Time(la) },
 		"merged":    func(l *Ledger) { l.windows[0].Merged++ },
-		"traffic":   func(l *Ledger) { l.traffic[1]++ },
 		"aggregate": func(l *Ledger) { l.totals.Serialized++ },
 		"pairsum":   func(l *Ledger) { l.pairArena[1]++ },
 	} {
@@ -121,7 +104,6 @@ func TestCauseStrings(t *testing.T) {
 	want := map[Cause]string{
 		CauseNone:         "parallel",
 		CauseDetector:     "detector-decision",
-		CauseCrashPlan:    "crash-plan",
 		CauseTokenDue:     "token-due",
 		CauseIdleDecision: "idle-decision",
 		CauseCallerForced: "caller-forced",
@@ -140,136 +122,7 @@ func TestCauseStrings(t *testing.T) {
 	// Record clamps invalid causes rather than corrupting the arrays.
 	l := New(1, sim.Microsecond)
 	l.Record(0, sim.Time(sim.Microsecond), Cause(200), 0, nil)
-	if l.Windows()[0].Cause != CauseCallerForced {
-		t.Errorf("invalid cause recorded as %v", l.Windows()[0].Cause)
-	}
-}
-
-func TestWriteTextGolden(t *testing.T) {
-	const la = 4 * sim.Microsecond
-	l := New(2, la)
-	record(l, 0, la, CauseNone, []uint32{0, 5, 3, 0})
-	record(l, 1, la, CauseTokenDue, nil)
-	record(l, 2, la, CauseDetector, nil)
-	var sb strings.Builder
-	if err := l.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	want := `parallel-kernel profile: 2 shard(s), lookahead 4.000µs
-  windows:    3 (1 parallel, 2 serialized = 66.7%)
-  staged:     8 message(s) merged at barriers (cross-shard + deferred same-shard)
-  serialized windows by cause (share of serialized virtual time):
-    detector-decision       1 window(s)       4.000µs  50.0%
-    token-due               1 window(s)       4.000µs  50.0%
-`
-	if sb.String() != want {
-		t.Fatalf("profile text:\n%s\nwant:\n%s", sb.String(), want)
-	}
-}
-
-func TestScalingReport(t *testing.T) {
-	const la = 4 * sim.Microsecond
-	l1 := New(1, 0)
-	l4 := New(4, la)
-	record(l4, 0, la, CauseNone, nil)
-	record(l4, 1, la, CauseTokenDue, nil)
-
-	sc := Scaling{Rows: []ScalingRow{
-		RowFrom(1, 10*sim.Millisecond, l1, 2.0),
-		RowFrom(4, 10*sim.Millisecond, l4, 1.0),
-	}}
-	if sc.Rows[1].Windows != 2 || sc.Rows[1].Serialized != 1 ||
-		sc.Rows[1].CauseWindows[CauseTokenDue] != 1 {
-		t.Fatalf("row = %+v", sc.Rows[1])
-	}
-	var sb strings.Builder
-	if err := sc.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	// speedup at 4 shards = 2.0/1.0 = 2.00, efficiency 0.50.
-	if !strings.Contains(out, "2.00") || !strings.Contains(out, "0.50") {
-		t.Fatalf("scaling table lacks speedup/efficiency:\n%s", out)
-	}
-	if !strings.Contains(out, "token-due") {
-		t.Fatalf("scaling table lacks cause decomposition:\n%s", out)
-	}
-
-	var jb strings.Builder
-	if err := sc.WriteJSON(&jb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(jb.String(), `"shards": 4`) {
-		t.Fatalf("scaling JSON:\n%s", jb.String())
-	}
-	// Unmeasured wall columns render as "-" so the deterministic half of
-	// the report never depends on the host.
-	sc2 := Scaling{Rows: []ScalingRow{RowFrom(1, sim.Millisecond, l1, 0)}}
-	sb.Reset()
-	if err := sc2.WriteText(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(sb.String(), "-") {
-		t.Fatalf("unmeasured wall column must render '-':\n%s", sb.String())
-	}
-}
-
-func TestPublish(t *testing.T) {
-	const la = 4 * sim.Microsecond
-	l := New(2, la)
-	record(l, 0, la, CauseNone, []uint32{0, 2, 1, 0})
-	record(l, 1, la, CauseTokenDue, nil)
-	record(l, 2, la, CauseTokenDue, nil)
-
-	reg := obs.NewRegistry()
-	Publish(reg, l)
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"sim_par_windows_total 3",
-		"sim_par_serialized_total 2",
-		"sim_par_staged_total 3",
-		"sim_par_parallel_ns_total 4000",
-		"sim_par_serialized_ns_total 8000",
-		"sim_par_cause_token_due_windows_total 2",
-		"sim_par_window_merged",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition lacks %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "sim_par_cause_crash_plan") {
-		t.Errorf("zero-valued cause metric published:\n%s", out)
-	}
-	// Nil registry / nil ledger are no-ops, not panics.
-	Publish(nil, l)
-	Publish(reg, nil)
-}
-
-func TestChromeWindows(t *testing.T) {
-	const la = 4 * sim.Microsecond
-	l := New(2, la)
-	record(l, 0, la, CauseNone, []uint32{0, 3, 2, 0})
-	record(l, 1, la, CauseDetector, nil)
-
-	spans := ChromeWindows(l)
-	if len(spans) != 2 {
-		t.Fatalf("got %d spans", len(spans))
-	}
-	if spans[0].Serialized || spans[0].Cause != "" {
-		t.Fatalf("parallel span = %+v", spans[0])
-	}
-	// MergedByShard is the destination-column sum of the pair matrix.
-	if got := spans[0].MergedByShard; len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("MergedByShard = %v", got)
-	}
-	if !spans[1].Serialized || spans[1].Cause != "detector-decision" || spans[1].MergedByShard != nil {
-		t.Fatalf("serialized span = %+v", spans[1])
-	}
-	if ChromeWindows(nil) != nil || ChromeWindows(New(1, 0)) != nil {
-		t.Fatal("empty ledgers must produce no spans")
+	if l.windows[0].Cause != CauseCallerForced {
+		t.Errorf("invalid cause recorded as %v", l.windows[0].Cause)
 	}
 }

@@ -10,9 +10,8 @@
 // every placement, every job's workload — is resolved by Compile
 // before the simulation starts, as a pure function of (Spec, ranks,
 // seed). The engine then merely replays the schedule: injection events
-// are pre-scheduled on the owning kernels, so a serving run is
-// bit-deterministic for a fixed (Config, seed) at any shard count,
-// including under the conservative window barrier of internal/sim/par.
+// are pre-scheduled on the kernel, so a serving run is bit-deterministic
+// for a fixed (Config, seed).
 //
 // The model follows the multi-client ServeGen-style generators of LLM
 // serving simulators (ROADMAP open item 1): per-tenant
@@ -62,8 +61,8 @@ type ArrivalSpec struct {
 	Process string `json:"process"`
 	// Mean is the mean inter-arrival time (ignored by ProcReplay).
 	Mean sim.Duration `json:"mean,omitempty"`
-	// Shape is the Gamma shape k (>= 0.05) or the Weibull shape k
-	// (>= 0.05); ignored by Poisson and replay. Zero means 1 (both
+	// Shape is the Gamma or the Weibull shape k (finite, >= 0.05);
+	// ignored by Poisson and replay. Zero means 1 (both
 	// distributions then degenerate to the exponential).
 	Shape float64 `json:"shape,omitempty"`
 	// Trace lists explicit arrival instants for ProcReplay; instants at
@@ -110,7 +109,7 @@ type Tenant struct {
 }
 
 // Spec configures one open-system serving run. It rides on
-// core.Config and is validated there alongside Shards.
+// core.Config and is validated there.
 type Spec struct {
 	// Horizon is the arrival window: arrivals are generated strictly
 	// before it, and the run ends no earlier than it (later if
@@ -122,9 +121,15 @@ type Spec struct {
 	// Placement is PlaceRR (the default when empty), PlaceRandom or
 	// PlaceSingle.
 	Placement string `json:"placement,omitempty"`
-	// Tenants are the traffic sources; at least one is required.
+	// Tenants are the traffic sources; at least one is required, at
+	// most MaxTenants.
 	Tenants []Tenant `json:"tenants"`
 }
+
+// MaxTenants caps Spec.Tenants: every tenant carries its own arrival
+// stream, admission state and statistics row, and a tenant count past
+// the cap would exhaust memory before the run could report anything.
+const MaxTenants = 4096
 
 // Validate reports specification errors.
 func (s *Spec) Validate() error {
@@ -142,6 +147,9 @@ func (s *Spec) Validate() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("serve: no tenants")
 	}
+	if len(s.Tenants) > MaxTenants {
+		return fmt.Errorf("serve: %d tenants (at most %d)", len(s.Tenants), MaxTenants)
+	}
 	for i := range s.Tenants {
 		t := &s.Tenants[i]
 		if err := t.validate(); err != nil {
@@ -152,25 +160,11 @@ func (s *Spec) Validate() error {
 }
 
 func (t *Tenant) validate() error {
-	switch t.Arrival.Process {
-	case ProcPoisson, ProcGamma, ProcWeibull:
-		if t.Arrival.Mean <= 0 {
-			return fmt.Errorf("%s arrivals need a positive mean, got %v", t.Arrival.Process, t.Arrival.Mean)
-		}
-		if t.Arrival.Process != ProcPoisson && t.Arrival.Shape != 0 && t.Arrival.Shape < 0.05 {
-			return fmt.Errorf("%s shape %g (must be >= 0.05)", t.Arrival.Process, t.Arrival.Shape)
-		}
-	case ProcReplay:
-		for _, at := range t.Arrival.Trace {
-			if at < 0 {
-				return fmt.Errorf("replay arrival at negative time %v", at)
-			}
-		}
-	default:
-		return fmt.Errorf("unknown arrival process %q", t.Arrival.Process)
+	if err := t.Arrival.Validate(); err != nil {
+		return err
 	}
-	if t.Admit.Rate < 0 || t.Admit.Burst < 0 {
-		return fmt.Errorf("negative admission rate or burst")
+	if !finiteNonNegative(t.Admit.Rate) || !finiteNonNegative(t.Admit.Burst) {
+		return fmt.Errorf("admission rate %g or burst %g (must be finite and >= 0)", t.Admit.Rate, t.Admit.Burst)
 	}
 	if t.SLO.Target < 0 {
 		return fmt.Errorf("negative SLO target %v", t.SLO.Target)
@@ -182,6 +176,32 @@ func (t *Tenant) validate() error {
 		}
 	default:
 		return fmt.Errorf("unknown workload kind %q", t.Work.Kind)
+	}
+	return nil
+}
+
+// finiteNonNegative reports whether x is a number in [0, +Inf): NaN
+// fails every comparison, so a check written as x < 0 would pass it.
+func finiteNonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
+
+// Validate reports an arrival process the sampler cannot draw from.
+func (a ArrivalSpec) Validate() error {
+	switch a.Process {
+	case ProcPoisson, ProcGamma, ProcWeibull:
+		if a.Mean <= 0 {
+			return fmt.Errorf("%s arrivals need a positive mean, got %v", a.Process, a.Mean)
+		}
+		if k := a.Shape; a.Process != ProcPoisson && k != 0 && (!finiteNonNegative(k) || k < 0.05) {
+			return fmt.Errorf("%s shape %g (must be finite and >= 0.05)", a.Process, k)
+		}
+	case ProcReplay:
+		for _, at := range a.Trace {
+			if at < 0 {
+				return fmt.Errorf("replay arrival at negative time %v", at)
+			}
+		}
+	default:
+		return fmt.Errorf("unknown arrival process %q", a.Process)
 	}
 	return nil
 }

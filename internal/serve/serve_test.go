@@ -52,7 +52,24 @@ func TestSpecValidate(t *testing.T) {
 		{"bad process", func(s *Spec) { s.Tenants[0].Arrival.Process = "pareto" }, "arrival process"},
 		{"zero mean", func(s *Spec) { s.Tenants[0].Arrival.Mean = 0 }, "positive mean"},
 		{"tiny shape", func(s *Spec) { s.Tenants[1].Arrival.Shape = 0.01 }, "shape"},
+		{"NaN shape", func(s *Spec) { s.Tenants[1].Arrival.Shape = math.NaN() }, "shape"},
+		{"+Inf shape", func(s *Spec) { s.Tenants[1].Arrival.Shape = math.Inf(1) }, "shape"},
+		{"-Inf shape", func(s *Spec) { s.Tenants[1].Arrival.Shape = math.Inf(-1) }, "shape"},
+		{"NaN weibull shape", func(s *Spec) {
+			s.Tenants[1].Arrival = ArrivalSpec{Process: ProcWeibull, Mean: sim.Millisecond, Shape: math.NaN()}
+		}, "shape"},
 		{"negative rate", func(s *Spec) { s.Tenants[0].Admit.Rate = -1 }, "admission rate"},
+		{"NaN rate", func(s *Spec) { s.Tenants[0].Admit.Rate = math.NaN() }, "admission rate"},
+		{"+Inf rate", func(s *Spec) { s.Tenants[0].Admit.Rate = math.Inf(1) }, "admission rate"},
+		{"NaN burst", func(s *Spec) { s.Tenants[0].Admit.Burst = math.NaN() }, "burst"},
+		{"+Inf burst", func(s *Spec) { s.Tenants[0].Admit.Burst = math.Inf(1) }, "burst"},
+		{"too many tenants", func(s *Spec) {
+			t0 := s.Tenants[0]
+			s.Tenants = make([]Tenant, MaxTenants+1)
+			for i := range s.Tenants {
+				s.Tenants[i] = t0
+			}
+		}, "at most"},
 		{"negative target", func(s *Spec) { s.Tenants[0].SLO.Target = -1 }, "SLO target"},
 		{"bad kind", func(s *Spec) { s.Tenants[0].Work.Kind = "mapreduce" }, "workload kind"},
 		{"bad tree", func(s *Spec) { s.Tenants[0].Work.Tree = uts.Params{Type: uts.TreeType(99)} }, "uts workload"},

@@ -22,9 +22,9 @@
 // Windows the caller flags via Hooks.Serialize execute single-threaded
 // on the coordinator goroutine, interleaving the shards' kernels in
 // virtual-time order (ties broken by shard index). The engine uses this
-// for the rare windows in which non-local decisions (termination
-// detection, fail-stop crash handling) would otherwise read state that
-// a concurrent shard is writing.
+// for the rare windows in which a non-local decision (termination
+// detection) would otherwise read state that a concurrent shard is
+// writing.
 //
 // All cross-goroutine handoff is by channel: a worker only touches its
 // kernel between a window-start receive and a window-done send, and the
@@ -98,24 +98,6 @@ type WindowInfo struct {
 	Pairs []uint32
 }
 
-// WallProbe observes the wall-clock shape of a Run — per-shard busy
-// time versus barrier wait — without touching any virtual state. The
-// coordinator calls WindowStart/WindowDone around each window; each
-// worker brackets its own slice of a parallel window with
-// ShardStart/ShardDone from its own goroutine, so an implementation
-// must keep per-shard state in shard-owned slots (the channel
-// rendezvous at the barrier orders every access, exactly as it does
-// for the kernels themselves). Serialized windows run entirely on the
-// coordinator and produce no ShardStart/ShardDone calls. A probe may
-// read the host clock; nothing it observes can flow back into the
-// simulation, so profiled runs stay bit-identical to unprofiled ones.
-type WallProbe interface {
-	WindowStart(start, end sim.Time, serialized bool)
-	ShardStart(shard int)
-	ShardDone(shard int)
-	WindowDone()
-}
-
 // Hooks customizes a Run. The zero value is valid: every window runs in
 // parallel and no barrier callback fires.
 type Hooks struct {
@@ -131,10 +113,6 @@ type Hooks struct {
 	// pruning notes about consumed staged messages, or recording a
 	// window ledger (internal/obs/parprof).
 	OnWindow func(info WindowInfo)
-	// Wall, if non-nil, receives wall-clock callbacks around windows
-	// and worker slices. Errors and panics abort a window without its
-	// WindowDone, so a probe's totals describe completed windows only.
-	Wall WallProbe
 }
 
 // Stats counts windows executed by a Run.
@@ -350,7 +328,6 @@ func (s *ShardedKernel) Run(hooks Hooks) error {
 	defer func() { s.running = false }()
 
 	shards := len(s.kernels)
-	wall := hooks.Wall
 	cmd := make([]chan sim.Time, shards)
 	done := make(chan workerMsg, shards)
 	for i := 0; i < shards; i++ {
@@ -358,16 +335,10 @@ func (s *ShardedKernel) Run(hooks Hooks) error {
 		go func(shard int, k *sim.Kernel, c chan sim.Time) {
 			for end := range c {
 				msg := workerMsg{shard: shard}
-				if wall != nil {
-					wall.ShardStart(shard)
-				}
 				func() {
 					defer func() { msg.panic = recover() }()
 					msg.err = k.RunUntil(end)
 				}()
-				if wall != nil {
-					wall.ShardDone(shard)
-				}
 				done <- msg
 			}
 		}(i, s.kernels[i], cmd[i])
@@ -393,18 +364,12 @@ func (s *ShardedKernel) Run(hooks Hooks) error {
 			}
 			hooks.OnWindow(info)
 		}
-		if wall != nil {
-			wall.WindowStart(start, end, serialized)
-		}
 		s.windowEnd = end
 		s.stats.Windows++
 		if serialized {
 			s.stats.Serialized++
 			if err := s.runSerialized(end); err != nil {
 				return err
-			}
-			if wall != nil {
-				wall.WindowDone()
 			}
 			continue
 		}
@@ -428,9 +393,6 @@ func (s *ShardedKernel) Run(hooks Hooks) error {
 		}
 		if firstErr != nil {
 			return firstErr
-		}
-		if wall != nil {
-			wall.WindowDone()
 		}
 	}
 }

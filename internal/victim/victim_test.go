@@ -395,3 +395,34 @@ func BenchmarkVictimDraw(b *testing.B) {
 
 // walkSink keeps the scratch walk of BenchmarkVictimDraw alive.
 var walkSink uint64
+
+// FuzzLookup feeds Lookup -selector strings: whatever it accepts must
+// build a selector that, on a small job in every placement, draws a
+// victim other than the thief for every thief.
+func FuzzLookup(f *testing.F) {
+	for _, name := range StrategyNames() {
+		f.Add(name)
+	}
+	for _, name := range []string{"Tofu^0", "Tofu^2", "Tofu^1e9", "Tofu^Inf", "Tofu^-1", "Tofu^NaN", "Tofu^", "tofu"} {
+		f.Add(name)
+	}
+	placements := []topology.Placement{topology.OnePerNode, topology.EightRoundRobin, topology.EightGrouped}
+	jobs := make([]*topology.Job, len(placements))
+	for i, p := range placements {
+		jobs[i] = testJob(f, 24, p)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		factory, err := Lookup(name)
+		if err != nil {
+			return
+		}
+		for i, job := range jobs {
+			s := factory(job, 7)
+			for thief := 0; thief < job.Ranks(); thief++ {
+				if v := s.Next(thief); v == thief || v < 0 || v >= job.Ranks() {
+					t.Fatalf("%s on %v: Next(%d) = %d", name, placements[i], thief, v)
+				}
+			}
+		}
+	})
+}
