@@ -90,7 +90,7 @@ func (h *handler) inspect(m *comm.Message) int { return m.From }
 func (h *handler) borrowWalk() int {
 	total := 0
 	for _, m := range h.deferred {
-		total += m.Size
+		total += m.Lineage
 	}
 	return total
 }
@@ -137,7 +137,7 @@ func (h *handler) useAfterFree(r int) int {
 	n := 0
 	for _, m := range h.net.Poll(r) {
 		h.net.Free(m)
-		n += m.Size // want `message m used after Network.Free`
+		n += m.Lineage // want `message m used after Network.Free`
 	}
 	return n
 }

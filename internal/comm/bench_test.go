@@ -7,11 +7,11 @@ import (
 	"distws/internal/topology"
 )
 
-// BenchmarkCommSend measures the full life of a steal-request message:
-// send, latency lookup, delivery dispatch, and the receiver's poll.
-// This is the dominant per-message cost of every simulated steal. The
-// alloc gate (TestCommSendAllocFree) requires it to be allocation-free
-// after warm-up.
+// BenchmarkCommSend measures the full life of a steal-request message
+// that waits in the mailbox, as one to a working rank does: send,
+// latency lookup, delivery dispatch, the pooled copy of its header, and
+// the receiver's poll and free. The alloc gate (TestCommSendAllocFree)
+// requires it to be allocation-free after warm-up.
 func BenchmarkCommSend(b *testing.B) {
 	kernel := sim.NewKernel()
 	job, err := topology.NewJob(topology.KComputer(), 64, topology.OnePerNode)

@@ -21,12 +21,18 @@
 //
 // The send/deliver/poll cycle is the second-hottest loop of the
 // simulator (after the event kernel), so the package is written to be
-// allocation-free at steady state: Message objects come from a free
-// list (returned via Free), the protocol kinds travel in typed union
-// fields instead of boxed `any` payloads, delivery is scheduled
-// through the kernel's closure-free AfterArg path, and per-rank
-// mailboxes are reusable buffers whose backing arrays are released
-// once they sit far above the recent high-water occupancy.
+// allocation-free at steady state. A message in flight is its delivery
+// event: the Header — tag, source, destination and request id packed
+// into two words — rides in the kernel's event node (sim.Payload), so a
+// steal request, a no-work reply or a terminate broadcast has no object
+// at all. Only a body (a work reply's loot, a token) takes a Message
+// from the network's free list. At delivery the network fills the
+// header into the body, or into its one reusable view for a bodiless
+// message, and offers it to the delivery hook; a declined view is
+// copied into a pooled Message for the mailbox. Free returns pooled
+// messages and ignores the view. Per-rank mailboxes are reusable
+// buffers whose backing arrays are released once they sit far above
+// the recent high-water occupancy.
 package comm
 
 import (
@@ -75,42 +81,63 @@ func (t Tag) String() string {
 	}
 }
 
-// Message is one in-flight or delivered message.
+// Message is a delivered message, as the delivery hook and Poll hand it
+// out.
 //
 // The protocol kinds carry their data in the typed union fields (ID,
 // Nodes, Token) selected by Tag, so no send boxes a payload into an
-// interface.
-//
-// The struct is laid out as a 64-byte header — everything a steal
-// request, a no-work reply or a terminate broadcast carries, and
-// everything send and delivery stamp — followed by the bodies only work
-// replies and tokens fill. A message sent with SendID lives and is
-// recycled in its first cache line (TestMessageHeaderOneLine pins the
-// split).
+// interface. The fields delivery fills from the Header come first, in
+// one cache line with the pool mark (TestMessageHeaderOneLine); the
+// bodies only work replies and tokens carry follow.
 type Message struct {
 	From, To int
 	Tag      Tag
-	// body marks a message whose sender filled a field past the header
-	// (Nodes or Token), which Free then has to clear.
-	body bool
+	// pooled marks a message from the free list — a body, or a declined
+	// view's mailbox copy — which Free returns; the view is not. body
+	// marks one whose sender filled a field past the header (Nodes,
+	// Token, Lineage), which Free then has to clear.
+	pooled, body bool
 
 	// ID correlates a steal request with its reply; it is valid for
 	// TagStealRequest, TagWork and TagNoWork.
-	ID uint64
-	// Size is the modeled wire size in bytes, used for the bandwidth
-	// term of the latency model.
-	Size        int
-	SentAt      sim.Time
+	ID          uint64
 	DeliveredAt sim.Time
+
 	// Lineage is the migration depth of a TagWork reply's loot: how many
 	// successful steals the work has survived since rank 0's root
 	// (depth 0). Thieves record it so steal chains i→j→k are recoverable.
 	Lineage int
-
 	// Nodes is the stolen loot of a TagWork reply.
 	Nodes []uts.Node
 	// Token is the termination-detection token of a TagToken message.
 	Token term.Token
+}
+
+// Header is a message in flight: the two words its delivery event
+// carries in the kernel's event node. Pack and Unpack are the only code
+// that knows the layout — the tag, the source rank and the destination
+// rank share the first word, the request id is the second.
+type Header sim.Payload
+
+// rankBits is the width of each rank in a header's first word; the tag
+// takes the 8 bits above the two ranks.
+const rankBits = 28
+
+// MaxRanks is the number of ranks a header can address, ranks 0 to
+// MaxRanks-1. New refuses a larger job, and core's Config.Validate a
+// larger rank count, so no rank is ever truncated.
+const MaxRanks = 1 << rankBits
+
+// Pack builds the header of a message from rank from to rank to. Both
+// ranks must lie in [0, MaxRanks).
+func Pack(tag Tag, from, to int, id uint64) Header {
+	return Header{A: uint64(tag)<<(2*rankBits) | uint64(from)<<rankBits | uint64(to), B: id}
+}
+
+// Unpack returns the fields Pack packed.
+func (h Header) Unpack() (tag Tag, from, to int, id uint64) {
+	const mask = MaxRanks - 1
+	return Tag(h.A >> (2 * rankBits)), int(h.A >> rankBits & mask), int(h.A & mask), h.B
 }
 
 // Stats aggregates traffic counters. Dropped and Duplicated stay zero
@@ -153,11 +180,12 @@ func (s *Stats) TotalDropped() uint64 {
 // interposer is the fast path: send() takes one predicted branch and
 // performs no calls or allocations.
 type Interposer interface {
-	// Outcome inspects an outgoing message and the delay the latency
-	// model assigned. It returns the number of copies to deliver and the
-	// (possibly inflated) delay. The message is owned by the network;
+	// Outcome inspects an outgoing message — its header, its body (nil
+	// for a message without one) — and the delay the latency model
+	// assigned. It returns the number of copies to deliver and the
+	// (possibly inflated) delay. The body is owned by the network;
 	// implementations must not retain it.
-	Outcome(m *Message, delay sim.Duration) (copies int, newDelay sim.Duration)
+	Outcome(h Header, body *Message, delay sim.Duration) (copies int, newDelay sim.Duration)
 }
 
 // mailbox is one rank's delivered-but-unpolled queue: a buffer that
@@ -233,18 +261,22 @@ type Network struct {
 	// into the owning shard's kernel at the barrier; the sender's
 	// Sent/Bytes counters have already been taken when the router runs.
 	// Nil in sequential runs — the hot path costs one predicted branch.
-	router func(m *Message, delay sim.Duration) bool
+	router func(h Header, body *Message, delay sim.Duration) bool
 
 	// hook, when non-nil, is offered every message at its delivery
 	// instant, before the mailbox; see SetDeliveryHook.
 	hook func(m *Message) bool
 
+	// view is what a bodiless message is delivered as: filled from the
+	// header at each delivery, valid until the hook returns.
+	view Message
 	// pool is the Message free list; Free returns messages to it.
 	pool []*Message
 	// pollBuf is per-rank scratch reused across Poll calls.
 	pollBuf [][]*Message
-	// deliver is the single delivery callback shared by all sends,
-	// scheduled through AfterArg so a send allocates no closure.
+	// deliver is the single delivery callback shared by all sends: its
+	// argument is the body (a nil *Message for none), its event's
+	// payload the header.
 	deliver func(any)
 }
 
@@ -255,6 +287,9 @@ func New(k *sim.Kernel, job *topology.Job, model topology.LatencyModel) *Network
 		panic("comm: nil latency model")
 	}
 	nranks := job.Ranks()
+	if nranks > MaxRanks {
+		panic(fmt.Sprintf("comm: %d ranks, a header addresses at most %d", nranks, MaxRanks))
+	}
 	n := &Network{
 		kernel:  k,
 		job:     job,
@@ -265,15 +300,22 @@ func New(k *sim.Kernel, job *topology.Job, model topology.LatencyModel) *Network
 	}
 	n.deliver = func(a any) {
 		m := a.(*Message)
-		m.DeliveredAt = n.kernel.Now()
-		if n.hook != nil {
-			if tag := m.Tag; n.hook(m) {
-				n.stats.Received[tag]++
-				return
-			}
+		if m == nil {
+			m = &n.view
 		}
-		n.mailbox[m.To].push(m)
-		if fn := n.notify[m.To]; fn != nil {
+		tag, from, to, id := Header(n.kernel.Payload()).Unpack()
+		m.From, m.To, m.Tag, m.ID, m.DeliveredAt = from, to, tag, id, n.kernel.Now()
+		if n.hook != nil && n.hook(m) {
+			n.stats.Received[tag]++
+			return
+		}
+		if !m.pooled {
+			c := n.alloc()
+			c.From, c.To, c.Tag, c.ID, c.DeliveredAt = from, to, tag, id, m.DeliveredAt
+			m = c
+		}
+		n.mailbox[to].push(m)
+		if fn := n.notify[to]; fn != nil {
 			fn()
 		}
 	}
@@ -290,14 +332,13 @@ func (n *Network) Job() *topology.Job { return n.job }
 func (n *Network) Stats() Stats { return n.stats }
 
 // poolSlab is how many messages the pool grows by: one contiguous
-// allocation instead of one per message in flight (a steal storm has
-// about one request or reply in flight per rank). The last slab is
-// mostly slack, so it is kept small next to the 65–100 messages a
-// 64-rank sweep run peaks at.
+// allocation instead of one per pooled message — work replies and
+// tokens in flight, declined messages waiting in mailboxes. The last
+// slab is mostly slack, so it is kept small.
 const poolSlab = 16
 
-// alloc takes a zeroed Message from the free list, growing the list by
-// a slab when it is empty.
+// alloc takes a Message from the free list, zeroed but for its pool
+// mark, growing the list by a slab when it is empty.
 func (n *Network) alloc() *Message {
 	if len(n.pool) == 0 {
 		slab := make([]Message, poolSlab)
@@ -309,46 +350,47 @@ func (n *Network) alloc() *Message {
 	m := n.pool[last]
 	n.pool[last] = nil
 	n.pool = n.pool[:last]
+	m.pooled = true
 	return m
 }
 
-// Free returns a polled message to the network's free list. Callers
-// that retain no reference to a message (or anything it carries) after
-// handling it should free it so the steady-state protocol traffic
-// recycles a small working set instead of allocating per send. Freeing
-// is optional — unfreed messages are simply collected — and a message
-// must not be used after it is freed.
-//
-// The message goes back zeroed, but Free writes only what the sender
-// filled: always the header, and the bodies behind it only when
-// SendNodes or SendToken marked the message (a duplicate made by
-// the interposer inherits its original's mark). Request-id traffic is
-// never touched past its first cache line. Free lets go of m.Nodes and
-// never reuses the array: it belongs to whoever passed it to SendNodes
-// or took it out of the message (an interposer duplicate carries its
-// own copy).
+// Free releases a handled message: the delivery hook's, or one from
+// Poll. Callers should free every message exactly once when they are
+// done with it and retain nothing it carries. A pooled message — a
+// body, or the mailbox copy of a message without one — goes back to
+// the free list zeroed, so the steady-state traffic recycles a small
+// working set instead of allocating per send; the delivery view of a
+// bodiless message is left alone. Freeing is optional — unfreed
+// messages are simply collected — and a message must not be used after
+// it is freed. Free writes only what was filled: the bodies past the
+// header only when SendNodes or SendToken marked the message (a
+// duplicate made by the interposer inherits its original's mark). Free
+// lets go of m.Nodes and never reuses the array: it belongs to whoever
+// passed it to SendNodes or took it out of the message (an interposer
+// duplicate carries its own copy).
 func (n *Network) Free(m *Message) {
-	if m.body {
+	switch {
+	case !m.pooled:
+		return
+	case m.body:
 		*m = Message{}
-	} else {
-		m.From, m.To, m.Tag, m.ID = 0, 0, 0, 0
-		m.Size, m.SentAt, m.DeliveredAt, m.Lineage = 0, 0, 0, 0
+	default:
+		m.From, m.To, m.Tag, m.ID, m.DeliveredAt, m.pooled = 0, 0, 0, 0, 0, false
 	}
 	n.pool = append(n.pool, m)
 }
 
-// send queues m for delivery after the model's one-way latency. It is
-// valid to send to oneself (used by the token ring at N=1); the
-// same-node latency applies.
-func (n *Network) send(m *Message) {
-	from, to := m.From, m.To
-	if to < 0 || to >= len(n.mailbox) {
-		panic(fmt.Sprintf("comm: send to invalid rank %d", to))
+// send queues a message for delivery after the model's one-way latency:
+// its header goes in the delivery event's payload, its body (nil for
+// none) in the event's argument. It is valid to send to oneself (used
+// by the token ring at N=1); the same-node latency applies.
+func (n *Network) send(tag Tag, from, to int, id uint64, size int, body *Message) {
+	if uint(to) >= uint(len(n.mailbox)) || uint(from) >= uint(len(n.mailbox)) {
+		panic(fmt.Sprintf("comm: send from rank %d to rank %d of %d", from, to, len(n.mailbox)))
 	}
-	m.SentAt = n.kernel.Now()
-	n.stats.Sent[m.Tag]++
-	n.stats.Bytes[m.Tag] += uint64(m.Size)
-	delay := n.model.Latency(n.job, from, to, m.Size)
+	n.stats.Sent[tag]++
+	n.stats.Bytes[tag] += uint64(size)
+	delay := n.model.Latency(n.job, from, to, size)
 	if delay < 0 {
 		panic(fmt.Sprintf("comm: negative latency %v", delay))
 	}
@@ -358,63 +400,74 @@ func (n *Network) send(m *Message) {
 		// request/reply livelocks in the simulator.
 		delay = 1
 	}
-	if n.router != nil && n.router(m, delay) {
+	h := Pack(tag, from, to, id)
+	if n.router != nil && n.router(h, body, delay) {
 		// Claimed for cross-shard delivery; the router owns the message
 		// until it re-injects it on the destination shard.
 		return
 	}
 	if n.interposer != nil {
-		copies, d := n.interposer.Outcome(m, delay)
-		if d > 0 {
-			delay = d
-		}
-		if copies <= 0 {
-			// Lost in transit: the sent/bytes counters above stand (the
-			// bytes hit the wire) but the message never arrives.
-			n.stats.Dropped[m.Tag]++
-			n.Free(m)
-			return
-		}
-		n.kernel.AfterArg(delay, n.deliver, m)
-		for c := 1; c < copies; c++ {
-			// Duplicate delivery: the copy rides the same delay and lands
-			// right after the original (FIFO event order).
-			dup := n.alloc()
-			*dup = *m
-			// The copy owns its loot: a receiver that recycles a work
-			// reply's buffer must not recycle one array twice.
-			dup.Nodes = slices.Clone(m.Nodes)
-			n.stats.Duplicated[dup.Tag]++
-			n.kernel.AfterArg(delay, n.deliver, dup)
+		n.interpose(h, body, delay)
+		return
+	}
+	n.kernel.AfterPayload(delay, n.deliver, body, sim.Payload(h))
+}
+
+// interpose sends a message through the interposer, which may drop it,
+// delay it or duplicate it.
+func (n *Network) interpose(h Header, body *Message, delay sim.Duration) {
+	copies, d := n.interposer.Outcome(h, body, delay)
+	if d > 0 {
+		delay = d
+	}
+	tag, _, _, _ := h.Unpack()
+	if copies <= 0 {
+		// Lost in transit: the sent/bytes counters stand (the bytes hit
+		// the wire) but the message never arrives.
+		n.stats.Dropped[tag]++
+		if body != nil {
+			n.Free(body)
 		}
 		return
 	}
-	n.kernel.AfterArg(delay, n.deliver, m)
+	n.kernel.AfterPayload(delay, n.deliver, body, sim.Payload(h))
+	for c := 1; c < copies; c++ {
+		// Duplicate delivery: the copy rides the same delay and lands
+		// right after the original (FIFO event order). A bodiless copy
+		// is the header again.
+		dup := body
+		if body != nil {
+			dup = n.alloc()
+			*dup = *body
+			// The copy owns its loot: a receiver that recycles a work
+			// reply's buffer must not recycle one array twice.
+			dup.Nodes = slices.Clone(body.Nodes)
+		}
+		n.stats.Duplicated[tag]++
+		n.kernel.AfterPayload(delay, n.deliver, dup, sim.Payload(h))
+	}
 }
 
 // SendID queues a protocol message that carries only a request id:
-// steal requests, no-work replies and the terminate broadcast.
+// steal requests, no-work replies and the terminate broadcast. It
+// takes no object from the pool: the message travels as its header.
 func (n *Network) SendID(from, to int, tag Tag, id uint64, size int) {
-	m := n.alloc()
-	m.From, m.To, m.Tag, m.ID, m.Size = from, to, tag, id, size
-	n.send(m)
+	n.send(tag, from, to, id, size, nil)
 }
 
 // SendNodes queues a TagWork reply carrying stolen nodes for request id.
 // lineage is the loot's migration depth (the victim's depth plus one).
 func (n *Network) SendNodes(from, to int, id uint64, nodes []uts.Node, lineage, size int) {
 	m := n.alloc()
-	m.From, m.To, m.Tag, m.ID, m.Nodes, m.Size = from, to, TagWork, id, nodes, size
-	m.Lineage, m.body = lineage, true
-	n.send(m)
+	m.Nodes, m.Lineage, m.body = nodes, lineage, true
+	n.send(TagWork, from, to, id, size, m)
 }
 
 // SendToken queues a TagToken message carrying a termination token.
 func (n *Network) SendToken(from, to int, tok term.Token, size int) {
 	m := n.alloc()
-	m.From, m.To, m.Tag, m.Token, m.Size = from, to, TagToken, tok, size
-	m.body = true
-	n.send(m)
+	m.Token, m.body = tok, true
+	n.send(TagToken, from, to, 0, size, m)
 }
 
 // Poll drains and returns rank's delivered messages in delivery order.
@@ -449,10 +502,11 @@ func (n *Network) SetInterposer(ip Interposer) {
 }
 
 // SetRouter installs (or, with nil, removes) the cross-shard message
-// router consulted on every send. Like the interposer it must be set
+// router consulted on every send with the message's header, its body
+// (nil for none) and its delay. Like the interposer it must be set
 // before traffic starts; the two are mutually exclusive (the sharded
 // engine rejects fault plans that need an interposer).
-func (n *Network) SetRouter(fn func(m *Message, delay sim.Duration) bool) {
+func (n *Network) SetRouter(fn func(h Header, body *Message, delay sim.Duration) bool) {
 	if fn != nil && n.interposer != nil {
 		panic("comm: router and interposer are mutually exclusive")
 	}
@@ -460,13 +514,16 @@ func (n *Network) SetRouter(fn func(m *Message, delay sim.Duration) bool) {
 }
 
 // SetDeliveryHook installs (or, with nil, removes) the delivery hook:
-// fn is called with every message at its delivery instant, after
-// DeliveredAt is stamped and before the mailbox sees it. Returning
-// true consumes the message — it is counted as received, fn owns it
-// (and should Free it), and neither the destination's mailbox nor its
+// fn is called with every message at its delivery instant, after its
+// header is filled in and DeliveredAt stamped, before the mailbox sees
+// it. A message without a body is the network's reusable view, valid
+// until fn returns — the contract Poll's scratch has. Returning true
+// consumes the message — it is counted as received, fn owns it (and
+// should Free it), and neither the destination's mailbox nor its
 // notify callback is touched. Returning false declines it, and
 // delivery proceeds through mailbox, notify and Poll as if no hook
-// were installed. A receiver that would poll its mailbox at every
+// were installed (a view is copied into the mailbox, header and
+// delivery order intact). A receiver that would poll its mailbox at every
 // delivery anyway takes its messages here instead, provided its
 // mailbox is empty whenever it consumes (or it would handle messages
 // out of delivery order). Like the interposer, the hook must be set
@@ -475,9 +532,10 @@ func (n *Network) SetDeliveryHook(fn func(m *Message) bool) { n.hook = fn }
 
 // DeliverFn exposes the network's shared delivery callback so the
 // sharded engine can schedule a claimed message on this network's
-// kernel (via AtArg at send time + latency): the delivery then stamps
-// DeliveredAt and goes to the delivery hook or the destination mailbox
-// and its notify exactly as a local send would.
+// kernel (via AtPayload at send time + latency, the body as argument
+// and the header as payload): the delivery then fills the header,
+// stamps DeliveredAt and goes to the delivery hook or the destination
+// mailbox and its notify exactly as a local send would.
 func (n *Network) DeliverFn() func(any) { return n.deliver }
 
 // SetNotify installs fn to be invoked (at delivery virtual time)

@@ -21,7 +21,7 @@ func testNetwork(t *testing.T, nranks int) (*sim.Kernel, *Network) {
 
 func TestSendDeliversAfterLatency(t *testing.T) {
 	k, n := testNetwork(t, 4)
-	var deliveredAt sim.Time
+	sentAt := k.Now()
 	n.SendID(0, 1, TagStealRequest, 42, 16)
 	if n.Pending(1) {
 		t.Fatal("message visible before latency elapsed")
@@ -34,15 +34,11 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 		t.Fatalf("polled %d messages, want 1", len(msgs))
 	}
 	m := msgs[0]
-	deliveredAt = m.DeliveredAt
 	if m.From != 0 || m.To != 1 || m.Tag != TagStealRequest || m.ID != 42 {
 		t.Fatalf("message corrupted: %+v", m)
 	}
-	if deliveredAt <= m.SentAt {
-		t.Fatal("delivery not after send")
-	}
 	want := topology.DefaultLatency().Latency(n.Job(), 0, 1, 16)
-	if got := deliveredAt.Sub(m.SentAt); got != want {
+	if got := m.DeliveredAt.Sub(sentAt); got != want {
 		t.Fatalf("latency %v, want %v", got, want)
 	}
 }
@@ -283,8 +279,9 @@ func TestMessagePoolRecyclesFreedMessages(t *testing.T) {
 		t.Fatalf("typed fields corrupted: %+v", first)
 	}
 	n.Free(first)
-	// The next send must reuse the freed message, fully re-zeroed: no
-	// stale loot or token may leak between protocol messages.
+	// The next pooled message — here the mailbox copy of a request —
+	// must reuse the freed one, fully re-zeroed: no stale loot or token
+	// may leak between protocol messages.
 	n.SendID(1, 0, TagStealRequest, 9, 16)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -316,19 +313,22 @@ func TestSendTokenCarriesToken(t *testing.T) {
 }
 
 // scriptedInterposer drops, duplicates, or delays by tag — a test
-// double for the fault injector.
+// double for the fault injector — and records the headers it dropped,
+// as the injector's OnDrop observer sees them.
 type scriptedInterposer struct {
 	dropTag Tag
 	dupTag  Tag
 	delay   sim.Duration // replaces the model delay when nonzero
+	dropped []Header
 }
 
-func (s *scriptedInterposer) Outcome(m *Message, delay sim.Duration) (int, sim.Duration) {
+func (s *scriptedInterposer) Outcome(h Header, _ *Message, delay sim.Duration) (int, sim.Duration) {
 	if s.delay != 0 {
 		delay = s.delay
 	}
-	switch m.Tag {
+	switch tag, _, _, _ := h.Unpack(); tag {
 	case s.dropTag:
+		s.dropped = append(s.dropped, h)
 		return 0, delay
 	case s.dupTag:
 		return 2, delay
@@ -392,6 +392,9 @@ func TestInterposerDelaysDelivery(t *testing.T) {
 	}
 }
 
+// TestInterposerDroppedMessageIsPooled: a dropped message without a
+// body never touched the pool; a dropped body goes straight back to it
+// — the pool's one slab is whole again — and the next alloc reuses it.
 func TestInterposerDroppedMessageIsPooled(t *testing.T) {
 	k, n := testNetwork(t, 2)
 	n.SetInterposer(&scriptedInterposer{dropTag: TagNoWork, dupTag: numTags})
@@ -399,18 +402,24 @@ func TestInterposerDroppedMessageIsPooled(t *testing.T) {
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// The dropped message went straight back to the free list — the
-	// pool's one slab is whole again — and the next alloc must reuse it.
+	if n.pool != nil {
+		t.Fatalf("a dropped bodiless message grew the pool to %d", len(n.pool))
+	}
+	n.SetInterposer(&scriptedInterposer{dropTag: TagToken, dupTag: numTags})
+	n.SendToken(0, 1, term.Token{Round: 3}, 16)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 	if len(n.pool) != poolSlab {
 		t.Fatalf("pool holds %d messages after a drop, want the slab's %d", len(n.pool), poolSlab)
 	}
 	recycled := n.pool[len(n.pool)-1]
-	n.SendID(0, 1, TagWork, 2, 8)
+	n.SetInterposer(nil)
+	n.SendToken(0, 1, term.Token{Round: 4}, 16)
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	msgs := n.Poll(1)
-	if len(msgs) != 1 || msgs[0] != recycled {
+	if msgs := n.Poll(1); len(msgs) != 1 || msgs[0] != recycled || msgs[0].Token.Round != 4 {
 		t.Fatal("drop did not recycle the message through the pool")
 	}
 }

@@ -15,7 +15,7 @@ func TestConsumingHookBypassesMailbox(t *testing.T) {
 	n.SetNotify(1, func() { notified++ })
 	var got []uint64
 	n.SetDeliveryHook(func(m *Message) bool {
-		if m.To != 1 || m.Tag != TagNoWork || m.DeliveredAt != k.Now() || m.DeliveredAt <= m.SentAt {
+		if m.From != 0 || m.To != 1 || m.Tag != TagNoWork || m.DeliveredAt != k.Now() || m.DeliveredAt <= 0 {
 			t.Errorf("hook saw %+v at %v", m, k.Now())
 		}
 		if n.Pending(m.To) {
@@ -41,8 +41,101 @@ func TestConsumingHookBypassesMailbox(t *testing.T) {
 	if st := n.Stats(); st.Received[TagNoWork] != 3 || st.Sent[TagNoWork] != 3 {
 		t.Fatalf("sent %d, received %d NoWork messages, want 3 and 3", st.Sent[TagNoWork], st.Received[TagNoWork])
 	}
-	if len(n.pool) != poolSlab {
-		t.Fatalf("%d messages in the pool, want the whole slab of %d: the hook freed all 3", len(n.pool), poolSlab)
+	if n.pool != nil {
+		t.Fatalf("%d messages in the pool, want none: a consumed message without a body is never pooled", len(n.pool))
+	}
+}
+
+// seenMsg is what a receiver can observe of a delivered message.
+type seenMsg struct {
+	From, To int
+	Tag      Tag
+	ID       uint64
+	At       int64
+}
+
+func seen(m *Message) seenMsg {
+	return seenMsg{m.From, m.To, m.Tag, m.ID, int64(m.DeliveredAt)}
+}
+
+// TestDeclinedViewKeepsHeaderAndOrder: a message without a body reaches
+// the hook as the network's one reusable view; the ones the hook
+// declines reach Poll as copies of it, each with its own header and
+// delivery instant, in delivery order, interleaved with consumed ones
+// and with work replies that carry a body.
+func TestDeclinedViewKeepsHeaderAndOrder(t *testing.T) {
+	k, n := testNetwork(t, 8)
+	var offered, declined []seenMsg
+	n.SetDeliveryHook(func(m *Message) bool {
+		s := seen(m)
+		offered = append(offered, s)
+		if m.ID%3 == 0 {
+			n.Free(m)
+			return true
+		}
+		declined = append(declined, s)
+		return false
+	})
+	tags := []Tag{TagStealRequest, TagNoWork, TagTerminate}
+	for id := uint64(1); id <= 12; id++ {
+		from := int(id) % 8
+		if from == 5 {
+			from = 0
+		}
+		if id == 7 {
+			n.SendNodes(from, 5, id, nil, 1, 16)
+			continue
+		}
+		n.SendID(from, 5, tags[id%3], id, 16)
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var polled []seenMsg
+	for _, m := range n.Poll(5) {
+		polled = append(polled, seen(m))
+		n.Free(m)
+	}
+	if len(offered) != 12 || len(declined) != 8 {
+		t.Fatalf("hook offered %d messages and declined %d, want 12 and 8", len(offered), len(declined))
+	}
+	if !reflect.DeepEqual(polled, declined) {
+		t.Fatalf("Poll returned\n %v\nwant the declined messages as the hook saw them\n %v", polled, declined)
+	}
+	for i := 1; i < len(offered); i++ {
+		if offered[i].At < offered[i-1].At {
+			t.Fatalf("offered out of delivery order: %v", offered)
+		}
+	}
+}
+
+// TestInterposerDuplicatesAndDropsHeaders: a message without a body
+// that the interposer duplicates arrives twice with one header at one
+// instant, and one it drops reaches the interposer with its own from,
+// to and tag and never arrives.
+func TestInterposerDuplicatesAndDropsHeaders(t *testing.T) {
+	k, n := testNetwork(t, 8)
+	ip := &scriptedInterposer{dropTag: TagNoWork, dupTag: TagStealRequest}
+	n.SetInterposer(ip)
+	var got []seenMsg
+	n.SetDeliveryHook(func(m *Message) bool {
+		got = append(got, seen(m))
+		n.Free(m)
+		return true
+	})
+	n.SendID(2, 6, TagStealRequest, 41, 16)
+	n.SendID(6, 3, TagNoWork, 42, 16)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 2 || got[0] != got[1] || got[0].From != 2 || got[0].To != 6 || got[0].Tag != TagStealRequest || got[0].ID != 41 {
+		t.Fatalf("delivered %+v, want request 41 from 2 to 6 twice", got)
+	}
+	if want := []Header{Pack(TagNoWork, 6, 3, 42)}; !reflect.DeepEqual(ip.dropped, want) {
+		t.Fatalf("interposer dropped %v, want %v", ip.dropped, want)
+	}
+	if st := n.Stats(); st.Duplicated[TagStealRequest] != 1 || st.Dropped[TagNoWork] != 1 || n.pool != nil {
+		t.Fatalf("stats %+v, pool %d: want one duplicate, one drop and no pooled object", st, len(n.pool))
 	}
 }
 

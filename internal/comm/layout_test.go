@@ -10,37 +10,42 @@ import (
 )
 
 // TestMessageHeaderOneLine pins the message's cache-line split: the
-// eight fields every message uses fill the first 64 bytes exactly, the
-// bodies start on the second line, and the whole struct is two lines.
+// fields a delivery fills from the header, and the marks Free reads,
+// lie in the first 64 bytes, so delivering a message without a body
+// writes one line of the network's view, and freeing a mailbox copy of
+// one clears one line; the bodies follow.
 func TestMessageHeaderOneLine(t *testing.T) {
 	var m Message
-	if off := unsafe.Offsetof(m.Nodes); off != 64 {
-		t.Errorf("Message.Nodes at offset %d, want 64: the header is not one cache line", off)
-	}
 	for _, f := range []struct {
-		name string
-		off  uintptr
+		name      string
+		off, size uintptr
 	}{
-		{"From", unsafe.Offsetof(m.From)}, {"To", unsafe.Offsetof(m.To)},
-		{"Tag", unsafe.Offsetof(m.Tag)}, {"ID", unsafe.Offsetof(m.ID)},
-		{"Size", unsafe.Offsetof(m.Size)}, {"SentAt", unsafe.Offsetof(m.SentAt)},
-		{"DeliveredAt", unsafe.Offsetof(m.DeliveredAt)}, {"Lineage", unsafe.Offsetof(m.Lineage)},
-		{"body", unsafe.Offsetof(m.body)},
+		{"From", unsafe.Offsetof(m.From), unsafe.Sizeof(m.From)},
+		{"To", unsafe.Offsetof(m.To), unsafe.Sizeof(m.To)},
+		{"Tag", unsafe.Offsetof(m.Tag), unsafe.Sizeof(m.Tag)},
+		{"pooled", unsafe.Offsetof(m.pooled), unsafe.Sizeof(m.pooled)},
+		{"body", unsafe.Offsetof(m.body), unsafe.Sizeof(m.body)},
+		{"ID", unsafe.Offsetof(m.ID), unsafe.Sizeof(m.ID)},
+		{"DeliveredAt", unsafe.Offsetof(m.DeliveredAt), unsafe.Sizeof(m.DeliveredAt)},
 	} {
-		if f.off >= 64 {
-			t.Errorf("Message.%s at offset %d, outside the header line", f.name, f.off)
+		if f.off+f.size > 64 {
+			t.Errorf("Message.%s ends at byte %d, outside the header line", f.name, f.off+f.size)
 		}
+	}
+	if off := unsafe.Offsetof(m.Lineage); off < unsafe.Offsetof(m.DeliveredAt) {
+		t.Errorf("body field Lineage at offset %d, inside the header", off)
 	}
 	if size := unsafe.Sizeof(m); size > 128 {
 		t.Errorf("Message is %d bytes, want at most 128", size)
 	}
 }
 
-// TestFreeClearsWhatSendFilled: Free clears the body line only for the
-// senders that fill it, so every way of filling a message must come
-// back from the pool fully zero — including the interposer's duplicate,
-// which is a copy Free never saw being filled — and a request-id
-// message too.
+// TestFreeClearsWhatSendFilled: only pooled messages — bodies, and the
+// mailbox copies of declined messages without one — come from and go
+// back to the free list, so every way of filling one must come back
+// from the pool fully zero, including the interposer's duplicate, which
+// is a copy Free never saw being filled. A bodiless message the hook
+// consumes is the network's view: Free leaves it, and the pool, alone.
 func TestFreeClearsWhatSendFilled(t *testing.T) {
 	loot := []uts.Node{{Height: 3}, {Height: 4}}
 	tok := term.Token{Round: 7}
@@ -70,8 +75,8 @@ func TestFreeClearsWhatSendFilled(t *testing.T) {
 				t.Fatalf("polled %d messages, want %d", len(msgs), want)
 			}
 			for _, m := range msgs {
-				if reflect.DeepEqual(*m, Message{}) {
-					t.Fatal("delivered message is empty: the test would prove nothing")
+				if !m.pooled || reflect.DeepEqual(*m, Message{pooled: true}) {
+					t.Fatalf("delivered message %+v is not a filled pooled one: the test would prove nothing", *m)
 				}
 				n.Free(m)
 			}
@@ -85,6 +90,25 @@ func TestFreeClearsWhatSendFilled(t *testing.T) {
 			}
 		})
 	}
+	t.Run("consumed SendID", func(t *testing.T) {
+		k, n := testNetwork(t, 2)
+		var seen *Message
+		n.SetDeliveryHook(func(m *Message) bool {
+			seen = m
+			n.Free(m)
+			return true
+		})
+		n.SendID(0, 1, TagNoWork, 5, 16)
+		if err := k.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if seen != &n.view || seen.ID != 5 || seen.Tag != TagNoWork {
+			t.Fatalf("hook saw %p %+v, want the network's view carrying the header", seen, seen)
+		}
+		if n.pool != nil {
+			t.Fatalf("a consumed bodiless message grew the pool to %d", len(n.pool))
+		}
+	})
 }
 
 // TestDuplicateOwnsItsNodes: the interposer's duplicate of a work reply

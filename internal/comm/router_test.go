@@ -9,7 +9,7 @@ import (
 
 // TestRouterClaimsMessages checks the cross-shard hook: a claimed
 // message is not delivered locally, the sender's Sent counters still
-// stand, and re-injecting it through the destination network's
+// stand, and re-injecting its header through the destination network's
 // DeliverFn lands it in the right mailbox with the right DeliveredAt.
 func TestRouterClaimsMessages(t *testing.T) {
 	job, err := topology.NewJob(topology.KComputer(), 8, topology.OnePerNode)
@@ -22,13 +22,14 @@ func TestRouterClaimsMessages(t *testing.T) {
 	dst := New(kDst, job, model)
 
 	type claimed struct {
-		m     *Message
+		h     Header
+		body  *Message
 		delay sim.Duration
 	}
 	var claims []claimed
-	src.SetRouter(func(m *Message, delay sim.Duration) bool {
-		if m.To >= 4 { // "other shard"
-			claims = append(claims, claimed{m, delay})
+	src.SetRouter(func(h Header, body *Message, delay sim.Duration) bool {
+		if _, _, to, _ := h.Unpack(); to >= 4 { // "other shard"
+			claims = append(claims, claimed{h, body, delay})
 			return true
 		}
 		return false
@@ -36,8 +37,8 @@ func TestRouterClaimsMessages(t *testing.T) {
 
 	src.SendID(0, 5, TagStealRequest, 42, 8) // cross: claimed
 	src.SendID(0, 2, TagNoWork, 7, 8)        // local: normal path
-	if len(claims) != 1 || claims[0].m.To != 5 || claims[0].m.ID != 42 {
-		t.Fatalf("router claims = %+v, want one claim for rank 5", claims)
+	if len(claims) != 1 || claims[0].h != Pack(TagStealRequest, 0, 5, 42) || claims[0].body != nil {
+		t.Fatalf("router claims = %+v, want one bodiless claim for rank 5", claims)
 	}
 	if got := src.Stats().Sent[TagStealRequest]; got != 1 {
 		t.Fatalf("sender Sent[StealRequest] = %d, want 1 (counted before routing)", got)
@@ -54,13 +55,13 @@ func TestRouterClaimsMessages(t *testing.T) {
 
 	// Barrier-style re-injection on the destination network's kernel.
 	c := claims[0]
-	at := c.m.SentAt.Add(c.delay)
-	kDst.AtArg(at, dst.DeliverFn(), c.m)
+	at := sim.Time(0).Add(c.delay) // sent at time zero
+	kDst.AtPayload(at, dst.DeliverFn(), c.body, sim.Payload(c.h))
 	if err := kDst.Run(); err != nil {
 		t.Fatal(err)
 	}
 	msgs := dst.Poll(5)
-	if len(msgs) != 1 || msgs[0].ID != 42 || msgs[0].DeliveredAt != at {
+	if len(msgs) != 1 || msgs[0].ID != 42 || msgs[0].From != 0 || msgs[0].DeliveredAt != at {
 		t.Fatalf("cross delivery = %+v, want ID 42 at %v", msgs, at)
 	}
 	if got := dst.Stats().Received[TagStealRequest]; got != 1 {
@@ -77,7 +78,7 @@ func TestRouterInterposerExclusive(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := New(sim.NewKernel(), job, topology.DefaultLatency())
-	n.SetRouter(func(*Message, sim.Duration) bool { return false })
+	n.SetRouter(func(Header, *Message, sim.Duration) bool { return false })
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -94,9 +95,9 @@ func TestRouterInterposerExclusive(t *testing.T) {
 			t.Error("SetRouter after SetInterposer did not panic")
 		}
 	}()
-	n2.SetRouter(func(*Message, sim.Duration) bool { return false })
+	n2.SetRouter(func(Header, *Message, sim.Duration) bool { return false })
 }
 
 type dropAll struct{}
 
-func (dropAll) Outcome(*Message, sim.Duration) (int, sim.Duration) { return 0, 0 }
+func (dropAll) Outcome(Header, *Message, sim.Duration) (int, sim.Duration) { return 0, 0 }

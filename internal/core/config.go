@@ -360,6 +360,9 @@ func (c Config) validate(graph bool) error {
 	if c.Ranks < 1 {
 		return fmt.Errorf("core: %d ranks", c.Ranks)
 	}
+	if c.Ranks > comm.MaxRanks {
+		return fmt.Errorf("core: %d ranks, over the %d a message header can address", c.Ranks, comm.MaxRanks)
+	}
 	if c.ChunkSize < 0 || c.PollInterval < 0 {
 		return errors.New("core: negative chunk size or poll interval")
 	}

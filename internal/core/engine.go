@@ -144,13 +144,10 @@ type engine struct {
 	met    engineMetrics   // registry handles; all nil when disabled
 	ranks  []rank
 
-	// rankID[r] == r, and quantumEndFn, backoffEndFn and stealTimeoutFn
-	// are the shared timer callbacks: a timer's argument is &rankID[r],
-	// a pointer and so free to box, which lets the per-rank timers
-	// schedule through the kernel's closure-free AfterArg path instead
-	// of allocating a closure per quantum, backoff pause or steal
-	// timeout.
-	rankID         []int32
+	// quantumEndFn, backoffEndFn and stealTimeoutFn are the shared
+	// per-rank timer callbacks: a timer carries its rank in its event's
+	// payload (rankTimer, timerRank), so a quantum, backoff pause or
+	// steal timeout allocates no closure.
 	quantumEndFn   func(any)
 	backoffEndFn   func(any)
 	stealTimeoutFn func(any)
@@ -385,9 +382,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
 	}
 	ranks := make([]rank, cfg.Ranks)
-	rankID := make([]int32, cfg.Ranks)
 	for i := range ranks {
-		rankID[i] = int32(i)
 		ranks[i].stack.Init(cfg.ChunkSize)
 		ranks[i].pendingVictim = -1
 		if inj != nil {
@@ -409,7 +404,6 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			ev:         ev,
 			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
 			ranks:      ranks,
-			rankID:     rankID,
 			backoffCfg: cfg.backoff(),
 			inj:        inj,
 			w:          w,
@@ -452,19 +446,25 @@ func (e *engine) idleFrom(r0 int) {
 	}
 }
 
-// rankOf recovers r from a timer argument, which is &e.rankID[r].
-func rankOf(a any) int { return int(*a.(*int32)) }
+// rankTimer schedules the per-rank timer fn for rank r, d from now,
+// with r in the event's payload.
+func (e *engine) rankTimer(d sim.Duration, fn func(any), r int) sim.Event {
+	return e.kernel.AfterPayload(d, fn, nil, sim.Payload{A: uint64(r)})
+}
+
+// timerRank returns the rank of the per-rank timer being dispatched.
+func (e *engine) timerRank() int { return int(e.kernel.Payload().A) }
 
 // bindTimers builds the engine's shared per-rank timer callbacks.
 func (e *engine) bindTimers() {
-	e.quantumEndFn = func(a any) { e.quantumEnd(rankOf(a)) }
-	e.backoffEndFn = func(a any) {
-		if r := rankOf(a); e.ranks[r].state == rsBackoff {
+	e.quantumEndFn = func(any) { e.quantumEnd(e.timerRank()) }
+	e.backoffEndFn = func(any) {
+		if r := e.timerRank(); e.ranks[r].state == rsBackoff {
 			e.sendSteal(r)
 		}
 	}
-	e.stealTimeoutFn = func(a any) {
-		r := rankOf(a)
+	e.stealTimeoutFn = func(any) {
+		r := e.timerRank()
 		e.ranks[r].stealTimer = sim.Event{}
 		e.abortSteal(r)
 	}
@@ -496,7 +496,7 @@ func (e *engine) startQuantum(r int) {
 	if e.inj != nil {
 		compute = e.inj.ScaleCompute(r, compute)
 	}
-	rk.quantum = e.kernel.AfterArg(compute+stall+rk.extraDelay, e.quantumEndFn, &e.rankID[r])
+	rk.quantum = e.rankTimer(compute+stall+rk.extraDelay, e.quantumEndFn, r)
 	rk.extraDelay = 0
 }
 
@@ -568,7 +568,7 @@ func (e *engine) sendSteal(r int) {
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
 		e.kernel.Cancel(rk.stealTimer)
-		rk.stealTimer = e.kernel.AfterArg(e.cfg.StealTimeout, e.stealTimeoutFn, &e.rankID[r])
+		rk.stealTimer = e.rankTimer(e.cfg.StealTimeout, e.stealTimeoutFn, r)
 	}
 }
 
@@ -693,16 +693,20 @@ func (e *engine) crashRank(r int) {
 // count is resolved so the termination detector does not wait forever
 // for a receive that cannot happen.
 func (e *engine) deadLetter(m *comm.Message) {
-	e.onMessageDrop(m)
+	e.lose(m.Tag, m.From, m.To, m.Nodes)
 	e.net.Free(m)
 }
 
-// noteWorkLost books a work message destroyed by a fault (dropped on a
-// link, or dead-lettered at a crashed rank).
-func (e *engine) noteWorkLost(m *comm.Message) {
-	e.destroy(m.From, -1, m.Nodes)
+// lose books a message a fault destroyed — dropped on a link, or
+// dead-lettered at a crashed rank — and, for a work message, its loot.
+func (e *engine) lose(tag comm.Tag, from, to int, loot []uts.Node) {
+	e.ev.Record(from, e.kernel.Now(), trace.EvMsgDrop, to, int64(len(loot)))
+	if tag != comm.TagWork {
+		return
+	}
+	e.destroy(from, -1, loot)
 	e.lostMsgs++
-	e.det.WorkLost(m.From)
+	e.det.WorkLost(from)
 	e.met.lostMessages.Inc()
 	e.scheduleReprobe()
 }
@@ -719,17 +723,18 @@ func (e *engine) destroy(owner, crashed int, nodes []uts.Node) uint64 {
 }
 
 // onMessageDrop is the injector's drop observer: it runs inside the
-// send path, before the network reclaims the message. deadLetter calls
-// it too.
-func (e *engine) onMessageDrop(m *comm.Message) {
-	e.ev.Record(m.From, e.kernel.Now(), trace.EvMsgDrop, m.To, int64(len(m.Nodes)))
-	if m.Tag == comm.TagWork {
-		e.noteWorkLost(m)
+// send path, before the network reclaims the body.
+func (e *engine) onMessageDrop(h comm.Header, body *comm.Message) {
+	tag, from, to, _ := h.Unpack()
+	var loot []uts.Node
+	if body != nil {
+		loot = body.Nodes
 	}
+	e.lose(tag, from, to, loot)
 }
 
 // onMessageDup is the injector's duplication observer.
-func (e *engine) onMessageDup(m *comm.Message) {
+func (e *engine) onMessageDup(comm.Header, *comm.Message) {
 	e.met.dupMessages.Inc()
 }
 
@@ -1070,7 +1075,7 @@ func (e *engine) retryOrBackoff(r int) {
 		}
 	}
 	rk.state = rsBackoff
-	e.kernel.AfterArg(rk.backoff, e.backoffEndFn, &e.rankID[r])
+	e.rankTimer(rk.backoff, e.backoffEndFn, r)
 }
 
 // forwardTokens transmits detector-emitted tokens on the ring.

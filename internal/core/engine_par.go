@@ -96,27 +96,29 @@ type parShared struct {
 // staged message due inside window [W, W+Δ) would have had to be sent
 // before W, so it was merged at a barrier at or before W and already
 // sits ahead of the window's resident events).
-func (ps *parShared) router(s int) func(*comm.Message, sim.Duration) bool {
-	return func(m *comm.Message, delay sim.Duration) bool {
-		d := ps.shardOf[m.To]
-		when := m.SentAt.Add(delay)
+func (ps *parShared) router(s int) func(comm.Header, *comm.Message, sim.Duration) bool {
+	return func(h comm.Header, body *comm.Message, delay sim.Duration) bool {
+		tag, from, to, _ := h.Unpack()
+		d := ps.shardOf[to]
+		sent := ps.sk.Kernel(s).Now()
+		when := sent.Add(delay)
 		if ps.serialized {
 			if d == s {
 				return false // global timestamp order: normal path is exact
 			}
-			if m.Tag == comm.TagToken && m.To == 0 {
+			if tag == comm.TagToken && to == 0 {
 				ps.notes[s] = append(ps.notes[s], when)
 			}
-			ps.sk.Kernel(d).AtArg(when, ps.engines[d].net.DeliverFn(), m)
+			ps.sk.Kernel(d).AtPayload(when, ps.engines[d].net.DeliverFn(), body, sim.Payload(h))
 			return true
 		}
 		if d == s && when < ps.sk.WindowEnd() {
 			return false // fires this window; cannot tie with staged arrivals
 		}
-		if m.Tag == comm.TagToken && m.To == 0 {
+		if tag == comm.TagToken && to == 0 {
 			ps.notes[s] = append(ps.notes[s], when)
 		}
-		ps.sk.Stage(s, d, when, m.SentAt, m.From, ps.engines[d].net.DeliverFn(), m)
+		ps.sk.Stage(s, d, when, sent, from, ps.engines[d].net.DeliverFn(), body, sim.Payload(h))
 		return true
 	}
 }

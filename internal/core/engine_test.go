@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"distws/internal/comm"
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/sim"
@@ -83,6 +84,7 @@ func TestValidateExclusions(t *testing.T) {
 			c.Serve = serveTestSpec()
 			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
 		}, "cannot be sharded"},
+		{"ranks past the header limit", func(c *Config) { c.Ranks = comm.MaxRanks + 1 }, "message header"},
 		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
 		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},

@@ -96,12 +96,12 @@ func TestStealLootAllocFree(t *testing.T) {
 // contract — any Interposer may — held at the engine.
 type dupWork struct{ replies, nodes int }
 
-func (d *dupWork) Outcome(m *comm.Message, delay sim.Duration) (int, sim.Duration) {
-	if m.Tag != comm.TagWork {
+func (d *dupWork) Outcome(h comm.Header, body *comm.Message, delay sim.Duration) (int, sim.Duration) {
+	if tag, _, _, _ := h.Unpack(); tag != comm.TagWork {
 		return 1, delay
 	}
 	d.replies++
-	d.nodes += len(m.Nodes)
+	d.nodes += len(body.Nodes)
 	return 2, delay
 }
 

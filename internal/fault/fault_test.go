@@ -3,12 +3,14 @@ package fault
 import (
 	"encoding/json"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"distws/internal/comm"
 	"distws/internal/sim"
 	"distws/internal/topology"
+	"distws/internal/uts"
 )
 
 func testPlan() *Plan {
@@ -228,8 +230,7 @@ func TestStragglerMultipliers(t *testing.T) {
 	if d := inj.ScaleCompute(0, 100); d != 100 {
 		t.Fatalf("non-straggler scaled: %d", d)
 	}
-	m := &comm.Message{From: 2, To: 0, Tag: comm.TagStealRequest}
-	copies, delay := inj.Outcome(m, 100)
+	copies, delay := inj.Outcome(comm.Pack(comm.TagStealRequest, 2, 0, 0), nil, 100)
 	if copies != 1 || delay != 200 {
 		t.Fatalf("send multiplier: copies=%d delay=%d, want 1, 200", copies, delay)
 	}
@@ -242,18 +243,18 @@ func TestSpikeWindow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := &comm.Message{From: 0, To: 1, Tag: comm.TagWork}
-	if _, d := inj.Outcome(m, 7); d != 7 {
+	h := comm.Pack(comm.TagWork, 0, 1, 0)
+	if _, d := inj.Outcome(h, nil, 7); d != 7 {
 		t.Fatalf("spike applied outside its window at t=0: %d", d)
 	}
 	// Advance the clock into the window.
 	k.After(150, func() {
-		if _, d := inj.Outcome(m, 7); d != 70 {
+		if _, d := inj.Outcome(h, nil, 7); d != 70 {
 			t.Errorf("spike not applied at t=150: %d", d)
 		}
 	})
 	k.After(250, func() {
-		if _, d := inj.Outcome(m, 7); d != 7 {
+		if _, d := inj.Outcome(h, nil, 7); d != 7 {
 			t.Errorf("spike still applied at t=250: %d", d)
 		}
 	})
@@ -270,14 +271,12 @@ func TestProtocolExemptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tag := range []comm.Tag{comm.TagToken, comm.TagTerminate} {
-		m := &comm.Message{From: 0, To: 1, Tag: tag}
-		if copies, _ := inj.Outcome(m, 10); copies != 1 {
+		if copies, _ := inj.Outcome(comm.Pack(tag, 0, 1, 0), nil, 10); copies != 1 {
 			t.Fatalf("%v affected by link faults (copies=%d)", tag, copies)
 		}
 	}
 	// Drop=1 kills every eligible message.
-	m := &comm.Message{From: 0, To: 1, Tag: comm.TagStealRequest}
-	if copies, _ := inj.Outcome(m, 10); copies != 0 {
+	if copies, _ := inj.Outcome(comm.Pack(comm.TagStealRequest, 0, 1, 0), nil, 10); copies != 0 {
 		t.Fatal("drop=1 delivered a steal request")
 	}
 	// Work is droppable but never duplicated.
@@ -286,11 +285,59 @@ func TestProtocolExemptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if copies, _ := inj.Outcome(&comm.Message{Tag: comm.TagWork, To: 1}, 10); copies != 1 {
+	if copies, _ := inj.Outcome(comm.Pack(comm.TagWork, 0, 1, 0), &comm.Message{}, 10); copies != 1 {
 		t.Fatal("TagWork was duplicated")
 	}
-	if copies, _ := inj.Outcome(&comm.Message{Tag: comm.TagNoWork, To: 1}, 10); copies != 2 {
+	if copies, _ := inj.Outcome(comm.Pack(comm.TagNoWork, 0, 1, 0), nil, 10); copies != 2 {
 		t.Fatal("TagNoWork not duplicated at dup=1")
+	}
+}
+
+// TestObserversSeeTheHeader: on a live network, OnDrop and OnDup get
+// the header of the message the injector decided on — tag, ranks and id
+// as sent — and its body only when it has one.
+func TestObserversSeeTheHeader(t *testing.T) {
+	k := sim.NewKernel()
+	job, err := topology.NewJob(topology.KComputer(), 4, topology.OnePerNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := comm.New(k, job, topology.DefaultLatency())
+	inj, err := Compile(&Plan{Links: []LinkFault{{From: 2, To: 3, Drop: 1}, {From: 1, To: 0, Dup: 1}}}, 4, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dropped, duplicated []comm.Header
+	var loot []int // the dropped bodies' node counts, -1 for none
+	inj.OnDrop = func(h comm.Header, body *comm.Message) {
+		dropped = append(dropped, h)
+		if body == nil {
+			loot = append(loot, -1)
+		} else {
+			loot = append(loot, len(body.Nodes))
+		}
+	}
+	inj.OnDup = func(h comm.Header, body *comm.Message) {
+		if body != nil {
+			t.Errorf("duplicated %v with a body", h)
+		}
+		duplicated = append(duplicated, h)
+	}
+	n.SetInterposer(inj)
+	n.SendID(2, 3, comm.TagNoWork, 11, 8)
+	n.SendNodes(2, 3, 12, make([]uts.Node, 3), 1, 84)
+	n.SendID(1, 0, comm.TagStealRequest, 13, 8)
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []comm.Header{comm.Pack(comm.TagNoWork, 2, 3, 11), comm.Pack(comm.TagWork, 2, 3, 12)}; !reflect.DeepEqual(dropped, want) {
+		t.Errorf("OnDrop saw %v, want %v", dropped, want)
+	}
+	if !reflect.DeepEqual(loot, []int{-1, 3}) {
+		t.Errorf("OnDrop saw bodies of %v nodes, want none and 3", loot)
+	}
+	if want := []comm.Header{comm.Pack(comm.TagStealRequest, 1, 0, 13)}; !reflect.DeepEqual(duplicated, want) {
+		t.Errorf("OnDup saw %v, want %v", duplicated, want)
 	}
 }
 
@@ -298,9 +345,9 @@ func TestProtocolExemptions(t *testing.T) {
 // sequence — the injector's observable random behavior.
 func outcomes(inj *Injector, n int) []int {
 	seq := make([]int, n)
-	m := &comm.Message{From: 0, To: 1, Tag: comm.TagStealRequest}
+	h := comm.Pack(comm.TagStealRequest, 0, 1, 0)
 	for k := range seq {
-		seq[k], _ = inj.Outcome(m, 10)
+		seq[k], _ = inj.Outcome(h, nil, 10)
 	}
 	return seq
 }

@@ -26,12 +26,13 @@ type Injector struct {
 	links []LinkFault
 
 	// OnDrop, when set, observes every message the injector decides to
-	// drop, before the network reclaims it. The engine uses it to
-	// account lost work and resolve the termination detector's message
-	// counts. It must not retain the message.
-	OnDrop func(m *comm.Message)
+	// drop — its header and its body (nil for none) — before the
+	// network reclaims it. The engine uses it to account lost work and
+	// resolve the termination detector's message counts. It must not
+	// retain the body.
+	OnDrop func(h comm.Header, body *comm.Message)
 	// OnDup observes every message the injector decides to duplicate.
-	OnDup func(m *comm.Message)
+	OnDup func(h comm.Header, body *comm.Message)
 }
 
 // Compile validates plan against the rank count and binds it to the
@@ -110,11 +111,12 @@ func dropEligible(tag comm.Tag) bool {
 
 // Outcome implements comm.Interposer: straggler send delay, spike
 // windows, then the drop/dup draws from the plan's stream.
-func (i *Injector) Outcome(m *comm.Message, delay sim.Duration) (int, sim.Duration) {
+func (i *Injector) Outcome(h comm.Header, body *comm.Message, delay sim.Duration) (int, sim.Duration) {
+	tag, from, to, _ := h.Unpack()
 	if i.sendMul != nil {
-		delay = scale(delay, i.sendMul[m.From])
+		delay = scale(delay, i.sendMul[from])
 	}
-	r := i.ruleFor(m.From, m.To)
+	r := i.ruleFor(from, to)
 	if r == nil {
 		return 1, delay
 	}
@@ -123,18 +125,18 @@ func (i *Injector) Outcome(m *comm.Message, delay sim.Duration) (int, sim.Durati
 			delay = scale(delay, r.SpikeFactor)
 		}
 	}
-	if !dropEligible(m.Tag) {
+	if !dropEligible(tag) {
 		return 1, delay
 	}
 	if r.Drop > 0 && i.rng.Float64() < r.Drop {
 		if i.OnDrop != nil {
-			i.OnDrop(m)
+			i.OnDrop(h, body)
 		}
 		return 0, delay
 	}
-	if r.Dup > 0 && m.Tag != comm.TagWork && i.rng.Float64() < r.Dup {
+	if r.Dup > 0 && tag != comm.TagWork && i.rng.Float64() < r.Dup {
 		if i.OnDup != nil {
-			i.OnDup(m)
+			i.OnDup(h, body)
 		}
 		return 2, delay
 	}

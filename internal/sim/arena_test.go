@@ -37,7 +37,7 @@ func (k *Kernel) checkInvariants() error {
 		if err := visit(idx, where); err != nil {
 			return err
 		}
-		if !k.arena[idx].cancelled {
+		if k.arena[idx].afn != nil {
 			liveCount++
 		}
 		return nil
@@ -151,7 +151,7 @@ func (k *Kernel) checkInvariants() error {
 		if err := visit(idx, "free list"); err != nil {
 			return err
 		}
-		if n := &k.arena[idx]; n.fn != nil || n.afn != nil || n.arg != nil {
+		if n := &k.arena[idx]; n.afn != nil || n.arg != nil {
 			return fmt.Errorf("free slot %d still holds a callback", idx)
 		}
 	}
@@ -626,7 +626,7 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 		t.Fatalf("recycled store: %d of %d slots free, %d overflow entries", len(s.free), len(s.arena)-1, len(s.heap))
 	}
 	for i := range s.arena {
-		if n := &s.arena[i]; n.fn != nil || n.afn != nil || n.arg != nil || n.cancelled {
+		if n := &s.arena[i]; n.afn != nil || n.arg != nil {
 			t.Fatalf("arena slot %d kept state across the reset: %+v", i, *n)
 		}
 	}

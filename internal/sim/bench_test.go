@@ -4,7 +4,8 @@ import "testing"
 
 // BenchmarkKernelHotPath exercises the kernel's steady-state scheduling
 // loop the way the engine drives it: a population of concurrent timers
-// (one per simulated rank) that each reschedule themselves on dispatch
+// (one per simulated rank, sharing one callback that finds its rank in
+// the event's payload) that each reschedule themselves on dispatch
 // about a quantum ahead, with a fifth of them cancelled and immediately
 // replaced — the quantum-cancel pattern finishRank and aborting steals
 // produce. The sub-benchmarks vary the number of pending events from
@@ -45,34 +46,33 @@ func benchHotPath(b *testing.B, pending int, far farMix) {
 	k := NewKernel()
 	defer k.Release()
 	left := 0
-	fns := make([]func(), pending)
 	fired := make([]int, pending)
-	for i := range fns {
-		i := i
-		fns[i] = func() {
-			if left--; left == 0 {
-				k.Stop()
-			}
-			delay := Microsecond + Duration(i%7)*100
-			fired[i]++
-			switch {
-			case far == tenthFar && fired[i]%10 == 0:
-				delay = 100 * Microsecond
-			case far == backoffPauses && fired[i]%2 == 0:
-				// DefaultBackoff's ladder: 100 µs doubling to the 2 ms cap.
-				delay = min(100*Microsecond<<(fired[i]/2%6), 2*Millisecond) + Duration(i%7)*100
-			}
-			e := k.After(delay, fns[i])
-			if i%5 == 0 {
-				// Cancel-and-reschedule at a nearby timestamp: exercises
-				// the cancellation path under load.
-				k.Cancel(e)
-				k.After(delay-Duration(i%3), fns[i])
-			}
+	var fire func(any)
+	fire = func(any) {
+		if left--; left == 0 {
+			k.Stop()
+		}
+		p := k.Payload()
+		i := int(p.A)
+		delay := Microsecond + Duration(i%7)*100
+		fired[i]++
+		switch {
+		case far == tenthFar && fired[i]%10 == 0:
+			delay = 100 * Microsecond
+		case far == backoffPauses && fired[i]%2 == 0:
+			// DefaultBackoff's ladder: 100 µs doubling to the 2 ms cap.
+			delay = min(100*Microsecond<<(fired[i]/2%6), 2*Millisecond) + Duration(i%7)*100
+		}
+		e := k.AfterPayload(delay, fire, nil, p)
+		if i%5 == 0 {
+			// Cancel-and-reschedule at a nearby timestamp: exercises
+			// the cancellation path under load.
+			k.Cancel(e)
+			k.AfterPayload(delay-Duration(i%3), fire, nil, p)
 		}
 	}
-	for i := range fns {
-		k.After(Duration(i), fns[i])
+	for i := range fired {
+		k.AfterPayload(Duration(i), fire, nil, Payload{A: uint64(i)})
 	}
 	run := func(events int) {
 		left = events

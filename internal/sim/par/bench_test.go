@@ -41,7 +41,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 					now := k.Now()
 					k.AtArg(now.Add(step), ticks[s], nil)
 					if next := (s + 1) % shards; next != s {
-						sk.Stage(s, next, now.Add(step), now, s, noop, nil)
+						sk.Stage(s, next, now.Add(step), now, s, noop, nil, sim.Payload{})
 					}
 				}
 			}

@@ -49,6 +49,7 @@ type stagedEntry struct {
 	seq    uint64   // per-source-shard staging order (totalizes the key)
 	fn     func(any)
 	arg    any
+	p      sim.Payload // the delivery event's payload
 }
 
 // entryKeyLess orders staged entries for injection. The key is total:
@@ -203,9 +204,9 @@ func (s *ShardedKernel) WindowEnd() sim.Time { return s.windowEnd }
 // Stats returns window counters for the completed (or in-progress) run.
 func (s *ShardedKernel) Stats() Stats { return s.stats }
 
-// Stage enqueues a barrier-merged delivery: fn(arg) will be scheduled
-// on shard dst's kernel at virtual time `when`, no earlier than the
-// next barrier. src must be the calling shard (the coordinator when
+// Stage enqueues a barrier-merged delivery: fn(arg), with payload p,
+// will be scheduled on shard dst's kernel at virtual time `when`, no
+// earlier than the next barrier. src must be the calling shard (the coordinator when
 // outside a window), sent the virtual instant of the send, and sender
 // the sending rank; (when, sent, sender) plus an internal per-src
 // counter form the deterministic merge key. dst == src is legal and
@@ -213,7 +214,7 @@ func (s *ShardedKernel) Stats() Stats { return s.stats }
 // fire this window, and staging it puts it in the same total order as
 // the cross-shard messages it may tie with at the destination. Staging
 // is race-free by ownership: shard src's queue has exactly one writer.
-func (s *ShardedKernel) Stage(src, dst int, when, sent sim.Time, sender int, fn func(any), arg any) {
+func (s *ShardedKernel) Stage(src, dst int, when, sent sim.Time, sender int, fn func(any), arg any, p sim.Payload) {
 	if s.running && when < s.windowEnd {
 		panic(fmt.Sprintf("par: lookahead violation: staged delivery at %d inside window ending %d", when, s.windowEnd))
 	}
@@ -225,6 +226,7 @@ func (s *ShardedKernel) Stage(src, dst int, when, sent sim.Time, sender int, fn 
 		seq:    s.seq[src],
 		fn:     fn,
 		arg:    arg,
+		p:      p,
 	})
 	s.seq[src]++
 }
@@ -258,7 +260,7 @@ func (s *ShardedKernel) injectStaged() bool {
 	sort.Sort(&s.merged)
 	for i := range s.merged.e {
 		e := &s.merged.e[i]
-		s.kernels[e.dst].AtArg(e.when, e.fn, e.arg)
+		s.kernels[e.dst].AtPayload(e.when, e.fn, e.arg, e.p)
 		e.fn, e.arg = nil, nil // release references promptly
 	}
 	s.stats.Staged += uint64(n)

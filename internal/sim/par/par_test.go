@@ -40,7 +40,7 @@ func (p *pingPong) handler(shard int) func(any) {
 		}
 		next := (shard + 1) % p.sk.Shards()
 		now := p.sk.Kernel(shard).Now()
-		p.sk.Stage(shard, next, now.Add(lat), now, shard, p.handler(next), nil)
+		p.sk.Stage(shard, next, now.Add(lat), now, shard, p.handler(next), nil, sim.Payload{})
 	}
 }
 
@@ -117,15 +117,22 @@ func TestMergeOrderDeterministic(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		sk := New(shards, lat)
 		var got []int
-		recorder := func(arg any) { got = append(got, arg.(int)) }
+		recorder := func(arg any) {
+			v := arg.(int)
+			if p := sk.Kernel(0).Payload(); p != (sim.Payload{A: uint64(v), B: ^uint64(v)}) {
+				t.Errorf("message %d delivered with payload %v", v, p)
+			}
+			got = append(got, v)
+		}
 		for s := 0; s < shards; s++ {
 			s := s
 			sk.Kernel(s).At(5, func() {
 				now := sk.Kernel(s).Now()
-				// Two messages per shard, staged in reverse payload
-				// order: same sender ⇒ staging order must be preserved.
-				sk.Stage(s, 0, now.Add(lat), now, s, recorder, 2*s)
-				sk.Stage(s, 0, now.Add(lat), now, s, recorder, 2*s+1)
+				// Two messages per shard: same sender ⇒ staging order must
+				// be preserved, and each keeps its payload.
+				for _, v := range []int{2 * s, 2*s + 1} {
+					sk.Stage(s, 0, now.Add(lat), now, s, recorder, v, sim.Payload{A: uint64(v), B: ^uint64(v)})
+				}
 			})
 		}
 		if err := sk.Run(Hooks{}); err != nil {
@@ -153,7 +160,7 @@ func TestWindowBarrierHoldsDeliveries(t *testing.T) {
 		now := sk.Kernel(0).Now()
 		sk.Stage(0, 1, now.Add(lat), now, 0, func(any) {
 			deliveredAt = sk.Kernel(1).Now()
-		}, nil)
+		}, nil, sim.Payload{})
 	})
 	if err := sk.Run(Hooks{}); err != nil {
 		t.Fatal(err)
@@ -172,7 +179,7 @@ func TestLookaheadViolationPanics(t *testing.T) {
 			}
 			panic("stop the run") // unwind the worker; Run re-panics
 		}()
-		sk.Stage(0, 1, 1, 0, 0, func(any) {}, nil)
+		sk.Stage(0, 1, 1, 0, 0, func(any) {}, nil, sim.Payload{})
 	})
 	defer func() { recover() }()
 	sk.Run(Hooks{})
@@ -230,7 +237,7 @@ func TestStageAllocFree(t *testing.T) {
 		for s := 0; s < 4; s++ {
 			now := sk.Kernel((s + 1) % 4).Now()
 			for i := 0; i < 8; i++ {
-				sk.Stage(s, (s+1)%4, now.Add(lat), 0, s, noop, nil)
+				sk.Stage(s, (s+1)%4, now.Add(lat), 0, s, noop, nil, sim.Payload{})
 			}
 		}
 		sk.injectStaged()

@@ -61,9 +61,11 @@
 // Scheduling never touches the garbage collector after warm-up: event
 // nodes are recycled through the free list and callers hold
 // generation-stamped Event handles instead of node pointers. Cancel is
-// O(1) lazy deletion — it marks the node and lets the dispatch loop
-// free it when it surfaces; the slot's generation counter makes any
-// stale handle to a recycled slot harmless. The wheels are a fixed
+// O(1) lazy deletion — it clears the node's callback and lets the
+// dispatch loop free it when it surfaces; the slot's generation counter
+// makes any stale handle to a recycled slot harmless. A node is one
+// cache line and carries a two-word Payload besides its callback, so a
+// small datum rides in the event itself. The wheels are a fixed
 // footprint per kernel, so a kernel's storage (wheels, arena, free
 // list, heap) is recycled through a pool: Release returns it, NewKernel
 // reuses it.
@@ -132,23 +134,35 @@ type Event struct {
 	gen uint32
 }
 
-// eventNode is one arena slot.
+// Payload is the two words an event carries in its own node, for a
+// callback to read with Kernel.Payload while it runs: data that would
+// otherwise need an object of its own, such as a message header or the
+// rank a timer belongs to. It is a struct, not an array: the register
+// ABI passes a struct's fields in registers but an array of two on the
+// stack, where reloading it whole stalls on the two stores that wrote it.
+type Payload struct{ A, B uint64 }
+
+// eventNode is one arena slot: one 64-byte cache line
+// (TestEventNodeOneLine).
 type eventNode struct {
 	when Time
 	seq  uint64
-	// Exactly one of fn / afn is set. afn carries its argument in arg,
-	// letting callers schedule a preallocated function with a varying
-	// pointer argument without closure allocation.
-	fn  func()
+	// afn(arg) is the callback; At and After pass their func() as arg
+	// (a func value boxes without allocating). A queued node is
+	// cancelled exactly when afn is nil.
 	afn func(any)
 	arg any
+	p   Payload
 	// gen is incremented every time the slot is freed, invalidating
 	// outstanding handles.
 	gen uint32
 	// next links the node into its wheel slot's FIFO chain (0 ends it).
-	next      int32
-	cancelled bool
+	next int32
 }
+
+// callFunc is the callback of every event scheduled with At or After:
+// its argument is the func() to run.
+func callFunc(fn any) { fn.(func())() }
 
 // The near wheel covers up to wheelSize nanoseconds ahead of the clock.
 // 2^14 ns holds every delay the model produces per event — 1 µs quanta,
@@ -275,8 +289,10 @@ type Kernel struct {
 	live       int
 	seq        uint64
 	dispatched uint64
-	running    bool
-	stopped    bool
+	// payload is the dispatched event's, for Payload.
+	payload Payload
+	running bool
+	stopped bool
 	// Limit guards against runaway simulations. Zero means no limit.
 	maxEvents uint64
 	maxTime   Time
@@ -368,8 +384,7 @@ func (s *store) freeNode(idx int32) {
 	if n.gen == 0 { // generation wrap: keep 0 reserved for the zero Event
 		n.gen = 1
 	}
-	n.fn, n.afn, n.arg = nil, nil, nil
-	n.cancelled = false
+	n.afn, n.arg = nil, nil
 	s.free = append(s.free, idx)
 }
 
@@ -518,7 +533,7 @@ func (k *Kernel) farMin() (idx int32, slot uint, prev int32) {
 		for i := k.far[slot].head; i != 0; {
 			n := &k.arena[i]
 			next := n.next
-			if n.cancelled {
+			if n.afn == nil {
 				k.farUnlink(slot, i, p)
 				k.freeNode(i)
 			} else {
@@ -619,7 +634,7 @@ func (k *Kernel) advance() {
 		for i := k.far[s].head; i != 0; {
 			n := &k.arena[i]
 			next := n.next
-			if n.cancelled {
+			if n.afn == nil {
 				k.freeNode(i)
 			} else {
 				k.slotAppend(i, n.when)
@@ -633,7 +648,7 @@ func (k *Kernel) advance() {
 		e := k.heap[0]
 		k.popMin()
 		switch {
-		case k.arena[e.idx].cancelled:
+		case k.arena[e.idx].afn == nil:
 			k.freeNode(e.idx)
 		case e.when < front: // the clock jumped more than farSpan
 			k.slotAppend(e.idx, e.when)
@@ -644,15 +659,18 @@ func (k *Kernel) advance() {
 }
 
 // schedule allocates, initializes and enqueues one event node.
-func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) Event {
+func (k *Kernel) schedule(t Time, afn func(any), arg any, p Payload) Event {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, k.now))
+	}
+	if afn == nil {
+		panic("sim: nil callback") // a nil afn marks a cancelled node
 	}
 	idx := k.alloc()
 	n := &k.arena[idx]
 	n.when = t
 	n.seq = k.seq
-	n.fn, n.afn, n.arg = fn, afn, arg
+	n.afn, n.arg, n.p = afn, arg, p
 	k.seq++
 	k.live++
 	switch {
@@ -671,15 +689,12 @@ func (k *Kernel) schedule(t Time, fn func(), afn func(any), arg any) Event {
 // discrete-event simulation causality violations are bugs, not
 // recoverable conditions.
 func (k *Kernel) At(t Time, fn func()) Event {
-	return k.schedule(t, fn, nil, nil)
+	return k.schedule(t, callFunc, fn, Payload{})
 }
 
 // After schedules fn to run d after the current virtual time.
 func (k *Kernel) After(d Duration, fn func()) Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %d", d))
-	}
-	return k.schedule(k.now.Add(d), fn, nil, nil)
+	return k.schedule(k.later(d), callFunc, fn, Payload{})
 }
 
 // AtArg schedules fn(arg) at the absolute virtual time t. Unlike At, a
@@ -688,15 +703,36 @@ func (k *Kernel) After(d Duration, fn func()) Event {
 // pointer type as arg stays allocation-free; non-pointer values may be
 // boxed by the runtime.
 func (k *Kernel) AtArg(t Time, fn func(any), arg any) Event {
-	return k.schedule(t, nil, fn, arg)
+	return k.schedule(t, fn, arg, Payload{})
 }
 
 // AfterArg schedules fn(arg) to run d after the current virtual time.
 func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) Event {
+	return k.schedule(k.later(d), fn, arg, Payload{})
+}
+
+// AtPayload is AtArg with a payload stored in the event's own node,
+// which fn reads with Payload: two words of data cost no object.
+func (k *Kernel) AtPayload(t Time, fn func(any), arg any, p Payload) Event {
+	return k.schedule(t, fn, arg, p)
+}
+
+// AfterPayload is AfterArg with a payload; see AtPayload.
+func (k *Kernel) AfterPayload(d Duration, fn func(any), arg any, p Payload) Event {
+	return k.schedule(k.later(d), fn, arg, p)
+}
+
+// Payload returns the payload of the event being dispatched (zero for
+// one scheduled without). It is valid until the callback returns or
+// dispatches another event.
+func (k *Kernel) Payload() Payload { return k.payload }
+
+// later returns the instant d after now, refusing a negative d.
+func (k *Kernel) later(d Duration) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %d", d))
 	}
-	return k.schedule(k.now.Add(d), nil, fn, arg)
+	return k.now.Add(d)
 }
 
 // node resolves a handle to its arena slot, or nil when the handle is
@@ -718,18 +754,17 @@ func (k *Kernel) node(e Event) *eventNode {
 // a no-op.
 func (k *Kernel) Cancel(e Event) {
 	n := k.node(e)
-	if n == nil || n.cancelled {
+	if n == nil || n.afn == nil {
 		return
 	}
-	n.cancelled = true
-	n.fn, n.afn, n.arg = nil, nil, nil
+	n.afn, n.arg = nil, nil
 	k.live--
 }
 
 // Live reports whether e is still queued and not cancelled.
 func (k *Kernel) Live(e Event) bool {
 	n := k.node(e)
-	return n != nil && !n.cancelled
+	return n != nil && n.afn != nil
 }
 
 // When returns the scheduled time of a live or cancelled-but-queued
@@ -768,7 +803,7 @@ func (k *Kernel) peek() (idx int32, at int, farSlot uint, farPrev int32) {
 		} else {
 			idx, at = k.heap[0].idx, inHeap
 		}
-		if !k.arena[idx].cancelled {
+		if k.arena[idx].afn != nil {
 			return idx, at, 0, 0
 		}
 		k.unqueue(idx, at, 0, 0)
@@ -814,13 +849,10 @@ func (k *Kernel) dispatch(last Time) (bool, error) {
 	k.advance()
 	k.dispatched++
 	k.live--
-	fn, afn, arg := n.fn, n.afn, n.arg
+	afn, arg := n.afn, n.arg
+	k.payload = n.p
 	k.freeNode(idx)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	afn(arg)
 	return true, nil
 }
 

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestEmptyRun(t *testing.T) {
@@ -132,6 +134,53 @@ func TestCancel(t *testing.T) {
 	if ran {
 		t.Fatal("cancelled event ran")
 	}
+}
+
+// TestEventNodeOneLine pins the arena slot at one 64-byte cache line
+// with its payload inside it: a delivery reads its message header from
+// the node it dispatches, not from a second line.
+func TestEventNodeOneLine(t *testing.T) {
+	var n eventNode
+	if size := unsafe.Sizeof(n); size != 64 {
+		t.Errorf("eventNode is %d bytes, want 64", size)
+	}
+	if end := unsafe.Offsetof(n.p) + unsafe.Sizeof(n.p); end > 64 {
+		t.Errorf("the payload ends at byte %d, outside the node's line", end)
+	}
+}
+
+// TestPayloadReachesItsCallback: every event hands its own payload to
+// its callback — also one callback shared by events at one instant, and
+// whichever tier held it — and events scheduled without one read zero.
+func TestPayloadReachesItsCallback(t *testing.T) {
+	k := NewKernel()
+	var got []Payload
+	record := func(any) { got = append(got, k.Payload()) }
+	var want []Payload
+	for i, d := range []Duration{5, 5, wheelSize + 3, farSpan + wheelSize + 9} {
+		p := Payload{A: uint64(i) + 1, B: ^uint64(i)}
+		k.AfterPayload(d, record, nil, p)
+		want = append(want, p)
+	}
+	k.AtArg(farSpan*3, record, nil)
+	k.At(farSpan*4, func() { got = append(got, k.Payload()) })
+	want = append(want, Payload{}, Payload{})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("callbacks read payloads %v, want %v", got, want)
+	}
+}
+
+func TestNilCallbackPanics(t *testing.T) {
+	k := NewKernel()
+	defer func() {
+		if recover() == nil {
+			t.Error("scheduling a nil callback did not panic")
+		}
+	}()
+	k.AfterArg(1, nil, nil)
 }
 
 func TestCancelZeroIsNoop(t *testing.T) {
