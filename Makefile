@@ -1,17 +1,20 @@
 # Build/verify entry points. `make check` is the full CI gate: a tree
 # that passes it compiles, is gofmt-clean, passes go vet and the
-# repo-specific distwsvet analyzers (see cmd/distwsvet), and survives
-# the race-detector stress tests on the concurrent packages.
+# repo-specific distwsvet analyzers (see cmd/distwsvet), passes the
+# tests — among them the end-to-end command lines of cmd/uts (TestCLI)
+# and the scenario matrix against its committed baseline
+# (TestMatrixPinsCommittedBaseline) — and survives the race-detector
+# stress tests on the concurrent packages.
 
 GO ?= go
 ARTIFACTS ?= artifacts
-# Smoke-run output lands in its own subdirectory; the top level of
-# $(ARTIFACTS) holds only directories (smoke/, runs/, bench/) plus the
-# distwsvet report. artifacts/runs/baseline/ is the one committed
-# corner: the golden ledger the matrix gate compares against.
+# The top level of $(ARTIFACTS) holds only directories (smoke/ for the
+# profile, runs/, bench/) plus the distwsvet report.
+# artifacts/runs/baseline/ is the one committed corner: the golden
+# ledger the matrix test compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint obs-smoke causal-smoke chaos-smoke serve-smoke bench-json bench-smoke profile matrix-smoke matrix-baseline check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile matrix-baseline check clean
 
 build:
 	$(GO) build ./...
@@ -80,57 +83,6 @@ lint:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
-# obs-smoke exercises the observability pipeline end to end: a small
-# traced simulation, the tracetool text and JSON analyses, a Chrome
-# trace conversion, and tracetool -check over every artifact. CI
-# uploads $(ARTIFACTS)/ so the Perfetto trace of each run is a click
-# away (load smoke.chrome.json at ui.perfetto.dev).
-obs-smoke:
-	@mkdir -p $(SMOKE)
-	$(GO) run ./cmd/uts -tree H-TINY -ranks 32 -seed 3 \
-		-trace $(SMOKE)/smoke.jsonl -chrome $(SMOKE)/smoke.chrome.json \
-		-manifest $(SMOKE)/smoke.manifest.json
-	$(GO) run ./cmd/tracetool -in $(SMOKE)/smoke.jsonl
-	$(GO) run ./cmd/tracetool -in $(SMOKE)/smoke.jsonl -format json > $(SMOKE)/smoke.report.json
-	$(GO) run ./cmd/tracetool -check $(SMOKE)/smoke.jsonl $(SMOKE)/smoke.chrome.json \
-		$(SMOKE)/smoke.report.json $(SMOKE)/smoke.manifest.json
-
-# causal-smoke runs the causal analyses (idle-time blame, critical
-# path, work lineage) over the obs-smoke trace and archives the blame
-# report next to the Perfetto trace. The non-empty check catches a
-# silently broken pipeline.
-causal-smoke: obs-smoke
-	$(GO) run ./cmd/tracetool -in $(SMOKE)/smoke.jsonl \
-		-blame -critical -lineage > $(SMOKE)/smoke.blame.txt
-	@grep -q "idle-time blame" $(SMOKE)/smoke.blame.txt || \
-		{ echo "causal-smoke: blame report missing from smoke.blame.txt"; exit 1; }
-	@grep -q "critical path" $(SMOKE)/smoke.blame.txt || \
-		{ echo "causal-smoke: critical path missing from smoke.blame.txt"; exit 1; }
-	@echo "causal-smoke: wrote $(SMOKE)/smoke.blame.txt"
-
-# chaos-smoke drives the fault-injection subsystem end to end: a tiny
-# crash+straggler run through cmd/uts must terminate completely,
-# report nonzero recovery activity, and replay byte-identically (the
-# fault schedule is part of the seeded state). The chaos degradation
-# table (harness experiment "chaos") lands in $(ARTIFACTS)/ alongside
-# the observability artifacts; its shape checks gate the exit status.
-CHAOS_RUN = $(GO) run ./cmd/uts -tree T3 -ranks 16 -seed 7 \
-	-crash 3@40us,11@90us -straggler 5@3x2
-
-chaos-smoke:
-	@mkdir -p $(SMOKE)
-	$(CHAOS_RUN) > $(SMOKE)/chaos.txt
-	@$(CHAOS_RUN) | cmp -s - $(SMOKE)/chaos.txt || \
-		{ echo "chaos-smoke: faulted run is not replay-identical"; exit 1; }
-	@grep -q "crashed ranks:   2" $(SMOKE)/chaos.txt || \
-		{ echo "chaos-smoke: expected 2 crashed ranks"; cat $(SMOKE)/chaos.txt; exit 1; }
-	@grep -q "recoveries:" $(SMOKE)/chaos.txt || \
-		{ echo "chaos-smoke: no recovery episodes recorded"; cat $(SMOKE)/chaos.txt; exit 1; }
-	@if grep -q "WARNING: premature" $(SMOKE)/chaos.txt; then \
-		echo "chaos-smoke: premature termination under faults"; exit 1; fi
-	$(GO) run ./cmd/experiments -run chaos -scale quick -o $(SMOKE)/chaos.table.txt
-	@echo "chaos-smoke: wrote $(SMOKE)/chaos.txt and chaos.table.txt"
-
 # Hot-path benchmarks of the simulation substrate (event kernel,
 # messaging, latency lookup, UTS hashing, the work stack, victim draws,
 # the engine's failed-steal round trip) and of the observability
@@ -181,52 +133,16 @@ profile:
 	$(GO) tool pprof -top -nodecount 25 $(SMOKE)/distws.test $(SMOKE)/cpu.prof
 	@echo "profile: $(SMOKE)/distws.test and $(SMOKE)/cpu.prof kept for go tool pprof -list"
 
-# serve-smoke drives the open-system serving layer end to end: a
-# fixed-seed two-tenant serving run through cmd/uts must drain every
-# admitted job, book a consistent admission ledger (arrived = admitted
-# + rejected), and replay byte-identically — the arrival schedule is
-# compiled from (spec, seed) before the simulation starts, so any
-# divergence is a determinism leak. The goodput/fairness saturation
-# table (harness experiment "serving") lands in $(SMOKE)/; its shape
-# checks gate the exit status.
-SERVE_RUN = $(GO) run ./cmd/uts -tree T3 -ranks 16 -seed 7 -selector Tofu \
-	-serve -tenants 2 -arrivals poisson:2ms,gamma:4ms:2 -horizon 40ms
-
-serve-smoke:
-	@mkdir -p $(SMOKE)
-	$(SERVE_RUN) > $(SMOKE)/serve.txt
-	@$(SERVE_RUN) | cmp -s - $(SMOKE)/serve.txt || \
-		{ echo "serve-smoke: serving run is not replay-identical"; exit 1; }
-	@grep -q "open-system serving:" $(SMOKE)/serve.txt || \
-		{ echo "serve-smoke: serving report section missing"; cat $(SMOKE)/serve.txt; exit 1; }
-	@awk '/jobs:/ { seen = 1; \
-		if ($$2 + 0 != $$5 + $$8) { print "serve-smoke: admission ledger broken: " $$0; bad = 1 }; \
-		if ($$10 + 0 != $$5 + 0) { print "serve-smoke: undrained jobs: " $$0; bad = 1 } } \
-		END { if (!seen) { print "serve-smoke: no jobs line in report"; bad = 1 }; exit bad }' \
-		$(SMOKE)/serve.txt
-	$(GO) run ./cmd/experiments -run serving -scale quick -o $(SMOKE)/serve.table.txt
-	@echo "serve-smoke: wrote $(SMOKE)/serve.txt and serve.table.txt"
-
-# matrix-smoke is the cross-run regression gate: the scenario matrix
-# (tree × selector × ranks × fault plan) runs at quick scale, writes one
-# run manifest per cell to $(ARTIFACTS)/runs/latest, and requires every
-# cell to equal its committed manifest in artifacts/runs/baseline byte
-# for byte — each run is a pure function of (scale, seed). A drifted
-# cell fails the build and gets a causal attribution report,
-# diff-<id>.txt, next to its manifest (CI uploads them).
-MATRIX_SCALE ?= quick
-matrix-smoke:
-	$(GO) run ./cmd/experiments -matrix -scale $(MATRIX_SCALE) \
-		-matrix-out $(ARTIFACTS)/runs/latest -baseline artifacts/runs/baseline
-
-# matrix-baseline regenerates the committed golden ledger. Rebaseline
-# workflow: run this after a deliberate behaviour change, review the
-# manifest diffs (`git diff artifacts/runs/baseline`), and commit.
+# matrix-baseline regenerates the committed golden ledger that
+# TestMatrixPinsCommittedBaseline (internal/harness) holds every cell of
+# the quick matrix to, byte for byte. Rebaseline workflow: run this after
+# a deliberate behaviour change, review the manifest diffs (`git diff
+# artifacts/runs/baseline`), and commit.
 matrix-baseline:
-	$(GO) run ./cmd/experiments -matrix -scale $(MATRIX_SCALE) -matrix-out artifacts/runs/baseline
+	$(GO) run ./cmd/experiments -matrix -scale quick -matrix-out artifacts/runs/baseline
 	@echo "matrix-baseline: regenerated artifacts/runs/baseline — review the diff and commit"
 
-check: build lint vet distwsvet test bench-check race fuzz-smoke causal-smoke chaos-smoke serve-smoke matrix-smoke
+check: build lint vet distwsvet test bench-check race fuzz-smoke
 	@echo "check: all gates passed"
 
 clean:

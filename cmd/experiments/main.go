@@ -17,11 +17,12 @@
 // manifest per cell lands in -matrix-out, and when -baseline names a
 // committed ledger every fresh cell must equal its committed manifest
 // byte for byte (exit 1 otherwise; each drifted cell's causal diff
-// against its baseline lands next to the manifests for CI upload).
+// against its baseline lands next to the manifests as diff-<id>.txt).
 // tracetool -diff compares any two manifests or traces.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,39 +34,56 @@ import (
 	"distws/internal/harness"
 )
 
-func main() {
-	var (
-		runFlag   = flag.String("run", "all", "comma-separated experiment IDs, or 'all'")
-		scaleFlag = flag.String("scale", "default", "experiment scale: quick|default|full")
-		seedFlag  = flag.Uint64("seed", 12345, "base random seed")
-		outFlag   = flag.String("o", "", "also write the reports to this file")
-		jsonFlag  = flag.String("json", "", "write machine-readable reports (JSON lines) to this file")
-		csvFlag   = flag.String("csv", "", "write the result tables (CSV) to this file")
-		listFlag  = flag.Bool("list", false, "list experiment IDs and exit")
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-		matrixFlag   = flag.Bool("matrix", false, "run the scenario-matrix regression harness")
-		matrixOut    = flag.String("matrix-out", "artifacts/runs/latest", "directory for the matrix's run manifests")
-		baselineFlag = flag.String("baseline", "", "baseline ledger directory to gate the matrix against")
+// run is the command behind main: exit status 0 when every shape check
+// (or the matrix's baseline gate) passes, 1 when one fails or a run
+// cannot finish, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		runFlag   = fs.String("run", "all", "comma-separated experiment IDs, or 'all'")
+		scaleFlag = fs.String("scale", "default", "experiment scale: quick|default|full")
+		seedFlag  = fs.Uint64("seed", 12345, "base random seed")
+		outFlag   = fs.String("o", "", "also write the reports to this file")
+		jsonFlag  = fs.String("json", "", "write machine-readable reports (JSON lines) to this file")
+		csvFlag   = fs.String("csv", "", "write the result tables (CSV) to this file")
+		listFlag  = fs.Bool("list", false, "list experiment IDs and exit")
+
+		matrixFlag   = fs.Bool("matrix", false, "run the scenario-matrix regression harness")
+		matrixOut    = fs.String("matrix-out", "artifacts/runs/latest", "directory for the matrix's run manifests")
+		baselineFlag = fs.String("baseline", "", "baseline ledger directory to gate the matrix against")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return code
+	}
+	if fs.NArg() > 0 {
+		return fail(2, fmt.Errorf("unexpected argument %q", fs.Arg(0)))
+	}
 
 	if *listFlag {
 		for _, id := range harness.IDs() {
 			e, _ := harness.Lookup(id)
-			fmt.Printf("%-20s %s\n", id, e.Title)
+			fmt.Fprintf(stdout, "%-20s %s\n", id, e.Title)
 		}
-		return
+		return 0
 	}
 
 	scale, err := harness.ParseScale(*scaleFlag)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
 
 	if *matrixFlag {
-		runMatrix(scale, *seedFlag, *matrixOut, *baselineFlag)
-		return
+		if err := runMatrix(stdout, scale, *seedFlag, *matrixOut, *baselineFlag); err != nil {
+			return fail(1, err)
+		}
+		return 0
 	}
 
 	var ids []string
@@ -75,36 +93,29 @@ func main() {
 		for _, id := range strings.Split(*runFlag, ",") {
 			id = strings.TrimSpace(id)
 			if _, ok := harness.Lookup(id); !ok {
-				fmt.Fprintf(os.Stderr, "unknown experiment %q; -list shows the registry\n", id)
-				os.Exit(2)
+				return fail(2, fmt.Errorf("unknown experiment %q; -list shows the registry", id))
 			}
 			ids = append(ids, id)
 		}
 	}
 
-	var out io.Writer = os.Stdout
-	if *outFlag != "" {
-		f, err := os.Create(*outFlag)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		out = io.MultiWriter(os.Stdout, f)
-	}
-	openOpt := func(path string) *os.File {
+	// The -o, -json and -csv files, each nil when not asked for.
+	var files [3]*os.File
+	for i, path := range []string{*outFlag, *jsonFlag, *csvFlag} {
 		if path == "" {
-			return nil
+			continue
 		}
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return fail(1, err)
 		}
-		return f
+		defer f.Close()
+		files[i] = f
 	}
-	jsonOut := openOpt(*jsonFlag)
-	csvOut := openOpt(*csvFlag)
+	out, jsonOut, csvOut := stdout, files[1], files[2]
+	if files[0] != nil {
+		out = io.MultiWriter(stdout, files[0])
+	}
 
 	allPass := true
 	start := time.Now()
@@ -113,94 +124,78 @@ func main() {
 		t0 := time.Now()
 		rep, err := e.Run(scale, *seedFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiment %s failed: %v\n", id, err)
-			os.Exit(1)
+			return fail(1, fmt.Errorf("experiment %s failed: %w", id, err))
 		}
 		fmt.Fprintln(out, rep.Render())
 		fmt.Fprintf(out, "(%s in %v at scale %v)\n\n", id, time.Since(t0).Round(time.Millisecond), scale)
 		if jsonOut != nil {
 			if err := rep.WriteJSON(jsonOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 		}
 		if csvOut != nil {
 			if err := rep.WriteCSV(csvOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+				return fail(1, err)
 			}
 			fmt.Fprintln(csvOut)
 		}
-		if !rep.Passed() {
-			allPass = false
-		}
-	}
-	if jsonOut != nil {
-		jsonOut.Close()
-	}
-	if csvOut != nil {
-		csvOut.Close()
+		allPass = allPass && rep.Passed()
 	}
 	fmt.Fprintf(out, "total: %d experiment(s) in %v\n", len(ids), time.Since(start).Round(time.Second))
 	if !allPass {
-		fmt.Fprintln(os.Stderr, "some shape checks FAILED")
-		os.Exit(1)
+		return fail(1, errors.New("some shape checks FAILED"))
 	}
+	return 0
 }
 
 // runMatrix executes the scenario matrix, writes one manifest per cell,
 // and optionally gates the result against a committed baseline ledger.
-func runMatrix(scale harness.Scale, seed uint64, outDir, baselineDir string) {
+func runMatrix(stdout io.Writer, scale harness.Scale, seed uint64, outDir, baselineDir string) error {
 	start := time.Now()
 	manifests, err := harness.RunMatrix(scale, seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
 	paths, err := harness.WriteMatrix(manifests, outDir)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("matrix: %d cell(s) at scale %v in %v\n", len(manifests), scale, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "matrix: %d cell(s) at scale %v in %v\n", len(manifests), scale, time.Since(start).Round(time.Millisecond))
 	for i, m := range manifests {
-		fmt.Printf("  %-28s makespan %-12v efficiency %.3f  -> %s\n",
+		fmt.Fprintf(stdout, "  %-28s makespan %-12v efficiency %.3f  -> %s\n",
 			m.ID, m.Makespan(), m.Result.Efficiency, paths[i])
 	}
 	if baselineDir == "" {
-		return
+		return nil
 	}
 
 	drifts, err := harness.CompareBaseline(baselineDir, manifests)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Println()
+	fmt.Fprintln(stdout)
 	if len(drifts) == 0 {
-		fmt.Printf("baseline gate: %d cell(s) identical to %s\n", len(manifests), baselineDir)
-		return
+		fmt.Fprintf(stdout, "baseline gate: %d cell(s) identical to %s\n", len(manifests), baselineDir)
+		return nil
 	}
-	// Write the per-cell attribution reports next to the manifests so
-	// CI can upload them: each drifted cell gets the full causal diff
-	// against its baseline, not just the fact that it moved.
-	fmt.Printf("baseline gate: %d of %d cell(s) DRIFTED from %s\n", len(drifts), len(manifests), baselineDir)
+	// Write the per-cell attribution reports next to the manifests: each
+	// drifted cell gets the full causal diff against its baseline, not
+	// just the fact that it moved.
+	fmt.Fprintf(stdout, "baseline gate: %d of %d cell(s) DRIFTED from %s\n", len(drifts), len(manifests), baselineDir)
 	for _, d := range drifts {
 		path := filepath.Join(outDir, "diff-"+d.IDB+".txt")
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 		werr := d.WriteText(f)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
 		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
+			return werr
 		}
-		fmt.Printf("  DRIFT %s: %s\n  attribution report: %s\n", d.IDB, d.Headline(), path)
+		fmt.Fprintf(stdout, "  DRIFT %s: %s\n  attribution report: %s\n", d.IDB, d.Headline(), path)
 	}
-	os.Exit(1)
+	return fmt.Errorf("baseline gate: %d cell(s) drifted", len(drifts))
 }

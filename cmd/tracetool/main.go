@@ -50,12 +50,6 @@ import (
 	"distws/internal/trace"
 )
 
-// inList collects repeated -in flags.
-type inList []string
-
-func (l *inList) String() string     { return fmt.Sprint([]string(*l)) }
-func (l *inList) Set(v string) error { *l = append(*l, v); return nil }
-
 // report is the machine-readable per-file analysis (-format json). All
 // _ns fields are virtual nanoseconds. Every analysis the text mode can
 // print appears here too, so scripted consumers never fall back to
@@ -103,46 +97,62 @@ type renderOpts struct {
 	life, blame, critical, lineage bool
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: exit status 0 on success, 1 when an
+// input fails to load or (-check) to validate, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("tracetool", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		ins          inList
-		formatFlag   = flag.String("format", "text", "output format: text|json")
-		diffFlag     = flag.Bool("diff", false, "diff exactly two -in inputs (run manifests or raw traces) into an attribution report")
-		chromeFlag   = flag.String("chrome", "", "convert the (single) input to Chrome trace-event JSON at this path")
-		lifeFlag     = flag.Bool("lifestory", false, "print per-rank activity bars")
-		blameFlag    = flag.Bool("blame", false, "print the idle-time blame attribution table")
-		criticalFlag = flag.Bool("critical", false, "print the critical-path decomposition")
-		lineageFlag  = flag.Bool("lineage", false, "print the work-lineage (migration depth) summary")
-		rowsFlag     = flag.Int("rows", 24, "max lifestory rows")
-		widthFlag    = flag.Int("width", 72, "lifestory / curve width")
-		stepsFlag    = flag.Int("steps", 10, "number of occupancy points for the SL/EL table")
-		heatFlag     = flag.Int("heatmap", 16, "traffic heatmap size in tiles (0 disables)")
-		checkFlag    = flag.Bool("check", false, "validate the files given as arguments (traces, run manifests, Chrome traces, -format json reports); one OK/FAIL line each")
+		formatFlag   = fs.String("format", "text", "output format: text|json")
+		diffFlag     = fs.Bool("diff", false, "diff exactly two -in inputs (run manifests or raw traces) into an attribution report")
+		chromeFlag   = fs.String("chrome", "", "convert the (single) input to Chrome trace-event JSON at this path")
+		lifeFlag     = fs.Bool("lifestory", false, "print per-rank activity bars")
+		blameFlag    = fs.Bool("blame", false, "print the idle-time blame attribution table")
+		criticalFlag = fs.Bool("critical", false, "print the critical-path decomposition")
+		lineageFlag  = fs.Bool("lineage", false, "print the work-lineage (migration depth) summary")
+		rowsFlag     = fs.Int("rows", 24, "max lifestory rows")
+		widthFlag    = fs.Int("width", 72, "lifestory / curve width")
+		stepsFlag    = fs.Int("steps", 10, "number of occupancy points for the SL/EL table")
+		heatFlag     = fs.Int("heatmap", 16, "traffic heatmap size in tiles (0 disables)")
+		checkFlag    = fs.Bool("check", false, "validate the files given as arguments (traces, run manifests, Chrome traces, -format json reports); one OK/FAIL line each")
 	)
-	flag.Var(&ins, "in", "trace file (JSONL) to analyze; repeatable")
-	flag.Parse()
+	var ins []string
+	fs.Func("in", "trace file (JSONL) to analyze; repeatable", func(v string) error { ins = append(ins, v); return nil })
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, args ...any) int {
+		fmt.Fprintf(stderr, "tracetool: "+format+"\n", args...)
+		return code
+	}
 
 	if *checkFlag {
-		runCheck(append(ins, flag.Args()...))
-		return
+		return runCheck(stdout, stderr, append(ins, fs.Args()...))
+	}
+	if fs.NArg() > 0 {
+		return fail(2, "unexpected argument %q", fs.Arg(0))
 	}
 	if len(ins) == 0 {
-		fmt.Fprintln(os.Stderr, "tracetool: at least one -in is required")
-		flag.Usage()
-		os.Exit(2)
+		fail(2, "at least one -in is required")
+		fs.Usage()
+		return 2
 	}
 	if *formatFlag != "text" && *formatFlag != "json" {
-		fatalf("unknown -format %q (text|json)", *formatFlag)
+		return fail(2, "unknown -format %q (text|json)", *formatFlag)
 	}
 	if *chromeFlag != "" && len(ins) != 1 {
-		fatalf("-chrome converts exactly one trace; got %d inputs", len(ins))
+		return fail(2, "-chrome converts exactly one trace; got %d inputs", len(ins))
 	}
 	if *diffFlag {
 		if len(ins) != 2 {
-			fatalf("-diff compares exactly two inputs; got %d", len(ins))
+			return fail(2, "-diff compares exactly two inputs; got %d", len(ins))
 		}
-		runDiff(ins[0], ins[1], *formatFlag)
-		return
+		if err := runDiff(stdout, ins[0], ins[1], *formatFlag); err != nil {
+			return fail(1, "%v", err)
+		}
+		return 0
 	}
 
 	opts := renderOpts{
@@ -151,75 +161,78 @@ func main() {
 	}
 	var reports []report
 	for _, path := range ins {
-		a := causal.Analyze(load(path))
+		tr, err := readTrace(path)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		a := causal.Analyze(tr)
 		if *chromeFlag != "" {
-			writeChrome(*chromeFlag, a)
+			if err := writeChrome(*chromeFlag, a); err != nil {
+				return fail(1, "%v", err)
+			}
+			fmt.Fprintf(stderr, "tracetool: chrome trace written to %s (load at ui.perfetto.dev)\n", *chromeFlag)
 		}
 		if *formatFlag == "json" {
 			reports = append(reports, analyze(path, a))
 			continue
 		}
 		if len(ins) > 1 {
-			fmt.Printf("==> %s <==\n", path)
+			fmt.Fprintf(stdout, "==> %s <==\n", path)
 		}
-		if err := render(os.Stdout, a, opts); err != nil {
-			fatalf("%v", err)
+		if err := render(stdout, a, opts); err != nil {
+			return fail(1, "%v", err)
 		}
 		if len(ins) > 1 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
 	if *formatFlag == "json" {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(reports); err != nil {
-			fatalf("%v", err)
+			return fail(1, "%v", err)
 		}
 	}
+	return 0
 }
 
 // runDiff loads two inputs as run manifests — *.jsonl files are raw
 // traces, summarized on the fly via ledger.FromTrace — and renders the
 // causal attribution report between them.
-func runDiff(pathA, pathB, format string) {
-	a, b := loadManifest(pathA), loadManifest(pathB)
+func runDiff(stdout io.Writer, pathA, pathB, format string) error {
+	a, err := loadManifest(pathA)
+	if err != nil {
+		return err
+	}
+	b, err := loadManifest(pathB)
+	if err != nil {
+		return err
+	}
 	d := diff.Compute(a, b)
 	if err := d.CheckIdentities(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	write := d.WriteText
 	if format == "json" {
-		write = d.WriteJSON
+		return d.WriteJSON(stdout)
 	}
-	if err := write(os.Stdout); err != nil {
-		fatalf("%v", err)
-	}
+	return d.WriteText(stdout)
 }
 
 // loadManifest reads a ledger manifest, or summarizes a raw .jsonl
 // trace into a partial one (causal sections and makespan only).
-func loadManifest(path string) *ledger.Manifest {
-	if strings.HasSuffix(path, ".jsonl") {
-		id := strings.TrimSuffix(filepath.Base(path), ".jsonl")
-		m := ledger.FromTrace(id, ledger.Spec{}, load(path))
-		if err := m.Validate(); err != nil {
-			fatalf("%s: %v", path, err)
-		}
-		return m
+func loadManifest(path string) (*ledger.Manifest, error) {
+	if !strings.HasSuffix(path, ".jsonl") {
+		return ledger.ReadFile(path)
 	}
-	m, err := ledger.ReadFile(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return m
-}
-
-func load(path string) *trace.Trace {
 	tr, err := readTrace(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
-	return tr
+	m := ledger.FromTrace(strings.TrimSuffix(filepath.Base(path), ".jsonl"), ledger.Spec{}, tr)
+	if err := m.Validate(); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return m, nil
 }
 
 // readTrace parses one JSONL trace and holds it to trace.Validate.
@@ -239,25 +252,24 @@ func readTrace(path string) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// runCheck validates each file and exits non-zero if any fails.
-func runCheck(paths []string) {
+// runCheck validates each file: one OK/FAIL line per file on stdout,
+// exit status 1 if any fails.
+func runCheck(stdout, stderr io.Writer, paths []string) int {
 	if len(paths) == 0 {
-		fmt.Fprintln(os.Stderr, "usage: tracetool -check file.jsonl|file.json ...")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "usage: tracetool -check file.jsonl|file.json ...")
+		return 2
 	}
-	failed := false
+	status := 0
 	for _, path := range paths {
 		desc, err := check(path)
 		if err != nil {
-			fmt.Printf("FAIL %v\n", err)
-			failed = true
+			fmt.Fprintf(stdout, "FAIL %v\n", err)
+			status = 1
 			continue
 		}
-		fmt.Printf("OK   %s: %s\n", path, desc)
+		fmt.Fprintf(stdout, "OK   %s: %s\n", path, desc)
 	}
-	if failed {
-		os.Exit(1)
-	}
+	return status
 }
 
 // check validates one artifact and describes it; every error names the
@@ -320,18 +332,19 @@ func check(path string) (string, error) {
 	return "", fmt.Errorf("%s: JSON object is neither a run manifest (schema) nor a Chrome trace (traceEvents)", path)
 }
 
-func writeChrome(path string, a *causal.Analysis) {
+func writeChrome(path string, a *causal.Analysis) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := obs.WriteChromeTraceOpts(f, a.Trace(), chromeOptions(a)); err != nil {
-		fatalf("writing %s: %v", path, err)
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		fatalf("closing %s: %v", path, err)
+		return fmt.Errorf("closing %s: %w", path, err)
 	}
-	fmt.Fprintf(os.Stderr, "tracetool: chrome trace written to %s (load at ui.perfetto.dev)\n", path)
+	return nil
 }
 
 // chromeOptions hands the exporter what the analysis already holds: the
@@ -462,9 +475,4 @@ func render(w io.Writer, a *causal.Analysis, o renderOpts) error {
 		fmt.Fprint(w, obs.Lifestory(tr, o.width, o.rows))
 	}
 	return nil
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "tracetool: "+format+"\n", args...)
-	os.Exit(1)
 }

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"distws/internal/core"
@@ -247,6 +248,46 @@ func TestCheckRejectsUnknownShapes(t *testing.T) {
 	for _, path := range bad {
 		if desc, err := check(path); err == nil {
 			t.Errorf("check(%s) passed as %q", filepath.Base(path), desc)
+		}
+	}
+}
+
+// TestCLI runs the command in-process on one traced run: the exit status
+// and the head of stderr for each command line. A positional argument is
+// a file to -check and nothing else; the flag package used to stop at it
+// and drop every flag after it.
+func TestCLI(t *testing.T) {
+	res := goldenTrace(t)
+	tr := filepath.Join(t.TempDir(), "t.jsonl")
+	f, err := os.Create(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := res.Trace.WriteJSONL(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		args   []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-in", tr}, 0, ""},
+		{[]string{"-check", tr}, 0, ""},
+		{[]string{"-in", tr, "stray", "-lifestory"}, 2, `tracetool: unexpected argument "stray"` + "\n"},
+		{[]string{"-lifestory"}, 2, "tracetool: at least one -in is required\n"},
+		{[]string{"-in", tr, "-format", "xml"}, 2, `tracetool: unknown -format "xml" (text|json)` + "\n"},
+		{[]string{"-check"}, 2, "usage: tracetool -check file.jsonl|file.json ...\n"},
+	} {
+		var stdout, stderr bytes.Buffer
+		code := run(c.args, &stdout, &stderr)
+		if code != c.code || !strings.HasPrefix(stderr.String(), c.stderr) || c.stderr == "" && stderr.Len() > 0 {
+			t.Errorf("%v: exit %d, stderr %q; want exit %d, stderr %q", c.args, code, stderr.String(), c.code, c.stderr)
+		}
+		if c.code == 0 && stdout.Len() == 0 {
+			t.Errorf("%v: printed nothing", c.args)
 		}
 	}
 }

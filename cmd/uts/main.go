@@ -6,12 +6,19 @@
 //	uts -tree H-SMALL -ranks 128 -placement 1/N -selector Tofu -steal half
 //	uts -tree T3 -ranks 8 -trace trace.jsonl
 //	uts -tree T3 -ranks 32 -trace t.jsonl -chrome t.json -obs :6060
+//	uts -count -tree all
+//	uts -topology -ranks 512 -placement 8RR -thief 42
 //
 // -trace also captures the protocol-level event log (steal round trips,
 // token hops, quantum boundaries) into the JSONL file for cmd/tracetool;
 // -chrome writes the same run as Chrome trace-event JSON for
 // ui.perfetto.dev; -obs serves /metrics (Prometheus), /debug/vars and
 // /debug/pprof/ on the given address for the duration of the process.
+//
+// Two modes inspect the inputs instead: -count enumerates -tree
+// sequentially, the ground truth every traversal is checked against (to
+// size a new tree, add it to internal/uts/presets.go and count it);
+// -topology shows the job on the torus as seen from one -thief.
 package main
 
 import (
@@ -38,64 +45,121 @@ import (
 	"distws/internal/victim"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command behind main: exit status 0 on success, 1 when the
+// run fails, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("uts", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		treeFlag      = flag.String("tree", "H-SMALL", "tree preset (see -listtrees)")
-		ranksFlag     = flag.Int("ranks", 64, "number of simulated MPI ranks")
-		placeFlag     = flag.String("placement", "1/N", "rank placement: 1/N, 8RR or 8G")
-		selFlag       = flag.String("selector", "RoundRobin", "victim selector (see -listselectors)")
-		stealFlag     = flag.String("steal", "one", "steal amount: one|half")
-		chunkFlag     = flag.Int("chunk", 4, "nodes per chunk (UTS default is 20; scaled experiments use 4)")
-		nodeCostFlag  = flag.Duration("nodecost", 0, "virtual time per child generation (default 1µs)")
-		seedFlag      = flag.Uint64("seed", 1, "random seed")
-		detFlag       = flag.String("termination", "Safra", "termination detector: Safra|Ring")
-		traceFlag     = flag.String("trace", "", "write the activity trace + event log (JSONL) to this file")
-		chromeFlag    = flag.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto)")
-		eventsFlag    = flag.Bool("events", false, "collect the protocol event log even without -trace/-chrome")
-		eventBufFlag  = flag.Int("eventbuf", 0, "per-rank event ring capacity (0 = default)")
-		obsFlag       = flag.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060)")
-		manifestFlag  = flag.String("manifest", "", "write the run manifest (ledger JSON) to this file; diff runs with tracetool -diff")
-		serveFlag     = flag.Bool("serve", false, "open-system serving mode: jobs arrive continuously instead of one closed batch (-arrivals, -tenants, -horizon); -tree sets the per-job workload")
-		arrivalsFlag  = flag.String("arrivals", "poisson:2ms", "with -serve: comma-separated per-tenant arrival processes, cycled across tenants: poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE — or a single replay:FILE (JSONL arrival log) feeding every tenant")
-		tenantsFlag   = flag.Int("tenants", 2, "with -serve: number of traffic sources")
-		horizonFlag   = flag.Duration("horizon", 50*time.Millisecond, "with -serve: arrival horizon (virtual time); the run drains admitted jobs past it")
-		faultsFlag    = flag.String("faults", "", "JSON fault-plan file (crashes, stragglers, lossy links)")
-		crashFlag     = flag.String("crash", "", "inline crash schedule: rank@time,... (e.g. 3@40us,11@2ms)")
-		stragglerFlag = flag.String("straggler", "", "inline stragglers: rank@compute[xsend],... (e.g. 5@3x2)")
-		listTrees     = flag.Bool("listtrees", false, "list tree presets and exit")
-		listSel       = flag.Bool("listselectors", false, "list victim selectors and exit")
+		treeFlag      = fs.String("tree", "H-SMALL", "tree preset (see -listtrees)")
+		ranksFlag     = fs.Int("ranks", 64, "number of simulated MPI ranks")
+		placeFlag     = fs.String("placement", "1/N", "rank placement: 1/N, 8RR or 8G")
+		selFlag       = fs.String("selector", "RoundRobin", "victim selector (see -listselectors)")
+		stealFlag     = fs.String("steal", "one", "steal amount: one|half")
+		chunkFlag     = fs.Int("chunk", 4, "nodes per chunk (UTS default is 20; scaled experiments use 4)")
+		nodeCostFlag  = fs.Duration("nodecost", 0, "virtual time per child generation (default 1µs)")
+		seedFlag      = fs.Uint64("seed", 1, "random seed")
+		detFlag       = fs.String("termination", "Safra", "termination detector: Safra|Ring")
+		traceFlag     = fs.String("trace", "", "write the activity trace + event log (JSONL) to this file")
+		chromeFlag    = fs.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		eventsFlag    = fs.Bool("events", false, "collect the protocol event log even without -trace/-chrome")
+		eventBufFlag  = fs.Int("eventbuf", 0, "per-rank event ring capacity (0 = default)")
+		obsFlag       = fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060)")
+		manifestFlag  = fs.String("manifest", "", "write the run manifest (ledger JSON) to this file; diff runs with tracetool -diff")
+		serveFlag     = fs.Bool("serve", false, "open-system serving mode: jobs arrive continuously instead of one closed batch (-arrivals, -tenants, -horizon); -tree sets the per-job workload")
+		arrivalsFlag  = fs.String("arrivals", "poisson:2ms", "with -serve: comma-separated per-tenant arrival processes, cycled across tenants: poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE — or a single replay:FILE (JSONL arrival log) feeding every tenant")
+		tenantsFlag   = fs.Int("tenants", 2, "with -serve: number of traffic sources")
+		horizonFlag   = fs.Duration("horizon", 50*time.Millisecond, "with -serve: arrival horizon (virtual time); the run drains admitted jobs past it")
+		faultsFlag    = fs.String("faults", "", "JSON fault-plan file (crashes, stragglers, lossy links)")
+		crashFlag     = fs.String("crash", "", "inline crash schedule: rank@time,... (e.g. 3@40us,11@2ms)")
+		stragglerFlag = fs.String("straggler", "", "inline stragglers: rank@compute[xsend],... (e.g. 5@3x2)")
+		countFlag     = fs.Bool("count", false, "enumerate -tree sequentially instead of simulating (-tree all: every preset below paper scale)")
+		topoFlag      = fs.Bool("topology", false, "print the job's placement on the torus and -thief's distances and victim-selection profile instead of simulating")
+		thiefFlag     = fs.Int("thief", 0, "with -topology: the rank whose view to print, in [0, ranks)")
+		listTrees     = fs.Bool("listtrees", false, "list tree presets and exit")
+		listSel       = fs.Bool("listselectors", false, "list victim selectors and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, format string, args ...any) int {
+		fmt.Fprintf(stderr, format+"\n", args...)
+		return code
+	}
+	// The flag package stops at the first non-flag: refuse, not drop, the rest.
+	if fs.NArg() > 0 {
+		return fail(2, "unexpected argument %q", fs.Arg(0))
+	}
 
 	if *listTrees {
 		for _, n := range uts.PresetNames() {
 			info := uts.MustPreset(n)
-			fmt.Printf("%-10s %-9v %s\n", n, info.Params.Type, info.Comment)
+			fmt.Fprintf(stdout, "%-10s %-9v %s\n", n, info.Params.Type, info.Comment)
 		}
-		return
+		return 0
 	}
 	if *listSel {
 		for _, n := range victim.StrategyNames() {
-			fmt.Println(n)
+			fmt.Fprintln(stdout, n)
 		}
-		fmt.Println("Tofu^K (Tofu with weight 1/e^K for a number K >= 0)")
-		return
+		fmt.Fprintln(stdout, "Tofu^K (Tofu with weight 1/e^K for a number K >= 0)")
+		return 0
 	}
 
-	info, ok := uts.Preset(*treeFlag)
-	if !ok {
-		fatalf("unknown tree preset %q (-listtrees)", *treeFlag)
+	// A flag that only a mode reads is refused without that mode.
+	var orphan string
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case orphan != "":
+		case !*serveFlag && (f.Name == "arrivals" || f.Name == "tenants" || f.Name == "horizon"):
+			orphan = "-" + f.Name + " has no effect without -serve"
+		case !*topoFlag && f.Name == "thief":
+			orphan = "-thief has no effect without -topology"
+		}
+	})
+	if orphan != "" {
+		return fail(2, "%s", orphan)
 	}
-	if err := checkRanks(*ranksFlag); err != nil {
-		fatalf("%v", err)
+	if *countFlag && *topoFlag {
+		return fail(2, "-count and -topology are separate modes")
+	}
+	info, ok := uts.Preset(*treeFlag)
+	if !ok && !(*countFlag && *treeFlag == "all") {
+		return fail(2, "unknown tree preset %q (-listtrees)", *treeFlag)
+	}
+	if *countFlag {
+		return count(stdout, stderr, *treeFlag)
 	}
 	placement, err := topology.ParsePlacement(*placeFlag)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(2, "%v", err)
+	}
+	if *topoFlag {
+		if *ranksFlag < 2 {
+			return fail(2, "-ranks %d: need at least 2 ranks", *ranksFlag)
+		}
+		if *thiefFlag < 0 || *thiefFlag >= *ranksFlag {
+			return fail(2, "-thief %d: outside [0, %d)", *thiefFlag, *ranksFlag)
+		}
+		job, err := topology.NewJob(topology.KComputer(), *ranksFlag, placement)
+		if err != nil {
+			return fail(1, "%v", err)
+		}
+		topologyReport(stdout, job, *thiefFlag, *seedFlag)
+		return 0
+	}
+
+	if err := checkRanks(*ranksFlag); err != nil {
+		return fail(2, "%v", err)
+	}
+	if *chunkFlag < 1 {
+		return fail(2, "-chunk must be >= 1, got %d", *chunkFlag)
 	}
 	selector, err := victim.Lookup(*selFlag)
 	if err != nil {
-		fatalf("%v (-listselectors)", err)
+		return fail(2, "%v (-listselectors)", err)
 	}
 	var steal core.StealPolicy
 	switch strings.ToLower(*stealFlag) {
@@ -104,34 +168,26 @@ func main() {
 	case "half":
 		steal = core.StealHalf
 	default:
-		fatalf("unknown steal policy %q (one|half)", *stealFlag)
+		return fail(2, "unknown steal policy %q (one|half)", *stealFlag)
 	}
 	detector, ok := term.Detectors[*detFlag]
 	if !ok {
-		fatalf("unknown termination detector %q (Safra|Ring)", *detFlag)
+		return fail(2, "unknown termination detector %q (Safra|Ring)", *detFlag)
 	}
 
 	collectEvents := *eventsFlag || *traceFlag != "" || *chromeFlag != ""
 	if *eventBufFlag != 0 && !collectEvents {
-		fatalf("-eventbuf has no effect without -events, -trace or -chrome")
+		return fail(2, "-eventbuf has no effect without -events, -trace or -chrome")
 	}
 	plan, err := buildFaultPlan(*faultsFlag, *crashFlag, *stragglerFlag, *seedFlag)
 	if err != nil {
-		fatalf("%v", err)
-	}
-	if !*serveFlag {
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "arrivals", "tenants", "horizon":
-				fatalf("-%s has no effect without -serve", f.Name)
-			}
-		})
+		return fail(2, "%v", err)
 	}
 	var serveSpec *serve.Spec
 	if *serveFlag {
 		serveSpec, err = buildServeSpec(*arrivalsFlag, *tenantsFlag, sim.Duration(*horizonFlag), info.Params)
 		if err != nil {
-			fatalf("%v", err)
+			return fail(2, "%v", err)
 		}
 	}
 	var reg *obs.Registry
@@ -139,10 +195,10 @@ func main() {
 		reg = obs.NewRegistry()
 		go func() {
 			if err := http.ListenAndServe(*obsFlag, obs.Handler(reg)); err != nil {
-				fmt.Fprintf(os.Stderr, "uts: obs server: %v\n", err)
+				fmt.Fprintf(stderr, "uts: obs server: %v\n", err)
 			}
 		}()
-		fmt.Printf("observability: http://%s/metrics (also /debug/vars, /debug/pprof/)\n", *obsFlag)
+		fmt.Fprintf(stdout, "observability: http://%s/metrics (also /debug/vars, /debug/pprof/)\n", *obsFlag)
 	}
 
 	cfg := core.Config{
@@ -164,50 +220,50 @@ func main() {
 	}
 	res, err := core.Run(cfg)
 	if err != nil {
-		fatalf("%v", err)
+		return fail(1, "%v", err)
 	}
 
-	fmt.Printf("UTS distributed work-stealing simulation\n")
-	fmt.Printf("  tree:            %s (%v)\n", info.Name, info.Params.Type)
-	fmt.Printf("  ranks:           %d (%v placement)\n", res.Ranks, res.Placement)
-	fmt.Printf("  selector:        %s, steal %v, chunk %d\n", res.Selector, res.Steal, *chunkFlag)
-	fmt.Printf("  termination:     %s (%d rounds)\n", res.Detector, res.TerminationRounds)
-	fmt.Printf("\n")
-	fmt.Printf("  tree nodes:      %d (%d leaves, depth %d)\n", res.Nodes, res.Leaves, res.MaxDepth)
-	fmt.Printf("  wallclock:       %v (virtual)\n", res.Makespan)
-	fmt.Printf("  sequential time: %v (virtual)\n", res.SequentialTime)
-	fmt.Printf("  speedup:         %.2f\n", res.Speedup)
-	fmt.Printf("  efficiency:      %.3f\n", res.Efficiency)
-	fmt.Printf("\n")
-	fmt.Printf("  steal requests:  %d (%d ok, %d failed)\n", res.StealRequests, res.SuccessfulSteals, res.FailedSteals)
-	fmt.Printf("  chunks moved:    %d\n", res.ChunksTransferred)
-	fmt.Printf("  mean search:     %v per rank\n", res.MeanSearchTime)
+	fmt.Fprintf(stdout, "UTS distributed work-stealing simulation\n")
+	fmt.Fprintf(stdout, "  tree:            %s (%v)\n", info.Name, info.Params.Type)
+	fmt.Fprintf(stdout, "  ranks:           %d (%v placement)\n", res.Ranks, res.Placement)
+	fmt.Fprintf(stdout, "  selector:        %s, steal %v, chunk %d\n", res.Selector, res.Steal, *chunkFlag)
+	fmt.Fprintf(stdout, "  termination:     %s (%d rounds)\n", res.Detector, res.TerminationRounds)
+	fmt.Fprintf(stdout, "\n")
+	fmt.Fprintf(stdout, "  tree nodes:      %d (%d leaves, depth %d)\n", res.Nodes, res.Leaves, res.MaxDepth)
+	fmt.Fprintf(stdout, "  wallclock:       %v (virtual)\n", res.Makespan)
+	fmt.Fprintf(stdout, "  sequential time: %v (virtual)\n", res.SequentialTime)
+	fmt.Fprintf(stdout, "  speedup:         %.2f\n", res.Speedup)
+	fmt.Fprintf(stdout, "  efficiency:      %.3f\n", res.Efficiency)
+	fmt.Fprintf(stdout, "\n")
+	fmt.Fprintf(stdout, "  steal requests:  %d (%d ok, %d failed)\n", res.StealRequests, res.SuccessfulSteals, res.FailedSteals)
+	fmt.Fprintf(stdout, "  chunks moved:    %d\n", res.ChunksTransferred)
+	fmt.Fprintf(stdout, "  mean search:     %v per rank\n", res.MeanSearchTime)
 	if res.MeanSessionDuration > 0 {
-		fmt.Printf("  mean session:    %v\n", res.MeanSessionDuration)
+		fmt.Fprintf(stdout, "  mean session:    %v\n", res.MeanSessionDuration)
 	}
-	fmt.Printf("  messages sent:   %d\n", res.Comm.TotalSent())
+	fmt.Fprintf(stdout, "  messages sent:   %d\n", res.Comm.TotalSent())
 	if res.Premature {
-		fmt.Printf("  WARNING: premature termination detected (incomplete traversal)\n")
+		fmt.Fprintf(stdout, "  WARNING: premature termination detected (incomplete traversal)\n")
 	}
 
 	if res.MaxMigrationDepth > 0 {
-		fmt.Printf("  work lineage:    max migration depth %d\n", res.MaxMigrationDepth)
+		fmt.Fprintf(stdout, "  work lineage:    max migration depth %d\n", res.MaxMigrationDepth)
 	}
 
 	if res.Serve != nil {
-		writeServe(os.Stdout, res.Serve, sim.Duration(*horizonFlag))
+		writeServe(stdout, res.Serve, sim.Duration(*horizonFlag))
 	}
 
 	if res.PerRankFaults != nil {
-		fmt.Printf("\n  fault injection:\n")
-		fmt.Printf("  crashed ranks:   %d\n", res.CrashedRanks)
-		fmt.Printf("  nodes generated: %d (%d completed, %d lost)\n",
+		fmt.Fprintf(stdout, "\n  fault injection:\n")
+		fmt.Fprintf(stdout, "  crashed ranks:   %d\n", res.CrashedRanks)
+		fmt.Fprintf(stdout, "  nodes generated: %d (%d completed, %d lost)\n",
 			res.NodesGenerated, res.Nodes, res.LostNodes)
-		fmt.Printf("  lost messages:   %d (work in flight to/from dead ranks)\n", res.LostMessages)
-		fmt.Printf("  msgs dropped:    %d\n", res.Comm.TotalDropped())
-		fmt.Printf("  token regens:    %d\n", res.TokenRegens)
+		fmt.Fprintf(stdout, "  lost messages:   %d (work in flight to/from dead ranks)\n", res.LostMessages)
+		fmt.Fprintf(stdout, "  msgs dropped:    %d\n", res.Comm.TotalDropped())
+		fmt.Fprintf(stdout, "  token regens:    %d\n", res.TokenRegens)
 		if res.Recoveries > 0 {
-			fmt.Printf("  recoveries:      %d (mean latency %v)\n", res.Recoveries, res.MeanRecoveryLatency)
+			fmt.Fprintf(stdout, "  recoveries:      %d (mean latency %v)\n", res.Recoveries, res.MeanRecoveryLatency)
 		}
 		for _, f := range res.PerRankFaults {
 			if !f.Crashed && f.LostNodes == 0 && f.Timeouts == 0 && f.Blacklists == 0 {
@@ -217,7 +273,7 @@ func main() {
 			if f.Crashed {
 				status = fmt.Sprintf("crashed @%v", sim.Duration(f.CrashedAt))
 			}
-			fmt.Printf("    rank %4d: %-18s lost %d nodes, %d timeouts, %d blacklists\n",
+			fmt.Fprintf(stdout, "    rank %4d: %-18s lost %d nodes, %d timeouts, %d blacklists\n",
 				f.Rank, status, f.LostNodes, f.Timeouts, f.Blacklists)
 		}
 	}
@@ -229,27 +285,31 @@ func main() {
 	a := causal.Analyze(res.Trace)
 	if res.Trace != nil {
 		c := a.Occupancy()
-		fmt.Printf("  max occupancy:   %.1f%% (Wmax %d)\n", c.MaxOccupancy()*100, c.Wmax())
-		fmt.Printf("  mean occupancy:  %.1f%%\n", c.MeanOccupancy()*100)
+		fmt.Fprintf(stdout, "  max occupancy:   %.1f%% (Wmax %d)\n", c.MaxOccupancy()*100, c.Wmax())
+		fmt.Fprintf(stdout, "  mean occupancy:  %.1f%%\n", c.MeanOccupancy()*100)
 		if a.HasEvents() {
-			fmt.Printf("  events recorded: %d (%d dropped from bounded rings)\n",
+			fmt.Fprintf(stdout, "  events recorded: %d (%d dropped from bounded rings)\n",
 				res.Trace.TotalEvents(), res.Trace.TotalEventsDropped())
 			p := a.Path()
 			if reg != nil {
 				causal.Publish(reg, a.Graph(), p, a.Blame())
 			}
-			fmt.Printf("  critical path:   %.1f%% compute, %.1f%% steal-rtt, %.1f%% transfer, %.1f%% token, %.1f%% wait\n",
+			fmt.Fprintf(stdout, "  critical path:   %.1f%% compute, %.1f%% steal-rtt, %.1f%% transfer, %.1f%% token, %.1f%% wait\n",
 				p.Share(causal.SegCompute), p.Share(causal.SegStealRTT),
 				p.Share(causal.SegTransfer), p.Share(causal.SegToken), p.Share(causal.SegWait))
 		}
 		if *traceFlag != "" {
-			writeFile(*traceFlag, res.Trace.WriteJSONL)
-			fmt.Printf("  trace written:   %s (analyze with tracetool -in %s)\n", *traceFlag, *traceFlag)
+			if err := writeFile(*traceFlag, res.Trace.WriteJSONL); err != nil {
+				return fail(1, "%v", err)
+			}
+			fmt.Fprintf(stdout, "  trace written:   %s (analyze with tracetool -in %s)\n", *traceFlag, *traceFlag)
 		}
 		if *chromeFlag != "" {
 			opts := obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs()}
-			writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, opts) })
-			fmt.Printf("  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
+			if err := writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, opts) }); err != nil {
+				return fail(1, "%v", err)
+			}
+			fmt.Fprintf(stdout, "  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
 		}
 	}
 
@@ -264,15 +324,50 @@ func main() {
 		m := ledger.New(manifestID(*manifestFlag), spec, res, a)
 		m.Generator = generator()
 		if err := m.WriteFile(*manifestFlag); err != nil {
-			fatalf("%v", err)
+			return fail(1, "%v", err)
 		}
-		fmt.Printf("\n  manifest:        %s (compare runs with tracetool -diff)\n", *manifestFlag)
+		fmt.Fprintf(stdout, "\n  manifest:        %s (compare runs with tracetool -diff)\n", *manifestFlag)
 	}
 
-	if *obsFlag != "" {
-		fmt.Printf("\nrun complete; still serving %s — interrupt to exit\n", *obsFlag)
-		select {}
+	if *obsFlag == "" {
+		return 0
 	}
+	fmt.Fprintf(stdout, "\nrun complete; still serving %s — interrupt to exit\n", *obsFlag)
+	select {}
+}
+
+// countLimit bounds a -count enumeration: every preset below paper
+// scale stays under it.
+const countLimit = 500_000_000
+
+// count enumerates one preset, or with "all" every preset below paper
+// scale, one line each: the tree's shape, then the host's time and rate.
+func count(stdout, stderr io.Writer, tree string) int {
+	names := []string{tree}
+	if tree == "all" {
+		names = uts.PresetNames()
+	}
+	for _, name := range names {
+		info := uts.MustPreset(name)
+		if tree == "all" && info.PaperSize > 0 {
+			fmt.Fprintf(stdout, "%-10s paper-scale tree (%d nodes per Table I), skipping\n", name, info.PaperSize)
+			continue
+		}
+		start := time.Now()
+		res, ok, err := uts.CountLimited(info.Params, countLimit)
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		elapsed := time.Since(start)
+		if !ok {
+			fmt.Fprintf(stdout, "%-10s aborted after %d nodes (limit) in %v\n", name, res.Nodes, elapsed.Round(time.Millisecond))
+			continue
+		}
+		fmt.Fprintf(stdout, "%-10s nodes=%d leaves=%d depth=%d (%v, %.2fM nodes/s)\n", name, res.Nodes, res.Leaves,
+			res.MaxDepth, elapsed.Round(time.Millisecond), float64(res.Nodes)/elapsed.Seconds()/1e6)
+	}
+	return 0
 }
 
 // writeServe prints the serving report; lost jobs only when there are.
@@ -346,37 +441,18 @@ func buildServeSpec(arrivals string, tenants int, horizon sim.Duration, tree uts
 // gamma:MEAN:SHAPE or weibull:MEAN:SHAPE (shape defaults to 1), and
 // refuses a process the sampler cannot draw from (serve.ArrivalSpec.Validate).
 func parseArrival(entry string) (serve.ArrivalSpec, error) {
-	parts := strings.Split(entry, ":")
-	bad := func() (serve.ArrivalSpec, error) {
+	proc, rest, _ := strings.Cut(entry, ":")
+	meanStr, shapeStr, hasShape := strings.Cut(rest, ":")
+	mean, err := time.ParseDuration(meanStr)
+	a := serve.ArrivalSpec{Process: strings.ToLower(proc), Mean: sim.Duration(mean)}
+	if err == nil && hasShape {
+		a.Shape, err = strconv.ParseFloat(shapeStr, 64)
+	}
+	switch {
+	case err != nil, a.Process == serve.ProcPoisson && hasShape,
+		a.Process != serve.ProcPoisson && a.Process != serve.ProcGamma && a.Process != serve.ProcWeibull:
 		return serve.ArrivalSpec{}, fmt.Errorf(
 			"-arrivals entry %q: want poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE or replay:FILE", entry)
-	}
-	if len(parts) < 2 {
-		return bad()
-	}
-	mean, err := time.ParseDuration(parts[1])
-	if err != nil {
-		return bad()
-	}
-	a := serve.ArrivalSpec{Process: strings.ToLower(parts[0]), Mean: sim.Duration(mean)}
-	switch a.Process {
-	case serve.ProcPoisson:
-		if len(parts) != 2 {
-			return bad()
-		}
-	case serve.ProcGamma, serve.ProcWeibull:
-		if len(parts) > 3 {
-			return bad()
-		}
-		if len(parts) == 3 {
-			shape, err := strconv.ParseFloat(parts[2], 64)
-			if err != nil {
-				return bad()
-			}
-			a.Shape = shape
-		}
-	default:
-		return bad()
 	}
 	if err := a.Validate(); err != nil {
 		return serve.ArrivalSpec{}, fmt.Errorf("-arrivals entry %q: %w", entry, err)
@@ -419,22 +495,19 @@ func generator() string {
 	return rev + dirty
 }
 
-func writeFile(path string, write func(io.Writer) error) {
+func writeFile(path string, write func(io.Writer) error) error {
 	f, err := os.Create(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := write(f); err != nil {
-		fatalf("writing %s: %v", path, err)
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	if err := f.Close(); err != nil {
-		fatalf("closing %s: %v", path, err)
+		return fmt.Errorf("closing %s: %w", path, err)
 	}
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, format+"\n", args...)
-	os.Exit(1)
+	return nil
 }
 
 // checkRanks validates the -ranks flag before anything is built, so a

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
@@ -10,10 +12,168 @@ import (
 
 	"distws/internal/core"
 	"distws/internal/fault"
+	"distws/internal/obs/ledger"
 	"distws/internal/serve"
 	"distws/internal/sim"
+	"distws/internal/trace"
 	"distws/internal/uts"
 )
+
+// TestCLI runs the command in-process, one row per command line, and
+// checks what a reader of the report and its artifacts would: the exit
+// status, stderr (exactly; empty on success, with nothing on stdout on
+// failure) and the report's lines. A replay row runs twice and wants
+// byte-identical stdout — every byte of a report is a function of the
+// flags, fault schedules and arrival processes included.
+func TestCLI(t *testing.T) {
+	// Artifacts are named as a shell in a scratch directory names them.
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+
+	contains := func(want ...string) func(*testing.T, string) {
+		return func(t *testing.T, stdout string) {
+			for _, w := range want {
+				if !strings.Contains(stdout, w) {
+					t.Errorf("report lacks %q:\n%s", w, stdout)
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		args   string
+		code   int
+		stderr string
+		replay bool
+		check  func(t *testing.T, stdout string)
+	}{
+		// Every artifact of a traced run passes the checks
+		// `tracetool -check` makes.
+		{name: "traced", args: "-tree H-TINY -ranks 32 -seed 3 -trace smoke.jsonl -chrome smoke.chrome.json -manifest smoke.manifest.json",
+			check: func(t *testing.T, stdout string) {
+				contains("critical path:", "trace written:   smoke.jsonl", "manifest:        smoke.manifest.json")(t, stdout)
+				checkArtifacts(t, "smoke.jsonl", "smoke.chrome.json", "smoke.manifest.json")
+			}},
+		{name: "chaos", args: "-tree T3 -ranks 16 -seed 7 -crash 3@40us,11@90us -straggler 5@3x2", replay: true,
+			check: func(t *testing.T, stdout string) {
+				contains("crashed ranks:   2", "recoveries:")(t, stdout)
+				if strings.Contains(stdout, "WARNING: premature") {
+					t.Errorf("premature termination under faults:\n%s", stdout)
+				}
+			}},
+		{name: "serving", args: "-tree T3 -ranks 16 -seed 7 -selector Tofu -serve -tenants 2 -arrivals poisson:2ms,gamma:4ms:2 -horizon 40ms", replay: true,
+			check: checkJobsLedger},
+		{name: "count", args: "-count -tree T3", check: contains("T3         nodes=2611 leaves=2305 depth=5 (")},
+		{name: "count-unknown-tree", args: "-count -tree T9", code: 2, stderr: `unknown tree preset "T9" (-listtrees)`},
+		{name: "topology", args: "-topology -ranks 2 -thief 1",
+			check: contains("job: 2 ranks, 1/N placement", "from rank 1", "distance histogram:", "victim-selection mass")},
+		{name: "topology-thief-past-job", args: "-topology -ranks 16 -thief 16", code: 2, stderr: "-thief 16: outside [0, 16)"},
+		{name: "topology-negative-thief", args: "-topology -ranks 16 -thief -1", code: 2, stderr: "-thief -1: outside [0, 16)"},
+		{name: "topology-one-rank", args: "-topology -ranks 1", code: 2, stderr: "-ranks 1: need at least 2 ranks"},
+		{name: "topology-no-ranks", args: "-topology -ranks 0", code: 2, stderr: "-ranks 0: need at least 2 ranks"},
+		{name: "topology-bad-placement", args: "-topology -placement 4X", code: 2, stderr: `unknown placement "4X" (1/N, 8RR, 8G)`},
+		{name: "thief-without-topology", args: "-tree T3 -thief 3", code: 2, stderr: "-thief has no effect without -topology"},
+		{name: "count-and-topology", args: "-count -topology", code: 2, stderr: "-count and -topology are separate modes"},
+		// The flag package stops at the first non-flag: -ranks 16 used
+		// to be dropped, and the run went ahead at 64 ranks.
+		{name: "stray-argument", args: "-tree T3 bogus -ranks 16", code: 2, stderr: `unexpected argument "bogus"`},
+		// -chunk 0 used to print "chunk 0" and run with the work stack's
+		// default of 20; -eventbuf -3 to record into a default ring.
+		{name: "zero-chunk", args: "-tree T3 -ranks 16 -chunk 0", code: 2, stderr: "-chunk must be >= 1, got 0"},
+		{name: "negative-eventbuf", args: "-tree T3 -ranks 16 -events -eventbuf -3", code: 1,
+			stderr: "core: negative chunk size, poll interval or event buffer"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			code, stdout, stderr := runCLI(c.args)
+			if code != c.code {
+				t.Fatalf("exit %d, want %d; stderr %q", code, c.code, stderr)
+			}
+			if want := c.stderr + "\n"; c.stderr == "" && stderr != "" || c.stderr != "" && stderr != want {
+				t.Errorf("stderr %q, want %q", stderr, want)
+			}
+			if c.code != 0 && stdout != "" {
+				t.Errorf("a failed command printed a report:\n%s", stdout)
+			}
+			if c.replay {
+				if _, again, _ := runCLI(c.args); again != stdout {
+					t.Errorf("replay differs:\n%s\n--- replay ---\n%s", stdout, again)
+				}
+			}
+			if c.check != nil {
+				c.check(t, stdout)
+			}
+		})
+	}
+}
+
+func runCLI(args string) (code int, stdout, stderr string) {
+	var out, errOut bytes.Buffer
+	code = run(strings.Fields(args), &out, &errOut)
+	return code, out.String(), errOut.String()
+}
+
+// checkArtifacts holds a traced run's files to the library checks
+// `tracetool -check` makes.
+func checkArtifacts(t *testing.T, tracePath, chromePath, manifestPath string) {
+	t.Helper()
+	f, err := os.Open(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	tr, err := trace.ReadJSONL(f)
+	if err == nil {
+		err = tr.Validate()
+	}
+	if err != nil {
+		t.Errorf("%s: %v", tracePath, err)
+	}
+
+	data, err := os.ReadFile(manifestPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ledger.Decode(data)
+	if err == nil {
+		err = m.Validate()
+	}
+	if err != nil {
+		t.Errorf("%s: %v", manifestPath, err)
+	}
+
+	if data, err = os.ReadFile(chromePath); err != nil {
+		t.Fatal(err)
+	}
+	var chrome struct {
+		TraceEvents []json.RawMessage `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &chrome); err != nil || len(chrome.TraceEvents) == 0 {
+		t.Errorf("%s: not a Chrome trace with events (%v)", chromePath, err)
+	}
+}
+
+// checkJobsLedger reads the serving report's jobs line: every arrival is
+// admitted or rejected, and every admitted job is done.
+func checkJobsLedger(t *testing.T, stdout string) {
+	for _, line := range strings.Split(stdout, "\n") {
+		var arrived, admitted, rejected, done int
+		if _, err := fmt.Sscanf(line, "  jobs: %d arrived = %d admitted + %d rejected; %d done",
+			&arrived, &admitted, &rejected, &done); err != nil {
+			continue
+		}
+		if arrived != admitted+rejected || done != admitted || arrived == 0 {
+			t.Errorf("jobs ledger broken: %s", line)
+		}
+		return
+	}
+	t.Errorf("no jobs line in the report:\n%s", stdout)
+}
 
 func TestParseCrashSpec(t *testing.T) {
 	got, err := parseCrashSpec("3@40us, 11@2ms")
@@ -202,7 +362,7 @@ func TestBuildServeSpec(t *testing.T) {
 
 // TestServeUnderCrashes: `uts -serve -crash 3@5ms` runs, and its report
 // counts the jobs the crash cost — a count the fault-free report never
-// prints, so serve-smoke's ledger check reads the same line as before.
+// prints, so TestCLI's ledger check reads the same line as before.
 func TestServeUnderCrashes(t *testing.T) {
 	tree := uts.MustPreset("T3").Params
 	spec, err := buildServeSpec("poisson:2ms", 2, 40*sim.Millisecond, tree)

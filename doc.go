@@ -22,7 +22,7 @@
 //   - internal/core       — the distributed work-stealing engine
 //   - internal/harness    — experiments for every table and figure
 //   - internal/rt         — real shared-memory work-stealing runtime
-//   - cmd/uts, cmd/utsseq, cmd/experiments, cmd/tracetool — tools
+//   - cmd/uts, cmd/experiments, cmd/tracetool — tools
 //   - examples/...        — runnable walkthroughs
 //
 // The benchmarks in bench_test.go regenerate each figure's data at

@@ -363,8 +363,8 @@ func (c Config) validate(graph bool) error {
 	if c.Ranks > comm.MaxRanks {
 		return fmt.Errorf("core: %d ranks, over the %d a message header can address", c.Ranks, comm.MaxRanks)
 	}
-	if c.ChunkSize < 0 || c.PollInterval < 0 {
-		return errors.New("core: negative chunk size or poll interval")
+	if c.ChunkSize < 0 || c.PollInterval < 0 || c.EventBuffer < 0 {
+		return errors.New("core: negative chunk size, poll interval or event buffer")
 	}
 	if c.ChunkSize > workstack.MaxChunkSize {
 		return fmt.Errorf("core: chunk size %d over the work stack's limit of %d", c.ChunkSize, workstack.MaxChunkSize)

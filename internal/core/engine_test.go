@@ -86,6 +86,7 @@ func TestValidateExclusions(t *testing.T) {
 		}, "cannot be sharded"},
 		{"ranks past the header limit", func(c *Config) { c.Ranks = comm.MaxRanks + 1 }, "message header"},
 		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
+		{"negative event buffer", func(c *Config) { c.CollectEvents, c.EventBuffer = true, -3 }, "event buffer"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
 		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},
 		{"negative handle-request cost", func(c *Config) { c.HandleRequestCost = -10 * sim.Microsecond }, "negative cost"},

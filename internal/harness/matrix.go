@@ -15,15 +15,15 @@ import (
 	"distws/internal/uts"
 )
 
-// The scenario matrix is the regression harness behind `make
-// matrix-smoke`: a small grid of (tree preset × victim selector × rank
-// count × fault plan) cells, each executed deterministically and
-// summarized into a run manifest (internal/obs/ledger). Every run is a
-// pure function of (scale, seed), so CI requires each freshly generated
-// manifest to equal, byte for byte, its committed baseline under
-// artifacts/runs/baseline/; a cell that differs fails the build with a
-// causal attribution report (internal/obs/diff) instead of a bare
-// number.
+// The scenario matrix is the regression harness behind
+// TestMatrixPinsCommittedBaseline: a small grid of (tree preset × victim
+// selector × rank count × fault plan) cells, each executed
+// deterministically and summarized into a run manifest
+// (internal/obs/ledger). Every run is a pure function of (scale, seed),
+// so the test requires each freshly generated manifest to equal, byte
+// for byte, its committed baseline under artifacts/runs/baseline/; a
+// cell that differs fails it with a causal attribution report
+// (internal/obs/diff) instead of a bare number.
 
 // matrixVariants are the policies the matrix tracks: the paper's
 // reference, uniform random, and the distance-skewed winner. The grid

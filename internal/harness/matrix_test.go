@@ -8,7 +8,7 @@ import (
 )
 
 // quickMatrix runs the quick-scale matrix with the committed seed, the
-// configuration every test (and `make matrix-smoke`) uses.
+// configuration every test (and `make matrix-baseline`) uses.
 func quickMatrix(t *testing.T) []*ledger.Manifest {
 	t.Helper()
 	ms, err := RunMatrix(Quick, 12345)
@@ -104,13 +104,15 @@ func TestCompareBaselineReportsDrift(t *testing.T) {
 }
 
 // TestMatrixPinsCommittedBaseline regenerates the quick matrix with the
-// committed seed and runs the `make matrix-smoke` gate on it: every
+// committed seed and runs the matrix's baseline gate on it: every
 // cell's manifest must be byte-identical to the golden ledger under
 // artifacts/runs/baseline/, and the ledger must hold no other cell. It
 // proves that growing the grid (the serving cell rode in this way)
 // leaves every pre-existing baseline file untouched, and that the
 // ledger is reproducible from a clean checkout. A deliberate behaviour
 // change rebaselines with `make matrix-baseline` and commits the diff.
+// A drifted cell's failure carries its full causal diff report, the
+// text `experiments -matrix -baseline` writes to diff-<id>.txt.
 func TestMatrixPinsCommittedBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix run in -short mode")
@@ -120,7 +122,12 @@ func TestMatrixPinsCommittedBaseline(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, d := range drifts {
-		t.Errorf("cell %s: manifest drifted from the committed baseline (rebaseline with `make matrix-baseline` if deliberate): %s", d.IDB, d.Headline())
+		var report strings.Builder
+		if err := d.WriteText(&report); err != nil {
+			t.Fatal(err)
+		}
+		t.Errorf("cell %s: manifest drifted from the committed baseline (rebaseline with `make matrix-baseline` if deliberate): %s\n%s",
+			d.IDB, d.Headline(), report.String())
 	}
 }
 
