@@ -22,9 +22,11 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -171,7 +173,8 @@ func parse(r io.Reader) (*Report, error) {
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+		// Invalid UTF-8 would not survive the JSON report.
+		line := strings.ToValidUTF8(strings.TrimSpace(sc.Text()), "\uFFFD")
 		switch {
 		case strings.HasPrefix(line, "goos: "):
 			rep.Goos = strings.TrimPrefix(line, "goos: ")
@@ -201,6 +204,10 @@ func parse(r io.Reader) (*Report, error) {
 // parseResult parses one result line:
 //
 //	BenchmarkKernelHotPath-8   7776040   150.0 ns/op   0 B/op   0 allocs/op
+//
+// It refuses what no benchmark run prints: a negative iteration count
+// or per-op value — -1 is this report's mark for a column the run did
+// not measure — and a non-finite ns/op, which JSON cannot hold.
 func parseResult(line, pkg string) (Benchmark, error) {
 	f := strings.Fields(line)
 	if len(f) < 4 || len(f)%2 != 0 {
@@ -212,28 +219,32 @@ func parseResult(line, pkg string) (Benchmark, error) {
 			name = name[:i]
 		}
 	}
-	iters, err := strconv.ParseInt(f[1], 10, 64)
+	// Counts parse unsigned, so a sign is a syntax error.
+	iters, err := strconv.ParseUint(f[1], 10, 63)
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("bad iteration count in %q: %v", line, err)
 	}
-	b := Benchmark{Name: name, Pkg: pkg, Iterations: iters, BytesPerOp: -1, AllocsPerOp: -1}
+	b := Benchmark{Name: name, Pkg: pkg, Iterations: int64(iters), BytesPerOp: -1, AllocsPerOp: -1}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, unit := f[i], f[i+1]
+		var n uint64
 		switch unit {
 		case "ns/op":
-			if b.NsPerOp, err = strconv.ParseFloat(v, 64); err != nil {
-				return Benchmark{}, fmt.Errorf("bad ns/op in %q: %v", line, err)
+			b.NsPerOp, err = strconv.ParseFloat(v, 64)
+			if err == nil && !(b.NsPerOp >= 0 && b.NsPerOp <= math.MaxFloat64) {
+				err = errors.New("negative or not finite")
 			}
 		case "B/op":
-			if b.BytesPerOp, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return Benchmark{}, fmt.Errorf("bad B/op in %q: %v", line, err)
-			}
+			n, err = strconv.ParseUint(v, 10, 63)
+			b.BytesPerOp = int64(n)
 		case "allocs/op":
-			if b.AllocsPerOp, err = strconv.ParseInt(v, 10, 64); err != nil {
-				return Benchmark{}, fmt.Errorf("bad allocs/op in %q: %v", line, err)
-			}
+			n, err = strconv.ParseUint(v, 10, 63)
+			b.AllocsPerOp = int64(n)
 		default:
 			// Custom ReportMetric units pass through unrecorded.
+		}
+		if err != nil {
+			return Benchmark{}, fmt.Errorf("bad %s in %q: %v", unit, line, err)
 		}
 	}
 	return b, nil

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -57,6 +59,54 @@ func TestParseRejectsEmptyAndMalformed(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkBroken abc 5.0 ns/op\n")); err == nil {
 		t.Fatal("no error for malformed iteration count")
 	}
+}
+
+// TestParseRejectsImpossibleValues: no benchmark run prints a negative
+// count or a non-finite time, and -1 must stay the mark of a column the
+// run did not measure, so such a line fails the parse, naming itself.
+func TestParseRejectsImpossibleValues(t *testing.T) {
+	for _, line := range []string{
+		"BenchmarkA-8 -5 12 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkA-8 5 -12 ns/op 0 B/op 0 allocs/op",
+		"BenchmarkA-8 5 12 ns/op -7 B/op 0 allocs/op",
+		"BenchmarkA-8 5 12 ns/op 0 B/op -1 allocs/op",
+		"BenchmarkA-8 5 NaN ns/op",
+		"BenchmarkA-8 5 +Inf ns/op",
+		"BenchmarkA-8 5 1e999 ns/op",
+	} {
+		_, err := parse(strings.NewReader(line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), line) {
+			t.Errorf("parse(%q) error %v, want one naming the line", line, err)
+		}
+	}
+}
+
+// FuzzParse: parse never panics, and every report it accepts survives
+// the JSON document the tool writes — it marshals, and unmarshals to an
+// equal report.
+func FuzzParse(f *testing.F) {
+	f.Add(sample)
+	f.Add("BenchmarkX 	100	 5.0 ns/op\n")
+	f.Add("BenchmarkA-8 -5 12 ns/op -7 B/op -1 allocs/op\n")
+	f.Add("BenchmarkA-8 5 NaN ns/op\n")
+	f.Add("pkg: \xff\nBenchmark\xfe-1 1 0x1p-3 ns/op 3 B/op 4 allocs/op 9 MB/s\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		rep, err := parse(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		buf, err := json.MarshalIndent(rep, "", "  ")
+		if err != nil {
+			t.Fatalf("accepted report does not marshal: %v\n%+v", err, rep)
+		}
+		var back Report
+		if err := json.Unmarshal(buf, &back); err != nil {
+			t.Fatalf("report does not unmarshal: %v\n%s", err, buf)
+		}
+		if !reflect.DeepEqual(*rep, back) {
+			t.Fatalf("round trip changed the report:\n%+v\n%+v", *rep, back)
+		}
+	})
 }
 
 func TestCheckRequired(t *testing.T) {

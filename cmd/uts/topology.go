@@ -25,7 +25,8 @@ func topologyReport(stdout io.Writer, job *topology.Job, thief int, seed uint64)
 	fmt.Fprintf(stdout, "allocation: %d nodes in a %dx%dx%d cube box\n",
 		alloc.Nodes(), alloc.DX, alloc.DY, alloc.DZ)
 	racks := map[[2]int]bool{}
-	for _, c := range alloc.NodeList {
+	for i := range alloc.Nodes() {
+		c := alloc.Node(i)
 		racks[[2]int{c.X, c.Y}] = true
 	}
 	fmt.Fprintf(stdout, "job: %d ranks, %v placement, spanning %d rack(s), max %d hops\n\n",

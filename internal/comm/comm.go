@@ -272,8 +272,8 @@ type Network struct {
 	view Message
 	// pool is the Message free list; Free returns messages to it.
 	pool []*Message
-	// pollBuf is per-rank scratch reused across Poll calls.
-	pollBuf [][]*Message
+	// pollBuf is the scratch every Poll returns its messages in.
+	pollBuf []*Message
 	// deliver is the single delivery callback shared by all sends: its
 	// argument is the body (a nil *Message for none), its event's
 	// payload the header.
@@ -296,7 +296,6 @@ func New(k *sim.Kernel, job *topology.Job, model topology.LatencyModel) *Network
 		model:   topology.SendModel(model, job),
 		mailbox: make([]mailbox, nranks),
 		notify:  make([]func(), nranks),
-		pollBuf: make([][]*Message, nranks),
 	}
 	n.deliver = func(a any) {
 		m := a.(*Message)
@@ -472,16 +471,16 @@ func (n *Network) SendToken(from, to int, tok term.Token, size int) {
 
 // Poll drains and returns rank's delivered messages in delivery order.
 // It returns nil when the mailbox is empty. The returned slice is
-// scratch owned by the network: it is valid until the next Poll of the
-// same rank, so callers must not retain it. Callers done with a message
-// should pass it to Free.
+// scratch owned by the network, one for all ranks: it is valid until the
+// next Poll of any rank, so callers must not retain it or poll again
+// while walking it. Callers done with a message should pass it to Free.
 func (n *Network) Poll(rank int) []*Message {
 	mb := &n.mailbox[rank]
 	if mb.n == 0 {
 		return nil
 	}
-	msgs := mb.drainInto(n.pollBuf[rank][:0])
-	n.pollBuf[rank] = msgs[:0]
+	msgs := mb.drainInto(n.pollBuf[:0])
+	n.pollBuf = msgs[:0]
 	for _, m := range msgs {
 		n.stats.Received[m.Tag]++
 	}

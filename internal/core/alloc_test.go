@@ -1,6 +1,7 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
 	"distws/internal/sim"
@@ -41,5 +42,46 @@ func TestStealTimerAllocBudget(t *testing.T) {
 	if allocs > budget {
 		t.Fatalf("%.0f allocs/run over the %d budget (%d failed, %d aborted steals): a per-request timer allocates again",
 			allocs, budget, res.FailedSteals, res.AbortedSteals)
+	}
+}
+
+// TestIdleRankAllocBudget holds what a rank that never works costs a
+// run: on a tree too small to steal from — a root with three leaf
+// children, chunk size 4 — only rank 0 ever holds a node, so the bytes
+// one run at 8192 ranks allocates beyond one at 4096, per extra rank,
+// are the price of a pure thief (its rank, its mailbox, its selector
+// stream, its share of the placed job and of the detector). Both sizes
+// are above sample.MaxOutcomes, so no per-thief alias table enters the
+// difference. A per-rank field that belongs in the worker, or a
+// coordinate array back in the job, breaks the budget.
+func TestIdleRankAllocBudget(t *testing.T) {
+	run := func(ranks int) uint64 {
+		cfg := Config{
+			Tree:      uts.Params{Type: uts.Binomial, RootSeed: 1, B0: 3},
+			Ranks:     ranks,
+			ChunkSize: 4,
+			Selector:  victim.NewDistanceSkewed,
+			Steal:     StealHalf,
+			Seed:      1,
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err := Run(cfg)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Nodes != 4 || res.SuccessfulSteals != 0 {
+			t.Fatalf("%d ranks: %d nodes, %d successful steals; want 4 and none", ranks, res.Nodes, res.SuccessfulSteals)
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	const small, large, budget = 4096, 8192, 300
+	run(small)
+	run(large)
+	perRank := float64(run(large)-run(small)) / (large - small)
+	t.Logf("%.0f bytes per idle rank", perRank)
+	if perRank > budget {
+		t.Fatalf("%.0f bytes per idle rank, over the %d budget", perRank, budget)
 	}
 }

@@ -18,7 +18,7 @@ import (
 // events through deliver, handle and sendSteal, with a victim draw and
 // two latency lookups. Backoff is off, so each rank always has exactly
 // one message in flight and an op is exactly two dispatches; no
-// detector ever ends the storm. The rank slab is 3 MB and the traffic
+// detector ever ends the storm. The rank slab is 1 MB and the traffic
 // visits it at random, so what this reads is the cache-line budget of
 // DESIGN.md §10. It must not allocate after warm-up.
 func BenchmarkFailedSteal(b *testing.B) {
@@ -48,11 +48,11 @@ func BenchmarkFailedSteal(b *testing.B) {
 	}
 	// newEngines gave rank 0 the root and a first quantum; take both away
 	// so that it joins the search with nothing to give.
-	e, rk := engines[0], &engines[0].ranks[0]
-	k.Cancel(rk.quantum)
-	rk.quantum = sim.Event{}
-	rk.stack.Drop(nil)
-	rk.expNext, rk.expTotal = 0, 0
+	e, w := engines[0], engines[0].ranks[0].w
+	k.Cancel(w.quantum)
+	w.quantum = sim.Event{}
+	w.stack.Drop(nil)
+	w.expNext, w.expTotal = 0, 0
 	e.goIdle(0)
 
 	roundTrips := func(n int) {

@@ -35,15 +35,14 @@ const (
 	rsCrashed
 )
 
-// rank is the per-rank engine state, one element of the engine's rank
-// slab. The layout is a cache-line budget (DESIGN.md §10,
-// TestRankHotLayout): the first 64 bytes are everything a thief reads
-// and writes between a reply and its next request, the work stack
-// follows by value so that a request finds the victim's state and its
-// node count on one aligned 128-byte pair — and a quantum the header of
-// the stack's top segment, one load from the node it pops — and what
-// only a working rank touches comes after. The struct is a multiple of 64 bytes, so
-// every element of the slab starts on a line.
+// rank is the per-rank engine state every rank needs, one element of
+// the engine's rank slab. The layout is a cache-line budget (DESIGN.md
+// §10, TestRankHotLayout): the first 64 bytes are everything a thief
+// reads and writes between a reply and its next request, the second
+// line the rest of its steal statistics and its worker. The struct is
+// two lines, so every element of the slab starts on one. What only a
+// rank holding work touches is its worker; what only a fault plan
+// touches is its rankFault.
 type rank struct {
 	state rankState
 	// lastAborted flags that the next request is a post-timeout retry
@@ -63,18 +62,52 @@ type rank struct {
 	requests       uint64
 	backoff        sim.Duration
 
+	// The rest of the steal statistics.
+	successes, aborted uint64
+	idleSince          sim.Time // start of the current work-discovery session
+	sessions           uint64
+	// stealTimer is the armed steal timeout, if any: sendSteal cancels
+	// the superseded request's timer before arming the next, so the one
+	// that fires always belongs to the current request.
+	stealTimer sim.Event
+	// w is the rank's work state, nil until it first holds a node
+	// (engine.work); a victim without one has nothing to give.
+	w *worker
+	_ [16]byte
+}
+
+// worker is the state of a rank that holds, or has held, work. Ranks
+// take theirs from the engine's pages of workerPage (engine.work), so a
+// run pays for the ranks that work, not for every thief. The worker is
+// four whole lines (TestRankHotLayout), so a page of them is
+// line-aligned: the stack's header and counts — what a steal request
+// reads at a working victim, and all a push or a pop needs to reach its
+// node — are the first, and what a quantum's start and end touch besides
+// completes the second.
+type worker struct {
 	stack workstack.Stack
 
+	// quantum is the pending quantum-end event, if any (zero when none).
+	quantum sim.Event
+	// extraDelay accumulates steal-response packaging costs that push
+	// the next quantum start.
+	extraDelay sim.Duration
 	// In-progress node expansion, resumable across quanta so that a
 	// high-fanout node (e.g. a root with thousands of children) does
 	// not create a polling blackout. The node being expanded is staged
 	// in gen; expNext < expTotal while children remain to generate.
-	gen               uts.ChildGen
 	expNext, expTotal int
+	gen               uts.ChildGen
+
+	maxDepth int32
+	// lineage is the migration depth of the work the rank currently
+	// holds: 0 for rank 0's root work, and d+1 after accepting a
+	// transfer whose loot had depth d. Victims stamp outgoing loot with
+	// lineage+1, so steal chains i→j→k are recoverable from transfers.
+	lineage int32
 	// job is the serving job whose params gen last staged a parent
 	// under (nil in a closed run).
 	job *serve.Job
-
 	// Tree statistics. units is the accumulated expansion cost in
 	// NodeCost units (one per child generated, one per leaf).
 	nodes, leaves, units uint64
@@ -83,30 +116,16 @@ type rank struct {
 	// tree; under fault injection the accounting invariant is
 	// completed + lost == generated.
 	generated uint64
-	maxDepth  int32
-	// lineage is the migration depth of the work the rank currently
-	// holds: 0 for rank 0's root work, and d+1 after accepting a
-	// transfer whose loot had depth d. Victims stamp outgoing loot with
-	// lineage+1, so steal chains i→j→k are recoverable from transfers.
-	lineage int32
+	_         [24]byte
+}
 
-	// quantum is the pending quantum-end event, if any (zero when none).
-	quantum sim.Event
-	// stealTimer is the armed steal timeout, if any: sendSteal cancels
-	// the superseded request's timer before arming the next, so the one
-	// that fires always belongs to the current request.
-	stealTimer sim.Event
-	// extraDelay accumulates steal-response packaging costs that push
-	// the next quantum start.
-	extraDelay sim.Duration
+// workerPage is how many workers one allocation holds.
+const workerPage = 64
 
-	// The rest of the steal statistics.
-	successes, aborted uint64
-	idleSince          sim.Time // start of the current work-discovery session
-	sessions           uint64
-
-	// Fault-injection state, touched only when a fault plan is active;
-	// the maps are allocated by the first timeout that writes them.
+// rankFault is a rank's fault-injection state, one element of a slab
+// that exists only under a fault plan; the maps are allocated by the
+// first timeout that writes them.
+type rankFault struct {
 	crashedAt    sim.Time
 	lostNodes    uint64
 	timeouts     map[int]int      // per-victim consecutive timeouts
@@ -143,6 +162,11 @@ type engine struct {
 	ev     *obs.Recorder   // protocol event rings; nil when disabled
 	met    engineMetrics   // registry handles; all nil when disabled
 	ranks  []rank
+	// faults is the per-rank fault state, nil without a fault plan.
+	faults []rankFault
+	// workers is what is left of the page work takes workers from. Per
+	// engine: in a sharded run a rank's worker comes from its owner's.
+	workers []worker
 
 	// quantumEndFn, backoffEndFn and stealTimeoutFn are the shared
 	// per-rank timer callbacks: a timer carries its rank in its event's
@@ -361,9 +385,9 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 // one (a kernel per shard, ps their coordinator state), pre-schedules
 // every planned crash and lets w seed the run, so the caller only has
 // to run the kernel(s). The engines share the workload, detector,
-// selector, recorders, metrics registry, injector and rank slab; each
-// owns its kernel, its network, its timer callbacks, its counters and
-// its link tally. A rank's first idle transition goes through the
+// selector, recorders, metrics registry, injector, rank slab and fault
+// slab; each owns its kernel, its network, its timer callbacks, its
+// counters, its link tally and its worker pages. A rank's first idle transition goes through the
 // engine owning that rank; crashes and job arrivals happen in
 // sequential runs only (Config.Validate), on the one engine.
 func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload) ([]*engine, error) {
@@ -383,10 +407,13 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	}
 	ranks := make([]rank, cfg.Ranks)
 	for i := range ranks {
-		ranks[i].stack.Init(cfg.ChunkSize)
 		ranks[i].pendingVictim = -1
-		if inj != nil {
-			ranks[i].crashedAt = -1
+	}
+	var faults []rankFault
+	if inj != nil {
+		faults = make([]rankFault, cfg.Ranks)
+		for i := range faults {
+			faults[i].crashedAt = -1
 		}
 	}
 
@@ -404,6 +431,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			ev:         ev,
 			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
 			ranks:      ranks,
+			faults:     faults,
 			backoffCfg: cfg.backoff(),
 			inj:        inj,
 			w:          w,
@@ -481,6 +509,22 @@ func (e *engine) owner(r int) *engine {
 	return e.par.engines[e.par.shardOf[r]]
 }
 
+// work returns rank r's worker, which r takes from the engine's current
+// page — a fresh page when that one is used up — the first time it is
+// about to hold a node: rank 0's root, accepted loot, a served root or
+// a graph task. Only the engine owning r calls it.
+func (e *engine) work(r int) *worker {
+	rk := &e.ranks[r]
+	if rk.w == nil {
+		if len(e.workers) == 0 {
+			e.workers = make([]worker, workerPage)
+		}
+		rk.w, e.workers = &e.workers[0], e.workers[1:]
+		rk.w.stack.Init(e.cfg.ChunkSize)
+	}
+	return rk.w
+}
+
 // startQuantum runs rank r's next quantum — whatever the workload
 // executes — and schedules the quantum-end event after the virtual time
 // it costs (plus any accumulated steal-response overhead). The stack
@@ -490,29 +534,31 @@ func (e *engine) owner(r int) *engine {
 // expansions.
 func (e *engine) startQuantum(r int) {
 	rk := &e.ranks[r]
+	w := rk.w // a rank starts a quantum on work it holds
 	rk.state = rsWorking
-	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(rk.stack.Len()))
+	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(w.stack.Len()))
 	compute, stall := e.w.execute(e, r)
 	if e.inj != nil {
 		compute = e.inj.ScaleCompute(r, compute)
 	}
-	rk.quantum = e.rankTimer(compute+stall+rk.extraDelay, e.quantumEndFn, r)
-	rk.extraDelay = 0
+	w.quantum = e.rankTimer(compute+stall+w.extraDelay, e.quantumEndFn, r)
+	w.extraDelay = 0
 }
 
 func (e *engine) quantumEnd(r int) {
 	rk := &e.ranks[r]
-	rk.quantum = sim.Event{}
+	w := rk.w
+	w.quantum = sim.Event{}
 	if rk.state == rsDone || rk.state == rsCrashed {
 		return
 	}
 	e.w.settle(e, r)
-	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(rk.units))
+	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(w.units))
 	e.pollMailbox(r)
 	if rk.state == rsDone {
 		return
 	}
-	if !rk.stack.Empty() || rk.expNext < rk.expTotal {
+	if !w.stack.Empty() || w.expNext < w.expTotal {
 		e.startQuantum(r)
 		return
 	}
@@ -526,7 +572,9 @@ func (e *engine) goIdle(r int) {
 	rk := &e.ranks[r]
 	now := e.kernel.Now()
 	rk.state = rsBackoff // idle until sendSteal marks it searching
-	rk.extraDelay = 0    // request-handling debt is moot once idle
+	if rk.w != nil {
+		rk.w.extraDelay = 0 // request-handling debt is moot once idle
+	}
 	rk.idleSince = now
 	e.rec.Record(r, now, trace.Idle)
 	e.rec.BeginSession(r, now)
@@ -576,18 +624,18 @@ func (e *engine) sendSteal(r int) {
 // blacklisted ranks (bounded, so a thief surrounded by corpses still
 // sends — and times out — rather than spinning).
 func (e *engine) skipBlacklisted(r, v int) int {
-	rk := &e.ranks[r]
-	if len(rk.blackUntil) == 0 {
+	f := &e.faults[r]
+	if len(f.blackUntil) == 0 {
 		return v
 	}
 	now := e.kernel.Now()
 	for tries := 0; tries < 8; tries++ {
-		until, ok := rk.blackUntil[v]
+		until, ok := f.blackUntil[v]
 		if !ok {
 			return v
 		}
 		if now >= until {
-			delete(rk.blackUntil, v)
+			delete(f.blackUntil, v)
 			return v
 		}
 		v = e.sel.Next(r)
@@ -612,21 +660,22 @@ func (e *engine) abortSteal(r int) {
 	rk.lastAborted = true
 	rk.pendingVictim = -1
 	if e.inj != nil {
+		f := &e.faults[r]
 		if !rk.recovering {
 			rk.recovering = true
-			rk.recoverStart = rk.waitStart
+			f.recoverStart = rk.waitStart
 		}
-		if rk.timeouts == nil {
-			rk.timeouts = make(map[int]int)
+		if f.timeouts == nil {
+			f.timeouts = make(map[int]int)
 		}
-		rk.timeouts[v]++
-		if rk.timeouts[v] >= e.backoffCfg.BlacklistAfter {
-			delete(rk.timeouts, v)
-			if rk.blackUntil == nil {
-				rk.blackUntil = make(map[int]sim.Time)
+		f.timeouts[v]++
+		if f.timeouts[v] >= e.backoffCfg.BlacklistAfter {
+			delete(f.timeouts, v)
+			if f.blackUntil == nil {
+				f.blackUntil = make(map[int]sim.Time)
 			}
-			rk.blackUntil[v] = now.Add(e.backoffCfg.BlacklistFor)
-			rk.blacklists++
+			f.blackUntil[v] = now.Add(e.backoffCfg.BlacklistFor)
+			f.blacklists++
 		}
 	}
 	e.ev.Record(r, now, trace.EvStealAbort, v, int64(id))
@@ -648,14 +697,15 @@ func (e *engine) crashRank(r int) {
 	}
 	now := e.kernel.Now()
 	wasWorking := rk.state == rsWorking
-	stack := rk.stack.Drop(e.getLoot())
+	w := e.work(r) // a crash is rare: an idle rank may take an empty worker
+	stack := w.stack.Drop(e.getLoot())
 	stackLost := e.destroy(r, r, stack)
 	e.loot = append(e.loot, stack[:0])
-	rk.expNext, rk.expTotal = 0, 0 // staged children were never generated
-	rk.crashedAt = now
+	w.expNext, w.expTotal = 0, 0 // staged children were never generated
+	e.faults[r].crashedAt = now
 	e.crashes++
-	e.kernel.Cancel(rk.quantum)
-	rk.quantum = sim.Event{}
+	e.kernel.Cancel(w.quantum)
+	w.quantum = sim.Event{}
 	rk.state = rsCrashed
 	e.ev.Record(r, now, trace.EvCrash, -1, int64(stackLost))
 	e.met.crashes.Inc()
@@ -717,7 +767,7 @@ func (e *engine) lose(tag comm.Tag, from, to int, loot []uts.Node) {
 func (e *engine) destroy(owner, crashed int, nodes []uts.Node) uint64 {
 	n := uint64(len(nodes)) + e.w.lose(e, crashed, nodes)
 	e.lostNodes += n
-	e.ranks[owner].lostNodes += n
+	e.faults[owner].lostNodes += n
 	e.met.lostNodes.Add(n)
 	return n
 }
@@ -833,9 +883,9 @@ func (e *engine) deliveryHook() func(*comm.Message) bool {
 }
 
 // pollMailbox drains and handles the messages rank r's mailbox holds.
-// Handling never re-enters a poll of the same rank (sends deliver at
-// least 1ns later), so the network's Poll scratch can be walked in
-// place and each message freed as soon as it is handled.
+// Handling never re-enters a poll (sends deliver at least 1ns later),
+// so the network's one Poll scratch can be walked in place and each
+// message freed as soon as it is handled.
 func (e *engine) pollMailbox(r int) {
 	for _, m := range e.net.Poll(r) {
 		e.handle(r, m)
@@ -875,11 +925,11 @@ func (e *engine) handle(r int, m *comm.Message) {
 		rk.lastAborted = false
 		rk.backoff = 0
 		if e.inj != nil {
-			delete(rk.timeouts, m.From)
+			delete(e.faults[r].timeouts, m.From)
 			if rk.recovering {
 				rk.recovering = false
 				e.recoveries++
-				d := now.Sub(rk.recoverStart)
+				d := now.Sub(e.faults[r].recoverStart)
 				e.recoverTotal += d
 				e.met.recoveryLatency.Observe(int64(d))
 			}
@@ -887,11 +937,12 @@ func (e *engine) handle(r int, m *comm.Message) {
 		// Work lineage: the loot's migration depth becomes the rank's
 		// (also when banking a late reply below — the banked nodes mix
 		// into the stack, and the freshest transfer wins).
-		rk.lineage = int32(m.Lineage)
+		w := e.work(r)
+		w.lineage = int32(m.Lineage)
 		e.noteMigration(m.Lineage)
 		e.ev.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
 		e.met.stealSuccess.Inc()
-		rk.stack.Acquire(m.Nodes)
+		w.stack.Acquire(m.Nodes)
 		e.putLoot(m)
 		if rk.state == rsWorking {
 			return // a late reply to an aborted request: the nodes are banked
@@ -921,7 +972,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		if e.inj != nil {
 			// The victim answered: it is alive, whatever the timeout
 			// tally said.
-			delete(rk.timeouts, m.From)
+			delete(e.faults[r].timeouts, m.From)
 		}
 		e.ev.Record(r, now, trace.EvNoWorkRecv, m.From, int64(m.ID))
 		e.met.stealFail.Inc()
@@ -962,16 +1013,16 @@ func (e *engine) resume(r int) {
 // idle one resumes on it, a crashed one destroys it (a done one never
 // gets one: a serving run finishes after its last arrival).
 func (e *engine) injectNode(r int, node uts.Node) {
-	rk := &e.ranks[r]
-	rk.generated++
-	switch rk.state {
+	w := e.work(r)
+	w.generated++
+	switch e.ranks[r].state {
 	case rsCrashed:
 		e.destroy(r, -1, []uts.Node{node})
 	case rsWorking:
-		rk.stack.Push(node)
+		w.stack.Push(node)
 	default:
-		rk.lineage = 0
-		rk.stack.Push(node)
+		w.lineage = 0
+		w.stack.Push(node)
 		e.resume(r)
 	}
 }
@@ -981,25 +1032,24 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	rk := &e.ranks[v]
 	now := e.kernel.Now()
 	e.ev.Record(v, now, trace.EvStealRecv, thief, int64(id))
-	if rk.state == rsDone {
-		// Termination already detected; the thief will receive its own
-		// terminate message. Answer no-work to be safe.
-		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
-		e.met.links.Inc(v, thief)
-		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
-		return
-	}
-	// Answering costs the victim compute time whether or not it has
-	// work to give; the flood of failed steals the paper measures
-	// (Figure 7) slows victims down through exactly this term. Idle
-	// victims answer from otherwise-wasted time, and under the
-	// one-sided protocol the network hardware serves the request, so
-	// only working two-sided ranks accrue the delay.
+	// Only a working victim can give: an idle rank went idle on an empty
+	// stack and resumes the moment work reaches it, so a request to one
+	// reads its state and nothing else, and a done one answers no-work
+	// whatever it holds (the thief will receive its own terminate).
 	twoSided := e.cfg.Protocol == TwoSided
-	if twoSided && rk.state == rsWorking {
-		rk.extraDelay += e.cfg.HandleRequestCost
+	w, avail := rk.w, 0
+	if rk.state == rsWorking {
+		// Answering costs the victim compute time whether or not it has
+		// work to give; the flood of failed steals the paper measures
+		// (Figure 7) slows victims down through exactly this term. Idle
+		// victims answer from otherwise-wasted time, and under the
+		// one-sided protocol the network hardware serves the request, so
+		// only working two-sided ranks accrue the delay.
+		if twoSided {
+			w.extraDelay += e.cfg.HandleRequestCost
+		}
+		avail = w.stack.StealableChunks()
 	}
-	avail := rk.stack.StealableChunks()
 	if avail == 0 {
 		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
 		e.met.links.Inc(v, thief)
@@ -1010,16 +1060,16 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	if e.cfg.Steal == StealHalf {
 		want = (avail + 1) / 2
 	}
-	loot, _ := rk.stack.StealInto(e.getLoot(), want)
+	loot, _ := w.stack.StealInto(e.getLoot(), want)
 	e.det.WorkSent(v)
 	e.workSent++
 	if twoSided {
-		rk.extraDelay += e.cfg.StealResponseCost
+		w.extraDelay += e.cfg.StealResponseCost
 	}
 	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
 	e.met.links.Inc(v, thief)
 	e.met.chunkNodes.Observe(int64(len(loot)))
-	e.net.SendNodes(v, thief, id, loot, int(rk.lineage)+1, len(loot)*uts.NodeBytes)
+	e.net.SendNodes(v, thief, id, loot, int(w.lineage)+1, len(loot)*uts.NodeBytes)
 }
 
 // getLoot returns an empty buffer for a steal reply's nodes: the one
@@ -1146,8 +1196,10 @@ func (e *engine) finishRank(r int, at sim.Time) {
 	if rk.state != rsWorking {
 		e.rec.EndSession(r, at, false)
 	}
-	e.owner(r).kernel.Cancel(rk.quantum) // no-op when no quantum is pending
-	rk.quantum = sim.Event{}
+	if w := rk.w; w != nil {
+		e.owner(r).kernel.Cancel(w.quantum) // no-op when no quantum is pending
+		w.quantum = sim.Event{}
+	}
 	rk.state = rsDone
 }
 
@@ -1209,27 +1261,26 @@ func result(engines []*engine) (*Result, error) {
 	res.MinRankNodes = ^uint64(0)
 	for i := range e.ranks {
 		rk := &e.ranks[i]
-		res.Nodes += rk.nodes
-		res.Leaves += rk.leaves
-		res.NodesGenerated += rk.generated
-		totalUnits += rk.units
-		if rk.nodes > res.MaxRankNodes {
-			res.MaxRankNodes = rk.nodes
-		}
-		if rk.nodes < res.MinRankNodes {
-			res.MinRankNodes = rk.nodes
-		}
-		if rk.maxDepth > res.MaxDepth {
-			res.MaxDepth = rk.maxDepth
-		}
 		res.StealRequests += rk.requests
 		res.FailedSteals += rk.fails
 		res.SuccessfulSteals += rk.successes
 		res.AbortedSteals += rk.aborted
 		res.Sessions += rk.sessions
 		totalSearch += rk.searchWait
-		remaining += rk.stack.Len()
-		res.ChunksTransferred += rk.stack.Stats().ChunksAcquired
+		w := rk.w
+		if w == nil {
+			res.MinRankNodes = 0
+			continue
+		}
+		res.Nodes += w.nodes
+		res.Leaves += w.leaves
+		res.NodesGenerated += w.generated
+		totalUnits += w.units
+		res.MaxRankNodes = max(res.MaxRankNodes, w.nodes)
+		res.MinRankNodes = min(res.MinRankNodes, w.nodes)
+		res.MaxDepth = max(res.MaxDepth, w.maxDepth)
+		remaining += w.stack.Len()
+		res.ChunksTransferred += w.stack.Stats().ChunksAcquired
 	}
 	res.MeanSearchTime = totalSearch / sim.Duration(e.cfg.Ranks)
 	res.SequentialTime = sim.Duration(totalUnits) * e.cfg.NodeCost
@@ -1260,14 +1311,14 @@ func result(engines []*engine) (*Result, error) {
 		}
 		res.PerRankFaults = make([]RankFault, e.cfg.Ranks)
 		for i := range e.ranks {
-			rk := &e.ranks[i]
+			f := &e.faults[i]
 			res.PerRankFaults[i] = RankFault{
 				Rank:       i,
-				Crashed:    rk.state == rsCrashed,
-				CrashedAt:  rk.crashedAt,
-				LostNodes:  rk.lostNodes,
-				Timeouts:   rk.aborted,
-				Blacklists: rk.blacklists,
+				Crashed:    e.ranks[i].state == rsCrashed,
+				CrashedAt:  f.crashedAt,
+				LostNodes:  f.lostNodes,
+				Timeouts:   e.ranks[i].aborted,
+				Blacklists: f.blacklists,
 			}
 		}
 	}

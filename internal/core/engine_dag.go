@@ -129,8 +129,9 @@ func (w *graphWork) seed(e *engine) {
 	}
 	for i, root := range w.g.Roots {
 		r := i % e.cfg.Ranks
-		e.ranks[r].stack.Push(taskNode(&w.g.Tasks[root]))
-		e.ranks[r].generated++
+		wk := e.work(r)
+		wk.stack.Push(taskNode(&w.g.Tasks[root]))
+		wk.generated++
 	}
 	seeded := min(len(w.g.Roots), e.cfg.Ranks)
 	for r := 0; r < seeded; r++ {
@@ -146,11 +147,11 @@ func (w *graphWork) seed(e *engine) {
 // predecessor's output died with its rank is lost instead, and the next
 // one is tried; a rank left with none ends an empty quantum.
 func (w *graphWork) execute(e *engine, r int) (compute, stall sim.Duration) {
-	rk := &e.ranks[r]
-	node, ok := rk.stack.Pop()
+	stack := &e.ranks[r].w.stack
+	node, ok := stack.Pop()
 	for ok && e.inj != nil && w.orphaned(e, &w.g.Tasks[nodeTask(&node)]) {
 		e.destroy(r, -1, []uts.Node{node})
-		node, ok = rk.stack.Pop()
+		node, ok = stack.Pop()
 	}
 	if !ok {
 		return 0, 0
@@ -195,14 +196,14 @@ func (w *graphWork) settle(e *engine, r int) {
 		return
 	}
 	w.running[r] = -1
-	rk, task := &e.ranks[r], &w.g.Tasks[t]
+	wk, task := e.ranks[r].w, &w.g.Tasks[t]
 	w.executor[t] = int32(r)
-	rk.nodes++
-	rk.maxDepth = max(rk.maxDepth, task.Layer)
+	wk.nodes++
+	wk.maxDepth = max(wk.maxDepth, task.Layer)
 	for _, succ := range task.Succs {
 		if w.remaining[succ]--; w.remaining[succ] == 0 {
-			rk.stack.Push(taskNode(&w.g.Tasks[succ]))
-			rk.generated++
+			wk.stack.Push(taskNode(&w.g.Tasks[succ]))
+			wk.generated++
 		}
 	}
 }

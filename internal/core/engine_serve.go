@@ -126,8 +126,8 @@ func (*serveWork) settle(*engine, int) {}
 // staged, away from their jobs.
 func (w *serveWork) lose(e *engine, crashed int, nodes []uts.Node) uint64 {
 	if crashed >= 0 {
-		if rk := &e.ranks[crashed]; rk.expNext < rk.expTotal {
-			w.drop(e, rk.job.ID, int64(rk.expTotal-rk.expNext))
+		if wk := e.ranks[crashed].w; wk != nil && wk.expNext < wk.expTotal {
+			w.drop(e, wk.job.ID, int64(wk.expTotal-wk.expNext))
 		}
 	}
 	for i := range nodes {

@@ -197,7 +197,10 @@ func TestGraphDependenciesRespected(t *testing.T) {
 						t.Fatalf("task %d ran on rank %d, booked to %d", c, r, gw.executor[c])
 					}
 				}
-				q := e.ranks[r].quantum
+				var q sim.Event
+				if w := e.ranks[r].w; w != nil {
+					q = w.quantum
+				}
 				if q == quantum[r] || !k.Live(q) {
 					continue
 				}

@@ -7,11 +7,12 @@ import (
 
 // TestRankHotLayout holds the rank slab to its cache-line budget: the
 // fields a thief touches between a NoWork reply and its next request
-// all sit in the first 64 bytes, the work stack's header and counts —
-// what a request reads at the victim, and all a push or a pop needs to
-// reach its node — are the second line of the same 128-byte pair, and the struct is a whole number of lines no larger
-// than 384 bytes, so the slab stays line-aligned and does not outgrow
-// the separately allocated stacks it replaced.
+// all sit in the first 64 bytes, and the rank is exactly two lines, so
+// the slab stays line-aligned and every thief pays 128 bytes whether or
+// not it ever works. A worker is whole lines and starts with the work
+// stack's header and counts — what a request reads at a working victim,
+// and all a push or a pop needs to reach its node — and the pending
+// quantum follows on the next line.
 func TestRankHotLayout(t *testing.T) {
 	var rk rank
 	for _, f := range []struct {
@@ -34,16 +35,19 @@ func TestRankHotLayout(t *testing.T) {
 			t.Errorf("rank.%s occupies [%d, %d): outside the thief's line", f.name, f.off, f.off+f.size)
 		}
 	}
+	if size := unsafe.Sizeof(rk); size != 128 {
+		t.Errorf("rank is %d bytes, want 128", size)
+	}
 	// workstack's own test pins the top segment's slice header, the node
 	// count and the chunk size to the Stack's first 64 bytes.
-	if off := unsafe.Offsetof(rk.stack); off != 64 {
-		t.Errorf("rank.stack at offset %d: its header and counts are not the line [64, 128)", off)
+	var w worker
+	if off := unsafe.Offsetof(w.stack); off != 0 {
+		t.Errorf("worker.stack at offset %d: a victim's counts are not the worker's first line", off)
 	}
-	if off := unsafe.Offsetof(rk.gen); off < 128 {
-		t.Errorf("rank.gen at offset %d: a working rank's state shares the steal lines", off)
+	if off := unsafe.Offsetof(w.quantum); off < 64 || off >= 128 {
+		t.Errorf("worker.quantum at offset %d: not on the line after the stack's header", off)
 	}
-	size := unsafe.Sizeof(rk)
-	if size > 384 || size%64 != 0 {
-		t.Errorf("rank is %d bytes, want a multiple of 64 no larger than 384", size)
+	if size := unsafe.Sizeof(w); size%64 != 0 {
+		t.Errorf("worker is %d bytes, want whole lines", size)
 	}
 }

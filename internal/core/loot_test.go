@@ -42,12 +42,12 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 	}
 	e := engines[0]
 	e.net.SetInterposer(ip)
-	k.Cancel(e.ranks[0].quantum)
+	k.Cancel(e.ranks[0].w.quantum)
 	for r := range e.ranks {
-		rk := &e.ranks[r]
-		rk.quantum = sim.Event{}
-		rk.expNext, rk.expTotal = 0, 0
-		rk.state = rsWorking
+		w := e.work(r)
+		w.quantum = sim.Event{}
+		w.expNext, w.expTotal = 0, 0
+		e.ranks[r].state = rsWorking
 	}
 	// Rank 1 opened with a request to rank 0; it goes unanswered.
 	for k.Step() {
@@ -56,7 +56,7 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 		e.net.Free(m)
 	}
 	for i := 0; i < 64; i++ {
-		e.ranks[0].stack.Push(cfg.Tree.Root())
+		e.ranks[0].w.stack.Push(cfg.Tree.Root())
 	}
 	v, thief := 0, 1
 	return e, func() {
@@ -114,7 +114,7 @@ func (d *dupWork) Outcome(h comm.Header, body *comm.Message, delay sim.Duration)
 func TestDuplicateOwnsItsLoot(t *testing.T) {
 	dup := &dupWork{}
 	e, roundTrip := stealPair(t, dup)
-	start := e.ranks[0].stack.Len() + e.ranks[1].stack.Len()
+	start := e.ranks[0].w.stack.Len() + e.ranks[1].w.stack.Len()
 	for i := 0; i < 20; i++ {
 		roundTrip()
 		seen := map[*uts.Node]bool{}
@@ -134,7 +134,7 @@ func TestDuplicateOwnsItsLoot(t *testing.T) {
 	if a, b := e.getLoot(), e.getLoot(); &a[:1][0] == &b[:1][0] {
 		t.Fatal("the next two steals would pack their loot into one array")
 	}
-	if got, want := e.ranks[0].stack.Len()+e.ranks[1].stack.Len(), start+dup.nodes; got != want {
+	if got, want := e.ranks[0].w.stack.Len()+e.ranks[1].w.stack.Len(), start+dup.nodes; got != want {
 		t.Fatalf("%d nodes on the two stacks, want the initial %d plus the %d duplicated", got, start, dup.nodes)
 	}
 }

@@ -40,8 +40,9 @@ type treeWork struct{}
 func (treeWork) detector(c Config) term.Detector { return c.Detector(c.Ranks) }
 
 func (treeWork) seed(e *engine) {
-	e.ranks[0].stack.Push(e.cfg.Tree.Root())
-	e.ranks[0].generated++
+	w := e.work(0)
+	w.stack.Push(e.cfg.Tree.Root())
+	w.generated++
 	e.rec.Record(0, 0, trace.Active)
 	e.startQuantum(0)
 	e.idleFrom(1)
@@ -60,44 +61,44 @@ func (treeWork) report(*engine, *Result)                               {}
 // Served jobs differ only in the params a node expands under and the
 // live count its expansion books (serveWork.consume).
 func (e *engine) expand(r int, jobs *serveWork) sim.Duration {
-	rk := &e.ranks[r]
-	start := rk.units
-	for rk.units-start < uint64(e.cfg.PollInterval) {
-		if rk.expNext < rk.expTotal {
-			rk.stack.Push(rk.gen.Child(rk.expNext))
-			rk.expNext++
-			rk.units++
-			rk.generated++
+	w := e.ranks[r].w
+	start := w.units
+	for w.units-start < uint64(e.cfg.PollInterval) {
+		if w.expNext < w.expTotal {
+			w.stack.Push(w.gen.Child(w.expNext))
+			w.expNext++
+			w.units++
+			w.generated++
 			continue
 		}
-		node, ok := rk.stack.Pop()
+		node, ok := w.stack.Pop()
 		if !ok {
 			break
 		}
-		rk.nodes++
-		if node.Height > rk.maxDepth {
-			rk.maxDepth = node.Height
+		w.nodes++
+		if node.Height > w.maxDepth {
+			w.maxDepth = node.Height
 		}
 		tree := &e.cfg.Tree
 		if jobs != nil {
 			// A rank pops long runs of one job's nodes, so the schedule
 			// is consulted only when the job changes.
-			if rk.job == nil || rk.job.ID != node.Job {
-				rk.job = &jobs.sched.Jobs[node.Job]
+			if w.job == nil || w.job.ID != node.Job {
+				w.job = &jobs.sched.Jobs[node.Job]
 			}
-			tree = &rk.job.Tree
+			tree = &w.job.Tree
 		}
-		nchild := rk.gen.Reset(tree, &node)
+		nchild := w.gen.Reset(tree, &node)
 		if jobs != nil {
 			jobs.consume(e, node.Job, int64(nchild)-1)
 		}
 		if nchild == 0 {
-			rk.leaves++
-			rk.units++
+			w.leaves++
+			w.units++
 			continue
 		}
-		rk.expNext = 0
-		rk.expTotal = nchild
+		w.expNext = 0
+		w.expTotal = nchild
 	}
-	return sim.Duration(rk.units-start) * e.cfg.NodeCost
+	return sim.Duration(w.units-start) * e.cfg.NodeCost
 }

@@ -25,3 +25,17 @@ func BenchmarkLatencyLookup(b *testing.B) {
 	}
 	_ = sink
 }
+
+// BenchmarkNewJob measures placing the benchmark's top rung, and its
+// bytes per op are the job's footprint: a per-rank coordinate array
+// creeping back into Job shows up here before anywhere else.
+func BenchmarkNewJob(b *testing.B) {
+	b.Run("ranks=8192", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := NewJob(KComputer(), 8192, OnePerNode); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -152,21 +152,15 @@ const (
 	cubeMax    = 1<<16 - 1
 )
 
-// pack packs p, reporting false when a component does not fit its field.
-func pack(p Coord) (packedCoord, bool) {
-	for _, v := range [...]int{p.A, p.B, p.C} {
-		if v < 0 || v > intraMax {
-			return 0, false
-		}
-	}
-	for _, v := range [...]int{p.X, p.Y, p.Z} {
-		if v < 0 || v > cubeMax {
-			return 0, false
-		}
-	}
+// pack packs p. Every component must fit its field, which
+// Machine.Validate guarantees for a node of the machine.
+func pack(p Coord) packedCoord {
 	return packedCoord(p.C) | packedCoord(p.A)<<4 | packedCoord(p.B)<<8 |
-		packedCoord(p.Z)<<12 | packedCoord(p.Y)<<28 | packedCoord(p.X)<<44, true
+		packedCoord(p.Z)<<12 | packedCoord(p.Y)<<28 | packedCoord(p.X)<<44
 }
+
+// unpack is pack's inverse.
+func (p packedCoord) unpack() Coord { return Coord{p.x(), p.y(), p.z(), p.a(), p.b(), p.c()} }
 
 func (p packedCoord) c() int { return int(p & intraMax) }
 func (p packedCoord) a() int { return int(p >> 4 & intraMax) }
@@ -205,11 +199,10 @@ type cachedLatency struct {
 // hierarchical Tofu model, the model itself otherwise. Only pure
 // models qualify — JitterLatency advances an RNG on every call, so
 // wrapping it would change the jitter stream — and UniformLatency has
-// no distance term to speed up. A job whose coordinates do not fit the
-// packed word also keeps the plain model.
+// no distance term to speed up.
 func SendModel(m LatencyModel, j *Job) LatencyModel {
 	h, ok := m.(*HierarchicalLatency)
-	if !ok || j.packed == nil {
+	if !ok {
 		return m
 	}
 	return &cachedLatency{

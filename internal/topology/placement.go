@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"strings"
 )
 
@@ -60,13 +61,11 @@ func (p Placement) RanksPerNode() int {
 type Job struct {
 	Alloc     *Allocation
 	Placement Placement
-	// coord[i] is the node coordinate of rank i; core[i] its core index.
-	coord []Coord
-	core  []int
-	// packed[i] is coord[i] in one word, which the per-send latency
-	// lookup and the per-draw distance of the skewed selector read
-	// instead of two 48-byte Coords; nil when some coordinate does not
-	// fit the word. maxDistSq bounds DistanceSq over the job's ranks.
+	// packed[i] is the node coordinate of rank i, the word the per-send
+	// latency lookup and the per-draw distance of the skewed selector
+	// read; under OnePerNode it is the allocation's own node list. A
+	// rank's core is placement arithmetic (Core). maxDistSq bounds
+	// DistanceSq over the job's ranks.
 	packed    []packedCoord
 	maxDistSq int
 }
@@ -76,14 +75,10 @@ type Job struct {
 // nodes used is nranks for OnePerNode and nranks/8 otherwise (nranks
 // must then be a multiple of 8).
 func NewJob(m Machine, nranks int, p Placement) (*Job, error) {
-	if nranks <= 0 {
-		return nil, fmt.Errorf("topology: non-positive rank count %d", nranks)
+	nnodes, err := nodesFor(nranks, p)
+	if err != nil {
+		return nil, err
 	}
-	rpn := p.RanksPerNode()
-	if nranks%rpn != 0 {
-		return nil, fmt.Errorf("topology: %d ranks not divisible by %d ranks/node (%v)", nranks, rpn, p)
-	}
-	nnodes := nranks / rpn
 	alloc, err := Allocate(m, nnodes)
 	if err != nil {
 		return nil, err
@@ -91,90 +86,84 @@ func NewJob(m Machine, nranks int, p Placement) (*Job, error) {
 	return PlaceJob(alloc, nranks, p)
 }
 
-// PlaceJob places nranks ranks on an existing allocation.
-func PlaceJob(alloc *Allocation, nranks int, p Placement) (*Job, error) {
+// nodesFor returns the node count nranks ranks occupy under p.
+func nodesFor(nranks int, p Placement) (int, error) {
+	if nranks <= 0 {
+		return 0, fmt.Errorf("topology: non-positive rank count %d", nranks)
+	}
 	rpn := p.RanksPerNode()
 	if nranks%rpn != 0 {
-		return nil, fmt.Errorf("topology: %d ranks not divisible by %d ranks/node (%v)", nranks, rpn, p)
+		return 0, fmt.Errorf("topology: %d ranks not divisible by %d ranks/node (%v)", nranks, rpn, p)
 	}
-	nnodes := nranks / rpn
+	return nranks / rpn, nil
+}
+
+// PlaceJob places nranks ranks on an existing allocation.
+func PlaceJob(alloc *Allocation, nranks int, p Placement) (*Job, error) {
+	nnodes, err := nodesFor(nranks, p)
+	if err != nil {
+		return nil, err
+	}
 	if nnodes > alloc.Nodes() {
 		return nil, fmt.Errorf("%w: placement needs %d nodes, allocation has %d", ErrTooLarge, nnodes, alloc.Nodes())
 	}
-	j := &Job{
-		Alloc:     alloc,
-		Placement: p,
-		coord:     make([]Coord, nranks),
-		core:      make([]int, nranks),
-	}
-	for rank := 0; rank < nranks; rank++ {
-		var node, core int
-		switch p {
-		case OnePerNode:
-			node, core = rank, 0
-		case EightRoundRobin:
-			node, core = rank%nnodes, rank/nnodes
-		case EightGrouped:
-			node, core = rank/CoresPerNode, rank%CoresPerNode
-		default:
-			return nil, fmt.Errorf("topology: unknown placement %v", p)
+	j := &Job{Alloc: alloc, Placement: p}
+	switch p {
+	case OnePerNode:
+		j.packed = alloc.nodes[:nranks:nranks]
+	case EightRoundRobin, EightGrouped:
+		j.packed = make([]packedCoord, nranks)
+		for rank := range j.packed {
+			node := rank / CoresPerNode
+			if p == EightRoundRobin {
+				node = rank % nnodes
+			}
+			j.packed[rank] = alloc.nodes[node]
 		}
-		j.coord[rank] = alloc.NodeList[node]
-		j.core[rank] = core
+	default:
+		return nil, fmt.Errorf("topology: unknown placement %v", p)
 	}
-	j.packCoords()
-	return j, nil
-}
-
-// packCoords fills maxDistSq and packed from coord.
-func (j *Job) packCoords() {
-	if len(j.coord) == 0 {
-		return
-	}
-	lo, hi := j.coord[0], j.coord[0]
-	for _, c := range j.coord {
+	lo, hi := j.Coord(0), j.Coord(0)
+	for r := range j.packed {
+		c := j.Coord(r)
 		lo = Coord{min(lo.X, c.X), min(lo.Y, c.Y), min(lo.Z, c.Z), min(lo.A, c.A), min(lo.B, c.B), min(lo.C, c.C)}
 		hi = Coord{max(hi.X, c.X), max(hi.Y, c.Y), max(hi.Z, c.Z), max(hi.A, c.A), max(hi.B, c.B), max(hi.C, c.C)}
 	}
 	j.maxDistSq = distSq(lo, hi)
-	packed := make([]packedCoord, len(j.coord))
-	for r, c := range j.coord {
-		var ok bool
-		if packed[r], ok = pack(c); !ok {
-			return
-		}
-	}
-	j.packed = packed
+	return j, nil
 }
 
 // Ranks returns the number of ranks in the job.
-func (j *Job) Ranks() int { return len(j.coord) }
+func (j *Job) Ranks() int { return len(j.packed) }
 
 // Coord returns the node coordinate of a rank.
-func (j *Job) Coord(rank int) Coord { return j.coord[rank] }
+func (j *Job) Coord(rank int) Coord { return j.packed[rank].unpack() }
 
 // Core returns the core index a rank occupies on its node.
-func (j *Job) Core(rank int) int { return j.core[rank] }
+func (j *Job) Core(rank int) int {
+	switch j.Placement {
+	case EightRoundRobin:
+		return rank / (len(j.packed) / CoresPerNode)
+	case EightGrouped:
+		return rank % CoresPerNode
+	}
+	return 0
+}
 
 // SameNode reports whether two ranks share a compute node.
-func (j *Job) SameNode(i, k int) bool { return j.coord[i] == j.coord[k] }
+func (j *Job) SameNode(i, k int) bool { return j.packed[i] == j.packed[k] }
 
 // Distance returns the Euclidean 6-D distance between the nodes hosting
 // ranks i and k — the e(i,j) of the paper's skewed selection. Ranks on
 // the same node are at distance 0.
 func (j *Job) Distance(i, k int) float64 {
-	return Euclid(j.coord[i], j.coord[k])
+	return math.Sqrt(float64(j.DistanceSq(i, k)))
 }
 
 // DistanceSq returns the square of Distance(i, k) as the integer it
 // is: coordinates are integers, so the sum of squared differences is
 // exact, and Distance(i, k) == math.Sqrt(float64(DistanceSq(i, k))).
-func (j *Job) DistanceSq(i, k int) int {
-	if j.packed == nil {
-		return distSq(j.coord[i], j.coord[k])
-	}
-	return j.packed[i].distSq(j.packed[k])
-}
+func (j *Job) DistanceSq(i, k int) int { return j.packed[i].distSq(j.packed[k]) }
 
 // MaxDistanceSq returns an upper bound on DistanceSq over all rank
 // pairs: the squared diagonal of the ranks' bounding box.
@@ -182,7 +171,7 @@ func (j *Job) MaxDistanceSq() int { return j.maxDistSq }
 
 // Hops returns the link count between the nodes hosting ranks i and k.
 func (j *Job) Hops(i, k int) int {
-	return j.Alloc.Machine.Hops(j.coord[i], j.coord[k])
+	return j.Alloc.Machine.Hops(j.Coord(i), j.Coord(k))
 }
 
 // MaxHops returns the largest hop count between any rank pair, computed

@@ -16,6 +16,12 @@
 // A node's global coordinate is therefore (x, y, z, a, b, c). The
 // paper's skewed victim selection weighs ranks by the inverse Euclidean
 // distance between these coordinates.
+//
+// Coordinates are stored packed, one word per allocated node and per
+// rank (packedCoord): Coord is the unpacked view the API hands out, and
+// the per-send latency lookup and the skewed selector's distances work
+// on the words directly. Machine.Validate bounds every dimension so that
+// each coordinate fits its field.
 package topology
 
 import (
@@ -83,10 +89,15 @@ func (m Machine) Nodes() int {
 	return m.CubesX * m.CubesY * m.CubesZ * NodesPerCube
 }
 
-// Validate reports whether the machine dimensions are usable.
+// Validate reports whether the machine dimensions are usable: positive,
+// and small enough that every cube position fits its 16-bit field of
+// the packed word a coordinate is stored as.
 func (m Machine) Validate() error {
 	if m.CubesX <= 0 || m.CubesY <= 0 || m.CubesZ <= 0 {
 		return fmt.Errorf("topology: non-positive machine dimensions %+v", m)
+	}
+	if m.CubesX > cubeMax || m.CubesY > cubeMax || m.CubesZ > cubeMax {
+		return fmt.Errorf("topology: machine dimensions %+v exceed %d cubes", m, cubeMax)
 	}
 	return nil
 }
@@ -156,9 +167,9 @@ type Allocation struct {
 	Machine Machine
 	// DX, DY, DZ are the cube-rectangle dimensions of the allocation.
 	DX, DY, DZ int
-	// NodeList holds the allocated node coordinates; rank placement
+	// nodes holds the allocated node coordinates, packed; rank placement
 	// policies index into this list.
-	NodeList []Coord
+	nodes []packedCoord
 }
 
 // ErrTooLarge is returned when a job does not fit the machine.
@@ -204,7 +215,7 @@ func Allocate(m Machine, nnodes int) (*Allocation, error) {
 	}
 
 	alloc := &Allocation{Machine: m, DX: bestDX, DY: bestDY, DZ: bestDZ}
-	alloc.NodeList = make([]Coord, 0, nnodes)
+	alloc.nodes = make([]packedCoord, 0, nnodes)
 Fill:
 	for x := 0; x < bestDX; x++ {
 		for y := 0; y < bestDY; y++ {
@@ -214,8 +225,8 @@ Fill:
 				for b := 0; b < SizeB; b++ {
 					for a := 0; a < SizeA; a++ {
 						for c := 0; c < SizeC; c++ {
-							alloc.NodeList = append(alloc.NodeList, Coord{x, y, z, a, b, c})
-							if len(alloc.NodeList) == nnodes {
+							alloc.nodes = append(alloc.nodes, pack(Coord{x, y, z, a, b, c}))
+							if len(alloc.nodes) == nnodes {
 								break Fill
 							}
 						}
@@ -228,4 +239,7 @@ Fill:
 }
 
 // Nodes returns the number of allocated nodes.
-func (a *Allocation) Nodes() int { return len(a.NodeList) }
+func (a *Allocation) Nodes() int { return len(a.nodes) }
+
+// Node returns the coordinate of allocated node i.
+func (a *Allocation) Node(i int) Coord { return a.nodes[i].unpack() }

@@ -104,8 +104,9 @@ func TestHopsNeverZeroForDistinctNodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range alloc.NodeList {
-		for k, q := range alloc.NodeList {
+	for i := range alloc.Nodes() {
+		for k := range alloc.Nodes() {
+			p, q := alloc.Node(i), alloc.Node(k)
 			h := m.Hops(p, q)
 			if i == k && h != 0 {
 				t.Fatalf("self hops %d", h)
@@ -162,7 +163,8 @@ func TestAllocateExactAndCompact(t *testing.T) {
 		}
 		// All nodes unique and inside the declared box.
 		seen := map[Coord]bool{}
-		for _, c := range alloc.NodeList {
+		for i := range alloc.Nodes() {
+			c := alloc.Node(i)
 			if seen[c] {
 				t.Fatalf("duplicate node %v in allocation of %d", c, n)
 			}
@@ -187,10 +189,10 @@ func TestAllocationBladeContiguity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 12; i += 4 {
-		blade := alloc.NodeList[i].B
+		blade := alloc.Node(i).B
 		for k := i; k < i+4; k++ {
-			if alloc.NodeList[k].B != blade {
-				t.Fatalf("nodes %d..%d not on one blade: %v", i, i+3, alloc.NodeList[i:i+4])
+			if alloc.Node(k).B != blade {
+				t.Fatalf("nodes %d and %d not on one blade: %v, %v", i, k, alloc.Node(i), alloc.Node(k))
 			}
 		}
 	}
@@ -205,7 +207,8 @@ func TestAllocate8192SpansManyRacks(t *testing.T) {
 		t.Fatal(err)
 	}
 	racks := map[[2]int]bool{}
-	for _, c := range alloc.NodeList {
+	for i := range alloc.Nodes() {
+		c := alloc.Node(i)
 		racks[[2]int{c.X, c.Y}] = true
 	}
 	if len(racks) < 80 {
@@ -390,8 +393,8 @@ func TestPropertyHopsMetric(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := func(i, k uint8) bool {
-		p := alloc.NodeList[int(i)%240]
-		q := alloc.NodeList[int(k)%240]
+		p := alloc.Node(int(i) % 240)
+		q := alloc.Node(int(k) % 240)
 		h1, h2 := m.Hops(p, q), m.Hops(q, p)
 		if h1 != h2 {
 			return false
@@ -403,5 +406,67 @@ func TestPropertyHopsMetric(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPackedJobMatchesCoords holds the packed job to the coordinate
+// arrays it replaced: every rank's Coord and Core, and SameNode,
+// DistanceSq and Hops over sampled pairs, equal the formulas applied to
+// Allocate's enumeration — cube by cube in (x, y, z) order, blade by
+// blade inside a cube — under each placement.
+func TestPackedJobMatchesCoords(t *testing.T) {
+	m := KComputer()
+	for _, nranks := range []int{8, 1024, 8192} {
+		for _, p := range []Placement{OnePerNode, EightRoundRobin, EightGrouped} {
+			job, err := NewJob(m, nranks, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := job.Alloc
+			nnodes := nranks / p.RanksPerNode()
+			var nodes []Coord
+		Fill:
+			for x := 0; x < a.DX; x++ {
+				for y := 0; y < a.DY; y++ {
+					for z := 0; z < a.DZ; z++ {
+						for b := 0; b < SizeB; b++ {
+							for aa := 0; aa < SizeA; aa++ {
+								for c := 0; c < SizeC; c++ {
+									if nodes = append(nodes, Coord{x, y, z, aa, b, c}); len(nodes) == nnodes {
+										break Fill
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+			coord, core := make([]Coord, nranks), make([]int, nranks)
+			for r := range coord {
+				node, cr := r, 0
+				switch p {
+				case EightRoundRobin:
+					node, cr = r%nnodes, r/nnodes
+				case EightGrouped:
+					node, cr = r/CoresPerNode, r%CoresPerNode
+				}
+				coord[r], core[r] = nodes[node], cr
+				if job.Coord(r) != coord[r] || job.Core(r) != core[r] {
+					t.Fatalf("%d ranks %v: rank %d at %v core %d, want %v core %d",
+						nranks, p, r, job.Coord(r), job.Core(r), coord[r], core[r])
+				}
+			}
+			for s := 0; s < 4096; s++ {
+				i, k := (s*7919)%nranks, (s*104729+s/3)%nranks
+				p1, p2 := coord[i], coord[k]
+				if job.SameNode(i, k) != (p1 == p2) || job.DistanceSq(i, k) != distSq(p1, p2) || job.Hops(i, k) != m.Hops(p1, p2) {
+					t.Fatalf("%d ranks %v: pair (%d, %d) same=%v d2=%d hops=%d, want %v %d %d", nranks, p, i, k,
+						job.SameNode(i, k), job.DistanceSq(i, k), job.Hops(i, k), p1 == p2, distSq(p1, p2), m.Hops(p1, p2))
+				}
+			}
+		}
+	}
+	if err := (Machine{CubesX: 1 << 16, CubesY: 1, CubesZ: 1}).Validate(); err == nil {
+		t.Fatal("a dimension past the packed word's 16-bit field validated")
 	}
 }

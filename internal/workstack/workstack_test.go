@@ -438,8 +438,8 @@ func TestDrop(t *testing.T) {
 // through a push / steal / acquire / pop sequence — Init on a used
 // stack empties it, and the top segment's slice header stays the
 // struct's first field with the node count and chunk size in the same
-// 64 bytes (core's rank slab places them on the line a thief's request
-// reads) of a struct no larger than 96.
+// 64 bytes (core's worker starts with them, the line a thief's request
+// reads at a working victim) of a struct no larger than 96.
 func TestStackInitMatchesNew(t *testing.T) {
 	var slab [2]struct {
 		pad uint64
