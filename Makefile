@@ -53,13 +53,15 @@ distwsvet:
 bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# The concurrent packages get a dedicated race-detector pass; -short
-# keeps the stress budgets CI-sized. The sharded kernel and the sharded
-# engine tests (window barrier, staging queues, routers) run under the
-# detector in full: the parallel windows are the one place simulated
-# concurrency meets host concurrency.
+# Every place that runs real goroutines gets a race-detector pass:
+# obs.Registry, which `uts -obs` reads from an HTTP goroutine while the
+# engine writes it; harness.Execute, whose concurrent core.Run calls
+# share sim's store pool; and the sharded kernel and engine tests
+# (window barrier, staging queues, routers), where simulated concurrency
+# meets host concurrency. -short keeps the stress budgets CI-sized.
 race:
-	$(GO) test -race -short ./internal/deque ./internal/rt ./internal/sim/par
+	$(GO) test -race -short ./internal/obs ./internal/sim/par
+	$(GO) test -race -run 'Execute' -count=1 ./internal/harness
 	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
 
 # fuzz-smoke gives every native fuzz target in the tree (found with

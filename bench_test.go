@@ -17,7 +17,6 @@ import (
 	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/ledger"
-	"distws/internal/rt"
 	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/uts"
@@ -259,46 +258,4 @@ func BenchmarkFaultInjection(b *testing.B) {
 			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 		})
 	}
-}
-
-// BenchmarkQueueDesigns compares the two shared-memory queue designs —
-// the UTS chunked stack (mutex) and the Chase–Lev lock-free deque the
-// paper's §VI cites — on the same workload.
-func BenchmarkQueueDesigns(b *testing.B) {
-	tree := uts.MustPreset("H-TINY").Params
-	for _, q := range []rt.Queue{rt.Chunked, rt.ChaseLev} {
-		b.Run(q.String(), func(b *testing.B) {
-			b.ReportAllocs()
-			var nodes uint64
-			for i := 0; i < b.N; i++ {
-				res, err := rt.Run(rt.Config{Tree: tree, Queue: q, Selector: rt.Random, Seed: 1})
-				if err != nil {
-					b.Fatal(err)
-				}
-				nodes += res.Nodes
-			}
-			b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
-		})
-	}
-}
-
-// BenchmarkSharedMemoryRuntime measures the real goroutine runtime's
-// wall-clock traversal rate on this machine.
-func BenchmarkSharedMemoryRuntime(b *testing.B) {
-	cfg := rt.Config{
-		Tree:      uts.MustPreset("H-SMALL").Params,
-		Selector:  rt.RingSkewed,
-		StealHalf: true,
-		Seed:      1,
-	}
-	b.ReportAllocs()
-	var nodes uint64
-	for i := 0; i < b.N; i++ {
-		res, err := rt.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		nodes += res.Nodes
-	}
-	b.ReportMetric(float64(nodes)/b.Elapsed().Seconds(), "nodes/s")
 }

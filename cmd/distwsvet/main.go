@@ -9,8 +9,8 @@
 //	            directly or laundered through a helper package
 //	lockcheck   critical sections release their mutex on every path and
 //	            never send on a channel while holding it
-//	atomicmix   a word accessed via sync/atomic is never also accessed
-//	            plainly
+//	atomicmix   no function-style sync/atomic op: a shared word is a
+//	            typed atomic, so it cannot also be accessed plainly
 //	handlesafe  sim.Event handles are not parked in globals or struct
 //	            fields and are not used after Cancel
 //	poolcheck   every comm.Message a handler drains is freed exactly
@@ -67,24 +67,14 @@ import (
 // Analyzer-level configuration: the reviewed boundaries each invariant
 // applies to.
 var (
-	// randExempt packages may reference math/rand. Nothing currently
-	// needs to: internal/rng's generators are hand-rolled, so even the
-	// generator package holds the invariant on its own merits.
-	randExempt []string
-
-	// virtualTime packages must never read the host clock. That
-	// includes the observability layer (internal/obs, internal/trace):
-	// its events, counters and histograms are pure functions of the
-	// simulated run, timestamped in virtual nanoseconds, so traced runs
-	// stay bit-identical across hosts.
+	// virtualTime packages must never read the host clock. That is all
+	// of internal/, with no exception; it includes the observability
+	// layer (internal/obs, internal/trace): its events, counters and
+	// histograms are pure functions of the simulated run, timestamped in
+	// virtual nanoseconds, so traced runs stay bit-identical across
+	// hosts. Command-line tools and examples live outside internal/ and
+	// may time things.
 	virtualTime = []string{"distws/internal"}
-	// ...except the real shared-memory runtime internal/rt, whose
-	// entire point is genuine elapsed time (it benchmarks the same
-	// victim-selection machinery the simulator studies); its metrics
-	// use the rt_ name prefix to keep the two time bases apart (a
-	// fixture test proves the entry is load-bearing). Command-line tools
-	// and examples live outside internal/ and may also time things.
-	wallClockOK = []string{"distws/internal/rt"}
 
 	// simPath defines the Event handle type handlesafe guards;
 	// commPath defines the pooled Message poolcheck tracks.
@@ -181,8 +171,8 @@ const defaultAllowlist = "cmd/distwsvet/allowlist.json"
 
 func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		detrand.New(randExempt),
-		walltime.New(virtualTime, wallClockOK),
+		detrand.New(),
+		walltime.New(virtualTime),
 		lockcheck.New(),
 		atomicmix.New(),
 		handlesafe.New(simPath),

@@ -190,15 +190,15 @@ func TestBudgetExceededFails(t *testing.T) {
 	}
 }
 
-// bare returns the config-independent analyzers with every exception
-// stripped, for the packages-must-pass-on-their-own-merits tests below.
+// bare returns the config-independent analyzers, for the
+// packages-must-pass-on-their-own-merits tests below.
 // hotalloc and the ownership analyzers need module-specific roots that
 // only resolve on a whole-module load, so they are exercised by
 // TestFullSuiteClean instead.
 func bare() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		detrand.New(nil),
-		walltime.New(virtualTime, nil),
+		detrand.New(),
+		walltime.New(virtualTime),
 		lockcheck.New(),
 		atomicmix.New(),
 		detorder.New(detPackages, barrierSyncPackages),
@@ -208,24 +208,16 @@ func bare() []*analysis.Analyzer {
 // TestObsPackagesClean machine-checks the observability layer. internal/obs
 // and internal/trace sit inside the virtual-time boundary — their events,
 // counters and histograms must be pure functions of the simulated run —
-// while internal/rt is the one allowlisted wall-clock reader. All three
-// must come back clean under the production configuration.
+// and must come back clean under the production configuration.
 func TestObsPackagesClean(t *testing.T) {
-	pkgs, err := analysis.Load("../..",
-		"distws/internal/obs", "distws/internal/trace", "distws/internal/rt")
+	pkgs, err := analysis.Load("../..", "distws/internal/obs", "distws/internal/trace")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 3 {
-		t.Fatalf("loaded %d packages, want 3", len(pkgs))
+	if len(pkgs) != 2 {
+		t.Fatalf("loaded %d packages, want 2", len(pkgs))
 	}
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{
-		detrand.New(randExempt),
-		walltime.New(virtualTime, wallClockOK),
-		lockcheck.New(),
-		atomicmix.New(),
-		detorder.New(detPackages, barrierSyncPackages),
-	})
+	diags, err := analysis.Run(pkgs, bare())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,37 +226,14 @@ func TestObsPackagesClean(t *testing.T) {
 	}
 }
 
-// TestWalltimeAllowlistIsLoadBearing drops internal/rt from the
-// wall-clock allowlist and expects findings: rt genuinely reads the
-// host clock (that is its job), so the wallClockOK exception is doing
-// work rather than papering over a rule nothing trips.
-func TestWalltimeAllowlistIsLoadBearing(t *testing.T) {
-	pkgs, err := analysis.Load("../..", "distws/internal/rt")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := analysis.Run(pkgs, []*analysis.Analyzer{walltime.New(virtualTime, nil)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) == 0 {
-		t.Fatal("internal/rt has no walltime findings without its allowlist entry; wallClockOK is stale")
-	}
-}
-
 // TestParprofPackageCleanWithoutAllowlists machine-checks the
 // parallel-kernel profiling layer (internal/obs/parprof) with every
 // exception stripped. The window ledger is a determinism artifact —
 // byte-identical across repeat runs — so the package must hold the
 // virtual-time, randomness and iteration-order invariants on its own
-// merits: not allowlisted, and clean under the bare analyzers.
+// merits: clean under the bare analyzers, without the allowlist.
 func TestParprofPackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/obs/parprof"
-	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
-		if pkg == e {
-			t.Fatalf("%s is allowlisted (%v); the window ledger must pass unexcepted", pkg, e)
-		}
-	}
 	pkgs, err := analysis.Load("../..", pkg)
 	if err != nil {
 		t.Fatal(err)
@@ -281,24 +250,13 @@ func TestParprofPackageCleanWithoutAllowlists(t *testing.T) {
 	}
 }
 
-// TestRandExemptIsEmpty pins the v2 audit result: internal/rng's
-// generators are hand-rolled (no math/rand anywhere in the module), so
-// the detrand exemption list must stay empty until a package genuinely
-// needs one.
-func TestRandExemptIsEmpty(t *testing.T) {
-	if len(randExempt) != 0 {
-		t.Fatalf("randExempt = %v; nothing in the module imports math/rand, so every entry is stale", randExempt)
-	}
-}
-
 // TestHotPathPackagesCleanWithoutAllowlists machine-checks the
 // performance-engineered hot path (event arena, message pool, latency
 // cache, batched hashing, victim tables) against the determinism analyzers with every
 // exception stripped. Pooling and caching layers are where hidden
 // nondeterminism likes to creep in (map-ordered free lists, wall-clock
 // cache stamps), so these packages must hold the invariants on their
-// own merits: first assert none of them appears in a production
-// allowlist, then run the bare analyzers with no exceptions at all.
+// own merits: clean under the bare analyzers, without the allowlist.
 func TestHotPathPackagesCleanWithoutAllowlists(t *testing.T) {
 	hot := []string{
 		"distws/internal/sim",
@@ -308,14 +266,6 @@ func TestHotPathPackagesCleanWithoutAllowlists(t *testing.T) {
 		"distws/internal/workstack",
 		"distws/internal/victim",
 		"distws/internal/sample",
-	}
-	exempt := append(append([]string{}, randExempt...), wallClockOK...)
-	for _, p := range hot {
-		for _, e := range exempt {
-			if p == e {
-				t.Fatalf("hot-path package %s is allowlisted (%v); the pooled/cached code must pass unexcepted", p, e)
-			}
-		}
 	}
 	pkgs, err := analysis.Load("../..", hot...)
 	if err != nil {
@@ -346,16 +296,10 @@ func TestHotPathPackagesCleanWithoutAllowlists(t *testing.T) {
 // blame reports and critical paths would stop being reproducible
 // functions of the run. It is also one of detPackages, so detorder
 // holds it to no map ranges, goroutines or selects. Assert it holds the
-// invariants on its own merits: not allowlisted — in the analyzer
-// configuration or by a per-diagnostic entry — and clean under the bare
-// analyzers.
+// invariants on its own merits: no per-diagnostic allowlist entry, and
+// clean under the bare analyzers.
 func TestCausalPackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/obs/causal"
-	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
-		if pkg == e {
-			t.Fatalf("%s is allowlisted (%v); the causal analyses must pass unexcepted", pkg, e)
-		}
-	}
 	if !analysis.PathMatches(pkg, detPackages) {
 		t.Fatalf("%s is not in detPackages; detorder would not check it", pkg)
 	}
@@ -394,13 +338,6 @@ func TestCausalPackageCleanWithoutAllowlists(t *testing.T) {
 // analyzers with no allowlist entry.
 func TestLedgerDiffPackagesCleanWithoutAllowlists(t *testing.T) {
 	pkgNames := []string{"distws/internal/obs/ledger", "distws/internal/obs/diff"}
-	for _, pkg := range pkgNames {
-		for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
-			if pkg == e {
-				t.Fatalf("%s is allowlisted (%v); the run ledger must pass unexcepted", pkg, e)
-			}
-		}
-	}
 	pkgs, err := analysis.Load("../..", pkgNames...)
 	if err != nil {
 		t.Fatal(err)
@@ -426,11 +363,6 @@ func TestLedgerDiffPackagesCleanWithoutAllowlists(t *testing.T) {
 // allowlist entry.
 func TestFaultPackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/fault"
-	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
-		if pkg == e {
-			t.Fatalf("%s is allowlisted (%v); fault injection must pass unexcepted", pkg, e)
-		}
-	}
 	pkgs, err := analysis.Load("../..", pkg)
 	if err != nil {
 		t.Fatal(err)
@@ -508,14 +440,9 @@ func TestBarrierSyncCarveOutIsLoadBearing(t *testing.T) {
 // compiled arrival schedule is the serving determinism contract — a
 // pure function of (spec, ranks, seed) — so the package must hold the
 // virtual-time, randomness and iteration-order invariants on its own
-// merits: not allowlisted, and clean under the bare analyzers.
+// merits: clean under the bare analyzers, without the allowlist.
 func TestServePackageCleanWithoutAllowlists(t *testing.T) {
 	const pkg = "distws/internal/serve"
-	for _, e := range append(append([]string{}, randExempt...), wallClockOK...) {
-		if pkg == e {
-			t.Fatalf("%s is allowlisted (%v); the arrival compiler must pass unexcepted", pkg, e)
-		}
-	}
 	pkgs, err := analysis.Load("../..", pkg)
 	if err != nil {
 		t.Fatal(err)

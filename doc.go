@@ -12,16 +12,22 @@
 //   - internal/topology   — 6-D mesh/torus machine, placements, latency
 //   - internal/comm       — simulated message passing
 //   - internal/uts        — the Unbalanced Tree Search workload
+//   - internal/dag        — random task graphs (the §VII extension)
 //   - internal/workstack  — chunked work stacks
+//   - internal/rng        — seeded deterministic generators
+//   - internal/sample     — alias-method discrete sampling
 //   - internal/victim     — victim-selection strategies
 //   - internal/term       — distributed termination detection
+//   - internal/fault      — deterministic fault plans and injection
+//   - internal/serve      — open-system job arrivals and admission
 //   - internal/trace      — activity traces (paper §III)
 //   - internal/obs        — event recorder, live metrics registry and
 //     the post-run analyses: occupancy, SL(x)/EL(x), steal pairing;
 //     obs/causal holds the one Analysis every tool reads
 //   - internal/core       — the distributed work-stealing engine
+//   - internal/stats      — descriptive statistics for reports
 //   - internal/harness    — experiments for every table and figure
-//   - internal/rt         — real shared-memory work-stealing runtime
+//   - internal/analysis   — the static analyzers cmd/distwsvet runs
 //   - cmd/uts, cmd/experiments, cmd/tracetool — tools
 //   - examples/...        — runnable walkthroughs
 //

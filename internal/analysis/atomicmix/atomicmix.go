@@ -1,26 +1,22 @@
-// Package atomicmix enforces a single access discipline per shared
-// word: a variable that is touched through sync/atomic anywhere in a
-// package must be touched through sync/atomic everywhere in that
-// package. A plain load racing an atomic store is a data race the Go
-// memory model gives no guarantees about, and it is exactly the class
-// of bug a lock-free structure like the Chase–Lev deque
-// (internal/deque) or the runtime's termination counter (internal/rt)
-// would exhibit only under rare interleavings.
+// Package atomicmix enforces a single access discipline for shared
+// words: a word touched atomically is declared with one of
+// sync/atomic's types (atomic.Int64, atomic.Uint64, atomic.Pointer,
+// ...) and touched only through its methods. A word handed to a
+// function-style op such as atomic.AddInt64(&x, 1) is an ordinary
+// variable that a plain read or write can also reach, and a plain load
+// racing an atomic store is a data race the Go memory model gives no
+// guarantees about. The tree's one concurrent writer/reader pair is
+// internal/obs's metrics registry, written by the engine while
+// `uts -obs` serves /metrics from an HTTP goroutine; its words are
+// typed atomics.
 //
-// The analyzer records every struct field and package-level variable
-// whose address is passed to a sync/atomic operation
-// (Load*/Store*/Add*/Swap*/CompareAndSwap*/And*/Or*), then reports
-// every other plain read or write of the same object in the package.
-// Fields of the method-based atomic types (atomic.Int64,
-// atomic.Pointer, ...) cannot mix by construction and are the
-// recommended fix.
+// The analyzer reports every use of a package-level sync/atomic
+// function (one without a receiver): with typed atomics as the only
+// allowed form, a mixed access cannot be written at all.
 package atomicmix
 
 import (
-	"go/ast"
-	"go/token"
 	"go/types"
-	"strings"
 
 	"distws/internal/analysis"
 )
@@ -30,129 +26,20 @@ import (
 func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "atomicmix",
-		Doc:  "flags variables accessed both via sync/atomic and via plain loads/stores",
+		Doc:  "flags function-style sync/atomic ops; shared words must be typed atomics",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		atomicVars := make(map[*types.Var]token.Pos) // first atomic access
-		atomicOperands := make(map[ast.Expr]bool)    // the x in atomic.Op(&x, ...)
-
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				call, ok := n.(*ast.CallExpr)
-				if !ok || !isAtomicOp(pass, call) || len(call.Args) == 0 {
-					return true
-				}
-				addr, ok := call.Args[0].(*ast.UnaryExpr)
-				if !ok || addr.Op != token.AND {
-					return true
-				}
-				if v := referencedVar(pass, addr.X); v != nil {
-					if _, seen := atomicVars[v]; !seen {
-						atomicVars[v] = addr.X.Pos()
-					}
-					atomicOperands[addr.X] = true
-				}
-				return true
-			})
-		}
-		if len(atomicVars) == 0 {
-			return nil
-		}
-
-		for _, f := range pass.Files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				expr, ok := n.(ast.Expr)
-				if !ok || atomicOperands[expr] {
-					return true
-				}
-				v := referencedVar(pass, expr)
-				if v == nil {
-					return true
-				}
-				if first, ok := atomicVars[v]; ok {
-					// Selectors contain an ident that would re-match;
-					// claim the whole expression so each access
-					// reports once.
-					if se, isSel := n.(*ast.SelectorExpr); isSel {
-						atomicOperands[se.Sel] = true
-					}
-					pass.Reportf(expr.Pos(),
-						"%s is accessed atomically (first at %s) but plainly here: mixed atomic/non-atomic access is a data race; use sync/atomic (or an atomic.%s field) for every access",
-						v.Name(), pass.Fset.Position(first), suggestType(v))
-				}
-				return true
-			})
+		for id, obj := range pass.Info.Uses {
+			fn, ok := obj.(*types.Func)
+			if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" ||
+				fn.Type().(*types.Signature).Recv() != nil {
+				continue
+			}
+			pass.Reportf(id.Pos(),
+				"atomic.%s on a plain variable: the same word can be read or written plainly elsewhere, a data race; declare it as a typed atomic (atomic.Int64, atomic.Pointer, ...) and use its methods",
+				fn.Name())
 		}
 		return nil
 	}
 	return a
-}
-
-// isAtomicOp reports whether call invokes a sync/atomic function that
-// operates on a caller-supplied address.
-func isAtomicOp(pass *analysis.Pass, call *ast.CallExpr) bool {
-	se, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return false
-	}
-	fn, ok := pass.Info.Uses[se.Sel].(*types.Func)
-	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
-		return false
-	}
-	for _, prefix := range []string{"Load", "Store", "Add", "Swap", "CompareAndSwap", "And", "Or"} {
-		if strings.HasPrefix(fn.Name(), prefix) {
-			return true
-		}
-	}
-	return false
-}
-
-// referencedVar resolves an expression to the struct field or
-// package-level variable it denotes, or nil.
-func referencedVar(pass *analysis.Pass, e ast.Expr) *types.Var {
-	switch e := e.(type) {
-	case *ast.SelectorExpr:
-		if sel := pass.Info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
-			return sel.Obj().(*types.Var)
-		}
-		// Package-qualified var (pkg.V): Sel resolves through Uses.
-		if v, ok := pass.Info.Uses[e.Sel].(*types.Var); ok && isPackageLevel(v) {
-			return v
-		}
-	case *ast.Ident:
-		// A bare ident resolving to a field occurs only as a composite
-		// literal key — initialization of a not-yet-shared value, which
-		// is fine — so only package-level variables count here.
-		if v, ok := pass.Info.Uses[e].(*types.Var); ok && isPackageLevel(v) {
-			return v
-		}
-	}
-	return nil
-}
-
-func isPackageLevel(v *types.Var) bool {
-	return v.Pkg() != nil && v.Parent() == v.Pkg().Scope()
-}
-
-// suggestType names the method-based atomic type matching the
-// variable's underlying type, defaulting to Int64.
-func suggestType(v *types.Var) string {
-	switch t := v.Type().Underlying().(type) {
-	case *types.Basic:
-		switch t.Kind() {
-		case types.Int32:
-			return "Int32"
-		case types.Uint32:
-			return "Uint32"
-		case types.Uint64:
-			return "Uint64"
-		case types.Uintptr:
-			return "Uintptr"
-		case types.Bool:
-			return "Bool"
-		}
-	case *types.Pointer:
-		return "Pointer"
-	}
-	return "Int64"
 }

@@ -8,5 +8,5 @@ import (
 )
 
 func TestMixedAtomicAccess(t *testing.T) {
-	analysistest.Run(t, atomicmix.New(), "testdata/mixed", "distws/internal/deque")
+	analysistest.Run(t, atomicmix.New(), "testdata/mixed", "distws/internal/obs")
 }

@@ -1,6 +1,6 @@
-// Package fixture exercises the atomicmix analyzer: objects accessed
-// both through sync/atomic and directly must be reported at every
-// plain access; consistently-atomic and consistently-plain objects
+// Package fixture exercises the atomicmix analyzer: every
+// function-style sync/atomic op must be reported, whether or not the
+// word is also accessed plainly; typed atomics and plain-only words
 // must stay silent.
 package fixture
 
@@ -11,28 +11,30 @@ type counters struct {
 	allAtom  uint64
 	allPlain int64
 	typed    atomic.Int64
+	ptr      atomic.Pointer[counters]
 }
 
 var globalMixed int64
 
 func atomicSide(c *counters) {
-	atomic.AddInt64(&c.mixed, 1)
-	atomic.AddUint64(&c.allAtom, 1)
-	atomic.AddInt64(&globalMixed, 1)
+	atomic.AddInt64(&c.mixed, 1)     // want `atomic\.AddInt64`
+	atomic.AddUint64(&c.allAtom, 1)  // want `atomic\.AddUint64`
+	atomic.AddInt64(&globalMixed, 1) // want `atomic\.AddInt64`
 	c.typed.Add(1)
+	c.ptr.Store(c)
 }
 
 func plainSide(c *counters) int64 {
-	n := c.mixed // want `mixed is accessed atomically`
-	c.mixed = 0  // want `mixed is accessed atomically`
+	n := c.mixed
+	c.mixed = 0
 	c.allPlain++
-	return n + globalMixed // want `globalMixed is accessed atomically`
+	return n + globalMixed
 }
 
 func consistentReads(c *counters) uint64 {
-	return atomic.LoadUint64(&c.allAtom) + uint64(c.typed.Load())
+	return atomic.LoadUint64(&c.allAtom) + uint64(c.typed.Load()) // want `atomic\.LoadUint64`
 }
 
-func freshValueInitIsFine() *counters {
-	return &counters{mixed: 0, allAtom: 0}
+func methodValue() func(*int64, int64) int64 {
+	return atomic.AddInt64 // want `atomic\.AddInt64`
 }

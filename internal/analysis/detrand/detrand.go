@@ -7,9 +7,9 @@
 //
 // The analyzer reports:
 //
-//   - any reference to math/rand or math/rand/v2 outside the exempt
-//     packages (internal/rng is the only intended home for raw
-//     generator machinery);
+//   - any reference to math/rand or math/rand/v2, in every package
+//     (internal/rng's generators are hand-rolled, so even the generator
+//     package needs no exemption);
 //   - any generator constructor — rng.New*, rand.New* — whose seed
 //     argument derives from time.Now, in every package. The derivation
 //     is interprocedural: a seed computed by calling a helper that
@@ -29,22 +29,18 @@ import (
 // rngPath is the one blessed generator package.
 const rngPath = "distws/internal/rng"
 
-// New returns the analyzer. Packages matching an exempt prefix may
-// reference math/rand; the time-seeding check has no exemptions.
-func New(exempt []string) *analysis.Analyzer {
+// New returns the analyzer. Neither check has exemptions.
+func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "detrand",
-		Doc:  "flags math/rand use outside internal/rng and time-seeded RNG constructors",
+		Doc:  "flags math/rand use and time-seeded RNG constructors",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		checkRandRefs := !analysis.PathMatches(pass.ImportPath, exempt)
-		if checkRandRefs {
-			for id, obj := range pass.Info.Uses {
-				if p := objPkgPath(obj); p == "math/rand" || p == "math/rand/v2" {
-					pass.Reportf(id.Pos(),
-						"reference to %s.%s: simulator randomness must flow through internal/rng's seeded streams",
-						p, obj.Name())
-				}
+		for id, obj := range pass.Info.Uses {
+			if p := objPkgPath(obj); p == "math/rand" || p == "math/rand/v2" {
+				pass.Reportf(id.Pos(),
+					"reference to %s.%s: simulator randomness must flow through internal/rng's seeded streams",
+					p, obj.Name())
 			}
 		}
 		// Functions that transitively reach time.Now: a seed built by

@@ -8,11 +8,6 @@ import (
 )
 
 func TestFlagsMathRandAndTimeSeeds(t *testing.T) {
-	a := detrand.New([]string{"distws/internal/rng"})
+	a := detrand.New()
 	analysistest.Run(t, a, "testdata/bad", "distws/internal/victim")
-}
-
-func TestExemptPackageMayUseMathRand(t *testing.T) {
-	a := detrand.New([]string{"distws/internal/rng"})
-	analysistest.Run(t, a, "testdata/exempt", "distws/internal/rng")
 }

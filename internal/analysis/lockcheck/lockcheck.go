@@ -1,10 +1,10 @@
-// Package lockcheck guards the two mutex disciplines the shared-memory
-// runtime depends on (internal/rt's per-worker stacks, and any future
-// locking in internal/comm): a critical section must release its lock
-// on every path out of the function, and must not perform a channel
-// send while the lock is held (a blocked receiver would then deadlock
-// every thief queued on the mutex — exactly the steal-contention
-// collapse the paper measures, reproduced as a bug).
+// Package lockcheck guards the two mutex disciplines of the tree's
+// locks (obs.Registry's name tables, which `uts -obs`'s HTTP reader
+// shares with the run, and sim's store pool, which harness.Execute's
+// goroutines share): a critical section must release its lock on every
+// path out of the function, and must not perform a channel send while
+// the lock is held (a blocked receiver would then deadlock every
+// goroutine queued on the mutex).
 //
 // The analyzer is lexical, not path-sensitive: for each Lock/RLock call
 // it scans forward to the first matching Unlock/RUnlock on the same

@@ -1,8 +1,8 @@
-// Package rt impersonates the real shared-memory runtime: it sits
-// outside the virtual-time set, so its own wall-clock reads are
+// Package clock is a helper outside the virtual-time set, as a
+// command-line tool's timer would be: its own wall-clock reads are
 // legitimate — but virtual-time callers must not launder reads through
 // it.
-package rt
+package clock
 
 import "time"
 

@@ -1,5 +1,5 @@
 // Package virt is a virtual-time package that tries to launder a
-// wall-clock read through the runtime helper package: no time.Now
+// wall-clock read through a helper package: no time.Now
 // appears lexically here, so only the interprocedural check can see
 // the defect.
 package virt
@@ -7,14 +7,14 @@ package virt
 import (
 	"time"
 
-	"fix/rt"
+	"fix/clock"
 )
 
 func elapsed(start time.Time) time.Duration {
-	return rt.Elapsed(start) // want `call to Elapsed transitively reads the wall clock`
+	return clock.Elapsed(start) // want `call to Elapsed transitively reads the wall clock`
 }
 
 // budget calls a clock-free helper of the same package: clean.
 func budget() time.Duration {
-	return rt.Budget(3 * time.Millisecond)
+	return clock.Budget(3 * time.Millisecond)
 }

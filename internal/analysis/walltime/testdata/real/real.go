@@ -1,6 +1,6 @@
-// Package fixture impersonates the allowlisted real runtime
-// (distws/internal/rt): measuring genuine elapsed time there is the
-// point, so nothing may be reported.
+// Package fixture impersonates a command-line tool outside the
+// virtual-time set: measuring genuine elapsed time there is fine, so
+// nothing may be reported.
 package fixture
 
 import "time"

@@ -10,9 +10,9 @@
 // of package time (Now, Since, Until, Sleep, After, AfterFunc, Tick,
 // NewTicker, NewTimer) inside a configured virtual-time package.
 // Pure-value identifiers — time.Duration, time.Millisecond and friends
-// — are always allowed. The real shared-memory runtime (internal/rt)
-// and the command-line tools measure genuine elapsed time and are
-// allowlisted by the driver.
+// — are always allowed. cmd/distwsvet makes all of internal/ virtual-time,
+// with no exception; the command-line tools and examples sit outside it
+// and may measure genuine elapsed time.
 //
 // Laundering through a helper is caught interprocedurally: a call from
 // a virtual-time package to any function that transitively reaches a
@@ -43,16 +43,14 @@ var banned = map[string]bool{
 }
 
 // New returns the analyzer. Packages matching a virtual prefix are
-// checked unless they also match an allow prefix; every other package
-// is ignored.
-func New(virtual, allow []string) *analysis.Analyzer {
+// checked; every other package is ignored.
+func New(virtual []string) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "walltime",
 		Doc:  "flags wall-clock reads (time.Now etc.) in virtual-time packages",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		if !analysis.PathMatches(pass.ImportPath, virtual) ||
-			analysis.PathMatches(pass.ImportPath, allow) {
+		if !analysis.PathMatches(pass.ImportPath, virtual) {
 			return nil
 		}
 		for id, obj := range pass.Info.Uses {
@@ -81,8 +79,7 @@ func New(virtual, allow []string) *analysis.Analyzer {
 				if fn == nil || !reachers[fn] {
 					return true
 				}
-				if p := fn.Pkg(); p != nil &&
-					analysis.PathMatches(p.Path(), virtual) && !analysis.PathMatches(p.Path(), allow) {
+				if p := fn.Pkg(); p != nil && analysis.PathMatches(p.Path(), virtual) {
 					// The callee is itself checked: its own direct
 					// reference carries the diagnostic.
 					return true

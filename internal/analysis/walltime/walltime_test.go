@@ -8,17 +8,12 @@ import (
 )
 
 func TestFlagsWallClockInVirtualPackage(t *testing.T) {
-	a := walltime.New([]string{"distws/internal"}, []string{"distws/internal/rt"})
+	a := walltime.New([]string{"distws/internal"})
 	analysistest.Run(t, a, "testdata/virtual", "distws/internal/sim")
 }
 
-func TestAllowlistedRuntimeIsIgnored(t *testing.T) {
-	a := walltime.New([]string{"distws/internal"}, []string{"distws/internal/rt"})
-	analysistest.Run(t, a, "testdata/real", "distws/internal/rt")
-}
-
 func TestUnlistedPackageIsIgnored(t *testing.T) {
-	a := walltime.New([]string{"distws/internal"}, []string{"distws/internal/rt"})
+	a := walltime.New([]string{"distws/internal"})
 	analysistest.Run(t, a, "testdata/real", "distws/cmd/experiments")
 }
 
@@ -26,9 +21,9 @@ func TestUnlistedPackageIsIgnored(t *testing.T) {
 // a helper in a non-virtual package is flagged at the virtual-time call
 // site through the call graph.
 func TestInterproceduralLaundering(t *testing.T) {
-	a := walltime.New([]string{"fix/virt"}, nil)
+	a := walltime.New([]string{"fix/virt"})
 	analysistest.RunDirs(t, a,
-		analysistest.Dir{Path: "testdata/cross/rt", ImportPath: "fix/rt"},
+		analysistest.Dir{Path: "testdata/cross/clock", ImportPath: "fix/clock"},
 		analysistest.Dir{Path: "testdata/cross/virt", ImportPath: "fix/virt"},
 	)
 }

@@ -1,6 +1,5 @@
-// Package obs is the observability layer shared by the discrete-event
-// simulator (internal/core) and the real shared-memory runtime
-// (internal/rt).
+// Package obs is the observability layer of the discrete-event
+// simulator (internal/core).
 //
 // It has three parts:
 //
@@ -13,14 +12,12 @@
 //     shows the disabled path within noise of no instrumentation);
 //
 //   - a metrics Registry of named counters, log-bucketed histograms,
-//     and per-link traffic matrices. All updates are lock-free
-//     atomics, so one registry serves both the single-threaded
-//     simulator — where the final contents are a pure function of the
-//     run, in deterministic virtual time — and the concurrent runtime,
-//     whose workers feed it real timestamps. This package itself never
-//     reads the host clock (the walltime analyzer enforces it);
-//     internal/rt measures wall time on its own allowlisted side and
-//     passes durations in as data;
+//     and per-link traffic matrices. Its final contents are a pure
+//     function of the run, in deterministic virtual time; the updates
+//     are lock-free atomics because `uts -obs` serves /metrics from an
+//     HTTP goroutine that reads the registry while the run writes it.
+//     This package never reads the host clock (the walltime analyzer
+//     enforces it);
 //
 //   - exporters: Chrome trace-event JSON (opens in Perfetto or
 //     chrome://tracing), Prometheus text exposition, and an
@@ -48,8 +45,7 @@ const DefaultRingCap = 1 << 13
 // rings. Each rank's ring has a single writer — the sharded engine
 // records from parallel windows, every rank from the shard that owns
 // it — so rings share no storage; beyond that the recorder is not safe
-// for concurrent use (the concurrent runtime uses the Registry
-// instead).
+// for concurrent use.
 type Recorder struct {
 	rings []ring
 	cap   int

@@ -9,11 +9,11 @@ import (
 
 // Registry is a set of named metrics: monotonic counters, log-bucketed
 // histograms, and dense per-link matrices. Metric creation takes a
-// mutex; every update after that is a lock-free atomic, so the hot
-// paths of both substrates share one implementation. In the simulator
-// all updates happen on one goroutine in deterministic event order, so
-// the final registry contents — and the exported text — are a pure
-// function of the run. In this package "metrics" means this live
+// mutex; every update after that is a lock-free atomic, so `uts -obs`
+// can serve /metrics from an HTTP goroutine while the run writes. The
+// run's updates happen in deterministic event order, so the final
+// registry contents — and the exported text — are a pure function of
+// the run. In this package "metrics" means this live
 // registry; what is computed from a finished trace (occupancy, SL/EL,
 // steal pairing — the former internal/metrics) is an "analysis".
 type Registry struct {

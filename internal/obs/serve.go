@@ -15,8 +15,7 @@ import (
 //	/debug/pprof/  the standard profiling endpoints (heap, profile,
 //	               goroutine, trace, ...)
 //
-// cmd/uts and the shared-memory example mount it behind their opt-in
-// -obs :addr flag; scraping /metrics during a long run watches steal
+// cmd/uts mounts it behind its opt-in -obs :addr flag; scraping /metrics during a long run watches steal
 // counters and latency buckets move live — the simulator's
 // sim_link_messages matrix alone trails, by under 32 768 messages per
 // engine, because core batches link counts and folds the rest in when

@@ -111,8 +111,6 @@ func (s *chunked) Steal(want int) ([]uts.Node, int) {
 	return out, want
 }
 
-func (s *chunked) StealOne() ([]uts.Node, int) { return s.Steal(1) }
-
 func (s *chunked) StealHalf() ([]uts.Node, int) {
 	return s.Steal((s.StealableChunks() + 1) / 2)
 }
@@ -125,19 +123,6 @@ func (s *chunked) Drop() int {
 	}
 	s.chunks = s.chunks[:0]
 	return lost
-}
-
-func (s *chunked) TakeTop() ([]uts.Node, bool) {
-	top := len(s.chunks) - 1
-	if top < 0 {
-		return nil, false
-	}
-	out := append([]uts.Node(nil), s.chunks[top]...)
-	s.recycle(s.chunks[top])
-	s.chunks[top] = nil
-	s.chunks = s.chunks[:top]
-	s.pops += uint64(len(out))
-	return out, true
 }
 
 func (s *chunked) Acquire(nodes []uts.Node) {

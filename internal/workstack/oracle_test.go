@@ -19,7 +19,7 @@ const (
 	opStealHalf = 12
 	opStealInto = 13
 	opAcquire   = 14
-	opTakeDrop  = 15 // TakeTop, or Drop when the operand is 15
+	opDrop      = 15
 )
 
 func op(code, operand int) byte { return byte(code | operand<<4) }
@@ -92,12 +92,12 @@ func runModel(t testing.TB, chunkSize int, prog []byte) {
 			wn, wok := ref.Pop()
 			got, want = []any{gn, gok}, []any{wn, wok}
 		case code == opSteal:
-			gl, gk := s.Steal(operand % 6)
+			gl, gk := s.StealInto(nil, operand%6)
 			wl, wk := ref.Steal(operand % 6)
 			got, want = []any{gl, gk}, []any{wl, wk}
 		case code == opStealOne:
-			gl, gk := s.StealOne()
-			wl, wk := ref.StealOne()
+			gl, gk := s.StealInto(nil, 1)
+			wl, wk := ref.Steal(1)
 			got, want = []any{gl, gk}, []any{wl, wk}
 		case code == opStealHalf:
 			gl, gk := s.StealHalf()
@@ -117,10 +117,6 @@ func runModel(t testing.TB, chunkSize int, prog []byte) {
 			loot := fresh(operand * 3)
 			s.Acquire(loot)
 			ref.Acquire(loot)
-		case operand < 15:
-			gl, gok := s.TakeTop()
-			wl, wok := ref.TakeTop()
-			got, want = []any{gl, gok}, []any{wl, wok}
 		default:
 			got, want = len(s.Drop(nil)), ref.Drop()
 		}
@@ -151,7 +147,7 @@ func runModel(t testing.TB, chunkSize int, prog []byte) {
 // directedProgram visits the corners a random program may take long to
 // reach: a steal that leaves exactly one chunk, steals whose chunks
 // straddle segment boundaries with the bottom segment part-consumed, a
-// stack that empties by pops, by TakeTop and by Drop and refills, and
+// stack that empties by pops and by Drop and refills, and
 // pushes and pops back and forth across a segment boundary.
 func directedProgram(chunkSize int) []byte {
 	var p []byte
@@ -171,9 +167,8 @@ func directedProgram(chunkSize int) []byte {
 	for i := 0; i < 6; i++ { // the bottom moves up a chunk at a time
 		p = append(p, op(opStealInto, 1), op(opAcquire, 5), op(opStealHalf, 0))
 	}
-	repeat(op(opTakeDrop, 0), 8) // TakeTop down to empty and past it
 	p = append(p, op(opAcquire, 15), op(opAcquire, 15), op(opStealInto, 3))
-	p = append(p, op(opTakeDrop, 15), op(opTakeDrop, 15)) // Drop, twice
+	p = append(p, op(opDrop, 0), op(opDrop, 0)) // Drop, twice
 	repeat(op(opPush, 0), 2*chunkSize+3)
 	return append(p, op(opStealHalf, 0), op(opSteal, 0), op(opSteal, 5))
 }

@@ -25,8 +25,7 @@
 // The stack is single-owner: in the discrete-event simulation each rank
 // manipulates its own stack only (steals happen via messages, with the
 // victim packaging chunks itself, as in the paper's two-sided MPI
-// implementation). The concurrent shared-memory variant lives in
-// package rt.
+// implementation).
 package workstack
 
 import (
@@ -240,22 +239,11 @@ func (s *Stack) StealInto(dst []uts.Node, want int) ([]uts.Node, int) {
 	return dst, want
 }
 
-// Steal removes up to want chunks from the bottom of the stack and
-// returns their nodes flattened, oldest chunk first, along with the
-// number of chunks taken. It takes fewer than want when fewer are
-// stealable, and nil when nothing is stealable. The top chunk is never
-// taken.
-func (s *Stack) Steal(want int) ([]uts.Node, int) { return s.StealInto(nil, want) }
-
-// StealOne removes the bottom chunk, the paper's reference steal
-// granularity ("a thief will steal a single chunk of nodes").
-func (s *Stack) StealOne() ([]uts.Node, int) { return s.Steal(1) }
-
 // StealHalf removes half of the stealable chunks, rounded up — the
 // strategy of paper §IV-C ("stealing half the work of the victim is an
 // optimal strategy").
 func (s *Stack) StealHalf() ([]uts.Node, int) {
-	return s.Steal((s.StealableChunks() + 1) / 2)
+	return s.StealInto(nil, (s.StealableChunks()+1)/2)
 }
 
 // Drop discards every node on the stack and returns dst with the lost
@@ -271,31 +259,6 @@ func (s *Stack) Drop(dst []uts.Node) []uts.Node {
 	s.n = 0
 	s.shrink()
 	return lost
-}
-
-// TakeTop removes and returns the top chunk regardless of the
-// private-chunk rule. It exists for owners reclaiming work from their
-// own shared stack (package rt): the private-top rule protects a chunk
-// the owner is working from, which does not apply to a stack used only
-// as a transfer area — without this bypass the final chunk would be
-// unreachable by owner (Steal refuses it) and thieves alike.
-func (s *Stack) TakeTop() ([]uts.Node, bool) {
-	if s.n == 0 {
-		return nil, false
-	}
-	count := int((s.n-1)%s.chunkSize) + 1
-	out := s.appendNodes(make([]uts.Node, 0, count), int(s.n)-count, count)
-	s.pops += uint64(count)
-	for count > 0 {
-		k := min(count, len(s.top))
-		s.top = s.top[:len(s.top)-k]
-		s.n -= int32(k)
-		count -= k
-		if len(s.top) == 0 || s.n == 0 {
-			s.shrink()
-		}
-	}
-	return out, true
 }
 
 // Acquire pushes stolen nodes onto the stack, preserving their order

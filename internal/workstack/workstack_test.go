@@ -78,7 +78,7 @@ func TestPrivateChunkRule(t *testing.T) {
 	if s.StealableChunks() != 0 {
 		t.Fatal("incomplete private chunk marked stealable")
 	}
-	if got, k := s.StealOne(); got != nil || k != 0 {
+	if got, k := s.StealInto(nil, 1); got != nil || k != 0 {
 		t.Fatal("stole from private chunk")
 	}
 	// Exactly one full chunk: still private (it is the top).
@@ -99,7 +99,7 @@ func TestStealOneTakesOldest(t *testing.T) {
 		s.Push(node(i))
 	}
 	// Chunks: [0 1 2][3 4 5][6 7 8][9] — bottom chunk is 0,1,2.
-	got, k := s.StealOne()
+	got, k := s.StealInto(nil, 1)
 	if k != 1 || len(got) != 3 {
 		t.Fatalf("stole %d chunks, %d nodes", k, len(got))
 	}
@@ -151,9 +151,9 @@ func TestStealMoreThanAvailable(t *testing.T) {
 	for i := uint32(0); i < 7; i++ { // 3 full chunks + top
 		s.Push(node(i))
 	}
-	got, k := s.Steal(100)
+	got, k := s.StealInto(nil, 100)
 	if k != 3 || len(got) != 6 {
-		t.Fatalf("Steal(100) took %d chunks, %d nodes", k, len(got))
+		t.Fatalf("StealInto(nil, 100) took %d chunks, %d nodes", k, len(got))
 	}
 	if s.Len() != 1 {
 		t.Fatalf("victim kept %d nodes", s.Len())
@@ -166,7 +166,7 @@ func TestAcquire(t *testing.T) {
 		victim.Push(node(i))
 	}
 	thief := New(3)
-	loot, k := victim.StealOne()
+	loot, k := victim.StealInto(nil, 1)
 	thief.Acquire(loot)
 	if k != 1 || thief.Len() != 3 {
 		t.Fatalf("thief has %d nodes after acquiring %d chunks", thief.Len(), k)
@@ -235,7 +235,7 @@ func TestChunkRecycling(t *testing.T) {
 		t.Fatalf("%d segments listed under a %d-node stack, want %d", got, depth, depth/segNodes)
 	}
 	// Eight chunks of eight leave from the bottom: four segments, kept.
-	if _, chunks := s.Steal(100); chunks != (depth-1)/8 {
+	if _, chunks := s.StealInto(nil, 100); chunks != (depth-1)/8 {
 		t.Fatalf("stole %d chunks, want %d", chunks, (depth-1)/8)
 	}
 	if got := listed(); got != depth/segNodes || len(s.below) != 0 || s.Len() != 3 {
@@ -280,7 +280,7 @@ func TestPropertyStealPreservesNodes(t *testing.T) {
 		if half {
 			loot, _ = victim.StealHalf()
 		} else {
-			loot, _ = victim.StealOne()
+			loot, _ = victim.StealInto(nil, 1)
 		}
 		thief.Acquire(loot)
 
@@ -364,49 +364,6 @@ func BenchmarkWorkStack(b *testing.B) {
 			victim, thief = thief, victim
 		}
 	})
-}
-
-func TestTakeTopBypassesPrivateRule(t *testing.T) {
-	s := New(3)
-	if _, ok := s.TakeTop(); ok {
-		t.Fatal("TakeTop on empty stack succeeded")
-	}
-	for i := uint32(0); i < 3; i++ { // exactly one full chunk
-		s.Push(node(i))
-	}
-	if s.StealableChunks() != 0 {
-		t.Fatal("setup: single chunk should be private")
-	}
-	got, ok := s.TakeTop()
-	if !ok || len(got) != 3 {
-		t.Fatalf("TakeTop = %v, %v", got, ok)
-	}
-	if !s.Empty() {
-		t.Fatal("stack not empty after TakeTop")
-	}
-	// Partial top chunk comes back whole too.
-	s.Push(node(9))
-	got, ok = s.TakeTop()
-	if !ok || len(got) != 1 || binary.BigEndian.Uint32(got[0].State[:4]) != 9 {
-		t.Fatalf("partial TakeTop = %v, %v", got, ok)
-	}
-}
-
-func TestTakeTopReturnsNewestChunk(t *testing.T) {
-	s := New(2)
-	for i := uint32(0); i < 6; i++ {
-		s.Push(node(i))
-	}
-	got, ok := s.TakeTop()
-	if !ok || len(got) != 2 {
-		t.Fatalf("TakeTop = %v, %v", got, ok)
-	}
-	if binary.BigEndian.Uint32(got[1].State[:4]) != 5 {
-		t.Fatalf("TakeTop returned %v, want the newest chunk", got)
-	}
-	if s.Len() != 4 {
-		t.Fatalf("remaining %d nodes", s.Len())
-	}
 }
 
 func TestDrop(t *testing.T) {
