@@ -150,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // runMatrix executes the scenario matrix, writes one manifest per cell,
 // and optionally gates the result against a committed baseline ledger.
-func runMatrix(stdout io.Writer, scale harness.Scale, seed uint64, outDir, baselineDir string) error {
+func runMatrix(stdout io.Writer, scale *harness.Scale, seed uint64, outDir, baselineDir string) error {
 	start := time.Now()
 	manifests, err := harness.RunMatrix(scale, seed)
 	if err != nil {

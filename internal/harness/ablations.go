@@ -7,7 +7,6 @@ import (
 	"distws/internal/sim"
 	"distws/internal/term"
 	"distws/internal/topology"
-	"distws/internal/uts"
 	"distws/internal/victim"
 )
 
@@ -26,31 +25,12 @@ func init() {
 	register(Experiment{ID: "ablation-jitter", Title: "A9: latency jitter robustness", Run: runAblationJitter})
 }
 
-func ablationRanks(scale Scale) int {
-	switch scale {
-	case Quick:
-		return 64
-	case Full:
-		return 512
-	default:
-		return 256
-	}
-}
-
-func ablationTree(scale Scale) uts.Params {
-	if scale == Quick {
-		return uts.MustPreset("H-TINY").Params
-	}
-	return uts.MustPreset("H-SMALL").Params
-}
-
 // runAblationChunk sweeps the steal granularity. The paper keeps the
 // UTS default of 20 nodes per chunk; at our scaled tree sizes the sweep
 // shows the stealability cliff that motivated scaling the chunk down
 // (DESIGN.md §2): large chunks leave near-critical stacks unstealable.
-func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationChunk(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	chunks := []int{1, 2, 4, 8, 20, 64}
 	var cfgs []core.Config
 	for _, cs := range chunks {
@@ -102,9 +82,8 @@ func runAblationChunk(scale Scale, seed uint64) (*Report, error) {
 // runAblationPoll shows why the engine polls every node expansion:
 // coarser progress engines inflate the victim-side response delay until
 // latency-aware selection cannot matter.
-func runAblationPoll(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationPoll(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	polls := []int{1, 5, 20, 100}
 	var cfgs []core.Config
 	for _, p := range polls {
@@ -144,9 +123,8 @@ func runAblationPoll(scale Scale, seed uint64) (*Report, error) {
 
 // runAblationSelectors compares the paper's three strategies with the
 // extension baselines (LastVictim, Hierarchical, Lifeline).
-func runAblationSelectors(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationSelectors(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	sels := []struct {
 		name string
 		f    victim.Factory
@@ -181,7 +159,7 @@ func runAblationSelectors(scale Scale, seed uint64) (*Report, error) {
 		})
 	}
 	rep.Tables = append(rep.Tables, t)
-	if scale == Quick {
+	if scale.toy {
 		// At toy scale the selectors are within noise of each other;
 		// only sanity-check that none collapses.
 		rep.Checks = append(rep.Checks, ShapeCheck{
@@ -200,9 +178,8 @@ func runAblationSelectors(scale Scale, seed uint64) (*Report, error) {
 }
 
 // runAblationTerm compares Safra against the reference-style ring.
-func runAblationTerm(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationTerm(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	dets := []struct {
 		name string
 		f    term.Factory
@@ -242,9 +219,8 @@ func runAblationTerm(scale Scale, seed uint64) (*Report, error) {
 
 // runAblationSkew sweeps the weight exponent k in w = 1/d^k; k = 0 is
 // uniform random, k = 1 is the paper's choice.
-func runAblationSkew(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationSkew(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	exps := []float64{0, 0.5, 1, 2, 4}
 	var cfgs []core.Config
 	for _, k := range exps {
@@ -292,9 +268,8 @@ func runAblationSkew(scale Scale, seed uint64) (*Report, error) {
 
 // runAblationBackoff quantifies the effect of the retry backoff the
 // large simulations use (DESIGN.md §6).
-func runAblationBackoff(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationBackoff(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	policies := []struct {
 		name string
 		b    core.Backoff
@@ -347,9 +322,8 @@ func runAblationBackoff(scale Scale, seed uint64) (*Report, error) {
 // runAblationProtocol compares the paper's two-sided steal transport
 // against an RDMA-style one-sided transport (the paper's §VII future
 // work) for both a good and a bad victim selector.
-func runAblationProtocol(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationProtocol(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	entries := []struct {
 		name     string
 		variant  Variant
@@ -414,9 +388,8 @@ func runAblationProtocol(scale Scale, seed uint64) (*Report, error) {
 
 // runAblationAborts measures aborting steals (Dinan et al., §VI) at
 // several timeout values.
-func runAblationAborts(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationAborts(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	timeouts := []sim.Duration{0, 200 * sim.Microsecond, 50 * sim.Microsecond, 10 * sim.Microsecond}
 	var cfgs []core.Config
 	for _, to := range timeouts {
@@ -471,9 +444,8 @@ func runAblationAborts(scale Scale, seed uint64) (*Report, error) {
 // runAblationJitter re-runs the reference-vs-random comparison under
 // multiplicative latency noise to show the reproduction's conclusions
 // do not depend on perfectly clean latencies.
-func runAblationJitter(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runAblationJitter(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 	fracs := []float64{0, 0.1, 0.3}
 	var cfgs []core.Config
 	for _, frac := range fracs {
@@ -499,7 +471,7 @@ func runAblationJitter(scale Scale, seed uint64) (*Report, error) {
 	for i, frac := range fracs {
 		ref, rnd := res[2*i], res[2*i+1]
 		wins := rnd.Makespan < ref.Makespan
-		if scale != Quick && !wins {
+		if !scale.toy && !wins {
 			ok = false
 		}
 		t.Rows = append(t.Rows, []string{
@@ -508,7 +480,7 @@ func runAblationJitter(scale Scale, seed uint64) (*Report, error) {
 		})
 	}
 	rep.Tables = append(rep.Tables, t)
-	if scale == Quick {
+	if scale.toy {
 		rep.Checks = append(rep.Checks, ShapeCheck{
 			Desc:   "jittered runs complete correctly (ordering checked at default scale)",
 			Pass:   true,

@@ -60,9 +60,8 @@ func goodput(nodes uint64, nodeCost sim.Duration, ranks int, makespan sim.Durati
 	return float64(nodes) * float64(nodeCost) / (float64(ranks) * float64(makespan))
 }
 
-func runChaos(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale)
-	tree := ablationTree(scale)
+func runChaos(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree := scale.ablationRanks, scale.ablationTree
 
 	// Calibrate: one fault-free Reference run fixes the crash schedule
 	// for every policy, so all policies face the same absolute times.

@@ -36,7 +36,7 @@ func init() {
 // ---------------------------------------------------------------------
 // Table I
 
-func runTable1(scale Scale, _ uint64) (*Report, error) {
+func runTable1(scale *Scale, _ uint64) (*Report, error) {
 	rep := &Report{
 		ID:    "table1",
 		Title: "UTS input tree parameters",
@@ -46,14 +46,7 @@ func runTable1(scale Scale, _ uint64) (*Report, error) {
 		Title:   "Tree presets (paper trees and scaled stand-ins)",
 		Columns: []string{"name", "type", "r", "b0", "m", "q", "paper size", "measured size", "depth"},
 	}
-	names := []string{"T3XXL", "T3WL", "T3S", "T3M", "H-SMALL", "H-SWEEP"}
-	if scale == Quick {
-		names = []string{"T3XXL", "T3WL", "T3", "H-TINY"}
-	}
-	limit := uint64(20_000_000)
-	if scale == Quick {
-		limit = 1_000_000
-	}
+	names, limit := scale.table1Presets, scale.table1Limit
 	var measured []uint64
 	for _, name := range names {
 		info := uts.MustPreset(name)
@@ -131,14 +124,13 @@ func minU64(xs []uint64) uint64 {
 // ---------------------------------------------------------------------
 // Figure 2
 
-func runFig02(scale Scale, seed uint64) (*Report, error) {
+func runFig02(scale *Scale, seed uint64) (*Report, error) {
 	rep := &Report{
 		ID:    "fig02",
 		Title: "Efficiency of the reference work stealing, small scale",
 		Paper: "Figure 2: near-perfect efficiency from 8 to 128 ranks for all three process allocations (T3XXL).",
 	}
-	ranks := fig2Ranks(scale)
-	tree := fig2Tree(scale)
+	ranks, tree := scale.fig2Ranks, scale.fig2Tree
 	var cfgs []core.Config
 	for _, pl := range placements {
 		for _, n := range ranks {
@@ -212,7 +204,6 @@ type sweepSpec struct {
 	// variants maps table column -> (variant, placements). Reference
 	// comparisons re-use earlier variants.
 	entries []sweepEntry
-	checks  func(rep *Report, sp *sweepData, scale Scale)
 }
 
 type sweepEntry struct {
@@ -239,9 +230,8 @@ func (s *sweepData) at(label string, n int, m map[string]map[int]float64) float6
 	return m[label][n]
 }
 
-func runSweep(spec sweepSpec, scale Scale, seed uint64, withTrace bool) (*Report, *sweepData, error) {
-	ranks := sweepRanks(scale)
-	tree := sweepTree(scale)
+func runSweep(spec sweepSpec, scale *Scale, seed uint64, withTrace bool) (*Report, *sweepData, error) {
+	ranks, tree := scale.sweepRanks, scale.sweepTree
 	var cfgs []core.Config
 	for _, e := range spec.entries {
 		for _, n := range ranks {
@@ -288,9 +278,6 @@ func runSweep(spec sweepSpec, scale Scale, seed uint64, withTrace bool) (*Report
 		series = append(series, s)
 	}
 	rep.Plots = append(rep.Plots, ASCIIPlot("Speedup vs ranks", series, 48, 12))
-	if spec.checks != nil {
-		spec.checks(rep, sp, scale)
-	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"Rank counts scaled 1/8 from the paper's 1024-8192 (scale=%v); workload %s.", scale, treeName(tree)))
 	return rep, sp, nil
@@ -320,9 +307,7 @@ func sweepTable(metric string, spec sweepSpec, sp *sweepData, m map[string]map[i
 	return t
 }
 
-func topRanks(sp *sweepData) int { return sp.ranks[len(sp.ranks)-1] }
-
-func runFig03(scale Scale, seed uint64) (*Report, error) {
+func runFig03(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig03",
 		title: "Speedup of the reference implementation, large scale",
@@ -332,22 +317,23 @@ func runFig03(scale Scale, seed uint64) (*Report, error) {
 			{Reference, topology.EightRoundRobin},
 			{Reference, topology.EightGrouped},
 		},
-		checks: func(rep *Report, sp *sweepData, scale Scale) {
-			top, prev := topRanks(sp), sp.ranks[len(sp.ranks)-2]
-			l := "Reference 1/N"
-			growth := sp.at(l, top, sp.speedup) / sp.at(l, prev, sp.speedup)
-			rep.Checks = append(rep.Checks, ShapeCheck{
-				Desc:   "reference speedup saturates: doubling ranks adds <35% speedup at the top of the sweep",
-				Pass:   growth < 1.35,
-				Detail: fmt.Sprintf("speedup(%d)/speedup(%d) = %.2f", top, prev, growth),
-			})
-		},
 	}
-	rep, _, err := runSweep(spec, scale, seed, false)
-	return rep, err
+	rep, sp, err := runSweep(spec, scale, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	top, prev := topRung(sp.ranks), sp.ranks[len(sp.ranks)-2]
+	l := "Reference 1/N"
+	growth := sp.at(l, top, sp.speedup) / sp.at(l, prev, sp.speedup)
+	rep.Checks = append(rep.Checks, ShapeCheck{
+		Desc:   "reference speedup saturates: doubling ranks adds <35% speedup at the top of the sweep",
+		Pass:   growth < 1.35,
+		Detail: fmt.Sprintf("speedup(%d)/speedup(%d) = %.2f", top, prev, growth),
+	})
+	return rep, nil
 }
 
-func runFig06(scale Scale, seed uint64) (*Report, error) {
+func runFig06(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig06",
 		title: "Speedup with uniform random victim selection",
@@ -358,22 +344,23 @@ func runFig06(scale Scale, seed uint64) (*Report, error) {
 			{Rand, topology.EightRoundRobin},
 			{Rand, topology.EightGrouped},
 		},
-		checks: func(rep *Report, sp *sweepData, scale Scale) {
-			top := topRanks(sp)
-			ref := sp.at("Reference 1/N", top, sp.speedup)
-			rnd := sp.at("Rand 1/N", top, sp.speedup)
-			rep.Checks = append(rep.Checks, ShapeCheck{
-				Desc:   "random 1/N outperforms the reference 1/N at the largest scale",
-				Pass:   rnd > ref,
-				Detail: fmt.Sprintf("Rand %.0f vs Reference %.0f at %d ranks", rnd, ref, top),
-			})
-		},
 	}
-	rep, _, err := runSweep(spec, scale, seed, false)
-	return rep, err
+	rep, sp, err := runSweep(spec, scale, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	top := topRung(sp.ranks)
+	ref := sp.at("Reference 1/N", top, sp.speedup)
+	rnd := sp.at("Rand 1/N", top, sp.speedup)
+	rep.Checks = append(rep.Checks, ShapeCheck{
+		Desc:   "random 1/N outperforms the reference 1/N at the largest scale",
+		Pass:   rnd > ref,
+		Detail: fmt.Sprintf("Rand %.0f vs Reference %.0f at %d ranks", rnd, ref, top),
+	})
+	return rep, nil
 }
 
-func runFig07(scale Scale, seed uint64) (*Report, error) {
+func runFig07(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig07",
 		title: "Failed steals, reference vs random selection",
@@ -390,7 +377,7 @@ func runFig07(scale Scale, seed uint64) (*Report, error) {
 		return nil, err
 	}
 	rep.Tables = append(rep.Tables, sweepTable("Failed steals", spec, sp, sp.fails, 0))
-	top := topRanks(sp)
+	top := topRung(sp.ranks)
 	ref := sp.at("Reference 1/N", top, sp.fails)
 	rnd := sp.at("Rand 1/N", top, sp.fails)
 	rep.Checks = append(rep.Checks, ShapeCheck{
@@ -401,7 +388,7 @@ func runFig07(scale Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig09(scale Scale, seed uint64) (*Report, error) {
+func runFig09(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig09",
 		title: "Speedup with distance-skewed (Tofu) victim selection",
@@ -412,22 +399,23 @@ func runFig09(scale Scale, seed uint64) (*Report, error) {
 			{Tofu, topology.EightRoundRobin},
 			{Tofu, topology.EightGrouped},
 		},
-		checks: func(rep *Report, sp *sweepData, scale Scale) {
-			top := topRanks(sp)
-			rnd := sp.at("Rand 1/N", top, sp.speedup)
-			tofu := sp.at("Tofu 1/N", top, sp.speedup)
-			rep.Checks = append(rep.Checks, ShapeCheck{
-				Desc:   "Tofu 1/N is at least competitive with Rand 1/N at the largest scale (the paper's gains grow with machine span; at 1/8 scale the latency spread is narrower)",
-				Pass:   tofu > 0.92*rnd,
-				Detail: fmt.Sprintf("Tofu %.0f vs Rand %.0f at %d ranks", tofu, rnd, top),
-			})
-		},
 	}
-	rep, _, err := runSweep(spec, scale, seed, false)
-	return rep, err
+	rep, sp, err := runSweep(spec, scale, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	top := topRung(sp.ranks)
+	rnd := sp.at("Rand 1/N", top, sp.speedup)
+	tofu := sp.at("Tofu 1/N", top, sp.speedup)
+	rep.Checks = append(rep.Checks, ShapeCheck{
+		Desc:   "Tofu 1/N is at least competitive with Rand 1/N at the largest scale (the paper's gains grow with machine span; at 1/8 scale the latency spread is narrower)",
+		Pass:   tofu > 0.92*rnd,
+		Detail: fmt.Sprintf("Tofu %.0f vs Rand %.0f at %d ranks", tofu, rnd, top),
+	})
+	return rep, nil
 }
 
-func runFig10(scale Scale, seed uint64) (*Report, error) {
+func runFig10(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig10",
 		title: "Average duration of a work-discovery session",
@@ -445,7 +433,7 @@ func runFig10(scale Scale, seed uint64) (*Report, error) {
 		return nil, err
 	}
 	rep.Tables = append(rep.Tables, sweepTable("Mean work-discovery session (ms)", spec, sp, sp.session, 3))
-	top := topRanks(sp)
+	top := topRung(sp.ranks)
 	ref := sp.at("Reference 1/N", top, sp.session)
 	tofu := sp.at("Tofu 1/N", top, sp.session)
 	rep.Checks = append(rep.Checks, ShapeCheck{
@@ -456,7 +444,7 @@ func runFig10(scale Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig11(scale Scale, seed uint64) (*Report, error) {
+func runFig11(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig11",
 		title: "Speedup of the half-stealing variants",
@@ -468,35 +456,32 @@ func runFig11(scale Scale, seed uint64) (*Report, error) {
 			{RandHalf, topology.OnePerNode},
 			{TofuHalf, topology.OnePerNode},
 		},
-		checks: func(rep *Report, sp *sweepData, scale Scale) {
-			top := topRanks(sp)
-			ref := sp.at("Reference 1/N", top, sp.speedup)
-			tofuHalf := sp.at("Tofu Half 1/N", top, sp.speedup)
-			rep.Checks = append(rep.Checks,
-				ShapeCheck{
-					Desc:   "Tofu Half clearly outperforms the reference at the largest scale",
-					Pass:   tofuHalf > 1.2*ref,
-					Detail: fmt.Sprintf("Tofu Half %.0f vs Reference %.0f at %d ranks (paper: ~3x at 8192)", tofuHalf, ref, top),
-				},
-				ShapeCheck{
-					Desc: "Tofu Half holds its performance at the top of the sweep while the reference declines",
-					Pass: func() bool {
-						prev := sp.ranks[len(sp.ranks)-2]
-						tofuPrev := sp.at("Tofu Half 1/N", prev, sp.speedup)
-						refPrev := sp.at("Reference 1/N", prev, sp.speedup)
-						// Tofu Half stays within noise of its plateau (or grows)
-						// and keeps a growing margin over the reference.
-						return tofuHalf > 0.95*tofuPrev && tofuHalf/ref > tofuPrev/refPrev*0.95
-					}(),
-					Detail: fmt.Sprintf("Tofu Half %.0f -> %.0f, Reference %.0f -> %.0f",
-						sp.at("Tofu Half 1/N", sp.ranks[len(sp.ranks)-2], sp.speedup), tofuHalf,
-						sp.at("Reference 1/N", sp.ranks[len(sp.ranks)-2], sp.speedup), ref),
-				},
-			)
-		},
 	}
-	rep, _, err := runSweep(spec, scale, seed, false)
-	return rep, err
+	rep, sp, err := runSweep(spec, scale, seed, false)
+	if err != nil {
+		return nil, err
+	}
+	top := topRung(sp.ranks)
+	ref := sp.at("Reference 1/N", top, sp.speedup)
+	tofuHalf := sp.at("Tofu Half 1/N", top, sp.speedup)
+	prev := sp.ranks[len(sp.ranks)-2]
+	tofuPrev := sp.at("Tofu Half 1/N", prev, sp.speedup)
+	refPrev := sp.at("Reference 1/N", prev, sp.speedup)
+	rep.Checks = append(rep.Checks,
+		ShapeCheck{
+			Desc:   "Tofu Half clearly outperforms the reference at the largest scale",
+			Pass:   tofuHalf > 1.2*ref,
+			Detail: fmt.Sprintf("Tofu Half %.0f vs Reference %.0f at %d ranks (paper: ~3x at 8192)", tofuHalf, ref, top),
+		},
+		ShapeCheck{
+			Desc: "Tofu Half holds its performance at the top of the sweep while the reference declines",
+			// Tofu Half stays within noise of its plateau (or grows) and
+			// keeps a growing margin over the reference.
+			Pass:   tofuHalf > 0.95*tofuPrev && tofuHalf/ref > tofuPrev/refPrev*0.95,
+			Detail: fmt.Sprintf("Tofu Half %.0f -> %.0f, Reference %.0f -> %.0f", tofuPrev, tofuHalf, refPrev, ref),
+		},
+	)
+	return rep, nil
 }
 
 // ---------------------------------------------------------------------
@@ -551,12 +536,9 @@ func latencyPlot(title string, curves []namedCurve, xs []float64) string {
 	return ASCIIPlot(title, series, 48, 12)
 }
 
-func runFig04(scale Scale, seed uint64) (*Report, error) {
-	ranks := 128
-	if scale == Quick {
-		ranks = 32
-	}
-	res, err := latencyRun(Reference, ranks, fig2Tree(scale), seed)
+func runFig04(scale *Scale, seed uint64) (*Report, error) {
+	ranks := topRung(scale.fig2Ranks)
+	res, err := latencyRun(Reference, ranks, scale.fig2Tree, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -576,7 +558,7 @@ func runFig04(scale Scale, seed uint64) (*Report, error) {
 	// and drain phases are proportionally longer on a 1e6-node tree
 	// than on the paper's 2.8e9-node one.
 	slMax, elMax := 0.15, 0.25
-	if scale == Quick {
+	if scale.toy {
 		slMax, elMax = 0.5, 0.8
 	}
 	rep.Checks = append(rep.Checks, ShapeCheck{
@@ -589,15 +571,9 @@ func runFig04(scale Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig05(scale Scale, seed uint64) (*Report, error) {
-	ranks := 1024
-	if scale == Quick {
-		ranks = 128
-	}
-	if scale == Full {
-		ranks = 2048
-	}
-	res, err := latencyRun(Reference, ranks, sweepTree(scale), seed)
+func runFig05(scale *Scale, seed uint64) (*Report, error) {
+	ranks := topRung(scale.sweepRanks)
+	res, err := latencyRun(Reference, ranks, scale.sweepTree, seed)
 	if err != nil {
 		return nil, err
 	}
@@ -619,7 +595,7 @@ func runFig05(scale Scale, seed uint64) (*Report, error) {
 			Detail: fmt.Sprintf("max occupancy %.1f%% (paper: 43%%)", maxOcc*100),
 		},
 	)
-	if sl, ok := curve.StartingLatency(0.125); ok && scale != Quick {
+	if sl, ok := curve.StartingLatency(0.125); ok && !scale.toy {
 		rep.Checks = append(rep.Checks, ShapeCheck{
 			Desc:   "reaching even 12.5% occupancy takes a noticeable fraction of the run",
 			Pass:   sl > 0.002,
@@ -629,23 +605,22 @@ func runFig05(scale Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig12(scale Scale, seed uint64) (*Report, error) {
+func runFig12(scale *Scale, seed uint64) (*Report, error) {
 	return latencyComparison(scale, seed, "fig12",
 		"Starting latencies, reference vs Tofu Half",
 		"Figure 12: the optimized version reaches any given occupancy far earlier in the run.",
 		true)
 }
 
-func runFig13(scale Scale, seed uint64) (*Report, error) {
+func runFig13(scale *Scale, seed uint64) (*Report, error) {
 	return latencyComparison(scale, seed, "fig13",
 		"Ending latencies, reference vs Tofu Half",
 		"Figure 13: the optimized version also maintains high occupancy until late in the execution.",
 		false)
 }
 
-func latencyComparison(scale Scale, seed uint64, id, title, paper string, starting bool) (*Report, error) {
-	ranks := topRanksForScale(scale)
-	tree := sweepTree(scale)
+func latencyComparison(scale *Scale, seed uint64, id, title, paper string, starting bool) (*Report, error) {
+	ranks, tree := topRung(scale.sweepRanks), scale.sweepTree
 	ref, opt := Reference.Config(ranks, tree, seed), TofuHalf.Config(ranks, tree, seed)
 	ref.CollectTrace, opt.CollectTrace = true, true
 	res, err := Execute([]core.Config{ref, opt})
@@ -710,19 +685,11 @@ func latencyComparison(scale Scale, seed uint64, id, title, paper string, starti
 	return rep, nil
 }
 
-func topRanksForScale(scale Scale) int {
-	r := sweepRanks(scale)
-	return r[len(r)-1]
-}
-
 // ---------------------------------------------------------------------
 // Figure 8
 
-func runFig08(scale Scale, seed uint64) (*Report, error) {
-	ranks := 1024
-	if scale == Quick {
-		ranks = 128
-	}
+func runFig08(scale *Scale, seed uint64) (*Report, error) {
+	ranks := scale.fig8Ranks
 	job, err := topology.NewJob(topology.KComputer(), ranks, topology.OnePerNode)
 	if err != nil {
 		return nil, err
@@ -800,7 +767,7 @@ func runFig08(scale Scale, seed uint64) (*Report, error) {
 // ---------------------------------------------------------------------
 // Figures 14, 15
 
-func runFig14(scale Scale, seed uint64) (*Report, error) {
+func runFig14(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig14",
 		title: "Average search time per rank",
@@ -817,7 +784,7 @@ func runFig14(scale Scale, seed uint64) (*Report, error) {
 		return nil, err
 	}
 	rep.Tables = append(rep.Tables, sweepTable("Mean search time (ms)", spec, sp, sp.search, 3))
-	top := topRanks(sp)
+	top := topRung(sp.ranks)
 	ref := sp.at("Reference 1/N", top, sp.search)
 	opt := sp.at("Tofu Half 1/N", top, sp.search)
 	rep.Checks = append(rep.Checks, ShapeCheck{
@@ -828,7 +795,7 @@ func runFig14(scale Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-func runFig15(scale Scale, seed uint64) (*Report, error) {
+func runFig15(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
 		id:    "fig15",
 		title: "Failed steals, reference vs Tofu Half",
@@ -845,7 +812,7 @@ func runFig15(scale Scale, seed uint64) (*Report, error) {
 		return nil, err
 	}
 	rep.Tables = append(rep.Tables, sweepTable("Failed steals", spec, sp, sp.fails, 0))
-	top := topRanks(sp)
+	top := topRung(sp.ranks)
 	ref := sp.at("Reference 1/N", top, sp.fails)
 	opt := sp.at("Tofu Half 1/N", top, sp.fails)
 	rep.Checks = append(rep.Checks, ShapeCheck{
@@ -859,13 +826,8 @@ func runFig15(scale Scale, seed uint64) (*Report, error) {
 // ---------------------------------------------------------------------
 // Figure 16
 
-func runFig16(scale Scale, seed uint64) (*Report, error) {
-	ranks := topRanksForScale(scale)
-	tree := sweepTree(scale)
-	rounds := []int{1, 2, 4, 8, 16, 24}
-	if scale == Quick {
-		rounds = []int{1, 4, 16}
-	}
+func runFig16(scale *Scale, seed uint64) (*Report, error) {
+	ranks, tree, rounds := topRung(scale.sweepRanks), scale.sweepTree, scale.fig16Rounds
 	variants := []Variant{ReferenceHalf, RandHalf, TofuHalf}
 	var cfgs []core.Config
 	var labels []string
@@ -926,27 +888,13 @@ func runFig16(scale Scale, seed uint64) (*Report, error) {
 // ---------------------------------------------------------------------
 // Causal observability: blame attribution and critical path
 
-// blameRanks picks one representative rank count per scale for the
-// causal tables (a single size keeps the event logs affordable).
-func blameRanks(s Scale) int {
-	switch s {
-	case Quick:
-		return 64
-	case Full:
-		return 1024
-	default:
-		return 256
-	}
-}
-
-func runBlame(scale Scale, seed uint64) (*Report, error) {
+func runBlame(scale *Scale, seed uint64) (*Report, error) {
 	rep := &Report{
 		ID:    "blame",
 		Title: "Idle-time blame attribution and critical path per policy",
 		Paper: "Causal view of Figures 6/7: the reference round-robin's failed-steal flood surfaces as refused-steal search blame, and its slow wind-down as termination-tail blame and token time on the critical path.",
 	}
-	ranks := blameRanks(scale)
-	tree := sweepTree(scale)
+	ranks, tree := scale.blameRanks, scale.sweepTree
 	variants := []Variant{Reference, Rand, Tofu}
 	var cfgs []core.Config
 	for _, v := range variants {

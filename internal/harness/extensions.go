@@ -16,18 +16,11 @@ func init() {
 	register(Experiment{ID: "ext-dag", Title: "E1: work stealing with data dependencies (paper §VII)", Run: runExtDAG})
 }
 
-func dagWorkload(scale Scale, seed uint64, dataMean int) (*dag.Graph, error) {
-	p := dag.Params{
-		Seed: seed, Layers: 40, WidthMean: 24, EdgesPerTask: 2,
+func dagWorkload(scale *Scale, seed uint64, dataMean int) (*dag.Graph, error) {
+	return dag.Generate(dag.Params{
+		Seed: seed, Layers: scale.dagLayers, WidthMean: scale.dagWidth, EdgesPerTask: 2,
 		LocalityWindow: 2, CostMean: 20 * sim.Microsecond, DataMean: dataMean,
-	}
-	if scale == Quick {
-		p.Layers, p.WidthMean = 16, 8
-	}
-	if scale == Full {
-		p.Layers, p.WidthMean = 64, 48
-	}
-	return dag.Generate(p)
+	})
 }
 
 // runGraph schedules g the way both parts of E1 do: one rank per node,
@@ -39,11 +32,8 @@ func runGraph(g *dag.Graph, ranks int, sel victim.Factory, seed uint64) (*core.R
 	}, g)
 }
 
-func runExtDAG(scale Scale, seed uint64) (*Report, error) {
-	ranks := ablationRanks(scale) / 2
-	if ranks < 8 {
-		ranks = 8
-	}
+func runExtDAG(scale *Scale, seed uint64) (*Report, error) {
+	ranks := scale.ablationRanks / 2
 	rep := &Report{
 		ID:    "ext-dag",
 		Title: fmt.Sprintf("E1: DAG scheduling with dependencies (%d ranks, 1/N)", ranks),
@@ -93,10 +83,7 @@ func runExtDAG(scale Scale, seed uint64) (*Report, error) {
 		Columns: []string{"edge data (KiB)", "makespan", "speedup", "fetch stall"},
 	}
 	var firstSpeed, lastSpeed float64
-	sizes := []int{1 << 10, 64 << 10, 512 << 10}
-	if scale != Quick {
-		sizes = []int{1 << 10, 64 << 10, 256 << 10, 1 << 20}
-	}
+	sizes := scale.dagEdgeSizes
 	for i, size := range sizes {
 		gs, err := dagWorkload(scale, seed, size)
 		if err != nil {

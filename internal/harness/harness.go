@@ -11,49 +11,127 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"distws/internal/sim"
+	"distws/internal/uts"
 )
 
-// Scale selects experiment fidelity. Scaled-down rank counts and trees
-// keep the default reproduction runnable in minutes; Full approaches
-// the paper's scales where affordable.
-type Scale int
-
-const (
-	// Quick is for tests and smoke runs: small trees, few ranks.
-	Quick Scale = iota
-	// Default regenerates every figure at 1/8 of the paper's rank
-	// counts in minutes.
-	Default
-	// Full pushes to 2048+ simulated ranks with ~40M-node trees; expect
-	// tens of minutes.
-	Full
-)
-
-func (s Scale) String() string {
-	switch s {
-	case Quick:
-		return "quick"
-	case Default:
-		return "default"
-	case Full:
-		return "full"
-	default:
-		return fmt.Sprintf("Scale(%d)", int(s))
-	}
+// Scale is one row of the experiment scale table: every rank count,
+// workload and horizon an experiment sizes by scale. Scaled-down rank
+// counts and trees keep the default reproduction runnable in minutes;
+// Full approaches the paper's scales where affordable. Experiments
+// read the row's values and never ask which row they run at.
+type Scale struct {
+	name string
+	// sweepRanks is the ladder of the large speedup sweeps (paper:
+	// 1024-8192), sweepTree their workload. Figures 5, 12, 13 and 16
+	// run at the top of the ladder.
+	sweepRanks []int
+	sweepTree  uts.Params
+	// fig2Ranks is the small-scale ladder of Figure 2 (paper: 8-128),
+	// fig2Tree its workload: H-EVEN has many shallow binomial subtrees
+	// so that, as in the paper's 2.8e9-node runs, per-rank work dwarfs
+	// both the distribution ramp and the drain tail. Figure 4 runs at
+	// the top of the ladder.
+	fig2Ranks []int
+	fig2Tree  uts.Params
+	// ablationRanks sizes the ablations and the chaos experiment;
+	// ext-dag runs at half of it. ablationTree is their workload and
+	// the scenario matrix's.
+	ablationRanks int
+	ablationTree  uts.Params
+	// fig8Ranks is the allocation Figure 8 draws its PDF over;
+	// blameRanks is the one size of the causal tables (a single size
+	// keeps the event logs affordable).
+	fig8Ranks, blameRanks int
+	// matrixRanks is the scenario matrix's ladder; its chaos and
+	// serving cells run at the top, the serving cells for matrixHorizon.
+	matrixRanks   []int
+	matrixHorizon sim.Duration
+	// servingRanks and servingHorizon size the serving sweep;
+	// servingLoads are the gold tenant's offered-load factors ρ =
+	// offered/capacity, ascending through the knee at ρ = 1.
+	servingRanks   int
+	servingHorizon sim.Duration
+	servingLoads   []float64
+	// fig16Rounds are Figure 16's SHA-round granularities.
+	fig16Rounds []int
+	// dagLayers and dagWidth size ext-dag's task graph; dagEdgeSizes
+	// is its ascending sweep of per-edge data sizes in bytes.
+	dagLayers, dagWidth int
+	dagEdgeSizes        []int
+	// table1Presets are the presets Table I lists, enumerated up to
+	// table1Limit nodes.
+	table1Presets []string
+	table1Limit   uint64
+	// toy marks a scale too small to order the selectors: the checks
+	// that compare policies by a margin relax to sanity checks.
+	toy bool
 }
 
-// ParseScale converts a flag value to a Scale.
-func ParseScale(s string) (Scale, error) {
-	switch strings.ToLower(s) {
-	case "quick":
-		return Quick, nil
-	case "default", "":
-		return Default, nil
-	case "full":
-		return Full, nil
-	default:
-		return 0, fmt.Errorf("harness: unknown scale %q (quick|default|full)", s)
+// The scale table. Quick is for tests and smoke runs: small trees, few
+// ranks. Default regenerates every figure at 1/8 of the paper's rank
+// counts in minutes. Full pushes to 2048 simulated ranks with ~40M-node
+// trees; expect tens of minutes.
+var (
+	Quick = &Scale{
+		name:       "quick",
+		sweepRanks: []int{32, 64, 128}, sweepTree: uts.MustPreset("H-SMALL").Params,
+		fig2Ranks: []int{8, 16, 32}, fig2Tree: uts.MustPreset("H-TINY").Params,
+		ablationRanks: 64, ablationTree: uts.MustPreset("H-TINY").Params,
+		fig8Ranks: 128, blameRanks: 64,
+		matrixRanks: []int{16, 32}, matrixHorizon: 20 * sim.Millisecond,
+		servingRanks: 8, servingHorizon: 20 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2},
+		fig16Rounds: []int{1, 4, 16},
+		dagLayers:   16, dagWidth: 8, dagEdgeSizes: []int{1 << 10, 64 << 10, 512 << 10},
+		table1Presets: []string{"T3XXL", "T3WL", "T3", "H-TINY"}, table1Limit: 1_000_000,
+		toy: true,
 	}
+	Default = &Scale{
+		name:       "default",
+		sweepRanks: []int{128, 256, 512, 1024}, sweepTree: uts.MustPreset("H-SWEEP").Params,
+		fig2Ranks: []int{8, 16, 32, 64, 128}, fig2Tree: uts.MustPreset("H-EVEN").Params,
+		ablationRanks: 256, ablationTree: uts.MustPreset("H-SMALL").Params,
+		fig8Ranks: 1024, blameRanks: 256,
+		matrixRanks: []int{64, 128}, matrixHorizon: 40 * sim.Millisecond,
+		servingRanks: 16, servingHorizon: 40 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2},
+		fig16Rounds: []int{1, 2, 4, 8, 16, 24},
+		dagLayers:   40, dagWidth: 24, dagEdgeSizes: []int{1 << 10, 64 << 10, 256 << 10, 1 << 20},
+		table1Presets: []string{"T3XXL", "T3WL", "T3S", "T3M", "H-SMALL", "H-SWEEP"}, table1Limit: 20_000_000,
+	}
+	Full = &Scale{
+		name:       "full",
+		sweepRanks: []int{256, 512, 1024, 2048}, sweepTree: uts.MustPreset("H-FULL").Params,
+		fig2Ranks: []int{8, 16, 32, 64, 128}, fig2Tree: uts.MustPreset("H-EVEN").Params,
+		ablationRanks: 512, ablationTree: uts.MustPreset("H-SMALL").Params,
+		fig8Ranks: 1024, blameRanks: 1024,
+		matrixRanks: []int{128, 256}, matrixHorizon: 40 * sim.Millisecond,
+		servingRanks: 32, servingHorizon: 80 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2, 4},
+		fig16Rounds: []int{1, 2, 4, 8, 16, 24},
+		dagLayers:   64, dagWidth: 48, dagEdgeSizes: []int{1 << 10, 64 << 10, 256 << 10, 1 << 20},
+		table1Presets: []string{"T3XXL", "T3WL", "T3S", "T3M", "H-SMALL", "H-SWEEP"}, table1Limit: 20_000_000,
+	}
+	scales = []*Scale{Quick, Default, Full}
+)
+
+func (s *Scale) String() string { return s.name }
+
+// topRung is the last rung of a rank ladder.
+func topRung(ladder []int) int { return ladder[len(ladder)-1] }
+
+// ParseScale looks a flag value up in the scale table; "" is Default.
+func ParseScale(name string) (*Scale, error) {
+	if name == "" {
+		return Default, nil
+	}
+	names := make([]string, len(scales))
+	for i, s := range scales {
+		if strings.EqualFold(name, s.name) {
+			return s, nil
+		}
+		names[i] = s.name
+	}
+	return nil, fmt.Errorf("harness: unknown scale %q (%s)", name, strings.Join(names, "|"))
 }
 
 // ShapeCheck is one machine-verified qualitative finding.
@@ -178,7 +256,7 @@ type Experiment struct {
 	Title string
 	// Run executes the experiment at the given scale with the given
 	// base seed.
-	Run func(scale Scale, seed uint64) (*Report, error)
+	Run func(scale *Scale, seed uint64) (*Report, error)
 }
 
 var registry = map[string]Experiment{}

@@ -3,30 +3,29 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
 	"distws/internal/core"
+	"distws/internal/uts"
 )
 
 func TestScaleParsing(t *testing.T) {
-	cases := map[string]Scale{
-		"quick": Quick, "default": Default, "": Default, "full": Full,
-		"QUICK": Quick, "Full": Full,
-	}
-	for in, want := range cases {
-		got, err := ParseScale(in)
-		if err != nil || got != want {
-			t.Fatalf("ParseScale(%q) = %v, %v", in, got, err)
+	for _, s := range scales {
+		name := s.String()
+		for _, in := range []string{name, strings.ToUpper(name), strings.ToUpper(name[:1]) + name[1:]} {
+			if got, err := ParseScale(in); err != nil || got != s {
+				t.Fatalf("ParseScale(%q) = %v, %v", in, got, err)
+			}
 		}
 	}
-	if _, err := ParseScale("bogus"); err == nil {
-		t.Fatal("bogus scale accepted")
+	if got, err := ParseScale(""); err != nil || got != Default {
+		t.Fatalf(`ParseScale("") = %v, %v`, got, err)
 	}
-	for _, s := range []Scale{Quick, Default, Full} {
-		if s.String() == "" || strings.HasPrefix(s.String(), "Scale(") {
-			t.Fatalf("Scale %d has no name", s)
-		}
+	_, err := ParseScale("bogus")
+	if want := `harness: unknown scale "bogus" (quick|default|full)`; err == nil || err.Error() != want {
+		t.Fatalf("bogus scale: %v, want %s", err, want)
 	}
 }
 
@@ -127,14 +126,14 @@ func TestQuickExperiments(t *testing.T) {
 
 func TestExecutePropagatesErrors(t *testing.T) {
 	// An invalid run (zero ranks) must surface as an error.
-	_, err := Execute([]core.Config{Reference.Config(0, fig2Tree(Quick), 1)})
+	_, err := Execute([]core.Config{Reference.Config(0, Quick.fig2Tree, 1)})
 	if err == nil {
 		t.Fatal("invalid run did not error")
 	}
 }
 
 func TestExecuteOrdersResults(t *testing.T) {
-	tree := fig2Tree(Quick)
+	tree := Quick.fig2Tree
 	res, err := Execute([]core.Config{Reference.Config(4, tree, 1), Rand.Config(8, tree, 1)})
 	if err != nil {
 		t.Fatal(err)
@@ -193,39 +192,76 @@ func TestReportCSVExport(t *testing.T) {
 }
 
 func TestTreeNameResolvesPresets(t *testing.T) {
-	if got := treeName(fig2Tree(Default)); got != "H-EVEN" {
+	if got := treeName(Default.fig2Tree); got != "H-EVEN" {
 		t.Fatalf("fig2 default tree name %q", got)
 	}
-	if got := treeName(sweepTree(Default)); got != "H-SWEEP" {
+	if got := treeName(Default.sweepTree); got != "H-SWEEP" {
 		t.Fatalf("sweep default tree name %q", got)
 	}
-	custom := sweepTree(Default)
+	custom := Default.sweepTree
 	custom.RootSeed = 987654
 	if got := treeName(custom); got != "Hybrid" {
 		t.Fatalf("custom tree name %q, want the type name", got)
 	}
 }
 
+// TestScaleParameterTables holds every row of the scale table to the
+// invariants the experiments rely on.
 func TestScaleParameterTables(t *testing.T) {
-	for _, s := range []Scale{Quick, Default, Full} {
-		ranks := sweepRanks(s)
-		if len(ranks) < 3 {
-			t.Fatalf("%v: sweep ranks %v", s, ranks)
-		}
-		for i := 1; i < len(ranks); i++ {
-			if ranks[i] != 2*ranks[i-1] {
-				t.Fatalf("%v: sweep ranks not doubling: %v", s, ranks)
+	ascending := func(name string, xs []int) {
+		t.Helper()
+		for i := 1; i < len(xs); i++ {
+			if xs[i] <= xs[i-1] {
+				t.Errorf("%s %v not strictly ascending", name, xs)
 			}
 		}
-		if err := sweepTree(s).Validate(); err != nil {
-			t.Fatalf("%v sweep tree: %v", s, err)
+	}
+	names := map[string]bool{}
+	for _, s := range scales {
+		if names[s.String()] {
+			t.Errorf("duplicate scale name %q", s)
 		}
-		if err := fig2Tree(s).Validate(); err != nil {
-			t.Fatalf("%v fig2 tree: %v", s, err)
+		names[s.String()] = true
+		if got, err := ParseScale(s.String()); err != nil || got != s {
+			t.Errorf("ParseScale(%q) = %v, %v", s, got, err)
 		}
-		f2 := fig2Ranks(s)
-		if f2[0] != 8 {
-			t.Fatalf("%v fig2 ranks start at %d", s, f2[0])
+		for _, tree := range []uts.Params{s.sweepTree, s.fig2Tree, s.ablationTree} {
+			if name := treeName(tree); !slices.Contains(uts.PresetNames(), name) {
+				t.Errorf("%v: tree %+v is not a preset", s, tree)
+			}
+			if err := tree.Validate(); err != nil {
+				t.Errorf("%v: %v", s, err)
+			}
+		}
+		for _, name := range s.table1Presets {
+			if err := uts.MustPreset(name).Params.Validate(); err != nil {
+				t.Errorf("%v: Table I preset %s: %v", s, name, err)
+			}
+		}
+		ascending(s.String()+" sweep", s.sweepRanks)
+		ascending(s.String()+" fig2", s.fig2Ranks)
+		ascending(s.String()+" matrix", s.matrixRanks)
+		ascending(s.String()+" fig16 rounds", s.fig16Rounds)
+		ascending(s.String()+" DAG edge sizes", s.dagEdgeSizes)
+		if len(s.sweepRanks) < 3 {
+			t.Errorf("%v: sweep ranks %v have fewer than 3 rungs", s, s.sweepRanks)
+		}
+		for i := 1; i < len(s.sweepRanks); i++ {
+			if s.sweepRanks[i] != 2*s.sweepRanks[i-1] {
+				t.Errorf("%v: sweep ranks not doubling: %v", s, s.sweepRanks)
+			}
+		}
+		if s.fig2Ranks[0] != 8 {
+			t.Errorf("%v: fig2 ranks start at %d", s, s.fig2Ranks[0])
+		}
+		if s.ablationRanks/2 < 8 {
+			t.Errorf("%v: ext-dag would run at %d < 8 ranks", s, s.ablationRanks/2)
+		}
+		if !slices.IsSorted(s.servingLoads) || !slices.Contains(s.servingLoads, 1) {
+			t.Errorf("%v: serving loads %v must ascend through ρ = 1", s, s.servingLoads)
+		}
+		if s.matrixHorizon <= 0 || s.servingHorizon <= 0 {
+			t.Errorf("%v: horizons %v, %v", s, s.matrixHorizon, s.servingHorizon)
 		}
 	}
 }
@@ -244,22 +280,22 @@ func TestVariantDefinitions(t *testing.T) {
 // TestRunConfigDefaults pins experimentDefaults, the one place the
 // experiment-wide defaults are set.
 func TestRunConfigDefaults(t *testing.T) {
-	small := experimentDefaults(Reference.Config(8, fig2Tree(Quick), 1))
+	small := experimentDefaults(Reference.Config(8, Quick.fig2Tree, 1))
 	if small.ChunkSize != ExperimentChunkSize {
 		t.Fatalf("chunk %d", small.ChunkSize)
 	}
 	if small.BackoffPolicy.Threshold != -1 {
 		t.Fatalf("small runs must disable backoff, got %+v", small.BackoffPolicy)
 	}
-	if big := experimentDefaults(Reference.Config(2048, fig2Tree(Quick), 1)); big.BackoffPolicy != (core.Backoff{}) {
+	if big := experimentDefaults(Reference.Config(2048, Quick.fig2Tree, 1)); big.BackoffPolicy != (core.Backoff{}) {
 		t.Fatalf("large runs must keep the default backoff, got %+v", big.BackoffPolicy)
 	}
-	serving := Reference.Config(8, fig2Tree(Quick), 1)
+	serving := Reference.Config(8, Quick.fig2Tree, 1)
 	serving.Serve = servingSpec(Quick, 1)
 	if got := experimentDefaults(serving).BackoffPolicy; got != (core.Backoff{}) {
 		t.Fatalf("serving runs must keep the default backoff, got %+v", got)
 	}
-	explicit := Reference.Config(8, fig2Tree(Quick), 1)
+	explicit := Reference.Config(8, Quick.fig2Tree, 1)
 	explicit.BackoffPolicy = core.Backoff{Threshold: 5, Base: 1, Max: 2}
 	explicit.ChunkSize = 20
 	if got := experimentDefaults(explicit); got.BackoffPolicy != explicit.BackoffPolicy || got.ChunkSize != 20 {

@@ -31,26 +31,6 @@ import (
 // sweep.
 var matrixVariants = []Variant{Reference, Rand, Tofu}
 
-// matrixRanks returns the grid's rank counts per scale.
-func matrixRanks(scale Scale) []int {
-	switch scale {
-	case Quick:
-		return []int{16, 32}
-	case Full:
-		return []int{128, 256}
-	default:
-		return []int{64, 128}
-	}
-}
-
-// matrixTree names the grid's workload preset per scale.
-func matrixTree(scale Scale) string {
-	if scale == Quick {
-		return "H-TINY"
-	}
-	return "H-SMALL"
-}
-
 // matrixCell pairs a run with its manifest identity: the cell ID, the
 // workload label and the selector name the spec records.
 type matrixCell struct {
@@ -74,7 +54,7 @@ func cellID(tree string, ranks int, variant string, chaos bool) string {
 // trees (E[nodes] ≈ 200, ≈200µs of serial work per job). The offered
 // load is absolute, not scaled to the cell's rank count — the cell is
 // a schema and determinism gate, not a saturation study.
-func matrixServeSpec(scale Scale) *serve.Spec {
+func matrixServeSpec(horizon sim.Duration) *serve.Spec {
 	tree := uts.Params{
 		Type:        uts.Binomial,
 		B0:          20,
@@ -82,10 +62,6 @@ func matrixServeSpec(scale Scale) *serve.Spec {
 		NonLeafProb: 0.45,
 		RootSeed:    31,
 		Hash:        uts.HashFast,
-	}
-	horizon := 20 * sim.Millisecond
-	if scale != Quick {
-		horizon = 40 * sim.Millisecond
 	}
 	return &serve.Spec{
 		Horizon:   horizon,
@@ -120,16 +96,16 @@ func tracedCell(id, tree string, v Variant, ranks int, params uts.Params, seed u
 // chaos plan derives from a dedicated fault-free calibration run, so
 // every cell — the chaos cell's fault plan included — is a pure
 // function of (scale, seed).
-func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
-	tree := matrixTree(scale)
-	params := uts.MustPreset(tree).Params
+func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
+	params := scale.ablationTree
+	tree := treeName(params)
 	var cells []matrixCell
-	for _, ranks := range matrixRanks(scale) {
+	for _, ranks := range scale.matrixRanks {
 		for _, v := range matrixVariants {
 			cells = append(cells, tracedCell(cellID(tree, ranks, v.Name, false), tree, v, ranks, params, seed))
 		}
 	}
-	chaosRanks := matrixRanks(scale)[len(matrixRanks(scale))-1]
+	chaosRanks := topRung(scale.matrixRanks)
 
 	cal, err := Execute([]core.Config{Reference.Config(chaosRanks, params, seed)})
 	if err != nil {
@@ -147,7 +123,7 @@ func RunMatrix(scale Scale, seed uint64) ([]*ledger.Manifest, error) {
 	// size stays bounded while rank counts grow with scale.
 	sv := tracedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
 		"SERVE", Tofu, chaosRanks, uts.Params{}, seed)
-	sv.cfg.Serve = matrixServeSpec(scale)
+	sv.cfg.Serve = matrixServeSpec(scale.matrixHorizon)
 	// The service under the chaos plan, struck while jobs arrive at the
 	// low ranks round-robin placement roots them on: lost and done jobs.
 	svChaos := sv

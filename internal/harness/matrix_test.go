@@ -28,7 +28,7 @@ func TestMatrixGatesItself(t *testing.T) {
 	ms := quickMatrix(t)
 
 	// Fault-free grid + the chaos, serving and faulted-serving cells.
-	wantCells := len(matrixRanks(Quick))*len(matrixVariants) + 3
+	wantCells := len(Quick.matrixRanks)*len(matrixVariants) + 3
 	if len(ms) != wantCells {
 		t.Fatalf("matrix produced %d cells, want %d", len(ms), wantCells)
 	}

@@ -99,50 +99,6 @@ func Execute(cfgs []core.Config) ([]*core.Result, error) {
 	return out, nil
 }
 
-// sweepRanks returns the rank counts of the paper's large sweeps at
-// each scale. The paper uses 1024-8192; Default is 1/8 of that.
-func sweepRanks(s Scale) []int {
-	switch s {
-	case Quick:
-		return []int{32, 64, 128}
-	case Full:
-		return []int{256, 512, 1024, 2048}
-	default:
-		return []int{128, 256, 512, 1024}
-	}
-}
-
-// sweepTree returns the workload tree for the large sweeps.
-func sweepTree(s Scale) uts.Params {
-	switch s {
-	case Quick:
-		return uts.MustPreset("H-SMALL").Params
-	case Full:
-		return uts.MustPreset("H-FULL").Params
-	default:
-		return uts.MustPreset("H-SWEEP").Params
-	}
-}
-
-// fig2Ranks returns the small-scale rank counts (paper: 8-128).
-func fig2Ranks(s Scale) []int {
-	if s == Quick {
-		return []int{8, 16, 32}
-	}
-	return []int{8, 16, 32, 64, 128}
-}
-
-// fig2Tree returns the workload for the small-scale efficiency and
-// latency studies (Figures 2 and 4). H-EVEN has many shallow binomial
-// subtrees so that, as in the paper's 2.8e9-node runs, per-rank work
-// dwarfs both the distribution ramp and the drain tail.
-func fig2Tree(s Scale) uts.Params {
-	if s == Quick {
-		return uts.MustPreset("H-TINY").Params
-	}
-	return uts.MustPreset("H-EVEN").Params
-}
-
 // placements are the paper's three allocations in presentation order.
 var placements = []topology.Placement{
 	topology.OnePerNode,

@@ -42,44 +42,12 @@ func servingJobTree() uts.Params {
 // are expressed in.
 const servingJobCost = 1667 * sim.Microsecond
 
-func servingRanks(scale Scale) int {
-	switch scale {
-	case Quick:
-		return 8
-	case Full:
-		return 32
-	default:
-		return 16
-	}
-}
-
-func servingHorizon(scale Scale) sim.Duration {
-	switch scale {
-	case Quick:
-		return 20 * sim.Millisecond
-	case Full:
-		return 80 * sim.Millisecond
-	default:
-		return 40 * sim.Millisecond
-	}
-}
-
-// servingLoads are the gold tenant's offered-load factors ρ =
-// offered/capacity; the knee sits at ρ ≈ 1.
-func servingLoads(scale Scale) []float64 {
-	if scale == Full {
-		return []float64{0.25, 0.5, 1, 2, 4}
-	}
-	return []float64{0.25, 0.5, 1, 2}
-}
-
 // servingSpec builds the two-tenant spec for one sweep point: the gold
 // tenant offers ρ × capacity under a token bucket and a latency SLO,
 // and a fixed best-effort silver tenant supplies light background load
 // so fairness (Jain) is measured over a real mix.
-func servingSpec(scale Scale, rho float64) *serve.Spec {
-	ranks := servingRanks(scale)
-	horizon := servingHorizon(scale)
+func servingSpec(scale *Scale, rho float64) *serve.Spec {
+	ranks, horizon := scale.servingRanks, scale.servingHorizon
 	// capacity = ranks/jobCost jobs per second; offered = ρ × capacity,
 	// so the mean inter-arrival time is jobCost/(ranks × ρ).
 	mean := sim.Duration(float64(servingJobCost) / (float64(ranks) * rho))
@@ -109,14 +77,13 @@ func servingSpec(scale Scale, rho float64) *serve.Spec {
 	}
 }
 
-func runServing(scale Scale, seed uint64) (*Report, error) {
-	ranks := servingRanks(scale)
-	loads := servingLoads(scale)
+func runServing(scale *Scale, seed uint64) (*Report, error) {
+	ranks, loads := scale.servingRanks, scale.servingLoads
 	selectors := []Variant{Reference, Rand, Tofu}
 
 	rep := &Report{
 		ID:    "serving",
-		Title: fmt.Sprintf("S1: open-system serving saturation (%d ranks, horizon %v)", ranks, servingHorizon(scale)),
+		Title: fmt.Sprintf("S1: open-system serving saturation (%d ranks, horizon %v)", ranks, scale.servingHorizon),
 		Paper: "extension: the paper studies one closed batch; here jobs arrive continuously and victim selection meets queueing.",
 	}
 	capacityPerSec := float64(ranks) * float64(sim.Second) / float64(servingJobCost)
