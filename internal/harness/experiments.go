@@ -191,8 +191,8 @@ func runFig02(scale *Scale, seed uint64) (*Report, error) {
 		},
 	)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"Scaled workload: %v nodes instead of 2.79e9; the efficiency tail at %d ranks dips below the paper's because the distribution phase is proportionally longer (EXPERIMENTS.md).",
-		tree.Type, ranks[len(ranks)-1]))
+		"Scaled workload: %s instead of T3XXL's 2.79e9 nodes; the efficiency tail at %d ranks dips below the paper's because the distribution phase is proportionally longer (EXPERIMENTS.md).",
+		treeName(tree), ranks[len(ranks)-1]))
 	return rep, nil
 }
 
@@ -279,7 +279,7 @@ func runSweep(spec sweepSpec, scale *Scale, seed uint64, withTrace bool) (*Repor
 	}
 	rep.Plots = append(rep.Plots, ASCIIPlot("Speedup vs ranks", series, 48, 12))
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"Rank counts scaled 1/8 from the paper's 1024-8192 (scale=%v); workload %s.", scale, treeName(tree)))
+		"Rank counts scaled 1/%d from the paper's 1024-8192 (scale=%v); workload %s.", 1024/ranks[0], scale, treeName(tree)))
 	return rep, sp, nil
 }
 
@@ -408,7 +408,7 @@ func runFig09(scale *Scale, seed uint64) (*Report, error) {
 	rnd := sp.at("Rand 1/N", top, sp.speedup)
 	tofu := sp.at("Tofu 1/N", top, sp.speedup)
 	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "Tofu 1/N is at least competitive with Rand 1/N at the largest scale (the paper's gains grow with machine span; at 1/8 scale the latency spread is narrower)",
+		Desc:   fmt.Sprintf("Tofu 1/N is at least competitive with Rand 1/N at the largest scale (the paper's gains grow with machine span; at 1/%d scale the latency spread is narrower)", 1024/sp.ranks[0]),
 		Pass:   tofu > 0.92*rnd,
 		Detail: fmt.Sprintf("Tofu %.0f vs Rand %.0f at %d ranks", tofu, rnd, top),
 	})

@@ -69,10 +69,11 @@ type Scale struct {
 	toy bool
 }
 
-// The scale table. Quick is for tests and smoke runs: small trees, few
-// ranks. Default regenerates every figure at 1/8 of the paper's rank
-// counts in minutes. Full pushes to 2048 simulated ranks with ~40M-node
-// trees; expect tens of minutes.
+// The scale table. A row's sweep scales the paper's 1024-8192 ranks by
+// 1024/sweepRanks[0]. Quick is for tests and smoke runs: small trees,
+// few ranks, 1/32 of the paper's. Default regenerates every figure in
+// minutes with the sweeps at 1/8. Full pushes to 2048 simulated ranks
+// (1/4) with ~40M-node trees; expect tens of minutes.
 var (
 	Quick = &Scale{
 		name:       "quick",
