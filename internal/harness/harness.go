@@ -17,10 +17,9 @@ import (
 )
 
 // Scale is one row of the experiment scale table: every rank count,
-// workload and horizon an experiment sizes by scale. Scaled-down rank
-// counts and trees keep the default reproduction runnable in minutes;
-// Full approaches the paper's scales where affordable. Experiments
-// read the row's values and never ask which row they run at.
+// workload and horizon an experiment sizes by scale. Experiments read
+// the row's values and never ask which row they run at. Only the rows
+// below are valid scales; a zero Scale has no ladders to run.
 type Scale struct {
 	name string
 	// sweepRanks is the ladder of the large speedup sweeps (paper:
