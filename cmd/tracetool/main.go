@@ -142,6 +142,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *formatFlag != "text" && *formatFlag != "json" {
 		return fail(2, "unknown -format %q (text|json)", *formatFlag)
 	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"steps", *stepsFlag, 1}, {"rows", *rowsFlag, 1}, {"width", *widthFlag, 1}, {"heatmap", *heatFlag, 0}} {
+		if f.val < f.min {
+			return fail(2, "-%s must be >= %d, got %d", f.name, f.min, f.val)
+		}
+	}
 	if *chromeFlag != "" && len(ins) != 1 {
 		return fail(2, "-chrome converts exactly one trace; got %d inputs", len(ins))
 	}

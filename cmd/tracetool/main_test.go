@@ -280,6 +280,13 @@ func TestCLI(t *testing.T) {
 		{[]string{"-lifestory"}, 2, "tracetool: at least one -in is required\n"},
 		{[]string{"-in", tr, "-format", "xml"}, 2, `tracetool: unknown -format "xml" (text|json)` + "\n"},
 		{[]string{"-check"}, 2, "usage: tracetool -check file.jsonl|file.json ...\n"},
+		{[]string{"-in", tr, "-steps", "0"}, 2, "tracetool: -steps must be >= 1, got 0\n"},
+		{[]string{"-in", tr, "-steps", "-3"}, 2, "tracetool: -steps must be >= 1, got -3\n"},
+		{[]string{"-in", tr, "-rows", "0"}, 2, "tracetool: -rows must be >= 1, got 0\n"},
+		{[]string{"-in", tr, "-rows", "-1"}, 2, "tracetool: -rows must be >= 1, got -1\n"},
+		{[]string{"-in", tr, "-width", "-100"}, 2, "tracetool: -width must be >= 1, got -100\n"},
+		{[]string{"-in", tr, "-heatmap", "-4"}, 2, "tracetool: -heatmap must be >= 0, got -4\n"},
+		{[]string{"-in", tr, "-heatmap", "0", "-steps", "1", "-rows", "1", "-width", "1"}, 0, ""},
 	} {
 		var stdout, stderr bytes.Buffer
 		code := run(c.args, &stdout, &stderr)

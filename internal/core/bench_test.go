@@ -23,15 +23,15 @@ import (
 // DESIGN.md §10. It must not allocate after warm-up.
 func BenchmarkFailedSteal(b *testing.B) {
 	cfg := Config{
-		Tree:          uts.MustPreset("H-TINY").Params,
-		Ranks:         8192,
-		Placement:     topology.OnePerNode,
-		Selector:      victim.NewDistanceSkewed,
-		Steal:         StealHalf,
-		ChunkSize:     4,
-		Seed:          1,
-		Detector:      func(int) term.Detector { return openDetector{} },
-		BackoffPolicy: Backoff{Threshold: -1},
+		Tree:           uts.MustPreset("H-TINY").Params,
+		Ranks:          8192,
+		Placement:      topology.OnePerNode,
+		Selector:       victim.NewDistanceSkewed,
+		Steal:          StealHalf,
+		ChunkSize:      4,
+		Seed:           1,
+		Detector:       func(int) term.Detector { return openDetector{} },
+		ImmediateRetry: true,
 	}.withDefaults()
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)

@@ -74,15 +74,6 @@ const (
 	// DefaultNodeCost calibrates one node expansion to ~1 µs of virtual
 	// time, close to the paper's measured 970k nodes/second per rank.
 	DefaultNodeCost = 1 * sim.Microsecond
-	// DefaultStealResponseCost is the victim-side CPU time to package
-	// and post a work reply to one steal request.
-	DefaultStealResponseCost = 500 * sim.Nanosecond
-	// DefaultHandleRequestCost is the victim-side CPU time consumed by
-	// every steal request it answers, successful or not — the paper's
-	// "a worker stops advancing the computation to answer steal
-	// requests from others, thus slowing down the application". Failed
-	// steals are pure overhead for the victim too.
-	DefaultHandleRequestCost = 600 * sim.Nanosecond
 	// DefaultMaxVirtualTime aborts runaway simulations.
 	DefaultMaxVirtualTime = sim.Time(24 * 3600 * 1e9) // one virtual day
 	// DefaultFaultStealTimeout arms aborting steals when a lossy fault
@@ -92,38 +83,43 @@ const (
 	DefaultFaultStealTimeout = 100 * sim.Microsecond
 )
 
-// Backoff controls how idle ranks throttle steal attempts once a long
-// run of consecutive failures indicates global work scarcity. The
-// reference implementation retries immediately forever; simulating
-// 8192 ranks in one address space makes that O(N^2) tail traffic
-// prohibitively expensive, so after Threshold consecutive failures the
-// thief waits Base, doubling up to Max, resetting on success. Set
-// Threshold < 0 to disable (reference-faithful); the ablation bench
-// A6 shows the experiment conclusions are insensitive to this knob.
-type Backoff struct {
-	Threshold int
-	Base, Max sim.Duration
+// Victim-side CPU costs of the two-sided protocol.
+const (
+	// stealResponseCost is the victim-side CPU time to package and post
+	// a work reply to one steal request.
+	stealResponseCost = 500 * sim.Nanosecond
+	// handleRequestCost is the victim-side CPU time consumed by every
+	// steal request it answers, successful or not — the paper's "a
+	// worker stops advancing the computation to answer steal requests
+	// from others, thus slowing down the application". Failed steals are
+	// pure overhead for the victim too.
+	handleRequestCost = 600 * sim.Nanosecond
+)
 
-	// BlacklistAfter and BlacklistFor extend the policy under a fault
-	// plan: after BlacklistAfter consecutive timeouts against the same
-	// victim, the thief stops picking it for BlacklistFor of virtual
-	// time (a crashed rank never answers, so retrying it is pure
-	// waste). Zero values select the defaults below. Without a fault
-	// plan the fields are ignored — fault-free timeouts come from the
+// Retry backoff: how idle ranks throttle steal attempts once a long run
+// of consecutive failures indicates global work scarcity. The reference
+// implementation retries immediately forever (Config.ImmediateRetry);
+// simulating 8192 ranks in one address space makes that O(N^2) tail
+// traffic prohibitively expensive, so by default, after
+// backoffThreshold consecutive failures the thief waits backoffBase,
+// doubling up to backoffMax, resetting on success. The ablation bench
+// A6 shows the experiment conclusions are insensitive to the choice.
+const (
+	backoffThreshold = 64
+	backoffBase      = 100 * sim.Microsecond
+	backoffMax       = 2 * sim.Millisecond
+
+	// blacklistAfter and blacklistFor extend the policy under a fault
+	// plan, whatever ImmediateRetry says: after blacklistAfter
+	// consecutive timeouts against the same victim, the thief stops
+	// picking it for blacklistFor of virtual time (a crashed rank never
+	// answers, so retrying it is pure waste). Without a fault plan
+	// nothing is blacklisted — fault-free timeouts come from the
 	// aborting-steals ablation, where the victim is alive and merely
 	// slow, and skipping it would change the experiment.
-	BlacklistAfter int
-	BlacklistFor   sim.Duration
-}
-
-// DefaultBackoff is used when Config.Backoff is the zero value.
-var DefaultBackoff = Backoff{
-	Threshold:      64,
-	Base:           100 * sim.Microsecond,
-	Max:            2 * sim.Millisecond,
-	BlacklistAfter: 2,
-	BlacklistFor:   1 * sim.Millisecond,
-}
+	blacklistAfter = 2
+	blacklistFor   = 1 * sim.Millisecond
+)
 
 // Config describes one simulated execution.
 type Config struct {
@@ -156,12 +152,6 @@ type Config struct {
 	// DefaultNodeCost. Work granularity (paper §V-B) scales this by the
 	// tree's SHA-round count — use GranularityCost.
 	NodeCost sim.Duration
-	// StealResponseCost is victim CPU time to package work for one
-	// successful steal; 0 means DefaultStealResponseCost.
-	StealResponseCost sim.Duration
-	// HandleRequestCost is victim CPU time per steal request answered,
-	// successful or not; 0 means DefaultHandleRequestCost.
-	HandleRequestCost sim.Duration
 	// Latency is the network model; nil means topology.DefaultLatency.
 	Latency topology.LatencyModel
 
@@ -178,10 +168,11 @@ type Config struct {
 	// still accepted. Zero disables aborts (reference behaviour).
 	StealTimeout sim.Duration
 
-	// BackoffPolicy throttles steal retries after long failure runs;
-	// the zero value selects DefaultBackoff, Threshold < 0 disables
-	// throttling entirely (reference-faithful immediate retry).
-	BackoffPolicy Backoff
+	// ImmediateRetry makes an idle rank retry a failed steal at once,
+	// forever, as the reference implementation does. By default a thief
+	// pauses after 64 consecutive failures: 100 µs, doubling up to 2 ms,
+	// until a steal succeeds.
+	ImmediateRetry bool
 
 	// Faults, when non-nil, is the deterministic fault plan injected
 	// into the run (internal/fault): fail-stop crashes, stragglers, and
@@ -266,23 +257,6 @@ type Config struct {
 	testDeliveryProbe func(e *engine, m *comm.Message) bool
 }
 
-// backoff resolves the backoff policy from the config, blacklist
-// defaults included.
-func (c Config) backoff() Backoff {
-	// The zero value selects the default; Threshold < 0 disables.
-	b := c.BackoffPolicy
-	if (b == Backoff{}) {
-		return DefaultBackoff
-	}
-	if b.BlacklistAfter <= 0 {
-		b.BlacklistAfter = DefaultBackoff.BlacklistAfter
-	}
-	if b.BlacklistFor <= 0 {
-		b.BlacklistFor = DefaultBackoff.BlacklistFor
-	}
-	return b
-}
-
 // GranularityCost returns the node cost for a tree whose node creation
 // runs the given number of SHA rounds, scaling DefaultNodeCost the way
 // the paper's granularity experiment does (§V-B).
@@ -309,12 +283,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.NodeCost == 0 {
 		c.NodeCost = DefaultNodeCost
-	}
-	if c.StealResponseCost == 0 {
-		c.StealResponseCost = DefaultStealResponseCost
-	}
-	if c.HandleRequestCost == 0 {
-		c.HandleRequestCost = DefaultHandleRequestCost
 	}
 	if c.Latency == nil {
 		c.Latency = topology.DefaultLatency()
@@ -369,11 +337,8 @@ func (c Config) validate(graph bool) error {
 	if c.ChunkSize > workstack.MaxChunkSize {
 		return fmt.Errorf("core: chunk size %d over the work stack's limit of %d", c.ChunkSize, workstack.MaxChunkSize)
 	}
-	if c.NodeCost < 0 || c.StealResponseCost < 0 || c.HandleRequestCost < 0 {
+	if c.NodeCost < 0 {
 		return errors.New("core: negative cost")
-	}
-	if c.BackoffPolicy.Base < 0 || c.BackoffPolicy.Max < 0 {
-		return errors.New("core: negative backoff pause")
 	}
 	if c.Faults != nil {
 		if err := c.Faults.Validate(c.Ranks); err != nil {

@@ -176,8 +176,6 @@ type engine struct {
 	backoffEndFn   func(any)
 	stealTimeoutFn func(any)
 
-	backoffCfg Backoff
-
 	// loot is the free list of loot buffers (getLoot, putLoot): a victim
 	// packs a steal reply into one and the thief hands it back once the
 	// nodes are on its own stack, so a steady-state steal allocates
@@ -422,20 +420,19 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	for s, k := range kernels {
 		k.SetTimeLimit(cfg.MaxVirtualTime)
 		e := &engine{
-			cfg:        cfg,
-			kernel:     k,
-			net:        comm.New(k, job, cfg.Latency),
-			det:        det,
-			sel:        sel,
-			rec:        rec,
-			ev:         ev,
-			met:        newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
-			ranks:      ranks,
-			faults:     faults,
-			backoffCfg: cfg.backoff(),
-			inj:        inj,
-			w:          w,
-			par:        ps,
+			cfg:    cfg,
+			kernel: k,
+			net:    comm.New(k, job, cfg.Latency),
+			det:    det,
+			sel:    sel,
+			rec:    rec,
+			ev:     ev,
+			met:    newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
+			ranks:  ranks,
+			faults: faults,
+			inj:    inj,
+			w:      w,
+			par:    ps,
 		}
 		e.bindTimers()
 		e.net.SetDeliveryHook(e.deliveryHook())
@@ -669,12 +666,12 @@ func (e *engine) abortSteal(r int) {
 			f.timeouts = make(map[int]int)
 		}
 		f.timeouts[v]++
-		if f.timeouts[v] >= e.backoffCfg.BlacklistAfter {
+		if f.timeouts[v] >= blacklistAfter {
 			delete(f.timeouts, v)
 			if f.blackUntil == nil {
 				f.blackUntil = make(map[int]sim.Time)
 			}
-			f.blackUntil[v] = now.Add(e.backoffCfg.BlacklistFor)
+			f.blackUntil[v] = now.Add(blacklistFor)
 			f.blacklists++
 		}
 	}
@@ -1046,7 +1043,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 		// one-sided protocol the network hardware serves the request, so
 		// only working two-sided ranks accrue the delay.
 		if twoSided {
-			w.extraDelay += e.cfg.HandleRequestCost
+			w.extraDelay += handleRequestCost
 		}
 		avail = w.stack.StealableChunks()
 	}
@@ -1064,7 +1061,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	e.det.WorkSent(v)
 	e.workSent++
 	if twoSided {
-		w.extraDelay += e.cfg.StealResponseCost
+		w.extraDelay += stealResponseCost
 	}
 	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
 	e.met.links.Inc(v, thief)
@@ -1111,17 +1108,16 @@ func (e *engine) noteMigration(depth int) {
 // once consecutive failures pass the backoff threshold.
 func (e *engine) retryOrBackoff(r int) {
 	rk := &e.ranks[r]
-	b := e.backoffCfg
-	if b.Threshold < 0 || int(rk.consecFails) < b.Threshold {
+	if e.cfg.ImmediateRetry || rk.consecFails < backoffThreshold {
 		e.sendSteal(r)
 		return
 	}
 	if rk.backoff == 0 {
-		rk.backoff = b.Base
-	} else if rk.backoff < b.Max {
+		rk.backoff = backoffBase
+	} else if rk.backoff < backoffMax {
 		rk.backoff *= 2
-		if rk.backoff > b.Max {
-			rk.backoff = b.Max
+		if rk.backoff > backoffMax {
+			rk.backoff = backoffMax
 		}
 	}
 	rk.state = rsBackoff

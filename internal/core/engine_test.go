@@ -88,10 +88,6 @@ func TestValidateExclusions(t *testing.T) {
 		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
 		{"negative event buffer", func(c *Config) { c.CollectEvents, c.EventBuffer = true, -3 }, "event buffer"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},
-		{"negative steal-response cost", func(c *Config) { c.StealResponseCost = -1 }, "negative cost"},
-		{"negative handle-request cost", func(c *Config) { c.HandleRequestCost = -10 * sim.Microsecond }, "negative cost"},
-		{"negative backoff base", func(c *Config) { c.BackoffPolicy = Backoff{Threshold: 1, Base: -1, Max: 1} }, "negative backoff"},
-		{"negative backoff max", func(c *Config) { c.BackoffPolicy = Backoff{Threshold: 1, Base: 1, Max: -1} }, "negative backoff"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -387,11 +383,11 @@ func TestWorkConservationUnderChunkSizes(t *testing.T) {
 func TestBackoffDisabledStillCorrect(t *testing.T) {
 	want := seqCount(t, "T3")
 	res, err := Run(Config{
-		Tree:          uts.MustPreset("T3").Params,
-		Ranks:         8,
-		Selector:      victim.NewUniformRandom,
-		BackoffPolicy: Backoff{Threshold: -1},
-		Seed:          17,
+		Tree:           uts.MustPreset("T3").Params,
+		Ranks:          8,
+		Selector:       victim.NewUniformRandom,
+		ImmediateRetry: true,
+		Seed:           17,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,12 +497,12 @@ func TestRoundRobinWorseAtScale(t *testing.T) {
 	// more than uniform random selection (paper Figures 3, 6, 7).
 	run := func(f victim.Factory) *Result {
 		res, err := Run(Config{
-			Tree:          uts.MustPreset("H-SMALL").Params,
-			Ranks:         256,
-			ChunkSize:     4,
-			Selector:      f,
-			Seed:          29,
-			BackoffPolicy: Backoff{Threshold: -1},
+			Tree:           uts.MustPreset("H-SMALL").Params,
+			Ranks:          256,
+			ChunkSize:      4,
+			Selector:       f,
+			Seed:           29,
+			ImmediateRetry: true,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -271,16 +271,16 @@ func runAblationSkew(scale *Scale, seed uint64) (*Report, error) {
 func runAblationBackoff(scale *Scale, seed uint64) (*Report, error) {
 	ranks, tree := scale.ablationRanks, scale.ablationTree
 	policies := []struct {
-		name string
-		b    core.Backoff
+		name      string
+		immediate bool
 	}{
-		{"disabled (reference)", core.Backoff{Threshold: -1}},
-		{"default", core.DefaultBackoff},
+		{"disabled (reference)", true},
+		{"default", false},
 	}
 	var cfgs []core.Config
 	for _, p := range policies {
 		cfg := RandHalf.Config(ranks, tree, seed)
-		cfg.BackoffPolicy = p.b
+		cfg.ImmediateRetry = p.immediate
 		cfgs = append(cfgs, cfg)
 	}
 	res, err := Execute(cfgs)

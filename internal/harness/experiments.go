@@ -333,17 +333,21 @@ func runFig03(scale *Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
+// randomSweep is the sweep of Figs. 6 and 7: the reference against
+// uniform random selection on every allocation.
+var randomSweep = []sweepEntry{
+	{Reference, topology.OnePerNode},
+	{Rand, topology.OnePerNode},
+	{Rand, topology.EightRoundRobin},
+	{Rand, topology.EightGrouped},
+}
+
 func runFig06(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
-		id:    "fig06",
-		title: "Speedup with uniform random victim selection",
-		paper: "Figure 6: random selection beats the reference when using one rank per node.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{Rand, topology.OnePerNode},
-			{Rand, topology.EightRoundRobin},
-			{Rand, topology.EightGrouped},
-		},
+		id:      "fig06",
+		title:   "Speedup with uniform random victim selection",
+		paper:   "Figure 6: random selection beats the reference when using one rank per node.",
+		entries: randomSweep,
 	}
 	rep, sp, err := runSweep(spec, scale, seed, false)
 	if err != nil {
@@ -362,15 +366,10 @@ func runFig06(scale *Scale, seed uint64) (*Report, error) {
 
 func runFig07(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
-		id:    "fig07",
-		title: "Failed steals, reference vs random selection",
-		paper: "Figure 7: random selection significantly reduces the number of failed steals.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{Rand, topology.OnePerNode},
-			{Rand, topology.EightRoundRobin},
-			{Rand, topology.EightGrouped},
-		},
+		id:      "fig07",
+		title:   "Failed steals, reference vs random selection",
+		paper:   "Figure 7: random selection significantly reduces the number of failed steals.",
+		entries: randomSweep,
 	}
 	rep, sp, err := runSweep(spec, scale, seed, false)
 	if err != nil {
@@ -767,17 +766,21 @@ func runFig08(scale *Scale, seed uint64) (*Report, error) {
 // ---------------------------------------------------------------------
 // Figures 14, 15
 
+// tofuHalfSweep is the sweep of Figs. 14 and 15: the reference against
+// Tofu Half on every allocation.
+var tofuHalfSweep = []sweepEntry{
+	{Reference, topology.OnePerNode},
+	{TofuHalf, topology.OnePerNode},
+	{TofuHalf, topology.EightRoundRobin},
+	{TofuHalf, topology.EightGrouped},
+}
+
 func runFig14(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
-		id:    "fig14",
-		title: "Average search time per rank",
-		paper: "Figure 14: skewed selection with half-stealing greatly diminishes time spent searching for work.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{TofuHalf, topology.OnePerNode},
-			{TofuHalf, topology.EightRoundRobin},
-			{TofuHalf, topology.EightGrouped},
-		},
+		id:      "fig14",
+		title:   "Average search time per rank",
+		paper:   "Figure 14: skewed selection with half-stealing greatly diminishes time spent searching for work.",
+		entries: tofuHalfSweep,
 	}
 	rep, sp, err := runSweep(spec, scale, seed, false)
 	if err != nil {
@@ -797,15 +800,10 @@ func runFig14(scale *Scale, seed uint64) (*Report, error) {
 
 func runFig15(scale *Scale, seed uint64) (*Report, error) {
 	spec := sweepSpec{
-		id:    "fig15",
-		title: "Failed steals, reference vs Tofu Half",
-		paper: "Figure 15: failed steals decrease as a result of better work distribution.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{TofuHalf, topology.OnePerNode},
-			{TofuHalf, topology.EightRoundRobin},
-			{TofuHalf, topology.EightGrouped},
-		},
+		id:      "fig15",
+		title:   "Failed steals, reference vs Tofu Half",
+		paper:   "Figure 15: failed steals decrease as a result of better work distribution.",
+		entries: tofuHalfSweep,
 	}
 	rep, sp, err := runSweep(spec, scale, seed, false)
 	if err != nil {

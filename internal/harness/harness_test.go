@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -277,28 +278,37 @@ func TestVariantDefinitions(t *testing.T) {
 	}
 }
 
-// TestRunConfigDefaults pins experimentDefaults, the one place the
-// experiment-wide defaults are set.
+// TestRunConfigDefaults pins Variant.Config, the one place the
+// experiment-wide defaults are set, and checks that Execute runs a
+// caller's overrides of them as given.
 func TestRunConfigDefaults(t *testing.T) {
-	small := experimentDefaults(Reference.Config(8, Quick.fig2Tree, 1))
-	if small.ChunkSize != ExperimentChunkSize {
-		t.Fatalf("chunk %d", small.ChunkSize)
+	tree := Quick.fig2Tree
+	at1024, at2048 := Reference.Config(1024, tree, 1), Reference.Config(2048, tree, 1)
+	if at1024.ChunkSize != ExperimentChunkSize || at2048.ChunkSize != ExperimentChunkSize {
+		t.Fatalf("chunk %d at 1024 ranks, %d at 2048; want %d", at1024.ChunkSize, at2048.ChunkSize, ExperimentChunkSize)
 	}
-	if small.BackoffPolicy.Threshold != -1 {
-		t.Fatalf("small runs must disable backoff, got %+v", small.BackoffPolicy)
+	if !at1024.ImmediateRetry || at2048.ImmediateRetry {
+		t.Fatalf("immediate retry %v at 1024 ranks, %v at 2048; want true, false", at1024.ImmediateRetry, at2048.ImmediateRetry)
 	}
-	if big := experimentDefaults(Reference.Config(2048, Quick.fig2Tree, 1)); big.BackoffPolicy != (core.Backoff{}) {
-		t.Fatalf("large runs must keep the default backoff, got %+v", big.BackoffPolicy)
+	def := Reference.Config(64, tree, 1)
+	chunk, backoff := def, def
+	chunk.ChunkSize = 20
+	backoff.ImmediateRetry = false
+	cfgs := []core.Config{def, chunk, backoff}
+	got, err := Execute(cfgs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	serving := Reference.Config(8, Quick.fig2Tree, 1)
-	serving.Serve = servingSpec(Quick, 1)
-	if got := experimentDefaults(serving).BackoffPolicy; got != (core.Backoff{}) {
-		t.Fatalf("serving runs must keep the default backoff, got %+v", got)
-	}
-	explicit := Reference.Config(8, Quick.fig2Tree, 1)
-	explicit.BackoffPolicy = core.Backoff{Threshold: 5, Base: 1, Max: 2}
-	explicit.ChunkSize = 20
-	if got := experimentDefaults(explicit); got.BackoffPolicy != explicit.BackoffPolicy || got.ChunkSize != 20 {
-		t.Fatalf("explicit backoff or chunk ignored: %+v, chunk %d", got.BackoffPolicy, got.ChunkSize)
+	for i, name := range []string{"chunk", "retry"} {
+		want, err := core.Run(cfgs[i+1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i+1], want) {
+			t.Errorf("Execute did not run the %s override as given", name)
+		}
+		if reflect.DeepEqual(got[i+1], got[0]) {
+			t.Errorf("the %s override changed nothing at 64 ranks; the check above proves nothing", name)
+		}
 	}
 }

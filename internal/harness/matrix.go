@@ -123,7 +123,7 @@ func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
 	// size stays bounded while rank counts grow with scale.
 	sv := tracedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
 		"SERVE", Tofu, chaosRanks, uts.Params{}, seed)
-	sv.cfg.Serve = matrixServeSpec(scale.matrixHorizon)
+	sv.cfg.Serve, sv.cfg.ImmediateRetry = matrixServeSpec(scale.matrixHorizon), false
 	// The service under the chaos plan, struck while jobs arrive at the
 	// low ranks round-robin placement roots them on: lost and done jobs.
 	svChaos := sv
@@ -142,7 +142,7 @@ func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
 
 	manifests := make([]*ledger.Manifest, len(res))
 	for i, c := range cells {
-		spec := ledger.SpecFromConfig(c.tree, scale.String(), experimentDefaults(c.cfg))
+		spec := ledger.SpecFromConfig(c.tree, scale.String(), c.cfg)
 		spec.Selector = c.selector
 		m := ledger.FromRun(c.id, spec, res[i])
 		if err := m.Validate(); err != nil {

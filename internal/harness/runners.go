@@ -35,41 +35,32 @@ var (
 // to the tree sizes (DESIGN.md §2); ablation A1 sweeps it.
 const ExperimentChunkSize = 4
 
-// backoffThresholdRanks is the rank count above which the experiments
-// enable retry backoff to bound simulation cost (DESIGN.md §6).
-const backoffThresholdRanks = 1024
+// immediateRetryRanks is the largest rank count at which the
+// experiments retry failed steals immediately, as the reference does;
+// larger runs keep the core's retry backoff to bound simulation cost
+// (DESIGN.md §6).
+const immediateRetryRanks = 1024
 
 // Config is the experiment configuration of one run of v: ranks ranks
-// placed one per node, traversing tree. Callers set any other
-// core.Config field on the result; the node cost stays at
-// core.DefaultNodeCost (1 µs per child, close to the paper's measured
-// 970k nodes/second per rank) unless they set it.
+// placed one per node, traversing tree, with the scaled
+// ExperimentChunkSize and immediate retry up to immediateRetryRanks.
+// Callers set any other core.Config field on the result; the node cost
+// stays at core.DefaultNodeCost (1 µs per child, close to the paper's
+// measured 970k nodes/second per rank) unless they set it. A caller
+// that attaches a serving spec clears ImmediateRetry: idle ranks spin
+// between arrivals, and unthrottled retries would dominate the event
+// count without changing any serving metric.
 func (v Variant) Config(ranks int, tree uts.Params, seed uint64) core.Config {
 	return core.Config{
 		Selector: v.Selector, Steal: v.Steal, Ranks: ranks,
 		Placement: topology.OnePerNode, Tree: tree, Seed: seed,
+		ChunkSize: ExperimentChunkSize, ImmediateRetry: ranks <= immediateRetryRanks,
 	}
 }
 
-// experimentDefaults fills the experiment-wide defaults into cfg: the
-// scaled ExperimentChunkSize unless cfg sets a chunk, and retry backoff
-// disabled at or below backoffThresholdRanks unless cfg sets a policy.
-// Serving runs keep the core default backoff regardless of rank count —
-// idle ranks spin between arrivals, and unthrottled retries would
-// dominate the event count without changing any serving metric.
-func experimentDefaults(cfg core.Config) core.Config {
-	if cfg.ChunkSize == 0 {
-		cfg.ChunkSize = ExperimentChunkSize
-	}
-	if cfg.BackoffPolicy == (core.Backoff{}) && cfg.Serve == nil && cfg.Ranks <= backoffThresholdRanks {
-		cfg.BackoffPolicy = core.Backoff{Threshold: -1}
-	}
-	return cfg
-}
-
-// Execute runs the configurations under experimentDefaults,
-// parallelizing across host CPUs. Results come back in input order;
-// the first simulation error aborts the batch.
+// Execute runs the configurations as given, parallelizing across host
+// CPUs. Results come back in input order; the first simulation error
+// aborts the batch.
 func Execute(cfgs []core.Config) ([]*core.Result, error) {
 	out := make([]*core.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -81,7 +72,7 @@ func Execute(cfgs []core.Config) ([]*core.Result, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			res, err := core.Run(experimentDefaults(cfgs[i]))
+			res, err := core.Run(cfgs[i])
 			if err != nil {
 				errs[i] = fmt.Errorf("harness: run %d (n=%d, %v): %w",
 					i, cfgs[i].Ranks, cfgs[i].Placement, err)

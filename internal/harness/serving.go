@@ -98,7 +98,7 @@ func runServing(scale *Scale, seed uint64) (*Report, error) {
 	for _, rho := range loads {
 		for _, v := range selectors {
 			cfg := v.Config(ranks, uts.Params{}, seed)
-			cfg.Serve = servingSpec(scale, rho)
+			cfg.Serve, cfg.ImmediateRetry = servingSpec(scale, rho), false
 			cfgs = append(cfgs, cfg)
 		}
 	}

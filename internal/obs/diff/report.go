@@ -17,7 +17,7 @@ func sdur(ns int64) string {
 	if ns >= 0 {
 		return "+" + sim.Duration(ns).String()
 	}
-	return "-" + sim.Duration(-ns).String()
+	return sim.Duration(ns).String()
 }
 
 // share renders part as a percentage of whole ("-" when whole is 0, so

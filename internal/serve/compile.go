@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"distws/internal/rng"
 	"distws/internal/sim"
 	"distws/internal/uts"
 )
@@ -25,9 +24,9 @@ type Job struct {
 	Seq    int32
 	// At is the arrival instant (strictly before the horizon).
 	At sim.Time
-	// Admitted is the token-bucket (and job-cap) verdict. Rejected
-	// jobs inject nothing; they exist for the EvJobReject record and
-	// the admitted+rejected == arrived identity.
+	// Admitted is the token-bucket verdict. Rejected jobs inject
+	// nothing; they exist for the EvJobReject record and the
+	// admitted+rejected == arrived identity.
 	Admitted bool
 	// Root is the placement-chosen rank the job is injected at
 	// (assigned to rejected jobs too — routing precedes admission).
@@ -121,7 +120,6 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 
 	// Phase 3: placement and admission in arrival order; an admitted job
 	// gets its workload.
-	placeRng := rng.New(rng.Mix64(seed ^ 0x9a1f64c58bd02e73))
 	admitters := make([]Admitter, len(spec.Tenants))
 	for ti := range spec.Tenants {
 		admitters[ti] = NewAdmitter(spec.Tenants[ti].Admit)
@@ -129,18 +127,8 @@ func Compile(spec *Spec, ranks int, seed uint64, nodeCost sim.Duration) (*Schedu
 	for i := range sched.Jobs {
 		j := &sched.Jobs[i]
 		j.ID = uint32(i)
-		switch spec.Placement {
-		case PlaceRandom:
-			j.Root = int32(placeRng.Uint64n(uint64(ranks)))
-		case PlaceSingle:
-			j.Root = 0
-		default: // PlaceRR
-			j.Root = int32(i % ranks)
-		}
+		j.Root = int32(i % ranks)
 		j.Admitted = admitters[j.Tenant].Admit(j.At)
-		if j.Admitted && spec.MaxJobs > 0 && sched.Admitted >= spec.MaxJobs {
-			j.Admitted = false
-		}
 		if j.Admitted {
 			sched.Admitted++
 			j.Tree = spec.Tenants[j.Tenant].Work.Tree

@@ -42,16 +42,9 @@ const (
 // job.
 const WorkUTS = "uts"
 
-// Placement policies accepted by Spec.Placement.
-const (
-	// PlaceRR roots the i-th arriving job at rank i mod ranks.
-	PlaceRR = "rr"
-	// PlaceRandom roots each job at a seeded-uniform random rank.
-	PlaceRandom = "random"
-	// PlaceSingle roots every job at rank 0 (the pathological hot-spot
-	// baseline).
-	PlaceSingle = "single"
-)
+// PlaceRR, the one placement Spec.Placement accepts, roots the i-th
+// arriving job at rank i mod ranks.
+const PlaceRR = "rr"
 
 // ArrivalSpec describes one tenant's arrival process. All processes
 // are parameterized by the mean inter-arrival time, so tenants with
@@ -73,7 +66,7 @@ type ArrivalSpec struct {
 // Bucket is a token-bucket admission policy: tokens refill at Rate per
 // virtual second up to Burst, and admitting one job costs one token.
 // A zero Rate disables admission control for the tenant (every
-// arrival is admitted, subject only to Spec.MaxJobs).
+// arrival is admitted).
 type Bucket struct {
 	Rate  float64 `json:"rate,omitempty"`
 	Burst float64 `json:"burst,omitempty"`
@@ -115,11 +108,7 @@ type Spec struct {
 	// before it, and the run ends no earlier than it (later if
 	// admitted jobs are still draining). Required, > 0.
 	Horizon sim.Duration `json:"horizon"`
-	// MaxJobs caps the number of admitted jobs across all tenants
-	// (admission-ordered); 0 means unlimited.
-	MaxJobs int `json:"maxJobs,omitempty"`
-	// Placement is PlaceRR (the default when empty), PlaceRandom or
-	// PlaceSingle.
+	// Placement is PlaceRR or empty, which means the same.
 	Placement string `json:"placement,omitempty"`
 	// Tenants are the traffic sources; at least one is required, at
 	// most MaxTenants.
@@ -136,12 +125,7 @@ func (s *Spec) Validate() error {
 	if s.Horizon <= 0 {
 		return fmt.Errorf("serve: horizon %v (must be positive)", s.Horizon)
 	}
-	if s.MaxJobs < 0 {
-		return fmt.Errorf("serve: negative job cap %d", s.MaxJobs)
-	}
-	switch s.Placement {
-	case "", PlaceRR, PlaceRandom, PlaceSingle:
-	default:
+	if s.Placement != "" && s.Placement != PlaceRR {
 		return fmt.Errorf("serve: unknown placement %q", s.Placement)
 	}
 	if len(s.Tenants) == 0 {

@@ -46,7 +46,6 @@ func TestSpecValidate(t *testing.T) {
 		want string
 	}{
 		{"zero horizon", func(s *Spec) { s.Horizon = 0 }, "horizon"},
-		{"negative cap", func(s *Spec) { s.MaxJobs = -1 }, "job cap"},
 		{"bad placement", func(s *Spec) { s.Placement = "hash" }, "placement"},
 		{"no tenants", func(s *Spec) { s.Tenants = nil }, "no tenants"},
 		{"bad process", func(s *Spec) { s.Tenants[0].Arrival.Process = "pareto" }, "arrival process"},
@@ -136,8 +135,12 @@ func TestCompileDeterministic(t *testing.T) {
 }
 
 func TestAdmissionPartitionAndCap(t *testing.T) {
+	// Every tenant's bucket holds five tokens and refills one a second:
+	// over the 50 ms horizon it admits its burst and nothing more.
 	s := testSpec()
-	s.MaxJobs = 5
+	for i := range s.Tenants {
+		s.Tenants[i].Admit = Bucket{Rate: 1, Burst: 5}
+	}
 	sched, err := Compile(s, 8, 99, sim.Microsecond)
 	if err != nil {
 		t.Fatal(err)
@@ -156,11 +159,8 @@ func TestAdmissionPartitionAndCap(t *testing.T) {
 	if admitted+rejected != len(sched.Jobs) {
 		t.Fatal("admitted + rejected != arrived")
 	}
-	if admitted > 5 {
-		t.Fatalf("MaxJobs=5 but %d admitted", admitted)
-	}
-	if admitted != 5 {
-		t.Fatalf("expected the cap to bind (5 admitted), got %d of %d arrivals", admitted, len(sched.Jobs))
+	if want := 5 * len(s.Tenants); admitted != want {
+		t.Fatalf("expected the bursts to bind (%d admitted), got %d of %d arrivals", want, admitted, len(sched.Jobs))
 	}
 }
 

@@ -60,7 +60,7 @@ func benchHotPath(b *testing.B, pending int, far farMix) {
 		case far == tenthFar && fired[i]%10 == 0:
 			delay = 100 * Microsecond
 		case far == backoffPauses && fired[i]%2 == 0:
-			// DefaultBackoff's ladder: 100 µs doubling to the 2 ms cap.
+			// The engine's backoff ladder: 100 µs doubling to the 2 ms cap.
 			delay = min(100*Microsecond<<(fired[i]/2%6), 2*Millisecond) + Duration(i%7)*100
 		}
 		e := k.AfterPayload(delay, fire, nil, p)

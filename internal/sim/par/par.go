@@ -185,7 +185,7 @@ func (s *ShardedKernel) Release() {
 func (s *ShardedKernel) Shards() int { return len(s.kernels) }
 
 // Kernel returns shard i's sequential kernel. Callers schedule setup
-// events and install per-shard limits directly on it before Run; during
+// events and install per-shard time limits directly on it before Run; during
 // Run it must only be touched from shard i's own event callbacks (or
 // from coordinator-context hooks).
 func (s *ShardedKernel) Kernel(i int) *sim.Kernel { return s.kernels[i] }
@@ -318,10 +318,9 @@ type workerMsg struct {
 }
 
 // Run executes windows until every kernel's queue is drained and no
-// staged messages remain, or an error (sim.ErrTimeLimit,
-// sim.ErrEventLimit) surfaces from any shard. A panic inside a shard's
-// event callback is re-raised on the Run goroutine. Run may be called
-// once per ShardedKernel.
+// staged messages remain, or an error (sim.ErrTimeLimit) surfaces from
+// any shard. A panic inside a shard's event callback is re-raised on the
+// Run goroutine. Run may be called once per ShardedKernel.
 func (s *ShardedKernel) Run(hooks Hooks) error {
 	if s.running {
 		return sim.ErrReentrant

@@ -108,18 +108,24 @@ func (d Duration) Seconds() float64 { return float64(d) / 1e9 }
 // Seconds converts a virtual timestamp to floating-point seconds since start.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
+// String formats d by its magnitude, with a leading minus when d is
+// negative: "0s", "500ns", "1.500µs", "-2.000ms", "3.000000s".
 func (d Duration) String() string {
+	sign, m := "", uint64(d)
+	if d < 0 {
+		sign, m = "-", uint64(-d) // -MinInt64 wraps to itself: 1<<63 as uint64
+	}
 	switch {
-	case d == 0:
+	case m == 0:
 		return "0s"
-	case d < Microsecond:
-		return fmt.Sprintf("%dns", int64(d))
-	case d < Millisecond:
-		return fmt.Sprintf("%.3fµs", float64(d)/1e3)
-	case d < Second:
-		return fmt.Sprintf("%.3fms", float64(d)/1e6)
+	case m < uint64(Microsecond):
+		return fmt.Sprintf("%s%dns", sign, m)
+	case m < uint64(Millisecond):
+		return fmt.Sprintf("%s%.3fµs", sign, float64(m)/1e3)
+	case m < uint64(Second):
+		return fmt.Sprintf("%s%.3fms", sign, float64(m)/1e6)
 	default:
-		return fmt.Sprintf("%.6fs", float64(d)/1e9)
+		return fmt.Sprintf("%s%.6fs", sign, float64(m)/1e9)
 	}
 }
 
@@ -177,12 +183,12 @@ const (
 
 // The far wheel covers the farSpan nanoseconds past the frontier in
 // slots of farGrain. 2^12 slots of 2^10 ns are 4.19 ms: every backoff
-// pause up to DefaultBackoff.Max (2 ms) and every steal timeout
-// (100 µs) of the engine, the timers a steal storm re-arms once per
-// failed round, for 32 KB of slots and a single summary word. A 1 µs
-// grain keeps a chain to the few timers that expire within one
-// quantum, so the scan for a slot's minimum stays short, and a slot
-// empties into the near wheel once per quantum of virtual time.
+// pause of the engine (up to its 2 ms cap) and every steal timeout
+// (100 µs), the timers a steal storm re-arms once per failed round, for
+// 32 KB of slots and a single summary word. A 1 µs grain keeps a chain
+// to the few timers that expire within one quantum, so the scan for a
+// slot's minimum stays short, and a slot empties into the near wheel
+// once per quantum of virtual time.
 const (
 	farShift = 10
 	farGrain = 1 << farShift
@@ -293,9 +299,9 @@ type Kernel struct {
 	payload Payload
 	running bool
 	stopped bool
-	// Limit guards against runaway simulations. Zero means no limit.
-	maxEvents uint64
-	maxTime   Time
+	// maxTime guards against runaway simulations: an event due after it
+	// is refused with ErrTimeLimit.
+	maxTime Time
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty queue,
@@ -351,19 +357,14 @@ func (k *Kernel) Dispatched() uint64 { return k.dispatched }
 // not work the simulation will perform.
 func (k *Kernel) Pending() int { return k.live }
 
-// SetEventLimit bounds the total number of dispatched events. Run returns
-// ErrEventLimit once the limit is exceeded. Zero disables the limit.
-func (k *Kernel) SetEventLimit(n uint64) { k.maxEvents = n }
-
 // SetTimeLimit bounds the virtual clock. Run returns ErrTimeLimit if an
 // event beyond the deadline would be dispatched.
 func (k *Kernel) SetTimeLimit(t Time) { k.maxTime = t }
 
 // Errors reported by Run.
 var (
-	ErrEventLimit = errors.New("sim: event limit exceeded")
-	ErrTimeLimit  = errors.New("sim: virtual time limit exceeded")
-	ErrReentrant  = errors.New("sim: Run called reentrantly")
+	ErrTimeLimit = errors.New("sim: virtual time limit exceeded")
+	ErrReentrant = errors.New("sim: Run called reentrantly")
 )
 
 // alloc returns a usable arena slot index, recycling freed slots.
@@ -825,9 +826,9 @@ func (k *Kernel) unqueue(idx int32, at int, farSlot uint, farPrev int32) {
 }
 
 // dispatch runs the earliest live event if it is due no later than last
-// and within the limits. It reports whether an event ran; a false
-// return carries the limit that refused the event, or nil when the
-// queue is empty or the event lies beyond last. A refused event stays
+// and within the time limit. It reports whether an event ran; a false
+// return carries ErrTimeLimit when the limit refused the event, or nil
+// when the queue is empty or the event lies beyond last. A refused event stays
 // queued so state remains inspectable.
 func (k *Kernel) dispatch(last Time) (bool, error) {
 	idx, at, farSlot, farPrev := k.peek()
@@ -840,9 +841,6 @@ func (k *Kernel) dispatch(last Time) (bool, error) {
 	}
 	if n.when > k.maxTime {
 		return false, ErrTimeLimit
-	}
-	if k.maxEvents != 0 && k.dispatched >= k.maxEvents {
-		return false, ErrEventLimit
 	}
 	k.unqueue(idx, at, farSlot, farPrev)
 	k.now = n.when
@@ -857,7 +855,7 @@ func (k *Kernel) dispatch(last Time) (bool, error) {
 }
 
 // run dispatches events due no later than last until none is left, Stop
-// is called, or a limit refuses one.
+// is called, or the time limit refuses one.
 func (k *Kernel) run(last Time) error {
 	if k.running {
 		return ErrReentrant
@@ -875,7 +873,7 @@ func (k *Kernel) run(last Time) error {
 }
 
 // Run dispatches events in virtual-time order until the queue is empty,
-// Stop is called, or a limit is exceeded. It returns nil on normal
+// Stop is called, or the time limit is exceeded. It returns nil on normal
 // completion (queue drained or stopped).
 func (k *Kernel) Run() error { return k.run(MaxTime) }
 
@@ -895,9 +893,8 @@ func (k *Kernel) PeekTime() (Time, bool) {
 // time is strictly before end, then returns nil with later events left
 // queued. The clock is NOT advanced to end: Now() stays at the last
 // dispatched event so late-scheduled events inside a subsequent window
-// remain valid. Limits behave as in Run: ErrTimeLimit when the next
-// in-window event lies beyond the time limit (event left queued),
-// ErrEventLimit when the dispatch budget is exhausted. RunUntil is the
+// remain valid. The time limit behaves as in Run: ErrTimeLimit when the
+// next in-window event lies beyond it (event left queued). RunUntil is the
 // per-window building block of the sharded kernel (sim/par), which owns
 // choosing end so that no cross-shard influence can arrive before it.
 func (k *Kernel) RunUntil(end Time) error {
@@ -912,7 +909,7 @@ func (k *Kernel) RunUntil(end Time) error {
 
 // Step dispatches the next non-cancelled event, if any, and reports
 // whether one was dispatched. Useful in tests for lock-step inspection.
-// Step honors the same event and time limits as Run: an event that Run
+// Step honors the same time limit as Run: an event that Run
 // would refuse to dispatch makes Step return false without dispatching.
 func (k *Kernel) Step() bool {
 	ok, _ := k.dispatch(MaxTime)

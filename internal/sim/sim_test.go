@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -263,21 +264,6 @@ func TestRunResumesAfterStop(t *testing.T) {
 	}
 }
 
-func TestEventLimit(t *testing.T) {
-	k := NewKernel()
-	k.SetEventLimit(5)
-	var tick func()
-	n := 0
-	tick = func() { n++; k.After(1, tick) }
-	k.After(1, tick)
-	if err := k.Run(); err != ErrEventLimit {
-		t.Fatalf("err = %v, want ErrEventLimit", err)
-	}
-	if n != 5 {
-		t.Fatalf("dispatched %d, want 5", n)
-	}
-}
-
 func TestTimeLimit(t *testing.T) {
 	k := NewKernel()
 	k.SetTimeLimit(100)
@@ -324,6 +310,13 @@ func TestDurationString(t *testing.T) {
 		{1500, "1.500µs"},
 		{2 * Millisecond, "2.000ms"},
 		{3 * Second, "3.000000s"},
+		{-1, "-1ns"},
+		{-999, "-999ns"},
+		{-1500, "-1.500µs"},
+		{-5 * Millisecond, "-5.000ms"},
+		{-3 * Second, "-3.000000s"},
+		{math.MinInt64, "-9223372036.854776s"},
+		{math.MaxInt64, "9223372036.854776s"},
 	}
 	for _, c := range cases {
 		if got := c.d.String(); got != c.want {
@@ -434,8 +427,9 @@ func TestPropertyMonotonicClock(t *testing.T) {
 		}
 	}
 	k.After(0, spawn)
-	k.SetEventLimit(20000)
-	_ = k.Run()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func BenchmarkKernelScheduleDispatch(b *testing.B) {

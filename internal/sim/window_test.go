@@ -77,14 +77,6 @@ func TestRunUntilHonorsLimits(t *testing.T) {
 	if k.Pending() != 1 {
 		t.Fatalf("Pending = %d, want the over-limit event left queued", k.Pending())
 	}
-
-	k2 := NewKernel()
-	k2.SetEventLimit(1)
-	k2.At(1, func() {})
-	k2.At(2, func() {})
-	if err := k2.RunUntil(10); !errors.Is(err, ErrEventLimit) {
-		t.Fatalf("RunUntil = %v, want ErrEventLimit", err)
-	}
 }
 
 func TestRunUntilReentrant(t *testing.T) {

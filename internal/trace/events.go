@@ -67,8 +67,8 @@ const (
 	// EvJobAdmit: the tenant's admission token bucket accepts the job
 	// and its root work is injected. Peer = tenant index, Arg = job id.
 	EvJobAdmit
-	// EvJobReject: the admission bucket (or the job cap) turns the job
-	// away; no work is injected. Peer = tenant index, Arg = job id.
+	// EvJobReject: the admission bucket turns the job away; no work is
+	// injected. Peer = tenant index, Arg = job id.
 	EvJobReject
 	// EvJobDone: the last node of an admitted job is consumed anywhere
 	// in the system. Recorded on the job's placement rank at the
