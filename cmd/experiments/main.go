@@ -22,6 +22,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -37,9 +38,9 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command behind main: exit status 0 when every shape check
-// (or the matrix's baseline gate) passes, 1 when one fails or a run
-// cannot finish, 2 on a usage error.
-func run(args []string, stdout, stderr io.Writer) int {
+// (or the matrix's baseline gate) passes, 1 when one fails or a run or
+// an output file cannot finish, 2 on a usage error.
+func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -99,7 +100,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	// The -o, -json and -csv files, each nil when not asked for.
+	// The -o, -json and -csv files, each nil when not asked for. A
+	// failed write or close of any of them fails the command.
 	var files [3]*os.File
 	for i, path := range []string{*outFlag, *jsonFlag, *csvFlag} {
 		if path == "" {
@@ -109,7 +111,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(1, err)
 		}
-		defer f.Close()
+		defer func() {
+			if err := f.Close(); err != nil {
+				code = fail(1, err)
+			}
+		}()
 		files[i] = f
 	}
 	out, jsonOut, csvOut := stdout, files[1], files[2]
@@ -126,8 +132,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(1, fmt.Errorf("experiment %s failed: %w", id, err))
 		}
-		fmt.Fprintln(out, rep.Render())
-		fmt.Fprintf(out, "(%s in %v at scale %v)\n\n", id, time.Since(t0).Round(time.Millisecond), scale)
+		if _, err := fmt.Fprintf(out, "%s\n(%s in %v at scale %v)\n\n", rep.Render(), id, time.Since(t0).Round(time.Millisecond), scale); err != nil {
+			return fail(1, err)
+		}
 		if jsonOut != nil {
 			if err := rep.WriteJSON(jsonOut); err != nil {
 				return fail(1, err)
@@ -137,11 +144,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err := rep.WriteCSV(csvOut); err != nil {
 				return fail(1, err)
 			}
-			fmt.Fprintln(csvOut)
+			if _, err := fmt.Fprintln(csvOut); err != nil {
+				return fail(1, err)
+			}
 		}
 		allPass = allPass && rep.Passed()
 	}
-	fmt.Fprintf(out, "total: %d experiment(s) in %v\n", len(ids), time.Since(start).Round(time.Second))
+	if _, err := fmt.Fprintf(out, "total: %d experiment(s) in %v\n", len(ids), time.Since(start).Round(time.Second)); err != nil {
+		return fail(1, err)
+	}
 	if !allPass {
 		return fail(1, errors.New("some shape checks FAILED"))
 	}
@@ -184,16 +195,12 @@ func runMatrix(stdout io.Writer, scale *harness.Scale, seed uint64, outDir, base
 	fmt.Fprintf(stdout, "baseline gate: %d of %d cell(s) DRIFTED from %s\n", len(drifts), len(manifests), baselineDir)
 	for _, d := range drifts {
 		path := filepath.Join(outDir, "diff-"+d.IDB+".txt")
-		f, err := os.Create(path)
-		if err != nil {
+		var text bytes.Buffer
+		if err := d.WriteText(&text); err != nil {
 			return err
 		}
-		werr := d.WriteText(f)
-		if cerr := f.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			return werr
+		if err := os.WriteFile(path, text.Bytes(), 0o666); err != nil {
+			return err
 		}
 		fmt.Fprintf(stdout, "  DRIFT %s: %s\n  attribution report: %s\n", d.IDB, d.Headline(), path)
 	}

@@ -98,12 +98,11 @@ const (
 
 // Retry backoff: how idle ranks throttle steal attempts once a long run
 // of consecutive failures indicates global work scarcity. The reference
-// implementation retries immediately forever (Config.ImmediateRetry);
-// simulating 8192 ranks in one address space makes that O(N^2) tail
-// traffic prohibitively expensive, so by default, after
-// backoffThreshold consecutive failures the thief waits backoffBase,
-// doubling up to backoffMax, resetting on success. The ablation bench
-// A6 shows the experiment conclusions are insensitive to the choice.
+// implementation and every tree experiment retry immediately forever
+// (Config.ImmediateRetry). Otherwise, after backoffThreshold consecutive
+// failures the thief waits backoffBase, doubling up to backoffMax,
+// resetting on success: the serving workload's idle ranks, task graphs,
+// the repository benchmark's workloads and ablation A6 run this ladder.
 const (
 	backoffThreshold = 64
 	backoffBase      = 100 * sim.Microsecond
@@ -169,9 +168,10 @@ type Config struct {
 	StealTimeout sim.Duration
 
 	// ImmediateRetry makes an idle rank retry a failed steal at once,
-	// forever, as the reference implementation does. By default a thief
-	// pauses after 64 consecutive failures: 100 µs, doubling up to 2 ms,
-	// until a steal succeeds.
+	// forever, as the reference and every tree experiment do. By
+	// default a thief pauses after 64 consecutive failures: 100 µs,
+	// doubling up to 2 ms, until a steal succeeds (the serving
+	// workload's idle ranks, task graphs, the benchmark and A6).
 	ImmediateRetry bool
 
 	// Faults, when non-nil, is the deterministic fault plan injected

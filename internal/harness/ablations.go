@@ -266,24 +266,14 @@ func runAblationSkew(scale *Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-// runAblationBackoff quantifies the effect of the retry backoff the
-// large simulations use (DESIGN.md §6).
+// runAblationBackoff quantifies what the core's retry backoff changes
+// against the immediate retry of the other tree experiments (DESIGN.md §6).
 func runAblationBackoff(scale *Scale, seed uint64) (*Report, error) {
-	ranks, tree := scale.ablationRanks, scale.ablationTree
-	policies := []struct {
-		name      string
-		immediate bool
-	}{
-		{"disabled (reference)", true},
-		{"default", false},
-	}
-	var cfgs []core.Config
-	for _, p := range policies {
-		cfg := RandHalf.Config(ranks, tree, seed)
-		cfg.ImmediateRetry = p.immediate
-		cfgs = append(cfgs, cfg)
-	}
-	res, err := Execute(cfgs)
+	ranks := scale.ablationRanks
+	immediate := RandHalf.Config(ranks, scale.ablationTree, seed)
+	backoff := immediate
+	backoff.ImmediateRetry = false
+	res, err := Execute([]core.Config{immediate, backoff})
 	if err != nil {
 		return nil, err
 	}
@@ -293,13 +283,9 @@ func runAblationBackoff(scale *Scale, seed uint64) (*Report, error) {
 		Paper: "The reference retries failed steals immediately; backoff is a simulation-cost control for very large runs.",
 	}
 	t := &Table{Title: "Backoff policy comparison", Columns: []string{"policy", "speedup", "failed steals", "nodes"}}
-	var speeds []float64
-	var nodes []uint64
 	for i, r := range res {
-		speeds = append(speeds, r.Speedup)
-		nodes = append(nodes, r.Nodes)
 		t.Rows = append(t.Rows, []string{
-			policies[i].name, fmtFloat(r.Speedup, 1),
+			[...]string{"disabled (reference)", "default"}[i], fmtFloat(r.Speedup, 1),
 			fmt.Sprintf("%d", r.FailedSteals), fmt.Sprintf("%d", r.Nodes),
 		})
 	}
@@ -307,13 +293,13 @@ func runAblationBackoff(scale *Scale, seed uint64) (*Report, error) {
 	rep.Checks = append(rep.Checks,
 		ShapeCheck{
 			Desc:   "backoff does not change what is computed",
-			Pass:   nodes[0] == nodes[1],
-			Detail: fmt.Sprintf("%d vs %d nodes", nodes[0], nodes[1]),
+			Pass:   res[0].Nodes == res[1].Nodes,
+			Detail: fmt.Sprintf("%d vs %d nodes", res[0].Nodes, res[1].Nodes),
 		},
 		ShapeCheck{
 			Desc:   "backoff changes performance by a bounded factor",
-			Pass:   speeds[1] > 0.5*speeds[0] && speeds[1] < 2*speeds[0],
-			Detail: fmt.Sprintf("disabled %.1f vs default %.1f", speeds[0], speeds[1]),
+			Pass:   res[1].Speedup > 0.5*res[0].Speedup && res[1].Speedup < 2*res[0].Speedup,
+			Detail: fmt.Sprintf("disabled %.1f vs default %.1f", res[0].Speedup, res[1].Speedup),
 		},
 	)
 	return rep, nil

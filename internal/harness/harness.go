@@ -71,8 +71,8 @@ type Scale struct {
 // The scale table. A row's sweep scales the paper's 1024-8192 ranks by
 // 1024/sweepRanks[0]. Quick is for tests and smoke runs: small trees,
 // few ranks, 1/32 of the paper's. Default regenerates every figure in
-// minutes with the sweeps at 1/8. Full pushes to 2048 simulated ranks
-// (1/4) with ~40M-node trees; expect tens of minutes.
+// minutes with the sweeps at 1/8. Full sweeps the paper's own ranks on
+// ~40M-node trees, about half an hour on two cores.
 var (
 	Quick = &Scale{
 		name:       "quick",
@@ -101,7 +101,7 @@ var (
 	}
 	Full = &Scale{
 		name:       "full",
-		sweepRanks: []int{256, 512, 1024, 2048}, sweepTree: uts.MustPreset("H-FULL").Params,
+		sweepRanks: []int{1024, 2048, 4096, 8192}, sweepTree: uts.MustPreset("H-FULL").Params,
 		fig2Ranks: []int{8, 16, 32, 64, 128}, fig2Tree: uts.MustPreset("H-EVEN").Params,
 		ablationRanks: 512, ablationTree: uts.MustPreset("H-SMALL").Params,
 		fig8Ranks: 1024, blameRanks: 1024,

@@ -252,6 +252,14 @@ func TestScaleParameterTables(t *testing.T) {
 				t.Errorf("%v: sweep ranks not doubling: %v", s, s.sweepRanks)
 			}
 		}
+		// The sweep note prints the scale as 1/(1024/sweepRanks[0]);
+		// the paper's ladder ends at 8192 ranks.
+		if 1024%s.sweepRanks[0] != 0 {
+			t.Errorf("%v: 1024 is not a multiple of the sweep's first rung %d", s, s.sweepRanks[0])
+		}
+		if top := topRung(s.sweepRanks); top > 8192 {
+			t.Errorf("%v: sweep top rung %d exceeds the paper's 8192 ranks", s, top)
+		}
 		if s.fig2Ranks[0] != 8 {
 			t.Errorf("%v: fig2 ranks start at %d", s, s.fig2Ranks[0])
 		}
@@ -283,12 +291,10 @@ func TestVariantDefinitions(t *testing.T) {
 // caller's overrides of them as given.
 func TestRunConfigDefaults(t *testing.T) {
 	tree := Quick.fig2Tree
-	at1024, at2048 := Reference.Config(1024, tree, 1), Reference.Config(2048, tree, 1)
-	if at1024.ChunkSize != ExperimentChunkSize || at2048.ChunkSize != ExperimentChunkSize {
-		t.Fatalf("chunk %d at 1024 ranks, %d at 2048; want %d", at1024.ChunkSize, at2048.ChunkSize, ExperimentChunkSize)
-	}
-	if !at1024.ImmediateRetry || at2048.ImmediateRetry {
-		t.Fatalf("immediate retry %v at 1024 ranks, %v at 2048; want true, false", at1024.ImmediateRetry, at2048.ImmediateRetry)
+	// The paper's top rung: the reference retries at once at every scale.
+	top := Reference.Config(8192, tree, 1)
+	if top.ChunkSize != ExperimentChunkSize || !top.ImmediateRetry {
+		t.Fatalf("chunk %d, immediate retry %v at 8192 ranks; want %d, true", top.ChunkSize, top.ImmediateRetry, ExperimentChunkSize)
 	}
 	def := Reference.Config(64, tree, 1)
 	chunk, backoff := def, def

@@ -35,26 +35,20 @@ var (
 // to the tree sizes (DESIGN.md §2); ablation A1 sweeps it.
 const ExperimentChunkSize = 4
 
-// immediateRetryRanks is the largest rank count at which the
-// experiments retry failed steals immediately, as the reference does;
-// larger runs keep the core's retry backoff to bound simulation cost
-// (DESIGN.md §6).
-const immediateRetryRanks = 1024
-
 // Config is the experiment configuration of one run of v: ranks ranks
 // placed one per node, traversing tree, with the scaled
-// ExperimentChunkSize and immediate retry up to immediateRetryRanks.
-// Callers set any other core.Config field on the result; the node cost
-// stays at core.DefaultNodeCost (1 µs per child, close to the paper's
-// measured 970k nodes/second per rank) unless they set it. A caller
-// that attaches a serving spec clears ImmediateRetry: idle ranks spin
+// ExperimentChunkSize and the reference's immediate retry. Callers set
+// any other core.Config field on the result; the node cost stays at
+// core.DefaultNodeCost (1 µs per child, close to the paper's measured
+// 970k nodes/second per rank) unless they set it. A caller that
+// attaches a serving spec clears ImmediateRetry: idle ranks spin
 // between arrivals, and unthrottled retries would dominate the event
 // count without changing any serving metric.
 func (v Variant) Config(ranks int, tree uts.Params, seed uint64) core.Config {
 	return core.Config{
 		Selector: v.Selector, Steal: v.Steal, Ranks: ranks,
 		Placement: topology.OnePerNode, Tree: tree, Seed: seed,
-		ChunkSize: ExperimentChunkSize, ImmediateRetry: ranks <= immediateRetryRanks,
+		ChunkSize: ExperimentChunkSize, ImmediateRetry: true,
 	}
 }
 
