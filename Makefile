@@ -54,8 +54,8 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every place that runs real goroutines gets a race-detector pass:
-# obs.Registry, which `uts -obs` reads from an HTTP goroutine while the
-# engine writes it; harness.Execute, whose concurrent core.Run calls
+# obs.Registry, which the shard engines of a sharded run write
+# concurrently; harness.Execute, whose concurrent core.Run calls
 # share sim's store pool; and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
 # meets host concurrency. -short keeps the stress budgets CI-sized.

@@ -117,7 +117,6 @@ var (
 		"(*distws/internal/core.engine).deliver",
 		"(*distws/internal/core.engine).getLoot",
 		"(*distws/internal/core.engine).putLoot",
-		"(*distws/internal/core.linkTally).Inc",
 		"(*distws/internal/workstack.Stack).Push",
 		"(*distws/internal/workstack.Stack).Pop",
 		"(*distws/internal/workstack.Stack).StealInto",

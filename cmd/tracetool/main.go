@@ -100,8 +100,20 @@ type renderOpts struct {
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command behind main: exit status 0 on success, 1 when an
-// input fails to load or (-check) to validate, 2 on a usage error.
+// input fails to load or (-check) to validate or the report cannot be
+// written, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
+	out := &obs.ErrWriter{W: stdout}
+	code := runTo(args, out, stderr)
+	if code == 0 && out.Err != nil {
+		fmt.Fprintf(stderr, "tracetool: writing the report: %v\n", out.Err)
+		return 1
+	}
+	return code
+}
+
+// runTo parses args and does the work, printing to stdout.
+func runTo(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("tracetool", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (

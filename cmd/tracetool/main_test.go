@@ -297,4 +297,15 @@ func TestCLI(t *testing.T) {
 			t.Errorf("%v: printed nothing", c.args)
 		}
 	}
+	// A report that cannot be written fails the command, in text as in
+	// JSON; the text report used to lose the error and exit 0.
+	if full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0); err == nil {
+		defer full.Close()
+		for _, format := range []string{"text", "json"} {
+			var stderr bytes.Buffer
+			if code := run([]string{"-in", tr, "-format", format}, full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+				t.Errorf("-format %s into /dev/full: exit %d, stderr %q; want exit 1 and the write error", format, code, stderr.String())
+			}
+		}
+	}
 }

@@ -5,15 +5,15 @@
 //
 //	uts -tree H-SMALL -ranks 128 -placement 1/N -selector Tofu -steal half
 //	uts -tree T3 -ranks 8 -trace trace.jsonl
-//	uts -tree T3 -ranks 32 -trace t.jsonl -chrome t.json -obs :6060
+//	uts -tree T3 -ranks 32 -trace t.jsonl -chrome t.json -manifest t.manifest.json
 //	uts -count -tree all
 //	uts -topology -ranks 512 -placement 8RR -thief 42
 //
 // -trace also captures the protocol-level event log (steal round trips,
 // token hops, quantum boundaries) into the JSONL file for cmd/tracetool;
 // -chrome writes the same run as Chrome trace-event JSON for
-// ui.perfetto.dev; -obs serves /metrics (Prometheus), /debug/vars and
-// /debug/pprof/ on the given address for the duration of the process.
+// ui.perfetto.dev; -manifest writes the run manifest (ledger JSON) that
+// tracetool -diff compares.
 //
 // Two modes inspect the inputs instead: -count enumerates -tree
 // sequentially, the ground truth every traversal is checked against (to
@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"runtime/debug"
@@ -48,8 +47,19 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command behind main: exit status 0 on success, 1 when the
-// run fails, 2 on a usage error.
+// run fails or its report cannot be written, 2 on a usage error.
 func run(args []string, stdout, stderr io.Writer) int {
+	out := &obs.ErrWriter{W: stdout}
+	code := runTo(args, out, stderr)
+	if code == 0 && out.Err != nil {
+		fmt.Fprintf(stderr, "uts: writing the report: %v\n", out.Err)
+		return 1
+	}
+	return code
+}
+
+// runTo parses args and does the work, printing the report to stdout.
+func runTo(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("uts", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -66,7 +76,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		chromeFlag    = fs.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto)")
 		eventsFlag    = fs.Bool("events", false, "collect the protocol event log even without -trace/-chrome")
 		eventBufFlag  = fs.Int("eventbuf", 0, "per-rank event ring capacity (0 = default)")
-		obsFlag       = fs.String("obs", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address (e.g. :6060)")
 		manifestFlag  = fs.String("manifest", "", "write the run manifest (ledger JSON) to this file; diff runs with tracetool -diff")
 		serveFlag     = fs.Bool("serve", false, "open-system serving mode: jobs arrive continuously instead of one closed batch (-arrivals, -tenants, -horizon); -tree sets the per-job workload")
 		arrivalsFlag  = fs.String("arrivals", "poisson:2ms", "with -serve: comma-separated per-tenant arrival processes, cycled across tenants: poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE — or a single replay:FILE (JSONL arrival log) feeding every tenant")
@@ -190,17 +199,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(2, "%v", err)
 		}
 	}
-	var reg *obs.Registry
-	if *obsFlag != "" {
-		reg = obs.NewRegistry()
-		go func() {
-			if err := http.ListenAndServe(*obsFlag, obs.Handler(reg)); err != nil {
-				fmt.Fprintf(stderr, "uts: obs server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(stdout, "observability: http://%s/metrics (also /debug/vars, /debug/pprof/)\n", *obsFlag)
-	}
-
 	cfg := core.Config{
 		Tree:          info.Params,
 		Ranks:         *ranksFlag,
@@ -214,7 +212,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CollectTrace:  *traceFlag != "" || *chromeFlag != "",
 		CollectEvents: collectEvents,
 		EventBuffer:   *eventBufFlag,
-		Metrics:       reg,
 		Faults:        plan,
 		Serve:         serveSpec,
 	}
@@ -279,9 +276,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Everything below that reads the trace reads it through one
-	// analysis, so -trace -chrome -manifest build one causal graph. The
-	// causal aggregates land in the metrics registry here, outside
-	// core.Run, so the engine's own exposition is untouched.
+	// analysis, so -trace -chrome -manifest build one causal graph.
 	a := causal.Analyze(res.Trace)
 	if res.Trace != nil {
 		c := a.Occupancy()
@@ -291,9 +286,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "  events recorded: %d (%d dropped from bounded rings)\n",
 				res.Trace.TotalEvents(), res.Trace.TotalEventsDropped())
 			p := a.Path()
-			if reg != nil {
-				causal.Publish(reg, a.Graph(), p, a.Blame())
-			}
 			fmt.Fprintf(stdout, "  critical path:   %.1f%% compute, %.1f%% steal-rtt, %.1f%% transfer, %.1f%% token, %.1f%% wait\n",
 				p.Share(causal.SegCompute), p.Share(causal.SegStealRTT),
 				p.Share(causal.SegTransfer), p.Share(causal.SegToken), p.Share(causal.SegWait))
@@ -328,12 +320,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "\n  manifest:        %s (compare runs with tracetool -diff)\n", *manifestFlag)
 	}
-
-	if *obsFlag == "" {
-		return 0
-	}
-	fmt.Fprintf(stdout, "\nrun complete; still serving %s — interrupt to exit\n", *obsFlag)
-	select {}
+	return 0
 }
 
 // countLimit bounds a -count enumeration: every preset below paper
@@ -438,8 +425,10 @@ func buildServeSpec(arrivals string, tenants int, horizon sim.Duration, tree uts
 }
 
 // parseArrival parses one -arrivals entry: poisson:MEAN,
-// gamma:MEAN:SHAPE or weibull:MEAN:SHAPE (shape defaults to 1), and
-// refuses a process the sampler cannot draw from (serve.ArrivalSpec.Validate).
+// gamma:MEAN:SHAPE or weibull:MEAN:SHAPE (an omitted :SHAPE means 1),
+// and refuses a process the sampler cannot draw from
+// (serve.ArrivalSpec.Validate). An explicit SHAPE of zero is refused
+// here: the spec reads a zero shape as the default.
 func parseArrival(entry string) (serve.ArrivalSpec, error) {
 	proc, rest, _ := strings.Cut(entry, ":")
 	meanStr, shapeStr, hasShape := strings.Cut(rest, ":")
@@ -453,6 +442,9 @@ func parseArrival(entry string) (serve.ArrivalSpec, error) {
 		a.Process != serve.ProcPoisson && a.Process != serve.ProcGamma && a.Process != serve.ProcWeibull:
 		return serve.ArrivalSpec{}, fmt.Errorf(
 			"-arrivals entry %q: want poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE or replay:FILE", entry)
+	}
+	if hasShape && a.Shape == 0 {
+		return serve.ArrivalSpec{}, fmt.Errorf("-arrivals entry %q: %s shape 0 (must be finite and >= 0.05)", entry, a.Process)
 	}
 	if err := a.Validate(); err != nil {
 		return serve.ArrivalSpec{}, fmt.Errorf("-arrivals entry %q: %w", entry, err)

@@ -88,6 +88,9 @@ func TestCLI(t *testing.T) {
 		{name: "zero-chunk", args: "-tree T3 -ranks 16 -chunk 0", code: 2, stderr: "-chunk must be >= 1, got 0"},
 		{name: "negative-eventbuf", args: "-tree T3 -ranks 16 -events -eventbuf -3", code: 1,
 			stderr: "core: negative chunk size, poll interval or event buffer"},
+		// An explicit shape of zero used to run with the default shape 1.
+		{name: "gamma-shape-zero", args: "-tree T3 -serve -arrivals gamma:1ms:0", code: 2,
+			stderr: `-arrivals entry "gamma:1ms:0": gamma shape 0 (must be finite and >= 0.05)`},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(c.args)
@@ -110,6 +113,19 @@ func TestCLI(t *testing.T) {
 			}
 		})
 	}
+	// A report that cannot be written fails the run; it used to lose
+	// the error and exit 0.
+	t.Run("report-to-full-disk", func(t *testing.T) {
+		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+		if err != nil {
+			t.Skip("no /dev/full")
+		}
+		defer full.Close()
+		var stderr bytes.Buffer
+		if code := run(strings.Fields("-tree H-TINY -ranks 8"), full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("exit %d, stderr %q; want exit 1 and the write error", code, stderr.String())
+		}
+	})
 }
 
 func runCLI(args string) (code int, stdout, stderr string) {
@@ -295,7 +311,8 @@ func TestParseArrival(t *testing.T) {
 		}
 	}
 	for _, bad := range []string{"", "poisson", "poisson:", "poisson:2ms:3", "gamma:2ms:x", "gamma:2ms:2:9", "uniform:2ms", "poisson:nope",
-		"poisson:0s", "poisson:-2ms", "gamma:2ms:NaN", "gamma:2ms:Inf", "weibull:2ms:0.01", "gamma:2ms:-1"} {
+		"poisson:0s", "poisson:-2ms", "gamma:2ms:NaN", "gamma:2ms:Inf", "weibull:2ms:0.01", "gamma:2ms:-1",
+		"gamma:2ms:0", "gamma:2ms:-0", "weibull:2ms:0"} {
 		if _, err := parseArrival(bad); err == nil {
 			t.Errorf("parseArrival(%q) accepted", bad)
 		}

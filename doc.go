@@ -21,7 +21,7 @@
 //   - internal/fault      — deterministic fault plans and injection
 //   - internal/serve      — open-system job arrivals and admission
 //   - internal/trace      — activity traces (paper §III)
-//   - internal/obs        — event recorder, live metrics registry and
+//   - internal/obs        — event recorder, metrics registry and
 //     the post-run analyses: occupancy, SL(x)/EL(x), steal pairing;
 //     obs/causal holds the one Analysis every tool reads
 //   - internal/core       — the distributed work-stealing engine

@@ -241,10 +241,11 @@ type Config struct {
 	EventBuffer int
 
 	// Metrics, when non-nil, receives named counters and histograms
-	// (steal outcomes, round-trip latency, session lengths, chunk sizes,
-	// and — up to MatrixRankLimit ranks — the per-link traffic matrix).
-	// The simulator writes virtual-time durations, so the registry's
-	// final contents are deterministic for a deterministic Config.
+	// (steal outcomes, round-trip latency, session lengths, chunk
+	// sizes), read after the run; the per-link traffic matrix comes from
+	// the event log (obs.Traffic). The simulator writes virtual-time
+	// durations, so the registry's final contents are deterministic for a
+	// deterministic Config.
 	Metrics *obs.Registry
 
 	// MaxVirtualTime aborts the run if the virtual clock passes it;

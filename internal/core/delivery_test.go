@@ -111,9 +111,32 @@ func TestIdleRankMailboxAlwaysEmpty(t *testing.T) {
 	}
 }
 
+// TestEventLogRecordsEverySend: the traffic matrix of a run whose log
+// evicted nothing accounts for every steal request, work, no-work and
+// token message the network sent, on every delivery path — the matrix
+// the heatmap, the manifests and diff read has no other producer.
+func TestEventLogRecordsEverySend(t *testing.T) {
+	for name, cfg := range deliveryCases() {
+		t.Run(name, func(t *testing.T) {
+			res := recordAll(t, cfg)
+			var logged uint64
+			for _, row := range obs.Traffic(res.Trace) {
+				for _, v := range row {
+					logged += v
+				}
+			}
+			s := res.Comm.Sent
+			if sent := s[comm.TagStealRequest] + s[comm.TagWork] + s[comm.TagNoWork] + s[comm.TagToken]; logged != sent || sent == 0 {
+				t.Fatalf("event log holds %d sends, the network sent %d", logged, sent)
+			}
+		})
+	}
+}
+
 // variantDigest reduces a run to a sha256 over everything it reports:
 // the Result scalars, the serving summary, the trace with its full
-// event log as JSONL, and the metrics exposition.
+// event log as JSONL, and the metrics exposition followed by the
+// per-link message counts (as goldenDump renders them).
 func variantDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.CollectEvents = true
@@ -135,6 +158,7 @@ func variantDigest(t *testing.T, cfg Config) string {
 	if err := cfg.Metrics.WritePrometheus(h); err != nil {
 		t.Fatal(err)
 	}
+	writeLinkMessages(h, obs.Traffic(recordAll(t, cfg).Trace))
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

@@ -202,7 +202,7 @@ type engine struct {
 	// sequential runs, where every field above is engine-global. In a
 	// sharded run each shard owns one engine; ranks, det, sel, rec, ev
 	// and the registry behind met are shared across the shard engines
-	// while the counters above and met's link tally are per shard.
+	// while the counters above are per shard.
 	par *parShared
 }
 
@@ -385,9 +385,9 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 // to run the kernel(s). The engines share the workload, detector,
 // selector, recorders, metrics registry, injector, rank slab and fault
 // slab; each owns its kernel, its network, its timer callbacks, its
-// counters, its link tally and its worker pages. A rank's first idle transition goes through the
-// engine owning that rank; crashes and job arrivals happen in
-// sequential runs only (Config.Validate), on the one engine.
+// counters and its worker pages. A rank's first idle transition goes
+// through the engine owning that rank; crashes and job arrivals happen
+// in sequential runs only (Config.Validate), on the one engine.
 func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
@@ -427,7 +427,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			sel:    sel,
 			rec:    rec,
 			ev:     ev,
-			met:    newEngineMetrics(cfg.Metrics, cfg.Ranks, inj != nil),
+			met:    newEngineMetrics(cfg.Metrics, inj != nil),
 			ranks:  ranks,
 			faults: faults,
 			inj:    inj,
@@ -609,7 +609,6 @@ func (e *engine) sendSteal(r int) {
 	}
 	e.ev.Record(r, rk.waitStart, trace.EvStealSend, v, int64(id))
 	e.met.stealRequests.Inc()
-	e.met.links.Inc(r, v)
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
 		e.kernel.Cancel(rk.stealTimer)
@@ -1049,7 +1048,6 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	}
 	if avail == 0 {
 		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
-		e.met.links.Inc(v, thief)
 		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
 		return
 	}
@@ -1064,7 +1062,6 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 		w.extraDelay += stealResponseCost
 	}
 	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
-	e.met.links.Inc(v, thief)
 	e.met.chunkNodes.Observe(int64(len(loot)))
 	e.net.SendNodes(v, thief, id, loot, int(w.lineage)+1, len(loot)*uts.NodeBytes)
 }
@@ -1136,7 +1133,6 @@ func (e *engine) forwardTokens(sends []term.Send) {
 			e.met.tokenRegens.Inc()
 		}
 		e.ev.Record(s.From, now, trace.EvTokenSend, s.To, 0)
-		e.met.links.Inc(s.From, s.To)
 		e.net.SendToken(s.From, s.To, s.Token, term.TokenBytes)
 	}
 }
@@ -1231,12 +1227,9 @@ func sumCounters(engines []*engine) (counters, comm.Stats) {
 }
 
 // result assembles the Result after the kernel(s) drained. The per-rank
-// state it walks is shared across shard engines; only the counters, the
-// traffic and the link counts still to be folded are per engine.
+// state it walks is shared across shard engines; only the counters and
+// the traffic are per engine.
 func result(engines []*engine) (*Result, error) {
-	for _, e := range engines {
-		e.met.links.fold()
-	}
 	e := engines[0]
 	if !e.detected {
 		return nil, fmt.Errorf("core: event queue drained without termination detection")

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -37,8 +38,11 @@ func goldenFig9Config() Config {
 // goldenDump renders a run's externally visible outputs — the Result
 // fields the experiment tables print and the full exported metrics —
 // in a canonical text form. Any behavioural drift in the simulation
-// substrate shows up as a byte diff here.
-func goldenDump(res *Result, reg *obs.Registry) []byte {
+// substrate shows up as a byte diff here. The [prometheus] section
+// ends with the per-link message counts in the registry's exposition
+// format, taken from the event log of a twin run (recordAll).
+func goldenDump(t *testing.T, cfg Config, res *Result) []byte {
+	t.Helper()
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "[result]\n")
 	fmt.Fprintf(&b, "ranks %d placement %v selector %s steal %v detector %s\n",
@@ -61,10 +65,41 @@ func goldenDump(res *Result, reg *obs.Registry) []byte {
 			res.Trace.EventCounts(), res.Trace.TotalEventsDropped())
 	}
 	fmt.Fprintf(&b, "[prometheus]\n")
-	if err := reg.WritePrometheus(&b); err != nil {
-		panic(err)
+	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
 	}
+	writeLinkMessages(&b, obs.Traffic(recordAll(t, cfg).Trace))
 	return b.Bytes()
+}
+
+// recordAll runs a twin of cfg that records every event and no
+// metrics, and fails the test if the event log evicted any. Recording
+// does not perturb a run (TestObserverEffect), so the twin's log is a
+// full account of what cfg's run sent.
+func recordAll(t *testing.T, cfg Config) *Result {
+	t.Helper()
+	cfg.CollectEvents, cfg.EventBuffer, cfg.Metrics = true, 1<<20, nil
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Trace.TotalEventsDropped(); n != 0 {
+		t.Fatalf("twin run evicted %d events; raise its EventBuffer", n)
+	}
+	return res
+}
+
+// writeLinkMessages renders a traffic matrix as the counter family
+// sim_link_messages: a # TYPE line, then the nonzero cells from-major.
+func writeLinkMessages(w io.Writer, m [][]uint64) {
+	fmt.Fprintf(w, "# TYPE sim_link_messages counter\n")
+	for from, row := range m {
+		for to, v := range row {
+			if v > 0 {
+				fmt.Fprintf(w, "sim_link_messages{from=\"%d\",to=\"%d\"} %d\n", from, to, v)
+			}
+		}
+	}
 }
 
 // TestGoldenFig9 extends the observer-effect test into a golden-result
@@ -85,7 +120,7 @@ func TestGoldenFig9(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := goldenDump(res, cfg.Metrics)
+	got := goldenDump(t, cfg, res)
 
 	path := filepath.Join("testdata", "golden_fig9.txt")
 	if *updateGolden {

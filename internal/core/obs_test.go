@@ -6,8 +6,6 @@ import (
 	"testing"
 
 	"distws/internal/obs"
-	"distws/internal/rng"
-	"distws/internal/topology"
 	"distws/internal/trace"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -133,14 +131,13 @@ func TestMetricsDeterministic(t *testing.T) {
 		t.Fatalf("registry not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 	if !bytes.Contains(a, []byte(MetricStealRequests)) ||
-		!bytes.Contains(a, []byte(MetricStealLatency+"_count")) ||
-		!bytes.Contains(a, []byte(MetricLinkMessages+"{from=")) {
+		!bytes.Contains(a, []byte(MetricStealLatency+"_count")) {
 		t.Fatalf("exposition missing expected families:\n%s", a)
 	}
 }
 
 // TestMetricsMatchCounters checks the registry totals against the
-// result counters, and that the matrix is absent past MatrixRankLimit.
+// result counters.
 func TestMetricsMatchCounters(t *testing.T) {
 	reg := obs.NewRegistry()
 	res, err := Run(Config{
@@ -165,95 +162,5 @@ func TestMetricsMatchCounters(t *testing.T) {
 	if got := reg.Histogram(MetricStealLatency).Count(); got != res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals {
 		t.Fatalf("latency observations %d != closed steals %d", got,
 			res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals)
-	}
-	m := reg.Matrix(MetricLinkMessages, 8)
-	var total uint64
-	for i := 0; i < m.N(); i++ {
-		for j := 0; j < m.N(); j++ {
-			total += m.At(i, j)
-		}
-	}
-	if total == 0 {
-		t.Fatal("link matrix empty on an 8-rank run")
-	}
-}
-
-// TestLinkTallyMatchesDirect drives a tally and a directly counted
-// matrix with the same links: a batch that exactly fills the buffer, one
-// that overflows it by one, and a single message, on the smallest
-// matrices and the largest the engine makes. Before the last fold the
-// matrix may lag by what is pending and no more; after it the two are
-// equal cell for cell.
-func TestLinkTallyMatchesDirect(t *testing.T) {
-	sum := func(m *obs.Matrix) (s int) {
-		for _, row := range m.Rows() {
-			for _, c := range row {
-				s += int(c)
-			}
-		}
-		return s
-	}
-	for _, n := range []int{1, 2, MatrixRankLimit} {
-		for _, msgs := range []int{1, linkBatch, linkBatch + 1} {
-			reg := obs.NewRegistry()
-			direct, batched := reg.Matrix("direct", n), reg.Matrix("batched", n)
-			tally := newLinkTally(batched, n)
-			r := rng.New(uint64(n + msgs))
-			for i := 0; i < msgs; i++ {
-				from, to := r.Intn(n), r.Intn(n)
-				direct.Inc(from, to)
-				tally.Inc(from, to)
-			}
-			if got, want := sum(batched), msgs/linkBatch*linkBatch; got != want || len(tally.buf) != msgs-want {
-				t.Errorf("n=%d, %d messages: %d folded and %d pending before the last fold, want %d and %d",
-					n, msgs, got, len(tally.buf), want, msgs-want)
-			}
-			tally.fold()
-			if !reflect.DeepEqual(batched.Rows(), direct.Rows()) || len(tally.buf) != 0 {
-				t.Errorf("n=%d, %d messages: the folded matrix differs from direct counting (%d of %d counted, %d pending)",
-					n, msgs, sum(batched), sum(direct), len(tally.buf))
-			}
-		}
-	}
-	var none *linkTally // no registry, or past MatrixRankLimit
-	none.Inc(0, 0)
-	none.fold()
-}
-
-// TestLinkTallyShardedEqualsSequential runs the 1024-rank steal storm
-// sequentially and on 2 and 4 shards and requires one exposition text:
-// every shard engine folds its own tally, mid-run and concurrently with
-// the others (the run sends several batches' worth per engine), and the
-// adds commute. `make race` runs it under the detector.
-func TestLinkTallyShardedEqualsSequential(t *testing.T) {
-	var want []byte
-	for _, shards := range []int{1, 2, 4} {
-		reg := obs.NewRegistry()
-		res, err := Run(Config{
-			Tree:      uts.MustPreset("H-TINY").Params,
-			Ranks:     MatrixRankLimit,
-			Placement: topology.OnePerNode,
-			Selector:  victim.NewDistanceSkewed,
-			Steal:     StealHalf,
-			ChunkSize: 4,
-			Seed:      1,
-			Shards:    shards,
-			Metrics:   reg,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sent := res.Comm.TotalSent(); sent < 4*linkBatch {
-			t.Fatalf("%d messages: too few for every shard engine to fold mid-run", sent)
-		}
-		var got bytes.Buffer
-		if err := reg.WritePrometheus(&got); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = got.Bytes()
-		} else if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("shards=%d: exposition differs from the sequential run's", shards)
-		}
 	}
 }

@@ -32,7 +32,7 @@ func runProfiled(t *testing.T, cfg Config) ([]byte, *parprof.Ledger) {
 	if err := res.Par.CheckIdentities(); err != nil {
 		t.Fatal(err)
 	}
-	return goldenDump(res, cfg.Metrics), res.Par
+	return goldenDump(t, cfg, res), res.Par
 }
 
 // ledgerDump renders every byte of ledger state — shape, per-window
@@ -78,7 +78,7 @@ func TestParProfileSequentialRun(t *testing.T) {
 	if res.Par != nil {
 		t.Fatal("sequential run returned a window ledger")
 	}
-	if got := goldenDump(res, cfg.Metrics); !bytes.Equal(got, want) {
+	if got := goldenDump(t, cfg, res); !bytes.Equal(got, want) {
 		t.Fatalf("profiling perturbed the sequential run\n%s", diffHint(want, got))
 	}
 }

@@ -27,7 +27,7 @@ func runDump(t *testing.T, cfg Config) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return goldenDump(res, cfg.Metrics)
+	return goldenDump(t, cfg, res)
 }
 
 // TestShardedGoldenFig9 is the multi-shard golden gate: the Figure 9

@@ -163,8 +163,8 @@ type StealLatencyStats struct {
 }
 
 // StealLatency computes exact latency percentiles over reconstructed
-// steal transactions (contrast with Histogram.Quantile's bucketed
-// estimate, which serves the live /metrics endpoint).
+// steal transactions (the registry's latency histogram keeps only
+// power-of-two buckets).
 func StealLatency(pairs []StealPair) StealLatencyStats {
 	st := StealLatencyStats{Count: len(pairs)}
 	if len(pairs) == 0 {

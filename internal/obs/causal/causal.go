@@ -15,7 +15,7 @@
 // Everything in this package is a pure function of a *trace.Trace —
 // no clocks, no randomness, no instrumentation of its own — so the
 // same analysis runs offline in cmd/tracetool, inside cmd/experiments
-// tables, and behind a /metrics endpoint via Publish. Build,
+// tables and in the run manifests of internal/obs/ledger. Build,
 // CriticalPath and AttributeIdle are the algorithms; programs reach
 // them through Analyze, which computes each view of a trace once.
 //

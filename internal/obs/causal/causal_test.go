@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"distws/internal/core"
-	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/sim"
 	"distws/internal/trace"
@@ -481,44 +480,6 @@ func TestEvictedPrefixStillMatches(t *testing.T) {
 	if sum != p.Total || p.Total != sim.Duration(res.Makespan) {
 		t.Fatalf("evicted-trace path sums to %v, total %v", sum, p.Total)
 	}
-}
-
-func TestPublish(t *testing.T) {
-	res := traced(t, nil)
-	g := causal.Build(res.Trace)
-	p := causal.CriticalPath(g)
-	b := causal.AttributeIdle(res.Trace)
-	reg := obs.NewRegistry()
-	causal.Publish(reg, g, p, b)
-
-	if got := reg.Counter("causal_transfers_total").Value(); got != uint64(len(g.Transfers)) {
-		t.Fatalf("transfers counter %d, want %d", got, len(g.Transfers))
-	}
-	if got := reg.Counter("causal_token_hops_total").Value(); got != uint64(len(g.TokenHops)) {
-		t.Fatalf("token counter %d, want %d", got, len(g.TokenHops))
-	}
-	if got := reg.Histogram("causal_migration_depth").Count(); got != uint64(len(g.Transfers)) {
-		t.Fatalf("depth histogram count %d, want %d", got, len(g.Transfers))
-	}
-	crit := reg.Counter("causal_critical_compute_ns").Value() +
-		reg.Counter("causal_critical_steal_rtt_ns").Value() +
-		reg.Counter("causal_critical_transfer_ns").Value() +
-		reg.Counter("causal_critical_token_ns").Value() +
-		reg.Counter("causal_critical_wait_ns").Value()
-	if crit != uint64(res.Makespan) {
-		t.Fatalf("critical counters sum to %d, makespan %d", crit, res.Makespan)
-	}
-	blame := reg.Counter("causal_busy_ns_total").Value() +
-		reg.Counter("causal_blame_startup_ns_total").Value() +
-		reg.Counter("causal_blame_search_ns_total").Value() +
-		reg.Counter("causal_blame_inflight_ns_total").Value() +
-		reg.Counter("causal_blame_termtail_ns_total").Value()
-	if blame != uint64(res.Makespan)*uint64(res.Ranks) {
-		t.Fatalf("blame counters sum to %d, want ranks*makespan", blame)
-	}
-	// Nil registry and nil parts must be safe no-ops.
-	causal.Publish(nil, g, p, b)
-	causal.Publish(reg, nil, causal.Path{}, nil)
 }
 
 func TestTextReportsAreDeterministic(t *testing.T) {

@@ -106,38 +106,3 @@ func (g *Graph) DeepestRoute() []int {
 	}
 	return g.ChainRanks(best)
 }
-
-// Publish exports the causal analyses into a metrics registry as
-// aggregate counters and a migration-depth histogram. It is called
-// after a run completes, never from the engine hot path, so the
-// engine's own metric set — and the golden traced-run exposition — is
-// unchanged. All arguments are optional: nil graph/blame or a
-// zero-value path publish nothing for the missing part.
-func Publish(reg *obs.Registry, g *Graph, p Path, b *Blame) {
-	if reg == nil {
-		return
-	}
-	if g != nil {
-		reg.Counter("causal_transfers_total").Add(uint64(len(g.Transfers)))
-		reg.Counter("causal_token_hops_total").Add(uint64(len(g.TokenHops)))
-		reg.Counter("causal_quanta_total").Add(uint64(g.QuantaCount()))
-		h := reg.Histogram("causal_migration_depth")
-		for _, t := range g.Transfers {
-			h.Observe(int64(t.Depth))
-		}
-	}
-	if p.Total > 0 {
-		reg.Counter("causal_critical_compute_ns").Add(uint64(p.ByKind[SegCompute]))
-		reg.Counter("causal_critical_steal_rtt_ns").Add(uint64(p.ByKind[SegStealRTT]))
-		reg.Counter("causal_critical_transfer_ns").Add(uint64(p.ByKind[SegTransfer]))
-		reg.Counter("causal_critical_token_ns").Add(uint64(p.ByKind[SegToken]))
-		reg.Counter("causal_critical_wait_ns").Add(uint64(p.ByKind[SegWait]))
-	}
-	if b != nil {
-		reg.Counter("causal_busy_ns_total").Add(uint64(b.Total.Busy))
-		reg.Counter("causal_blame_startup_ns_total").Add(uint64(b.Total.Startup))
-		reg.Counter("causal_blame_search_ns_total").Add(uint64(b.Total.Search))
-		reg.Counter("causal_blame_inflight_ns_total").Add(uint64(b.Total.InFlight))
-		reg.Counter("causal_blame_termtail_ns_total").Add(uint64(b.Total.TermTail))
-	}
-}

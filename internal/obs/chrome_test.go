@@ -3,8 +3,6 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -215,61 +213,6 @@ func TestWriteChromeTraceEventless(t *testing.T) {
 	var doc map[string]any
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("invalid JSON: %v", err)
-	}
-}
-
-func TestHandler(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("sim_steal_requests_total").Add(7)
-	srv := httptest.NewServer(Handler(reg))
-	defer srv.Close()
-
-	get := func(path string) (*http.Response, string) {
-		resp, err := http.Get(srv.URL + path)
-		if err != nil {
-			t.Fatalf("GET %s: %v", path, err)
-		}
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatalf("read %s: %v", path, err)
-		}
-		resp.Body.Close()
-		return resp, buf.String()
-	}
-
-	resp, body := get("/metrics")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/metrics status %d", resp.StatusCode)
-	}
-	if ct := resp.Header.Get("Content-Type"); !strings.Contains(ct, "version=0.0.4") {
-		t.Fatalf("/metrics content-type %q", ct)
-	}
-	if !strings.Contains(body, "sim_steal_requests_total 7") {
-		t.Fatalf("/metrics body missing counter:\n%s", body)
-	}
-
-	resp, body = get("/debug/vars")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", resp.StatusCode)
-	}
-	var vars map[string]any
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-
-	resp, body = get("/")
-	if resp.StatusCode != http.StatusOK || !strings.Contains(body, "/metrics") {
-		t.Fatalf("index: status %d body %q", resp.StatusCode, body)
-	}
-
-	resp, _ = get("/nope")
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown path status %d, want 404", resp.StatusCode)
-	}
-
-	resp, _ = get("/debug/pprof/cmdline")
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/debug/pprof/cmdline status %d", resp.StatusCode)
 	}
 }
 

@@ -11,18 +11,16 @@
 //     paths need no branching (bench_test.go's BenchmarkObservability
 //     shows the disabled path within noise of no instrumentation);
 //
-//   - a metrics Registry of named counters, log-bucketed histograms,
-//     and per-link traffic matrices. Its final contents are a pure
+//   - a metrics Registry of named counters and log-bucketed
+//     histograms, read after the run. Its final contents are a pure
 //     function of the run, in deterministic virtual time; the updates
-//     are lock-free atomics because `uts -obs` serves /metrics from an
-//     HTTP goroutine that reads the registry while the run writes it.
-//     This package never reads the host clock (the walltime analyzer
-//     enforces it);
+//     are lock-free atomics because the shard engines of a sharded run
+//     write one registry concurrently. This package never reads the
+//     host clock (the walltime analyzer enforces it);
 //
 //   - exporters: Chrome trace-event JSON (opens in Perfetto or
-//     chrome://tracing), Prometheus text exposition, and an
-//     http.Handler bundling /metrics with expvar and pprof, plus
-//     trace analyses (occupancy and SL/EL, steal-latency percentiles,
+//     chrome://tracing) and Prometheus text exposition, plus trace
+//     analyses (occupancy and SL/EL, steal-latency percentiles,
 //     rank×rank traffic matrix, termination-tail breakdown) that
 //     causal.Analysis memoizes and cmd/tracetool reports.
 package obs

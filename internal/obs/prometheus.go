@@ -10,19 +10,19 @@ import (
 // WritePrometheus renders the registry in the Prometheus text
 // exposition format (version 0.0.4): counters as plain samples,
 // histograms as cumulative `_bucket{le="..."}` series with `_sum` and
-// `_count`, matrices as `{from="i",to="j"}` labelled counters with
-// zero cells omitted. Metric families are emitted in sorted name
-// order, so for a deterministic run the exposition text is
-// byte-for-byte reproducible — a property the tests assert.
+// `_count`. Metric families are emitted in sorted name order, so for a
+// deterministic run the exposition text is byte-for-byte reproducible —
+// a property the tests assert.
 func (g *Registry) WritePrometheus(w io.Writer) error {
 	bw := bufio.NewWriter(w)
-	for _, name := range g.counterNames() {
+	counters, hists := g.names()
+	for _, name := range counters {
 		c := g.Counter(name)
 		pn := promName(name)
 		fmt.Fprintf(bw, "# TYPE %s counter\n", pn)
 		fmt.Fprintf(bw, "%s %d\n", pn, c.Value())
 	}
-	for _, name := range g.histNames() {
+	for _, name := range hists {
 		h := g.Histogram(name)
 		pn := promName(name)
 		fmt.Fprintf(bw, "# TYPE %s histogram\n", pn)
@@ -33,24 +33,12 @@ func (g *Registry) WritePrometheus(w io.Writer) error {
 				continue
 			}
 			cum += n
-			_, hi := bucketBounds(i)
-			fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", pn, hi, cum)
+			// Bucket i tops out at 2^i - 1 (the shift wraps to 0 at i = 64).
+			fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", pn, uint64(1)<<i-1, cum)
 		}
 		fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", pn, h.Count())
 		fmt.Fprintf(bw, "%s_sum %d\n", pn, h.Sum())
 		fmt.Fprintf(bw, "%s_count %d\n", pn, h.Count())
-	}
-	for _, name := range g.matrixNames() {
-		m := g.Matrix(name, 0)
-		pn := promName(name)
-		fmt.Fprintf(bw, "# TYPE %s counter\n", pn)
-		for from := 0; from < m.N(); from++ {
-			for to := 0; to < m.N(); to++ {
-				if v := m.At(from, to); v > 0 {
-					fmt.Fprintf(bw, "%s{from=\"%d\",to=\"%d\"} %d\n", pn, from, to, v)
-				}
-			}
-		}
 	}
 	return bw.Flush()
 }

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"bytes"
-	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -28,12 +27,9 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestHistogramBucketsAndQuantiles(t *testing.T) {
+func TestHistogram(t *testing.T) {
 	g := NewRegistry()
 	h := g.Histogram("lat")
-	// 1000 observations of value 100 and 10 of value 100000: the p50
-	// must land in 100's bucket [64,127], the p99.5 in 100000's
-	// [65536,131071].
 	for i := 0; i < 1000; i++ {
 		h.Observe(100)
 	}
@@ -46,66 +42,17 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if h.Sum() != 1000*100+10*100000 {
 		t.Fatalf("sum %d", h.Sum())
 	}
-	p50 := h.Quantile(0.5)
-	if p50 < 64 || p50 > 127 {
-		t.Fatalf("p50 = %v, want within [64,127]", p50)
-	}
-	p999 := h.Quantile(0.999)
-	if p999 < 65536 || p999 > 131071 {
-		t.Fatalf("p99.9 = %v, want within [65536,131071]", p999)
-	}
-	if h.Quantile(0) > h.Quantile(1) {
-		t.Fatal("quantiles not monotone")
-	}
-	if mean := h.Mean(); math.Abs(mean-float64(h.Sum())/1010) > 1e-9 {
-		t.Fatalf("mean %v", mean)
-	}
-}
-
-func TestHistogramEdgeCases(t *testing.T) {
-	var nilH *Histogram
-	nilH.Observe(5)
-	if nilH.Count() != 0 || nilH.Quantile(0.5) != 0 || nilH.Mean() != 0 {
-		t.Fatal("nil histogram not inert")
-	}
-	h := &Histogram{}
-	if h.Quantile(0.5) != 0 {
-		t.Fatal("empty histogram quantile nonzero")
+	if g.Histogram("lat") != h {
+		t.Fatal("same name returned a different histogram")
 	}
 	h.Observe(-17) // clamps to zero
-	h.Observe(0)
-	if h.Count() != 2 || h.Sum() != 0 {
-		t.Fatalf("clamped observations: count %d sum %d", h.Count(), h.Sum())
+	if h.Count() != 1011 || h.Sum() != 1000*100+10*100000 {
+		t.Fatalf("clamped observation: count %d sum %d", h.Count(), h.Sum())
 	}
-	if q := h.Quantile(1); q != 0 {
-		t.Fatalf("all-zero quantile %v", q)
-	}
-	// Out-of-range q clamps instead of panicking.
-	h.Observe(8)
-	if h.Quantile(-1) > h.Quantile(2) {
-		t.Fatal("clamped quantiles inverted")
-	}
-}
-
-func TestMatrix(t *testing.T) {
-	g := NewRegistry()
-	m := g.Matrix("links", 3)
-	m.Inc(0, 1)
-	m.Inc(0, 1)
-	m.Add(2, 0, 7)
-	m.Inc(-1, 0) // ignored
-	m.Inc(0, 99) // ignored
-	if m.At(0, 1) != 2 || m.At(2, 0) != 7 || m.At(1, 1) != 0 {
-		t.Fatalf("matrix cells wrong: %v", m.Rows())
-	}
-	rows := m.Rows()
-	if len(rows) != 3 || rows[2][0] != 7 {
-		t.Fatalf("rows: %v", rows)
-	}
-	var nilM *Matrix
-	nilM.Inc(0, 0)
-	if nilM.N() != 0 || nilM.At(0, 0) != 0 || nilM.Rows() != nil {
-		t.Fatal("nil matrix not inert")
+	var nilH *Histogram
+	nilH.Observe(5)
+	if nilH.Count() != 0 || nilH.Sum() != 0 {
+		t.Fatal("nil histogram not inert")
 	}
 }
 
@@ -119,7 +66,6 @@ func TestRegistryConcurrent(t *testing.T) {
 			for i := 0; i < 1000; i++ {
 				g.Counter("c").Inc()
 				g.Histogram("h").Observe(int64(i))
-				g.Matrix("m", 4).Inc(i%4, (i+1)%4)
 			}
 		}()
 	}
@@ -138,12 +84,9 @@ func TestWritePrometheusDeterministicAndWellFormed(t *testing.T) {
 		g.Counter("sim_steal_requests_total").Add(12)
 		g.Counter("a_first_counter").Add(1)
 		h := g.Histogram("sim_steal_latency_ns")
-		for _, v := range []int64{10, 20, 30, 5000} {
+		for _, v := range []int64{0, 10, 20, 30, 5000} {
 			h.Observe(v)
 		}
-		m := g.Matrix("sim_link_messages", 2)
-		m.Inc(0, 1)
-		m.Add(1, 0, 3)
 		return g
 	}
 	var b1, b2 bytes.Buffer
@@ -161,11 +104,13 @@ func TestWritePrometheusDeterministicAndWellFormed(t *testing.T) {
 		"# TYPE sim_steal_requests_total counter",
 		"sim_steal_requests_total 12",
 		"# TYPE sim_steal_latency_ns histogram",
-		`sim_steal_latency_ns_bucket{le="+Inf"} 4`,
+		`sim_steal_latency_ns_bucket{le="0"} 1`,
+		`sim_steal_latency_ns_bucket{le="15"} 2`,
+		`sim_steal_latency_ns_bucket{le="31"} 4`,
+		`sim_steal_latency_ns_bucket{le="8191"} 5`,
+		`sim_steal_latency_ns_bucket{le="+Inf"} 5`,
 		"sim_steal_latency_ns_sum 5060",
-		"sim_steal_latency_ns_count 4",
-		`sim_link_messages{from="0",to="1"} 1`,
-		`sim_link_messages{from="1",to="0"} 3`,
+		"sim_steal_latency_ns_count 5",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("exposition missing %q:\n%s", want, out)
