@@ -111,11 +111,12 @@ func TestIdleRankMailboxAlwaysEmpty(t *testing.T) {
 	}
 }
 
-// TestEventLogRecordsEverySend: the traffic matrix of a run whose log
-// evicted nothing accounts for every steal request, work, no-work and
-// token message the network sent, on every delivery path — the matrix
-// the heatmap, the manifests and diff read has no other producer.
-func TestEventLogRecordsEverySend(t *testing.T) {
+// TestLinkTallyMatchesDirect: the per-link tally (obs.Traffic over the
+// event log of a run that evicted nothing) accounts for every steal
+// request, work, no-work and token message the network counted directly,
+// on every delivery path — the matrix the heatmap, the manifests and
+// diff read has no other producer.
+func TestLinkTallyMatchesDirect(t *testing.T) {
 	for name, cfg := range deliveryCases() {
 		t.Run(name, func(t *testing.T) {
 			res := recordAll(t, cfg)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distws/internal/obs"
+	"distws/internal/topology"
 	"distws/internal/trace"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -162,5 +163,43 @@ func TestMetricsMatchCounters(t *testing.T) {
 	if got := reg.Histogram(MetricStealLatency).Count(); got != res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals {
 		t.Fatalf("latency observations %d != closed steals %d", got,
 			res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals)
+	}
+}
+
+// TestLinkTallyShardedEqualsSequential runs the 1024-rank steal storm
+// sequentially and on 2 and 4 shards and requires one exposition text,
+// followed by one per-link tally: the shard engines update the shared
+// registry concurrently, the adds commute, and each shard's event log
+// records its own ranks' sends. `make race` runs it under the detector.
+func TestLinkTallyShardedEqualsSequential(t *testing.T) {
+	var want []byte
+	for _, shards := range []int{1, 2, 4} {
+		cfg := Config{
+			Tree:      uts.MustPreset("H-TINY").Params,
+			Ranks:     1024,
+			Placement: topology.OnePerNode,
+			Selector:  victim.NewDistanceSkewed,
+			Steal:     StealHalf,
+			ChunkSize: 4,
+			Seed:      1,
+			Shards:    shards,
+			Metrics:   obs.NewRegistry(),
+		}
+		if _, err := Run(cfg); err != nil {
+			t.Fatal(err)
+		}
+		var got bytes.Buffer
+		if err := cfg.Metrics.WritePrometheus(&got); err != nil {
+			t.Fatal(err)
+		}
+		writeLinkMessages(&got, obs.Traffic(recordAll(t, cfg).Trace))
+		if want == nil {
+			want = got.Bytes()
+		} else if !bytes.Equal(got.Bytes(), want) {
+			t.Fatalf("shards=%d: exposition differs from the sequential run's", shards)
+		}
+	}
+	if !bytes.Contains(want, []byte("sim_link_messages{from=")) {
+		t.Fatalf("no per-link counts in the exposition:\n%s", want)
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,9 +28,12 @@ func TestCounter(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
+func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	g := NewRegistry()
 	h := g.Histogram("lat")
+	// 1000 observations of value 100 and 10 of value 100000: read off
+	// the buckets as an exposition reader would, the p50 must land in
+	// 100's bucket [64,127], the p99.9 in 100000's [65536,131071].
 	for i := 0; i < 1000; i++ {
 		h.Observe(100)
 	}
@@ -45,14 +49,48 @@ func TestHistogram(t *testing.T) {
 	if g.Histogram("lat") != h {
 		t.Fatal("same name returned a different histogram")
 	}
-	h.Observe(-17) // clamps to zero
-	if h.Count() != 1011 || h.Sum() != 1000*100+10*100000 {
-		t.Fatalf("clamped observation: count %d sum %d", h.Count(), h.Sum())
+	// quantileBucket returns the upper bound of the bucket holding the
+	// q-quantile observation.
+	quantileBucket := func(q float64) uint64 {
+		rank := uint64(q * float64(h.Count()))
+		var cum uint64
+		for i := range h.buckets {
+			if cum += h.buckets[i].Load(); cum > rank {
+				return 1<<uint(i) - 1
+			}
+		}
+		return 0
 	}
+	if ub := quantileBucket(0.5); ub != 127 {
+		t.Fatalf("p50 in the bucket ending at %d, want [64,127]", ub)
+	}
+	if ub := quantileBucket(0.999); ub != 131071 {
+		t.Fatalf("p99.9 in the bucket ending at %d, want [65536,131071]", ub)
+	}
+	if h.buckets[7].Load() != 1000 || h.buckets[17].Load() != 10 {
+		t.Fatalf("bucket counts %d and %d, want 1000 and 10", h.buckets[7].Load(), h.buckets[17].Load())
+	}
+}
+
+func TestHistogramEdgeCases(t *testing.T) {
 	var nilH *Histogram
 	nilH.Observe(5)
 	if nilH.Count() != 0 || nilH.Sum() != 0 {
 		t.Fatal("nil histogram not inert")
+	}
+	h := &Histogram{}
+	if h.Count() != 0 || h.Sum() != 0 {
+		t.Fatal("empty histogram not zero")
+	}
+	h.Observe(-17) // clamps to zero
+	h.Observe(0)
+	if h.Count() != 2 || h.Sum() != 0 || h.buckets[0].Load() != 2 {
+		t.Fatalf("clamped observations: count %d sum %d zero bucket %d",
+			h.Count(), h.Sum(), h.buckets[0].Load())
+	}
+	h.Observe(math.MaxInt64) // the top bucket holds the largest value
+	if h.buckets[63].Load() != 1 || h.Sum() != math.MaxInt64 {
+		t.Fatalf("max observation: bucket %d sum %d", h.buckets[63].Load(), h.Sum())
 	}
 }
 
