@@ -18,7 +18,7 @@
 // committed ledger every fresh cell must equal its committed manifest
 // byte for byte (exit 1 otherwise; each drifted cell's causal diff
 // against its baseline lands next to the manifests as diff-<id>.txt).
-// tracetool -diff compares any two manifests or traces.
+// uts -diff compares any two manifests.
 package main
 
 import (

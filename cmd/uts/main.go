@@ -1,19 +1,26 @@
 // Command uts runs one simulated distributed UTS execution and prints a
-// report in the style of the reference benchmark.
+// report in the style of the reference benchmark; it also analyzes the
+// traces and compares the run manifests such runs write.
 //
 // Usage:
 //
 //	uts -tree H-SMALL -ranks 128 -placement 1/N -selector Tofu -steal half
-//	uts -tree T3 -ranks 8 -trace trace.jsonl
 //	uts -tree T3 -ranks 32 -trace t.jsonl -chrome t.json -manifest t.manifest.json
+//	uts -in t.jsonl -blame -critical -lineage -lifestory
+//	uts -diff a.manifest.json b.manifest.json
 //	uts -count -tree all
 //	uts -topology -ranks 512 -placement 8RR -thief 42
 //
-// -trace also captures the protocol-level event log (steal round trips,
-// token hops, quantum boundaries) into the JSONL file for cmd/tracetool;
-// -chrome writes the same run as Chrome trace-event JSON for
-// ui.perfetto.dev; -manifest writes the run manifest (ledger JSON) that
-// tracetool -diff compares.
+// -trace writes the activity trace with the protocol event log (steal
+// round trips, token hops, quantum boundaries) as JSONL, -chrome the
+// same run as Chrome trace-event JSON for ui.perfetto.dev, -manifest the
+// run manifest (ledger JSON). A run that collects a trace (-trace,
+// -chrome or -events) ends with its analysis — occupancy and SL/EL,
+// sessions, steal latency, traffic heatmap, termination tail, and on
+// request blame, critical path, lineage and lifestory — which is what
+// -in prints for a saved trace (repeatable; -chrome converts a single
+// one). -diff attributes the makespan delta between two run manifests
+// to critical-path segments, blame causes and links (DESIGN.md §12).
 //
 // Two modes inspect the inputs instead: -count enumerates -tree
 // sequentially, the ground truth every traversal is checked against (to
@@ -73,10 +80,10 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		seedFlag      = fs.Uint64("seed", 1, "random seed")
 		detFlag       = fs.String("termination", "Safra", "termination detector: Safra|Ring")
 		traceFlag     = fs.String("trace", "", "write the activity trace + event log (JSONL) to this file")
-		chromeFlag    = fs.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto)")
+		chromeFlag    = fs.String("chrome", "", "write a Chrome trace-event JSON file (open in Perfetto); with -in, convert the one input")
 		eventsFlag    = fs.Bool("events", false, "collect the protocol event log even without -trace/-chrome")
 		eventBufFlag  = fs.Int("eventbuf", 0, "per-rank event ring capacity (0 = default)")
-		manifestFlag  = fs.String("manifest", "", "write the run manifest (ledger JSON) to this file; diff runs with tracetool -diff")
+		manifestFlag  = fs.String("manifest", "", "write the run manifest (ledger JSON) to this file; compare runs with -diff")
 		serveFlag     = fs.Bool("serve", false, "open-system serving mode: jobs arrive continuously instead of one closed batch (-arrivals, -tenants, -horizon); -tree sets the per-job workload")
 		arrivalsFlag  = fs.String("arrivals", "poisson:2ms", "with -serve: comma-separated per-tenant arrival processes, cycled across tenants: poisson:MEAN, gamma:MEAN:SHAPE, weibull:MEAN:SHAPE — or a single replay:FILE (JSONL arrival log) feeding every tenant")
 		tenantsFlag   = fs.Int("tenants", 2, "with -serve: number of traffic sources")
@@ -89,7 +96,21 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		thiefFlag     = fs.Int("thief", 0, "with -topology: the rank whose view to print, in [0, ranks)")
 		listTrees     = fs.Bool("listtrees", false, "list tree presets and exit")
 		listSel       = fs.Bool("listselectors", false, "list victim selectors and exit")
+		diffFlag      = fs.Bool("diff", false, "compare the two run manifests given as arguments (uts -diff A B) instead of simulating")
 	)
+	var ins []string
+	fs.Func("in", "analyze this JSONL trace instead of simulating; repeatable", func(v string) error { ins = append(ins, v); return nil })
+	// The report flags, the ones whose usage starts with "report:",
+	// select the sections of a trace's analysis.
+	var opts renderOpts
+	fs.BoolVar(&opts.blame, "blame", false, "report: print the idle-time blame attribution table")
+	fs.BoolVar(&opts.critical, "critical", false, "report: print the critical-path decomposition")
+	fs.BoolVar(&opts.lineage, "lineage", false, "report: print the work-lineage (migration depth) summary")
+	fs.BoolVar(&opts.life, "lifestory", false, "report: print per-rank activity bars")
+	fs.IntVar(&opts.rows, "rows", 24, "report: max lifestory rows")
+	fs.IntVar(&opts.width, "width", 72, "report: lifestory / curve width")
+	fs.IntVar(&opts.steps, "steps", 10, "report: number of occupancy points for the SL/EL table")
+	fs.IntVar(&opts.heat, "heatmap", 16, "report: traffic heatmap size in tiles (0 disables)")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -97,9 +118,73 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, format+"\n", args...)
 		return code
 	}
-	// The flag package stops at the first non-flag: refuse, not drop, the rest.
-	if fs.NArg() > 0 {
+	// The flag package stops at the first non-flag: refuse, not drop,
+	// the rest. Only -diff takes arguments, its two manifests.
+	if fs.NArg() > 0 && !*diffFlag {
 		return fail(2, "unexpected argument %q", fs.Arg(0))
+	}
+
+	// A flag that only a mode reads is refused without that mode, and
+	// -in and -diff read no simulation flag.
+	collects := !*countFlag && !*topoFlag && (*eventsFlag || *traceFlag != "" || *chromeFlag != "")
+	var orphan string
+	fs.Visit(func(f *flag.Flag) {
+		report := strings.HasPrefix(f.Usage, "report:")
+		switch {
+		case orphan != "":
+		case *diffFlag && f.Name != "diff":
+			orphan = "-" + f.Name + " has no effect with -diff"
+		case len(ins) > 0 && !*diffFlag && f.Name != "in" && f.Name != "chrome" && !report:
+			orphan = "-" + f.Name + " has no effect with -in"
+		case report && len(ins) == 0 && !collects:
+			orphan = "-" + f.Name + " has no effect without a trace (-in, -trace, -chrome or -events)"
+		case f.Name == "eventbuf" && !collects:
+			orphan = "-eventbuf has no effect without -events, -trace or -chrome"
+		case !*serveFlag && (f.Name == "arrivals" || f.Name == "tenants" || f.Name == "horizon"):
+			orphan = "-" + f.Name + " has no effect without -serve"
+		case !*topoFlag && f.Name == "thief":
+			orphan = "-thief has no effect without -topology"
+		}
+	})
+	if orphan != "" {
+		return fail(2, "%s", orphan)
+	}
+
+	if *diffFlag {
+		if fs.NArg() != 2 {
+			return fail(2, "-diff compares exactly two run manifests; got %d", fs.NArg())
+		}
+		for _, path := range fs.Args() {
+			if strings.HasSuffix(path, ".jsonl") {
+				return fail(2, "-diff %s: a trace carries no configuration; compare the manifests -manifest writes", path)
+			}
+		}
+		if err := diffManifests(stdout, fs.Arg(0), fs.Arg(1)); err != nil {
+			return fail(1, "%v", err)
+		}
+		return 0
+	}
+	for _, f := range []struct {
+		name     string
+		val, min int
+	}{{"steps", opts.steps, 1}, {"rows", opts.rows, 1}, {"width", opts.width, 1}, {"heatmap", opts.heat, 0}} {
+		if f.val < f.min {
+			return fail(2, "-%s must be >= %d, got %d", f.name, f.min, f.val)
+		}
+	}
+	if len(ins) > 0 {
+		for _, path := range ins {
+			if !strings.HasSuffix(path, ".jsonl") {
+				return fail(2, "-in %s: not a JSONL trace (compare run manifests with -diff)", path)
+			}
+		}
+		if *chromeFlag != "" && len(ins) != 1 {
+			return fail(2, "-chrome converts exactly one trace; got %d inputs", len(ins))
+		}
+		if err := analyzeTraces(stdout, stderr, ins, *chromeFlag, opts); err != nil {
+			return fail(1, "%v", err)
+		}
+		return 0
 	}
 
 	if *listTrees {
@@ -117,20 +202,6 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	// A flag that only a mode reads is refused without that mode.
-	var orphan string
-	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case orphan != "":
-		case !*serveFlag && (f.Name == "arrivals" || f.Name == "tenants" || f.Name == "horizon"):
-			orphan = "-" + f.Name + " has no effect without -serve"
-		case !*topoFlag && f.Name == "thief":
-			orphan = "-thief has no effect without -topology"
-		}
-	})
-	if orphan != "" {
-		return fail(2, "%s", orphan)
-	}
 	if *countFlag && *topoFlag {
 		return fail(2, "-count and -topology are separate modes")
 	}
@@ -184,10 +255,6 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		return fail(2, "unknown termination detector %q (Safra|Ring)", *detFlag)
 	}
 
-	collectEvents := *eventsFlag || *traceFlag != "" || *chromeFlag != ""
-	if *eventBufFlag != 0 && !collectEvents {
-		return fail(2, "-eventbuf has no effect without -events, -trace or -chrome")
-	}
 	plan, err := buildFaultPlan(*faultsFlag, *crashFlag, *stragglerFlag, *seedFlag)
 	if err != nil {
 		return fail(2, "%v", err)
@@ -210,10 +277,14 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		Detector:      detector,
 		Seed:          *seedFlag,
 		CollectTrace:  *traceFlag != "" || *chromeFlag != "",
-		CollectEvents: collectEvents,
+		CollectEvents: collects,
 		EventBuffer:   *eventBufFlag,
 		Faults:        plan,
 		Serve:         serveSpec,
+	}
+	// A flag value the engine would refuse is a usage error too.
+	if err := cfg.Validate(); err != nil {
+		return fail(2, "%v", err)
 	}
 	res, err := core.Run(cfg)
 	if err != nil {
@@ -276,33 +347,20 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 	}
 
 	// Everything below that reads the trace reads it through one
-	// analysis, so -trace -chrome -manifest build one causal graph.
+	// analysis, so -chrome, -manifest and the report build one causal
+	// graph.
 	a := causal.Analyze(res.Trace)
-	if res.Trace != nil {
-		c := a.Occupancy()
-		fmt.Fprintf(stdout, "  max occupancy:   %.1f%% (Wmax %d)\n", c.MaxOccupancy()*100, c.Wmax())
-		fmt.Fprintf(stdout, "  mean occupancy:  %.1f%%\n", c.MeanOccupancy()*100)
-		if a.HasEvents() {
-			fmt.Fprintf(stdout, "  events recorded: %d (%d dropped from bounded rings)\n",
-				res.Trace.TotalEvents(), res.Trace.TotalEventsDropped())
-			p := a.Path()
-			fmt.Fprintf(stdout, "  critical path:   %.1f%% compute, %.1f%% steal-rtt, %.1f%% transfer, %.1f%% token, %.1f%% wait\n",
-				p.Share(causal.SegCompute), p.Share(causal.SegStealRTT),
-				p.Share(causal.SegTransfer), p.Share(causal.SegToken), p.Share(causal.SegWait))
+	if *traceFlag != "" {
+		if err := writeFile(*traceFlag, res.Trace.WriteJSONL); err != nil {
+			return fail(1, "%v", err)
 		}
-		if *traceFlag != "" {
-			if err := writeFile(*traceFlag, res.Trace.WriteJSONL); err != nil {
-				return fail(1, "%v", err)
-			}
-			fmt.Fprintf(stdout, "  trace written:   %s (analyze with tracetool -in %s)\n", *traceFlag, *traceFlag)
+		fmt.Fprintf(stdout, "  trace written:   %s (analyze with uts -in %s)\n", *traceFlag, *traceFlag)
+	}
+	if *chromeFlag != "" {
+		if err := writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, chromeOptions(a)) }); err != nil {
+			return fail(1, "%v", err)
 		}
-		if *chromeFlag != "" {
-			opts := obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs()}
-			if err := writeFile(*chromeFlag, func(w io.Writer) error { return obs.WriteChromeTraceOpts(w, res.Trace, opts) }); err != nil {
-				return fail(1, "%v", err)
-			}
-			fmt.Fprintf(stdout, "  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
-		}
+		fmt.Fprintf(stdout, "  chrome trace:    %s (load at ui.perfetto.dev)\n", *chromeFlag)
 	}
 
 	// Manifest emission happens after the run, reading only the Result:
@@ -318,7 +376,16 @@ func runTo(args []string, stdout, stderr io.Writer) int {
 		if err := m.WriteFile(*manifestFlag); err != nil {
 			return fail(1, "%v", err)
 		}
-		fmt.Fprintf(stdout, "\n  manifest:        %s (compare runs with tracetool -diff)\n", *manifestFlag)
+		fmt.Fprintf(stdout, "\n  manifest:        %s (compare runs with uts -diff)\n", *manifestFlag)
+	}
+
+	// The trace's analysis closes the report, byte for byte what
+	// uts -in prints for the trace the run wrote.
+	if res.Trace != nil {
+		fmt.Fprintln(stdout)
+		if err := render(stdout, a, opts); err != nil {
+			return fail(1, "%v", err)
+		}
 	}
 	return 0
 }

@@ -35,6 +35,23 @@ func TestCLI(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { os.Chdir(wd) })
+	// The analysis rows read two small runs that differ in the selector.
+	for _, args := range []string{
+		"-tree H-TINY -ranks 8 -seed 3 -trace a.jsonl -chrome a.chrome.json -manifest a.manifest.json",
+		"-tree H-TINY -ranks 8 -seed 3 -selector Rand -trace b.jsonl -manifest b.manifest.json",
+	} {
+		if code, _, stderr := runCLI(args); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
+		}
+	}
+	report := func(t *testing.T, args string) string {
+		t.Helper()
+		code, stdout, stderr := runCLI(args)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
+		}
+		return stdout
+	}
 
 	contains := func(want ...string) func(*testing.T, string) {
 		return func(t *testing.T, stdout string) {
@@ -53,11 +70,12 @@ func TestCLI(t *testing.T) {
 		replay bool
 		check  func(t *testing.T, stdout string)
 	}{
-		// Every artifact of a traced run passes the checks
-		// `tracetool -check` makes.
+		// Every artifact of a traced run passes the checks uts -in and
+		// uts -diff make when they read one.
 		{name: "traced", args: "-tree H-TINY -ranks 32 -seed 3 -trace smoke.jsonl -chrome smoke.chrome.json -manifest smoke.manifest.json",
 			check: func(t *testing.T, stdout string) {
-				contains("critical path:", "trace written:   smoke.jsonl", "manifest:        smoke.manifest.json")(t, stdout)
+				contains("trace written:   smoke.jsonl (analyze with uts -in smoke.jsonl)",
+					"manifest:        smoke.manifest.json (compare runs with uts -diff)", "\ntermination tail:")(t, stdout)
 				checkArtifacts(t, "smoke.jsonl", "smoke.chrome.json", "smoke.manifest.json")
 			}},
 		{name: "chaos", args: "-tree T3 -ranks 16 -seed 7 -crash 3@40us,11@90us -straggler 5@3x2", replay: true,
@@ -86,11 +104,64 @@ func TestCLI(t *testing.T) {
 		// -chunk 0 used to print "chunk 0" and run with the work stack's
 		// default of 20; -eventbuf -3 to record into a default ring.
 		{name: "zero-chunk", args: "-tree T3 -ranks 16 -chunk 0", code: 2, stderr: "-chunk must be >= 1, got 0"},
-		{name: "negative-eventbuf", args: "-tree T3 -ranks 16 -events -eventbuf -3", code: 1,
+		// A value core.Config.Validate refuses is a usage error; these
+		// used to exit 1 as failed runs.
+		{name: "negative-eventbuf", args: "-tree T3 -ranks 16 -events -eventbuf -3", code: 2,
 			stderr: "core: negative chunk size, poll interval or event buffer"},
+		{name: "negative-nodecost", args: "-tree H-TINY -ranks 8 -nodecost -1ms", code: 2, stderr: "core: negative cost"},
+		{name: "zero-horizon", args: "-tree T3 -ranks 8 -serve -horizon 0", code: 2, stderr: "serve: horizon 0s (must be positive)"},
 		// An explicit shape of zero used to run with the default shape 1.
 		{name: "gamma-shape-zero", args: "-tree T3 -serve -arrivals gamma:1ms:0", code: 2,
 			stderr: `-arrivals entry "gamma:1ms:0": gamma shape 0 (must be finite and >= 0.05)`},
+
+		// -in prints the report of a saved trace, -diff compares two
+		// run manifests.
+		{name: "analyze", args: "-in a.jsonl", check: contains("trace: 8 ranks, makespan ", "\nsteal round trips: ")},
+		{name: "analyze-two", args: "-in a.jsonl -in b.jsonl", check: func(t *testing.T, stdout string) {
+			if want := "==> a.jsonl <==\n" + report(t, "-in a.jsonl") + "\n==> b.jsonl <==\n" + report(t, "-in b.jsonl") + "\n"; stdout != want {
+				t.Errorf("two inputs are not the framed reports of each:\n%s", stdout)
+			}
+		}},
+		{name: "analyze-minimum-sections", args: "-in a.jsonl -heatmap 0 -steps 1 -rows 1 -width 1 -lifestory"},
+		{name: "analyze-convert", args: "-in a.jsonl -chrome u.json", stderr: "chrome trace written to u.json (load at ui.perfetto.dev)",
+			check: func(t *testing.T, stdout string) {
+				if stdout != report(t, "-in a.jsonl") {
+					t.Errorf("-chrome changed the report:\n%s", stdout)
+				}
+				// The trace read back converts to the file its run wrote.
+				got, err := os.ReadFile("u.json")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want, err := os.ReadFile("a.chrome.json"); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("u.json differs from the run's a.chrome.json (%v)", err)
+				}
+			}},
+		{name: "diff", args: "-diff a.manifest.json b.manifest.json", check: contains("run diff: A=a vs B=b\nspec: configs differ in 1 field(s)\n  selector: RoundRobin -> Rand\n")},
+		{name: "analyze-chrome-two-inputs", args: "-in a.jsonl -in b.jsonl -chrome u.json", code: 2, stderr: "-chrome converts exactly one trace; got 2 inputs"},
+		{name: "analyze-stray-argument", args: "-in a.jsonl stray -lifestory", code: 2, stderr: `unexpected argument "stray"`},
+		// A manifest given to -in used to fail as a truncated trace.
+		{name: "analyze-manifest", args: "-in a.manifest.json", code: 2, stderr: "-in a.manifest.json: not a JSONL trace (compare run manifests with -diff)"},
+		{name: "analyze-missing", args: "-in absent.jsonl", code: 1, stderr: "open absent.jsonl: no such file or directory"},
+		{name: "analyze-steps-zero", args: "-in a.jsonl -steps 0", code: 2, stderr: "-steps must be >= 1, got 0"},
+		{name: "analyze-steps-negative", args: "-in a.jsonl -steps -3", code: 2, stderr: "-steps must be >= 1, got -3"},
+		{name: "analyze-rows-zero", args: "-in a.jsonl -rows 0", code: 2, stderr: "-rows must be >= 1, got 0"},
+		{name: "analyze-rows-negative", args: "-in a.jsonl -rows -1", code: 2, stderr: "-rows must be >= 1, got -1"},
+		{name: "analyze-width-negative", args: "-in a.jsonl -width -100", code: 2, stderr: "-width must be >= 1, got -100"},
+		{name: "analyze-heatmap-negative", args: "-in a.jsonl -heatmap -4", code: 2, stderr: "-heatmap must be >= 0, got -4"},
+		{name: "run-steps-zero", args: "-tree T3 -ranks 8 -events -steps 0", code: 2, stderr: "-steps must be >= 1, got 0"},
+		{name: "analyze-simulation-flag", args: "-in a.jsonl -ranks 8", code: 2, stderr: "-ranks has no effect with -in"},
+		{name: "report-flag-without-trace", args: "-tree T3 -ranks 8 -blame", code: 2,
+			stderr: "-blame has no effect without a trace (-in, -trace, -chrome or -events)"},
+		{name: "report-flag-with-count", args: "-count -tree T3 -events -lineage", code: 2,
+			stderr: "-lineage has no effect without a trace (-in, -trace, -chrome or -events)"},
+		// A trace carries no configuration: a raw-trace diff used to
+		// report identical configurations for different selectors.
+		{name: "diff-traces", args: "-diff a.jsonl b.jsonl", code: 2,
+			stderr: "-diff a.jsonl: a trace carries no configuration; compare the manifests -manifest writes"},
+		{name: "diff-one-manifest", args: "-diff a.manifest.json", code: 2, stderr: "-diff compares exactly two run manifests; got 1"},
+		{name: "diff-with-in", args: "-in a.jsonl -diff a.manifest.json b.manifest.json", code: 2, stderr: "-in has no effect with -diff"},
+		{name: "diff-report-flag", args: "-blame -diff a.manifest.json b.manifest.json", code: 2, stderr: "-blame has no effect with -diff"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(c.args)
@@ -113,19 +184,49 @@ func TestCLI(t *testing.T) {
 			}
 		})
 	}
-	// A report that cannot be written fails the run; it used to lose
-	// the error and exit 0.
+	// A report that cannot be written fails the command; it used to
+	// lose the error and exit 0.
 	t.Run("report-to-full-disk", func(t *testing.T) {
 		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
 		if err != nil {
 			t.Skip("no /dev/full")
 		}
 		defer full.Close()
-		var stderr bytes.Buffer
-		if code := run(strings.Fields("-tree H-TINY -ranks 8"), full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
-			t.Errorf("exit %d, stderr %q; want exit 1 and the write error", code, stderr.String())
+		for _, args := range []string{"-tree H-TINY -ranks 8", "-in a.jsonl", "-diff a.manifest.json b.manifest.json"} {
+			var stderr bytes.Buffer
+			if code := run(strings.Fields(args), full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+				t.Errorf("%s: exit %d, stderr %q; want exit 1 and the write error", args, code, stderr.String())
+			}
 		}
 	})
+}
+
+// TestRunReportIsInReport: the analysis a traced run ends with is, byte
+// for byte, what uts -in prints for the trace the run wrote — the
+// in-process and the offline report share one renderer and one trace.
+func TestRunReportIsInReport(t *testing.T) {
+	dir := t.TempDir()
+	sections := " -blame -critical -lineage -lifestory"
+	for _, c := range []struct{ name, args string }{
+		{"fault-free", "-tree H-TINY -ranks 32 -seed 3"},
+		{"faulted", "-tree T3 -ranks 16 -seed 7 -crash 3@40us,11@90us -straggler 5@3x2"},
+		{"serving", "-tree T3 -ranks 16 -seed 7 -serve -tenants 2 -arrivals poisson:2ms -horizon 20ms"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			tr := filepath.Join(dir, c.name+".jsonl")
+			code, ran, stderr := runCLI(c.args + " -trace " + tr + sections)
+			if code != 0 {
+				t.Fatalf("run: exit %d, stderr %q", code, stderr)
+			}
+			code, in, stderr := runCLI("-in " + tr + sections)
+			if code != 0 {
+				t.Fatalf("-in: exit %d, stderr %q", code, stderr)
+			}
+			if !strings.HasSuffix(ran, "\n\n"+in) {
+				t.Errorf("the run's report does not end with uts -in's:\n%s\n--- uts -in ---\n%s", ran, in)
+			}
+		})
+	}
 }
 
 func runCLI(args string) (code int, stdout, stderr string) {
@@ -135,7 +236,8 @@ func runCLI(args string) (code int, stdout, stderr string) {
 }
 
 // checkArtifacts holds a traced run's files to the library checks
-// `tracetool -check` makes.
+// uts -in and -diff make when they read them, and the Chrome trace to
+// a non-empty event list.
 func checkArtifacts(t *testing.T, tracePath, chromePath, manifestPath string) {
 	t.Helper()
 	f, err := os.Open(tracePath)

@@ -28,7 +28,7 @@
 //   - internal/stats      — descriptive statistics for reports
 //   - internal/harness    — experiments for every table and figure
 //   - internal/analysis   — the static analyzers cmd/distwsvet runs
-//   - cmd/uts, cmd/experiments, cmd/tracetool — tools
+//   - cmd/uts (run, analyze, compare), cmd/experiments — tools
 //   - examples/...        — runnable walkthroughs
 //
 // The benchmarks in bench_test.go regenerate each figure's data at

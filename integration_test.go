@@ -24,7 +24,7 @@ import (
 
 // TestPipelineTraceRoundTrip runs a traced simulation, serializes the
 // trace to JSONL, reads it back, and verifies the derived metrics are
-// identical — the full cmd/uts -> cmd/tracetool pipeline in-process.
+// identical — the full uts -trace -> uts -in pipeline in-process.
 func TestPipelineTraceRoundTrip(t *testing.T) {
 	res, err := core.Run(core.Config{
 		Tree:         uts.MustPreset("H-TINY").Params,

@@ -5,10 +5,9 @@
 // function-style op such as atomic.AddInt64(&x, 1) is an ordinary
 // variable that a plain read or write can also reach, and a plain load
 // racing an atomic store is a data race the Go memory model gives no
-// guarantees about. The tree's one concurrent writer/reader pair is
-// internal/obs's metrics registry, written by the engine while
-// `uts -obs` serves /metrics from an HTTP goroutine; its words are
-// typed atomics.
+// guarantees about. The tree's one concurrently written store is
+// internal/obs's metrics registry, which the shard engines of a
+// sharded run share; its words are typed atomics.
 //
 // The analyzer reports every use of a package-level sync/atomic
 // function (one without a receiver): with typed atomics as the only

@@ -1,6 +1,6 @@
 // Package lockcheck guards the two mutex disciplines of the tree's
-// locks (obs.Registry's name tables, which `uts -obs`'s HTTP reader
-// shares with the run, and sim's store pool, which harness.Execute's
+// locks (obs.Registry's name tables, which the shard engines of a
+// sharded run share, and sim's store pool, which harness.Execute's
 // goroutines share): a critical section must release its lock on every
 // path out of the function, and must not perform a channel send while
 // the lock is held (a blocked receiver would then deadlock every

@@ -302,17 +302,17 @@ func RenderHeatmap(m [][]uint64, size int) string {
 // is where the paper's 8192-rank makespans go.
 type TailStats struct {
 	// LastTransfer is when the final successful steal completed.
-	LastTransfer sim.Time `json:"last_transfer_ns"`
+	LastTransfer sim.Time
 	// Duration is End - LastTransfer; Fraction is Duration/End.
-	Duration sim.Duration `json:"duration_ns"`
-	Fraction float64      `json:"fraction"`
+	Duration sim.Duration
+	Fraction float64
 	// FailedInTail counts steals that ended (refused or aborted)
 	// during the tail.
-	FailedInTail int `json:"failed_in_tail"`
+	FailedInTail int
 	// TokenHopsInTail and TokenHopsTotal count termination-token
 	// deliveries in the tail and over the whole run.
-	TokenHopsInTail int `json:"token_hops_in_tail"`
-	TokenHopsTotal  int `json:"token_hops_total"`
+	TokenHopsInTail int
+	TokenHopsTotal  int
 }
 
 // TerminationTail computes the tail breakdown from a trace and its

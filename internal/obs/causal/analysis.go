@@ -6,8 +6,7 @@ import (
 )
 
 // TrafficRankLimit caps the rank count for which Analysis.Traffic — and
-// through it the run manifest and tracetool -format json — gives the
-// full rank×rank matrix: past it the document would be dominated by an
+// through it the run manifest — gives the full rank×rank matrix: past it the document would be dominated by an
 // O(ranks²) block of mostly zeros.
 const TrafficRankLimit = 128
 
@@ -15,8 +14,8 @@ const TrafficRankLimit = 128
 // view is computed on first use and at most once, so a process that
 // writes a manifest, a Chrome trace and a text report from the same run
 // builds one causal graph and pairs the steals once; a caller pays only
-// for the views it reads. The manifest (ledger.New), cmd/tracetool,
-// cmd/uts and the blame experiment are all readers of it.
+// for the views it reads. The manifest (ledger.New), cmd/uts's report
+// and the blame experiment are all readers of it.
 //
 // Analysis is also the one place that knows which views a trace
 // supports. A trace without ranks has no Blame (nil). A trace without

@@ -14,7 +14,7 @@
 //
 // Everything in this package is a pure function of a *trace.Trace —
 // no clocks, no randomness, no instrumentation of its own — so the
-// same analysis runs offline in cmd/tracetool, inside cmd/experiments
+// same analysis runs offline in uts -in, inside cmd/experiments
 // tables and in the run manifests of internal/obs/ledger. Build,
 // CriticalPath and AttributeIdle are the algorithms; programs reach
 // them through Analyze, which computes each view of a trace once.
@@ -385,14 +385,4 @@ func (g *Graph) ChainRanks(i int) []int {
 		ranks = append(ranks, g.Transfers[j].Thief)
 	}
 	return ranks
-}
-
-// QuantaCount returns the total number of compute quanta (the causal
-// graph's vertices) across ranks.
-func (g *Graph) QuantaCount() int {
-	n := 0
-	for _, qs := range g.Quanta {
-		n += len(qs)
-	}
-	return n
 }

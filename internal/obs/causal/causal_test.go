@@ -71,6 +71,15 @@ func fixtureTrace() *trace.Trace {
 	}
 }
 
+// quanta counts the graph's vertices, the compute quanta of every rank.
+func quanta(g *causal.Graph) int {
+	n := 0
+	for _, qs := range g.Quanta {
+		n += len(qs)
+	}
+	return n
+}
+
 func TestBuildFixtureGraph(t *testing.T) {
 	g := causal.Build(fixtureTrace())
 	if len(g.Transfers) != 3 {
@@ -101,7 +110,7 @@ func TestBuildFixtureGraph(t *testing.T) {
 			t.Errorf("hop %d = %d->%d, want %d->%d", i, h.From, h.To, ring[i][0], ring[i][1])
 		}
 	}
-	if got := g.QuantaCount(); got != 5 {
+	if got := quanta(g); got != 5 {
 		t.Errorf("quanta = %d, want 5", got)
 	}
 	wantDepths := []uint64{0, 1, 1, 1}
@@ -376,7 +385,7 @@ func TestGraphWithoutEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := causal.Build(res.Trace)
-	if len(g.Transfers) != 0 || len(g.TokenHops) != 0 || g.QuantaCount() != 0 {
+	if len(g.Transfers) != 0 || len(g.TokenHops) != 0 || quanta(g) != 0 {
 		t.Fatal("graph from event-free trace must be empty")
 	}
 	// The critical path degenerates to one unattributed segment but the
@@ -426,7 +435,7 @@ func TestSingleRankRun(t *testing.T) {
 
 func TestEmptyAndDegenerateTraces(t *testing.T) {
 	empty := &trace.Trace{}
-	if g := causal.Build(empty); len(g.Transfers) != 0 || g.QuantaCount() != 0 {
+	if g := causal.Build(empty); len(g.Transfers) != 0 || quanta(g) != 0 {
 		t.Fatal("empty trace produced a graph")
 	}
 	p := causal.CriticalPath(causal.Build(empty))

@@ -2,9 +2,8 @@
 // (internal/obs/ledger) it computes structured deltas that attribute a
 // makespan difference to its causes — per-segment critical-path deltas
 // (compute vs steal-rtt vs transfer vs token vs wait), per-cause
-// idle-blame deltas, steal success/latency shifts, and per-rank and
-// per-link traffic deltas — and renders them as a byte-stable text
-// report or JSON document.
+// idle-blame deltas, steal success/latency shifts, and per-link
+// traffic deltas — and renders them as a byte-stable text report.
 //
 // Exactness contract: because each manifest's critical-path segments
 // partition its makespan and each rank's blame partitions its timeline
@@ -29,9 +28,9 @@ var CauseNames = [5]string{"busy", "startup", "search", "in-flight", "term-tail"
 
 // Scalar is one compared quantity.
 type Scalar struct {
-	A     int64 `json:"a"`
-	B     int64 `json:"b"`
-	Delta int64 `json:"delta"`
+	A     int64
+	B     int64
+	Delta int64
 }
 
 func scalar(a, b int64) Scalar { return Scalar{A: a, B: b, Delta: b - a} }
@@ -40,7 +39,7 @@ func scalar(a, b int64) Scalar { return Scalar{A: a, B: b, Delta: b - a} }
 // kind, in causal.SegmentKind order. The segment deltas sum exactly to
 // the makespan delta.
 type CriticalDelta struct {
-	Segments [5]Scalar `json:"segments"`
+	Segments [5]Scalar
 }
 
 // Sum returns the total of the per-segment deltas.
@@ -58,10 +57,10 @@ func sumDeltas(xs [5]Scalar) (sum int64) {
 // term-tail order. When both runs have the same rank count the cause
 // deltas sum exactly to ranks × makespan delta.
 type BlameDelta struct {
-	Causes [5]Scalar `json:"causes"`
+	Causes [5]Scalar
 	// Ranks is the shared rank count (0 when the two runs disagree, in
 	// which case the rank-scaled identity does not apply).
-	Ranks int `json:"ranks"`
+	Ranks int
 }
 
 // Sum returns the total of the per-cause deltas.
@@ -69,60 +68,53 @@ func (b *BlameDelta) Sum() int64 { return sumDeltas(b.Causes) }
 
 // StealDelta summarizes protocol shifts between the runs.
 type StealDelta struct {
-	Requests Scalar `json:"requests"`
-	Success  Scalar `json:"success"`
-	Failed   Scalar `json:"failed"`
-	Aborted  Scalar `json:"aborted"`
+	Requests Scalar
+	Success  Scalar
+	Failed   Scalar
+	Aborted  Scalar
 	// SuccessRateA/B are successful / total requests, in [0,1].
-	SuccessRateA float64 `json:"success_rate_a"`
-	SuccessRateB float64 `json:"success_rate_b"`
+	SuccessRateA float64
+	SuccessRateB float64
 	// Latency percentiles of reconstructed round trips (ns); only
 	// present when both manifests carry steal summaries.
-	P50NS *Scalar `json:"p50_ns,omitempty"`
-	P95NS *Scalar `json:"p95_ns,omitempty"`
-	P99NS *Scalar `json:"p99_ns,omitempty"`
-}
-
-// RankTraffic is one rank's sent/received message delta.
-type RankTraffic struct {
-	Rank     int    `json:"rank"`
-	Sent     Scalar `json:"sent"`
-	Received Scalar `json:"received"`
+	P50NS *Scalar
+	P95NS *Scalar
+	P99NS *Scalar
 }
 
 // LinkDelta is one link's traffic change.
 type LinkDelta struct {
-	From  int   `json:"from"`
-	To    int   `json:"to"`
-	A     int64 `json:"a"`
-	B     int64 `json:"b"`
-	Delta int64 `json:"delta"`
+	From  int
+	To    int
+	A     int64
+	B     int64
+	Delta int64
 }
 
 // Delta is the full structured comparison of run B against run A.
 type Delta struct {
-	IDA string `json:"id_a"`
-	IDB string `json:"id_b"`
+	IDA string
+	IDB string
 	// SameSpec is true when the two runs share a config fingerprint —
 	// i.e. the diff isolates a code change, not a config change.
-	SameSpec bool `json:"same_spec"`
+	SameSpec bool
 	// SpecChanges lists the config fields that differ, "field: a -> b",
 	// in declaration order. Empty when SameSpec.
-	SpecChanges []string `json:"spec_changes,omitempty"`
+	SpecChanges []string
 
-	Makespan Scalar `json:"makespan_ns"`
+	Makespan Scalar
 	// MakespanPct is the relative makespan change in percent (+ means B
 	// is slower); 0 when A's makespan is 0.
-	MakespanPct float64 `json:"makespan_pct"`
+	MakespanPct float64
 
-	Critical *CriticalDelta `json:"critical,omitempty"`
-	Blame    *BlameDelta    `json:"blame,omitempty"`
-	Steals   *StealDelta    `json:"steals,omitempty"`
+	Critical *CriticalDelta
+	Blame    *BlameDelta
+	Steals   *StealDelta
 
-	// PerRank traffic deltas and the largest per-link movers, present
-	// when both manifests carry traffic matrices of equal rank count.
-	PerRank  []RankTraffic `json:"per_rank_traffic,omitempty"`
-	TopLinks []LinkDelta   `json:"top_links,omitempty"`
+	// Traffic is set when both manifests carry traffic matrices of
+	// equal rank count; TopLinks then holds the largest per-link movers.
+	Traffic  bool
+	TopLinks []LinkDelta
 }
 
 // TopLinkLimit caps the per-link movers listed in a delta.
@@ -168,7 +160,7 @@ func Compute(a, b *ledger.Manifest) *Delta {
 	d.Steals = stealDelta(a, b)
 
 	if a.Traffic != nil && b.Traffic != nil && len(a.Traffic) == len(b.Traffic) {
-		d.PerRank, d.TopLinks = trafficDeltas(a.Traffic, b.Traffic)
+		d.Traffic, d.TopLinks = true, topLinks(a.Traffic, b.Traffic)
 	}
 	return d
 }
@@ -194,53 +186,20 @@ func stealDelta(a, b *ledger.Manifest) *StealDelta {
 		p95 := scalar(a.Steals.P95NS, b.Steals.P95NS)
 		p99 := scalar(a.Steals.P99NS, b.Steals.P99NS)
 		sd.P50NS, sd.P95NS, sd.P99NS = &p50, &p95, &p99
-		// A trace-only manifest has no engine counters; fall back to the
-		// reconstructed transactions so the rates still mean something.
-		if ra.StealRequests == 0 && a.Steals.Count > 0 {
-			sd.Requests.A = int64(a.Steals.Count)
-			sd.Success.A = int64(a.Steals.Success)
-			sd.Failed.A = int64(a.Steals.Refused)
-			sd.Aborted.A = int64(a.Steals.Aborted)
-			sd.SuccessRateA = float64(a.Steals.Success) / float64(a.Steals.Count)
-		}
-		if rb.StealRequests == 0 && b.Steals.Count > 0 {
-			sd.Requests.B = int64(b.Steals.Count)
-			sd.Success.B = int64(b.Steals.Success)
-			sd.Failed.B = int64(b.Steals.Refused)
-			sd.Aborted.B = int64(b.Steals.Aborted)
-			sd.SuccessRateB = float64(b.Steals.Success) / float64(b.Steals.Count)
-		}
-		sd.Requests.Delta = sd.Requests.B - sd.Requests.A
-		sd.Success.Delta = sd.Success.B - sd.Success.A
-		sd.Failed.Delta = sd.Failed.B - sd.Failed.A
-		sd.Aborted.Delta = sd.Aborted.B - sd.Aborted.A
 	}
 	return sd
 }
 
-// trafficDeltas computes per-rank send/receive deltas and the TopLinkLimit
-// largest per-link movers (by absolute delta; ties break by from, then
-// to, for determinism).
-func trafficDeltas(a, b [][]uint64) ([]RankTraffic, []LinkDelta) {
-	n := len(a)
-	perRank := make([]RankTraffic, n)
+// topLinks returns the TopLinkLimit largest per-link movers (by
+// absolute delta; ties break by from, then to, for determinism).
+func topLinks(a, b [][]uint64) []LinkDelta {
 	var links []LinkDelta
-	for i := 0; i < n; i++ {
-		perRank[i].Rank = i
-		for j := 0; j < n; j++ {
-			av, bv := int64(a[i][j]), int64(b[i][j])
-			perRank[i].Sent.A += av
-			perRank[i].Sent.B += bv
-			perRank[j].Received.A += av
-			perRank[j].Received.B += bv
-			if av != bv {
+	for i := range a {
+		for j := range a[i] {
+			if av, bv := int64(a[i][j]), int64(b[i][j]); av != bv {
 				links = append(links, LinkDelta{From: i, To: j, A: av, B: bv, Delta: bv - av})
 			}
 		}
-	}
-	for i := range perRank {
-		perRank[i].Sent.Delta = perRank[i].Sent.B - perRank[i].Sent.A
-		perRank[i].Received.Delta = perRank[i].Received.B - perRank[i].Received.A
 	}
 	// Selection sort of the top movers keeps the common all-zero case
 	// allocation-light and the order fully deterministic.
@@ -254,7 +213,7 @@ func trafficDeltas(a, b [][]uint64) ([]RankTraffic, []LinkDelta) {
 		}
 		links[i], links[best] = links[best], links[i]
 	}
-	return perRank, links[:limit]
+	return links[:limit]
 }
 
 func linkLess(x, y LinkDelta) bool {
@@ -335,11 +294,6 @@ func (d *Delta) Zero() bool {
 			if s.Delta != 0 {
 				return false
 			}
-		}
-	}
-	for _, r := range d.PerRank {
-		if r.Sent.Delta != 0 || r.Received.Delta != 0 {
-			return false
 		}
 	}
 	return len(d.TopLinks) == 0

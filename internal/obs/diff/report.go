@@ -1,7 +1,6 @@
 package diff
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -141,17 +140,10 @@ func (d *Delta) WriteText(w io.Writer) error {
 		for _, l := range d.TopLinks {
 			bw.Printf("  %4d -> %-4d %8d -> %-8d (%+d)\n", l.From, l.To, l.A, l.B, l.Delta)
 		}
-	} else if d.PerRank != nil {
+	} else if d.Traffic {
 		bw.Printf("\ntraffic: identical on every link\n")
 	}
 	return bw.Err
-}
-
-// WriteJSON renders the delta as an indented JSON document.
-func (d *Delta) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(d)
 }
 
 func label(id string) string {

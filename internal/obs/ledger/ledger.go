@@ -32,12 +32,11 @@ import (
 	"distws/internal/obs/causal"
 	"distws/internal/serve"
 	"distws/internal/sim"
-	"distws/internal/trace"
 	"distws/internal/workstack"
 )
 
 // Schema identifies the manifest document format; bump on breaking
-// changes so tracetool -check and diff fail loudly on a version skew.
+// changes so ReadFile and uts -diff fail loudly on a version skew.
 const Schema = "distws/run-manifest/v1"
 
 // Spec is the configuration fingerprint: every knob that determines
@@ -265,17 +264,6 @@ func FromRun(id string, spec Spec, res *core.Result) *Manifest {
 	return New(id, spec, res, causal.Analyze(res.Trace))
 }
 
-// FromTrace builds a partial manifest from a saved trace alone: the
-// causal analyses and the makespan are available, the engine-side
-// Result scalars are not. tracetool -diff uses this so two raw .jsonl
-// traces can be compared without their original Results.
-func FromTrace(id string, spec Spec, tr *trace.Trace) *Manifest {
-	if spec.Ranks == 0 {
-		spec.Ranks = tr.Ranks()
-	}
-	return FromRun(id, spec, &core.Result{Makespan: sim.Duration(tr.End), Trace: tr})
-}
-
 // New is the one manifest constructor: the Result's scalars plus the
 // trace sections read from a, the analysis of res.Trace. A caller that
 // also prints or exports from the same analysis (cmd/uts) passes it in,
@@ -326,7 +314,7 @@ func New(id string, spec Spec, res *core.Result, a *causal.Analysis) *Manifest {
 			MeanRecoveryNS: int64(res.MeanRecoveryLatency),
 		},
 	}
-	m.Attach(a)
+	m.attach(a)
 	if res.Serve != nil {
 		m.Serve = serveSummary(res.Serve)
 	}
@@ -363,11 +351,11 @@ func serveSummary(st *serve.Stats) *ServeSummary {
 	return s
 }
 
-// Attach fills the trace-derived sections — blame, critical path, steal
+// attach fills the trace-derived sections — blame, critical path, steal
 // statistics, traffic — from an analysis; a view the trace does not
 // support leaves its section absent. This is the only causal→manifest
-// conversion: tracetool -format json embeds the same section types.
-func (m *Manifest) Attach(a *causal.Analysis) {
+// conversion.
+func (m *Manifest) attach(a *causal.Analysis) {
 	b := a.Blame()
 	if b == nil {
 		return
@@ -462,7 +450,7 @@ func Decode(data []byte) (*Manifest, error) {
 	return &m, nil
 }
 
-// Validate is the schema checker tracetool -check runs on every manifest:
+// Validate is the schema checker ReadFile runs on every manifest:
 // structural requirements plus the causal identities that make diffs
 // trustworthy — blame partitions each rank's exact timeline, and the
 // critical-path segments partition the makespan.

@@ -9,7 +9,6 @@ import (
 	"distws/internal/core"
 	"distws/internal/fault"
 	"distws/internal/obs"
-	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -278,47 +277,6 @@ func TestFileRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFromTrace: a manifest built from a saved trace alone carries the
-// causal sections and the makespan, enough for tracetool -diff.
-func TestFromTrace(t *testing.T) {
-	cfg := testConfig()
-	res := mustRun(t, cfg)
-	m := FromTrace("trace-only", Spec{}, res.Trace)
-	if m.Spec.Ranks != cfg.Ranks {
-		t.Errorf("ranks %d, want %d inferred from the trace", m.Spec.Ranks, cfg.Ranks)
-	}
-	if m.Result.MakespanNS != int64(res.Makespan) {
-		t.Errorf("makespan %d, want %d", m.Result.MakespanNS, int64(res.Makespan))
-	}
-	if m.Critical == nil || m.Blame == nil {
-		t.Error("trace-built manifest is missing causal sections")
-	}
-	if got, want := m.Critical.TotalNS(), m.Result.MakespanNS; got != want {
-		t.Errorf("critical segments sum to %d, want makespan %d", got, want)
-	}
-	if m.Makespan() != sim.Duration(res.Makespan) {
-		t.Errorf("Makespan() = %v, want %v", m.Makespan(), res.Makespan)
-	}
-}
-
-// TestFromTraceIsFromRun: a trace-only manifest is the manifest of a
-// Result that has nothing but a makespan and that trace, byte for byte.
-func TestFromTraceIsFromRun(t *testing.T) {
-	res := mustRun(t, testConfig())
-	spec := Spec{Ranks: res.Trace.Ranks()}
-	a, err := FromTrace("t", Spec{}, res.Trace).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := FromRun("t", spec, &core.Result{Makespan: sim.Duration(res.Trace.End), Trace: res.Trace}).Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Errorf("FromTrace and FromRun over a trace-only Result encode differently:\n%s\n---\n%s", a, b)
-	}
-}
-
 // TestDecodeRejectsTrailingData: a manifest is one JSON value. Anything
 // but whitespace after it — a second document, garbage from a botched
 // concatenation — fails the decode, so ReadFile, ReadDir and every
@@ -347,7 +305,7 @@ func TestDecodeRejectsTrailingData(t *testing.T) {
 
 // FuzzDecode feeds Decode raw bytes: it must never panic, and a
 // manifest it accepts that also validates must survive Encode→Decode
-// unchanged, so what tracetool -check passes is what a baseline holds.
+// unchanged, so what ReadFile accepts is what a baseline holds.
 func FuzzDecode(f *testing.F) {
 	cfg := testConfig()
 	cfg.Tree = uts.MustPreset("T3S").Params

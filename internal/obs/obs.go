@@ -22,7 +22,7 @@
 //     chrome://tracing) and Prometheus text exposition, plus trace
 //     analyses (occupancy and SL/EL, steal-latency percentiles,
 //     rank×rank traffic matrix, termination-tail breakdown) that
-//     causal.Analysis memoizes and cmd/tracetool reports.
+//     causal.Analysis memoizes and cmd/uts reports.
 package obs
 
 import (

@@ -180,12 +180,12 @@ func (c *OccupancyCurve) EndingLatency(x float64) (el float64, ok bool) {
 
 // LatencyPoint is one (occupancy, SL, EL) sample of Figures 4/5/12/13.
 type LatencyPoint struct {
-	Occupancy float64 `json:"occupancy"`
+	Occupancy float64
 	// Reached is false when the run never attained this occupancy; SL
 	// and EL are then meaningless.
-	Reached bool    `json:"reached"`
-	SL      float64 `json:"sl"`
-	EL      float64 `json:"el"`
+	Reached bool
+	SL      float64
+	EL      float64
 }
 
 // LatencyCurve samples SL and EL at the given occupancy fractions.

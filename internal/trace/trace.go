@@ -389,8 +389,8 @@ const (
 // encoding/json produces for jsonRecord — fields in declaration order,
 // zero values omitted, so rank 0, time 0 and peer 0 leave no key while
 // peer -1 is written out — which is the format ReadJSONL (and through it
-// tracetool -check) parses. Records are appended into one reused buffer; nothing is
-// allocated per record.
+// uts -in) parses. Records are appended into one reused buffer; nothing
+// is allocated per record.
 func (t *Trace) WriteJSONL(w io.Writer) error {
 	buf := make([]byte, 0, jsonlBufSize)
 	var headArr [48]byte
