@@ -26,50 +26,8 @@ import (
 // byte-identical stdout — every byte of a report is a function of the
 // flags, fault schedules and arrival processes included.
 func TestCLI(t *testing.T) {
-	// Artifacts are named as a shell in a scratch directory names them.
-	wd, err := os.Getwd()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Chdir(t.TempDir()); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { os.Chdir(wd) })
-	// The analysis rows read two small runs that differ in the selector.
-	for _, args := range []string{
-		"-tree H-TINY -ranks 8 -seed 3 -trace a.jsonl -chrome a.chrome.json -manifest a.manifest.json",
-		"-tree H-TINY -ranks 8 -seed 3 -selector Rand -trace b.jsonl -manifest b.manifest.json",
-	} {
-		if code, _, stderr := runCLI(args); code != 0 {
-			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
-		}
-	}
-	report := func(t *testing.T, args string) string {
-		t.Helper()
-		code, stdout, stderr := runCLI(args)
-		if code != 0 {
-			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
-		}
-		return stdout
-	}
-
-	contains := func(want ...string) func(*testing.T, string) {
-		return func(t *testing.T, stdout string) {
-			for _, w := range want {
-				if !strings.Contains(stdout, w) {
-					t.Errorf("report lacks %q:\n%s", w, stdout)
-				}
-			}
-		}
-	}
-	for _, c := range []struct {
-		name   string
-		args   string
-		code   int
-		stderr string
-		replay bool
-		check  func(t *testing.T, stdout string)
-	}{
+	inTempDir(t)
+	runRows(t, []cliRow{
 		// Every artifact of a traced run passes the checks uts -in and
 		// uts -diff make when they read one.
 		{name: "traced", args: "-tree H-TINY -ranks 32 -seed 3 -trace smoke.jsonl -chrome smoke.chrome.json -manifest smoke.manifest.json",
@@ -113,9 +71,39 @@ func TestCLI(t *testing.T) {
 		// An explicit shape of zero used to run with the default shape 1.
 		{name: "gamma-shape-zero", args: "-tree T3 -serve -arrivals gamma:1ms:0", code: 2,
 			stderr: `-arrivals entry "gamma:1ms:0": gamma shape 0 (must be finite and >= 0.05)`},
+		{name: "run-steps-zero", args: "-tree T3 -ranks 8 -events -steps 0", code: 2, stderr: "-steps must be >= 1, got 0"},
+		{name: "report-flag-without-trace", args: "-tree T3 -ranks 8 -blame", code: 2,
+			stderr: "-blame has no effect without a trace (-in, -trace, -chrome or -events)"},
+		{name: "report-flag-with-count", args: "-count -tree T3 -events -lineage", code: 2,
+			stderr: "-lineage has no effect without a trace (-in, -trace, -chrome or -events)"},
+	})
+	// A report that cannot be written fails the run; it used to lose
+	// the error and exit 0.
+	t.Run("report-to-full-disk", func(t *testing.T) { checkFullDisk(t, "-tree H-TINY -ranks 8") })
+}
 
-		// -in prints the report of a saved trace, -diff compares two
-		// run manifests.
+// TestAnalyzeCLI holds the analysis modes to TestCLI's rows: -in prints
+// the report of a saved trace, -diff compares two run manifests. They
+// read two small runs that differ in the selector.
+func TestAnalyzeCLI(t *testing.T) {
+	inTempDir(t)
+	for _, args := range []string{
+		"-tree H-TINY -ranks 8 -seed 3 -trace a.jsonl -chrome a.chrome.json -manifest a.manifest.json",
+		"-tree H-TINY -ranks 8 -seed 3 -selector Rand -trace b.jsonl -manifest b.manifest.json",
+	} {
+		if code, _, stderr := runCLI(args); code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
+		}
+	}
+	report := func(t *testing.T, args string) string {
+		t.Helper()
+		code, stdout, stderr := runCLI(args)
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", args, code, stderr)
+		}
+		return stdout
+	}
+	runRows(t, []cliRow{
 		{name: "analyze", args: "-in a.jsonl", check: contains("trace: 8 ranks, makespan ", "\nsteal round trips: ")},
 		{name: "analyze-two", args: "-in a.jsonl -in b.jsonl", check: func(t *testing.T, stdout string) {
 			if want := "==> a.jsonl <==\n" + report(t, "-in a.jsonl") + "\n==> b.jsonl <==\n" + report(t, "-in b.jsonl") + "\n"; stdout != want {
@@ -149,12 +137,7 @@ func TestCLI(t *testing.T) {
 		{name: "analyze-rows-negative", args: "-in a.jsonl -rows -1", code: 2, stderr: "-rows must be >= 1, got -1"},
 		{name: "analyze-width-negative", args: "-in a.jsonl -width -100", code: 2, stderr: "-width must be >= 1, got -100"},
 		{name: "analyze-heatmap-negative", args: "-in a.jsonl -heatmap -4", code: 2, stderr: "-heatmap must be >= 0, got -4"},
-		{name: "run-steps-zero", args: "-tree T3 -ranks 8 -events -steps 0", code: 2, stderr: "-steps must be >= 1, got 0"},
 		{name: "analyze-simulation-flag", args: "-in a.jsonl -ranks 8", code: 2, stderr: "-ranks has no effect with -in"},
-		{name: "report-flag-without-trace", args: "-tree T3 -ranks 8 -blame", code: 2,
-			stderr: "-blame has no effect without a trace (-in, -trace, -chrome or -events)"},
-		{name: "report-flag-with-count", args: "-count -tree T3 -events -lineage", code: 2,
-			stderr: "-lineage has no effect without a trace (-in, -trace, -chrome or -events)"},
 		// A trace carries no configuration: a raw-trace diff used to
 		// report identical configurations for different selectors.
 		{name: "diff-traces", args: "-diff a.jsonl b.jsonl", code: 2,
@@ -162,7 +145,25 @@ func TestCLI(t *testing.T) {
 		{name: "diff-one-manifest", args: "-diff a.manifest.json", code: 2, stderr: "-diff compares exactly two run manifests; got 1"},
 		{name: "diff-with-in", args: "-in a.jsonl -diff a.manifest.json b.manifest.json", code: 2, stderr: "-in has no effect with -diff"},
 		{name: "diff-report-flag", args: "-blame -diff a.manifest.json b.manifest.json", code: 2, stderr: "-blame has no effect with -diff"},
-	} {
+	})
+	// A report that cannot be written fails the command.
+	t.Run("report-to-full-disk", func(t *testing.T) {
+		checkFullDisk(t, "-in a.jsonl", "-diff a.manifest.json b.manifest.json")
+	})
+}
+
+// A cliRow is one command line of TestCLI or TestAnalyzeCLI.
+type cliRow struct {
+	name   string
+	args   string
+	code   int
+	stderr string
+	replay bool
+	check  func(t *testing.T, stdout string)
+}
+
+func runRows(t *testing.T, rows []cliRow) {
+	for _, c := range rows {
 		t.Run(c.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(c.args)
 			if code != c.code {
@@ -184,21 +185,45 @@ func TestCLI(t *testing.T) {
 			}
 		})
 	}
-	// A report that cannot be written fails the command; it used to
-	// lose the error and exit 0.
-	t.Run("report-to-full-disk", func(t *testing.T) {
-		full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
-		if err != nil {
-			t.Skip("no /dev/full")
-		}
-		defer full.Close()
-		for _, args := range []string{"-tree H-TINY -ranks 8", "-in a.jsonl", "-diff a.manifest.json b.manifest.json"} {
-			var stderr bytes.Buffer
-			if code := run(strings.Fields(args), full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
-				t.Errorf("%s: exit %d, stderr %q; want exit 1 and the write error", args, code, stderr.String())
+}
+
+// inTempDir runs the rest of the test in a scratch directory, so that
+// artifacts are named as a shell there names them.
+func inTempDir(t *testing.T) {
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(t.TempDir()); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { os.Chdir(wd) })
+}
+
+func contains(want ...string) func(*testing.T, string) {
+	return func(t *testing.T, stdout string) {
+		for _, w := range want {
+			if !strings.Contains(stdout, w) {
+				t.Errorf("report lacks %q:\n%s", w, stdout)
 			}
 		}
-	})
+	}
+}
+
+// checkFullDisk wants each command to fail with the write error when
+// its report goes to a full disk.
+func checkFullDisk(t *testing.T, args ...string) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full")
+	}
+	defer full.Close()
+	for _, a := range args {
+		var stderr bytes.Buffer
+		if code := run(strings.Fields(a), full, &stderr); code != 1 || !strings.Contains(stderr.String(), "no space left on device") {
+			t.Errorf("%s: exit %d, stderr %q; want exit 1 and the write error", a, code, stderr.String())
+		}
+	}
 }
 
 // TestRunReportIsInReport: the analysis a traced run ends with is, byte
