@@ -67,6 +67,10 @@ func TestCLI(t *testing.T) {
 		{name: "negative-eventbuf", args: "-tree T3 -ranks 16 -events -eventbuf -3", code: 2,
 			stderr: "core: negative chunk size, poll interval or event buffer"},
 		{name: "negative-nodecost", args: "-tree H-TINY -ranks 8 -nodecost -1ms", code: 2, stderr: "core: negative cost"},
+		{name: "ranks-placement-cannot-divide", args: "-tree H-TINY -ranks 12 -placement 8G", code: 2,
+			stderr: "topology: 12 ranks not divisible by 8 ranks/node (8G)"},
+		{name: "ranks-past-machine", args: "-tree H-TINY -ranks 1000000", code: 2,
+			stderr: "topology: allocation exceeds machine size: want 1000000 nodes, machine has 82944"},
 		{name: "zero-horizon", args: "-tree T3 -ranks 8 -serve -horizon 0", code: 2, stderr: "serve: horizon 0s (must be positive)"},
 		// An explicit shape of zero used to run with the default shape 1.
 		{name: "gamma-shape-zero", args: "-tree T3 -serve -arrivals gamma:1ms:0", code: 2,

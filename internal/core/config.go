@@ -235,9 +235,9 @@ type Config struct {
 	// simulation — a traced run and an untraced run of the same
 	// configuration produce identical results (asserted by tests).
 	CollectEvents bool
-	// EventBuffer caps the per-rank event ring when CollectEvents is set;
-	// 0 means obs.DefaultRingCap. Runs that outgrow the ring keep the
-	// newest events and report the eviction count.
+	// EventBuffer caps the per-rank event log, in events, when
+	// CollectEvents is set; 0 means obs.DefaultRingCap. Runs that outgrow
+	// the cap keep the newest events and report the eviction count.
 	EventBuffer int
 
 	// Metrics, when non-nil, receives named counters and histograms
@@ -268,11 +268,17 @@ func GranularityCost(shaRounds int) sim.Duration {
 	return sim.Duration(shaRounds) * DefaultNodeCost
 }
 
+// machine is c's Machine, the K Computer when zero.
+func (c *Config) machine() topology.Machine {
+	if c.Machine == (topology.Machine{}) {
+		return topology.KComputer()
+	}
+	return c.Machine
+}
+
 // withDefaults returns a copy of c with zero values replaced.
 func (c Config) withDefaults() Config {
-	if c.Machine == (topology.Machine{}) {
-		c.Machine = topology.KComputer()
-	}
+	c.Machine = c.machine()
 	if c.Selector == nil {
 		c.Selector = victim.NewRoundRobin
 	}
@@ -331,6 +337,9 @@ func (c Config) validate(graph bool) error {
 	}
 	if c.Ranks > comm.MaxRanks {
 		return fmt.Errorf("core: %d ranks, over the %d a message header can address", c.Ranks, comm.MaxRanks)
+	}
+	if err := topology.CheckJob(c.machine(), c.Ranks, c.Placement); err != nil {
+		return err
 	}
 	if c.ChunkSize < 0 || c.PollInterval < 0 || c.EventBuffer < 0 {
 		return errors.New("core: negative chunk size, poll interval or event buffer")

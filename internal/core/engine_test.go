@@ -85,6 +85,8 @@ func TestValidateExclusions(t *testing.T) {
 			c.Faults = &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(sim.Millisecond)}}}
 		}, "cannot be sharded"},
 		{"ranks past the header limit", func(c *Config) { c.Ranks = comm.MaxRanks + 1 }, "message header"},
+		{"ranks the placement cannot divide", func(c *Config) { c.Ranks, c.Placement = 12, topology.EightGrouped }, "12 ranks not divisible by 8 ranks/node"},
+		{"ranks past the machine", func(c *Config) { c.Ranks = 1_000_000 }, "want 1000000 nodes, machine has 82944"},
 		{"chunk size past int32", func(c *Config) { c.ChunkSize = math.MaxInt32 + 1 }, "chunk size"},
 		{"negative event buffer", func(c *Config) { c.CollectEvents, c.EventBuffer = true, -3 }, "event buffer"},
 		{"negative node cost", func(c *Config) { c.NodeCost = -1 }, "negative cost"},

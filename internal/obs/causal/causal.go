@@ -24,7 +24,7 @@
 // The engine records sends on the sender and receives on the receiver,
 // and the network preserves per-pair ordering (MPI non-overtaking), so
 // transfers and token hops are matched per ordered (sender, receiver)
-// pair in FIFO order. The per-rank recording rings are bounded and
+// pair in FIFO order. The per-rank recording logs are bounded and
 // evict oldest-first, so the two sides may each be missing a prefix:
 // matching aligns the *tails* of the two lists and drops any pair that
 // violates send-before-receive. A victim's EvStealRecv is recorded
@@ -150,11 +150,25 @@ func Build(tr *trace.Trace) *Graph {
 		return g
 	}
 
+	// Count first, so each list below is one allocation at its size:
+	// the events of each kind bound the refs and quanta taken from them.
+	// Indexed by the kind byte, any kind fits.
+	var kinds [256]int
+	for _, es := range tr.Events {
+		for i := range es {
+			kinds[es[i].Kind]++
+		}
+	}
+	refs := func(k trace.EventKind) []peerRef { return make([]peerRef, 0, kinds[k]) }
+	workSend, workRecv := refs(trace.EvWorkSend), refs(trace.EvWorkRecv)
+	tokSend, tokRecv := refs(trace.EvTokenSend), refs(trace.EvTokenRecv)
+
 	// Index each rank's log once: the send/recv events filed under their
-	// (rank, peer) pair, and the quantum spans.
-	var workSend, workRecv, tokSend, tokRecv []peerRef
+	// (rank, peer) pair, and the quantum spans. The scan is rank by
+	// rank, so every rank's quanta are cut from one array.
+	quanta := make([]Quantum, 0, kinds[trace.EvQuantumEnd])
 	for r, es := range tr.Events {
-		qstart := -1
+		lo, qstart := len(quanta), -1
 		for i, e := range es {
 			switch e.Kind {
 			case trace.EvWorkSend:
@@ -169,10 +183,13 @@ func Build(tr *trace.Trace) *Graph {
 				qstart = i
 			case trace.EvQuantumEnd:
 				if qstart >= 0 {
-					g.Quanta[r] = append(g.Quanta[r], Quantum{Start: es[qstart].Time, End: e.Time})
+					quanta = append(quanta, Quantum{Start: es[qstart].Time, End: e.Time})
 				}
 				qstart = -1
 			}
+		}
+		if hi := len(quanta); hi > lo {
+			g.Quanta[r] = quanta[lo:hi:hi]
 		}
 	}
 
@@ -210,20 +227,9 @@ func Build(tr *trace.Trace) *Graph {
 		return cmp.Or(cmp.Compare(a.Send, b.Send), cmp.Compare(a.From, b.From), cmp.Compare(a.SendIdx, b.SendIdx))
 	})
 
-	// Lookup tables, then lineage. recvAt must be sorted by event
-	// index; per rank the transfer order above already ascends in
-	// RecvIdx-time, but not necessarily in index, so sort explicitly.
-	for i, t := range g.Transfers {
-		g.recvAt[t.Thief] = append(g.recvAt[t.Thief], idxRef{idx: t.RecvIdx, ref: i})
-	}
-	for i, h := range g.TokenHops {
-		g.tokenAt[h.To] = append(g.tokenAt[h.To], idxRef{idx: h.RecvIdx, ref: i})
-	}
-	byIdx := func(a, b idxRef) int { return cmp.Compare(a.idx, b.idx) }
-	for r := range g.recvAt {
-		slices.SortFunc(g.recvAt[r], byIdx)
-		slices.SortFunc(g.tokenAt[r], byIdx)
-	}
+	// Lookup tables, then lineage.
+	refsByRank(g.recvAt, g.Transfers, func(t Transfer) (int, int) { return t.Thief, t.RecvIdx })
+	refsByRank(g.tokenAt, g.TokenHops, func(h TokenHop) (int, int) { return h.To, h.RecvIdx })
 	for i := range g.Transfers {
 		t := &g.Transfers[i]
 		if ref, ok := refBefore(g.recvAt[t.Victim], t.SendIdx); ok {
@@ -234,6 +240,41 @@ func Build(tr *trace.Trace) *Graph {
 		}
 	}
 	return g
+}
+
+// refsByRank fills out, the per-rank lookup table recvAt or tokenAt,
+// from list: element i goes under the rank key returns for it, as
+// idxRef{idx, i}. One array holds every rank's refs, each rank's sorted
+// by event index (list order ascends per rank in time, not necessarily
+// in index). A rank without elements keeps nil.
+func refsByRank[E any](out [][]idxRef, list []E, key func(E) (rank, idx int)) {
+	if len(list) == 0 {
+		return
+	}
+	// A counting sort: start[r] counts rank r's elements, then marks
+	// the end of its slots, then — filled back to front — their start.
+	n := len(out)
+	start := make([]int, n+1)
+	for _, e := range list {
+		r, _ := key(e)
+		start[r]++
+	}
+	for r := range n {
+		start[r+1] += start[r]
+	}
+	flat := make([]idxRef, len(list))
+	for i := len(list) - 1; i >= 0; i-- {
+		r, idx := key(list[i])
+		start[r]--
+		flat[start[r]] = idxRef{idx: idx, ref: i}
+	}
+	for r := range out {
+		lo, hi := start[r], start[r+1]
+		if hi > lo {
+			out[r] = flat[lo:hi:hi]
+			slices.SortFunc(out[r], func(a, b idxRef) int { return cmp.Compare(a.idx, b.idx) })
+		}
+	}
 }
 
 // peerRef files one send or receive event under its ordered pair: rank

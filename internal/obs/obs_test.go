@@ -1,7 +1,9 @@
 package obs
 
 import (
+	"math"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -71,9 +73,10 @@ func TestRecorderAttach(t *testing.T) {
 	}
 }
 
-// TestSnapshotHandsOverWithoutCopy: Snapshot returns the rings' own
-// storage — rotated in place when wrapped — with the suffix, order and
-// drop counts a copying snapshot had, and leaves the recorder spent.
+// TestSnapshotHandsOverWithoutCopy: Snapshot decodes the logs into
+// one array of exactly the retained events — plus its two per-rank
+// index slices, nothing more — with the suffix, order and drop counts
+// of a ring, and leaves the recorder spent.
 func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 	if size := unsafe.Sizeof(trace.Event{}); size != 24 {
 		t.Fatalf("trace.Event is %d bytes; DESIGN.md §9, DefaultRingCap and the recorder budgets assume 24", size)
@@ -93,10 +96,16 @@ func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 		for i := 0; i < tc.records; i++ {
 			r.Record(1, sim.Time(i), trace.EvStealSend, i%2, int64(i))
 		}
-		storage := &r.rings[1].buf[0]
-		events, dropped := r.Snapshot()
-
 		kept := min(tc.records, ringCap)
+		want := mallocsOf(func() {
+			sinkEvents = make([]trace.Event, kept)
+			sinkIndex = make([][]trace.Event, 2)
+			sinkDropped = make([]uint64, 2)
+		})
+		var events [][]trace.Event
+		var dropped []uint64
+		got := mallocsOf(func() { events, dropped = r.Snapshot() })
+
 		if len(events[1]) != kept || dropped[1] != uint64(tc.records-kept) {
 			t.Fatalf("%s: kept %d events and dropped %d, want %d and %d", tc.name, len(events[1]), dropped[1], kept, tc.records-kept)
 		}
@@ -106,13 +115,17 @@ func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 				t.Fatalf("%s: event %d is %+v, want the run's event %d", tc.name, i, e, want)
 			}
 		}
-		if &events[1][0] != storage {
-			t.Errorf("%s: snapshot copied the ring instead of handing it over", tc.name)
+		if got != want {
+			t.Errorf("%s: snapshot made %d allocations of %d bytes, want %d of %d: one array of the %d retained events and two index slices",
+				tc.name, got.count, got.bytes, want.count, want.bytes, kept)
+		}
+		if cap(events[1]) != len(events[1]) {
+			t.Errorf("%s: rank slice has capacity %d past its %d events", tc.name, cap(events[1]), len(events[1]))
 		}
 		if events[0] != nil || dropped[0] != 0 {
 			t.Errorf("%s: silent rank has events %v, dropped %d", tc.name, events[0], dropped[0])
 		}
-		// Spent: the rings are empty, the eviction counts stay readable.
+		// Spent: the logs are empty, the eviction counts stay readable.
 		if again, _ := r.Snapshot(); again[1] != nil {
 			t.Errorf("%s: second snapshot still holds %d events", tc.name, len(again[1]))
 		}
@@ -122,37 +135,253 @@ func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 	}
 }
 
+var (
+	sinkEvents  []trace.Event
+	sinkIndex   [][]trace.Event
+	sinkDropped []uint64
+)
+
+// mallocs is a heap allocation count and its bytes.
+type mallocs struct{ count, bytes uint64 }
+
+// mallocsOf measures the heap allocations f makes.
+func mallocsOf(f func()) mallocs {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return mallocs{after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc}
+}
+
+// ringRecorder is the recorder the delta-varint logs replaced: per-rank
+// rings of trace.Event grown by append to the cap, then overwritten
+// oldest-first and rotated in place at the snapshot.
+// TestRecorderAllocBudget holds the logs to its allocation count.
+type ringRecorder struct {
+	rings []eventRing
+	cap   int
+}
+
+type eventRing struct {
+	buf     []trace.Event
+	head    int
+	dropped uint64
+}
+
+func (r *ringRecorder) record(rank int, e trace.Event) {
+	g := &r.rings[rank]
+	if len(g.buf) < r.cap {
+		g.buf = append(g.buf, e)
+		return
+	}
+	g.buf[g.head] = e
+	g.head = (g.head + 1) % len(g.buf)
+	g.dropped++
+}
+
+func (r *ringRecorder) snapshot() ([][]trace.Event, []uint64) {
+	events := make([][]trace.Event, len(r.rings))
+	dropped := make([]uint64, len(r.rings))
+	for i := range r.rings {
+		g := &r.rings[i]
+		slices.Reverse(g.buf[:g.head])
+		slices.Reverse(g.buf[g.head:])
+		slices.Reverse(g.buf)
+		events[i], dropped[i] = g.buf, g.dropped
+	}
+	return events, dropped
+}
+
 // TestRecorderAllocBudget: recording and handing over a run may
-// allocate at most 3x the bytes of the events it retains — append's
-// growth on the way up and the slack it leaves, nothing more; a copying
-// snapshot or a fatter record breaks the budget. The rank mix is a
-// skewed steal log: most ranks short, a few long, some past the ring.
+// allocate at most 1.6x the bytes of the events it retains — the
+// snapshot's one array of them, the pages their records fill, and
+// nothing more — and no more allocations than the append-grown rings
+// it replaced; a fatter record or a per-rank side slice breaks the
+// budget. The rank mix is a skewed steal log: most ranks short, a few
+// long, some past the cap.
 func TestRecorderAllocBudget(t *testing.T) {
 	const ranks, ringCap = 256, 2048
 	perRank := func(rank int) int { return 40 + (rank*rank)%3000 }
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	r := NewRecorder(ranks, ringCap)
-	for rank := 0; rank < ranks; rank++ {
-		for i, n := 0, perRank(rank); i < n; i++ {
-			r.Record(rank, sim.Time(i), trace.EvStealSend, rank, int64(i))
-		}
+	event := func(rank, i int) trace.Event {
+		return trace.Event{Time: sim.Time(i), Arg: int64(i), Peer: int32(rank), Kind: trace.EvStealSend}
 	}
-	tr := &trace.Trace{Transitions: make([][]trace.Transition, ranks)}
-	r.Attach(tr)
-	runtime.ReadMemStats(&after)
+
+	var tr *trace.Trace
+	got := mallocsOf(func() {
+		r := NewRecorder(ranks, ringCap)
+		for rank := 0; rank < ranks; rank++ {
+			for i, n := 0, perRank(rank); i < n; i++ {
+				e := event(rank, i)
+				r.Record(rank, e.Time, e.Kind, int(e.Peer), e.Arg)
+			}
+		}
+		tr = &trace.Trace{Transitions: make([][]trace.Transition, ranks)}
+		r.Attach(tr)
+	})
+	rings := mallocsOf(func() {
+		r := &ringRecorder{rings: make([]eventRing, ranks), cap: ringCap}
+		for rank := 0; rank < ranks; rank++ {
+			for i, n := 0, perRank(rank); i < n; i++ {
+				r.record(rank, event(rank, i))
+			}
+		}
+		rt := &trace.Trace{Transitions: make([][]trace.Transition, ranks)}
+		rt.Events, rt.EventsDropped = r.snapshot()
+		sinkIndex = rt.Events
+	})
 
 	retained := uint64(tr.TotalEvents()) * uint64(unsafe.Sizeof(trace.Event{}))
-	allocated := after.TotalAlloc - before.TotalAlloc
-	t.Logf("%d events retained (%d bytes), %d bytes allocated: %.2fx", tr.TotalEvents(), retained, allocated, float64(allocated)/float64(retained))
+	t.Logf("%d events retained (%d bytes): %d allocations of %d bytes (%.2fx); the rings made %d of %d bytes (%.2fx)",
+		tr.TotalEvents(), retained, got.count, got.bytes, float64(got.bytes)/float64(retained),
+		rings.count, rings.bytes, float64(rings.bytes)/float64(retained))
 	if tr.TotalEventsDropped() == 0 {
-		t.Fatal("no ring wrapped; the budget must cover eviction too")
+		t.Fatal("no log reached its cap; the budget must cover eviction too")
 	}
-	if allocated > 3*retained {
-		t.Errorf("recorder allocated %d bytes for %d retained: over the 3x budget", allocated, retained)
+	if 10*got.bytes > 16*retained {
+		t.Errorf("recorder allocated %d bytes for %d retained: over the 1.6x budget", got.bytes, retained)
 	}
+	if got.count > rings.count {
+		t.Errorf("recorder made %d allocations, the rings it replaced %d", got.count, rings.count)
+	}
+}
+
+// FuzzRecorderMatchesRing: for any rank count up to 4, cap and event
+// stream, the logs hand over what a plain keep-newest model keeps — the
+// last cap events of each rank, in order — and count what it evicts,
+// in Dropped() before and after the snapshot too. Each event takes 4
+// bytes of data, reused cyclically: the rank, the kind, the time step
+// (forward, back, unchanged, and jumps of ~2^62 either way) and a byte
+// choosing the peer (-1 and the int32 limits among them) and the arg
+// (the int64 limits among them). The seeds are
+// TestSnapshotHandsOverWithoutCopy's five cases, then streams that
+// fill and recycle pages and one at cap 1, which empties its one page
+// on every record.
+func FuzzRecorderMatchesRing(f *testing.F) {
+	for _, records := range []uint16{5, 8, 11, 24, 47} {
+		f.Add(uint8(1), uint16(7), records, []byte{1, 0, 0, 0})
+	}
+	f.Add(uint8(3), uint16(299), uint16(5000), []byte{0, 3, 0, 0, 1, 9, 5, 7, 2, 1, 1, 255, 3, 4, 2, 6, 1, 2, 3, 200})
+	f.Add(uint8(0), uint16(40), uint16(3000), []byte{0, 11, 2, 5, 0, 4, 3, 10, 0, 8, 6, 15})
+	f.Add(uint8(1), uint16(0), uint16(100), []byte{0, 1, 0, 3, 1, 2, 2, 0})
+	f.Fuzz(func(t *testing.T, ranksIn uint8, capIn, records uint16, data []byte) {
+		ranks, capacity := 1+int(ranksIn%4), 1+int(capIn)
+		r := NewRecorder(ranks, capacity)
+		model := make([][]trace.Event, ranks)
+		now := sim.Time(0)
+		for i := 0; i < int(records); i++ {
+			var b [4]byte
+			for j := range b {
+				if len(data) > 0 {
+					b[j] = data[(4*i+j)%len(data)]
+				}
+			}
+			rank := int(b[0]) % ranks
+			e := trace.Event{Time: now, Kind: trace.EventKind(b[1] % uint8(trace.NumEventKinds))}
+			switch b[3] % 4 {
+			case 0:
+				e.Arg = int64(i)
+			case 1:
+				e.Arg = math.MinInt64
+			case 2:
+				e.Arg = math.MaxInt64
+			case 3:
+				e.Arg = -int64(i) * 0x1E3779B97F4A7C15
+			}
+			switch b[3] / 4 % 4 {
+			case 0:
+				e.Peer = int32(i % 2)
+			case 1:
+				e.Peer = -1
+			case 2:
+				e.Peer = math.MaxInt32
+			case 3:
+				e.Peer = math.MinInt32 + int32(b[3])
+			}
+			r.Record(rank, e.Time, e.Kind, int(e.Peer), e.Arg)
+			model[rank] = append(model[rank], e)
+			switch b[2] % 8 {
+			case 0:
+				now++
+			case 1:
+				now -= 3
+			case 2:
+				now += 1<<62 - 1
+			case 3:
+				now -= 1 << 62
+			case 4:
+				now += sim.Time(b[3]) << 20
+			case 5:
+				now = math.MaxInt64 - sim.Time(b[3])
+			case 6:
+				now = math.MinInt64 + sim.Time(b[3])
+			}
+		}
+
+		var want uint64
+		for _, es := range model {
+			want += uint64(len(es) - min(len(es), capacity))
+		}
+		if got := r.Dropped(); got != want {
+			t.Fatalf("Dropped() = %d before the snapshot, want %d", got, want)
+		}
+		events, dropped := r.Snapshot()
+		for rank, es := range model {
+			kept := min(len(es), capacity)
+			if d := uint64(len(es) - kept); dropped[rank] != d {
+				t.Fatalf("rank %d: dropped %d, want %d", rank, dropped[rank], d)
+			}
+			if kept == 0 {
+				if events[rank] != nil {
+					t.Fatalf("rank %d logged nothing but holds %v", rank, events[rank])
+				}
+				continue
+			}
+			if !slices.Equal(events[rank], es[len(es)-kept:]) {
+				t.Fatalf("rank %d: snapshot differs from the newest %d of %d events", rank, kept, len(es))
+			}
+		}
+		if got := r.Dropped(); got != want {
+			t.Fatalf("Dropped() = %d after the snapshot, want %d", got, want)
+		}
+	})
+}
+
+// BenchmarkRecorderLog prices the recording path of a steal-log-shaped
+// run: 1 024 ranks that each open a quantum, send a steal request that
+// is refused, and close the quantum, 100 times over — 614 400 events,
+// the order of the repository benchmark's observed-1k — recorded and
+// handed over by Snapshot. One op is the whole log.
+func BenchmarkRecorderLog(b *testing.B) {
+	const ranks, rounds = 1024, 100
+	type rec struct {
+		rank int
+		e    trace.Event
+	}
+	stream := make([]rec, 0, ranks*rounds*6)
+	for i := 0; i < rounds; i++ {
+		for rank := 0; rank < ranks; rank++ {
+			at, victim, id := sim.Time(i*1000+rank%7), (rank+i+1)%ranks, int64(i+1)
+			stream = append(stream,
+				rec{rank, trace.Event{Time: at, Kind: trace.EvQuantumStart, Peer: -1, Arg: int64(i % 5)}},
+				rec{rank, trace.Event{Time: at + 100, Kind: trace.EvQuantumEnd, Peer: -1, Arg: 4}},
+				rec{rank, trace.Event{Time: at + 100, Kind: trace.EvStealSend, Peer: int32(victim), Arg: id}},
+				rec{victim, trace.Event{Time: at + 400, Kind: trace.EvStealRecv, Peer: int32(rank), Arg: id}},
+				rec{victim, trace.Event{Time: at + 400, Kind: trace.EvNoWorkSend, Peer: int32(rank), Arg: id}},
+				rec{rank, trace.Event{Time: at + 700, Kind: trace.EvNoWorkRecv, Peer: int32(victim), Arg: id}})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewRecorder(ranks, 0)
+		for _, s := range stream {
+			r.Record(s.rank, s.e.Time, s.e.Kind, int(s.e.Peer), s.e.Arg)
+		}
+		if events, _ := r.Snapshot(); len(events) != ranks {
+			b.Fatalf("%d ranks in the snapshot, want %d", len(events), ranks)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/event")
 }
 
 // BenchmarkRecordDisabled measures the nil-recorder fast path against

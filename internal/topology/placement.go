@@ -75,15 +75,32 @@ type Job struct {
 // nodes used is nranks for OnePerNode and nranks/8 otherwise (nranks
 // must then be a multiple of 8).
 func NewJob(m Machine, nranks int, p Placement) (*Job, error) {
-	nnodes, err := nodesFor(nranks, p)
-	if err != nil {
+	if err := CheckJob(m, nranks, p); err != nil {
 		return nil, err
 	}
-	alloc, err := Allocate(m, nnodes)
+	alloc, err := Allocate(m, nranks/p.RanksPerNode())
 	if err != nil {
 		return nil, err
 	}
 	return PlaceJob(alloc, nranks, p)
+}
+
+// CheckJob returns the error NewJob would return for a job that cannot
+// exist — a rank count the placement cannot divide into whole nodes,
+// an invalid machine, or more nodes than the machine has — without
+// allocating it, so a configuration can be refused before a run.
+func CheckJob(m Machine, nranks int, p Placement) error {
+	nnodes, err := nodesFor(nranks, p)
+	if err != nil {
+		return err
+	}
+	if err := m.Validate(); err != nil {
+		return err
+	}
+	if nnodes > m.Nodes() {
+		return fmt.Errorf("%w: want %d nodes, machine has %d", ErrTooLarge, nnodes, m.Nodes())
+	}
+	return nil
 }
 
 // nodesFor returns the node count nranks ranks occupy under p.
