@@ -14,9 +14,8 @@
 // -baseline compares the fresh results against a committed report
 // (BENCH_sim.json at the repo root) with tolerance bands (band.go):
 // alloc counts are near-exact, bytes get a small band, and ns/op is
-// ignored unless -nsband opts in (shared-runner wall time is noise). A
-// new or vanished benchmark is a rebaseline condition, not a silent
-// pass.
+// not gated (shared-runner wall time is noise). A new or vanished
+// benchmark is a rebaseline condition, not a silent pass.
 package main
 
 import (
@@ -59,7 +58,6 @@ func main() {
 	out := flag.String("out", "", "output file (default stdout)")
 	require := flag.String("require", "", "comma-separated benchmark names that must be present")
 	baseline := flag.String("baseline", "", "committed benchjson report to gate allocation counts against")
-	nsband := flag.Float64("nsband", 0, "also gate ns/op within this relative band (0 disables; wall time is noisy on shared runners)")
 	flag.Parse()
 
 	rep, err := parse(os.Stdin)
@@ -84,7 +82,7 @@ func main() {
 		os.Exit(1)
 	}
 	if *baseline != "" {
-		if err := compareBaseline(rep, *baseline, *nsband); err != nil {
+		if err := compareBaseline(rep, *baseline); err != nil {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(1)
 		}
@@ -102,7 +100,7 @@ var (
 // compareBaseline gates rep against the committed report at path with
 // the tolerance bands above. Benchmarks appearing in only
 // one of the two reports force a rebaseline (`make bench-json` + commit).
-func compareBaseline(rep *Report, path string, nsRel float64) error {
+func compareBaseline(rep *Report, path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -136,9 +134,6 @@ func compareBaseline(rep *Report, path string, nsRel float64) error {
 		}
 		if b.BytesPerOp >= 0 && bb.BytesPerOp >= 0 {
 			g.Check(k+"/bytes_per_op", bytesBand, float64(bb.BytesPerOp), float64(b.BytesPerOp))
-		}
-		if nsRel > 0 {
-			g.Check(k+"/ns_per_op", Band{Rel: nsRel}, bb.NsPerOp, b.NsPerOp)
 		}
 	}
 	if len(missing) > 0 {

@@ -137,7 +137,10 @@ func TestLinkTallyMatchesDirect(t *testing.T) {
 // variantDigest reduces a run to a sha256 over everything it reports:
 // the Result scalars, the serving summary, the trace with its full
 // event log as JSONL, and the metrics exposition followed by the
-// per-link message counts (as goldenDump renders them).
+// per-link message counts (as goldenDump renders them). The exposition
+// carries the retired fault and serving families too (retiredFamilies),
+// rebuilt from the Result and the twin's log, so the digests hold from
+// before the engine stopped publishing them.
 func variantDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.CollectEvents = true
@@ -146,6 +149,8 @@ func variantDigest(t *testing.T, cfg Config) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	twin := recordAll(t, cfg).Trace
+	retiredFamilies(t, cfg.Metrics, cfg, res, twin)
 	h := sha256.New()
 	tr, st := res.Trace, res.Serve
 	res.Trace, res.Serve, res.Par = nil, nil, nil // pointers would print as addresses
@@ -159,7 +164,7 @@ func variantDigest(t *testing.T, cfg Config) string {
 	if err := cfg.Metrics.WritePrometheus(h); err != nil {
 		t.Fatal(err)
 	}
-	writeLinkMessages(h, obs.Traffic(recordAll(t, cfg).Trace))
+	writeLinkMessages(h, obs.Traffic(twin))
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

@@ -427,7 +427,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			sel:    sel,
 			rec:    rec,
 			ev:     ev,
-			met:    newEngineMetrics(cfg.Metrics, inj != nil),
+			met:    newEngineMetrics(cfg.Metrics),
 			ranks:  ranks,
 			faults: faults,
 			inj:    inj,
@@ -450,7 +450,6 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	// straggler send multipliers need it on the send path.
 	if inj.NeedsInterposer() {
 		inj.OnDrop = e0.onMessageDrop
-		inj.OnDup = e0.onMessageDup
 		e0.net.SetInterposer(inj)
 	}
 	if inj != nil {
@@ -704,7 +703,6 @@ func (e *engine) crashRank(r int) {
 	w.quantum = sim.Event{}
 	rk.state = rsCrashed
 	e.ev.Record(r, now, trace.EvCrash, -1, int64(stackLost))
-	e.met.crashes.Inc()
 	if wasWorking {
 		e.rec.Record(r, now, trace.Idle)
 	} else {
@@ -753,7 +751,6 @@ func (e *engine) lose(tag comm.Tag, from, to int, loot []uts.Node) {
 	e.destroy(from, -1, loot)
 	e.lostMsgs++
 	e.det.WorkLost(from)
-	e.met.lostMessages.Inc()
 	e.scheduleReprobe()
 }
 
@@ -764,7 +761,6 @@ func (e *engine) destroy(owner, crashed int, nodes []uts.Node) uint64 {
 	n := uint64(len(nodes)) + e.w.lose(e, crashed, nodes)
 	e.lostNodes += n
 	e.faults[owner].lostNodes += n
-	e.met.lostNodes.Add(n)
 	return n
 }
 
@@ -777,11 +773,6 @@ func (e *engine) onMessageDrop(h comm.Header, body *comm.Message) {
 		loot = body.Nodes
 	}
 	e.lose(tag, from, to, loot)
-}
-
-// onMessageDup is the injector's duplication observer.
-func (e *engine) onMessageDup(comm.Header, *comm.Message) {
-	e.met.dupMessages.Inc()
 }
 
 // initiator returns the termination ring's current initiator: the
@@ -925,9 +916,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 			if rk.recovering {
 				rk.recovering = false
 				e.recoveries++
-				d := now.Sub(e.faults[r].recoverStart)
-				e.recoverTotal += d
-				e.met.recoveryLatency.Observe(int64(d))
+				e.recoverTotal += now.Sub(e.faults[r].recoverStart)
 			}
 		}
 		// Work lineage: the loot's migration depth becomes the rank's
@@ -1130,7 +1119,6 @@ func (e *engine) forwardTokens(sends []term.Send) {
 			// was the initiator itself); the healed ring starts over.
 			e.tokenRegens++
 			e.ev.Record(s.From, now, trace.EvTokenRegen, s.To, int64(s.Token.Round))
-			e.met.tokenRegens.Inc()
 		}
 		e.ev.Record(s.From, now, trace.EvTokenSend, s.To, 0)
 		e.net.SendToken(s.From, s.To, s.Token, term.TokenBytes)

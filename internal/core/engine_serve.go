@@ -10,9 +10,6 @@ package core
 // is booked done, or lost, on a zero-delay event, out of expand's loop.
 
 import (
-	"strconv"
-
-	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/term"
@@ -51,14 +48,6 @@ type serveWork struct {
 	doneJobs, lostJobs int
 	horizonAt          sim.Time
 
-	// met holds the serving metric handles (instrument.go), nil without
-	// a registry.
-	met struct {
-		arrived, admitted, rejected, done, lost *obs.Counter
-		sojourn                                 *obs.Histogram
-		tenantSojourn                           []*obs.Histogram
-	}
-
 	// Resolve machinery: jobs whose count reached zero are parked in
 	// pending and booked by a zero-delay event, so the finish never
 	// retires a rank in mid-expansion.
@@ -87,19 +76,6 @@ func compileServe(cfg *Config) (workload, error) {
 	}
 	for i := range w.doneAt {
 		w.doneAt[i], w.lastDec[i] = -1, -1
-	}
-	m := &w.met
-	m.tenantSojourn = make([]*obs.Histogram, len(cfg.Serve.Tenants))
-	if reg := cfg.Metrics; reg != nil {
-		m.arrived, m.admitted = reg.Counter(MetricJobsArrived), reg.Counter(MetricJobsAdmitted)
-		m.rejected, m.done = reg.Counter(MetricJobsRejected), reg.Counter(MetricJobsDone)
-		m.sojourn = reg.Histogram(MetricJobSojourn)
-		for i := range m.tenantSojourn {
-			m.tenantSojourn[i] = reg.Histogram(MetricJobSojourn + "_tenant" + strconv.Itoa(i))
-		}
-		if cfg.Faults != nil && !cfg.Faults.Empty() {
-			m.lost = reg.Counter(MetricJobsLost)
-		}
 	}
 	return w, nil
 }
@@ -145,14 +121,11 @@ func (w *serveWork) arrive(e *engine, idx int) {
 	now := e.kernel.Now()
 	root, tenant := int(j.Root), int(j.Tenant)
 	e.ev.Record(root, now, trace.EvJobArrive, tenant, int64(j.ID))
-	w.met.arrived.Inc()
 	if !j.Admitted {
 		e.ev.Record(root, now, trace.EvJobReject, tenant, int64(j.ID))
-		w.met.rejected.Inc()
 		return
 	}
 	e.ev.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
-	w.met.admitted.Inc()
 	w.live[idx]++
 	e.injectNode(root, j.Node)
 }
@@ -202,16 +175,11 @@ func (w *serveWork) book(e *engine, job uint32) {
 	if w.lost[job] {
 		w.lostJobs++
 		e.ev.Record(int(j.Root), at, trace.EvJobLost, int(j.Tenant), int64(j.ID))
-		w.met.lost.Inc()
 		return
 	}
 	w.doneAt[job] = at
 	w.doneJobs++
 	e.ev.Record(int(j.Root), at, trace.EvJobDone, int(j.Tenant), int64(j.ID))
-	sojourn := int64(at.Sub(j.At))
-	w.met.done.Inc()
-	w.met.sojourn.Observe(sojourn)
-	w.met.tenantSojourn[j.Tenant].Observe(sojourn)
 }
 
 // horizon is the horizon tick: it keeps the kernel alive through the

@@ -193,7 +193,7 @@ func TestServeConfigValidate(t *testing.T) {
 // direction: a closed-system run built with a nil Serve is identical,
 // field for field, to the same run on a config that never heard of
 // serving (trivially itself — the check is that nothing serving-
-// related leaks into the result or exposition).
+// related leaks into the result).
 func TestServeClosedRunUntouched(t *testing.T) {
 	cfg := Config{
 		Tree: uts.Params{
@@ -208,20 +208,12 @@ func TestServeClosedRunUntouched(t *testing.T) {
 		Selector: victim.NewUniformRandom,
 		Seed:     3,
 	}
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Serve != nil {
 		t.Error("closed-system result carries Serve stats")
-	}
-	var b bytes.Buffer
-	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(b.Bytes(), []byte("sim_serve_")) {
-		t.Error("closed-system exposition contains serving metrics")
 	}
 }
 

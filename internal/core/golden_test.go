@@ -105,10 +105,12 @@ func writeLinkMessages(w io.Writer, m [][]uint64) {
 // TestGoldenFig9 extends the observer-effect test into a golden-result
 // test: the traced mid-size Fig 9 run must produce byte-identical
 // experiment output and exported metrics across every change to the
-// simulation substrate. The golden file was generated from the seed
-// implementation (container/heap kernel, unpooled messaging, uncached
-// latencies); the arena kernel, message pooling, latency cache and
-// batched UTS hashing all must reproduce it exactly.
+// simulation substrate, and the exported metrics must equal the ones
+// metricsFromLog rebuilds from the run's event log. The golden file was
+// generated from the seed implementation (container/heap kernel,
+// unpooled messaging, uncached latencies); the arena kernel, message
+// pooling, latency cache and batched UTS hashing all must reproduce it
+// exactly.
 //
 // Regenerate (only for a deliberate, documented behaviour change) with:
 //
@@ -137,6 +139,13 @@ func TestGoldenFig9(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("golden mismatch: simulation output drifted from the seed behaviour\n%s",
 			diffHint(want, got))
+	}
+
+	// Every family the registry holds is Result plus the event log: the
+	// page rebuilt from the twin's log is the registry's, byte for byte.
+	rebuilt, published := exposition(t, metricsFromLog(recordAll(t, cfg).Trace)), exposition(t, cfg.Metrics)
+	if !bytes.Equal(rebuilt, published) {
+		t.Fatalf("registry holds what the event log does not account for\n%s", diffHint(published, rebuilt))
 	}
 
 	// The observer must still not affect the run: a bare (untraced,

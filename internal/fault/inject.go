@@ -31,8 +31,6 @@ type Injector struct {
 	// resolve the termination detector's message counts. It must not
 	// retain the body.
 	OnDrop func(h comm.Header, body *comm.Message)
-	// OnDup observes every message the injector decides to duplicate.
-	OnDup func(h comm.Header, body *comm.Message)
 }
 
 // Compile validates plan against the rank count and binds it to the
@@ -135,9 +133,6 @@ func (i *Injector) Outcome(h comm.Header, body *comm.Message, delay sim.Duration
 		return 0, delay
 	}
 	if r.Dup > 0 && tag != comm.TagWork && i.rng.Float64() < r.Dup {
-		if i.OnDup != nil {
-			i.OnDup(h, body)
-		}
 		return 2, delay
 	}
 	return 1, delay

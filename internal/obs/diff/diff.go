@@ -247,6 +247,7 @@ func specChanges(a, b ledger.Spec) []string {
 	add("seed", fmt.Sprint(a.Seed), fmt.Sprint(b.Seed))
 	add("scale", a.Scale, b.Scale)
 	add("fault_plan", a.FaultPlanHash, b.FaultPlanHash)
+	add("serve_hash", a.ServeHash, b.ServeHash)
 	return out
 }
 

@@ -87,6 +87,14 @@ func TestDiffIdentities(t *testing.T) {
 	if d.SameSpec {
 		t.Error("different selectors reported as same spec")
 	}
+
+	// A serving spec is part of the fingerprint, so a change to it alone
+	// must be named too.
+	served := *a
+	served.Spec.ServeHash = "5e7ed"
+	if got := Compute(a, &served).SpecChanges; len(got) != 1 || got[0] != "serve_hash:  -> 5e7ed" {
+		t.Errorf("spec changes = %q, want exactly the serve_hash", got)
+	}
 }
 
 // TestReportByteStable: independently recomputed diffs of the same two
