@@ -56,11 +56,12 @@ bench-check:
 # Every place that runs real goroutines gets a race-detector pass:
 # obs.Registry, which the shard engines of a sharded run write
 # concurrently; harness.Execute, whose concurrent core.Run calls
-# share sim's store pool; and the sharded kernel and engine tests
+# share sim's store pool and victim's alias-table cache (the cache's
+# own tests run under -race too); and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
 # meets host concurrency. -short keeps the stress budgets CI-sized.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/sim/par
+	$(GO) test -race -short ./internal/obs ./internal/sim/par ./internal/victim
 	$(GO) test -race -run 'Execute' -count=1 ./internal/harness
 	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
 

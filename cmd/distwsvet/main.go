@@ -106,10 +106,11 @@ var (
 	// hook) and at package boundaries (imports are type-checked from
 	// export data, so a callee in another package has no body). Setup
 	// code (constructors, preset tables) is deliberately absent: it may
-	// allocate. The one exception is sample.Builder.Build, the lazy
-	// alias-table build behind a thief's first distance-skewed draw: it
-	// is listed so the draw path is checked end to end, and its one
-	// finding is carried by the allowlist.
+	// allocate. The one exception is sample.Builder.Build, the
+	// alias-table build behind a distance-skewed selector's first draw
+	// in a run that misses its geometry's cached tables (once per
+	// geometry): it is listed so the draw path is checked end to end,
+	// and its one finding is carried by the allowlist.
 	hotRoots = []string{
 		"(*distws/internal/core.engine).startQuantum",
 		"(*distws/internal/core.engine).expand",

@@ -1,10 +1,10 @@
 // Package lockcheck guards the two mutex disciplines of the tree's
 // locks (obs.Registry's name tables, which the shard engines of a
-// sharded run share, and sim's store pool, which harness.Execute's
-// goroutines share): a critical section must release its lock on every
-// path out of the function, and must not perform a channel send while
-// the lock is held (a blocked receiver would then deadlock every
-// goroutine queued on the mutex).
+// sharded run share, and sim's store pool and victim's alias-table
+// cache, which harness.Execute's goroutines share): a critical section
+// must release its lock on every path out of the function, and must not
+// perform a channel send while the lock is held (a blocked receiver
+// would then deadlock every goroutine queued on the mutex).
 //
 // The analyzer is lexical, not path-sensitive: for each Lock/RLock call
 // it scans forward to the first matching Unlock/RUnlock on the same

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"distws/internal/core"
+	"distws/internal/topology"
 	"distws/internal/uts"
 )
 
@@ -315,6 +316,35 @@ func TestRunConfigDefaults(t *testing.T) {
 		}
 		if reflect.DeepEqual(got[i+1], got[0]) {
 			t.Errorf("the %s override changed nothing at 64 ranks; the check above proves nothing", name)
+		}
+	}
+}
+
+// TestExecuteSharesVictimTables: concurrent Tofu runs on two
+// geometries share the distance-skewed selector's cached alias tables,
+// building them at once or reading them while another run publishes,
+// and each result equals the same run made alone. Under -race (make
+// race) it checks that the cache publishes the tables safely.
+func TestExecuteSharesVictimTables(t *testing.T) {
+	var cfgs []core.Config
+	for _, p := range []topology.Placement{topology.OnePerNode, topology.EightGrouped} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			cfg := Tofu.Config(256, Quick.fig2Tree, seed)
+			cfg.Placement = p
+			cfgs = append(cfgs, cfg)
+		}
+	}
+	res, err := Execute(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res[i], want) {
+			t.Errorf("run %d (%v, seed %d): concurrent result differs from the sequential one", i, cfg.Placement, cfg.Seed)
 		}
 	}
 }

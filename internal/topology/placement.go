@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -169,6 +170,10 @@ func (j *Job) Core(rank int) int {
 
 // SameNode reports whether two ranks share a compute node.
 func (j *Job) SameNode(i, k int) bool { return j.packed[i] == j.packed[k] }
+
+// SameGeometry reports whether two jobs put every rank on the same node
+// coordinate, so that everything built from their distances is equal.
+func (j *Job) SameGeometry(k *Job) bool { return slices.Equal(j.packed, k.packed) }
 
 // Distance returns the Euclidean 6-D distance between the nodes hosting
 // ranks i and k — the e(i,j) of the paper's skewed selection. Ranks on

@@ -414,6 +414,41 @@ func TestPropertyHopsMetric(t *testing.T) {
 // DistanceSq and Hops over sampled pairs, equal the formulas applied to
 // Allocate's enumeration — cube by cube in (x, y, z) order, blade by
 // blade inside a cube — under each placement.
+// TestSameGeometry: two jobs are one geometry exactly when every rank
+// sits on the same node coordinate. A second NewJob of the same shape
+// is; another placement or rank count is not, nor is the same rank
+// count and placement cut from a larger allocation.
+func TestSameGeometry(t *testing.T) {
+	job := func(alloc *Allocation, nranks int, p Placement) *Job {
+		t.Helper()
+		if alloc == nil {
+			var err error
+			if alloc, err = Allocate(KComputer(), nranks/p.RanksPerNode()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j, err := PlaceJob(alloc, nranks, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j
+	}
+	a := job(nil, 1024, EightRoundRobin)
+	if !a.SameGeometry(job(nil, 1024, EightRoundRobin)) {
+		t.Fatal("two placements of the same job differ")
+	}
+	larger, err := Allocate(KComputer(), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, b := range []*Job{job(nil, 1024, EightGrouped), job(nil, 1024, OnePerNode), job(nil, 512, EightRoundRobin), job(larger, 1024, EightRoundRobin)} {
+		if a.SameGeometry(b) || b.SameGeometry(a) {
+			t.Errorf("%d ranks %v on %d nodes: same geometry as %d ranks %v on %d nodes",
+				b.Ranks(), b.Placement, b.Alloc.Nodes(), a.Ranks(), a.Placement, a.Alloc.Nodes())
+		}
+	}
+}
+
 func TestPackedJobMatchesCoords(t *testing.T) {
 	m := KComputer()
 	for _, nranks := range []int{8, 1024, 8192} {

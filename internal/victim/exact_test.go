@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"distws/internal/rng"
+	"distws/internal/sample"
 	"distws/internal/topology"
 )
 
@@ -139,7 +141,7 @@ func TestDistanceSkewedMatchesReference(t *testing.T) {
 					if sel.useAlias {
 						// The selector is one Intn ahead of the reference:
 						// the bucket of the thief's next draw.
-						if got, want := int(sel.bucket[thief]), ref.rand[thief].Intn(ranks); got != want {
+						if got, want := int(sel.bucket[thief])-1, ref.rand[thief].Intn(ranks); got != want {
 							t.Fatalf("%v, %d ranks, k=%g, thief %d: pre-drawn bucket %d, the reference's next Intn is %d",
 								p, ranks, k, thief, got, want)
 						}
@@ -163,24 +165,139 @@ func TestDistanceSkewedMatchesReference(t *testing.T) {
 // the end of its previous draw leaves every thief's stream as the
 // reference consumes it, whatever the interleaving. 1024 thieves draw
 // in random order, one draw or two back to back (as skipBlacklisted
-// re-rolls), a million draws in all, each equal to the reference's.
+// re-rolls), a million draws in all, each equal to the reference's —
+// once on tables built cold, once on the same tables from the cache.
 func TestPredrawKeepsEveryThiefsStream(t *testing.T) {
 	const ranks = 1024
 	draws := 1_000_000
 	if testing.Short() {
 		draws = 50_000
 	}
-	job := testJob(t, ranks, topology.OnePerNode)
-	sel := NewDistanceSkewed(job, 77)
-	ref := newRefSkewed(job, 77, 1)
-	order := rng.New(3)
-	for i := 0; i < draws; {
-		thief := order.Intn(ranks)
-		for n := 1 + order.Intn(2); n > 0; n-- {
-			if got, want := sel.Next(thief), ref.next(thief); got != want {
-				t.Fatalf("draw %d, thief %d: victim %d, reference %d", i, thief, got, want)
+	resetTableCache()
+	var cold []sample.Discrete
+	for _, pass := range []string{"cold", "cached"} {
+		job := testJob(t, ranks, topology.OnePerNode)
+		sel := NewDistanceSkewed(job, 77).(*distanceSkewed)
+		ref := newRefSkewed(job, 77, 1)
+		order := rng.New(3)
+		for i := 0; i < draws; {
+			thief := order.Intn(ranks)
+			for n := 1 + order.Intn(2); n > 0; n-- {
+				if got, want := sel.Next(thief), ref.next(thief); got != want {
+					t.Fatalf("%s: draw %d, thief %d: victim %d, reference %d", pass, i, thief, got, want)
+				}
+				i++
 			}
-			i++
+		}
+		if cold == nil {
+			cold = sel.tables
+		} else if &sel.tables[0] != &cold[0] {
+			t.Fatal("the second selector on the geometry built its own tables")
+		}
+	}
+}
+
+// resetTableCache empties the alias-table cache, so that the next
+// distance-skewed selector's first draw builds its tables.
+func resetTableCache() {
+	tableSets.mu.Lock()
+	defer tableSets.mu.Unlock()
+	tableSets.sets, tableSets.bytes = nil, 0
+}
+
+// TestTablesSharedAcrossRuns: a selector whose tables come from the
+// cache draws what one that built them draws and leaves the same
+// generator and bucket state, in every placement, at 64 and 1024
+// ranks and for three exponents; a job on another allocation with the
+// same rank count and placement misses; and eviction keeps the cache
+// within its budget, least recently used first. The first set built is
+// fetched again at every step, so it outlives sets built after it.
+func TestTablesSharedAcrossRuns(t *testing.T) {
+	resetTableCache()
+	type key struct {
+		job *topology.Job
+		k   float64
+	}
+	var lru []key // the cache as it should be, least recently used first
+	use := func(job *topology.Job, k float64, sel *distanceSkewed) {
+		t.Helper()
+		sel.Next(0)
+		c := key{job, k}
+		if i := slices.IndexFunc(lru, func(c key) bool { return c.k == k && c.job.SameGeometry(job) }); i >= 0 {
+			c = lru[i]
+			lru = slices.Delete(lru, i, i+1)
+		}
+		lru = append(lru, c)
+		size := func(c key) int { n := c.job.Ranks(); return 8 * n * (n + 3) }
+		bytes := 0
+		for _, c := range lru {
+			bytes += size(c)
+		}
+		for ; bytes > tableBudget; lru = lru[1:] {
+			bytes -= size(lru[0])
+		}
+		if tableSets.bytes != bytes || tableSets.bytes > tableBudget || len(tableSets.sets) != len(lru) {
+			t.Fatalf("cache holds %d sets in %d bytes, want %d in %d (budget %d)",
+				len(tableSets.sets), tableSets.bytes, len(lru), bytes, tableBudget)
+		}
+		for i, s := range tableSets.sets {
+			if s.job != lru[i].job || s.k != lru[i].k {
+				t.Fatalf("cache slot %d holds the set of %d ranks %v at k=%g, want %d ranks %v at k=%g", i,
+					s.job.Ranks(), s.job.Placement, s.k, lru[i].job.Ranks(), lru[i].job.Placement, lru[i].k)
+			}
+		}
+	}
+	var first *distanceSkewed
+	for _, ranks := range []int{64, 1024} {
+		for _, p := range []topology.Placement{topology.OnePerNode, topology.EightRoundRobin, topology.EightGrouped} {
+			for _, k := range []float64{0, 1, 2} {
+				name := fmt.Sprintf("%v, %d ranks, k=%g", p, ranks, k)
+				job := testJob(t, ranks, p)
+				seed := uint64(ranks) + uint64(k)
+				cold := NewDistanceSkewedExp(job, seed, k).(*distanceSkewed)
+				use(job, k, cold)
+				if first == nil {
+					first = cold
+				}
+				use(first.job, first.exponent, NewDistanceSkewedExp(first.job, 1, first.exponent).(*distanceSkewed))
+				hit := NewDistanceSkewedExp(testJob(t, ranks, p), seed, k).(*distanceSkewed)
+				use(job, k, hit)
+				if &hit.tables[0] != &cold.tables[0] {
+					t.Fatalf("%s: a selector on the same geometry built its own tables", name)
+				}
+				for _, thief := range []int{0, ranks / 3, ranks - 1} {
+					for i := 0; i < 200; i++ {
+						if a, b := cold.Next(thief), hit.Next(thief); a != b {
+							t.Fatalf("%s, thief %d, draw %d: cold selector drew %d, cached one %d", name, thief, i, a, b)
+						}
+					}
+				}
+				if !slices.Equal(cold.rand, hit.rand) || !slices.Equal(cold.bucket, hit.bucket) {
+					t.Fatalf("%s: generator or bucket state differs after equal draws", name)
+				}
+
+				// The same job cut from a larger allocation: beyond one
+				// cube's worth of nodes its ranks sit elsewhere on the
+				// machine (up to it, every allocation starts with the same
+				// nodes).
+				nodes := ranks / p.RanksPerNode()
+				alloc, err := topology.Allocate(topology.KComputer(), 2*nodes)
+				if err != nil {
+					t.Fatal(err)
+				}
+				other, err := topology.PlaceJob(alloc, ranks, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if same := other.SameGeometry(job); same == (nodes > topology.NodesPerCube) {
+					t.Fatalf("%s: test setup: the larger allocation places the ranks identically: %v", name, same)
+				}
+				moved := NewDistanceSkewedExp(other, seed, k).(*distanceSkewed)
+				use(other, k, moved)
+				if shared := &moved.tables[0] == &cold.tables[0]; shared != other.SameGeometry(job) {
+					t.Fatalf("%s: a job on another allocation shares the tables: %v", name, shared)
+				}
+			}
 		}
 	}
 }
@@ -254,24 +371,32 @@ func TestVictimDrawAllocFree(t *testing.T) {
 }
 
 // TestVictimTablesAllocBudget bounds what the paper's selector costs a
-// 1024-rank run in memory once every thief has drawn: 8 bytes per
-// table cell (8 MB) plus the shared scratch, where float probability,
-// alias and pdf vectors plus per-table scratch came to about 46 MB.
+// 1024-rank run in memory once every thief has drawn. The run that
+// builds the tables pays 8 bytes per table cell (8 MB) plus the build
+// scratch, where float probability, alias and pdf vectors plus
+// per-table scratch came to about 46 MB; a later run on the geometry
+// pays for its streams and buckets alone.
 func TestVictimTablesAllocBudget(t *testing.T) {
-	const ranks, budget = 1024, 10 << 20
-	job := testJob(t, ranks, topology.OnePerNode)
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	s := NewDistanceSkewed(job, 1)
-	for thief := 0; thief < ranks; thief++ {
-		s.Next(thief)
-	}
-	runtime.ReadMemStats(&after)
-	if got := after.TotalAlloc - before.TotalAlloc; got > budget {
-		t.Fatalf("selector with all %d tables built allocated %.1f MB, budget %d MB", ranks, float64(got)/(1<<20), budget>>20)
-	}
-	if tables := s.(*distanceSkewed).tables; tables[ranks-1].N() != ranks {
-		t.Fatalf("last thief's table holds %d outcomes", tables[ranks-1].N())
+	const ranks = 1024
+	resetTableCache()
+	for _, c := range []struct {
+		name   string
+		budget uint64
+	}{{"cold", 10 << 20}, {"cached", 64 << 10}} {
+		job := testJob(t, ranks, topology.OnePerNode)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := NewDistanceSkewed(job, 1)
+		for thief := 0; thief < ranks; thief++ {
+			s.Next(thief)
+		}
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > c.budget {
+			t.Fatalf("%s: selector with all %d thieves drawn allocated %d KB, budget %d KB", c.name, ranks, got>>10, c.budget>>10)
+		}
+		if tables := s.(*distanceSkewed).tables; tables[ranks-1].N() != ranks {
+			t.Fatalf("%s: last thief's table holds %d outcomes", c.name, tables[ranks-1].N())
+		}
 	}
 }

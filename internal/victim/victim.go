@@ -18,7 +18,8 @@
 //
 // Selectors are stateful per job: they hold per-rank walk positions,
 // PRNG streams and sampling tables. They are not safe for concurrent
-// use; the discrete-event simulator is single-threaded per run.
+// use; the discrete-event simulator is single-threaded per run (only
+// DistanceSkewed's alias tables are shared, built once per geometry).
 //
 // A thief's draws come from its own stream and nothing else reads it,
 // which DistanceSkewed uses up to 2048 ranks, where the thieves' alias
@@ -31,9 +32,11 @@ package victim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
 
 	"distws/internal/rng"
 	"distws/internal/sample"
@@ -136,9 +139,9 @@ func (u *uniformRandom) Observe(int, int, bool) {}
 // DistanceSkewed ("Tofu")
 
 // aliasThreshold is the rank count up to which per-thief alias tables
-// are built (lazily): the capacity of a sample.Discrete, whose 8-byte
-// cells leave 11 bits for the alias. A table costs 8 bytes per rank
-// per thief, 32 MB for all thieves at the threshold. Above it the
+// are built (once per geometry): the capacity of a sample.Discrete,
+// whose 8-byte cells leave 11 bits for the alias. A table costs 8 bytes
+// per rank per thief, 32 MB for all thieves at the threshold. Above it the
 // selector uses exact rejection sampling instead — at 8192 simulated
 // ranks in one address space the tables would need half a gigabyte,
 // whereas the real distributed implementation pays O(N) per process.
@@ -158,14 +161,12 @@ type distanceSkewed struct {
 	// sample.Threshold(weight[d2]), built only for rejection sampling.
 	weight []float64
 	accept []uint64
-	// tables[thief] is built on the thief's first draw (alias mode);
-	// builder and wbuf are the construction scratch all of them share.
-	tables  []sample.Discrete
-	builder sample.Builder
-	wbuf    []float64
-	// bucket[thief] is the bucket of the thief's next draw, drawn from
-	// its stream at the end of the previous one and prefetched (alias
-	// mode, valid once the thief's table exists; see nextAlias).
+	// tables[thief] is the thief's alias table (alias mode), shared
+	// and read-only, fetched on the selector's first draw.
+	tables []sample.Discrete
+	// bucket[thief] is 1 + the bucket of the thief's next draw, drawn
+	// from its stream at the end of the previous one and prefetched
+	// (alias mode; 0 before the thief's first draw; see nextAlias).
 	bucket   []int32
 	useAlias bool
 }
@@ -223,8 +224,6 @@ func NewDistanceSkewedExp(job *topology.Job, seed uint64, k float64) Selector {
 		d.weight[d2] = 1 / math.Pow(math.Sqrt(float64(d2)), k)
 	}
 	if d.useAlias {
-		d.tables = make([]sample.Discrete, n)
-		d.wbuf = make([]float64, n)
 		d.bucket = make([]int32, n)
 	} else {
 		d.accept = make([]uint64, len(d.weight))
@@ -277,18 +276,6 @@ func (d *distanceSkewed) PDF(thief int) []float64 {
 	return w
 }
 
-// buildTable builds thief's alias table on its first draw.
-func (d *distanceSkewed) buildTable(thief int) {
-	d.weightsInto(d.wbuf, thief)
-	t, err := d.builder.Build(d.wbuf)
-	if err != nil {
-		// n is in [2, aliasThreshold] and every other rank has a finite
-		// non-negative weight, at least one of them positive.
-		panic(err)
-	}
-	d.tables[thief] = t
-}
-
 func (d *distanceSkewed) Next(thief int) int {
 	if d.n < 2 {
 		return thief
@@ -320,19 +307,86 @@ func (d *distanceSkewed) Next(thief int) int {
 // Sample would have returned; the bucket drawn after a thief's last
 // draw is never used.
 func (d *distanceSkewed) nextAlias(thief int) int {
+	if d.tables == nil {
+		d.tables = d.sharedTables()
+	}
 	r, t := &d.rand[thief], &d.tables[thief]
-	var i int
-	if t.N() == 0 {
-		d.buildTable(thief)
+	i := int(d.bucket[thief]) - 1
+	if i < 0 { // the thief's first draw
 		i = r.Intn(d.n)
-	} else {
-		i = int(d.bucket[thief])
 	}
 	v := t.At(i, r)
 	next := r.Intn(d.n)
-	d.bucket[thief] = int32(next)
+	d.bucket[thief] = int32(next + 1)
 	t.Prefetch(next)
 	return v
+}
+
+// tableSets caches every thief's alias table by geometry, least recently
+// used first; runs share it under mu and never write a published set.
+var tableSets struct {
+	mu    sync.Mutex
+	sets  []*tableSet
+	bytes int
+}
+
+// tableBudget bounds tableSets.bytes; the Default scale's 1024-rank rung
+// takes 25 MB under all three placements.
+const tableBudget = 64 << 20
+
+// tableSet is the tables of job's geometry at exponent k; bytes counts 8
+// a cell and 24 a table header.
+type tableSet struct {
+	job    *topology.Job
+	k      float64
+	tables []sample.Discrete
+	bytes  int
+}
+
+// sharedTables returns the tables of d's geometry and exponent, building
+// and publishing them on a miss. Runs that miss at once each build equal
+// sets; the first one published is kept.
+func (d *distanceSkewed) sharedTables() []sample.Discrete {
+	tableSets.mu.Lock()
+	s := findTables(d.job, d.exponent)
+	tableSets.mu.Unlock()
+	if s != nil {
+		return s.tables
+	}
+	var b sample.Builder
+	w, tables := make([]float64, d.n), make([]sample.Discrete, d.n)
+	for thief := range tables {
+		d.weightsInto(w, thief)
+		var err error
+		if tables[thief], err = b.Build(w); err != nil {
+			panic(err) // n is in [2, aliasThreshold], weights in [0, 1], one > 0
+		}
+	}
+	tableSets.mu.Lock()
+	defer tableSets.mu.Unlock()
+	if hit := findTables(d.job, d.exponent); hit != nil {
+		return hit.tables
+	}
+	s = &tableSet{d.job, d.exponent, tables, 8 * d.n * (d.n + 3)}
+	tableSets.sets = append(tableSets.sets, s)
+	tableSets.bytes += s.bytes
+	for tableSets.bytes > tableBudget {
+		tableSets.bytes -= tableSets.sets[0].bytes
+		tableSets.sets = slices.Delete(tableSets.sets, 0, 1)
+	}
+	return tables
+}
+
+// findTables returns the cached set of job's geometry at exponent k, now
+// the most recently used, or nil. The caller holds tableSets.mu.
+func findTables(job *topology.Job, k float64) *tableSet {
+	for i, s := range tableSets.sets {
+		if s.k == k && s.job.SameGeometry(job) {
+			tableSets.sets = append(slices.Delete(tableSets.sets, i, i+1), s)
+			return s
+		}
+	}
+	return nil
 }
 
 func (d *distanceSkewed) Observe(int, int, bool) {}
