@@ -102,8 +102,7 @@ func TestPipelineEventAnalysisRoundTrip(t *testing.T) {
 			back.TotalEvents(), res.Trace.TotalEvents())
 	}
 
-	origPairs, backPairs := obs.PairSteals(res.Trace), obs.PairSteals(back)
-	if !reflect.DeepEqual(obs.StealLatency(origPairs), obs.StealLatency(backPairs)) {
+	if !reflect.DeepEqual(obs.StealLatency(res.Trace), obs.StealLatency(back)) {
 		t.Fatal("steal-latency stats differ after round trip")
 	}
 	if !reflect.DeepEqual(obs.Traffic(res.Trace), obs.Traffic(back)) {

@@ -94,7 +94,7 @@ func TestEventLogConsistent(t *testing.T) {
 
 	// The reconstructed steal transactions must match the counters too.
 	pairs := obs.PairSteals(res.Trace)
-	st := obs.StealLatency(pairs)
+	st := obs.StealLatency(res.Trace)
 	if uint64(st.Success) != res.SuccessfulSteals || uint64(st.Refused) != res.FailedSteals {
 		t.Fatalf("paired %d success / %d refused, counters say %d / %d",
 			st.Success, st.Refused, res.SuccessfulSteals, res.FailedSteals)

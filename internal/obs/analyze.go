@@ -47,18 +47,9 @@ type StealPair struct {
 // Latency returns the steal round trip as observed by the thief.
 func (p StealPair) Latency() sim.Duration { return p.End.Sub(p.Send) }
 
-// PairSteals reconstructs steal transactions from the event log. Each
-// rank has at most one outstanding request (the protocol is
-// stop-and-wait), so pairing is a per-rank scan: a steal-send opens a
-// transaction, the next work/no-work delivery or abort closes it.
-// Unmatched events — ring evictions, a send still open at trace end, a
-// late reply to an aborted request — are skipped. Results are ordered
-// by send time (ties by thief rank, then log order) for deterministic
-// reports; nil when there are none.
-//
-// The scan leaves the transactions in (thief, log) order, which is the
-// tie-break, so a stable sort on the send time alone finishes the job.
-func PairSteals(tr *trace.Trace) []StealPair {
+// countSends counts the trace's steal requests: the most transactions
+// scanSteals can close, so the size of a buffer that holds them all.
+func countSends(tr *trace.Trace) int {
 	sends := 0
 	for _, es := range tr.Events {
 		for i := range es {
@@ -67,29 +58,37 @@ func PairSteals(tr *trace.Trace) []StealPair {
 			}
 		}
 	}
-	if sends == 0 {
-		return nil
-	}
-	pairs := make([]StealPair, 0, sends)
+	return sends
+}
+
+// scanSteals is the one steal-pairing rule. Each rank has at most one
+// outstanding request (the protocol is stop-and-wait), so pairing is a
+// per-rank scan: a steal-send opens a transaction, the next
+// work/no-work delivery or abort closes it, and closed is called with
+// it. Unmatched events — ring evictions, a send still open at trace
+// end, a late reply to an aborted request when nothing is outstanding —
+// are skipped. Transactions come thief by thief, each thief's in log
+// order.
+//
+// A late reply that lands while the thief's next request is
+// outstanding closes that newer request: work-recv does not name the
+// request it answers (DESIGN.md §9).
+func scanSteals(tr *trace.Trace, closed func(p StealPair)) {
 	for rank, es := range tr.Events {
-		open := false // the last pair is this rank's pending transaction
+		var p StealPair
+		open := false // p is this rank's pending transaction
 		for i := range es {
 			e := &es[i]
 			switch e.Kind {
 			case trace.EvStealSend:
 				// A second send with one still open means the close event
-				// was evicted from the ring; drop the orphan.
-				if open {
-					pairs = pairs[:len(pairs)-1]
-				}
-				open = true
-				pairs = append(pairs, StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time})
+				// was evicted from the ring; the orphan is overwritten.
+				p, open = StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time}, true
 			case trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort:
 				if !open {
 					continue
 				}
 				open = false
-				p := &pairs[len(pairs)-1]
 				p.End = e.Time
 				switch e.Kind {
 				case trace.EvWorkRecv:
@@ -99,12 +98,27 @@ func PairSteals(tr *trace.Trace) []StealPair {
 				default:
 					p.Outcome = StealAborted
 				}
+				closed(p)
 			}
 		}
-		if open {
-			pairs = pairs[:len(pairs)-1] // still in flight at trace end
-		}
 	}
+}
+
+// PairSteals reconstructs the steal transactions of the event log
+// (scanSteals), ordered by send time (ties by thief rank, then log
+// order); nil when there are none. Only the Chrome export needs them
+// and their order, as flow arrows and flow ids: StealLatency and
+// TerminationTail read the log without building pairs.
+//
+// The scan leaves the transactions in (thief, log) order, which is the
+// tie-break, so a stable sort on the send time alone finishes the job.
+func PairSteals(tr *trace.Trace) []StealPair {
+	sends := countSends(tr)
+	if sends == 0 {
+		return nil
+	}
+	pairs := make([]StealPair, 0, sends)
+	scanSteals(tr, func(p StealPair) { pairs = append(pairs, p) })
 	if len(pairs) == 0 {
 		return nil
 	}
@@ -162,44 +176,53 @@ type StealLatencyStats struct {
 	NodesMoved int64
 }
 
-// StealLatency computes exact latency percentiles over reconstructed
+// StealLatency computes exact latency percentiles over the trace's
 // steal transactions (the registry's latency histogram keeps only
-// power-of-two buckets).
-func StealLatency(pairs []StealPair) StealLatencyStats {
-	st := StealLatencyStats{Count: len(pairs)}
-	if len(pairs) == 0 {
-		return st
-	}
-	lat := make([]sim.Duration, 0, len(pairs))
-	var okLat []sim.Duration
+// power-of-two buckets). None of its figures depends on the order of
+// the transactions, so it reads them straight from the log scan
+// (scanSteals) into one buffer of latencies: successes from the front,
+// the rest from the back.
+func StealLatency(tr *trace.Trace) StealLatencyStats {
+	var st StealLatencyStats
+	sends := countSends(tr)
+	lat := make([]sim.Duration, sends)
+	rest := sends // lat[:st.Success] are the successes, lat[rest:] the others
 	var sum sim.Duration
-	for _, p := range pairs {
+	scanSteals(tr, func(p StealPair) {
 		d := p.Latency()
-		lat = append(lat, d)
 		sum += d
 		if d > st.Max {
 			st.Max = d
 		}
 		switch p.Outcome {
 		case StealSuccess:
+			lat[st.Success] = d
 			st.Success++
 			st.NodesMoved += p.Nodes
-			okLat = append(okLat, d)
+			return
 		case StealRefused:
 			st.Refused++
 		case StealAborted:
 			st.Aborted++
 		}
+		rest--
+		lat[rest] = d
+	})
+	st.Count = st.Success + sends - rest
+	if st.Count == 0 {
+		return st
 	}
+	if ok := lat[:st.Success]; len(ok) > 0 {
+		slices.Sort(ok)
+		st.SuccessP50 = quantileDur(ok, 0.50)
+	}
+	copy(lat[st.Success:], lat[rest:])
+	lat = lat[:st.Count]
 	slices.Sort(lat)
-	st.Mean = sum / sim.Duration(len(lat))
+	st.Mean = sum / sim.Duration(st.Count)
 	st.P50 = quantileDur(lat, 0.50)
 	st.P95 = quantileDur(lat, 0.95)
 	st.P99 = quantileDur(lat, 0.99)
-	if len(okLat) > 0 {
-		slices.Sort(okLat)
-		st.SuccessP50 = quantileDur(okLat, 0.50)
-	}
 	return st
 }
 
@@ -315,20 +338,21 @@ type TailStats struct {
 	TokenHopsTotal  int
 }
 
-// TerminationTail computes the tail breakdown from a trace and its
-// reconstructed steal pairs (pass PairSteals(tr)).
-func TerminationTail(tr *trace.Trace, pairs []StealPair) TailStats {
+// TerminationTail computes the tail breakdown from the trace's event
+// log: one scan of the steal transactions (scanSteals) finds the last
+// successful transfer, a second counts the failures at or after it.
+func TerminationTail(tr *trace.Trace) TailStats {
 	var st TailStats
-	for _, p := range pairs {
+	scanSteals(tr, func(p StealPair) {
 		if p.Outcome == StealSuccess && p.End > st.LastTransfer {
 			st.LastTransfer = p.End
 		}
-	}
-	for _, p := range pairs {
+	})
+	scanSteals(tr, func(p StealPair) {
 		if p.Outcome != StealSuccess && p.End >= st.LastTransfer {
 			st.FailedInTail++
 		}
-	}
+	})
 	for _, es := range tr.Events {
 		for _, e := range es {
 			if e.Kind == trace.EvTokenRecv {

@@ -92,7 +92,7 @@ func TestPairStealsEvictionAndOpenTail(t *testing.T) {
 }
 
 func TestStealLatency(t *testing.T) {
-	st := StealLatency(PairSteals(analysisTrace()))
+	st := StealLatency(analysisTrace())
 	if st.Count != 3 || st.Success != 1 || st.Refused != 1 || st.Aborted != 1 {
 		t.Fatalf("counts: %+v", st)
 	}
@@ -105,8 +105,13 @@ func TestStealLatency(t *testing.T) {
 	if st.SuccessP50 != 20 || st.NodesMoved != 8 {
 		t.Fatalf("success stats: %+v", st)
 	}
-	if empty := StealLatency(nil); empty.Count != 0 || empty.Mean != 0 {
+	if empty := StealLatency(&trace.Trace{}); empty.Count != 0 || empty.Mean != 0 {
 		t.Fatalf("empty stats: %+v", empty)
+	}
+	// Sends but no closed transaction: an orphan and an open tail.
+	open := &trace.Trace{Events: [][]trace.Event{{{Time: 3, Kind: trace.EvStealSend}, {Time: 4, Kind: trace.EvStealSend}}}}
+	if st := StealLatency(open); st != (StealLatencyStats{}) {
+		t.Fatalf("unclosed sends gave stats %+v", st)
 	}
 }
 
@@ -151,7 +156,7 @@ func TestRenderHeatmap(t *testing.T) {
 
 func TestTerminationTail(t *testing.T) {
 	tr := analysisTrace()
-	st := TerminationTail(tr, PairSteals(tr))
+	st := TerminationTail(tr)
 	if st.LastTransfer != 30 {
 		t.Fatalf("last transfer = %v, want 30", st.LastTransfer)
 	}
@@ -178,7 +183,7 @@ func TestPairStealsEmptyTrace(t *testing.T) {
 	if pairs := PairSteals(tr); len(pairs) != 0 {
 		t.Fatalf("eventless trace produced pairs: %+v", pairs)
 	}
-	st := TerminationTail(&trace.Trace{}, nil)
+	st := TerminationTail(&trace.Trace{})
 	if st.Duration != 0 || st.Fraction != 0 || st.TokenHopsTotal != 0 {
 		t.Fatalf("empty-trace tail = %+v", st)
 	}
@@ -200,7 +205,7 @@ func TestPairStealsSingleRank(t *testing.T) {
 	if pairs := PairSteals(tr); len(pairs) != 0 {
 		t.Fatalf("single-rank trace produced pairs: %+v", pairs)
 	}
-	st := TerminationTail(tr, nil)
+	st := TerminationTail(tr)
 	// No transfer ever happened, so the "tail" spans the whole run.
 	if st.LastTransfer != 0 || st.Duration != 100 || st.Fraction != 1 {
 		t.Fatalf("single-rank tail = %+v", st)
@@ -234,7 +239,7 @@ func TestPairStealsLateReplyAfterAbort(t *testing.T) {
 	}
 	// The banked late reply still counts as work for the tail analysis
 	// only via successful pairs — of which there are none here.
-	st := TerminationTail(tr, pairs)
+	st := TerminationTail(tr)
 	if st.LastTransfer != 0 || st.FailedInTail != 1 {
 		t.Fatalf("tail = %+v", st)
 	}
@@ -252,7 +257,7 @@ func TestTerminationTailTransferAtEnd(t *testing.T) {
 			{Time: 80, Kind: trace.EvWorkRecv, Peer: 1, Arg: 4},
 		}, nil},
 	}
-	st := TerminationTail(tr, PairSteals(tr))
+	st := TerminationTail(tr)
 	if st.LastTransfer != 80 || st.Duration != 0 || st.Fraction != 0 {
 		t.Fatalf("tail = %+v", st)
 	}
@@ -398,9 +403,9 @@ func TestPairStealsMatchesStableSort(t *testing.T) {
 	check("a narrow span above 2^40", [][]trace.Event{refused(1<<41+3, 1), refused(1<<41, 0), refused(1<<41+3, 0)})
 }
 
-// BenchmarkPairSteals pairs a steal storm: 1024 thieves, 200 completed
+// stealStorm is a steal storm's event log: 1024 thieves, 200 completed
 // transactions each, sends colliding across thieves.
-func BenchmarkPairSteals(b *testing.B) {
+func stealStorm() (tr *trace.Trace, transactions int) {
 	const thieves, pairs = 1024, 200
 	events := make([][]trace.Event, thieves)
 	for rank := range events {
@@ -413,12 +418,30 @@ func BenchmarkPairSteals(b *testing.B) {
 		}
 		events[rank] = es
 	}
-	tr := &trace.Trace{Events: events}
+	return &trace.Trace{Events: events}, thieves * pairs
+}
+
+// BenchmarkPairSteals pairs and orders stealStorm's transactions.
+func BenchmarkPairSteals(b *testing.B) {
+	tr, want := stealStorm()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := PairSteals(tr); len(got) != thieves*pairs {
-			b.Fatalf("%d pairs, want %d", len(got), thieves*pairs)
+		if got := PairSteals(tr); len(got) != want {
+			b.Fatalf("%d pairs, want %d", len(got), want)
+		}
+	}
+}
+
+// BenchmarkStealLatency summarizes stealStorm's transactions straight
+// from the log.
+func BenchmarkStealLatency(b *testing.B) {
+	tr, want := stealStorm()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := StealLatency(tr); got.Count != want {
+			b.Fatalf("%d transactions, want %d", got.Count, want)
 		}
 	}
 }

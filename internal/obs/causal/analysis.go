@@ -13,8 +13,9 @@ const TrafficRankLimit = 128
 // Analysis is every post-run view of one trace behind one value. Each
 // view is computed on first use and at most once, so a process that
 // writes a manifest, a Chrome trace and a text report from the same run
-// builds one causal graph and pairs the steals once; a caller pays only
-// for the views it reads. The manifest (ledger.New), cmd/uts's report
+// builds one causal graph; a caller pays only for the views it reads.
+// The steal statistics and the tail scan the event log themselves, so
+// the ordered pair slice is built only for a Chrome export. The manifest (ledger.New), cmd/uts's report
 // and the blame experiment are all readers of it.
 //
 // Analysis is also the one place that knows which views a trace
@@ -89,21 +90,22 @@ func (a *Analysis) Path() Path {
 	return a.path.get(a.tr, func(*trace.Trace) Path { return CriticalPath(a.Graph()) })
 }
 
-// Pairs are the reconstructed steal transactions (obs.PairSteals).
+// Pairs are the reconstructed steal transactions in send order
+// (obs.PairSteals), which only the Chrome export's flow arrows need.
 func (a *Analysis) Pairs() []obs.StealPair { return a.pairs.get(a.tr, obs.PairSteals) }
 
-// Steals summarizes the round-trip latencies of Pairs (obs.StealLatency).
-func (a *Analysis) Steals() obs.StealLatencyStats {
-	return a.steals.get(a.tr, func(*trace.Trace) obs.StealLatencyStats { return obs.StealLatency(a.Pairs()) })
-}
+// Steals summarizes the steal round-trip latencies (obs.StealLatency),
+// read from the event log without building Pairs.
+func (a *Analysis) Steals() obs.StealLatencyStats { return a.steals.get(a.tr, obs.StealLatency) }
 
-// Tail is the termination-tail breakdown (obs.TerminationTail).
+// Tail is the termination-tail breakdown (obs.TerminationTail), read
+// from the event log without building Pairs.
 func (a *Analysis) Tail() obs.TailStats {
 	return a.tail.get(a.tr, func(tr *trace.Trace) obs.TailStats {
 		if !a.HasEvents() {
 			return obs.TailStats{}
 		}
-		return obs.TerminationTail(tr, a.Pairs())
+		return obs.TerminationTail(tr)
 	})
 }
 

@@ -70,9 +70,16 @@ func TestAnalysisMatchesDirectCalls(t *testing.T) {
 		g := causal.Build(tr)
 		check("Graph", a.Graph(), g)
 		check("Path", a.Path(), causal.CriticalPath(g))
+		// The statistics read the log: no pair slice is built for them.
+		a.Steals()
+		a.Tail()
+		if causal.PairsBuilt(a) {
+			t.Errorf("%s: Steals or Tail built the pair slice", name)
+		}
 		pairs := obs.PairSteals(tr)
 		check("Pairs", a.Pairs(), pairs)
-		check("Steals", a.Steals(), obs.StealLatency(pairs))
+		check("Steals", a.Steals(), obs.StealLatency(tr))
+		check("Steals against the pair oracle", a.Steals(), stealLatencyOfPairs(pairs))
 		check("Occupancy", a.Occupancy(), obs.Occupancy(tr))
 		check("Sessions", a.Sessions(), obs.Sessions(tr))
 		check("Heatmap", a.Heatmap(8), obs.RenderHeatmap(obs.Traffic(tr), 8))
@@ -83,7 +90,8 @@ func TestAnalysisMatchesDirectCalls(t *testing.T) {
 			}
 			continue
 		}
-		check("Tail", a.Tail(), obs.TerminationTail(tr, pairs))
+		check("Tail", a.Tail(), obs.TerminationTail(tr))
+		check("Tail against the pair oracle", a.Tail(), terminationTailOfPairs(tr, pairs))
 		if ranks > causal.TrafficRankLimit {
 			check("Traffic", a.Traffic(), [][]uint64(nil))
 		} else {

@@ -144,8 +144,14 @@ var (
 // mallocs is a heap allocation count and its bytes.
 type mallocs struct{ count, bytes uint64 }
 
-// mallocsOf measures the heap allocations f makes.
+// mallocsOf measures the heap allocations f makes. The counters are
+// process-wide, so it measures on one P, as testing.AllocsPerRun does,
+// where another goroutine runs only if f is preempted; and it collects
+// first, so that a collection, and the goroutines it wakes, is
+// unlikely to start during f.
 func mallocsOf(f func()) mallocs {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	f()
