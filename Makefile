@@ -59,11 +59,13 @@ bench-check:
 # share sim's store pool and victim's alias-table cache (the cache's
 # own tests run under -race too); and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
-# meets host concurrency. -short keeps the stress budgets CI-sized.
+# meets host concurrency, with core's run-store list, which
+# TestRunStoreReuse hits from three concurrent core.Run sequences.
+# -short keeps the stress budgets CI-sized.
 race:
 	$(GO) test -race -short ./internal/obs ./internal/sim/par ./internal/victim
 	$(GO) test -race -run 'Execute' -count=1 ./internal/harness
-	$(GO) test -race -run 'Sharded' -count=1 ./internal/core
+	$(GO) test -race -run 'Sharded|RunStoreReuse' -count=1 ./internal/core
 
 # fuzz-smoke gives every native fuzz target in the tree (found with
 # `go test -list`, so a new one is picked up unasked) a short real

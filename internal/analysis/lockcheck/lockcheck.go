@@ -1,7 +1,7 @@
 // Package lockcheck guards the two mutex disciplines of the tree's
-// locks (obs.Registry's name tables, which the shard engines of a
-// sharded run share, and sim's store pool and victim's alias-table
-// cache, which harness.Execute's goroutines share): a critical section
+// locks (obs.Registry's name tables, shared by a sharded run's engines;
+// sim's store pool, core's run stores, victim's alias tables, topology's
+// bandwidth tables, shared by harness.Execute's goroutines): a critical section
 // must release its lock on every path out of the function, and must not
 // perform a channel send while the lock is held (a blocked receiver
 // would then deadlock every goroutine queued on the mutex).

@@ -13,10 +13,11 @@ import (
 // 256-rank run over a tree far too small for its ranks spends its life
 // in failed steals, backoff pauses and steal timeouts, so a closure per
 // backoff or per armed timeout would cost one allocation per failed
-// request. The budget is three times the run's set-up (per-rank state,
-// selector tables, stack segments, mailboxes growing to their
-// high-water marks: 1 263 allocations, 3 778 before loot travelled in
-// recycled buffers); the per-request timers must add nothing to it.
+// request. The budget is three times the run's set-up from a fresh run
+// store (per-rank state, selector tables, stack segments, mailboxes
+// growing to their high-water marks: 1 263 allocations, 3 778 before
+// loot travelled in recycled buffers; about 380 from a reused store);
+// the per-request timers must add nothing to it.
 func TestStealTimerAllocBudget(t *testing.T) {
 	cfg := Config{
 		Tree:         uts.MustPreset("H-TINY").Params,

@@ -42,7 +42,7 @@ func BenchmarkFailedSteal(b *testing.B) {
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{})
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, new(runStore))
 	if err != nil {
 		b.Fatal(err)
 	}

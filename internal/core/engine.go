@@ -2,6 +2,9 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
+	"unsafe"
 
 	"distws/internal/comm"
 	"distws/internal/dag"
@@ -116,11 +119,66 @@ type worker struct {
 	// tree; under fault injection the accounting invariant is
 	// completed + lost == generated.
 	generated uint64
-	_         [24]byte
+	_         [40]byte
 }
 
 // workerPage is how many workers one allocation holds.
 const workerPage = 64
+
+// runStore is what a run allocates by rank, kept for the next run as the
+// kernel's store is: the rank slab and, per engine, the worker pages
+// (used of them handed out) and the segment pool of their stacks.
+type runStore struct {
+	ranks []rank
+	work  []workStore // one per engine
+}
+
+type workStore struct {
+	pages [][]worker
+	used  int
+	pool  workstack.Pool
+}
+
+// runStores is a LIFO of released stores, not a sync.Pool (sim's store
+// pool says why); it keeps up to maxRunStores stores of at most
+// runStoreBytes each (an 8192-rank store is about 1.3 MB).
+var runStores struct {
+	mu   sync.Mutex
+	free []*runStore
+}
+
+const maxRunStores, runStoreBytes = 8, 8 << 20
+
+func getRunStore() (st *runStore) {
+	runStores.mu.Lock()
+	defer runStores.mu.Unlock()
+	if n := len(runStores.free) - 1; n >= 0 {
+		st, runStores.free[n], runStores.free = runStores.free[n], nil, runStores.free[:n]
+		return st
+	}
+	return new(runStore)
+}
+
+// putRunStore zeroes st, segments back in their pools, and keeps it.
+func putRunStore(st *runStore) {
+	for i := range st.ranks {
+		if w := st.ranks[i].w; w != nil {
+			w.stack.Clear()
+			*w = worker{}
+		}
+	}
+	clear(st.ranks)
+	bytes := cap(st.ranks) * int(unsafe.Sizeof(rank{}))
+	for i, ws := range st.work {
+		st.work[i].used = 0
+		bytes += len(ws.pages)*int(unsafe.Sizeof([workerPage]worker{})) + ws.pool.Bytes()
+	}
+	runStores.mu.Lock()
+	defer runStores.mu.Unlock()
+	if len(runStores.free) < maxRunStores && bytes <= runStoreBytes {
+		runStores.free = append(runStores.free, st)
+	}
+}
 
 // rankFault is a rank's fault-injection state, one element of a slab
 // that exists only under a fault plan; the maps are allocated by the
@@ -164,9 +222,8 @@ type engine struct {
 	ranks  []rank
 	// faults is the per-rank fault state, nil without a fault plan.
 	faults []rankFault
-	// workers is what is left of the page work takes workers from. Per
-	// engine: in a sharded run a rank's worker comes from its owner's.
-	workers []worker
+	// ws is the engine's share of the run store, where its ranks' workers live.
+	ws *workStore
 
 	// quantumEndFn, backoffEndFn and stealTimeoutFn are the shared
 	// per-rank timer callbacks: a timer carries its rank in its event's
@@ -360,13 +417,15 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 	if err != nil {
 		return nil, nil, err
 	}
+	st := getRunStore()
+	defer putRunStore(st)
 	if cfg.Shards > 1 {
-		res, err := runSharded(cfg, job, w)
+		res, err := runSharded(cfg, job, w, st)
 		return res, w, err
 	}
 	k := sim.NewKernel()
 	defer k.Release()
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w)
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, st)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -383,12 +442,12 @@ func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
 // one (a kernel per shard, ps their coordinator state), pre-schedules
 // every planned crash and lets w seed the run, so the caller only has
 // to run the kernel(s). The engines share the workload, detector,
-// selector, recorders, metrics registry, injector, rank slab and fault
-// slab; each owns its kernel, its network, its timer callbacks, its
-// counters and its worker pages. A rank's first idle transition goes
+// selector, recorders, metrics registry, injector, fault slab and st's
+// rank slab; each owns its kernel, its network, its timer callbacks, its
+// counters and its workStore. A rank's first idle transition goes
 // through the engine owning that rank; crashes and job arrivals happen
 // in sequential runs only (Config.Validate), on the one engine.
-func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload) ([]*engine, error) {
+func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload, st *runStore) ([]*engine, error) {
 	inj, err := fault.Compile(cfg.Faults, cfg.Ranks, kernels[0])
 	if err != nil {
 		return nil, err
@@ -403,10 +462,12 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	if cfg.CollectEvents {
 		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
 	}
-	ranks := make([]rank, cfg.Ranks)
+	st.ranks = slices.Grow(st.ranks[:0], cfg.Ranks)[:cfg.Ranks]
+	ranks := st.ranks
 	for i := range ranks {
 		ranks[i].pendingVictim = -1
 	}
+	st.work = append(st.work, make([]workStore, max(0, len(kernels)-len(st.work)))...)
 	var faults []rankFault
 	if inj != nil {
 		faults = make([]rankFault, cfg.Ranks)
@@ -430,6 +491,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			met:    newEngineMetrics(cfg.Metrics),
 			ranks:  ranks,
 			faults: faults,
+			ws:     &st.work[s],
 			inj:    inj,
 			w:      w,
 			par:    ps,
@@ -505,18 +567,20 @@ func (e *engine) owner(r int) *engine {
 	return e.par.engines[e.par.shardOf[r]]
 }
 
-// work returns rank r's worker, which r takes from the engine's current
-// page — a fresh page when that one is used up — the first time it is
-// about to hold a node: rank 0's root, accepted loot, a served root or
-// a graph task. Only the engine owning r calls it.
+// work returns rank r's worker, which r takes from the engine's pages —
+// a new page when they are used up — the first time it is about to hold
+// a node: rank 0's root, accepted loot, a served root or a graph task.
+// Only the engine owning r calls it.
 func (e *engine) work(r int) *worker {
 	rk := &e.ranks[r]
 	if rk.w == nil {
-		if len(e.workers) == 0 {
-			e.workers = make([]worker, workerPage)
+		ws := e.ws
+		if ws.used == len(ws.pages)*workerPage {
+			ws.pages = append(ws.pages, make([]worker, workerPage))
 		}
-		rk.w, e.workers = &e.workers[0], e.workers[1:]
-		rk.w.stack.Init(e.cfg.ChunkSize)
+		rk.w = &ws.pages[ws.used/workerPage][ws.used%workerPage]
+		ws.used++
+		rk.w.stack.Init(e.cfg.ChunkSize, &ws.pool)
 	}
 	return rk.w
 }
@@ -1257,7 +1321,7 @@ func result(engines []*engine) (*Result, error) {
 		res.MinRankNodes = min(res.MinRankNodes, w.nodes)
 		res.MaxDepth = max(res.MaxDepth, w.maxDepth)
 		remaining += w.stack.Len()
-		res.ChunksTransferred += w.stack.Stats().ChunksAcquired
+		res.ChunksTransferred += w.stack.ChunksAcquired()
 	}
 	res.MeanSearchTime = totalSearch / sim.Duration(e.cfg.Ranks)
 	res.SequentialTime = sim.Duration(totalUnits) * e.cfg.NodeCost

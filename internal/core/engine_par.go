@@ -165,7 +165,7 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 // runSharded executes cfg across cfg.Shards window-synchronized shard
 // engines. Reached from Run once the config validated and the job
 // placed; cfg.Shards >= 2 here.
-func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
+func runSharded(cfg Config, job *topology.Job, w workload, st *runStore) (*Result, error) {
 	shards := cfg.Shards
 	shardOf := make([]int, cfg.Ranks)
 	for r := range shardOf {
@@ -198,7 +198,7 @@ func runSharded(cfg Config, job *topology.Job, w workload) (*Result, error) {
 	// The engines are built — and the work seeded — exactly as the
 	// sequential run's one engine is, single-threaded: the windows have
 	// not started.
-	engines, err := newEngines(cfg, job, kernels, ps, w)
+	engines, err := newEngines(cfg, job, kernels, ps, w, st)
 	if err != nil {
 		return nil, err
 	}

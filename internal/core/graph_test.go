@@ -173,7 +173,7 @@ func TestGraphDependenciesRespected(t *testing.T) {
 			t.Fatal(err)
 		}
 		gw := w.(*graphWork)
-		engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w)
+		engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, new(runStore))
 		if err != nil {
 			t.Fatal(err)
 		}

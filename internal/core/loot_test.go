@@ -36,7 +36,7 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 	}
 	k := sim.NewKernel()
 	t.Cleanup(k.Release)
-	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{})
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, new(runStore))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"sync"
 
 	"distws/internal/rng"
 	"distws/internal/sim"
@@ -188,10 +189,33 @@ type cachedLatency struct {
 	job     *Job
 	machine Machine
 	coord   []packedCoord // the job's, per rank
-	// bytesTab[b] is the bandwidth term for a b-byte payload; 0 means
-	// "not computed yet" (a genuinely zero term is then recomputed each
-	// time, which stays correct).
+	// bytesTab[b] is the bandwidth term of a b-byte payload (byteTables);
+	// nil without a bandwidth term.
 	bytesTab []sim.Duration
+}
+
+// byteTables shares up to eight bandwidth tables by bandwidth, each
+// filled whole before it is published and read-only after.
+var byteTables struct {
+	mu sync.Mutex
+	m  map[float64][]sim.Duration
+}
+
+func bytesTable(bps float64) []sim.Duration {
+	byteTables.mu.Lock()
+	defer byteTables.mu.Unlock()
+	tab := byteTables.m[bps]
+	if tab == nil {
+		if len(byteTables.m) == 8 || byteTables.m == nil {
+			byteTables.m = map[float64][]sim.Duration{}
+		}
+		tab = make([]sim.Duration, byteTableMax)
+		for b := range tab {
+			tab[b] = sim.Duration(float64(b) / bps * 1e9)
+		}
+		byteTables.m[bps] = tab
+	}
+	return tab
 }
 
 // SendModel returns the latency model the network should use for its
@@ -205,13 +229,11 @@ func SendModel(m LatencyModel, j *Job) LatencyModel {
 	if !ok {
 		return m
 	}
-	return &cachedLatency{
-		h:        h,
-		job:      j,
-		machine:  j.Alloc.Machine,
-		coord:    j.packed,
-		bytesTab: make([]sim.Duration, byteTableMax),
+	c := &cachedLatency{h: h, job: j, machine: j.Alloc.Machine, coord: j.packed}
+	if h.BytesPerSecond > 0 {
+		c.bytesTab = bytesTable(h.BytesPerSecond)
 	}
+	return c
 }
 
 // distTerm computes the distance-dependent part of the wrapped model's
@@ -249,17 +271,10 @@ func (c *cachedLatency) Latency(j *Job, i, k int, bytes int) sim.Duration {
 		return c.h.Latency(j, i, k, bytes)
 	}
 	d := c.distTerm(i, k)
-	if c.h.BytesPerSecond > 0 && bytes > 0 {
-		if bytes < len(c.bytesTab) {
-			b := c.bytesTab[bytes]
-			if b == 0 {
-				b = sim.Duration(float64(bytes) / c.h.BytesPerSecond * 1e9)
-				c.bytesTab[bytes] = b
-			}
-			d += b
-		} else {
-			d += sim.Duration(float64(bytes) / c.h.BytesPerSecond * 1e9)
-		}
+	if uint(bytes) < uint(len(c.bytesTab)) {
+		d += c.bytesTab[bytes]
+	} else if c.h.BytesPerSecond > 0 && bytes > 0 {
+		d += sim.Duration(float64(bytes) / c.h.BytesPerSecond * 1e9)
 	}
 	return d
 }

@@ -209,18 +209,42 @@ func TestSendModelMatchesUncached(t *testing.T) {
 			for i := 0; i < job.Ranks(); i += 7 {
 				for k := 0; k < job.Ranks(); k += 3 {
 					for _, sz := range sizes {
-						want := plain.Latency(job, i, k, sz)
-						// Twice: the first call fills the byte memo, the second reads it.
-						if got := cached.Latency(job, i, k, sz); got != want {
-							t.Fatalf("cold memo: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
-						}
-						if got := cached.Latency(job, i, k, sz); got != want {
-							t.Fatalf("warm memo: Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
+						if got, want := cached.Latency(job, i, k, sz), plain.Latency(job, i, k, sz); got != want {
+							t.Fatalf("Latency(%d, %d, %d) = %v, want %v", i, k, sz, got, want)
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestBandwidthTableShared: send models of one bandwidth share one
+// table, every entry is the plain model's bandwidth term, and no more
+// than eight tables stay published.
+func TestBandwidthTableShared(t *testing.T) {
+	job, err := NewJob(KComputer(), 2, OnePerNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for bps := 1.0; bps < 1e12; bps *= 7 {
+		h := DefaultLatency()
+		h.BytesPerSecond = bps
+		a, b := SendModel(h, job).(*cachedLatency), SendModel(h, job).(*cachedLatency)
+		if &a.bytesTab[0] != &b.bytesTab[0] {
+			t.Fatalf("%g B/s: two models built two tables", bps)
+		}
+		base := h.Latency(job, 0, 1, 0)
+		for sz := range byteTableMax {
+			if got, want := a.bytesTab[sz], h.Latency(job, 0, 1, sz)-base; got != want {
+				t.Fatalf("%g B/s: table[%d] = %v, want %v", bps, sz, got, want)
+			}
+		}
+	}
+	byteTables.mu.Lock()
+	defer byteTables.mu.Unlock()
+	if n := len(byteTables.m); n > 8 {
+		t.Fatalf("%d bandwidth tables published, bound 8", n)
 	}
 }
 

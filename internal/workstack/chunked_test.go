@@ -13,11 +13,7 @@ type chunked struct {
 	chunks    [][]uts.Node
 	chunkSize int
 	free      [][]uts.Node // recycled chunk buffers
-
-	pushes, pops uint64
-	released     uint64
-	acquired     uint64
-	maxNodes     int
+	acquired  uint64
 }
 
 func newChunked(chunkSize int) *chunked { return &chunked{chunkSize: chunkSize} }
@@ -55,10 +51,6 @@ func (s *chunked) Push(n uts.Node) {
 		top++
 	}
 	s.chunks[top] = append(s.chunks[top], n)
-	s.pushes++
-	if l := s.Len(); l > s.maxNodes {
-		s.maxNodes = l
-	}
 }
 
 func (s *chunked) Pop() (uts.Node, bool) {
@@ -76,7 +68,6 @@ func (s *chunked) Pop() (uts.Node, bool) {
 	} else {
 		s.chunks[top] = c
 	}
-	s.pops++
 	return n, true
 }
 
@@ -107,7 +98,6 @@ func (s *chunked) Steal(want int) ([]uts.Node, int) {
 		s.chunks[i] = nil
 	}
 	s.chunks = s.chunks[:rest]
-	s.released += uint64(want)
 	return out, want
 }
 
@@ -132,12 +122,4 @@ func (s *chunked) Acquire(nodes []uts.Node) {
 	s.acquired += uint64((len(nodes) + s.chunkSize - 1) / s.chunkSize)
 }
 
-func (s *chunked) Stats() Stats {
-	return Stats{
-		Pushes:           s.pushes,
-		Pops:             s.pops,
-		ChunksReleased:   s.released,
-		ChunksAcquired:   s.acquired,
-		MaxNodesResident: s.maxNodes,
-	}
-}
+func (s *chunked) ChunksAcquired() uint64 { return s.acquired }

@@ -24,52 +24,74 @@ const (
 
 func op(code, operand int) byte { return byte(code | operand<<4) }
 
-// checkInvariants holds a Stack to its representation invariants.
-func checkInvariants(t testing.TB, s *Stack) {
+// checkInvariants holds stacks that share pool p to their
+// representation invariants and to segment conservation: every segment
+// in known — each one seen so far — is in exactly one stack or in the
+// pool, and an empty stack holds none. It adds the segments it finds to
+// known.
+func checkInvariants(t testing.TB, p *Pool, known map[*segment]bool, stacks ...*Stack) {
 	t.Helper()
-	if s.top == nil {
-		if s.n != 0 || s.pushes != 0 || cap(s.below) != 0 {
-			t.Fatalf("no top segment on a stack with %d nodes, %d pushes and a list of %d", s.n, s.pushes, cap(s.below))
+	where := map[*segment]int{} // the stack holding a segment, -1 for the pool
+	hold := func(seg *segment, at int) {
+		if prev, ok := where[seg]; ok {
+			t.Fatalf("segment held by %d and by %d (-1: the pool)", prev, at)
 		}
-		return
+		where[seg] = at
 	}
-	if cap(s.top) != segNodes {
-		t.Fatalf("top has capacity %d: it does not start where its segment does", cap(s.top))
+	for _, seg := range *p {
+		hold(seg, -1)
 	}
-	if s.head < 0 || s.head >= segNodes || (s.n == 0 && (s.head != 0 || len(s.top) != 0)) {
-		t.Fatalf("head = %d and %d nodes in top with %d on the stack", s.head, len(s.top), s.n)
-	}
-	if got := len(s.below)*segNodes + len(s.top) - int(s.head); got != int(s.n) {
-		t.Fatalf("%d full segments, %d nodes in top and head %d make %d nodes, n = %d", len(s.below), len(s.top), s.head, got, s.n)
-	}
-	if s.n > 0 && len(s.top) == 0 {
-		t.Fatalf("empty top segment over %d nodes", s.n)
-	}
-	// The list holds the full segments, then the spares, then nothing.
-	seen := map[*segment]bool{(*segment)(s.top[:segNodes]): true}
-	gap := false
-	for i, seg := range s.below[:cap(s.below)] {
-		switch {
-		case seg == nil:
-			gap = true
-			if i < len(s.below) {
-				t.Fatalf("full segment %d is nil", i)
+	for i, s := range stacks {
+		if s.pool != p {
+			t.Fatalf("stack %d draws from another pool", i)
+		}
+		if s.n == 0 {
+			if s.top != nil || len(s.below) != 0 || s.head != 0 {
+				t.Fatalf("empty stack %d holds a top of capacity %d, %d full segments and head %d", i, cap(s.top), len(s.below), s.head)
 			}
-		case gap:
-			t.Fatalf("slot %d of the list (%d full) holds a segment behind an empty slot", i, len(s.below))
-		case seen[seg]:
-			t.Fatalf("segment in slot %d is listed twice", i)
+			continue
 		}
-		seen[seg] = true
+		if cap(s.top) != segNodes || len(s.top) == 0 {
+			t.Fatalf("stack %d: top holds %d nodes with capacity %d over %d nodes", i, len(s.top), cap(s.top), s.n)
+		}
+		if s.head < 0 || s.head >= segNodes {
+			t.Fatalf("stack %d: head = %d", i, s.head)
+		}
+		if got := len(s.below)*segNodes + len(s.top) - int(s.head); got != int(s.n) {
+			t.Fatalf("stack %d: %d full segments, %d nodes in top and head %d make %d nodes, n = %d", i, len(s.below), len(s.top), s.head, got, s.n)
+		}
+		hold((*segment)(s.top[:segNodes]), i)
+		for _, seg := range s.below {
+			hold(seg, i)
+		}
+	}
+	for seg := range known {
+		if _, ok := where[seg]; !ok {
+			t.Fatalf("a segment is in no stack and not in the pool")
+		}
+	}
+	for seg := range where {
+		known[seg] = true
 	}
 }
 
-// runModel applies prog to a Stack and to the chunked reference and
-// requires the same return values and the same Len, Chunks,
-// StealableChunks, Empty and Stats after every step, then drains both.
+// runModel applies prog to two Stacks over one pool and to two chunked
+// references, and requires the same return values and the same Len,
+// Chunks, StealableChunks, Empty and ChunksAcquired after every step, then
+// drains all four. Pushes, pops, acquires of fresh nodes and drops act
+// on the current stack; a steal takes chunks from it, the other stack
+// acquires them and becomes the current one, so the two steal from each
+// other.
 func runModel(t testing.TB, chunkSize int, prog []byte) {
 	t.Helper()
-	s, ref := New(chunkSize), newChunked(chunkSize)
+	pool, known := new(Pool), map[*segment]bool{}
+	var s [2]*Stack
+	var ref [2]*chunked
+	for i := range s {
+		s[i], ref[i] = new(Stack), newChunked(chunkSize)
+		s[i].Init(chunkSize, pool)
+	}
+	cur := 0
 	var id uint32
 	fresh := func(count int) []uts.Node {
 		nodes := make([]uts.Node, count)
@@ -81,66 +103,84 @@ func runModel(t testing.TB, chunkSize int, prog []byte) {
 	}
 	for step, b := range prog {
 		code, operand := int(b&15), int(b>>4)
+		st, rf := s[cur], ref[cur]
 		var got, want any
+		var loot []uts.Node
 		switch {
 		case code < opPop:
 			n := fresh(1)[0]
-			s.Push(n)
-			ref.Push(n)
+			st.Push(n)
+			rf.Push(n)
 		case code < opSteal:
-			gn, gok := s.Pop()
-			wn, wok := ref.Pop()
+			gn, gok := st.Pop()
+			wn, wok := rf.Pop()
 			got, want = []any{gn, gok}, []any{wn, wok}
 		case code == opSteal:
-			gl, gk := s.StealInto(nil, operand%6)
-			wl, wk := ref.Steal(operand % 6)
-			got, want = []any{gl, gk}, []any{wl, wk}
+			gl, gk := st.StealInto(nil, operand%6)
+			wl, wk := rf.Steal(operand % 6)
+			got, want, loot = []any{gl, gk}, []any{wl, wk}, gl
 		case code == opStealOne:
-			gl, gk := s.StealInto(nil, 1)
-			wl, wk := ref.Steal(1)
-			got, want = []any{gl, gk}, []any{wl, wk}
+			gl, gk := st.StealInto(nil, 1)
+			wl, wk := rf.Steal(1)
+			got, want, loot = []any{gl, gk}, []any{wl, wk}, gl
 		case code == opStealHalf:
-			gl, gk := s.StealHalf()
-			wl, wk := ref.StealHalf()
-			got, want = []any{gl, gk}, []any{wl, wk}
+			gl, gk := st.StealHalf()
+			wl, wk := rf.StealHalf()
+			got, want, loot = []any{gl, gk}, []any{wl, wk}, gl
 		case code == opStealInto:
 			// A recycled buffer: a prefix to keep, stale nodes behind it.
 			prefix := fresh(operand % 3)
 			dst := append(prefix[:len(prefix):len(prefix)], fresh(operand)...)[:len(prefix)]
-			gl, gk := s.StealInto(dst, operand%4)
-			wl, wk := ref.Steal(operand % 4)
+			gl, gk := st.StealInto(dst, operand%4)
+			wl, wk := rf.Steal(operand % 4)
 			if len(prefix) > 0 && !reflect.DeepEqual(gl[:len(prefix)], prefix) {
 				t.Fatalf("chunk %d, step %d: StealInto changed the %d nodes dst came with", chunkSize, step, len(prefix))
 			}
-			got, want = []any{append([]uts.Node(nil), gl[len(prefix):]...), gk}, []any{wl, wk}
+			loot = append([]uts.Node(nil), gl[len(prefix):]...)
+			got, want = []any{loot, gk}, []any{wl, wk}
 		case code == opAcquire:
-			loot := fresh(operand * 3)
-			s.Acquire(loot)
-			ref.Acquire(loot)
+			nodes := fresh(operand * 3)
+			st.Acquire(nodes)
+			rf.Acquire(nodes)
 		default:
-			got, want = len(s.Drop(nil)), ref.Drop()
+			got, want = len(st.Drop(nil)), rf.Drop()
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("chunk %d, step %d (op %#02x): returned %v, reference %v", chunkSize, step, b, got, want)
 		}
-		if g, w := [3]int{s.Len(), s.Chunks(), s.StealableChunks()}, [3]int{ref.Len(), ref.Chunks(), ref.StealableChunks()}; g != w || s.Empty() != ref.Empty() {
-			t.Fatalf("chunk %d, step %d (op %#02x): Len/Chunks/StealableChunks = %v (empty %v), reference %v (empty %v)",
-				chunkSize, step, b, g, s.Empty(), w, ref.Empty())
+		if len(loot) > 0 {
+			cur = 1 - cur
+			s[cur].Acquire(loot)
+			ref[cur].Acquire(loot)
 		}
-		if s.Stats() != ref.Stats() {
-			t.Fatalf("chunk %d, step %d (op %#02x): Stats = %+v, reference %+v", chunkSize, step, b, s.Stats(), ref.Stats())
+		for i := range s {
+			g := [3]int{s[i].Len(), s[i].Chunks(), s[i].StealableChunks()}
+			w := [3]int{ref[i].Len(), ref[i].Chunks(), ref[i].StealableChunks()}
+			if g != w || s[i].Empty() != ref[i].Empty() {
+				t.Fatalf("chunk %d, step %d (op %#02x), stack %d: Len/Chunks/StealableChunks = %v (empty %v), reference %v (empty %v)",
+					chunkSize, step, b, i, g, s[i].Empty(), w, ref[i].Empty())
+			}
+			if g, w := s[i].ChunksAcquired(), ref[i].ChunksAcquired(); g != w {
+				t.Fatalf("chunk %d, step %d (op %#02x), stack %d: ChunksAcquired = %d, reference %d", chunkSize, step, b, i, g, w)
+			}
 		}
-		checkInvariants(t, s)
+		checkInvariants(t, pool, known, s[:]...)
 	}
-	for {
-		gn, gok := s.Pop()
-		wn, wok := ref.Pop()
-		if gn != wn || gok != wok {
-			t.Fatalf("chunk %d, draining: popped %v %v, reference %v %v", chunkSize, gn, gok, wn, wok)
+	for i := range s {
+		for {
+			gn, gok := s[i].Pop()
+			wn, wok := ref[i].Pop()
+			if gn != wn || gok != wok {
+				t.Fatalf("chunk %d, draining stack %d: popped %v %v, reference %v %v", chunkSize, i, gn, gok, wn, wok)
+			}
+			if !gok {
+				break
+			}
 		}
-		if !gok {
-			break
-		}
+	}
+	checkInvariants(t, pool, known, s[:]...)
+	if len(*pool) != len(known) {
+		t.Fatalf("chunk %d: %d of %d segments back in the pool after draining", chunkSize, len(*pool), len(known))
 	}
 }
 
@@ -173,8 +213,8 @@ func directedProgram(chunkSize int) []byte {
 	return append(p, op(opStealHalf, 0), op(opSteal, 0), op(opSteal, 5))
 }
 
-// TestStackMatchesChunked drives the segment-backed Stack and the
-// chunk-per-buffer reference through the directed program and through
+// TestStackMatchesChunked drives two segment-backed Stacks over one pool
+// and two chunk-per-buffer references through the directed program and through
 // long random ones, at a chunk size of one node, one smaller than a
 // segment, the UTS default (a chunk spans two or three segments) and
 // one spanning three or four.

@@ -18,20 +18,20 @@
 // the slice header of the top segment sits in the Stack, so a push or a
 // pop reaches its node in one load and crosses a segment once in
 // segNodes operations. A steal copies its chunks out across segment
-// boundaries, oldest node first. A stack keeps the segments it empties
-// for the next time it is as deep — it never allocates below its
-// high-water mark — and gives them up only when a crash drops it.
+// boundaries, oldest node first. A stack takes segments from a Pool
+// and hands back every one it empties: an empty stack holds none.
 //
 // The stack is single-owner: in the discrete-event simulation each rank
 // manipulates its own stack only (steals happen via messages, with the
 // victim packaging chunks itself, as in the paper's two-sided MPI
-// implementation).
+// implementation); a Pool and the stacks sharing it are one goroutine's.
 package workstack
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 
 	"distws/internal/uts"
 )
@@ -52,23 +52,35 @@ const segNodes = 16
 
 type segment = [segNodes]uts.Node
 
+// Pool holds the segments no stack holds. The zero Pool is empty.
+type Pool []*segment
+
+func (p *Pool) get() (seg *segment) {
+	if n := len(*p) - 1; n >= 0 {
+		seg, *p = (*p)[n], (*p)[:n]
+		return seg
+	}
+	return new(segment)
+}
+
+func (p *Pool) put(seg *segment) { *p = append(*p, seg) }
+
+// Bytes returns the size of the segments the pool holds.
+func (p Pool) Bytes() int { return len(p) * int(unsafe.Sizeof(segment{})) }
+
 // Stack is a chunked LIFO work stack. The zero Stack is not usable:
 // construct with New, or Init one embedded by value in a larger struct.
 type Stack struct {
 	// top is the newest segment up to its newest node: Push appends to
-	// it and Pop shrinks it, it always spans a whole segment (capacity
-	// segNodes) once the stack has held a node, and it keeps its segment
-	// while the stack is empty. The header comes first and the counts a
-	// thief's request asks an idle victim for (Empty, StealableChunks)
-	// follow within the Stack's first 64 bytes.
+	// it and Pop shrinks it. It spans a whole segment (capacity
+	// segNodes) while the stack holds a node and is nil while it holds
+	// none. The header comes first and the counts a thief's request asks
+	// an idle victim for (Empty, StealableChunks) follow within the
+	// Stack's first 64 bytes.
 	top []uts.Node
 	// below lists the full segments under top, oldest first — none while
 	// the stack fits one segment, so a stack that never holds more than
-	// segNodes nodes never allocates the list. The segments pops and
-	// steals have emptied stay, as spares, in the slots just past
-	// len(below) of the backing array: a stack's storage is its deepest
-	// point so far, and one that goes down and up again allocates
-	// nothing.
+	// segNodes nodes never allocates the list.
 	below []*segment
 	// head counts the nodes at the start of the oldest segment that are
 	// gone: a steal removes chunkSize-node chunks, not whole segments.
@@ -77,31 +89,28 @@ type Stack struct {
 	n    int32 // nodes on the stack
 
 	chunkSize int32
-	maxNodes  int32
-
-	// Counters for UTS-style statistics.
-	pushes, pops uint64
-	released     uint64 // chunks handed to thieves
-	acquired     uint64 // chunks received from victims
+	pool      *Pool
+	acquired  uint64 // chunks received from victims
 }
 
 // New returns an empty stack with the given chunk size (nodes per
-// chunk). It panics if chunkSize is not in [1, MaxChunkSize].
+// chunk) over a pool of its own. It panics if chunkSize is not in
+// [1, MaxChunkSize].
 func New(chunkSize int) *Stack {
 	s := new(Stack)
-	s.Init(chunkSize)
+	s.Init(chunkSize, new(Pool))
 	return s
 }
 
-// Init makes s an empty stack with the given chunk size, as New returns
-// it, for a Stack held by value (a slab of per-rank state) rather than
+// Init makes s an empty stack with the given chunk size over pool p,
+// for a Stack held by value (a slab of per-rank state) rather than
 // allocated on its own. It panics if chunkSize is not in
 // [1, MaxChunkSize].
-func (s *Stack) Init(chunkSize int) {
+func (s *Stack) Init(chunkSize int, p *Pool) {
 	if chunkSize < 1 || chunkSize > MaxChunkSize {
 		panic(fmt.Sprintf("workstack: chunk size %d not in [1, %d]", chunkSize, MaxChunkSize))
 	}
-	*s = Stack{chunkSize: int32(chunkSize)}
+	*s = Stack{chunkSize: int32(chunkSize), pool: p}
 }
 
 // ChunkSize returns the configured nodes-per-chunk.
@@ -119,37 +128,27 @@ func (s *Stack) Chunks() int {
 	return (int(s.n) + int(s.chunkSize) - 1) / int(s.chunkSize)
 }
 
-// grow opens a new top segment — a spare if there is one — over a full
-// top, or the first segment of a stack that never held a node.
+// grow opens a new top segment over a full top, or over an empty stack.
 func (s *Stack) grow() {
-	var seg *segment
 	if s.top != nil {
-		l := len(s.below)
-		if l < cap(s.below) {
-			seg = s.below[:l+1][l]
-		}
-		s.below = append(s.below, (*segment)(s.top)) // over that spare's slot
+		s.below = append(s.below, (*segment)(s.top))
 	}
-	if seg == nil {
-		seg = new(segment)
-	}
-	s.top = seg[:0]
+	s.top = s.pool.get()[:0]
 }
 
 // shrink follows a removal at the top that emptied the stack or the top
-// segment. An empty stack keeps the segment top spans; an emptied top
-// becomes the first spare and the newest full segment takes its place.
+// segment: the segment goes back to the pool and the newest full one,
+// if any, becomes the top.
 func (s *Stack) shrink() {
+	s.pool.put((*segment)(s.top[:segNodes]))
 	if s.n == 0 {
 		s.head = 0
-		s.top = s.top[:0]
+		s.top = nil
 		return
 	}
 	l := len(s.below) - 1
-	seg := s.below[l]
-	s.below[l] = (*segment)(s.top[:segNodes])
+	s.top = s.below[l][:]
 	s.below = s.below[:l]
-	s.top = seg[:]
 }
 
 // Push adds a node to the top of the stack.
@@ -161,11 +160,7 @@ func (s *Stack) Push(n uts.Node) {
 	}
 	s.top = s.top[:l+1]
 	s.top[l] = n
-	s.pushes++
 	s.n++
-	if s.n > s.maxNodes {
-		s.maxNodes = s.n
-	}
 }
 
 // Pop removes and returns the most recently pushed node.
@@ -176,7 +171,6 @@ func (s *Stack) Pop() (n uts.Node, ok bool) {
 	l := len(s.top) - 1
 	n = s.top[l]
 	s.top = s.top[:l]
-	s.pops++
 	s.n--
 	if l == 0 || s.n == 0 {
 		s.shrink()
@@ -224,18 +218,17 @@ func (s *Stack) StealInto(dst []uts.Node, want int) ([]uts.Node, int) {
 	count := want * int(s.chunkSize)
 	dst = s.appendNodes(slices.Grow(dst, count), 0, count)
 	// The chunks came out of the oldest segments. Those they emptied —
-	// never top's, which holds the private chunk's newest node — rotate
-	// behind the full ones, where they are the first spares.
+	// never top's, which holds the private chunk's newest node — go
+	// back to the pool.
 	head := int(s.head) + count
 	if drop := head / segNodes; drop > 0 {
-		slices.Reverse(s.below[:drop])
-		slices.Reverse(s.below[drop:])
-		slices.Reverse(s.below)
-		s.below = s.below[:len(s.below)-drop]
+		for _, seg := range s.below[:drop] {
+			s.pool.put(seg)
+		}
+		s.below = s.below[:copy(s.below, s.below[drop:])]
 	}
 	s.head = int32(head % segNodes)
 	s.n -= int32(count)
-	s.released += uint64(want)
 	return dst, want
 }
 
@@ -246,19 +239,25 @@ func (s *Stack) StealHalf() ([]uts.Node, int) {
 	return s.StealInto(nil, (s.StealableChunks()+1)/2)
 }
 
-// Drop discards every node on the stack and returns dst with the lost
-// nodes appended, oldest first. It exists for fault injection: a
-// fail-stop crash takes the rank's local work with it. Every segment
-// but top's is let go (the rank will not work again), but no lifetime
-// counter moves: dropped nodes were pushed and never popped, which is
-// exactly how a crash looks from the outside.
+// Drop is Clear that returns dst with the lost nodes appended, oldest
+// first. It exists for fault injection: a fail-stop crash takes the
+// rank's local work with it. No lifetime counter moves: dropped nodes
+// were pushed and never popped, which is how a crash looks from outside.
 func (s *Stack) Drop(dst []uts.Node) []uts.Node {
-	lost := s.appendNodes(dst, 0, int(s.n))
-	clear(s.below[:cap(s.below)])
-	s.below = s.below[:0]
-	s.n = 0
-	s.shrink()
-	return lost
+	defer s.Clear()
+	return s.appendNodes(dst, 0, int(s.n))
+}
+
+// Clear discards every node on the stack and returns its segments to
+// the pool.
+func (s *Stack) Clear() {
+	for _, seg := range s.below {
+		s.pool.put(seg)
+	}
+	if s.n > 0 {
+		s.below, s.n = s.below[:0], 0
+		s.shrink()
+	}
 }
 
 // Acquire pushes stolen nodes onto the stack, preserving their order
@@ -277,29 +276,10 @@ func (s *Stack) Acquire(nodes []uts.Node) {
 		s.top = s.top[:l+k]
 		nodes = nodes[k:]
 	}
-	s.pushes += uint64(count)
 	s.n += int32(count)
-	if s.n > s.maxNodes {
-		s.maxNodes = s.n
-	}
 	s.acquired += uint64((count + int(s.chunkSize) - 1) / int(s.chunkSize))
 }
 
-// Stats are lifetime counters of the stack.
-type Stats struct {
-	Pushes, Pops     uint64
-	ChunksReleased   uint64
-	ChunksAcquired   uint64
-	MaxNodesResident int
-}
-
-// Stats returns the stack's lifetime counters.
-func (s *Stack) Stats() Stats {
-	return Stats{
-		Pushes:           s.pushes,
-		Pops:             s.pops,
-		ChunksReleased:   s.released,
-		ChunksAcquired:   s.acquired,
-		MaxNodesResident: int(s.maxNodes),
-	}
-}
+// ChunksAcquired returns how many chunks the stack has received from
+// victims.
+func (s *Stack) ChunksAcquired() uint64 { return s.acquired }

@@ -176,53 +176,46 @@ func TestAcquire(t *testing.T) {
 	if id := binary.BigEndian.Uint32(n.State[:4]); id != 2 {
 		t.Fatalf("thief popped %d, want 2", id)
 	}
-	st := thief.Stats()
-	if st.ChunksAcquired != 1 {
-		t.Fatalf("ChunksAcquired = %d", st.ChunksAcquired)
-	}
-	if victim.Stats().ChunksReleased != 1 {
-		t.Fatalf("ChunksReleased = %d", victim.Stats().ChunksReleased)
+	if got := thief.ChunksAcquired(); got != 1 {
+		t.Fatalf("ChunksAcquired = %d", got)
 	}
 }
 
+// TestStats: ChunksAcquired counts the chunks of every acquired batch,
+// a partial one included, and neither pushes, pops, steals nor a drop
+// move it.
 func TestStats(t *testing.T) {
 	s := New(2)
 	for i := uint32(0); i < 5; i++ {
 		s.Push(node(i))
 	}
 	s.Pop()
-	s.Pop()
-	st := s.Stats()
-	if st.Pushes != 5 || st.Pops != 2 {
-		t.Fatalf("stats %+v", st)
-	}
-	if st.MaxNodesResident != 5 {
-		t.Fatalf("MaxNodesResident = %d", st.MaxNodesResident)
+	s.Acquire([]uts.Node{node(5), node(6), node(7)})
+	s.StealInto(nil, 1)
+	s.Drop(nil)
+	if got := s.ChunksAcquired(); got != 2 {
+		t.Fatalf("%d chunks acquired, want 2", got)
 	}
 }
 
-// TestChunkRecycling: a stack keeps the segments that pops and steals
-// empty and reuses them — going down and up again, whether across one
-// segment boundary or between its deepest and empty, allocates nothing —
-// lets them go when it is dropped, and has no segment list while it
-// fits one segment.
+// TestChunkRecycling states segment conservation on a stack's own
+// pool: a stack holds the segments its nodes need and no more, hands
+// back the ones pops, steals and a drop empty, and takes them again
+// from the pool, so going down and up again — across one segment
+// boundary or between its deepest and empty — allocates nothing. A
+// stack that fits one segment never allocates its segment list.
 func TestChunkRecycling(t *testing.T) {
 	const depth = 4*segNodes + 3
 	s := New(8)
+	known := map[*segment]bool{}
 	fill := func() {
 		for i := uint32(0); i < depth; i++ {
 			s.Push(node(i))
 		}
 	}
-	listed := func() (segs int) {
-		for _, seg := range s.below[:cap(s.below)] {
-			if seg != nil {
-				segs++
-			}
-		}
-		return segs
-	}
+	held := func() int { return len(s.below) + min(cap(s.top), 1) }
 	fill()
+	checkInvariants(t, s.pool, known, s)
 	if allocs := testing.AllocsPerRun(100, func() {
 		for i := 0; i < depth; i++ {
 			s.Pop()
@@ -231,16 +224,16 @@ func TestChunkRecycling(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("%v allocations per %d-node churn, want 0", allocs, depth)
 	}
-	if got := listed(); got != depth/segNodes {
-		t.Fatalf("%d segments listed under a %d-node stack, want %d", got, depth, depth/segNodes)
+	if held() != depth/segNodes+1 || len(*s.pool) != 0 {
+		t.Fatalf("a %d-node stack holds %d segments and leaves %d in the pool, want %d and 0", depth, held(), len(*s.pool), depth/segNodes+1)
 	}
-	// Eight chunks of eight leave from the bottom: four segments, kept.
+	// Eight chunks of eight leave from the bottom: four segments go back.
 	if _, chunks := s.StealInto(nil, 100); chunks != (depth-1)/8 {
 		t.Fatalf("stole %d chunks, want %d", chunks, (depth-1)/8)
 	}
-	if got := listed(); got != depth/segNodes || len(s.below) != 0 || s.Len() != 3 {
-		t.Fatalf("%d segments listed, %d of them full, and %d nodes after the steal, want %d, 0 and 3",
-			got, len(s.below), s.Len(), depth/segNodes)
+	checkInvariants(t, s.pool, known, s)
+	if held() != 1 || len(*s.pool) != depth/segNodes || s.Len() != 3 {
+		t.Fatalf("%d segments held, %d pooled and %d nodes after the steal, want 1, %d and 3", held(), len(*s.pool), s.Len(), depth/segNodes)
 	}
 	if allocs := testing.AllocsPerRun(10, func() {
 		fill()
@@ -251,15 +244,47 @@ func TestChunkRecycling(t *testing.T) {
 		t.Errorf("%v allocations refilling a robbed stack, want 0", allocs)
 	}
 	fill()
-	if lost := len(s.Drop(nil)); lost != 3+depth || listed() != 0 || cap(s.top) != segNodes {
-		t.Fatalf("Drop lost %d nodes and left %d segments listed, top capacity %d", lost, listed(), cap(s.top))
+	if lost := len(s.Drop(nil)); lost != 3+depth || held() != 0 || len(*s.pool) != len(known) {
+		t.Fatalf("Drop lost %d nodes and left %d segments held, %d of %d pooled", lost, held(), len(*s.pool), len(known))
 	}
+	checkInvariants(t, s.pool, known, s)
 	small := New(8)
 	for i := uint32(0); i < segNodes; i++ {
 		small.Push(node(i))
 	}
 	if small.below != nil {
 		t.Fatal("a stack of one segment allocated its segment list")
+	}
+}
+
+// TestPooledStacksAllocateNothing: stacks over one pool that go down and
+// up again, and trade their work back and forth, take their segments
+// from the pool and allocate nothing once it holds their peak.
+func TestPooledStacksAllocateNothing(t *testing.T) {
+	pool := new(Pool)
+	var a, b Stack
+	a.Init(4, pool)
+	b.Init(4, pool)
+	var loot []uts.Node
+	round := func() {
+		for i := uint32(0); i < 3*segNodes; i++ {
+			a.Push(node(i))
+		}
+		loot, _ = a.StealInto(loot[:0], a.StealableChunks())
+		b.Acquire(loot)
+		for !a.Empty() {
+			a.Pop()
+		}
+		for !b.Empty() {
+			b.Pop()
+		}
+	}
+	round()
+	if allocs := testing.AllocsPerRun(20, round); allocs != 0 {
+		t.Errorf("%v allocations per round, want 0", allocs)
+	}
+	if a.top != nil || b.top != nil || len(*pool) == 0 {
+		t.Fatalf("empty stacks hold segments, or the pool holds none (%d)", len(*pool))
 	}
 }
 
@@ -403,7 +428,7 @@ func TestStackInitMatchesNew(t *testing.T) {
 		s   Stack
 	}
 	byValue := &slab[1].s
-	byValue.Init(3)
+	byValue.Init(3, new(Pool))
 	if !reflect.DeepEqual(byValue, New(3)) {
 		t.Fatalf("Init(3) = %+v, New(3) = %+v", *byValue, *New(3))
 	}
@@ -418,14 +443,12 @@ func TestStackInitMatchesNew(t *testing.T) {
 			n, _ := s.Pop()
 			trace = append(trace, int(binary.BigEndian.Uint32(n.State[:4])))
 		}
-		st := s.Stats()
-		return append(trace, s.Chunks(), s.ChunkSize(), int(st.Pushes), int(st.Pops),
-			int(st.ChunksReleased), int(st.ChunksAcquired), st.MaxNodesResident)
+		return append(trace, s.Chunks(), s.ChunkSize(), int(s.ChunksAcquired()))
 	}
 	if got, want := drive(byValue), drive(New(3)); !reflect.DeepEqual(got, want) {
 		t.Fatalf("by-value stack diverged from New's:\n got %v\nwant %v", got, want)
 	}
-	byValue.Init(5)
+	byValue.Init(5, new(Pool))
 	if !reflect.DeepEqual(byValue, New(5)) {
 		t.Fatalf("Init on a used stack left %+v, want %+v", *byValue, *New(5))
 	}
@@ -443,5 +466,5 @@ func TestStackInitMatchesNew(t *testing.T) {
 			t.Fatal("no panic for Init(0)")
 		}
 	}()
-	byValue.Init(0)
+	byValue.Init(0, new(Pool))
 }
