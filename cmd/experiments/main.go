@@ -48,8 +48,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		scaleFlag = fs.String("scale", "default", "experiment scale: quick|default|full")
 		seedFlag  = fs.Uint64("seed", 12345, "base random seed")
 		outFlag   = fs.String("o", "", "also write the reports to this file")
-		jsonFlag  = fs.String("json", "", "write machine-readable reports (JSON lines) to this file")
-		csvFlag   = fs.String("csv", "", "write the result tables (CSV) to this file")
 		listFlag  = fs.Bool("list", false, "list experiment IDs and exit")
 
 		matrixFlag   = fs.Bool("matrix", false, "run the scenario-matrix regression harness")
@@ -100,14 +98,10 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 	}
 
-	// The -o, -json and -csv files, each nil when not asked for. A
-	// failed write or close of any of them fails the command.
-	var files [3]*os.File
-	for i, path := range []string{*outFlag, *jsonFlag, *csvFlag} {
-		if path == "" {
-			continue
-		}
-		f, err := os.Create(path)
+	// A failed write or close of the -o file fails the command.
+	out := stdout
+	if *outFlag != "" {
+		f, err := os.Create(*outFlag)
 		if err != nil {
 			return fail(1, err)
 		}
@@ -116,11 +110,7 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 				code = fail(1, err)
 			}
 		}()
-		files[i] = f
-	}
-	out, jsonOut, csvOut := stdout, files[1], files[2]
-	if files[0] != nil {
-		out = io.MultiWriter(stdout, files[0])
+		out = io.MultiWriter(stdout, f)
 	}
 
 	allPass := true
@@ -134,19 +124,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		}
 		if _, err := fmt.Fprintf(out, "%s\n(%s in %v at scale %v)\n\n", rep.Render(), id, time.Since(t0).Round(time.Millisecond), scale); err != nil {
 			return fail(1, err)
-		}
-		if jsonOut != nil {
-			if err := rep.WriteJSON(jsonOut); err != nil {
-				return fail(1, err)
-			}
-		}
-		if csvOut != nil {
-			if err := rep.WriteCSV(csvOut); err != nil {
-				return fail(1, err)
-			}
-			if _, err := fmt.Fprintln(csvOut); err != nil {
-				return fail(1, err)
-			}
 		}
 		allPass = allPass && rep.Passed()
 	}

@@ -16,19 +16,11 @@ import (
 func init() {
 	register(Experiment{ID: "table1", Title: "UTS input tree parameters", Run: runTable1})
 	register(Experiment{ID: "fig02", Title: "Efficiency of the reference implementation, 8-128 ranks", Run: runFig02})
-	register(Experiment{ID: "fig03", Title: "Speedup of the reference implementation at scale", Run: runFig03})
 	register(Experiment{ID: "fig04", Title: "Starting/ending latencies, reference, small scale", Run: runFig04})
 	register(Experiment{ID: "fig05", Title: "Starting/ending latencies, reference, large scale", Run: runFig05})
-	register(Experiment{ID: "fig06", Title: "Speedup with uniform random victim selection", Run: runFig06})
-	register(Experiment{ID: "fig07", Title: "Failed steals, reference vs random", Run: runFig07})
 	register(Experiment{ID: "fig08", Title: "Skewed victim-selection probability distribution", Run: runFig08})
-	register(Experiment{ID: "fig09", Title: "Speedup with distance-skewed (Tofu) selection", Run: runFig09})
-	register(Experiment{ID: "fig10", Title: "Average work-discovery session duration", Run: runFig10})
-	register(Experiment{ID: "fig11", Title: "Speedup when stealing half the chunks", Run: runFig11})
 	register(Experiment{ID: "fig12", Title: "Starting latencies, reference vs Tofu Half", Run: runFig12})
 	register(Experiment{ID: "fig13", Title: "Ending latencies, reference vs Tofu Half", Run: runFig13})
-	register(Experiment{ID: "fig14", Title: "Average search time per rank", Run: runFig14})
-	register(Experiment{ID: "fig15", Title: "Failed steals, reference vs Tofu Half", Run: runFig15})
 	register(Experiment{ID: "fig16", Title: "Victim-selection improvement vs work granularity", Run: runFig16})
 	register(Experiment{ID: "blame", Title: "Idle-time blame attribution and critical path per policy", Run: runBlame})
 }
@@ -196,102 +188,7 @@ func runFig02(scale *Scale, seed uint64) (*Report, error) {
 	return rep, nil
 }
 
-// ---------------------------------------------------------------------
-// Speedup sweeps (Figures 3, 6, 9, 11 share machinery)
-
-type sweepSpec struct {
-	id, title, paper string
-	// variants maps table column -> (variant, placements). Reference
-	// comparisons re-use earlier variants.
-	entries []sweepEntry
-}
-
-type sweepEntry struct {
-	Variant   Variant
-	Placement topology.Placement
-}
-
-func (e sweepEntry) label() string {
-	return fmt.Sprintf("%s %v", e.Variant.Name, e.Placement)
-}
-
-type sweepData struct {
-	ranks   []int
-	speedup map[string]map[int]float64 // label -> ranks -> speedup
-	fails   map[string]map[int]float64
-	search  map[string]map[int]float64 // milliseconds
-	session map[string]map[int]float64 // milliseconds
-}
-
-func (s *sweepData) at(label string, n int, m map[string]map[int]float64) float64 {
-	if m[label] == nil {
-		return math.NaN()
-	}
-	return m[label][n]
-}
-
-func runSweep(spec sweepSpec, scale *Scale, seed uint64, withTrace bool) (*Report, *sweepData, error) {
-	ranks, tree := scale.sweepRanks, scale.sweepTree
-	var cfgs []core.Config
-	for _, e := range spec.entries {
-		for _, n := range ranks {
-			cfg := e.Variant.Config(n, tree, seed)
-			cfg.Placement = e.Placement
-			cfg.CollectTrace = withTrace
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	res, err := Execute(cfgs)
-	if err != nil {
-		return nil, nil, err
-	}
-	sp := &sweepData{
-		ranks:   ranks,
-		speedup: map[string]map[int]float64{},
-		fails:   map[string]map[int]float64{},
-		search:  map[string]map[int]float64{},
-		session: map[string]map[int]float64{},
-	}
-	ensure := func(m map[string]map[int]float64, k string) map[int]float64 {
-		if m[k] == nil {
-			m[k] = map[int]float64{}
-		}
-		return m[k]
-	}
-	for i, r := range res {
-		l, n := spec.entries[i/len(ranks)].label(), ranks[i%len(ranks)]
-		ensure(sp.speedup, l)[n] = r.Speedup
-		ensure(sp.fails, l)[n] = float64(r.FailedSteals)
-		ensure(sp.search, l)[n] = r.MeanSearchTime.Seconds() * 1e3
-		ensure(sp.session, l)[n] = r.MeanSessionDuration.Seconds() * 1e3
-	}
-
-	rep := &Report{ID: spec.id, Title: spec.title, Paper: spec.paper}
-	rep.Tables = append(rep.Tables, sweepTable("Speedup", spec, sp, sp.speedup, 0))
-	var series []Series
-	for _, e := range spec.entries {
-		s := Series{Name: e.label()}
-		for _, n := range ranks {
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, sp.at(e.label(), n, sp.speedup))
-		}
-		series = append(series, s)
-	}
-	rep.Plots = append(rep.Plots, ASCIIPlot("Speedup vs ranks", series, 48, 12))
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"Rank counts %s the paper's 1024-8192 (scale=%v); workload %s.", ladderScale(ranks, "scaled 1/%d from", "are"), scale, treeName(tree)))
-	return rep, sp, nil
-}
-
-// ladderScale is paper for a sweep ladder at the paper's 1024-8192 ranks,
-// else scaled with its %d set to the scale-down factor 1024/ranks[0].
-func ladderScale(ranks []int, scaled, paper string) string {
-	if ranks[0] == 1024 {
-		return paper
-	}
-	return fmt.Sprintf(scaled, 1024/ranks[0])
-}
-
+// treeName is the preset name of p, else its tree type.
 func treeName(p uts.Params) string {
 	for _, n := range uts.PresetNames() {
 		if uts.MustPreset(n).Params == p {
@@ -299,198 +196,6 @@ func treeName(p uts.Params) string {
 		}
 	}
 	return p.Type.String()
-}
-
-func sweepTable(metric string, spec sweepSpec, sp *sweepData, m map[string]map[int]float64, prec int) *Table {
-	t := &Table{Title: metric, Columns: []string{"ranks"}}
-	for _, e := range spec.entries {
-		t.Columns = append(t.Columns, e.label())
-	}
-	for _, n := range sp.ranks {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, e := range spec.entries {
-			row = append(row, fmtFloat(sp.at(e.label(), n, m), prec))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t
-}
-
-func runFig03(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:    "fig03",
-		title: "Speedup of the reference implementation, large scale",
-		paper: "Figure 3: the reference stops scaling past 2048 ranks; allocations that spread consecutive ranks (8RR) are worst.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{Reference, topology.EightRoundRobin},
-			{Reference, topology.EightGrouped},
-		},
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	top, prev := topRung(sp.ranks), sp.ranks[len(sp.ranks)-2]
-	l := "Reference 1/N"
-	growth := sp.at(l, top, sp.speedup) / sp.at(l, prev, sp.speedup)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "reference speedup saturates: doubling ranks adds <35% speedup at the top of the sweep",
-		Pass:   growth < 1.35,
-		Detail: fmt.Sprintf("speedup(%d)/speedup(%d) = %.2f", top, prev, growth),
-	})
-	return rep, nil
-}
-
-// randomSweep is the sweep of Figs. 6 and 7: the reference against
-// uniform random selection on every allocation.
-var randomSweep = []sweepEntry{
-	{Reference, topology.OnePerNode},
-	{Rand, topology.OnePerNode},
-	{Rand, topology.EightRoundRobin},
-	{Rand, topology.EightGrouped},
-}
-
-func runFig06(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:      "fig06",
-		title:   "Speedup with uniform random victim selection",
-		paper:   "Figure 6: random selection beats the reference when using one rank per node.",
-		entries: randomSweep,
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.speedup)
-	rnd := sp.at("Rand 1/N", top, sp.speedup)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "random 1/N outperforms the reference 1/N at the largest scale",
-		Pass:   rnd > ref,
-		Detail: fmt.Sprintf("Rand %.0f vs Reference %.0f at %d ranks", rnd, ref, top),
-	})
-	return rep, nil
-}
-
-func runFig07(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:      "fig07",
-		title:   "Failed steals, reference vs random selection",
-		paper:   "Figure 7: random selection significantly reduces the number of failed steals.",
-		entries: randomSweep,
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, sweepTable("Failed steals", spec, sp, sp.fails, 0))
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.fails)
-	rnd := sp.at("Rand 1/N", top, sp.fails)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "random selection fails less than the reference at the largest scale",
-		Pass:   rnd < ref,
-		Detail: fmt.Sprintf("Rand %.0f vs Reference %.0f failed steals at %d ranks", rnd, ref, top),
-	})
-	return rep, nil
-}
-
-func runFig09(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:    "fig09",
-		title: "Speedup with distance-skewed (Tofu) victim selection",
-		paper: "Figure 9: every allocation improves over random selection with the same allocation; Tofu 1/N is the best overall.",
-		entries: []sweepEntry{
-			{Rand, topology.OnePerNode},
-			{Tofu, topology.OnePerNode},
-			{Tofu, topology.EightRoundRobin},
-			{Tofu, topology.EightGrouped},
-		},
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	top := topRung(sp.ranks)
-	rnd := sp.at("Rand 1/N", top, sp.speedup)
-	tofu := sp.at("Tofu 1/N", top, sp.speedup)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc: "Tofu 1/N is at least competitive with Rand 1/N at the largest scale (the paper's gains grow with machine span; " +
-			ladderScale(sp.ranks, "at 1/%d scale the latency spread is narrower)", "here at the paper's rank counts on a smaller tree)"),
-		Pass:   tofu > 0.92*rnd,
-		Detail: fmt.Sprintf("Tofu %.0f vs Rand %.0f at %d ranks", tofu, rnd, top),
-	})
-	return rep, nil
-}
-
-func runFig10(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:    "fig10",
-		title: "Average duration of a work-discovery session",
-		paper: "Figure 10: the topology-aware strategy finds work much faster than the reference.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{Rand, topology.OnePerNode},
-			{Tofu, topology.OnePerNode},
-			{Tofu, topology.EightRoundRobin},
-			{Tofu, topology.EightGrouped},
-		},
-	}
-	rep, sp, err := runSweep(spec, scale, seed, true)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, sweepTable("Mean work-discovery session (ms)", spec, sp, sp.session, 3))
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.session)
-	tofu := sp.at("Tofu 1/N", top, sp.session)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "Tofu finds work faster than the reference at the largest scale",
-		Pass:   tofu < ref,
-		Detail: fmt.Sprintf("Tofu %.3fms vs Reference %.3fms at %d ranks", tofu, ref, top),
-	})
-	return rep, nil
-}
-
-func runFig11(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:    "fig11",
-		title: "Speedup of the half-stealing variants",
-		paper: "Figure 11: skewed selection plus stealing half performs ~3x better than the reference and keeps scaling to 8192 ranks.",
-		entries: []sweepEntry{
-			{Reference, topology.OnePerNode},
-			{ReferenceHalf, topology.OnePerNode},
-			{Tofu, topology.OnePerNode},
-			{RandHalf, topology.OnePerNode},
-			{TofuHalf, topology.OnePerNode},
-		},
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.speedup)
-	tofuHalf := sp.at("Tofu Half 1/N", top, sp.speedup)
-	prev := sp.ranks[len(sp.ranks)-2]
-	tofuPrev := sp.at("Tofu Half 1/N", prev, sp.speedup)
-	refPrev := sp.at("Reference 1/N", prev, sp.speedup)
-	rep.Checks = append(rep.Checks,
-		ShapeCheck{
-			Desc:   "Tofu Half clearly outperforms the reference at the largest scale",
-			Pass:   tofuHalf > 1.2*ref,
-			Detail: fmt.Sprintf("Tofu Half %.0f vs Reference %.0f at %d ranks (paper: ~3x at 8192)", tofuHalf, ref, top),
-		},
-		ShapeCheck{
-			Desc: "Tofu Half holds its performance at the top of the sweep while the reference declines",
-			// Tofu Half stays within noise of its plateau (or grows) and
-			// keeps a growing margin over the reference.
-			Pass:   tofuHalf > 0.95*tofuPrev && tofuHalf/ref > tofuPrev/refPrev*0.95,
-			Detail: fmt.Sprintf("Tofu Half %.0f -> %.0f, Reference %.0f -> %.0f", tofuPrev, tofuHalf, refPrev, ref),
-		},
-	)
-	return rep, nil
 }
 
 // ---------------------------------------------------------------------
@@ -770,64 +475,6 @@ func runFig08(scale *Scale, seed uint64) (*Report, error) {
 			Detail: fmt.Sprintf("max/min = %.2f", maxP/minP),
 		},
 	)
-	return rep, nil
-}
-
-// ---------------------------------------------------------------------
-// Figures 14, 15
-
-// tofuHalfSweep is the sweep of Figs. 14 and 15: the reference against
-// Tofu Half on every allocation.
-var tofuHalfSweep = []sweepEntry{
-	{Reference, topology.OnePerNode},
-	{TofuHalf, topology.OnePerNode},
-	{TofuHalf, topology.EightRoundRobin},
-	{TofuHalf, topology.EightGrouped},
-}
-
-func runFig14(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:      "fig14",
-		title:   "Average search time per rank",
-		paper:   "Figure 14: skewed selection with half-stealing greatly diminishes time spent searching for work.",
-		entries: tofuHalfSweep,
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, sweepTable("Mean search time (ms)", spec, sp, sp.search, 3))
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.search)
-	opt := sp.at("Tofu Half 1/N", top, sp.search)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "Tofu Half searches for work far less than the reference at the largest scale",
-		Pass:   opt < ref,
-		Detail: fmt.Sprintf("Tofu Half %.3fms vs Reference %.3fms at %d ranks", opt, ref, top),
-	})
-	return rep, nil
-}
-
-func runFig15(scale *Scale, seed uint64) (*Report, error) {
-	spec := sweepSpec{
-		id:      "fig15",
-		title:   "Failed steals, reference vs Tofu Half",
-		paper:   "Figure 15: failed steals decrease as a result of better work distribution.",
-		entries: tofuHalfSweep,
-	}
-	rep, sp, err := runSweep(spec, scale, seed, false)
-	if err != nil {
-		return nil, err
-	}
-	rep.Tables = append(rep.Tables, sweepTable("Failed steals", spec, sp, sp.fails, 0))
-	top := topRung(sp.ranks)
-	ref := sp.at("Reference 1/N", top, sp.fails)
-	opt := sp.at("Tofu Half 1/N", top, sp.fails)
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "Tofu Half fails fewer steals than the reference at the largest scale",
-		Pass:   opt < ref,
-		Detail: fmt.Sprintf("Tofu Half %.0f vs Reference %.0f at %d ranks", opt, ref, top),
-	})
 	return rep, nil
 }
 

@@ -1,8 +1,9 @@
 package harness
 
 import (
-	"bytes"
-	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -92,9 +93,15 @@ func TestReportRenderAndPassed(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update", false, "rewrite golden files from the current implementation")
+
 // TestQuickExperiments runs every registered experiment at Quick scale
-// and requires every shape check to pass. This is the repository's
-// end-to-end smoke of the full reproduction pipeline.
+// and requires every shape check to pass and the rendered report to
+// equal testdata/quick/<id>.txt byte for byte. This is the repository's
+// end-to-end smoke of the full reproduction pipeline. Regenerate the
+// goldens (only for a deliberate, documented change of a report) with:
+//
+//	go test ./internal/harness -run TestQuickExperiments -update
 func TestQuickExperiments(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick experiments still take ~a minute")
@@ -122,6 +129,23 @@ func TestQuickExperiments(t *testing.T) {
 					t.Errorf("%s: shape check failed: %s (%s)", id, c.Desc, c.Detail)
 				}
 			}
+			path := filepath.Join("testdata", "quick", id+".txt")
+			if *updateGolden {
+				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, []byte(out), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("missing golden file (run with -update to create): %v", err)
+			}
+			if out != string(want) {
+				t.Errorf("%s: report differs from %s\ngot:\n%s", id, path, out)
+			}
 		})
 	}
 }
@@ -142,54 +166,6 @@ func TestExecuteOrdersResults(t *testing.T) {
 	}
 	if res[0].Ranks != 4 || res[1].Ranks != 8 {
 		t.Fatal("results out of order")
-	}
-}
-
-func TestReportJSONExport(t *testing.T) {
-	rep := &Report{
-		ID: "fig99", Title: "demo", Paper: "p",
-		Tables: []*Table{{Title: "t", Columns: []string{"a", "b"}, Rows: [][]string{{"1", "2"}}}},
-		Checks: []ShapeCheck{{Desc: "d", Pass: true, Detail: "x"}},
-		Notes:  []string{"n"},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var back map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("invalid JSON: %v\n%s", err, buf.String())
-	}
-	if back["id"] != "fig99" || back["passed"] != true {
-		t.Fatalf("round trip: %v", back)
-	}
-	tables := back["tables"].([]any)
-	if len(tables) != 1 {
-		t.Fatalf("tables: %v", tables)
-	}
-}
-
-func TestReportCSVExport(t *testing.T) {
-	rep := &Report{
-		ID: "fig98",
-		Tables: []*Table{
-			{Title: "one", Columns: []string{"x", "y"}, Rows: [][]string{{"1", "a,b"}, {"2", `say "hi"`}}},
-			{Title: "two", Columns: []string{"z"}, Rows: [][]string{{"3"}}},
-		},
-	}
-	var buf bytes.Buffer
-	if err := rep.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	if !strings.Contains(out, "# fig98: one") || !strings.Contains(out, "# fig98: two") {
-		t.Fatalf("missing table headers:\n%s", out)
-	}
-	if !strings.Contains(out, `1,"a,b"`) {
-		t.Fatalf("comma cell not quoted:\n%s", out)
-	}
-	if !strings.Contains(out, `"say ""hi"""`) {
-		t.Fatalf("quote cell not escaped:\n%s", out)
 	}
 }
 

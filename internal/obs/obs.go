@@ -61,10 +61,6 @@ func NewRecorder(n, capPerRank int) *Recorder {
 	return &Recorder{logs: make([]eventLog, n), cap: capPerRank}
 }
 
-// Enabled reports whether events are being recorded. It is valid (and
-// false) on a nil receiver.
-func (r *Recorder) Enabled() bool { return r != nil }
-
 // Record appends one event to rank's log, evicting the oldest event
 // once the log holds the cap. peer is a rank or tenant index (or -1)
 // and is stored as int32. A nil receiver is the disabled fast path.

@@ -142,23 +142,3 @@ func (x *Xoshiro256) NormFloat64() float64 {
 		}
 	}
 }
-
-// Jump advances the generator by 2^128 steps, producing a stream that
-// will not overlap the original for 2^128 draws. Used to derive
-// independent per-rank streams from a single seed.
-func (x *Xoshiro256) Jump() {
-	jump := [4]uint64{0x180ec6d33cfd0aba, 0xd5a61266f0c9392c, 0xa9582618e03fc9aa, 0x39abdc4529b1661c}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := uint(0); b < 64; b++ {
-			if j&(1<<b) != 0 {
-				s0 ^= x.s[0]
-				s1 ^= x.s[1]
-				s2 ^= x.s[2]
-				s3 ^= x.s[3]
-			}
-			x.Uint64()
-		}
-	}
-	x.s = [4]uint64{s0, s1, s2, s3}
-}

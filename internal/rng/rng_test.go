@@ -200,21 +200,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestJumpProducesDisjointStreams(t *testing.T) {
-	a := New(31337)
-	b := New(31337)
-	b.Jump()
-	same := 0
-	for i := 0; i < 1000; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Fatalf("jumped stream collided %d times with base stream", same)
-	}
-}
-
 func TestZeroStateGuard(t *testing.T) {
 	// New must never produce the all-zero fixed point.
 	for seed := uint64(0); seed < 100; seed++ {

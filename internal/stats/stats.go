@@ -1,5 +1,6 @@
-// Package stats provides the small descriptive-statistics helpers the
-// experiment harness reports with.
+// Package stats provides small descriptive-statistics helpers: the
+// distance and latency summaries of `uts -topology` and the repository
+// benchmark's quantiles.
 package stats
 
 import (
@@ -7,42 +8,6 @@ import (
 	"math"
 	"sort"
 )
-
-// Mean returns the arithmetic mean of xs, or 0 for an empty slice.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	return Sum(xs) / float64(len(xs))
-}
-
-// Sum returns the sum of xs using Kahan compensation.
-func Sum(xs []float64) float64 {
-	var sum, c float64
-	for _, x := range xs {
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
-	}
-	return sum
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator), or 0
-// when fewer than two values are given.
-func Stddev(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
-}
 
 // Min returns the smallest value, or +Inf for an empty slice.
 func Min(xs []float64) float64 {

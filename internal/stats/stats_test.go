@@ -6,44 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestMeanSum(t *testing.T) {
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil)")
-	}
-	if got := Mean([]float64{1, 2, 3, 4}); got != 2.5 {
-		t.Fatalf("Mean = %v", got)
-	}
-	if got := Sum([]float64{0.1, 0.2, 0.3}); math.Abs(got-0.6) > 1e-15 {
-		t.Fatalf("Sum = %v", got)
-	}
-}
-
-func TestKahanCompensation(t *testing.T) {
-	// 1 + 1e-16 repeated: naive summation loses the small terms.
-	xs := make([]float64, 1_000_001)
-	xs[0] = 1
-	for i := 1; i < len(xs); i++ {
-		xs[i] = 1e-16
-	}
-	got := Sum(xs)
-	want := 1 + 1e-10
-	if math.Abs(got-want) > 1e-13 {
-		t.Fatalf("compensated sum = %.17g, want %.17g", got, want)
-	}
-}
-
-func TestStddev(t *testing.T) {
-	if Stddev([]float64{5}) != 0 {
-		t.Fatal("Stddev of singleton")
-	}
-	got := Stddev([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	// Sample stddev with n-1: variance = 32/7.
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(got-want) > 1e-12 {
-		t.Fatalf("Stddev = %v, want %v", got, want)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	if !math.IsInf(Min(nil), 1) || !math.IsInf(Max(nil), -1) {
 		t.Fatal("empty Min/Max")
