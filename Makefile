@@ -14,7 +14,7 @@ ARTIFACTS ?= artifacts
 # ledger the matrix test compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile matrix-baseline check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile matrix-baseline results-check check clean
 
 build:
 	$(GO) build ./...
@@ -146,6 +146,20 @@ profile:
 matrix-baseline:
 	$(GO) run ./cmd/experiments -matrix -scale quick -matrix-out artifacts/runs/baseline
 	@echo "matrix-baseline: regenerated artifacts/runs/baseline — review the diff and commit"
+
+# results-check reruns every experiment at default scale and seed 12345
+# and diffs the reports against the committed results_default.txt
+# (what EXPERIMENTS.md records), ignoring the per-experiment wall-time
+# lines and the total: line. A refactor of internal/harness that claims
+# the same reports runs it. It takes about 3 minutes on 2 vCPUs, so it
+# is not part of check.
+results-check:
+	@mkdir -p $(SMOKE) && rm -f $(SMOKE)/results_default.txt
+	-$(GO) run ./cmd/experiments -run all -scale default -seed 12345 > $(SMOKE)/results_default.txt
+	@grep -v ' at scale \|^total: ' results_default.txt > $(SMOKE)/results_want.txt
+	@grep -v ' at scale \|^total: ' $(SMOKE)/results_default.txt > $(SMOKE)/results_got.txt
+	diff $(SMOKE)/results_want.txt $(SMOKE)/results_got.txt
+	@echo "results-check: reports equal results_default.txt"
 
 check: build lint vet distwsvet test bench-check race fuzz-smoke
 	@echo "check: all gates passed"

@@ -1,11 +1,5 @@
 package distws
 
-// One benchmark per table and figure of the paper, plus the ablations.
-// Each bench regenerates its experiment's data at Quick scale and fails
-// if a shape check regresses, so `go test -bench=.` doubles as a
-// reproduction smoke of every figure. The Default/Full-scale data in
-// EXPERIMENTS.md comes from cmd/experiments.
-
 import (
 	"fmt"
 	"io"
@@ -23,55 +17,31 @@ import (
 	"distws/internal/victim"
 )
 
-// benchExperiment runs a registered experiment b.N times at Quick scale.
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	e, ok := harness.Lookup(id)
-	if !ok {
-		b.Fatalf("experiment %q not registered", id)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		rep, err := e.Run(harness.Quick, 12345)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, c := range rep.Checks {
-			if !c.Pass {
-				b.Fatalf("%s shape check failed: %s (%s)", id, c.Desc, c.Detail)
+// BenchmarkExperiments has one sub-benchmark per registered experiment
+// (every table and figure of the paper, the ablations and the
+// extensions). Each regenerates its experiment's data at Quick scale
+// and fails if a shape check regresses, so `go test -bench=.` doubles
+// as a reproduction smoke of every figure. The Default/Full-scale data
+// in EXPERIMENTS.md comes from cmd/experiments.
+func BenchmarkExperiments(b *testing.B) {
+	for _, id := range harness.IDs() {
+		e, _ := harness.Lookup(id)
+		b.Run(id, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rep, err := e.Run(harness.Quick, 12345)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for _, c := range rep.Checks {
+					if !c.Pass {
+						b.Fatalf("%s shape check failed: %s (%s)", id, c.Desc, c.Detail)
+					}
+				}
 			}
-		}
+		})
 	}
 }
-
-func BenchmarkTableITreeGen(b *testing.B)            { benchExperiment(b, "table1") }
-func BenchmarkFig02ReferenceEfficiency(b *testing.B) { benchExperiment(b, "fig02") }
-func BenchmarkFig03ReferenceSpeedup(b *testing.B)    { benchExperiment(b, "fig03") }
-func BenchmarkFig04LatencySmall(b *testing.B)        { benchExperiment(b, "fig04") }
-func BenchmarkFig05LatencyLarge(b *testing.B)        { benchExperiment(b, "fig05") }
-func BenchmarkFig06RandomSpeedup(b *testing.B)       { benchExperiment(b, "fig06") }
-func BenchmarkFig07FailedSteals(b *testing.B)        { benchExperiment(b, "fig07") }
-func BenchmarkFig08SkewedPDF(b *testing.B)           { benchExperiment(b, "fig08") }
-func BenchmarkFig09TofuSpeedup(b *testing.B)         { benchExperiment(b, "fig09") }
-func BenchmarkFig10Discovery(b *testing.B)           { benchExperiment(b, "fig10") }
-func BenchmarkFig11HalfSpeedup(b *testing.B)         { benchExperiment(b, "fig11") }
-func BenchmarkFig12StartLatency(b *testing.B)        { benchExperiment(b, "fig12") }
-func BenchmarkFig13EndLatency(b *testing.B)          { benchExperiment(b, "fig13") }
-func BenchmarkFig14SearchTime(b *testing.B)          { benchExperiment(b, "fig14") }
-func BenchmarkFig15FailedStealsHalf(b *testing.B)    { benchExperiment(b, "fig15") }
-func BenchmarkFig16Granularity(b *testing.B)         { benchExperiment(b, "fig16") }
-
-func BenchmarkAblationChunkSize(b *testing.B)    { benchExperiment(b, "ablation-chunk") }
-func BenchmarkAblationPollInterval(b *testing.B) { benchExperiment(b, "ablation-poll") }
-func BenchmarkAblationSelectors(b *testing.B)    { benchExperiment(b, "ablation-selectors") }
-func BenchmarkAblationTermination(b *testing.B)  { benchExperiment(b, "ablation-term") }
-func BenchmarkAblationSkewExponent(b *testing.B) { benchExperiment(b, "ablation-skew") }
-func BenchmarkAblationBackoff(b *testing.B)      { benchExperiment(b, "ablation-backoff") }
-func BenchmarkAblationProtocol(b *testing.B)     { benchExperiment(b, "ablation-protocol") }
-func BenchmarkAblationAborts(b *testing.B)       { benchExperiment(b, "ablation-aborts") }
-func BenchmarkAblationJitter(b *testing.B)       { benchExperiment(b, "ablation-jitter") }
-func BenchmarkExtensionDAG(b *testing.B)         { benchExperiment(b, "ext-dag") }
-func BenchmarkChaos(b *testing.B)                { benchExperiment(b, "chaos") }
 
 // BenchmarkSimulatorThroughput measures raw simulation speed — tree
 // nodes processed per wall second by whole core.Run calls — at three

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"distws/internal/core"
 	"distws/internal/obs"
@@ -94,23 +95,13 @@ func runTable1(scale *Scale, _ uint64) (*Report, error) {
 		},
 		ShapeCheck{
 			Desc:   "all enumerable presets are non-trivial",
-			Pass:   len(measured) > 0 && minU64(measured) > 100,
+			Pass:   len(measured) > 0 && slices.Min(measured) > 100,
 			Detail: fmt.Sprintf("sizes %v", measured),
 		},
 	)
 	rep.Notes = append(rep.Notes,
 		"The paper's T3XXL/T3WL are hours-to-days of compute; scaled presets keep the binomial imbalance (see DESIGN.md §2).")
 	return rep, nil
-}
-
-func minU64(xs []uint64) uint64 {
-	m := ^uint64(0)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // ---------------------------------------------------------------------
@@ -136,52 +127,34 @@ func runFig02(scale *Scale, seed uint64) (*Report, error) {
 		return nil, err
 	}
 
+	// series[i].Y[j] is placement i's efficiency at rung j.
 	t := &Table{Title: "Efficiency (Reference, StealOne)", Columns: []string{"ranks"}}
-	for _, pl := range placements {
-		t.Columns = append(t.Columns, pl.String())
-	}
-	eff := map[topology.Placement]map[int]float64{}
-	for i, pl := range placements {
-		eff[pl] = map[int]float64{}
-		for j, n := range ranks {
-			eff[pl][n] = res[i*len(ranks)+j].Efficiency
-		}
-	}
 	var series []Series
-	for _, pl := range placements {
+	worstSmall := 1.0
+	for i, pl := range placements {
+		t.Columns = append(t.Columns, pl.String())
 		s := Series{Name: pl.String()}
-		for _, n := range ranks {
+		for j, n := range ranks {
 			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, eff[pl][n])
+			s.Y = append(s.Y, res[i*len(ranks)+j].Efficiency)
 		}
+		worstSmall = min(worstSmall, s.Y[0])
 		series = append(series, s)
 	}
-	for _, n := range ranks {
+	for j, n := range ranks {
 		row := []string{fmt.Sprintf("%d", n)}
-		for _, pl := range placements {
-			row = append(row, fmtFloat(eff[pl][n], 3))
+		for _, s := range series {
+			row = append(row, fmtFloat(s.Y[j], 3))
 		}
 		t.Rows = append(t.Rows, row)
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Plots = append(rep.Plots, ASCIIPlot("Efficiency vs ranks", series, 48, 10))
-
-	smallestOK, worstSmall := true, 1.0
-	for _, pl := range placements {
-		if e := eff[pl][ranks[0]]; e < worstSmall {
-			worstSmall = e
-		}
-		if eff[pl][ranks[0]] < 0.85 {
-			smallestOK = false
-		}
-	}
-	rep.Checks = append(rep.Checks,
-		ShapeCheck{
-			Desc:   "efficiency is near-ideal at the smallest scale for every allocation",
-			Pass:   smallestOK,
-			Detail: fmt.Sprintf("min efficiency at %d ranks = %.3f", ranks[0], worstSmall),
-		},
-	)
+	rep.Checks = append(rep.Checks, ShapeCheck{
+		Desc:   "efficiency is near-ideal at the smallest scale for every allocation",
+		Pass:   worstSmall >= 0.85,
+		Detail: fmt.Sprintf("min efficiency at %d ranks = %.3f", ranks[0], worstSmall),
+	})
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"Scaled workload: %s instead of T3XXL's 2.79e9 nodes; the efficiency tail at %d ranks dips below the paper's because the distribution phase is proportionally longer (EXPERIMENTS.md).",
 		treeName(tree), ranks[len(ranks)-1]))
@@ -346,24 +319,16 @@ func latencyComparison(scale *Scale, seed uint64, id, title, paper string, start
 	maxShared := math.Min(refCurve.MaxOccupancy(), optCurve.MaxOccupancy())
 	xs := obs.OccupancySamples(20, maxShared)
 
-	rep := &Report{ID: id, Title: fmt.Sprintf("%s at %d ranks", title, ranks), Paper: paper}
-	t := &Table{Columns: []string{"occupancy", "Reference (%)", "Tofu Half (%)"}}
-	if starting {
-		t.Title = "Starting latency (% of runtime)"
-	} else {
-		t.Title = "Ending latency (% of runtime)"
+	latency, tableTitle, claim := (*obs.OccupancyCurve).StartingLatency, "Starting latency (% of runtime)", "reaches occupancy earlier"
+	if !starting {
+		latency, tableTitle, claim = (*obs.OccupancyCurve).EndingLatency, "Ending latency (% of runtime)", "holds occupancy later"
 	}
+	rep := &Report{ID: id, Title: fmt.Sprintf("%s at %d ranks", title, ranks), Paper: paper}
+	t := &Table{Title: tableTitle, Columns: []string{"occupancy", "Reference (%)", "Tofu Half (%)"}}
 	var refVals, optVals []float64
 	for _, x := range xs {
-		var rv, ov float64
-		var ok1, ok2 bool
-		if starting {
-			rv, ok1 = refCurve.StartingLatency(x)
-			ov, ok2 = optCurve.StartingLatency(x)
-		} else {
-			rv, ok1 = refCurve.EndingLatency(x)
-			ov, ok2 = optCurve.EndingLatency(x)
-		}
+		rv, ok1 := latency(refCurve, x)
+		ov, ok2 := latency(optCurve, x)
 		r, o := "unreached", "unreached"
 		if ok1 {
 			r = fmtFloat(rv*100, 2)
@@ -386,10 +351,6 @@ func latencyComparison(scale *Scale, seed uint64, id, title, paper string, start
 	if len(refVals) > 0 && len(optVals) > 0 {
 		detail = fmt.Sprintf("at %.0f%% occupancy: Tofu Half %.2f%% vs Reference %.2f%%",
 			xs[len(xs)-1]*100, optVals[len(optVals)-1]*100, refVals[len(refVals)-1]*100)
-	}
-	claim := "reaches occupancy earlier"
-	if !starting {
-		claim = "holds occupancy later"
 	}
 	rep.Checks = append(rep.Checks, ShapeCheck{
 		Desc:   fmt.Sprintf("the optimized version %s than the reference", claim),
@@ -420,18 +381,12 @@ func runFig08(scale *Scale, seed uint64) (*Report, error) {
 		Title: fmt.Sprintf("p(0, x) of the skewed selection over a %d-rank 1/N allocation", ranks),
 		Paper: "Figure 8: selection probability decays with rank distance from the thief, spanning roughly a 4x range over 1024 ranks.",
 	}
-	var series Series
-	series.Name = "p(0,x)"
-	var minP, maxP = math.Inf(1), 0.0
+	series := Series{Name: "p(0,x)"}
+	minP, maxP := math.Inf(1), 0.0
 	for x := 1; x < ranks; x++ {
 		series.X = append(series.X, float64(x))
 		series.Y = append(series.Y, pdf[x])
-		if pdf[x] < minP {
-			minP = pdf[x]
-		}
-		if pdf[x] > maxP {
-			maxP = pdf[x]
-		}
+		minP, maxP = min(minP, pdf[x]), max(maxP, pdf[x])
 	}
 	rep.Plots = append(rep.Plots, ASCIIPlot("selection probability vs victim rank", []Series{series}, 64, 12))
 
@@ -485,22 +440,16 @@ func runFig16(scale *Scale, seed uint64) (*Report, error) {
 	ranks, tree, rounds := topRung(scale.sweepRanks), scale.sweepTree, scale.fig16Rounds
 	variants := []Variant{ReferenceHalf, RandHalf, TofuHalf}
 	var cfgs []core.Config
-	var labels []string
 	for _, r := range rounds {
 		for _, v := range variants {
 			cfg := v.Config(ranks, tree, seed)
 			cfg.NodeCost = core.GranularityCost(r)
 			cfgs = append(cfgs, cfg)
-			labels = append(labels, fmt.Sprintf("%s@%d", v.Name, r))
 		}
 	}
 	res, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
-	}
-	makespan := map[string]float64{}
-	for i, r := range res {
-		makespan[labels[i]] = r.Makespan.Seconds()
 	}
 
 	rep := &Report{
@@ -509,31 +458,25 @@ func runFig16(scale *Scale, seed uint64) (*Report, error) {
 		Paper: "Figure 16: as per-node compute grows (more SHA rounds), the advantage of better victim selection shrinks.",
 	}
 	t := &Table{Title: "Runtime improvement (%) over Reference Half", Columns: []string{"SHA rounds", "Rand Half", "Tofu Half"}}
-	var randImp, tofuImp []float64
-	var sRand, sTofu Series
-	sRand.Name, sTofu.Name = "Rand Half", "Tofu Half"
-	for _, r := range rounds {
-		ref := makespan[fmt.Sprintf("Reference Half@%d", r)]
-		ri := (ref - makespan[fmt.Sprintf("Rand Half@%d", r)]) / ref * 100
-		ti := (ref - makespan[fmt.Sprintf("Tofu Half@%d", r)]) / ref * 100
-		randImp = append(randImp, ri)
-		tofuImp = append(tofuImp, ti)
-		sRand.X = append(sRand.X, float64(r))
-		sRand.Y = append(sRand.Y, ri)
-		sTofu.X = append(sTofu.X, float64(r))
-		sTofu.Y = append(sTofu.Y, ti)
+	sRand, sTofu := Series{Name: "Rand Half"}, Series{Name: "Tofu Half"}
+	for i, r := range rounds {
+		at := res[i*len(variants):] // Reference Half, Rand Half, Tofu Half at r rounds
+		ref, rnd, tofu := at[0].Makespan.Seconds(), at[1].Makespan.Seconds(), at[2].Makespan.Seconds()
+		ri, ti := (ref-rnd)/ref*100, (ref-tofu)/ref*100
+		sRand.X, sRand.Y = append(sRand.X, float64(r)), append(sRand.Y, ri)
+		sTofu.X, sTofu.Y = append(sTofu.X, float64(r)), append(sTofu.Y, ti)
 		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", r), fmtFloat(ri, 1), fmtFloat(ti, 1)})
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Plots = append(rep.Plots, ASCIIPlot("improvement (%) vs SHA rounds",
 		[]Series{sRand, sTofu}, 48, 10))
 
-	firstMean := (randImp[0] + tofuImp[0]) / 2
-	lastMean := (randImp[len(randImp)-1] + tofuImp[len(tofuImp)-1]) / 2
+	last := len(rounds) - 1
+	firstMean, lastMean := (sRand.Y[0]+sTofu.Y[0])/2, (sRand.Y[last]+sTofu.Y[last])/2
 	rep.Checks = append(rep.Checks, ShapeCheck{
 		Desc:   "the improvement from better victim selection shrinks as work granularity grows",
 		Pass:   lastMean < firstMean,
-		Detail: fmt.Sprintf("mean improvement %.1f%% at %d round(s) vs %.1f%% at %d rounds", firstMean, rounds[0], lastMean, rounds[len(rounds)-1]),
+		Detail: fmt.Sprintf("mean improvement %.1f%% at %d round(s) vs %.1f%% at %d rounds", firstMean, rounds[0], lastMean, rounds[last]),
 	})
 	rep.Notes = append(rep.Notes,
 		"Granularity scales the virtual per-child cost (GranularityCost); the tree itself is held fixed so ratios compare identical workloads.")
