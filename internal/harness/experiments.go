@@ -16,13 +16,11 @@ import (
 
 func init() {
 	register(Experiment{ID: "table1", Title: "UTS input tree parameters", Run: runTable1})
-	register(Experiment{ID: "fig02", Title: "Efficiency of the reference implementation, 8-128 ranks", Run: runFig02})
 	register(Experiment{ID: "fig04", Title: "Starting/ending latencies, reference, small scale", Run: runFig04})
 	register(Experiment{ID: "fig05", Title: "Starting/ending latencies, reference, large scale", Run: runFig05})
 	register(Experiment{ID: "fig08", Title: "Skewed victim-selection probability distribution", Run: runFig08})
 	register(Experiment{ID: "fig12", Title: "Starting latencies, reference vs Tofu Half", Run: runFig12})
 	register(Experiment{ID: "fig13", Title: "Ending latencies, reference vs Tofu Half", Run: runFig13})
-	register(Experiment{ID: "fig16", Title: "Victim-selection improvement vs work granularity", Run: runFig16})
 	register(Experiment{ID: "blame", Title: "Idle-time blame attribution and critical path per policy", Run: runBlame})
 }
 
@@ -101,63 +99,6 @@ func runTable1(scale *Scale, _ uint64) (*Report, error) {
 	)
 	rep.Notes = append(rep.Notes,
 		"The paper's T3XXL/T3WL are hours-to-days of compute; scaled presets keep the binomial imbalance (see DESIGN.md §2).")
-	return rep, nil
-}
-
-// ---------------------------------------------------------------------
-// Figure 2
-
-func runFig02(scale *Scale, seed uint64) (*Report, error) {
-	rep := &Report{
-		ID:    "fig02",
-		Title: "Efficiency of the reference work stealing, small scale",
-		Paper: "Figure 2: near-perfect efficiency from 8 to 128 ranks for all three process allocations (T3XXL).",
-	}
-	ranks, tree := scale.fig2Ranks, scale.fig2Tree
-	var cfgs []core.Config
-	for _, pl := range placements {
-		for _, n := range ranks {
-			cfg := Reference.Config(n, tree, seed)
-			cfg.Placement = pl
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	res, err := Execute(cfgs)
-	if err != nil {
-		return nil, err
-	}
-
-	// series[i].Y[j] is placement i's efficiency at rung j.
-	t := &Table{Title: "Efficiency (Reference, StealOne)", Columns: []string{"ranks"}}
-	var series []Series
-	worstSmall := 1.0
-	for i, pl := range placements {
-		t.Columns = append(t.Columns, pl.String())
-		s := Series{Name: pl.String()}
-		for j, n := range ranks {
-			s.X = append(s.X, float64(n))
-			s.Y = append(s.Y, res[i*len(ranks)+j].Efficiency)
-		}
-		worstSmall = min(worstSmall, s.Y[0])
-		series = append(series, s)
-	}
-	for j, n := range ranks {
-		row := []string{fmt.Sprintf("%d", n)}
-		for _, s := range series {
-			row = append(row, fmtFloat(s.Y[j], 3))
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	rep.Tables = append(rep.Tables, t)
-	rep.Plots = append(rep.Plots, ASCIIPlot("Efficiency vs ranks", series, 48, 10))
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "efficiency is near-ideal at the smallest scale for every allocation",
-		Pass:   worstSmall >= 0.85,
-		Detail: fmt.Sprintf("min efficiency at %d ranks = %.3f", ranks[0], worstSmall),
-	})
-	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"Scaled workload: %s instead of T3XXL's 2.79e9 nodes; the efficiency tail at %d ranks dips below the paper's because the distribution phase is proportionally longer (EXPERIMENTS.md).",
-		treeName(tree), ranks[len(ranks)-1]))
 	return rep, nil
 }
 
@@ -430,56 +371,6 @@ func runFig08(scale *Scale, seed uint64) (*Report, error) {
 			Detail: fmt.Sprintf("max/min = %.2f", maxP/minP),
 		},
 	)
-	return rep, nil
-}
-
-// ---------------------------------------------------------------------
-// Figure 16
-
-func runFig16(scale *Scale, seed uint64) (*Report, error) {
-	ranks, tree, rounds := topRung(scale.sweepRanks), scale.sweepTree, scale.fig16Rounds
-	variants := []Variant{ReferenceHalf, RandHalf, TofuHalf}
-	var cfgs []core.Config
-	for _, r := range rounds {
-		for _, v := range variants {
-			cfg := v.Config(ranks, tree, seed)
-			cfg.NodeCost = core.GranularityCost(r)
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	res, err := Execute(cfgs)
-	if err != nil {
-		return nil, err
-	}
-
-	rep := &Report{
-		ID:    "fig16",
-		Title: fmt.Sprintf("Runtime improvement over Reference Half vs work granularity (%d ranks, 1/N)", ranks),
-		Paper: "Figure 16: as per-node compute grows (more SHA rounds), the advantage of better victim selection shrinks.",
-	}
-	t := &Table{Title: "Runtime improvement (%) over Reference Half", Columns: []string{"SHA rounds", "Rand Half", "Tofu Half"}}
-	sRand, sTofu := Series{Name: "Rand Half"}, Series{Name: "Tofu Half"}
-	for i, r := range rounds {
-		at := res[i*len(variants):] // Reference Half, Rand Half, Tofu Half at r rounds
-		ref, rnd, tofu := at[0].Makespan.Seconds(), at[1].Makespan.Seconds(), at[2].Makespan.Seconds()
-		ri, ti := (ref-rnd)/ref*100, (ref-tofu)/ref*100
-		sRand.X, sRand.Y = append(sRand.X, float64(r)), append(sRand.Y, ri)
-		sTofu.X, sTofu.Y = append(sTofu.X, float64(r)), append(sTofu.Y, ti)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", r), fmtFloat(ri, 1), fmtFloat(ti, 1)})
-	}
-	rep.Tables = append(rep.Tables, t)
-	rep.Plots = append(rep.Plots, ASCIIPlot("improvement (%) vs SHA rounds",
-		[]Series{sRand, sTofu}, 48, 10))
-
-	last := len(rounds) - 1
-	firstMean, lastMean := (sRand.Y[0]+sTofu.Y[0])/2, (sRand.Y[last]+sTofu.Y[last])/2
-	rep.Checks = append(rep.Checks, ShapeCheck{
-		Desc:   "the improvement from better victim selection shrinks as work granularity grows",
-		Pass:   lastMean < firstMean,
-		Detail: fmt.Sprintf("mean improvement %.1f%% at %d round(s) vs %.1f%% at %d rounds", firstMean, rounds[0], lastMean, rounds[last]),
-	})
-	rep.Notes = append(rep.Notes,
-		"Granularity scales the virtual per-child cost (GranularityCost); the tree itself is held fixed so ratios compare identical workloads.")
 	return rep, nil
 }
 

@@ -11,21 +11,22 @@ import (
 // premature termination among the cells fails a check that passes
 // without it.
 func TestTraversalChecksReadEveryCell(t *testing.T) {
-	rows := map[string]*ablation{}
+	grids := map[string]*grid{}
 	for i := range ablations {
-		rows[ablations[i].id] = &ablations[i]
+		grids[ablations[i].id] = &ablations[i]
 	}
 	for _, id := range []string{"ablation-term", "ablation-backoff", "ablation-protocol", "ablation-aborts"} {
-		a := rows[id]
-		results := func(premature bool) []*core.Result {
-			res := make([]*core.Result, len(a.cells))
+		g := grids[id]
+		n := len(g.rows(Default))
+		results := func(premature bool) runs {
+			res := make(runs, n)
 			for i := range res {
-				res[i] = &core.Result{Nodes: 1000, Speedup: 10, AbortedSteals: 1}
+				res[i] = []*core.Result{{Nodes: 1000, Speedup: 10, AbortedSteals: 1}}
 			}
-			res[len(res)-1].Premature = premature
+			res[n-1][0].Premature = premature
 			return res
 		}
-		clean, premature := a.checks(results(false), Default), a.checks(results(true), Default)
+		clean, premature := g.checks(results(false), Default), g.checks(results(true), Default)
 		failed := 0
 		for i, c := range clean {
 			if !c.Pass {
@@ -36,7 +37,7 @@ func TestTraversalChecksReadEveryCell(t *testing.T) {
 			}
 		}
 		if failed == 0 {
-			t.Errorf("%s: every check passes although cell %d terminated prematurely", id, len(a.cells)-1)
+			t.Errorf("%s: every check passes although cell %d terminated prematurely", id, n-1)
 		}
 	}
 }

@@ -84,13 +84,6 @@ func Execute(cfgs []core.Config) ([]*core.Result, error) {
 	return out, nil
 }
 
-// placements are the paper's three allocations in presentation order.
-var placements = []topology.Placement{
-	topology.OnePerNode,
-	topology.EightRoundRobin,
-	topology.EightGrouped,
-}
-
 // fmtFloat renders a float compactly for tables.
 func fmtFloat(v float64, prec int) string {
 	return fmt.Sprintf("%.*f", prec, v)
