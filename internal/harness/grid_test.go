@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"distws/internal/core"
@@ -38,6 +41,33 @@ func TestTraversalChecksReadEveryCell(t *testing.T) {
 		}
 		if failed == 0 {
 			t.Errorf("%s: every check passes although cell %d terminated prematurely", id, n-1)
+		}
+	}
+}
+
+// TestGridCellsDiffer holds every grid to cells that each change the
+// run: at quick scale no two runs of a grid return equal Results. A
+// knob value that changes nothing, such as a steal timeout above every
+// round trip, prints its neighbour's row again and shows nothing.
+func TestGridCellsDiffer(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every grid at quick scale")
+	}
+	for _, g := range slices.Concat(figures, ablations) {
+		rows, cols, cfgs := g.layout(Quick, 12345)
+		res, err := Execute(cfgs)
+		if err != nil {
+			t.Fatalf("%s: %v", g.id, err)
+		}
+		name := func(i int) string {
+			return strings.TrimSpace(rows[i/len(cols)].label + " " + cols[i%len(cols)].label)
+		}
+		for i := range res {
+			for j := range i {
+				if reflect.DeepEqual(res[i], res[j]) {
+					t.Errorf("%s: cells %q and %q return the same Result", g.id, name(j), name(i))
+				}
+			}
 		}
 	}
 }
