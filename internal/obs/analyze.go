@@ -226,7 +226,10 @@ func StealLatency(tr *trace.Trace) StealLatencyStats {
 	return st
 }
 
-// quantileDur returns the q-quantile of sorted durations (nearest-rank).
+// quantileDur returns the q-quantile of sorted durations as the element
+// at index ⌊q·(n−1)⌋: the lower neighbour of the linearly interpolated
+// quantile, not nearest-rank (at n = 10 its p95 is the 9th value, where
+// nearest-rank's ⌈q·n⌉ is the 10th).
 func quantileDur(sorted []sim.Duration, q float64) sim.Duration {
 	if len(sorted) == 0 {
 		return 0
