@@ -43,17 +43,17 @@ var ablations = []grid{
 		columns: []cell{{label: "speedup"}},
 		tables:  []table{{"Chunk size vs performance", []column{speedupCol, efficiencyCol, failedCol, chunksCol}}},
 		plot:    &plot{"speedup vs chunk size", 10, speedup},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
+		checks: func(res runs, _ *Scale) []ShapeCheck {
 			best, bestChunk := 0.0, 0
-			for i, r := range res {
-				if r.Speedup > best {
-					best, bestChunk = r.Speedup, chunkSizes[i]
+			for i, row := range res {
+				if row[0].Speedup > best {
+					best, bestChunk = row[0].Speedup, chunkSizes[i]
 				}
 			}
-			sp4, sp20 := res[2].Speedup, res[4].Speedup
+			sp4, sp20 := res[2][0].Speedup, res[4][0].Speedup
 			return []ShapeCheck{{"at scaled-down tree sizes, the experiment chunk (4) outperforms the paper's chunk of 20",
 				sp4 > sp20, fmt.Sprintf("chunk4 %.1f vs chunk20 %.1f; best %.1f at chunk=%d", sp4, sp20, best, bestChunk)}}
-		}),
+		},
 	},
 	{
 		// Why the engine polls every node expansion: coarser progress
@@ -66,11 +66,11 @@ var ablations = []grid{
 		axis:      "poll (cost units)",
 		rows:      fixed(knob(TofuHalf, func(c *core.Config, n int) { c.PollInterval = n }, pollIntervals...)...),
 		tables:    []table{{"Poll interval vs performance", []column{speedupCol, column{"mean search time (ms)", searchCol.cell}}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
-			first, last := res[0].Speedup, res[len(res)-1].Speedup
+		checks: func(res runs, _ *Scale) []ShapeCheck {
+			first, last := res[0][0].Speedup, res.top(0).Speedup
 			return []ShapeCheck{{"a coarser progress engine degrades performance", last < first,
 				fmt.Sprintf("speedup %.1f at poll=1 vs %.1f at poll=%d", first, last, pollIntervals[len(pollIntervals)-1])}}
-		}),
+		},
 	},
 	{
 		// The paper's three strategies and the extension baselines.
@@ -85,8 +85,8 @@ var ablations = []grid{
 			selector("Hierarchical", victim.NewHierarchical), selector("Lifeline", victim.NewLifeline),
 		),
 		tables: []table{{"Selector vs performance", []column{speedupCol, failedCol, searchCol}}},
-		checks: perRow(func(res []*core.Result, scale *Scale) []ShapeCheck {
-			rr, rnd, tofu := res[0].Speedup, res[1].Speedup, res[2].Speedup
+		checks: func(res runs, scale *Scale) []ShapeCheck {
+			rr, rnd, tofu := res[0][0].Speedup, res[1][0].Speedup, res[2][0].Speedup
 			c := ShapeCheck{"every randomized selector beats the deterministic round robin", rnd > rr && tofu > rr,
 				fmt.Sprintf("RR %.1f, Rand %.1f, Tofu %.1f", rr, rnd, tofu)}
 			if scale.toy {
@@ -96,7 +96,7 @@ var ablations = []grid{
 				c.Pass = rnd > 0.5*rr && tofu > 0.5*rr
 			}
 			return []ShapeCheck{c}
-		}),
+		},
 	},
 	{
 		id:        "ablation-term",
@@ -109,10 +109,10 @@ var ablations = []grid{
 			cell{"Ring", RandHalf, func(c *core.Config) { c.Detector = term.NewRing }},
 		),
 		tables: []table{{"Detector comparison", []column{makespanCol, roundsCol, column{"nodes counted", nodesCol.cell}, prematureCol}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
+		checks: func(res runs, _ *Scale) []ShapeCheck {
 			return []ShapeCheck{sameTraversal(res, "both detectors complete the traversal with identical node counts",
-				fmt.Sprintf("Safra %d vs Ring %d nodes", res[0].Nodes, res[1].Nodes))}
-		}),
+				fmt.Sprintf("Safra %d vs Ring %d nodes", res[0][0].Nodes, res[1][0].Nodes))}
+		},
 	},
 	{
 		// The weight exponent k in w = 1/d^k: k = 0 is uniform random,
@@ -126,14 +126,14 @@ var ablations = []grid{
 			c.Selector = func(job *topology.Job, seed uint64) victim.Selector { return victim.NewDistanceSkewedExp(job, seed, k) }
 		}, 0, 0.5, 1, 2, 4)...),
 		tables: []table{{"Skew exponent vs performance", []column{speedupCol, searchCol}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
-			lo, hi := res[0].Speedup, res[0].Speedup
-			for _, r := range res {
-				lo, hi = min(lo, r.Speedup), max(hi, r.Speedup)
+		checks: func(res runs, _ *Scale) []ShapeCheck {
+			lo, hi := res[0][0].Speedup, res[0][0].Speedup
+			for _, row := range res {
+				lo, hi = min(lo, row[0].Speedup), max(hi, row[0].Speedup)
 			}
 			return []ShapeCheck{{"performance is robust to the skew exponent (no pathological collapse)", lo > 0.5*hi,
 				fmt.Sprintf("speedups in [%.1f, %.1f]", lo, hi)}}
-		}),
+		},
 	},
 	{
 		// What the core's retry backoff changes against the immediate
@@ -148,14 +148,14 @@ var ablations = []grid{
 			cell{"default", RandHalf, func(c *core.Config) { c.ImmediateRetry = false }},
 		),
 		tables: []table{{"Backoff policy comparison", []column{speedupCol, failedCol, nodesCol}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
-			imm, back := res[0], res[1]
+		checks: func(res runs, _ *Scale) []ShapeCheck {
+			imm, back := res[0][0], res[1][0]
 			return []ShapeCheck{
 				sameTraversal(res, "backoff does not change what is computed", fmt.Sprintf("%d vs %d nodes", imm.Nodes, back.Nodes)),
 				{"backoff changes performance by a bounded factor", back.Speedup > 0.5*imm.Speedup && back.Speedup < 2*imm.Speedup,
 					fmt.Sprintf("disabled %.1f vs default %.1f", imm.Speedup, back.Speedup)},
 			}
-		}),
+		},
 	},
 	{
 		// The paper's two-sided steal transport against an RDMA-style
@@ -171,15 +171,15 @@ var ablations = []grid{
 			cell{"Tofu Half / two-sided", TofuHalf, nil}, cell{"Tofu Half / one-sided", TofuHalf, oneSided},
 		),
 		tables: []table{{"Transport comparison", []column{speedupCol, searchCol, failedCol}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
-			ref2, ref1, tofu2, tofu1 := res[0].Speedup, res[1].Speedup, res[2].Speedup, res[3].Speedup
+		checks: func(res runs, _ *Scale) []ShapeCheck {
+			ref2, ref1, tofu2, tofu1 := res[0][0].Speedup, res[1][0].Speedup, res[2][0].Speedup, res[3][0].Speedup
 			return []ShapeCheck{
 				sameTraversal(res, "both transports compute the same traversal", ""),
 				{"removing the victim-interruption cost (one-sided) never hurts performance materially",
 					ref1 >= ref2*0.8 && tofu1 >= tofu2*0.8,
 					fmt.Sprintf("reference %.1f -> %.1f, Tofu Half %.1f -> %.1f", ref2, ref1, tofu2, tofu1)},
 			}
-		}),
+		},
 	},
 	{
 		// Dinan et al.'s aborting steals at several timeout values. A
@@ -197,13 +197,13 @@ var ablations = []grid{
 			func(c *core.Config, d sim.Duration) { c.StealTimeout = d },
 			18*sim.Microsecond, 14*sim.Microsecond, 10*sim.Microsecond)...)...),
 		tables: []table{{"Abort timeout vs behaviour", []column{speedupCol, abortedCol, nodesCol}}},
-		checks: perRow(func(res []*core.Result, _ *Scale) []ShapeCheck {
-			tightest := res[len(res)-1].AbortedSteals
+		checks: func(res runs, _ *Scale) []ShapeCheck {
+			tightest := res.top(0).AbortedSteals
 			return []ShapeCheck{
 				sameTraversal(res, "aborting steals never lose work", ""),
 				{"aggressive timeouts actually abort", tightest > 0, fmt.Sprintf("%d aborts at the tightest timeout", tightest)},
 			}
-		}),
+		},
 	},
 	{
 		// The reference-vs-random comparison under multiplicative latency
@@ -250,12 +250,15 @@ func jitter(c *core.Config, frac float64) {
 	}
 }
 
-// sameTraversal checks that every run counted the same nodes and none
-// terminated prematurely; an empty detail lists the node counts.
-func sameTraversal(res []*core.Result, desc, detail string) ShapeCheck {
-	pass, nodes := true, make([]uint64, len(res))
-	for i, r := range res {
-		pass, nodes[i] = pass && r.Nodes == res[0].Nodes && !r.Premature, r.Nodes
+// sameTraversal checks that every run of the grid counted the same
+// nodes and none terminated prematurely; an empty detail lists the node
+// counts.
+func sameTraversal(res runs, desc, detail string) ShapeCheck {
+	pass, nodes := true, []uint64{}
+	for _, row := range res {
+		for _, r := range row {
+			pass, nodes = pass && r.Nodes == res[0][0].Nodes && !r.Premature, append(nodes, r.Nodes)
+		}
 	}
 	return ShapeCheck{desc, pass, cmp.Or(detail, fmt.Sprintf("node counts %v", nodes))}
 }

@@ -87,17 +87,6 @@ type runs [][]*core.Result
 func (g runs) top(c int) *core.Result  { return g[len(g)-1][c] }
 func (g runs) prev(c int) *core.Result { return g[len(g)-2][c] }
 
-// perRow is checks over a one-column grid's runs, one per row.
-func perRow(checks func([]*core.Result, *Scale) []ShapeCheck) func(runs, *Scale) []ShapeCheck {
-	return func(g runs, s *Scale) []ShapeCheck {
-		res := make([]*core.Result, len(g))
-		for i, row := range g {
-			res[i] = row[0]
-		}
-		return checks(res, s)
-	}
-}
-
 // grid is one experiment. The run at a row and a column is the
 // column's variant, or the row's when the column names none, with the
 // row's set and then the column's applied. A grid without columns has
