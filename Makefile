@@ -56,8 +56,8 @@ bench-check:
 # Every place that runs real goroutines gets a race-detector pass:
 # obs.Registry, which the shard engines of a sharded run write
 # concurrently; harness.Execute, whose concurrent core.Run calls
-# share sim's store pool and victim's alias-table cache (the cache's
-# own tests run under -race too); and the sharded kernel and engine tests
+# share sim's store pool, victim's alias-table cache (the cache's
+# own tests run under -race too) and, in ext-dag, one task graph; and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
 # meets host concurrency, with core's run-store list, which
 # TestRunStoreReuse hits from three concurrent core.Run sequences.

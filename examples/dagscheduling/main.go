@@ -46,16 +46,17 @@ func main() {
 		{"Rand", victim.NewUniformRandom},
 		{"Tofu (distance-skewed)", victim.NewDistanceSkewed},
 	} {
-		res, gs, err := core.RunGraph(core.Config{
-			Ranks: *ranks, Selector: s.f,
+		res, err := core.Run(core.Config{
+			Graph: g, Ranks: *ranks, Selector: s.f,
 			ChunkSize: 1, Steal: core.StealHalf, Seed: 1,
-		}, g)
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		// A steal moves whole chunks, here of one task each.
 		fmt.Fprintf(w, "%s\t%v\t%.1f\t%.2f GiB\t%v\t%d\n",
 			s.name, res.Makespan, res.Speedup,
-			float64(gs.BytesFetched)/(1<<30), gs.FetchTime, gs.TasksStolen)
+			float64(res.Graph.BytesFetched)/(1<<30), res.Graph.FetchTime, res.ChunksTransferred)
 	}
 	if err := w.Flush(); err != nil {
 		log.Fatal(err)

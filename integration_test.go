@@ -110,7 +110,7 @@ func TestPipelineEventAnalysisRoundTrip(t *testing.T) {
 	}
 
 	var chrome bytes.Buffer
-	if err := obs.WriteChromeTrace(&chrome, back); err != nil {
+	if err := obs.WriteChromeTraceOpts(&chrome, back, obs.ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var page struct {
@@ -230,9 +230,9 @@ func TestVictimSelectorsAcrossSubstrates(t *testing.T) {
 		if err != nil {
 			t.Fatalf("uts/%s: %v", name, err)
 		}
-		dagRes, _, err := core.RunGraph(core.Config{
-			Ranks: 8, ChunkSize: 1, Steal: core.StealHalf, Selector: factory, Seed: 3,
-		}, g)
+		dagRes, err := core.Run(core.Config{
+			Graph: g, Ranks: 8, ChunkSize: 1, Steal: core.StealHalf, Selector: factory, Seed: 3,
+		})
 		if err != nil {
 			t.Fatalf("dag/%s: %v", name, err)
 		}

@@ -19,6 +19,7 @@ import (
 	"fmt"
 
 	"distws/internal/comm"
+	"distws/internal/dag"
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/serve"
@@ -222,6 +223,13 @@ type Config struct {
 	// (serve.Stats.Lost).
 	Serve *serve.Spec
 
+	// Graph, when non-nil, schedules that task graph (the §VII study,
+	// DESIGN.md §5) instead of Tree. NodeCost and PollInterval are
+	// ignored: a quantum is one task, its cost plus its fetch stall.
+	// ChunkSize counts tasks, a fault plan composes, Serve and
+	// Shards > 1 are refused, and runs may share the graph (only read).
+	Graph *dag.Graph
+
 	// Seed drives every random choice of the run.
 	Seed uint64
 
@@ -248,9 +256,9 @@ type Config struct {
 	// deterministic Config.
 	Metrics *obs.Registry
 
-	// MaxVirtualTime aborts the run if the virtual clock passes it;
-	// 0 means DefaultMaxVirtualTime.
-	MaxVirtualTime sim.Time
+	// maxVirtualTime (package-internal, for tests) aborts the run if the
+	// virtual clock passes it; 0 means DefaultMaxVirtualTime.
+	maxVirtualTime sim.Time
 
 	// testDeliveryProbe, when set (package-internal, for tests), is
 	// installed as the delivery hook in place of engine.deliver, which
@@ -297,8 +305,8 @@ func (c Config) withDefaults() Config {
 	if c.Detector == nil {
 		c.Detector = term.NewSafra
 	}
-	if c.MaxVirtualTime == 0 {
-		c.MaxVirtualTime = DefaultMaxVirtualTime
+	if c.maxVirtualTime == 0 {
+		c.maxVirtualTime = DefaultMaxVirtualTime
 	}
 	if c.StealTimeout == 0 && c.Faults != nil && c.Faults.Lossy() {
 		c.StealTimeout = DefaultFaultStealTimeout
@@ -306,29 +314,25 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// exclusions lists the feature pairs that do not compose, for a run of
-// a task graph (graph, RunGraph) or of the config's own workload.
-// Config.validate reports the first one a run asks for, so no run
+// exclusions lists the feature pairs that do not compose.
+// Config.Validate reports the first one a run asks for, so no run
 // allocates anything before learning it cannot proceed.
 var exclusions = []struct {
-	holds func(c *Config, graph bool) bool
+	holds func(c *Config) bool
 	err   error
 }{
-	{func(c *Config, _ bool) bool { return c.Shards > c.Ranks },
+	{func(c *Config) bool { return c.Shards > c.Ranks },
 		errors.New("core: more shards than ranks (shards must not exceed ranks)")},
-	{func(c *Config, graph bool) bool {
+	{func(c *Config) bool {
 		_, jitter := c.Latency.(*topology.JitterLatency)
-		return c.Shards > 1 && (graph || c.Serve != nil || (c.Faults != nil && !c.Faults.Empty()) || jitter)
+		return c.Shards > 1 && (c.Graph != nil || c.Serve != nil || (c.Faults != nil && !c.Faults.Empty()) || jitter)
 	}, errors.New("core: a task graph, serving, a fault plan or JitterLatency cannot be sharded (sharding runs a closed, fault-free tree)")},
-	{func(c *Config, graph bool) bool { return graph && c.Serve != nil },
+	{func(c *Config) bool { return c.Graph != nil && c.Serve != nil },
 		errors.New("core: a graph run is incompatible with serving mode (job accounting counts tree nodes)")},
 }
 
 // Validate reports configuration errors of a Run.
-func (c Config) Validate() error { return c.validate(false) }
-
-// validate is Validate for a run of a task graph (graph) or of cfg's.
-func (c Config) validate(graph bool) error {
+func (c Config) Validate() error {
 	if err := c.Tree.Validate(); err != nil {
 		return err
 	}
@@ -362,16 +366,24 @@ func (c Config) validate(graph bool) error {
 		if err := c.Serve.Validate(); err != nil {
 			return err
 		}
-		mvt := c.MaxVirtualTime
+		mvt := c.maxVirtualTime
 		if mvt == 0 {
 			mvt = DefaultMaxVirtualTime
 		}
 		if sim.Time(0).Add(c.Serve.Horizon) >= mvt {
-			return fmt.Errorf("core: serving horizon %v reaches MaxVirtualTime %v", c.Serve.Horizon, mvt)
+			return fmt.Errorf("core: serving horizon %v reaches the virtual time limit %v", c.Serve.Horizon, mvt)
+		}
+	}
+	if g := c.Graph; g != nil {
+		if g.Len() == 0 {
+			return errors.New("core: empty graph")
+		}
+		if err := g.Validate(); err != nil {
+			return fmt.Errorf("core: %w", err)
 		}
 	}
 	for _, x := range exclusions {
-		if x.holds(&c, graph) {
+		if x.holds(&c) {
 			return x.err
 		}
 	}

@@ -7,7 +7,6 @@ import (
 	"unsafe"
 
 	"distws/internal/comm"
-	"distws/internal/dag"
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/obs/parprof"
@@ -69,6 +68,7 @@ type rank struct {
 	successes, aborted uint64
 	idleSince          sim.Time // start of the current work-discovery session
 	sessions           uint64
+	sessionTime        sim.Duration // summed length of the closed sessions
 	// stealTimer is the armed steal timeout, if any: sendSteal cancels
 	// the superseded request's timer before arming the next, so the one
 	// that fires always belongs to the current request.
@@ -76,7 +76,7 @@ type rank struct {
 	// w is the rank's work state, nil until it first holds a node
 	// (engine.work); a victim without one has nothing to give.
 	w *worker
-	_ [16]byte
+	_ [8]byte
 }
 
 // worker is the state of a rank that holds, or has held, work. Ranks
@@ -297,7 +297,8 @@ type Result struct {
 	// rank spent waiting for steal answers ("search time").
 	MeanSearchTime sim.Duration
 	// MeanSessionDuration is the average work-discovery session length
-	// (Figure 10); zero if tracing was disabled or no sessions exist.
+	// (Figure 10), a session open at the end counted up to Makespan;
+	// zero if no rank ever went idle.
 	MeanSessionDuration sim.Duration
 	Sessions            uint64
 
@@ -363,6 +364,9 @@ type Result struct {
 	// sojourn percentiles, goodput and the Jain fairness index.
 	Serve *serve.Stats
 
+	// Graph is the task-graph summary, when Config.Graph was set.
+	Graph *GraphStats
+
 	// Par is the parallel-kernel window ledger of a sharded run with
 	// Config.ParProfile set (nil otherwise). The ledger is excluded from
 	// every determinism artifact the engine emits — the golden registry
@@ -388,53 +392,36 @@ type RankFault struct {
 
 // Run executes the configured simulation to termination and returns its
 // results. The run is deterministic: identical configurations produce
-// identical results.
+// identical results. It checks cfg before building anything.
 func Run(cfg Config) (*Result, error) {
-	res, _, err := run(cfg, nil)
-	return res, err
-}
-
-// run is Run and RunGraph. It checks cfg against its workload — g's task
-// graph when g is not nil, cfg.Serve's jobs or cfg.Tree otherwise —
-// before building anything, runs it, and hands the workload back with
-// the result.
-func run(cfg Config, g *dag.Graph) (*Result, workload, error) {
-	if err := cfg.validate(g != nil); err != nil {
-		return nil, nil, err
+	if err := cfg.Validate(); err != nil {
+		return nil, err
 	}
 	cfg = cfg.withDefaults()
 	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var w workload = treeWork{}
-	switch {
-	case g != nil:
-		w, err = newGraphWork(g)
-	case cfg.Serve != nil:
-		w, err = compileServe(&cfg)
-	}
+	w, err := newWorkload(&cfg)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	st := getRunStore()
 	defer putRunStore(st)
 	if cfg.Shards > 1 {
-		res, err := runSharded(cfg, job, w, st)
-		return res, w, err
+		return runSharded(cfg, job, w, st)
 	}
 	k := sim.NewKernel()
 	defer k.Release()
 	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, st)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := k.Run(); err != nil {
-		return nil, nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
+		return nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
 			k.Now(), k.Dispatched(), err)
 	}
-	res, err := result(engines)
-	return res, w, err
+	return result(engines)
 }
 
 // newEngines is the one constructor: it builds the engine of a
@@ -479,7 +466,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	sel := cfg.Selector(job, cfg.Seed)
 	engines := make([]*engine, len(kernels))
 	for s, k := range kernels {
-		k.SetTimeLimit(cfg.MaxVirtualTime)
+		k.SetTimeLimit(cfg.maxVirtualTime)
 		e := &engine{
 			cfg:    cfg,
 			kernel: k,
@@ -770,7 +757,7 @@ func (e *engine) crashRank(r int) {
 	if wasWorking {
 		e.rec.Record(r, now, trace.Idle)
 	} else {
-		e.rec.EndSession(r, now, false)
+		e.endSession(r, now, false)
 	}
 	// Messages delivered but not yet polled die unread.
 	for _, m := range e.net.Poll(r) {
@@ -1049,13 +1036,22 @@ func (e *engine) handle(r int, m *comm.Message) {
 // served job's root: its discovery session ends. A pending steal reply
 // becomes stale: NoWork fails the reqID check and loot is banked.
 func (e *engine) resume(r int) {
-	rk := &e.ranks[r]
 	now := e.kernel.Now()
-	rk.pendingVictim = -1
-	e.rec.EndSession(r, now, true)
-	e.met.session.Observe(int64(now.Sub(rk.idleSince)))
+	e.ranks[r].pendingVictim = -1
+	e.endSession(r, now, true)
 	e.rec.Record(r, now, trace.Active)
 	e.startQuantum(r)
+}
+
+// endSession closes idle rank r's work-discovery session at instant at,
+// ended with work (success) or without.
+func (e *engine) endSession(r int, at sim.Time, success bool) {
+	d := at.Sub(e.ranks[r].idleSince)
+	e.ranks[r].sessionTime += d
+	if success {
+		e.met.session.Observe(int64(d))
+	}
+	e.rec.EndSession(r, at, success)
 }
 
 // injectNode roots a served job at rank r: a working rank banks it, an
@@ -1238,7 +1234,7 @@ func (e *engine) finishRank(r int, at sim.Time) {
 	}
 	e.ev.Record(r, at, trace.EvTerminate, -1, 0)
 	if rk.state != rsWorking {
-		e.rec.EndSession(r, at, false)
+		e.endSession(r, at, false)
 	}
 	if w := rk.w; w != nil {
 		e.owner(r).kernel.Cancel(w.quantum) // no-op when no quantum is pending
@@ -1296,7 +1292,7 @@ func result(engines []*engine) (*Result, error) {
 		Makespan:  sim.Duration(e.detectedAt),
 		Comm:      cs,
 	}
-	var totalSearch sim.Duration
+	var totalSearch, totalSession sim.Duration
 	var remaining int
 	var totalUnits uint64
 	res.MinRankNodes = ^uint64(0)
@@ -1307,6 +1303,10 @@ func result(engines []*engine) (*Result, error) {
 		res.SuccessfulSteals += rk.successes
 		res.AbortedSteals += rk.aborted
 		res.Sessions += rk.sessions
+		totalSession += rk.sessionTime
+		if rk.state == rsSearching || rk.state == rsBackoff {
+			totalSession += e.detectedAt.Sub(rk.idleSince) // still open
+		}
 		totalSearch += rk.searchWait
 		w := rk.w
 		if w == nil {
@@ -1324,6 +1324,9 @@ func result(engines []*engine) (*Result, error) {
 		res.ChunksTransferred += w.stack.ChunksAcquired()
 	}
 	res.MeanSearchTime = totalSearch / sim.Duration(e.cfg.Ranks)
+	if res.Sessions > 0 {
+		res.MeanSessionDuration = totalSession / sim.Duration(res.Sessions)
+	}
 	res.SequentialTime = sim.Duration(totalUnits) * e.cfg.NodeCost
 	e.w.report(e, res)
 	if res.Makespan > 0 {
@@ -1365,9 +1368,6 @@ func result(engines []*engine) (*Result, error) {
 	}
 	if e.rec != nil {
 		res.Trace = e.rec.Finish(e.detectedAt)
-		if d, ok := res.Trace.MeanSessionDuration(); ok {
-			res.MeanSessionDuration = d
-		}
 		e.ev.Attach(res.Trace)
 	}
 	return res, nil

@@ -18,11 +18,13 @@ package core
 // shared scheduler state (zero-latency bookkeeping), which is why
 // Validate keeps graph runs unsharded. Under a fault plan a task's
 // output dies with the rank that produced it (DESIGN.md §11).
+//
+// A graph run's Result counts tasks as nodes (Nodes ran, LostNodes a
+// fault destroyed), SequentialTime is the graph's total cost, and the
+// steals carried ChunksTransferred × ChunkSize tasks.
 
 import (
 	"encoding/binary"
-	"errors"
-	"fmt"
 
 	"distws/internal/dag"
 	"distws/internal/sim"
@@ -31,23 +33,13 @@ import (
 	"distws/internal/uts"
 )
 
-// GraphStats is what a graph run reports beyond the engine's Result,
-// where Nodes counts the tasks executed and SequentialTime is the
-// graph's total cost.
+// GraphStats is what a graph run reports that neither its Result nor
+// its graph holds.
 type GraphStats struct {
-	// CriticalPath is the graph's longest compute-cost path: the
-	// makespan lower bound with infinite ranks and free communication.
-	CriticalPath sim.Duration
 	// BytesFetched is the total predecessor data moved between ranks.
 	BytesFetched int64
 	// FetchTime is the accumulated time ranks spent stalled on fetches.
 	FetchTime sim.Duration
-	// TasksStolen counts the tasks successful steals carried off (one
-	// stolen twice counts twice).
-	TasksStolen uint64
-	// LostTasks counts the ready tasks a fault destroyed (Result.LostNodes
-	// of a graph run). Their descendants never became ready.
-	LostTasks uint64
 }
 
 // graphWork is the task-graph workload. The per-rank entry lives here
@@ -69,22 +61,18 @@ type graphWork struct {
 
 const lostTask = -2
 
-// newGraphWork validates g and builds its workload.
-func newGraphWork(g *dag.Graph) (workload, error) {
-	if err := g.Validate(); err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+// newGraphWork builds the workload of a validated graph.
+func newGraphWork(g *dag.Graph) *graphWork {
 	w := &graphWork{
 		g:         g,
 		remaining: make([]int32, g.Len()),
 		executor:  make([]int32, g.Len()),
-		stats:     GraphStats{CriticalPath: g.CriticalPath()},
 	}
 	for t := range g.Tasks {
 		w.remaining[t] = int32(len(g.Tasks[t].Preds))
 		w.executor[t] = -1
 	}
-	return w, nil
+	return w
 }
 
 // taskNode is the work item of ready task t: the id rides in the state
@@ -98,25 +86,6 @@ func taskNode(t *dag.Task) uts.Node {
 
 // nodeTask is taskNode's inverse.
 func nodeTask(n *uts.Node) int32 { return int32(binary.LittleEndian.Uint32(n.State[0:4])) }
-
-// RunGraph schedules the task graph g to completion on the engine and
-// returns the run's Result and its graph statistics. It is Run with a
-// different workload: every Config field means what it means there,
-// except that Tree, NodeCost and PollInterval are ignored — a quantum is
-// one task, as long as its cost plus its fetch stall — and ChunkSize is
-// the steal granularity in tasks. A fault plan composes: the tasks it
-// destroys are booked lost and their descendants never run. The
-// exclusions of Config.Validate refuse Shards > 1 and Serve.
-func RunGraph(cfg Config, g *dag.Graph) (*Result, *GraphStats, error) {
-	if g == nil || g.Len() == 0 {
-		return nil, nil, errors.New("core: empty graph")
-	}
-	res, w, err := run(cfg, g)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, &w.(*graphWork).stats, nil
-}
 
 func (*graphWork) detector(c Config) term.Detector { return c.Detector(c.Ranks) }
 
@@ -213,17 +182,15 @@ func (w *graphWork) lose(e *engine, crashed int, nodes []uts.Node) uint64 {
 	for i := range nodes {
 		w.executor[nodeTask(&nodes[i])] = lostTask
 	}
-	w.stats.LostTasks += uint64(len(nodes))
 	if crashed < 0 || w.running[crashed] < 0 {
 		return 0
 	}
 	w.executor[w.running[crashed]], w.running[crashed] = lostTask, -1
-	w.stats.LostTasks++
 	return 1
 }
 
-func (w *graphWork) report(e *engine, res *Result) {
+func (w *graphWork) report(_ *engine, res *Result) {
 	res.SequentialTime = w.g.TotalCost
-	// A steal moves whole chunks.
-	w.stats.TasksStolen = res.ChunksTransferred * uint64(e.cfg.ChunkSize)
+	stats := w.stats
+	res.Graph = &stats
 }

@@ -180,7 +180,7 @@ func TestServeConfigValidate(t *testing.T) {
 	huge := serveTestConfig()
 	huge.Serve.Horizon = sim.Duration(DefaultMaxVirtualTime)
 	if err := huge.Validate(); err == nil {
-		t.Error("horizon at MaxVirtualTime accepted")
+		t.Error("horizon at DefaultMaxVirtualTime accepted")
 	}
 	bad := serveTestConfig()
 	bad.Serve.Tenants = nil
@@ -303,10 +303,7 @@ func checkServeBooks(t *testing.T, res *Result, w *serveWork) {
 // done; the books balance; and the run replays byte for byte.
 func TestServeUnderFaults(t *testing.T) {
 	cfg := serveFaultConfig()
-	res, w, err := run(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, w := runWork(t, cfg)
 	checkServeBooks(t, res, w.(*serveWork))
 	if st := res.Serve; st.Done == 0 || st.Lost() == 0 || res.CrashedRanks != 2 {
 		t.Fatalf("%d done, %d lost, %d crashed ranks: the plan should cost some jobs, not all", st.Done, st.Lost(), res.CrashedRanks)
@@ -331,10 +328,7 @@ func TestServeLoneSurvivorDrains(t *testing.T) {
 	for r := 1; r < cfg.Ranks; r++ {
 		cfg.Faults.Crashes = append(cfg.Faults.Crashes, fault.Crash{Rank: r, At: sim.Time(20 * sim.Millisecond)})
 	}
-	res, w, err := run(cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, w := runWork(t, cfg)
 	sw := w.(*serveWork)
 	checkServeBooks(t, res, sw)
 	var lateDone bool

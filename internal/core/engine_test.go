@@ -15,6 +15,46 @@ import (
 	"distws/internal/victim"
 )
 
+// startRun builds cfg's sequential run as Run does — one kernel, its
+// engines and its workload, the work seeded — for tests that step the
+// kernel or read the workload's books.
+func startRun(t testing.TB, cfg Config) (*sim.Kernel, []*engine, workload) {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cfg = cfg.withDefaults()
+	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := newWorkload(&cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := sim.NewKernel()
+	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, new(runStore))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k, engines, w
+}
+
+// runWork is Run for a sequential cfg, handing back the workload too.
+func runWork(t testing.TB, cfg Config) (*Result, workload) {
+	t.Helper()
+	k, engines, w := startRun(t, cfg)
+	defer k.Release()
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	res, err := result(engines)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res, w
+}
+
 // seqCount caches sequential enumerations of the test trees.
 var seqCache = map[string]uts.CountResult{}
 

@@ -276,24 +276,25 @@ func TestCrashRecoveryObservable(t *testing.T) {
 	}
 }
 
-// TestTimeLimitIsATypedError: a run that cannot finish inside
-// MaxVirtualTime — a closed tree, served jobs under crashes, a task graph
-// under crashes — stops with sim.ErrTimeLimit, not a panic or a hang.
+// TestTimeLimitIsATypedError: a run that cannot finish inside its
+// virtual time limit — a closed tree, served jobs under crashes, a task
+// graph under crashes — stops with sim.ErrTimeLimit, not a panic or a
+// hang.
 func TestTimeLimitIsATypedError(t *testing.T) {
 	tree := faultConfig(nil)
-	tree.MaxVirtualTime = sim.Time(50 * sim.Microsecond)
+	tree.maxVirtualTime = sim.Time(50 * sim.Microsecond)
 	serving := serveFaultConfig()
 	// Jobs of a few thousand nodes each are still running at the horizon.
 	for i := range serving.Serve.Tenants {
 		serving.Serve.Tenants[i].Work.Tree = uts.MustPreset("T3").Params
 	}
-	serving.MaxVirtualTime = sim.Time(0).Add(serving.Serve.Horizon) + 1
-	graph := graphFaultConfig()
-	graph.MaxVirtualTime = sim.Time(sim.Millisecond)
+	serving.maxVirtualTime = sim.Time(0).Add(serving.Serve.Horizon) + 1
+	graph := graphFaultConfig(testGraph(t, 6))
+	graph.maxVirtualTime = sim.Time(sim.Millisecond)
 	for name, run := range map[string]func() error{
 		"tree":          func() error { _, err := Run(tree); return err },
 		"serve+crashes": func() error { _, err := Run(serving); return err },
-		"graph+crashes": func() error { _, _, err := RunGraph(graph, testGraph(t, 6)); return err },
+		"graph+crashes": func() error { _, err := Run(graph); return err },
 	} {
 		if err := run(); !errors.Is(err, sim.ErrTimeLimit) {
 			t.Errorf("%s: %v, want sim.ErrTimeLimit", name, err)

@@ -50,38 +50,38 @@ func chainGraph(t testing.TB, n int) *dag.Graph {
 	return g
 }
 
-// graphConfig is the configuration the graph experiments run under:
+// graphConfig is the configuration the graph experiments run g under:
 // task-granular steals of half the victim's ready tasks.
-func graphConfig(ranks int, seed uint64) Config {
-	return Config{Ranks: ranks, ChunkSize: 1, Steal: StealHalf, Seed: seed}
+func graphConfig(g *dag.Graph, ranks int, seed uint64) Config {
+	return Config{Graph: g, Ranks: ranks, ChunkSize: 1, Steal: StealHalf, Seed: seed}
 }
 
-// runGraphOK runs g and asserts what every graph run owes: every task
-// executed exactly once, nothing left over, and a makespan between the
-// critical path and what the rank count allows.
-func runGraphOK(t testing.TB, cfg Config, g *dag.Graph) (*Result, *GraphStats) {
+// runGraphOK runs cfg's graph and asserts what every graph run owes:
+// every task executed exactly once, nothing left over, and a makespan
+// between the critical path and what the rank count allows.
+func runGraphOK(t testing.TB, cfg Config) *Result {
 	t.Helper()
-	res, gs, err := RunGraph(cfg, g)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	g := cfg.Graph
 	if res.Premature || res.Nodes != uint64(g.Len()) || res.NodesGenerated != res.Nodes {
 		t.Fatalf("executed %d of %d tasks (%d made ready, premature %v)", res.Nodes, g.Len(), res.NodesGenerated, res.Premature)
 	}
-	if res.SequentialTime != g.TotalCost || gs.CriticalPath != g.CriticalPath() {
-		t.Fatalf("sequential time %v, critical path %v; the graph says %v and %v",
-			res.SequentialTime, gs.CriticalPath, g.TotalCost, g.CriticalPath())
+	if res.SequentialTime != g.TotalCost || res.Graph == nil {
+		t.Fatalf("sequential time %v, graph stats %v; the graph costs %v", res.SequentialTime, res.Graph, g.TotalCost)
 	}
-	if res.Makespan < gs.CriticalPath {
-		t.Fatalf("makespan %v below critical path %v", res.Makespan, gs.CriticalPath)
+	if cp := g.CriticalPath(); res.Makespan < cp {
+		t.Fatalf("makespan %v below critical path %v", res.Makespan, cp)
 	}
 	if res.Speedup <= 0 || res.Speedup > float64(cfg.Ranks)+1e-9 {
 		t.Fatalf("speedup %.2f on %d ranks", res.Speedup, cfg.Ranks)
 	}
-	return res, gs
+	return res
 }
 
-func TestRunGraphRejects(t *testing.T) {
+func TestGraphRunRejects(t *testing.T) {
 	g := testGraph(t, 1)
 	cases := []struct {
 		name string
@@ -89,65 +89,64 @@ func TestRunGraphRejects(t *testing.T) {
 		mut  func(*Config)
 		want string
 	}{
-		{"nil graph", nil, func(*Config) {}, "empty graph"},
 		{"empty graph", &dag.Graph{}, func(*Config) {}, "empty graph"},
 		{"shards", g, func(c *Config) { c.Shards = 2 }, "cannot be sharded"},
 		{"serve", g, func(c *Config) { c.Serve = serveTestSpec() }, "incompatible with serving"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := graphConfig(16, 1)
+			cfg := graphConfig(tc.g, 16, 1)
 			tc.mut(&cfg)
-			res, gs, err := RunGraph(cfg, tc.g)
-			if res != nil || gs != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("RunGraph returned (%v, %v, %v), want only an error mentioning %q", res, gs, err, tc.want)
+			res, err := Run(cfg)
+			if res != nil || err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Run returned (%v, %v), want only an error mentioning %q", res, err, tc.want)
 			}
 			// Refused before anything is built: the error value is all the
 			// call may allocate (a 16-rank engine is hundreds of objects).
-			if allocs := testing.AllocsPerRun(5, func() { _, _, _ = RunGraph(cfg, tc.g) }); allocs > 2 {
+			if allocs := testing.AllocsPerRun(5, func() { _, _ = Run(cfg) }); allocs > 2 {
 				t.Errorf("a refused run allocated %.0f objects", allocs)
 			}
 		})
 	}
-	// What Run rejects, RunGraph rejects the same way.
-	if _, _, err := RunGraph(Config{}, g); err == nil {
+	// What a tree run refuses, a graph run refuses the same way.
+	if _, err := Run(Config{Graph: g}); err == nil {
 		t.Error("zero ranks accepted")
 	}
 	// An empty plan is no plan, and a structurally broken graph is
 	// refused instead of run short.
-	cfg := graphConfig(4, 1)
+	cfg := graphConfig(g, 4, 1)
 	cfg.Faults = &fault.Plan{}
-	runGraphOK(t, cfg, g)
+	runGraphOK(t, cfg)
 	broken := chainGraph(t, 3)
 	broken.Tasks[1].Succs = nil
-	if _, _, err := RunGraph(graphConfig(4, 1), broken); err == nil || !strings.Contains(err.Error(), "not mirrored") {
+	if _, err := Run(graphConfig(broken, 4, 1)); err == nil || !strings.Contains(err.Error(), "not mirrored") {
 		t.Errorf("broken graph: %v", err)
 	}
 }
 
 func TestGraphSingleRankExecutesEverything(t *testing.T) {
 	g := testGraph(t, 2)
-	res, gs := runGraphOK(t, graphConfig(1, 1), g)
+	res := runGraphOK(t, graphConfig(g, 1, 1))
 	// One rank, no fetches, no steals: makespan == total cost.
 	if res.Makespan != g.TotalCost {
 		t.Fatalf("makespan %v != total cost %v on one rank", res.Makespan, g.TotalCost)
 	}
-	if gs.BytesFetched != 0 || gs.FetchTime != 0 || gs.TasksStolen != 0 || res.StealRequests != 0 {
-		t.Fatalf("phantom communication: %+v, %d steal requests", gs, res.StealRequests)
+	if gs := res.Graph; *gs != (GraphStats{}) || res.ChunksTransferred != 0 || res.StealRequests != 0 {
+		t.Fatalf("phantom communication: %+v, %d chunks moved, %d steal requests", gs, res.ChunksTransferred, res.StealRequests)
 	}
 }
 
 func TestGraphParallelCompletesAndRespectsBounds(t *testing.T) {
 	g := testGraph(t, 3)
 	for _, ranks := range []int{2, 8, 32} {
-		runGraphOK(t, graphConfig(ranks, 7), g)
+		runGraphOK(t, graphConfig(g, ranks, 7))
 	}
 }
 
 // TestGraphChainHasNoSpeedup: a chain runs one task at a time wherever
 // its tasks migrate to, so no rank count buys anything.
 func TestGraphChainHasNoSpeedup(t *testing.T) {
-	res, _ := runGraphOK(t, graphConfig(4, 1), chainGraph(t, 10))
+	res := runGraphOK(t, graphConfig(chainGraph(t, 10), 4, 1))
 	if res.Speedup > 1.01 {
 		t.Fatalf("chain achieved speedup %.2f", res.Speedup)
 	}
@@ -160,24 +159,10 @@ func TestGraphChainHasNoSpeedup(t *testing.T) {
 func TestGraphDependenciesRespected(t *testing.T) {
 	for _, proto := range []Protocol{TwoSided, OneSided} {
 		g := testGraph(t, 4)
-		cfg := graphConfig(8, 5)
+		cfg := graphConfig(g, 8, 5)
 		cfg.Protocol, cfg.Selector = proto, victim.NewUniformRandom
-		cfg = cfg.withDefaults()
-		job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
-		if err != nil {
-			t.Fatal(err)
-		}
-		k := sim.NewKernel()
-		w, err := newGraphWork(g)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gw := w.(*graphWork)
-		engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, new(runStore))
-		if err != nil {
-			t.Fatal(err)
-		}
-		e := engines[0]
+		k, engines, w := startRun(t, cfg)
+		gw, e := w.(*graphWork), engines[0]
 		started := make([]sim.Time, g.Len())
 		done := make([]sim.Time, g.Len())
 		for i := range started {
@@ -238,20 +223,19 @@ func TestGraphDependenciesRespected(t *testing.T) {
 }
 
 func TestGraphDeterminism(t *testing.T) {
-	g := testGraph(t, 5)
-	cfg := graphConfig(16, 11)
+	cfg := graphConfig(testGraph(t, 5), 16, 11)
 	cfg.Selector = victim.NewDistanceSkewed
-	a, as := runGraphOK(t, cfg, g)
-	b, bs := runGraphOK(t, cfg, g)
-	if !reflect.DeepEqual(a, b) || !reflect.DeepEqual(as, bs) {
-		t.Fatalf("same-seed runs differ:\n%+v %+v\n%+v %+v", a, as, b, bs)
+	a, b := runGraphOK(t, cfg), runGraphOK(t, cfg)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("same-seed runs differ:\n%+v %+v\n%+v %+v", a, a.Graph, b, b.Graph)
 	}
 }
 
 func TestGraphStealingMovesTasks(t *testing.T) {
-	res, gs := runGraphOK(t, graphConfig(16, 3), testGraph(t, 9))
-	if res.SuccessfulSteals == 0 || gs.TasksStolen == 0 {
-		t.Fatalf("no stealing on 16 ranks: %d steals, %+v", res.SuccessfulSteals, gs)
+	res := runGraphOK(t, graphConfig(testGraph(t, 9), 16, 3))
+	gs := res.Graph
+	if res.SuccessfulSteals == 0 || res.ChunksTransferred == 0 {
+		t.Fatalf("no stealing on 16 ranks: %d steals, %d chunks moved", res.SuccessfulSteals, res.ChunksTransferred)
 	}
 	if gs.BytesFetched == 0 {
 		t.Fatal("no data fetched despite cross-rank dependencies")
@@ -265,9 +249,9 @@ func TestGraphAllSelectorsComplete(t *testing.T) {
 	g := testGraph(t, 13)
 	for name, factory := range victim.Strategies {
 		t.Run(name, func(t *testing.T) {
-			cfg := graphConfig(8, 17)
+			cfg := graphConfig(g, 8, 17)
 			cfg.Selector = factory
-			runGraphOK(t, cfg, g)
+			runGraphOK(t, cfg)
 		})
 	}
 }
@@ -275,9 +259,9 @@ func TestGraphAllSelectorsComplete(t *testing.T) {
 func TestGraphPlacements(t *testing.T) {
 	g := testGraph(t, 15)
 	for _, pl := range []topology.Placement{topology.OnePerNode, topology.EightRoundRobin, topology.EightGrouped} {
-		cfg := graphConfig(16, 19)
+		cfg := graphConfig(g, 16, 19)
 		cfg.Placement = pl
-		runGraphOK(t, cfg, g)
+		runGraphOK(t, cfg)
 	}
 }
 
@@ -300,7 +284,7 @@ func TestGraphPropertyScheduleCorrectness(t *testing.T) {
 			return false
 		}
 		cfg := Config{
-			Ranks: int(ranksRaw%12) + 1, ChunkSize: int(chunkRaw%3) + 1,
+			Graph: g, Ranks: int(ranksRaw%12) + 1, ChunkSize: int(chunkRaw%3) + 1,
 			Selector: selectors[int(selRaw)%len(selectors)], Seed: sseed,
 		}
 		if half {
@@ -309,7 +293,7 @@ func TestGraphPropertyScheduleCorrectness(t *testing.T) {
 		if oneSided {
 			cfg.Protocol = OneSided
 		}
-		runGraphOK(t, cfg, g)
+		runGraphOK(t, cfg)
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -323,9 +307,9 @@ func TestGraphPropertyScheduleCorrectness(t *testing.T) {
 // critical path — and a detector that can fire early is caught.
 func TestGraphRunIsObservable(t *testing.T) {
 	g := testGraph(t, 6)
-	cfg := graphConfig(16, 9)
+	cfg := graphConfig(g, 16, 9)
 	cfg.CollectEvents, cfg.StealTimeout = true, 20*sim.Microsecond
-	res, _ := runGraphOK(t, cfg, g)
+	res := runGraphOK(t, cfg)
 	if err := res.Trace.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
@@ -345,9 +329,9 @@ func TestGraphRunIsObservable(t *testing.T) {
 	// The Ring detector can fire with a steal reply in flight. Its run is
 	// then short, and must say so.
 	for seed := uint64(1); seed <= 20; seed++ {
-		cfg := graphConfig(8, seed)
+		cfg := graphConfig(g, 8, seed)
 		cfg.Detector, cfg.Selector = term.NewRing, victim.NewUniformRandom
-		res, _, err := RunGraph(cfg, g)
+		res, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,9 +355,9 @@ func (d *hastyDetector) Terminated() bool       { return d.fired }
 // that is — so the short run is flagged.
 func TestGraphEarlyDetectionIsFlagged(t *testing.T) {
 	g := testGraph(t, 6)
-	cfg := graphConfig(8, 9)
+	cfg := graphConfig(g, 8, 9)
 	cfg.Detector = func(int) term.Detector { return &hastyDetector{} }
-	res, _, err := RunGraph(cfg, g)
+	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -388,29 +372,28 @@ func TestGraphEarlyDetectionIsFlagged(t *testing.T) {
 func TestGraphRunLeavesUTSAlone(t *testing.T) {
 	cfg := Config{Tree: uts.MustPreset("T3").Params, Ranks: 8, Selector: victim.NewUniformRandom, Seed: 23}
 	before := variantDigest(t, cfg)
-	runGraphOK(t, graphConfig(8, 23), testGraph(t, 8))
+	runGraphOK(t, graphConfig(testGraph(t, 8), 8, 23))
 	if after := variantDigest(t, cfg); after != before {
 		t.Fatalf("tree run digest %s before a graph run, %s after", before, after)
 	}
 }
 
 func BenchmarkGraphSchedule(b *testing.B) {
-	g := testGraph(b, 21)
-	cfg := graphConfig(32, 1)
+	cfg := graphConfig(testGraph(b, 21), 32, 1)
 	cfg.Selector = victim.NewDistanceSkewed
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := RunGraph(cfg, g); err != nil {
+		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// graphFaultConfig runs a graph under two crashes and a lossy link, so
-// tasks die on a crashed stack and in its running quantum, in dropped
-// loot, and orphaned by a predecessor whose output died with its rank.
-func graphFaultConfig() Config {
-	cfg := graphConfig(16, 9)
+// graphFaultConfig runs g under two crashes and a lossy link, so tasks
+// die on a crashed stack and in its running quantum, in dropped loot,
+// and orphaned by a predecessor whose output died with its rank.
+func graphFaultConfig(g *dag.Graph) Config {
+	cfg := graphConfig(g, 16, 9)
 	cfg.Faults = &fault.Plan{
 		Seed: 5,
 		Crashes: []fault.Crash{
@@ -428,15 +411,17 @@ func graphFaultConfig() Config {
 // replays identically.
 func TestGraphUnderCrashes(t *testing.T) {
 	g := testGraph(t, 6)
-	res, w, err := run(graphFaultConfig(), g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, w := runWork(t, graphFaultConfig(g))
 	gw := w.(*graphWork)
-	gs := &gw.stats
-	if res.Nodes+res.LostNodes != res.NodesGenerated || gs.LostTasks != res.LostNodes || res.Premature {
+	lost := 0
+	for _, ex := range gw.executor {
+		if ex == lostTask {
+			lost++
+		}
+	}
+	if res.Nodes+res.LostNodes != res.NodesGenerated || uint64(lost) != res.LostNodes || res.Premature {
 		t.Fatalf("executed %d + lost %d of %d ready tasks, %d booked lost, premature %v",
-			res.Nodes, res.LostNodes, res.NodesGenerated, gs.LostTasks, res.Premature)
+			res.Nodes, res.LostNodes, res.NodesGenerated, lost, res.Premature)
 	}
 	// The downstream closure of the lost tasks.
 	closure := make([]bool, g.Len())
@@ -460,14 +445,14 @@ func TestGraphUnderCrashes(t *testing.T) {
 		}
 	}
 	// Pinned for this seed: a change to what a fault destroys moves them.
-	if res.Nodes != 224 || res.LostNodes != 6 || gs.LostTasks != 6 {
-		t.Errorf("executed %d, lost %d nodes and %d tasks", res.Nodes, res.LostNodes, gs.LostTasks)
+	if res.Nodes != 224 || res.LostNodes != 6 || lost != 6 {
+		t.Errorf("executed %d, lost %d nodes and %d tasks", res.Nodes, res.LostNodes, lost)
 	}
-	again, gs2, err := RunGraph(graphFaultConfig(), g)
+	again, err := Run(graphFaultConfig(g))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res, again) || !reflect.DeepEqual(gs, gs2) {
-		t.Fatalf("same-seed runs differ:\n%+v %+v\n%+v %+v", res, gs, again, gs2)
+	if !reflect.DeepEqual(res, again) {
+		t.Fatalf("same-seed runs differ:\n%+v %+v\n%+v %+v", res, res.Graph, again, again.Graph)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distws/internal/obs"
+	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/trace"
 	"distws/internal/uts"
@@ -13,43 +14,56 @@ import (
 )
 
 // TestObserverEffect asserts that turning observability on does not
-// perturb the simulation: a run with the event log and a metrics
-// registry attached must produce bit-identical results to a bare run of
-// the same configuration. This is the contract that makes traces
-// trustworthy — what you observe is what would have happened anyway.
+// perturb the simulation: a run with the trace, the event log and a
+// metrics registry attached must produce bit-identical results to a bare
+// run of the same configuration, on every delivery path and for a task
+// graph. This is the contract that makes traces trustworthy — what you
+// observe is what would have happened anyway. The engine's own mean
+// session length must also equal the one the trace's sessions give.
 func TestObserverEffect(t *testing.T) {
-	cfg := Config{
-		Tree:     uts.MustPreset("T3").Params,
-		Ranks:    16,
-		Selector: victim.NewUniformRandom,
-		Steal:    StealHalf,
-		Seed:     7,
+	cases := deliveryCases()
+	cases["steal-half"] = Config{Tree: uts.MustPreset("T3").Params, Ranks: 16,
+		Selector: victim.NewUniformRandom, Steal: StealHalf, Seed: 7}
+	cases["graph"] = graphConfig(testGraph(t, 6), 16, 9)
+	cases["graph+crashes"] = graphFaultConfig(testGraph(t, 6))
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = false, false, nil
+			bare, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = true, true, obs.NewRegistry()
+			traced, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mean := meanSession(traced.Trace); traced.MeanSessionDuration != mean || mean == 0 {
+				t.Errorf("mean session %v, the trace's sessions give %v", traced.MeanSessionDuration, mean)
+			}
+			traced.Trace = nil
+			if !reflect.DeepEqual(bare, traced) {
+				t.Fatalf("observability changed the run:\nbare:   %+v\ntraced: %+v", bare, traced)
+			}
+		})
 	}
-	bare, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+}
 
-	obsCfg := cfg
-	obsCfg.CollectTrace = true
-	obsCfg.CollectEvents = true
-	obsCfg.Metrics = obs.NewRegistry()
-	traced, err := Run(obsCfg)
-	if err != nil {
-		t.Fatal(err)
+// meanSession is Figure 10's metric read off a trace: the mean length
+// of its work-discovery sessions, zero when there are none.
+func meanSession(tr *trace.Trace) sim.Duration {
+	var sum sim.Duration
+	n := 0
+	for _, ss := range tr.Sessions {
+		for _, s := range ss {
+			sum += s.Duration()
+			n++
+		}
 	}
-
-	// The traced result carries the trace and the session stat derived
-	// from it; zero those out, then everything else must match exactly.
-	scrub := func(r *Result) Result {
-		c := *r
-		c.Trace = nil
-		c.MeanSessionDuration = 0
-		return c
+	if n == 0 {
+		return 0
 	}
-	if !reflect.DeepEqual(scrub(bare), scrub(traced)) {
-		t.Fatalf("observability changed the run:\nbare:   %+v\ntraced: %+v", scrub(bare), scrub(traced))
-	}
+	return sum / sim.Duration(n)
 }
 
 // TestEventLogConsistent cross-checks the event log against the

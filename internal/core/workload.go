@@ -33,6 +33,18 @@ type workload interface {
 	report(e *engine, res *Result)
 }
 
+// newWorkload builds what cfg's ranks work on: cfg.Graph's tasks when
+// set, cfg.Serve's jobs when set, cfg.Tree otherwise.
+func newWorkload(cfg *Config) (workload, error) {
+	switch {
+	case cfg.Graph != nil:
+		return newGraphWork(cfg.Graph), nil
+	case cfg.Serve != nil:
+		return compileServe(cfg)
+	}
+	return treeWork{}, nil
+}
+
 // treeWork is the closed UTS tree: rank 0 holds the root at t = 0, and
 // a destroyed node means nothing beyond its count.
 type treeWork struct{}

@@ -27,15 +27,6 @@ func placed(pls []topology.Placement, vs ...Variant) []cell {
 	return cs
 }
 
-// traced is cs with each run's trace collected: session durations come
-// from it.
-func traced(cs []cell) []cell {
-	for i, c := range cs {
-		cs[i].set = func(cfg *core.Config) { c.set(cfg); cfg.CollectTrace = true }
-	}
-	return cs
-}
-
 func setRanks(c *core.Config, n int) { c.Ranks = n }
 
 func sweepTop(s *Scale) (int, uts.Params) { return topRung(s.sweepRanks), s.sweepTree }
@@ -145,7 +136,7 @@ var figures = []grid{
 		listTitle: "Average work-discovery session duration",
 		title:     "Average duration of a work-discovery session",
 		paper:     "Figure 10: the topology-aware strategy finds work much faster than the reference.",
-		columns:   traced(append(placed(onePerNode, Reference, Rand), placed(placements, Tofu)...)),
+		columns:   append(placed(onePerNode, Reference, Rand), placed(placements, Tofu)...),
 		tables: []table{{"Mean work-discovery session (ms)", []column{
 			col("", func(r *core.Result) string { return fmtFloat(r.MeanSessionDuration.Seconds()*1e3, 3) })}}},
 		checks: func(res runs, scale *Scale) []ShapeCheck {

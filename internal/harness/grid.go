@@ -13,7 +13,8 @@ import (
 
 // Most figures and every ablation are a grid of runs read through
 // tables: rows of rank counts, granularities or knob values, columns of
-// variants. Each is a row of figures or ablations; grid.run runs any.
+// variants. Each is a row of figures or ablations; grid.run runs any:
+// its layout in one Execute batch, then render.
 
 func init() {
 	for _, g := range slices.Concat(figures, ablations) {
@@ -137,20 +138,26 @@ func (g *grid) layout(s *Scale, seed uint64) (rows, cols []cell, cfgs []core.Con
 	return rows, cols, cfgs
 }
 
-// run executes the grid and renders its tables, plot, note and checks.
+// run executes the grid and renders it.
 func (g *grid) run(scale *Scale, seed uint64) (*Report, error) {
 	rows, cols, cfgs := g.layout(scale, seed)
 	flat, err := Execute(cfgs)
 	if err != nil {
 		return nil, err
 	}
+	return g.render(scale, rows, cols, flat)
+}
+
+// render builds the report of the grid's runs, flat in layout order:
+// its tables, plot, note and checks.
+func (g *grid) render(scale *Scale, rows, cols []cell, flat []*core.Result) (*Report, error) {
 	res := make(runs, len(rows))
 	for i := range res {
 		res[i] = flat[i*len(cols) : (i+1)*len(cols)]
 	}
 	rep := &Report{ID: g.id, Title: g.title, Paper: g.paper}
 	if strings.Contains(g.title, "%d") {
-		rep.Title = fmt.Sprintf(g.title, cfgs[0].Ranks)
+		rep.Title = fmt.Sprintf(g.title, flat[0].Ranks)
 	}
 	var labelled []int
 	for c, col := range cols {

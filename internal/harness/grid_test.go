@@ -45,6 +45,38 @@ func TestTraversalChecksReadEveryCell(t *testing.T) {
 	}
 }
 
+// quickRuns holds each grid's runs at quick scale and seed 12345,
+// made once per test binary: TestQuickExperiments renders its golden
+// and TestGridCellsDiffer checks its cells from the same runs.
+var quickRuns = map[string][]*core.Result{}
+
+// quickGrid returns g's layout at quick scale and its runs.
+func quickGrid(t *testing.T, g *grid) (rows, cols []cell, res []*core.Result) {
+	t.Helper()
+	rows, cols, cfgs := g.layout(Quick, 12345)
+	if res = quickRuns[g.id]; res == nil {
+		var err error
+		if res, err = Execute(cfgs); err != nil {
+			t.Fatalf("%s: %v", g.id, err)
+		}
+		quickRuns[g.id] = res
+	}
+	return rows, cols, res
+}
+
+// gridByID returns the grid registered as id, nil for an experiment of
+// another kind.
+func gridByID(id string) *grid {
+	for _, gs := range [][]grid{figures, ablations} {
+		for i := range gs {
+			if gs[i].id == id {
+				return &gs[i]
+			}
+		}
+	}
+	return nil
+}
+
 // TestGridCellsDiffer holds every grid to cells that each change the
 // run: at quick scale no two runs of a grid return equal Results. A
 // knob value that changes nothing, such as a steal timeout above every
@@ -54,11 +86,7 @@ func TestGridCellsDiffer(t *testing.T) {
 		t.Skip("runs every grid at quick scale")
 	}
 	for _, g := range slices.Concat(figures, ablations) {
-		rows, cols, cfgs := g.layout(Quick, 12345)
-		res, err := Execute(cfgs)
-		if err != nil {
-			t.Fatalf("%s: %v", g.id, err)
-		}
+		rows, cols, res := quickGrid(t, &g)
 		name := func(i int) string {
 			return strings.TrimSpace(rows[i/len(cols)].label + " " + cols[i%len(cols)].label)
 		}

@@ -12,6 +12,7 @@ import (
 	"distws/internal/core"
 	"distws/internal/topology"
 	"distws/internal/uts"
+	"distws/internal/victim"
 )
 
 func TestScaleParsing(t *testing.T) {
@@ -98,7 +99,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from the cur
 // TestQuickExperiments runs every registered experiment at Quick scale
 // and requires every shape check to pass and the rendered report to
 // equal testdata/quick/<id>.txt byte for byte. This is the repository's
-// end-to-end smoke of the full reproduction pipeline. Regenerate the
+// end-to-end smoke of the full reproduction pipeline. A grid renders
+// the runs TestGridCellsDiffer checks (quickGrid). Regenerate the
 // goldens (only for a deliberate, documented change of a report) with:
 //
 //	go test ./internal/harness -run TestQuickExperiments -update
@@ -109,8 +111,15 @@ func TestQuickExperiments(t *testing.T) {
 	for _, id := range IDs() {
 		id := id
 		t.Run(id, func(t *testing.T) {
-			e, _ := Lookup(id)
-			rep, err := e.Run(Quick, 12345)
+			var rep *Report
+			var err error
+			if g := gridByID(id); g != nil {
+				rows, cols, res := quickGrid(t, g)
+				rep, err = g.render(Quick, rows, cols, res)
+			} else {
+				e, _ := Lookup(id)
+				rep, err = e.Run(Quick, 12345)
+			}
 			if err != nil {
 				t.Fatalf("%s: %v", id, err)
 			}
@@ -292,6 +301,42 @@ func TestRunConfigDefaults(t *testing.T) {
 		}
 		if reflect.DeepEqual(got[i+1], got[0]) {
 			t.Errorf("the %s override changed nothing at 64 ranks; the check above proves nothing", name)
+		}
+	}
+}
+
+// TestExecuteSharesGraph: E1's selector runs share one task graph in
+// one parallel batch, as ext-dag makes them. The graph is only read: it
+// equals a twin generated alike afterwards, and each result equals the
+// same run made alone. Under -race (make race) it checks the reads.
+func TestExecuteSharesGraph(t *testing.T) {
+	g, err := dagWorkload(Quick, 3, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := dagWorkload(Quick, 3, 64<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cfgs []core.Config
+	for _, sel := range []victim.Factory{victim.NewRoundRobin, victim.NewUniformRandom, victim.NewDistanceSkewed} {
+		cfgs = append(cfgs, dagConfig(g, 16, sel, 3))
+	}
+	res, err := Execute(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g, twin) {
+		t.Fatal("a graph run wrote to the shared graph")
+	}
+	for i, cfg := range cfgs {
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Nodes != uint64(g.Len()) || !reflect.DeepEqual(res[i], want) {
+			t.Errorf("run %d (%s): ran %d of %d tasks; concurrent result equals the sequential one: %v",
+				i, res[i].Selector, res[i].Nodes, g.Len(), reflect.DeepEqual(res[i], want))
 		}
 	}
 }

@@ -84,10 +84,10 @@ func matrixServeSpec(horizon sim.Duration) *serve.Spec {
 	}
 }
 
-// tracedCell is a matrix cell running v with the event log on.
-func tracedCell(id, tree string, v Variant, ranks int, params uts.Params, seed uint64) matrixCell {
+// loggedCell is a matrix cell running v with the event log on.
+func loggedCell(id, tree string, v Variant, ranks int, params uts.Params, seed uint64) matrixCell {
 	cfg := v.Config(ranks, params, seed)
-	cfg.CollectTrace, cfg.CollectEvents = true, true
+	cfg.CollectEvents = true
 	return matrixCell{id: id, tree: tree, selector: v.Name, cfg: cfg}
 }
 
@@ -102,7 +102,7 @@ func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
 	var cells []matrixCell
 	for _, ranks := range scale.matrixRanks {
 		for _, v := range matrixVariants {
-			cells = append(cells, tracedCell(cellID(tree, ranks, v.Name, false), tree, v, ranks, params, seed))
+			cells = append(cells, loggedCell(cellID(tree, ranks, v.Name, false), tree, v, ranks, params, seed))
 		}
 	}
 	chaosRanks := topRung(scale.matrixRanks)
@@ -111,7 +111,7 @@ func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	chaos := tracedCell(cellID(tree, chaosRanks, Tofu.Name, true), tree, Tofu, chaosRanks, params, seed)
+	chaos := loggedCell(cellID(tree, chaosRanks, Tofu.Name, true), tree, Tofu, chaosRanks, params, seed)
 	chaos.cfg.Faults = chaosPlan(chaosRanks, cal[0].Makespan, seed)
 	cells = append(cells, chaos)
 
@@ -121,7 +121,7 @@ func RunMatrix(scale *Scale, seed uint64) ([]*ledger.Manifest, error) {
 	// serve schema round-trips through the baseline. The workload is
 	// the spec's own small per-tenant tree, not the scale preset — job
 	// size stays bounded while rank counts grow with scale.
-	sv := tracedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
+	sv := loggedCell(fmt.Sprintf("serve-%d-%s", chaosRanks, strings.ToLower(Tofu.Name)),
 		"SERVE", Tofu, chaosRanks, uts.Params{}, seed)
 	sv.cfg.Serve, sv.cfg.ImmediateRetry = matrixServeSpec(scale.matrixHorizon), false
 	// The service under the chaos plan, struck while jobs arrive at the

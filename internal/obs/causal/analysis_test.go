@@ -20,7 +20,7 @@ import (
 // run, and one rank past TrafficRankLimit.
 func analysisTraces(t *testing.T) map[string]*trace.Trace {
 	t.Helper()
-	fig9 := traced(t, func(cfg *core.Config) {
+	fig9 := runLogged(t, func(cfg *core.Config) {
 		*cfg = core.Config{
 			Tree: uts.MustPreset("H-TINY").Params, Ranks: 128, Placement: topology.OnePerNode,
 			Selector: cfg.Selector, Steal: core.StealOne, Seed: 9,
@@ -29,7 +29,7 @@ func analysisTraces(t *testing.T) map[string]*trace.Trace {
 	}).Trace
 	bare := *fig9
 	bare.Events, bare.EventsDropped = nil, nil
-	faulted := traced(t, func(cfg *core.Config) {
+	faulted := runLogged(t, func(cfg *core.Config) {
 		cfg.Ranks = 16
 		cfg.Faults = &fault.Plan{
 			Seed:    99,
@@ -37,7 +37,7 @@ func analysisTraces(t *testing.T) map[string]*trace.Trace {
 			Links:   []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Dup: 0.05}},
 		}
 	}).Trace
-	wide := traced(t, func(cfg *core.Config) { cfg.Ranks = causal.TrafficRankLimit + 1 }).Trace
+	wide := runLogged(t, func(cfg *core.Config) { cfg.Ranks = causal.TrafficRankLimit + 1 }).Trace
 	return map[string]*trace.Trace{
 		"fig9": fig9, "no-events": &bare, "no-ranks": {}, "faulted": faulted, "129-ranks": wide,
 	}
@@ -113,7 +113,7 @@ func TestAnalysisMatchesDirectCalls(t *testing.T) {
 
 // TestAnalysisMemoizes: asking twice computes once.
 func TestAnalysisMemoizes(t *testing.T) {
-	a := causal.Analyze(traced(t, nil).Trace)
+	a := causal.Analyze(runLogged(t, nil).Trace)
 	if a.Graph() != a.Graph() || a.Blame() != a.Blame() || a.Occupancy() != a.Occupancy() {
 		t.Error("a pointer view was rebuilt on the second call")
 	}

@@ -200,8 +200,8 @@ func TestBlameFixture(t *testing.T) {
 	}
 }
 
-// traced runs a small deterministic simulation with full event logging.
-func traced(t *testing.T, mutate func(*core.Config)) *core.Result {
+// runLogged runs a small deterministic simulation with full event logging.
+func runLogged(t *testing.T, mutate func(*core.Config)) *core.Result {
 	t.Helper()
 	cfg := core.Config{
 		Tree:          uts.MustPreset("T3").Params,
@@ -245,7 +245,7 @@ func variants() map[string]func(*core.Config) {
 func TestCriticalPathSumsToMakespan(t *testing.T) {
 	for name, mutate := range variants() {
 		t.Run(name, func(t *testing.T) {
-			res := traced(t, mutate)
+			res := runLogged(t, mutate)
 			g := causal.Build(res.Trace)
 			p := causal.CriticalPath(g)
 			if len(p.Segments) == 0 {
@@ -289,7 +289,7 @@ func TestCriticalPathSumsToMakespan(t *testing.T) {
 func TestBlamePartitionsIdleExactly(t *testing.T) {
 	for name, mutate := range variants() {
 		t.Run(name, func(t *testing.T) {
-			res := traced(t, mutate)
+			res := runLogged(t, mutate)
 			b := causal.AttributeIdle(res.Trace)
 			if b.Ranks() != res.Ranks {
 				t.Fatalf("blame ranks = %d, want %d", b.Ranks(), res.Ranks)
@@ -318,7 +318,7 @@ func TestBlamePartitionsIdleExactly(t *testing.T) {
 func TestLineageMatchesEngine(t *testing.T) {
 	for name, mutate := range variants() {
 		t.Run(name, func(t *testing.T) {
-			res := traced(t, mutate)
+			res := runLogged(t, mutate)
 			if res.Trace.TotalEventsDropped() != 0 {
 				t.Fatal("ring evictions; widen EventBuffer")
 			}
@@ -348,7 +348,7 @@ func TestLineageMatchesEngine(t *testing.T) {
 // TestLineageParentsAreConsistent checks the structural invariants of
 // the reconstructed lineage forest on a real run.
 func TestLineageParentsAreConsistent(t *testing.T) {
-	res := traced(t, nil)
+	res := runLogged(t, nil)
 	g := causal.Build(res.Trace)
 	for i, x := range g.Transfers {
 		if x.Parent < 0 {
@@ -411,7 +411,7 @@ func TestGraphWithoutEventLog(t *testing.T) {
 }
 
 func TestSingleRankRun(t *testing.T) {
-	res := traced(t, func(cfg *core.Config) { cfg.Ranks = 1 })
+	res := runLogged(t, func(cfg *core.Config) { cfg.Ranks = 1 })
 	g := causal.Build(res.Trace)
 	if len(g.Transfers) != 0 {
 		t.Fatalf("%d transfers on a single rank", len(g.Transfers))
@@ -459,7 +459,7 @@ func TestEmptyAndDegenerateTraces(t *testing.T) {
 // (what ring eviction does) and checks matching degrades gracefully:
 // the surviving suffix still pairs up and no identity breaks.
 func TestEvictedPrefixStillMatches(t *testing.T) {
-	res := traced(t, nil)
+	res := runLogged(t, nil)
 	full := causal.Build(res.Trace)
 	if len(full.Transfers) < 4 {
 		t.Skip("run too small to exercise eviction")
@@ -492,7 +492,7 @@ func TestEvictedPrefixStillMatches(t *testing.T) {
 }
 
 func TestTextReportsAreDeterministic(t *testing.T) {
-	res := traced(t, nil)
+	res := runLogged(t, nil)
 	g := causal.Build(res.Trace)
 	p := causal.CriticalPath(g)
 	b := causal.AttributeIdle(res.Trace)

@@ -55,16 +55,12 @@ type ChromeOptions struct {
 	Pairs []StealPair
 }
 
-// WriteChromeTrace renders tr as Chrome trace-event JSON: one thread
-// per rank, complete ("X") slices for active phases and work-discovery
-// sessions, instant events for the protocol log, flow arrows for steal
-// transactions, and an occupancy counter track. Load the file at
+// WriteChromeTraceOpts renders tr as Chrome trace-event JSON: one
+// thread per rank, complete ("X") slices for active phases and
+// work-discovery sessions, instant events for the protocol log, flow
+// arrows for steal transactions, an occupancy counter track, and the
+// optional tracks opts selects (none when zero). Load the file at
 // ui.perfetto.dev (or chrome://tracing) to scrub through the run.
-func WriteChromeTrace(w io.Writer, tr *trace.Trace) error {
-	return WriteChromeTraceOpts(w, tr, ChromeOptions{})
-}
-
-// WriteChromeTraceOpts is WriteChromeTrace with optional extra tracks.
 func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`); err != nil {

@@ -25,9 +25,9 @@ func chromeFixture() *trace.Trace {
 	return tr
 }
 
-func TestWriteChromeTrace(t *testing.T) {
+func TestWriteChromeTraceDefaults(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, chromeFixture()); err != nil {
+	if err := WriteChromeTraceOpts(&buf, chromeFixture(), ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -106,7 +106,7 @@ func TestWriteChromeTrace(t *testing.T) {
 
 func TestChromeOccupancyTrack(t *testing.T) {
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, chromeFixture()); err != nil {
+	if err := WriteChromeTraceOpts(&buf, chromeFixture(), ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -207,7 +207,7 @@ func TestWriteChromeTraceEventless(t *testing.T) {
 		Sessions:    make([][]trace.Session, 1),
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr); err != nil {
+	if err := WriteChromeTraceOpts(&buf, tr, ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]any
@@ -234,7 +234,7 @@ func TestChromeExporterCoversEveryEventKind(t *testing.T) {
 		})
 	}
 	var buf bytes.Buffer
-	if err := WriteChromeTrace(&buf, tr); err != nil {
+	if err := WriteChromeTraceOpts(&buf, tr, ChromeOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {

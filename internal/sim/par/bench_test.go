@@ -39,7 +39,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 					}
 					left[s]--
 					now := k.Now()
-					k.AtArg(now.Add(step), ticks[s], nil)
+					k.AtPayload(now.Add(step), ticks[s], nil, sim.Payload{})
 					if next := (s + 1) % shards; next != s {
 						sk.Stage(s, next, now.Add(step), now, s, noop, nil, sim.Payload{})
 					}
@@ -48,7 +48,7 @@ func BenchmarkShardedKernel(b *testing.B) {
 			for s := 0; s < shards; s++ {
 				left[s] = b.N
 				k := sk.Kernel(s)
-				k.AtArg(0, ticks[s], nil)
+				k.AtPayload(0, ticks[s], nil, sim.Payload{})
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -698,22 +698,19 @@ func (k *Kernel) After(d Duration, fn func()) Event {
 	return k.schedule(k.later(d), callFunc, fn, Payload{})
 }
 
-// AtArg schedules fn(arg) at the absolute virtual time t. Unlike At, a
-// caller on a hot path can reuse one fn value for many events and vary
-// only the argument, avoiding a closure allocation per event. Passing a
-// pointer type as arg stays allocation-free; non-pointer values may be
-// boxed by the runtime.
-func (k *Kernel) AtArg(t Time, fn func(any), arg any) Event {
-	return k.schedule(t, fn, arg, Payload{})
-}
-
 // AfterArg schedules fn(arg) to run d after the current virtual time.
+// Unlike After, a caller on a hot path can reuse one fn value for many
+// events and vary only the argument, avoiding a closure allocation per
+// event. Passing a pointer type as arg stays allocation-free;
+// non-pointer values may be boxed by the runtime.
 func (k *Kernel) AfterArg(d Duration, fn func(any), arg any) Event {
 	return k.schedule(k.later(d), fn, arg, Payload{})
 }
 
-// AtPayload is AtArg with a payload stored in the event's own node,
-// which fn reads with Payload: two words of data cost no object.
+// AtPayload schedules fn(arg) at the absolute virtual time t, as
+// AfterArg does after a delay, with a payload stored in the event's own
+// node, which fn reads with Payload: two words of data cost no object.
+// A zero payload schedules a plain fn(arg) event.
 func (k *Kernel) AtPayload(t Time, fn func(any), arg any, p Payload) Event {
 	return k.schedule(t, fn, arg, p)
 }

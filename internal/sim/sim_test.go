@@ -163,7 +163,7 @@ func TestPayloadReachesItsCallback(t *testing.T) {
 		k.AfterPayload(d, record, nil, p)
 		want = append(want, p)
 	}
-	k.AtArg(farSpan*3, record, nil)
+	k.AtPayload(farSpan*3, record, nil, Payload{})
 	k.At(farSpan*4, func() { got = append(got, k.Payload()) })
 	want = append(want, Payload{}, Payload{})
 	if err := k.Run(); err != nil {

@@ -243,24 +243,6 @@ func (t *Trace) TotalSessions() int {
 	return n
 }
 
-// MeanSessionDuration returns the average work-discovery session
-// length across all ranks (Figure 10's metric), and false when there
-// are no sessions.
-func (t *Trace) MeanSessionDuration() (sim.Duration, bool) {
-	var sum sim.Duration
-	n := 0
-	for _, ss := range t.Sessions {
-		for _, s := range ss {
-			sum += s.Duration()
-			n++
-		}
-	}
-	if n == 0 {
-		return 0, false
-	}
-	return sum / sim.Duration(n), true
-}
-
 // ---------------------------------------------------------------------
 // Clock skew
 

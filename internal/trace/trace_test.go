@@ -82,23 +82,21 @@ func TestAttemptOutsideSessionIgnored(t *testing.T) {
 	}
 }
 
-func TestMeanSessionDuration(t *testing.T) {
+func TestSessionDurationsAndTotal(t *testing.T) {
 	r := NewRecorder(2)
 	r.BeginSession(0, 0)
 	r.EndSession(0, 10, true)
 	r.BeginSession(1, 0)
 	r.EndSession(1, 30, true)
 	tr := r.Finish(50)
-	mean, ok := tr.MeanSessionDuration()
-	if !ok || mean != 20 {
-		t.Fatalf("mean = %v ok = %v, want 20", mean, ok)
+	if d0, d1 := tr.Sessions[0][0].Duration(), tr.Sessions[1][0].Duration(); d0 != 10 || d1 != 30 {
+		t.Fatalf("session durations %v, %v, want 10, 30", d0, d1)
 	}
 	if tr.TotalSessions() != 2 {
 		t.Fatalf("TotalSessions = %d", tr.TotalSessions())
 	}
-	empty := NewRecorder(1).Finish(10)
-	if _, ok := empty.MeanSessionDuration(); ok {
-		t.Fatal("mean of empty trace ok")
+	if n := NewRecorder(1).Finish(10).TotalSessions(); n != 0 {
+		t.Fatalf("empty trace has %d sessions", n)
 	}
 }
 
