@@ -4,7 +4,10 @@
 # tests — among them the end-to-end command lines of cmd/uts (TestCLI)
 # and the scenario matrix against its committed baseline
 # (TestMatrixPinsCommittedBaseline) — and survives the race-detector
-# stress tests on the concurrent packages.
+# stress tests on the concurrent packages. After a deliberate behaviour
+# change, the harness goldens (the quick-scale reports and the matrix's
+# ledger) are rewritten with
+#   go test ./internal/harness -run 'TestQuickExperiments|TestMatrixPinsCommittedBaseline' -update
 
 GO ?= go
 ARTIFACTS ?= artifacts
@@ -14,7 +17,7 @@ ARTIFACTS ?= artifacts
 # ledger the matrix test compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile matrix-baseline results-check check clean
+.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile results-check check clean
 
 build:
 	$(GO) build ./...
@@ -137,15 +140,6 @@ profile:
 		-test.cpuprofile $(SMOKE)/cpu.prof
 	$(GO) tool pprof -top -nodecount 25 $(SMOKE)/distws.test $(SMOKE)/cpu.prof
 	@echo "profile: $(SMOKE)/distws.test and $(SMOKE)/cpu.prof kept for go tool pprof -list"
-
-# matrix-baseline regenerates the committed golden ledger that
-# TestMatrixPinsCommittedBaseline (internal/harness) holds every cell of
-# the quick matrix to, byte for byte. Rebaseline workflow: run this after
-# a deliberate behaviour change, review the manifest diffs (`git diff
-# artifacts/runs/baseline`), and commit.
-matrix-baseline:
-	$(GO) run ./cmd/experiments -matrix -scale quick -matrix-out artifacts/runs/baseline
-	@echo "matrix-baseline: regenerated artifacts/runs/baseline — review the diff and commit"
 
 # results-check reruns every experiment at default scale and seed 12345
 # and diffs the reports against the committed results_default.txt

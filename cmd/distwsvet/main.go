@@ -72,8 +72,8 @@ var (
 	// layer (internal/obs, internal/trace): its events, counters and
 	// histograms are pure functions of the simulated run, timestamped in
 	// virtual nanoseconds, so traced runs stay bit-identical across
-	// hosts. Command-line tools and examples live outside internal/ and
-	// may time things.
+	// hosts. Command-line tools live outside internal/ and may time
+	// things.
 	virtualTime = []string{"distws/internal"}
 
 	// simPath defines the Event handle type handlesafe guards;

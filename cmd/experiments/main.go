@@ -5,30 +5,19 @@
 //	experiments -list
 //	experiments -run fig09 -scale default
 //	experiments -run all -scale quick -o results.txt
-//	experiments -matrix -scale quick -matrix-out artifacts/runs/latest -baseline artifacts/runs/baseline
 //
 // Each experiment prints the rows/series the paper reports, an ASCII
 // rendering of the figure, and machine-checked "shape checks" asserting
 // the paper's qualitative findings. Exit status is nonzero if any shape
 // check fails.
-//
-// -matrix runs the scenario-matrix regression harness instead: the
-// (tree × selector × ranks × fault plan) grid is executed, one run
-// manifest per cell lands in -matrix-out, and when -baseline names a
-// committed ledger every fresh cell must equal its committed manifest
-// byte for byte (exit 1 otherwise; each drifted cell's causal diff
-// against its baseline lands next to the manifests as diff-<id>.txt).
-// uts -diff compares any two manifests.
 package main
 
 import (
-	"bytes"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -38,8 +27,8 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is the command behind main: exit status 0 when every shape check
-// (or the matrix's baseline gate) passes, 1 when one fails or a run or
-// an output file cannot finish, 2 on a usage error.
+// passes, 1 when one fails or a run or an output file cannot finish, 2
+// on a usage error.
 func run(args []string, stdout, stderr io.Writer) (code int) {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -49,10 +38,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		seedFlag  = fs.Uint64("seed", 12345, "base random seed")
 		outFlag   = fs.String("o", "", "also write the reports to this file")
 		listFlag  = fs.Bool("list", false, "list experiment IDs and exit")
-
-		matrixFlag   = fs.Bool("matrix", false, "run the scenario-matrix regression harness")
-		matrixOut    = fs.String("matrix-out", "artifacts/runs/latest", "directory for the matrix's run manifests")
-		baselineFlag = fs.String("baseline", "", "baseline ledger directory to gate the matrix against")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -76,13 +61,6 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 	scale, err := harness.ParseScale(*scaleFlag)
 	if err != nil {
 		return fail(2, err)
-	}
-
-	if *matrixFlag {
-		if err := runMatrix(stdout, scale, *seedFlag, *matrixOut, *baselineFlag); err != nil {
-			return fail(1, err)
-		}
-		return 0
 	}
 
 	var ids []string
@@ -134,52 +112,4 @@ func run(args []string, stdout, stderr io.Writer) (code int) {
 		return fail(1, errors.New("some shape checks FAILED"))
 	}
 	return 0
-}
-
-// runMatrix executes the scenario matrix, writes one manifest per cell,
-// and optionally gates the result against a committed baseline ledger.
-func runMatrix(stdout io.Writer, scale *harness.Scale, seed uint64, outDir, baselineDir string) error {
-	start := time.Now()
-	manifests, err := harness.RunMatrix(scale, seed)
-	if err != nil {
-		return err
-	}
-	paths, err := harness.WriteMatrix(manifests, outDir)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "matrix: %d cell(s) at scale %v in %v\n", len(manifests), scale, time.Since(start).Round(time.Millisecond))
-	for i, m := range manifests {
-		fmt.Fprintf(stdout, "  %-28s makespan %-12v efficiency %.3f  -> %s\n",
-			m.ID, m.Makespan(), m.Result.Efficiency, paths[i])
-	}
-	if baselineDir == "" {
-		return nil
-	}
-
-	drifts, err := harness.CompareBaseline(baselineDir, manifests)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintln(stdout)
-	if len(drifts) == 0 {
-		fmt.Fprintf(stdout, "baseline gate: %d cell(s) identical to %s\n", len(manifests), baselineDir)
-		return nil
-	}
-	// Write the per-cell attribution reports next to the manifests: each
-	// drifted cell gets the full causal diff against its baseline, not
-	// just the fact that it moved.
-	fmt.Fprintf(stdout, "baseline gate: %d of %d cell(s) DRIFTED from %s\n", len(drifts), len(manifests), baselineDir)
-	for _, d := range drifts {
-		path := filepath.Join(outDir, "diff-"+d.IDB+".txt")
-		var text bytes.Buffer
-		if err := d.WriteText(&text); err != nil {
-			return err
-		}
-		if err := os.WriteFile(path, text.Bytes(), 0o666); err != nil {
-			return err
-		}
-		fmt.Fprintf(stdout, "  DRIFT %s: %s\n  attribution report: %s\n", d.IDB, d.Headline(), path)
-	}
-	return fmt.Errorf("baseline gate: %d cell(s) drifted", len(drifts))
 }

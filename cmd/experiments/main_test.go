@@ -57,6 +57,8 @@ func TestCLI(t *testing.T) {
 		{"-run table1 stray -scale bogus", 2, `unexpected argument "stray"`, ""},
 		{"-run table1 -scale bogus", 2, `harness: unknown scale "bogus"`, ""},
 		{"-run nope -scale quick", 2, `unknown experiment "nope"; -list shows the registry`, ""},
+		// The scenario matrix is a test of internal/harness, not a mode.
+		{"-matrix", 2, "flag provided but not defined: -matrix", ""},
 	}
 	if _, err := os.Stat("/dev/full"); err == nil {
 		// A full disk under the -o file fails the command; -o used to

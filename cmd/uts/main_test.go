@@ -7,6 +7,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,6 +86,34 @@ func TestCLI(t *testing.T) {
 	// A report that cannot be written fails the run; it used to lose
 	// the error and exit 0.
 	t.Run("report-to-full-disk", func(t *testing.T) { checkFullDisk(t, "-tree H-TINY -ranks 8") })
+}
+
+// TestReadmeQuickstart runs the two uts command lines README's
+// Quickstart section opens with and wants every line of the output
+// block that follows each among the report's lines, so the quoted
+// numbers cannot go stale.
+func TestReadmeQuickstart(t *testing.T) {
+	readme, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, _ := strings.Cut(string(readme), "\n## Quickstart\n")
+	blocks := regexp.MustCompile("(?s)```sh\ngo run ./cmd/uts ([^\n]*)\n```\n\n```text\n(.*?)```").FindAllStringSubmatch(section, 2)
+	if len(blocks) != 2 {
+		t.Fatalf("README's Quickstart has %d uts command(s) with quoted output, want 2", len(blocks))
+	}
+	for _, b := range blocks {
+		code, stdout, stderr := runCLI(b[1])
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", b[1], code, stderr)
+		}
+		lines := strings.Split(stdout, "\n")
+		for _, want := range strings.Split(strings.TrimSuffix(b[2], "\n"), "\n") {
+			if !slices.Contains(lines, want) {
+				t.Errorf("%s: README quotes %q; the report is\n%s", b[1], want, stdout)
+			}
+		}
+	}
 }
 
 // TestAnalyzeCLI holds the analysis modes to TestCLI's rows: -in prints

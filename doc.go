@@ -29,7 +29,6 @@
 //   - internal/harness    — experiments for every table and figure
 //   - internal/analysis   — the static analyzers cmd/distwsvet runs
 //   - cmd/uts (run, analyze, compare), cmd/experiments — tools
-//   - examples/...        — runnable walkthroughs
 //
 // The benchmarks in bench_test.go regenerate each figure's data at
 // quick scale; use cmd/experiments for the full reproduction.

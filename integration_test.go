@@ -183,34 +183,6 @@ func TestEfficiencyEqualsMeanOccupancy(t *testing.T) {
 	}
 }
 
-// TestSkewCorrectionPreservesMetrics runs the paper's clock-skew
-// methodology end to end: inject skew, correct it, and verify SL/EL
-// survive exactly.
-func TestSkewCorrectionPreservesMetrics(t *testing.T) {
-	res, err := core.Run(core.Config{
-		Tree:         uts.MustPreset("H-TINY").Params,
-		Ranks:        16,
-		ChunkSize:    4,
-		Selector:     victim.NewRoundRobin,
-		Seed:         11,
-		CollectTrace: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	orig := obs.Occupancy(res.Trace)
-	skewed, offsets := res.Trace.InjectSkew(3, 2*sim.Microsecond)
-	fixed := skewed.CorrectSkew(offsets)
-	corr := obs.Occupancy(fixed)
-	for _, x := range []float64{0.25, 0.5, 0.75} {
-		a, okA := orig.StartingLatency(x)
-		b, okB := corr.StartingLatency(x)
-		if okA != okB || a != b {
-			t.Fatalf("SL(%v) not preserved: %v/%v vs %v/%v", x, a, okA, b, okB)
-		}
-	}
-}
-
 // TestVictimSelectorsAcrossSubstrates drives the same selector
 // implementations through both of the engine's closed workloads, the
 // UTS tree and a task graph.

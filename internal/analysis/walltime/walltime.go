@@ -11,8 +11,8 @@
 // NewTicker, NewTimer) inside a configured virtual-time package.
 // Pure-value identifiers — time.Duration, time.Millisecond and friends
 // — are always allowed. cmd/distwsvet makes all of internal/ virtual-time,
-// with no exception; the command-line tools and examples sit outside it
-// and may measure genuine elapsed time.
+// with no exception; the command-line tools sit outside it and may
+// measure genuine elapsed time.
 //
 // Laundering through a helper is caught interprocedurally: a call from
 // a virtual-time package to any function that transitively reaches a

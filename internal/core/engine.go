@@ -297,8 +297,11 @@ type Result struct {
 	// rank spent waiting for steal answers ("search time").
 	MeanSearchTime sim.Duration
 	// MeanSessionDuration is the average work-discovery session length
-	// (Figure 10), a session open at the end counted up to Makespan;
-	// zero if no rank ever went idle.
+	// (Figure 10); zero if no rank ever went idle. A rank's last session
+	// ends when termination reaches it: at Makespan on the detecting
+	// rank, later on every other rank, when the terminate broadcast
+	// arrives. A session that no terminate closed is counted up to
+	// Makespan.
 	MeanSessionDuration sim.Duration
 	Sessions            uint64
 

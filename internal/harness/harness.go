@@ -35,18 +35,14 @@ type Scale struct {
 	fig2Ranks []int
 	fig2Tree  uts.Params
 	// ablationRanks sizes the ablations and the chaos experiment;
-	// ext-dag runs at half of it. ablationTree is their workload and
-	// the scenario matrix's.
+	// ext-dag runs at half of it. ablationTree is their workload and,
+	// at quick scale, the scenario matrix's (matrix_test.go).
 	ablationRanks int
 	ablationTree  uts.Params
 	// fig8Ranks is the allocation Figure 8 draws its PDF over;
 	// blameRanks is the one size of the causal tables (a single size
 	// keeps the event logs affordable).
 	fig8Ranks, blameRanks int
-	// matrixRanks is the scenario matrix's ladder; its chaos and
-	// serving cells run at the top, the serving cells for matrixHorizon.
-	matrixRanks   []int
-	matrixHorizon sim.Duration
 	// servingRanks and servingHorizon size the serving sweep;
 	// servingLoads are the gold tenant's offered-load factors ρ =
 	// offered/capacity, ascending through the knee at ρ = 1.
@@ -80,7 +76,6 @@ var (
 		fig2Ranks: []int{8, 16, 32}, fig2Tree: uts.MustPreset("H-TINY").Params,
 		ablationRanks: 64, ablationTree: uts.MustPreset("H-TINY").Params,
 		fig8Ranks: 128, blameRanks: 64,
-		matrixRanks: []int{16, 32}, matrixHorizon: 20 * sim.Millisecond,
 		servingRanks: 8, servingHorizon: 20 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2},
 		fig16Rounds: []int{1, 4, 16},
 		dagLayers:   16, dagWidth: 8, dagEdgeSizes: []int{1 << 10, 64 << 10, 512 << 10},
@@ -93,7 +88,6 @@ var (
 		fig2Ranks: []int{8, 16, 32, 64, 128}, fig2Tree: uts.MustPreset("H-EVEN").Params,
 		ablationRanks: 256, ablationTree: uts.MustPreset("H-SMALL").Params,
 		fig8Ranks: 1024, blameRanks: 256,
-		matrixRanks: []int{64, 128}, matrixHorizon: 40 * sim.Millisecond,
 		servingRanks: 16, servingHorizon: 40 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2},
 		fig16Rounds: []int{1, 2, 4, 8, 16, 24},
 		dagLayers:   40, dagWidth: 24, dagEdgeSizes: []int{1 << 10, 64 << 10, 256 << 10, 1 << 20},
@@ -105,7 +99,6 @@ var (
 		fig2Ranks: []int{8, 16, 32, 64, 128}, fig2Tree: uts.MustPreset("H-EVEN").Params,
 		ablationRanks: 512, ablationTree: uts.MustPreset("H-SMALL").Params,
 		fig8Ranks: 1024, blameRanks: 1024,
-		matrixRanks: []int{128, 256}, matrixHorizon: 40 * sim.Millisecond,
 		servingRanks: 32, servingHorizon: 80 * sim.Millisecond, servingLoads: []float64{0.25, 0.5, 1, 2, 4},
 		fig16Rounds: []int{1, 2, 4, 8, 16, 24},
 		dagLayers:   64, dagWidth: 48, dagEdgeSizes: []int{1 << 10, 64 << 10, 256 << 10, 1 << 20},

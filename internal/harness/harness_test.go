@@ -227,7 +227,6 @@ func TestScaleParameterTables(t *testing.T) {
 		}
 		ascending(s.String()+" sweep", s.sweepRanks)
 		ascending(s.String()+" fig2", s.fig2Ranks)
-		ascending(s.String()+" matrix", s.matrixRanks)
 		ascending(s.String()+" fig16 rounds", s.fig16Rounds)
 		ascending(s.String()+" DAG edge sizes", s.dagEdgeSizes)
 		if len(s.sweepRanks) < 3 {
@@ -255,8 +254,8 @@ func TestScaleParameterTables(t *testing.T) {
 		if !slices.IsSorted(s.servingLoads) || !slices.Contains(s.servingLoads, 1) {
 			t.Errorf("%v: serving loads %v must ascend through ρ = 1", s, s.servingLoads)
 		}
-		if s.matrixHorizon <= 0 || s.servingHorizon <= 0 {
-			t.Errorf("%v: horizons %v, %v", s, s.matrixHorizon, s.servingHorizon)
+		if s.servingHorizon <= 0 {
+			t.Errorf("%v: serving horizon %v", s, s.servingHorizon)
 		}
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 )
 
@@ -47,39 +46,6 @@ func ReadFile(path string) (*Manifest, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return m, nil
-}
-
-// ReadDir loads every *.manifest.json under dir, sorted by file name
-// for deterministic iteration, and returns them keyed by ID (file base
-// name when the ID is empty).
-func ReadDir(dir string) (map[string]*Manifest, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".manifest.json") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	out := make(map[string]*Manifest, len(names))
-	for _, name := range names {
-		m, err := ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, err
-		}
-		key := m.ID
-		if key == "" {
-			key = strings.TrimSuffix(name, ".manifest.json")
-		}
-		if _, dup := out[key]; dup {
-			return nil, fmt.Errorf("ledger: duplicate manifest id %q in %s", key, dir)
-		}
-		out[key] = m
-	}
-	return out, nil
 }
 
 // Slug builds a filesystem-safe fragment from a run label.

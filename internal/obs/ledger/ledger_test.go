@@ -249,7 +249,7 @@ func TestSpecFingerprint(t *testing.T) {
 }
 
 // TestFileRoundTrip: WriteFile then ReadFile reproduces the manifest
-// exactly, and ReadDir finds it under its canonical name.
+// exactly.
 func TestFileRoundTrip(t *testing.T) {
 	cfg := testConfig()
 	m := FromRun("round trip A", testSpec(cfg), mustRun(t, cfg))
@@ -268,18 +268,11 @@ func TestFileRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(m, got) {
 		t.Error("read-back manifest differs from the written one")
 	}
-	all, err := ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 1 || all["round trip A"] == nil {
-		t.Errorf("ReadDir = %v, want the one manifest keyed by ID", all)
-	}
 }
 
 // TestDecodeRejectsTrailingData: a manifest is one JSON value. Anything
 // but whitespace after it — a second document, garbage from a botched
-// concatenation — fails the decode, so ReadFile, ReadDir and every
+// concatenation — fails the decode, so ReadFile and every
 // baseline comparison inherit the check. A section the schema no longer
 // has (the parallel-kernel "par" block older manifests carried) fails
 // the unknown-field check.

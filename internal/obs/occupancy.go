@@ -17,7 +17,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 
 	"distws/internal/sim"
 	"distws/internal/trace"
@@ -91,16 +90,6 @@ func (c *OccupancyCurve) MaxOccupancy() float64 {
 		return 0
 	}
 	return float64(c.wmax) / float64(c.N)
-}
-
-// WorkersAt returns workers(t).
-func (c *OccupancyCurve) WorkersAt(t sim.Time) int {
-	// Find the last step at or before t.
-	i := sort.Search(len(c.times), func(i int) bool { return c.times[i] > t }) - 1
-	if i < 0 {
-		return 0
-	}
-	return c.workers[i]
 }
 
 // Steps returns copies of the curve's breakpoints: times[i] is when the

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -29,17 +30,11 @@ func TestOccupancyBasic(t *testing.T) {
 		{{20, 50}, {60, 80}},
 	})
 	c := Occupancy(tr)
-	cases := []struct {
-		at   sim.Time
-		want int
-	}{
-		{0, 0}, {5, 0}, {10, 1}, {15, 1}, {20, 2}, {49, 2},
-		{50, 1}, {55, 1}, {60, 2}, {79, 2}, {80, 1}, {90, 0}, {99, 0},
-	}
-	for _, cse := range cases {
-		if got := c.WorkersAt(cse.at); got != cse.want {
-			t.Fatalf("WorkersAt(%d) = %d, want %d", cse.at, got, cse.want)
-		}
+	times, counts := c.Steps()
+	wantTimes := []sim.Time{0, 10, 20, 50, 60, 80, 90}
+	wantCounts := []int{0, 1, 2, 1, 2, 1, 0}
+	if !slices.Equal(times, wantTimes) || !slices.Equal(counts, wantCounts) {
+		t.Fatalf("Steps = %v, %v; want %v, %v", times, counts, wantTimes, wantCounts)
 	}
 	if c.Wmax() != 2 {
 		t.Fatalf("Wmax = %d", c.Wmax())

@@ -167,16 +167,6 @@ func (b *Builder) Build(weights []float64) (Discrete, error) {
 	return Discrete{cells: cells}, nil
 }
 
-// MustNewDiscrete is like NewDiscrete but panics on error. For use with
-// weight vectors known to be valid by construction.
-func MustNewDiscrete(weights []float64) *Discrete {
-	d, err := NewDiscrete(weights)
-	if err != nil {
-		panic(err)
-	}
-	return d
-}
-
 // N returns the number of outcomes.
 func (d *Discrete) N() int { return len(d.cells) }
 

@@ -40,17 +40,18 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestMustNewDiscretePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MustNewDiscrete did not panic on bad input")
-		}
-	}()
-	MustNewDiscrete(nil)
+// mustDiscrete builds the table for weights known to be valid.
+func mustDiscrete(tb testing.TB, weights []float64) *Discrete {
+	tb.Helper()
+	d, err := NewDiscrete(weights)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return d
 }
 
 func TestSingleOutcome(t *testing.T) {
-	d := MustNewDiscrete([]float64{3.7})
+	d := mustDiscrete(t, []float64{3.7})
 	r := rng.New(1)
 	for i := 0; i < 100; i++ {
 		if d.Sample(r) != 0 {
@@ -63,7 +64,7 @@ func TestSingleOutcome(t *testing.T) {
 }
 
 func TestZeroWeightNeverSampled(t *testing.T) {
-	d := MustNewDiscrete([]float64{1, 0, 1, 0, 1})
+	d := mustDiscrete(t, []float64{1, 0, 1, 0, 1})
 	r := rng.New(2)
 	for i := 0; i < 100000; i++ {
 		v := d.Sample(r)
@@ -79,7 +80,7 @@ func TestUniformCase(t *testing.T) {
 	for i := range w {
 		w[i] = 2.5
 	}
-	d := MustNewDiscrete(w)
+	d := mustDiscrete(t, w)
 	counts := sampleCounts(d, 80000, 3)
 	for i, c := range counts {
 		if math.Abs(float64(c)/80000-1.0/n) > 0.01 {
@@ -90,7 +91,7 @@ func TestUniformCase(t *testing.T) {
 
 func TestSkewedFrequencies(t *testing.T) {
 	w := []float64{1, 2, 3, 4}
-	d := MustNewDiscrete(w)
+	d := mustDiscrete(t, w)
 	const n = 400000
 	counts := sampleCounts(d, n, 4)
 	for i, c := range counts {
@@ -165,7 +166,7 @@ func TestPropertyFrequenciesTrackPDF(t *testing.T) {
 		if !anyPositive {
 			return true
 		}
-		d := MustNewDiscrete(w)
+		d := mustDiscrete(t, w)
 		want := pdf(w)
 		const n = 50000
 		r := rng.New(seed)
@@ -193,7 +194,7 @@ func TestLargeSupport(t *testing.T) {
 	for i := range w {
 		w[i] = 1 / float64(1+i%37)
 	}
-	d := MustNewDiscrete(w)
+	d := mustDiscrete(t, w)
 	want := pdf(w)
 	r := rng.New(5)
 	counts := make([]int, n)
@@ -220,7 +221,7 @@ func BenchmarkSample2048(b *testing.B) {
 	for i := range w {
 		w[i] = 1 / float64(1+i)
 	}
-	d := MustNewDiscrete(w)
+	d := mustDiscrete(b, w)
 	r := rng.New(1)
 	b.ReportAllocs()
 	b.ResetTimer()

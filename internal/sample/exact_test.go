@@ -150,7 +150,7 @@ func TestPrefetchIsANoOpForResults(t *testing.T) {
 		for i := range w {
 			w[i] = 1 / float64(1+i%7)
 		}
-		d := MustNewDiscrete(w)
+		d := mustDiscrete(t, w)
 		cells := append([]uint64(nil), d.cells...)
 		for _, bucket := range []int{0, n - 1} {
 			a, b := rng.New(5), rng.New(5)

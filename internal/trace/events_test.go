@@ -125,25 +125,6 @@ func TestEventValidation(t *testing.T) {
 	}
 }
 
-func TestSkewShiftsEvents(t *testing.T) {
-	tr := eventTrace()
-	skewed, offsets := tr.InjectSkew(7, 5)
-	restored := skewed.CorrectSkew(offsets)
-	// Clamping at [0, End] makes injection lossy at the boundaries, so
-	// compare only events that stayed inside the window.
-	for rank := range tr.Events {
-		for i, orig := range tr.Events[rank] {
-			shifted := orig.Time.Add(offsets[rank])
-			if shifted < 0 || shifted > tr.End {
-				continue
-			}
-			if got := restored.Events[rank][i].Time; got != orig.Time {
-				t.Fatalf("rank %d event %d: restored time %d, want %d", rank, i, got, orig.Time)
-			}
-		}
-	}
-}
-
 // --- reader hardening ---------------------------------------------------
 
 func TestReadJSONLCorruptLine(t *testing.T) {

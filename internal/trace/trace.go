@@ -9,9 +9,7 @@
 // sessions used by Figure 10.
 //
 // The paper corrects its traces for clock skew across nodes; a
-// simulator has a perfectly synchronized clock, but the same machinery
-// is provided (skew injection and correction) so the methodology can be
-// validated end to end.
+// simulator's clocks are exact, so the transitions need no correction.
 package trace
 
 import (
@@ -25,7 +23,6 @@ import (
 	"sort"
 	"strconv"
 
-	"distws/internal/rng"
 	"distws/internal/sim"
 )
 
@@ -181,8 +178,11 @@ func (r *Recorder) Finish(end sim.Time) *Trace {
 }
 
 // Validate checks the structural invariants of a trace: per-rank
-// transitions strictly alternate states with non-decreasing times and
-// sessions nest within idle phases' bounds.
+// transitions start active, strictly alternate states and lie in
+// [0, End] at non-decreasing times; a session ends no earlier than it
+// starts and fails no more attempts than it makes (its bounds are not
+// checked against the idle phases); events are in time order with
+// known kinds and peers.
 func (t *Trace) Validate() error {
 	for rank, trs := range t.Transitions {
 		for i, tr := range trs {
@@ -241,94 +241,6 @@ func (t *Trace) TotalSessions() int {
 		n += len(ss)
 	}
 	return n
-}
-
-// ---------------------------------------------------------------------
-// Clock skew
-
-// InjectSkew returns a copy of the trace with every rank's timestamps
-// shifted by a random per-rank offset in [-maxSkew, +maxSkew], clamped
-// to [0, End]. This emulates unsynchronized node clocks so the
-// correction path (paper §III: "the trace modified to account for clock
-// skew") can be tested. The returned offsets can undo the injection via
-// CorrectSkew.
-func (t *Trace) InjectSkew(seed uint64, maxSkew sim.Duration) (*Trace, []sim.Duration) {
-	r := rng.New(seed)
-	offsets := make([]sim.Duration, t.Ranks())
-	for i := range offsets {
-		offsets[i] = sim.Duration(r.Intn(int(2*maxSkew+1))) - maxSkew
-	}
-	return t.shift(offsets, true), offsets
-}
-
-// CorrectSkew returns a copy of the trace with each rank's known clock
-// offset subtracted, restoring a common timebase.
-func (t *Trace) CorrectSkew(offsets []sim.Duration) *Trace {
-	neg := make([]sim.Duration, len(offsets))
-	for i, o := range offsets {
-		neg[i] = -o
-	}
-	return t.shift(neg, false)
-}
-
-func (t *Trace) shift(offsets []sim.Duration, clamp bool) *Trace {
-	out := &Trace{
-		End:         t.End,
-		Transitions: make([][]Transition, t.Ranks()),
-		Sessions:    make([][]Session, t.Ranks()),
-	}
-	adj := func(rank int, ts sim.Time) sim.Time {
-		v := ts.Add(offsets[rank])
-		if clamp {
-			if v < 0 {
-				v = 0
-			}
-			if v > t.End {
-				v = t.End
-			}
-		}
-		return v
-	}
-	for rank, trs := range t.Transitions {
-		if trs == nil {
-			continue
-		}
-		ns := make([]Transition, len(trs))
-		for i, tr := range trs {
-			ns[i] = Transition{Time: adj(rank, tr.Time), State: tr.State}
-		}
-		out.Transitions[rank] = ns
-	}
-	for rank, ss := range t.Sessions {
-		if ss == nil {
-			continue
-		}
-		ncopy := make([]Session, len(ss))
-		for i, s := range ss {
-			s.Start = adj(rank, s.Start)
-			s.End = adj(rank, s.End)
-			ncopy[i] = s
-		}
-		out.Sessions[rank] = ncopy
-	}
-	if t.Events != nil {
-		out.Events = make([][]Event, t.Ranks())
-		for rank, es := range t.Events {
-			if es == nil {
-				continue
-			}
-			ncopy := make([]Event, len(es))
-			for i, e := range es {
-				e.Time = adj(rank, e.Time)
-				ncopy[i] = e
-			}
-			out.Events[rank] = ncopy
-		}
-	}
-	if t.EventsDropped != nil {
-		out.EventsDropped = append([]uint64(nil), t.EventsDropped...)
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------

@@ -133,42 +133,6 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
-func TestSkewRoundTrip(t *testing.T) {
-	r := NewRecorder(4)
-	for rank := 0; rank < 4; rank++ {
-		r.Record(rank, sim.Time(10*rank+100), Active)
-		r.Record(rank, sim.Time(10*rank+500), Idle)
-		r.BeginSession(rank, sim.Time(10*rank+500))
-		r.EndSession(rank, sim.Time(10*rank+600), true)
-	}
-	orig := r.Finish(1000)
-	skewed, offsets := orig.InjectSkew(42, 50)
-	// Skew must actually move something.
-	if reflect.DeepEqual(orig.Transitions, skewed.Transitions) {
-		t.Fatal("skew injection changed nothing")
-	}
-	fixed := skewed.CorrectSkew(offsets)
-	if !reflect.DeepEqual(orig.Transitions, fixed.Transitions) {
-		t.Fatal("skew correction did not restore transitions")
-	}
-	if !reflect.DeepEqual(orig.Sessions, fixed.Sessions) {
-		t.Fatal("skew correction did not restore sessions")
-	}
-}
-
-func TestSkewClamping(t *testing.T) {
-	r := NewRecorder(1)
-	r.Record(0, 1, Active)
-	r.Record(0, 999, Idle)
-	orig := r.Finish(1000)
-	skewed, _ := orig.InjectSkew(7, 5000)
-	for _, tr := range skewed.Transitions[0] {
-		if tr.Time < 0 || tr.Time > 1000 {
-			t.Fatalf("skewed time %d outside [0, 1000]", tr.Time)
-		}
-	}
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	r := NewRecorder(3)
 	r.Record(0, 10, Active)
@@ -213,13 +177,10 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: for any alternating schedule, Validate passes and the skew
-// round trip is the identity.
+// Property: for any alternating schedule, Validate passes.
 func TestPropertyRecorderInvariants(t *testing.T) {
-	f := func(gaps []uint8, seed uint64) bool {
+	f := func(gaps []uint8) bool {
 		r := NewRecorder(1)
-		// Keep timestamps at least maxSkew (3) away from 0 and End so
-		// injection never clamps; clamping is deliberately lossy.
 		now := sim.Time(10)
 		state := Active
 		for _, g := range gaps {
@@ -231,13 +192,7 @@ func TestPropertyRecorderInvariants(t *testing.T) {
 				state = Active
 			}
 		}
-		tr := r.Finish(now.Add(10))
-		if tr.Validate() != nil {
-			return false
-		}
-		skewed, off := tr.InjectSkew(seed, 3)
-		fixed := skewed.CorrectSkew(off)
-		return reflect.DeepEqual(tr.Transitions, fixed.Transitions)
+		return r.Finish(now.Add(10)).Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)

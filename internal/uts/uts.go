@@ -234,21 +234,6 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// ExpectedSize returns the analytic expected node count where one
-// exists (binomial trees: 1 + b0/(1 - m*q)), or 0 when unknown.
-// The realized size of any single tree can differ by orders of
-// magnitude — that variance is the point of the benchmark.
-func (p Params) ExpectedSize() float64 {
-	if p.Type != Binomial {
-		return 0
-	}
-	mq := float64(p.NonLeafBF) * p.NonLeafProb
-	if mq >= 1 {
-		return math.Inf(1)
-	}
-	return 1 + p.B0/(1-mq)
-}
-
 // Root returns the tree's root node for these parameters.
 func (p Params) Root() Node {
 	var n Node

@@ -248,31 +248,16 @@ func TestCountLimitedAborts(t *testing.T) {
 	}
 }
 
-func TestExpectedSize(t *testing.T) {
-	p := MustPreset("T3S").Params // q = 0.49, b = 2000
-	want := 1 + 2000/(1-2*0.49)
-	if got := p.ExpectedSize(); math.Abs(got-want) > 1e-6 {
-		t.Fatalf("ExpectedSize = %v, want %v", got, want)
-	}
-	if (Params{Type: Geometric}).ExpectedSize() != 0 {
-		t.Fatal("geometric ExpectedSize should be 0 (unknown)")
-	}
-	super := Params{Type: Binomial, NonLeafBF: 2, NonLeafProb: 0.6}
-	if !math.IsInf(super.ExpectedSize(), 1) {
-		t.Fatal("supercritical ExpectedSize should be +Inf")
-	}
-}
-
 func TestRealizedSizeNearExpectation(t *testing.T) {
 	// The realized size of T3S should be within a factor of ~3 of its
-	// 1e5 expectation (the distribution is heavy-tailed but the root
-	// fan-out of 2000 concentrates the sum).
+	// binomial expectation 1 + b0/(1 - m*q) ≈ 1e5 (the distribution is
+	// heavy-tailed but the root fan-out of 2000 concentrates the sum).
 	p := MustPreset("T3S").Params
 	res, err := CountSequential(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp := p.ExpectedSize()
+	exp := 1 + p.B0/(1-float64(p.NonLeafBF)*p.NonLeafProb)
 	if float64(res.Nodes) < exp/3 || float64(res.Nodes) > exp*3 {
 		t.Fatalf("T3S realized %d nodes vs expected %.0f — preset needs retuning", res.Nodes, exp)
 	}
