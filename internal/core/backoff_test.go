@@ -49,12 +49,12 @@ func stealSendGaps(t *testing.T, immediate bool, horizon sim.Duration) []sim.Dur
 	if err := k.RunUntil(sim.Time(0).Add(horizon)); err != nil {
 		t.Fatal(err)
 	}
-	events, dropped := e.ev.Snapshot()
-	if dropped[1] != 0 {
-		t.Fatalf("rank 1's event ring dropped %d events", dropped[1])
+	tr := e.rec.Finish(k.Now())
+	if tr.EventsDropped[1] != 0 {
+		t.Fatalf("rank 1's event ring dropped %d events", tr.EventsDropped[1])
 	}
 	var sends []sim.Time
-	for _, ev := range events[1] {
+	for _, ev := range tr.Events[1] {
 		if ev.Kind == trace.EvStealSend {
 			sends = append(sends, ev.Time)
 		}

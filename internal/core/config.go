@@ -233,15 +233,16 @@ type Config struct {
 	// Seed drives every random choice of the run.
 	Seed uint64
 
-	// CollectTrace enables the activity trace (paper §III). Costs
-	// memory proportional to the number of phase transitions.
+	// CollectTrace records the activity trace (paper §III, obs.Recorder):
+	// phase transitions and work-discovery sessions. Costs memory
+	// proportional to the number of phase transitions.
 	CollectTrace bool
 
-	// CollectEvents enables the protocol-level event log (internal/obs):
-	// bounded per-rank rings of steal, token, and quantum events attached
-	// to Result.Trace. Implies CollectTrace. Recording never perturbs the
-	// simulation — a traced run and an untraced run of the same
-	// configuration produce identical results (asserted by tests).
+	// CollectEvents records at the events level: the same activity trace
+	// plus bounded per-rank logs of steal, token and quantum events, in
+	// Result.Trace. Recording never perturbs the simulation — an untraced
+	// run and a run at either level produce identical results (asserted by
+	// tests).
 	CollectEvents bool
 	// EventBuffer caps the per-rank event log, in events, when
 	// CollectEvents is set; 0 means obs.DefaultRingCap. Runs that outgrow

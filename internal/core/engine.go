@@ -216,9 +216,8 @@ type engine struct {
 	net    *comm.Network
 	det    term.Detector
 	sel    victim.Selector
-	rec    *trace.Recorder // activity trace; nil when disabled
-	ev     *obs.Recorder   // protocol event rings; nil when disabled
-	met    engineMetrics   // registry handles; all nil when disabled
+	rec    *obs.Recorder // activity trace and event logs; nil when disabled
+	met    engineMetrics // registry handles; all nil when disabled
 	ranks  []rank
 	// faults is the per-rank fault state, nil without a fault plan.
 	faults []rankFault
@@ -257,7 +256,7 @@ type engine struct {
 
 	// par links the engine into a sharded run (engine_par.go): nil for
 	// sequential runs, where every field above is engine-global. In a
-	// sharded run each shard owns one engine; ranks, det, sel, rec, ev
+	// sharded run each shard owns one engine; ranks, det, sel, rec
 	// and the registry behind met are shared across the shard engines
 	// while the counters above are per shard.
 	par *parShared
@@ -298,10 +297,9 @@ type Result struct {
 	MeanSearchTime sim.Duration
 	// MeanSessionDuration is the average work-discovery session length
 	// (Figure 10); zero if no rank ever went idle. A rank's last session
-	// ends when termination reaches it: at Makespan on the detecting
-	// rank, later on every other rank, when the terminate broadcast
-	// arrives. A session that no terminate closed is counted up to
-	// Makespan.
+	// ends when the application terminates: at Makespan on every rank,
+	// however late the terminate broadcast reaches it, or if it never
+	// does.
 	MeanSessionDuration sim.Duration
 	Sessions            uint64
 
@@ -359,7 +357,8 @@ type Result struct {
 	// PerRankFaults is the per-rank fault table.
 	PerRankFaults []RankFault
 
-	// Trace is the activity trace, when Config.CollectTrace was set.
+	// Trace is the activity trace, with the event log at the events
+	// level, when Config.CollectTrace or CollectEvents was set.
 	Trace *trace.Trace
 
 	// Serve is the serving summary, when Config.Serve was set (nil
@@ -443,14 +442,12 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 		return nil, err
 	}
 	det := w.detector(cfg)
-	var rec *trace.Recorder
-	var ev *obs.Recorder
-	if cfg.CollectTrace || cfg.CollectEvents {
-		// The event log rides on the trace, so CollectEvents implies it.
-		rec = trace.NewRecorder(cfg.Ranks)
-	}
-	if cfg.CollectEvents {
-		ev = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
+	var rec *obs.Recorder
+	switch {
+	case cfg.CollectEvents:
+		rec = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
+	case cfg.CollectTrace:
+		rec = obs.NewActivityRecorder(cfg.Ranks)
 	}
 	st.ranks = slices.Grow(st.ranks[:0], cfg.Ranks)[:cfg.Ranks]
 	ranks := st.ranks
@@ -477,7 +474,6 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			det:    det,
 			sel:    sel,
 			rec:    rec,
-			ev:     ev,
 			met:    newEngineMetrics(cfg.Metrics),
 			ranks:  ranks,
 			faults: faults,
@@ -586,7 +582,7 @@ func (e *engine) startQuantum(r int) {
 	rk := &e.ranks[r]
 	w := rk.w // a rank starts a quantum on work it holds
 	rk.state = rsWorking
-	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(w.stack.Len()))
+	e.rec.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(w.stack.Len()))
 	compute, stall := e.w.execute(e, r)
 	if e.inj != nil {
 		compute = e.inj.ScaleCompute(r, compute)
@@ -603,7 +599,7 @@ func (e *engine) quantumEnd(r int) {
 		return
 	}
 	e.w.settle(e, r)
-	e.ev.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(w.units))
+	e.rec.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(w.units))
 	e.pollMailbox(r)
 	if rk.state == rsDone {
 		return
@@ -626,8 +622,7 @@ func (e *engine) goIdle(r int) {
 		rk.w.extraDelay = 0 // request-handling debt is moot once idle
 	}
 	rk.idleSince = now
-	e.rec.Record(r, now, trace.Idle)
-	e.rec.BeginSession(r, now)
+	e.rec.Mark(r, now, trace.Idle)
 	rk.sessions++
 	e.forwardTokens(e.det.OnIdle(r))
 	if e.checkTermination() {
@@ -658,9 +653,9 @@ func (e *engine) sendSteal(r int) {
 	rk.state = rsSearching
 	if rk.lastAborted {
 		rk.lastAborted = false
-		e.ev.Record(r, rk.waitStart, trace.EvStealRetry, v, int64(rk.consecTimeouts))
+		e.rec.Record(r, rk.waitStart, trace.EvStealRetry, v, int64(rk.consecTimeouts))
 	}
-	e.ev.Record(r, rk.waitStart, trace.EvStealSend, v, int64(id))
+	e.rec.Record(r, rk.waitStart, trace.EvStealSend, v, int64(id))
 	e.met.stealRequests.Inc()
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
@@ -727,11 +722,10 @@ func (e *engine) abortSteal(r int) {
 			f.blacklists++
 		}
 	}
-	e.ev.Record(r, now, trace.EvStealAbort, v, int64(id))
+	e.rec.Record(r, now, trace.EvStealAbort, v, int64(id))
 	e.met.stealAborted.Inc()
 	e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 	e.sel.Observe(r, v, false)
-	e.rec.SessionAttempt(r, true)
 	e.retryOrBackoff(r)
 }
 
@@ -756,10 +750,8 @@ func (e *engine) crashRank(r int) {
 	e.kernel.Cancel(w.quantum)
 	w.quantum = sim.Event{}
 	rk.state = rsCrashed
-	e.ev.Record(r, now, trace.EvCrash, -1, int64(stackLost))
-	if wasWorking {
-		e.rec.Record(r, now, trace.Idle)
-	} else {
+	e.rec.Record(r, now, trace.EvCrash, -1, int64(stackLost))
+	if !wasWorking {
 		e.endSession(r, now, false)
 	}
 	// Messages delivered but not yet polled die unread.
@@ -798,7 +790,7 @@ func (e *engine) deadLetter(m *comm.Message) {
 // lose books a message a fault destroyed — dropped on a link, or
 // dead-lettered at a crashed rank — and, for a work message, its loot.
 func (e *engine) lose(tag comm.Tag, from, to int, loot []uts.Node) {
-	e.ev.Record(from, e.kernel.Now(), trace.EvMsgDrop, to, int64(len(loot)))
+	e.rec.Record(from, e.kernel.Now(), trace.EvMsgDrop, to, int64(len(loot)))
 	if tag != comm.TagWork {
 		return
 	}
@@ -979,7 +971,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		w := e.work(r)
 		w.lineage = int32(m.Lineage)
 		e.noteMigration(m.Lineage)
-		e.ev.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
+		e.rec.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
 		e.met.stealSuccess.Inc()
 		w.stack.Acquire(m.Nodes)
 		e.putLoot(m)
@@ -990,7 +982,6 @@ func (e *engine) handle(r int, m *comm.Message) {
 			rk.searchWait += now.Sub(rk.waitStart)
 			e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 		}
-		e.rec.SessionAttempt(r, false)
 		e.resume(r)
 
 	case comm.TagNoWork:
@@ -1013,15 +1004,14 @@ func (e *engine) handle(r int, m *comm.Message) {
 			// tally said.
 			delete(e.faults[r].timeouts, m.From)
 		}
-		e.ev.Record(r, now, trace.EvNoWorkRecv, m.From, int64(m.ID))
+		e.rec.Record(r, now, trace.EvNoWorkRecv, m.From, int64(m.ID))
 		e.met.stealFail.Inc()
 		e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 		e.sel.Observe(r, m.From, false)
-		e.rec.SessionAttempt(r, true)
 		e.retryOrBackoff(r)
 
 	case comm.TagToken:
-		e.ev.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
+		e.rec.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
 		e.met.tokenHops.Inc()
 		idle := rk.state != rsWorking
 		e.forwardTokens(e.det.OnToken(r, m.Token, idle))
@@ -1042,19 +1032,24 @@ func (e *engine) resume(r int) {
 	now := e.kernel.Now()
 	e.ranks[r].pendingVictim = -1
 	e.endSession(r, now, true)
-	e.rec.Record(r, now, trace.Active)
+	e.rec.Mark(r, now, trace.Active)
 	e.startQuantum(r)
 }
 
 // endSession closes idle rank r's work-discovery session at instant at,
-// ended with work (success) or without.
+// ended with work (success) or without. A close after detection — the
+// terminate broadcast's arrival, a crash — counts up to the makespan,
+// as obs.Recorder.Finish clips the trace's sessions.
 func (e *engine) endSession(r int, at sim.Time, success bool) {
-	d := at.Sub(e.ranks[r].idleSince)
-	e.ranks[r].sessionTime += d
+	rk := &e.ranks[r]
+	if e.detected {
+		at = min(at, e.detectedAt)
+	}
+	d := at.Sub(rk.idleSince)
+	rk.sessionTime += d
 	if success {
 		e.met.session.Observe(int64(d))
 	}
-	e.rec.EndSession(r, at, success)
 }
 
 // injectNode roots a served job at rank r: a working rank banks it, an
@@ -1079,7 +1074,7 @@ func (e *engine) injectNode(r int, node uts.Node) {
 func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	rk := &e.ranks[v]
 	now := e.kernel.Now()
-	e.ev.Record(v, now, trace.EvStealRecv, thief, int64(id))
+	e.rec.Record(v, now, trace.EvStealRecv, thief, int64(id))
 	// Only a working victim can give: an idle rank went idle on an empty
 	// stack and resumes the moment work reaches it, so a request to one
 	// reads its state and nothing else, and a done one answers no-work
@@ -1099,7 +1094,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 		avail = w.stack.StealableChunks()
 	}
 	if avail == 0 {
-		e.ev.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
+		e.rec.Record(v, now, trace.EvNoWorkSend, thief, int64(id))
 		e.net.SendID(v, thief, comm.TagNoWork, id, 16)
 		return
 	}
@@ -1113,7 +1108,7 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 	if twoSided {
 		w.extraDelay += stealResponseCost
 	}
-	e.ev.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
+	e.rec.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
 	e.met.chunkNodes.Observe(int64(len(loot)))
 	e.net.SendNodes(v, thief, id, loot, int(w.lineage)+1, len(loot)*uts.NodeBytes)
 }
@@ -1181,9 +1176,9 @@ func (e *engine) forwardTokens(sends []term.Send) {
 			// The previous token died with a crashed rank (or the rank
 			// was the initiator itself); the healed ring starts over.
 			e.tokenRegens++
-			e.ev.Record(s.From, now, trace.EvTokenRegen, s.To, int64(s.Token.Round))
+			e.rec.Record(s.From, now, trace.EvTokenRegen, s.To, int64(s.Token.Round))
 		}
-		e.ev.Record(s.From, now, trace.EvTokenSend, s.To, 0)
+		e.rec.Record(s.From, now, trace.EvTokenSend, s.To, 0)
 		e.net.SendToken(s.From, s.To, s.Token, term.TokenBytes)
 	}
 }
@@ -1226,16 +1221,17 @@ func (e *engine) markDetected(at sim.Time) {
 }
 
 // finishRank retires rank r at instant at — termination reached it, or
-// the serving run finished: it is marked done, its trace state closed
-// and its pending quantum cancelled. Event handles are arena slots of
-// the kernel that issued them, so the cancel goes through the owning
-// engine's kernel — another shard's would poison an unrelated slot.
+// the serving run finished: it is marked done, its session closed at
+// the makespan and its pending quantum cancelled. Event handles are
+// arena slots of the kernel that issued them, so the cancel goes
+// through the owning engine's kernel — another shard's would poison an
+// unrelated slot.
 func (e *engine) finishRank(r int, at sim.Time) {
 	rk := &e.ranks[r]
 	if rk.state == rsDone || rk.state == rsCrashed {
 		return
 	}
-	e.ev.Record(r, at, trace.EvTerminate, -1, 0)
+	e.rec.Record(r, at, trace.EvTerminate, -1, 0)
 	if rk.state != rsWorking {
 		e.endSession(r, at, false)
 	}
@@ -1369,9 +1365,6 @@ func result(engines []*engine) (*Result, error) {
 			}
 		}
 	}
-	if e.rec != nil {
-		res.Trace = e.rec.Finish(e.detectedAt)
-		e.ev.Attach(res.Trace)
-	}
+	res.Trace = e.rec.Finish(e.detectedAt)
 	return res, nil
 }

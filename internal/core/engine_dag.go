@@ -104,7 +104,7 @@ func (w *graphWork) seed(e *engine) {
 	}
 	seeded := min(len(w.g.Roots), e.cfg.Ranks)
 	for r := 0; r < seeded; r++ {
-		e.rec.Record(r, 0, trace.Active)
+		e.rec.Mark(r, 0, trace.Active)
 		e.startQuantum(r)
 	}
 	e.idleFrom(seeded)

@@ -120,12 +120,12 @@ func (w *serveWork) arrive(e *engine, idx int) {
 	j := &w.sched.Jobs[idx]
 	now := e.kernel.Now()
 	root, tenant := int(j.Root), int(j.Tenant)
-	e.ev.Record(root, now, trace.EvJobArrive, tenant, int64(j.ID))
+	e.rec.Record(root, now, trace.EvJobArrive, tenant, int64(j.ID))
 	if !j.Admitted {
-		e.ev.Record(root, now, trace.EvJobReject, tenant, int64(j.ID))
+		e.rec.Record(root, now, trace.EvJobReject, tenant, int64(j.ID))
 		return
 	}
-	e.ev.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
+	e.rec.Record(root, now, trace.EvJobAdmit, tenant, int64(j.ID))
 	w.live[idx]++
 	e.injectNode(root, j.Node)
 }
@@ -174,12 +174,12 @@ func (w *serveWork) book(e *engine, job uint32) {
 	at := w.lastDec[job]
 	if w.lost[job] {
 		w.lostJobs++
-		e.ev.Record(int(j.Root), at, trace.EvJobLost, int(j.Tenant), int64(j.ID))
+		e.rec.Record(int(j.Root), at, trace.EvJobLost, int(j.Tenant), int64(j.ID))
 		return
 	}
 	w.doneAt[job] = at
 	w.doneJobs++
-	e.ev.Record(int(j.Root), at, trace.EvJobDone, int(j.Tenant), int64(j.ID))
+	e.rec.Record(int(j.Root), at, trace.EvJobDone, int(j.Tenant), int64(j.ID))
 }
 
 // horizon is the horizon tick: it keeps the kernel alive through the

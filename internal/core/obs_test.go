@@ -14,12 +14,15 @@ import (
 )
 
 // TestObserverEffect asserts that turning observability on does not
-// perturb the simulation: a run with the trace, the event log and a
-// metrics registry attached must produce bit-identical results to a bare
-// run of the same configuration, on every delivery path and for a task
-// graph. This is the contract that makes traces trustworthy — what you
-// observe is what would have happened anyway. The engine's own mean
-// session length must also equal the one the trace's sessions give.
+// perturb the simulation: a run at the activity level (CollectTrace)
+// and one at the events level (CollectEvents, with a metrics registry
+// attached) must produce bit-identical results to a bare run of the
+// same configuration, on every delivery path and for a task graph.
+// This is the contract that makes traces trustworthy — what you
+// observe is what would have happened anyway. The two levels must fold
+// the same transitions and sessions out of the one recording surface,
+// and the engine's own mean session length must equal the one those
+// sessions give.
 func TestObserverEffect(t *testing.T) {
 	cases := deliveryCases()
 	cases["steal-half"] = Config{Tree: uts.MustPreset("T3").Params, Ranks: 16,
@@ -28,22 +31,35 @@ func TestObserverEffect(t *testing.T) {
 	cases["graph+crashes"] = graphFaultConfig(testGraph(t, 6))
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
-			cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = false, false, nil
-			bare, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			run := func(collectTrace, collectEvents bool, reg *obs.Registry) *Result {
+				t.Helper()
+				cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = collectTrace, collectEvents, reg
+				res, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
 			}
-			cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = true, true, obs.NewRegistry()
-			traced, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
+			bare := run(false, false, nil)
+			activity := run(true, false, nil)
+			events := run(false, true, obs.NewRegistry())
+			if events.Trace.Events == nil || activity.Trace.Events != nil {
+				t.Fatalf("event log at the activity level %v, at the events level %v",
+					activity.Trace.Events != nil, events.Trace.Events != nil)
 			}
-			if mean := meanSession(traced.Trace); traced.MeanSessionDuration != mean || mean == 0 {
-				t.Errorf("mean session %v, the trace's sessions give %v", traced.MeanSessionDuration, mean)
+			if !reflect.DeepEqual(activity.Trace.Transitions, events.Trace.Transitions) ||
+				!reflect.DeepEqual(activity.Trace.Sessions, events.Trace.Sessions) {
+				t.Error("the activity and events levels recorded different activity traces")
 			}
-			traced.Trace = nil
-			if !reflect.DeepEqual(bare, traced) {
-				t.Fatalf("observability changed the run:\nbare:   %+v\ntraced: %+v", bare, traced)
+			if mean := meanSession(events.Trace); events.MeanSessionDuration != mean || mean == 0 {
+				t.Errorf("mean session %v, the trace's sessions give %v", events.MeanSessionDuration, mean)
+			}
+			activity.Trace, events.Trace = nil, nil
+			for i, res := range []*Result{activity, events} {
+				if !reflect.DeepEqual(bare, res) {
+					t.Fatalf("observability at the %s level changed the run:\nbare:   %+v\ntraced: %+v",
+						[]string{"activity", "events"}[i], bare, res)
+				}
 			}
 		})
 	}

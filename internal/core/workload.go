@@ -55,7 +55,7 @@ func (treeWork) seed(e *engine) {
 	w := e.work(0)
 	w.stack.Push(e.cfg.Tree.Root())
 	w.generated++
-	e.rec.Record(0, 0, trace.Active)
+	e.rec.Mark(0, 0, trace.Active)
 	e.startQuantum(0)
 	e.idleFrom(1)
 }

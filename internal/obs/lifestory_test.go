@@ -53,7 +53,7 @@ func TestLifestorySampling(t *testing.T) {
 }
 
 func TestLifestoryEmpty(t *testing.T) {
-	tr := trace.NewRecorder(0).Finish(0)
+	tr := NewActivityRecorder(0).Finish(0)
 	if !strings.Contains(Lifestory(tr, 10, 5), "empty") {
 		t.Fatal("empty trace not handled")
 	}
@@ -73,14 +73,14 @@ func TestLifestoryPartialBucket(t *testing.T) {
 }
 
 func TestSessionsStats(t *testing.T) {
-	r := trace.NewRecorder(2)
-	r.BeginSession(0, 0)
-	r.SessionAttempt(0, true)
-	r.SessionAttempt(0, true)
-	r.EndSession(0, 10_000, true) // 10µs
-	r.BeginSession(1, 0)
-	r.SessionAttempt(1, false)
-	r.EndSession(1, 30_000, true) // 30µs
+	r := NewActivityRecorder(2)
+	r.Mark(0, 0, trace.Idle)
+	r.Record(0, 4_000, trace.EvNoWorkRecv, 1, 1)
+	r.Record(0, 8_000, trace.EvStealAbort, 1, 2)
+	r.Mark(0, 10_000, trace.Active) // 10µs
+	r.Mark(1, 0, trace.Idle)
+	r.Record(1, 30_000, trace.EvWorkRecv, 0, 5)
+	r.Mark(1, 30_000, trace.Active) // 30µs
 	tr := r.Finish(100_000)
 	st := Sessions(tr)
 	if st.Count != 2 || st.Failed != 2 {
@@ -92,7 +92,7 @@ func TestSessionsStats(t *testing.T) {
 	if st.P99 < st.P50 {
 		t.Fatal("quantiles inverted")
 	}
-	empty := Sessions(trace.NewRecorder(1).Finish(10))
+	empty := Sessions(NewActivityRecorder(1).Finish(10))
 	if empty.Count != 0 || empty.Mean != 0 {
 		t.Fatalf("empty stats %+v", empty)
 	}

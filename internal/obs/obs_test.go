@@ -17,7 +17,7 @@ func TestRecorderRingBounds(t *testing.T) {
 		r.Record(0, sim.Time(i), trace.EvStealSend, 1, int64(i))
 	}
 	r.Record(1, 0, trace.EvTerminate, -1, 0)
-	events, dropped := r.Snapshot()
+	events, dropped := r.snapshot()
 	if len(events[0]) != 4 {
 		t.Fatalf("ring kept %d events, want 4", len(events[0]))
 	}
@@ -36,41 +36,42 @@ func TestRecorderRingBounds(t *testing.T) {
 	if len(events[1]) != 1 || dropped[1] != 0 {
 		t.Fatalf("rank 1: %d events, %d dropped", len(events[1]), dropped[1])
 	}
-	if r.Dropped() != 6 {
-		t.Fatalf("total dropped %d, want 6", r.Dropped())
-	}
 }
 
 func TestRecorderNilIsDisabled(t *testing.T) {
 	var r *Recorder
 	r.Record(0, 0, trace.EvStealSend, 1, 1) // must not panic
-	if ev, dr := r.Snapshot(); ev != nil || dr != nil {
-		t.Fatal("nil recorder has a snapshot")
-	}
-	if r.Dropped() != 0 {
-		t.Fatal("nil recorder dropped events")
-	}
-	tr := &trace.Trace{}
-	r.Attach(tr)
-	if tr.Events != nil {
-		t.Fatal("nil recorder attached events")
+	r.Mark(0, 0, trace.Active)
+	if tr := r.Finish(10); tr != nil {
+		t.Fatalf("nil recorder finished a trace: %+v", tr)
 	}
 }
 
+// TestRecorderAttach: Finish attaches an events-level recorder's logs
+// to the trace it hands over, and an activity-level one attaches none.
 func TestRecorderAttach(t *testing.T) {
-	r := NewRecorder(1, 8)
+	r := NewRecorder(3, 8)
+	r.Mark(0, 0, trace.Active)
 	r.Record(0, 5, trace.EvWorkSend, 2, 16)
-	tr := &trace.Trace{End: 10, Transitions: make([][]trace.Transition, 1), Sessions: make([][]trace.Session, 1)}
-	r.Attach(tr)
-	if tr.TotalEvents() != 1 || tr.Events[0][0].Arg != 16 {
-		t.Fatalf("attach lost events: %+v", tr.Events)
+	tr := r.Finish(10)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if len(tr.EventsDropped) != 1 {
-		t.Fatal("attach lost drop counts")
+	if tr.TotalEvents() != 1 || tr.Events[0][0].Arg != 16 {
+		t.Fatalf("Finish lost events: %+v", tr.Events)
+	}
+	if len(tr.EventsDropped) != 3 {
+		t.Fatal("Finish lost drop counts")
+	}
+	a := NewActivityRecorder(1)
+	a.Mark(0, 0, trace.Active)
+	a.Record(0, 5, trace.EvWorkSend, 2, 16)
+	if tr := a.Finish(10); tr.Events != nil || tr.EventsDropped != nil || len(tr.Transitions[0]) != 1 {
+		t.Fatalf("activity level kept %+v", tr)
 	}
 }
 
-// TestSnapshotHandsOverWithoutCopy: Snapshot decodes the logs into
+// TestSnapshotHandsOverWithoutCopy: snapshot decodes the logs into
 // one array of exactly the retained events — plus its two per-rank
 // index slices, nothing more — with the suffix, order and drop counts
 // of a ring, and leaves the recorder spent.
@@ -101,7 +102,7 @@ func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 		})
 		var events [][]trace.Event
 		var dropped []uint64
-		got := mallocsOf(func() { events, dropped = r.Snapshot() })
+		got := mallocsOf(func() { events, dropped = r.snapshot() })
 
 		if len(events[1]) != kept || dropped[1] != uint64(tc.records-kept) {
 			t.Fatalf("%s: kept %d events and dropped %d, want %d and %d", tc.name, len(events[1]), dropped[1], kept, tc.records-kept)
@@ -123,11 +124,12 @@ func TestSnapshotHandsOverWithoutCopy(t *testing.T) {
 			t.Errorf("%s: silent rank has events %v, dropped %d", tc.name, events[0], dropped[0])
 		}
 		// Spent: the logs are empty, the eviction counts stay readable.
-		if again, _ := r.Snapshot(); again[1] != nil {
+		again, againDropped := r.snapshot()
+		if again[1] != nil {
 			t.Errorf("%s: second snapshot still holds %d events", tc.name, len(again[1]))
 		}
-		if r.Dropped() != dropped[1] {
-			t.Errorf("%s: Dropped() = %d after hand-over, want %d", tc.name, r.Dropped(), dropped[1])
+		if againDropped[1] != dropped[1] {
+			t.Errorf("%s: %d dropped after hand-over, want %d", tc.name, againDropped[1], dropped[1])
 		}
 	}
 }
@@ -218,8 +220,7 @@ func TestRecorderAllocBudget(t *testing.T) {
 				r.Record(rank, e.Time, e.Kind, int(e.Peer), e.Arg)
 			}
 		}
-		tr = &trace.Trace{Transitions: make([][]trace.Transition, ranks)}
-		r.Attach(tr)
+		tr = r.Finish(sim.Time(4000))
 	})
 	rings := mallocsOf(func() {
 		r := &ringRecorder{rings: make([]eventRing, ranks), cap: ringCap}
@@ -251,7 +252,7 @@ func TestRecorderAllocBudget(t *testing.T) {
 // FuzzRecorderMatchesRing: for any rank count up to 4, cap and event
 // stream, the logs hand over what a plain keep-newest model keeps — the
 // last cap events of each rank, in order — and count what it evicts,
-// in Dropped() before and after the snapshot too. Each event takes 4
+// before and after the snapshot too. Each event takes 4
 // bytes of data, reused cyclically: the rank, the kind, the time step
 // (forward, back, unchanged, and jumps of ~2^62 either way) and a byte
 // choosing the peer (-1 and the int32 limits among them) and the arg
@@ -324,10 +325,10 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 		for _, es := range model {
 			want += uint64(len(es) - min(len(es), capacity))
 		}
-		if got := r.Dropped(); got != want {
-			t.Fatalf("Dropped() = %d before the snapshot, want %d", got, want)
+		if got := loggedDrops(r); got != want {
+			t.Fatalf("%d dropped before the snapshot, want %d", got, want)
 		}
-		events, dropped := r.Snapshot()
+		events, dropped := r.snapshot()
 		for rank, es := range model {
 			kept := min(len(es), capacity)
 			if d := uint64(len(es) - kept); dropped[rank] != d {
@@ -343,48 +344,107 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 				t.Fatalf("rank %d: snapshot differs from the newest %d of %d events", rank, kept, len(es))
 			}
 		}
-		if got := r.Dropped(); got != want {
-			t.Fatalf("Dropped() = %d after the snapshot, want %d", got, want)
+		if got := loggedDrops(r); got != want {
+			t.Fatalf("%d dropped after the snapshot, want %d", got, want)
 		}
 	})
 }
 
-// BenchmarkRecorderLog prices the recording path of a steal-log-shaped
-// run: 1 024 ranks that each open a quantum, send a steal request that
-// is refused, and close the quantum, 100 times over — 614 400 events,
-// the order of the repository benchmark's observed-1k — recorded and
-// handed over by Snapshot. One op is the whole log.
-func BenchmarkRecorderLog(b *testing.B) {
-	const ranks, rounds = 1024, 100
-	type rec struct {
-		rank int
-		e    trace.Event
+// loggedDrops is the number of events r's logs evicted so far.
+func loggedDrops(r *Recorder) uint64 {
+	var n uint64
+	for i := range r.logs {
+		n += r.logs[i].dropped
 	}
-	stream := make([]rec, 0, ranks*rounds*6)
+	return n
+}
+
+// step is one recording call of a benchmark stream: a phase mark
+// when mark is set, else the event e.
+type step struct {
+	rank int
+	e    trace.Event
+	mark bool
+	s    trace.State
+}
+
+// stealLogStream is a steal-log-shaped run: ranks that each open a
+// quantum, send a steal request that is refused, and close the
+// quantum, rounds times over — six events per rank and round. With
+// marks, each rank also marks itself active at the quantum's start and
+// idle at its end, so each refusal lands in an open session.
+func stealLogStream(ranks, rounds int, marks bool) []step {
+	stream := make([]step, 0, ranks*rounds*8)
 	for i := 0; i < rounds; i++ {
 		for rank := 0; rank < ranks; rank++ {
 			at, victim, id := sim.Time(i*1000+rank%7), (rank+i+1)%ranks, int64(i+1)
+			if marks {
+				stream = append(stream, step{rank: rank, e: trace.Event{Time: at}, mark: true, s: trace.Active})
+			}
 			stream = append(stream,
-				rec{rank, trace.Event{Time: at, Kind: trace.EvQuantumStart, Peer: -1, Arg: int64(i % 5)}},
-				rec{rank, trace.Event{Time: at + 100, Kind: trace.EvQuantumEnd, Peer: -1, Arg: 4}},
-				rec{rank, trace.Event{Time: at + 100, Kind: trace.EvStealSend, Peer: int32(victim), Arg: id}},
-				rec{victim, trace.Event{Time: at + 400, Kind: trace.EvStealRecv, Peer: int32(rank), Arg: id}},
-				rec{victim, trace.Event{Time: at + 400, Kind: trace.EvNoWorkSend, Peer: int32(rank), Arg: id}},
-				rec{rank, trace.Event{Time: at + 700, Kind: trace.EvNoWorkRecv, Peer: int32(victim), Arg: id}})
+				step{rank: rank, e: trace.Event{Time: at, Kind: trace.EvQuantumStart, Peer: -1, Arg: int64(i % 5)}},
+				step{rank: rank, e: trace.Event{Time: at + 100, Kind: trace.EvQuantumEnd, Peer: -1, Arg: 4}})
+			if marks {
+				stream = append(stream, step{rank: rank, e: trace.Event{Time: at + 100}, mark: true, s: trace.Idle})
+			}
+			stream = append(stream,
+				step{rank: rank, e: trace.Event{Time: at + 100, Kind: trace.EvStealSend, Peer: int32(victim), Arg: id}},
+				step{rank: victim, e: trace.Event{Time: at + 400, Kind: trace.EvStealRecv, Peer: int32(rank), Arg: id}},
+				step{rank: victim, e: trace.Event{Time: at + 400, Kind: trace.EvNoWorkSend, Peer: int32(rank), Arg: id}},
+				step{rank: rank, e: trace.Event{Time: at + 700, Kind: trace.EvNoWorkRecv, Peer: int32(victim), Arg: id}})
 		}
 	}
+	return stream
+}
+
+// play feeds stream to r.
+func play(r *Recorder, stream []step) {
+	for _, s := range stream {
+		if s.mark {
+			r.Mark(s.rank, s.e.Time, s.s)
+		} else {
+			r.Record(s.rank, s.e.Time, s.e.Kind, int(s.e.Peer), s.e.Arg)
+		}
+	}
+}
+
+// BenchmarkRecorderLog prices the events level's log on a
+// steal-log-shaped run (stealLogStream, no marks): 1 024 ranks, 100
+// rounds — 614 400 events, the order of the repository benchmark's
+// observed-1k — recorded and handed over by snapshot. One op is the
+// whole log.
+func BenchmarkRecorderLog(b *testing.B) {
+	const ranks, rounds = 1024, 100
+	stream := stealLogStream(ranks, rounds, false)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		r := NewRecorder(ranks, 0)
-		for _, s := range stream {
-			r.Record(s.rank, s.e.Time, s.e.Kind, int(s.e.Peer), s.e.Arg)
-		}
-		if events, _ := r.Snapshot(); len(events) != ranks {
+		play(r, stream)
+		if events, _ := r.snapshot(); len(events) != ranks {
 			b.Fatalf("%d ranks in the snapshot, want %d", len(events), ranks)
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/event")
+}
+
+// BenchmarkRecorderActivity prices the activity level on the same
+// stream plus each rank's active and idle marks — 819 200 calls, 204 800
+// transitions and 102 400 sessions, one failed attempt each — folded
+// and handed over by Finish, with no log. One op is the whole trace.
+func BenchmarkRecorderActivity(b *testing.B) {
+	const ranks, rounds = 1024, 100
+	stream := stealLogStream(ranks, rounds, true)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewActivityRecorder(ranks)
+		play(r, stream)
+		if tr := r.Finish(rounds * 1000); tr.TotalSessions() != ranks*rounds {
+			b.Fatalf("%d sessions, want %d", tr.TotalSessions(), ranks*rounds)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/call")
 }
 
 // BenchmarkRecordDisabled measures the nil-recorder fast path against

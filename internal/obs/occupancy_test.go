@@ -13,11 +13,11 @@ import (
 // buildTrace constructs a trace where rank i is active on the given
 // [start, end) intervals.
 func buildTrace(end sim.Time, intervals [][][2]sim.Time) *trace.Trace {
-	r := trace.NewRecorder(len(intervals))
+	r := NewActivityRecorder(len(intervals))
 	for rank, spans := range intervals {
 		for _, span := range spans {
-			r.Record(rank, span[0], trace.Active)
-			r.Record(rank, span[1], trace.Idle)
+			r.Mark(rank, span[0], trace.Active)
+			r.Mark(rank, span[1], trace.Idle)
 		}
 	}
 	return r.Finish(end)

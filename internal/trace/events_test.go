@@ -11,14 +11,11 @@ import (
 // eventTrace builds a small two-rank trace with a protocol event log:
 // rank 1 steals from rank 0 once (refused), then once successfully.
 func eventTrace() *Trace {
-	r := NewRecorder(2)
-	r.Record(0, 0, Active)
-	r.BeginSession(1, 0)
-	r.SessionAttempt(1, true)
-	r.SessionAttempt(1, false)
-	r.EndSession(1, 40, true)
-	r.Record(1, 40, Active)
-	t := r.Finish(100)
+	t := &Trace{
+		End:         100,
+		Transitions: [][]Transition{{{0, Active}}, {{40, Active}}},
+		Sessions:    [][]Session{nil, {{Start: 0, End: 40, Attempts: 2, Failed: 1, Success: true}}},
+	}
 	t.Events = [][]Event{
 		{
 			{Time: 5, Kind: EvStealRecv, Peer: 1, Arg: 1},
@@ -90,10 +87,9 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 }
 
 func TestEventlessTraceHasNilEvents(t *testing.T) {
-	r := NewRecorder(1)
-	r.Record(0, 0, Active)
+	tr := &Trace{End: 10, Transitions: [][]Transition{{{0, Active}}}, Sessions: make([][]Session, 1)}
 	var buf bytes.Buffer
-	if err := r.Finish(10).WriteJSONL(&buf); err != nil {
+	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadJSONL(&buf)

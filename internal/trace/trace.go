@@ -1,5 +1,7 @@
-// Package trace implements the lightweight scheduler activity trace the
-// paper's scheduling-latency metric is computed from (§III).
+// Package trace holds the types of the lightweight scheduler activity
+// trace the paper's scheduling-latency metric is computed from (§III),
+// and of the protocol event log beside it, with the trace's structural
+// checks and its JSONL form. internal/obs records a run's trace.
 //
 // A rank is *active* while its stack contains work — including the time
 // it spends answering steal requests in between node expansions — and
@@ -86,103 +88,12 @@ type Trace struct {
 // Ranks returns the number of ranks in the trace.
 func (t *Trace) Ranks() int { return len(t.Transitions) }
 
-// Recorder accumulates a Trace during a run. All methods must be called
-// with non-decreasing timestamps per rank (the simulator guarantees
-// this); consecutive same-state records are deduplicated. The four
-// record methods are no-ops on a nil receiver, the disabled fast path.
-type Recorder struct {
-	transitions [][]Transition
-	sessions    [][]Session
-	open        []Session // currently open session per rank, Start >= 0
-	hasOpen     []bool
-}
-
-// NewRecorder returns a recorder for n ranks. All ranks start Idle at
-// time 0 implicitly; the first Active record creates the first
-// transition.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{
-		transitions: make([][]Transition, n),
-		sessions:    make([][]Session, n),
-		open:        make([]Session, n),
-		hasOpen:     make([]bool, n),
-	}
-}
-
-// Record notes that rank entered state s at time t. Recording the
-// state the rank is already in is a no-op.
-func (r *Recorder) Record(rank int, t sim.Time, s State) {
-	if r == nil {
-		return
-	}
-	tr := r.transitions[rank]
-	if len(tr) == 0 {
-		if s == Idle {
-			return // ranks start idle
-		}
-	} else if tr[len(tr)-1].State == s {
-		return
-	}
-	r.transitions[rank] = append(tr, Transition{Time: t, State: s})
-}
-
-// BeginSession opens a work-discovery session for rank at time t.
-// A session already open for the rank is a programming error.
-func (r *Recorder) BeginSession(rank int, t sim.Time) {
-	if r == nil {
-		return
-	}
-	if r.hasOpen[rank] {
-		panic(fmt.Sprintf("trace: rank %d already has an open session", rank))
-	}
-	r.open[rank] = Session{Start: t}
-	r.hasOpen[rank] = true
-}
-
-// SessionAttempt counts one steal request in rank's open session.
-func (r *Recorder) SessionAttempt(rank int, failed bool) {
-	if r == nil || !r.hasOpen[rank] {
-		return
-	}
-	r.open[rank].Attempts++
-	if failed {
-		r.open[rank].Failed++
-	}
-}
-
-// EndSession closes rank's open session at time t. success records
-// whether the session ended with work (true) or with termination.
-func (r *Recorder) EndSession(rank int, t sim.Time, success bool) {
-	if r == nil || !r.hasOpen[rank] {
-		return
-	}
-	s := r.open[rank]
-	s.End = t
-	s.Success = success
-	r.sessions[rank] = append(r.sessions[rank], s)
-	r.hasOpen[rank] = false
-}
-
-// Finish closes any open sessions at end and returns the trace.
-func (r *Recorder) Finish(end sim.Time) *Trace {
-	for rank := range r.open {
-		if r.hasOpen[rank] {
-			r.EndSession(rank, end, false)
-		}
-	}
-	return &Trace{
-		End:         end,
-		Transitions: r.transitions,
-		Sessions:    r.sessions,
-	}
-}
-
 // Validate checks the structural invariants of a trace: per-rank
 // transitions start active, strictly alternate states and lie in
-// [0, End] at non-decreasing times; a session ends no earlier than it
-// starts and fails no more attempts than it makes (its bounds are not
-// checked against the idle phases); events are in time order with
-// known kinds and peers.
+// [0, End] at non-decreasing times; a session lies in [0, End], ends
+// no earlier than it starts and fails no more attempts than it makes
+// (its bounds are not checked against the idle phases); events are in
+// time order with known kinds and peers.
 func (t *Trace) Validate() error {
 	for rank, trs := range t.Transitions {
 		for i, tr := range trs {
@@ -204,6 +115,9 @@ func (t *Trace) Validate() error {
 	}
 	for rank, ss := range t.Sessions {
 		for i, s := range ss {
+			if s.Start < 0 || s.End > t.End {
+				return fmt.Errorf("trace: rank %d session %d [%d, %d] outside [0, %d]", rank, i, s.Start, s.End, t.End)
+			}
 			if s.End < s.Start {
 				return fmt.Errorf("trace: rank %d session %d ends before it starts", rank, i)
 			}

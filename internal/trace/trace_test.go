@@ -9,103 +9,29 @@ import (
 	"distws/internal/sim"
 )
 
-func TestRecorderDedupsAndOrders(t *testing.T) {
-	r := NewRecorder(2)
-	r.Record(0, 0, Idle) // ranks start idle: no-op
-	r.Record(0, 10, Active)
-	r.Record(0, 15, Active) // duplicate state: no-op
-	r.Record(0, 20, Idle)
-	r.Record(1, 5, Active)
-	tr := r.Finish(100)
-	if len(tr.Transitions[0]) != 2 {
-		t.Fatalf("rank 0 has %d transitions, want 2", len(tr.Transitions[0]))
-	}
-	if tr.Transitions[0][0] != (Transition{10, Active}) || tr.Transitions[0][1] != (Transition{20, Idle}) {
-		t.Fatalf("rank 0 transitions %v", tr.Transitions[0])
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSessions(t *testing.T) {
-	r := NewRecorder(1)
-	r.Record(0, 0, Active)
-	r.Record(0, 50, Idle)
-	r.BeginSession(0, 50)
-	r.SessionAttempt(0, true)
-	r.SessionAttempt(0, false)
-	r.EndSession(0, 80, true)
-	r.Record(0, 80, Active)
-	tr := r.Finish(100)
-	ss := tr.Sessions[0]
-	if len(ss) != 1 {
-		t.Fatalf("%d sessions", len(ss))
-	}
-	s := ss[0]
-	if s.Start != 50 || s.End != 80 || s.Attempts != 2 || s.Failed != 1 || !s.Success {
-		t.Fatalf("session %+v", s)
-	}
-	if s.Duration() != 30 {
-		t.Fatalf("duration %v", s.Duration())
-	}
-}
-
-func TestOpenSessionClosedAtFinish(t *testing.T) {
-	r := NewRecorder(1)
-	r.BeginSession(0, 90)
-	tr := r.Finish(100)
-	s := tr.Sessions[0][0]
-	if s.End != 100 || s.Success {
-		t.Fatalf("open session not closed by Finish: %+v", s)
-	}
-}
-
-func TestDoubleBeginPanics(t *testing.T) {
-	r := NewRecorder(1)
-	r.BeginSession(0, 1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("double BeginSession did not panic")
-		}
-	}()
-	r.BeginSession(0, 2)
-}
-
-func TestAttemptOutsideSessionIgnored(t *testing.T) {
-	r := NewRecorder(1)
-	r.SessionAttempt(0, true) // no open session: no-op
-	r.EndSession(0, 5, true)  // no open session: no-op
-	tr := r.Finish(10)
-	if len(tr.Sessions[0]) != 0 {
-		t.Fatal("phantom session recorded")
-	}
-}
-
 func TestSessionDurationsAndTotal(t *testing.T) {
-	r := NewRecorder(2)
-	r.BeginSession(0, 0)
-	r.EndSession(0, 10, true)
-	r.BeginSession(1, 0)
-	r.EndSession(1, 30, true)
-	tr := r.Finish(50)
+	tr := &Trace{End: 50, Transitions: make([][]Transition, 2), Sessions: [][]Session{
+		{{Start: 0, End: 10, Success: true}},
+		{{Start: 0, End: 30, Success: true}},
+	}}
 	if d0, d1 := tr.Sessions[0][0].Duration(), tr.Sessions[1][0].Duration(); d0 != 10 || d1 != 30 {
 		t.Fatalf("session durations %v, %v, want 10, 30", d0, d1)
 	}
 	if tr.TotalSessions() != 2 {
 		t.Fatalf("TotalSessions = %d", tr.TotalSessions())
 	}
-	if n := NewRecorder(1).Finish(10).TotalSessions(); n != 0 {
+	if n := (&Trace{End: 10, Transitions: make([][]Transition, 1), Sessions: make([][]Session, 1)}).TotalSessions(); n != 0 {
 		t.Fatalf("empty trace has %d sessions", n)
 	}
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
 	mk := func() *Trace {
-		r := NewRecorder(1)
-		r.Record(0, 10, Active)
-		r.Record(0, 20, Idle)
-		return r.Finish(100)
+		return &Trace{
+			End:         100,
+			Transitions: [][]Transition{{{10, Active}, {20, Idle}}},
+			Sessions:    [][]Session{{{Start: 20, End: 100}}},
+		}
 	}
 	good := mk()
 	if err := good.Validate(); err != nil {
@@ -131,17 +57,30 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	if bad4.Validate() == nil {
 		t.Fatal("inverted session accepted")
 	}
+	// A session lies in [0, End]: none outlasts the run, the way the
+	// terminate broadcast's arrival once closed them.
+	bad5 := mk()
+	bad5.Sessions[0][0].End = 101
+	if bad5.Validate() == nil {
+		t.Fatal("session ending past End accepted")
+	}
+	bad6 := mk()
+	bad6.Sessions[0][0].Start = -1
+	if bad6.Validate() == nil {
+		t.Fatal("session starting before 0 accepted")
+	}
 }
 
 func TestJSONLRoundTrip(t *testing.T) {
-	r := NewRecorder(3)
-	r.Record(0, 10, Active)
-	r.Record(0, 90, Idle)
-	r.Record(2, 5, Active)
-	r.BeginSession(1, 0)
-	r.SessionAttempt(1, true)
-	r.EndSession(1, 44, true)
-	orig := r.Finish(100)
+	orig := &Trace{
+		End:         100,
+		Transitions: [][]Transition{{{10, Active}, {90, Idle}}, nil, {{5, Active}}},
+		Sessions: [][]Session{
+			{{Start: 90, End: 100}},
+			{{Start: 0, End: 44, Attempts: 1, Failed: 1, Success: true}},
+			nil,
+		},
+	}
 
 	var buf bytes.Buffer
 	if err := orig.WriteJSONL(&buf); err != nil {
@@ -177,22 +116,31 @@ func TestReadJSONLRejectsGarbage(t *testing.T) {
 	}
 }
 
-// Property: for any alternating schedule, Validate passes.
+// Property: any schedule of the shape a recorder writes — alternating
+// transitions from active on, each idle phase one session closed at
+// the next transition or at End — passes Validate.
 func TestPropertyRecorderInvariants(t *testing.T) {
 	f := func(gaps []uint8) bool {
-		r := NewRecorder(1)
+		tr := &Trace{Transitions: make([][]Transition, 1), Sessions: make([][]Session, 1)}
 		now := sim.Time(10)
 		state := Active
 		for _, g := range gaps {
 			now = now.Add(sim.Duration(g) + 1)
-			r.Record(0, now, state)
 			if state == Active {
-				state = Idle
+				if ss := tr.Sessions[0]; len(ss) > 0 {
+					ss[len(ss)-1].End, ss[len(ss)-1].Success = now, true
+				}
 			} else {
-				state = Active
+				tr.Sessions[0] = append(tr.Sessions[0], Session{Start: now, End: -1})
 			}
+			tr.Transitions[0] = append(tr.Transitions[0], Transition{now, state})
+			state = 1 - state
 		}
-		return r.Finish(now.Add(10)).Validate() == nil
+		tr.End = now.Add(10)
+		if ss := tr.Sessions[0]; len(ss) > 0 && ss[len(ss)-1].End < 0 {
+			ss[len(ss)-1].End = tr.End
+		}
+		return tr.Validate() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
