@@ -60,10 +60,13 @@ bench-check:
 # obs.Registry, which the shard engines of a sharded run write
 # concurrently; harness.Execute, whose concurrent core.Run calls
 # share sim's store pool, victim's alias-table cache (the cache's
-# own tests run under -race too) and, in ext-dag, one task graph; and the sharded kernel and engine tests
+# own tests run under -race too), obs' recorder store pool
+# (TestExecuteSharesRecorderStores: traced runs at both levels) and, in
+# ext-dag, one task graph; and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
-# meets host concurrency, with core's run-store list, which
-# TestRunStoreReuse hits from three concurrent core.Run sequences.
+# meets host concurrency — TestShardedGoldenFig9's traced runs record
+# from parallel windows into one recorder — with core's run-store list,
+# which TestRunStoreReuse hits from three concurrent core.Run sequences.
 # -short keeps the stress budgets CI-sized.
 race:
 	$(GO) test -race -short ./internal/obs ./internal/sim/par ./internal/victim

@@ -168,6 +168,45 @@ func variantDigest(t *testing.T, cfg Config) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
+// variantCases are TestVariantDigests' configurations: deliveryCases
+// plus the one-sided protocol under crashes and duplicates and under
+// serving.
+func variantCases() map[string]Config {
+	cases := deliveryCases()
+	oneSidedFaults := cases["crash+dup"]
+	oneSidedFaults.Protocol = OneSided
+	cases["one-sided+crash+dup"] = oneSidedFaults
+	oneSidedServing := serveTestConfig()
+	oneSidedServing.Protocol = OneSided
+	cases["one-sided+serving"] = oneSidedServing
+	return cases
+}
+
+// TestRanksSettledAtResult: when result reads a drained run, every rank
+// is done or crashed — none is still searching or backing off with a
+// session open — on every configuration of TestVariantDigests, so
+// result counts each session from the tally alone.
+func TestRanksSettledAtResult(t *testing.T) {
+	for name, cfg := range variantCases() {
+		t.Run(name, func(t *testing.T) {
+			cfg.CollectEvents = true
+			checked := false
+			_, err := run(cfg, func(engines []*engine) (*Result, error) {
+				for i := range engines[0].ranks {
+					if s := engines[0].ranks[i].state; s != rsDone && s != rsCrashed {
+						t.Errorf("rank %d is in state %d when result runs", i, s)
+					}
+				}
+				checked = true
+				return result(engines)
+			})
+			if err != nil || !checked {
+				t.Fatalf("run: %v (engines checked: %v)", err, checked)
+			}
+		})
+	}
+}
+
 // TestVariantDigests is the refactor oracle for the engine paths no
 // golden file covers. The digests were recorded at commit 27b6be4,
 // before the engine's constructors and delivery paths were merged, and
@@ -178,13 +217,7 @@ func variantDigest(t *testing.T, cfg Config) string {
 // out, every row hashes as before). No change that claims to keep
 // behaviour may move one.
 func TestVariantDigests(t *testing.T) {
-	cases := deliveryCases()
-	oneSidedFaults := cases["crash+dup"]
-	oneSidedFaults.Protocol = OneSided
-	cases["one-sided+crash+dup"] = oneSidedFaults
-	oneSidedServing := serveTestConfig()
-	oneSidedServing.Protocol = OneSided
-	cases["one-sided+serving"] = oneSidedServing
+	cases := variantCases()
 	want := map[string]string{
 		"aborting":              "8ab1d957159636383a350e343dad4e40de30a223f4b0c68ee1e7417a863948b1",
 		"crash+dup":             "ba0eb8f41907047a2c870f7f9c0334ffbd180037d15b5708902bc5ed9ccf43d4",

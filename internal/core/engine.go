@@ -395,7 +395,11 @@ type RankFault struct {
 // Run executes the configured simulation to termination and returns its
 // results. The run is deterministic: identical configurations produce
 // identical results. It checks cfg before building anything.
-func Run(cfg Config) (*Result, error) {
+func Run(cfg Config) (*Result, error) { return run(cfg, result) }
+
+// run is Run with the step that reads the drained engines as a
+// parameter; Run passes result.
+func run(cfg Config, finish func([]*engine) (*Result, error)) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -411,7 +415,7 @@ func Run(cfg Config) (*Result, error) {
 	st := getRunStore()
 	defer putRunStore(st)
 	if cfg.Shards > 1 {
-		return runSharded(cfg, job, w, st)
+		return runSharded(cfg, job, w, st, finish)
 	}
 	k := sim.NewKernel()
 	defer k.Release()
@@ -423,7 +427,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("core: simulation aborted at virtual %v after %d events: %w",
 			k.Now(), k.Dispatched(), err)
 	}
-	return result(engines)
+	return finish(engines)
 }
 
 // newEngines is the one constructor: it builds the engine of a
@@ -1303,9 +1307,6 @@ func result(engines []*engine) (*Result, error) {
 		res.AbortedSteals += rk.aborted
 		res.Sessions += rk.sessions
 		totalSession += rk.sessionTime
-		if rk.state == rsSearching || rk.state == rsBackoff {
-			totalSession += e.detectedAt.Sub(rk.idleSince) // still open
-		}
 		totalSearch += rk.searchWait
 		w := rk.w
 		if w == nil {

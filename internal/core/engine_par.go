@@ -163,9 +163,9 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 }
 
 // runSharded executes cfg across cfg.Shards window-synchronized shard
-// engines. Reached from Run once the config validated and the job
-// placed; cfg.Shards >= 2 here.
-func runSharded(cfg Config, job *topology.Job, w workload, st *runStore) (*Result, error) {
+// engines and reads them with finish. Reached from Run once the config
+// validated and the job placed; cfg.Shards >= 2 here.
+func runSharded(cfg Config, job *topology.Job, w workload, st *runStore, finish func([]*engine) (*Result, error)) (*Result, error) {
 	shards := cfg.Shards
 	shardOf := make([]int, cfg.Ranks)
 	for r := range shardOf {
@@ -225,7 +225,7 @@ func runSharded(cfg Config, job *topology.Job, w workload, st *runStore) (*Resul
 	if err := sk.Run(hooks); err != nil {
 		return nil, fmt.Errorf("core: sharded simulation (%d shards) aborted: %w", shards, err)
 	}
-	res, err := result(engines)
+	res, err := finish(engines)
 	if err == nil {
 		res.Par = ps.prof
 	}

@@ -22,13 +22,21 @@ import (
 // observe is what would have happened anyway. The two levels must fold
 // the same transitions and sessions out of the one recording surface,
 // and the engine's own mean session length must equal the one those
-// sessions give.
+// sessions give. Each level then runs again, recording into the store
+// the previous run gave back, and must hand over the same trace; and
+// every trace handed over must be unchanged once the later cases have
+// recorded into its store.
 func TestObserverEffect(t *testing.T) {
 	cases := deliveryCases()
 	cases["steal-half"] = Config{Tree: uts.MustPreset("T3").Params, Ranks: 16,
 		Selector: victim.NewUniformRandom, Steal: StealHalf, Seed: 7}
 	cases["graph"] = graphConfig(testGraph(t, 6), 16, 9)
 	cases["graph+crashes"] = graphFaultConfig(testGraph(t, 6))
+	type handedOver struct {
+		name, jsonl string
+		tr          *trace.Trace
+	}
+	var handed []handedOver
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			run := func(collectTrace, collectEvents bool, reg *obs.Registry) *Result {
@@ -54,6 +62,15 @@ func TestObserverEffect(t *testing.T) {
 			if mean := meanSession(events.Trace); events.MeanSessionDuration != mean || mean == 0 {
 				t.Errorf("mean session %v, the trace's sessions give %v", events.MeanSessionDuration, mean)
 			}
+			for _, tr := range []*trace.Trace{activity.Trace, events.Trace} {
+				handed = append(handed, handedOver{name, jsonl(t, tr), tr})
+			}
+			if warm := run(true, false, nil); !reflect.DeepEqual(warm.Trace, activity.Trace) {
+				t.Error("the activity level handed over another trace from a recycled store")
+			}
+			if warm := run(false, true, obs.NewRegistry()); !reflect.DeepEqual(warm.Trace, events.Trace) {
+				t.Error("the events level handed over another trace from a recycled store")
+			}
 			activity.Trace, events.Trace = nil, nil
 			for i, res := range []*Result{activity, events} {
 				if !reflect.DeepEqual(bare, res) {
@@ -63,6 +80,21 @@ func TestObserverEffect(t *testing.T) {
 			}
 		})
 	}
+	for _, h := range handed {
+		if jsonl(t, h.tr) != h.jsonl {
+			t.Errorf("%s: a later case's recording changed a trace handed over before it", h.name)
+		}
+	}
+}
+
+// jsonl is tr's JSONL export.
+func jsonl(t *testing.T, tr *trace.Trace) string {
+	t.Helper()
+	var b bytes.Buffer
+	if err := tr.WriteJSONL(&b); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
 }
 
 // meanSession is Figure 10's metric read off a trace: the mean length

@@ -340,6 +340,39 @@ func TestExecuteSharesGraph(t *testing.T) {
 	}
 }
 
+// TestExecuteSharesRecorderStores: concurrent traced runs at both
+// recording levels, rank counts and event caps take and return the
+// recorder's pooled stores (obs' store pool) at once, and each result,
+// trace included, equals the same run made alone afterwards — which
+// records into a store the concurrent runs gave back. Under -race
+// (make race) it checks that the pool hands a store to one run at a
+// time.
+func TestExecuteSharesRecorderStores(t *testing.T) {
+	var cfgs []core.Config
+	for i, ranks := range []int{16, 64, 32, 128, 64, 16, 128, 32} {
+		cfg := Rand.Config(ranks, Quick.fig2Tree, uint64(i+1))
+		if i%2 == 0 {
+			cfg.CollectEvents, cfg.EventBuffer = true, 64<<(i%3)
+		} else {
+			cfg.CollectTrace = true
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	res, err := Execute(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, cfg := range cfgs {
+		want, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res[i].Trace == nil || !reflect.DeepEqual(res[i], want) {
+			t.Errorf("run %d (%d ranks): concurrent traced result differs from the sequential one", i, cfg.Ranks)
+		}
+	}
+}
+
 // TestExecuteSharesVictimTables: concurrent Tofu runs on two
 // geometries share the distance-skewed selector's cached alias tables,
 // building them at once or reading them while another run publishes,

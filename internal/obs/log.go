@@ -28,15 +28,17 @@ type page struct {
 }
 
 // eventLog is one rank's bounded event log: its newest records in a
-// list of pages, oldest first. The list is the only storage a rank
-// owns, and all its bookkeeping lives here or in the pages — no side
-// slices — so a rank allocates one page per 1 KiB of records; at the
-// cap, eviction recycles pages, and a new one is allocated only when
-// the records coming in outgrow the ones going out.
+// list of pages, oldest first. The list and the spare pages are the
+// only storage a rank owns, and all its bookkeeping lives here or in
+// the pages — no side slices — so a rank allocates one page per 1 KiB
+// of records; at the cap, eviction recycles pages, and a new one is
+// allocated only when the records coming in outgrow the ones going
+// out. The log outlives its recording: rewind keeps every page as a
+// spare for the next recording into the same store.
 type eventLog struct {
 	head, tail *page
-	// spare is the last page eviction emptied, reused before a new
-	// page is allocated.
+	// spare lists the pages eviction or rewind emptied, linked by
+	// next, taken before a new page is allocated.
 	spare *page
 	// off is the read offset of the oldest record in head.
 	off int
@@ -44,9 +46,10 @@ type eventLog struct {
 	// time of the event evicted before it); last is the newest
 	// record's time, the next record's base.
 	base, last sim.Time
-	// n counts the records retained, dropped the ones evicted.
-	n       int
-	dropped uint64
+	// n counts the records retained, dropped the ones evicted; pages
+	// counts the pages the log owns, in its list and spare.
+	n, pages int
+	dropped  uint64
 }
 
 // add appends e, first evicting the oldest record if the log already
@@ -71,9 +74,10 @@ func (l *eventLog) add(e trace.Event, capacity int) {
 func (l *eventLog) addPage() {
 	p := l.spare
 	if p != nil {
-		l.spare = nil
+		l.spare, p.next, p.used = p.next, nil, 0
 	} else {
 		p = new(page)
+		l.pages++
 	}
 	if l.tail == nil {
 		l.head = p
@@ -83,7 +87,7 @@ func (l *eventLog) addPage() {
 	l.tail = p
 }
 
-// evict drops the oldest record. A head page it empties becomes the
+// evict drops the oldest record. A head page it empties becomes a
 // spare; an emptied sole page is rewound in place.
 func (l *eventLog) evict() {
 	p := l.head
@@ -98,8 +102,16 @@ func (l *eventLog) evict() {
 		p.used = 0
 		return
 	}
-	l.head, p.next, p.used = p.next, nil, 0
-	l.spare = p
+	l.head, p.next, l.spare = p.next, l.spare, p
+}
+
+// rewind empties the log for the next recording and keeps its pages
+// as spares, in list order; only the eviction count stays.
+func (l *eventLog) rewind() {
+	if l.tail != nil {
+		l.tail.next, l.spare = l.spare, l.head
+	}
+	*l = eventLog{spare: l.spare, pages: l.pages, dropped: l.dropped}
 }
 
 // decode writes the retained records, oldest first, into dst, which

@@ -11,11 +11,15 @@
 //     termination-token hops, quantum boundaries) into bounded
 //     per-rank logs of delta-varint records, about 6 bytes an event,
 //     which keep each rank's newest events and are decoded once, into
-//     trace.Event, when Finish hands the trace over. A nil *Recorder
-//     records nothing — every method is a nil-safe no-op, cheap enough
-//     that instrumented hot paths need no branching (bench_test.go's
-//     BenchmarkObservability shows the disabled path within noise of
-//     no instrumentation);
+//     trace.Event, when Finish hands the trace over. What a recording
+//     writes into — the log pages and the per-rank activity scratch —
+//     is a store that outlives the run: Finish copies the trace out of
+//     it and keeps it for the next recorder (store.go), so a recording
+//     that follows a like one allocates only the trace it hands over.
+//     A nil *Recorder records nothing — every method is a nil-safe
+//     no-op, cheap enough that instrumented hot paths need no
+//     branching (bench_test.go's BenchmarkObservability shows the
+//     disabled path within noise of no instrumentation);
 //
 //   - a metrics Registry of named counters and log-bucketed
 //     histograms, read after the run. Its final contents are a pure
@@ -44,39 +48,54 @@ import (
 const DefaultRingCap = 1 << 13
 
 // Recorder accumulates a run's trace: the activity trace, and at the
-// events level the protocol event logs (log.go). Each rank's state has
-// a single writer — the sharded engine records from parallel windows,
-// every rank from the shard that owns it — so ranks share no storage;
-// beyond that the recorder is not safe for concurrent use. A rank's
-// calls come at non-negative, non-decreasing times.
+// events level the protocol event logs (log.go). It is part of a store
+// taken from the process-wide pool (store.go), and goes back with it
+// at Finish. Each rank's state has a single writer — the sharded
+// engine records from parallel windows, every rank from the shard that
+// owns it — so ranks share no storage; beyond that the recorder is not
+// safe for concurrent use. A rank's calls come at non-negative,
+// non-decreasing times.
 type Recorder struct {
-	n int
 	// kinds has bit k set when Record acts on kind k: every kind at
 	// the events level, the fold's kinds at the activity level.
 	kinds uint64
-	logs  []eventLog // nil at the activity level
 	cap   int
-	// transitions and sessions are the activity trace, allocated by
-	// the first Mark (or by Finish): an engine marks its seeds before
-	// any shard runs, and a recorder fed events only never pays for
-	// them. A rank's open session is its last one, with End -1.
-	transitions [][]trace.Transition
-	sessions    [][]trace.Session
+	// logs and act are the first n ranks of st's: logs nil at the
+	// activity level.
+	logs []eventLog
+	act  []rankActivity
+	st   *store
+}
+
+// rankActivity is one rank's activity state: its transitions and
+// closed sessions, whose capacity the store keeps for the next run, and
+// its open session, open when its End is negative.
+type rankActivity struct {
+	transitions []trace.Transition
+	sessions    []trace.Session
+	open        trace.Session
 }
 
 // NewRecorder returns an events-level recorder for n ranks with the
-// given per-rank log capacity in events (0 means DefaultRingCap). Pages
-// allocate lazily, so a large-rank run only pays for ranks that
-// actually log events.
+// given per-rank log capacity in events (0 means DefaultRingCap). Its
+// logs keep the pages a previous recording in the same store allocated
+// and allocate more only as a rank outgrows them, so a large-rank run
+// only pays for ranks that actually log events.
 func NewRecorder(n, capPerRank int) *Recorder {
 	if capPerRank <= 0 {
 		capPerRank = DefaultRingCap
 	}
-	return &Recorder{n: n, kinds: ^uint64(0), logs: make([]eventLog, n), cap: capPerRank}
+	st := getStore(n)
+	st.rec = Recorder{kinds: ^uint64(0), cap: capPerRank, logs: st.logs[:n:n], act: st.act[:n:n], st: st}
+	return &st.rec
 }
 
 // NewActivityRecorder returns an activity-level recorder for n ranks.
-func NewActivityRecorder(n int) *Recorder { return &Recorder{n: n, kinds: foldKinds} }
+func NewActivityRecorder(n int) *Recorder {
+	st := getStore(n)
+	st.rec = Recorder{kinds: foldKinds, act: st.act[:n:n], st: st}
+	return &st.rec
+}
 
 // foldKinds are the event kinds the session fold reads.
 const foldKinds = 1<<trace.EvWorkRecv | 1<<trace.EvNoWorkRecv | 1<<trace.EvStealAbort | 1<<trace.EvCrash
@@ -92,13 +111,13 @@ func (r *Recorder) Mark(rank int, t sim.Time, s trace.State) {
 }
 
 func (r *Recorder) mark(rank int, t sim.Time, s trace.State) {
-	r.allocActivity()
-	if open := r.open(rank); s == trace.Active && open != nil {
-		open.End, open.Success = t, true
-	} else if s == trace.Idle && open == nil {
-		r.sessions[rank] = append(r.sessions[rank], trace.Session{Start: t, End: -1})
+	a := &r.act[rank]
+	if open := a.open.End < 0; s == trace.Active && open {
+		a.close(t, true)
+	} else if s == trace.Idle && !open {
+		a.open = trace.Session{Start: t, End: -1}
 	}
-	r.transition(rank, t, s)
+	a.transition(t, s)
 }
 
 // Record notes one protocol event of rank at time t; peer is a rank or
@@ -117,17 +136,17 @@ func (r *Recorder) Record(rank int, t sim.Time, kind trace.EventKind, peer int, 
 }
 
 func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, arg int64) {
-	if foldKinds>>kind&1 != 0 && r.sessions != nil {
-		switch open := r.open(rank); {
-		case open == nil && kind == trace.EvCrash:
-			r.transition(rank, t, trace.Idle)
-		case open == nil:
+	if foldKinds>>kind&1 != 0 {
+		switch a := &r.act[rank]; {
+		case a.open.End >= 0 && kind == trace.EvCrash:
+			a.transition(t, trace.Idle)
+		case a.open.End >= 0:
 		case kind == trace.EvCrash:
-			open.End = t
+			a.close(t, false)
 		default:
-			open.Attempts++
+			a.open.Attempts++
 			if kind != trace.EvWorkRecv {
-				open.Failed++
+				a.open.Failed++
 			}
 		}
 	}
@@ -140,48 +159,72 @@ func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, 
 // its trace, nil on a nil receiver: the open sessions close at end, no
 // session reaches past end (as one a crash after detection closed
 // would), and at the events level the logs are handed over
-// (snapshot). The recorder is spent afterwards.
+// (snapshot). The trace shares no memory with the store, which goes
+// back to the pool. The recorder is spent afterwards: it is part of
+// the store, which a later NewRecorder hands out again, so it must not
+// be used.
 func (r *Recorder) Finish(end sim.Time) *trace.Trace {
 	if r == nil {
 		return nil
 	}
-	r.allocActivity()
-	for _, ss := range r.sessions {
-		for i := range ss {
-			if ss[i].End < 0 || ss[i].End > end {
-				ss[i].End = end
-			}
+	for i := range r.act {
+		a := &r.act[i]
+		if a.open.End < 0 {
+			a.close(end, false)
+		}
+		for j := range a.sessions {
+			a.sessions[j].End = min(a.sessions[j].End, end)
 		}
 	}
-	tr := &trace.Trace{End: end, Transitions: r.transitions, Sessions: r.sessions}
+	tr := &trace.Trace{
+		End:         end,
+		Transitions: handOver(r.act, func(a *rankActivity) []trace.Transition { return a.transitions }),
+		Sessions:    handOver(r.act, func(a *rankActivity) []trace.Session { return a.sessions }),
+	}
 	if r.logs != nil {
 		tr.Events, tr.EventsDropped = r.snapshot()
 	}
+	st := r.st
+	*r = Recorder{}
+	putStore(st)
 	return tr
 }
 
-func (r *Recorder) allocActivity() {
-	if r.sessions == nil {
-		r.transitions, r.sessions = make([][]trace.Transition, r.n), make([][]trace.Session, r.n)
+// handOver copies each rank's part of act into one array of exactly
+// their total and cuts each rank's slice from it with its capacity
+// capped at its length, so an append to one rank's slice cannot
+// overwrite the next rank's. A rank with an empty part gets nil.
+func handOver[T any](act []rankActivity, part func(*rankActivity) []T) [][]T {
+	total := 0
+	for i := range act {
+		total += len(part(&act[i]))
 	}
+	all := make([]T, total)
+	out := make([][]T, len(act))
+	lo := 0
+	for i := range act {
+		if hi := lo + copy(all[lo:], part(&act[i])); hi > lo {
+			out[i] = all[lo:hi:hi]
+			lo = hi
+		}
+	}
+	return out
 }
 
-// open returns rank's open session, nil if it has none.
-func (r *Recorder) open(rank int) *trace.Session {
-	ss := r.sessions[rank]
-	if len(ss) == 0 || ss[len(ss)-1].End >= 0 {
-		return nil
-	}
-	return &ss[len(ss)-1]
+// close ends the open session at t and keeps it.
+func (a *rankActivity) close(t sim.Time, success bool) {
+	a.open.End, a.open.Success = t, success
+	a.sessions = append(a.sessions, a.open)
 }
 
-// transition appends rank's change to phase s at t, unless it is in s.
-func (r *Recorder) transition(rank int, t sim.Time, s trace.State) {
-	tr := r.transitions[rank]
+// transition appends the change to phase s at t, unless the rank is in
+// s.
+func (a *rankActivity) transition(t sim.Time, s trace.State) {
+	tr := a.transitions
 	if len(tr) == 0 && s == trace.Idle || len(tr) > 0 && tr[len(tr)-1].State == s {
 		return
 	}
-	r.transitions[rank] = append(tr, trace.Transition{Time: t, State: s})
+	a.transitions = append(tr, trace.Transition{Time: t, State: s})
 }
 
 // snapshot hands the recorded events over, per rank in recording
@@ -190,7 +233,8 @@ func (r *Recorder) transition(rank int, t sim.Time, s trace.State) {
 // slice is cut from it with its capacity capped at its length, so an
 // append to one rank's slice cannot overwrite the next rank's. A rank
 // that logged nothing gets nil. The logs are spent afterwards — their
-// pages are released, only the eviction counts remain.
+// pages are rewound for the store's next recording, only the eviction
+// counts remain.
 func (r *Recorder) snapshot() ([][]trace.Event, []uint64) {
 	total := 0
 	for i := range r.logs {
@@ -210,7 +254,7 @@ func (r *Recorder) snapshot() ([][]trace.Event, []uint64) {
 		l.decode(all[lo:hi])
 		events[i] = all[lo:hi:hi]
 		lo = hi
-		*l = eventLog{dropped: l.dropped}
+		l.rewind()
 	}
 	return events, dropped
 }

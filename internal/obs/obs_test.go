@@ -2,6 +2,7 @@ package obs
 
 import (
 	"math"
+	"reflect"
 	"runtime"
 	"slices"
 	"testing"
@@ -197,15 +198,16 @@ func (r *ringRecorder) snapshot() ([][]trace.Event, []uint64) {
 	return events, dropped
 }
 
-// TestRecorderAllocBudget: recording and handing over a run may
-// allocate at most 1.6x the bytes of the events it retains — the
-// snapshot's one array of them, the pages their records fill, and
+// TestRecorderAllocBudget: recording and handing over a run into a new
+// store may allocate at most 1.6x the bytes of the events it retains —
+// the snapshot's one array of them, the pages their records fill, and
 // nothing more — and no more allocations than the append-grown rings
 // it replaced; a fatter record or a per-rank side slice breaks the
 // budget. The rank mix is a skewed steal log: most ranks short, a few
 // long, some past the cap.
 func TestRecorderAllocBudget(t *testing.T) {
 	const ranks, ringCap = 256, 2048
+	resetStores()
 	perRank := func(rank int) int { return 40 + (rank*rank)%3000 }
 	event := func(rank, i int) trace.Event {
 		return trace.Event{Time: sim.Time(i), Arg: int64(i), Peer: int32(rank), Kind: trace.EvStealSend}
@@ -252,7 +254,10 @@ func TestRecorderAllocBudget(t *testing.T) {
 // FuzzRecorderMatchesRing: for any rank count up to 4, cap and event
 // stream, the logs hand over what a plain keep-newest model keeps — the
 // last cap events of each rank, in order — and count what it evicts,
-// before and after the snapshot too. Each event takes 4
+// before and after the snapshot too. Each input is played twice
+// through one store: after Finish recycles it, a second recording at
+// another rank count and cap must match the model as well, and the
+// first snapshot's events must be unchanged. Each event takes 4
 // bytes of data, reused cyclically: the rank, the kind, the time step
 // (forward, back, unchanged, and jumps of ~2^62 either way) and a byte
 // choosing the peer (-1 and the int32 limits among them) and the arg
@@ -270,84 +275,110 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ranksIn uint8, capIn, records uint16, data []byte) {
 		ranks, capacity := 1+int(ranksIn%4), 1+int(capIn)
 		r := NewRecorder(ranks, capacity)
-		model := make([][]trace.Event, ranks)
-		now := sim.Time(0)
-		for i := 0; i < int(records); i++ {
-			var b [4]byte
-			for j := range b {
-				if len(data) > 0 {
-					b[j] = data[(4*i+j)%len(data)]
-				}
-			}
-			rank := int(b[0]) % ranks
-			e := trace.Event{Time: now, Kind: trace.EventKind(b[1] % uint8(trace.NumEventKinds))}
-			switch b[3] % 4 {
-			case 0:
-				e.Arg = int64(i)
-			case 1:
-				e.Arg = math.MinInt64
-			case 2:
-				e.Arg = math.MaxInt64
-			case 3:
-				e.Arg = -int64(i) * 0x1E3779B97F4A7C15
-			}
-			switch b[3] / 4 % 4 {
-			case 0:
-				e.Peer = int32(i % 2)
-			case 1:
-				e.Peer = -1
-			case 2:
-				e.Peer = math.MaxInt32
-			case 3:
-				e.Peer = math.MinInt32 + int32(b[3])
-			}
-			r.Record(rank, e.Time, e.Kind, int(e.Peer), e.Arg)
-			model[rank] = append(model[rank], e)
-			switch b[2] % 8 {
-			case 0:
-				now++
-			case 1:
-				now -= 3
-			case 2:
-				now += 1<<62 - 1
-			case 3:
-				now -= 1 << 62
-			case 4:
-				now += sim.Time(b[3]) << 20
-			case 5:
-				now = math.MaxInt64 - sim.Time(b[3])
-			case 6:
-				now = math.MinInt64 + sim.Time(b[3])
-			}
-		}
+		st := r.st
+		first := matchRing(t, r, ranks, capacity, records, data)
+		want := cloneEach(first)
 
-		var want uint64
-		for _, es := range model {
-			want += uint64(len(es) - min(len(es), capacity))
+		ranks2, capacity2 := 1+int(ranksIn+1)%4, 1+int(capIn)/3
+		if capacity2 == capacity {
+			capacity2++
 		}
-		if got := loggedDrops(r); got != want {
-			t.Fatalf("%d dropped before the snapshot, want %d", got, want)
+		r = NewRecorder(ranks2, capacity2)
+		if r.st != st {
+			t.Fatal("the second recording did not take the first one's store")
 		}
-		events, dropped := r.snapshot()
-		for rank, es := range model {
-			kept := min(len(es), capacity)
-			if d := uint64(len(es) - kept); dropped[rank] != d {
-				t.Fatalf("rank %d: dropped %d, want %d", rank, dropped[rank], d)
-			}
-			if kept == 0 {
-				if events[rank] != nil {
-					t.Fatalf("rank %d logged nothing but holds %v", rank, events[rank])
-				}
-				continue
-			}
-			if !slices.Equal(events[rank], es[len(es)-kept:]) {
-				t.Fatalf("rank %d: snapshot differs from the newest %d of %d events", rank, kept, len(es))
-			}
-		}
-		if got := loggedDrops(r); got != want {
-			t.Fatalf("%d dropped after the snapshot, want %d", got, want)
+		matchRing(t, r, ranks2, capacity2, records, data)
+		if !reflect.DeepEqual(first, want) {
+			t.Fatal("the first hand-over changed when its store was recycled")
 		}
 	})
+}
+
+// matchRing plays FuzzRecorderMatchesRing's stream into r, a recorder
+// for ranks ranks with the given cap, holds its logs to the
+// keep-newest model before and after the snapshot, and returns the
+// snapshot's events once Finish has given the store back.
+func matchRing(t *testing.T, r *Recorder, ranks, capacity int, records uint16, data []byte) [][]trace.Event {
+	t.Helper()
+	model := make([][]trace.Event, ranks)
+	now := sim.Time(0)
+	for i := 0; i < int(records); i++ {
+		var b [4]byte
+		for j := range b {
+			if len(data) > 0 {
+				b[j] = data[(4*i+j)%len(data)]
+			}
+		}
+		rank := int(b[0]) % ranks
+		e := trace.Event{Time: now, Kind: trace.EventKind(b[1] % uint8(trace.NumEventKinds))}
+		switch b[3] % 4 {
+		case 0:
+			e.Arg = int64(i)
+		case 1:
+			e.Arg = math.MinInt64
+		case 2:
+			e.Arg = math.MaxInt64
+		case 3:
+			e.Arg = -int64(i) * 0x1E3779B97F4A7C15
+		}
+		switch b[3] / 4 % 4 {
+		case 0:
+			e.Peer = int32(i % 2)
+		case 1:
+			e.Peer = -1
+		case 2:
+			e.Peer = math.MaxInt32
+		case 3:
+			e.Peer = math.MinInt32 + int32(b[3])
+		}
+		r.Record(rank, e.Time, e.Kind, int(e.Peer), e.Arg)
+		model[rank] = append(model[rank], e)
+		switch b[2] % 8 {
+		case 0:
+			now++
+		case 1:
+			now -= 3
+		case 2:
+			now += 1<<62 - 1
+		case 3:
+			now -= 1 << 62
+		case 4:
+			now += sim.Time(b[3]) << 20
+		case 5:
+			now = math.MaxInt64 - sim.Time(b[3])
+		case 6:
+			now = math.MinInt64 + sim.Time(b[3])
+		}
+	}
+
+	var want uint64
+	for _, es := range model {
+		want += uint64(len(es) - min(len(es), capacity))
+	}
+	if got := loggedDrops(r); got != want {
+		t.Fatalf("%d dropped before the snapshot, want %d", got, want)
+	}
+	events, dropped := r.snapshot()
+	for rank, es := range model {
+		kept := min(len(es), capacity)
+		if d := uint64(len(es) - kept); dropped[rank] != d {
+			t.Fatalf("rank %d: dropped %d, want %d", rank, dropped[rank], d)
+		}
+		if kept == 0 {
+			if events[rank] != nil {
+				t.Fatalf("rank %d logged nothing but holds %v", rank, events[rank])
+			}
+			continue
+		}
+		if !slices.Equal(events[rank], es[len(es)-kept:]) {
+			t.Fatalf("rank %d: snapshot differs from the newest %d of %d events", rank, kept, len(es))
+		}
+	}
+	if got := loggedDrops(r); got != want {
+		t.Fatalf("%d dropped after the snapshot, want %d", got, want)
+	}
+	r.Finish(now)
+	return events
 }
 
 // loggedDrops is the number of events r's logs evicted so far.
@@ -411,8 +442,8 @@ func play(r *Recorder, stream []step) {
 // BenchmarkRecorderLog prices the events level's log on a
 // steal-log-shaped run (stealLogStream, no marks): 1 024 ranks, 100
 // rounds — 614 400 events, the order of the repository benchmark's
-// observed-1k — recorded and handed over by snapshot. One op is the
-// whole log.
+// observed-1k — recorded and handed over by Finish into a store the
+// previous op returned. One op is the whole log.
 func BenchmarkRecorderLog(b *testing.B) {
 	const ranks, rounds = 1024, 100
 	stream := stealLogStream(ranks, rounds, false)
@@ -421,8 +452,8 @@ func BenchmarkRecorderLog(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := NewRecorder(ranks, 0)
 		play(r, stream)
-		if events, _ := r.snapshot(); len(events) != ranks {
-			b.Fatalf("%d ranks in the snapshot, want %d", len(events), ranks)
+		if tr := r.Finish(rounds * 1000); tr.TotalEvents() != len(stream) {
+			b.Fatalf("%d events handed over, want %d", tr.TotalEvents(), len(stream))
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/event")
@@ -431,7 +462,8 @@ func BenchmarkRecorderLog(b *testing.B) {
 // BenchmarkRecorderActivity prices the activity level on the same
 // stream plus each rank's active and idle marks — 819 200 calls, 204 800
 // transitions and 102 400 sessions, one failed attempt each — folded
-// and handed over by Finish, with no log. One op is the whole trace.
+// and handed over by Finish, with no log, into a store the previous op
+// returned. One op is the whole trace.
 func BenchmarkRecorderActivity(b *testing.B) {
 	const ranks, rounds = 1024, 100
 	stream := stealLogStream(ranks, rounds, true)
