@@ -59,10 +59,10 @@ bench-check:
 # Every place that runs real goroutines gets a race-detector pass:
 # obs.Registry, which the shard engines of a sharded run write
 # concurrently; harness.Execute, whose concurrent core.Run calls
-# share sim's store pool, victim's alias-table cache (the cache's
-# own tests run under -race too), obs' recorder store pool
-# (TestExecuteSharesRecorderStores: traced runs at both levels) and, in
-# ext-dag, one task graph; and the sharded kernel and engine tests
+# share core's run-store list, with the kernels and recorders it keeps
+# (TestExecuteSharesRecorderStores: traced runs at both levels),
+# victim's alias-table cache (the cache's own tests run under -race
+# too) and, in ext-dag, one task graph; and the sharded kernel and engine tests
 # (window barrier, staging queues, routers), where simulated concurrency
 # meets host concurrency — TestShardedGoldenFig9's traced runs record
 # from parallel windows into one recorder — with core's run-store list,

@@ -1,5 +1,6 @@
-// Package hotalloc guards the simulator's 0-alloc contract. The
-// benchmark gate (make bench-gate) proves the hot packages allocate
+// Package hotalloc guards the simulator's 0-alloc contract. The alloc
+// gates of make bench-smoke (its -run 'AllocFree|AllocBudget' tests and
+// the allocs/op of BENCH_sim.json) prove the hot packages allocate
 // zero bytes per simulated event, but only for the configurations the
 // benchmarks happen to exercise; a new allocation on an unbenchmarked
 // branch ships silently and shows up later as GC pressure in the exact

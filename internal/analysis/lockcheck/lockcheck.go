@@ -1,8 +1,7 @@
 // Package lockcheck guards the two mutex disciplines of the tree's
 // locks (obs.Registry's name tables, shared by a sharded run's engines;
-// sim's store pool, core's run stores, obs' recorder store pool,
-// victim's alias tables, topology's bandwidth tables, shared by
-// harness.Execute's goroutines): a critical section
+// core's run stores, victim's alias tables, topology's bandwidth
+// tables, shared by harness.Execute's goroutines): a critical section
 // must release its lock on every path out of the function, and must not
 // perform a channel send while the lock is held (a blocked receiver
 // would then deadlock every goroutine queued on the mutex).

@@ -33,7 +33,6 @@ func stealSendGaps(t *testing.T, immediate bool, horizon sim.Duration) []sim.Dur
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	t.Cleanup(k.Release)
 	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, new(runStore))
 	if err != nil {
 		t.Fatal(err)

@@ -41,7 +41,6 @@ func BenchmarkFailedSteal(b *testing.B) {
 		b.Fatal(err)
 	}
 	k := sim.NewKernel()
-	defer k.Release()
 	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, new(runStore))
 	if err != nil {
 		b.Fatal(err)

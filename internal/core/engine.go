@@ -125,12 +125,15 @@ type worker struct {
 // workerPage is how many workers one allocation holds.
 const workerPage = 64
 
-// runStore is what a run allocates by rank, kept for the next run as the
-// kernel's store is: the rank slab and, per engine, the worker pages
-// (used of them handed out) and the segment pool of their stacks.
+// runStore is what a run allocates, kept for the next run: the kernel
+// of a sequential run, the recorder, the rank slab and, per engine, the
+// worker pages (used of them handed out) and the segment pool of their
+// stacks. It is the only storage that outlives a run.
 type runStore struct {
-	ranks []rank
-	work  []workStore // one per engine
+	kernel *sim.Kernel // nil until a sequential run needs one
+	rec    obs.Recorder
+	ranks  []rank
+	work   []workStore // one per engine
 }
 
 type workStore struct {
@@ -139,15 +142,18 @@ type workStore struct {
 	pool  workstack.Pool
 }
 
-// runStores is a LIFO of released stores, not a sync.Pool (sim's store
-// pool says why); it keeps up to maxRunStores stores of at most
-// runStoreBytes each (an 8192-rank store is about 1.3 MB).
+// runStores is a LIFO of released stores, not a sync.Pool: the garbage
+// collector empties a sync.Pool, so whether a run found warm storage
+// would depend on GC timing, and a run's allocation volume must depend
+// on the sequence of runs alone. It keeps up to maxRunStores stores of
+// at most runStoreBytes each, kernel and recorder included (the
+// repository benchmark's largest is about 4.4 MB).
 var runStores struct {
 	mu   sync.Mutex
 	free []*runStore
 }
 
-const maxRunStores, runStoreBytes = 8, 8 << 20
+const maxRunStores, runStoreBytes = 8, 16 << 20
 
 func getRunStore() (st *runStore) {
 	runStores.mu.Lock()
@@ -159,7 +165,9 @@ func getRunStore() (st *runStore) {
 	return new(runStore)
 }
 
-// putRunStore zeroes st, segments back in their pools, and keeps it.
+// putRunStore zeroes st, segments back in their pools and the kernel
+// reset, and keeps it. The recorder is empty once Finish ran, and the
+// next run's Reset empties what an aborted run left in it.
 func putRunStore(st *runStore) {
 	for i := range st.ranks {
 		if w := st.ranks[i].w; w != nil {
@@ -168,7 +176,11 @@ func putRunStore(st *runStore) {
 		}
 	}
 	clear(st.ranks)
-	bytes := cap(st.ranks) * int(unsafe.Sizeof(rank{}))
+	bytes := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + st.rec.Bytes()
+	if st.kernel != nil {
+		st.kernel.Reset()
+		bytes += st.kernel.Bytes()
+	}
 	for i, ws := range st.work {
 		st.work[i].used = 0
 		bytes += len(ws.pages)*int(unsafe.Sizeof([workerPage]worker{})) + ws.pool.Bytes()
@@ -417,8 +429,10 @@ func run(cfg Config, finish func([]*engine) (*Result, error)) (*Result, error) {
 	if cfg.Shards > 1 {
 		return runSharded(cfg, job, w, st, finish)
 	}
-	k := sim.NewKernel()
-	defer k.Release()
+	if st.kernel == nil {
+		st.kernel = sim.NewKernel()
+	}
+	k := st.kernel
 	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, w, st)
 	if err != nil {
 		return nil, err
@@ -447,11 +461,8 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 	}
 	det := w.detector(cfg)
 	var rec *obs.Recorder
-	switch {
-	case cfg.CollectEvents:
-		rec = obs.NewRecorder(cfg.Ranks, cfg.EventBuffer)
-	case cfg.CollectTrace:
-		rec = obs.NewActivityRecorder(cfg.Ranks)
+	if cfg.CollectEvents || cfg.CollectTrace {
+		rec = st.rec.Reset(cfg.Ranks, cfg.EventBuffer, cfg.CollectEvents)
 	}
 	st.ranks = slices.Grow(st.ranks[:0], cfg.Ranks)[:cfg.Ranks]
 	ranks := st.ranks

@@ -182,7 +182,6 @@ func runSharded(cfg Config, job *topology.Job, w workload, st *runStore, finish 
 	}
 
 	sk := par.New(shards, lookahead)
-	defer sk.Release()
 	ps := &parShared{
 		sk:      sk,
 		shardOf: shardOf,

@@ -44,7 +44,6 @@ func startRun(t testing.TB, cfg Config) (*sim.Kernel, []*engine, workload) {
 func runWork(t testing.TB, cfg Config) (*Result, workload) {
 	t.Helper()
 	k, engines, w := startRun(t, cfg)
-	defer k.Release()
 	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -204,7 +204,6 @@ func TestGraphDependenciesRespected(t *testing.T) {
 		for k.Step() {
 			observe()
 		}
-		k.Release()
 		for i := range g.Tasks {
 			if started[i] < 0 || done[i] < started[i] {
 				t.Fatalf("%v: task %d started at %v, completed at %v", proto, i, started[i], done[i])

@@ -35,7 +35,6 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 		t.Fatal(err)
 	}
 	k := sim.NewKernel()
-	t.Cleanup(k.Release)
 	engines, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, new(runStore))
 	if err != nil {
 		t.Fatal(err)

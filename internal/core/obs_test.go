@@ -22,10 +22,10 @@ import (
 // observe is what would have happened anyway. The two levels must fold
 // the same transitions and sessions out of the one recording surface,
 // and the engine's own mean session length must equal the one those
-// sessions give. Each level then runs again, recording into the store
-// the previous run gave back, and must hand over the same trace; and
-// every trace handed over must be unchanged once the later cases have
-// recorded into its store.
+// sessions give. Each level then runs again, recording into the
+// recorder of the run store the previous run gave back, and must hand
+// over the same trace; and every trace handed over must be unchanged
+// once the later cases have recorded into its recorder.
 func TestObserverEffect(t *testing.T) {
 	cases := deliveryCases()
 	cases["steal-half"] = Config{Tree: uts.MustPreset("T3").Params, Ranks: 16,
@@ -66,10 +66,10 @@ func TestObserverEffect(t *testing.T) {
 				handed = append(handed, handedOver{name, jsonl(t, tr), tr})
 			}
 			if warm := run(true, false, nil); !reflect.DeepEqual(warm.Trace, activity.Trace) {
-				t.Error("the activity level handed over another trace from a recycled store")
+				t.Error("the activity level handed over another trace from a re-armed recorder")
 			}
 			if warm := run(false, true, obs.NewRegistry()); !reflect.DeepEqual(warm.Trace, events.Trace) {
-				t.Error("the events level handed over another trace from a recycled store")
+				t.Error("the events level handed over another trace from a re-armed recorder")
 			}
 			activity.Trace, events.Trace = nil, nil
 			for i, res := range []*Result{activity, events} {

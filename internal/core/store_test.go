@@ -23,10 +23,13 @@ func resetRunStores() {
 	runStores.free = nil
 }
 
-// storeBytes is what st retains: its rank slab, worker pages and pooled
-// segments.
+// storeBytes is what st retains: its kernel, its recorder's storage,
+// its rank slab, worker pages and pooled segments.
 func storeBytes(st *runStore) int {
-	b := cap(st.ranks) * int(unsafe.Sizeof(rank{}))
+	b := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + st.rec.Bytes()
+	if st.kernel != nil {
+		b += st.kernel.Bytes()
+	}
 	for _, ws := range st.work {
 		b += len(ws.pages)*workerPage*int(unsafe.Sizeof(worker{})) + ws.pool.Bytes()
 	}
@@ -52,12 +55,20 @@ func resultDigest(t testing.TB, res *Result) string {
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 
-// TestRunStoreReuse: a crash plan, a serving run and the Fig. 9 config,
+// TestRunStoreReuse: a crash plan, an activity-level traced run, a
+// serving run (also traced at the activity level), an events-level
+// traced run whose logs evict and the Fig. 9 config (events level at
+// the default cap), each at another rank count than the run before it,
 // run back to back on reused stores by three goroutines at once, each
 // return the result the same config returns from a fresh store, and a
-// result does not change when later runs reuse its storage.
+// result does not change when later runs reuse its storage — kernel
+// and recorder included.
 func TestRunStoreReuse(t *testing.T) {
-	cfgs := []Config{deliveryCases()["crash+dup"], serveTestConfig(), goldenFig9Config()}
+	cases := deliveryCases()
+	activity, events := cases["aborting"], cases["one-sided/coarse-poll"]
+	activity.CollectTrace = true
+	events.CollectEvents, events.EventBuffer = true, 64
+	cfgs := []Config{cases["crash+dup"], activity, serveTestConfig(), events, goldenFig9Config()}
 	want := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		resetRunStores()
@@ -95,10 +106,10 @@ func TestRunStoreReuse(t *testing.T) {
 }
 
 // TestRunStorageAllocBudget: a second identical 1 024-rank closed run
-// allocates no segment, worker page or rank slab. It takes the store
-// the first one handed back, and hands it back holding exactly what it
-// held: the same rank slab and pages, and a pool — where every segment
-// of a returned store is — of the same size.
+// allocates no kernel, segment, worker page or rank slab. It takes the
+// store the first one handed back, and hands it back holding exactly
+// what it held: the same kernel, rank slab and pages, and a pool —
+// where every segment of a returned store is — of the same size.
 func TestRunStorageAllocBudget(t *testing.T) {
 	cfg := Config{
 		Tree:      uts.MustPreset("H-TINY").Params,
@@ -135,25 +146,26 @@ func TestRunStorageAllocBudget(t *testing.T) {
 	if _, err := Run(cfg); err != nil {
 		t.Fatal(err)
 	}
+	kernel := st.kernel
 	st2, slab2, pages2, bytes2 := released()
-	if st2 != st || slab2 != slab || !slices.Equal(pages2, pages) || bytes2 != bytes {
-		t.Fatalf("the run allocated storage: store %p → %p, slab %p → %p, %d → %d pages, %d → %d bytes",
-			st, st2, slab, slab2, len(pages), len(pages2), bytes, bytes2)
+	if st2 != st || st2.kernel != kernel || slab2 != slab || !slices.Equal(pages2, pages) || bytes2 != bytes {
+		t.Fatalf("the run allocated storage: store %p → %p, kernel %p → %p, slab %p → %p, %d → %d pages, %d → %d bytes",
+			st, st2, kernel, st2.kernel, slab, slab2, len(pages), len(pages2), bytes, bytes2)
 	}
 }
 
 // TestReturnedStoreIsZeroed: a store handed back mid-run, with stacks
 // holding nodes and quanta armed, keeps no pointer into the run — every
-// rank and worker is zero — and its stacks' segments are in the pool.
+// rank and worker is zero, its kernel holds no event — and its stacks'
+// segments are in the pool.
 func TestReturnedStoreIsZeroed(t *testing.T) {
 	cfg := goldenFig9Config().withDefaults()
 	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}
-	k := sim.NewKernel()
-	defer k.Release()
-	st := new(runStore)
+	st := &runStore{kernel: sim.NewKernel()}
+	k := st.kernel
 	if _, err := newEngines(cfg, job, []*sim.Kernel{k}, nil, treeWork{}, st); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +183,9 @@ func TestReturnedStoreIsZeroed(t *testing.T) {
 	}
 	defer resetRunStores()
 	putRunStore(st)
+	if _, ok := k.PeekTime(); ok || k.Now() != 0 || k.Dispatched() != 0 {
+		t.Fatalf("the kernel was not reset: an event queued %v, clock %v, %d dispatched", ok, k.Now(), k.Dispatched())
+	}
 	for i := range st.ranks {
 		if !reflect.ValueOf(st.ranks[i]).IsZero() {
 			t.Fatalf("rank %d not zeroed: %+v", i, st.ranks[i])
@@ -189,16 +204,30 @@ func TestReturnedStoreIsZeroed(t *testing.T) {
 }
 
 // TestRunStoresBounded pins what released stores may keep alive between
-// runs: at most maxRunStores stores of at most runStoreBytes each, 64 MB
-// in all, however many and however large the stores handed back.
+// runs: at most maxRunStores stores of at most runStoreBytes each, 128 MB
+// in all, however many and however large the stores handed back; a
+// store's kernel and recorder count towards its bytes.
 func TestRunStoresBounded(t *testing.T) {
-	if maxRunStores*runStoreBytes != 64<<20 {
-		t.Fatalf("bounds are %d stores of %d bytes, want 64 MB in all", maxRunStores, runStoreBytes)
+	if maxRunStores*runStoreBytes != 128<<20 {
+		t.Fatalf("bounds are %d stores of %d bytes, want 128 MB in all", maxRunStores, runStoreBytes)
 	}
 	defer resetRunStores()
 	resetRunStores()
-	for _, ranks := range []int{1 << 10, 1 << 16, 1 << 15, 1 << 16, 1 << 19, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10, 1 << 10} {
-		putRunStore(&runStore{ranks: make([]rank, ranks)})
+	slab := func(ranks int) *runStore { return &runStore{ranks: make([]rank, ranks)} }
+	atCap := runStoreBytes / int(unsafe.Sizeof(rank{}))
+	withKernel := slab(atCap) // the slab alone is at the cap, the kernel tips it over
+	withKernel.kernel = sim.NewKernel()
+	withRecorder := slab(1 << 10)
+	withRecorder.rec.Reset(1<<18, 0, false) // 2^18 ranks of activity scratch
+	over := []*runStore{slab(1 << 19), withKernel, withRecorder}
+	for i, st := range over {
+		if storeBytes(st) <= runStoreBytes {
+			t.Fatalf("store %d holds %d bytes, not over the %d bound", i, storeBytes(st), runStoreBytes)
+		}
+	}
+	for _, st := range []*runStore{slab(1 << 10), slab(atCap), slab(1 << 15), over[0], slab(1 << 16), over[1], over[2],
+		slab(1 << 10), slab(1 << 10), slab(1 << 10), slab(1 << 10), slab(1 << 10), slab(1 << 10)} {
+		putRunStore(st)
 		runStores.mu.Lock()
 		n, sum := len(runStores.free), 0
 		for _, st := range runStores.free {
@@ -208,7 +237,7 @@ func TestRunStoresBounded(t *testing.T) {
 			sum += storeBytes(st)
 		}
 		runStores.mu.Unlock()
-		if n > maxRunStores || sum > 64<<20 {
+		if n > maxRunStores || sum > 128<<20 {
 			t.Fatalf("%d stores of %d bytes kept, bound %d stores", n, sum, maxRunStores)
 		}
 	}

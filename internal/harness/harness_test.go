@@ -341,12 +341,12 @@ func TestExecuteSharesGraph(t *testing.T) {
 }
 
 // TestExecuteSharesRecorderStores: concurrent traced runs at both
-// recording levels, rank counts and event caps take and return the
-// recorder's pooled stores (obs' store pool) at once, and each result,
-// trace included, equals the same run made alone afterwards — which
-// records into a store the concurrent runs gave back. Under -race
-// (make race) it checks that the pool hands a store to one run at a
-// time.
+// recording levels, rank counts and event caps take and return core's
+// run stores, each with the recorder it re-arms, at once, and each
+// result, trace included, equals the same run made alone afterwards —
+// which records into a store the concurrent runs gave back. Under
+// -race (make race) it checks that the run-store list hands a store to
+// one run at a time.
 func TestExecuteSharesRecorderStores(t *testing.T) {
 	var cfgs []core.Config
 	for i, ranks := range []int{16, 64, 32, 128, 64, 16, 128, 32} {

@@ -34,7 +34,7 @@ type page struct {
 // of records; at the cap, eviction recycles pages, and a new one is
 // allocated only when the records coming in outgrow the ones going
 // out. The log outlives its recording: rewind keeps every page as a
-// spare for the next recording into the same store.
+// spare for the recorder's next recording.
 type eventLog struct {
 	head, tail *page
 	// spare lists the pages eviction or rewind emptied, linked by

@@ -13,8 +13,8 @@
 //     which keep each rank's newest events and are decoded once, into
 //     trace.Event, when Finish hands the trace over. What a recording
 //     writes into — the log pages and the per-rank activity scratch —
-//     is a store that outlives the run: Finish copies the trace out of
-//     it and keeps it for the next recorder (store.go), so a recording
+//     outlives the run: Finish copies the trace out of it and empties
+//     the recorder, Reset re-arms it for the next run, so a recording
 //     that follows a like one allocates only the trace it hands over.
 //     A nil *Recorder records nothing — every method is a nil-safe
 //     no-op, cheap enough that instrumented hot paths need no
@@ -36,6 +36,8 @@
 package obs
 
 import (
+	"unsafe"
+
 	"distws/internal/sim"
 	"distws/internal/trace"
 )
@@ -48,9 +50,9 @@ import (
 const DefaultRingCap = 1 << 13
 
 // Recorder accumulates a run's trace: the activity trace, and at the
-// events level the protocol event logs (log.go). It is part of a store
-// taken from the process-wide pool (store.go), and goes back with it
-// at Finish. Each rank's state has a single writer — the sharded
+// events level the protocol event logs (log.go). It owns what it
+// records into and keeps it from one recording to the next (Reset).
+// Each rank's state has a single writer — the sharded
 // engine records from parallel windows, every rank from the shard that
 // owns it — so ranks share no storage; beyond that the recorder is not
 // safe for concurrent use. A rank's calls come at non-negative,
@@ -60,16 +62,17 @@ type Recorder struct {
 	// the events level, the fold's kinds at the activity level.
 	kinds uint64
 	cap   int
-	// logs and act are the first n ranks of st's: logs nil at the
-	// activity level.
+	// logs and act hold the run's n ranks, logs none at the activity
+	// level. Past their length, up to their capacity, are the empty
+	// logs and scratch of larger earlier recordings, pages and capacity
+	// kept.
 	logs []eventLog
 	act  []rankActivity
-	st   *store
 }
 
 // rankActivity is one rank's activity state: its transitions and
-// closed sessions, whose capacity the store keeps for the next run, and
-// its open session, open when its End is negative.
+// closed sessions, whose capacity the recorder keeps for the next run,
+// and its open session, open when its End is negative.
 type rankActivity struct {
 	transitions []trace.Transition
 	sessions    []trace.Session
@@ -77,24 +80,72 @@ type rankActivity struct {
 }
 
 // NewRecorder returns an events-level recorder for n ranks with the
-// given per-rank log capacity in events (0 means DefaultRingCap). Its
-// logs keep the pages a previous recording in the same store allocated
-// and allocate more only as a rank outgrows them, so a large-rank run
-// only pays for ranks that actually log events.
+// given per-rank log capacity in events (0 means DefaultRingCap).
 func NewRecorder(n, capPerRank int) *Recorder {
-	if capPerRank <= 0 {
-		capPerRank = DefaultRingCap
-	}
-	st := getStore(n)
-	st.rec = Recorder{kinds: ^uint64(0), cap: capPerRank, logs: st.logs[:n:n], act: st.act[:n:n], st: st}
-	return &st.rec
+	return new(Recorder).Reset(n, capPerRank, true)
 }
 
 // NewActivityRecorder returns an activity-level recorder for n ranks.
 func NewActivityRecorder(n int) *Recorder {
-	st := getStore(n)
-	st.rec = Recorder{kinds: foldKinds, act: st.act[:n:n], st: st}
-	return &st.rec
+	return new(Recorder).Reset(n, 0, false)
+}
+
+// Reset re-arms r in place for a recording of n ranks and returns it:
+// at the events level, with the given per-rank log capacity in events
+// (0 means DefaultRingCap), when events is set, else at the activity
+// level. Whatever r still holds of an unfinished recording is dropped.
+// The logs keep the pages earlier recordings allocated and allocate
+// more only as a rank outgrows them, so a large-rank run only pays for
+// ranks that actually log events, and a recording that follows a like
+// one allocates only the trace Finish hands over.
+func (r *Recorder) Reset(n, capPerRank int, events bool) *Recorder {
+	r.empty()
+	r.act = resize(r.act, n)
+	if !events {
+		r.kinds, r.cap, r.logs = foldKinds, 0, r.logs[:0]
+		return r
+	}
+	if capPerRank <= 0 {
+		capPerRank = DefaultRingCap
+	}
+	r.kinds, r.cap, r.logs = ^uint64(0), capPerRank, resize(r.logs, n)
+	return r
+}
+
+// resize returns s at length n; past its old length it has the
+// elements its capacity kept, and new zero ones beyond that.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		s = append(s[:cap(s)], make([]T, n-cap(s))...)
+	}
+	return s[:n]
+}
+
+// empty rewinds every log to spare pages with no eviction count, cuts
+// every scratch slice to length 0 with its capacity kept and drops
+// every open session, so r pins no trace.
+func (r *Recorder) empty() {
+	for i := range r.logs {
+		r.logs[i].rewind()
+		r.logs[i].dropped = 0
+	}
+	for i := range r.act {
+		a := &r.act[i]
+		a.transitions, a.sessions, a.open = a.transitions[:0], a.sessions[:0], trace.Session{}
+	}
+}
+
+// Bytes is the storage r keeps for later recordings: its per-rank
+// headers, log pages and activity scratch.
+func (r *Recorder) Bytes() int {
+	b := cap(r.logs)*int(unsafe.Sizeof(eventLog{})) + cap(r.act)*int(unsafe.Sizeof(rankActivity{}))
+	for _, l := range r.logs[:cap(r.logs)] {
+		b += l.pages * int(unsafe.Sizeof(page{}))
+	}
+	for _, a := range r.act[:cap(r.act)] {
+		b += cap(a.transitions)*int(unsafe.Sizeof(trace.Transition{})) + cap(a.sessions)*int(unsafe.Sizeof(trace.Session{}))
+	}
+	return b
 }
 
 // foldKinds are the event kinds the session fold reads.
@@ -150,7 +201,7 @@ func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, 
 			}
 		}
 	}
-	if r.logs != nil {
+	if len(r.logs) != 0 {
 		r.logs[rank].add(trace.Event{Time: t, Arg: arg, Peer: int32(peer), Kind: kind}, r.cap)
 	}
 }
@@ -159,10 +210,9 @@ func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, 
 // its trace, nil on a nil receiver: the open sessions close at end, no
 // session reaches past end (as one a crash after detection closed
 // would), and at the events level the logs are handed over
-// (snapshot). The trace shares no memory with the store, which goes
-// back to the pool. The recorder is spent afterwards: it is part of
-// the store, which a later NewRecorder hands out again, so it must not
-// be used.
+// (snapshot). The trace shares no memory with the recorder, which is
+// left empty, its storage kept: as Reset left it for this run's ranks,
+// level and cap.
 func (r *Recorder) Finish(end sim.Time) *trace.Trace {
 	if r == nil {
 		return nil
@@ -181,12 +231,10 @@ func (r *Recorder) Finish(end sim.Time) *trace.Trace {
 		Transitions: handOver(r.act, func(a *rankActivity) []trace.Transition { return a.transitions }),
 		Sessions:    handOver(r.act, func(a *rankActivity) []trace.Session { return a.sessions }),
 	}
-	if r.logs != nil {
+	if len(r.logs) != 0 {
 		tr.Events, tr.EventsDropped = r.snapshot()
 	}
-	st := r.st
-	*r = Recorder{}
-	putStore(st)
+	r.empty()
 	return tr
 }
 
@@ -233,8 +281,8 @@ func (a *rankActivity) transition(t sim.Time, s trace.State) {
 // slice is cut from it with its capacity capped at its length, so an
 // append to one rank's slice cannot overwrite the next rank's. A rank
 // that logged nothing gets nil. The logs are spent afterwards — their
-// pages are rewound for the store's next recording, only the eviction
-// counts remain.
+// pages are rewound for the next recording, only the eviction counts
+// remain.
 func (r *Recorder) snapshot() ([][]trace.Event, []uint64) {
 	total := 0
 	for i := range r.logs {

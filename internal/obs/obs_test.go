@@ -198,8 +198,8 @@ func (r *ringRecorder) snapshot() ([][]trace.Event, []uint64) {
 	return events, dropped
 }
 
-// TestRecorderAllocBudget: recording and handing over a run into a new
-// store may allocate at most 1.6x the bytes of the events it retains —
+// TestRecorderAllocBudget: recording and handing over a run by a new
+// recorder may allocate at most 1.6x the bytes of the events it retains —
 // the snapshot's one array of them, the pages their records fill, and
 // nothing more — and no more allocations than the append-grown rings
 // it replaced; a fatter record or a per-rank side slice breaks the
@@ -207,7 +207,6 @@ func (r *ringRecorder) snapshot() ([][]trace.Event, []uint64) {
 // long, some past the cap.
 func TestRecorderAllocBudget(t *testing.T) {
 	const ranks, ringCap = 256, 2048
-	resetStores()
 	perRank := func(rank int) int { return 40 + (rank*rank)%3000 }
 	event := func(rank, i int) trace.Event {
 		return trace.Event{Time: sim.Time(i), Arg: int64(i), Peer: int32(rank), Kind: trace.EvStealSend}
@@ -255,9 +254,9 @@ func TestRecorderAllocBudget(t *testing.T) {
 // stream, the logs hand over what a plain keep-newest model keeps — the
 // last cap events of each rank, in order — and count what it evicts,
 // before and after the snapshot too. Each input is played twice
-// through one store: after Finish recycles it, a second recording at
-// another rank count and cap must match the model as well, and the
-// first snapshot's events must be unchanged. Each event takes 4
+// through one recorder: re-armed by Reset after Finish, a second
+// recording at another rank count and cap must match the model as
+// well, and the first snapshot's events must be unchanged. Each event takes 4
 // bytes of data, reused cyclically: the rank, the kind, the time step
 // (forward, back, unchanged, and jumps of ~2^62 either way) and a byte
 // choosing the peer (-1 and the int32 limits among them) and the arg
@@ -275,7 +274,6 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ranksIn uint8, capIn, records uint16, data []byte) {
 		ranks, capacity := 1+int(ranksIn%4), 1+int(capIn)
 		r := NewRecorder(ranks, capacity)
-		st := r.st
 		first := matchRing(t, r, ranks, capacity, records, data)
 		want := cloneEach(first)
 
@@ -283,13 +281,9 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 		if capacity2 == capacity {
 			capacity2++
 		}
-		r = NewRecorder(ranks2, capacity2)
-		if r.st != st {
-			t.Fatal("the second recording did not take the first one's store")
-		}
-		matchRing(t, r, ranks2, capacity2, records, data)
+		matchRing(t, r.Reset(ranks2, capacity2, true), ranks2, capacity2, records, data)
 		if !reflect.DeepEqual(first, want) {
-			t.Fatal("the first hand-over changed when its store was recycled")
+			t.Fatal("the first hand-over changed when its recorder was re-armed")
 		}
 	})
 }
@@ -297,7 +291,7 @@ func FuzzRecorderMatchesRing(f *testing.F) {
 // matchRing plays FuzzRecorderMatchesRing's stream into r, a recorder
 // for ranks ranks with the given cap, holds its logs to the
 // keep-newest model before and after the snapshot, and returns the
-// snapshot's events once Finish has given the store back.
+// snapshot's events once Finish has emptied the recorder.
 func matchRing(t *testing.T, r *Recorder, ranks, capacity int, records uint16, data []byte) [][]trace.Event {
 	t.Helper()
 	model := make([][]trace.Event, ranks)
@@ -442,19 +436,23 @@ func play(r *Recorder, stream []step) {
 // BenchmarkRecorderLog prices the events level's log on a
 // steal-log-shaped run (stealLogStream, no marks): 1 024 ranks, 100
 // rounds — 614 400 events, the order of the repository benchmark's
-// observed-1k — recorded and handed over by Finish into a store the
-// previous op returned. One op is the whole log.
+// observed-1k — recorded and handed over by Finish, into one recorder
+// each op re-arms, as core's run store does. One op is the whole log.
 func BenchmarkRecorderLog(b *testing.B) {
 	const ranks, rounds = 1024, 100
 	stream := stealLogStream(ranks, rounds, false)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewRecorder(ranks, 0)
-		play(r, stream)
+	r := new(Recorder)
+	op := func() {
+		play(r.Reset(ranks, 0, true), stream)
 		if tr := r.Finish(rounds * 1000); tr.TotalEvents() != len(stream) {
 			b.Fatalf("%d events handed over, want %d", tr.TotalEvents(), len(stream))
 		}
+	}
+	op() // warm-up: the pages every op reuses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/event")
 }
@@ -462,19 +460,23 @@ func BenchmarkRecorderLog(b *testing.B) {
 // BenchmarkRecorderActivity prices the activity level on the same
 // stream plus each rank's active and idle marks — 819 200 calls, 204 800
 // transitions and 102 400 sessions, one failed attempt each — folded
-// and handed over by Finish, with no log, into a store the previous op
-// returned. One op is the whole trace.
+// and handed over by Finish, with no log, into one recorder each op
+// re-arms. One op is the whole trace.
 func BenchmarkRecorderActivity(b *testing.B) {
 	const ranks, rounds = 1024, 100
 	stream := stealLogStream(ranks, rounds, true)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r := NewActivityRecorder(ranks)
-		play(r, stream)
+	r := new(Recorder)
+	op := func() {
+		play(r.Reset(ranks, 0, false), stream)
 		if tr := r.Finish(rounds * 1000); tr.TotalSessions() != ranks*rounds {
 			b.Fatalf("%d sessions, want %d", tr.TotalSessions(), ranks*rounds)
 		}
+	}
+	op() // warm-up: the scratch capacity every op reuses
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		op()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/call")
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // checkInvariants verifies the structural invariants of the three-tier
@@ -312,7 +313,6 @@ func TestStepSkipsCancelled(t *testing.T) {
 // for the same timestamp queues behind it, not in front.
 func TestOverflowEntersWheelBeforeHandler(t *testing.T) {
 	k := NewKernel()
-	defer k.Release()
 	const due = 3 * farSpan
 	var order []string
 	note := func(s string) func() { return func() { order = append(order, s) } }
@@ -359,7 +359,6 @@ func TestFarEntersWheelBeforeHandler(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			k := NewKernel()
-			defer k.Release()
 			var order []string
 			note := func(s string) func() { return func() { order = append(order, s) } }
 			k.At(c.due, note("first"))
@@ -412,7 +411,6 @@ func (k *Kernel) farLen() int {
 // both wheels. Dispatch order must be scheduling order throughout.
 func TestClockJumpPastFarSpan(t *testing.T) {
 	k := NewKernel()
-	defer k.Release()
 	var order []string
 	note := func(s string) func() { return func() { order = append(order, s) } }
 	check := func() {
@@ -497,7 +495,6 @@ func TestClockJumpPastFarSpan(t *testing.T) {
 // arena at the size of the cancelled timers one wheel turn holds.
 func TestCancelInFarWheel(t *testing.T) {
 	k := NewKernel()
-	defer k.Release()
 	const timeout = 100 * Microsecond
 	fired := 0
 	fire := func() { fired++ }
@@ -570,14 +567,14 @@ func TestCancelInFarWheel(t *testing.T) {
 	}
 }
 
-// TestResetLeavesNothingBehind releases storage the way every core.Run
-// does — mid-simulation, with near, far, overflow and cancelled events
-// still queued — and checks the next kernel built on it starts clean: no
-// callback of the old life reachable or runnable, no old handle live,
+// TestResetLeavesNothingBehind resets a kernel the way every core.Run
+// ends — mid-simulation, with near, far, overflow and cancelled events
+// still queued — and checks the next simulation on it starts clean: no
+// callback of the old one reachable or runnable, no old handle live,
 // no occupancy bit set, every slot on the free list.
 func TestResetLeavesNothingBehind(t *testing.T) {
 	k := NewKernel()
-	stale := func() { t.Error("a callback of the released kernel ran") }
+	stale := func() { t.Error("a callback of the reset simulation ran") }
 	var old []Event
 	for i := 0; i < 300; i++ {
 		old = append(old, k.After(Duration(i*61), func() {}))
@@ -593,69 +590,82 @@ func TestResetLeavesNothingBehind(t *testing.T) {
 	for i := 0; i < len(old); i += 3 {
 		k.Cancel(old[i])
 	}
+	k.SetTimeLimit(1 << 40)
 	if k.Pending() == 0 || k.sum == [sumWords]uint64{} || k.farSum == 0 || len(k.heap) == 0 {
 		t.Fatal("test set-up left a tier empty")
 	}
 
-	// What Release does, minus the pool, so the recycled store is the
-	// one under test.
-	s := k.store
-	k.store = nil
-	s.reset()
-	k2 := newKernel(s)
+	k.Reset()
 
-	if err := k2.checkInvariants(); err != nil {
+	if err := k.checkInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if len(s.free) != len(s.arena)-1 || len(s.heap) != 0 {
-		t.Fatalf("recycled store: %d of %d slots free, %d overflow entries", len(s.free), len(s.arena)-1, len(s.heap))
+	if len(k.free) != len(k.arena)-1 || len(k.heap) != 0 {
+		t.Fatalf("reset kernel: %d of %d slots free, %d overflow entries", len(k.free), len(k.arena)-1, len(k.heap))
 	}
-	for i := range s.arena {
-		if n := &s.arena[i]; n.afn != nil || n.arg != nil {
+	for i := range k.arena {
+		if n := &k.arena[i]; n.afn != nil || n.arg != nil {
 			t.Fatalf("arena slot %d kept state across the reset: %+v", i, *n)
 		}
 	}
-	if _, ok := k2.PeekTime(); ok || k2.Pending() != 0 || k2.Now() != 0 {
-		t.Fatal("recycled kernel does not start empty at time zero")
+	if _, ok := k.PeekTime(); ok || k.Pending() != 0 || k.Now() != 0 || k.Dispatched() != 0 || k.maxTime != MaxTime {
+		t.Fatal("reset kernel does not start empty at time zero without a time limit")
 	}
 	// Old handles must stay dead even once their slots host new events.
 	ran := 0
 	for i := 0; i < 600; i++ {
-		k2.After(Duration(i%40)*1000, func() { ran++ })
+		k.After(Duration(i%40)*1000, func() { ran++ })
 	}
 	for _, e := range old {
-		if k2.Live(e) {
-			t.Fatalf("handle %+v of the released kernel is live on the recycled one", e)
+		if k.Live(e) {
+			t.Fatalf("handle %+v of the reset simulation is live on the next one", e)
 		}
-		if _, ok := k2.When(e); ok {
-			t.Fatalf("handle %+v of the released kernel resolves on the recycled one", e)
+		if _, ok := k.When(e); ok {
+			t.Fatalf("handle %+v of the reset simulation resolves on the next one", e)
 		}
-		k2.Cancel(e)
+		k.Cancel(e)
 	}
-	if err := k2.Run(); err != nil {
+	if err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if ran != 600 {
-		t.Fatalf("recycled kernel ran %d of 600 events (a stale Cancel hit?)", ran)
+		t.Fatalf("the next simulation ran %d of 600 events (a stale Cancel hit?)", ran)
 	}
 }
 
-// TestReleaseDetachesAndRecycles: a released kernel lets go of its
-// storage (a second Release is a no-op), and NewKernel / Release cycles
-// reuse it instead of building a wheel per kernel.
-func TestReleaseDetachesAndRecycles(t *testing.T) {
+// TestStaleHandleAfterReset: a handle issued before Reset names an arena
+// slot the next simulation recycles. Cancelling it afterwards is a
+// no-op: the new event in that very slot stays live and runs.
+func TestStaleHandleAfterReset(t *testing.T) {
 	k := NewKernel()
-	k.After(5, func() {})
-	k.Release()
-	if k.store != nil {
-		t.Fatal("released kernel still holds its storage")
+	old := k.After(10, func() { t.Error("the reset simulation's event ran") })
+	k.Reset()
+	ran := false
+	e := k.After(10, func() { ran = true })
+	if e.idx != old.idx || e.gen == old.gen {
+		t.Fatalf("new event %+v does not recycle the old handle's slot %+v under a new generation", e, old)
 	}
-	k.Release()
+	k.Cancel(old)
+	if !k.Live(e) || k.Pending() != 1 {
+		t.Fatalf("a stale Cancel reached the recycled slot: live %v, pending %d", k.Live(e), k.Pending())
+	}
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if !ran {
+		t.Fatal("the new event in the recycled slot did not run")
+	}
+}
 
+// TestResetKeepsStorage: simulations run one after another on one
+// kernel, each ended by Reset, reuse its storage instead of building a
+// wheel per run. The kernel's owner holds the storage, not a sync.Pool,
+// so a collection between runs must not cost it either.
+func TestResetKeepsStorage(t *testing.T) {
+	k := NewKernel()
 	n := 0
 	count := func() { n++ }
 	cycle := func() {
-		k := NewKernel()
 		for i := 0; i < 50; i++ {
 			k.After(Duration(i), count)
 		}
@@ -664,18 +674,21 @@ func TestReleaseDetachesAndRecycles(t *testing.T) {
 		if err := k.RunUntil(40); err != nil {
 			t.Fatal(err)
 		}
-		k.Release()
+		k.Reset()
 	}
 	cycle()
-	// The one allocation is the Kernel itself; a fresh store growing its
-	// arena, free list and heap to this cycle's size is over fifteen more.
-	// The pool is a plain free list, not a sync.Pool, so a collection
-	// between cycles must not cost the store either.
-	if allocs := testing.AllocsPerRun(200, func() { runtime.GC(); cycle() }); allocs > 1 {
-		t.Fatalf("NewKernel/Release cycle allocates %.1f times: storage is not recycled", allocs)
+	bytes := k.Bytes()
+	// A new kernel growing its arena, free list and heap to this cycle's
+	// size is over fifteen allocations.
+	if allocs := testing.AllocsPerRun(200, func() { runtime.GC(); cycle() }); allocs != 0 {
+		t.Fatalf("a run/Reset cycle allocates %.1f times: storage is not kept", allocs)
 	}
 	if n == 0 {
 		t.Fatal("cycles dispatched nothing")
+	}
+	if k.Bytes() != bytes || bytes < wheelSize*int(unsafe.Sizeof(wheelSlot{})) {
+		t.Fatalf("Bytes went from %d to %d over identical cycles; the near wheel alone is %d",
+			bytes, k.Bytes(), wheelSize*int(unsafe.Sizeof(wheelSlot{})))
 	}
 }
 
@@ -717,7 +730,6 @@ func TestArenaMixedOpsFuzz(t *testing.T) {
 	const ops = 100_000
 	rng := rand.New(rand.NewSource(20260805))
 	k := NewKernel()
-	defer k.Release()
 
 	type ref struct {
 		id        int

@@ -44,7 +44,6 @@ const (
 
 func benchHotPath(b *testing.B, pending int, far farMix) {
 	k := NewKernel()
-	defer k.Release()
 	left := 0
 	fired := make([]int, pending)
 	var fire func(any)
@@ -84,7 +83,6 @@ func benchHotPath(b *testing.B, pending int, far farMix) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	run(b.N)
-	b.StopTimer() // Release grows the free list to the whole arena
 }
 
 // TestKernelHotPathAllocFree is the alloc gate for the scheduling hot

@@ -113,7 +113,6 @@ func FuzzKernelOrder(f *testing.F) {
 			ops = ops[:1024] // the model re-sorts per op: keep an input cheap
 		}
 		k := NewKernel()
-		defer k.Release()
 		ref := &refKernel{}
 		var got, want []int
 		var handles []Event

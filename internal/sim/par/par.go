@@ -173,14 +173,6 @@ func New(shards int, lookahead sim.Duration) *ShardedKernel {
 	return s
 }
 
-// Release returns every shard kernel's storage for reuse (see
-// sim.Kernel.Release). The sharded kernel must not be used afterwards.
-func (s *ShardedKernel) Release() {
-	for _, k := range s.kernels {
-		k.Release()
-	}
-}
-
 // Shards returns the shard count.
 func (s *ShardedKernel) Shards() int { return len(s.kernels) }
 

@@ -66,9 +66,9 @@
 // makes any stale handle to a recycled slot harmless. A node is one
 // cache line and carries a two-word Payload besides its callback, so a
 // small datum rides in the event itself. The wheels are a fixed
-// footprint per kernel, so a kernel's storage (wheels, arena, free
-// list, heap) is recycled through a pool: Release returns it, NewKernel
-// reuses it.
+// footprint per kernel, so a caller that runs one simulation after
+// another keeps one kernel and empties it with Reset, which keeps its
+// storage (wheels, arena, free list, heap).
 package sim
 
 import (
@@ -76,7 +76,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
+	"unsafe"
 )
 
 // Time is a virtual timestamp in nanoseconds since simulation start.
@@ -220,71 +220,11 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// store is everything a kernel allocates, kept apart from the Kernel so
-// it can outlive one: Release hands it to the pool and NewKernel adopts
-// it. arena[0] is reserved so that index 0 can mean "none" in handles,
-// chains and slots; the zero store is therefore an empty queue.
-type store struct {
-	arena []eventNode
-	free  []int32     // recycled arena slots
-	heap  []heapEntry // overflow: 4-ary min-heap ordered by (when, seq)
-
-	slots [wheelSize]wheelSlot
-	// occ has bit s set iff slots[s] is non-empty; sum has bit w set iff
-	// occ[w] is non-zero.
-	occ [wheelWords]uint64
-	sum [sumWords]uint64
-
-	// The far wheel, with the same two-level occupancy.
-	far    [farSlots]wheelSlot
-	farOcc [farWords]uint64
-	farSum uint64
-}
-
-// stores is the pool of released storage: a bounded LIFO free list, not
-// a sync.Pool. The garbage collector empties a sync.Pool, so whether
-// NewKernel found a grown arena or built a new one would depend on GC
-// timing, and a run's allocation volume must depend on the sequence of
-// runs alone. The price is that up to maxStores stores, each as large
-// as the biggest simulation it served, stay reachable for the life of
-// the process.
-var stores struct {
-	mu   sync.Mutex
-	free []*store
-}
-
-// maxStores bounds the pool; a Release beyond it drops the store. It
-// covers the shard kernels of one sharded run and a harness's worth of
-// concurrent simulations.
-const maxStores = 8
-
-func getStore() *store {
-	stores.mu.Lock()
-	n := len(stores.free)
-	if n == 0 {
-		stores.mu.Unlock()
-		return &store{arena: make([]eventNode, 1)}
-	}
-	s := stores.free[n-1]
-	stores.free[n-1] = nil
-	stores.free = stores.free[:n-1]
-	stores.mu.Unlock()
-	return s
-}
-
-func putStore(s *store) {
-	stores.mu.Lock()
-	defer stores.mu.Unlock()
-	if len(stores.free) < maxStores {
-		stores.free = append(stores.free, s)
-	}
-}
-
-// Kernel is a discrete-event simulation engine.
+// Kernel is a discrete-event simulation engine. arena[0] is reserved so
+// that index 0 can mean "none" in handles, chains and slots.
 //
 // The zero value is not usable; construct with NewKernel.
 type Kernel struct {
-	*store
 	now Time
 	// front is the tier boundary: the near wheel holds the events due
 	// before it, the far wheel those in [front, front+farSpan), the heap
@@ -302,48 +242,55 @@ type Kernel struct {
 	// maxTime guards against runaway simulations: an event due after it
 	// is refused with ErrTimeLimit.
 	maxTime Time
+
+	arena []eventNode
+	free  []int32     // recycled arena slots
+	heap  []heapEntry // overflow: 4-ary min-heap ordered by (when, seq)
+
+	slots [wheelSize]wheelSlot
+	// occ has bit s set iff slots[s] is non-empty; sum has bit w set iff
+	// occ[w] is non-zero.
+	occ [wheelWords]uint64
+	sum [sumWords]uint64
+
+	// The far wheel, with the same two-level occupancy.
+	far    [farSlots]wheelSlot
+	farOcc [farWords]uint64
+	farSum uint64
 }
 
-// NewKernel returns a kernel with the clock at zero and an empty queue,
-// reusing the storage of a released kernel when one is available.
+// NewKernel returns a kernel with the clock at zero and an empty queue.
 func NewKernel() *Kernel {
-	return newKernel(getStore())
+	return &Kernel{arena: make([]eventNode, 1), front: wheelSize, maxTime: MaxTime}
 }
 
-// newKernel returns a kernel at time zero over an empty store.
-func newKernel(s *store) *Kernel {
-	return &Kernel{store: s, front: wheelSize, maxTime: MaxTime}
-}
-
-// Release returns the kernel's storage for reuse by a later NewKernel.
-// Events still queued are discarded without running and every
-// outstanding handle goes stale. The kernel must not be used afterwards;
-// releasing is optional (an unreleased kernel is simply collected) and
-// releasing twice is a no-op.
-func (k *Kernel) Release() {
-	if s := k.store; s != nil {
-		k.store = nil
-		s.reset()
-		putStore(s)
+// Reset empties the kernel for its next simulation and keeps its
+// storage: events still queued are discarded without running, no
+// callback or argument of the finished simulation stays reachable,
+// every handle issued so far goes stale, every arena slot is back on
+// the free list, and the clock, counters and time limit are as
+// NewKernel sets them. It must not be called while Run is running.
+func (k *Kernel) Reset() {
+	k.free = k.free[:0]
+	for i := len(k.arena) - 1; i >= 1; i-- {
+		k.freeNode(int32(i))
 	}
+	k.heap = k.heap[:0]
+	k.slots = [wheelSize]wheelSlot{}
+	k.occ = [wheelWords]uint64{}
+	k.sum = [sumWords]uint64{}
+	k.far = [farSlots]wheelSlot{}
+	k.farOcc = [farWords]uint64{}
+	k.farSum = 0
+	k.now, k.front, k.live, k.seq, k.dispatched = 0, wheelSize, 0, 0, 0
+	k.payload, k.stopped, k.maxTime = Payload{}, false, MaxTime
 }
 
-// reset empties the store for its next kernel: no callback or argument
-// of the finished simulation stays reachable from the pool, every
-// handle issued so far is stale, and every slot is back on the free
-// list.
-func (s *store) reset() {
-	s.free = s.free[:0]
-	for i := len(s.arena) - 1; i >= 1; i-- {
-		s.freeNode(int32(i))
-	}
-	s.heap = s.heap[:0]
-	s.slots = [wheelSize]wheelSlot{}
-	s.occ = [wheelWords]uint64{}
-	s.sum = [sumWords]uint64{}
-	s.far = [farSlots]wheelSlot{}
-	s.farOcc = [farWords]uint64{}
-	s.farSum = 0
+// Bytes is the storage the kernel keeps across a Reset: its wheels and
+// the capacity of its arena, free list and heap.
+func (k *Kernel) Bytes() int {
+	return int(unsafe.Sizeof(*k)) + cap(k.arena)*int(unsafe.Sizeof(eventNode{})) +
+		cap(k.free)*int(unsafe.Sizeof(int32(0))) + cap(k.heap)*int(unsafe.Sizeof(heapEntry{}))
 }
 
 // Now returns the current virtual time.
@@ -379,14 +326,14 @@ func (k *Kernel) alloc() int32 {
 }
 
 // freeNode recycles a slot that left the queue, invalidating handles.
-func (s *store) freeNode(idx int32) {
-	n := &s.arena[idx]
+func (k *Kernel) freeNode(idx int32) {
+	n := &k.arena[idx]
 	n.gen++
 	if n.gen == 0 { // generation wrap: keep 0 reserved for the zero Event
 		n.gen = 1
 	}
 	n.afn, n.arg = nil, nil
-	s.free = append(s.free, idx)
+	k.free = append(k.free, idx)
 }
 
 // slotAppend links node idx, due at t, to the tail of t's near-wheel

@@ -141,7 +141,6 @@ func TestRunUntilMatchesRun(t *testing.T) {
 // after a window returns — still find their tier and run first.
 func TestScheduleEarlierAfterPeek(t *testing.T) {
 	k := NewKernel()
-	defer k.Release()
 	var fired []Time
 	note := func() { fired = append(fired, k.Now()) }
 	const far, overflow = Time(3 * Millisecond), Time(7 * Millisecond)

@@ -136,7 +136,7 @@ var presets = map[string]PresetInfo{
 			GenMax: 6, CutoffDepth: 6,
 			NonLeafBF: 2, NonLeafProb: 0.49875,
 		},
-		Comment: "hybrid, ~19M nodes; full-fidelity sweeps up to 2048+ ranks (slow)",
+		Comment: "hybrid, ~39M nodes; full-fidelity sweeps up to 2048+ ranks (slow)",
 	},
 	"T3L-FAST": {
 		Name: "T3L-FAST",
