@@ -38,8 +38,8 @@ vet:
 	GOARCH=arm64 $(GO) vet ./internal/sample ./internal/victim ./internal/workstack
 
 # distwsvet enforces the determinism, ownership and allocation
-# invariants: detrand, walltime, lockcheck, atomicmix, handlesafe,
-# poolcheck, hotalloc, detorder. See README "Enforced invariants".
+# invariants: detrand, walltime, lockcheck, handlesafe, poolcheck,
+# hotalloc, detorder. See README "Enforced invariants".
 # The run is budgeted so an analyzer pathology fails CI instead of
 # stalling it, and the JSON report (findings, suppressions with their
 # reasons, stale allowlist entries) lands in $(ARTIFACTS) for upload.
@@ -57,8 +57,7 @@ bench-check:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Every place that runs real goroutines gets a race-detector pass:
-# obs.Registry, which the shard engines of a sharded run write
-# concurrently; harness.Execute, whose concurrent core.Run calls
+# harness.Execute, whose concurrent core.Run calls
 # share core's run-store list, with the kernels and recorders it keeps
 # (TestExecuteSharesRecorderStores: traced runs at both levels),
 # victim's alias-table cache (the cache's own tests run under -race
@@ -69,7 +68,7 @@ bench-check:
 # which TestRunStoreReuse hits from three concurrent core.Run sequences.
 # -short keeps the stress budgets CI-sized.
 race:
-	$(GO) test -race -short ./internal/obs ./internal/sim/par ./internal/victim
+	$(GO) test -race -short ./internal/sim/par ./internal/victim
 	$(GO) test -race -run 'Execute' -count=1 ./internal/harness
 	$(GO) test -race -run 'Sharded|RunStoreReuse' -count=1 ./internal/core
 

@@ -8,7 +8,6 @@ import (
 	"distws/internal/core"
 	"distws/internal/fault"
 	"distws/internal/harness"
-	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/obs/ledger"
 	"distws/internal/sim"
@@ -76,9 +75,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkObservability measures what instrumentation costs the
-// simulator: the same run with recording off, with the activity trace,
-// with the protocol event log, and with the metrics registry on top.
-// The observer-effect test guarantees identical results across these;
+// simulator: the same run with recording off, with the activity trace
+// and with the protocol event log. The observer-effect test guarantees identical results across these;
 // this bench quantifies the wall-clock price of each layer.
 func BenchmarkObservability(b *testing.B) {
 	base := core.Config{
@@ -96,10 +94,6 @@ func BenchmarkObservability(b *testing.B) {
 		{"disabled", func(*core.Config) {}},
 		{"trace", func(c *core.Config) { c.CollectTrace = true }},
 		{"events", func(c *core.Config) { c.CollectEvents = true }},
-		{"events+metrics", func(c *core.Config) {
-			c.CollectEvents = true
-			c.Metrics = obs.NewRegistry()
-		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -132,7 +126,7 @@ func BenchmarkObservability(b *testing.B) {
 }
 
 // observedPipeline is one rep of the observed-1k workload at the given
-// rank count: the run with the event log and a fresh registry on, then
+// rank count: the run with the event log on, then
 // the causal graph, critical path, idle blame, a validated run manifest
 // and the JSONL export.
 func observedPipeline(ranks int) (*core.Result, error) {
@@ -145,7 +139,6 @@ func observedPipeline(ranks int) (*core.Result, error) {
 		ChunkSize:     4,
 		Seed:          1,
 		CollectEvents: true,
-		Metrics:       obs.NewRegistry(),
 	}
 	res, err := core.Run(cfg)
 	if err != nil {

@@ -9,8 +9,6 @@
 //	            directly or laundered through a helper package
 //	lockcheck   critical sections release their mutex on every path and
 //	            never send on a channel while holding it
-//	atomicmix   no function-style sync/atomic op: a shared word is a
-//	            typed atomic, so it cannot also be accessed plainly
 //	handlesafe  sim.Event handles are not parked in globals or struct
 //	            fields and are not used after Cancel
 //	poolcheck   every comm.Message a handler drains is freed exactly
@@ -54,7 +52,6 @@ import (
 	"time"
 
 	"distws/internal/analysis"
-	"distws/internal/analysis/atomicmix"
 	"distws/internal/analysis/detorder"
 	"distws/internal/analysis/detrand"
 	"distws/internal/analysis/handlesafe"
@@ -174,7 +171,6 @@ func analyzers() []*analysis.Analyzer {
 		detrand.New(),
 		walltime.New(virtualTime),
 		lockcheck.New(),
-		atomicmix.New(),
 		handlesafe.New(simPath),
 		poolcheck.New(commPath, poolPackages),
 		hotalloc.New(hotRoots, hotPackages),

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"distws/internal/analysis"
-	"distws/internal/analysis/atomicmix"
 	"distws/internal/analysis/detorder"
 	"distws/internal/analysis/detrand"
 	"distws/internal/analysis/lockcheck"
@@ -32,7 +31,7 @@ func runJSON(t *testing.T, args ...string) (int, report, string) {
 	return code, rep, stderr.String()
 }
 
-// TestFullSuiteClean is the gate the CI check job enforces: all eight
+// TestFullSuiteClean is the gate the CI check job enforces: all seven
 // analyzers over the whole module, clean under the checked-in
 // allowlist, with every suppression accounted for.
 func TestFullSuiteClean(t *testing.T) {
@@ -43,8 +42,8 @@ func TestFullSuiteClean(t *testing.T) {
 	if len(rep.Findings) != 0 {
 		t.Errorf("findings on a clean tree: %+v", rep.Findings)
 	}
-	if len(rep.Analyzers) != 8 {
-		t.Errorf("ran %d analyzers (%v), want all 8", len(rep.Analyzers), rep.Analyzers)
+	if len(rep.Analyzers) != 7 {
+		t.Errorf("ran %d analyzers (%v), want all 7", len(rep.Analyzers), rep.Analyzers)
 	}
 	if len(rep.Stale) != 0 {
 		t.Errorf("stale allowlist entries: %+v", rep.Stale)
@@ -200,14 +199,13 @@ func bare() []*analysis.Analyzer {
 		detrand.New(),
 		walltime.New(virtualTime),
 		lockcheck.New(),
-		atomicmix.New(),
 		detorder.New(detPackages, barrierSyncPackages),
 	}
 }
 
 // TestObsPackagesClean machine-checks the observability layer. internal/obs
-// and internal/trace sit inside the virtual-time boundary — their events,
-// counters and histograms must be pure functions of the simulated run —
+// and internal/trace sit inside the virtual-time boundary — their events
+// and analyses must be pure functions of the simulated run —
 // and must come back clean under the production configuration.
 func TestObsPackagesClean(t *testing.T) {
 	pkgs, err := analysis.Load("../..", "distws/internal/obs", "distws/internal/trace")

@@ -13,8 +13,8 @@
 // threads. A module-wide call graph (see CallGraph) lets the analyzers
 // follow these invariants through wrapper functions instead of only at
 // direct call sites. The concrete analyzers live in the subpackages
-// detrand, walltime, lockcheck, atomicmix, handlesafe, poolcheck,
-// hotalloc and detorder; the driver is cmd/distwsvet.
+// detrand, walltime, lockcheck, handlesafe, poolcheck, hotalloc and
+// detorder; the driver is cmd/distwsvet.
 package analysis
 
 import (

@@ -1,7 +1,7 @@
 // Package lockcheck guards the two mutex disciplines of the tree's
-// locks (obs.Registry's name tables, shared by a sharded run's engines;
-// core's run stores, victim's alias tables, topology's bandwidth
-// tables, shared by harness.Execute's goroutines): a critical section
+// three locks (victim's alias-table cache tableSets, topology's
+// bandwidth tables and core's run-store list runStores, each shared by
+// harness.Execute's goroutines): a critical section
 // must release its lock on every path out of the function, and must not
 // perform a channel send while the lock is held (a blocked receiver
 // would then deadlock every goroutine queued on the mutex).

@@ -28,7 +28,7 @@ func stealSendGaps(t *testing.T, immediate bool, horizon sim.Duration) []sim.Dur
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

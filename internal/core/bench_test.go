@@ -36,7 +36,7 @@ func BenchmarkFailedSteal(b *testing.B) {
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		b.Fatal(err)
 	}

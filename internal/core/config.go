@@ -126,7 +126,9 @@ type Config struct {
 	// Tree is the UTS workload.
 	Tree uts.Params
 
-	// Machine is the simulated system; zero value means the K Computer.
+	// Machine must be left zero: every run is placed on the K Computer.
+	// The field stays only because the repository benchmark under bench/
+	// reads it.
 	Machine topology.Machine
 	// Ranks is the number of MPI ranks (required, >= 1).
 	Ranks int
@@ -249,12 +251,10 @@ type Config struct {
 	// the cap keep the newest events and report the eviction count.
 	EventBuffer int
 
-	// Metrics, when non-nil, receives named counters and histograms
-	// (steal outcomes, round-trip latency, session lengths, chunk
-	// sizes), read after the run; the per-link traffic matrix comes from
-	// the event log (obs.Traffic). The simulator writes virtual-time
-	// durations, so the registry's final contents are deterministic for a
-	// deterministic Config.
+	// Metrics is ignored: the engine writes no metrics registry, and a
+	// run's steal counts and latencies are its Result and its event log.
+	// The field stays only because the repository benchmark under bench/
+	// sets it.
 	Metrics *obs.Registry
 
 	// maxVirtualTime (package-internal, for tests) aborts the run if the
@@ -277,17 +277,8 @@ func GranularityCost(shaRounds int) sim.Duration {
 	return sim.Duration(shaRounds) * DefaultNodeCost
 }
 
-// machine is c's Machine, the K Computer when zero.
-func (c *Config) machine() topology.Machine {
-	if c.Machine == (topology.Machine{}) {
-		return topology.KComputer()
-	}
-	return c.Machine
-}
-
 // withDefaults returns a copy of c with zero values replaced.
 func (c Config) withDefaults() Config {
-	c.Machine = c.machine()
 	if c.Selector == nil {
 		c.Selector = victim.NewRoundRobin
 	}
@@ -343,7 +334,10 @@ func (c Config) Validate() error {
 	if c.Ranks > comm.MaxRanks {
 		return fmt.Errorf("core: %d ranks, over the %d a message header can address", c.Ranks, comm.MaxRanks)
 	}
-	if err := topology.CheckJob(c.machine(), c.Ranks, c.Placement); err != nil {
+	if c.Machine != (topology.Machine{}) {
+		return errors.New("core: Config.Machine is not supported; every run is placed on the K Computer")
+	}
+	if err := topology.CheckJob(topology.KComputer(), c.Ranks, c.Placement); err != nil {
 		return err
 	}
 	if c.ChunkSize < 0 || c.PollInterval < 0 || c.EventBuffer < 0 {

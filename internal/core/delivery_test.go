@@ -136,21 +136,22 @@ func TestLinkTallyMatchesDirect(t *testing.T) {
 
 // variantDigest reduces a run to a sha256 over everything it reports:
 // the Result scalars, the serving summary, the trace with its full
-// event log as JSONL, and the metrics exposition followed by the
-// per-link message counts (as goldenDump renders them). The exposition
-// carries the retired fault and serving families too (retiredFamilies),
-// rebuilt from the Result and the twin's log, so the digests hold from
-// before the engine stopped publishing them.
+// event log as JSONL, and the metrics page followed by the per-link
+// message counts (as goldenDump renders them). The page is rendered
+// from the Result and the twin's log — the eight families of
+// metricsFromLog and the retired fault and serving families
+// (retiredFamilies) — so the digests hold from before the engine
+// stopped writing a metrics registry.
 func variantDigest(t *testing.T, cfg Config) string {
 	t.Helper()
 	cfg.CollectEvents = true
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	twin := recordAll(t, cfg).Trace
-	retiredFamilies(t, cfg.Metrics, cfg, res, twin)
+	metrics := metricsFromLog(twin)
+	retiredFamilies(t, metrics, cfg, res, twin)
 	h := sha256.New()
 	tr, st := res.Trace, res.Serve
 	res.Trace, res.Serve, res.Par = nil, nil, nil // pointers would print as addresses
@@ -161,9 +162,7 @@ func variantDigest(t *testing.T, cfg Config) string {
 	if err := tr.WriteJSONL(h); err != nil {
 		t.Fatal(err)
 	}
-	if err := cfg.Metrics.WritePrometheus(h); err != nil {
-		t.Fatal(err)
-	}
+	metrics.write(h)
 	writeLinkMessages(h, obs.Traffic(twin))
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
@@ -210,20 +209,23 @@ func TestRanksSettledAtResult(t *testing.T) {
 // TestVariantDigests is the refactor oracle for the engine paths no
 // golden file covers. The digests were recorded at commit 27b6be4,
 // before the engine's constructors and delivery paths were merged, and
-// re-pinned twice: when the Result gained its Graph field (deleting
-// " Graph:<nil>" from each Result line reproduces the earlier
-// digests), and when sessions stopped outlasting the makespan (nine
-// rows moved; with MeanSessionDuration and the session records left
-// out, every row hashes as before). No change that claims to keep
-// behaviour may move one.
+// re-pinned three times: when the Result gained its Graph field
+// (deleting " Graph:<nil>" from each Result line reproduces the earlier
+// digests), when sessions stopped outlasting the makespan (nine rows
+// moved; with MeanSessionDuration and the session records left out,
+// every row hashes as before), and when a work reply that answers no
+// outstanding request was logged as work-late (the four rows with
+// such replies moved; writing work-recv for work-late in their JSONL
+// gives the earlier digests). No change that claims to keep behaviour
+// may move one.
 func TestVariantDigests(t *testing.T) {
 	cases := variantCases()
 	want := map[string]string{
-		"aborting":              "8ab1d957159636383a350e343dad4e40de30a223f4b0c68ee1e7417a863948b1",
-		"crash+dup":             "ba0eb8f41907047a2c870f7f9c0334ffbd180037d15b5708902bc5ed9ccf43d4",
-		"one-sided+aborting":    "32b0835a9c5b831ceb3d7e015f2384508c838944a569130db8d9085a3e4deb63",
+		"aborting":              "6f37ddfe1b3107b4f6ef06f29512b1830532a14c636c568026682b8fbfa49ade",
+		"crash+dup":             "39f11cc90d9f810e85a0b1f813a567e5f58a62400f7ccaea1b751b56cc65ed58",
+		"one-sided+aborting":    "28fc48ef628e9034a36d16255ff8b6cd3e796392eb991494e252d5b964c4d62b",
 		"one-sided+serving":     "ad8bef28ecec0f137601f296d9543ddf68d4ad7deaa22f8e64aa109d66e0313f",
-		"one-sided+crash+dup":   "3a94f91a3250c09b0db2afc74a2247d31dc037814359bd93edca9585b573b140",
+		"one-sided+crash+dup":   "93985a9c47b03aef7f28c6516d230468585b4831bdd27312ad9a9173b27faf31",
 		"one-sided/coarse-poll": "bc4cf4701c133403f5e87a2f3fe4bf45455071f0550bd29b019ccb5e670ddca5",
 		"one-sided/steal-half":  "ca58fb34d86467ed58950b2a9337ab6c29658d70737ca5c09d7d2ffc0ea08cac",
 		"one-sided/steal-one":   "df1ed45edfff29e14269c60280f4d0159b4a143f1fb9afb956b208b7ef1ebf6e",

@@ -229,7 +229,6 @@ type engine struct {
 	det    term.Detector
 	sel    victim.Selector
 	rec    *obs.Recorder // activity trace and event logs; nil when disabled
-	met    engineMetrics // registry handles; all nil when disabled
 	ranks  []rank
 	// faults is the per-rank fault state, nil without a fault plan.
 	faults []rankFault
@@ -268,9 +267,9 @@ type engine struct {
 
 	// par links the engine into a sharded run (engine_par.go): nil for
 	// sequential runs, where every field above is engine-global. In a
-	// sharded run each shard owns one engine; ranks, det, sel, rec
-	// and the registry behind met are shared across the shard engines
-	// while the counters above are per shard.
+	// sharded run each shard owns one engine; ranks, det, sel and rec
+	// are shared across the shard engines while the counters above are
+	// per shard.
 	par *parShared
 }
 
@@ -383,8 +382,8 @@ type Result struct {
 
 	// Par is the parallel-kernel window ledger of a sharded run with
 	// Config.ParProfile set (nil otherwise). The ledger is excluded from
-	// every determinism artifact the engine emits — the golden registry
-	// dumps and observer-freedom comparisons never see it — but is itself
+	// every determinism artifact the engine emits — the golden dumps
+	// and observer-freedom comparisons never see it — but is itself
 	// bit-deterministic for a fixed (Config, Shards).
 	Par *parprof.Ledger
 }
@@ -416,7 +415,7 @@ func run(cfg Config, finish func([]*engine) (*Result, error)) (*Result, error) {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		return nil, err
 	}
@@ -449,9 +448,9 @@ func run(cfg Config, finish func([]*engine) (*Result, error)) (*Result, error) {
 // one (a kernel per shard, ps their coordinator state), pre-schedules
 // every planned crash and lets w seed the run, so the caller only has
 // to run the kernel(s). The engines share the workload, detector,
-// selector, recorders, metrics registry, injector, fault slab and st's
-// rank slab; each owns its kernel, its network, its timer callbacks, its
-// counters and its workStore. A rank's first idle transition goes
+// selector, recorder, injector, fault slab and st's rank slab; each
+// owns its kernel, its network, its timer callbacks, its counters and
+// its workStore. A rank's first idle transition goes
 // through the engine owning that rank; crashes and job arrivals happen
 // in sequential runs only (Config.Validate), on the one engine.
 func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parShared, w workload, st *runStore) ([]*engine, error) {
@@ -489,7 +488,6 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			det:    det,
 			sel:    sel,
 			rec:    rec,
-			met:    newEngineMetrics(cfg.Metrics),
 			ranks:  ranks,
 			faults: faults,
 			ws:     &st.work[s],
@@ -671,7 +669,6 @@ func (e *engine) sendSteal(r int) {
 		e.rec.Record(r, rk.waitStart, trace.EvStealRetry, v, int64(rk.consecTimeouts))
 	}
 	e.rec.Record(r, rk.waitStart, trace.EvStealSend, v, int64(id))
-	e.met.stealRequests.Inc()
 	e.net.SendID(r, v, comm.TagStealRequest, id, 16)
 	if e.cfg.StealTimeout > 0 {
 		e.kernel.Cancel(rk.stealTimer)
@@ -738,8 +735,6 @@ func (e *engine) abortSteal(r int) {
 		}
 	}
 	e.rec.Record(r, now, trace.EvStealAbort, v, int64(id))
-	e.met.stealAborted.Inc()
-	e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 	e.sel.Observe(r, v, false)
 	e.retryOrBackoff(r)
 }
@@ -767,7 +762,7 @@ func (e *engine) crashRank(r int) {
 	rk.state = rsCrashed
 	e.rec.Record(r, now, trace.EvCrash, -1, int64(stackLost))
 	if !wasWorking {
-		e.endSession(r, now, false)
+		e.endSession(r, now)
 	}
 	// Messages delivered but not yet polled die unread.
 	for _, m := range e.net.Poll(r) {
@@ -986,16 +981,21 @@ func (e *engine) handle(r int, m *comm.Message) {
 		w := e.work(r)
 		w.lineage = int32(m.Lineage)
 		e.noteMigration(m.Lineage)
-		e.rec.Record(r, now, trace.EvWorkRecv, m.From, int64(len(m.Nodes)))
-		e.met.stealSuccess.Inc()
+		// Work that answers no outstanding request is logged apart, so
+		// steal pairing closes only the round trips counted here.
+		answers := rk.state == rsSearching && m.ID == rk.reqID
+		kind := trace.EvWorkLate
+		if answers {
+			kind = trace.EvWorkRecv
+		}
+		e.rec.Record(r, now, kind, m.From, int64(len(m.Nodes)))
 		w.stack.Acquire(m.Nodes)
 		e.putLoot(m)
 		if rk.state == rsWorking {
 			return // a late reply to an aborted request: the nodes are banked
 		}
-		if rk.state == rsSearching && m.ID == rk.reqID {
+		if answers {
 			rk.searchWait += now.Sub(rk.waitStart)
-			e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 		}
 		e.resume(r)
 
@@ -1020,14 +1020,11 @@ func (e *engine) handle(r int, m *comm.Message) {
 			delete(e.faults[r].timeouts, m.From)
 		}
 		e.rec.Record(r, now, trace.EvNoWorkRecv, m.From, int64(m.ID))
-		e.met.stealFail.Inc()
-		e.met.stealLatency.Observe(int64(now.Sub(rk.waitStart)))
 		e.sel.Observe(r, m.From, false)
 		e.retryOrBackoff(r)
 
 	case comm.TagToken:
 		e.rec.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
-		e.met.tokenHops.Inc()
 		idle := rk.state != rsWorking
 		e.forwardTokens(e.det.OnToken(r, m.Token, idle))
 		e.checkTermination()
@@ -1046,25 +1043,21 @@ func (e *engine) handle(r int, m *comm.Message) {
 func (e *engine) resume(r int) {
 	now := e.kernel.Now()
 	e.ranks[r].pendingVictim = -1
-	e.endSession(r, now, true)
+	e.endSession(r, now)
 	e.rec.Mark(r, now, trace.Active)
 	e.startQuantum(r)
 }
 
-// endSession closes idle rank r's work-discovery session at instant at,
-// ended with work (success) or without. A close after detection — the
-// terminate broadcast's arrival, a crash — counts up to the makespan,
-// as obs.Recorder.Finish clips the trace's sessions.
-func (e *engine) endSession(r int, at sim.Time, success bool) {
+// endSession closes idle rank r's work-discovery session at instant at.
+// A close after detection — the terminate broadcast's arrival, a crash
+// — counts up to the makespan, as obs.Recorder.Finish clips the
+// trace's sessions.
+func (e *engine) endSession(r int, at sim.Time) {
 	rk := &e.ranks[r]
 	if e.detected {
 		at = min(at, e.detectedAt)
 	}
-	d := at.Sub(rk.idleSince)
-	rk.sessionTime += d
-	if success {
-		e.met.session.Observe(int64(d))
-	}
+	rk.sessionTime += at.Sub(rk.idleSince)
 }
 
 // injectNode roots a served job at rank r: a working rank banks it, an
@@ -1124,7 +1117,6 @@ func (e *engine) handleStealRequest(v, thief int, id uint64) {
 		w.extraDelay += stealResponseCost
 	}
 	e.rec.Record(v, now, trace.EvWorkSend, thief, int64(len(loot)))
-	e.met.chunkNodes.Observe(int64(len(loot)))
 	e.net.SendNodes(v, thief, id, loot, int(w.lineage)+1, len(loot)*uts.NodeBytes)
 }
 
@@ -1248,7 +1240,7 @@ func (e *engine) finishRank(r int, at sim.Time) {
 	}
 	e.rec.Record(r, at, trace.EvTerminate, -1, 0)
 	if rk.state != rsWorking {
-		e.endSession(r, at, false)
+		e.endSession(r, at)
 	}
 	if w := rk.w; w != nil {
 		e.owner(r).kernel.Cancel(w.quantum) // no-op when no quantum is pending

@@ -30,8 +30,8 @@ package core
 // Triggers 2 and 3 make every verdict land in a serialized window, so
 // Result.Makespan and the termination broadcast are single-threaded
 // and deterministic. Everything that runs during parallel windows
-// touches only per-rank state owned by the executing shard, lock-free
-// atomic metrics, or detector per-rank arrays whose shared fields
+// touches only per-rank state owned by the executing shard or
+// detector per-rank arrays whose shared fields
 // (round, membership, colors of other ranks) are frozen while windows
 // run parallel; the -race stress tests pin this.
 

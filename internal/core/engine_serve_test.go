@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"distws/internal/fault"
-	"distws/internal/obs"
 	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/uts"
@@ -56,11 +55,10 @@ func serveTestConfig() Config {
 }
 
 // serveFingerprint reduces a serving run to a comparable byte blob:
-// the full Result (minus the pointer-laden trace), the trace's event
-// tallies, and the Prometheus exposition.
+// the full Result (minus the pointer-laden trace) and the trace's
+// transition tally.
 func serveFingerprint(t *testing.T, cfg Config) string {
 	t.Helper()
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -81,9 +79,6 @@ func serveFingerprint(t *testing.T, cfg Config) string {
 			n += len(trs)
 		}
 		fmt.Fprintf(&b, "end=%v transitions=%d\n", tr.End, n)
-	}
-	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
-		t.Fatalf("WritePrometheus: %v", err)
 	}
 	return b.String()
 }

@@ -24,7 +24,7 @@ func startRun(t testing.TB, cfg Config) (*sim.Kernel, []*engine, workload) {
 		t.Fatal(err)
 	}
 	cfg = cfg.withDefaults()
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,11 +36,12 @@ func goldenFig9Config() Config {
 }
 
 // goldenDump renders a run's externally visible outputs — the Result
-// fields the experiment tables print and the full exported metrics —
-// in a canonical text form. Any behavioural drift in the simulation
-// substrate shows up as a byte diff here. The [prometheus] section
-// ends with the per-link message counts in the registry's exposition
-// format, taken from the event log of a twin run (recordAll).
+// fields the experiment tables print and the metrics page — in a
+// canonical text form. Any behavioural drift in the simulation
+// substrate shows up as a byte diff here. The [prometheus] section is
+// rendered from the event log of a twin run (recordAll): the eight
+// families the engine once published into a registry
+// (metricsFromLog), then the per-link message counts.
 func goldenDump(t *testing.T, cfg Config, res *Result) []byte {
 	t.Helper()
 	var b bytes.Buffer
@@ -65,20 +66,19 @@ func goldenDump(t *testing.T, cfg Config, res *Result) []byte {
 			res.Trace.EventCounts(), res.Trace.TotalEventsDropped())
 	}
 	fmt.Fprintf(&b, "[prometheus]\n")
-	if err := cfg.Metrics.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	writeLinkMessages(&b, obs.Traffic(recordAll(t, cfg).Trace))
+	twin := recordAll(t, cfg).Trace
+	metricsFromLog(twin).write(&b)
+	writeLinkMessages(&b, obs.Traffic(twin))
 	return b.Bytes()
 }
 
-// recordAll runs a twin of cfg that records every event and no
-// metrics, and fails the test if the event log evicted any. Recording
+// recordAll runs a twin of cfg that records every event, and fails the
+// test if the event log evicted any. Recording
 // does not perturb a run (TestObserverEffect), so the twin's log is a
 // full account of what cfg's run sent.
 func recordAll(t *testing.T, cfg Config) *Result {
 	t.Helper()
-	cfg.CollectEvents, cfg.EventBuffer, cfg.Metrics = true, 1<<20, nil
+	cfg.CollectEvents, cfg.EventBuffer = true, 1<<20
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -104,9 +104,10 @@ func writeLinkMessages(w io.Writer, m [][]uint64) {
 
 // TestGoldenFig9 extends the observer-effect test into a golden-result
 // test: the traced mid-size Fig 9 run must produce byte-identical
-// experiment output and exported metrics across every change to the
-// simulation substrate, and the exported metrics must equal the ones
-// metricsFromLog rebuilds from the run's event log. The golden file was
+// experiment output and metrics page across every change to the
+// simulation substrate. The page's families were written by the
+// engine's metrics registry until the event log accounted for all of
+// them; they are rendered from the log now. The golden file was
 // generated from the seed implementation (container/heap kernel,
 // unpooled messaging, uncached latencies); the arena kernel, message
 // pooling, latency cache and batched UTS hashing all must reproduce it
@@ -117,7 +118,6 @@ func writeLinkMessages(w io.Writer, m [][]uint64) {
 //	go test ./internal/core -run TestGoldenFig9 -update
 func TestGoldenFig9(t *testing.T) {
 	cfg := goldenFig9Config()
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,13 +139,6 @@ func TestGoldenFig9(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Fatalf("golden mismatch: simulation output drifted from the seed behaviour\n%s",
 			diffHint(want, got))
-	}
-
-	// Every family the registry holds is Result plus the event log: the
-	// page rebuilt from the twin's log is the registry's, byte for byte.
-	rebuilt, published := exposition(t, metricsFromLog(recordAll(t, cfg).Trace)), exposition(t, cfg.Metrics)
-	if !bytes.Equal(rebuilt, published) {
-		t.Fatalf("registry holds what the event log does not account for\n%s", diffHint(published, rebuilt))
 	}
 
 	// The observer must still not affect the run: a bare (untraced,

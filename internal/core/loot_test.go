@@ -30,7 +30,7 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,8 +15,7 @@ import (
 
 // TestObserverEffect asserts that turning observability on does not
 // perturb the simulation: a run at the activity level (CollectTrace)
-// and one at the events level (CollectEvents, with a metrics registry
-// attached) must produce bit-identical results to a bare run of the
+// and one at the events level (CollectEvents) must produce bit-identical results to a bare run of the
 // same configuration, on every delivery path and for a task graph.
 // This is the contract that makes traces trustworthy — what you
 // observe is what would have happened anyway. The two levels must fold
@@ -39,18 +38,18 @@ func TestObserverEffect(t *testing.T) {
 	var handed []handedOver
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
-			run := func(collectTrace, collectEvents bool, reg *obs.Registry) *Result {
+			run := func(collectTrace, collectEvents bool) *Result {
 				t.Helper()
-				cfg.CollectTrace, cfg.CollectEvents, cfg.Metrics = collectTrace, collectEvents, reg
+				cfg.CollectTrace, cfg.CollectEvents = collectTrace, collectEvents
 				res, err := Run(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
 				return res
 			}
-			bare := run(false, false, nil)
-			activity := run(true, false, nil)
-			events := run(false, true, obs.NewRegistry())
+			bare := run(false, false)
+			activity := run(true, false)
+			events := run(false, true)
 			if events.Trace.Events == nil || activity.Trace.Events != nil {
 				t.Fatalf("event log at the activity level %v, at the events level %v",
 					activity.Trace.Events != nil, events.Trace.Events != nil)
@@ -65,10 +64,10 @@ func TestObserverEffect(t *testing.T) {
 			for _, tr := range []*trace.Trace{activity.Trace, events.Trace} {
 				handed = append(handed, handedOver{name, jsonl(t, tr), tr})
 			}
-			if warm := run(true, false, nil); !reflect.DeepEqual(warm.Trace, activity.Trace) {
+			if warm := run(true, false); !reflect.DeepEqual(warm.Trace, activity.Trace) {
 				t.Error("the activity level handed over another trace from a re-armed recorder")
 			}
-			if warm := run(false, true, obs.NewRegistry()); !reflect.DeepEqual(warm.Trace, events.Trace) {
+			if warm := run(false, true); !reflect.DeepEqual(warm.Trace, events.Trace) {
 				t.Error("the events level handed over another trace from a re-armed recorder")
 			}
 			activity.Trace, events.Trace = nil, nil
@@ -168,71 +167,50 @@ func TestEventLogConsistent(t *testing.T) {
 	}
 }
 
-// TestMetricsDeterministic runs the same configuration twice with fresh
-// registries and requires byte-identical Prometheus exposition: the
-// metrics are a pure function of the (virtual-time) run.
+// TestMetricsDeterministic runs the same configuration twice and
+// requires byte-identical metrics pages rendered from the two event
+// logs: the page is a pure function of the (virtual-time) run.
 func TestMetricsDeterministic(t *testing.T) {
-	expo := func() []byte {
-		reg := obs.NewRegistry()
-		if _, err := Run(Config{
-			Tree:     uts.MustPreset("T3").Params,
-			Ranks:    16,
-			Selector: victim.NewDistanceSkewed,
-			Seed:     11,
-			Metrics:  reg,
-		}); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := reg.WritePrometheus(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	a, b := expo(), expo()
+	cfg := Config{Tree: uts.MustPreset("T3").Params, Ranks: 16, Selector: victim.NewDistanceSkewed, Seed: 11}
+	a, b := metricsFromLog(recordAll(t, cfg).Trace).bytes(), metricsFromLog(recordAll(t, cfg).Trace).bytes()
 	if !bytes.Equal(a, b) {
-		t.Fatalf("registry not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
+		t.Fatalf("metrics page not deterministic:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
 	}
 	if !bytes.Contains(a, []byte(MetricStealRequests)) ||
 		!bytes.Contains(a, []byte(MetricStealLatency+"_count")) {
-		t.Fatalf("exposition missing expected families:\n%s", a)
+		t.Fatalf("page missing expected families:\n%s", a)
 	}
 }
 
-// TestMetricsMatchCounters checks the registry totals against the
-// result counters.
+// TestMetricsMatchCounters: on every configuration of
+// TestVariantDigests, the steal transactions paired from the event log
+// are the round trips the engine counted — every refusal, every abort
+// and every work reply that answered the request outstanding — and the
+// work replies that answered none (EvWorkLate) make up the rest of the
+// engine's successful steals.
 func TestMetricsMatchCounters(t *testing.T) {
-	reg := obs.NewRegistry()
-	res, err := Run(Config{
-		Tree:     uts.MustPreset("T3").Params,
-		Ranks:    8,
-		Selector: victim.NewRoundRobin,
-		Seed:     5,
-		Metrics:  reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter(MetricStealRequests).Value(); got != res.StealRequests {
-		t.Fatalf("counter %d != result %d", got, res.StealRequests)
-	}
-	if got := reg.Counter(MetricStealSuccess).Value(); got != res.SuccessfulSteals {
-		t.Fatalf("success counter %d != result %d", got, res.SuccessfulSteals)
-	}
-	if got := reg.Counter(MetricStealFail).Value(); got != res.FailedSteals {
-		t.Fatalf("fail counter %d != result %d", got, res.FailedSteals)
-	}
-	if got := reg.Histogram(MetricStealLatency).Count(); got != res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals {
-		t.Fatalf("latency observations %d != closed steals %d", got,
-			res.SuccessfulSteals+res.FailedSteals+res.AbortedSteals)
+	for name, cfg := range variantCases() {
+		t.Run(name, func(t *testing.T) {
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr := recordAll(t, cfg).Trace
+			st := obs.StealLatency(tr)
+			if late := countKind(tr, trace.EvWorkLate); uint64(st.Success)+late != res.SuccessfulSteals ||
+				uint64(st.Refused) != res.FailedSteals || uint64(st.Aborted) != res.AbortedSteals {
+				t.Fatalf("log pairs %d success + %d late, %d refused, %d aborted; engine counts %d success, %d failed, %d aborted",
+					st.Success, late, st.Refused, st.Aborted, res.SuccessfulSteals, res.FailedSteals, res.AbortedSteals)
+			}
+		})
 	}
 }
 
 // TestLinkTallyShardedEqualsSequential runs the 1024-rank steal storm
-// sequentially and on 2 and 4 shards and requires one exposition text,
-// followed by one per-link tally: the shard engines update the shared
-// registry concurrently, the adds commute, and each shard's event log
-// records its own ranks' sends. `make race` runs it under the detector.
+// sequentially and on 2 and 4 shards and requires one metrics page,
+// followed by one per-link tally, rendered from each run's event log:
+// each shard's log records its own ranks' events. `make race` runs it
+// under the detector.
 func TestLinkTallyShardedEqualsSequential(t *testing.T) {
 	var want []byte
 	for _, shards := range []int{1, 2, 4} {
@@ -245,23 +223,18 @@ func TestLinkTallyShardedEqualsSequential(t *testing.T) {
 			ChunkSize: 4,
 			Seed:      1,
 			Shards:    shards,
-			Metrics:   obs.NewRegistry(),
 		}
-		if _, err := Run(cfg); err != nil {
-			t.Fatal(err)
-		}
+		tr := recordAll(t, cfg).Trace
 		var got bytes.Buffer
-		if err := cfg.Metrics.WritePrometheus(&got); err != nil {
-			t.Fatal(err)
-		}
-		writeLinkMessages(&got, obs.Traffic(recordAll(t, cfg).Trace))
+		metricsFromLog(tr).write(&got)
+		writeLinkMessages(&got, obs.Traffic(tr))
 		if want == nil {
 			want = got.Bytes()
 		} else if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("shards=%d: exposition differs from the sequential run's", shards)
+			t.Fatalf("shards=%d: page differs from the sequential run's", shards)
 		}
 	}
 	if !bytes.Contains(want, []byte("sim_link_messages{from=")) {
-		t.Fatalf("no per-link counts in the exposition:\n%s", want)
+		t.Fatalf("no per-link counts in the page:\n%s", want)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"testing"
 
-	"distws/internal/obs"
 	"distws/internal/obs/parprof"
 	"distws/internal/term"
 	"distws/internal/topology"
@@ -13,15 +12,13 @@ import (
 	"distws/internal/victim"
 )
 
-// runProfiled executes cfg with ParProfile on and a fresh registry,
-// returning the canonical golden dump plus the recorded window ledger.
+// runProfiled executes cfg with ParProfile on, returning the canonical golden dump plus the recorded window ledger.
 // The ledger is identity-checked on every call: each window must carry
 // exactly one cause, and the per-cause virtual-time shares must
 // partition the serialized totals.
 func runProfiled(t *testing.T, cfg Config) ([]byte, *parprof.Ledger) {
 	t.Helper()
 	cfg.ParProfile = true
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +67,6 @@ func TestParProfileSequentialRun(t *testing.T) {
 	cfg := goldenFig9Config()
 	want := runDump(t, cfg)
 	cfg.ParProfile = true
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)

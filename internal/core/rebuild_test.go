@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"fmt"
+	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
 
-	"distws/internal/comm"
 	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/topology"
@@ -17,59 +20,139 @@ import (
 	"distws/internal/victim"
 )
 
-// tallied maps the event kinds whose occurrence count is a registry
-// counter to that counter's name.
+// The eight metric families the engine published into a metrics
+// registry until the event log accounted for every one of them. The
+// Fig. 9 golden and the variant digests still hold their exposition,
+// which metricsFromLog renders from a run's log.
+const (
+	MetricStealRequests = "sim_steal_requests_total"
+	MetricStealSuccess  = "sim_steal_success_total"
+	MetricStealFail     = "sim_steal_fail_total"
+	MetricStealAborted  = "sim_steal_aborted_total"
+	MetricTokenHops     = "sim_token_hops_total"
+	MetricStealLatency  = "sim_steal_latency_ns"
+	MetricSession       = "sim_session_ns"
+	MetricChunkNodes    = "sim_chunk_nodes"
+)
+
+// tallied maps the event kinds whose occurrence count is a counter
+// family to that family: every receipt of work, late or not, counted
+// as a successful steal.
 var tallied = map[trace.EventKind]string{
 	trace.EvStealSend:  MetricStealRequests,
 	trace.EvNoWorkRecv: MetricStealFail,
 	trace.EvWorkRecv:   MetricStealSuccess,
+	trace.EvWorkLate:   MetricStealSuccess,
 	trace.EvStealAbort: MetricStealAborted,
 	trace.EvTokenRecv:  MetricTokenHops,
 }
 
-// metricsFromLog rebuilds the registry a run fills from the unevicted
-// event log of its twin (recordAll): the five counters are event
-// tallies, the steal latencies obs.PairSteals' spans, the session
-// lengths the trace's sessions that found work, and the chunk sizes the
-// work-send payloads.
-func metricsFromLog(tr *trace.Trace) *obs.Registry {
-	reg := obs.NewRegistry()
-	counters := map[trace.EventKind]*obs.Counter{}
-	for k, name := range tallied {
-		counters[k] = reg.Counter(name)
+// page is a metrics page as the engine's registry held it: counters
+// and histograms by family name.
+type page struct {
+	counters map[string]uint64
+	hists    map[string]*histogram
+}
+
+// histogram counts non-negative observations in power-of-two buckets:
+// bucket i holds the values whose bits.Len64 is i.
+type histogram struct {
+	count, sum uint64
+	buckets    [65]uint64
+}
+
+func newPage() *page {
+	return &page{counters: map[string]uint64{}, hists: map[string]*histogram{}}
+}
+
+// hist returns the named histogram, registering it empty on first use.
+func (p *page) hist(name string) *histogram {
+	h := p.hists[name]
+	if h == nil {
+		h = &histogram{}
+		p.hists[name] = h
 	}
-	chunks := reg.Histogram(MetricChunkNodes)
+	return h
+}
+
+func (h *histogram) observe(v int64) {
+	h.count++
+	h.sum += uint64(v)
+	h.buckets[bits.Len64(uint64(v))]++
+}
+
+// write renders p in the Prometheus text exposition format (0.0.4) as
+// the registry did: the counters, then the histograms, each in name
+// order; a histogram as the cumulative counts of its non-empty buckets
+// (bucket i tops out at 2^i - 1), then +Inf, its sum and its count.
+func (p *page) write(w io.Writer) {
+	for _, name := range sortedKeys(p.counters) {
+		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", name, name, p.counters[name])
+	}
+	for _, name := range sortedKeys(p.hists) {
+		h := p.hists[name]
+		fmt.Fprintf(w, "# TYPE %s histogram\n", name)
+		var cum uint64
+		for i, n := range h.buckets {
+			if n != 0 {
+				cum += n
+				fmt.Fprintf(w, "%s_bucket{le=\"%d\"} %d\n", name, uint64(1)<<i-1, cum)
+			}
+		}
+		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n%s_sum %d\n%s_count %d\n", name, h.count, name, h.sum, name, h.count)
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// bytes is p's exposition.
+func (p *page) bytes() []byte {
+	var b bytes.Buffer
+	p.write(&b)
+	return b.Bytes()
+}
+
+// metricsFromLog renders the eight families from the unevicted event
+// log of a run's twin (recordAll): the five counters are event tallies,
+// the steal latencies obs.PairSteals' spans, the session lengths the
+// trace's sessions that found work, and the chunk sizes the work-send
+// payloads.
+func metricsFromLog(tr *trace.Trace) *page {
+	p := newPage()
+	for _, name := range tallied {
+		p.counters[name] += 0 // the registry rendered a family it never counted into
+	}
+	chunks := p.hist(MetricChunkNodes)
 	for _, es := range tr.Events {
 		for _, e := range es {
-			counters[e.Kind].Inc()
+			if name, ok := tallied[e.Kind]; ok {
+				p.counters[name]++
+			}
 			if e.Kind == trace.EvWorkSend {
-				chunks.Observe(e.Arg)
+				chunks.observe(e.Arg)
 			}
 		}
 	}
-	latency := reg.Histogram(MetricStealLatency)
-	for _, p := range obs.PairSteals(tr) {
-		latency.Observe(int64(p.Latency()))
+	latency := p.hist(MetricStealLatency)
+	for _, sp := range obs.PairSteals(tr) {
+		latency.observe(int64(sp.Latency()))
 	}
-	sessions := reg.Histogram(MetricSession)
+	sessions := p.hist(MetricSession)
 	for _, ss := range tr.Sessions {
 		for _, s := range ss {
 			if s.Success {
-				sessions.Observe(int64(s.Duration()))
+				sessions.observe(int64(s.Duration()))
 			}
 		}
 	}
-	return reg
-}
-
-// exposition renders a registry's Prometheus page.
-func exposition(t *testing.T, reg *obs.Registry) []byte {
-	t.Helper()
-	var b bytes.Buffer
-	if err := reg.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	return b.Bytes()
+	return p
 }
 
 // families splits a Prometheus page into its blocks, keyed by family.
@@ -85,60 +168,55 @@ func families(page []byte) map[string]string {
 	return out
 }
 
-// TestMetricsFromLogBeyondFig9 applies the Fig. 9 golden's rebuild to
-// the two configurations where it may not hold: a fault-free run whose
-// steals abort (A8's tightest timeout) and a serving run. Every family
-// must match the engine's block for block, except that a work reply
-// reaching a thief that already gave up on it (late) closes the thief's
-// newer request in obs.PairSteals, where the engine observes nothing:
-// the log then holds one steal-latency observation more per late reply
-// (DESIGN.md §9).
+// TestMetricsFromLogBeyondFig9 applies the Fig. 9 golden's rendering to
+// the configurations where a work reply can answer no outstanding
+// request — steals that abort (A8's tightest timeout, and under the
+// one-sided protocol), crashes with duplicating links — and to a
+// serving run. Every family must equal, block for block, the page the
+// engine wrote into its registry before the registry was deleted
+// (testdata/engine_metrics): the log accounts for each steal round trip
+// the engine observed, and for no other.
 func TestMetricsFromLogBeyondFig9(t *testing.T) {
 	cases := map[string]Config{
 		"aborting": {Tree: uts.MustPreset("H-TINY").Params, Ranks: 64, Placement: topology.OnePerNode,
 			Selector: victim.NewUniformRandom, Steal: StealHalf, ChunkSize: 4, ImmediateRetry: true,
 			StealTimeout: 10 * sim.Microsecond, Seed: 1},
-		"serving": serveTestConfig(),
+		"serving":            serveTestConfig(),
+		"crash+dup":          deliveryCases()["crash+dup"],
+		"one-sided+aborting": deliveryCases()["one-sided+aborting"],
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
-			var late uint64
-			cfg.testDeliveryProbe = func(e *engine, m *comm.Message) bool {
-				if rk := &e.ranks[m.To]; m.Tag == comm.TagWork && rk.state == rsSearching && m.ID != rk.reqID {
-					late++
-				}
-				return e.deliver(m)
-			}
-			cfg.Metrics = obs.NewRegistry()
-			if _, err := Run(cfg); err != nil {
+			want, err := os.ReadFile(filepath.Join("testdata", "engine_metrics", name+".prom"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			cfg.testDeliveryProbe = nil
-			rebuilt := metricsFromLog(recordAll(t, cfg).Trace)
-			got, want := families(exposition(t, rebuilt)), families(exposition(t, cfg.Metrics))
-			if len(got) != len(want) {
-				t.Fatalf("log rebuilds %d families, the engine has %d", len(got), len(want))
+			tr := recordAll(t, cfg).Trace
+			got, wantFams := families(metricsFromLog(tr).bytes()), families(want)
+			if len(got) != len(wantFams) {
+				t.Fatalf("log renders %d families, the engine wrote %d", len(got), len(wantFams))
 			}
-			for family, block := range want {
-				if family == MetricStealLatency && late > 0 {
-					logged, observed := rebuilt.Histogram(family).Count(), cfg.Metrics.Histogram(family).Count()
-					if logged != observed+late {
-						t.Errorf("%s: log %d observations, engine %d + %d late replies", family, logged, observed, late)
-					}
-					continue
-				}
+			for family, block := range wantFams {
 				if got[family] != block {
-					t.Errorf("log rebuilds\n%s\nthe engine has\n%s", got[family], block)
+					t.Errorf("log renders\n%s\nthe engine wrote\n%s", got[family], block)
 				}
 			}
-			if name == "aborting" && late == 0 {
-				t.Error("no work reply came late; the case no longer tests the difference")
+			if late := countKind(tr, trace.EvWorkLate); name != "serving" && late == 0 {
+				t.Error("no work reply came late; the case no longer tests what the log must leave unpaired")
 			}
 		})
 	}
 }
 
-// retiredFamilies registers into reg the fault and serving families the
+// countKind counts tr's events of kind k.
+func countKind(tr *trace.Trace, k trace.EventKind) uint64 {
+	if counts := tr.EventCounts(); int(k) < len(counts) {
+		return counts[k]
+	}
+	return 0
+}
+
+// retiredFamilies adds to p the fault and serving families the
 // engine published until their numbers moved to Result and serve.Stats
 // (names in testdata/retired_families.txt), valued from res and the
 // unevicted event log of res's twin, as the engine valued them: a
@@ -147,7 +225,7 @@ func TestMetricsFromLogBeyondFig9(t *testing.T) {
 // receipt; a serving run's arrival, admission, rejection, completion
 // and loss counts and the sojourn of each completed job, over all
 // tenants and per tenant.
-func retiredFamilies(t *testing.T, reg *obs.Registry, cfg Config, res *Result, tr *trace.Trace) {
+func retiredFamilies(t *testing.T, p *page, cfg Config, res *Result, tr *trace.Trace) {
 	t.Helper()
 	table, err := os.ReadFile(filepath.Join("testdata", "retired_families.txt"))
 	if err != nil {
@@ -165,44 +243,44 @@ func retiredFamilies(t *testing.T, reg *obs.Registry, cfg Config, res *Result, t
 		for _, n := range res.Comm.Duplicated {
 			dup += n
 		}
-		reg.Counter(name["crashes"]).Add(uint64(res.CrashedRanks))
-		reg.Counter(name["lost-nodes"]).Add(res.LostNodes)
-		reg.Counter(name["lost-messages"]).Add(res.LostMessages)
-		reg.Counter(name["duplicated"]).Add(dup)
-		reg.Counter(name["token-regens"]).Add(res.TokenRegens)
-		recovery := reg.Histogram(name["recovery"])
+		p.counters[name["crashes"]] += uint64(res.CrashedRanks)
+		p.counters[name["lost-nodes"]] += res.LostNodes
+		p.counters[name["lost-messages"]] += res.LostMessages
+		p.counters[name["duplicated"]] += dup
+		p.counters[name["token-regens"]] += res.TokenRegens
+		recovery := p.hist(name["recovery"])
 		for _, es := range tr.Events {
 			var sent, since sim.Time
 			recovering := false
 			for _, e := range es {
-				switch e.Kind {
-				case trace.EvStealSend:
+				switch {
+				case e.Kind == trace.EvStealSend:
 					sent = e.Time
-				case trace.EvStealAbort:
+				case e.Kind == trace.EvStealAbort:
 					if !recovering {
 						recovering, since = true, sent
 					}
-				case trace.EvWorkRecv:
+				case e.Kind.ReceivesWork():
 					if recovering {
 						recovering = false
-						recovery.Observe(int64(e.Time.Sub(since)))
+						recovery.observe(int64(e.Time.Sub(since)))
 					}
 				}
 			}
 		}
 	}
 	if st := res.Serve; st != nil {
-		reg.Counter(name["arrived"]).Add(st.Arrived)
-		reg.Counter(name["admitted"]).Add(st.Admitted)
-		reg.Counter(name["rejected"]).Add(st.Rejected)
-		reg.Counter(name["done"]).Add(st.Done)
+		p.counters[name["arrived"]] += st.Arrived
+		p.counters[name["admitted"]] += st.Admitted
+		p.counters[name["rejected"]] += st.Rejected
+		p.counters[name["done"]] += st.Done
 		if faulted {
-			reg.Counter(name["lost"]).Add(st.Lost())
+			p.counters[name["lost"]] += st.Lost()
 		}
-		sojourn := reg.Histogram(name["sojourn"])
-		tenant := make([]*obs.Histogram, len(st.Tenants))
+		sojourn := p.hist(name["sojourn"])
+		tenant := make([]*histogram, len(st.Tenants))
 		for i := range tenant {
-			tenant[i] = reg.Histogram(name["sojourn"] + "_tenant" + strconv.Itoa(i))
+			tenant[i] = p.hist(name["sojourn"] + "_tenant" + strconv.Itoa(i))
 		}
 		arrived := map[int64]sim.Time{}
 		for _, es := range tr.Events {
@@ -216,8 +294,8 @@ func retiredFamilies(t *testing.T, reg *obs.Registry, cfg Config, res *Result, t
 			for _, e := range es {
 				if e.Kind == trace.EvJobDone {
 					d := int64(e.Time.Sub(arrived[e.Arg]))
-					sojourn.Observe(d)
-					tenant[e.Peer].Observe(d)
+					sojourn.observe(d)
+					tenant[e.Peer].observe(d)
 				}
 			}
 		}

@@ -9,20 +9,17 @@ import (
 	"testing"
 
 	"distws/internal/fault"
-	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
 )
 
-// runDump executes cfg with a fresh metrics registry and returns the
-// canonical golden dump — the same byte-exact surface TestGoldenFig9
+// runDump executes cfg and returns the canonical golden dump — the same byte-exact surface TestGoldenFig9
 // gates, so "two runs are equivalent" below always means "every
 // externally visible output matches".
 func runDump(t *testing.T, cfg Config) []byte {
 	t.Helper()
-	cfg.Metrics = obs.NewRegistry()
 	res, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -228,7 +225,6 @@ func TestShardedWindowStress(t *testing.T) {
 				CollectTrace:  true,
 				CollectEvents: true,
 			}
-			cfg.Metrics = obs.NewRegistry()
 			res, err := Run(cfg)
 			if err != nil {
 				t.Fatal(err)

@@ -160,7 +160,7 @@ func TestRunStorageAllocBudget(t *testing.T) {
 // segments are in the pool.
 func TestReturnedStoreIsZeroed(t *testing.T) {
 	cfg := goldenFig9Config().withDefaults()
-	job, err := topology.NewJob(cfg.Machine, cfg.Ranks, cfg.Placement)
+	job, err := topology.NewJob(topology.KComputer(), cfg.Ranks, cfg.Placement)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -65,14 +65,11 @@ func countSends(tr *trace.Trace) int {
 // outstanding request (the protocol is stop-and-wait), so pairing is a
 // per-rank scan: a steal-send opens a transaction, the next
 // work/no-work delivery or abort closes it, and closed is called with
-// it. Unmatched events — ring evictions, a send still open at trace
-// end, a late reply to an aborted request when nothing is outstanding —
+// it. Work that answers no outstanding request (EvWorkLate) closes
+// nothing, so the transactions are the round trips the engine counts.
+// Unmatched events — ring evictions, a send still open at trace end —
 // are skipped. Transactions come thief by thief, each thief's in log
 // order.
-//
-// A late reply that lands while the thief's next request is
-// outstanding closes that newer request: work-recv does not name the
-// request it answers (DESIGN.md §9).
 func scanSteals(tr *trace.Trace, closed func(p StealPair)) {
 	for rank, es := range tr.Events {
 		var p StealPair
@@ -177,8 +174,7 @@ type StealLatencyStats struct {
 }
 
 // StealLatency computes exact latency percentiles over the trace's
-// steal transactions (the registry's latency histogram keeps only
-// power-of-two buckets). None of its figures depends on the order of
+// steal transactions. None of its figures depends on the order of
 // the transactions, so it reads them straight from the log scan
 // (scanSteals) into one buffer of latencies: successes from the front,
 // the rest from the back.
@@ -323,11 +319,12 @@ func RenderHeatmap(m [][]uint64, size int) string {
 }
 
 // TailStats breaks down the termination tail: everything after the
-// last successful work transfer, when remaining steal traffic is pure
+// last work transfer, when remaining steal traffic is pure
 // overhead and the token ring winds the run down. At scale this tail
 // is where the paper's 8192-rank makespans go.
 type TailStats struct {
-	// LastTransfer is when the final successful steal completed.
+	// LastTransfer is when stolen work last reached a thief, as the
+	// answer to its request or late.
 	LastTransfer sim.Time
 	// Duration is End - LastTransfer; Fraction is Duration/End.
 	Duration sim.Duration
@@ -342,15 +339,17 @@ type TailStats struct {
 }
 
 // TerminationTail computes the tail breakdown from the trace's event
-// log: one scan of the steal transactions (scanSteals) finds the last
-// successful transfer, a second counts the failures at or after it.
+// log: one scan finds the last work receipt, a scan of the steal
+// transactions (scanSteals) counts the failures at or after it.
 func TerminationTail(tr *trace.Trace) TailStats {
 	var st TailStats
-	scanSteals(tr, func(p StealPair) {
-		if p.Outcome == StealSuccess && p.End > st.LastTransfer {
-			st.LastTransfer = p.End
+	for _, es := range tr.Events {
+		for _, e := range es {
+			if e.Kind.ReceivesWork() {
+				st.LastTransfer = max(st.LastTransfer, e.Time)
+			}
 		}
-	})
+	}
 	scanSteals(tr, func(p StealPair) {
 		if p.Outcome != StealSuccess && p.End >= st.LastTransfer {
 			st.FailedInTail++

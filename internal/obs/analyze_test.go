@@ -226,7 +226,7 @@ func TestPairStealsLateReplyAfterAbort(t *testing.T) {
 		Events: [][]trace.Event{{
 			{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 5},
 			{Time: 40, Kind: trace.EvStealAbort, Peer: 1, Arg: 5},
-			{Time: 60, Kind: trace.EvWorkRecv, Peer: 1, Arg: 12},
+			{Time: 60, Kind: trace.EvWorkLate, Peer: 1, Arg: 12},
 		}, nil},
 	}
 	pairs := PairSteals(tr)
@@ -237,11 +237,45 @@ func TestPairStealsLateReplyAfterAbort(t *testing.T) {
 	if p.Outcome != StealAborted || p.Send != 10 || p.End != 40 || p.Nodes != 0 {
 		t.Fatalf("pair = %+v, want abort closed at 40 with no nodes", p)
 	}
-	// The banked late reply still counts as work for the tail analysis
-	// only via successful pairs — of which there are none here.
+	// The late reply is still the last work to arrive, so the tail
+	// starts after the abort.
 	st := TerminationTail(tr)
-	if st.LastTransfer != 0 || st.FailedInTail != 1 {
+	if st.LastTransfer != 60 || st.FailedInTail != 0 {
 		t.Fatalf("tail = %+v", st)
+	}
+}
+
+// TestLateReplyClosesNoNewerRequest: the thief aborts request 5 at 40
+// and sends request 6 at 41, then request 5's work lands at 60 — late,
+// so the engine logs it as EvWorkLate — and the thief works on it.
+// Request 6 is never answered: its refusal finds the thief working and
+// is dropped, and request 7 opens the next search at 90. The late reply
+// must not close request 6 as a success: the engine observed two round
+// trips, the abort and request 7's refusal, and so must the log.
+func TestLateReplyClosesNoNewerRequest(t *testing.T) {
+	tr := &trace.Trace{
+		End:         100,
+		Transitions: make([][]trace.Transition, 2),
+		Sessions:    make([][]trace.Session, 2),
+		Events: [][]trace.Event{{
+			{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 5},
+			{Time: 40, Kind: trace.EvStealAbort, Peer: 1, Arg: 5},
+			{Time: 41, Kind: trace.EvStealSend, Peer: 1, Arg: 6},
+			{Time: 60, Kind: trace.EvWorkLate, Peer: 1, Arg: 12},
+			{Time: 90, Kind: trace.EvStealSend, Peer: 1, Arg: 7},
+			{Time: 95, Kind: trace.EvNoWorkRecv, Peer: 1, Arg: 7},
+		}, nil},
+	}
+	want := []StealPair{
+		{Thief: 0, Victim: 1, Send: 10, End: 40, Outcome: StealAborted},
+		{Thief: 0, Victim: 1, Send: 90, End: 95, Outcome: StealRefused},
+	}
+	if got := PairSteals(tr); !slices.Equal(got, want) {
+		t.Fatalf("pairs = %+v, want %+v", got, want)
+	}
+	st := StealLatency(tr)
+	if st.Count != 2 || st.Success != 0 || st.Aborted != 1 || st.Refused != 1 || st.NodesMoved != 0 || st.Max != 30 {
+		t.Fatalf("latency = %+v, want one abort (30) and one refusal (5)", st)
 	}
 }
 
@@ -315,14 +349,14 @@ func pairStealsStableSort(tr *trace.Trace) []StealPair {
 }
 
 // randomStealLog is one rank's time-ordered log of n events drawn from
-// the kinds PairSteals reads plus two it must ignore. Time advances by
+// the kinds PairSteals reads plus three it must ignore. Time advances by
 // 0..2 ns a step, so sends collide across thieves, an abort is often
 // followed by a retry in the same nanosecond, sends follow sends
 // (orphans, as after a ring eviction) and closes arrive unopened.
 func randomStealLog(r *rng.Xoshiro256, ranks, n int) []trace.Event {
 	kinds := []trace.EventKind{
 		trace.EvStealSend, trace.EvStealSend, trace.EvWorkRecv, trace.EvNoWorkRecv,
-		trace.EvStealAbort, trace.EvStealRecv, trace.EvQuantumEnd,
+		trace.EvStealAbort, trace.EvStealRecv, trace.EvQuantumEnd, trace.EvWorkLate,
 	}
 	var es []trace.Event
 	now := sim.Time(r.Intn(4))

@@ -32,9 +32,10 @@
 // timestamp, adjacent in the per-rank log), which recovers the request
 // id of every transfer and, through the thief's EvStealSend, the full
 // request round trip. That send is found by scanning the thief's log
-// backward from its EvWorkRecv: the protocol is stop-and-wait, so it
-// sits a few events back, and no index of the (far more numerous)
-// refused requests is ever built.
+// backward from its receipt of the work: the protocol is stop-and-wait,
+// so it sits a few events back, and no index of the (far more
+// numerous) refused requests is ever built. Work that answers no
+// outstanding request (EvWorkLate) is a transfer like any other.
 package causal
 
 import (
@@ -51,7 +52,7 @@ import (
 type Transfer struct {
 	Victim, Thief int
 	// Send is the victim's EvWorkSend time, Recv the thief's
-	// EvWorkRecv time; SendIdx/RecvIdx locate the two events in the
+	// receipt time; SendIdx/RecvIdx locate the two events in the
 	// respective per-rank logs.
 	Send, Recv       sim.Time
 	SendIdx, RecvIdx int
@@ -129,7 +130,7 @@ type Graph struct {
 
 	tr *trace.Trace
 	// Per-rank lookup tables from event index to the matched element:
-	// recvAt resolves an EvWorkRecv to its Transfer, tokenAt an
+	// recvAt resolves a work receipt to its Transfer, tokenAt an
 	// EvTokenRecv to its TokenHop. Sorted by event index.
 	recvAt  [][]idxRef
 	tokenAt [][]idxRef
@@ -159,9 +160,9 @@ func Build(tr *trace.Trace) *Graph {
 			kinds[es[i].Kind]++
 		}
 	}
-	refs := func(k trace.EventKind) []peerRef { return make([]peerRef, 0, kinds[k]) }
-	workSend, workRecv := refs(trace.EvWorkSend), refs(trace.EvWorkRecv)
-	tokSend, tokRecv := refs(trace.EvTokenSend), refs(trace.EvTokenRecv)
+	refs := func(n int) []peerRef { return make([]peerRef, 0, n) }
+	workSend, workRecv := refs(kinds[trace.EvWorkSend]), refs(kinds[trace.EvWorkRecv]+kinds[trace.EvWorkLate])
+	tokSend, tokRecv := refs(kinds[trace.EvTokenSend]), refs(kinds[trace.EvTokenRecv])
 
 	// Index each rank's log once: the send/recv events filed under their
 	// (rank, peer) pair, and the quantum spans. The scan is rank by
@@ -170,18 +171,18 @@ func Build(tr *trace.Trace) *Graph {
 	for r, es := range tr.Events {
 		lo, qstart := len(quanta), -1
 		for i, e := range es {
-			switch e.Kind {
-			case trace.EvWorkSend:
+			switch k := e.Kind; {
+			case k == trace.EvWorkSend:
 				workSend = addPeerRef(workSend, r, int(e.Peer), i)
-			case trace.EvWorkRecv:
+			case k.ReceivesWork():
 				workRecv = addPeerRef(workRecv, r, int(e.Peer), i)
-			case trace.EvTokenSend:
+			case k == trace.EvTokenSend:
 				tokSend = addPeerRef(tokSend, r, int(e.Peer), i)
-			case trace.EvTokenRecv:
+			case k == trace.EvTokenRecv:
 				tokRecv = addPeerRef(tokRecv, r, int(e.Peer), i)
-			case trace.EvQuantumStart:
+			case k == trace.EvQuantumStart:
 				qstart = i
-			case trace.EvQuantumEnd:
+			case k == trace.EvQuantumEnd:
 				if qstart >= 0 {
 					quanta = append(quanta, Quantum{Start: es[qstart].Time, End: e.Time})
 				}

@@ -49,4 +49,6 @@ var kindDisposition = [trace.NumEventKinds]string{
 		"the final leaf's quantum already ends the causal chain",
 	trace.EvJobLost: "inert: like EvJobDone, bookkeeping over the work ledger; the crash " +
 		"or drop that destroyed the work has its own marker",
+	trace.EvWorkLate: "consumed: read as EvWorkRecv (trace.EventKind.ReceivesWork) — " +
+		"the thief half of a Transfer and a work-arrival edge of the critical path",
 }

@@ -135,7 +135,7 @@ func CriticalPath(g *Graph) Path {
 			if k == trace.EvQuantumStart || k == trace.EvQuantumEnd {
 				break
 			}
-			if k == trace.EvWorkRecv {
+			if k.ReceivesWork() {
 				if x, ok := lookupRef(g.recvAt[r], i); ok {
 					ref = x
 					break
@@ -155,8 +155,8 @@ func CriticalPath(g *Graph) Path {
 			break
 		}
 		e := es[i]
-		switch e.Kind {
-		case trace.EvQuantumEnd:
+		switch k := e.Kind; {
+		case k == trace.EvQuantumEnd:
 			emit(SegWait, r, e.Time, t)
 			j := i - 1
 			for j >= 0 && es[j].Kind != trace.EvQuantumStart {
@@ -169,12 +169,12 @@ func CriticalPath(g *Graph) Path {
 			}
 			emit(SegCompute, r, es[j].Time, e.Time)
 			t, bound = es[j].Time, j
-		case trace.EvQuantumStart:
+		case k == trace.EvQuantumStart:
 			// Inside a quantum (it was cancelled by termination, or the
 			// walk landed mid-quantum under the one-sided protocol).
 			emit(SegCompute, r, e.Time, t)
 			t, bound = e.Time, i
-		case trace.EvWorkRecv:
+		case k.ReceivesWork():
 			x := g.Transfers[ref]
 			emit(SegWait, r, x.Recv, t)
 			emit(SegTransfer, r, x.Send, x.Recv)
@@ -189,7 +189,7 @@ func CriticalPath(g *Graph) Path {
 				// the victim's compute.
 				r, t, bound = x.Victim, x.Send, x.SendIdx
 			}
-		case trace.EvTokenRecv:
+		case k == trace.EvTokenRecv:
 			h := g.TokenHops[ref]
 			emit(SegWait, r, h.Recv, t)
 			emit(SegToken, r, h.Send, h.Recv)

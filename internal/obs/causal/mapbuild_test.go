@@ -50,7 +50,7 @@ func mapBuild(tr *trace.Trace) *Graph {
 			switch e.Kind {
 			case trace.EvWorkSend:
 				workSend[r] = addPeerIdx(workSend[r], int(e.Peer), i)
-			case trace.EvWorkRecv:
+			case trace.EvWorkRecv, trace.EvWorkLate:
 				workRecv[r] = addPeerIdx(workRecv[r], int(e.Peer), i)
 			case trace.EvTokenSend:
 				tokSend[r] = addPeerIdx(tokSend[r], int(e.Peer), i)

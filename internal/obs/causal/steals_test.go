@@ -55,12 +55,15 @@ func quantile(sorted []sim.Duration, q float64) sim.Duration {
 }
 
 // terminationTailOfPairs is obs.TerminationTail as it was when it read
-// obs.PairSteals' slice: the specification the log scans must match.
+// obs.PairSteals' slice, with the tail starting at the last work
+// receipt of the log: the specification the log scans must match.
 func terminationTailOfPairs(tr *trace.Trace, pairs []obs.StealPair) obs.TailStats {
 	var st obs.TailStats
-	for _, p := range pairs {
-		if p.Outcome == obs.StealSuccess && p.End > st.LastTransfer {
-			st.LastTransfer = p.End
+	for _, es := range tr.Events {
+		for _, e := range es {
+			if (e.Kind == trace.EvWorkRecv || e.Kind == trace.EvWorkLate) && e.Time > st.LastTransfer {
+				st.LastTransfer = e.Time
+			}
 		}
 	}
 	for _, p := range pairs {
@@ -89,10 +92,11 @@ func terminationTailOfPairs(tr *trace.Trace, pairs []obs.StealPair) obs.TailStat
 
 // stealLogKinds are the kinds FuzzStealLatencyMatchesPairs draws from:
 // the four the pairing reads (sends twice as often), the token hop the
-// tail counts, and a kind every scan must ignore.
+// tail counts, and two kinds every scan must ignore: a late work reply
+// and a request's receipt.
 var stealLogKinds = []trace.EventKind{
 	trace.EvStealSend, trace.EvStealSend, trace.EvWorkRecv, trace.EvNoWorkRecv,
-	trace.EvStealAbort, trace.EvTokenRecv, trace.EvStealRecv,
+	trace.EvStealAbort, trace.EvTokenRecv, trace.EvStealRecv, trace.EvWorkLate,
 }
 
 // stealLogStarts are the clocks a fuzzed log starts from: zero, past
@@ -105,17 +109,20 @@ var stealLogStarts = []sim.Time{0, 1<<40 + 5, 1<<62 - 1<<10, -1 << 62}
 // pair-based oracles over obs.PairSteals. Each three bytes of data are
 // one event: its rank, its kind and its step on that rank's clock (a
 // step of 0xF0 or more jumps 2^62). Seeds cover orphan sends (a close
-// evicted), closes with nothing open, a late reply after an abort, a
+// evicted), closes with nothing open, a late reply after an abort (a
+// work-recv with nothing open, and a work-late with a newer request
+// open), a
 // refusal in the same nanosecond as the last transfer, a send open at
 // trace end and times near ±2^62.
 func FuzzStealLatencyMatchesPairs(f *testing.F) {
-	const send, work, nowork, abort, token = 0, 2, 3, 4, 5
+	const send, work, nowork, abort, token, late = 0, 2, 3, 4, 5, 7
 	f.Add(uint8(0), uint8(0), []byte{0, send, 1, 0, work, 5, 0, send, 0, 0, nowork, 2, 0, token, 1})
 	f.Add(uint8(1), uint8(0), []byte{0, send, 1, 0, send, 1, 0, nowork, 1, 1, work, 0, 1, send, 3})
 	f.Add(uint8(0), uint8(1), []byte{0, send, 1, 0, abort, 9, 0, send, 0, 0, work, 4, 0, nowork, 2, 0, send, 1})
 	f.Add(uint8(1), uint8(0), []byte{0, send, 0, 0, work, 2, 1, send, 0, 1, nowork, 2})
 	f.Add(uint8(2), uint8(2), []byte{0, send, 0, 1, send, 1, 0, work, 3, 1, abort, 0, 2, send, 1, 2, nowork, 0xF0, 0, token, 0})
 	f.Add(uint8(3), uint8(3), []byte{0, send, 0, 0, work, 0xFF, 1, send, 2, 1, nowork, 0xF1, 2, token, 0xF2})
+	f.Add(uint8(0), uint8(0), []byte{0, send, 1, 0, abort, 1, 0, send, 1, 0, late, 1, 0, send, 1, 0, nowork, 1})
 	f.Fuzz(func(t *testing.T, ranksIn, startIn uint8, data []byte) {
 		ranks := 1 + int(ranksIn%8)
 		events := make([][]trace.Event, ranks)

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRecorderDedupsAndOrders(t *testing.T) {
-	r := NewActivityRecorder(2)
+	r := new(Recorder).Reset(2, 0, false)
 	r.Mark(0, 0, trace.Idle) // ranks start idle: no transition
 	r.Mark(0, 10, trace.Active)
 	r.Mark(0, 15, trace.Active) // the phase it is in: no transition
@@ -32,7 +32,7 @@ func TestRecorderDedupsAndOrders(t *testing.T) {
 // work reply it meets are its attempts, and the active mark closes it
 // as a success.
 func TestSessions(t *testing.T) {
-	r := NewActivityRecorder(1)
+	r := new(Recorder).Reset(1, 0, false)
 	r.Mark(0, 0, trace.Active)
 	r.Mark(0, 50, trace.Idle)
 	r.Record(0, 60, trace.EvNoWorkRecv, 0, 1)
@@ -56,7 +56,7 @@ func TestSessions(t *testing.T) {
 // ends closes at the makespan, without success; so does one a crash
 // closed after it.
 func TestOpenSessionClosedAtFinish(t *testing.T) {
-	r := NewActivityRecorder(2)
+	r := new(Recorder).Reset(2, 0, false)
 	r.Mark(0, 90, trace.Idle)
 	r.Mark(1, 20, trace.Idle)
 	r.Record(1, 140, trace.EvCrash, -1, 0)
@@ -78,7 +78,7 @@ func TestOpenSessionClosedAtFinish(t *testing.T) {
 // open session — one that never went idle, or a working rank banking a
 // late reply — count nothing and open nothing.
 func TestAttemptOutsideSessionIgnored(t *testing.T) {
-	r := NewActivityRecorder(2)
+	r := new(Recorder).Reset(2, 0, false)
 	r.Mark(1, 0, trace.Active)
 	r.Record(0, 1, trace.EvNoWorkRecv, 1, 1)
 	r.Record(0, 2, trace.EvStealAbort, 1, 2)
@@ -97,7 +97,7 @@ func TestAttemptOutsideSessionIgnored(t *testing.T) {
 // TestCrashFold: a crash closes an idle rank's session without
 // success, and marks an active rank idle without opening one.
 func TestCrashFold(t *testing.T) {
-	r := NewActivityRecorder(2)
+	r := new(Recorder).Reset(2, 0, false)
 	r.Mark(0, 0, trace.Idle)
 	r.Record(0, 3, trace.EvNoWorkRecv, 1, 1)
 	r.Record(0, 7, trace.EvCrash, -1, 0)
@@ -204,7 +204,7 @@ func FuzzRecorderSessions(f *testing.F) {
 			return
 		}
 		ranks := 1 + int(ranksIn%4)
-		r := NewActivityRecorder(ranks)
+		r := new(Recorder).Reset(ranks, 0, false)
 		if events {
 			r = NewRecorder(ranks, 4)
 		}
@@ -230,8 +230,11 @@ func FuzzRecorderSessions(f *testing.F) {
 				active[rank], floor = true, now
 			case 2, 3, 4:
 				kind := []trace.EventKind{trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort}[op-2]
+				if kind == trace.EvWorkRecv && b1&4 != 0 {
+					kind = trace.EvWorkLate // work that answers no request counts alike
+				}
 				r.Record(rank, now, kind, 0, 1)
-				ref.sessionAttempt(rank, kind != trace.EvWorkRecv)
+				ref.sessionAttempt(rank, kind != trace.EvWorkRecv && kind != trace.EvWorkLate)
 			case 5: // crashRank
 				r.Record(rank, now, trace.EvCrash, -1, 0)
 				if active[rank] {

@@ -8,7 +8,6 @@ import (
 
 	"distws/internal/core"
 	"distws/internal/fault"
-	"distws/internal/obs"
 	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -118,33 +117,28 @@ func TestValidateCatchesCorruption(t *testing.T) {
 }
 
 // TestManifestBuildIsObserverFree: building a manifest must not perturb
-// the run it describes — the Result it read stays equal to a fresh run
-// of the same configuration, and an exported metrics registry dumps the
-// same bytes before and after the build. This is the PR 2 standard that
-// keeps TestGoldenFig9 byte-identical with ledger emission enabled.
+// the run it describes — the trace it read exports the same bytes
+// before and after the build, and the Result stays equal to a fresh run
+// of the same configuration.
 func TestManifestBuildIsObserverFree(t *testing.T) {
 	cfg := testConfig()
-	reg := obs.NewRegistry()
-	cfg.Metrics = reg
 	res := mustRun(t, cfg)
 
 	var before bytes.Buffer
-	if err := reg.WritePrometheus(&before); err != nil {
+	if err := res.Trace.WriteJSONL(&before); err != nil {
 		t.Fatal(err)
 	}
 	_ = FromRun("observer-check", testSpec(cfg), res)
 	var after bytes.Buffer
-	if err := reg.WritePrometheus(&after); err != nil {
+	if err := res.Trace.WriteJSONL(&after); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Error("building a manifest changed the exported metrics")
+		t.Error("building a manifest changed the trace")
 	}
 
-	cfg2 := testConfig()
-	cfg2.Metrics = nil
-	res2 := mustRun(t, cfg2)
-	res.Trace, res2.Trace = nil, nil // traces compare elsewhere; DeepEqual on rings is slow
+	res2 := mustRun(t, cfg)
+	res.Trace, res2.Trace = nil, nil // traces compare above; DeepEqual on rings is slow
 	if !reflect.DeepEqual(res, res2) {
 		t.Error("building a manifest perturbed the Result (re-run differs)")
 	}
@@ -152,8 +146,8 @@ func TestManifestBuildIsObserverFree(t *testing.T) {
 
 // TestGoldenFig9ManifestObserverFree replicates core's golden Fig 9
 // configuration (H-TINY, 128 ranks, Tofu, seed 9) and proves that
-// emitting a run manifest leaves every output TestGoldenFig9 hashes
-// byte-identical: the exported metrics registry and the trace. This is
+// emitting a run manifest leaves the trace, from which TestGoldenFig9
+// renders its metrics page, byte-identical. This is
 // the "ledger emission enabled" clause of the PR 2 observer-effect
 // standard — the golden test itself cannot import this package (core is
 // below us in the import graph), so the assertion lives here.
@@ -170,14 +164,10 @@ func TestGoldenFig9ManifestObserverFree(t *testing.T) {
 		Seed:          9,
 		CollectTrace:  true,
 		CollectEvents: true,
-		Metrics:       obs.NewRegistry(),
 	}
 	res := mustRun(t, cfg)
 
-	var metricsBefore, traceBefore bytes.Buffer
-	if err := cfg.Metrics.WritePrometheus(&metricsBefore); err != nil {
-		t.Fatal(err)
-	}
+	var traceBefore bytes.Buffer
 	if err := res.Trace.WriteJSONL(&traceBefore); err != nil {
 		t.Fatal(err)
 	}
@@ -189,15 +179,9 @@ func TestGoldenFig9ManifestObserverFree(t *testing.T) {
 		t.Fatalf("golden manifest invalid: %v", err)
 	}
 
-	var metricsAfter, traceAfter bytes.Buffer
-	if err := cfg.Metrics.WritePrometheus(&metricsAfter); err != nil {
-		t.Fatal(err)
-	}
+	var traceAfter bytes.Buffer
 	if err := res.Trace.WriteJSONL(&traceAfter); err != nil {
 		t.Fatal(err)
-	}
-	if !bytes.Equal(metricsBefore.Bytes(), metricsAfter.Bytes()) {
-		t.Error("manifest emission changed the golden run's exported metrics")
 	}
 	if !bytes.Equal(traceBefore.Bytes(), traceAfter.Bytes()) {
 		t.Error("manifest emission changed the golden run's trace")

@@ -53,7 +53,7 @@ func TestLifestorySampling(t *testing.T) {
 }
 
 func TestLifestoryEmpty(t *testing.T) {
-	tr := NewActivityRecorder(0).Finish(0)
+	tr := new(Recorder).Reset(0, 0, false).Finish(0)
 	if !strings.Contains(Lifestory(tr, 10, 5), "empty") {
 		t.Fatal("empty trace not handled")
 	}
@@ -73,7 +73,7 @@ func TestLifestoryPartialBucket(t *testing.T) {
 }
 
 func TestSessionsStats(t *testing.T) {
-	r := NewActivityRecorder(2)
+	r := new(Recorder).Reset(2, 0, false)
 	r.Mark(0, 0, trace.Idle)
 	r.Record(0, 4_000, trace.EvNoWorkRecv, 1, 1)
 	r.Record(0, 8_000, trace.EvStealAbort, 1, 2)
@@ -92,7 +92,7 @@ func TestSessionsStats(t *testing.T) {
 	if st.P99 < st.P50 {
 		t.Fatal("quantiles inverted")
 	}
-	empty := Sessions(NewActivityRecorder(1).Finish(10))
+	empty := Sessions(new(Recorder).Reset(1, 0, false).Finish(10))
 	if empty.Count != 0 || empty.Mean != 0 {
 		t.Fatalf("empty stats %+v", empty)
 	}

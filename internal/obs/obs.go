@@ -1,7 +1,7 @@
 // Package obs is the observability layer of the discrete-event
 // simulator (internal/core).
 //
-// It has three parts:
+// It has two parts:
 //
 //   - the run's one Recorder. At the activity level it keeps each
 //     rank's active/idle transitions and the work-discovery sessions
@@ -21,18 +21,15 @@
 //     branching (bench_test.go's BenchmarkObservability shows the
 //     disabled path within noise of no instrumentation);
 //
-//   - a metrics Registry of named counters and log-bucketed
-//     histograms, read after the run. Its final contents are a pure
-//     function of the run, in deterministic virtual time; the updates
-//     are lock-free atomics because the shard engines of a sharded run
-//     write one registry concurrently. This package never reads the
-//     host clock (the walltime analyzer enforces it);
+//   - the Chrome trace-event JSON exporter (opens in Perfetto or
+//     chrome://tracing) and the trace analyses (occupancy and SL/EL,
+//     steal-latency percentiles, rank×rank traffic matrix,
+//     termination-tail breakdown) that causal.Analysis memoizes and
+//     cmd/uts reports.
 //
-//   - exporters: Chrome trace-event JSON (opens in Perfetto or
-//     chrome://tracing) and Prometheus text exposition, plus trace
-//     analyses (occupancy and SL/EL, steal-latency percentiles,
-//     rank×rank traffic matrix, termination-tail breakdown) that
-//     causal.Analysis memoizes and cmd/uts reports.
+// A run's figures are its core.Result and its trace; there is no
+// metrics registry. This package never reads the host clock (the
+// walltime analyzer enforces it).
 package obs
 
 import (
@@ -83,11 +80,6 @@ type rankActivity struct {
 // given per-rank log capacity in events (0 means DefaultRingCap).
 func NewRecorder(n, capPerRank int) *Recorder {
 	return new(Recorder).Reset(n, capPerRank, true)
-}
-
-// NewActivityRecorder returns an activity-level recorder for n ranks.
-func NewActivityRecorder(n int) *Recorder {
-	return new(Recorder).Reset(n, 0, false)
 }
 
 // Reset re-arms r in place for a recording of n ranks and returns it:
@@ -149,7 +141,7 @@ func (r *Recorder) Bytes() int {
 }
 
 // foldKinds are the event kinds the session fold reads.
-const foldKinds = 1<<trace.EvWorkRecv | 1<<trace.EvNoWorkRecv | 1<<trace.EvStealAbort | 1<<trace.EvCrash
+const foldKinds = 1<<trace.EvWorkRecv | 1<<trace.EvWorkLate | 1<<trace.EvNoWorkRecv | 1<<trace.EvStealAbort | 1<<trace.EvCrash
 
 // Mark notes that rank entered phase s at time t; ranks start idle,
 // and the phase a rank is in adds no transition. Idle opens a
@@ -175,8 +167,8 @@ func (r *Recorder) mark(rank int, t sim.Time, s trace.State) {
 // tenant index (or -1). At the events level the event joins rank's
 // log, which evicts its oldest at the cap. At both levels the fold
 // reads it: in rank's open session, a steal abort or refusal counts a
-// failed attempt and a work reply a successful one (a working rank
-// banking a late reply has none open); a crash closes the open
+// failed attempt and work received, late or not, a successful one (a
+// working rank banking a late reply has none open); a crash closes the open
 // session without success, or marks an active rank idle.
 func (r *Recorder) Record(rank int, t sim.Time, kind trace.EventKind, peer int, arg int64) {
 	// Inlined at every site: off, or at the activity level with nothing
@@ -196,7 +188,7 @@ func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, 
 			a.close(t, false)
 		default:
 			a.open.Attempts++
-			if kind != trace.EvWorkRecv {
+			if !kind.ReceivesWork() {
 				a.open.Failed++
 			}
 		}

@@ -64,7 +64,7 @@ func TestRecorderAttach(t *testing.T) {
 	if len(tr.EventsDropped) != 3 {
 		t.Fatal("Finish lost drop counts")
 	}
-	a := NewActivityRecorder(1)
+	a := new(Recorder).Reset(1, 0, false)
 	a.Mark(0, 0, trace.Active)
 	a.Record(0, 5, trace.EvWorkSend, 2, 16)
 	if tr := a.Finish(10); tr.Events != nil || tr.EventsDropped != nil || len(tr.Transitions[0]) != 1 {

@@ -13,7 +13,7 @@ import (
 // buildTrace constructs a trace where rank i is active on the given
 // [start, end) intervals.
 func buildTrace(end sim.Time, intervals [][][2]sim.Time) *trace.Trace {
-	r := NewActivityRecorder(len(intervals))
+	r := new(Recorder).Reset(len(intervals), 0, false)
 	for rank, spans := range intervals {
 		for _, span := range spans {
 			r.Mark(rank, span[0], trace.Active)

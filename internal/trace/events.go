@@ -22,7 +22,8 @@ const (
 	// EvWorkSend: the victim posts stolen work. Peer = thief,
 	// Arg = nodes transferred (the chunk-transfer size).
 	EvWorkSend
-	// EvWorkRecv: the thief receives work. Peer = victim, Arg = nodes.
+	// EvWorkRecv: the thief receives the answer to its outstanding
+	// request: work. Peer = victim, Arg = nodes.
 	EvWorkRecv
 	// EvNoWorkSend: the victim declines. Peer = thief, Arg = request id.
 	EvNoWorkSend
@@ -77,6 +78,12 @@ const (
 	// EvJobLost: the last node of an admitted job a fault destroyed part
 	// of is gone. Recorded like EvJobDone, at that instant.
 	EvJobLost
+	// EvWorkLate: the thief receives work that answers no outstanding
+	// request — a reply to a request it aborted, a duplicate, or loot
+	// reaching it while it works — and keeps it. Peer = victim,
+	// Arg = nodes. Apart from steal pairing, which it must not close,
+	// every reader takes it as an EvWorkRecv (ReceivesWork).
+	EvWorkLate
 
 	// NumEventKinds bounds the kind space for validation and tables.
 	NumEventKinds
@@ -104,6 +111,7 @@ var eventKindNames = [NumEventKinds]string{
 	EvJobReject:    "job-reject",
 	EvJobDone:      "job-done",
 	EvJobLost:      "job-lost",
+	EvWorkLate:     "work-late",
 }
 
 func (k EventKind) String() string {
@@ -112,6 +120,10 @@ func (k EventKind) String() string {
 	}
 	return "unknown"
 }
+
+// ReceivesWork reports whether k is the thief's receipt of stolen work,
+// answering its request (EvWorkRecv) or not (EvWorkLate).
+func (k EventKind) ReceivesWork() bool { return k == EvWorkRecv || k == EvWorkLate }
 
 // ParseEventKind maps a wire name back to its kind.
 func ParseEventKind(s string) (EventKind, bool) {
