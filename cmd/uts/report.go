@@ -82,11 +82,10 @@ func readTrace(path string) (*trace.Trace, error) {
 	return tr, nil
 }
 
-// chromeOptions hands the exporter what the analysis already holds: the
-// steal pairs for the flow arrows and, for traces with an event log, the
-// critical path as a highlight track.
+// chromeOptions hands the exporter what the analysis already holds: for
+// traces with an event log, the critical path as a highlight track.
 func chromeOptions(a *causal.Analysis) obs.ChromeOptions {
-	return obs.ChromeOptions{Highlight: a.Highlights(), Pairs: a.Pairs()}
+	return obs.ChromeOptions{Highlight: a.Highlights()}
 }
 
 // render writes the human-readable analysis for one trace. Its output

@@ -154,15 +154,17 @@ func TestEventLogConsistent(t *testing.T) {
 	}
 
 	// The reconstructed steal transactions must match the counters too.
-	pairs := obs.PairSteals(res.Trace)
 	st := obs.StealLatency(res.Trace)
 	if uint64(st.Success) != res.SuccessfulSteals || uint64(st.Refused) != res.FailedSteals {
 		t.Fatalf("paired %d success / %d refused, counters say %d / %d",
 			st.Success, st.Refused, res.SuccessfulSteals, res.FailedSteals)
 	}
-	for _, p := range pairs {
-		if p.Latency() <= 0 {
-			t.Fatalf("non-positive steal latency: %+v", p)
+	for rank := range res.Trace.Events {
+		scan := obs.ScanSteals(res.Trace, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			if p.Latency() <= 0 {
+				t.Fatalf("non-positive steal latency: %+v", p)
+			}
 		}
 	}
 }

@@ -121,9 +121,9 @@ func (p *page) bytes() []byte {
 
 // metricsFromLog renders the eight families from the unevicted event
 // log of a run's twin (recordAll): the five counters are event tallies,
-// the steal latencies obs.PairSteals' spans, the session lengths the
-// trace's sessions that found work, and the chunk sizes the work-send
-// payloads.
+// the steal latencies the spans of the steal scan (obs.ScanSteals), the
+// session lengths the trace's sessions that found work, and the chunk
+// sizes the work-send payloads.
 func metricsFromLog(tr *trace.Trace) *page {
 	p := newPage()
 	for _, name := range tallied {
@@ -141,8 +141,11 @@ func metricsFromLog(tr *trace.Trace) *page {
 		}
 	}
 	latency := p.hist(MetricStealLatency)
-	for _, sp := range obs.PairSteals(tr) {
-		latency.observe(int64(sp.Latency()))
+	for rank := range tr.Events {
+		scan := obs.ScanSteals(tr, rank)
+		for sp, ok := scan.Next(); ok; sp, ok = scan.Next() {
+			latency.observe(int64(sp.Latency()))
+		}
 	}
 	sessions := p.hist(MetricSession)
 	for _, ss := range tr.Sessions {

@@ -48,7 +48,7 @@ type StealPair struct {
 func (p StealPair) Latency() sim.Duration { return p.End.Sub(p.Send) }
 
 // countSends counts the trace's steal requests: the most transactions
-// scanSteals can close, so the size of a buffer that holds them all.
+// the steal scan can close, so the size of a buffer that holds them all.
 func countSends(tr *trace.Trace) int {
 	sends := 0
 	for _, es := range tr.Events {
@@ -61,102 +61,62 @@ func countSends(tr *trace.Trace) int {
 	return sends
 }
 
-// scanSteals is the one steal-pairing rule. Each rank has at most one
-// outstanding request (the protocol is stop-and-wait), so pairing is a
-// per-rank scan: a steal-send opens a transaction, the next
-// work/no-work delivery or abort closes it, and closed is called with
-// it. Work that answers no outstanding request (EvWorkLate) closes
-// nothing, so the transactions are the round trips the engine counts.
-// Unmatched events — ring evictions, a send still open at trace end —
-// are skipped. Transactions come thief by thief, each thief's in log
-// order.
-func scanSteals(tr *trace.Trace, closed func(p StealPair)) {
-	for rank, es := range tr.Events {
-		var p StealPair
-		open := false // p is this rank's pending transaction
-		for i := range es {
-			e := &es[i]
-			switch e.Kind {
-			case trace.EvStealSend:
-				// A second send with one still open means the close event
-				// was evicted from the ring; the orphan is overwritten.
-				p, open = StealPair{Thief: rank, Victim: int(e.Peer), Send: e.Time}, true
-			case trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort:
-				if !open {
-					continue
-				}
-				open = false
-				p.End = e.Time
-				switch e.Kind {
-				case trace.EvWorkRecv:
-					p.Outcome, p.Nodes = StealSuccess, e.Arg
-				case trace.EvNoWorkRecv:
-					p.Outcome = StealRefused
-				default:
-					p.Outcome = StealAborted
-				}
-				closed(p)
+// StealScan is the one steal-pairing rule, as a cursor over one rank's
+// event log. Each rank has at most one outstanding request (the
+// protocol is stop-and-wait), so pairing is a per-rank scan: a
+// steal-send opens a transaction, the next work/no-work delivery or
+// abort closes it, and Next yields it. Work that answers no
+// outstanding request (EvWorkLate) closes nothing, so the transactions
+// are the round trips the engine counts. Unmatched events — ring
+// evictions, a send still open at trace end — are skipped. The
+// transactions come in log order, which is send order and close order.
+type StealScan struct {
+	es    []trace.Event
+	next  int // index in es of the first event Next has not read
+	thief int
+}
+
+// ScanSteals returns the cursor over rank's steal transactions in tr;
+// a trace without an event log has none.
+func ScanSteals(tr *trace.Trace, rank int) StealScan {
+	s := StealScan{thief: rank}
+	if rank < len(tr.Events) {
+		s.es = tr.Events[rank]
+	}
+	return s
+}
+
+// Next returns the rank's next closed transaction, or false once the
+// log holds no more.
+func (s *StealScan) Next() (StealPair, bool) {
+	es := s.es
+	send := -1 // index in es of the rank's pending request
+	for i := s.next; i < len(es); i++ {
+		switch k := es[i].Kind; k {
+		case trace.EvStealSend:
+			// A second send with one still open means the close event
+			// was evicted from the ring; the orphan is overwritten.
+			send = i
+		case trace.EvWorkRecv, trace.EvNoWorkRecv, trace.EvStealAbort:
+			if send < 0 {
+				continue
 			}
+			s.next = i + 1
+			outcome, nodes := StealAborted, int64(0)
+			switch k {
+			case trace.EvWorkRecv:
+				outcome, nodes = StealSuccess, es[i].Arg
+			case trace.EvNoWorkRecv:
+				outcome = StealRefused
+			}
+			return StealPair{
+				Thief: s.thief, Victim: int(es[send].Peer), Send: es[send].Time,
+				End: es[i].Time, Outcome: outcome, Nodes: nodes,
+			}, true
 		}
 	}
-}
-
-// PairSteals reconstructs the steal transactions of the event log
-// (scanSteals), ordered by send time (ties by thief rank, then log
-// order); nil when there are none. Only the Chrome export needs them
-// and their order, as flow arrows and flow ids: StealLatency and
-// TerminationTail read the log without building pairs.
-//
-// The scan leaves the transactions in (thief, log) order, which is the
-// tie-break, so a stable sort on the send time alone finishes the job.
-func PairSteals(tr *trace.Trace) []StealPair {
-	sends := countSends(tr)
-	if sends == 0 {
-		return nil
-	}
-	pairs := make([]StealPair, 0, sends)
-	scanSteals(tr, func(p StealPair) { pairs = append(pairs, p) })
-	if len(pairs) == 0 {
-		return nil
-	}
-	return sortBySend(pairs)
-}
-
-// sortBySend stably sorts pairs by send time: an LSD radix sort on
-// Send's offset from the earliest send, 11 bits a pass and as many
-// passes as the largest offset has bits — three for a run of a few
-// virtual milliseconds. It returns the sorted slice, which is pairs or
-// the scratch copy the passes alternate with.
-func sortBySend(pairs []StealPair) []StealPair {
-	lo, hi, sorted := pairs[0].Send, pairs[0].Send, true
-	for i := 1; i < len(pairs); i++ {
-		s := pairs[i].Send
-		sorted = sorted && s >= pairs[i-1].Send
-		lo, hi = min(lo, s), max(hi, s)
-	}
-	if sorted {
-		return pairs // one thief, or nothing out of place
-	}
-	const digitBits, digitMask = 11, 1<<11 - 1
-	var next [digitMask + 1]int
-	scratch := make([]StealPair, len(pairs))
-	for shift := 0; uint64(hi-lo)>>shift != 0; shift += digitBits {
-		clear(next[:])
-		for i := range pairs {
-			next[uint64(pairs[i].Send-lo)>>shift&digitMask]++
-		}
-		at := 0
-		for d, n := range next {
-			next[d], at = at, at+n
-		}
-		for i := range pairs {
-			d := uint64(pairs[i].Send-lo) >> shift & digitMask
-			scratch[next[d]] = pairs[i]
-			next[d]++
-		}
-		pairs, scratch = scratch, pairs
-	}
-	return pairs
+	s.next = len(es)
+	return StealPair{}, false
 }
 
 // StealLatencyStats summarizes steal round-trip latencies, the
@@ -175,35 +135,38 @@ type StealLatencyStats struct {
 
 // StealLatency computes exact latency percentiles over the trace's
 // steal transactions. None of its figures depends on the order of
-// the transactions, so it reads them straight from the log scan
-// (scanSteals) into one buffer of latencies: successes from the front,
-// the rest from the back.
+// the transactions, so it reads them thief by thief from the steal
+// scan into one buffer of latencies: successes from the front, the
+// rest from the back.
 func StealLatency(tr *trace.Trace) StealLatencyStats {
 	var st StealLatencyStats
 	sends := countSends(tr)
 	lat := make([]sim.Duration, sends)
 	rest := sends // lat[:st.Success] are the successes, lat[rest:] the others
 	var sum sim.Duration
-	scanSteals(tr, func(p StealPair) {
-		d := p.Latency()
-		sum += d
-		if d > st.Max {
-			st.Max = d
+	for rank := range tr.Events {
+		scan := ScanSteals(tr, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			d := p.Latency()
+			sum += d
+			if d > st.Max {
+				st.Max = d
+			}
+			switch p.Outcome {
+			case StealSuccess:
+				lat[st.Success] = d
+				st.Success++
+				st.NodesMoved += p.Nodes
+				continue
+			case StealRefused:
+				st.Refused++
+			case StealAborted:
+				st.Aborted++
+			}
+			rest--
+			lat[rest] = d
 		}
-		switch p.Outcome {
-		case StealSuccess:
-			lat[st.Success] = d
-			st.Success++
-			st.NodesMoved += p.Nodes
-			return
-		case StealRefused:
-			st.Refused++
-		case StealAborted:
-			st.Aborted++
-		}
-		rest--
-		lat[rest] = d
-	})
+	}
 	st.Count = st.Success + sends - rest
 	if st.Count == 0 {
 		return st
@@ -339,8 +302,9 @@ type TailStats struct {
 }
 
 // TerminationTail computes the tail breakdown from the trace's event
-// log: one scan finds the last work receipt, a scan of the steal
-// transactions (scanSteals) counts the failures at or after it.
+// log: one scan finds the last work receipt, then rank by rank the
+// steal scan counts the failed transactions that ended at or after it
+// and a second look at the rank's log, still in cache, the token hops.
 func TerminationTail(tr *trace.Trace) TailStats {
 	var st TailStats
 	for _, es := range tr.Events {
@@ -350,12 +314,13 @@ func TerminationTail(tr *trace.Trace) TailStats {
 			}
 		}
 	}
-	scanSteals(tr, func(p StealPair) {
-		if p.Outcome != StealSuccess && p.End >= st.LastTransfer {
-			st.FailedInTail++
+	for rank, es := range tr.Events {
+		scan := ScanSteals(tr, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			if p.Outcome != StealSuccess && p.End >= st.LastTransfer {
+				st.FailedInTail++
+			}
 		}
-	})
-	for _, es := range tr.Events {
 		for _, e := range es {
 			if e.Kind == trace.EvTokenRecv {
 				st.TokenHopsTotal++

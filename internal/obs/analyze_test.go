@@ -2,7 +2,6 @@ package obs
 
 import (
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 
@@ -50,8 +49,21 @@ func analysisTrace() *trace.Trace {
 	}
 }
 
+// stealPairs collects every rank's steal scan, thief by thief: the
+// transactions as one list for the tests to compare.
+func stealPairs(tr *trace.Trace) []StealPair {
+	var pairs []StealPair
+	for rank := range tr.Events {
+		scan := ScanSteals(tr, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			pairs = append(pairs, p)
+		}
+	}
+	return pairs
+}
+
 func TestPairSteals(t *testing.T) {
-	pairs := PairSteals(analysisTrace())
+	pairs := stealPairs(analysisTrace())
 	want := []StealPair{
 		{Thief: 0, Victim: 1, Send: 10, End: 30, Outcome: StealSuccess, Nodes: 8},
 		{Thief: 0, Victim: 2, Send: 50, End: 60, Outcome: StealRefused},
@@ -67,6 +79,23 @@ func TestPairSteals(t *testing.T) {
 	}
 	if got := pairs[0].Latency(); got != 20 {
 		t.Fatalf("latency = %v, want 20", got)
+	}
+	// One rank's cursor yields that thief's transactions alone, in log
+	// order, and stays exhausted once it has said so.
+	scan := ScanSteals(analysisTrace(), 0)
+	for i := 0; i < 2; i++ {
+		if p, ok := scan.Next(); !ok || p != want[i] {
+			t.Fatalf("rank 0 transaction %d = %+v, %v; want %+v", i, p, ok, want[i])
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if p, ok := scan.Next(); ok || p != (StealPair{}) {
+			t.Fatalf("exhausted cursor yielded %+v, %v", p, ok)
+		}
+	}
+	victim := ScanSteals(analysisTrace(), 1)
+	if p, ok := victim.Next(); ok {
+		t.Fatalf("a rank that never stole yielded %+v", p)
 	}
 }
 
@@ -85,7 +114,7 @@ func TestPairStealsEvictionAndOpenTail(t *testing.T) {
 			{Time: 40, Kind: trace.EvStealSend, Peer: 0},
 		}},
 	}
-	pairs := PairSteals(tr)
+	pairs := stealPairs(tr)
 	if len(pairs) != 1 || pairs[0].Send != 20 || pairs[0].Outcome != StealRefused {
 		t.Fatalf("pairs = %+v, want single refused pair sent at 20", pairs)
 	}
@@ -175,13 +204,17 @@ func TestTerminationTail(t *testing.T) {
 }
 
 func TestPairStealsEmptyTrace(t *testing.T) {
-	if pairs := PairSteals(&trace.Trace{}); len(pairs) != 0 {
+	if pairs := stealPairs(&trace.Trace{}); len(pairs) != 0 {
 		t.Fatalf("empty trace produced pairs: %+v", pairs)
 	}
 	// A trace with transitions but no event log behaves the same.
 	tr := &trace.Trace{End: 50, Transitions: make([][]trace.Transition, 2)}
-	if pairs := PairSteals(tr); len(pairs) != 0 {
+	if pairs := stealPairs(tr); len(pairs) != 0 {
 		t.Fatalf("eventless trace produced pairs: %+v", pairs)
+	}
+	scan := ScanSteals(tr, 1)
+	if p, ok := scan.Next(); ok {
+		t.Fatalf("eventless trace's rank 1 yielded %+v", p)
 	}
 	st := TerminationTail(&trace.Trace{})
 	if st.Duration != 0 || st.Fraction != 0 || st.TokenHopsTotal != 0 {
@@ -202,7 +235,7 @@ func TestPairStealsSingleRank(t *testing.T) {
 			{Time: 100, Kind: trace.EvTerminate, Peer: -1},
 		}},
 	}
-	if pairs := PairSteals(tr); len(pairs) != 0 {
+	if pairs := stealPairs(tr); len(pairs) != 0 {
 		t.Fatalf("single-rank trace produced pairs: %+v", pairs)
 	}
 	st := TerminationTail(tr)
@@ -229,7 +262,7 @@ func TestPairStealsLateReplyAfterAbort(t *testing.T) {
 			{Time: 60, Kind: trace.EvWorkLate, Peer: 1, Arg: 12},
 		}, nil},
 	}
-	pairs := PairSteals(tr)
+	pairs := stealPairs(tr)
 	if len(pairs) != 1 {
 		t.Fatalf("pairs = %+v, want exactly one", pairs)
 	}
@@ -270,7 +303,7 @@ func TestLateReplyClosesNoNewerRequest(t *testing.T) {
 		{Thief: 0, Victim: 1, Send: 10, End: 40, Outcome: StealAborted},
 		{Thief: 0, Victim: 1, Send: 90, End: 95, Outcome: StealRefused},
 	}
-	if got := PairSteals(tr); !slices.Equal(got, want) {
+	if got := stealPairs(tr); !slices.Equal(got, want) {
 		t.Fatalf("pairs = %+v, want %+v", got, want)
 	}
 	st := StealLatency(tr)
@@ -297,10 +330,11 @@ func TestTerminationTailTransferAtEnd(t *testing.T) {
 	}
 }
 
-// pairStealsStableSort is PairSteals at its plainest: one append-grown
-// slice and a global sort.SliceStable on (Send, Thief). It is the
-// specification PairSteals must match element for element.
-func pairStealsStableSort(tr *trace.Trace) []StealPair {
+// pairStealsSpec is the pairing rule at its plainest: one append-grown
+// slice per trace, each rank's pending transaction an index into it,
+// thief by thief. It is the specification the steal scan must match
+// element for element.
+func pairStealsSpec(tr *trace.Trace) []StealPair {
 	var pairs []StealPair
 	for rank, es := range tr.Events {
 		open := -1 // index into pairs of this rank's pending transaction
@@ -339,20 +373,14 @@ func pairStealsStableSort(tr *trace.Trace) []StealPair {
 			pairs = pairs[:open]
 		}
 	}
-	sort.SliceStable(pairs, func(i, j int) bool {
-		if pairs[i].Send != pairs[j].Send {
-			return pairs[i].Send < pairs[j].Send
-		}
-		return pairs[i].Thief < pairs[j].Thief
-	})
 	return pairs
 }
 
 // randomStealLog is one rank's time-ordered log of n events drawn from
-// the kinds PairSteals reads plus three it must ignore. Time advances by
-// 0..2 ns a step, so sends collide across thieves, an abort is often
-// followed by a retry in the same nanosecond, sends follow sends
-// (orphans, as after a ring eviction) and closes arrive unopened.
+// the kinds the steal scan reads plus three it must ignore. Time
+// advances by 0..2 ns a step, so an abort is often followed by a retry
+// in the same nanosecond, sends follow sends (orphans, as after a ring
+// eviction) and closes arrive unopened.
 func randomStealLog(r *rng.Xoshiro256, ranks, n int) []trace.Event {
 	kinds := []trace.EventKind{
 		trace.EvStealSend, trace.EvStealSend, trace.EvWorkRecv, trace.EvNoWorkRecv,
@@ -370,35 +398,14 @@ func randomStealLog(r *rng.Xoshiro256, ranks, n int) []trace.Event {
 	return es
 }
 
-func TestPairStealsMatchesStableSort(t *testing.T) {
+func TestPairStealsMatchesSpec(t *testing.T) {
 	check := func(name string, events [][]trace.Event) {
 		t.Helper()
 		tr := &trace.Trace{Events: events}
-		got, want := PairSteals(tr), pairStealsStableSort(tr)
-		if len(want) == 0 {
-			if got != nil {
-				t.Errorf("%s: no pairs, but got %#v instead of nil", name, got)
-			}
-			return
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d pairs, the stable sort has %d", name, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("%s: pair %d = %+v, the stable sort has %+v", name, i, got[i], want[i])
-			}
-		}
-		if merged := pairStealsHeapMerge(tr); !slices.Equal(got, merged) {
-			t.Fatalf("%s: differs from the heap merge", name)
+		if got, want := stealPairs(tr), pairStealsSpec(tr); !slices.Equal(got, want) {
+			t.Fatalf("%s: the scan yields %+v, the spec %+v", name, got, want)
 		}
 	}
-	// refused is one completed transaction: a send at the given time,
-	// its refusal a nanosecond later.
-	refused := func(at sim.Time, victim int32) []trace.Event {
-		return []trace.Event{{Time: at, Kind: trace.EvStealSend, Peer: victim}, {Time: at + 1, Kind: trace.EvNoWorkRecv, Peer: victim}}
-	}
-
 	r := rng.New(16)
 	for trial := 0; trial < 200; trial++ {
 		ranks := 1 + r.Intn(12)
@@ -417,24 +424,7 @@ func TestPairStealsMatchesStableSort(t *testing.T) {
 		{{Time: 1, Kind: trace.EvStealSend}, {Time: 1, Kind: trace.EvStealSend}},
 	})
 	check("no sends", [][]trace.Event{{{Time: 3, Kind: trace.EvWorkRecv}, {Time: 4, Kind: trace.EvStealAbort}}})
-	check("only an orphan and an open tail", [][]trace.Event{{{Time: 3, Kind: trace.EvStealSend}, {Time: 4, Kind: trace.EvStealSend}}})
 	check("no event log", nil)
-	check("a single pair", [][]trace.Event{nil, refused(7, 0)})
-	check("ties across thieves", [][]trace.Event{refused(5, 1), refused(5, 2), refused(4, 0), refused(5, 0)})
-	check("ties within a thief", [][]trace.Event{
-		slices.Concat(refused(9, 1), refused(9, 2), refused(9, 3)),
-		slices.Concat(refused(2, 0), refused(9, 0), refused(9, 2)),
-	})
-	check("a send at time 0", [][]trace.Event{refused(3, 1), refused(0, 0), refused(0, 1)})
-	// Above 2^40 the sort needs its fourth and fifth digits; a narrow
-	// span that high needs only the first, because digits count from the
-	// earliest send.
-	check("times above 2^40", [][]trace.Event{
-		slices.Concat(refused(1<<40+5, 1), refused(1<<45, 2), refused(1<<62, 3)),
-		slices.Concat(refused(9, 0), refused(1<<40+5, 2), refused(1<<45+1, 0)),
-		refused(1<<62-1, 0),
-	})
-	check("a narrow span above 2^40", [][]trace.Event{refused(1<<41+3, 1), refused(1<<41, 0), refused(1<<41+3, 0)})
 }
 
 // stealStorm is a steal storm's event log: 1024 thieves, 200 completed
@@ -453,18 +443,6 @@ func stealStorm() (tr *trace.Trace, transactions int) {
 		events[rank] = es
 	}
 	return &trace.Trace{Events: events}, thieves * pairs
-}
-
-// BenchmarkPairSteals pairs and orders stealStorm's transactions.
-func BenchmarkPairSteals(b *testing.B) {
-	tr, want := stealStorm()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := PairSteals(tr); len(got) != want {
-			b.Fatalf("%d pairs, want %d", len(got), want)
-		}
-	}
 }
 
 // BenchmarkStealLatency summarizes stealStorm's transactions straight

@@ -6,23 +6,23 @@ import (
 )
 
 // TrafficRankLimit caps the rank count for which Analysis.Traffic — and
-// through it the run manifest — gives the full rank×rank matrix: past it the document would be dominated by an
-// O(ranks²) block of mostly zeros.
+// through it the run manifest — gives the full rank×rank matrix: past
+// it the document would be dominated by an O(ranks²) block of mostly
+// zeros.
 const TrafficRankLimit = 128
 
 // Analysis is every post-run view of one trace behind one value. Each
 // view is computed on first use and at most once, so a process that
 // writes a manifest, a Chrome trace and a text report from the same run
 // builds one causal graph; a caller pays only for the views it reads.
-// The steal statistics and the tail scan the event log themselves, so
-// the ordered pair slice is built only for a Chrome export. The manifest (ledger.New), cmd/uts's report
-// and the blame experiment are all readers of it.
+// The manifest (ledger.New), cmd/uts's report and the blame experiment
+// are all readers of it.
 //
 // Analysis is also the one place that knows which views a trace
 // supports. A trace without ranks has no Blame (nil). A trace without
 // an event log (HasEvents false) has the empty Graph and the single
 // unattributed wait segment Build and CriticalPath give it, and no
-// Pairs, Steals, Tail, Traffic or Highlights (nil or zero). Past
+// Steals, Tail, Traffic or Highlights (nil or zero). Past
 // TrafficRankLimit ranks Traffic is nil.
 //
 // The trace must not change once analysed, and an Analysis is not safe
@@ -33,7 +33,6 @@ type Analysis struct {
 	blame     once[*Blame]
 	graph     once[*Graph]
 	path      once[Path]
-	pairs     once[[]obs.StealPair]
 	steals    once[obs.StealLatencyStats]
 	tail      once[obs.TailStats]
 	traffic   once[[][]uint64]
@@ -90,16 +89,10 @@ func (a *Analysis) Path() Path {
 	return a.path.get(a.tr, func(*trace.Trace) Path { return CriticalPath(a.Graph()) })
 }
 
-// Pairs are the reconstructed steal transactions in send order
-// (obs.PairSteals), which only the Chrome export's flow arrows need.
-func (a *Analysis) Pairs() []obs.StealPair { return a.pairs.get(a.tr, obs.PairSteals) }
-
-// Steals summarizes the steal round-trip latencies (obs.StealLatency),
-// read from the event log without building Pairs.
+// Steals summarizes the steal round-trip latencies (obs.StealLatency).
 func (a *Analysis) Steals() obs.StealLatencyStats { return a.steals.get(a.tr, obs.StealLatency) }
 
-// Tail is the termination-tail breakdown (obs.TerminationTail), read
-// from the event log without building Pairs.
+// Tail is the termination-tail breakdown (obs.TerminationTail).
 func (a *Analysis) Tail() obs.TailStats {
 	return a.tail.get(a.tr, func(tr *trace.Trace) obs.TailStats {
 		if !a.HasEvents() {

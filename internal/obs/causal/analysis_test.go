@@ -70,21 +70,14 @@ func TestAnalysisMatchesDirectCalls(t *testing.T) {
 		g := causal.Build(tr)
 		check("Graph", a.Graph(), g)
 		check("Path", a.Path(), causal.CriticalPath(g))
-		// The statistics read the log: no pair slice is built for them.
-		a.Steals()
-		a.Tail()
-		if causal.PairsBuilt(a) {
-			t.Errorf("%s: Steals or Tail built the pair slice", name)
-		}
-		pairs := obs.PairSteals(tr)
-		check("Pairs", a.Pairs(), pairs)
+		pairs := stealPairs(tr)
 		check("Steals", a.Steals(), obs.StealLatency(tr))
 		check("Steals against the pair oracle", a.Steals(), stealLatencyOfPairs(pairs))
 		check("Occupancy", a.Occupancy(), obs.Occupancy(tr))
 		check("Sessions", a.Sessions(), obs.Sessions(tr))
 		check("Heatmap", a.Heatmap(8), obs.RenderHeatmap(obs.Traffic(tr), 8))
 		if !events {
-			if a.Pairs() != nil || a.Traffic() != nil || a.Highlights() != nil ||
+			if len(pairs) != 0 || a.Traffic() != nil || a.Highlights() != nil ||
 				a.Steals().Count != 0 || a.Tail() != (obs.TailStats{}) {
 				t.Errorf("%s: a view exists without an event log", name)
 			}
@@ -118,7 +111,7 @@ func TestAnalysisMemoizes(t *testing.T) {
 		t.Error("a pointer view was rebuilt on the second call")
 	}
 	// Slice views share a backing array across calls.
-	if &a.Pairs()[0] != &a.Pairs()[0] || &a.Traffic()[0] != &a.Traffic()[0] ||
+	if &a.Traffic()[0] != &a.Traffic()[0] ||
 		&a.Path().Segments[0] != &a.Path().Segments[0] || &a.Highlights()[0] != &a.Highlights()[0] {
 		t.Error("a slice view was rebuilt on the second call")
 	}

@@ -1,6 +1,7 @@
 package causal
 
 import (
+	"distws/internal/obs"
 	"distws/internal/sim"
 	"distws/internal/trace"
 )
@@ -18,8 +19,8 @@ type RankBlame struct {
 	// requests and absorbing refusals (the Figure 7 failed-steal flood
 	// lands here), plus backoff pauses between attempts.
 	Search sim.Duration
-	// InFlight is interior idle time during the final, answered steal
-	// request of each idle interval: the work that re-activated the
+	// InFlight is interior idle time during the steal request whose
+	// answer ended the idle interval: the work that re-activated the
 	// rank was already on the wire (request flight, victim handling,
 	// chunk transfer).
 	InFlight sim.Duration
@@ -63,11 +64,13 @@ func (b *Blame) Ranks() int { return len(b.PerRank) }
 // rank Busy + Startup + Search + InFlight + TermTail == End, by
 // construction, and tests assert it on real runs.
 //
-// The activity transitions alone fix the busy/startup/tail structure;
-// the event log (when present) splits interior idle intervals at the
-// last steal request still awaiting its answer when work arrived —
-// everything before it is search, everything after is the transfer in
-// flight. Without an event log interior idle is all search.
+// The activity transitions alone fix the busy/startup/tail structure.
+// The rank's steal transactions (obs.ScanSteals) split an interior
+// idle interval [x, end) only when a successful one closed exactly at
+// end and was sent at or after x: its round trip end − Send is in
+// flight, the rest search. Any other end — a late reply to an aborted
+// request, a served job landing while a request is open, no event log
+// — leaves the whole interval as search.
 func AttributeIdle(tr *trace.Trace) *Blame {
 	n := tr.Ranks()
 	b := &Blame{End: tr.End, PerRank: make([]RankBlame, n)}
@@ -80,14 +83,11 @@ func AttributeIdle(tr *trace.Trace) *Blame {
 			rb.Startup = sim.Duration(tr.End)
 			continue
 		}
-		var es []trace.Event
-		if tr.Events != nil {
-			es = tr.Events[rank]
-		}
 		// Ranks start idle implicitly; the first transition is Active
 		// (trace.Validate), so [0, first) is the startup region.
 		rb.Startup = trs[0].Time.Sub(0)
-		cur := 0 // monotonic cursor into es
+		scan := obs.ScanSteals(tr, rank)
+		p, more := scan.Next()
 		for i, x := range trs {
 			end := tr.End
 			if i+1 < len(trs) {
@@ -103,26 +103,12 @@ func AttributeIdle(tr *trace.Trace) *Blame {
 				continue
 			}
 			// Interior idle [x.Time, end): ended by work arriving.
-			// Replay the rank's steal protocol over the interval: a
-			// send opens a request, a refusal or abort closes it. An
-			// open request at interval end is the one the arriving
-			// work answered.
-			for cur < len(es) && es[cur].Time < x.Time {
-				cur++
+			for more && p.End < end {
+				p, more = scan.Next()
 			}
-			open := false
-			var lastSend sim.Time
-			for ; cur < len(es) && es[cur].Time < end; cur++ {
-				switch es[cur].Kind {
-				case trace.EvStealSend:
-					open, lastSend = true, es[cur].Time
-				case trace.EvNoWorkRecv, trace.EvStealAbort:
-					open = false
-				}
-			}
-			if open {
-				rb.Search += lastSend.Sub(x.Time)
-				rb.InFlight += end.Sub(lastSend)
+			if more && p.End == end && p.Outcome == obs.StealSuccess && p.Send >= x.Time {
+				rb.Search += p.Send.Sub(x.Time)
+				rb.InFlight += end.Sub(p.Send)
 			} else {
 				rb.Search += end.Sub(x.Time)
 			}

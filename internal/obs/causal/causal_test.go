@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distws/internal/core"
+	"distws/internal/obs"
 	"distws/internal/obs/causal"
 	"distws/internal/sim"
 	"distws/internal/trace"
@@ -200,6 +201,71 @@ func TestBlameFixture(t *testing.T) {
 	}
 }
 
+// TestBlameUnansweredWorkIsSearch: work that re-activates rank 0 while
+// a request of its own is open, but answers none sent in the idle span,
+// leaves the whole span as search.
+//   - late reply: idle over [10, 30); request 1 is sent at 10 and
+//     aborted at 20, request 2 sent at 25; request 1's work lands at
+//     30, late.
+//   - served job: idle over [10, 30); the request sent at 15 is still
+//     open when a served job lands at 30; its refusal reaches the
+//     working rank at 35.
+//   - refusal at the landing instant: as served job, but the refusal
+//     reaches the rank at 30, with the job.
+//   - answer older than the span: the request sent at 5 is still open
+//     over a served job's [8, 10); its answer ends the idle span
+//     [10, 30), but the request is older than the span.
+func TestBlameUnansweredWorkIsSearch(t *testing.T) {
+	served := []trace.Transition{{Time: 0, State: trace.Active}, {Time: 10, State: trace.Idle}, {Time: 30, State: trace.Active}, {Time: 40, State: trace.Idle}}
+	cases := map[string]struct {
+		trs  []trace.Transition
+		es   []trace.Event
+		want causal.RankBlame
+	}{
+		"late reply": {served, []trace.Event{
+			{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 1},
+			{Time: 20, Kind: trace.EvStealAbort, Peer: 1, Arg: 1},
+			{Time: 25, Kind: trace.EvStealSend, Peer: 1, Arg: 2},
+			{Time: 30, Kind: trace.EvWorkLate, Peer: 1, Arg: 4},
+		}, causal.RankBlame{Busy: 20, Search: 20, TermTail: 10}},
+		"served job": {served, []trace.Event{
+			{Time: 15, Kind: trace.EvStealSend, Peer: 1, Arg: 1},
+			{Time: 30, Kind: trace.EvJobArrive, Peer: 0, Arg: 7},
+			{Time: 30, Kind: trace.EvJobAdmit, Peer: 0, Arg: 7},
+			{Time: 30, Kind: trace.EvQuantumStart, Peer: -1, Arg: 1},
+			{Time: 35, Kind: trace.EvNoWorkRecv, Peer: 1, Arg: 1},
+			{Time: 40, Kind: trace.EvQuantumEnd, Peer: -1, Arg: 10},
+		}, causal.RankBlame{Busy: 20, Search: 20, TermTail: 10}},
+		"refusal at the landing instant": {served, []trace.Event{
+			{Time: 15, Kind: trace.EvStealSend, Peer: 1, Arg: 1},
+			{Time: 30, Kind: trace.EvJobArrive, Peer: 0, Arg: 7},
+			{Time: 30, Kind: trace.EvJobAdmit, Peer: 0, Arg: 7},
+			{Time: 30, Kind: trace.EvNoWorkRecv, Peer: 1, Arg: 1},
+		}, causal.RankBlame{Busy: 20, Search: 20, TermTail: 10}},
+		"answer older than the span": {[]trace.Transition{
+			{Time: 0, State: trace.Active}, {Time: 3, State: trace.Idle}, {Time: 8, State: trace.Active},
+			{Time: 10, State: trace.Idle}, {Time: 30, State: trace.Active}, {Time: 40, State: trace.Idle},
+		}, []trace.Event{
+			{Time: 5, Kind: trace.EvStealSend, Peer: 1, Arg: 1},
+			{Time: 8, Kind: trace.EvJobArrive, Peer: 0, Arg: 7},
+			{Time: 8, Kind: trace.EvJobAdmit, Peer: 0, Arg: 7},
+			{Time: 30, Kind: trace.EvWorkRecv, Peer: 1, Arg: 4},
+		}, causal.RankBlame{Busy: 15, Search: 25, TermTail: 10}},
+	}
+	for name, c := range cases {
+		tr := &trace.Trace{
+			End:           50,
+			Transitions:   [][]trace.Transition{c.trs, {{Time: 0, State: trace.Active}}},
+			Sessions:      [][]trace.Session{nil, nil},
+			Events:        [][]trace.Event{c.es, nil},
+			EventsDropped: []uint64{0, 0},
+		}
+		if got := causal.AttributeIdle(tr).PerRank[0]; got != c.want {
+			t.Errorf("%s: rank 0 blame = %+v, want %+v", name, got, c.want)
+		}
+	}
+}
+
 // runLogged runs a small deterministic simulation with full event logging.
 func runLogged(t *testing.T, mutate func(*core.Config)) *core.Result {
 	t.Helper()
@@ -306,6 +372,37 @@ func TestBlamePartitionsIdleExactly(t *testing.T) {
 			want := sim.Duration(res.Makespan) * sim.Duration(res.Ranks)
 			if got := b.Total.Total(); got != want {
 				t.Fatalf("aggregate %v, want ranks*makespan %v", got, want)
+			}
+		})
+	}
+}
+
+// TestBlameInFlightIsAnsweredRoundTrips: time in flight is the tail
+// of a steal round trip that ended an idle interval, and each answered
+// request ends at most one, so a rank's InFlight never exceeds the sum
+// of its successful steals' latencies — on every variant, the aborting
+// one (whose late replies answer no open request) included.
+func TestBlameInFlightIsAnsweredRoundTrips(t *testing.T) {
+	for name, mutate := range variants() {
+		t.Run(name, func(t *testing.T) {
+			tr := runLogged(t, mutate).Trace
+			b := causal.AttributeIdle(tr)
+			var inFlight, answered sim.Duration
+			for r, rb := range b.PerRank {
+				var sum sim.Duration
+				scan := obs.ScanSteals(tr, r)
+				for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+					if p.Outcome == obs.StealSuccess {
+						sum += p.Latency()
+					}
+				}
+				if rb.InFlight > sum {
+					t.Errorf("rank %d: in flight %v, but its successful steals took %v", r, rb.InFlight, sum)
+				}
+				inFlight, answered = inFlight+rb.InFlight, answered+sum
+			}
+			if inFlight > answered {
+				t.Errorf("in flight %v in all, against %v of successful steals", inFlight, answered)
 			}
 		})
 	}

@@ -13,8 +13,9 @@ import "distws/internal/trace"
 // package sources contradict (consumed kinds must be referenced, inert
 // kinds must not be).
 var kindDisposition = [trace.NumEventKinds]string{
-	trace.EvStealSend: "consumed: opens a request in Blame's search/in-flight split; " +
-		"its per-request id anchors Transfer lineage (ReqSendIdx) in Build",
+	trace.EvStealSend: "consumed: its per-request id anchors Transfer lineage " +
+		"(ReqSendIdx) in Build; Blame reads the request it opens through obs's " +
+		"steal scan (obs.ScanSteals)",
 	trace.EvStealRecv: "consumed: confirms the victim-side request match when Build " +
 		"attributes a Transfer's originating request",
 	trace.EvWorkSend: "consumed: the victim half of Transfer matching in Build",
@@ -22,9 +23,11 @@ var kindDisposition = [trace.NumEventKinds]string{
 		"work-arrival edges of the critical path",
 	trace.EvNoWorkSend: "inert: refusals are charged to the thief via EvNoWorkRecv; " +
 		"the victim-side record exists for the exporters only",
-	trace.EvNoWorkRecv: "consumed: closes an open request in Blame's idle-time split",
-	trace.EvStealAbort: "consumed: closes an open request in Blame (the thief gave up)",
-	trace.EvTokenSend:  "consumed: the sender half of TokenHop matching in Build",
+	trace.EvNoWorkRecv: "inert: the refusal closes the thief's request in obs's steal " +
+		"scan (obs.ScanSteals), which Blame reads; a refused request never ends an idle span",
+	trace.EvStealAbort: "inert: the abort closes the thief's request in obs's steal " +
+		"scan (obs.ScanSteals), which Blame reads; an aborted request never ends an idle span",
+	trace.EvTokenSend: "consumed: the sender half of TokenHop matching in Build",
 	trace.EvTokenRecv: "consumed: the receiver half of TokenHop matching and the " +
 		"token edges of the critical path",
 	trace.EvTerminate: "inert: termination time comes from the transition log and the " +

@@ -9,8 +9,21 @@ import (
 	"distws/internal/trace"
 )
 
+// stealPairs collects every rank's steal scan (obs.ScanSteals), thief
+// by thief: the pair list the oracles below summarize.
+func stealPairs(tr *trace.Trace) []obs.StealPair {
+	var pairs []obs.StealPair
+	for rank := range tr.Events {
+		scan := obs.ScanSteals(tr, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			pairs = append(pairs, p)
+		}
+	}
+	return pairs
+}
+
 // stealLatencyOfPairs is obs.StealLatency as it was when it summarized
-// obs.PairSteals' slice: the specification the log scan must match.
+// a slice of every steal pair: the specification the scan must match.
 func stealLatencyOfPairs(pairs []obs.StealPair) obs.StealLatencyStats {
 	st := obs.StealLatencyStats{Count: len(pairs)}
 	if len(pairs) == 0 {
@@ -55,7 +68,7 @@ func quantile(sorted []sim.Duration, q float64) sim.Duration {
 }
 
 // terminationTailOfPairs is obs.TerminationTail as it was when it read
-// obs.PairSteals' slice, with the tail starting at the last work
+// a slice of every steal pair, with the tail starting at the last work
 // receipt of the log: the specification the log scans must match.
 func terminationTailOfPairs(tr *trace.Trace, pairs []obs.StealPair) obs.TailStats {
 	var st obs.TailStats
@@ -106,7 +119,7 @@ var stealLogStarts = []sim.Time{0, 1<<40 + 5, 1<<62 - 1<<10, -1 << 62}
 
 // FuzzStealLatencyMatchesPairs: obs.StealLatency and obs.TerminationTail
 // read the event log directly and must equal, field for field, the
-// pair-based oracles over obs.PairSteals. Each three bytes of data are
+// pair-based oracles over the collected steal scan. Each three bytes of data are
 // one event: its rank, its kind and its step on that rank's clock (a
 // step of 0xF0 or more jumps 2^62). Seeds cover orphan sends (a close
 // evicted), closes with nothing open, a late reply after an abort (a
@@ -144,7 +157,7 @@ func FuzzStealLatencyMatchesPairs(f *testing.F) {
 			end = max(end, clocks[rank])
 		}
 		tr := &trace.Trace{End: end, Events: events}
-		pairs := obs.PairSteals(tr)
+		pairs := stealPairs(tr)
 		if got, want := obs.StealLatency(tr), stealLatencyOfPairs(pairs); got != want {
 			t.Fatalf("StealLatency = %+v, the pair oracle has %+v", got, want)
 		}

@@ -49,10 +49,6 @@ type ChromeOptions struct {
 	// Highlight, when non-empty, adds a "critical path" process whose
 	// single thread carries the given spans as slices.
 	Highlight []HighlightSpan
-	// Pairs, when non-nil, are the trace's steal transactions for the
-	// flow arrows — a caller that has paired them already (an
-	// Analysis) hands them over; nil means PairSteals(tr).
-	Pairs []StealPair
 }
 
 // WriteChromeTraceOpts renders tr as Chrome trace-event JSON: one
@@ -134,33 +130,36 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		}
 	}
 
-	// Flow arrows for steal transactions: Perfetto draws an arrow from
-	// the request send on the thief to its resolution. Successful and
-	// refused steals get separately named arrows so the failed-steal
-	// floods of the paper's Figure 7 are visible as a distinct pattern;
-	// aborted steals never resolve, so they stay arrow-less instants.
-	if opts.Pairs == nil {
-		opts.Pairs = PairSteals(tr)
-	}
-	for id, p := range opts.Pairs {
-		var name string
-		switch p.Outcome {
-		case StealSuccess:
-			name = "steal"
-		case StealRefused:
-			name = "steal-refused"
-		default:
-			continue
+	// Flow arrows for steal transactions, thief by thief from the steal
+	// scan: Perfetto draws an arrow from the request send on the thief
+	// to its resolution. Successful and refused steals get separately
+	// named arrows so the failed-steal floods of the paper's Figure 7
+	// are visible as a distinct pattern; aborted steals never resolve,
+	// so they stay arrow-less instants.
+	flows := 0 // the last flow id
+	for rank := range tr.Events {
+		scan := ScanSteals(tr, rank)
+		for p, ok := scan.Next(); ok; p, ok = scan.Next() {
+			var name string
+			switch p.Outcome {
+			case StealSuccess:
+				name = "steal"
+			case StealRefused:
+				name = "steal-refused"
+			default:
+				continue
+			}
+			flows++
+			emit(chromeEvent{
+				Name: name, Cat: "flow", Phase: "s",
+				TS: usec(p.Send), PID: 0, TID: p.Thief, ID: flows,
+			})
+			emit(chromeEvent{
+				Name: name, Cat: "flow", Phase: "f", BP: "e",
+				TS: usec(p.End), PID: 0, TID: p.Thief, ID: flows,
+				Args: map[string]any{"victim": p.Victim, "nodes": p.Nodes},
+			})
 		}
-		emit(chromeEvent{
-			Name: name, Cat: "flow", Phase: "s",
-			TS: usec(p.Send), PID: 0, TID: p.Thief, ID: id + 1,
-		})
-		emit(chromeEvent{
-			Name: name, Cat: "flow", Phase: "f", BP: "e",
-			TS: usec(p.End), PID: 0, TID: p.Thief, ID: id + 1,
-			Args: map[string]any{"victim": p.Victim, "nodes": p.Nodes},
-		})
 	}
 
 	// Occupancy counter track: the number of active ranks at each

@@ -267,3 +267,105 @@ func TestChromeExporterCoversEveryEventKind(t *testing.T) {
 		t.Errorf("exporter emitted %d distinct protocol names, want %d", len(seen), trace.NumEventKinds)
 	}
 }
+
+// TestChromeFlowPerTransaction: every successful or refused steal
+// transaction of the steal scan has exactly one flow start and one
+// flow end, under an id no other arrow shares; aborted transactions,
+// orphaned sends, late replies and a send open at trace end draw none.
+func TestChromeFlowPerTransaction(t *testing.T) {
+	active := []trace.Transition{{Time: 0, State: trace.Active}}
+	multi := &trace.Trace{
+		End:         100,
+		Transitions: [][]trace.Transition{active, active, active},
+		Sessions:    make([][]trace.Session, 3),
+		Events: [][]trace.Event{
+			{
+				{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 1},
+				{Time: 40, Kind: trace.EvStealAbort, Peer: 1, Arg: 1},
+				{Time: 41, Kind: trace.EvStealSend, Peer: 1, Arg: 2},
+				{Time: 60, Kind: trace.EvWorkLate, Peer: 1, Arg: 12},
+				{Time: 90, Kind: trace.EvStealSend, Peer: 2, Arg: 3},
+				{Time: 95, Kind: trace.EvNoWorkRecv, Peer: 2, Arg: 3},
+			},
+			{
+				{Time: 5, Kind: trace.EvStealSend, Peer: 2},
+				{Time: 7, Kind: trace.EvStealSend, Peer: 2},
+				{Time: 20, Kind: trace.EvWorkRecv, Peer: 2, Arg: 3},
+				{Time: 30, Kind: trace.EvStealSend, Peer: 0},
+				{Time: 31, Kind: trace.EvNoWorkRecv, Peer: 0},
+			},
+			{
+				{Time: 10, Kind: trace.EvStealSend, Peer: 0},
+				{Time: 12, Kind: trace.EvWorkRecv, Peer: 0, Arg: 1},
+				{Time: 50, Kind: trace.EvStealSend, Peer: 1},
+			},
+		},
+	}
+	for name, tr := range map[string]*trace.Trace{"fixture": chromeFixture(), "three thieves": multi} {
+		var buf bytes.Buffer
+		if err := WriteChromeTraceOpts(&buf, tr, ChromeOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Name  string  `json:"name"`
+				Cat   string  `json:"cat"`
+				Phase string  `json:"ph"`
+				TS    float64 `json:"ts"`
+				TID   int     `json:"tid"`
+				ID    int     `json:"id"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatal(err)
+		}
+		type flow struct {
+			name         string
+			thief        int
+			send, end    float64
+			starts, ends int
+		}
+		byID := map[int]*flow{}
+		for _, e := range doc.TraceEvents {
+			if e.Cat != "flow" {
+				continue
+			}
+			f := byID[e.ID]
+			if f == nil {
+				f = &flow{name: e.Name, thief: e.TID}
+				byID[e.ID] = f
+			}
+			if f.name != e.Name || f.thief != e.TID {
+				t.Fatalf("%s: flow id %d names %s on rank %d and %s on rank %d", name, e.ID, f.name, f.thief, e.Name, e.TID)
+			}
+			switch e.Phase {
+			case "s":
+				f.starts++
+				f.send = e.TS
+			case "f":
+				f.ends++
+				f.end = e.TS
+			default:
+				t.Fatalf("%s: flow event with phase %q", name, e.Phase)
+			}
+		}
+		var want []flow
+		for _, p := range stealPairs(tr) {
+			switch p.Outcome {
+			case StealSuccess:
+				want = append(want, flow{"steal", p.Thief, usec(p.Send), usec(p.End), 1, 1})
+			case StealRefused:
+				want = append(want, flow{"steal-refused", p.Thief, usec(p.Send), usec(p.End), 1, 1})
+			}
+		}
+		if len(byID) != len(want) {
+			t.Fatalf("%s: %d flow ids for %d answered transactions", name, len(byID), len(want))
+		}
+		// Ids count the arrows in (thief, log) order from 1.
+		for i, w := range want {
+			if f := byID[i+1]; f == nil || *f != w {
+				t.Errorf("%s: flow id %d = %+v, want %+v", name, i+1, f, w)
+			}
+		}
+	}
+}
