@@ -17,7 +17,7 @@ ARTIFACTS ?= artifacts
 # ledger the matrix test compares against.
 SMOKE = $(ARTIFACTS)/smoke
 
-.PHONY: build test vet distwsvet bench-check race fuzz-smoke lint bench-json bench-smoke profile results-check check clean
+.PHONY: build test vet distwsvet inline-check bench-check race fuzz-smoke lint bench-json bench-smoke profile results-check check clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,24 @@ distwsvet:
 	@mkdir -p $(ARTIFACTS)
 	$(GO) run ./cmd/distwsvet -budget $(DISTWSVET_BUDGET) -format json ./... > $(ARTIFACTS)/distwsvet.json || { cat $(ARTIFACTS)/distwsvet.json; exit 1; }
 	@echo "distwsvet: clean; report in $(ARTIFACTS)/distwsvet.json"
+
+# inline-check holds the victim draws to Go's inline budget (80): the
+# generator step, the squared distance from a thief's Origin and the
+# alias cell's acceptance test, each of which a draw runs once per
+# rejection round (8 192 ranks) or once per draw (up to 2 048), must
+# inline into the draw loop, or every round pays a call again. It
+# prints each function's cost, and the compiler's reason when one is
+# over.
+INLINE_FUNCS = '(*Xoshiro256).Uint64' '(*Job).DistanceSqFrom' '(*Discrete).At'
+inline-check:
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/rng ./internal/topology ./internal/sample 2>&1) || { echo "$$out"; exit 1; }; \
+	fail=0; for f in $(INLINE_FUNCS); do \
+		if echo "$$out" | grep -qF ": can inline $$f with cost "; then \
+			echo "$$out" | grep -F ": can inline $$f with cost " | sed 's/^.*: can inline \([^ ]*\) with cost \([0-9]*\) .*/inline-check: \1 inlines, cost \2/'; \
+		else \
+			echo "inline-check: $$f does not inline:"; echo "$$out" | grep -F "inline $$f:"; fail=1; \
+		fi; \
+	done; exit $$fail
 
 # bench/ (the repository benchmark, BENCHMARK.json) is a nested module:
 # ./... above does not reach it, so a refactor of the packages it
@@ -157,7 +175,7 @@ results-check:
 	diff $(SMOKE)/results_want.txt $(SMOKE)/results_got.txt
 	@echo "results-check: reports equal results_default.txt"
 
-check: build lint vet distwsvet test bench-check race fuzz-smoke
+check: build lint vet distwsvet inline-check test bench-check race fuzz-smoke
 	@echo "check: all gates passed"
 
 clean:

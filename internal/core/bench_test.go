@@ -18,9 +18,11 @@ import (
 // events through deliver, handle and sendSteal, with a victim draw and
 // two latency lookups. Backoff is off, so each rank always has exactly
 // one message in flight and an op is exactly two dispatches; no
-// detector ever ends the storm. The rank slab is 1 MB and the traffic
-// visits it at random, so what this reads is the cache-line budget of
-// DESIGN.md §10. It must not allocate after warm-up.
+// detector ever ends the storm. The traffic visits the ranks at random:
+// a delivery and an idle victim's answer read the victim's byte of the
+// 8 KB state slab, and the thief's reply path the first line of its
+// rank in the 1 MB rank slab, so what this reads is the cache-line
+// budget of DESIGN.md §10. It must not allocate after warm-up.
 func BenchmarkFailedSteal(b *testing.B) {
 	cfg := Config{
 		Tree:           uts.MustPreset("H-TINY").Params,

@@ -56,7 +56,7 @@ func TestIdleRankMailboxAlwaysEmpty(t *testing.T) {
 			// Atomic: the shards of a sharded run probe concurrently.
 			var consumed, declined, served, broken atomic.Int64
 			cfg.testDeliveryProbe = func(e *engine, m *comm.Message) bool {
-				state, tag, to := e.ranks[m.To].state, m.Tag, m.To
+				state, tag, to := e.states[m.To], m.Tag, m.To
 				want := true
 				switch state {
 				case rsWorking:
@@ -192,7 +192,7 @@ func TestRanksSettledAtResult(t *testing.T) {
 			checked := false
 			_, err := run(cfg, func(engines []*engine) (*Result, error) {
 				for i := range engines[0].ranks {
-					if s := engines[0].ranks[i].state; s != rsDone && s != rsCrashed {
+					if s := engines[0].states[i]; s != rsDone && s != rsCrashed {
 						t.Errorf("rank %d is in state %d when result runs", i, s)
 					}
 				}

@@ -42,11 +42,13 @@ const (
 // §10, TestRankHotLayout): the first 64 bytes are everything a thief
 // reads and writes between a reply and its next request, the second
 // line the rest of its steal statistics and its worker. The struct is
-// two lines, so every element of the slab starts on one. What only a
-// rank holding work touches is its worker; what only a fault plan
-// touches is its rankFault.
+// two lines, so every element of the slab starts on one. A rank's
+// scheduling state is not here but in the engine's state slab, one
+// byte a rank, which is all a message's delivery and an idle victim's
+// answer read of the rank it reaches. What only a rank holding work
+// touches is its worker; what only a fault plan touches is its
+// rankFault.
 type rank struct {
-	state rankState
 	// lastAborted flags that the next request is a post-timeout retry
 	// (traced as EvStealRetry).
 	lastAborted bool
@@ -126,13 +128,14 @@ type worker struct {
 const workerPage = 64
 
 // runStore is what a run allocates, kept for the next run: the kernel
-// of a sequential run, the recorder, the rank slab and, per engine, the
-// worker pages (used of them handed out) and the segment pool of their
-// stacks. It is the only storage that outlives a run.
+// of a sequential run, the recorder, the rank and state slabs and, per
+// engine, the worker pages (used of them handed out) and the segment
+// pool of their stacks. It is the only storage that outlives a run.
 type runStore struct {
 	kernel *sim.Kernel // nil until a sequential run needs one
 	rec    obs.Recorder
 	ranks  []rank
+	states []rankState
 	work   []workStore // one per engine
 }
 
@@ -176,7 +179,8 @@ func putRunStore(st *runStore) {
 		}
 	}
 	clear(st.ranks)
-	bytes := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + st.rec.Bytes()
+	clear(st.states)
+	bytes := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + cap(st.states) + st.rec.Bytes()
 	if st.kernel != nil {
 		st.kernel.Reset()
 		bytes += st.kernel.Bytes()
@@ -230,6 +234,8 @@ type engine struct {
 	sel    victim.Selector
 	rec    *obs.Recorder // activity trace and event logs; nil when disabled
 	ranks  []rank
+	// states[r] is rank r's scheduling state, the rank's one copy.
+	states []rankState
 	// faults is the per-rank fault state, nil without a fault plan.
 	faults []rankFault
 	// ws is the engine's share of the run store, where its ranks' workers live.
@@ -464,6 +470,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 		rec = st.rec.Reset(cfg.Ranks, cfg.EventBuffer, cfg.CollectEvents)
 	}
 	st.ranks = slices.Grow(st.ranks[:0], cfg.Ranks)[:cfg.Ranks]
+	st.states = slices.Grow(st.states[:0], cfg.Ranks)[:cfg.Ranks]
 	ranks := st.ranks
 	for i := range ranks {
 		ranks[i].pendingVictim = -1
@@ -489,6 +496,7 @@ func newEngines(cfg Config, job *topology.Job, kernels []*sim.Kernel, ps *parSha
 			sel:    sel,
 			rec:    rec,
 			ranks:  ranks,
+			states: st.states,
 			faults: faults,
 			ws:     &st.work[s],
 			inj:    inj,
@@ -544,7 +552,7 @@ func (e *engine) timerRank() int { return int(e.kernel.Payload().A) }
 func (e *engine) bindTimers() {
 	e.quantumEndFn = func(any) { e.quantumEnd(e.timerRank()) }
 	e.backoffEndFn = func(any) {
-		if r := e.timerRank(); e.ranks[r].state == rsBackoff {
+		if r := e.timerRank(); e.states[r] == rsBackoff {
 			e.sendSteal(r)
 		}
 	}
@@ -594,7 +602,7 @@ func (e *engine) work(r int) *worker {
 func (e *engine) startQuantum(r int) {
 	rk := &e.ranks[r]
 	w := rk.w // a rank starts a quantum on work it holds
-	rk.state = rsWorking
+	e.states[r] = rsWorking
 	e.rec.Record(r, e.kernel.Now(), trace.EvQuantumStart, -1, int64(w.stack.Len()))
 	compute, stall := e.w.execute(e, r)
 	if e.inj != nil {
@@ -608,13 +616,13 @@ func (e *engine) quantumEnd(r int) {
 	rk := &e.ranks[r]
 	w := rk.w
 	w.quantum = sim.Event{}
-	if rk.state == rsDone || rk.state == rsCrashed {
+	if e.states[r] == rsDone || e.states[r] == rsCrashed {
 		return
 	}
 	e.w.settle(e, r)
 	e.rec.Record(r, e.kernel.Now(), trace.EvQuantumEnd, -1, int64(w.units))
 	e.pollMailbox(r)
-	if rk.state == rsDone {
+	if e.states[r] == rsDone {
 		return
 	}
 	if !w.stack.Empty() || w.expNext < w.expTotal {
@@ -630,7 +638,7 @@ func (e *engine) quantumEnd(r int) {
 func (e *engine) goIdle(r int) {
 	rk := &e.ranks[r]
 	now := e.kernel.Now()
-	rk.state = rsBackoff // idle until sendSteal marks it searching
+	e.states[r] = rsBackoff // idle until sendSteal marks it searching
 	if rk.w != nil {
 		rk.w.extraDelay = 0 // request-handling debt is moot once idle
 	}
@@ -644,7 +652,7 @@ func (e *engine) goIdle(r int) {
 	if e.cfg.Ranks == 1 {
 		// No one to steal from; wait for the detector (which must have
 		// fired above for a single rank).
-		rk.state = rsBackoff
+		e.states[r] = rsBackoff
 		return
 	}
 	e.sendSteal(r)
@@ -663,7 +671,7 @@ func (e *engine) sendSteal(r int) {
 	id := rk.reqID
 	rk.requests++
 	rk.waitStart = e.kernel.Now()
-	rk.state = rsSearching
+	e.states[r] = rsSearching
 	if rk.lastAborted {
 		rk.lastAborted = false
 		e.rec.Record(r, rk.waitStart, trace.EvStealRetry, v, int64(rk.consecTimeouts))
@@ -704,7 +712,7 @@ func (e *engine) skipBlacklisted(r, v int) int {
 // reply is still accepted if it ever arrives.
 func (e *engine) abortSteal(r int) {
 	rk := &e.ranks[r]
-	if rk.state != rsSearching {
+	if e.states[r] != rsSearching {
 		return // the reply arrived, or this rank moved on
 	}
 	v, id := int(rk.pendingVictim), rk.reqID
@@ -744,12 +752,11 @@ func (e *engine) abortSteal(r int) {
 // termination ring heals around the corpse (regenerating any token it
 // held), and every later delivery to it is discarded on arrival.
 func (e *engine) crashRank(r int) {
-	rk := &e.ranks[r]
-	if rk.state == rsDone || rk.state == rsCrashed {
+	if e.states[r] == rsDone || e.states[r] == rsCrashed {
 		return // termination beat the crash; nothing left to kill
 	}
 	now := e.kernel.Now()
-	wasWorking := rk.state == rsWorking
+	wasWorking := e.states[r] == rsWorking
 	w := e.work(r) // a crash is rare: an idle rank may take an empty worker
 	stack := w.stack.Drop(e.getLoot())
 	stackLost := e.destroy(r, r, stack)
@@ -759,7 +766,7 @@ func (e *engine) crashRank(r int) {
 	e.crashes++
 	e.kernel.Cancel(w.quantum)
 	w.quantum = sim.Event{}
-	rk.state = rsCrashed
+	e.states[r] = rsCrashed
 	e.rec.Record(r, now, trace.EvCrash, -1, int64(stackLost))
 	if !wasWorking {
 		e.endSession(r, now)
@@ -772,7 +779,7 @@ func (e *engine) crashRank(r int) {
 	// initiator role itself — moves to the lowest surviving rank.
 	initr := e.initiator()
 	initIdle := initr >= 0 &&
-		e.ranks[initr].state != rsWorking && e.ranks[initr].state != rsDone
+		e.states[initr] != rsWorking && e.states[initr] != rsDone
 	sends := e.det.RemoveRank(r, initIdle)
 	e.forwardTokens(sends)
 	if initIdle && len(sends) == 0 {
@@ -838,7 +845,7 @@ func (e *engine) initiator() int {
 		return 0
 	}
 	for r := range e.ranks {
-		if e.ranks[r].state != rsCrashed {
+		if e.states[r] != rsCrashed {
 			return r
 		}
 	}
@@ -863,7 +870,7 @@ func (e *engine) reprobeSurvivor() {
 	}
 	surv, alive := -1, 0
 	for r := range e.ranks {
-		if e.ranks[r].state != rsCrashed {
+		if e.states[r] != rsCrashed {
 			surv = r
 			if alive++; alive > 1 {
 				return
@@ -873,7 +880,7 @@ func (e *engine) reprobeSurvivor() {
 	if alive != 1 {
 		return
 	}
-	if rk := &e.ranks[surv]; rk.state == rsWorking || rk.state == rsDone {
+	if st := e.states[surv]; st == rsWorking || st == rsDone {
 		return
 	}
 	e.forwardTokens(e.det.OnIdle(surv))
@@ -900,7 +907,7 @@ func (e *engine) reprobeSurvivor() {
 // right away (the "NIC" answers without interrupting the computation).
 func (e *engine) deliver(m *comm.Message) bool {
 	r := m.To
-	switch e.ranks[r].state {
+	switch e.states[r] {
 	case rsWorking:
 		if e.cfg.Protocol != OneSided || m.Tag != comm.TagStealRequest {
 			return false
@@ -943,7 +950,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		e.handleStealRequest(r, m.From, m.ID)
 
 	case comm.TagWork:
-		if rk.state == rsDone {
+		if e.states[r] == rsDone {
 			// A work message can be in flight past a (Ring-detected)
 			// termination; dropping it leaves workSent != workReceived,
 			// which flags the run as premature. Under fault injection
@@ -983,7 +990,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		e.noteMigration(m.Lineage)
 		// Work that answers no outstanding request is logged apart, so
 		// steal pairing closes only the round trips counted here.
-		answers := rk.state == rsSearching && m.ID == rk.reqID
+		answers := e.states[r] == rsSearching && m.ID == rk.reqID
 		kind := trace.EvWorkLate
 		if answers {
 			kind = trace.EvWorkRecv
@@ -991,7 +998,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 		e.rec.Record(r, now, kind, m.From, int64(len(m.Nodes)))
 		w.stack.Acquire(m.Nodes)
 		e.putLoot(m)
-		if rk.state == rsWorking {
+		if e.states[r] == rsWorking {
 			return // a late reply to an aborted request: the nodes are banked
 		}
 		if answers {
@@ -1000,10 +1007,10 @@ func (e *engine) handle(r int, m *comm.Message) {
 		e.resume(r)
 
 	case comm.TagNoWork:
-		if rk.state == rsDone {
+		if e.states[r] == rsDone {
 			return
 		}
-		if rk.state != rsSearching || m.ID != rk.reqID {
+		if e.states[r] != rsSearching || m.ID != rk.reqID {
 			// Stale reply to an aborted request.
 			return
 		}
@@ -1025,7 +1032,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 
 	case comm.TagToken:
 		e.rec.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
-		idle := rk.state != rsWorking
+		idle := e.states[r] != rsWorking
 		e.forwardTokens(e.det.OnToken(r, m.Token, idle))
 		e.checkTermination()
 
@@ -1066,7 +1073,7 @@ func (e *engine) endSession(r int, at sim.Time) {
 func (e *engine) injectNode(r int, node uts.Node) {
 	w := e.work(r)
 	w.generated++
-	switch e.ranks[r].state {
+	switch e.states[r] {
 	case rsCrashed:
 		e.destroy(r, -1, []uts.Node{node})
 	case rsWorking:
@@ -1080,16 +1087,18 @@ func (e *engine) injectNode(r int, node uts.Node) {
 
 // handleStealRequest answers thief's request against rank v's stack.
 func (e *engine) handleStealRequest(v, thief int, id uint64) {
-	rk := &e.ranks[v]
 	now := e.kernel.Now()
 	e.rec.Record(v, now, trace.EvStealRecv, thief, int64(id))
 	// Only a working victim can give: an idle rank went idle on an empty
 	// stack and resumes the moment work reaches it, so a request to one
-	// reads its state and nothing else, and a done one answers no-work
-	// whatever it holds (the thief will receive its own terminate).
+	// reads its state byte and nothing of its rank, and a done one
+	// answers no-work whatever it holds (the thief will receive its own
+	// terminate).
 	twoSided := e.cfg.Protocol == TwoSided
-	w, avail := rk.w, 0
-	if rk.state == rsWorking {
+	var w *worker
+	avail := 0
+	if e.states[v] == rsWorking {
+		w = e.ranks[v].w
 		// Answering costs the victim compute time whether or not it has
 		// work to give; the flood of failed steals the paper measures
 		// (Figure 7) slows victims down through exactly this term. Idle
@@ -1171,7 +1180,7 @@ func (e *engine) retryOrBackoff(r int) {
 			rk.backoff = backoffMax
 		}
 	}
-	rk.state = rsBackoff
+	e.states[r] = rsBackoff
 	e.rankTimer(rk.backoff, e.backoffEndFn, r)
 }
 
@@ -1205,7 +1214,7 @@ func (e *engine) checkTermination() bool {
 	initr := e.initiator()
 	e.finishRank(initr, e.detectedAt)
 	for r := 0; r < e.cfg.Ranks; r++ {
-		if r == initr || e.ranks[r].state == rsCrashed {
+		if r == initr || e.states[r] == rsCrashed {
 			continue
 		}
 		e.net.SendID(initr, r, comm.TagTerminate, 0, 8)
@@ -1235,18 +1244,18 @@ func (e *engine) markDetected(at sim.Time) {
 // unrelated slot.
 func (e *engine) finishRank(r int, at sim.Time) {
 	rk := &e.ranks[r]
-	if rk.state == rsDone || rk.state == rsCrashed {
+	if e.states[r] == rsDone || e.states[r] == rsCrashed {
 		return
 	}
 	e.rec.Record(r, at, trace.EvTerminate, -1, 0)
-	if rk.state != rsWorking {
+	if e.states[r] != rsWorking {
 		e.endSession(r, at)
 	}
 	if w := rk.w; w != nil {
 		e.owner(r).kernel.Cancel(w.quantum) // no-op when no quantum is pending
 		w.quantum = sim.Event{}
 	}
-	rk.state = rsDone
+	e.states[r] = rsDone
 }
 
 // sumCounters totals the tallies and the traffic of a run's engines.
@@ -1361,7 +1370,7 @@ func result(engines []*engine) (*Result, error) {
 			f := &e.faults[i]
 			res.PerRankFaults[i] = RankFault{
 				Rank:       i,
-				Crashed:    e.ranks[i].state == rsCrashed,
+				Crashed:    e.states[i] == rsCrashed,
 				CrashedAt:  f.crashedAt,
 				LostNodes:  f.lostNodes,
 				Timeouts:   e.ranks[i].aborted,

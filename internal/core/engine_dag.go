@@ -147,7 +147,7 @@ func (w *graphWork) execute(e *engine, r int) (compute, stall sim.Duration) {
 // crashed since, taking its output along.
 func (w *graphWork) orphaned(e *engine, task *dag.Task) bool {
 	for _, pred := range task.Preds {
-		if e.ranks[w.executor[pred]].state == rsCrashed {
+		if e.states[w.executor[pred]] == rsCrashed {
 			return true
 		}
 	}

@@ -5,21 +5,28 @@ import (
 	"unsafe"
 )
 
-// TestRankHotLayout holds the rank slab to its cache-line budget: the
-// fields a thief touches between a NoWork reply and its next request
-// all sit in the first 64 bytes, and the rank is exactly two lines, so
-// the slab stays line-aligned and every thief pays 128 bytes whether or
-// not it ever works. A worker is whole lines and starts with the work
-// stack's header and counts — what a request reads at a working victim,
-// and all a push or a pop needs to reach its node — and the pending
-// quantum follows on the next line.
+// TestRankHotLayout holds a failed steal to its cache-line budget
+// (DESIGN.md §10). The delivery of a request and an idle victim's
+// NoWork answer read the victim's scheduling state, one byte of the
+// engine's state slab — 8 KB at 8 192 ranks — and no line of its rank.
+// The NoWork reply's delivery reads the thief's state byte, and the
+// fields the thief then touches up to its next request all sit in the
+// first 64 bytes of its rank. The rank is exactly two lines, so the slab
+// stays line-aligned and every thief pays 128 bytes whether or not it
+// ever works. Only a working victim's request reads its rank's second
+// line, for w. A worker is whole lines and starts with the work stack's
+// header and counts — what a request reads at a working victim, and all
+// a push or a pop needs to reach its node — and the pending quantum
+// follows on the next line.
 func TestRankHotLayout(t *testing.T) {
+	if size := unsafe.Sizeof(rankState(0)); size != 1 {
+		t.Errorf("rankState is %d bytes, want 1: the state slab is a byte a rank", size)
+	}
 	var rk rank
 	for _, f := range []struct {
 		name      string
 		off, size uintptr
 	}{
-		{"state", unsafe.Offsetof(rk.state), unsafe.Sizeof(rk.state)},
 		{"lastAborted", unsafe.Offsetof(rk.lastAborted), unsafe.Sizeof(rk.lastAborted)},
 		{"consecFails", unsafe.Offsetof(rk.consecFails), unsafe.Sizeof(rk.consecFails)},
 		{"pendingVictim", unsafe.Offsetof(rk.pendingVictim), unsafe.Sizeof(rk.pendingVictim)},

@@ -46,7 +46,7 @@ func stealPair(t *testing.T, ip comm.Interposer) (*engine, func()) {
 		w := e.work(r)
 		w.quantum = sim.Event{}
 		w.expNext, w.expTotal = 0, 0
-		e.ranks[r].state = rsWorking
+		e.states[r] = rsWorking
 	}
 	// Rank 1 opened with a request to rank 0; it goes unanswered.
 	for k.Step() {

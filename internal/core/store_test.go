@@ -24,9 +24,9 @@ func resetRunStores() {
 }
 
 // storeBytes is what st retains: its kernel, its recorder's storage,
-// its rank slab, worker pages and pooled segments.
+// its rank and state slabs, worker pages and pooled segments.
 func storeBytes(st *runStore) int {
-	b := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + st.rec.Bytes()
+	b := cap(st.ranks)*int(unsafe.Sizeof(rank{})) + cap(st.states) + st.rec.Bytes()
 	if st.kernel != nil {
 		b += st.kernel.Bytes()
 	}
@@ -106,10 +106,10 @@ func TestRunStoreReuse(t *testing.T) {
 }
 
 // TestRunStorageAllocBudget: a second identical 1 024-rank closed run
-// allocates no kernel, segment, worker page or rank slab. It takes the
-// store the first one handed back, and hands it back holding exactly
-// what it held: the same kernel, rank slab and pages, and a pool —
-// where every segment of a returned store is — of the same size.
+// allocates no kernel, segment, worker page, rank slab or state slab.
+// It takes the store the first one handed back, and hands it back
+// holding exactly what it held: the same kernel, slabs and pages, and a
+// pool — where every segment of a returned store is — of the same size.
 func TestRunStorageAllocBudget(t *testing.T) {
 	cfg := Config{
 		Tree:      uts.MustPreset("H-TINY").Params,
@@ -119,7 +119,7 @@ func TestRunStorageAllocBudget(t *testing.T) {
 		Seed:      1,
 	}
 	resetRunStores()
-	released := func() (*runStore, *rank, []*worker, int) {
+	released := func() (*runStore, [2]any, []*worker, int) {
 		runStores.mu.Lock()
 		defer runStores.mu.Unlock()
 		if len(runStores.free) != 1 {
@@ -132,7 +132,7 @@ func TestRunStorageAllocBudget(t *testing.T) {
 				pages = append(pages, &p[0])
 			}
 		}
-		return st, &st.ranks[0], pages, storeBytes(st)
+		return st, [2]any{&st.ranks[0], &st.states[0]}, pages, storeBytes(st)
 	}
 	for i := 0; i < 2; i++ {
 		if _, err := Run(cfg); err != nil {
@@ -149,7 +149,7 @@ func TestRunStorageAllocBudget(t *testing.T) {
 	kernel := st.kernel
 	st2, slab2, pages2, bytes2 := released()
 	if st2 != st || st2.kernel != kernel || slab2 != slab || !slices.Equal(pages2, pages) || bytes2 != bytes {
-		t.Fatalf("the run allocated storage: store %p → %p, kernel %p → %p, slab %p → %p, %d → %d pages, %d → %d bytes",
+		t.Fatalf("the run allocated storage: store %p → %p, kernel %p → %p, slabs %p → %p, %d → %d pages, %d → %d bytes",
 			st, st2, kernel, st2.kernel, slab, slab2, len(pages), len(pages2), bytes, bytes2)
 	}
 }
@@ -187,8 +187,8 @@ func TestReturnedStoreIsZeroed(t *testing.T) {
 		t.Fatalf("the kernel was not reset: an event queued %v, clock %v, %d dispatched", ok, k.Now(), k.Dispatched())
 	}
 	for i := range st.ranks {
-		if !reflect.ValueOf(st.ranks[i]).IsZero() {
-			t.Fatalf("rank %d not zeroed: %+v", i, st.ranks[i])
+		if !reflect.ValueOf(st.ranks[i]).IsZero() || st.states[i] != 0 {
+			t.Fatalf("rank %d not zeroed: %+v, state %d", i, st.ranks[i], st.states[i])
 		}
 	}
 	for _, page := range ws.pages {

@@ -72,19 +72,32 @@ func (treeWork) report(*engine, *Result)                               {}
 // quantum ends after PollInterval units even inside a high-fanout node.
 // Served jobs differ only in the params a node expands under and the
 // live count its expansion books (serveWork.consume).
+//
+// Nodes are not copied through the loop. A child is generated into the
+// stack slot it will occupy (ChildInto on PushSlot), and a popped node
+// is read where it lies (PopSlot): nothing pushes between the pop and
+// gen.Reset, which copies the state the children hash. A node's last
+// child would be pushed and popped at once when the quantum goes on, so
+// it is generated into staged and expanded from there instead; the
+// stack ends each iteration as the push and pop would have left it.
 func (e *engine) expand(r int, jobs *serveWork) sim.Duration {
 	w := e.ranks[r].w
-	start := w.units
-	for w.units-start < uint64(e.cfg.PollInterval) {
+	start, budget := w.units, uint64(e.cfg.PollInterval)
+	var staged uts.Node
+	for w.units-start < budget {
+		var node *uts.Node
 		if w.expNext < w.expTotal {
-			w.stack.Push(w.gen.Child(w.expNext))
+			i := w.expNext
 			w.expNext++
 			w.units++
 			w.generated++
-			continue
-		}
-		node, ok := w.stack.Pop()
-		if !ok {
+			if w.expNext < w.expTotal || w.units-start >= budget {
+				w.gen.ChildInto(w.stack.PushSlot(), i)
+				continue
+			}
+			w.gen.ChildInto(&staged, i)
+			node = &staged
+		} else if node = w.stack.PopSlot(); node == nil {
 			break
 		}
 		w.nodes++
@@ -100,7 +113,7 @@ func (e *engine) expand(r int, jobs *serveWork) sim.Duration {
 			}
 			tree = &w.job.Tree
 		}
-		nchild := w.gen.Reset(tree, &node)
+		nchild := w.gen.Reset(tree, node)
 		if jobs != nil {
 			jobs.consume(e, node.Job, int64(nchild)-1)
 		}

@@ -45,8 +45,14 @@ func Mix64(x uint64) uint64 {
 
 // Xoshiro256 is the xoshiro256** 1.0 generator of Blackman and Vigna.
 // The zero value is invalid (all-zero state); construct with New.
+//
+// The state is four scalar fields, not a [4]uint64: an array element
+// costs the inliner more than a field, and at a cost of 48 Uint64
+// leaves room for the small draws built on it (sample.Discrete.At)
+// to inline too. The common path of Uint64n inlines Uint64 and its
+// multiply; only Lemire's rare rejection is a call.
 type Xoshiro256 struct {
-	s [4]uint64
+	s0, s1, s2, s3 uint64
 }
 
 // New returns a xoshiro256** generator whose state is expanded from seed
@@ -61,29 +67,27 @@ func New(seed uint64) *Xoshiro256 {
 // generator values is seeded without one allocation per stream.
 func (x *Xoshiro256) Seed(seed uint64) {
 	sm := SplitMix64{state: seed}
-	for i := range x.s {
-		x.s[i] = sm.Uint64()
-	}
+	x.s0 = sm.Uint64()
+	x.s1 = sm.Uint64()
+	x.s2 = sm.Uint64()
+	x.s3 = sm.Uint64()
 	// An all-zero state would be a fixed point; SplitMix64 cannot emit
 	// four consecutive zeros, but guard anyway.
-	if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
-		x.s[0] = 0x9e3779b97f4a7c15
+	if x.s0|x.s1|x.s2|x.s3 == 0 {
+		x.s0 = 0x9e3779b97f4a7c15
 	}
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next value in the stream.
 func (x *Xoshiro256) Uint64() uint64 {
-	result := rotl(x.s[1]*5, 7) * 9
-	t := x.s[1] << 17
-	x.s[2] ^= x.s[0]
-	x.s[3] ^= x.s[1]
-	x.s[1] ^= x.s[2]
-	x.s[0] ^= x.s[3]
-	x.s[2] ^= t
-	x.s[3] = rotl(x.s[3], 45)
-	return result
+	s1 := x.s1
+	x.s2 ^= x.s0
+	x.s3 ^= s1
+	x.s1 ^= x.s2
+	x.s0 ^= x.s3
+	x.s2 ^= s1 << 17
+	x.s3 = bits.RotateLeft64(x.s3, 45)
+	return bits.RotateLeft64(s1*5, 7) * 9
 }
 
 // Float64 returns a uniform value in [0, 1) with 53 bits of precision.
@@ -101,17 +105,31 @@ func (x *Xoshiro256) Intn(n int) int {
 }
 
 // Uint64n returns a uniform value in [0, n). It panics if n == 0.
+//
+// Lemire (2019): the high word of a 128-bit multiply, with rejection in
+// the low word. Only a low word below n can be rejected, and n - 1 wraps
+// to the largest value when n is 0, so one comparison sends both the
+// rare rejection test and the zero range to uint64nSlow and leaves the
+// rest inlinable.
 func (x *Xoshiro256) Uint64n(n uint64) uint64 {
+	hi, lo := bits.Mul64(x.Uint64(), n)
+	if lo <= n-1 {
+		hi = x.uint64nSlow(n, hi, lo)
+	}
+	return hi
+}
+
+// uint64nSlow finishes a Uint64n draw whose low word fell below n: it
+// rejects while the low word is below 2^64 mod n.
+//
+//go:noinline
+func (x *Xoshiro256) uint64nSlow(n, hi, lo uint64) uint64 {
 	if n == 0 {
 		panic("rng: Uint64n with zero n")
 	}
-	// Lemire (2019): multiply-shift with rejection in the low word.
-	hi, lo := bits.Mul64(x.Uint64(), n)
-	if lo < n {
-		threshold := -n % n
-		for lo < threshold {
-			hi, lo = bits.Mul64(x.Uint64(), n)
-		}
+	threshold := -n % n
+	for lo < threshold {
+		hi, lo = bits.Mul64(x.Uint64(), n)
 	}
 	return hi
 }

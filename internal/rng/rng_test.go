@@ -204,10 +204,64 @@ func TestZeroStateGuard(t *testing.T) {
 	// New must never produce the all-zero fixed point.
 	for seed := uint64(0); seed < 100; seed++ {
 		x := New(seed)
-		if x.s[0]|x.s[1]|x.s[2]|x.s[3] == 0 {
+		if x.s0|x.s1|x.s2|x.s3 == 0 {
 			t.Fatalf("seed %d produced all-zero state", seed)
 		}
 	}
+}
+
+// TestXoshiroKnownAnswers pins the stream: the first eight outputs of
+// three seeds, and Uint64n at an n whose Lemire draw rejects about half
+// the time, followed by the next raw output, so a draw that consumed one
+// output more or less than it did shows. The values were recorded from
+// the array-backed generator the scalar fields replaced.
+func TestXoshiroKnownAnswers(t *testing.T) {
+	streams := []struct {
+		seed uint64
+		want [8]uint64
+	}{
+		{0, [8]uint64{0x99ec5f36cb75f2b4, 0xbf6e1f784956452a, 0x1a5f849d4933e6e0, 0x6aa594f1262d2d2c,
+			0xbba5ad4a1f842e59, 0xffef8375d9ebcaca, 0x6c160deed2f54c98, 0x8920ad648fc30a3f}},
+		{1, [8]uint64{0xb3f2af6d0fc710c5, 0x853b559647364cea, 0x92f89756082a4514, 0x642e1c7bc266a3a7,
+			0xb27a48e29a233673, 0x24c123126ffda722, 0x123004ef8df510e6, 0x61954dcc47b1e89d}},
+		{0xdeadbeefcafef00d, [8]uint64{0x9e32cfb5bb93eebb, 0x16006bd9d4ac0014, 0x8ada5d6d34b6538e, 0x7c327ca32346a238,
+			0xc43a6d6a3492ced2, 0xdb639ecb036a9c04, 0xc5a4b301c52fcfa4, 0xbcc5e0efaa8ded95}},
+	}
+	for _, s := range streams {
+		x := New(s.seed)
+		for i, want := range s.want {
+			if got := x.Uint64(); got != want {
+				t.Fatalf("seed %#x: output %d = %#x, want %#x", s.seed, i, got, want)
+			}
+		}
+	}
+	x := New(42)
+	for i, want := range []uint64{0x7ef36e3ff1762f32, 0x6286d29880bca91c, 0x5c10aa42ad32eed9, 0x6174b739374bb23f,
+		0x2534edcc39d7c4b2, 0x6687f6d49803635b, 0x705aad345cb33bfd, 0x6cfa59aa761c226a} {
+		if got := x.Uint64n(1<<63 + 1); got != want {
+			t.Fatalf("Uint64n(2^63+1) draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if got, want := x.Uint64(), uint64(0xb5215f43ed431a77); got != want {
+		t.Fatalf("output after the Uint64n draws = %#x, want %#x: the rejections consumed a different count", got, want)
+	}
+	y := New(7)
+	for i, want := range []uint64{2, 0, 2, 2, 2, 2, 0, 0} {
+		if got := y.Uint64n(3); got != want {
+			t.Fatalf("Uint64n(3) draw %d = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestUint64nZeroPanics: a zero range has no value to return, and the
+// fast path (lo >= n, true of every lo when n is 0) must not return one.
+func TestUint64nZeroPanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Uint64n(0) did not panic")
+		}
+	}()
+	New(3).Uint64n(0)
 }
 
 func BenchmarkXoshiroUint64(b *testing.B) {

@@ -170,11 +170,52 @@ func (p packedCoord) z() int { return int(p >> 12 & cubeMax) }
 func (p packedCoord) y() int { return int(p >> 28 & cubeMax) }
 func (p packedCoord) x() int { return int(p >> 44 & cubeMax) }
 
-// distSq is distSq on packed words.
-func (p packedCoord) distSq(q packedCoord) int {
-	dx, dy, dz := p.x()-q.x(), p.y()-q.y(), p.z()-q.z()
-	da, db, dc := p.a()-q.a(), p.b()-q.b(), p.c()-q.c()
-	return dx*dx + dy*dy + dz*dz + da*da + db*db + dc*dc
+// intraMask covers the intra-cube fields C, A and B of a packed word,
+// and intraBias sets bit 3 of each of them.
+const intraMask, intraBias = 1<<cubeShift - 1, 0x888
+
+// intraSq[(b-q)&intraMask], for b = p&intraMask|intraBias, is the
+// squared distance between p and q over A, B and C. Every intra-cube
+// field is below 8 (SizeA, SizeB and SizeC are), so each 4-bit field of
+// the difference is 8 + p_f - q_f, in [1, 15], and borrows nothing from
+// the next: the low 12 bits of b - q are the three biased differences,
+// and one subtraction and one load replace three extractions,
+// differences and squares.
+var intraSq = func() (t [intraMask + 1]uint8) {
+	for v := range t {
+		for f := 0; f < cubeShift; f += 4 {
+			d := v>>f&intraMax - 8
+			t[v] += uint8(d * d)
+		}
+	}
+	return t
+}()
+
+// An Origin is a rank's coordinate unpacked for DistanceSqFrom, which
+// measures other ranks against it: a loop that loads its thief's Origin
+// once reads nothing of the thief's again, and its four scalar fields
+// are values the compiler can keep apart, not a block it must index.
+type Origin struct {
+	x, y, z int
+	intra   packedCoord // the intra-cube fields, intraBias set
+}
+
+// Origin returns rank's coordinate as an Origin.
+func (j *Job) Origin(rank int) Origin {
+	p := j.packed[rank]
+	return Origin{p.x(), p.y(), p.z(), p&intraMask | intraBias}
+}
+
+// DistanceSqFrom returns DistanceSq(i, k) for o = Origin(i). It is small
+// enough to inline into a per-candidate loop, which Job.DistanceSq, on
+// two rank indexes, is not meant to be. The x field is the top of the
+// word, so it needs no mask.
+func (j *Job) DistanceSqFrom(o Origin, k int) int {
+	q := j.packed[k]
+	dx := o.x - int(q>>44)
+	dy := o.y - int(q>>28&cubeMax)
+	dz := o.z - int(q>>cubeShift&cubeMax)
+	return dx*dx + dy*dy + dz*dz + int(intraSq[(o.intra-q)&intraMask])
 }
 
 // cachedLatency wraps a HierarchicalLatency for the network's per-send

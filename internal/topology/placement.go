@@ -185,7 +185,7 @@ func (j *Job) Distance(i, k int) float64 {
 // DistanceSq returns the square of Distance(i, k) as the integer it
 // is: coordinates are integers, so the sum of squared differences is
 // exact, and Distance(i, k) == math.Sqrt(float64(DistanceSq(i, k))).
-func (j *Job) DistanceSq(i, k int) int { return j.packed[i].distSq(j.packed[k]) }
+func (j *Job) DistanceSq(i, k int) int { return j.DistanceSqFrom(j.Origin(i), k) }
 
 // MaxDistanceSq returns an upper bound on DistanceSq over all rank
 // pairs: the squared diagonal of the ranks' bounding box.

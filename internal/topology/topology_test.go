@@ -337,6 +337,41 @@ func TestJobDistanceSymmetryAndIdentity(t *testing.T) {
 	}
 }
 
+// TestDistanceSqFromEveryIntraPair holds the packed distance (Origin,
+// DistanceSqFrom, and DistanceSq through them) to distSq on the Coords
+// for every pair of intra-cube positions — the biased subtraction and
+// the intraSq table cover each field difference from -2 to 2 — with
+// the cube coordinates at 0, 1 and the largest a machine may have, so
+// the unmasked x field and the 16-bit squares are reached too.
+func TestDistanceSqFromEveryIntraPair(t *testing.T) {
+	var coords []Coord
+	for _, x := range []int{0, 1, cubeMax - 1} {
+		for _, y := range []int{0, cubeMax - 1} {
+			for _, z := range []int{0, 1, cubeMax - 1} {
+				for a := 0; a < SizeA; a++ {
+					for b := 0; b < SizeB; b++ {
+						for c := 0; c < SizeC; c++ {
+							coords = append(coords, Coord{x, y, z, a, b, c})
+						}
+					}
+				}
+			}
+		}
+	}
+	j := &Job{packed: make([]packedCoord, len(coords))}
+	for k, c := range coords {
+		j.packed[k] = pack(c)
+	}
+	for i, p := range coords {
+		o := j.Origin(i)
+		for k, q := range coords {
+			if got, want := j.DistanceSqFrom(o, k), distSq(p, q); got != want || j.DistanceSq(i, k) != want {
+				t.Fatalf("%v to %v: DistanceSqFrom %d, DistanceSq %d, want %d", p, q, got, j.DistanceSq(i, k), want)
+			}
+		}
+	}
+}
+
 // TestJobDistanceSq: the integer squared distance the skewed selector
 // indexes its weights by is Distance squared exactly — Sqrt of it is
 // bit-for-bit the float Euclid computes — and stays inside

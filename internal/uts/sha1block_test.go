@@ -5,6 +5,8 @@ import (
 	"crypto/sha1"
 	"encoding/binary"
 	"testing"
+
+	"distws/internal/rng"
 )
 
 // haveKernel records whether package init selected the SHA-NI kernel,
@@ -165,5 +167,61 @@ func TestChildGenAllocFree(t *testing.T) {
 			})
 		}
 		_ = sink
+	}
+}
+
+// TestChildIntoStaleSlot: ChildInto writes every field of its
+// destination, so a child generated into a reused stack slot, whatever
+// bytes the slot held, equals Child(i) and the child an independent
+// hash of the parent's state gives — for SHA-1 and the fast hash, at
+// granularity 1 and above, on both hashBlock bodies. The parent carries
+// a job tag the children must inherit.
+func TestChildIntoStaleSlot(t *testing.T) {
+	var params []Params
+	for _, h := range []Hash{HashSHA1, HashFast} {
+		for _, gran := range []int{1, 3} {
+			p := MustPreset("T3").Params
+			p.Hash, p.Granularity = h, gran
+			params = append(params, p)
+		}
+	}
+	for _, p := range params {
+		parent := p.Root()
+		parent.Height, parent.Job = 4, 0x5eed
+		want := func(i int) Node {
+			n := Node{Height: 5, Job: 0x5eed}
+			switch p.Hash {
+			case HashSHA1:
+				n.State = sha1.Sum(binary.BigEndian.AppendUint32(parent.State[:], uint32(i)))
+				for r := 1; r < p.Granularity; r++ {
+					n.State = sha1.Sum(n.State[:])
+				}
+			case HashFast:
+				v := rng.Mix64(binary.BigEndian.Uint64(parent.State[:8]) ^ rng.Mix64(uint64(i)+0x9e3779b97f4a7c15))
+				for r := 1; r < p.Granularity; r++ {
+					v = rng.Mix64(v)
+				}
+				writeFastState(&n.State, v)
+			}
+			return n
+		}
+		for _, shani := range hashPaths() {
+			withSHANI(shani, func() {
+				var g ChildGen
+				g.Reset(&p, &parent)
+				slots := make([]Node, 8)
+				for i := range slots {
+					slots[i] = Node{Height: -1, Job: 0xdeadbeef}
+					for b := range slots[i].State {
+						slots[i].State[b] = 0xa5
+					}
+					g.ChildInto(&slots[i], i)
+					if slots[i] != g.Child(i) || slots[i] != want(i) {
+						t.Errorf("%v gran=%d %s: child %d written into a stale slot is %v, Child gives %v, the reference %v",
+							p.Hash, p.Granularity, pathName(shani), i, slots[i], g.Child(i), want(i))
+					}
+				}
+			})
+		}
 	}
 }

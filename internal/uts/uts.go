@@ -388,16 +388,19 @@ func (g *ChildGen) N() int { return g.n }
 // Granularity hash evaluations, matching the benchmark's
 // compute-granularity knob.
 func (g *ChildGen) Child(i int) (child Node) {
-	g.childInto(&child, i)
+	g.ChildInto(&child, i)
 	return child
 }
 
-// childInto writes the i-th child of the staged parent to *dst, every
-// field of it. Generating a node where it will live matters once the
-// hash is cheap: a 28-byte Node assembled from the kernel's 16- and
-// 4-byte stores and then copied by value stalls each copy on store
-// forwarding, some 9 ns of a 50 ns SHA-NI child.
-func (g *ChildGen) childInto(dst *Node, i int) {
+// ChildInto writes the i-th child of the staged parent to *dst, every
+// field of it, so dst may be a slot holding stale bytes. Generating a
+// node where it will live matters once the hash is cheap: a 28-byte
+// Node assembled from the kernel's 16- and 4-byte stores and then
+// copied by value stalls each copy on store forwarding, some 9 ns of a
+// 50 ns SHA-NI child. The engine's expansion writes each child into the
+// stack slot workstack.Stack.PushSlot returns, and AppendChildren into
+// the slice it grows; dst must not alias the ChildGen.
+func (g *ChildGen) ChildInto(dst *Node, i int) {
 	dst.Height, dst.Job = g.height, g.job
 	switch g.hash {
 	case HashSHA1:
@@ -439,7 +442,7 @@ func (p Params) AppendChildren(dst []Node, parent *Node) []Node {
 	n := g.Reset(&p, parent)
 	for i := 0; i < n; i++ {
 		dst = append(dst, Node{})
-		g.childInto(&dst[len(dst)-1], i)
+		g.ChildInto(&dst[len(dst)-1], i)
 	}
 	return dst
 }

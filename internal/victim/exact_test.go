@@ -15,7 +15,9 @@ import (
 
 // refSkewed is the distance-skewed selector as it was first written,
 // kept as the reference the table-driven one must match draw for draw:
-// every weight comes from Job.Distance and math.Pow, an alias table is
+// every weight comes from the Euclidean distance of the two ranks'
+// unpacked coordinates (topology.Euclid, which no packed word or
+// topology.Origin reaches) and math.Pow, an alias table is
 // float probabilities sampled with Float64, and rejection sampling
 // compares Float64 with the weight.
 type refSkewed struct {
@@ -38,7 +40,7 @@ func newRefSkewed(job *topology.Job, seed uint64, k float64) *refSkewed {
 }
 
 func (s *refSkewed) weight(thief, j int) float64 {
-	e := s.job.Distance(thief, j)
+	e := topology.Euclid(s.job.Coord(thief), s.job.Coord(j))
 	if e == 0 {
 		return 1
 	}
@@ -111,7 +113,8 @@ func (s *refSkewed) next(thief int) int {
 // TestDistanceSkewedMatchesReference compares the selector with the
 // reference on the first draws of several thieves, across the three
 // placements, both sampling regimes (64 and 1024 ranks build alias
-// tables, 4096 rejects) and four exponents. Equal victims and equal
+// tables, 4096 and 8192 — the repository benchmark's steal-8k rung —
+// reject) and four exponents. Equal victims and equal
 // generator states at the end — in alias mode once the reference has
 // drawn the bucket the selector holds pre-drawn — mean the integer
 // distances, the weight and threshold tables, the packed alias cells
@@ -122,7 +125,7 @@ func TestDistanceSkewedMatchesReference(t *testing.T) {
 		draws = 5000
 	}
 	for _, p := range []topology.Placement{topology.OnePerNode, topology.EightRoundRobin, topology.EightGrouped} {
-		for _, ranks := range []int{64, 1024, 4096} {
+		for _, ranks := range []int{64, 1024, 4096, 8192} {
 			job := testJob(t, ranks, p)
 			for _, k := range []float64{0, 0.5, 1, 2} {
 				seed := uint64(ranks) + uint64(k*8)

@@ -10,7 +10,9 @@ import (
 
 // Operation codes of the model programs, in a byte's low nibble; the
 // high nibble is the operand. Pushes outweigh pops so that a random
-// program builds stacks several chunks and segments deep.
+// program builds stacks several chunks and segments deep. A push or a
+// pop with an odd operand goes through the in-place API (PushSlot,
+// PopSlot), an even one through Push and Pop.
 const (
 	opPush      = 0 // 0..5
 	opPop       = 6 // 6..9
@@ -81,7 +83,10 @@ func checkInvariants(t testing.TB, p *Pool, known map[*segment]bool, stacks ...*
 // drains all four. Pushes, pops, acquires of fresh nodes and drops act
 // on the current stack; a steal takes chunks from it, the other stack
 // acquires them and becomes the current one, so the two steal from each
-// other.
+// other. A slot push writes its node through the returned pointer over
+// whatever the slot held; a slot pop's node is compared with the
+// reference's, and read again at every later step until the next push
+// or acquire on either stack, which is how long PopSlot promises it.
 func runModel(t testing.TB, chunkSize int, prog []byte) {
 	t.Helper()
 	pool, known := new(Pool), map[*segment]bool{}
@@ -101,16 +106,36 @@ func runModel(t testing.TB, chunkSize int, prog []byte) {
 		}
 		return nodes
 	}
+	var popped *uts.Node // the last slot pop's node, while PopSlot vouches for it
+	var poppedWant uts.Node
 	for step, b := range prog {
 		code, operand := int(b&15), int(b>>4)
 		st, rf := s[cur], ref[cur]
+		if popped != nil && *popped != poppedWant {
+			t.Fatalf("chunk %d, step %d: a popped slot changed before the next push: %v, popped as %v", chunkSize, step, *popped, poppedWant)
+		}
+		if code < opPop || code == opAcquire || code >= opSteal && code <= opStealInto {
+			popped = nil // a push, or the acquire of loot that ends a steal
+		}
 		var got, want any
 		var loot []uts.Node
 		switch {
 		case code < opPop:
 			n := fresh(1)[0]
-			st.Push(n)
+			if operand%2 == 1 {
+				*st.PushSlot() = n
+			} else {
+				st.Push(n)
+			}
 			rf.Push(n)
+		case code < opSteal && operand%2 == 1:
+			p := st.PopSlot()
+			wn, wok := rf.Pop()
+			got, want = p != nil, wok
+			if p != nil {
+				got, want = []any{*p, true}, []any{wn, wok}
+				popped, poppedWant = p, wn
+			}
 		case code < opSteal:
 			gn, gok := st.Pop()
 			wn, wok := rf.Pop()
@@ -201,8 +226,8 @@ func directedProgram(chunkSize int) []byte {
 	p = append(p, op(opStealOne, 0), op(opStealOne, 0))
 	repeat(op(opPop, 0), chunkSize+2) // empty, and one pop more
 	repeat(op(opPush, 0), 3*segNodes)
-	for i := 0; i < 4; i++ { // back and forth across a segment boundary
-		p = append(p, op(opPop, 0), op(opPush, 0), op(opPush, 0), op(opPop, 0))
+	for i := 0; i < 8; i++ { // back and forth across a segment boundary, by value and in place
+		p = append(p, op(opPop, i/4), op(opPush, i/4), op(opPush, i/4), op(opPop, i/4))
 	}
 	for i := 0; i < 6; i++ { // the bottom moves up a chunk at a time
 		p = append(p, op(opStealInto, 1), op(opAcquire, 5), op(opStealHalf, 0))

@@ -152,30 +152,49 @@ func (s *Stack) shrink() {
 }
 
 // Push adds a node to the top of the stack.
-func (s *Stack) Push(n uts.Node) {
+func (s *Stack) Push(n uts.Node) { *s.PushSlot() = n }
+
+// PushSlot adds a node to the top of the stack and returns it for the
+// caller to write in place: a node generated where it will live is
+// never copied (uts.ChildGen.ChildInto). The slot holds whatever the
+// segment last held there, so the caller writes every field of it
+// before the stack is used again.
+func (s *Stack) PushSlot() *uts.Node {
 	l := len(s.top)
 	if l == cap(s.top) {
 		s.grow()
 		l = 0
 	}
 	s.top = s.top[:l+1]
-	s.top[l] = n
 	s.n++
+	return &s.top[l]
 }
 
 // Pop removes and returns the most recently pushed node.
 func (s *Stack) Pop() (n uts.Node, ok bool) {
+	if p := s.PopSlot(); p != nil {
+		return *p, true
+	}
+	return n, false
+}
+
+// PopSlot removes the most recently pushed node and returns it where it
+// lies, or nil when the stack is empty; the caller reads it in place.
+// The slot is no longer the stack's: it stays as it is until the next
+// push (Push, PushSlot or Acquire) to any stack over the same pool,
+// which may reuse the slot's segment.
+func (s *Stack) PopSlot() *uts.Node {
 	if s.n == 0 {
-		return n, false
+		return nil
 	}
 	l := len(s.top) - 1
-	n = s.top[l]
+	n := &s.top[l]
 	s.top = s.top[:l]
 	s.n--
 	if l == 0 || s.n == 0 {
 		s.shrink()
 	}
-	return n, true
+	return n
 }
 
 // StealableChunks returns how many chunks a thief could take right now:
