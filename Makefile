@@ -49,16 +49,18 @@ distwsvet:
 	$(GO) run ./cmd/distwsvet -budget $(DISTWSVET_BUDGET) -format json ./... > $(ARTIFACTS)/distwsvet.json || { cat $(ARTIFACTS)/distwsvet.json; exit 1; }
 	@echo "distwsvet: clean; report in $(ARTIFACTS)/distwsvet.json"
 
-# inline-check holds the victim draws to Go's inline budget (80): the
-# generator step, the squared distance from a thief's Origin and the
-# alias cell's acceptance test, each of which a draw runs once per
-# rejection round (8 192 ranks) or once per draw (up to 2 048), must
-# inline into the draw loop, or every round pays a call again. It
-# prints each function's cost, and the compiler's reason when one is
-# over.
-INLINE_FUNCS = '(*Xoshiro256).Uint64' '(*Job).DistanceSqFrom' '(*Discrete).At'
+# inline-check holds the hot paths' small functions to Go's inline
+# budget (80). The victim draws' generator step, squared distance from
+# a thief's Origin and alias cell's acceptance test, each of which a
+# draw runs once per rejection round (8 192 ranks) or once per draw (up
+# to 2 048), must inline into the draw loop, or every round pays a call
+# again. The recorder's Record and Mark must inline into the engine's
+# call sites, so that an untraced run, whose recorder is nil, pays a
+# compare there and no call. It prints each function's cost, and the
+# compiler's reason when one is over.
+INLINE_FUNCS = '(*Xoshiro256).Uint64' '(*Job).DistanceSqFrom' '(*Discrete).At' '(*Recorder).Record' '(*Recorder).Mark'
 inline-check:
-	@out=$$($(GO) build -gcflags=-m=2 ./internal/rng ./internal/topology ./internal/sample 2>&1) || { echo "$$out"; exit 1; }; \
+	@out=$$($(GO) build -gcflags=-m=2 ./internal/rng ./internal/topology ./internal/sample ./internal/obs 2>&1) || { echo "$$out"; exit 1; }; \
 	fail=0; for f in $(INLINE_FUNCS); do \
 		if echo "$$out" | grep -qF ": can inline $$f with cost "; then \
 			echo "$$out" | grep -F ": can inline $$f with cost " | sed 's/^.*: can inline \([^ ]*\) with cost \([0-9]*\) .*/inline-check: \1 inlines, cost \2/'; \
@@ -114,9 +116,9 @@ lint:
 # Hot-path benchmarks of the simulation substrate (event kernel,
 # messaging, latency lookup, UTS hashing, the work stack, victim draws,
 # the engine's failed-steal round trip) and of the observability
-# pipeline's four bulk stages (event recording, JSONL export, steal
-# pairing, the causal graph), exported as a JSON artifact for archiving and cross-commit
-# comparison.
+# pipeline's four bulk stages (event recording, JSONL export, the steal
+# scan, the causal graph), exported as a JSON artifact for archiving and
+# cross-commit comparison.
 # BENCHTIME=1x gives the CI smoke variant below; default is a real
 # measurement.
 BENCHTIME ?= 1s

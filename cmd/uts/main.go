@@ -16,7 +16,8 @@
 // same run as Chrome trace-event JSON for ui.perfetto.dev, -manifest the
 // run manifest (ledger JSON). A run that collects a trace (-trace,
 // -chrome or -events) ends with its analysis — occupancy and SL/EL,
-// sessions, steal latency, traffic heatmap, termination tail, and on
+// work-discovery sessions (the idle spans between the trace's
+// transitions), steal latency, traffic heatmap, termination tail, and on
 // request blame, critical path, lineage and lifestory — which is what
 // -in prints for a saved trace (repeatable; -chrome converts a single
 // one). -diff attributes the makespan delta between two run manifests

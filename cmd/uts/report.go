@@ -92,15 +92,22 @@ func chromeOptions(a *causal.Analysis) obs.ChromeOptions {
 // is a pure function of the trace and options — a golden test pins it
 // byte for byte.
 func render(w io.Writer, a *causal.Analysis, o renderOpts) error {
-	tr, curve := a.Trace(), a.Occupancy()
+	tr, curve, st := a.Trace(), a.Occupancy(), a.Sessions()
 	fmt.Fprintf(w, "trace: %d ranks, makespan %v, %d sessions\n",
-		tr.Ranks(), sim.Duration(tr.End), tr.TotalSessions())
+		tr.Ranks(), sim.Duration(tr.End), st.Count)
 	fmt.Fprintf(w, "occupancy: max %.1f%% (Wmax %d), mean %.1f%%\n",
 		curve.MaxOccupancy()*100, curve.Wmax(), curve.MeanOccupancy()*100)
 
-	if st := a.Sessions(); st.Count > 0 {
-		fmt.Fprintf(w, "work-discovery sessions: %d, mean %.3gs, p50 %.3gs, p99 %.3gs, %d failed attempts\n",
-			st.Count, st.Mean, st.P50, st.P99, st.Failed)
+	if st.Count > 0 {
+		fmt.Fprintf(w, "work-discovery sessions: %d, mean %.3gs, p50 %.3gs, p99 %.3gs",
+			st.Count, st.Mean, st.P50, st.P99)
+		if a.HasEvents() {
+			// The failed attempts are the refused and aborted steals of
+			// the steal summary below.
+			sl := a.Steals()
+			fmt.Fprintf(w, ", %d failed attempts", sl.Refused+sl.Aborted)
+		}
+		fmt.Fprintln(w)
 	}
 
 	fmt.Fprintf(w, "\noccupancy   SL (%% runtime)   EL (%% runtime)\n")

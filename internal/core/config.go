@@ -236,8 +236,9 @@ type Config struct {
 	Seed uint64
 
 	// CollectTrace records the activity trace (paper §III, obs.Recorder):
-	// phase transitions and work-discovery sessions. Costs memory
-	// proportional to the number of phase transitions.
+	// the phase transitions, whose idle spans are the work-discovery
+	// sessions (obs.EachSession). Costs memory proportional to the
+	// number of phase transitions.
 	CollectTrace bool
 
 	// CollectEvents records at the events level: the same activity trace

@@ -209,29 +209,32 @@ func TestRanksSettledAtResult(t *testing.T) {
 // TestVariantDigests is the refactor oracle for the engine paths no
 // golden file covers. The digests were recorded at commit 27b6be4,
 // before the engine's constructors and delivery paths were merged, and
-// re-pinned three times: when the Result gained its Graph field
+// re-pinned four times: when the Result gained its Graph field
 // (deleting " Graph:<nil>" from each Result line reproduces the earlier
 // digests), when sessions stopped outlasting the makespan (nine rows
 // moved; with MeanSessionDuration and the session records left out,
-// every row hashes as before), and when a work reply that answers no
+// every row hashes as before), when a work reply that answers no
 // outstanding request was logged as work-late (the four rows with
 // such replies moved; writing work-recv for work-late in their JSONL
-// gives the earlier digests). No change that claims to keep behaviour
-// may move one.
+// gives the earlier digests), and when the JSONL trace lost its
+// session records, which the sessions derived from the transitions
+// replace (every row moved; putting the session lines back into each
+// JSONL gives the earlier digests). No change that claims to keep
+// behaviour may move one.
 func TestVariantDigests(t *testing.T) {
 	cases := variantCases()
 	want := map[string]string{
-		"aborting":              "6f37ddfe1b3107b4f6ef06f29512b1830532a14c636c568026682b8fbfa49ade",
-		"crash+dup":             "39f11cc90d9f810e85a0b1f813a567e5f58a62400f7ccaea1b751b56cc65ed58",
-		"one-sided+aborting":    "28fc48ef628e9034a36d16255ff8b6cd3e796392eb991494e252d5b964c4d62b",
-		"one-sided+serving":     "ad8bef28ecec0f137601f296d9543ddf68d4ad7deaa22f8e64aa109d66e0313f",
-		"one-sided+crash+dup":   "93985a9c47b03aef7f28c6516d230468585b4831bdd27312ad9a9173b27faf31",
-		"one-sided/coarse-poll": "bc4cf4701c133403f5e87a2f3fe4bf45455071f0550bd29b019ccb5e670ddca5",
-		"one-sided/steal-half":  "ca58fb34d86467ed58950b2a9337ab6c29658d70737ca5c09d7d2ffc0ea08cac",
-		"one-sided/steal-one":   "df1ed45edfff29e14269c60280f4d0159b4a143f1fb9afb956b208b7ef1ebf6e",
-		"serving":               "9d63e2578546475552468b2cb876e1e128b99a29b6418567b17dbd9efa3bf88c",
-		"shards=2":              "984df24929e8fafcdf0cee58925722213038d9d069bf70b275d540bd00743d9e",
-		"two-sided":             "806600c08504cde951d772d0995a9b2b8b651c8cb00805c06b57fe374915f50d",
+		"aborting":              "163b5a59913a079d5b9c311b3cab50a3d28e3c64a522bfdb947664f1bc010108",
+		"crash+dup":             "f0e3c81c61339e1a5d680f3baa29c7c9e7f4e9ae2d63817b9cad31c9266c54af",
+		"one-sided+aborting":    "a1b7d8c134052c8f73ffe38385fdc862abfa3c5328cd99ff9c064b4eb7aa1f4b",
+		"one-sided+serving":     "fd2ed48954746572046714c8d8948534b41c56deb3be5e308e0c0935b67b79b4",
+		"one-sided+crash+dup":   "b0d849bdd3580e5fcb02cba26f73ae79c7af021452686de2ce2d1f80169db492",
+		"one-sided/coarse-poll": "5d04fdbd06d49039b05d2cd5854b80ae9e239d8fb9e0ff1664d5f9d5777a3477",
+		"one-sided/steal-half":  "d6d29268f46c56baa3d36e6833d2b46d646675ff49f9db0cf96ea28e86ae1d0c",
+		"one-sided/steal-one":   "cf8331506669832c366f82e61155c9c575dd0b1bd57ba7853af47bcfe9f9f1c5",
+		"serving":               "ba97b46d51aae600017fa3cff511f7f37af7a2992ed7d6b5a115283a96d0c89f",
+		"shards=2":              "124e290fc6b10f12f36538f9f13f83bf26aad92cc8d2a886c36c240fce4b618c",
+		"two-sided":             "4b2cf21c0b8835a8fdd9289cfca0d34b6d9f5b307df67ea1d8d58bf97a5703d8",
 	}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {

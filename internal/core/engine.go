@@ -768,7 +768,9 @@ func (e *engine) crashRank(r int) {
 	w.quantum = sim.Event{}
 	e.states[r] = rsCrashed
 	e.rec.Record(r, now, trace.EvCrash, -1, int64(stackLost))
-	if !wasWorking {
+	if wasWorking {
+		e.rec.Mark(r, now, trace.Idle) // a crash opens no session
+	} else {
 		e.endSession(r, now)
 	}
 	// Messages delivered but not yet polled die unread.
@@ -1057,8 +1059,8 @@ func (e *engine) resume(r int) {
 
 // endSession closes idle rank r's work-discovery session at instant at.
 // A close after detection — the terminate broadcast's arrival, a crash
-// — counts up to the makespan, as obs.Recorder.Finish clips the
-// trace's sessions.
+// — counts up to the makespan, as obs.EachSession clips the sessions
+// it derives from the trace.
 func (e *engine) endSession(r int, at sim.Time) {
 	rk := &e.ranks[r]
 	if e.detected {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -266,7 +267,7 @@ func TestDeterminism(t *testing.T) {
 		a.MeanSearchTime != b.MeanSearchTime {
 		t.Fatalf("same-seed runs differ:\n%+v\n%+v", a, b)
 	}
-	if a.Trace.TotalSessions() != b.Trace.TotalSessions() {
+	if !reflect.DeepEqual(a.Trace, b.Trace) {
 		t.Fatal("traces differ")
 	}
 }
@@ -329,7 +330,7 @@ func TestTraceIsValidAndConsistent(t *testing.T) {
 		t.Fatalf("mean occupancy %v below efficiency %v", mo, res.Efficiency)
 	}
 	// Sessions recorded.
-	if res.Sessions == 0 || res.Trace.TotalSessions() == 0 {
+	if res.Sessions == 0 || obs.Sessions(res.Trace).Count == 0 {
 		t.Fatal("no work-discovery sessions recorded")
 	}
 	if res.MeanSessionDuration <= 0 {

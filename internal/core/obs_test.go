@@ -18,10 +18,9 @@ import (
 // and one at the events level (CollectEvents) must produce bit-identical results to a bare run of the
 // same configuration, on every delivery path and for a task graph.
 // This is the contract that makes traces trustworthy — what you
-// observe is what would have happened anyway. The two levels must fold
-// the same transitions and sessions out of the one recording surface,
-// and the engine's own mean session length must equal the one those
-// sessions give. Each level then runs again, recording into the
+// observe is what would have happened anyway. The two levels must
+// record the same transitions through the one recording surface. Each
+// level then runs again, recording into the
 // recorder of the run store the previous run gave back, and must hand
 // over the same trace; and every trace handed over must be unchanged
 // once the later cases have recorded into its recorder.
@@ -54,12 +53,8 @@ func TestObserverEffect(t *testing.T) {
 				t.Fatalf("event log at the activity level %v, at the events level %v",
 					activity.Trace.Events != nil, events.Trace.Events != nil)
 			}
-			if !reflect.DeepEqual(activity.Trace.Transitions, events.Trace.Transitions) ||
-				!reflect.DeepEqual(activity.Trace.Sessions, events.Trace.Sessions) {
+			if !reflect.DeepEqual(activity.Trace.Transitions, events.Trace.Transitions) {
 				t.Error("the activity and events levels recorded different activity traces")
-			}
-			if mean := meanSession(events.Trace); events.MeanSessionDuration != mean || mean == 0 {
-				t.Errorf("mean session %v, the trace's sessions give %v", events.MeanSessionDuration, mean)
 			}
 			for _, tr := range []*trace.Trace{activity.Trace, events.Trace} {
 				handed = append(handed, handedOver{name, jsonl(t, tr), tr})
@@ -96,21 +91,67 @@ func jsonl(t *testing.T, tr *trace.Trace) string {
 	return b.String()
 }
 
-// meanSession is Figure 10's metric read off a trace: the mean length
-// of its work-discovery sessions, zero when there are none.
-func meanSession(tr *trace.Trace) sim.Duration {
-	var sum sim.Duration
-	n := 0
-	for _, ss := range tr.Sessions {
-		for _, s := range ss {
-			sum += s.Duration()
-			n++
+// TestSessionsFromTransitions: the work-discovery sessions obs derives
+// from an events-level trace are the ones the engine counts — as many
+// as Result.Sessions, and their total over that count (integer
+// division, as the engine takes it) is MeanSessionDuration — on every
+// configuration of TestVariantDigests, on a task graph with and
+// without crashes, and on a serving run whose crashed ranks go on
+// logging the arrivals of jobs rooted at them.
+func TestSessionsFromTransitions(t *testing.T) {
+	cases := variantCases()
+	cases["graph"] = graphConfig(testGraph(t, 6), 16, 9)
+	cases["graph+crashes"] = graphFaultConfig(testGraph(t, 6))
+	cases["serving+crashes"] = serveFaultConfig()
+	for name, cfg := range cases {
+		t.Run(name, func(t *testing.T) {
+			cfg.CollectEvents = true
+			res, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var n uint64
+			var total sim.Duration
+			for rank := range res.Trace.Transitions {
+				obs.EachSession(res.Trace, rank, func(start, end sim.Time, _ bool) {
+					n++
+					total += end.Sub(start)
+				})
+			}
+			if n != res.Sessions || n == 0 {
+				t.Fatalf("%d sessions derived from the trace, the engine counts %d", n, res.Sessions)
+			}
+			if mean := total / sim.Duration(n); mean != res.MeanSessionDuration {
+				t.Errorf("mean session %v derived from the trace, the engine's %v", mean, res.MeanSessionDuration)
+			}
+		})
+	}
+}
+
+// TestWorkingCrashStartsNoSession: rank 0 crashes while working in
+// graphFaultConfig; the engine marks it idle at the crash instant, and
+// no session of it starts at or after the crash.
+func TestWorkingCrashStartsNoSession(t *testing.T) {
+	cfg := graphFaultConfig(testGraph(t, 6))
+	cfg.CollectEvents = true
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash := cfg.Faults.Crashes[0]
+	tr := res.Trace
+	es, trs := tr.Events[crash.Rank], tr.Transitions[crash.Rank]
+	if last := es[len(es)-1]; last.Kind != trace.EvCrash || last.Time != crash.At {
+		t.Fatalf("rank %d's last event %+v, want its crash at %v", crash.Rank, last, crash.At)
+	}
+	if last := trs[len(trs)-1]; last != (trace.Transition{Time: crash.At, State: trace.Idle}) || trs[len(trs)-2].State != trace.Active {
+		t.Fatalf("rank %d's transitions end %v, want active, then idle at the crash at %v", crash.Rank, trs[len(trs)-2:], crash.At)
+	}
+	obs.EachSession(tr, crash.Rank, func(start, end sim.Time, _ bool) {
+		if start >= crash.At || end > crash.At {
+			t.Errorf("rank %d has a session [%v, %v] past its crash at %v", crash.Rank, start, end, crash.At)
 		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / sim.Duration(n)
+	})
 }
 
 // TestEventLogConsistent cross-checks the event log against the

@@ -122,8 +122,8 @@ func (p *page) bytes() []byte {
 // metricsFromLog renders the eight families from the unevicted event
 // log of a run's twin (recordAll): the five counters are event tallies,
 // the steal latencies the spans of the steal scan (obs.ScanSteals), the
-// session lengths the trace's sessions that found work, and the chunk
-// sizes the work-send payloads.
+// session lengths the sessions that found work (obs.EachSession), and
+// the chunk sizes the work-send payloads.
 func metricsFromLog(tr *trace.Trace) *page {
 	p := newPage()
 	for _, name := range tallied {
@@ -148,12 +148,12 @@ func metricsFromLog(tr *trace.Trace) *page {
 		}
 	}
 	sessions := p.hist(MetricSession)
-	for _, ss := range tr.Sessions {
-		for _, s := range ss {
-			if s.Success {
-				sessions.observe(int64(s.Duration()))
+	for rank := range tr.Transitions {
+		obs.EachSession(tr, rank, func(start, end sim.Time, success bool) {
+			if success {
+				sessions.observe(int64(end.Sub(start)))
 			}
-		}
+		})
 	}
 	return p
 }

@@ -218,7 +218,7 @@ func TestRunStoresBounded(t *testing.T) {
 	withKernel := slab(atCap) // the slab alone is at the cap, the kernel tips it over
 	withKernel.kernel = sim.NewKernel()
 	withRecorder := slab(1 << 10)
-	withRecorder.rec.Reset(1<<18, 0, false) // 2^18 ranks of activity scratch
+	withRecorder.rec.Reset(1<<20, 0, false) // 2^20 ranks of transition scratch
 	over := []*runStore{slab(1 << 19), withKernel, withRecorder}
 	for i, st := range over {
 		if storeBytes(st) <= runStoreBytes {

@@ -22,7 +22,6 @@ func analysisTrace() *trace.Trace {
 	return &trace.Trace{
 		End:         120,
 		Transitions: make([][]trace.Transition, 3),
-		Sessions:    make([][]trace.Session, 3),
 		Events: [][]trace.Event{
 			{
 				{Time: 10, Kind: trace.EvStealSend, Peer: 1},
@@ -103,7 +102,6 @@ func TestPairStealsEvictionAndOpenTail(t *testing.T) {
 	tr := &trace.Trace{
 		End:         100,
 		Transitions: make([][]trace.Transition, 1),
-		Sessions:    make([][]trace.Session, 1),
 		Events: [][]trace.Event{{
 			// First send's close event was evicted: the second send must
 			// drop the orphan. The final send is still open at trace end
@@ -228,7 +226,6 @@ func TestPairStealsSingleRank(t *testing.T) {
 	tr := &trace.Trace{
 		End:         100,
 		Transitions: make([][]trace.Transition, 1),
-		Sessions:    make([][]trace.Session, 1),
 		Events: [][]trace.Event{{
 			{Time: 0, Kind: trace.EvQuantumStart, Peer: -1, Arg: 1},
 			{Time: 90, Kind: trace.EvQuantumEnd, Peer: -1, Arg: 90},
@@ -255,7 +252,6 @@ func TestPairStealsLateReplyAfterAbort(t *testing.T) {
 	tr := &trace.Trace{
 		End:         100,
 		Transitions: make([][]trace.Transition, 2),
-		Sessions:    make([][]trace.Session, 2),
 		Events: [][]trace.Event{{
 			{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 5},
 			{Time: 40, Kind: trace.EvStealAbort, Peer: 1, Arg: 5},
@@ -289,7 +285,6 @@ func TestLateReplyClosesNoNewerRequest(t *testing.T) {
 	tr := &trace.Trace{
 		End:         100,
 		Transitions: make([][]trace.Transition, 2),
-		Sessions:    make([][]trace.Session, 2),
 		Events: [][]trace.Event{{
 			{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 5},
 			{Time: 40, Kind: trace.EvStealAbort, Peer: 1, Arg: 5},
@@ -318,7 +313,6 @@ func TestTerminationTailTransferAtEnd(t *testing.T) {
 	tr := &trace.Trace{
 		End:         80,
 		Transitions: make([][]trace.Transition, 2),
-		Sessions:    make([][]trace.Session, 2),
 		Events: [][]trace.Event{{
 			{Time: 10, Kind: trace.EvStealSend, Peer: 1},
 			{Time: 80, Kind: trace.EvWorkRecv, Peer: 1, Arg: 4},

@@ -88,12 +88,6 @@ type TokenHop struct {
 	SendIdx, RecvIdx int
 }
 
-// Quantum is one compute quantum: a span during which a rank expanded
-// nodes without polling.
-type Quantum struct {
-	Start, End sim.Time
-}
-
 // idxRef maps a per-rank event index to an element of a Graph slice.
 type idxRef struct{ idx, ref int }
 
@@ -116,8 +110,9 @@ func refBefore(list []idxRef, idx int) (int, bool) {
 	return list[i-1].ref, true
 }
 
-// Graph is the reconstructed causal graph of one run: compute quanta
-// as vertices, transfers and token hops as edges between ranks.
+// Graph is the reconstructed causal graph of one run: transfers and
+// token hops as edges between ranks, whose compute quanta the critical
+// path reads from the event log.
 type Graph struct {
 	// Transfers are the matched successful steals, ordered by
 	// (Send, Victim, SendIdx) so lineage parents precede children.
@@ -125,8 +120,6 @@ type Graph struct {
 	// TokenHops are the matched termination-token deliveries, ordered
 	// by (Send, From, SendIdx).
 	TokenHops []TokenHop
-	// Quanta are the per-rank compute quanta, time-ordered.
-	Quanta [][]Quantum
 
 	tr *trace.Trace
 	// Per-rank lookup tables from event index to the matched element:
@@ -143,7 +136,6 @@ func Build(tr *trace.Trace) *Graph {
 	n := tr.Ranks()
 	g := &Graph{
 		tr:      tr,
-		Quanta:  make([][]Quantum, n),
 		recvAt:  make([][]idxRef, n),
 		tokenAt: make([][]idxRef, n),
 	}
@@ -152,7 +144,7 @@ func Build(tr *trace.Trace) *Graph {
 	}
 
 	// Count first, so each list below is one allocation at its size:
-	// the events of each kind bound the refs and quanta taken from them.
+	// the events of each kind bound the refs taken from them.
 	// Indexed by the kind byte, any kind fits.
 	var kinds [256]int
 	for _, es := range tr.Events {
@@ -165,11 +157,8 @@ func Build(tr *trace.Trace) *Graph {
 	tokSend, tokRecv := refs(kinds[trace.EvTokenSend]), refs(kinds[trace.EvTokenRecv])
 
 	// Index each rank's log once: the send/recv events filed under their
-	// (rank, peer) pair, and the quantum spans. The scan is rank by
-	// rank, so every rank's quanta are cut from one array.
-	quanta := make([]Quantum, 0, kinds[trace.EvQuantumEnd])
+	// (rank, peer) pair.
 	for r, es := range tr.Events {
-		lo, qstart := len(quanta), -1
 		for i, e := range es {
 			switch k := e.Kind; {
 			case k == trace.EvWorkSend:
@@ -180,17 +169,7 @@ func Build(tr *trace.Trace) *Graph {
 				tokSend = addPeerRef(tokSend, r, int(e.Peer), i)
 			case k == trace.EvTokenRecv:
 				tokRecv = addPeerRef(tokRecv, r, int(e.Peer), i)
-			case k == trace.EvQuantumStart:
-				qstart = i
-			case k == trace.EvQuantumEnd:
-				if qstart >= 0 {
-					quanta = append(quanta, Quantum{Start: es[qstart].Time, End: e.Time})
-				}
-				qstart = -1
 			}
-		}
-		if hi := len(quanta); hi > lo {
-			g.Quanta[r] = quanta[lo:hi:hi]
 		}
 	}
 

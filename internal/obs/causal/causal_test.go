@@ -30,7 +30,6 @@ func fixtureTrace() *trace.Trace {
 			{{Time: 150, State: trace.Active}, {Time: 250, State: trace.Idle}},
 			{{Time: 300, State: trace.Active}, {Time: 400, State: trace.Idle}},
 		},
-		Sessions: [][]trace.Session{nil, nil, nil},
 		Events: [][]trace.Event{
 			{
 				ev(0, trace.EvQuantumStart, -1, 3),
@@ -72,15 +71,6 @@ func fixtureTrace() *trace.Trace {
 	}
 }
 
-// quanta counts the graph's vertices, the compute quanta of every rank.
-func quanta(g *causal.Graph) int {
-	n := 0
-	for _, qs := range g.Quanta {
-		n += len(qs)
-	}
-	return n
-}
-
 func TestBuildFixtureGraph(t *testing.T) {
 	g := causal.Build(fixtureTrace())
 	if len(g.Transfers) != 3 {
@@ -110,9 +100,6 @@ func TestBuildFixtureGraph(t *testing.T) {
 		if h.From != ring[i][0] || h.To != ring[i][1] {
 			t.Errorf("hop %d = %d->%d, want %d->%d", i, h.From, h.To, ring[i][0], ring[i][1])
 		}
-	}
-	if got := quanta(g); got != 5 {
-		t.Errorf("quanta = %d, want 5", got)
 	}
 	wantDepths := []uint64{0, 1, 1, 1}
 	got := g.MigrationDepths()
@@ -256,7 +243,6 @@ func TestBlameUnansweredWorkIsSearch(t *testing.T) {
 		tr := &trace.Trace{
 			End:           50,
 			Transitions:   [][]trace.Transition{c.trs, {{Time: 0, State: trace.Active}}},
-			Sessions:      [][]trace.Session{nil, nil},
 			Events:        [][]trace.Event{c.es, nil},
 			EventsDropped: []uint64{0, 0},
 		}
@@ -482,7 +468,7 @@ func TestGraphWithoutEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := causal.Build(res.Trace)
-	if len(g.Transfers) != 0 || len(g.TokenHops) != 0 || quanta(g) != 0 {
+	if len(g.Transfers) != 0 || len(g.TokenHops) != 0 {
 		t.Fatal("graph from event-free trace must be empty")
 	}
 	// The critical path degenerates to one unattributed segment but the
@@ -532,7 +518,7 @@ func TestSingleRankRun(t *testing.T) {
 
 func TestEmptyAndDegenerateTraces(t *testing.T) {
 	empty := &trace.Trace{}
-	if g := causal.Build(empty); len(g.Transfers) != 0 || quanta(g) != 0 {
+	if g := causal.Build(empty); len(g.Transfers) != 0 || len(g.TokenHops) != 0 {
 		t.Fatal("empty trace produced a graph")
 	}
 	p := causal.CriticalPath(causal.Build(empty))

@@ -32,8 +32,9 @@ var kindDisposition = [trace.NumEventKinds]string{
 		"token edges of the critical path",
 	trace.EvTerminate: "inert: termination time comes from the transition log and the " +
 		"trace end, not from the terminate marker",
-	trace.EvQuantumStart: "consumed: opens a Quantum vertex",
-	trace.EvQuantumEnd:   "consumed: closes a Quantum vertex",
+	trace.EvQuantumStart: "consumed: opens a compute segment of the critical path",
+	trace.EvQuantumEnd: "consumed: closes a compute segment of the critical path, and " +
+		"tells Build whether a victim answered at a poll boundary",
 	trace.EvCrash: "inert: a crashed rank stops producing events, so its open quantum " +
 		"has no EvQuantumEnd and is dropped — lost compute never becomes causal work",
 	trace.EvStealRetry: "inert: every retry also records a fresh EvStealSend, which " +

@@ -28,7 +28,6 @@ func mapBuild(tr *trace.Trace) *Graph {
 	n := tr.Ranks()
 	g := &Graph{
 		tr:      tr,
-		Quanta:  make([][]Quantum, n),
 		recvAt:  make([][]idxRef, n),
 		tokenAt: make([][]idxRef, n),
 	}
@@ -37,15 +36,13 @@ func mapBuild(tr *trace.Trace) *Graph {
 	}
 
 	// Index each rank's log once: send/recv event positions grouped by
-	// peer, the steal-send position of every request id, and the
-	// quantum spans.
+	// peer and the steal-send position of every request id.
 	workSend := make([]map[int][]int, n)
 	workRecv := make([]map[int][]int, n)
 	tokSend := make([]map[int][]int, n)
 	tokRecv := make([]map[int][]int, n)
 	stealSendAt := make([]map[uint64]int, n)
 	for r, es := range tr.Events {
-		qstart := -1
 		for i, e := range es {
 			switch e.Kind {
 			case trace.EvWorkSend:
@@ -61,13 +58,6 @@ func mapBuild(tr *trace.Trace) *Graph {
 					stealSendAt[r] = make(map[uint64]int)
 				}
 				stealSendAt[r][uint64(e.Arg)] = i
-			case trace.EvQuantumStart:
-				qstart = i
-			case trace.EvQuantumEnd:
-				if qstart >= 0 {
-					g.Quanta[r] = append(g.Quanta[r], Quantum{Start: es[qstart].Time, End: e.Time})
-				}
-				qstart = -1
 			}
 		}
 	}

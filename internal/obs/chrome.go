@@ -106,17 +106,16 @@ func WriteChromeTraceOpts(w io.Writer, tr *trace.Trace, opts ChromeOptions) erro
 		}
 	}
 
-	// Work-discovery sessions as slices with their steal statistics.
-	for rank, ss := range tr.Sessions {
-		for _, s := range ss {
+	// Work-discovery sessions as slices, marked by whether they found
+	// work.
+	for rank := range tr.Transitions {
+		EachSession(tr, rank, func(start, end sim.Time, success bool) {
 			emit(chromeEvent{
 				Name: "steal-search", Cat: "session", Phase: "X",
-				TS: usec(s.Start), Dur: usec(s.End) - usec(s.Start), PID: 0, TID: rank,
-				Args: map[string]any{
-					"attempts": s.Attempts, "failed": s.Failed, "success": s.Success,
-				},
+				TS: usec(start), Dur: usec(end) - usec(start), PID: 0, TID: rank,
+				Args: map[string]any{"success": success},
 			})
-		}
+		})
 	}
 
 	// Protocol events as thread-scoped instants.

@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,11 +18,6 @@ func chromeFixture() *trace.Trace {
 		{{Time: 0, State: trace.Active}, {Time: 40, State: trace.Idle}, {Time: 70, State: trace.Active}},
 		{{Time: 0, State: trace.Active}},
 		{{Time: 0, State: trace.Active}, {Time: 50, State: trace.Idle}},
-	}
-	tr.Sessions = [][]trace.Session{
-		{{Start: 40, End: 70, Attempts: 2, Failed: 1, Success: true}},
-		nil,
-		{{Start: 50, End: 120, Attempts: 1, Failed: 1}},
 	}
 	return tr
 }
@@ -54,9 +51,12 @@ func TestWriteChromeTraceDefaults(t *testing.T) {
 	}
 	phases := map[string]int{}
 	var threads, actives, flowStarts, flowEnds, refusedStarts, refusedEnds int
+	var searches []string
 	for _, e := range doc.TraceEvents {
 		phases[e.Phase]++
 		switch {
+		case e.Name == "steal-search":
+			searches = append(searches, fmt.Sprintf("%d@%.2f+%.2f %v", e.TID, e.TS, e.Dur, e.Args))
 		case e.Name == "thread_name":
 			threads++
 		case e.Name == "active" && e.Phase == "X":
@@ -89,6 +89,11 @@ func TestWriteChromeTraceDefaults(t *testing.T) {
 	}
 	if phases["i"] == 0 {
 		t.Fatal("no instant events for the protocol log")
+	}
+	// The sessions are the idle spans: rank 0's found work, rank 2's
+	// runs to the end.
+	if want := []string{"0@0.04+0.03 map[success:true]", "2@0.05+0.07 map[success:false]"}; !slices.Equal(searches, want) {
+		t.Fatalf("steal-search slices %q, want %q", searches, want)
 	}
 	// One successful steal → exactly one flow arrow; likewise the one
 	// refused steal; the aborted steal never resolves and gets none.
@@ -204,7 +209,6 @@ func TestWriteChromeTraceEventless(t *testing.T) {
 	tr := &trace.Trace{
 		End:         100,
 		Transitions: [][]trace.Transition{{{Time: 0, State: trace.Active}}},
-		Sessions:    make([][]trace.Session, 1),
 	}
 	var buf bytes.Buffer
 	if err := WriteChromeTraceOpts(&buf, tr, ChromeOptions{}); err != nil {
@@ -277,7 +281,6 @@ func TestChromeFlowPerTransaction(t *testing.T) {
 	multi := &trace.Trace{
 		End:         100,
 		Transitions: [][]trace.Transition{active, active, active},
-		Sessions:    make([][]trace.Session, 3),
 		Events: [][]trace.Event{
 			{
 				{Time: 10, Kind: trace.EvStealSend, Peer: 1, Arg: 1},

@@ -92,6 +92,69 @@ func activeWithin(transitions []trace.Transition, lo, hi, end sim.Time) sim.Dura
 	return total
 }
 
+// EachSession calls fn with each work-discovery session of rank in
+// time order: the idle spans between its transitions, which is all the
+// paper's trace holds. A rank that did not start with work (its first
+// transition is not active at 0) has one from 0, and every idle
+// transition starts one. A session ends at the next active transition,
+// a success, or at the trace's end. At the events level a crash ends
+// the session it came in, clipped to the trace's end, and the idle
+// transition a crash makes on a working rank starts none. No mark of
+// the crashed rank shares the crash's instant before it, since the
+// kernel runs a crash before any other event of its instant, so an
+// idle transition at the crash's instant is the crash's own.
+//
+// Two sessions the engine counts cannot be read off the trace. A rank
+// handed work at instant 0 while idle reads as one that started with
+// work, so the zero-length session before it is not derived; and a
+// crash evicted from its rank's log, which only more served-job
+// records than the log holds can push out, leaves the rank reading as
+// one that did not crash.
+func EachSession(tr *trace.Trace, rank int, fn func(start, end sim.Time, success bool)) {
+	end, crash := tr.End, crashTime(tr, rank)
+	if crash >= 0 {
+		end = min(end, crash)
+	}
+	trs := tr.Transitions[rank]
+	from, idle := sim.Time(0), len(trs) == 0 || trs[0].Time > 0
+	for _, x := range trs {
+		switch {
+		case x.State == trace.Active:
+			if idle {
+				fn(from, x.Time, true)
+			}
+			idle = false
+		case crash >= 0 && x.Time >= crash:
+			return
+		default:
+			from, idle = x.Time, true
+		}
+	}
+	if idle {
+		fn(from, end, false)
+	}
+}
+
+// crashTime is the instant rank crashed, -1 if its log holds no crash.
+// A crashed rank logs nothing afterwards but the bookkeeping of the
+// served jobs rooted at it, so the crash is the last other event.
+func crashTime(tr *trace.Trace, rank int) sim.Time {
+	if tr.Events == nil {
+		return -1
+	}
+	es := tr.Events[rank]
+	for i := len(es) - 1; i >= 0; i-- {
+		switch es[i].Kind {
+		case trace.EvJobArrive, trace.EvJobAdmit, trace.EvJobReject, trace.EvJobDone, trace.EvJobLost:
+		case trace.EvCrash:
+			return es[i].Time
+		default:
+			return -1
+		}
+	}
+	return -1
+}
+
 // SessionStats summarizes the work-discovery sessions of a trace:
 // count, mean, and selected quantiles of session duration in seconds.
 type SessionStats struct {
@@ -99,21 +162,17 @@ type SessionStats struct {
 	Mean  float64
 	P50   float64
 	P99   float64
-	// Failed is the total failed steal attempts across sessions.
-	Failed int
 }
 
 // Sessions computes SessionStats over all ranks of a trace.
 func Sessions(tr *trace.Trace) SessionStats {
 	var durations []float64
-	st := SessionStats{}
-	for _, ss := range tr.Sessions {
-		for _, s := range ss {
-			durations = append(durations, s.Duration().Seconds())
-			st.Failed += s.Failed
-		}
+	for rank := range tr.Transitions {
+		EachSession(tr, rank, func(start, end sim.Time, _ bool) {
+			durations = append(durations, end.Sub(start).Seconds())
+		})
 	}
-	st.Count = len(durations)
+	st := SessionStats{Count: len(durations)}
 	if st.Count == 0 {
 		return st
 	}

@@ -4,15 +4,14 @@
 // It has two parts:
 //
 //   - the run's one Recorder. At the activity level it keeps each
-//     rank's active/idle transitions and the work-discovery sessions
-//     it folds out of the engine's phase marks and protocol events;
-//     at the events level it also logs every protocol event (steal
-//     request/reply sends and deliveries, chunk-transfer sizes,
-//     termination-token hops, quantum boundaries) into bounded
-//     per-rank logs of delta-varint records, about 6 bytes an event,
-//     which keep each rank's newest events and are decoded once, into
-//     trace.Event, when Finish hands the trace over. What a recording
-//     writes into — the log pages and the per-rank activity scratch —
+//     rank's active/idle transitions; at the events level it also logs
+//     every protocol event (steal request/reply sends and deliveries,
+//     chunk-transfer sizes, termination-token hops, quantum
+//     boundaries, crashes) into bounded per-rank logs of delta-varint
+//     records, about 6 bytes an event, which keep each rank's newest
+//     events and are decoded once, into trace.Event, when Finish hands
+//     the trace over. What a recording
+//     writes into — the log pages and the per-rank transition scratch —
 //     outlives the run: Finish copies the trace out of it and empties
 //     the recorder, Reset re-arms it for the next run, so a recording
 //     that follows a like one allocates only the trace it hands over.
@@ -23,6 +22,7 @@
 //
 //   - the Chrome trace-event JSON exporter (opens in Perfetto or
 //     chrome://tracing) and the trace analyses (occupancy and SL/EL,
+//     the work-discovery sessions derived from the transitions,
 //     steal-latency percentiles, rank×rank traffic matrix,
 //     termination-tail breakdown) that causal.Analysis memoizes and
 //     cmd/uts reports.
@@ -55,25 +55,15 @@ const DefaultRingCap = 1 << 13
 // safe for concurrent use. A rank's calls come at non-negative,
 // non-decreasing times.
 type Recorder struct {
-	// kinds has bit k set when Record acts on kind k: every kind at
-	// the events level, the fold's kinds at the activity level.
-	kinds uint64
-	cap   int
-	// logs and act hold the run's n ranks, logs none at the activity
+	// cap is the per-rank log capacity in events at the events level,
+	// 0 at the activity level, where Record records nothing.
+	cap int
+	// logs and trs hold the run's n ranks, logs none at the activity
 	// level. Past their length, up to their capacity, are the empty
-	// logs and scratch of larger earlier recordings, pages and capacity
-	// kept.
+	// logs and transition scratch of larger earlier recordings, pages
+	// and capacity kept.
 	logs []eventLog
-	act  []rankActivity
-}
-
-// rankActivity is one rank's activity state: its transitions and
-// closed sessions, whose capacity the recorder keeps for the next run,
-// and its open session, open when its End is negative.
-type rankActivity struct {
-	transitions []trace.Transition
-	sessions    []trace.Session
-	open        trace.Session
+	trs  [][]trace.Transition
 }
 
 // NewRecorder returns an events-level recorder for n ranks with the
@@ -92,15 +82,15 @@ func NewRecorder(n, capPerRank int) *Recorder {
 // one allocates only the trace Finish hands over.
 func (r *Recorder) Reset(n, capPerRank int, events bool) *Recorder {
 	r.empty()
-	r.act = resize(r.act, n)
+	r.trs = resize(r.trs, n)
 	if !events {
-		r.kinds, r.cap, r.logs = foldKinds, 0, r.logs[:0]
+		r.cap, r.logs = 0, r.logs[:0]
 		return r
 	}
 	if capPerRank <= 0 {
 		capPerRank = DefaultRingCap
 	}
-	r.kinds, r.cap, r.logs = ^uint64(0), capPerRank, resize(r.logs, n)
+	r.cap, r.logs = capPerRank, resize(r.logs, n)
 	return r
 }
 
@@ -113,40 +103,34 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// empty rewinds every log to spare pages with no eviction count, cuts
-// every scratch slice to length 0 with its capacity kept and drops
-// every open session, so r pins no trace.
+// empty rewinds every log to spare pages with no eviction count and
+// cuts every transition slice to length 0 with its capacity kept, so r
+// pins no trace.
 func (r *Recorder) empty() {
 	for i := range r.logs {
 		r.logs[i].rewind()
 		r.logs[i].dropped = 0
 	}
-	for i := range r.act {
-		a := &r.act[i]
-		a.transitions, a.sessions, a.open = a.transitions[:0], a.sessions[:0], trace.Session{}
+	for i := range r.trs {
+		r.trs[i] = r.trs[i][:0]
 	}
 }
 
 // Bytes is the storage r keeps for later recordings: its per-rank
-// headers, log pages and activity scratch.
+// headers, log pages and transition scratch.
 func (r *Recorder) Bytes() int {
-	b := cap(r.logs)*int(unsafe.Sizeof(eventLog{})) + cap(r.act)*int(unsafe.Sizeof(rankActivity{}))
+	b := cap(r.logs)*int(unsafe.Sizeof(eventLog{})) + cap(r.trs)*int(unsafe.Sizeof([]trace.Transition{}))
 	for _, l := range r.logs[:cap(r.logs)] {
 		b += l.pages * int(unsafe.Sizeof(page{}))
 	}
-	for _, a := range r.act[:cap(r.act)] {
-		b += cap(a.transitions)*int(unsafe.Sizeof(trace.Transition{})) + cap(a.sessions)*int(unsafe.Sizeof(trace.Session{}))
+	for _, trs := range r.trs[:cap(r.trs)] {
+		b += cap(trs) * int(unsafe.Sizeof(trace.Transition{}))
 	}
 	return b
 }
 
-// foldKinds are the event kinds the session fold reads.
-const foldKinds = 1<<trace.EvWorkRecv | 1<<trace.EvWorkLate | 1<<trace.EvNoWorkRecv | 1<<trace.EvStealAbort | 1<<trace.EvCrash
-
 // Mark notes that rank entered phase s at time t; ranks start idle,
-// and the phase a rank is in adds no transition. Idle opens a
-// work-discovery session unless one is open, Active closes it as a
-// success.
+// and the phase a rank is in adds no transition.
 func (r *Recorder) Mark(rank int, t sim.Time, s trace.State) {
 	if r != nil {
 		r.mark(rank, t, s)
@@ -154,75 +138,44 @@ func (r *Recorder) Mark(rank int, t sim.Time, s trace.State) {
 }
 
 func (r *Recorder) mark(rank int, t sim.Time, s trace.State) {
-	a := &r.act[rank]
-	if open := a.open.End < 0; s == trace.Active && open {
-		a.close(t, true)
-	} else if s == trace.Idle && !open {
-		a.open = trace.Session{Start: t, End: -1}
+	trs := r.trs[rank]
+	if len(trs) == 0 && s == trace.Idle || len(trs) > 0 && trs[len(trs)-1].State == s {
+		return
 	}
-	a.transition(t, s)
+	r.trs[rank] = append(trs, trace.Transition{Time: t, State: s})
 }
 
 // Record notes one protocol event of rank at time t; peer is a rank or
 // tenant index (or -1). At the events level the event joins rank's
-// log, which evicts its oldest at the cap. At both levels the fold
-// reads it: in rank's open session, a steal abort or refusal counts a
-// failed attempt and work received, late or not, a successful one (a
-// working rank banking a late reply has none open); a crash closes the open
-// session without success, or marks an active rank idle.
+// log, which evicts its oldest at the cap; at the activity level it is
+// not recorded.
 func (r *Recorder) Record(rank int, t sim.Time, kind trace.EventKind, peer int, arg int64) {
-	// Inlined at every site: off, or at the activity level with nothing
-	// to fold, a record costs a few compares and no call.
-	if r != nil && r.kinds>>kind&1 != 0 {
+	// Inlined at every site: off, or at the activity level, a record
+	// costs two compares and no call.
+	if r != nil && r.cap != 0 {
 		r.record(rank, t, kind, peer, arg)
 	}
 }
 
+// record is kept out of line: inlined into Record it would take Record
+// over the inline budget, and then every engine call site, untraced
+// runs included, would pay a call.
+//
+//go:noinline
 func (r *Recorder) record(rank int, t sim.Time, kind trace.EventKind, peer int, arg int64) {
-	if foldKinds>>kind&1 != 0 {
-		switch a := &r.act[rank]; {
-		case a.open.End >= 0 && kind == trace.EvCrash:
-			a.transition(t, trace.Idle)
-		case a.open.End >= 0:
-		case kind == trace.EvCrash:
-			a.close(t, false)
-		default:
-			a.open.Attempts++
-			if !kind.ReceivesWork() {
-				a.open.Failed++
-			}
-		}
-	}
-	if len(r.logs) != 0 {
-		r.logs[rank].add(trace.Event{Time: t, Arg: arg, Peer: int32(peer), Kind: kind}, r.cap)
-	}
+	r.logs[rank].add(trace.Event{Time: t, Arg: arg, Peer: int32(peer), Kind: kind}, r.cap)
 }
 
 // Finish ends the recording at end, the run's makespan, and returns
-// its trace, nil on a nil receiver: the open sessions close at end, no
-// session reaches past end (as one a crash after detection closed
-// would), and at the events level the logs are handed over
-// (snapshot). The trace shares no memory with the recorder, which is
-// left empty, its storage kept: as Reset left it for this run's ranks,
-// level and cap.
+// its trace, nil on a nil receiver: the transitions, and at the events
+// level the logs, are handed over (snapshot). The trace shares no
+// memory with the recorder, which is left empty, its storage kept: as
+// Reset left it for this run's ranks, level and cap.
 func (r *Recorder) Finish(end sim.Time) *trace.Trace {
 	if r == nil {
 		return nil
 	}
-	for i := range r.act {
-		a := &r.act[i]
-		if a.open.End < 0 {
-			a.close(end, false)
-		}
-		for j := range a.sessions {
-			a.sessions[j].End = min(a.sessions[j].End, end)
-		}
-	}
-	tr := &trace.Trace{
-		End:         end,
-		Transitions: handOver(r.act, func(a *rankActivity) []trace.Transition { return a.transitions }),
-		Sessions:    handOver(r.act, func(a *rankActivity) []trace.Session { return a.sessions }),
-	}
+	tr := &trace.Trace{End: end, Transitions: r.handOver()}
 	if len(r.logs) != 0 {
 		tr.Events, tr.EventsDropped = r.snapshot()
 	}
@@ -230,41 +183,25 @@ func (r *Recorder) Finish(end sim.Time) *trace.Trace {
 	return tr
 }
 
-// handOver copies each rank's part of act into one array of exactly
+// handOver copies each rank's transitions into one array of exactly
 // their total and cuts each rank's slice from it with its capacity
 // capped at its length, so an append to one rank's slice cannot
-// overwrite the next rank's. A rank with an empty part gets nil.
-func handOver[T any](act []rankActivity, part func(*rankActivity) []T) [][]T {
+// overwrite the next rank's. A rank with no transition gets nil.
+func (r *Recorder) handOver() [][]trace.Transition {
 	total := 0
-	for i := range act {
-		total += len(part(&act[i]))
+	for _, trs := range r.trs {
+		total += len(trs)
 	}
-	all := make([]T, total)
-	out := make([][]T, len(act))
+	all := make([]trace.Transition, total)
+	out := make([][]trace.Transition, len(r.trs))
 	lo := 0
-	for i := range act {
-		if hi := lo + copy(all[lo:], part(&act[i])); hi > lo {
+	for i, trs := range r.trs {
+		if hi := lo + copy(all[lo:], trs); hi > lo {
 			out[i] = all[lo:hi:hi]
 			lo = hi
 		}
 	}
 	return out
-}
-
-// close ends the open session at t and keeps it.
-func (a *rankActivity) close(t sim.Time, success bool) {
-	a.open.End, a.open.Success = t, success
-	a.sessions = append(a.sessions, a.open)
-}
-
-// transition appends the change to phase s at t, unless the rank is in
-// s.
-func (a *rankActivity) transition(t sim.Time, s trace.State) {
-	tr := a.transitions
-	if len(tr) == 0 && s == trace.Idle || len(tr) > 0 && tr[len(tr)-1].State == s {
-		return
-	}
-	a.transitions = append(tr, trace.Transition{Time: t, State: s})
 }
 
 // snapshot hands the recorded events over, per rank in recording

@@ -397,7 +397,7 @@ type step struct {
 // quantum, send a steal request that is refused, and close the
 // quantum, rounds times over — six events per rank and round. With
 // marks, each rank also marks itself active at the quantum's start and
-// idle at its end, so each refusal lands in an open session.
+// idle at its end, so each refusal lands in an idle span.
 func stealLogStream(ranks, rounds int, marks bool) []step {
 	stream := make([]step, 0, ranks*rounds*8)
 	for i := 0; i < rounds; i++ {
@@ -458,18 +458,23 @@ func BenchmarkRecorderLog(b *testing.B) {
 }
 
 // BenchmarkRecorderActivity prices the activity level on the same
-// stream plus each rank's active and idle marks — 819 200 calls, 204 800
-// transitions and 102 400 sessions, one failed attempt each — folded
-// and handed over by Finish, with no log, into one recorder each op
-// re-arms. One op is the whole trace.
+// stream plus each rank's active and idle marks — 819 200 calls, of
+// which the 204 800 marks record a transition each and the events
+// record nothing — handed over by Finish, with no log, into one
+// recorder each op re-arms. One op is the whole trace.
 func BenchmarkRecorderActivity(b *testing.B) {
 	const ranks, rounds = 1024, 100
 	stream := stealLogStream(ranks, rounds, true)
 	r := new(Recorder)
 	op := func() {
 		play(r.Reset(ranks, 0, false), stream)
-		if tr := r.Finish(rounds * 1000); tr.TotalSessions() != ranks*rounds {
-			b.Fatalf("%d sessions, want %d", tr.TotalSessions(), ranks*rounds)
+		tr := r.Finish(rounds * 1000)
+		n := 0
+		for _, trs := range tr.Transitions {
+			n += len(trs)
+		}
+		if n != 2*ranks*rounds || tr.Events != nil {
+			b.Fatalf("%d transitions handed over, want %d, and no events", n, 2*ranks*rounds)
 		}
 	}
 	op() // warm-up: the scratch capacity every op reuses

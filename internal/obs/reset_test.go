@@ -20,7 +20,7 @@ func recordStream(r *Recorder, stream []step) *trace.Trace {
 // that follows an identical one in the same recorder, re-armed by
 // Reset, allocates what it hands over — the Trace, its three arrays,
 // their per-rank index slices and the eviction counts — and nothing
-// else: no page, no activity scratch. The stream marks every rank
+// else: no page, no transition scratch. The stream marks every rank
 // active and idle and evicts at the cap, so every part of the storage
 // is exercised.
 func TestWarmRecordingAllocatesOnlyTheTrace(t *testing.T) {
@@ -28,8 +28,8 @@ func TestWarmRecordingAllocatesOnlyTheTrace(t *testing.T) {
 	stream := stealLogStream(ranks, 30, true)
 	r := NewRecorder(ranks, ringCap)
 	cold := recordStream(r, stream)
-	if cold.TotalEventsDropped() == 0 || cold.TotalSessions() == 0 {
-		t.Fatal("the stream must evict and fold sessions")
+	if cold.TotalEventsDropped() == 0 || len(cold.Transitions[0]) == 0 {
+		t.Fatal("the stream must evict and mark transitions")
 	}
 	var warm *trace.Trace
 	got := mallocsOf(func() { warm = recordStream(r.Reset(ranks, ringCap, true), stream) })
@@ -80,35 +80,34 @@ func TestHandedOverTraceOutlivesItsStore(t *testing.T) {
 
 // TestFinishEmptiesTheRecorder: Finish leaves every log rewound to
 // spare pages with a zero eviction count — also the logs past the
-// run's ranks, kept from a larger earlier recording — every scratch
-// slice empty with its capacity kept and no session open, so a kept
-// recorder pins no trace; and Bytes counts that kept storage.
+// run's ranks, kept from a larger earlier recording — and every
+// transition slice empty with its capacity kept, so a kept recorder
+// pins no trace; and Bytes counts that kept storage.
 func TestFinishEmptiesTheRecorder(t *testing.T) {
 	r := NewRecorder(12, 5)
 	recordStream(r, stealLogStream(12, 10, true))
 	r.Reset(8, 5, true)
 	recordStream(r, stealLogStream(8, 10, true))
-	if len(r.logs) != 8 || cap(r.logs) < 12 || len(r.act) != 8 || cap(r.act) < 12 {
-		t.Fatalf("Finish changed the run's shape: %d logs (capacity %d), %d activity slots (capacity %d)",
-			len(r.logs), cap(r.logs), len(r.act), cap(r.act))
+	if len(r.logs) != 8 || cap(r.logs) < 12 || len(r.trs) != 8 || cap(r.trs) < 12 {
+		t.Fatalf("Finish changed the run's shape: %d logs (capacity %d), %d transition slots (capacity %d)",
+			len(r.logs), cap(r.logs), len(r.trs), cap(r.trs))
 	}
 	pages, scratch := 0, 0
 	for i := range 12 {
-		l, a := &r.logs[:12][i], &r.act[:12][i]
+		l, trs := &r.logs[:12][i], r.trs[:12][i]
 		if l.head != nil || l.tail != nil || l.n != 0 || l.dropped != 0 || l.off != 0 || l.base != 0 || l.last != 0 {
 			t.Errorf("rank %d: log not rewound: %+v", i, *l)
 		}
 		if l.spare == nil || l.pages == 0 {
 			t.Errorf("rank %d: log released its pages", i)
 		}
-		if len(a.transitions) != 0 || len(a.sessions) != 0 || cap(a.sessions) == 0 || a.open != (trace.Session{}) {
-			t.Errorf("rank %d: activity scratch not emptied: %d transitions, %d sessions of capacity %d, open %+v",
-				i, len(a.transitions), len(a.sessions), cap(a.sessions), a.open)
+		if len(trs) != 0 || cap(trs) == 0 {
+			t.Errorf("rank %d: transition scratch not emptied: %d transitions of capacity %d", i, len(trs), cap(trs))
 		}
 		pages += l.pages
-		scratch += cap(a.transitions)*int(unsafe.Sizeof(trace.Transition{})) + cap(a.sessions)*int(unsafe.Sizeof(trace.Session{}))
+		scratch += cap(trs) * int(unsafe.Sizeof(trace.Transition{}))
 	}
-	want := cap(r.logs)*int(unsafe.Sizeof(eventLog{})) + cap(r.act)*int(unsafe.Sizeof(rankActivity{})) +
+	want := cap(r.logs)*int(unsafe.Sizeof(eventLog{})) + cap(r.trs)*int(unsafe.Sizeof([]trace.Transition{})) +
 		pages*int(unsafe.Sizeof(page{})) + scratch
 	if got := r.Bytes(); got != want || pages*1024 > got {
 		t.Errorf("Bytes = %d, want %d (%d pages of 1 KiB)", got, want, pages)
@@ -119,7 +118,6 @@ func TestFinishEmptiesTheRecorder(t *testing.T) {
 func cloneTrace(tr *trace.Trace) *trace.Trace {
 	c := *tr
 	c.Transitions = cloneEach(tr.Transitions)
-	c.Sessions = cloneEach(tr.Sessions)
 	c.Events = cloneEach(tr.Events)
 	c.EventsDropped = slices.Clone(tr.EventsDropped)
 	return &c

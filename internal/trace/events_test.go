@@ -14,7 +14,6 @@ func eventTrace() *Trace {
 	t := &Trace{
 		End:         100,
 		Transitions: [][]Transition{{{0, Active}}, {{40, Active}}},
-		Sessions:    [][]Session{nil, {{Start: 0, End: 40, Attempts: 2, Failed: 1, Success: true}}},
 	}
 	t.Events = [][]Event{
 		{
@@ -87,7 +86,7 @@ func TestEventsJSONLRoundTrip(t *testing.T) {
 }
 
 func TestEventlessTraceHasNilEvents(t *testing.T) {
-	tr := &Trace{End: 10, Transitions: [][]Transition{{{0, Active}}}, Sessions: make([][]Session, 1)}
+	tr := &Trace{End: 10, Transitions: [][]Transition{{{0, Active}}}}
 	var buf bytes.Buffer
 	if err := tr.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)

@@ -29,17 +29,6 @@ func writeJSONLReference(t *Trace, w io.Writer) error {
 			}
 		}
 	}
-	for rank, ss := range t.Sessions {
-		for _, s := range ss {
-			if err := enc.Encode(jsonRecord{
-				Kind: "session", Rank: rank,
-				Start: s.Start, End: s.End,
-				Attempts: s.Attempts, Failed: s.Failed, Success: s.Success,
-			}); err != nil {
-				return err
-			}
-		}
-	}
 	for rank, es := range t.Events {
 		for _, e := range es {
 			if err := enc.Encode(jsonRecord{
@@ -111,7 +100,6 @@ func traceFromFuzz(data []byte) (t *Trace, valid bool) {
 	t = &Trace{
 		End:         sim.Time(s.int64()),
 		Transitions: make([][]Transition, ranks),
-		Sessions:    make([][]Session, ranks),
 	}
 	valid = true
 	events := make([][]Event, ranks)
@@ -120,12 +108,6 @@ func traceFromFuzz(data []byte) (t *Trace, valid bool) {
 	for r := 0; r < ranks; r++ {
 		for _, at := range s.times(int(s.byte() % 4)) {
 			t.Transitions[r] = append(t.Transitions[r], Transition{Time: at, State: State(s.byte() % 2)})
-		}
-		for n := int(s.byte() % 3); n > 0; n-- {
-			t.Sessions[r] = append(t.Sessions[r], Session{
-				Start: sim.Time(s.int64()), End: sim.Time(s.int64()),
-				Attempts: int(s.int64()), Failed: int(s.int64()), Success: s.byte()%2 == 1,
-			})
 		}
 		for _, at := range s.times(int(s.byte() % 6)) {
 			k := EventKind(s.byte() % uint8(NumEventKinds+2))
@@ -224,13 +206,11 @@ func syntheticTrace(ranks, perRank int) *Trace {
 	t := &Trace{
 		End:           sim.Time(perRank) * 100,
 		Transitions:   make([][]Transition, ranks),
-		Sessions:      make([][]Session, ranks),
 		Events:        make([][]Event, ranks),
 		EventsDropped: make([]uint64, ranks),
 	}
 	for r := range t.Events {
 		t.Transitions[r] = []Transition{{Time: sim.Time(r), State: Active}, {Time: t.End, State: Idle}}
-		t.Sessions[r] = []Session{{Start: sim.Time(r), End: t.End, Attempts: r, Failed: r / 2, Success: r%2 == 0}}
 		es := make([]Event, perRank)
 		for i := range es {
 			k := EventKind(i % int(NumEventKinds))

@@ -7,8 +7,8 @@
 // it spends answering steal requests in between node expansions — and
 // *idle* otherwise. The trace records only the transitions between the
 // two states ("the trace only contains a time and the new state at each
-// phase transition, so it is lightweight"), plus the work-discovery
-// sessions used by Figure 10.
+// phase transition, so it is lightweight"); Figure 10's work-discovery
+// sessions are the idle spans between them (internal/obs derives them).
 //
 // The paper corrects its traces for clock skew across nodes; a
 // simulator's clocks are exact, so the transitions need no correction.
@@ -50,30 +50,12 @@ type Transition struct {
 	State State
 }
 
-// Session is one work-discovery session: the span from a rank
-// exhausting its work to it having work again (or the application
-// terminating). Figure 10 reports the average duration of these.
-type Session struct {
-	Start, End sim.Time
-	// Attempts is the number of steal requests sent during the session.
-	Attempts int
-	// Failed counts the attempts answered negatively.
-	Failed int
-	// Success is false for the final session ended by termination.
-	Success bool
-}
-
-// Duration returns the session length.
-func (s Session) Duration() sim.Duration { return s.End.Sub(s.Start) }
-
 // Trace is a complete recorded execution.
 type Trace struct {
 	// End is the application makespan (virtual time of termination).
 	End sim.Time
 	// Transitions per rank, time-ordered, states alternating.
 	Transitions [][]Transition
-	// Sessions per rank, time-ordered.
-	Sessions [][]Session
 	// Events is the protocol-level event log per rank, time-ordered;
 	// nil when event recording (internal/obs) was disabled. Events can
 	// carry timestamps past End: the terminate broadcast and in-flight
@@ -90,10 +72,8 @@ func (t *Trace) Ranks() int { return len(t.Transitions) }
 
 // Validate checks the structural invariants of a trace: per-rank
 // transitions start active, strictly alternate states and lie in
-// [0, End] at non-decreasing times; a session lies in [0, End], ends
-// no earlier than it starts and fails no more attempts than it makes
-// (its bounds are not checked against the idle phases); events are in
-// time order with known kinds and peers.
+// [0, End] at non-decreasing times; events are in time order with
+// known kinds and peers.
 func (t *Trace) Validate() error {
 	for rank, trs := range t.Transitions {
 		for i, tr := range trs {
@@ -111,19 +91,6 @@ func (t *Trace) Validate() error {
 		}
 		if len(trs) > 0 && trs[0].State != Active {
 			return fmt.Errorf("trace: rank %d first transition is %v, want active", rank, trs[0].State)
-		}
-	}
-	for rank, ss := range t.Sessions {
-		for i, s := range ss {
-			if s.Start < 0 || s.End > t.End {
-				return fmt.Errorf("trace: rank %d session %d [%d, %d] outside [0, %d]", rank, i, s.Start, s.End, t.End)
-			}
-			if s.End < s.Start {
-				return fmt.Errorf("trace: rank %d session %d ends before it starts", rank, i)
-			}
-			if s.Failed > s.Attempts {
-				return fmt.Errorf("trace: rank %d session %d failed %d > attempts %d", rank, i, s.Failed, s.Attempts)
-			}
 		}
 	}
 	if t.Events != nil && len(t.Events) != len(t.Transitions) {
@@ -148,32 +115,18 @@ func (t *Trace) Validate() error {
 	return nil
 }
 
-// TotalSessions returns the number of recorded sessions across ranks.
-func (t *Trace) TotalSessions() int {
-	n := 0
-	for _, ss := range t.Sessions {
-		n += len(ss)
-	}
-	return n
-}
-
 // ---------------------------------------------------------------------
 // JSONL serialization
 
 // jsonRecord is the wire form of one trace line: ReadJSONL's decode
 // target, and the layout WriteJSONL reproduces by hand.
 type jsonRecord struct {
-	Kind  string   `json:"kind"` // "meta", "transition", "session", "event" or "drops"
+	Kind  string   `json:"kind"` // "meta", "transition", "event" or "drops"
 	Rank  int      `json:"rank,omitempty"`
 	Time  sim.Time `json:"t,omitempty"`
 	State string   `json:"state,omitempty"`
 	End   sim.Time `json:"end,omitempty"`
-	// Session fields.
-	Start    sim.Time `json:"start,omitempty"`
-	Attempts int      `json:"attempts,omitempty"`
-	Failed   int      `json:"failed,omitempty"`
-	Success  bool     `json:"success,omitempty"`
-	Ranks    int      `json:"ranks,omitempty"`
+	Ranks int      `json:"ranks,omitempty"`
 	// Protocol-event fields. Peer 0 is omitted on the wire and decodes
 	// back to 0, so omitempty is lossless here; Peer -1 (no peer) is
 	// written explicitly. "drops" records reuse Arg for the count.
@@ -183,7 +136,7 @@ type jsonRecord struct {
 }
 
 // jsonlBufSize is WriteJSONL's output buffer; jsonlMaxLine is the room
-// one record needs at most (the longest, a session with six 20-digit
+// one record needs at most (the longest, an event with four 20-digit
 // fields, is under 200 bytes), so the buffer is flushed before a record
 // that might not fit and never grows.
 const (
@@ -192,7 +145,7 @@ const (
 )
 
 // WriteJSONL serializes the trace as JSON Lines: a meta record, then
-// the transition, session and event records rank by rank, then one
+// the transition and event records rank by rank, then one
 // drops record per rank that evicted events. The bytes are exactly what
 // encoding/json produces for jsonRecord — fields in declaration order,
 // zero values omitted, so rank 0, time 0 and peer 0 leave no key while
@@ -219,22 +172,6 @@ func (t *Trace) WriteJSONL(w io.Writer) error {
 			buf = append(buf, `,"state":"`...)
 			buf = append(buf, tr.State.String()...)
 			buf = append(buf, "\"}\n"...)
-		}
-	}
-	for rank, ss := range t.Sessions {
-		head := recordHead(headArr[:0], "session", rank)
-		for _, s := range ss {
-			if buf, err = startRecord(w, buf, head); err != nil {
-				return err
-			}
-			buf = appendField(buf, `,"end":`, int64(s.End))
-			buf = appendField(buf, `,"start":`, int64(s.Start))
-			buf = appendField(buf, `,"attempts":`, int64(s.Attempts))
-			buf = appendField(buf, `,"failed":`, int64(s.Failed))
-			if s.Success {
-				buf = append(buf, `,"success":true`...)
-			}
-			buf = append(buf, "}\n"...)
 		}
 	}
 	for rank, es := range t.Events {
@@ -372,7 +309,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 	t := &Trace{
 		End:         meta.End,
 		Transitions: make([][]Transition, meta.Ranks),
-		Sessions:    make([][]Session, meta.Ranks),
 	}
 	for {
 		var rec jsonRecord
@@ -397,11 +333,6 @@ func ReadJSONL(r io.Reader) (*Trace, error) {
 				return nil, fmt.Errorf("trace: line %d: unknown state %q", lr.line, rec.State)
 			}
 			t.Transitions[rec.Rank] = append(t.Transitions[rec.Rank], Transition{Time: rec.Time, State: st})
-		case "session":
-			t.Sessions[rec.Rank] = append(t.Sessions[rec.Rank], Session{
-				Start: rec.Start, End: rec.End,
-				Attempts: rec.Attempts, Failed: rec.Failed, Success: rec.Success,
-			})
 		case "event":
 			kind, ok := ParseEventKind(rec.Ev)
 			if !ok {
