@@ -82,9 +82,9 @@ var (
 	// the messages they poll: the engine is the only one.
 	poolPackages = []string{"distws/internal/core"}
 
-	// hotPackages are the 0-alloc bench-gated packages (BENCH_PKGS in
-	// the Makefile): hotalloc checks their functions when reachable
-	// from a hot root.
+	// hotPackages are the packages whose per-event code must not
+	// allocate: hotalloc checks their functions when reachable from a
+	// hot root.
 	hotPackages = []string{
 		"distws/internal/sim",
 		"distws/internal/comm",
@@ -94,6 +94,7 @@ var (
 		"distws/internal/fault",
 		"distws/internal/victim",
 		"distws/internal/sample",
+		"distws/internal/term",
 	}
 
 	// hotRoots are the steady-state entry points of the per-event hot
@@ -137,6 +138,10 @@ var (
 		"(distws/internal/uts.Params).AppendChildren",
 		"(*distws/internal/uts.ChildGen).Reset",
 		"(*distws/internal/uts.ChildGen).Child",
+		"(*distws/internal/term.ring).WorkSent",
+		"(*distws/internal/term.ring).WorkReceived",
+		"(*distws/internal/term.ring).OnIdle",
+		"(*distws/internal/term.ring).OnToken",
 	}
 
 	// detPackages are the deterministic core: everything a golden

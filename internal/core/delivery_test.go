@@ -10,6 +10,7 @@ import (
 	"distws/internal/fault"
 	"distws/internal/obs"
 	"distws/internal/sim"
+	"distws/internal/term"
 	"distws/internal/uts"
 	"distws/internal/victim"
 )
@@ -169,7 +170,8 @@ func variantDigest(t *testing.T, cfg Config) string {
 
 // variantCases are TestVariantDigests' configurations: deliveryCases
 // plus the one-sided protocol under crashes and duplicates and under
-// serving.
+// serving, and the Dijkstra-style ring on a closed run and on one whose
+// initiator crashes.
 func variantCases() map[string]Config {
 	cases := deliveryCases()
 	oneSidedFaults := cases["crash+dup"]
@@ -178,6 +180,16 @@ func variantCases() map[string]Config {
 	oneSidedServing := serveTestConfig()
 	oneSidedServing.Protocol = OneSided
 	cases["one-sided+serving"] = oneSidedServing
+	ring := cases["two-sided"]
+	ring.Detector = term.NewRing
+	cases["ring"] = ring
+	ringFaults := faultConfig(&fault.Plan{
+		Seed:    4,
+		Crashes: []fault.Crash{{Rank: 0, At: sim.Time(60 * sim.Microsecond)}, {Rank: 9, At: sim.Time(90 * sim.Microsecond)}},
+		Links:   []fault.LinkFault{{From: fault.Wildcard, To: fault.Wildcard, Dup: 0.1}},
+	})
+	ringFaults.Detector = term.NewRing
+	cases["ring+crash0+dup"] = ringFaults
 	return cases
 }
 
@@ -219,8 +231,10 @@ func TestRanksSettledAtResult(t *testing.T) {
 // gives the earlier digests), and when the JSONL trace lost its
 // session records, which the sessions derived from the transitions
 // replace (every row moved; putting the session lines back into each
-// JSONL gives the earlier digests). No change that claims to keep
-// behaviour may move one.
+// JSONL gives the earlier digests). The two ring rows were recorded at
+// commit e0959c7, before Safra and the ring became one detector type
+// and the initiator and the crash restart moved from the engine into
+// it. No change that claims to keep behaviour may move one.
 func TestVariantDigests(t *testing.T) {
 	cases := variantCases()
 	want := map[string]string{
@@ -232,6 +246,8 @@ func TestVariantDigests(t *testing.T) {
 		"one-sided/coarse-poll": "5d04fdbd06d49039b05d2cd5854b80ae9e239d8fb9e0ff1664d5f9d5777a3477",
 		"one-sided/steal-half":  "d6d29268f46c56baa3d36e6833d2b46d646675ff49f9db0cf96ea28e86ae1d0c",
 		"one-sided/steal-one":   "cf8331506669832c366f82e61155c9c575dd0b1bd57ba7853af47bcfe9f9f1c5",
+		"ring":                  "c5b649d2eedd60da2a6dbd1015026d8efcbafc2a83abed276db789c52e20e37e",
+		"ring+crash0+dup":       "8d958e9b6997eea0c9f567a6f0471d4d2f9888e0c70260a78c159b6bbdc1948c",
 		"serving":               "ba97b46d51aae600017fa3cff511f7f37af7a2992ed7d6b5a115283a96d0c89f",
 		"shards=2":              "124e290fc6b10f12f36538f9f13f83bf26aad92cc8d2a886c36c240fce4b618c",
 		"two-sided":             "4b2cf21c0b8835a8fdd9289cfca0d34b6d9f5b307df67ea1d8d58bf97a5703d8",

@@ -259,9 +259,11 @@ type engine struct {
 
 	// Fault injection. inj is nil for fault-free runs, keeping every
 	// hot path on its existing branch-free course; reprobeFn is the
-	// shared deferred lone-survivor check (see scheduleReprobe).
+	// shared deferred lone-survivor check (see scheduleReprobe), and
+	// idleFn answers the detector's RemoveRank about the initiator.
 	inj       *fault.Injector
 	reprobeFn func()
+	idleFn    func(int) bool
 
 	counters
 	detectedAt sim.Time
@@ -562,6 +564,7 @@ func (e *engine) bindTimers() {
 		e.abortSteal(r)
 	}
 	e.reprobeFn = e.reprobeSurvivor
+	e.idleFn = func(r int) bool { return e.states[r] != rsWorking && e.states[r] != rsDone }
 }
 
 // owner returns the engine owning rank r — its kernel holds the rank's
@@ -779,19 +782,7 @@ func (e *engine) crashRank(r int) {
 	}
 	// Heal the termination ring; a token lost with the corpse — or the
 	// initiator role itself — moves to the lowest surviving rank.
-	initr := e.initiator()
-	initIdle := initr >= 0 &&
-		e.states[initr] != rsWorking && e.states[initr] != rsDone
-	sends := e.det.RemoveRank(r, initIdle)
-	e.forwardTokens(sends)
-	if initIdle && len(sends) == 0 {
-		// The (possibly new) initiator is already idle but the removal
-		// emitted nothing — this happens when the crashed rank was the
-		// initiator before any round started. Left alone, the first
-		// round would wait for an OnIdle that may never come again, so
-		// nudge the initiator now (a no-op if a round is in flight).
-		e.forwardTokens(e.det.OnIdle(initr))
-	}
+	e.forwardTokens(e.det.RemoveRank(r, e.idleFn))
 	if !e.checkTermination() {
 		e.scheduleReprobe()
 	}
@@ -838,20 +829,6 @@ func (e *engine) onMessageDrop(h comm.Header, body *comm.Message) {
 		loot = body.Nodes
 	}
 	e.lose(tag, from, to, loot)
-}
-
-// initiator returns the termination ring's current initiator: the
-// lowest-numbered surviving rank (rank 0 until it crashes).
-func (e *engine) initiator() int {
-	if e.inj == nil {
-		return 0
-	}
-	for r := range e.ranks {
-		if e.states[r] != rsCrashed {
-			return r
-		}
-	}
-	return 0
 }
 
 // scheduleReprobe arms a deferred check for the lone-survivor endgame.
@@ -1048,10 +1025,15 @@ func (e *engine) handle(r int, m *comm.Message) {
 
 // resume starts idle rank r on what just reached its stack — loot, or a
 // served job's root: its discovery session ends. A pending steal reply
-// becomes stale: NoWork fails the reqID check and loot is banked.
+// becomes stale: NoWork fails the reqID check and loot is banked. A
+// rank handed work at instant 0 reads in the trace as one that started
+// with work, so its zero-length session is not counted.
 func (e *engine) resume(r int) {
 	now := e.kernel.Now()
 	e.ranks[r].pendingVictim = -1
+	if now == 0 {
+		e.ranks[r].sessions--
+	}
 	e.endSession(r, now)
 	e.rec.Mark(r, now, trace.Active)
 	e.startQuantum(r)
@@ -1211,9 +1193,9 @@ func (e *engine) checkTermination() bool {
 		return true
 	}
 	e.markDetected(e.kernel.Now())
-	// Detection happens at the ring initiator — rank 0 for both
-	// detectors unless crashes moved the role to a higher survivor.
-	initr := e.initiator()
+	// Detection happens at the ring initiator — rank 0 unless crashes
+	// moved the role to a higher survivor.
+	initr := e.det.Initiator()
 	e.finishRank(initr, e.detectedAt)
 	for r := 0; r < e.cfg.Ranks; r++ {
 		if r == initr || e.states[r] == rsCrashed {

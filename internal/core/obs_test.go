@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"distws/internal/obs"
+	"distws/internal/serve"
 	"distws/internal/sim"
 	"distws/internal/topology"
 	"distws/internal/trace"
@@ -96,13 +97,23 @@ func jsonl(t *testing.T, tr *trace.Trace) string {
 // as Result.Sessions, and their total over that count (integer
 // division, as the engine takes it) is MeanSessionDuration — on every
 // configuration of TestVariantDigests, on a task graph with and
-// without crashes, and on a serving run whose crashed ranks go on
-// logging the arrivals of jobs rooted at them.
+// without crashes, on a serving run whose crashed ranks go on logging
+// the arrivals of jobs rooted at them, and on one whose first job
+// reaches an idle rank at instant 0.
 func TestSessionsFromTransitions(t *testing.T) {
 	cases := variantCases()
 	cases["graph"] = graphConfig(testGraph(t, 6), 16, 9)
 	cases["graph+crashes"] = graphFaultConfig(testGraph(t, 6))
 	cases["serving+crashes"] = serveFaultConfig()
+	cases["serving+job-at-0"] = Config{Ranks: 4, Seed: 1, Serve: &serve.Spec{
+		Horizon:   5 * sim.Millisecond,
+		Placement: serve.PlaceRR,
+		Tenants: []serve.Tenant{{
+			Name:    "t0",
+			Arrival: serve.ArrivalSpec{Process: serve.ProcReplay, Trace: []sim.Time{0, sim.Time(sim.Millisecond)}},
+			Work:    serve.Workload{Kind: serve.WorkUTS, Tree: uts.MustPreset("T3").Params},
+		}},
+	}}
 	for name, cfg := range cases {
 		t.Run(name, func(t *testing.T) {
 			cfg.CollectEvents = true

@@ -104,12 +104,9 @@ func activeWithin(transitions []trace.Transition, lo, hi, end sim.Time) sim.Dura
 // kernel runs a crash before any other event of its instant, so an
 // idle transition at the crash's instant is the crash's own.
 //
-// Two sessions the engine counts cannot be read off the trace. A rank
-// handed work at instant 0 while idle reads as one that started with
-// work, so the zero-length session before it is not derived; and a
-// crash evicted from its rank's log, which only more served-job
-// records than the log holds can push out, leaves the rank reading as
-// one that did not crash.
+// The trace cannot show a crash evicted from its rank's log, which only
+// more served-job records than the log holds can push out: the rank
+// then reads as one that did not crash.
 func EachSession(tr *trace.Trace, rank int, fn func(start, end sim.Time, success bool)) {
 	end, crash := tr.End, crashTime(tr, rank)
 	if crash >= 0 {

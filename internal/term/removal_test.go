@@ -6,6 +6,12 @@ import "testing"
 // detectors must route around dead ranks, regenerate tokens lost with
 // a crash, and drop stale tokens from abandoned rounds.
 
+// everyIdle and noneIdle answer RemoveRank's question about the
+// initiator: with noneIdle, a removal leaves the restart to the
+// initiator's next OnIdle.
+func everyIdle(int) bool { return true }
+func noneIdle(int) bool  { return false }
+
 func TestRemoveTokenHolder(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(5)
@@ -23,7 +29,7 @@ func TestRemoveTokenHolder(t *testing.T) {
 			t.Fatalf("%s: terminated while rank 2 active", name)
 		}
 		// Rank 2 dies holding the token: the initiator must regenerate.
-		regen := d.RemoveRank(2, true)
+		regen := d.RemoveRank(2, idle)
 		if len(regen) != 1 || regen[0].From != 0 || !regen[0].Regen {
 			t.Fatalf("%s: no regenerated token from the initiator: %v", name, regen)
 		}
@@ -43,8 +49,8 @@ func TestRemoveRankZeroBeforeStart(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(4)
 		// Rank 0 dies before any round starts: nothing to regenerate,
-		// and the initiator role falls to rank 1.
-		if out := d.RemoveRank(0, true); len(out) != 0 {
+		// and the initiator role falls to rank 1, which is busy.
+		if out := d.RemoveRank(0, noneIdle); len(out) != 0 {
 			t.Fatalf("%s: regenerated a token before the first round: %v", name, out)
 		}
 		allIdle := func(int) bool { return true }
@@ -64,6 +70,26 @@ func TestRemoveRankZeroBeforeStart(t *testing.T) {
 	}
 }
 
+// TestRemoveRankStartsIdleInitiator: rank 0 dies before any round
+// starts while rank 1, which inherits the role, is already idle. No
+// OnIdle of rank 1 is coming, so the removal itself starts the first
+// round from it.
+func TestRemoveRankStartsIdleInitiator(t *testing.T) {
+	for name, factory := range Detectors {
+		d := factory(4)
+		out := d.RemoveRank(0, everyIdle)
+		if d.Initiator() != 1 {
+			t.Fatalf("%s: initiator %d after rank 0 died, want 1", name, d.Initiator())
+		}
+		if len(out) != 1 || out[0].From != 1 || out[0].To != 2 || out[0].Regen {
+			t.Fatalf("%s: removal did not start the first round from rank 1: %v", name, out)
+		}
+		if !pump(d, out, everyIdle, 100) || !d.Terminated() {
+			t.Fatalf("%s: no termination with rank 0 dead and the rest idle", name)
+		}
+	}
+}
+
 func TestRemoveRankZeroMidRound(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(4)
@@ -73,7 +99,7 @@ func TestRemoveRankZeroMidRound(t *testing.T) {
 		pumpQueue(d, sends, idle, 100) // token parks on rank 3
 		// The sitting initiator dies; rank 1 inherits the role and, being
 		// idle, restarts the round immediately.
-		regen := d.RemoveRank(0, true)
+		regen := d.RemoveRank(0, idle)
 		if len(regen) != 1 || regen[0].From != 1 {
 			t.Fatalf("%s: rank 1 did not regenerate after rank 0 died: %v", name, regen)
 		}
@@ -92,7 +118,7 @@ func TestAllButOneCrashed(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(6)
 		for rank := 0; rank < 5; rank++ {
-			d.RemoveRank(rank, true)
+			d.RemoveRank(rank, noneIdle)
 		}
 		if d.Terminated() {
 			t.Fatalf("%s: terminated while the survivor never reported idle", name)
@@ -114,7 +140,7 @@ func TestSafraCountTransferChain(t *testing.T) {
 	d := NewSafra(6)
 	d.WorkSent(3) // rank 3 has one unresolved work message in flight
 	for rank := 0; rank < 5; rank++ {
-		d.RemoveRank(rank, true)
+		d.RemoveRank(rank, everyIdle)
 	}
 	// The survivor inherited the +1 balance: no termination yet.
 	if out := d.OnIdle(5); len(out) != 0 {
@@ -141,7 +167,7 @@ func TestRemoveAfterTermination(t *testing.T) {
 		if !d.Terminated() {
 			t.Fatalf("%s: setup failed", name)
 		}
-		if out := d.RemoveRank(1, true); len(out) != 0 {
+		if out := d.RemoveRank(1, allIdle); len(out) != 0 {
 			t.Fatalf("%s: emitted after termination: %v", name, out)
 		}
 		if !d.Terminated() {
@@ -159,7 +185,7 @@ func TestStaleTokenDropped(t *testing.T) {
 		busy := map[int]bool{3: true}
 		idle := func(r int) bool { return !busy[r] }
 		pumpQueue(d, d.OnIdle(0), idle, 100) // token parks on rank 3
-		regen := d.RemoveRank(1, true)
+		regen := d.RemoveRank(1, idle)
 		if len(regen) != 1 || regen[0].To != 2 {
 			t.Fatalf("%s: regenerated token did not skip the dead rank: %v", name, regen)
 		}

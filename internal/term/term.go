@@ -3,8 +3,8 @@
 //
 // The reference UTS implementation detects termination with a
 // token-ring algorithm ("such condition is detected by a token-ring
-// distributed termination algorithm", paper §II-A). Two detectors are
-// provided:
+// distributed termination algorithm", paper §II-A). One token ring is
+// provided with two taint rules:
 //
 //   - Safra's algorithm (the default): a colored token carrying a
 //     message count circulates the ring; it is provably correct in the
@@ -14,8 +14,9 @@
 //     the reference implementation's simpler scheme. With delayed
 //     messages this classic ring can in principle declare termination
 //     while a work message is in flight; the engine cross-checks every
-//     detection against its global oracle and counts such events, and
-//     the ablation benches compare both detectors' overhead.
+//     detection against its global oracle and flags such a run in
+//     Result.Premature, and the ablation benches compare both rules'
+//     overhead.
 //
 // Detectors are passive state machines: the engine tells them about
 // rank idleness, work-message traffic and token arrivals, and they
@@ -25,13 +26,16 @@
 //
 // # Fail-stop tolerance
 //
-// Both detectors survive fail-stop rank crashes (see internal/fault).
+// Both rules survive fail-stop rank crashes (see internal/fault).
 // The ring heals by routing around dead ranks: the successor function
 // skips non-alive members, the initiator role falls to the lowest alive
 // rank, and a crash abandons the in-flight round — its token, which may
 // have died with the crashed rank, is regenerated by the initiator with
 // a fresh round number, and any stale token still circulating (or
 // parked on a busy rank) is dropped on arrival by its old round number.
+// The detector owns both decisions: Initiator names the rank that
+// decides, and RemoveRank restarts the healed ring itself, asking the
+// engine only whether the initiator is idle.
 // Safra additionally transfers the crashed rank's message-count balance
 // to the initiator so that sum(count) keeps equaling the number of
 // unresolved work messages, and WorkLost resolves messages that can no
@@ -64,8 +68,8 @@ func (c Color) String() string {
 // opaque payload.
 type Token struct {
 	Color Color
-	// Count is Safra's accumulated message counter; unused by the ring
-	// detector.
+	// Count is Safra's accumulated message counter; always 0 under the
+	// ring's taint rule.
 	Count int64
 	// Round numbers the detection rounds. Besides tracing, it is the
 	// staleness epoch: a crash abandons the current round, and tokens
@@ -117,11 +121,15 @@ type Detector interface {
 	// scheduling state. Returns tokens to send.
 	OnToken(rank int, tok Token, idle bool) []Send
 	// RemoveRank fail-stops rank: the ring routes around it from now
-	// on. initiatorIdle reports whether the (possibly new) initiator is
-	// currently idle; if so the healed ring restarts immediately and
-	// the returned sends carry the regenerated token, otherwise the
-	// restart is deferred to the initiator's next OnIdle.
-	RemoveRank(rank int, initiatorIdle bool) []Send
+	// on. idle reports a rank's current scheduling state; RemoveRank
+	// asks it about the (possibly new) initiator only. If that rank is
+	// idle the healed ring restarts now — the returned sends carry the
+	// regenerated token, or the first one when no round had started —
+	// otherwise the restart is deferred to the initiator's next OnIdle.
+	RemoveRank(rank int, idle func(rank int) bool) []Send
+	// Initiator returns the rank that starts rounds and decides: rank 0
+	// until it crashes, then the lowest alive rank.
+	Initiator() int
 	// Terminated reports whether global termination was detected.
 	Terminated() bool
 	// Rounds returns the number of finished token rounds, counting both
@@ -129,96 +137,12 @@ type Detector interface {
 	Rounds() int
 }
 
-// ---------------------------------------------------------------------
-// Shared healed-ring membership
-
-// members tracks ring membership shared by both detectors: who is
-// alive, who initiates rounds (the lowest alive rank), and whether a
-// crash deferred a ring restart to the initiator's next idle moment.
-type members struct {
-	n      int
-	alive  []bool
-	nAlive int
-	// init is the round initiator: rank 0 until it crashes, then the
-	// lowest alive rank.
-	init       int
-	restart    bool // a crash abandoned the round; regenerate when idle
-	started    bool
-	terminated bool
-	round      int
-	// out backs every returned []Send: there is one token, so one send.
-	out [1]Send
-}
-
-// emit returns s as the detector's one-element scratch slice.
-func (m *members) emit(s Send) []Send {
-	m.out[0] = s
-	return m.out[:]
-}
-
-func newMembers(n int) members {
-	if n < 1 {
-		panic(fmt.Sprintf("term: detector for %d ranks", n))
-	}
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
-	}
-	return members{n: n, alive: alive, nAlive: n}
-}
-
-// succ returns the next alive rank after rank, skipping the dead.
-func (m *members) succ(rank int) int {
-	for i := 1; i <= m.n; i++ {
-		if r := (rank + i) % m.n; m.alive[r] {
-			return r
-		}
-	}
-	return rank
-}
-
-func (m *members) lowestAlive() int {
-	for r := 0; r < m.n; r++ {
-		if m.alive[r] {
-			return r
-		}
-	}
-	return 0
-}
-
-// drop marks rank dead and abandons the in-flight round. It reports
-// whether a regenerated round should be emitted now (initiator idle)
-// or deferred (restart flag). The caller handles detector-specific
-// state (Safra's count transfer) before emitting.
-func (m *members) drop(rank int, initiatorIdle bool) (emit bool) {
-	m.alive[rank] = false
-	m.nAlive--
-	if m.nAlive == 0 {
-		return false
-	}
-	if rank == m.init {
-		m.init = m.lowestAlive()
-	}
-	if !m.started {
-		return false
-	}
-	// Abandon the in-flight round: its token may have died with the
-	// rank, and any surviving copy is now stale by round number.
-	m.round++
-	if initiatorIdle {
-		m.restart = false
-		return true
-	}
-	m.restart = true
-	return false
-}
-
 // DecisionAware is an optional Detector capability used by the sharded
 // engine's window-serialization policy. A detector that implements it
 // lets the engine run windows in parallel whenever no termination
 // verdict can possibly be reached inside the window by a rank merely
 // going idle; without it the sharded engine must serialize every window
-// (correct but slow). Both built-in detectors implement it.
+// (correct but slow). The token ring implements it.
 type DecisionAware interface {
 	// IdleDecisionPossible reports whether a call to OnIdle(rank) could
 	// return a termination verdict right now — i.e. rank is the
@@ -232,22 +156,64 @@ type DecisionAware interface {
 }
 
 // ---------------------------------------------------------------------
-// Safra's algorithm
+// The token ring
 
-type safra struct {
-	members
+// ring is the one token-ring detector: Safra's algorithm when counts is
+// set, the Dijkstra-style color ring otherwise. The two differ only in
+// the taint rule of a work message. Safra counts it (WorkSent adds one
+// to the sender's count, WorkReceived subtracts one and blackens the
+// receiver); the ring blackens the sender and the receiver and keeps
+// every count at 0, so its round and lone-survivor tests are Safra's
+// with the count term always met.
+//
+// The ring heals around crashed ranks: succ skips the dead, the
+// initiator role is the lowest alive rank, and a crash abandons the
+// in-flight round, regenerating it at once when the initiator is idle
+// and at its next idle moment otherwise (restart).
+type ring struct {
+	counts bool
+	alive  []bool
+	nAlive int
+	// init is the round initiator: rank 0 until it crashes, then the
+	// lowest alive rank.
+	init       int
+	restart    bool // a crash abandoned the round; regenerate when idle
+	started    bool
+	terminated bool
+	round      int
 	color      []Color
-	count      []int64
-	pending    []bool // rank holds the token, waiting to go idle
+	count      []int64 // Safra's per-rank message balance; all 0 for the ring
+	pending    []bool  // rank holds the token, waiting to go idle
 	pendingTok []Token
+	// out backs every returned []Send: there is one token, so one send.
+	out [1]Send
 }
 
 // NewSafra returns Safra's termination detector for n ranks. Rank 0
 // (or, after it crashes, the lowest alive rank) initiates the first
 // round when it first becomes idle.
-func NewSafra(n int) Detector {
-	return &safra{
-		members:    newMembers(n),
+func NewSafra(n int) Detector { return newRing(n, true) }
+
+// NewRing returns the classic color-token ring: a rank that sent or
+// received work since the token last visited taints the round. It
+// matches the reference UTS scheme and is cheaper than Safra (no
+// counters), but is only sound when work messages are not in flight
+// across a whole clean token round; the engine verifies detections
+// against its oracle.
+func NewRing(n int) Detector { return newRing(n, false) }
+
+func newRing(n int, counts bool) *ring {
+	if n < 1 {
+		panic(fmt.Sprintf("term: detector for %d ranks", n))
+	}
+	alive := make([]bool, n)
+	for i := range alive {
+		alive[i] = true
+	}
+	return &ring{
+		counts:     counts,
+		alive:      alive,
+		nAlive:     n,
 		color:      make([]Color, n),
 		count:      make([]int64, n),
 		pending:    make([]bool, n),
@@ -255,273 +221,198 @@ func NewSafra(n int) Detector {
 	}
 }
 
-func (s *safra) Name() string { return "Safra" }
-
-func (s *safra) WorkSent(rank int) { s.count[rank]++ }
-
-func (s *safra) WorkReceived(rank int) {
-	s.count[rank]--
-	s.color[rank] = Black
+func (d *ring) Name() string {
+	if d.counts {
+		return "Safra"
+	}
+	return "Ring"
 }
 
-func (s *safra) WorkLost(sender int) {
-	if s.terminated {
+func (d *ring) WorkSent(rank int) {
+	if d.counts {
+		d.count[rank]++
+	} else {
+		d.color[rank] = Black
+	}
+}
+
+func (d *ring) WorkReceived(rank int) {
+	if d.counts {
+		d.count[rank]--
+	}
+	d.color[rank] = Black
+}
+
+// WorkLost resolves a lost message against its sender's balance; a dead
+// sender's balance was transferred to the initiator when it was
+// removed. The ring has no counts to reconcile: a loss only matters to
+// it through the taint the original send already left behind.
+func (d *ring) WorkLost(sender int) {
+	if !d.counts || d.terminated {
 		return
 	}
-	// Resolve the message against its sender's balance; a dead sender's
-	// balance was transferred to the initiator when it was removed.
-	if s.alive[sender] {
-		s.count[sender]--
+	if d.alive[sender] {
+		d.count[sender]--
 	} else {
-		s.count[s.init]--
+		d.count[d.init]--
 	}
 }
 
-func (s *safra) OnIdle(rank int) []Send {
-	if s.terminated || !s.alive[rank] {
+func (d *ring) OnIdle(rank int) []Send {
+	if d.terminated || !d.alive[rank] {
 		return nil
 	}
-	if rank == s.init && (!s.started || s.restart || s.nAlive == 1) {
+	if rank == d.init && (!d.started || d.restart || d.nAlive == 1) {
 		// Initiate the first round, regenerate after a crash, or — as
 		// the sole survivor — re-decide directly from local state.
-		regen := s.restart
-		s.started = true
-		s.restart = false
-		s.pending[rank] = false // any held token is from an abandoned round
-		return s.emitInit(regen)
+		regen := d.restart
+		d.started = true
+		d.restart = false
+		d.pending[rank] = false // any held token is from an abandoned round
+		return d.emitInit(regen)
 	}
-	if s.pending[rank] {
-		s.pending[rank] = false
-		tok := s.pendingTok[rank]
-		if tok.Round != s.round {
+	if d.pending[rank] {
+		d.pending[rank] = false
+		tok := d.pendingTok[rank]
+		if tok.Round != d.round {
 			return nil // parked token from an abandoned round
 		}
-		return s.forward(rank, tok)
+		return d.forward(rank, tok)
 	}
 	return nil
 }
 
-func (s *safra) OnToken(rank int, tok Token, idle bool) []Send {
-	if s.terminated || !s.alive[rank] || tok.Round != s.round {
+func (d *ring) OnToken(rank int, tok Token, idle bool) []Send {
+	if d.terminated || !d.alive[rank] || tok.Round != d.round {
 		return nil
 	}
 	if !idle {
-		s.pending[rank] = true
-		s.pendingTok[rank] = tok
+		d.pending[rank] = true
+		d.pendingTok[rank] = tok
 		return nil
 	}
-	return s.forward(rank, tok)
+	return d.forward(rank, tok)
 }
 
-func (s *safra) RemoveRank(rank int, initiatorIdle bool) []Send {
-	if s.terminated || !s.alive[rank] {
+func (d *ring) RemoveRank(rank int, idle func(int) bool) []Send {
+	if d.terminated || !d.alive[rank] {
 		return nil
 	}
-	s.pending[rank] = false
-	emit := s.drop(rank, initiatorIdle)
-	if s.nAlive == 0 {
+	d.pending[rank] = false
+	d.alive[rank] = false
+	if d.nAlive--; d.nAlive == 0 {
 		return nil
 	}
-	// Transfer the dead rank's message-count balance to the initiator
-	// so sum(count) still equals the unresolved in-flight messages.
-	s.count[s.init] += s.count[rank]
-	s.count[rank] = 0
-	if emit {
-		return s.emitInit(true)
+	for !d.alive[d.init] {
+		d.init++ // every rank below the initiator is dead
 	}
-	return nil
+	// Transfer the dead rank's balance to the initiator so sum(count)
+	// still equals the unresolved in-flight messages.
+	d.count[d.init] += d.count[rank]
+	d.count[rank] = 0
+	regen := d.started
+	if regen {
+		// Abandon the in-flight round: its token may have died with the
+		// rank, and any surviving copy is now stale by round number.
+		// The initiator regenerates it at its next OnIdle.
+		d.round++
+		d.restart = true
+	}
+	if !idle(d.init) {
+		return nil
+	}
+	var out []Send
+	if regen {
+		out = d.OnIdle(d.init)
+	}
+	if len(out) == 0 {
+		// Nothing was emitted although the initiator is idle: the ring
+		// had not started, or a lone survivor decided and found a
+		// balance left. The next round would wait for an OnIdle that may
+		// never come, so start it now; a lone survivor decides again.
+		out = d.OnIdle(d.init)
+	}
+	return out
 }
 
-func (s *safra) forward(rank int, tok Token) []Send {
-	if rank == s.init {
+func (d *ring) Initiator() int { return d.init }
+
+// succ returns the next alive rank after rank, skipping the dead.
+func (d *ring) succ(rank int) int {
+	n := len(d.alive)
+	for i := 1; i <= n; i++ {
+		if r := (rank + i) % n; d.alive[r] {
+			return r
+		}
+	}
+	return rank
+}
+
+func (d *ring) forward(rank int, tok Token) []Send {
+	if rank == d.init {
 		// Round complete: decide or start over.
-		s.round++
-		if tok.Color == White && s.color[rank] == White && tok.Count+s.count[rank] == 0 {
-			s.terminated = true
+		d.round++
+		if tok.Color == White && d.color[rank] == White && tok.Count+d.count[rank] == 0 {
+			d.terminated = true
 			return nil
 		}
-		return s.emitInit(false)
+		return d.emitInit(false)
 	}
-	tok.Count += s.count[rank]
-	if s.color[rank] == Black {
+	tok.Count += d.count[rank]
+	if d.color[rank] == Black {
 		tok.Color = Black
 	}
-	s.color[rank] = White
-	return s.emit(Send{From: rank, To: s.succ(rank), Token: tok})
+	d.color[rank] = White
+	return d.emit(Send{From: rank, To: d.succ(rank), Token: tok})
 }
 
-func (s *safra) emitInit(regen bool) []Send {
-	s.color[s.init] = White
-	if s.nAlive == 1 {
+func (d *ring) emitInit(regen bool) []Send {
+	d.color[d.init] = White
+	if d.nAlive == 1 {
 		// Degenerate ring: decide immediately.
-		s.round++
-		if s.count[s.init] == 0 {
-			s.terminated = true
+		d.round++
+		if d.count[d.init] == 0 {
+			d.terminated = true
 		}
 		return nil
 	}
 	// The token starts at zero; the initiator's own counter joins the
 	// test only when the token returns (q + c_init == 0).
-	tok := Token{Color: White, Count: 0, Round: s.round}
-	return s.emit(Send{From: s.init, To: s.succ(s.init), Token: tok, Regen: regen})
+	tok := Token{Color: White, Round: d.round}
+	return d.emit(Send{From: d.init, To: d.succ(d.init), Token: tok, Regen: regen})
 }
 
-func (s *safra) Terminated() bool { return s.terminated }
-func (s *safra) Rounds() int      { return s.round }
+// emit returns s as the detector's one-element scratch slice.
+func (d *ring) emit(s Send) []Send {
+	d.out[0] = s
+	return d.out[:]
+}
+
+func (d *ring) Terminated() bool { return d.terminated }
+func (d *ring) Rounds() int      { return d.round }
 
 // IdleDecisionPossible implements DecisionAware. The verdict in forward
 // requires a white current-round token at a white initiator; the count
 // condition is ignored (conservative — counts can reach zero within the
 // window). Colors only darken between token visits, so a black answer
 // cannot turn deciding without another OnToken at the initiator.
-func (s *safra) IdleDecisionPossible(rank int) bool {
-	if s.terminated || rank != s.init || !s.alive[rank] {
+func (d *ring) IdleDecisionPossible(rank int) bool {
+	if d.terminated || rank != d.init || !d.alive[rank] {
 		return false
 	}
-	if !s.started || s.restart {
+	if !d.started || d.restart {
 		// The next OnIdle emits a (possibly regenerated) round; deciding
 		// there needs nAlive == 1, checked below.
-		return s.nAlive == 1
+		return d.nAlive == 1
 	}
-	if s.nAlive == 1 {
+	if d.nAlive == 1 {
 		return true
 	}
-	if !s.pending[rank] {
+	if !d.pending[rank] {
 		return false
 	}
-	tok := s.pendingTok[rank]
-	return tok.Round == s.round && tok.Color == White && s.color[rank] == White
-}
-
-// ---------------------------------------------------------------------
-// Dijkstra-style color ring (reference-faithful)
-
-type ring struct {
-	members
-	color      []Color // black after sending work, per Dijkstra's rule
-	pending    []bool
-	pendingTok []Token
-}
-
-// NewRing returns the classic color-token ring: a rank that sent work
-// since the token last visited taints the round. It matches the
-// reference UTS scheme and is cheaper than Safra (no counters), but is
-// only sound when work messages are not in flight across a whole clean
-// token round; the engine verifies detections against its oracle.
-func NewRing(n int) Detector {
-	return &ring{
-		members:    newMembers(n),
-		color:      make([]Color, n),
-		pending:    make([]bool, n),
-		pendingTok: make([]Token, n),
-	}
-}
-
-func (r *ring) Name() string { return "Ring" }
-
-func (r *ring) WorkSent(rank int) { r.color[rank] = Black }
-
-func (r *ring) WorkReceived(rank int) { r.color[rank] = Black }
-
-func (r *ring) WorkLost(sender int) {
-	// The ring has no counters to reconcile; losses only matter to it
-	// through the taint the original send already left behind.
-}
-
-func (r *ring) OnIdle(rank int) []Send {
-	if r.terminated || !r.alive[rank] {
-		return nil
-	}
-	if rank == r.init && (!r.started || r.restart || r.nAlive == 1) {
-		regen := r.restart
-		r.started = true
-		r.restart = false
-		r.pending[rank] = false
-		return r.emitInit(regen)
-	}
-	if r.pending[rank] {
-		r.pending[rank] = false
-		tok := r.pendingTok[rank]
-		if tok.Round != r.round {
-			return nil // parked token from an abandoned round
-		}
-		return r.forward(rank, tok)
-	}
-	return nil
-}
-
-func (r *ring) OnToken(rank int, tok Token, idle bool) []Send {
-	if r.terminated || !r.alive[rank] || tok.Round != r.round {
-		return nil
-	}
-	if !idle {
-		r.pending[rank] = true
-		r.pendingTok[rank] = tok
-		return nil
-	}
-	return r.forward(rank, tok)
-}
-
-func (r *ring) RemoveRank(rank int, initiatorIdle bool) []Send {
-	if r.terminated || !r.alive[rank] {
-		return nil
-	}
-	r.pending[rank] = false
-	emit := r.drop(rank, initiatorIdle)
-	if emit {
-		return r.emitInit(true)
-	}
-	return nil
-}
-
-func (r *ring) forward(rank int, tok Token) []Send {
-	if rank == r.init {
-		r.round++
-		if tok.Color == White && r.color[rank] == White {
-			r.terminated = true
-			return nil
-		}
-		return r.emitInit(false)
-	}
-	if r.color[rank] == Black {
-		tok.Color = Black
-	}
-	r.color[rank] = White
-	return r.emit(Send{From: rank, To: r.succ(rank), Token: tok})
-}
-
-func (r *ring) emitInit(regen bool) []Send {
-	r.color[r.init] = White
-	if r.nAlive == 1 {
-		r.round++
-		r.terminated = true
-		return nil
-	}
-	tok := Token{Color: White, Round: r.round}
-	return r.emit(Send{From: r.init, To: r.succ(r.init), Token: tok, Regen: regen})
-}
-
-func (r *ring) Terminated() bool { return r.terminated }
-func (r *ring) Rounds() int      { return r.round }
-
-// IdleDecisionPossible implements DecisionAware; see the Safra variant.
-// The ring's verdict is the same white-token-at-white-initiator
-// condition without a count term.
-func (r *ring) IdleDecisionPossible(rank int) bool {
-	if r.terminated || rank != r.init || !r.alive[rank] {
-		return false
-	}
-	if !r.started || r.restart {
-		return r.nAlive == 1
-	}
-	if r.nAlive == 1 {
-		return true
-	}
-	if !r.pending[rank] {
-		return false
-	}
-	tok := r.pendingTok[rank]
-	return tok.Round == r.round && tok.Color == White && r.color[rank] == White
+	tok := d.pendingTok[rank]
+	return tok.Round == d.round && tok.Color == White && d.color[rank] == White
 }
 
 // ---------------------------------------------------------------------
