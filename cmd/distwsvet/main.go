@@ -142,6 +142,7 @@ var (
 		"(*distws/internal/term.ring).WorkReceived",
 		"(*distws/internal/term.ring).OnIdle",
 		"(*distws/internal/term.ring).OnToken",
+		"(*distws/internal/term.ring).WorkLost",
 	}
 
 	// detPackages are the deterministic core: everything a golden

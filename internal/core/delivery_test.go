@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -256,6 +257,105 @@ func TestVariantDigests(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			if got := variantDigest(t, cfg); got != want[name] {
 				t.Errorf("digest %s, want %s", got, want[name])
+			}
+		})
+	}
+}
+
+// idlenessCheck wraps a run's detector and infers each rank's idleness
+// from the calls the engine makes, by the rule the term detectors use:
+// busy until the rank's first OnIdle, then idle until its next
+// WorkReceived. At every delivery (tokens among them) for the
+// destination, and at every crash for each surviving rank, it holds
+// the inference to the engine's state byte. Per-rank fields are written
+// only by calls naming the rank, which the engine owning it makes;
+// states is set once, by the first delivery.
+type idlenessCheck struct {
+	term.Detector
+	t       *testing.T
+	idle    []bool
+	states  []rankState
+	once    sync.Once
+	checked atomic.Int64
+	crashes int
+}
+
+func (d *idlenessCheck) OnIdle(r int) []term.Send {
+	d.idle[r] = true
+	return d.Detector.OnIdle(r)
+}
+
+func (d *idlenessCheck) WorkReceived(r int) {
+	d.idle[r] = false
+	d.Detector.WorkReceived(r)
+}
+
+func (d *idlenessCheck) RemoveRank(r int) []term.Send {
+	if d.states == nil {
+		d.t.Fatalf("rank %d crashed before the first delivery: no state to check against", r)
+	}
+	d.crashes++
+	for q := range d.states {
+		d.check(q, fmt.Sprintf("crash of rank %d", r))
+	}
+	return d.Detector.RemoveRank(r)
+}
+
+func (d *idlenessCheck) IdleDecisionPossible(r int) bool {
+	return d.Detector.(term.DecisionAware).IdleDecisionPossible(r)
+}
+
+// check compares the inferred idleness of rank r with the engine's
+// while no verdict is out (a done rank's state says nothing more).
+func (d *idlenessCheck) check(r int, at string) {
+	if d.Terminated() || d.states[r] == rsCrashed {
+		return
+	}
+	d.checked.Add(1)
+	if engineIdle := d.states[r] != rsWorking; d.idle[r] != engineIdle {
+		d.t.Errorf("%s: rank %d inferred idle %v, engine state %d", at, r, d.idle[r], d.states[r])
+	}
+}
+
+// TestDetectorIdlenessMatchesEngine: the detector is told when a rank
+// goes idle and when it receives work, never asked whether it is idle,
+// so every route by which the engine starts an idle rank working must
+// pass through WorkReceived. Served jobs do not (injectNode resumes a
+// rank on a job's root), which is why serving runs have no detector;
+// the serving rows are skipped.
+func TestDetectorIdlenessMatchesEngine(t *testing.T) {
+	cases := variantCases()
+	cases["graph"] = graphConfig(testGraph(t, 6), 8, 9)
+	cases["graph+faults"] = graphFaultConfig(testGraph(t, 6))
+	cases["all-but-one-crashed"] = allButOneConfig()
+	cases["lone-survivor-loss"] = loneLossConfig()
+	for name, cfg := range cases {
+		if cfg.Serve != nil {
+			continue
+		}
+		t.Run(name, func(t *testing.T) {
+			base := cfg.Detector
+			if base == nil {
+				base = term.NewSafra
+			}
+			var d *idlenessCheck
+			cfg.Detector = func(n int) term.Detector {
+				d = &idlenessCheck{Detector: base(n), t: t, idle: make([]bool, n)}
+				return d
+			}
+			cfg.testDeliveryProbe = func(e *engine, m *comm.Message) bool {
+				d.once.Do(func() { d.states = e.states })
+				d.check(m.To, fmt.Sprintf("%v delivery at %v", m.Tag, e.kernel.Now()))
+				return e.deliver(m)
+			}
+			if _, err := Run(cfg); err != nil {
+				t.Fatal(err)
+			}
+			if d.checked.Load() == 0 {
+				t.Fatal("no delivery or crash checked")
+			}
+			if plan := cfg.Faults; plan != nil && d.crashes != len(plan.Crashes) {
+				t.Fatalf("%d crashes checked, the plan has %d", d.crashes, len(plan.Crashes))
 			}
 		})
 	}

@@ -258,12 +258,8 @@ type engine struct {
 	loot [][]uts.Node
 
 	// Fault injection. inj is nil for fault-free runs, keeping every
-	// hot path on its existing branch-free course; reprobeFn is the
-	// shared deferred lone-survivor check (see scheduleReprobe), and
-	// idleFn answers the detector's RemoveRank about the initiator.
-	inj       *fault.Injector
-	reprobeFn func()
-	idleFn    func(int) bool
+	// hot path on its existing branch-free course.
+	inj *fault.Injector
 
 	counters
 	detectedAt sim.Time
@@ -563,8 +559,6 @@ func (e *engine) bindTimers() {
 		e.ranks[r].stealTimer = sim.Event{}
 		e.abortSteal(r)
 	}
-	e.reprobeFn = e.reprobeSurvivor
-	e.idleFn = func(r int) bool { return e.states[r] != rsWorking && e.states[r] != rsDone }
 }
 
 // owner returns the engine owning rank r — its kernel holds the rank's
@@ -655,7 +649,6 @@ func (e *engine) goIdle(r int) {
 	if e.cfg.Ranks == 1 {
 		// No one to steal from; wait for the detector (which must have
 		// fired above for a single rank).
-		e.states[r] = rsBackoff
 		return
 	}
 	e.sendSteal(r)
@@ -782,10 +775,8 @@ func (e *engine) crashRank(r int) {
 	}
 	// Heal the termination ring; a token lost with the corpse — or the
 	// initiator role itself — moves to the lowest surviving rank.
-	e.forwardTokens(e.det.RemoveRank(r, e.idleFn))
-	if !e.checkTermination() {
-		e.scheduleReprobe()
-	}
+	e.forwardTokens(e.det.RemoveRank(r))
+	e.checkTermination()
 }
 
 // deadLetter discards a message addressed to a crashed rank. Lost loot
@@ -806,8 +797,15 @@ func (e *engine) lose(tag comm.Tag, from, to int, loot []uts.Node) {
 	}
 	e.destroy(from, -1, loot)
 	e.lostMsgs++
+	if e.det.Terminated() {
+		return
+	}
 	e.det.WorkLost(from)
-	e.scheduleReprobe()
+	if e.det.Terminated() {
+		// A lone idle survivor decided on the loss. The loss may have
+		// been resolved inside a send, so the broadcast waits 1 ns.
+		e.kernel.After(1, func() { e.checkTermination() })
+	}
 }
 
 // destroy books nodes a fault destroyed (and, when crashed >= 0, the
@@ -829,41 +827,6 @@ func (e *engine) onMessageDrop(h comm.Header, body *comm.Message) {
 		loot = body.Nodes
 	}
 	e.lose(tag, from, to, loot)
-}
-
-// scheduleReprobe arms a deferred check for the lone-survivor endgame.
-// When crashes shrink the ring to one rank, no tokens circulate, so a
-// WorkLost resolution arriving while the survivor idles would never
-// re-trigger the detector on its own. Deferred one tick because loss
-// resolution can fire from inside a message send.
-func (e *engine) scheduleReprobe() {
-	if e.inj == nil || e.detected {
-		return
-	}
-	e.kernel.After(1, e.reprobeFn)
-}
-
-func (e *engine) reprobeSurvivor() {
-	if e.detected {
-		return
-	}
-	surv, alive := -1, 0
-	for r := range e.ranks {
-		if e.states[r] != rsCrashed {
-			surv = r
-			if alive++; alive > 1 {
-				return
-			}
-		}
-	}
-	if alive != 1 {
-		return
-	}
-	if st := e.states[surv]; st == rsWorking || st == rsDone {
-		return
-	}
-	e.forwardTokens(e.det.OnIdle(surv))
-	e.checkTermination()
 }
 
 // deliver is the network's delivery hook, and the only route by which
@@ -1011,8 +974,7 @@ func (e *engine) handle(r int, m *comm.Message) {
 
 	case comm.TagToken:
 		e.rec.Record(r, e.kernel.Now(), trace.EvTokenRecv, m.From, 0)
-		idle := e.states[r] != rsWorking
-		e.forwardTokens(e.det.OnToken(r, m.Token, idle))
+		e.forwardTokens(e.det.OnToken(r, m.Token))
 		e.checkTermination()
 
 	case comm.TagTerminate:

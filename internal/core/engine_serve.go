@@ -22,16 +22,16 @@ import (
 // distributed detection, so it never fires and circulates no tokens.
 type openDetector struct{}
 
-func (openDetector) Name() string                               { return "Open" }
-func (openDetector) WorkSent(int)                               {}
-func (openDetector) WorkReceived(int)                           {}
-func (openDetector) WorkLost(int)                               {}
-func (openDetector) OnIdle(int) []term.Send                     { return nil }
-func (openDetector) OnToken(int, term.Token, bool) []term.Send  { return nil }
-func (openDetector) RemoveRank(int, func(int) bool) []term.Send { return nil }
-func (openDetector) Initiator() int                             { return 0 }
-func (openDetector) Terminated() bool                           { return false }
-func (openDetector) Rounds() int                                { return 0 }
+func (openDetector) Name() string                        { return "Open" }
+func (openDetector) WorkSent(int)                        {}
+func (openDetector) WorkReceived(int)                    {}
+func (openDetector) WorkLost(int)                        {}
+func (openDetector) OnIdle(int) []term.Send              { return nil }
+func (openDetector) OnToken(int, term.Token) []term.Send { return nil }
+func (openDetector) RemoveRank(int) []term.Send          { return nil }
+func (openDetector) Initiator() int                      { return 0 }
+func (openDetector) Terminated() bool                    { return false }
+func (openDetector) Rounds() int                         { return 0 }
 
 // serveWork is the served-jobs workload.
 type serveWork struct {

@@ -5,8 +5,10 @@ import (
 	"reflect"
 	"testing"
 
+	"distws/internal/comm"
 	"distws/internal/fault"
 	"distws/internal/sim"
+	"distws/internal/topology"
 	"distws/internal/trace"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -136,30 +138,87 @@ func TestCrashRankZero(t *testing.T) {
 	}
 }
 
-// TestAllButOneCrashed kills every rank except the last: the lone
-// survivor must still detect termination (the degenerate one-rank
-// ring), and the whole tree minus the losses must balance.
-func TestAllButOneCrashed(t *testing.T) {
-	// All seven die at the same instant, before the run can finish:
-	// the engine removes them back-to-back (sorted by rank), healing
-	// the ring through seven consecutive initiator successions.
+// allButOneConfig kills every rank of eight except the last. All
+// seven die at the same instant, before the run can finish: the engine
+// removes them back-to-back (sorted by rank), healing the ring through
+// seven consecutive initiator successions.
+func allButOneConfig() Config {
 	plan := &fault.Plan{}
 	for r := 0; r < 7; r++ {
 		plan.Crashes = append(plan.Crashes,
 			fault.Crash{Rank: r, At: sim.Time(25 * sim.Microsecond)})
 	}
-	cfg := Config{
+	return Config{
 		Tree:   uts.MustPreset("T3").Params,
 		Ranks:  8,
 		Seed:   3,
 		Faults: plan,
 	}
-	res, err := Run(cfg)
+}
+
+// TestAllButOneCrashed: the lone survivor must still detect termination
+// (the degenerate one-rank ring), and the whole tree minus the losses
+// must balance. The round count and the detection instant are pinned:
+// each decision of the survivor is a round, so a survivor deciding more
+// than once on one event moves the count.
+func TestAllButOneCrashed(t *testing.T) {
+	res, err := Run(allButOneConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.CrashedRanks != 7 {
 		t.Fatalf("%d crashed ranks, want 7", res.CrashedRanks)
+	}
+	checkAccounting(t, res)
+	// Rounds 1-5: the crashes of ranks 1-5 each abandon a round. The
+	// crash of rank 6 abandons round 6 and the survivor, idle, decides
+	// round 7 with rank 0's last work message unresolved; that message
+	// dies at a corpse at 27.896 µs and the survivor decides round 8.
+	if res.TerminationRounds != 8 || res.Makespan != 27897 {
+		t.Fatalf("%d rounds, makespan %d ns; want 8, 27897", res.TerminationRounds, int64(res.Makespan))
+	}
+}
+
+// loneLossConfig leaves rank 0 alone with a work message in flight to
+// a dead rank: rank 1 asks it for work and crashes at 50 µs, the
+// 20 µs links deliver the reply to the corpse at 80.6 µs, and by then
+// rank 0 has run out of its 49-node tree and idles.
+func loneLossConfig() Config {
+	tree := uts.MustPreset("T3").Params
+	tree.B0 = 40
+	return Config{
+		Tree:    tree,
+		Ranks:   2,
+		Seed:    1,
+		Latency: &topology.UniformLatency{Fixed: 20 * sim.Microsecond},
+		Faults:  &fault.Plan{Crashes: []fault.Crash{{Rank: 1, At: sim.Time(50 * sim.Microsecond)}}},
+	}
+}
+
+// TestLoneSurvivorDecidesOnLoss: a lone survivor that idles with a work
+// message still unresolved learns of its loss from nothing but
+// WorkLost — no token circulates and no OnIdle is coming — and must
+// detect termination on it, 1 ns after the dead letter (the broadcast
+// waits for the send path the loss may have resolved in to finish).
+func TestLoneSurvivorDecidesOnLoss(t *testing.T) {
+	cfg := loneLossConfig()
+	lossAt, idleAtLoss := sim.Time(-1), false
+	cfg.testDeliveryProbe = func(e *engine, m *comm.Message) bool {
+		if m.Tag == comm.TagWork && e.states[m.To] == rsCrashed {
+			lossAt, idleAtLoss = e.kernel.Now(), e.states[m.From] != rsWorking
+		}
+		return e.deliver(m)
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lossAt < 0 || !idleAtLoss {
+		t.Fatalf("dead letter at %v, survivor idle %v: the configuration no longer loses work to an idle survivor", lossAt, idleAtLoss)
+	}
+	if res.Makespan != sim.Duration(lossAt+1) || res.Premature || res.LostMessages != 1 {
+		t.Fatalf("detected at %v, premature %v, %d lost messages; want detection at %v, not premature, 1 lost",
+			res.Makespan, res.Premature, res.LostMessages, lossAt+1)
 	}
 	checkAccounting(t, res)
 }

@@ -2,9 +2,9 @@ package term
 
 import "testing"
 
-// driveTokenTo walks the sends until the token is delivered to `to`
-// with the given idleness, returning the follow-up sends.
-func deliverChain(t *testing.T, d Detector, sends []Send, to int, idleAt func(int) bool) []Send {
+// deliverChain walks the sends until the token is delivered to `to`,
+// returning the follow-up sends.
+func deliverChain(t *testing.T, d Detector, sends []Send, to int) []Send {
 	t.Helper()
 	for len(sends) > 0 {
 		s := sends[0]
@@ -12,20 +12,21 @@ func deliverChain(t *testing.T, d Detector, sends []Send, to int, idleAt func(in
 			t.Fatalf("expected a single token in flight, got %d", len(sends))
 		}
 		if s.To == to {
-			return d.OnToken(s.To, s.Token, idleAt(s.To))
+			return d.OnToken(s.To, s.Token)
 		}
-		sends = d.OnToken(s.To, s.Token, idleAt(s.To))
+		sends = d.OnToken(s.To, s.Token)
 	}
 	t.Fatalf("token never reached rank %d", to)
 	return nil
 }
 
 // TestIdleDecisionPossible drives both detectors through the states the
-// sharded engine's serialization policy distinguishes: no parked token
-// at the initiator (parallel OK), a white token parked at a white
-// initiator (must serialize — the next OnIdle may decide), and a parked
-// token already ruled out by color (parallel OK, and OnIdle must indeed
-// not decide).
+// sharded engine's serialization policy distinguishes: no round started
+// and a non-initiator (parallel OK), a verdict reached (parallel OK),
+// and a lone rank, whose next OnIdle decides (must serialize). A token
+// parked at the initiator is TestIdleDecisionRuledOutByColor's: a rank
+// is busy only before its first OnIdle or after receiving work, which
+// blackens it, so such a token always waits behind a black initiator.
 func TestIdleDecisionPossible(t *testing.T) {
 	for _, mk := range []struct {
 		name string
@@ -40,23 +41,23 @@ func TestIdleDecisionPossible(t *testing.T) {
 			if da.IdleDecisionPossible(1) {
 				t.Fatal("decision reported possible at a non-initiator")
 			}
-
-			// Round 1: everyone idle; the token returns to a busy
-			// initiator and parks. White token, white initiator: the
-			// engine must serialize until it releases.
-			sends := d.OnIdle(0)
-			sends = deliverChain(t, d, sends, 0, func(r int) bool { return r != 0 })
-			if len(sends) != 0 {
-				t.Fatalf("parked token produced sends %v", sends)
-			}
-			if !da.IdleDecisionPossible(0) {
-				t.Fatal("white token parked at white initiator: decision must be flagged possible")
-			}
-			if d.OnIdle(0); !d.Terminated() {
-				t.Fatal("release did not decide termination (sanity: flag was not conservative here)")
+			sends := append(d.OnIdle(1), d.OnIdle(2)...)
+			sends = append(sends, d.OnIdle(0)...)
+			if !pump(d, sends, 100) || !d.Terminated() {
+				t.Fatal("an all-idle round did not decide termination")
 			}
 			if da.IdleDecisionPossible(0) {
 				t.Fatal("decision still flagged after termination")
+			}
+
+			// A lone rank decides on its next OnIdle.
+			d = mk.f(1)
+			da = d.(DecisionAware)
+			if !da.IdleDecisionPossible(0) {
+				t.Fatal("a lone rank's first OnIdle decides: decision must be flagged possible")
+			}
+			if d.OnIdle(0); !d.Terminated() {
+				t.Fatal("a lone idle rank did not decide termination")
 			}
 		})
 	}
@@ -73,11 +74,13 @@ func TestIdleDecisionRuledOutByColor(t *testing.T) {
 		t.Run(mk.name, func(t *testing.T) {
 			d := mk.f(3)
 			da := d.(DecisionAware)
+			d.OnIdle(1)
+			d.OnIdle(2)
 			sends := d.OnIdle(0)
 			// Work traffic taints the initiator before the token returns.
 			d.WorkSent(1)
 			d.WorkReceived(0)
-			sends = deliverChain(t, d, sends, 0, func(r int) bool { return r != 0 })
+			sends = deliverChain(t, d, sends, 0)
 			if len(sends) != 0 {
 				t.Fatalf("parked token produced sends %v", sends)
 			}

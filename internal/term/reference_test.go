@@ -9,9 +9,12 @@ import (
 // The reference for FuzzDetectorMatchesReference: Safra and the
 // Dijkstra-style ring as two types over a shared membership record,
 // the shape they had before they became one type with two taint rules.
-// Its RemoveRank takes the initiator's idleness as a bool and leaves
-// the initiator and the restart of a ring that had not started to the
-// caller, which refCrash does as the engine did.
+// It is told every rank's idleness, where the detector under test
+// infers it. Its RemoveRank takes the initiator's idleness as a bool
+// and leaves the initiator and the restart of a ring that had not
+// started to the caller, which refCrash does as the engine did, and a
+// lone survivor's decision on a lost message to refLoss, which does it
+// as the engine's deferred survivor check did.
 
 // refDetector is the Detector contract of the reference, with the old
 // RemoveRank.
@@ -31,7 +34,10 @@ type refDetector interface {
 // the initiator is the lowest rank alive counts (0 when none is), it
 // is idle unless busy says otherwise, and when it is idle but the
 // removal emitted nothing the initiator is nudged with OnIdle. The
-// sends are copied out of the detector's scratch.
+// engine nudged a lone survivor that had just decided, too, deciding
+// twice at one crash; the nudge here goes only to a ring the removal
+// did not restart, one whose round number it left alone. The sends are
+// copied out of the detector's scratch.
 func refCrash(ref refDetector, rank int, alive, busy []bool) []Send {
 	alive[rank] = false
 	initr := 0
@@ -42,11 +48,31 @@ func refCrash(ref refDetector, rank int, alive, busy []bool) []Send {
 		}
 	}
 	initIdle := !busy[initr]
+	round := ref.Rounds()
 	sends := append([]Send(nil), ref.RemoveRank(rank, initIdle)...)
-	if initIdle && len(sends) == 0 {
+	if initIdle && len(sends) == 0 && ref.Rounds() == round {
 		sends = append(sends, ref.OnIdle(initr)...)
 	}
 	return sends
+}
+
+// refLoss resolves a lost work message from sender in ref as the
+// engine's lost-message path did: after WorkLost, a lone surviving rank
+// that is idle is told OnIdle, which decides again.
+func refLoss(ref refDetector, sender int, alive, busy []bool) {
+	ref.WorkLost(sender)
+	surv := -1
+	for r := range alive {
+		if alive[r] {
+			if surv >= 0 {
+				return
+			}
+			surv = r
+		}
+	}
+	if surv >= 0 && !busy[surv] {
+		ref.OnIdle(surv)
+	}
 }
 
 // The op kinds of FuzzDetectorMatchesReference.
@@ -61,13 +87,16 @@ const opWork, opArrive, opIdle, opToken, opCrash = 0, 1, 2, 3, 4
 // a work message or loses it on its link (b odd; a message to a
 // crashed rank is lost on arrival), makes a working rank go idle,
 // delivers a token (a working rank parks it; a crashed one's is
-// dropped unseen), or crashes a rank, which the reference handles as
-// refCrash does. The run stops at the verdict: no call follows it.
+// dropped unseen), or crashes a rank. The harness tracks which ranks
+// work by the rule the detector infers idleness by — busy until idle,
+// then idle until work arrives — and tells the reference; the detector
+// is told nothing. The reference takes crashes and losses as refCrash
+// and refLoss do. The run stops at the verdict: no call follows it.
 func FuzzDetectorMatchesReference(f *testing.F) {
 	// The initiator crashes before the first round; its idle successor
 	// starts it.
 	f.Add(uint8(3), uint16(0b0001), []byte{opCrash, 0, 0, opToken, 0, 0, opToken, 0, 0, opToken, 0, 0})
-	// A lone survivor inherits an unresolved count and decides twice at
+	// A lone survivor inherits an unresolved count and decides once at
 	// the crash; a stale token reaches it; the work lands and it decides.
 	f.Add(uint8(1), uint16(0b01), []byte{opWork, 0, 0, opIdle, 0, 0, opCrash, 0, 0, opToken, 0, 0, opArrive, 0, 0, opIdle, 0, 0})
 	// A crash abandons the round; the first round's token arrives stale.
@@ -78,6 +107,10 @@ func FuzzDetectorMatchesReference(f *testing.F) {
 	// token is stale when its holder idles.
 	f.Add(uint8(3), uint16(0b1000), []byte{opToken, 0, 0, opToken, 0, 0, opToken, 0, 0, opCrash, 1, 0, opIdle, 0, 0,
 		opToken, 0, 0, opToken, 0, 0, opToken, 0, 0})
+	// Rank 2 sends work to rank 0 and idles; the others crash, rank 0
+	// first, leaving rank 2 alone and idle with the count; the message
+	// is lost at its dead destination and the survivor decides on it.
+	f.Add(uint8(2), uint16(0b100), []byte{opWork, 0, 0, opIdle, 0, 0, opCrash, 0, 0, opCrash, 0, 0, opArrive, 0, 0})
 	f.Fuzz(func(t *testing.T, nIn uint8, busyMask uint16, ops []byte) {
 		n := 1 + int(nIn%12)
 		matchReference(t, NewSafra(n), newRefSafra(n), n, busyMask, ops)
@@ -93,7 +126,6 @@ func matchReference(t *testing.T, d Detector, ref refDetector, n int, busyMask u
 	for r := range n {
 		alive[r], refAlive[r], busy[r] = true, true, busyMask>>r&1 != 0
 	}
-	idle := func(r int) bool { return !busy[r] }
 	ranks := func(in []bool) []int {
 		var rs []int
 		for r, ok := range in {
@@ -155,7 +187,7 @@ func matchReference(t *testing.T, d Detector, ref refDetector, n int, busyMask u
 			inFlight = slices.Delete(inFlight, k, k+1)
 			if b%2 == 1 || !alive[m.to] {
 				d.WorkLost(m.from)
-				ref.WorkLost(m.from)
+				refLoss(ref, m.from, refAlive, busy)
 				check(fmt.Sprintf("work %d->%d lost", m.from, m.to))
 				continue
 			}
@@ -179,7 +211,7 @@ func matchReference(t *testing.T, d Detector, ref refDetector, n int, busyMask u
 			s := tokens[k]
 			tokens = slices.Delete(tokens, k, k+1)
 			if alive[s.To] {
-				sent(fmt.Sprintf("token %+v delivered", s), d.OnToken(s.To, s.Token, idle(s.To)), ref.OnToken(s.To, s.Token, idle(s.To)))
+				sent(fmt.Sprintf("token %+v delivered", s), d.OnToken(s.To, s.Token), ref.OnToken(s.To, s.Token, !busy[s.To]))
 			}
 		case opCrash:
 			live := ranks(alive)
@@ -189,7 +221,7 @@ func matchReference(t *testing.T, d Detector, ref refDetector, n int, busyMask u
 			r := live[a%len(live)]
 			alive[r], busy[r] = false, false
 			want := refCrash(ref, r, refAlive, busy)
-			sent(fmt.Sprintf("rank %d crashed", r), d.RemoveRank(r, idle), want)
+			sent(fmt.Sprintf("rank %d crashed", r), d.RemoveRank(r), want)
 		}
 	}
 }

@@ -18,11 +18,14 @@
 //     Result.Premature, and the ablation benches compare both rules'
 //     overhead.
 //
-// Detectors are passive state machines: the engine tells them about
-// rank idleness, work-message traffic and token arrivals, and they
-// answer with tokens to forward and, eventually, a termination verdict.
-// They never communicate on their own, which keeps them independent of
-// the transport and directly unit-testable.
+// Detectors are passive state machines: the engine tells them when a
+// rank goes idle, about work-message traffic, token arrivals and
+// crashes, and they answer with tokens to forward and, eventually, a
+// termination verdict. They never ask the engine anything: a rank's
+// idleness is inferred from those calls (busy until its first OnIdle,
+// then idle until it next receives work), and they never communicate
+// on their own, which keeps them independent of the transport and
+// directly unit-testable.
 //
 // # Fail-stop tolerance
 //
@@ -33,9 +36,10 @@
 // have died with the crashed rank, is regenerated by the initiator with
 // a fresh round number, and any stale token still circulating (or
 // parked on a busy rank) is dropped on arrival by its old round number.
-// The detector owns both decisions: Initiator names the rank that
-// decides, and RemoveRank restarts the healed ring itself, asking the
-// engine only whether the initiator is idle.
+// The detector owns every decision: Initiator names the rank that
+// decides, RemoveRank restarts the healed ring itself when the
+// initiator is idle, and a lone survivor, which has no token to wait
+// for, decides again in WorkLost when a loss resolves while it idles.
 // Safra additionally transfers the crashed rank's message-count balance
 // to the initiator so that sum(count) keeps equaling the number of
 // unresolved work messages, and WorkLost resolves messages that can no
@@ -96,10 +100,16 @@ type Send struct {
 // Contract: the engine must call WorkSent/WorkReceived for every
 // work-carrying message, WorkLost when a sent work message becomes
 // undeliverable, OnIdle(rank) whenever rank transitions to idle,
-// OnToken when a token message arrives (passing the rank's current
-// idleness), and RemoveRank when a rank fail-stops. Returned Sends must
-// be delivered as token messages. After Terminated returns true no
-// further calls are made.
+// OnToken when a token message arrives, and RemoveRank when a rank
+// fail-stops. Returned Sends must be delivered as token messages. After
+// Terminated returns true no further calls are made.
+//
+// Idleness is inferred, never asked: a rank is busy until its first
+// OnIdle, then idle until its next WorkReceived. So every route by
+// which an idle rank starts working again must pass through
+// WorkReceived. A verdict can come out of WorkLost, which may run
+// inside a send; the engine reads Terminated after it and acts on the
+// verdict once the send is done.
 //
 // Aliasing: a returned []Send is scratch the detector owns. It is valid
 // only until the next OnIdle, OnToken or RemoveRank call on the same
@@ -113,20 +123,22 @@ type Detector interface {
 	WorkReceived(rank int)
 	// WorkLost records that a work message sent by sender will never be
 	// received: the link dropped it, or its destination crashed. The
-	// sender may itself be dead by the time the loss resolves.
+	// sender may itself be dead by the time the loss resolves. When one
+	// rank is left alive and it is idle, the loss is its cue to decide
+	// again, which may set Terminated.
 	WorkLost(sender int)
 	// OnIdle notifies that rank is now idle; returns tokens to send.
 	OnIdle(rank int) []Send
-	// OnToken delivers a token to rank; idle reports the rank's current
-	// scheduling state. Returns tokens to send.
-	OnToken(rank int, tok Token, idle bool) []Send
+	// OnToken delivers a token to rank, which forwards it if idle and
+	// holds it until its next OnIdle otherwise. Returns tokens to send.
+	OnToken(rank int, tok Token) []Send
 	// RemoveRank fail-stops rank: the ring routes around it from now
-	// on. idle reports a rank's current scheduling state; RemoveRank
-	// asks it about the (possibly new) initiator only. If that rank is
-	// idle the healed ring restarts now — the returned sends carry the
-	// regenerated token, or the first one when no round had started —
-	// otherwise the restart is deferred to the initiator's next OnIdle.
-	RemoveRank(rank int, idle func(rank int) bool) []Send
+	// on. If the (possibly new) initiator is idle the healed ring
+	// restarts now — the returned sends carry the regenerated token, or
+	// the first one when no round had started, and a lone survivor
+	// decides once — otherwise the restart is deferred to the
+	// initiator's next OnIdle.
+	RemoveRank(rank int) []Send
 	// Initiator returns the rank that starts rounds and decides: rank 0
 	// until it crashes, then the lowest alive rank.
 	Initiator() int
@@ -174,6 +186,11 @@ type ring struct {
 	counts bool
 	alive  []bool
 	nAlive int
+	// idle[r] is set by OnIdle(r) and cleared by WorkReceived(r): a
+	// rank is busy until it first goes idle. Both calls name r, so only
+	// the engine owning r writes it, as with r's color and count in a
+	// sharded run.
+	idle []bool
 	// init is the round initiator: rank 0 until it crashes, then the
 	// lowest alive rank.
 	init       int
@@ -214,6 +231,7 @@ func newRing(n int, counts bool) *ring {
 		counts:     counts,
 		alive:      alive,
 		nAlive:     n,
+		idle:       make([]bool, n),
 		color:      make([]Color, n),
 		count:      make([]int64, n),
 		pending:    make([]bool, n),
@@ -241,20 +259,28 @@ func (d *ring) WorkReceived(rank int) {
 		d.count[rank]--
 	}
 	d.color[rank] = Black
+	d.idle[rank] = false
 }
 
 // WorkLost resolves a lost message against its sender's balance; a dead
 // sender's balance was transferred to the initiator when it was
 // removed. The ring has no counts to reconcile: a loss only matters to
-// it through the taint the original send already left behind.
+// it through the taint the original send already left behind. A lone
+// idle survivor has no token to wait for and no OnIdle coming, so it
+// decides on the resolved balance here.
 func (d *ring) WorkLost(sender int) {
-	if !d.counts || d.terminated {
+	if d.terminated {
 		return
 	}
-	if d.alive[sender] {
-		d.count[sender]--
-	} else {
-		d.count[d.init]--
+	if d.counts {
+		if d.alive[sender] {
+			d.count[sender]--
+		} else {
+			d.count[d.init]--
+		}
+	}
+	if d.nAlive == 1 && d.idle[d.init] {
+		d.OnIdle(d.init) // decides; a lone survivor emits nothing
 	}
 }
 
@@ -262,6 +288,7 @@ func (d *ring) OnIdle(rank int) []Send {
 	if d.terminated || !d.alive[rank] {
 		return nil
 	}
+	d.idle[rank] = true
 	if rank == d.init && (!d.started || d.restart || d.nAlive == 1) {
 		// Initiate the first round, regenerate after a crash, or — as
 		// the sole survivor — re-decide directly from local state.
@@ -282,11 +309,11 @@ func (d *ring) OnIdle(rank int) []Send {
 	return nil
 }
 
-func (d *ring) OnToken(rank int, tok Token, idle bool) []Send {
+func (d *ring) OnToken(rank int, tok Token) []Send {
 	if d.terminated || !d.alive[rank] || tok.Round != d.round {
 		return nil
 	}
-	if !idle {
+	if !d.idle[rank] {
 		d.pending[rank] = true
 		d.pendingTok[rank] = tok
 		return nil
@@ -294,7 +321,7 @@ func (d *ring) OnToken(rank int, tok Token, idle bool) []Send {
 	return d.forward(rank, tok)
 }
 
-func (d *ring) RemoveRank(rank int, idle func(int) bool) []Send {
+func (d *ring) RemoveRank(rank int) []Send {
 	if d.terminated || !d.alive[rank] {
 		return nil
 	}
@@ -310,29 +337,18 @@ func (d *ring) RemoveRank(rank int, idle func(int) bool) []Send {
 	// still equals the unresolved in-flight messages.
 	d.count[d.init] += d.count[rank]
 	d.count[rank] = 0
-	regen := d.started
-	if regen {
+	if d.started {
 		// Abandon the in-flight round: its token may have died with the
 		// rank, and any surviving copy is now stale by round number.
-		// The initiator regenerates it at its next OnIdle.
 		d.round++
 		d.restart = true
 	}
-	if !idle(d.init) {
-		return nil
+	if !d.idle[d.init] {
+		return nil // the initiator restarts the ring at its next OnIdle
 	}
-	var out []Send
-	if regen {
-		out = d.OnIdle(d.init)
-	}
-	if len(out) == 0 {
-		// Nothing was emitted although the initiator is idle: the ring
-		// had not started, or a lone survivor decided and found a
-		// balance left. The next round would wait for an OnIdle that may
-		// never come, so start it now; a lone survivor decides again.
-		out = d.OnIdle(d.init)
-	}
-	return out
+	// An idle initiator has no OnIdle coming: regenerate the round, or
+	// start the first one, now; a lone survivor decides.
+	return d.OnIdle(d.init)
 }
 
 func (d *ring) Initiator() int { return d.init }

@@ -8,33 +8,33 @@ import (
 )
 
 // pumpQueue delivers queued token sends until quiescent or a step
-// budget is exhausted, returning any undelivered sends. idle reports
-// each rank's state at delivery time.
-func pumpQueue(d Detector, sends []Send, idle func(rank int) bool, maxSteps int) []Send {
+// budget is exhausted, returning any undelivered sends. A rank forwards
+// the token if it is idle by the detector's account (it went idle and
+// has received no work since) and holds it otherwise.
+func pumpQueue(d Detector, sends []Send, maxSteps int) []Send {
 	queue := append([]Send(nil), sends...)
 	for steps := 0; len(queue) > 0 && steps < maxSteps; steps++ {
 		s := queue[0]
 		queue = queue[1:]
-		queue = append(queue, d.OnToken(s.To, s.Token, idle(s.To))...)
+		queue = append(queue, d.OnToken(s.To, s.Token)...)
 	}
 	return queue
 }
 
 // pump is pumpQueue discarding leftovers; reports whether it settled.
-func pump(d Detector, sends []Send, idle func(rank int) bool, maxSteps int) bool {
-	return len(pumpQueue(d, sends, idle, maxSteps)) == 0
+func pump(d Detector, sends []Send, maxSteps int) bool {
+	return len(pumpQueue(d, sends, maxSteps)) == 0
 }
 
 func TestDetectorsTerminateWhenAllIdle(t *testing.T) {
 	for name, factory := range Detectors {
 		for _, n := range []int{1, 2, 3, 8, 64} {
 			d := factory(n)
-			allIdle := func(int) bool { return true }
 			var sends []Send
 			for rank := 0; rank < n; rank++ {
 				sends = append(sends, d.OnIdle(rank)...)
 			}
-			if !pump(d, sends, allIdle, 10*n+10) {
+			if !pump(d, sends, 10*n+10) {
 				t.Fatalf("%s n=%d: token never settled", name, n)
 			}
 			if !d.Terminated() {
@@ -50,18 +50,18 @@ func TestDetectorsTerminateWhenAllIdle(t *testing.T) {
 func TestNoTerminationWhileActive(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(4)
-		busy := map[int]bool{2: true}
-		idle := func(r int) bool { return !busy[r] }
+		// Ranks 1 and 3 go idle; rank 2 is still busy.
+		d.OnIdle(1)
+		d.OnIdle(3)
 		sends := d.OnIdle(0)
 		// Token reaches rank 2 and parks there; no termination.
-		pump(d, sends, idle, 100)
+		pump(d, sends, 100)
 		if d.Terminated() {
 			t.Fatalf("%s: terminated while rank 2 active", name)
 		}
 		// Rank 2 goes idle: round completes (and possibly more rounds).
 		sends = d.OnIdle(2)
-		busy[2] = false
-		if !pump(d, sends, idle, 100) {
+		if !pump(d, sends, 100) {
 			t.Fatalf("%s: token stuck after rank 2 idled", name)
 		}
 		if !d.Terminated() {
@@ -75,22 +75,23 @@ func TestSafraInFlightMessageBlocksTermination(t *testing.T) {
 	// Safra must NOT terminate until the receive is recorded.
 	d := NewSafra(4)
 	d.WorkSent(1)
-	allIdle := func(int) bool { return true }
 	var sends []Send
 	for rank := 0; rank < 4; rank++ {
 		sends = append(sends, d.OnIdle(rank)...)
 	}
-	leftover := pumpQueue(d, sends, allIdle, 200)
+	leftover := pumpQueue(d, sends, 200)
 	if d.Terminated() {
 		t.Fatal("Safra terminated with message count nonzero")
 	}
 	if len(leftover) == 0 {
 		t.Fatal("token stopped circulating with an undelivered work message")
 	}
-	// Deliver the message; the still-circulating token must now settle
-	// into termination within a few rounds.
+	// Deliver the message, whose work rank 3 finishes at once; the
+	// still-circulating token must now settle into termination within a
+	// few rounds.
 	d.WorkReceived(3)
-	if !pump(d, leftover, allIdle, 500) {
+	leftover = append(leftover, d.OnIdle(3)...)
+	if !pump(d, leftover, 500) {
 		t.Fatal("token never settled after delivery")
 	}
 	if !d.Terminated() {
@@ -105,12 +106,11 @@ func TestSafraBalancedTrafficTerminates(t *testing.T) {
 	d.WorkReceived(1)
 	d.WorkSent(1)
 	d.WorkReceived(2)
-	allIdle := func(int) bool { return true }
 	var sends []Send
 	for rank := 0; rank < 3; rank++ {
 		sends = append(sends, d.OnIdle(rank)...)
 	}
-	if !pump(d, sends, allIdle, 300) {
+	if !pump(d, sends, 300) {
 		t.Fatal("token never settled")
 	}
 	if !d.Terminated() {
@@ -129,8 +129,8 @@ func TestTokenParksOnActiveRank(t *testing.T) {
 		if len(sends) != 1 || sends[0].To != 1 {
 			t.Fatalf("%s: rank 0 emitted %v", name, sends)
 		}
-		// Deliver to busy rank 1: token parks.
-		out := d.OnToken(1, sends[0].Token, false)
+		// Deliver to rank 1, busy since it never went idle: token parks.
+		out := d.OnToken(1, sends[0].Token)
 		if len(out) != 0 {
 			t.Fatalf("%s: busy rank forwarded token", name)
 		}
@@ -145,16 +145,15 @@ func TestTokenParksOnActiveRank(t *testing.T) {
 func TestNoCallsAfterTermination(t *testing.T) {
 	for name, factory := range Detectors {
 		d := factory(2)
-		allIdle := func(int) bool { return true }
 		sends := append(d.OnIdle(0), d.OnIdle(1)...)
-		pump(d, sends, allIdle, 100)
+		pump(d, sends, 100)
 		if !d.Terminated() {
 			t.Fatalf("%s: setup failed", name)
 		}
 		if out := d.OnIdle(0); len(out) != 0 {
 			t.Fatalf("%s: emitted after termination", name)
 		}
-		if out := d.OnToken(1, Token{}, true); len(out) != 0 {
+		if out := d.OnToken(1, Token{}); len(out) != 0 {
 			t.Fatalf("%s: forwarded after termination", name)
 		}
 	}
@@ -193,7 +192,6 @@ func TestPropertySafraSafeAndLive(t *testing.T) {
 				inFlight++
 			}
 		}
-		allIdle := func(int) bool { return true }
 		var sends []Send
 		for rank := 0; rank < n; rank++ {
 			sends = append(sends, d.OnIdle(rank)...)
@@ -201,7 +199,7 @@ func TestPropertySafraSafeAndLive(t *testing.T) {
 		// Bounded pumping: with in-flight messages Safra must never
 		// terminate (the token just keeps circulating); once every
 		// message is delivered it must terminate within a few rounds.
-		pump(d, sends, allIdle, 50*n+100)
+		pump(d, sends, 50*n+100)
 		if inFlight > 0 {
 			return !d.Terminated()
 		}
@@ -227,18 +225,19 @@ func TestRingWorkTaintsRound(t *testing.T) {
 	d := NewRing(3)
 	d.WorkSent(1)
 	d.WorkReceived(2)
-	allIdle := func(int) bool { return true }
+	d.OnIdle(1)
+	d.OnIdle(2)
 	sends := d.OnIdle(0)
 	// One full round: 0 -> 1 -> 2 -> 0. Deliver exactly 3 hops.
 	for hop := 0; hop < 3 && len(sends) > 0; hop++ {
 		s := sends[0]
-		sends = d.OnToken(s.To, s.Token, allIdle(s.To))
+		sends = d.OnToken(s.To, s.Token)
 	}
 	if d.Terminated() {
 		t.Fatal("ring terminated on a tainted round")
 	}
 	// The second, clean round terminates.
-	if !pump(d, sends, allIdle, 20) {
+	if !pump(d, sends, 20) {
 		t.Fatal("token stuck")
 	}
 	if !d.Terminated() {
@@ -258,6 +257,9 @@ func TestTokenHopsAllocFree(t *testing.T) {
 		const n = 8
 		d := factory(n)
 		d.WorkSent(1) // an unmatched send taints every round: never terminates
+		for rank := 1; rank < n; rank++ {
+			d.OnIdle(rank)
+		}
 		sends := d.OnIdle(0)
 		if len(sends) != 1 {
 			t.Fatalf("%s: initiator emitted %d sends, want 1", name, len(sends))
@@ -267,7 +269,7 @@ func TestTokenHopsAllocFree(t *testing.T) {
 		allocs := testing.AllocsPerRun(50, func() {
 			for i := 0; i < n; i++ { // one full round, back through the initiator
 				d.WorkSent(1)
-				out := d.OnToken(hop.To, hop.Token, true)
+				out := d.OnToken(hop.To, hop.Token)
 				if len(out) != 1 {
 					t.Fatalf("%s: hop at rank %d returned %d sends, want 1", name, hop.To, len(out))
 				}
