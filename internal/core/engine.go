@@ -1169,11 +1169,16 @@ func (e *engine) checkTermination() bool {
 }
 
 // markDetected records the verdict that ends the run, on every engine
-// of it. In a sharded run only a serialized window or a barrier decides
-// (the serialization policy guarantees it), so this single-threaded
-// broadcast to the sibling shard engines is race-free; they observe it
-// in later windows through the barrier's happens-before edge.
+// of it. In a sharded run a verdict must land in a serialized window
+// (DESIGN.md §13): the broadcast to the sibling shard engines is then
+// single-threaded, and they observe it in later windows through the
+// barrier's happens-before edge. A verdict anywhere else — a parallel
+// window, or the set-up before the first — panics; inside a window
+// par.Run re-raises the panic on its caller.
 func (e *engine) markDetected(at sim.Time) {
+	if e.par != nil && !e.par.serialized {
+		panic(fmt.Sprintf("core: termination verdict at %d ns outside a serialized window", at))
+	}
 	e.detected, e.detectedAt = true, at
 	if e.par != nil {
 		for _, o := range e.par.engines {

@@ -15,23 +15,24 @@ package core
 //
 // Only a closed, fault-free tree is sharded (Config.Validate refuses the
 // rest), so the ring initiator is rank 0 throughout. Windows in which a
-// non-local decision could occur are serialized: the coordinator steps
-// the shard kernels one virtual instant at a time in global timestamp
-// order (ties to the lowest shard index), which is exactly a sequential
-// simulation. The triggers are
+// verdict could occur are serialized: the coordinator steps the shard
+// kernels one virtual instant at a time in global timestamp order (ties
+// to the lowest shard index), which is exactly a sequential simulation.
+// The triggers are
 //
-//  1. the detector does not implement term.DecisionAware (no way to
-//     rule a verdict out, so never run parallel),
+//  1. the detector does not implement term.DecisionAware (no promise
+//     about where it decides, so never run parallel), and
 //  2. a termination token is due at the initiator inside the window
-//     (OnToken at the initiator can decide), and
-//  3. the detector reports a parked token at the initiator could
-//     decide on its next OnIdle (term.DecisionAware).
+//     (OnToken at the initiator is where a DecisionAware detector
+//     decides once two or more ranks are alive and none crashed).
 //
-// Triggers 2 and 3 make every verdict land in a serialized window, so
+// Trigger 2 makes every verdict land in a serialized window, so
 // Result.Makespan and the termination broadcast are single-threaded
-// and deterministic. Everything that runs during parallel windows
-// touches only per-rank state owned by the executing shard or
-// detector per-rank arrays whose shared fields
+// and deterministic; markDetected panics on a verdict in a parallel
+// window rather than let the run go on nondeterministically, and
+// par.Run re-raises the panic on its caller. Everything that runs
+// during parallel windows touches only per-rank state owned by the
+// executing shard or detector per-rank arrays whose shared fields
 // (round, membership, colors of other ranks) are frozen while windows
 // run parallel; the -race stress tests pin this.
 
@@ -156,8 +157,6 @@ func (ps *parShared) windowCause(start, end sim.Time) parprof.Cause {
 		return parprof.CauseDetector
 	case tokenDue:
 		return parprof.CauseTokenDue
-	case ps.da.IdleDecisionPossible(0):
-		return parprof.CauseIdleDecision
 	}
 	return parprof.CauseNone
 }
@@ -171,14 +170,9 @@ func runSharded(cfg Config, job *topology.Job, w workload, st *runStore, finish 
 	for r := range shardOf {
 		shardOf[r] = r * shards / cfg.Ranks
 	}
-	lookahead, cross, err := topology.MinCrossLatency(job, shardOf, cfg.Latency)
+	lookahead, err := topology.MinCrossLatency(job, shardOf, cfg.Latency)
 	if err != nil {
 		return nil, fmt.Errorf("core: shards=%d: %w", shards, err)
-	}
-	if !cross {
-		// Unreachable for 2 <= shards <= ranks (every shard is
-		// nonempty), but fail loudly rather than divide time by zero.
-		return nil, fmt.Errorf("core: shards=%d: partition has no cross-shard rank pair", shards)
 	}
 
 	sk := par.New(shards, lookahead)
@@ -206,19 +200,9 @@ func runSharded(cfg Config, job *topology.Job, w workload, st *runStore, finish 
 		Serialize: ps.serializeWindow,
 		OnWindow: func(info par.WindowInfo) {
 			ps.serialized = info.Serialized
-			if ps.prof == nil {
-				return
+			if ps.prof != nil {
+				ps.prof.Record(info.Start, info.End, ps.cause, info.Merged, info.Pairs)
 			}
-			cause := parprof.CauseNone
-			if info.Serialized {
-				// ps.cause was latched by serializeWindow for this
-				// window; CauseCallerForced is the defensive fallback
-				// for par users whose Serialize bypasses the policy.
-				if cause = ps.cause; cause == parprof.CauseNone {
-					cause = parprof.CauseCallerForced
-				}
-			}
-			ps.prof.Record(info.Start, info.End, cause, info.Merged, info.Pairs)
 		},
 	}
 	if err := sk.Run(hooks); err != nil {

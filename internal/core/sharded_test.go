@@ -6,10 +6,12 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"distws/internal/fault"
 	"distws/internal/sim"
+	"distws/internal/term"
 	"distws/internal/topology"
 	"distws/internal/uts"
 	"distws/internal/victim"
@@ -202,6 +204,55 @@ func TestShardedRejects(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// idleVerdict decides on the first OnIdle after a run's set-up, in
+// which every rank but rank 0 goes idle once, so no token ever exists
+// and no window is serialized for one. It claims term.DecisionAware, so
+// the window it decides in runs parallel. The counters are atomic: the
+// shards call OnIdle concurrently.
+type idleVerdict struct {
+	term.Detector
+	setup   int64
+	calls   atomic.Int64
+	decided atomic.Bool
+}
+
+func (d *idleVerdict) OnIdle(r int) []term.Send {
+	if d.calls.Add(1) > d.setup {
+		d.decided.Store(true)
+		return nil
+	}
+	return d.Detector.OnIdle(r)
+}
+
+func (d *idleVerdict) Terminated() bool              { return d.decided.Load() || d.Detector.Terminated() }
+func (d *idleVerdict) IdleDecisionPossible(int) bool { return false }
+
+// TestShardedVerdictOutsideSerializedWindowPanics: the sharded engine
+// serializes only the windows in which a token is due at the
+// initiator, where a DecisionAware detector decides. A verdict
+// elsewhere must fail the run loudly, through the panic par.Run
+// re-raises on its caller, not end it in a parallel window.
+func TestShardedVerdictOutsideSerializedWindowPanics(t *testing.T) {
+	cfg := Config{
+		Tree:      uts.MustPreset("H-TINY").Params,
+		Ranks:     16,
+		Placement: topology.OnePerNode,
+		Seed:      3,
+		Shards:    2,
+		Detector: func(n int) term.Detector {
+			return &idleVerdict{Detector: term.NewSafra(n), setup: int64(n - 1)}
+		},
+	}
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		Run(cfg)
+		return nil
+	}()
+	if msg, _ := got.(string); !strings.Contains(msg, "outside a serialized window") {
+		t.Fatalf("run ended with %v, want the verdict assertion's panic", got)
 	}
 }
 

@@ -21,8 +21,9 @@ import (
 
 // Cause classifies why a window was serialized. Exactly one cause is
 // recorded per window; CauseNone marks windows that ran parallel. The
-// serialized causes mirror the sharded engine's trigger list
-// (internal/core/engine_par.go, DESIGN.md §13) in decision order.
+// serialized causes are the sharded engine's two triggers
+// (internal/core/engine_par.go, DESIGN.md §13) in decision order; a
+// verdict outside a serialized window is not a cause but a panic.
 type Cause uint8
 
 const (
@@ -34,22 +35,12 @@ const (
 	// CauseTokenDue: a termination token is due at the ring initiator
 	// inside the window.
 	CauseTokenDue
-	// CauseIdleDecision: the detector reported that a parked token at
-	// the initiator could decide on its next OnIdle.
-	CauseIdleDecision
-	// CauseCallerForced: the par.Hooks.Serialize caller forced the
-	// window without naming an engine cause. Unreachable from the
-	// sharded engine (its policy is exhaustive); recorded defensively
-	// for other par users.
-	CauseCallerForced
 
 	// NumCauses bounds the enum for dense per-cause arrays.
 	NumCauses
 )
 
-var causeNames = [NumCauses]string{
-	"parallel", "detector-decision", "token-due", "idle-decision", "caller-forced",
-}
+var causeNames = [NumCauses]string{"parallel", "detector-decision", "token-due"}
 
 func (c Cause) String() string {
 	if c < NumCauses {
@@ -120,16 +111,13 @@ func New(shards int, lookahead sim.Duration) *Ledger {
 	return &Ledger{shards: shards, lookahead: lookahead}
 }
 
-// Record appends one window. cause CauseNone means the window ran
-// parallel; merged is the staged-message count injected at the opening
-// barrier and pairs its src-major shards×shards decomposition (nil
-// when merged == 0; the slice is copied, so barrier-owned scratch may
-// be passed directly). Steady-state cost amortizes to zero
-// allocations (BenchmarkWindowLedger gates it).
+// Record appends one window. cause, below NumCauses, is CauseNone when
+// the window ran parallel; merged is the staged-message count injected
+// at the opening barrier and pairs its src-major shards×shards
+// decomposition (nil when merged == 0; the slice is copied, so
+// barrier-owned scratch may be passed directly). Steady-state cost
+// amortizes to zero allocations (BenchmarkWindowLedger gates it).
 func (l *Ledger) Record(start, end sim.Time, cause Cause, merged int, pairs []uint32) {
-	if cause >= NumCauses {
-		cause = CauseCallerForced
-	}
 	w := window{Start: start, End: end, Cause: cause, Merged: uint32(merged), pairOff: -1}
 	if merged > 0 && len(pairs) == l.shards*l.shards {
 		w.pairOff = int32(len(l.pairArena))

@@ -83,7 +83,8 @@ func TestCheckIdentitiesCatchesTampering(t *testing.T) {
 		return l
 	}
 	for name, tamper := range map[string]func(*Ledger){
-		"cause":     func(l *Ledger) { l.windows[1].Cause = CauseIdleDecision },
+		"cause":     func(l *Ledger) { l.windows[1].Cause = CauseDetector },
+		"badcause":  func(l *Ledger) { l.windows[1].Cause = NumCauses },
 		"width":     func(l *Ledger) { l.windows[0].End += sim.Time(la) },
 		"merged":    func(l *Ledger) { l.windows[0].Merged++ },
 		"aggregate": func(l *Ledger) { l.totals.Serialized++ },
@@ -102,11 +103,9 @@ func TestCheckIdentitiesCatchesTampering(t *testing.T) {
 
 func TestCauseStrings(t *testing.T) {
 	want := map[Cause]string{
-		CauseNone:         "parallel",
-		CauseDetector:     "detector-decision",
-		CauseTokenDue:     "token-due",
-		CauseIdleDecision: "idle-decision",
-		CauseCallerForced: "caller-forced",
+		CauseNone:     "parallel",
+		CauseDetector: "detector-decision",
+		CauseTokenDue: "token-due",
 	}
 	for c, s := range want {
 		if c.String() != s {
@@ -118,11 +117,5 @@ func TestCauseStrings(t *testing.T) {
 	}
 	if got := Cause(200).String(); got != "Cause(200)" {
 		t.Errorf("out-of-range cause renders %q", got)
-	}
-	// Record clamps invalid causes rather than corrupting the arrays.
-	l := New(1, sim.Microsecond)
-	l.Record(0, sim.Time(sim.Microsecond), Cause(200), 0, nil)
-	if l.windows[0].Cause != CauseCallerForced {
-		t.Errorf("invalid cause recorded as %v", l.windows[0].Cause)
 	}
 }

@@ -116,13 +116,6 @@ type Hooks struct {
 	OnWindow func(info WindowInfo)
 }
 
-// Stats counts windows executed by a Run.
-type Stats struct {
-	Windows    uint64 // total barriers that executed a window
-	Serialized uint64 // windows executed single-threaded
-	Staged     uint64 // cross-shard messages merged at barriers
-}
-
 // ShardedKernel coordinates P sequential kernels under the conservative
 // time-window protocol. Construct with New, wire cross-shard sends
 // through Stage, then call Run once.
@@ -135,7 +128,6 @@ type ShardedKernel struct {
 	staged [][]stagedEntry
 	seq    []uint64 // per-source staging counters
 	merged mergeSorter
-	stats  Stats
 	// pairs is the per-barrier src-major shards×shards message count
 	// scratch behind WindowInfo.Pairs; lastMerged is the total counted
 	// into it at the most recent barrier (0 leaves the scratch stale,
@@ -182,9 +174,6 @@ func (s *ShardedKernel) Shards() int { return len(s.kernels) }
 // from coordinator-context hooks).
 func (s *ShardedKernel) Kernel(i int) *sim.Kernel { return s.kernels[i] }
 
-// Lookahead returns the window width Δ.
-func (s *ShardedKernel) Lookahead() sim.Duration { return s.lookahead }
-
 // WindowEnd returns the end of the window currently executing (zero
 // before the first barrier). Written only at barriers with workers
 // quiescent, so workers may read it freely during a window; senders use
@@ -192,9 +181,6 @@ func (s *ShardedKernel) Lookahead() sim.Duration { return s.lookahead }
 // staging merge, keeping same-instant cross- and intra-shard arrivals
 // in one deterministic order.
 func (s *ShardedKernel) WindowEnd() sim.Time { return s.windowEnd }
-
-// Stats returns window counters for the completed (or in-progress) run.
-func (s *ShardedKernel) Stats() Stats { return s.stats }
 
 // Stage enqueues a barrier-merged delivery: fn(arg), with payload p,
 // will be scheduled on shard dst's kernel at virtual time `when`, no
@@ -255,7 +241,6 @@ func (s *ShardedKernel) injectStaged() bool {
 		s.kernels[e.dst].AtPayload(e.when, e.fn, e.arg, e.p)
 		e.fn, e.arg = nil, nil // release references promptly
 	}
-	s.stats.Staged += uint64(n)
 	return true
 }
 
@@ -358,9 +343,7 @@ func (s *ShardedKernel) Run(hooks Hooks) error {
 			hooks.OnWindow(info)
 		}
 		s.windowEnd = end
-		s.stats.Windows++
 		if serialized {
-			s.stats.Serialized++
 			if err := s.runSerialized(end); err != nil {
 				return err
 			}

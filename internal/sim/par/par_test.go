@@ -44,6 +44,22 @@ func (p *pingPong) handler(shard int) func(any) {
 	}
 }
 
+// windowCount tallies what Hooks.OnWindow reports of a run: windows,
+// serialized windows and staged messages merged at barriers.
+type windowCount struct{ windows, serialized, staged int }
+
+// count returns h with an OnWindow that tallies into c.
+func (c *windowCount) count(h Hooks) Hooks {
+	h.OnWindow = func(info WindowInfo) {
+		c.windows++
+		if info.Serialized {
+			c.serialized++
+		}
+		c.staged += info.Merged
+	}
+	return h
+}
+
 func TestPingPongRing(t *testing.T) {
 	const hops = 50
 	for _, shards := range []int{2, 3, 4} {
@@ -51,7 +67,8 @@ func TestPingPongRing(t *testing.T) {
 		// Kick off from shard 0 at t=0 via a local event that stages the
 		// first cross-shard hop.
 		p.sk.Kernel(0).At(0, func() { p.handler(0)(nil) })
-		if err := p.sk.Run(Hooks{}); err != nil {
+		var st windowCount
+		if err := p.sk.Run(st.count(Hooks{})); err != nil {
 			t.Fatal(err)
 		}
 		total := 0
@@ -66,8 +83,7 @@ func TestPingPongRing(t *testing.T) {
 				t.Fatalf("shards=%d: hop %d at %v, want %v", shards, i, tm, want)
 			}
 		}
-		st := p.sk.Stats()
-		if st.Windows == 0 || st.Staged != hops-1 {
+		if st.windows == 0 || st.staged != hops-1 {
 			t.Fatalf("shards=%d: stats %+v", shards, st)
 		}
 	}
@@ -77,19 +93,21 @@ func TestPingPongRing(t *testing.T) {
 // window parallel and once with every window serialized; the visit
 // sequence and virtual times must be identical.
 func TestSerializedMatchesParallel(t *testing.T) {
-	run := func(serialize bool) *pingPong {
+	run := func(serialize bool) (*pingPong, windowCount) {
 		p := newPingPong(4, 61)
 		p.sk.Kernel(0).At(0, func() { p.handler(0)(nil) })
 		hooks := Hooks{}
 		if serialize {
 			hooks.Serialize = func(_, _ sim.Time) bool { return true }
 		}
-		if err := p.sk.Run(hooks); err != nil {
+		var c windowCount
+		if err := p.sk.Run(c.count(hooks)); err != nil {
 			t.Fatal(err)
 		}
-		return p
+		return p, c
 	}
-	par, ser := run(false), run(true)
+	par, parCount := run(false)
+	ser, serCount := run(true)
 	if len(par.log) != len(ser.log) {
 		t.Fatalf("parallel %d hops, serialized %d", len(par.log), len(ser.log))
 	}
@@ -99,11 +117,11 @@ func TestSerializedMatchesParallel(t *testing.T) {
 				i, par.log[i], par.order[i], ser.log[i], ser.order[i])
 		}
 	}
-	if s := ser.sk.Stats(); s.Serialized != s.Windows {
-		t.Fatalf("serialized run stats %+v", s)
+	if serCount.serialized != serCount.windows {
+		t.Fatalf("serialized run windows %+v", serCount)
 	}
-	if s := par.sk.Stats(); s.Serialized != 0 {
-		t.Fatalf("parallel run stats %+v", s)
+	if parCount.serialized != 0 {
+		t.Fatalf("parallel run windows %+v", parCount)
 	}
 }
 

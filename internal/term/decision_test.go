@@ -20,13 +20,13 @@ func deliverChain(t *testing.T, d Detector, sends []Send, to int) []Send {
 	return nil
 }
 
-// TestIdleDecisionPossible drives both detectors through the states the
-// sharded engine's serialization policy distinguishes: no round started
-// and a non-initiator (parallel OK), a verdict reached (parallel OK),
-// and a lone rank, whose next OnIdle decides (must serialize). A token
-// parked at the initiator is TestIdleDecisionRuledOutByColor's: a rank
-// is busy only before its first OnIdle or after receiving work, which
-// blackens it, so such a token always waits behind a black initiator.
+// TestIdleDecisionPossible drives both detectors through the states
+// IdleDecisionPossible tells apart: no round started and a
+// non-initiator (no decision), a verdict reached (no decision), and a
+// lone rank, whose next OnIdle decides. A token parked at the initiator
+// is TestIdleDecisionRuledOutByColor's: a rank is busy only before its
+// first OnIdle or after receiving work, which blackens it, so such a
+// token always waits behind a black initiator.
 func TestIdleDecisionPossible(t *testing.T) {
 	for _, mk := range []struct {
 		name string
@@ -63,9 +63,9 @@ func TestIdleDecisionPossible(t *testing.T) {
 	}
 }
 
-// TestIdleDecisionRuledOutByColor pins the negative case the policy
-// relies on for speed: a parked token at an initiator tainted black
-// cannot decide, and the flag says so.
+// TestIdleDecisionRuledOutByColor pins the case DecisionAware's promise
+// rests on: a parked token at an initiator tainted black cannot decide,
+// and the flag says so.
 func TestIdleDecisionRuledOutByColor(t *testing.T) {
 	for _, mk := range []struct {
 		name string

@@ -149,21 +149,20 @@ type Detector interface {
 	Rounds() int
 }
 
-// DecisionAware is an optional Detector capability used by the sharded
-// engine's window-serialization policy. A detector that implements it
-// lets the engine run windows in parallel whenever no termination
-// verdict can possibly be reached inside the window by a rank merely
-// going idle; without it the sharded engine must serialize every window
-// (correct but slow). The token ring implements it.
+// DecisionAware is an optional Detector capability: the sharded engine
+// runs windows in parallel only for a detector that implements it, and
+// serializes every window otherwise (correct but slow). The token ring
+// implements it, and its promise is the one the sharded engine relies
+// on: with two or more ranks alive and no crash, only OnToken at
+// Initiator decides. A token parks at a rank only while the rank is
+// busy, and a busy initiator that already went idle once was blackened
+// by the work it received, so its next OnIdle forwards a tainted round.
+// The engine serializes every window in which a token is due at the
+// initiator and asserts that no verdict lands outside one.
 type DecisionAware interface {
-	// IdleDecisionPossible reports whether a call to OnIdle(rank) could
-	// return a termination verdict right now — i.e. rank is the
-	// initiator and holds a parked current-round token whose state does
-	// not already rule the verdict out. The answer may be conservatively
-	// true; it must never be false when OnIdle(rank) could set
-	// Terminated. Token deliveries (OnToken) are excluded: the engine
-	// accounts for those separately, since it can see the token messages
-	// in flight.
+	// IdleDecisionPossible reports whether OnIdle(rank) could set
+	// Terminated right now: only for the initiator as the lone
+	// survivor, which decides from its own state.
 	IdleDecisionPossible(rank int) bool
 }
 
@@ -407,28 +406,11 @@ func (d *ring) emit(s Send) []Send {
 func (d *ring) Terminated() bool { return d.terminated }
 func (d *ring) Rounds() int      { return d.round }
 
-// IdleDecisionPossible implements DecisionAware. The verdict in forward
-// requires a white current-round token at a white initiator; the count
-// condition is ignored (conservative — counts can reach zero within the
-// window). Colors only darken between token visits, so a black answer
-// cannot turn deciding without another OnToken at the initiator.
+// IdleDecisionPossible implements DecisionAware. OnIdle decides only
+// through emitInit's lone-survivor branch: a token parked at the
+// initiator waits behind a black rank (see DecisionAware).
 func (d *ring) IdleDecisionPossible(rank int) bool {
-	if d.terminated || rank != d.init || !d.alive[rank] {
-		return false
-	}
-	if !d.started || d.restart {
-		// The next OnIdle emits a (possibly regenerated) round; deciding
-		// there needs nAlive == 1, checked below.
-		return d.nAlive == 1
-	}
-	if d.nAlive == 1 {
-		return true
-	}
-	if !d.pending[rank] {
-		return false
-	}
-	tok := d.pendingTok[rank]
-	return tok.Round == d.round && tok.Color == White && d.color[rank] == White
+	return !d.terminated && rank == d.init && d.alive[rank] && d.nAlive == 1
 }
 
 // ---------------------------------------------------------------------

@@ -21,15 +21,12 @@ import (
 // which calls m.Latency once per pair. Stateful models such as
 // *JitterLatency are rejected — probing them would both advance their
 // stream and invalidate the bound (a jitter draw can undercut the base
-// latency).
-//
-// The second return value is false when no cross-shard pair exists
-// (fewer than two distinct shards), in which case the bound is
-// meaningless and the caller should not window at all.
-func MinCrossLatency(j *Job, shardOf []int, m LatencyModel) (sim.Duration, bool, error) {
+// latency). A shard map with no cross-shard pair (fewer than two
+// distinct shards) has no bound and is an error too.
+func MinCrossLatency(j *Job, shardOf []int, m LatencyModel) (sim.Duration, error) {
 	n := j.Ranks()
 	if len(shardOf) != n {
-		return 0, false, fmt.Errorf("topology: shard map has %d entries for %d ranks", len(shardOf), n)
+		return 0, fmt.Errorf("topology: shard map has %d entries for %d ranks", len(shardOf), n)
 	}
 	cross := false
 	for i := 1; i < n; i++ {
@@ -39,16 +36,16 @@ func MinCrossLatency(j *Job, shardOf []int, m LatencyModel) (sim.Duration, bool,
 		}
 	}
 	if !cross {
-		return 0, false, nil
+		return 0, fmt.Errorf("topology: shard map has no cross-shard rank pair")
 	}
 	switch mm := m.(type) {
 	case *HierarchicalLatency:
 		d, err := minCrossHierarchical(j, shardOf, mm)
-		return clampMin(d), true, err
+		return clampMin(d), err
 	case *UniformLatency:
-		return clampMin(mm.Fixed), true, nil
+		return clampMin(mm.Fixed), nil
 	case *JitterLatency:
-		return 0, false, fmt.Errorf("topology: jitter latency is stateful; no sound lookahead bound")
+		return 0, fmt.Errorf("topology: jitter latency is stateful; no sound lookahead bound")
 	default:
 		min := sim.Duration(0)
 		first := true
@@ -63,7 +60,7 @@ func MinCrossLatency(j *Job, shardOf []int, m LatencyModel) (sim.Duration, bool,
 				}
 			}
 		}
-		return clampMin(min), true, nil
+		return clampMin(min), nil
 	}
 }
 

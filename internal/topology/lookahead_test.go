@@ -81,13 +81,13 @@ func TestMinCrossLatencyExact(t *testing.T) {
 				t.Fatal(err)
 			}
 			shardOf := tc.part(tc.ranks, tc.shards)
-			got, ok, err := MinCrossLatency(job, shardOf, model)
+			got, err := MinCrossLatency(job, shardOf, model)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want, wantOK := bruteMinCross(job, shardOf, model)
-			if ok != wantOK || got != want {
-				t.Fatalf("MinCrossLatency = (%v, %v), brute force = (%v, %v)", got, ok, want, wantOK)
+			if !wantOK || got != want {
+				t.Fatalf("MinCrossLatency = %v, brute force = (%v, %v)", got, want, wantOK)
 			}
 		})
 	}
@@ -113,14 +113,14 @@ func TestMinCrossLatencyUnordered(t *testing.T) {
 		for _, shards := range []int{2, 3, 8} {
 			for _, part := range []func(int, int) []int{contiguous, stripes} {
 				shardOf := part(64, shards)
-				got, ok, err := MinCrossLatency(job, shardOf, model)
+				got, err := MinCrossLatency(job, shardOf, model)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want, wantOK := bruteMinCross(job, shardOf, model)
-				if ok != wantOK || got != want {
-					t.Fatalf("%v shards=%d: MinCrossLatency = (%v, %v), brute force = (%v, %v)",
-						placement, shards, got, ok, want, wantOK)
+				if !wantOK || got != want {
+					t.Fatalf("%v shards=%d: MinCrossLatency = %v, brute force = (%v, %v)",
+						placement, shards, got, want, wantOK)
 				}
 			}
 		}
@@ -135,13 +135,13 @@ func TestMinCrossLatencyUniform(t *testing.T) {
 		t.Fatal(err)
 	}
 	shardOf := contiguous(16, 2)
-	got, ok, err := MinCrossLatency(job, shardOf, &UniformLatency{Fixed: 3 * sim.Microsecond})
-	if err != nil || !ok || got != 3*sim.Microsecond {
-		t.Fatalf("uniform: got (%v, %v, %v)", got, ok, err)
+	got, err := MinCrossLatency(job, shardOf, &UniformLatency{Fixed: 3 * sim.Microsecond})
+	if err != nil || got != 3*sim.Microsecond {
+		t.Fatalf("uniform: got (%v, %v)", got, err)
 	}
-	got, ok, err = MinCrossLatency(job, shardOf, &UniformLatency{Fixed: 0})
-	if err != nil || !ok || got != 1 {
-		t.Fatalf("uniform zero: got (%v, %v, %v), want 1ns clamp", got, ok, err)
+	got, err = MinCrossLatency(job, shardOf, &UniformLatency{Fixed: 0})
+	if err != nil || got != 1 {
+		t.Fatalf("uniform zero: got (%v, %v), want 1ns clamp", got, err)
 	}
 }
 
@@ -154,13 +154,13 @@ func TestMinCrossLatencyGenericModel(t *testing.T) {
 	}
 	model := rankGapLatency{}
 	shardOf := stripes(32, 4)
-	got, ok, err := MinCrossLatency(job, shardOf, model)
+	got, err := MinCrossLatency(job, shardOf, model)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, wantOK := bruteMinCross(job, shardOf, model)
-	if ok != wantOK || got != want {
-		t.Fatalf("generic: got (%v, %v), want (%v, %v)", got, ok, want, wantOK)
+	if !wantOK || got != want {
+		t.Fatalf("generic: got %v, want (%v, %v)", got, want, wantOK)
 	}
 }
 
@@ -177,20 +177,20 @@ func (rankGapLatency) Latency(_ *Job, i, k int, _ int) sim.Duration {
 }
 
 // TestMinCrossLatencyEdges pins the degenerate inputs: a single-shard
-// map reports no bound, a jitter model and a bad shard map error out.
+// map, a bad shard map and a jitter model error out.
 func TestMinCrossLatencyEdges(t *testing.T) {
 	job, err := NewJob(KComputer(), 8, OnePerNode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok, err := MinCrossLatency(job, make([]int, 8), DefaultLatency()); ok || err != nil {
-		t.Fatalf("single shard: ok=%v err=%v, want no bound", ok, err)
+	if _, err := MinCrossLatency(job, make([]int, 8), DefaultLatency()); err == nil {
+		t.Fatal("single shard: want error")
 	}
-	if _, _, err := MinCrossLatency(job, []int{0, 1}, DefaultLatency()); err == nil {
+	if _, err := MinCrossLatency(job, []int{0, 1}, DefaultLatency()); err == nil {
 		t.Fatal("short shard map: want error")
 	}
 	jit := NewJitterLatency(DefaultLatency(), 0.2, 1)
-	if _, _, err := MinCrossLatency(job, contiguous(8, 2), jit); err == nil {
+	if _, err := MinCrossLatency(job, contiguous(8, 2), jit); err == nil {
 		t.Fatal("jitter model: want error")
 	}
 }
